@@ -10,10 +10,14 @@
 //! cargo run ... --bin perf_report -- --gate alloc_churn_mixed=13.6
 //! ```
 //!
-//! `--gate <kernel>=<max_ns>` (repeatable) bounds a kernel's measured mean:
-//! the process exits non-zero when the mean exceeds the bound, so CI can
-//! pin hot-path regressions by exit status. An unknown kernel name in a
-//! gate is itself an error — a typo must fail loudly, not pass silently.
+//! `--gate <kernel>=<max_ns>` (repeatable) bounds a kernel's *fastest*
+//! sample (`min_ns`): the process exits non-zero when even the best sample
+//! exceeds the bound, so CI can pin hot-path regressions by exit status.
+//! The minimum, not the mean: on a shared runner noise only ever adds time,
+//! so the mean of a healthy build wanders across any bound tight enough to
+//! catch a regression, while the minimum moves only when the code does. An
+//! unknown kernel name in a gate is itself an error — a typo must fail
+//! loudly, not pass silently.
 //!
 //! When the output path is a `BENCH_<pr>.json` trajectory entry, the report
 //! also diffs the fresh run against the highest-numbered earlier
@@ -30,7 +34,7 @@ use std::path::Path;
 
 fn main() {
     let smoke = diehard_bench::smoke();
-    let out_path = out_arg().unwrap_or_else(|| "BENCH_10.json".to_string());
+    let out_path = out_arg().unwrap_or_else(|| "BENCH_12.json".to_string());
     let gates = gate_args();
 
     let results = run_all(smoke);
@@ -70,21 +74,21 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Regression gates: each --gate bounds one kernel's measured mean.
+    // Regression gates: each --gate bounds one kernel's fastest sample.
     let mut gate_failed = false;
     for (kernel, max_ns) in &gates {
         match results.iter().find(|r| r.name == kernel) {
-            Some(r) if r.mean_ns > *max_ns => {
+            Some(r) if r.min_ns > *max_ns => {
                 eprintln!(
-                    "perf_report: gate FAILED: {kernel} mean {:.2} ns/op > {max_ns} ns/op",
-                    r.mean_ns
+                    "perf_report: gate FAILED: {kernel} min {:.2} ns/op > {max_ns} ns/op",
+                    r.min_ns
                 );
                 gate_failed = true;
             }
             Some(r) => {
                 println!(
-                    "gate ok: {kernel} mean {:.2} ns/op <= {max_ns} ns/op",
-                    r.mean_ns
+                    "gate ok: {kernel} min {:.2} ns/op <= {max_ns} ns/op",
+                    r.min_ns
                 );
             }
             None => {

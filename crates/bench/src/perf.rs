@@ -19,11 +19,12 @@
 //! across timed samples) and `iters` is the total operation count measured.
 
 use diehard_core::config::{FillPolicy, HeapConfig};
-use diehard_core::magazine::MagazineHeap;
+use diehard_core::global::DieHard;
+use diehard_core::magazine::{MagazineHeap, MAG_SLOTS};
 use diehard_core::partition::Partition;
 use diehard_core::rng::Mwc;
-use diehard_core::sharded::ShardedHeap;
-use diehard_core::size_class::SizeClass;
+use diehard_core::sharded::{ShardedHeap, PROMOTE_AFTER_ALLOCS};
+use diehard_core::size_class::{SizeClass, NUM_CLASSES};
 use diehard_sim::{DieHardSimHeap, SimAllocator};
 use std::hint::black_box;
 use std::time::Instant;
@@ -38,6 +39,8 @@ pub const KERNELS: &[&str] = &[
     "fill_random",
     "grow_under_churn",
     "hugepage_fill",
+    "class_first_touch",
+    "class_promote",
     "proxy_throughput",
     "proxy_conn_latency",
     "proxy_conn_latency_warm",
@@ -335,10 +338,13 @@ fn grow_under_churn(smoke: bool) -> KernelResult {
 
 /// Huge-page commit cost: one op = first-touch of one 4 KB page inside a
 /// fresh anonymous mapping advised with `MADV_HUGEPAGE` — the
-/// mmap/madvise/fault sequence the global allocator issues for its arena
-/// and each large object. The advice is best-effort: on kernels without
-/// transparent huge pages this degrades to (and measures) ordinary 4 KB
-/// faults, so the number is meaningful either way.
+/// mmap/madvise/fault sequence the global allocator issues for each large
+/// object, and what every fault in a size class costs *after* that class
+/// has been promoted (before promotion, and in every class of a short
+/// process, the arena faults in plain 4 KB pages: see `class_first_touch`).
+/// One 2 MB fill is 512 of these ops. The advice is best-effort: on
+/// kernels without transparent huge pages this degrades to (and measures)
+/// ordinary 4 KB faults, so the number is meaningful either way.
 fn hugepage_fill(smoke: bool) -> KernelResult {
     let (warmup, samples, len) = if smoke {
         (0, 2, 4usize << 20)
@@ -369,6 +375,114 @@ fn hugepage_fill(smoke: bool) -> KernelResult {
             libc::munmap(ptr, len);
         }
     })
+}
+
+/// A fresh heap shaped like the interposer's: 32 MB regions born at 1/16
+/// (a 2 MB active range per class). Returned uninitialized — a `DieHard`
+/// must not move after its first allocation — so callers run
+/// [`initialize_off_clock`] on it in place. Its mappings are deliberately
+/// leaked by `DieHard`'s `Drop` (≈ 386 MB of address space per sample,
+/// resident only where touched).
+fn interposer_heap(seed: u64) -> DieHard {
+    DieHard::with_elastic_config(HeapConfig::paper_default(), seed, 4)
+}
+
+/// Runs the heap's one-time initialization through a large object, which
+/// builds the state without touching any size class.
+fn initialize_off_clock(heap: &DieHard) {
+    let warm = heap.malloc(1 << 20);
+    assert!(!warm.is_null(), "heap initialization failed");
+    heap.free(warm);
+}
+
+/// What a short process pays the arena: one op = the *first* `malloc` in a
+/// size class of a fresh heap plus a full write of the object, across all
+/// twelve classes (8 B … 16 KB): one to four 4 KB faults plus the class's
+/// first magazine refill. A span advised `MADV_HUGEPAGE` up front turns
+/// each of these into a 2 MB zero-fill — the regression this kernel exists
+/// to catch.
+fn class_first_touch(smoke: bool) -> KernelResult {
+    let (warmup, samples) = if smoke { (0, 2) } else { (2, 25) };
+    let mut seed = 0x1257_70C4u64;
+    let mut per_op: Vec<f64> = Vec::with_capacity(samples);
+    for round in 0..warmup + samples {
+        seed += 1;
+        let heap = interposer_heap(seed);
+        initialize_off_clock(&heap);
+        let start = Instant::now();
+        for class in SizeClass::all() {
+            let size = class.object_size();
+            let p = heap.malloc(size);
+            assert!(!p.is_null(), "first allocation of {size} B");
+            // SAFETY: a live object of `size` bytes.
+            unsafe { p.write_bytes(0xA5, size) };
+            black_box(p);
+        }
+        let elapsed = start.elapsed();
+        assert_eq!(heap.promoted_classes(), 0, "one object is not evidence");
+        if round >= warmup {
+            per_op.push(elapsed.as_nanos() as f64 / NUM_CLASSES as f64);
+        }
+    }
+    summarize("class_first_touch", &per_op, (samples * NUM_CLASSES) as u64)
+}
+
+/// `AnonHugePages` of this process in kB (`/proc/self/smaps_rollup`), or
+/// `None` where the kernel does not report it.
+fn anon_huge_kb() -> Option<u64> {
+    let rollup = std::fs::read_to_string("/proc/self/smaps_rollup").ok()?;
+    let line = rollup.lines().find(|l| l.starts_with("AnonHugePages:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// The price of crossing the promotion threshold: one op = the `malloc`
+/// whose refill takes the 8-byte class of a fresh heap to
+/// [`PROMOTE_AFTER_ALLOCS`] — `MADV_HUGEPAGE` over the 32 MB region plus
+/// `MADV_COLLAPSE` of the 2 MB active range, which by then holds the
+/// threshold's worth of live, written objects scattered over ≈ 320 of its
+/// 512 pages. Paid once per hot class per process. Where the kernel refuses
+/// the collapse (THP off, pre-6.1, no free 2 MB block) the op is two failed
+/// syscalls, and the kernel says so on stderr.
+fn class_promote(smoke: bool) -> KernelResult {
+    let (warmup, samples) = if smoke { (0, 2) } else { (2, 25) };
+    // Refills reserve whole magazines, so the refill that reaches the
+    // threshold serves the handout one magazine short of it.
+    let before_crossing = PROMOTE_AFTER_ALLOCS as usize - MAG_SLOTS;
+    let mut seed = 0x9407_07E5u64;
+    let mut per_op: Vec<f64> = Vec::with_capacity(samples);
+    let mut collapsed = 0usize;
+    for round in 0..warmup + samples {
+        seed += 1;
+        let heap = interposer_heap(seed);
+        initialize_off_clock(&heap);
+        for i in 0..before_crossing {
+            let p = heap.malloc(8).cast::<u64>();
+            assert!(!p.is_null());
+            // SAFETY: a live 8-byte object.
+            unsafe { p.write(i as u64) };
+        }
+        assert_eq!(heap.promoted_classes(), 0, "not yet hot");
+        let huge_before = anon_huge_kb();
+        let start = Instant::now();
+        let p = black_box(heap.malloc(8));
+        let elapsed = start.elapsed();
+        assert!(!p.is_null());
+        assert_eq!(heap.promoted_classes(), 1, "the 8-byte class, alone");
+        if let (Some(before), Some(after)) = (huge_before, anon_huge_kb()) {
+            collapsed += usize::from(after >= before + 2048);
+        }
+        if round >= warmup {
+            per_op.push(elapsed.as_nanos() as f64);
+        }
+    }
+    if collapsed < warmup + samples {
+        eprintln!(
+            "class_promote: the kernel collapsed {collapsed} of {} promoted ranges \
+             (THP off, pre-6.1, or out of 2 MB blocks): the rest stayed on 4 KB pages",
+            warmup + samples
+        );
+    }
+    summarize("class_promote", &per_op, samples as u64)
 }
 
 /// Shared proxy-kernel scaffolding: a loopback [`Proxy`] voting three
@@ -669,6 +783,8 @@ pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
         "fill_random" => Some(fill_kernel("fill_random", FillPolicy::Random, smoke)),
         "grow_under_churn" => Some(grow_under_churn(smoke)),
         "hugepage_fill" => Some(hugepage_fill(smoke)),
+        "class_first_touch" => Some(class_first_touch(smoke)),
+        "class_promote" => Some(class_promote(smoke)),
         "proxy_throughput" => Some(proxy_throughput(smoke)),
         "proxy_conn_latency" => Some(proxy_conn_latency(smoke)),
         "proxy_conn_latency_warm" => Some(proxy_conn_latency_warm(smoke)),
@@ -772,6 +888,8 @@ mod tests {
         assert!(missing.contains(&"fill_random"));
         assert!(missing.contains(&"grow_under_churn"));
         assert!(missing.contains(&"hugepage_fill"));
+        assert!(missing.contains(&"class_first_touch"));
+        assert!(missing.contains(&"class_promote"));
         assert!(missing.contains(&"proxy_throughput"));
         assert!(missing.contains(&"proxy_conn_latency"));
         assert!(missing.contains(&"proxy_conn_latency_warm"));

@@ -108,14 +108,27 @@
 //!   state machine (free → reserved → live → free, one paired-bit cell per
 //!   slot) is documented and tested in [`crate::bitmap`] and
 //!   [`crate::magazine`].
-//! * **`madvise(MADV_HUGEPAGE)` is advice, not a new obligation.** The one
-//!   new syscall this revision adds ([`sys::advise_hugepages`], issued on
-//!   the small-object span at init and on each large-object mapping) is
-//!   non-destructive by specification: it can neither unmap, move, nor
-//!   zero the range, so its failure mode is "nothing happens" and the
-//!   result is ignored. It runs before the state is published (init) or
-//!   before the pointer escapes (large path) — never on memory another
-//!   thread can observe mid-change.
+//! * **Huge pages are two advisory syscalls, issued on evidence.**
+//!   Initialization advises nothing: the small-object span is reserved
+//!   2 MB-aligned and faults in 4 KB at a time, so a class a process barely
+//!   uses costs the pages it touches (§4.1's lazily initialized
+//!   partitions). Once a class has proven hot
+//!   ([`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS)) the
+//!   promote hook issues [`sys::advise_hugepages`] (`MADV_HUGEPAGE`) over
+//!   the class's whole region — later faults and elastic doublings arrive
+//!   2 MB at a time, §7's TLB-reach remedy — and
+//!   [`sys::collapse_hugepages`] (`MADV_COLLAPSE`) over its active range,
+//!   which re-backs the pages already touched without moving or changing a
+//!   byte. Both are non-destructive by specification: neither can unmap,
+//!   move, or zero memory, the kernel performs the collapse atomically with
+//!   respect to other threads' loads and stores, and every failure
+//!   (`EINVAL` before Linux 6.1 or under THP `never`, no free 2 MB block)
+//!   leaves the range exactly as it was, on 4 KB pages — so the results are
+//!   ignored. Both are issued once per class, under that class's
+//!   maintenance lock (so never concurrently with a doubling of the same
+//!   class, and `fork_prepare` waits for one in flight), and never from a
+//!   per-op path. Each large-object mapping is still advised before its
+//!   pointer escapes.
 //! * **Elastic growth adds no new unsafety.** Growing a class rewrites two
 //!   atomics (`capacity`, the packed shift/threshold word) under the class
 //!   maintenance lock; the slot-state maps and the heap span are sized for
@@ -429,6 +442,16 @@ impl DieHard {
         self.state.get().map_or(0, |s| s.heap.reserved_slots())
     }
 
+    /// Bitmask of size classes whose memory has been promoted to huge pages
+    /// (bit `i` = class index `i`; diagnostics). A class is promoted once,
+    /// when its cumulative allocation count first reaches
+    /// [`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS);
+    /// whether the kernel honoured the request is not recorded.
+    #[must_use]
+    pub fn promoted_classes(&self) -> u32 {
+        self.state.get().map_or(0, |s| s.heap.promoted_classes())
+    }
+
     /// Flushes the calling thread's magazine into this heap, releasing its
     /// buffered frees and returning its unhanded reservations. A no-op when
     /// the thread's magazines are bound to a different heap (or to none).
@@ -604,18 +627,18 @@ impl DieHard {
         if meta.is_null() {
             return None;
         }
-        let heap_base = sys::map_reserve(span);
+        // 2 MB-aligned, so every class region (a power of two) of at least
+        // one huge page starts and ends on a huge-page boundary and can be
+        // advised and collapsed as a whole. Nothing is advised here: the
+        // span faults in 4 KB at a time until a class proves hot (see
+        // `promote_region`).
+        let heap_base = sys::map_reserve_huge_aligned(span);
         if heap_base.is_null() {
             // SAFETY: meta was just mapped with this length.
             unsafe { sys::unmap(meta, meta_bytes) };
             return None;
         }
-
-        // The span is reserved at full (maximum) size either way — elastic
-        // growth only widens the probing range, so huge-page advice on the
-        // whole arena is valid for the heap's entire lifetime. Best-effort;
-        // issued before the state is published.
-        sys::advise_hugepages(heap_base, span);
+        debug_assert_eq!(heap_base as usize % sys::HUGE_PAGE, 0);
 
         let bitmap_words = meta.cast::<u64>();
         // SAFETY: the meta arena provides `words` zeroed u64s (allocation
@@ -630,7 +653,7 @@ impl DieHard {
             },
             None => unsafe { MagazineHeap::from_raw_parts(config, seed, bitmap_words) },
         };
-        let heap = match heap {
+        let mut heap = match heap {
             Ok(heap) => heap,
             Err(_) => {
                 // SAFETY: both mappings were just created with these lengths
@@ -642,6 +665,7 @@ impl DieHard {
                 return None;
             }
         };
+        heap.set_promote_hook(promote_region, heap_base as usize);
         let tables = unsafe { meta.add(words * 8).cast::<usize>() };
         // SAFETY: as above; disjoint quarters of the table area.
         let base = unsafe { LargeTable::from_storage(tables, tables.add(table_cap), table_cap) };
@@ -790,6 +814,20 @@ impl DieHard {
         let inserted = large.base.insert(user_addr, base as usize);
         debug_assert!(inserted, "large tables out of sync");
         user
+    }
+}
+
+/// The heap's [`PromoteHook`](crate::sharded::PromoteHook): moves one size
+/// class of the span at `heap_base` onto huge pages. Advice over the whole
+/// region covers everything faulted in from here on (elastic doublings
+/// included); the collapse re-backs the active range touched so far, and is
+/// skipped when the advice was refused — a kernel without THP would refuse
+/// it too. Best-effort throughout: on failure the class simply stays on
+/// 4 KB pages.
+fn promote_region(heap_base: usize, region_offset: usize, region_len: usize, active_len: usize) {
+    let region = (heap_base + region_offset) as *mut u8;
+    if sys::advise_hugepages(region, region_len) {
+        sys::collapse_hugepages(region, active_len);
     }
 }
 
@@ -1169,6 +1207,111 @@ mod tests {
         heap.free(p);
         let q = heap.malloc(2048);
         assert!(!q.is_null(), "heap fully functional after the roundtrip");
+        heap.free(q);
+        assert_eq!(heap.live_objects(), 0);
+    }
+
+    /// Paper-sized 32 MB regions at the interposer's 1/16 start: every
+    /// class region is a whole number of huge pages with a 2 MB active
+    /// range, so a promotion here really advises and collapses.
+    fn paper_elastic_heap(seed: u64) -> DieHard {
+        DieHard::with_elastic_config(HeapConfig::paper_default(), seed, 4)
+    }
+
+    /// A class driven past the threshold is promoted once — by the refill
+    /// that takes its count there — and alone; the collapse happens in
+    /// place (every object keeps its address and its contents), and
+    /// placement stays identical to a heap that owns no memory and has no
+    /// hook at all.
+    #[test]
+    fn hot_class_is_promoted_once_alone_and_in_place() {
+        use crate::magazine::MAG_SLOTS;
+        use crate::sharded::PROMOTE_AFTER_ALLOCS;
+        use crate::size_class::SizeClass;
+
+        const SEED: u64 = 0x9A6E;
+        let heap = paper_elastic_heap(SEED);
+        let twin = MagazineHeap::new_elastic(HeapConfig::paper_default(), SEED, 4).unwrap();
+        let mut twin_cache = twin.thread_cache();
+        let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
+        // Handouts 1..=8 come from refill 1, so the refill that takes the
+        // count to the threshold serves handout `threshold − 8 + 1`.
+        let crossing = PROMOTE_AFTER_ALLOCS as usize - MAG_SLOTS + 1;
+        let mut ptrs = Vec::new();
+        for i in 1..=2 * PROMOTE_AFTER_ALLOCS as usize {
+            let p = heap.malloc(64);
+            assert!(!p.is_null());
+            // SAFETY: a live, 64-byte-aligned 64-byte object.
+            unsafe { p.cast::<usize>().write(i) };
+            ptrs.push(p);
+            let base = heap.state.get().unwrap().heap_base as usize;
+            assert_eq!(base % sys::HUGE_PAGE, 0, "span is huge-page aligned");
+            let expected = twin.offset_of(twin_cache.alloc(64).unwrap());
+            assert_eq!(p as usize - base, expected, "placement of object {i}");
+            let want = if i >= crossing { hot } else { 0 };
+            assert_eq!(heap.promoted_classes(), want, "after object {i}");
+        }
+        // Cold classes stay cold, whatever else the heap does.
+        let cold = heap.malloc(1000);
+        let large = heap.malloc(3 << 20);
+        assert!(!cold.is_null() && !large.is_null());
+        assert_eq!(heap.promoted_classes(), hot);
+        for (i, &p) in ptrs.iter().enumerate() {
+            // SAFETY: still live; written above.
+            assert_eq!(unsafe { p.cast::<usize>().read() }, i + 1, "object {i}");
+            heap.free(p);
+        }
+        heap.free(cold);
+        heap.free(large);
+        assert_eq!(heap.live_objects(), 0);
+        assert_eq!(heap.promoted_classes(), hot, "promotion is for life");
+    }
+
+    /// `fork_prepare` holds every maintenance lock, and a promotion runs
+    /// under its class's: so no promotion can begin or be mid-syscall
+    /// inside a prepare/resume window, however the two race, and the locks
+    /// balance either way.
+    #[test]
+    fn fork_locks_balance_with_a_promotion_racing_them() {
+        use crate::sharded::PROMOTE_AFTER_ALLOCS;
+        use crate::size_class::SizeClass;
+
+        let heap = paper_elastic_heap(0xF02C);
+        // Initialized up front, so every prepare takes the full lock set.
+        let first = heap.malloc(64);
+        assert!(!first.is_null());
+        let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let (heap, start) = (&heap, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..2 * PROMOTE_AFTER_ALLOCS as usize {
+                    let p = heap.malloc(64);
+                    assert!(!p.is_null());
+                    // SAFETY: a live 64-byte object.
+                    unsafe { p.cast::<usize>().write(i) };
+                    heap.free(p);
+                }
+                heap.flush_thread_cache();
+            });
+            start.wait();
+            let mut windows = 0u32;
+            while heap.promoted_classes() == 0 || windows < 8 {
+                heap.fork_prepare();
+                let inside = heap.promoted_classes();
+                std::thread::yield_now();
+                assert_eq!(heap.promoted_classes(), inside, "promotion inside a window");
+                // SAFETY: paired with the prepare above, same thread.
+                unsafe { heap.fork_resume() };
+                windows += 1;
+                std::thread::yield_now();
+            }
+        });
+        assert_eq!(heap.promoted_classes(), hot);
+        heap.free(first);
+        let q = heap.malloc(64);
+        assert!(!q.is_null(), "heap fully functional afterwards");
         heap.free(q);
         assert_eq!(heap.live_objects(), 0);
     }

@@ -52,19 +52,74 @@ pub unsafe fn unmap(ptr: *mut u8, len: usize) {
     }
 }
 
-/// Advises the kernel to back `[ptr, ptr + len)` with transparent huge
-/// pages (`MADV_HUGEPAGE`). Best-effort and non-destructive: failure (old
-/// kernel, THP disabled, unaligned range) changes nothing about the
-/// mapping's contents or validity, so the result is deliberately ignored.
-/// Self-gates on ranges shorter than one 2 MB huge page — advice there is
-/// pure syscall overhead.
-pub fn advise_hugepages(ptr: *mut u8, len: usize) {
-    if ptr.is_null() || len < (2 << 20) {
-        return;
+/// One transparent huge page: the PMD size on x86-64 and on aarch64 with
+/// 4 KB base pages.
+pub const HUGE_PAGE: usize = 2 << 20;
+
+/// As [`map_reserve`], but the returned address is [`HUGE_PAGE`]-aligned:
+/// over-reserves by one huge page and unmaps the unaligned head and the
+/// unused tail. Kernels that do not THP-align anonymous mappings hand back
+/// page-aligned addresses only, and a span whose class regions straddle
+/// 2 MB boundaries can be neither advised nor collapsed cleanly. `len` must
+/// be a multiple of the page size. Returns null on failure.
+#[must_use]
+pub fn map_reserve_huge_aligned(len: usize) -> *mut u8 {
+    let Some(padded) = len.checked_add(HUGE_PAGE) else {
+        return core::ptr::null_mut();
+    };
+    let raw = map_reserve(padded);
+    if raw.is_null() {
+        return raw;
     }
-    // SAFETY: non-destructive advice on a mapping the caller owns; madvise
-    // never invalidates the range.
-    let _ = unsafe { libc::madvise(ptr.cast::<libc::c_void>(), len, libc::MADV_HUGEPAGE) };
+    let head = (raw as usize).wrapping_neg() & (HUGE_PAGE - 1);
+    // SAFETY: `head < HUGE_PAGE`, so `[raw, raw + head)` and
+    // `[raw + head + len, raw + padded)` are page-aligned, unreferenced
+    // slices of the mapping created just above; the middle `len` bytes stay
+    // mapped and are what the caller receives.
+    unsafe {
+        let aligned = raw.add(head);
+        if head > 0 {
+            unmap(raw, head);
+        }
+        unmap(aligned.add(len), HUGE_PAGE - head);
+        aligned
+    }
+}
+
+/// `madvise` over `[ptr, ptr + len)`, reporting whether the kernel honoured
+/// it. Self-gates on null and on ranges shorter than one huge page, where
+/// either advice below is pure syscall overhead.
+fn madvise_huge(ptr: *mut u8, len: usize, advice: libc::c_int) -> bool {
+    if ptr.is_null() || len < HUGE_PAGE {
+        return false;
+    }
+    // SAFETY: both callers pass non-destructive advice on a mapping the
+    // caller owns; neither can unmap, move, or change the contents of the
+    // range, and an unmapped or unaligned range is an error return.
+    unsafe { libc::madvise(ptr.cast::<libc::c_void>(), len, advice) == 0 }
+}
+
+/// Advises the kernel to back `[ptr, ptr + len)` with transparent huge
+/// pages from now on (`MADV_HUGEPAGE`): pages faulted in *after* the call
+/// arrive 2 MB at a time. Best-effort and non-destructive: `false` (old
+/// kernel, THP `never`, unaligned or sub-2 MB range) means nothing about
+/// the mapping changed and it keeps faulting in 4 KB pages — callers on
+/// the allocation side ignore the result; tests and perf kernels read it.
+pub fn advise_hugepages(ptr: *mut u8, len: usize) -> bool {
+    madvise_huge(ptr, len, libc::MADV_HUGEPAGE)
+}
+
+/// Collapses the base pages *already* mapped in `[ptr, ptr + len)` into
+/// huge pages in place (`MADV_COLLAPSE`, Linux 6.1+), so a range that was
+/// touched 4 KB at a time gets the TLB reach it would have had if it had
+/// been advised from the start. Contents and addresses are unchanged.
+/// `true` only when every 2 MB extent of the range ended up huge; `false`
+/// covers partial collapses (never-touched extents are skipped),
+/// `EINVAL` on pre-6.1 kernels and under THP `never`, and a kernel out of
+/// free 2 MB blocks — in every case the range stays valid on whatever mix
+/// of page sizes it had.
+pub fn collapse_hugepages(ptr: *mut u8, len: usize) -> bool {
+    madvise_huge(ptr, len, libc::MADV_COLLAPSE)
 }
 
 /// Revokes all access to `[ptr, ptr + len)`, turning it into a guard region
@@ -106,21 +161,63 @@ mod tests {
         }
     }
 
+    /// Whether this kernel can honour huge-page advice at all: the sysfs
+    /// knob exists and is not `never` (`always` or `madvise` both accept
+    /// `MADV_HUGEPAGE`).
+    fn thp_available() -> bool {
+        std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+            .is_ok_and(|mode| !mode.contains("[never]"))
+    }
+
+    #[test]
+    fn huge_aligned_reservation_is_aligned_and_exactly_sized() {
+        let len = 3 * HUGE_PAGE;
+        let ptr = map_reserve_huge_aligned(len);
+        assert!(!ptr.is_null());
+        assert_eq!(ptr as usize % HUGE_PAGE, 0);
+        // First and last byte are mapped; the trimmed head and tail are the
+        // caller's business no longer (unmapping exactly `len` must release
+        // everything the reservation kept).
+        // SAFETY: `ptr` maps `len` zeroed writable bytes.
+        unsafe {
+            *ptr = 1;
+            *ptr.add(len - 1) = 2;
+            assert_eq!((*ptr, *ptr.add(len - 1)), (1, 2));
+            unmap(ptr, len);
+        }
+        assert!(map_reserve_huge_aligned(usize::MAX - 4096).is_null());
+    }
+
     #[test]
     fn hugepage_advice_is_harmless() {
-        // Under the 2 MB gate: no syscall, trivially fine (null included).
-        advise_hugepages(core::ptr::null_mut(), 1 << 30);
-        advise_hugepages(4096 as *mut u8, 4096);
-        // At size: advice must leave a live mapping fully usable.
-        let len = 4 << 20;
-        let ptr = map_reserve(len);
+        // Under the 2 MB gate: no syscall, reported as not honoured (null
+        // included).
+        assert!(!advise_hugepages(core::ptr::null_mut(), 1 << 30));
+        assert!(!advise_hugepages(4096 as *mut u8, 4096));
+        assert!(!collapse_hugepages(core::ptr::null_mut(), 1 << 30));
+        assert!(!collapse_hugepages(4096 as *mut u8, 4096));
+        // At size: the answer follows the kernel's THP mode, and either
+        // answer leaves the mapping fully usable with its contents intact.
+        let len = 2 * HUGE_PAGE;
+        let ptr = map_reserve_huge_aligned(len);
         assert!(!ptr.is_null());
-        advise_hugepages(ptr, len);
         // SAFETY: `ptr` maps `len` zeroed writable bytes.
         unsafe {
             *ptr = 0xCD;
             *ptr.add(len - 1) = 0xEF;
+        }
+        let advised = advise_hugepages(ptr, len);
+        assert_eq!(advised, thp_available(), "advice follows the THP mode");
+        // Both extents are touched, so a kernel that collapses at all can
+        // collapse the whole range; one that cannot (pre-6.1, THP off, no
+        // free 2 MB block) must say so and change nothing.
+        let collapsed = collapse_hugepages(ptr, len);
+        assert!(advised || !collapsed, "no collapse without THP");
+        // SAFETY: as above.
+        unsafe {
             assert_eq!(*ptr, 0xCD);
+            assert_eq!(*ptr.add(len - 1), 0xEF);
+            assert_eq!(*ptr.add(HUGE_PAGE), 0, "untouched bytes still zero");
             unmap(ptr, len);
         }
     }

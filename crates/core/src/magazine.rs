@@ -71,7 +71,7 @@ use crate::engine::{
     locate_free, slot_at, slot_offset, AllocOutcome, FreeOutcome, HeapStats, Slot,
 };
 use crate::partition::AtomicPartition;
-use crate::sharded::ShardedHeap;
+use crate::sharded::{PromoteHook, ShardedHeap};
 use crate::size_class::{SizeClass, NUM_CLASSES};
 
 /// Maximum slots a per-class magazine holds between refills.
@@ -282,6 +282,19 @@ impl MagazineHeap {
         self.heap.growth_events()
     }
 
+    /// Installs the huge-page promotion hook
+    /// (see [`ShardedHeap::set_promote_hook`]).
+    pub fn set_promote_hook(&mut self, hook: PromoteHook, ctx: usize) {
+        self.heap.set_promote_hook(hook, ctx);
+    }
+
+    /// Bitmask of size classes promoted to huge pages so far
+    /// (see [`ShardedHeap::promoted_classes`]).
+    #[must_use]
+    pub fn promoted_classes(&self) -> u32 {
+        self.heap.promoted_classes()
+    }
+
     /// Uncached `DieHardFree` (§4.3), lock-free: validates and frees the
     /// object at `offset`. A reserved-but-unhanded slot makes the free CAS
     /// observe `Reserved` and the request is ignored (it is not live — no
@@ -374,13 +387,17 @@ impl MagazineHeap {
     fn refill(&self, class: SizeClass, out: &mut [usize; MAG_SLOTS]) -> usize {
         let shard = self.heap.shard(class);
         let _batch = self.heap.maintenance_lock(class).lock();
-        loop {
+        let got = loop {
             let want = refill_batch(shard.threshold());
             let got = shard.reserve_batch(&mut out[..want]);
             if got > 0 || !self.heap.grow_class_locked(class) {
-                return got;
+                break got;
             }
-        }
+        };
+        // Once per batch, under the lock already held: the handout path
+        // never learns huge pages exist.
+        self.heap.promote_if_hot_locked(class);
+        got
     }
 
     /// The lock-free reserved→live handout transition: one `fetch_and` in

@@ -44,7 +44,38 @@ use crate::engine::{
 use crate::partition::AtomicPartition;
 use crate::size_class::{SizeClass, NUM_CLASSES};
 use crate::sync::SpinLock;
-use core::sync::atomic::{AtomicU64, Ordering};
+use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+/// Cumulative allocations after which a size class counts as *hot* and its
+/// backing memory is promoted to huge pages (see [`PromoteHook`]).
+///
+/// Derivation (ski rental). Left on 4 KB pages, a class pays at most one
+/// small fault per allocation: each placement lands on one random page of
+/// the active range, and a repeat hit is free. Backed by a huge page it pays
+/// one 2 MB zero-fill — the price of 2 MB / 4 KB = 512 small faults — up
+/// front, whether or not the other 511 pages are ever used. Renting until
+/// the rent paid equals the purchase price keeps the total within twice the
+/// clairvoyant optimum for every process lifetime: a class that never makes
+/// 512 allocations (every class of `cat`, `sh`, `grep`, `tr`, `sort`) has
+/// touched fewer pages than one huge page holds and never pays for one; a
+/// class that does has, by then, spent at most one huge page's worth of
+/// small faults and goes on to touch the whole range anyway.
+pub const PROMOTE_AFTER_ALLOCS: u64 = ((2 << 20) / 4096) as u64;
+
+/// The huge-page promotion seam: the one call the ungated heap layers make
+/// towards whoever owns the real memory (the `global` allocator; tests
+/// install counting stand-ins).
+///
+/// Invoked **once per size class**, with that class's maintenance lock
+/// held, the first time a refill or a doubling finds the class past
+/// [`PROMOTE_AFTER_ALLOCS`]. Arguments: the `ctx` word the hook was
+/// installed with, the byte offset of the class's region within the heap
+/// span, the region's full length (advise this much, so later doublings
+/// fault in huge), and the length of its currently active prefix (collapse
+/// this much — it is what has been touched). The hook must not allocate
+/// from the heap it serves, draws no random numbers and moves no object, so
+/// placement is bit-identical with and without one installed.
+pub type PromoteHook = fn(ctx: usize, region_offset: usize, region_len: usize, active_len: usize);
 
 /// A thread-safe DieHard heap whose alloc and free paths are lock-free; one
 /// maintenance lock per size class guards slow-path batches only.
@@ -81,6 +112,12 @@ pub struct ShardedHeap {
     /// Number of completed per-class doublings (elastic heaps; always 0 on
     /// fixed heaps).
     growths: AtomicU64,
+    /// The installed [`PromoteHook`] and its `ctx` word; `None` (every heap
+    /// that owns no real memory) disables the promotion check entirely.
+    promote: Option<(PromoteHook, usize)>,
+    /// Bit `i` set = class `i` has been promoted. Each bit is written once,
+    /// under its class's maintenance lock.
+    promoted: AtomicU32,
 }
 
 impl ShardedHeap {
@@ -124,6 +161,8 @@ impl ShardedHeap {
             maintenance: core::array::from_fn(|_| SpinLock::new(())),
             stats: AtomicHeapStats::new(),
             growths: AtomicU64::new(0),
+            promote: None,
+            promoted: AtomicU32::new(0),
         })
     }
 
@@ -187,6 +226,8 @@ impl ShardedHeap {
             maintenance: core::array::from_fn(|_| SpinLock::new(())),
             stats: AtomicHeapStats::new(),
             growths: AtomicU64::new(0),
+            promote: None,
+            promoted: AtomicU32::new(0),
         })
     }
 
@@ -270,6 +311,48 @@ impl ShardedHeap {
         self.growths.load(Ordering::Relaxed)
     }
 
+    /// Installs the huge-page [`PromoteHook`]. Takes `&mut self`: the hook
+    /// is part of construction (the global allocator sets it before the heap
+    /// is published) and is read without synchronization afterwards.
+    pub fn set_promote_hook(&mut self, hook: PromoteHook, ctx: usize) {
+        self.promote = Some((hook, ctx));
+    }
+
+    /// Bitmask of size classes promoted to huge pages so far (bit `i` =
+    /// class index `i`); always 0 without a [`PromoteHook`].
+    #[must_use]
+    pub fn promoted_classes(&self) -> u32 {
+        self.promoted.load(Ordering::Relaxed)
+    }
+
+    /// Promotes `class` to huge pages if it has proven hot and has not been
+    /// promoted yet. The caller holds `class`'s maintenance lock, which is
+    /// what makes the flag check-then-set race-free and keeps the hook from
+    /// overlapping a doubling of the same class; the per-op paths never come
+    /// here. (The alloc counter is 32-bit telemetry that wraps, but a refill
+    /// advances it by at most one batch between checks, so it cannot skip
+    /// past the threshold unseen.)
+    pub(crate) fn promote_if_hot_locked(&self, class: SizeClass) {
+        let Some((hook, ctx)) = self.promote else {
+            return;
+        };
+        let bit = 1u32 << class.index();
+        if self.promoted.load(Ordering::Relaxed) & bit != 0 {
+            return;
+        }
+        let shard = &self.shards[class.index()];
+        if shard.probe_stats().0 < PROMOTE_AFTER_ALLOCS {
+            return;
+        }
+        self.promoted.fetch_or(bit, Ordering::Relaxed);
+        hook(
+            ctx,
+            self.geometry.region_base(class),
+            self.geometry.config().region_bytes,
+            shard.capacity() * class.object_size(),
+        );
+    }
+
     /// Attempts one growth step for `class`; `false` means the class is
     /// already at its maximum capacity (time to spill), `true` means the
     /// caller should retry its allocation — either this call doubled the
@@ -305,6 +388,9 @@ impl ShardedHeap {
         let new_threshold = self.geometry.config().threshold_for(new_capacity).max(1);
         shard.grow_to(new_capacity, new_threshold);
         self.growths.fetch_add(1, Ordering::Relaxed);
+        // The uncached path's only maintenance-locked stop; after the
+        // doubling, so a promotion collapses the range now in use.
+        self.promote_if_hot_locked(class);
         true
     }
 

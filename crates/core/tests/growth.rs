@@ -4,18 +4,20 @@
 //! `1/M`-cap pressure (no OOM), spill — not crash — past the final cap,
 //! keep single-threaded histories bit-identical across every layer, and
 //! keep its statistics exact while growth races allocations, frees, and
-//! magazine refills. Run with `RUST_TEST_THREADS=8` in CI so the race
-//! tests overlap with each other as well as within themselves.
+//! magazine refills — and stay bit-identical through a huge-page promotion
+//! (advice draws no random numbers and moves no object). Run with
+//! `RUST_TEST_THREADS=8` in CI so the race tests overlap with each other as
+//! well as within themselves.
 
 use diehard_core::adaptive::{AdaptiveHeap, DEFAULT_INITIAL_FRACTION_LOG2};
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::AllocOutcome;
-use diehard_core::magazine::MagazineHeap;
+use diehard_core::engine::{AllocOutcome, HeapCore};
+use diehard_core::magazine::{MagazineHeap, MAG_SLOTS};
 use diehard_core::rng::Mwc;
-use diehard_core::sharded::ShardedHeap;
+use diehard_core::sharded::{ShardedHeap, PROMOTE_AFTER_ALLOCS};
 use diehard_core::size_class::SizeClass;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// The acceptance scenario: a heap started at 1/64 of its maximum absorbs
 /// a max-capacity workload in **every** class with no OOM — each class
@@ -274,4 +276,157 @@ fn magazine_refills_race_growth_and_reconcile() {
         attempted.load(Ordering::Relaxed) - served.load(Ordering::Relaxed),
         "spill accounting is exact through the cached stack"
     );
+}
+
+/// Every promotion any heap in this test binary reported, as
+/// `(ctx, region_offset, region_len, active_len)`. Hooks are plain `fn`s, so
+/// each test installs [`record_promotion`] with a `ctx` of its own and reads
+/// back only its own rows.
+static PROMOTIONS: Mutex<Vec<(usize, usize, usize, usize)>> = Mutex::new(Vec::new());
+
+fn record_promotion(ctx: usize, region_offset: usize, region_len: usize, active_len: usize) {
+    PROMOTIONS.lock().expect("no promotion hook panics").push((
+        ctx,
+        region_offset,
+        region_len,
+        active_len,
+    ));
+}
+
+fn promotions_of(ctx: usize) -> Vec<(usize, usize, usize)> {
+    PROMOTIONS
+        .lock()
+        .expect("no promotion hook panics")
+        .iter()
+        .filter(|row| row.0 == ctx)
+        .map(|&(_, offset, region, active)| (offset, region, active))
+        .collect()
+}
+
+/// The cross-layer placement pin, run through a huge-page promotion and
+/// through doublings *after* it: an elastic magazine heap with a promote
+/// hook installed places every object exactly where the hook-less sharded
+/// heap and the single-threaded adaptive reference do. The hot class is
+/// promoted exactly once — at the refill that takes its cumulative count to
+/// the threshold — with its whole region and its then-active range; the
+/// classes that stay cold are never reported.
+#[test]
+fn placement_is_identical_through_a_promotion_and_later_doublings() {
+    const CTX: usize = 0xC1;
+    let seed = 0x9A6E5;
+    let config = HeapConfig::default();
+    let hot = SizeClass::for_size(64).expect("64 B is a small object");
+    let sharded =
+        ShardedHeap::new_elastic(config.clone(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+    let mut adaptive = AdaptiveHeap::new(config.clone(), seed).unwrap();
+    let mut mag =
+        MagazineHeap::new_elastic(config.clone(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+    mag.set_promote_hook(record_promotion, CTX);
+    let mut cache = mag.thread_cache();
+
+    let mut growths_at_promotion = None;
+    // 64 B objects with a sprinkle of other classes that stay far below the
+    // threshold; alloc-only, so the hot class doubles before and after.
+    for i in 0..4 * PROMOTE_AFTER_ALLOCS as usize {
+        let size = if i % 97 == 0 { 1 + (i % 5) * 700 } else { 64 };
+        let s = sharded.alloc(size);
+        assert_eq!(s, adaptive.alloc(size), "op {i} (size {size}): adaptive");
+        assert_eq!(s, cache.alloc(size), "op {i} (size {size}): magazine");
+        if growths_at_promotion.is_none() && mag.promoted_classes() != 0 {
+            growths_at_promotion = Some(mag.growth_events());
+            // Refills reserve whole batches, so the count reaches the
+            // threshold on the handout that opens the batch completing it.
+            let hot_allocs = mag.with_partition(hot, |p| p.probe_stats().0);
+            assert_eq!(hot_allocs, PROMOTE_AFTER_ALLOCS);
+        }
+    }
+    let growths_at_promotion = growths_at_promotion.expect("the hot class was promoted");
+    assert!(growths_at_promotion > 0, "it doubled before the promotion");
+    assert!(
+        mag.growth_events() > growths_at_promotion,
+        "and again after it"
+    );
+    assert_eq!(mag.growth_events(), sharded.growth_events());
+    assert_eq!(mag.growth_events(), adaptive.growth_events());
+
+    assert_eq!(
+        mag.promoted_classes(),
+        1 << hot.index(),
+        "only the hot class"
+    );
+    assert_eq!(sharded.promoted_classes(), 0, "no hook, no promotion");
+    let rows = promotions_of(CTX);
+    assert_eq!(rows.len(), 1, "exactly one hook call: {rows:?}");
+    let (offset, region, active) = rows[0];
+    assert_eq!(offset, mag.geometry().region_base(hot));
+    assert_eq!(region, config.region_bytes);
+    assert!(active <= region && active.is_power_of_two());
+    assert!(
+        active >= PROMOTE_AFTER_ALLOCS as usize * hot.object_size(),
+        "the active range holds everything allocated so far"
+    );
+}
+
+/// The same pin on a *fixed* heap against `HeapCore`: with no doublings to
+/// stop at, the refill path alone promotes, and placement never notices.
+#[test]
+fn fixed_heap_promotes_from_the_refill_path_and_matches_heapcore() {
+    const CTX: usize = 0xC2;
+    let seed = 0xF17ED;
+    let config = HeapConfig::default();
+    let hot = SizeClass::for_size(8).expect("8 B is a small object");
+    let mut core = HeapCore::new(config.clone(), seed).unwrap();
+    let mut mag = MagazineHeap::new(config.clone(), seed).unwrap();
+    mag.set_promote_hook(record_promotion, CTX);
+    let mut cache = mag.thread_cache();
+    for i in 0..2 * PROMOTE_AFTER_ALLOCS as usize {
+        let promoted_before = mag.promoted_classes() != 0;
+        assert_eq!(cache.alloc(8), core.alloc(8), "op {i}");
+        // Handouts 1..=8 come from refill 1, so refill 64 — the one that
+        // takes the count to 512 — serves handout 505.
+        let crossing = i + 1 == PROMOTE_AFTER_ALLOCS as usize - MAG_SLOTS + 1;
+        assert_eq!(
+            mag.promoted_classes() != 0,
+            promoted_before || crossing,
+            "op {i}"
+        );
+    }
+    assert_eq!(mag.growth_events(), 0);
+    assert_eq!(
+        promotions_of(CTX),
+        vec![(
+            mag.geometry().region_base(hot),
+            config.region_bytes,
+            config.region_bytes
+        )],
+        "one call, whole region active"
+    );
+}
+
+/// The uncached path has exactly one maintenance-locked stop — a doubling —
+/// so a sharded heap driven directly promotes at the first doubling its
+/// count has passed the threshold by, once, however many doublings follow.
+#[test]
+fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
+    const CTX: usize = 0xC3;
+    let hot = SizeClass::for_size(64).expect("64 B is a small object");
+    let mut heap = ShardedHeap::new_elastic(HeapConfig::default(), 0x0DD, 6).unwrap();
+    heap.set_promote_hook(record_promotion, CTX);
+    let capacity = |heap: &ShardedHeap| heap.with_partition(hot, |p| p.capacity());
+    let start = capacity(&heap);
+    let mut expect_promoted = false;
+    let mut allocs = 0u64;
+    while capacity(&heap) < 16 * start {
+        let before = capacity(&heap);
+        assert!(heap.alloc(64).is_some());
+        if capacity(&heap) > before && allocs >= PROMOTE_AFTER_ALLOCS {
+            expect_promoted = true;
+        }
+        allocs += 1;
+        assert_eq!(heap.promoted_classes() != 0, expect_promoted, "{allocs}");
+    }
+    assert!(expect_promoted, "the run must cross the threshold");
+    let rows = promotions_of(CTX);
+    assert_eq!(rows.len(), 1, "exactly one hook call: {rows:?}");
+    assert_eq!(rows[0].0, heap.geometry().region_base(hot));
 }

@@ -91,9 +91,14 @@ use libc::{c_char, c_int, c_void};
 use std::alloc::{GlobalAlloc, Layout};
 
 /// Elastic start fraction when `DIEHARD_GROW` is unset: classes begin at
-/// 1/16 of their configured maximum — small enough that an interposed
-/// `cat` does not fault in twelve full regions, large enough that typical
-/// programs never grow at all.
+/// 1/16 of their configured maximum — with the default 32 MB regions, a
+/// 2 MB active range per class, large enough that typical programs never
+/// grow at all. Small for an interposed `cat` it is not by itself: 2 MB is
+/// exactly one huge page, so under up-front `MADV_HUGEPAGE` advice the
+/// first object in each class would fault in all of it. What keeps a short
+/// process at the pages it touches is that the heap asks for huge pages
+/// per class, and only once a class has made
+/// `diehard_core::sharded::PROMOTE_AFTER_ALLOCS` allocations.
 const DEFAULT_GROW_LOG2: u32 = 4;
 
 /// C ABI alignment floor: `max_align_t` is 16 on x86_64 and aarch64.

@@ -122,3 +122,55 @@ fn distinct_seeds_still_produce_identical_output() {
     assert!(ok_a && ok_b);
     assert_eq!(a, b);
 }
+
+/// `AnonHugePages` of process `pid` in kB, from `/proc/<pid>/smaps_rollup`;
+/// `None` when the kernel does not report it.
+fn anon_huge_kb(pid: u32) -> Option<u64> {
+    let rollup = std::fs::read_to_string(format!("/proc/{pid}/smaps_rollup")).ok()?;
+    let line = rollup.lines().find(|l| l.starts_with("AnonHugePages:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// A short preloaded process must not be handed huge pages: the arena
+/// faults in 4 KB at a time until a size class has proven hot, and neither
+/// `cat` nor `sh` makes 512 allocations in any class. Each child is held
+/// open at a read — after it has started up, allocated, and answered one
+/// line — while its `smaps_rollup` is inspected. (A span advised
+/// `MADV_HUGEPAGE` up front puts the same `cat` on 4–6 MB of huge pages.)
+#[test]
+fn short_processes_get_no_huge_pages() {
+    let so = require_so!();
+    let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+    if !thp.is_ok_and(|mode| !mode.contains("[never]")) {
+        eprintln!("skipping: transparent huge pages are off or absent");
+        return;
+    }
+    use std::io::{BufRead, BufReader, Write};
+    let commands: [&[&str]; 2] = [
+        &["cat"],
+        &["sh", "-c", "read line; echo \"$line\"; read rest; exit 0"],
+    ];
+    for cmd in commands {
+        let mut child = Command::new(cmd[0])
+            .args(&cmd[1..])
+            .env("LD_PRELOAD", &so)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn preloaded binary");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(b"held open\n").expect("feed stdin");
+        let mut echoed = String::new();
+        BufReader::new(child.stdout.as_mut().expect("piped stdout"))
+            .read_line(&mut echoed)
+            .expect("read the echo");
+        assert_eq!(echoed, "held open\n", "{cmd:?}");
+        let huge = anon_huge_kb(child.id());
+        drop(stdin);
+        assert!(child.wait().expect("reap").success(), "{cmd:?}");
+        match huge {
+            Some(kb) => assert_eq!(kb, 0, "{cmd:?} holds {kb} kB of huge pages"),
+            None => eprintln!("skipping {cmd:?}: no AnonHugePages in smaps_rollup"),
+        }
+    }
+}

@@ -174,6 +174,10 @@ pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
 /// `madvise(2)` advice: back this mapping with transparent huge pages
 /// (Linux value).
 pub const MADV_HUGEPAGE: c_int = 14;
+/// `madvise(2)` advice: synchronously collapse the range's already-mapped
+/// base pages into transparent huge pages (Linux 6.1+ value; older kernels
+/// answer `EINVAL`).
+pub const MADV_COLLAPSE: c_int = 25;
 
 extern "C" {
     /// `open(2)`.
