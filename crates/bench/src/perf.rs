@@ -400,7 +400,9 @@ fn initialize_off_clock(heap: &DieHard) {
 /// twelve classes (8 B … 16 KB): one to four 4 KB faults plus the class's
 /// first magazine refill. A span advised `MADV_HUGEPAGE` up front turns
 /// each of these into a 2 MB zero-fill — the regression this kernel exists
-/// to catch.
+/// to catch. (Measured with the host's THP mode at `madvise`; under
+/// `always` the kernel zero-fills 2 MB at each first touch unasked, and the
+/// allocator has no say in this number.)
 fn class_first_touch(smoke: bool) -> KernelResult {
     let (warmup, samples) = if smoke { (0, 2) } else { (2, 25) };
     let mut seed = 0x1257_70C4u64;
@@ -441,8 +443,8 @@ fn anon_huge_kb() -> Option<u64> {
 /// `MADV_COLLAPSE` of the 2 MB active range, which by then holds the
 /// threshold's worth of live, written objects scattered over ≈ 320 of its
 /// 512 pages. Paid once per hot class per process. Where the kernel refuses
-/// the collapse (THP off, pre-6.1, no free 2 MB block) the op is two failed
-/// syscalls, and the kernel says so on stderr.
+/// the collapse (THP off, pre-6.1, no free 2 MB block) the op is two
+/// syscalls that change no page, and the kernel says so on stderr.
 fn class_promote(smoke: bool) -> KernelResult {
     let (warmup, samples) = if smoke { (0, 2) } else { (2, 25) };
     // Refills reserve whole magazines, so the refill that reaches the

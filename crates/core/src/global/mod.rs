@@ -121,14 +121,21 @@
 //!   which re-backs the pages already touched without moving or changing a
 //!   byte. Both are non-destructive by specification: neither can unmap,
 //!   move, or zero memory, the kernel performs the collapse atomically with
-//!   respect to other threads' loads and stores, and every failure
-//!   (`EINVAL` before Linux 6.1 or under THP `never`, no free 2 MB block)
-//!   leaves the range exactly as it was, on 4 KB pages — so the results are
-//!   ignored. Both are issued once per class, under that class's
-//!   maintenance lock (so never concurrently with a doubling of the same
-//!   class, and `fork_prepare` waits for one in flight), and never from a
-//!   per-op path. Each large-object mapping is still advised before its
-//!   pointer escapes.
+//!   respect to other threads' loads and stores, and every failure (a
+//!   kernel built without THP, `EINVAL` from the collapse before Linux 6.1
+//!   or with THP off, no free 2 MB block) leaves the range exactly as it
+//!   was, on 4 KB pages — so the results are ignored. Under THP `never`
+//!   the advice is recorded and never acted on. Both are issued once per
+//!   class, under that class's maintenance lock (so never concurrently with
+//!   a doubling of the same class, and `fork_prepare` waits for one in
+//!   flight), and never from a per-op path. The price of holding the lock
+//!   across them is a one-off stall: a collapse copies 2 MB and took
+//!   0.4–15 ms on the reference box (`class_promote` in `BENCH_12.json`),
+//!   during which a thread refilling *that* class, or a `fork`, waits in
+//!   the lock's yield loop; handouts from magazines and every other class
+//!   carry on. Under THP `always` the kernel may back first touches with
+//!   huge pages on its own, promoted or not — nothing here forbids it.
+//!   Each large-object mapping is still advised before its pointer escapes.
 //! * **Elastic growth adds no new unsafety.** Growing a class rewrites two
 //!   atomics (`capacity`, the packed shift/threshold word) under the class
 //!   maintenance lock; the slot-state maps and the heap span are sized for
@@ -820,15 +827,13 @@ impl DieHard {
 /// The heap's [`PromoteHook`](crate::sharded::PromoteHook): moves one size
 /// class of the span at `heap_base` onto huge pages. Advice over the whole
 /// region covers everything faulted in from here on (elastic doublings
-/// included); the collapse re-backs the active range touched so far, and is
-/// skipped when the advice was refused — a kernel without THP would refuse
-/// it too. Best-effort throughout: on failure the class simply stays on
-/// 4 KB pages.
+/// included); the collapse re-backs the active range touched so far. Both
+/// are best-effort and their results ignored: whatever the kernel refuses,
+/// the class simply stays on the pages it has.
 fn promote_region(heap_base: usize, region_offset: usize, region_len: usize, active_len: usize) {
     let region = (heap_base + region_offset) as *mut u8;
-    if sys::advise_hugepages(region, region_len) {
-        sys::collapse_hugepages(region, active_len);
-    }
+    sys::advise_hugepages(region, region_len);
+    sys::collapse_hugepages(region, active_len);
 }
 
 impl Default for DieHard {
@@ -1284,7 +1289,7 @@ mod tests {
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             let (heap, start) = (&heap, &start);
-            scope.spawn(move || {
+            let worker = scope.spawn(move || {
                 start.wait();
                 for i in 0..2 * PROMOTE_AFTER_ALLOCS as usize {
                     let p = heap.malloc(64);
@@ -1296,8 +1301,10 @@ mod tests {
                 heap.flush_thread_cache();
             });
             start.wait();
+            // Windows for as long as the worker runs (it ends either way:
+            // done, or panicked — which the scope then reports).
             let mut windows = 0u32;
-            while heap.promoted_classes() == 0 || windows < 8 {
+            while !worker.is_finished() || windows < 8 {
                 heap.fork_prepare();
                 let inside = heap.promoted_classes();
                 std::thread::yield_now();

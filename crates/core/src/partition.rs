@@ -1072,37 +1072,41 @@ mod tests {
         // protocol must never admit more than `threshold` occupants and must
         // reconcile exactly after a full drain.
         use std::sync::Arc;
-        const THREADS: usize = 4;
         let p = Arc::new(atomic_seeded(256, 128, 0xCA5));
+        // Slots the threads hold between them, counted by the holders:
+        // raised after a grant and lowered before the free, so it never
+        // exceeds the partition's true occupancy and the bound on it is the
+        // cap itself. (`in_use()` cannot be held to that bound while other
+        // threads run: it also counts their tickets that are about to be
+        // denied — the documented transient overcount.)
+        let held = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let p = Arc::clone(&p);
+            for t in 0..4usize {
+                let (p, held) = (Arc::clone(&p), Arc::clone(&held));
                 s.spawn(move || {
                     let mut rng = Mwc::seeded(t as u64 + 1);
                     let mut mine: Vec<usize> = Vec::new();
                     for _ in 0..5_000 {
                         if mine.is_empty() || rng.chance(0.55) {
                             if let Some(idx) = p.alloc() {
-                                // `in_use` counts granted tickets (never
-                                // more than `threshold`) plus each *other*
-                                // thread's at most one in-flight ticket that
-                                // is about to be denied and backed out — the
-                                // documented transient overcount, which only
-                                // real parallelism makes visible.
-                                assert!(p.in_use() < p.threshold() + THREADS, "cap breached");
+                                let now = held.fetch_add(1, Ordering::Relaxed) + 1;
+                                assert!(now <= p.threshold(), "cap breached");
                                 mine.push(idx);
                             }
                         } else {
                             let victim = mine.swap_remove(rng.below(mine.len()));
+                            held.fetch_sub(1, Ordering::Relaxed);
                             assert_eq!(p.free(victim), SlotState::Live);
                         }
                     }
                     for idx in mine {
+                        held.fetch_sub(1, Ordering::Relaxed);
                         assert_eq!(p.free(idx), SlotState::Live);
                     }
                 });
             }
         });
+        assert_eq!(held.load(Ordering::Relaxed), 0);
         assert_eq!(p.in_use(), 0, "tickets reconcile after drain");
         assert_eq!(p.occupied_slots().count(), 0);
         let (allocs, probes) = p.probe_stats();

@@ -329,9 +329,12 @@ impl ShardedHeap {
     /// promoted yet. The caller holds `class`'s maintenance lock, which is
     /// what makes the flag check-then-set race-free and keeps the hook from
     /// overlapping a doubling of the same class; the per-op paths never come
-    /// here. (The alloc counter is 32-bit telemetry that wraps, but a refill
-    /// advances it by at most one batch between checks, so it cannot skip
-    /// past the threshold unseen.)
+    /// here. The hook runs with the lock held — milliseconds when it
+    /// collapses a touched 2 MB range, once per class, during which only
+    /// refills and doublings of this class (and a `fork`) wait. (The alloc
+    /// counter is 32-bit telemetry that wraps, but a refill advances it by
+    /// at most one batch between checks, so it cannot skip past the
+    /// threshold unseen.)
     pub(crate) fn promote_if_hot_locked(&self, class: SizeClass) {
         let Some((hook, ctx)) = self.promote else {
             return;

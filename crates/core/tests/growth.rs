@@ -11,8 +11,8 @@
 
 use diehard_core::adaptive::{AdaptiveHeap, DEFAULT_INITIAL_FRACTION_LOG2};
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::{AllocOutcome, HeapCore};
-use diehard_core::magazine::{MagazineHeap, MAG_SLOTS};
+use diehard_core::engine::AllocOutcome;
+use diehard_core::magazine::MagazineHeap;
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::{ShardedHeap, PROMOTE_AFTER_ALLOCS};
 use diehard_core::size_class::SizeClass;
@@ -61,27 +61,46 @@ fn heap_started_at_one_64th_absorbs_max_capacity_workload() {
 }
 
 /// Single-threaded alloc-only histories are bit-identical across all three
-/// layers — locked adaptive, lock-free elastic sharded, and the elastic
-/// magazine stack — at the same seed and start fraction: growth triggers
-/// at the same pressure points in each and consumes no RNG draws.
+/// layers — locked adaptive (`HeapCore`'s partitions, grown in place),
+/// lock-free elastic sharded, and the elastic magazine stack — at the same
+/// seed and start fraction: growth triggers at the same pressure points in
+/// each and consumes no RNG draws. The magazine heap alone carries a
+/// promote hook, and the history runs through a huge-page promotion and a
+/// doubling of the promoted class after it: neither is visible in placement.
 #[test]
 fn single_threaded_histories_identical_across_layers() {
+    fn promote_nothing(_ctx: usize, _offset: usize, _region: usize, _active: usize) {}
+
     let seed = 0xD17EC7;
     let sharded =
         ShardedHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
             .unwrap();
     let mut adaptive = AdaptiveHeap::new(HeapConfig::default(), seed).unwrap();
-    let mag = MagazineHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
-        .unwrap();
+    let mut mag =
+        MagazineHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
+            .unwrap();
+    mag.set_promote_hook(promote_nothing, 0);
     let mut cache = mag.thread_cache();
     let mut rng = Mwc::seeded(seed ^ 0x5EED);
-    for i in 0..4000usize {
-        let size = 1 + rng.below(16 * 1024);
+    // The first class promoted, and its capacity at that moment.
+    let mut first_promotion = None;
+    // 4000 sizes spread over every class (none gets hot), then one class
+    // driven to four times the promotion threshold.
+    for i in 0..4000 + 4 * PROMOTE_AFTER_ALLOCS as usize {
+        let size = if i < 4000 {
+            1 + rng.below(16 * 1024)
+        } else {
+            64
+        };
         let s = sharded.alloc(size);
         assert_eq!(s, adaptive.alloc(size), "op {i} (size {size}): adaptive");
         assert_eq!(s, cache.alloc(size), "op {i} (size {size}): magazine");
         if let Some(slot) = s {
             assert_eq!(sharded.offset_of(slot), adaptive.offset_of(slot));
+        }
+        if first_promotion.is_none() && mag.promoted_classes() != 0 {
+            let class = SizeClass::from_index(mag.promoted_classes().trailing_zeros() as usize);
+            first_promotion = Some((class, mag.with_partition(class, |p| p.capacity())));
         }
     }
     assert_eq!(sharded.growth_events(), adaptive.growth_events());
@@ -90,6 +109,12 @@ fn single_threaded_histories_identical_across_layers() {
         sharded.growth_events() > 0,
         "the workload must cross growth"
     );
+    let (class, capacity_then) = first_promotion.expect("the workload must cross a promotion");
+    assert!(
+        mag.with_partition(class, |p| p.capacity()) > capacity_then,
+        "and a doubling of the promoted class after it"
+    );
+    assert_eq!(sharded.promoted_classes(), 0, "no hook, no promotion");
 }
 
 /// Mixed alloc/free histories stay bit-identical between the adaptive and
@@ -278,155 +303,58 @@ fn magazine_refills_race_growth_and_reconcile() {
     );
 }
 
-/// Every promotion any heap in this test binary reported, as
-/// `(ctx, region_offset, region_len, active_len)`. Hooks are plain `fn`s, so
-/// each test installs [`record_promotion`] with a `ctx` of its own and reads
-/// back only its own rows.
-static PROMOTIONS: Mutex<Vec<(usize, usize, usize, usize)>> = Mutex::new(Vec::new());
-
-fn record_promotion(ctx: usize, region_offset: usize, region_len: usize, active_len: usize) {
-    PROMOTIONS.lock().expect("no promotion hook panics").push((
-        ctx,
-        region_offset,
-        region_len,
-        active_len,
-    ));
-}
-
-fn promotions_of(ctx: usize) -> Vec<(usize, usize, usize)> {
-    PROMOTIONS
-        .lock()
-        .expect("no promotion hook panics")
-        .iter()
-        .filter(|row| row.0 == ctx)
-        .map(|&(_, offset, region, active)| (offset, region, active))
-        .collect()
-}
-
-/// The cross-layer placement pin, run through a huge-page promotion and
-/// through doublings *after* it: an elastic magazine heap with a promote
-/// hook installed places every object exactly where the hook-less sharded
-/// heap and the single-threaded adaptive reference do. The hot class is
-/// promoted exactly once — at the refill that takes its cumulative count to
-/// the threshold — with its whole region and its then-active range; the
-/// classes that stay cold are never reported.
-#[test]
-fn placement_is_identical_through_a_promotion_and_later_doublings() {
-    const CTX: usize = 0xC1;
-    let seed = 0x9A6E5;
-    let config = HeapConfig::default();
-    let hot = SizeClass::for_size(64).expect("64 B is a small object");
-    let sharded =
-        ShardedHeap::new_elastic(config.clone(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
-    let mut adaptive = AdaptiveHeap::new(config.clone(), seed).unwrap();
-    let mut mag =
-        MagazineHeap::new_elastic(config.clone(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
-    mag.set_promote_hook(record_promotion, CTX);
-    let mut cache = mag.thread_cache();
-
-    let mut growths_at_promotion = None;
-    // 64 B objects with a sprinkle of other classes that stay far below the
-    // threshold; alloc-only, so the hot class doubles before and after.
-    for i in 0..4 * PROMOTE_AFTER_ALLOCS as usize {
-        let size = if i % 97 == 0 { 1 + (i % 5) * 700 } else { 64 };
-        let s = sharded.alloc(size);
-        assert_eq!(s, adaptive.alloc(size), "op {i} (size {size}): adaptive");
-        assert_eq!(s, cache.alloc(size), "op {i} (size {size}): magazine");
-        if growths_at_promotion.is_none() && mag.promoted_classes() != 0 {
-            growths_at_promotion = Some(mag.growth_events());
-            // Refills reserve whole batches, so the count reaches the
-            // threshold on the handout that opens the batch completing it.
-            let hot_allocs = mag.with_partition(hot, |p| p.probe_stats().0);
-            assert_eq!(hot_allocs, PROMOTE_AFTER_ALLOCS);
-        }
-    }
-    let growths_at_promotion = growths_at_promotion.expect("the hot class was promoted");
-    assert!(growths_at_promotion > 0, "it doubled before the promotion");
-    assert!(
-        mag.growth_events() > growths_at_promotion,
-        "and again after it"
-    );
-    assert_eq!(mag.growth_events(), sharded.growth_events());
-    assert_eq!(mag.growth_events(), adaptive.growth_events());
-
-    assert_eq!(
-        mag.promoted_classes(),
-        1 << hot.index(),
-        "only the hot class"
-    );
-    assert_eq!(sharded.promoted_classes(), 0, "no hook, no promotion");
-    let rows = promotions_of(CTX);
-    assert_eq!(rows.len(), 1, "exactly one hook call: {rows:?}");
-    let (offset, region, active) = rows[0];
-    assert_eq!(offset, mag.geometry().region_base(hot));
-    assert_eq!(region, config.region_bytes);
-    assert!(active <= region && active.is_power_of_two());
-    assert!(
-        active >= PROMOTE_AFTER_ALLOCS as usize * hot.object_size(),
-        "the active range holds everything allocated so far"
-    );
-}
-
-/// The same pin on a *fixed* heap against `HeapCore`: with no doublings to
-/// stop at, the refill path alone promotes, and placement never notices.
-#[test]
-fn fixed_heap_promotes_from_the_refill_path_and_matches_heapcore() {
-    const CTX: usize = 0xC2;
-    let seed = 0xF17ED;
-    let config = HeapConfig::default();
-    let hot = SizeClass::for_size(8).expect("8 B is a small object");
-    let mut core = HeapCore::new(config.clone(), seed).unwrap();
-    let mut mag = MagazineHeap::new(config.clone(), seed).unwrap();
-    mag.set_promote_hook(record_promotion, CTX);
-    let mut cache = mag.thread_cache();
-    for i in 0..2 * PROMOTE_AFTER_ALLOCS as usize {
-        let promoted_before = mag.promoted_classes() != 0;
-        assert_eq!(cache.alloc(8), core.alloc(8), "op {i}");
-        // Handouts 1..=8 come from refill 1, so refill 64 — the one that
-        // takes the count to 512 — serves handout 505.
-        let crossing = i + 1 == PROMOTE_AFTER_ALLOCS as usize - MAG_SLOTS + 1;
-        assert_eq!(
-            mag.promoted_classes() != 0,
-            promoted_before || crossing,
-            "op {i}"
-        );
-    }
-    assert_eq!(mag.growth_events(), 0);
-    assert_eq!(
-        promotions_of(CTX),
-        vec![(
-            mag.geometry().region_base(hot),
-            config.region_bytes,
-            config.region_bytes
-        )],
-        "one call, whole region active"
-    );
-}
-
 /// The uncached path has exactly one maintenance-locked stop — a doubling —
 /// so a sharded heap driven directly promotes at the first doubling its
-/// count has passed the threshold by, once, however many doublings follow.
+/// count has passed the threshold by, once, however many doublings follow;
+/// the hook is told the class's whole region and the range active after
+/// that doubling.
 #[test]
 fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
-    const CTX: usize = 0xC3;
+    // (region_offset, region_len, active_len) of every call; this test's
+    // heap is the only one to install the hook.
+    static CALLS: Mutex<Vec<(usize, usize, usize)>> = Mutex::new(Vec::new());
+    fn record(_ctx: usize, region_offset: usize, region_len: usize, active_len: usize) {
+        CALLS
+            .lock()
+            .unwrap()
+            .push((region_offset, region_len, active_len));
+    }
+
+    let config = HeapConfig::default();
     let hot = SizeClass::for_size(64).expect("64 B is a small object");
-    let mut heap = ShardedHeap::new_elastic(HeapConfig::default(), 0x0DD, 6).unwrap();
-    heap.set_promote_hook(record_promotion, CTX);
+    let mut heap = ShardedHeap::new_elastic(config.clone(), 0x0DD, 6).unwrap();
+    heap.set_promote_hook(record, 0);
     let capacity = |heap: &ShardedHeap| heap.with_partition(hot, |p| p.capacity());
     let start = capacity(&heap);
-    let mut expect_promoted = false;
+    let mut promoted_at = None;
     let mut allocs = 0u64;
     while capacity(&heap) < 16 * start {
         let before = capacity(&heap);
         assert!(heap.alloc(64).is_some());
-        if capacity(&heap) > before && allocs >= PROMOTE_AFTER_ALLOCS {
-            expect_promoted = true;
+        if promoted_at.is_none() && capacity(&heap) > before && allocs >= PROMOTE_AFTER_ALLOCS {
+            promoted_at = Some(capacity(&heap));
         }
         allocs += 1;
-        assert_eq!(heap.promoted_classes() != 0, expect_promoted, "{allocs}");
+        let expected = if promoted_at.is_some() {
+            1 << hot.index()
+        } else {
+            0
+        };
+        assert_eq!(
+            heap.promoted_classes(),
+            expected,
+            "after {allocs} allocations"
+        );
     }
-    assert!(expect_promoted, "the run must cross the threshold");
-    let rows = promotions_of(CTX);
-    assert_eq!(rows.len(), 1, "exactly one hook call: {rows:?}");
-    assert_eq!(rows[0].0, heap.geometry().region_base(hot));
+    let promoted_at = promoted_at.expect("the run must cross the threshold");
+    assert!(capacity(&heap) > promoted_at, "and double again afterwards");
+    assert_eq!(
+        *CALLS.lock().unwrap(),
+        [(
+            heap.geometry().region_base(hot),
+            config.region_bytes,
+            promoted_at * hot.object_size()
+        )],
+        "one call: whole region, the range active at that doubling"
+    );
 }
