@@ -8,7 +8,20 @@
 //! cargo run --release -p diehard-bench --bin perf_report -- --smoke # CI
 //! cargo run ... --bin perf_report -- --out path/to/report.json
 //! cargo run ... --bin perf_report -- --gate alloc_churn_mixed=13.6
+//! cargo run ... --bin perf_report -- --only global_churn_cold
 //! ```
+//!
+//! Without `--out`, a full run writes the next trajectory entry: one past
+//! the highest `BENCH_<k>.json` in the working directory, so no perf PR
+//! edits this binary and none can overwrite an earlier entry by forgetting
+//! to.
+//!
+//! `--only <kernel>` (repeatable) runs just the named kernels, in the order
+//! given — one allocator kernel without the four proxy kernels' process
+//! spawning. A partial run is not a trajectory entry: it prints its table
+//! (and its deltas against the latest entry), writes a file only where
+//! `--out` says, and skips the completeness check. An unknown kernel name
+//! is an error, as for `--gate`.
 //!
 //! `--gate <kernel>=<max_ns>` (repeatable) bounds a kernel's *fastest*
 //! sample (`min_ns`): the process exits non-zero when even the best sample
@@ -28,20 +41,35 @@
 //! The process exits non-zero when the written report is missing any
 //! registered kernel, so CI can gate on completeness by exit status alone.
 
-use diehard_bench::perf::{missing_kernels, parse_means, render_json, run_all, KernelResult};
+use diehard_bench::perf::{
+    missing_kernels, parse_means, render_json, run_all, run_kernel, KernelResult, KERNELS,
+};
 use diehard_bench::TextTable;
 use std::path::Path;
 
 fn main() {
     let smoke = diehard_bench::smoke();
-    let out_path = out_arg().unwrap_or_else(|| "BENCH_12.json".to_string());
+    let only = only_args();
     let gates = gate_args();
+    // The entry a full run writes by default, and the name every run diffs
+    // its results under: a partial run is compared with the latest entry
+    // but never becomes one.
+    let latest = bench_numbers(Path::new(".")).max().unwrap_or(0);
+    let next_entry = format!("BENCH_{}.json", latest + 1);
+    let out_path = out_arg().or_else(|| only.is_empty().then(|| next_entry.clone()));
 
-    let results = run_all(smoke);
-    let json = render_json(&results);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("perf_report: cannot write {out_path}: {e}");
-        std::process::exit(1);
+    let results: Vec<KernelResult> = if only.is_empty() {
+        run_all(smoke)
+    } else {
+        only.iter()
+            .map(|name| run_kernel(name, smoke).expect("only_args checked the name"))
+            .collect()
+    };
+    if let Some(path) = &out_path {
+        if let Err(e) = std::fs::write(path, render_json(&results)) {
+            eprintln!("perf_report: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
     }
 
     let mut table = TextTable::new(vec!["kernel", "mean", "min", "max", "iters"]);
@@ -55,23 +83,28 @@ fn main() {
         ]);
     }
     println!(
-        "perf trajectory{} -> {out_path}",
+        "perf trajectory{} -> {}",
         if smoke {
             " (--smoke: wiring check only)"
         } else {
             ""
-        }
+        },
+        out_path.as_deref().unwrap_or("(partial run, not written)")
     );
     println!("{}", table.render());
 
-    print_deltas(&out_path, &results);
+    print_deltas(out_path.as_deref().unwrap_or(&next_entry), &results);
 
-    // Completeness gate: re-read what actually landed on disk.
-    let written = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let missing = missing_kernels(&written);
-    if !missing.is_empty() {
-        eprintln!("perf_report: {out_path} is missing kernels: {missing:?}");
-        std::process::exit(1);
+    // Completeness gate, full runs only: re-read what actually landed on
+    // disk.
+    if only.is_empty() {
+        let path = out_path.as_deref().expect("a full run always writes");
+        let written = std::fs::read_to_string(path).unwrap_or_default();
+        let missing = missing_kernels(&written);
+        if !missing.is_empty() {
+            eprintln!("perf_report: {path} is missing kernels: {missing:?}");
+            std::process::exit(1);
+        }
     }
 
     // Regression gates: each --gate bounds one kernel's fastest sample.
@@ -92,7 +125,7 @@ fn main() {
                 );
             }
             None => {
-                eprintln!("perf_report: gate names unknown kernel: {kernel}");
+                eprintln!("perf_report: gate names a kernel this run did not measure: {kernel}");
                 gate_failed = true;
             }
         }
@@ -142,25 +175,23 @@ fn print_deltas(out_path: &str, results: &[KernelResult]) {
 fn previous_report(out_path: &str) -> Option<(String, String)> {
     let path = Path::new(out_path);
     let current = bench_number(path.file_name()?.to_str()?)?;
-    let dir = if path.parent().is_none_or(|p| p.as_os_str().is_empty()) {
-        Path::new(".")
-    } else {
-        path.parent()?
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
     };
-    let mut best: Option<(u32, String)> = None;
-    for entry in std::fs::read_dir(dir).ok()? {
-        let entry = entry.ok()?;
-        let name = entry.file_name();
-        let Some(k) = name.to_str().and_then(bench_number) else {
-            continue;
-        };
-        if k < current && best.as_ref().is_none_or(|(b, _)| k > *b) {
-            best = Some((k, entry.path().to_string_lossy().into_owned()));
-        }
-    }
-    let (_, prev_path) = best?;
+    let prev = bench_numbers(dir).filter(|&k| k < current).max()?;
+    let prev_path = dir.join(format!("BENCH_{prev}.json"));
     let json = std::fs::read_to_string(&prev_path).ok()?;
-    Some((prev_path, json))
+    Some((prev_path.to_string_lossy().into_owned(), json))
+}
+
+/// Every `k` with a `BENCH_<k>.json` in `dir` (none when it is unreadable).
+fn bench_numbers(dir: &Path) -> impl Iterator<Item = u32> {
+    std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| entry.file_name().to_str().and_then(bench_number))
 }
 
 /// `Some(n)` when `name` is exactly `BENCH_<n>.json`.
@@ -180,6 +211,26 @@ fn out_arg() -> Option<String> {
         }
     }
     None
+}
+
+/// All `--only <kernel>` names, in argument order. A name that is not a
+/// registered kernel aborts immediately — a typo must not quietly measure
+/// nothing.
+fn only_args() -> Vec<String> {
+    let mut only = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a != "--only" {
+            continue;
+        }
+        let name = args.next().unwrap_or_default();
+        if !KERNELS.contains(&name.as_str()) {
+            eprintln!("perf_report: --only names unknown kernel: {name:?}");
+            std::process::exit(1);
+        }
+        only.push(name);
+    }
+    only
 }
 
 /// All `--gate <kernel>=<max_ns>` bounds, in argument order. A malformed

@@ -41,6 +41,7 @@ pub const KERNELS: &[&str] = &[
     "hugepage_fill",
     "class_first_touch",
     "class_promote",
+    "global_churn_cold",
     "proxy_throughput",
     "proxy_conn_latency",
     "proxy_conn_latency_warm",
@@ -487,6 +488,59 @@ fn class_promote(smoke: bool) -> KernelResult {
     summarize("class_promote", &per_op, samples as u64)
 }
 
+/// The churn that does not fit in cache: one op = one malloc, a full write
+/// of the new object, then a read of a random old object's first and last
+/// byte and its free — `churn_host`'s trace shape and size mix (60 % 8–63 B,
+/// 30 % 64–255 B, 9 % 256–1023 B, 1 % 1–4 KiB) over 50 000 live objects on
+/// a heap shaped like the interposer's. Every other churn kernel here runs
+/// a 64-slot ring that stays cache-resident, so it prices `malloc`'s
+/// instructions; this one prices what random placement over a heap `M`
+/// times larger costs the *host* — a miss on the first write into each
+/// object and another on the read-back — which is where the paper puts
+/// Fig. 5's allocation-intensive overhead, and the part of it the
+/// look-ahead prefetch at handout hides.
+fn global_churn_cold(smoke: bool) -> KernelResult {
+    const LIVE: usize = 50_000;
+    let (warmup, samples, ops) = if smoke {
+        (0, 2, 20_000)
+    } else {
+        (1, 15, 200_000)
+    };
+    let heap = interposer_heap(0xC01D);
+    initialize_off_clock(&heap);
+    let mut rng = Mwc::seeded(0xC01D_5EED);
+    let place = |rng: &mut Mwc| {
+        let size = match rng.below(100) {
+            0..=59 => 8 + rng.below(56),
+            60..=89 => 64 + rng.below(192),
+            90..=98 => 256 + rng.below(768),
+            _ => 1024 + rng.below(3073),
+        };
+        let p = heap.malloc(size);
+        assert!(!p.is_null(), "{size} B with {LIVE} objects live");
+        // SAFETY: a live object of `size` bytes.
+        unsafe { p.write_bytes(size as u8, size) };
+        (p, size)
+    };
+    let mut ring: Vec<(*mut u8, usize)> = (0..LIVE).map(|_| place(&mut rng)).collect();
+    let result = measure("global_churn_cold", warmup, samples, ops, || {
+        for _ in 0..ops {
+            let victim = rng.below(LIVE);
+            let (p, size) = std::mem::replace(&mut ring[victim], place(&mut rng));
+            // SAFETY: `p` is live with `size` ≥ 8 bytes written at `place`;
+            // the ring frees each pointer once.
+            unsafe {
+                black_box((p.read_volatile(), p.add(size - 1).read_volatile()));
+            }
+            heap.free(p);
+        }
+    });
+    for (p, _) in ring {
+        heap.free(p);
+    }
+    result
+}
+
 /// Shared proxy-kernel scaffolding: a loopback [`Proxy`] voting three
 /// `/bin/cat` replicas per connection, run on its own thread for the
 /// duration of `body`, which receives the bound port.
@@ -787,6 +841,7 @@ pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
         "hugepage_fill" => Some(hugepage_fill(smoke)),
         "class_first_touch" => Some(class_first_touch(smoke)),
         "class_promote" => Some(class_promote(smoke)),
+        "global_churn_cold" => Some(global_churn_cold(smoke)),
         "proxy_throughput" => Some(proxy_throughput(smoke)),
         "proxy_conn_latency" => Some(proxy_conn_latency(smoke)),
         "proxy_conn_latency_warm" => Some(proxy_conn_latency_warm(smoke)),
@@ -892,6 +947,7 @@ mod tests {
         assert!(missing.contains(&"hugepage_fill"));
         assert!(missing.contains(&"class_first_touch"));
         assert!(missing.contains(&"class_promote"));
+        assert!(missing.contains(&"global_churn_cold"));
         assert!(missing.contains(&"proxy_throughput"));
         assert!(missing.contains(&"proxy_conn_latency"));
         assert!(missing.contains(&"proxy_conn_latency_warm"));

@@ -32,6 +32,14 @@
 //!   where the slot rejoins the uniform probe space. Immediate deterministic
 //!   reuse (what tcmalloc-style caches do) would gut the dangling-pointer
 //!   protection of §3.3.
+//! * **Look-ahead draws nothing and reorders nothing.**
+//!   [`ThreadMagazines::next_up`] only reads which reserved slot sits at the
+//!   head of this thread's magazine, so the global allocator can prefetch
+//!   the cold line the host will write next. It never refills, consumes no
+//!   RNG draw, and leaves the slot reserved-not-live, so placement is
+//!   bit-identical per seed whether or not anyone looks — and a prefetch is
+//!   architecturally invisible, so a safe program still behaves as on the
+//!   infinite heap.
 //!
 //! # The reserved/live distinction
 //!
@@ -570,6 +578,22 @@ impl ThreadMagazines {
         AllocOutcome::Placed(Slot { class, index })
     }
 
+    /// The slot the next allocation of `class` will receive, when this
+    /// thread's magazine already holds it; `None` on an empty magazine (the
+    /// next allocation refills first, and nobody knows its draw yet). A
+    /// read of thread-local state only: no refill, no RNG draw, no
+    /// slot-state access — the named slot stays reserved-not-live. This is
+    /// the look-ahead the global allocator prefetches through.
+    #[must_use]
+    #[inline]
+    pub fn next_up(&self, class: SizeClass) -> Option<Slot> {
+        let cache = &self.classes[class.index()];
+        (cache.len > 0).then(|| Slot {
+            class,
+            index: cache.mag[cache.head],
+        })
+    }
+
     /// Frees the object at `offset` through this thread's buffer. The
     /// lock-free [`locate_free`] arithmetic rejects out-of-span and
     /// misaligned offsets immediately; plausible slots are buffered per
@@ -737,6 +761,46 @@ mod tests {
             assert!(h.is_live_at(h.offset_of(s)));
         }
         assert_eq!(h.reserved_slots(), 0);
+    }
+
+    /// The look-ahead contract: `next_up` names exactly the slot the
+    /// following allocation of that class receives, is `None` whenever that
+    /// allocation would have to refill first, and is a pure read — it never
+    /// refills, draws, or turns the reserved slot it names live.
+    #[test]
+    fn next_up_names_the_following_handout_and_touches_nothing() {
+        let h = heap(0x5EE);
+        let mut cache = h.thread_cache();
+        let class = SizeClass::for_size(64).unwrap();
+        let batch = refill_batch(h.config().threshold(class));
+        assert!(batch > 1, "test needs a multi-slot refill");
+
+        assert_eq!(cache.mags.next_up(class), None, "nothing reserved yet");
+        assert_eq!(h.reserved_slots(), 0, "asking did not refill");
+        assert_eq!(h.probe_stats(), (0, 0), "asking drew nothing");
+
+        let mut expected = None;
+        for i in 1..=2 * batch + 1 {
+            let got = cache.alloc(64).unwrap();
+            if let Some(named) = expected {
+                assert_eq!(got, named, "handout {i}");
+            }
+            let before = (h.probe_stats(), h.reserved_slots());
+            expected = cache.mags.next_up(class);
+            assert_eq!((h.probe_stats(), h.reserved_slots()), before, "pure read");
+            assert_eq!(
+                expected.is_none(),
+                i % batch == 0,
+                "empty after handout {i}"
+            );
+            if let Some(named) = expected {
+                let off = h.offset_of(named);
+                assert!(!h.is_live_at(off), "named slot is reserved, not live");
+                assert_eq!(h.free_at(off), FreeOutcome::NotAllocated);
+            }
+            let other = SizeClass::for_size(1000).unwrap();
+            assert_eq!(cache.mags.next_up(other), None, "classes are independent");
+        }
     }
 
     #[test]
