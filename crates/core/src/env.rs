@@ -29,7 +29,18 @@
 //! | `DIEHARD_SEED`      | master RNG seed                          | entropy    |
 //! | `DIEHARD_REGION_MB` | per-class region megabytes               | 32 (min 1) |
 //! | `DIEHARD_M`         | expansion factor `M`                     | 2 (min 1)  |
-//! | `DIEHARD_GROW`      | elastic start fraction `1/2^n` (`n`≤63)  | unset      |
+//! | `DIEHARD_GROW`      | elastic start fraction `1/2^n` (`n`≤63)  | unset¹     |
+//!
+//! ¹ Unset means what the allocator's constructor says. A `DieHard::new`
+//! global allocator stays fixed-size (the paper's heap: regions born at
+//! their maximum, exhaustion is null). `libdiehard.so` is elastic either
+//! way and falls back to `global::DEFAULT_GROW_LOG2` = 9: with 32 MB
+//! regions every class starts at 64 KiB (8192 slots of 8 B … 4 slots of
+//! 16 KiB), doubles whenever `1/M` of its active range is live, and is
+//! resident in proportion to what is live in it. `DIEHARD_GROW=4` is the
+//! 2 MB-per-class start the library shipped with before, `DIEHARD_GROW=0`
+//! a fixed heap that spills instead of returning null. Where the start
+//! matters for §3's bounds is spelled out in `global`'s module docs.
 
 /// Largest accepted `DIEHARD_GROW` exponent: a class starting at `1/2^63`
 /// of its maximum is already a degenerate single-doubling ladder, and the
@@ -64,7 +75,7 @@ pub fn parse_u64(bytes: &[u8]) -> Option<u64> {
 }
 
 /// Parses a `DIEHARD_GROW` value: strict decimal, then clamped to
-/// [`MAX_GROW_LOG2`]. Malformed input is `None` (elastic mode stays off).
+/// [`MAX_GROW_LOG2`]. Malformed input is `None` (treated as unset).
 #[must_use]
 pub fn parse_grow(bytes: &[u8]) -> Option<u32> {
     parse_u64(bytes).map(|g| g.min(u64::from(MAX_GROW_LOG2)) as u32)
@@ -116,7 +127,8 @@ mod readers {
     }
 
     /// `DIEHARD_GROW`: the elastic start-fraction exponent, clamped to
-    /// [`MAX_GROW_LOG2`]. `None` (unset/malformed) keeps elastic mode off.
+    /// [`MAX_GROW_LOG2`]. `None` (unset/malformed) leaves the choice to the
+    /// allocator's constructor (fixed-size, or its own default fraction).
     #[must_use]
     pub fn grow() -> Option<u32> {
         read_u64("DIEHARD_GROW\0").map(|g| g.min(u64::from(MAX_GROW_LOG2)) as u32)

@@ -52,9 +52,7 @@ pub unsafe fn unmap(ptr: *mut u8, len: usize) {
     }
 }
 
-/// One transparent huge page: the PMD size on x86-64 and on aarch64 with
-/// 4 KB base pages.
-pub const HUGE_PAGE: usize = 2 << 20;
+pub use crate::sharded::HUGE_PAGE;
 
 /// As [`map_reserve`], but the returned address is [`HUGE_PAGE`]-aligned:
 /// over-reserves by one huge page and unmaps the unaligned head and the

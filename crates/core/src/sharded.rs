@@ -46,8 +46,14 @@ use crate::size_class::{SizeClass, NUM_CLASSES};
 use crate::sync::SpinLock;
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Cumulative allocations after which a size class counts as *hot* and its
-/// backing memory is promoted to huge pages (see [`PromoteHook`]).
+/// One transparent huge page: the PMD size on x86-64 and on aarch64 with
+/// 4 KB base pages. Defined here, ungated, because the promotion rule below
+/// is stated in it; `global::sys` re-exports it for the syscall layer.
+pub const HUGE_PAGE: usize = 2 << 20;
+
+/// Cumulative allocations after which a size class counts as *hot*. A hot
+/// class is promoted to huge pages (see [`PromoteHook`]) as soon as its
+/// active range also spans at least one [`HUGE_PAGE`].
 ///
 /// Derivation (ski rental). Left on 4 KB pages, a class pays at most one
 /// small fault per allocation: each placement lands on one random page of
@@ -57,10 +63,23 @@ use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// the rent paid equals the purchase price keeps the total within twice the
 /// clairvoyant optimum for every process lifetime: a class that never makes
 /// 512 allocations (every class of `cat`, `sh`, `grep`, `tr`, `sort`) has
-/// touched fewer pages than one huge page holds and never pays for one; a
-/// class that does has, by then, spent at most one huge page's worth of
-/// small faults and goes on to touch the whole range anyway.
-pub const PROMOTE_AFTER_ALLOCS: u64 = ((2 << 20) / 4096) as u64;
+/// touched fewer pages than one huge page holds and never pays for one.
+///
+/// The count alone is evidence of traffic, not of size: a class can make any
+/// number of allocations inside an active range of a few base pages (an
+/// elastic heap starts every class far below 2 MB and doubles it only under
+/// `1/M` pressure from what is *live*), and advising that class's region
+/// would let `khugepaged` rebuild the small range as a whole 2 MB page —
+/// 2 MB resident for kilobytes in use. So the count decides *whether* a
+/// class may be promoted and the range decides *when*: at the first refill
+/// or doubling that finds it hot with `active_len >= HUGE_PAGE`, which for a
+/// class that started smaller is the doubling that first makes its range one
+/// whole huge page — by then `1/M` of 1 MB is live in it and uniform
+/// placement is touching every base page of the range anyway. Fixed heaps
+/// and elastic heaps started at ≥ 2 MB per class have the size from the
+/// start and are promoted by the count alone; a heap whose regions are
+/// smaller than a huge page has nothing one could back and never promotes.
+pub const PROMOTE_AFTER_ALLOCS: u64 = (HUGE_PAGE / 4096) as u64;
 
 /// The huge-page promotion seam: the one call the ungated heap layers make
 /// towards whoever owns the real memory (the `global` allocator; tests
@@ -68,11 +87,13 @@ pub const PROMOTE_AFTER_ALLOCS: u64 = ((2 << 20) / 4096) as u64;
 ///
 /// Invoked **once per size class**, with that class's maintenance lock
 /// held, the first time a refill or a doubling finds the class past
-/// [`PROMOTE_AFTER_ALLOCS`]. Arguments: the `ctx` word the hook was
+/// [`PROMOTE_AFTER_ALLOCS`] with an active range of at least one
+/// [`HUGE_PAGE`]. Arguments: the `ctx` word the hook was
 /// installed with, the byte offset of the class's region within the heap
 /// span, the region's full length (advise this much, so later doublings
 /// fault in huge), and the length of its currently active prefix (collapse
-/// this much — it is what has been touched). The hook must not allocate
+/// this much — it is what has been touched, and never less than one huge
+/// page). The hook must not allocate
 /// from the heap it serves, draws no random numbers and moves no object, so
 /// placement is bit-identical with and without one installed.
 pub type PromoteHook = fn(ctx: usize, region_offset: usize, region_len: usize, active_len: usize);
@@ -325,16 +346,18 @@ impl ShardedHeap {
         self.promoted.load(Ordering::Relaxed)
     }
 
-    /// Promotes `class` to huge pages if it has proven hot and has not been
-    /// promoted yet. The caller holds `class`'s maintenance lock, which is
-    /// what makes the flag check-then-set race-free and keeps the hook from
-    /// overlapping a doubling of the same class; the per-op paths never come
-    /// here. The hook runs with the lock held — milliseconds when it
-    /// collapses a touched 2 MB range, once per class, during which only
-    /// refills and doublings of this class (and a `fork`) wait. (The alloc
-    /// counter is 32-bit telemetry that wraps, but a refill advances it by
-    /// at most one batch between checks, so it cannot skip past the
-    /// threshold unseen.)
+    /// Promotes `class` to huge pages if it has proven hot, its active range
+    /// spans at least one huge page, and it has not been promoted yet. The
+    /// caller holds `class`'s maintenance lock, which is what makes the flag
+    /// check-then-set race-free and keeps the hook from overlapping a
+    /// doubling of the same class (so the range read here is the range the
+    /// hook collapses); the per-op paths never come here. The hook runs with
+    /// the lock held — milliseconds when it collapses a touched 2 MB range,
+    /// once per class, during which only refills and doublings of this class
+    /// (and a `fork`) wait. (The alloc counter is 32-bit telemetry that
+    /// wraps: a check that lands within the threshold's worth of
+    /// allocations after a wrap reads the class as cold, and the next refill
+    /// or doubling promotes it instead.)
     pub(crate) fn promote_if_hot_locked(&self, class: SizeClass) {
         let Some((hook, ctx)) = self.promote else {
             return;
@@ -344,7 +367,8 @@ impl ShardedHeap {
             return;
         }
         let shard = &self.shards[class.index()];
-        if shard.probe_stats().0 < PROMOTE_AFTER_ALLOCS {
+        let active_len = shard.capacity() * class.object_size();
+        if active_len < HUGE_PAGE || shard.probe_stats().0 < PROMOTE_AFTER_ALLOCS {
             return;
         }
         self.promoted.fetch_or(bit, Ordering::Relaxed);
@@ -352,7 +376,7 @@ impl ShardedHeap {
             ctx,
             self.geometry.region_base(class),
             self.geometry.config().region_bytes,
-            shard.capacity() * class.object_size(),
+            active_len,
         );
     }
 
@@ -392,7 +416,8 @@ impl ShardedHeap {
         shard.grow_to(new_capacity, new_threshold);
         self.growths.fetch_add(1, Ordering::Relaxed);
         // The uncached path's only maintenance-locked stop; after the
-        // doubling, so a promotion collapses the range now in use.
+        // doubling, so the size test sees — and a promotion collapses — the
+        // range now in use.
         self.promote_if_hot_locked(class);
         true
     }

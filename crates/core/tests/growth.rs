@@ -5,7 +5,9 @@
 //! keep single-threaded histories bit-identical across every layer, and
 //! keep its statistics exact while growth races allocations, frees, and
 //! magazine refills — and stay bit-identical through a huge-page promotion
-//! (advice draws no random numbers and moves no object). Run with
+//! (advice draws no random numbers and moves no object), which a class born
+//! below 2 MB earns only at the doubling that makes its range one whole huge
+//! page. Run with
 //! `RUST_TEST_THREADS=8` in CI so the race tests overlap with each other as
 //! well as within themselves.
 
@@ -14,7 +16,7 @@ use diehard_core::config::HeapConfig;
 use diehard_core::engine::AllocOutcome;
 use diehard_core::magazine::MagazineHeap;
 use diehard_core::rng::Mwc;
-use diehard_core::sharded::{ShardedHeap, PROMOTE_AFTER_ALLOCS};
+use diehard_core::sharded::{ShardedHeap, HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
 use diehard_core::size_class::SizeClass;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -60,61 +62,137 @@ fn heap_started_at_one_64th_absorbs_max_capacity_workload() {
     }
 }
 
+/// A 64 KiB start in a paper-sized 32 MB region: nine doublings below the
+/// maximum, five below one huge page. (What `libdiehard.so` ships with; the
+/// feature-gated `global` tests pin that ladder under the constant itself.)
+const START_64K_LOG2: u32 = 9;
+
+/// Every `(ctx, region_offset, region_len, active_len)` a [`record`] hook
+/// has been called with; each test filters by the `ctx` values it hands out.
+static PROMOTIONS: Mutex<Vec<(usize, usize, usize, usize)>> = Mutex::new(Vec::new());
+
+/// A [`PromoteHook`](diehard_core::sharded::PromoteHook) that only takes
+/// notes.
+fn record(ctx: usize, region_offset: usize, region_len: usize, active_len: usize) {
+    PROMOTIONS
+        .lock()
+        .unwrap()
+        .push((ctx, region_offset, region_len, active_len));
+}
+
+/// The calls [`record`] saw for `ctx`, without the tag.
+fn promotions_of(ctx: usize) -> Vec<(usize, usize, usize)> {
+    let calls = PROMOTIONS.lock().unwrap();
+    let of_ctx = calls.iter().filter(|call| call.0 == ctx);
+    of_ctx
+        .map(|&(_, off, len, active)| (off, len, active))
+        .collect()
+}
+
 /// Single-threaded alloc-only histories are bit-identical across all three
 /// layers — locked adaptive (`HeapCore`'s partitions, grown in place),
 /// lock-free elastic sharded, and the elastic magazine stack — at the same
-/// seed and start fraction: growth triggers at the same pressure points in
-/// each and consumes no RNG draws. The magazine heap alone carries a
-/// promote hook, and the history runs through a huge-page promotion and a
-/// doubling of the promoted class after it: neither is visible in placement.
+/// seed and start fraction, through **every** doubling up to the maximum:
+/// growth triggers at the same pressure points in each and consumes no RNG
+/// draws. Two ladders: [`AdaptiveHeap`]'s own (1 MB regions from 1/64, all
+/// three layers, offsets included), and the shipped one (32 MB regions from
+/// 64 KiB; the locked layer has no such start, so the two concurrent layers
+/// carry it, and `global`'s tests add `DieHard`). The magazine heap alone
+/// carries a promote hook. On the shipped ladder the history runs through a
+/// class that gets hot and stays small (never promoted), a class promoted
+/// at the doubling that takes it to one huge page, and four more doublings
+/// of the promoted class; regions smaller than a huge page are never
+/// promoted. None of it is visible in placement.
 #[test]
 fn single_threaded_histories_identical_across_layers() {
-    fn promote_nothing(_ctx: usize, _offset: usize, _region: usize, _active: usize) {}
-
     let seed = 0xD17EC7;
-    let sharded =
-        ShardedHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
-            .unwrap();
-    let mut adaptive = AdaptiveHeap::new(HeapConfig::default(), seed).unwrap();
-    let mut mag =
-        MagazineHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
-            .unwrap();
-    mag.set_promote_hook(promote_nothing, 0);
-    let mut cache = mag.thread_cache();
-    let mut rng = Mwc::seeded(seed ^ 0x5EED);
-    // The first class promoted, and its capacity at that moment.
-    let mut first_promotion = None;
-    // 4000 sizes spread over every class (none gets hot), then one class
-    // driven to four times the promotion threshold.
-    for i in 0..4000 + 4 * PROMOTE_AFTER_ALLOCS as usize {
-        let size = if i < 4000 {
-            1 + rng.below(16 * 1024)
-        } else {
-            64
-        };
-        let s = sharded.alloc(size);
-        assert_eq!(s, adaptive.alloc(size), "op {i} (size {size}): adaptive");
-        assert_eq!(s, cache.alloc(size), "op {i} (size {size}): magazine");
-        if let Some(slot) = s {
-            assert_eq!(sharded.offset_of(slot), adaptive.offset_of(slot));
+    let small = SizeClass::for_size(8).unwrap();
+    let hot = SizeClass::for_size(64).unwrap();
+    // `mixed` sizes spread over every class come first: on 1 MB regions the
+    // large classes double to their maximum and then spill, identically; on
+    // 32 MB regions they double and none makes 512 allocations.
+    for (config, fraction, mixed) in [
+        (HeapConfig::default(), DEFAULT_INITIAL_FRACTION_LOG2, 4000),
+        (HeapConfig::paper_default(), START_64K_LOG2, 300),
+    ] {
+        let ctx = 0x1A77 + fraction as usize;
+        let sharded = ShardedHeap::new_elastic(config.clone(), seed, fraction).unwrap();
+        let mut adaptive = (fraction == DEFAULT_INITIAL_FRACTION_LOG2)
+            .then(|| AdaptiveHeap::new(config.clone(), seed).unwrap());
+        let mut mag = MagazineHeap::new_elastic(config.clone(), seed, fraction).unwrap();
+        mag.set_promote_hook(record, ctx);
+        let mut cache = mag.thread_cache();
+        let mut rng = Mwc::seeded(seed ^ 0x5EED);
+        // Then twice the promotion count into the 8-byte class, inside a
+        // range far below 2 MB; then the 64-byte class past its last
+        // doubling (three quarters of the `1/M` allowance of its maximum;
+        // the last doubling is at half).
+        let small_hot = mixed + 2 * PROMOTE_AFTER_ALLOCS as usize;
+        let total = small_hot + config.threshold(hot) / 4 * 3;
+        // Capacity of the 64-byte class when the first promotion was seen.
+        let mut promoted_at = None;
+        for i in 0..total {
+            let size = if i < mixed {
+                1 + rng.below(16 * 1024)
+            } else if i < small_hot {
+                8
+            } else {
+                64
+            };
+            let s = sharded.alloc(size);
+            assert!(
+                s.is_some() || i < mixed,
+                "op {i} (size {size}) is under its cap"
+            );
+            if let Some(adaptive) = adaptive.as_mut() {
+                assert_eq!(s, adaptive.alloc(size), "op {i} (size {size}): adaptive");
+                if let Some(slot) = s {
+                    assert_eq!(sharded.offset_of(slot), adaptive.offset_of(slot));
+                }
+            }
+            assert_eq!(s, cache.alloc(size), "op {i} (size {size}): magazine");
+            if i < small_hot {
+                assert_eq!(mag.promoted_classes(), 0, "op {i}: nothing spans 2 MB");
+            } else if promoted_at.is_none() && mag.promoted_classes() != 0 {
+                promoted_at = Some(mag.with_partition(hot, |p| p.capacity()));
+            }
         }
-        if first_promotion.is_none() && mag.promoted_classes() != 0 {
-            let class = SizeClass::from_index(mag.promoted_classes().trailing_zeros() as usize);
-            first_promotion = Some((class, mag.with_partition(class, |p| p.capacity())));
+        let max = config.capacity(hot);
+        assert_eq!(sharded.with_partition(hot, |p| p.capacity()), max);
+        assert_eq!(mag.with_partition(hot, |p| p.capacity()), max);
+        assert_eq!(sharded.growth_events(), mag.growth_events());
+        if let Some(adaptive) = &adaptive {
+            assert_eq!(adaptive.committed_slots(hot), max);
+            assert_eq!(sharded.growth_events(), adaptive.growth_events());
         }
+        assert!(
+            mag.with_partition(small, |p| p.probe_stats().0) >= 2 * PROMOTE_AFTER_ALLOCS,
+            "the 8-byte class is hot by count"
+        );
+        // Only a range of a whole huge page is promoted: the 64-byte class
+        // of the 32 MB regions, once, at the doubling that made it one.
+        let promotes = config.region_bytes >= HUGE_PAGE;
+        assert_eq!(
+            mag.promoted_classes(),
+            u32::from(promotes) << hot.index(),
+            "and the 8-byte class still too small to promote"
+        );
+        assert_eq!(
+            promoted_at,
+            promotes.then_some(HUGE_PAGE / hot.object_size())
+        );
+        let call = (
+            mag.geometry().region_base(hot),
+            config.region_bytes,
+            HUGE_PAGE,
+        );
+        assert_eq!(
+            promotions_of(ctx),
+            Vec::from_iter(promotes.then_some(call)),
+            "one call, with the range of one huge page, or none"
+        );
+        assert_eq!(sharded.promoted_classes(), 0, "no hook, no promotion");
     }
-    assert_eq!(sharded.growth_events(), adaptive.growth_events());
-    assert_eq!(sharded.growth_events(), mag.growth_events());
-    assert!(
-        sharded.growth_events() > 0,
-        "the workload must cross growth"
-    );
-    let (class, capacity_then) = first_promotion.expect("the workload must cross a promotion");
-    assert!(
-        mag.with_partition(class, |p| p.capacity()) > capacity_then,
-        "and a doubling of the promoted class after it"
-    );
-    assert_eq!(sharded.promoted_classes(), 0, "no hook, no promotion");
 }
 
 /// Mixed alloc/free histories stay bit-identical between the adaptive and
@@ -304,35 +382,33 @@ fn magazine_refills_race_growth_and_reconcile() {
 }
 
 /// The uncached path has exactly one maintenance-locked stop — a doubling —
-/// so a sharded heap driven directly promotes at the first doubling its
-/// count has passed the threshold by, once, however many doublings follow;
-/// the hook is told the class's whole region and the range active after
-/// that doubling.
+/// so a sharded heap driven directly from a 64 KiB start passes
+/// the allocation count at its first doubling and is *not* promoted there,
+/// nor at the three after it; it is promoted at the doubling that brings
+/// its range to 2 MB, once, however many doublings follow; the hook is told
+/// the class's whole region and the range active after that doubling.
 #[test]
 fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
-    // (region_offset, region_len, active_len) of every call; this test's
-    // heap is the only one to install the hook.
-    static CALLS: Mutex<Vec<(usize, usize, usize)>> = Mutex::new(Vec::new());
-    fn record(_ctx: usize, region_offset: usize, region_len: usize, active_len: usize) {
-        CALLS
-            .lock()
-            .unwrap()
-            .push((region_offset, region_len, active_len));
-    }
-
-    let config = HeapConfig::default();
+    const CTX: usize = 0x0DD;
+    let config = HeapConfig::paper_default();
     let hot = SizeClass::for_size(64).expect("64 B is a small object");
-    let mut heap = ShardedHeap::new_elastic(config.clone(), 0x0DD, 6).unwrap();
-    heap.set_promote_hook(record, 0);
+    let mut heap = ShardedHeap::new_elastic(config.clone(), 0x0DD, START_64K_LOG2).unwrap();
+    heap.set_promote_hook(record, CTX);
     let capacity = |heap: &ShardedHeap| heap.with_partition(hot, |p| p.capacity());
-    let start = capacity(&heap);
+    assert_eq!(capacity(&heap) * hot.object_size(), 64 << 10);
     let mut promoted_at = None;
+    let mut hot_doublings_left_small = 0;
     let mut allocs = 0u64;
-    while capacity(&heap) < 16 * start {
+    while capacity(&heap) * hot.object_size() < 4 * HUGE_PAGE {
         let before = capacity(&heap);
         assert!(heap.alloc(64).is_some());
-        if promoted_at.is_none() && capacity(&heap) > before && allocs >= PROMOTE_AFTER_ALLOCS {
-            promoted_at = Some(capacity(&heap));
+        let after = capacity(&heap);
+        if promoted_at.is_none() && after > before && allocs >= PROMOTE_AFTER_ALLOCS {
+            if after * hot.object_size() >= HUGE_PAGE {
+                promoted_at = Some(after);
+            } else {
+                hot_doublings_left_small += 1;
+            }
         }
         allocs += 1;
         let expected = if promoted_at.is_some() {
@@ -346,14 +422,19 @@ fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
             "after {allocs} allocations"
         );
     }
-    let promoted_at = promoted_at.expect("the run must cross the threshold");
+    assert_eq!(
+        hot_doublings_left_small, 4,
+        "128 KiB … 1 MB: hot by count, left on base pages"
+    );
+    let promoted_at = promoted_at.expect("the run must reach 2 MB");
+    assert_eq!(promoted_at * hot.object_size(), HUGE_PAGE);
     assert!(capacity(&heap) > promoted_at, "and double again afterwards");
     assert_eq!(
-        *CALLS.lock().unwrap(),
+        promotions_of(CTX),
         [(
             heap.geometry().region_base(hot),
             config.region_bytes,
-            promoted_at * hot.object_size()
+            HUGE_PAGE
         )],
         "one call: whole region, the range active at that doubling"
     );

@@ -14,10 +14,12 @@
 //! Everything is backed by one process-wide
 //! [`DieHard`](diehard_core::global::DieHard) heap built with
 //! [`elastic_from_env`](diehard_core::global::DieHard::elastic_from_env):
-//! classes start at `1/2^4` of their configured maximum and grow under
-//! pressure, and a denial at full size spills to a dedicated guard-paged
-//! mapping — `malloc` returns null only on genuine OOM, never because a
-//! host program outgrew a fixed region. `DIEHARD_SEED`, `DIEHARD_GROW`,
+//! classes start at `1/2^9` of their configured maximum
+//! ([`DEFAULT_GROW_LOG2`]: 64 KiB of a 32 MB region, so a class is resident
+//! in proportion to what is live in it) and grow under pressure, and a
+//! denial at full size spills to a dedicated guard-paged mapping — `malloc`
+//! returns null only on genuine OOM, never because a host program outgrew
+//! a fixed region. `DIEHARD_SEED`, `DIEHARD_GROW`,
 //! `DIEHARD_REGION_MB`, and `DIEHARD_M` are honored via
 //! [`diehard_core::env`]'s audited parsers — the replication launcher's
 //! per-replica `DIEHARD_SEED` lands exactly here.
@@ -85,26 +87,16 @@
 use core::cell::Cell;
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
-use diehard_core::global::DieHard;
+use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
 use diehard_core::safe_str;
 use libc::{c_char, c_int, c_void};
 use std::alloc::{GlobalAlloc, Layout};
 
-/// Elastic start fraction when `DIEHARD_GROW` is unset: classes begin at
-/// 1/16 of their configured maximum — with the default 32 MB regions, a
-/// 2 MB active range per class, large enough that typical programs never
-/// grow at all. Small for an interposed `cat` it is not by itself: 2 MB is
-/// exactly one huge page, so under up-front `MADV_HUGEPAGE` advice the
-/// first object in each class would fault in all of it. What keeps a short
-/// process at the pages it touches is that the heap asks for huge pages
-/// per class, and only once a class has made
-/// `diehard_core::sharded::PROMOTE_AFTER_ALLOCS` allocations.
-const DEFAULT_GROW_LOG2: u32 = 4;
-
 /// C ABI alignment floor: `max_align_t` is 16 on x86_64 and aarch64.
 const MALLOC_ALIGN: usize = 16;
 
-/// The process heap. Environment-configured, elastic by default.
+/// The process heap. Environment-configured, elastic by default — from
+/// [`DEFAULT_GROW_LOG2`] when `DIEHARD_GROW` is unset.
 static HEAP: DieHard = DieHard::elastic_from_env(DEFAULT_GROW_LOG2);
 
 /// Frees dropped because they arrived re-entrantly for non-arena pointers

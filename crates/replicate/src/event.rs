@@ -137,6 +137,10 @@ fn drive(
 ) -> io::Result<StreamOutcome> {
     let mut reactor: Reactor<Token> = Reactor::new();
     let mut voted = Vec::new();
+    // Scratch for `refill_from_fd`, one chunk long (streamed mode only):
+    // the session copies what it retains, so one buffer serves every refill
+    // of the stream.
+    let mut inbuf = vec![0u8; source.map_or(0, |_| session.chunk())];
     loop {
         // Resolve every satisfied barrier, then ship the quorum bytes
         // immediately — the pipe transport has no cap of its own; the
@@ -164,7 +168,9 @@ fn drive(
             // read/write sees the EOF or EPIPE and retires the descriptor.
             match token {
                 Token::Session(io) => session.service(io),
-                Token::Source => refill_from_fd(&mut session, source.expect("streamed mode")),
+                Token::Source => {
+                    refill_from_fd(&mut session, source.expect("streamed mode"), &mut inbuf);
+                }
             }
         }
     }
@@ -172,14 +178,12 @@ fn drive(
 }
 
 /// Slides the session's input window forward by one read from the source
-/// descriptor (≤ one chunk — the window is the memory bound).
-fn refill_from_fd(session: &mut Session, fd: RawFd) {
-    let chunk = session.chunk();
-    let mut buf = vec![0u8; chunk];
+/// descriptor into `buf` (≤ one chunk — the window is the memory bound).
+fn refill_from_fd(session: &mut Session, fd: RawFd, buf: &mut [u8]) {
     loop {
-        // SAFETY: reading into a live buffer of exactly `chunk` bytes on a
+        // SAFETY: reading at most `buf.len()` bytes into a live buffer, on a
         // descriptor the caller handed us.
-        let n = unsafe { libc::read(fd, buf.as_mut_ptr().cast(), chunk) };
+        let n = unsafe { libc::read(fd, buf.as_mut_ptr().cast(), buf.len()) };
         if n > 0 {
             session.accept_input(&buf[..n as usize]);
             break;

@@ -229,6 +229,11 @@ impl Proxy {
         let mut reactor: Reactor<Token> = Reactor::new();
         let mut conns: Vec<Option<Conn>> = Vec::new();
         let mut summary = ProxySummary::default();
+        // The one read buffer every connection's request bytes pass through
+        // on their way into its session window (which copies what it keeps):
+        // scratch for the length of a `read_request` call, so it belongs to
+        // the reactor, not to the per-connection bound.
+        let mut inbuf = vec![0u8; self.config.chunk];
         while !stop.load(Ordering::Acquire) {
             // Refill the warm pool toward its target — at most one spawn
             // per tick (the crash-loop/fork-bomb cap), with the pool's own
@@ -317,7 +322,7 @@ impl Proxy {
                                     // request often lands before the accept
                                     // is even dispatched, and picking it up
                                     // now saves the fast path a poll round.
-                                    conn.read_request();
+                                    conn.read_request(&mut inbuf);
                                     match conns.iter_mut().find(|s| s.is_none()) {
                                         Some(free) => *free = Some(conn),
                                         None => conns.push(Some(conn)),
@@ -346,7 +351,7 @@ impl Proxy {
                     }
                     Token::ClientIn(slot) => {
                         if let Some(conn) = conns[slot].as_mut() {
-                            conn.read_request();
+                            conn.read_request(&mut inbuf);
                         }
                     }
                     Token::ClientOut(slot) => {
@@ -437,18 +442,18 @@ impl Conn {
         self.aborted || (self.outcome.is_some() && self.out.is_empty())
     }
 
-    /// Reads one window's worth of request bytes into the session. EOF is
-    /// the client's half-close: the request is complete. A hard error is a
-    /// disconnect: the session is aborted and its replicas reaped.
-    fn read_request(&mut self) {
+    /// Reads one window's worth of request bytes into the session, through
+    /// the reactor's `buf` (one chunk long). EOF is the client's half-close:
+    /// the request is complete. A hard error is a disconnect: the session is
+    /// aborted and its replicas reaped.
+    fn read_request(&mut self, buf: &mut [u8]) {
         // Reads run in a loop with an eager stdin flush after each window:
         // a small request plus its FIN often arrive together, and the
         // empty replica pipes always take the first window — so the whole
         // request is broadcast in the round that received it instead of
         // burning a poll round each on the FIN and on `POLLOUT` reports.
-        let mut buf = vec![0u8; self.session.chunk()];
         while !self.request_done && self.session.wants_input() {
-            match self.stream.read(&mut buf) {
+            match self.stream.read(buf) {
                 Ok(0) => {
                     self.session.accept_input_eof();
                     self.request_done = true;
