@@ -18,10 +18,13 @@
 //!
 //! `--only <kernel>` (repeatable) runs just the named kernels, in the order
 //! given — one allocator kernel without the four proxy kernels' process
-//! spawning. A partial run is not a trajectory entry: it prints its table
-//! (and its deltas against the latest entry), writes a file only where
-//! `--out` says, and skips the completeness check. An unknown kernel name
-//! is an error, as for `--gate`.
+//! spawning. Name single-thread allocator kernels before any `_mt` or proxy
+//! kernel: once this process has spawned a thread they refuse to run (the
+//! allocator they would time is no longer the one a single-threaded host
+//! runs; see `perf`'s module docs). A partial run is not a trajectory
+//! entry: it prints its table (and its deltas against the latest entry),
+//! writes a file only where `--out` says, and skips the completeness check.
+//! An unknown kernel name is an error, as for `--gate`.
 //!
 //! `--gate <kernel>=<max_ns>` (repeatable) bounds a kernel's *fastest*
 //! sample (`min_ns`): the process exits non-zero when even the best sample

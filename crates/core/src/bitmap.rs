@@ -10,7 +10,8 @@
 //! inside a global allocator once built over caller-provided storage
 //! ([`Bitmap::from_storage`]).
 
-use core::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::Word;
+use core::sync::atomic::Ordering;
 
 /// A fixed-capacity bitmap over object slots.
 ///
@@ -191,146 +192,16 @@ impl Bitmap {
     }
 }
 
-/// A fixed-capacity bitmap whose bits can be read and written concurrently.
-///
-/// The magazine layer ([`crate::magazine`]) overlays one of these on each
-/// partition's allocation bitmap to mark slots that are *reserved* by a
-/// thread-local magazine but not yet handed to the application. The overlay
-/// must be atomic because the reserved→live transition (a magazine handout)
-/// happens on the owning thread **without** taking the shard lock — that is
-/// the entire point of the magazine — while other threads read the bit under
-/// the shard lock to decide whether a slot is live.
-///
-/// Memory ordering: [`clear`](Self::clear) (the handout) releases, and
-/// [`get`](Self::get) acquires, so a thread that legitimately learned of an
-/// object (the pointer was passed to it, which synchronizes) observes the
-/// slot as live. Threads issuing *erroneous* frees may observe a stale
-/// reserved bit and have the free ignored — exactly DieHard's contract for
-/// invalid frees.
-#[derive(Debug)]
-pub struct AtomicBitmap {
-    words: AtomicStorage,
-    bits: usize,
-}
-
+/// Backing words of a [`SlotStateMap`].
 #[derive(Debug)]
 enum AtomicStorage {
-    Owned(Box<[AtomicU64]>),
+    Owned(Box<[Word]>),
     /// Caller-provided word storage (carved out of the global allocator's
     /// mmap'd metadata arena, which must never allocate re-entrantly).
     Raw {
-        ptr: *const AtomicU64,
+        ptr: *const Word,
         words: usize,
     },
-}
-
-// SAFETY: `Raw` storage is exclusively owned by this bitmap for its
-// lifetime, and every access goes through atomic operations.
-unsafe impl Send for AtomicBitmap {}
-unsafe impl Sync for AtomicBitmap {}
-
-impl AtomicBitmap {
-    /// Creates an atomic bitmap with `bits` slots, all clear.
-    #[must_use]
-    pub fn new(bits: usize) -> Self {
-        Self {
-            words: AtomicStorage::Owned(
-                (0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-            ),
-            bits,
-        }
-    }
-
-    /// Creates an atomic bitmap over caller-provided zeroed word storage.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be valid for reads and writes of `bits.div_ceil(64)` u64
-    /// words for the lifetime of the bitmap, exclusively owned by it, zeroed,
-    /// and aligned for `u64` (which matches `AtomicU64`'s layout).
-    #[must_use]
-    pub unsafe fn from_storage(ptr: *mut u64, bits: usize) -> Self {
-        Self {
-            words: AtomicStorage::Raw {
-                ptr: ptr.cast::<AtomicU64>(),
-                words: bits.div_ceil(64),
-            },
-            bits,
-        }
-    }
-
-    #[inline]
-    fn words(&self) -> &[AtomicU64] {
-        match &self.words {
-            AtomicStorage::Owned(v) => v,
-            // SAFETY: `ptr` is valid for `words` AtomicU64s per the
-            // `from_storage` contract (AtomicU64 is layout-identical to u64).
-            AtomicStorage::Raw { ptr, words } => unsafe {
-                core::slice::from_raw_parts(*ptr, *words)
-            },
-        }
-    }
-
-    /// Number of slots the bitmap covers.
-    #[must_use]
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bits
-    }
-
-    /// `true` when the bitmap covers zero slots.
-    #[must_use]
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-
-    /// Reads the bit at `index` (acquire).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[must_use]
-    #[inline]
-    pub fn get(&self, index: usize) -> bool {
-        assert!(index < self.bits, "bit index {index} out of range");
-        let w = self.words()[index / 64].load(Ordering::Acquire);
-        (w >> (index % 64)) & 1 == 1
-    }
-
-    /// Sets the bit at `index` (release).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn set(&self, index: usize) {
-        assert!(index < self.bits, "bit index {index} out of range");
-        self.words()[index / 64].fetch_or(1u64 << (index % 64), Ordering::Release);
-    }
-
-    /// Clears the bit at `index` (release) — the lock-free reserved→live
-    /// handout transition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn clear(&self, index: usize) {
-        assert!(index < self.bits, "bit index {index} out of range");
-        self.words()[index / 64].fetch_and(!(1u64 << (index % 64)), Ordering::Release);
-    }
-
-    /// Number of set bits. Each word is read atomically but the sum is not a
-    /// snapshot — exact only when no thread is mutating the bitmap (the same
-    /// quiescence caveat as the sharded heap's aggregate counters).
-    #[must_use]
-    pub fn count_ones(&self) -> usize {
-        self.words()
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
-    }
 }
 
 /// Per-slot states a [`SlotStateMap`] distinguishes.
@@ -351,7 +222,7 @@ pub enum SlotState {
 }
 
 /// A lock-free map of slot states: **two** bits per object slot, packed 32
-/// slots to an `AtomicU64` word.
+/// slots to a [`Word`].
 ///
 /// This is the metadata structure behind the lock-free allocation fast path.
 /// The paper's one-bit-per-object bitmap (§4.1) is enough under a lock, but
@@ -365,22 +236,27 @@ pub enum SlotState {
 ///
 /// | transition               | operation                         | used by |
 /// |--------------------------|-----------------------------------|---------|
-/// | `00 → 01` claim          | `fetch_or(live)`, won iff prior 00| alloc fast path |
+/// | `00 → 01` claim          | `or(live)`, won iff prior 00      | alloc fast path |
 /// | `00 → 11` reserve        | CAS loop                          | magazine refill (slow path) |
-/// | `11 → 01` commit         | `fetch_and(!reserved)`            | magazine handout (fast path) |
+/// | `11 → 01` commit         | `and(!reserved)`                  | magazine handout (fast path) |
 /// | `01 → 00` free           | CAS loop, fails on `00`/`11`      | free fast path |
 /// | `11 → 00` release        | CAS loop                          | magazine teardown (slow path) |
 ///
-/// The claim is a plain `fetch_or` rather than a CAS loop: OR-ing the live
-/// bit into `01` or `11` is a no-op, so a lost claim cannot corrupt another
-/// slot's state, and the returned prior word decides the winner. One probe
-/// draw therefore maps to exactly one claim attempt — probe accounting under
-/// contention stays identical to the locked path's (§4.2 E[probes]).
+/// Each operation is a [`Word`] update: a locked RMW, or load + store while
+/// the process has one thread ([`crate::sync`] has the argument). The
+/// transitions, their outcomes and their order are the same in either arm.
 ///
-/// Memory ordering: claims and commits publish with release semantics (and
-/// acquire the prior owner's writes), frees release the object's contents to
-/// the next claimant, and reads acquire — the same discipline the old
-/// `AtomicBitmap` overlay used, now on one word.
+/// The claim is an unconditional `or` rather than a CAS loop: OR-ing the
+/// live bit into `01` or `11` is a no-op, so a lost claim cannot corrupt
+/// another slot's state, and the returned prior word decides the winner. One
+/// probe draw therefore maps to exactly one claim attempt — probe accounting
+/// under contention stays identical to the locked path's (§4.2 E[probes]).
+///
+/// Memory ordering (locked arm): claims and commits publish with release
+/// semantics (and acquire the prior owner's writes), frees release the
+/// object's contents to the next claimant, and reads acquire. The
+/// single-thread arm needs none: program order covers the one thread, and
+/// thread creation publishes everything it wrote to the threads that follow.
 #[derive(Debug)]
 pub struct SlotStateMap {
     words: AtomicStorage,
@@ -396,7 +272,7 @@ unsafe impl Sync for SlotStateMap {}
 const LIVE_BITS: u64 = 0x5555_5555_5555_5555;
 
 impl SlotStateMap {
-    /// Slots per `AtomicU64` word (two bits each).
+    /// Slots per word (two bits each).
     const PER_WORD: usize = 32;
 
     /// Creates a map with `slots` slots, all [`SlotState::Free`].
@@ -405,7 +281,7 @@ impl SlotStateMap {
         Self {
             words: AtomicStorage::Owned(
                 (0..slots.div_ceil(Self::PER_WORD))
-                    .map(|_| AtomicU64::new(0))
+                    .map(|_| Word::new(0))
                     .collect(),
             ),
             slots,
@@ -429,7 +305,7 @@ impl SlotStateMap {
     pub unsafe fn from_storage(ptr: *mut u64, slots: usize) -> Self {
         Self {
             words: AtomicStorage::Raw {
-                ptr: ptr.cast::<AtomicU64>(),
+                ptr: ptr.cast::<Word>(),
                 words: Self::words_needed(slots),
             },
             slots,
@@ -437,11 +313,12 @@ impl SlotStateMap {
     }
 
     #[inline]
-    fn words(&self) -> &[AtomicU64] {
+    fn words(&self) -> &[Word] {
         match &self.words {
             AtomicStorage::Owned(v) => v,
-            // SAFETY: `ptr` is valid for `words` AtomicU64s per the
-            // `from_storage` contract (AtomicU64 is layout-identical to u64).
+            // SAFETY: `ptr` is valid for `words` `Word`s per the
+            // `from_storage` contract (`Word` is `repr(transparent)` over
+            // `AtomicU64`, which is layout-identical to u64).
             AtomicStorage::Raw { ptr, words } => unsafe {
                 core::slice::from_raw_parts(*ptr, *words)
             },
@@ -500,7 +377,7 @@ impl SlotStateMap {
         self.state(index) != SlotState::Free
     }
 
-    /// The allocation fast path's claim: `00 → 01` via one `fetch_or`.
+    /// The allocation fast path's claim: `00 → 01` via one `or`.
     /// Returns `true` when this caller won the slot (it was free).
     ///
     /// # Panics
@@ -511,14 +388,14 @@ impl SlotStateMap {
         let (word, shift) = self.check(index);
         // OR-ing the live bit into 01 (live) or 11 (reserved) changes
         // nothing, so a losing claim is harmless; the prior word decides.
-        let prior = self.words()[word].fetch_or(1u64 << shift, Ordering::AcqRel);
+        let prior = self.words()[word].or(1u64 << shift, Ordering::AcqRel);
         (prior >> shift) & 0b11 == 0b00
     }
 
     /// The magazine refill's reservation: `00 → 11` via CAS. Returns `true`
     /// when the reservation was taken (the slot was free).
     ///
-    /// A CAS (not `fetch_or`) because OR-ing both bits into a live slot
+    /// A CAS (not `or`) because OR-ing both bits into a live slot
     /// would silently turn `01` into `11`.
     ///
     /// # Panics
@@ -529,7 +406,7 @@ impl SlotStateMap {
         self.transition(index, 0b00, 0b11)
     }
 
-    /// The magazine handout's commit: `11 → 01` via `fetch_and`. The slot
+    /// The magazine handout's commit: `11 → 01` via one `and`. The slot
     /// becomes live without a lock.
     ///
     /// # Panics
@@ -539,7 +416,7 @@ impl SlotStateMap {
     #[inline]
     pub fn commit(&self, index: usize) {
         let (word, shift) = self.check(index);
-        let prior = self.words()[word].fetch_and(!(1u64 << (shift + 1)), Ordering::AcqRel);
+        let prior = self.words()[word].and(!(1u64 << (shift + 1)), Ordering::AcqRel);
         debug_assert_eq!(
             (prior >> shift) & 0b11,
             0b11,
@@ -566,7 +443,7 @@ impl SlotStateMap {
                 0b01 => {}
                 _ => return SlotState::Reserved,
             }
-            match words[word].compare_exchange_weak(
+            match words[word].compare_set_weak(
                 cur,
                 cur & !(0b11u64 << shift),
                 Ordering::AcqRel,
@@ -601,8 +478,7 @@ impl SlotStateMap {
                 return false;
             }
             let next = (cur & !(0b11u64 << shift)) | (to << shift);
-            match words[word].compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
+            match words[word].compare_set_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return true,
                 Err(seen) => cur = seen,
             }
@@ -659,7 +535,7 @@ impl SlotStateMap {
 /// Iterator over occupied slot indices, from [`SlotStateMap::iter_occupied`].
 #[derive(Debug)]
 pub struct IterOccupied<'a> {
-    words: &'a [AtomicU64],
+    words: &'a [Word],
     word_idx: usize,
     current: u64,
     slots: usize,
@@ -807,62 +683,6 @@ mod tests {
         assert_eq!(bm.count_ones(), 1);
         drop(bm);
         assert_ne!(backing[2], 0, "bit 150 lives in word 2");
-    }
-
-    #[test]
-    fn atomic_bitmap_set_get_clear() {
-        let bm = AtomicBitmap::new(130);
-        assert_eq!(bm.len(), 130);
-        assert!(!bm.is_empty());
-        for i in [0usize, 63, 64, 65, 129] {
-            assert!(!bm.get(i));
-            bm.set(i);
-            assert!(bm.get(i), "bit {i}");
-        }
-        assert_eq!(bm.count_ones(), 5);
-        bm.clear(64);
-        assert!(!bm.get(64));
-        assert_eq!(bm.count_ones(), 4);
-    }
-
-    #[test]
-    fn atomic_bitmap_over_raw_storage() {
-        let mut backing = vec![0u64; 4];
-        // SAFETY: `backing` outlives `bm`, is zeroed, and is not otherwise
-        // accessed while `bm` lives.
-        let bm = unsafe { AtomicBitmap::from_storage(backing.as_mut_ptr(), 200) };
-        bm.set(150);
-        assert!(bm.get(150));
-        assert_eq!(bm.count_ones(), 1);
-        drop(bm);
-        assert_ne!(backing[2], 0, "bit 150 lives in word 2");
-    }
-
-    #[test]
-    fn atomic_bitmap_concurrent_disjoint_bits() {
-        let bm = std::sync::Arc::new(AtomicBitmap::new(512));
-        let mut handles = Vec::new();
-        for t in 0..8usize {
-            let bm = std::sync::Arc::clone(&bm);
-            handles.push(std::thread::spawn(move || {
-                for i in (t..512).step_by(8) {
-                    bm.set(i);
-                }
-                for i in (t..512).step_by(16) {
-                    bm.clear(i);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(bm.count_ones(), 256);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn atomic_bitmap_out_of_range_panics() {
-        AtomicBitmap::new(10).set(10);
     }
 
     #[test]

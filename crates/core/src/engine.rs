@@ -11,7 +11,8 @@ use crate::config::{ConfigError, FillPolicy, HeapConfig, HeapGeometry};
 use crate::partition::{AtomicPartition, Partition};
 use crate::rng::{stream_seed, Mwc};
 use crate::size_class::{SizeClass, NUM_CLASSES};
-use core::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::Word;
+use core::sync::atomic::Ordering;
 
 /// A small-object allocation: its size class and slot index.
 ///
@@ -115,12 +116,14 @@ pub struct HeapStats {
 /// concurrently with every other shard; relaxed atomics suffice because the
 /// counters carry no synchronization responsibility — they only have to end
 /// up numerically exact once the threads touching the heap are joined.
+/// ([`Word`]s: a locked add, or load + store while the process has one
+/// thread.)
 #[derive(Debug, Default)]
 pub struct AtomicHeapStats {
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    ignored_frees: AtomicU64,
-    exhausted: AtomicU64,
+    allocs: Word,
+    frees: Word,
+    ignored_frees: Word,
+    exhausted: Word,
 }
 
 impl AtomicHeapStats {
@@ -129,10 +132,10 @@ impl AtomicHeapStats {
     #[must_use]
     pub const fn new() -> Self {
         Self {
-            allocs: AtomicU64::new(0),
-            frees: AtomicU64::new(0),
-            ignored_frees: AtomicU64::new(0),
-            exhausted: AtomicU64::new(0),
+            allocs: Word::new(0),
+            frees: Word::new(0),
+            ignored_frees: Word::new(0),
+            exhausted: Word::new(0),
         }
     }
 
@@ -149,17 +152,17 @@ impl AtomicHeapStats {
 
     /// Counts one successful allocation.
     pub fn record_alloc(&self) {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.allocs.add(1, Ordering::Relaxed);
     }
 
     /// Counts one successful free.
     pub fn record_free(&self) {
-        self.frees.fetch_add(1, Ordering::Relaxed);
+        self.frees.add(1, Ordering::Relaxed);
     }
 
     /// Counts one ignored (double/invalid) free.
     pub fn record_ignored_free(&self) {
-        self.ignored_frees.fetch_add(1, Ordering::Relaxed);
+        self.ignored_frees.add(1, Ordering::Relaxed);
     }
 
     /// Counts `n` successful frees in one atomic add — used by the magazine
@@ -167,20 +170,20 @@ impl AtomicHeapStats {
     /// acquisition and should pay one counter RMW for it, not `n`.
     pub fn record_frees(&self, n: u64) {
         if n > 0 {
-            self.frees.fetch_add(n, Ordering::Relaxed);
+            self.frees.add(n, Ordering::Relaxed);
         }
     }
 
     /// Counts `n` ignored (double/invalid) frees in one atomic add.
     pub fn record_ignored_frees(&self, n: u64) {
         if n > 0 {
-            self.ignored_frees.fetch_add(n, Ordering::Relaxed);
+            self.ignored_frees.add(n, Ordering::Relaxed);
         }
     }
 
     /// Counts one allocation denied at the `1/M` cap.
     pub fn record_exhausted(&self) {
-        self.exhausted.fetch_add(1, Ordering::Relaxed);
+        self.exhausted.add(1, Ordering::Relaxed);
     }
 }
 
@@ -237,39 +240,6 @@ pub(crate) fn build_partitions(geometry: &HeapGeometry, seed: u64) -> [Partition
             geometry.threshold(c),
             stream_seed(seed, i as u64),
         )
-    })
-}
-
-/// As [`build_partitions`], but carving the allocation bitmaps out of
-/// caller-provided storage (the global allocator's metadata arena).
-///
-/// # Safety
-///
-/// `bitmap_words` must point to at least
-/// [`HeapCore::bitmap_words_needed`]`(config)` zeroed `u64`s, valid and
-/// exclusively owned for the partitions' lifetime.
-pub(crate) unsafe fn build_partitions_from_storage(
-    geometry: &HeapGeometry,
-    seed: u64,
-    bitmap_words: *mut u64,
-) -> [Partition; NUM_CLASSES] {
-    let mut cursor = bitmap_words;
-    core::array::from_fn(|i| {
-        let c = SizeClass::from_index(i);
-        let cap = geometry.capacity(c);
-        // SAFETY: the caller provides enough zeroed words for the sum of
-        // all class bitmaps; we carve them off sequentially.
-        let p = unsafe {
-            Partition::from_storage(
-                c,
-                cap,
-                geometry.threshold(c),
-                stream_seed(seed, i as u64),
-                cursor,
-            )
-        };
-        cursor = unsafe { cursor.add(cap.div_ceil(64)) };
-        p
     })
 }
 
@@ -399,45 +369,6 @@ impl HeapCore {
             partitions,
             stats: HeapStats::default(),
         })
-    }
-
-    /// As [`new`](Self::new), but hosting all twelve allocation bitmaps in
-    /// caller-provided storage so that construction performs **no heap
-    /// allocation** — required when DieHard itself is the process's global
-    /// allocator (metadata lives in a segregated mmap arena, §4.1).
-    ///
-    /// # Safety
-    ///
-    /// `bitmap_words` must point to at least
-    /// [`bitmap_words_needed`](Self::bitmap_words_needed)`(&config)` zeroed
-    /// `u64`s, valid and exclusively owned for the heap's lifetime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub unsafe fn from_raw_parts(
-        config: HeapConfig,
-        seed: u64,
-        bitmap_words: *mut u64,
-    ) -> Result<Self, ConfigError> {
-        let geometry = HeapGeometry::new(config)?;
-        // SAFETY: forwarded caller contract.
-        let partitions = unsafe { build_partitions_from_storage(&geometry, seed, bitmap_words) };
-        Ok(Self {
-            geometry,
-            rng: Mwc::seeded(seed),
-            partitions,
-            stats: HeapStats::default(),
-        })
-    }
-
-    /// Number of `u64` words of bitmap storage [`from_raw_parts`]
-    /// (Self::from_raw_parts) requires for `config`.
-    #[must_use]
-    pub fn bitmap_words_needed(config: &HeapConfig) -> usize {
-        SizeClass::all()
-            .map(|c| config.capacity(c).div_ceil(64))
-            .sum()
     }
 
     /// The heap's configuration.

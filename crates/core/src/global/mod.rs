@@ -92,12 +92,34 @@
 //!   the CAS fail instead). The `1/M` cap is a ticket `fetch_add` that backs
 //!   out on overshoot, and the per-class RNG packs its whole state in one
 //!   `AtomicU64` CAS ([`AtomicMwc`](crate::rng::AtomicMwc)) — no torn draws.
+//!   (Each of these is a [`Word`](crate::sync::Word) update — see the next
+//!   finding for when it is not a locked instruction.)
 //!   The surviving locks are slow-path only: one maintenance `SpinLock` per
 //!   class serializing *batches* (refill, flush, teardown) against each
 //!   other — never taken by per-op traffic — plus the large-object table
 //!   lock. No operation ever takes two locks at once; a free resolves its
 //!   address with pure arithmetic *before* touching any shared state.
 //!   Heap-wide statistics are relaxed atomics and take no lock at all.
+//! * **One extern read decides how those atomics are updated.**
+//!   [`sys::single_threaded`] loads glibc's `__libc_single_threaded`
+//!   (glibc ≥ 2.32; an `extern` static typed `AtomicU8`, because a C global
+//!   that changes must not be declared immutable). While it reads 1, every
+//!   [`Word`](crate::sync::Word) update — RNG advance, slot transitions,
+//!   ticket, counters, the `SpinLock` flag — is a relaxed load and a relaxed
+//!   store instead of a locked instruction; [`crate::sync`]'s module docs
+//!   carry the argument. Linearizability is untouched: with one thread
+//!   every operation is trivially atomic, and none straddles the flip,
+//!   because the only thread that can clear the byte is the one executing
+//!   the operation. What this arm does **not** survive is a thread of
+//!   control glibc has not been told about: a raw `clone(CLONE_VM)` that
+//!   bypasses `pthread_create` leaves the byte at 1 with two threads on the
+//!   heap, whose load/store pairs can lose updates — the exposure glibc's
+//!   own `malloc` has under `SINGLE_THREAD_P`, and not defended against
+//!   here either. The one-thread version of that race is a signal handler
+//!   re-entering the allocator between a load and its store:
+//!   `libdiehard.so` diverts re-entrant calls to its bootstrap arena before
+//!   they reach this heap, and `GlobalAlloc` was never async-signal-safe in
+//!   either arm (the thread-local magazines are not re-entrant).
 //! * **Raw-pointer state.** `GlobalState` owns raw `mmap` regions; its
 //!   `unsafe impl Send + Sync` is sound because `heap_base`/`page` are
 //!   written once before the `OnceCell` publishes (Release/Acquire) and
@@ -195,7 +217,7 @@
 //!   the pre-existing large-object allocator, reached with the same
 //!   arguments an oversized request would use.
 
-mod sys;
+pub(crate) mod sys;
 mod tls;
 
 pub use crate::sync::{OnceCell, SpinGuard, SpinLock};

@@ -144,6 +144,30 @@ pub fn prefetch_write(ptr: *const u8) {
     let _ = ptr;
 }
 
+#[cfg(target_env = "gnu")]
+extern "C" {
+    /// glibc's own record of whether the process has ever had a second
+    /// thread (`<sys/single_threaded.h>`, glibc ≥ 2.32): 1 from process
+    /// start, set to 0 by the creating thread at the top of its first
+    /// `pthread_create`. Typed as an atomic byte because it is a C global
+    /// that changes: an immutable extern static would license the compiler
+    /// to read it once.
+    static __libc_single_threaded: core::sync::atomic::AtomicU8;
+}
+
+/// The one read behind [`crate::sync::sole_thread`] (the argument for
+/// acting on it is in that module's docs).
+#[cfg(target_env = "gnu")]
+#[must_use]
+#[inline(always)]
+pub fn single_threaded() -> bool {
+    // SAFETY: the symbol is a one-byte object glibc defines for the life of
+    // the process, and glibc writes it only from a thread that is alone
+    // (its first `pthread_create`), so an atomic byte load of it is always
+    // in bounds and never races a non-atomic write.
+    unsafe { __libc_single_threaded.load(core::sync::atomic::Ordering::Relaxed) != 0 }
+}
+
 /// Revokes all access to `[ptr, ptr + len)`, turning it into a guard region
 /// ("guard pages without read or write access", §4.1).
 ///

@@ -11,6 +11,7 @@
 use crate::bitmap::{Bitmap, SlotState, SlotStateMap};
 use crate::rng::{AtomicMwc, Mwc};
 use crate::size_class::SizeClass;
+use crate::sync::Word;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// One size-class region of the DieHard heap.
@@ -71,40 +72,6 @@ impl Partition {
         Self {
             class,
             bitmap: Bitmap::new(capacity),
-            capacity,
-            threshold,
-            in_use: 0,
-            rng: Mwc::seeded(seed),
-            draw_shift: draw_shift_for(capacity),
-            probes: 0,
-            allocs: 0,
-        }
-    }
-
-    /// As [`new`](Self::new) but over caller-provided zeroed bitmap words,
-    /// for allocators that cannot allocate (the global allocator's metadata
-    /// arena).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Bitmap::from_storage`].
-    #[must_use]
-    pub unsafe fn from_storage(
-        class: SizeClass,
-        capacity: usize,
-        threshold: usize,
-        seed: u64,
-        words: *mut u64,
-    ) -> Self {
-        assert!(capacity > 0, "partition capacity must be positive");
-        assert!(
-            threshold <= capacity,
-            "threshold {threshold} exceeds capacity {capacity}"
-        );
-        Self {
-            class,
-            // SAFETY: forwarded caller contract.
-            bitmap: unsafe { Bitmap::from_storage(words, capacity) },
             capacity,
             threshold,
             in_use: 0,
@@ -244,8 +211,7 @@ impl Partition {
     ///
     /// # Panics
     ///
-    /// Panics if `new_capacity < capacity`, or when the partition was built
-    /// over raw storage (the fixed-size global allocator never grows).
+    /// Panics if `new_capacity < capacity`.
     pub fn grow(&mut self, new_capacity: usize, new_threshold: usize) {
         assert!(
             new_capacity >= self.capacity,
@@ -271,7 +237,10 @@ impl Partition {
 /// path. Slot state lives in a paired-bit [`SlotStateMap`], probe indices
 /// come from a CAS-advanced [`AtomicMwc`] on the same stream a locked
 /// [`Partition`] would draw, and the `1/M` cap is enforced by a ticket on an
-/// atomic `in_use` counter. The determinism contract:
+/// atomic `in_use` counter. Every update of those three, and of the probe
+/// counter, is a [`Word`] update: a locked RMW, or load + store while the
+/// process has one thread ([`crate::sync`]) — same draws, same outcomes,
+/// same order in either arm. The determinism contract:
 ///
 /// * **Single-threaded alloc-only sequences are bit-identical to
 ///   [`Partition`]** for the same seed — the RNG stream, the shift draw, and
@@ -315,8 +284,8 @@ impl Partition {
 ///   sentinel (falls back to [`AtomicMwc::below`]); elastic capacities are
 ///   always pow2, so the hot path never takes it.
 /// * `tickets` = `allocs << 32 | in_use`: the `1/M` ticket and the telemetry
-///   allocation counter advance in **one** `fetch_add` (the ROADMAP's
-///   one-RMW dial; the alloc counter narrows to 32 bits, wrapping mod 2³²).
+///   allocation counter advance in **one** `add` (the ROADMAP's one-RMW
+///   dial; the alloc counter narrows to 32 bits, wrapping mod 2³²).
 #[derive(Debug)]
 pub struct AtomicPartition {
     class: SizeClass,
@@ -336,9 +305,9 @@ pub struct AtomicPartition {
     /// transiently overcounts, never undercounts, real occupancy. The
     /// conservative direction: the `1/M` cap can deny an allocation a racing
     /// free was about to make room for, but can never admit one past the cap.
-    tickets: AtomicU64,
+    tickets: Word,
     rng: AtomicMwc,
-    probes: AtomicU64,
+    probes: Word,
 }
 
 /// Bit position of the packed draw shift inside `active`.
@@ -397,28 +366,10 @@ impl AtomicPartition {
                 draw_shift_for(initial_capacity),
                 initial_threshold,
             )),
-            tickets: AtomicU64::new(0),
+            tickets: Word::new(0),
             rng: AtomicMwc::seeded(seed),
-            probes: AtomicU64::new(0),
+            probes: Word::new(0),
         }
-    }
-
-    /// As [`new`](Self::new) but over caller-provided zeroed storage of
-    /// [`Self::words_needed`]`(capacity)` u64 words.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`SlotStateMap::from_storage`].
-    #[must_use]
-    pub unsafe fn from_storage(
-        class: SizeClass,
-        capacity: usize,
-        threshold: usize,
-        seed: u64,
-        words: *mut u64,
-    ) -> Self {
-        // SAFETY: forwarded caller contract.
-        unsafe { Self::from_storage_elastic(class, capacity, capacity, threshold, seed, words) }
     }
 
     /// As [`new_elastic`](Self::new_elastic) but over caller-provided zeroed
@@ -449,9 +400,9 @@ impl AtomicPartition {
                 draw_shift_for(initial_capacity),
                 initial_threshold,
             )),
-            tickets: AtomicU64::new(0),
+            tickets: Word::new(0),
             rng: AtomicMwc::seeded(seed),
-            probes: AtomicU64::new(0),
+            probes: Word::new(0),
         }
     }
 
@@ -577,21 +528,21 @@ impl AtomicPartition {
     }
 
     /// Takes a ticket against the `1/M` cap; `false` means at-threshold and
-    /// the ticket was returned. One `fetch_add` advances both the occupancy
+    /// the ticket was returned. One `add` advances both the occupancy
     /// ticket and the telemetry alloc counter; denial backs both out.
     #[inline]
     fn take_ticket(&self) -> bool {
         let threshold = (self.active.load(Ordering::Relaxed) & ACTIVE_THRESHOLD_MASK) as usize;
-        let prev = self.tickets.fetch_add(TICKET, Ordering::Relaxed);
+        let prev = self.tickets.add(TICKET, Ordering::Relaxed);
         if (prev & TICKET_IN_USE_MASK) as usize >= threshold {
-            self.tickets.fetch_sub(TICKET, Ordering::Relaxed);
+            self.tickets.sub(TICKET, Ordering::Relaxed);
             return false;
         }
         true
     }
 
     /// The lock-free `DieHardMalloc` fast path: take a ticket, then probe
-    /// random slots with `fetch_or` claims until one is won. `None` when the
+    /// random slots with `or` claims until one is won. `None` when the
     /// region is at its threshold ("At threshold: no more memory").
     #[inline]
     pub fn alloc(&self) -> Option<usize> {
@@ -625,15 +576,15 @@ impl AtomicPartition {
             if claim(index) {
                 // One deferred add per allocation, not per probe: same
                 // totals as the locked path's per-probe increment.
-                self.probes.fetch_add(probes, Ordering::Relaxed);
+                self.probes.add(probes, Ordering::Relaxed);
                 return Some(index);
             }
         }
     }
 
     /// Reserves up to `out.len()` slots with **batched accounting**: one
-    /// ticket `fetch_add` covers the whole request (clamped to the `1/M`
-    /// cap, the overshoot returned in one `fetch_sub`) and the probe/alloc
+    /// ticket `add` covers the whole request (clamped to the `1/M`
+    /// cap, the overshoot returned in one `sub`) and the probe/alloc
     /// counters are updated once at the end — the magazine refill's bulk
     /// twin of [`reserve_one`](Self::reserve_one). Each slot is still an
     /// independent uniform draw from the shared stream through the same
@@ -652,7 +603,7 @@ impl AtomicPartition {
         // telemetry; returning the ungranted part of both in one RMW nets
         // `allocs += granted`, exactly as sequential tickets would.
         let bulk = ((want as u64) << TICKET_ALLOC_SHIFT) | want as u64;
-        let prev = (self.tickets.fetch_add(bulk, Ordering::Relaxed) & TICKET_IN_USE_MASK) as usize;
+        let prev = (self.tickets.add(bulk, Ordering::Relaxed) & TICKET_IN_USE_MASK) as usize;
         let granted = if prev >= threshold {
             0
         } else {
@@ -660,7 +611,7 @@ impl AtomicPartition {
         };
         if granted < want {
             let ungranted = (want - granted) as u64;
-            self.tickets.fetch_sub(
+            self.tickets.sub(
                 (ungranted << TICKET_ALLOC_SHIFT) | ungranted,
                 Ordering::Relaxed,
             );
@@ -679,7 +630,7 @@ impl AtomicPartition {
                 }
             }
         }
-        self.probes.fetch_add(probes, Ordering::Relaxed);
+        self.probes.add(probes, Ordering::Relaxed);
         granted
     }
 
@@ -700,7 +651,7 @@ impl AtomicPartition {
         if freed > 0 {
             // Low half only: frees return occupancy tickets, never alloc
             // telemetry.
-            self.tickets.fetch_sub(freed, Ordering::Relaxed);
+            self.tickets.sub(freed, Ordering::Relaxed);
         }
         (freed, indices.len() as u64 - freed)
     }
@@ -721,7 +672,7 @@ impl AtomicPartition {
     /// when this call released it.
     pub fn release_reservation(&self, index: usize) -> bool {
         if self.map.release_reservation(index) {
-            self.tickets.fetch_sub(1, Ordering::Relaxed);
+            self.tickets.sub(1, Ordering::Relaxed);
             true
         } else {
             false
@@ -745,7 +696,7 @@ impl AtomicPartition {
             // which only ever errs toward denying an allocation. A live slot
             // guarantees the low half is ≥ 1, so the subtraction cannot
             // borrow into the packed alloc counter.
-            self.tickets.fetch_sub(1, Ordering::Relaxed);
+            self.tickets.sub(1, Ordering::Relaxed);
         }
         was
     }

@@ -15,6 +15,8 @@
 //! Every source of randomness in this repository flows through [`Mwc`] so
 //! that experiments are exactly reproducible from a seed.
 
+use crate::sync::Word;
+
 /// Marsaglia multiply-with-carry generator ("MWC", a.k.a. `znew`/`wnew`).
 ///
 /// Fast, allocation-free, and deterministic given a seed — the properties the
@@ -207,11 +209,13 @@ impl Default for Mwc {
 }
 
 /// A shared-state [`Mwc`] whose two 32-bit lags live packed in one
-/// `AtomicU64`, advanced by compare-and-swap.
+/// [`Word`], advanced by compare-and-set.
 ///
 /// The lock-free partition probe loop draws from this generator with `&self`
 /// from any thread. A draw loads the packed state, computes the next two MWC
-/// steps locally, and publishes them with a single CAS:
+/// steps locally, and publishes them with a single compare-and-set (a locked
+/// `cmpxchg`, or a load and a store while the process has one thread — see
+/// [`crate::sync`]):
 ///
 /// * **single-threaded, the stream is bit-identical to [`Mwc`]** — every
 ///   successful draw advances the state exactly as two `next_u32` calls
@@ -228,7 +232,7 @@ impl Default for Mwc {
 #[derive(Debug)]
 pub struct AtomicMwc {
     /// `z` in the high 32 bits, `w` in the low 32 bits.
-    state: core::sync::atomic::AtomicU64,
+    state: Word,
 }
 
 impl AtomicMwc {
@@ -239,7 +243,7 @@ impl AtomicMwc {
     pub fn seeded(seed: u64) -> Self {
         let m = Mwc::seeded(seed);
         Self {
-            state: core::sync::atomic::AtomicU64::new(pack(m.z, m.w)),
+            state: Word::new(pack(m.z, m.w)),
         }
     }
 
@@ -254,7 +258,7 @@ impl AtomicMwc {
             let out = m.next_u64();
             match self
                 .state
-                .compare_exchange_weak(cur, pack(m.z, m.w), Relaxed, Relaxed)
+                .compare_set_weak(cur, pack(m.z, m.w), Relaxed, Relaxed)
             {
                 Ok(_) => return out,
                 Err(seen) => cur = seen,

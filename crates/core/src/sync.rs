@@ -7,16 +7,220 @@
 //! allocate. Second, the sharded heap takes one [`SpinLock`] per size class:
 //! critical sections are a handful of bitmap probes, which is exactly the
 //! regime where a spinlock with exponential backoff beats a parking mutex.
+//!
+//! # One word type, two ways to update it
+//!
+//! Every read-modify-write of the lock-free protocol — the RNG advance, the
+//! slot-state transitions, the `1/M` ticket, the probe and statistics
+//! counters, the lock flag itself — goes through [`Word`]. A `Word` update
+//! is the locked instruction it always was (`lock xadd`, `lock cmpxchg`, …)
+//! **or**, while [`sole_thread`] is true, a relaxed load followed by a
+//! relaxed store of the new value. A locked instruction is a full barrier:
+//! it drains the store buffer and holds back younger loads, so on a
+//! single-threaded host the cache misses random placement forces are
+//! exposed at the next `malloc` instead of overlapped with it — the same
+//! reason glibc's `malloc` executes no `lock` prefix while the process has
+//! one thread (`SINGLE_THREAD_P`). It is one protocol, not two paths: the
+//! callers are single-copy and draw the same numbers in the same order, so
+//! per-seed histories are bit-identical in either arm (pinned by
+//! `tests/single_thread.rs`, which runs both in one process).
+//!
+//! `sole_thread()` is one byte load of glibc's `__libc_single_threaded`
+//! where the `global` feature links the allocator into a glibc process, and
+//! a constant `false` everywhere else, which compiles the plain arm away.
+//! Three facts about that byte make the plain arm sound:
+//!
+//! 1. **Who flips it, and when.** It goes `1 → 0` at the top of the
+//!    *calling thread's* `pthread_create`, before the `clone`. A thread that
+//!    reads 1 is therefore alone at that instant, and only it could change
+//!    that — by calling `pthread_create` itself, which it is not doing in
+//!    the middle of a `Word` update.
+//! 2. **Creation is the barrier.** `pthread_create` synchronizes-with the
+//!    start of the new thread (and `clone` is a full fence), so every plain
+//!    store made while alone is visible to every thread that will ever
+//!    exist, whatever ordering the locked arm would have used.
+//! 3. **One-way.** On today's glibc it never returns to 1 — not after the
+//!    last `pthread_join`, not in the fork child of a once-threaded parent —
+//!    so a process that has ever had two threads stays on the locked arm.
+//!    (Were a later glibc to set it again once a process is provably back
+//!    to one thread, fact 1 would still hold at every read.)
+//!
+//! Both arms are atomic loads and stores, so there is no data race under
+//! the language's memory model either way, and no `unsafe` beyond the one
+//! extern read. What the plain arm cannot tolerate is what glibc's own fast
+//! path cannot: a thread of control glibc does not know about (raw
+//! `clone(CLONE_VM)`), or a signal handler re-entering the allocator between
+//! the load and the store — both in the audit in `global/mod.rs`.
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
 use core::ops::{Deref, DerefMut};
-use core::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use core::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+
+/// `true` while this process has only ever had one thread, as far as the C
+/// library knows: the condition under which a [`Word`] update may be a load
+/// and a store instead of a locked instruction (module docs). A constant
+/// `false` without the `global` feature and off glibc.
+#[must_use]
+#[inline(always)]
+pub fn sole_thread() -> bool {
+    #[cfg(all(feature = "global", unix, target_env = "gnu"))]
+    {
+        crate::global::sys::single_threaded()
+    }
+    #[cfg(not(all(feature = "global", unix, target_env = "gnu")))]
+    {
+        false
+    }
+}
+
+/// The four unconditional updates of a [`Word`].
+#[derive(Debug, Clone, Copy)]
+enum Rmw {
+    Add(u64),
+    Sub(u64),
+    Or(u64),
+    And(u64),
+}
+
+/// A 64-bit word of shared allocator state: an `AtomicU64` (same layout, so
+/// words carved out of a raw metadata arena cast to it) whose
+/// read-modify-writes are locked instructions, or a relaxed load and store
+/// while the process has one thread (module docs). Loads and stores take
+/// the caller's ordering in either arm; every update returns the prior
+/// value, like the `fetch_*` family.
+#[derive(Debug, Default)]
+#[repr(transparent)]
+pub struct Word(AtomicU64);
+
+impl Word {
+    /// A word holding `value` (usable in statics).
+    #[must_use]
+    pub const fn new(value: u64) -> Self {
+        Self(AtomicU64::new(value))
+    }
+
+    /// Reads the word.
+    #[must_use]
+    #[inline]
+    pub fn load(&self, order: Ordering) -> u64 {
+        self.0.load(order)
+    }
+
+    /// Overwrites the word.
+    #[inline]
+    pub fn store(&self, value: u64, order: Ordering) {
+        self.0.store(value, order);
+    }
+
+    /// Wrapping add; returns the prior value.
+    #[inline]
+    pub fn add(&self, n: u64, order: Ordering) -> u64 {
+        self.rmw(sole_thread(), Rmw::Add(n), order)
+    }
+
+    /// Wrapping subtract; returns the prior value.
+    #[inline]
+    pub fn sub(&self, n: u64, order: Ordering) -> u64 {
+        self.rmw(sole_thread(), Rmw::Sub(n), order)
+    }
+
+    /// Bitwise or; returns the prior value.
+    #[inline]
+    pub fn or(&self, mask: u64, order: Ordering) -> u64 {
+        self.rmw(sole_thread(), Rmw::Or(mask), order)
+    }
+
+    /// Bitwise and; returns the prior value.
+    #[inline]
+    pub fn and(&self, mask: u64, order: Ordering) -> u64 {
+        self.rmw(sole_thread(), Rmw::And(mask), order)
+    }
+
+    /// Stores `new` if the word holds `current`: `Ok(prior)` when it did,
+    /// `Err(seen)` and the word unchanged when it did not. Never fails
+    /// spuriously, which a single attempt ([`SpinLock::try_lock`]) needs.
+    #[inline]
+    pub fn compare_set(
+        &self,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
+        self.cas(sole_thread(), false, current, new, success, failure)
+    }
+
+    /// [`compare_set`](Self::compare_set) for retry loops: the locked arm is
+    /// `compare_exchange_weak` (on LL/SC targets one attempt, not a loop
+    /// nested in the caller's) and may fail spuriously, with `Err(current)`.
+    #[inline]
+    pub fn compare_set_weak(
+        &self,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
+        self.cas(sole_thread(), true, current, new, success, failure)
+    }
+
+    /// Both arms of the unconditional updates; `sole` picks one.
+    #[inline(always)]
+    fn rmw(&self, sole: bool, op: Rmw, order: Ordering) -> u64 {
+        if sole {
+            let prior = self.0.load(Ordering::Relaxed);
+            let next = match op {
+                Rmw::Add(n) => prior.wrapping_add(n),
+                Rmw::Sub(n) => prior.wrapping_sub(n),
+                Rmw::Or(mask) => prior | mask,
+                Rmw::And(mask) => prior & mask,
+            };
+            self.0.store(next, Ordering::Relaxed);
+            prior
+        } else {
+            match op {
+                Rmw::Add(n) => self.0.fetch_add(n, order),
+                Rmw::Sub(n) => self.0.fetch_sub(n, order),
+                Rmw::Or(mask) => self.0.fetch_or(mask, order),
+                Rmw::And(mask) => self.0.fetch_and(mask, order),
+            }
+        }
+    }
+
+    /// Both arms of [`compare_set`](Self::compare_set) and its weak form;
+    /// `sole` picks the arm, `weak` the locked arm's instruction.
+    #[inline(always)]
+    fn cas(
+        &self,
+        sole: bool,
+        weak: bool,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
+        if sole {
+            let seen = self.0.load(Ordering::Relaxed);
+            if seen != current {
+                return Err(seen);
+            }
+            self.0.store(new, Ordering::Relaxed);
+            Ok(seen)
+        } else if weak {
+            self.0.compare_exchange_weak(current, new, success, failure)
+        } else {
+            self.0.compare_exchange(current, new, success, failure)
+        }
+    }
+}
 
 /// A spin-based mutual-exclusion lock.
 #[derive(Debug)]
 pub struct SpinLock<T> {
-    locked: AtomicBool,
+    /// 0 = free, 1 = held. A [`Word`], so an uncontended acquire on a
+    /// single-threaded host is a load and a store like every other update.
+    locked: Word,
     value: UnsafeCell<T>,
 }
 
@@ -28,7 +232,7 @@ impl<T> SpinLock<T> {
     /// Creates an unlocked lock around `value` (usable in statics).
     pub const fn new(value: T) -> Self {
         Self {
-            locked: AtomicBool::new(false),
+            locked: Word::new(0),
             value: UnsafeCell::new(value),
         }
     }
@@ -38,7 +242,7 @@ impl<T> SpinLock<T> {
         let mut spins = 0u32;
         while self
             .locked
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .compare_set_weak(0, 1, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
             // Backoff: brief busy-wait, then yield to the scheduler.
@@ -73,7 +277,7 @@ impl<T> SpinLock<T> {
     /// the lock via `raw_lock`; unlocking a lock held through a
     /// [`SpinGuard`] or not held at all breaks mutual exclusion.
     pub unsafe fn raw_unlock(&self) {
-        self.locked.store(false, Ordering::Release);
+        self.locked.store(0, Ordering::Release);
     }
 
     /// Acquires the lock only if it is free right now, without spinning.
@@ -83,15 +287,11 @@ impl<T> SpinLock<T> {
     /// (the flush retries at the next free), and only a completely full
     /// buffer forces a blocking [`lock`](Self::lock).
     pub fn try_lock(&self) -> Option<SpinGuard<'_, T>> {
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+        // Lazily: a guard built for a failed attempt would unlock on drop.
+        self.locked
+            .compare_set(0, 1, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
-        {
-            Some(SpinGuard { lock: self })
-        } else {
-            None
-        }
+            .then(|| SpinGuard { lock: self })
     }
 }
 
@@ -119,7 +319,7 @@ impl<T> DerefMut for SpinGuard<'_, T> {
 
 impl<T> Drop for SpinGuard<'_, T> {
     fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
+        self.lock.locked.store(0, Ordering::Release);
     }
 }
 
@@ -235,7 +435,52 @@ impl<T> Default for OnceCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
+
+    proptest! {
+        /// The load + store arm and the locked arm of each of the five
+        /// updates are the same function of (word, operand): same prior
+        /// value returned, same word left behind. Called on the private
+        /// `rmw`/`cas` with the arm spelled out, because under the (threaded)
+        /// test harness `sole_thread()` only ever picks the locked one.
+        #[test]
+        fn plain_and_locked_updates_agree(
+            start in any::<u64>(),
+            operand in any::<u64>(),
+            hit in any::<bool>(),
+        ) {
+            for op in [Rmw::Add(operand), Rmw::Sub(operand), Rmw::Or(operand), Rmw::And(operand)] {
+                let (plain, locked) = (Word::new(start), Word::new(start));
+                prop_assert_eq!(
+                    plain.rmw(true, op, Ordering::AcqRel),
+                    locked.rmw(false, op, Ordering::AcqRel),
+                    "{:?} on {:#x}: prior value", op, start
+                );
+                prop_assert_eq!(
+                    plain.load(Ordering::Relaxed),
+                    locked.load(Ordering::Relaxed),
+                    "{:?} on {:#x}: word left", op, start
+                );
+            }
+            // Compare-and-set, on a match and on a mismatch; the weak form as
+            // its callers use it, retried on a spurious `Err(current)`.
+            let current = if hit { start } else { !start };
+            let (ok, err) = (Ordering::AcqRel, Ordering::Acquire);
+            for weak in [false, true] {
+                let (plain, locked) = (Word::new(start), Word::new(start));
+                let cas = |word: &Word, sole| loop {
+                    let outcome = word.cas(sole, weak, current, operand, ok, err);
+                    if outcome != Err(current) {
+                        break outcome;
+                    }
+                };
+                prop_assert_eq!(cas(&plain, true), cas(&locked, false));
+                prop_assert_eq!(plain.load(Ordering::Relaxed), locked.load(Ordering::Relaxed));
+                prop_assert_eq!(plain.load(Ordering::Relaxed), if hit { operand } else { start });
+            }
+        }
+    }
 
     #[test]
     fn exclusive_increment_across_threads() {

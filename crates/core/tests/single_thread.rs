@@ -1,0 +1,351 @@
+//! Both arms of [`diehard_core::sync::Word`] in one process.
+//!
+//! While a process has one thread the allocator's read-modify-writes are a
+//! load and a store; from its first `pthread_create` on they are locked
+//! instructions (`sync`'s module docs). `cargo test`'s harness is threaded,
+//! so nothing it runs ever executes the first arm — hence `harness = false`:
+//! `main` starts alone, drives a cross-layer history on fixed-seed heaps,
+//! parks a second thread (which flips glibc's `__libc_single_threaded` for
+//! good), drives the same history again on fresh heaps with the same seeds,
+//! and requires the two recordings to be bit-identical: every placement,
+//! every free outcome, probe and heap statistics, doublings, promotions.
+//!
+//! Then the handover the soundness argument rests on: objects allocated and
+//! pattern-filled *before* the first spawn — slot states, tickets and
+//! counters all written with plain stores — are freed from four new threads
+//! while the main thread keeps churning the same heap. Contents are checked
+//! at every free, and at quiescence the books must balance exactly.
+
+use diehard_core::config::HeapConfig;
+use diehard_core::engine::HeapStats;
+use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
+use diehard_core::magazine::{CachedFree, MagazineHeap};
+use diehard_core::rng::Mwc;
+use diehard_core::sharded::{ShardedHeap, HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
+use diehard_core::size_class::{SizeClass, NUM_CLASSES};
+use diehard_core::sync::sole_thread;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Barrier};
+
+const SEED: u64 = 0x501E_7EAD;
+
+/// A [`PromoteHook`](diehard_core::sharded::PromoteHook) for the two layers
+/// that own no memory: without one they never promote. What it is called
+/// with is `growth.rs`'s business; here the promoted masks are compared.
+fn no_memory_to_advise(_ctx: usize, _region_offset: usize, _region_len: usize, _active_len: usize) {
+}
+
+/// What one heap did with the scripted history.
+#[derive(Debug, PartialEq)]
+struct Trace {
+    /// Where each allocation landed (`None` = denied), in script order.
+    placed: Vec<Option<usize>>,
+    /// What each free reported, in script order (`true` = accepted).
+    freed: Vec<bool>,
+}
+
+/// `growth.rs`'s shipped-ladder history (32 MB regions from a 64 KiB start:
+/// sizes spread evenly over all twelve classes, then the 8-byte class hot but small, then
+/// the 64-byte class through every doubling up to 4 MB — past the one that
+/// promotes it), with frees mixed in so free buffers fill and flush: every
+/// fourth step frees a random live object, and every tenth of those frees it
+/// twice (the second must be ignored, §4.3).
+fn script(
+    mut alloc: impl FnMut(usize) -> Option<usize>,
+    mut free: impl FnMut(usize) -> bool,
+) -> Trace {
+    const MIXED: usize = 300;
+    let small_hot = MIXED + 2 * PROMOTE_AFTER_ALLOCS as usize;
+    // The 64-byte class doubles from 2 MB to 4 MB when its live count meets
+    // the 2 MB range's `1/M` allowance.
+    let hot_live = HeapConfig::paper_default().threshold_for(HUGE_PAGE / 64) + 64;
+    let mut rng = Mwc::seeded(SEED ^ 0x5EED);
+    let mut trace = Trace {
+        placed: Vec::new(),
+        freed: Vec::new(),
+    };
+    // Live objects as `(address, size)`, and how many of them are 64 B.
+    let mut live: Vec<(usize, usize)> = Vec::new();
+    let mut hot = 0usize;
+    let mut frees = 0usize;
+    let mut step = 0usize;
+    while hot < hot_live {
+        step += 1;
+        if step.is_multiple_of(4) {
+            let (victim, size) = live.swap_remove(rng.below(live.len()));
+            hot -= usize::from(size == 64);
+            trace.freed.push(free(victim));
+            frees += 1;
+            if frees.is_multiple_of(10) {
+                trace.freed.push(free(victim));
+            }
+            continue;
+        }
+        let allocs = trace.placed.len();
+        let size = if allocs < MIXED {
+            // A size of each class in turn's top half: 8 B … 16 KiB.
+            (8 << rng.below(NUM_CLASSES)) - rng.below(4)
+        } else if allocs < small_hot {
+            8
+        } else {
+            64
+        };
+        let at = alloc(size);
+        live.extend(at.map(|at| (at, size)));
+        hot += usize::from(size == 64 && at.is_some());
+        trace.placed.push(at);
+    }
+    trace
+}
+
+/// Everything one arm recorded, across the three layers.
+#[derive(Debug, PartialEq)]
+struct Recording {
+    sharded: Trace,
+    magazine: Trace,
+    /// `DieHard`'s placements relative to its first (the span's address is
+    /// the kernel's choice; everything inside it is the seed's).
+    global: Trace,
+    /// Per class: `(allocs, probes)` of the sharded and the magazine heap.
+    probe_stats: Vec<[(u64, u64); 2]>,
+    stats: [HeapStats; 3],
+    growth_events: [u64; 2],
+    promoted: [u32; 3],
+    /// `DieHard` after its flush: `(live_objects, reserved_slots)`.
+    global_books: (usize, usize),
+}
+
+/// Drives [`script`] on a fresh fixed-seed heap of each layer.
+fn drive() -> Recording {
+    let config = HeapConfig::paper_default;
+    let mut sharded = ShardedHeap::new_elastic(config(), SEED, DEFAULT_GROW_LOG2).unwrap();
+    sharded.set_promote_hook(no_memory_to_advise, 0);
+    let sharded_trace = script(
+        |size| sharded.alloc(size).map(|slot| sharded.offset_of(slot)),
+        |off| sharded.free_at(off).freed(),
+    );
+
+    let mut magazine = MagazineHeap::new_elastic(config(), SEED, DEFAULT_GROW_LOG2).unwrap();
+    magazine.set_promote_hook(no_memory_to_advise, 0);
+    // One cache for both closures: hand it out through a cell.
+    let cache = std::cell::RefCell::new(magazine.thread_cache());
+    let magazine_trace = script(
+        |size| {
+            let slot = cache.borrow_mut().alloc(size);
+            slot.map(|slot| magazine.offset_of(slot))
+        },
+        |off| cache.borrow_mut().free_at(off) == CachedFree::Buffered,
+    );
+    drop(cache); // flushes buffered frees, returns unhanded reservations
+
+    let global = DieHard::with_elastic_config(config(), SEED, DEFAULT_GROW_LOG2);
+    let mut global_trace = script(
+        |size| {
+            let p = global.malloc(size);
+            (!p.is_null()).then_some(p as usize)
+        },
+        |p| {
+            global.free(p as *mut u8);
+            true
+        },
+    );
+    let first = global_trace.placed[0].expect("the first allocation is placed");
+    for at in global_trace.placed.iter_mut().flatten() {
+        *at = at.wrapping_sub(first);
+    }
+
+    let recording = Recording {
+        probe_stats: SizeClass::all()
+            .map(|class| {
+                [
+                    sharded.with_partition(class, |p| p.probe_stats()),
+                    magazine.with_partition(class, |p| p.probe_stats()),
+                ]
+            })
+            .collect(),
+        stats: [sharded.stats(), magazine.stats(), global.stats()],
+        growth_events: [sharded.growth_events(), magazine.growth_events()],
+        promoted: [
+            sharded.promoted_classes(),
+            magazine.promoted_classes(),
+            global.promoted_classes(),
+        ],
+        global_books: (global.live_objects(), global.reserved_slots()),
+        sharded: sharded_trace,
+        magazine: magazine_trace,
+        global: global_trace,
+    };
+    assert_eq!(
+        magazine.reserved_slots(),
+        0,
+        "the dropped cache returned them"
+    );
+    recording
+}
+
+/// The history is worth pinning only if it went where the docs say it goes.
+fn assert_history_covers_the_protocol(r: &Recording) {
+    let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
+    assert_eq!(r.promoted, [hot; 3], "the 64-byte class, alone, everywhere");
+    // 64 KiB → 4 MB is six doublings of the 64-byte class alone.
+    assert!(
+        r.growth_events.iter().all(|&g| g >= 6),
+        "{:?}",
+        r.growth_events
+    );
+    for (class, [sharded, magazine]) in r.probe_stats.iter().enumerate() {
+        assert!(sharded.0 > 0 && magazine.0 > 0, "class {class} was used");
+        assert!(sharded.1 >= sharded.0 && magazine.1 >= magazine.0);
+    }
+    for (layer, stats) in r.stats.iter().enumerate() {
+        assert!(stats.frees > 1000, "layer {layer}: {stats:?}");
+        assert!(stats.ignored_frees > 100, "layer {layer}: {stats:?}");
+        assert_eq!(stats.exhausted, 0, "layer {layer}: nothing was denied");
+    }
+    assert_eq!(r.stats[1], r.stats[2], "DieHard is the magazine heap");
+    assert_eq!(r.magazine.placed.len(), r.global.placed.len());
+    let first = r.magazine.placed[0].unwrap();
+    for (i, (m, g)) in r.magazine.placed.iter().zip(&r.global.placed).enumerate() {
+        assert_eq!(m.map(|off| off.wrapping_sub(first)), *g, "placement {i}");
+    }
+    let live = (r.stats[2].allocs - r.stats[2].frees) as usize;
+    assert_eq!(
+        r.global_books,
+        (live, 0),
+        "allocs − frees live, none reserved"
+    );
+}
+
+/// The byte every byte of object `id` holds.
+fn tag(id: usize) -> u8 {
+    (id % 251) as u8 + 1
+}
+
+/// Allocates and fills object `id` (8 … 1023 bytes: the twenty thousand held
+/// at once stay far below every class's `1/M` cap at its maximum).
+fn make(heap: &DieHard, rng: &mut Mwc, id: usize) -> (usize, usize, usize) {
+    let size = 8 + rng.below(1016);
+    let p = heap.malloc(size);
+    assert!(!p.is_null(), "object {id} ({size} B)");
+    // SAFETY: a live object of `size` bytes.
+    unsafe { p.write_bytes(tag(id), size) };
+    (p as usize, size, id)
+}
+
+/// Checks that object `id` still holds its pattern, then frees it.
+fn check_and_free(heap: &DieHard, (p, size, id): (usize, usize, usize)) {
+    // SAFETY: the caller owns this live object of `size` bytes.
+    let bytes = unsafe { std::slice::from_raw_parts(p as *const u8, size) };
+    assert!(
+        bytes.iter().all(|&b| b == tag(id)),
+        "object {id} at {p:#x} was handed to someone else while live"
+    );
+    heap.free(p as *mut u8);
+}
+
+/// Frees `before` — allocated while the process had one thread — from four
+/// new threads while the main thread churns `heap`, then balances the books.
+fn handover(heap: &DieHard, before: Vec<(usize, usize, usize)>) {
+    const FREERS: usize = 4;
+    const RING: usize = 512;
+    let handed_over = before.len();
+    let start = Barrier::new(FREERS + 1);
+    let done = AtomicUsize::new(0);
+    let mut rng = Mwc::seeded(SEED ^ 0xC4);
+    let mut ring: Vec<(usize, usize, usize)> = Vec::new();
+    let mut churned = 0usize;
+    std::thread::scope(|s| {
+        for chunk in before.chunks(handed_over.div_ceil(FREERS)) {
+            let (start, done) = (&start, &done);
+            s.spawn(move || {
+                start.wait();
+                for &object in chunk {
+                    check_and_free(heap, object);
+                }
+                done.fetch_add(1, Ordering::Release);
+            });
+        }
+        start.wait();
+        while done.load(Ordering::Acquire) < FREERS || churned < 20_000 {
+            let id = handed_over + churned;
+            churned += 1;
+            let object = make(heap, &mut rng, id);
+            if ring.len() < RING {
+                ring.push(object);
+            } else {
+                let victim = rng.below(RING);
+                check_and_free(heap, std::mem::replace(&mut ring[victim], object));
+            }
+        }
+    });
+    // Quiescence: the freers' magazines flushed at thread exit, and every
+    // accessor below flushes this thread's first.
+    let stats = heap.stats();
+    assert_eq!(stats.allocs, (handed_over + churned) as u64);
+    assert_eq!(stats.ignored_frees, 0, "every free found its object live");
+    assert_eq!(stats.exhausted, 0, "and no class ran out");
+    assert_eq!((stats.allocs - stats.frees) as usize, heap.live_objects());
+    assert_eq!(heap.live_objects(), ring.len(), "exactly the ring is left");
+    assert_eq!(heap.reserved_slots(), 0);
+    let distinct: HashSet<usize> = ring.iter().map(|object| object.0).collect();
+    assert_eq!(distinct.len(), ring.len(), "no address handed out twice");
+    for object in ring {
+        check_and_free(heap, object);
+    }
+    assert_eq!(heap.live_objects(), 0);
+}
+
+fn main() {
+    // Off glibc there is no flag to read and only the locked arm exists
+    // (`sole_thread()` is a constant `false`): the history is driven once,
+    // for its coverage checks, and the handover runs as everywhere.
+    let two_arms = cfg!(target_env = "gnu");
+    assert_eq!(
+        sole_thread(),
+        two_arms,
+        "a `harness = false` test starts with one thread, and on glibc the \
+         `global` feature must see that"
+    );
+    let alone = two_arms.then(drive);
+
+    // Allocated and filled with plain loads and stores.
+    let heap =
+        DieHard::with_elastic_config(HeapConfig::paper_default(), SEED ^ 1, DEFAULT_GROW_LOG2);
+    let mut rng = Mwc::seeded(SEED ^ 2);
+    let before: Vec<_> = (0..20_000).map(|id| make(&heap, &mut rng, id)).collect();
+    assert_eq!(sole_thread(), two_arms, "nothing above spawns");
+
+    // A second thread, parked for the rest of the run.
+    let (unpark, parked) = mpsc::channel::<()>();
+    let helper = std::thread::spawn(move || parked.recv().is_err());
+    assert!(!sole_thread(), "pthread_create cleared the byte");
+
+    let threaded = drive();
+    assert_history_covers_the_protocol(&threaded);
+    if let Some(alone) = &alone {
+        assert_eq!(
+            alone, &threaded,
+            "the two arms must record the same history"
+        );
+    }
+
+    handover(&heap, before);
+
+    drop(unpark);
+    assert!(
+        helper.join().expect("helper"),
+        "parked until the sender dropped"
+    );
+    println!(
+        "single_thread: {} placements, {} frees and all counters {}; \
+         20000 objects handed over to 4 threads",
+        threaded.sharded.placed.len() * 3,
+        threaded.sharded.freed.len() * 3,
+        if two_arms {
+            "identical in both arms"
+        } else {
+            "recorded in the locked arm (no glibc: it is the only one)"
+        },
+    );
+}

@@ -30,6 +30,21 @@
 //! every PLT resolution), so there is no "before interposition" window
 //! for heap pointers to escape from.
 //!
+//! # Requires glibc ≥ 2.32
+//!
+//! The heap reads glibc's `__libc_single_threaded` (an undefined
+//! `GLIBC_2.32` data symbol in `libdiehard.so`'s dynamic table, bound by
+//! `ld.so` at load like every other libc import): while the host has one
+//! thread — `cat`, `tr`, `grep`, `awk`, `sort --parallel=1` — the
+//! allocator's read-modify-writes are plain loads and stores, which is what
+//! glibc's own `malloc` does for such a host, and they become locked
+//! instructions at the host's first `pthread_create`
+//! ([`diehard_core::sync`]). On an older glibc the library fails to load
+//! with an unresolved-symbol error instead of running. The symbol is
+//! deliberately *not* looked up with `dlsym` during heap initialization to
+//! soften that: `dlsym` can allocate, and would re-enter an allocator that
+//! is mid-initialization.
+//!
 //! # Unsafe-surface audit
 //!
 //! The classic interposition traps, and how each is closed:
@@ -51,6 +66,9 @@
 //!   from the arena; a nested `free` of a non-arena pointer is *dropped*
 //!   and counted ([`reentrant_frees_dropped`]) — leaking a bounded number
 //!   of allocator-internal blocks beats re-entering a heap mid-operation.
+//!   The same flag is what lets the heap update its words with a load and
+//!   a store while the host has one thread: a signal handler that calls
+//!   `malloc` in the middle of one never reaches the heap.
 //! * **Foreign pointers.** `free`/`realloc` on pointers this allocator
 //!   never produced (ld.so bootstrap blocks, another library's private
 //!   arena) are detected by the heap's span check plus the large-object
