@@ -9,7 +9,8 @@
 //! and deliberately target the allocator's strength-reduced arithmetic:
 //! partition probing, free validation, and the replicated-mode random fill —
 //! plus the §5 replicated network front end: voted bytes/second through a
-//! loopback proxy session, the full connect→vote→close cycle cost both
+//! loopback proxy session (a short one, mostly spawn, and a 16 MiB one,
+//! mostly stream), the full connect→vote→close cycle cost both
 //! cold (replicas spawned inline) and warm (handed out of the pre-spawned
 //! replica-set pool), and the background cost of refilling that pool.
 //!
@@ -57,6 +58,7 @@ pub const KERNELS: &[&str] = &[
     "preload_alloc_churn_mt",
     "global_churn_cold_mt",
     "proxy_throughput",
+    "proxy_stream",
     "proxy_conn_latency",
     "proxy_conn_latency_warm",
     "pool_refill",
@@ -733,6 +735,50 @@ fn proxy_throughput(smoke: bool) -> KernelResult {
     })
 }
 
+/// Steady-state cost of a voted byte: one op = one payload byte of a 16 MiB
+/// stream through one connection (client → broadcast to 3 cat replicas →
+/// 4 KB chunk votes → quorum bytes back), every returned byte compared.
+/// Where [`proxy_throughput`]'s 256 KiB payload is four-fifths replica
+/// spawn, here the spawn is under a tenth, so a change to what the reactor
+/// does per byte — transfer size, copies, the vote — shows. Smoke mode
+/// streams the same 16 MiB, fewer times: CI gates the minimum, and a
+/// shorter stream would gate the spawn.
+#[cfg(unix)]
+fn proxy_stream(smoke: bool) -> KernelResult {
+    use diehard_replicate::net::{connect_loopback, shutdown_write};
+    use std::io::{Read, Write};
+
+    const LEN: usize = 16 << 20;
+    let (warmup, samples) = if smoke { (0, 3) } else { (1, 10) };
+    let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    with_cat_proxy(|port| {
+        measure("proxy_stream", warmup, samples, LEN as u64, || {
+            let mut stream = connect_loopback(port).expect("connect");
+            let mut sender = stream.try_clone().expect("clone stream");
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    sender.write_all(&payload).expect("send payload");
+                    shutdown_write(&sender).expect("half-close");
+                });
+                let mut piece = vec![0u8; 64 << 10];
+                let mut got = 0;
+                loop {
+                    let n = stream.read(&mut piece).expect("read voted echo");
+                    if n == 0 {
+                        break;
+                    }
+                    assert!(
+                        payload[got..].starts_with(&piece[..n]),
+                        "voted echo differs after {got} bytes"
+                    );
+                    got += n;
+                }
+                assert_eq!(got, LEN, "quorum echo must be complete");
+            });
+        })
+    })
+}
+
 /// One latency round: connect, send exactly one chunk, and time until the
 /// voted first chunk is read back. A full-chunk request is deliberate —
 /// its barrier commits the moment every replica has echoed the chunk,
@@ -882,6 +928,11 @@ fn proxy_throughput(_smoke: bool) -> KernelResult {
 }
 
 #[cfg(not(unix))]
+fn proxy_stream(_smoke: bool) -> KernelResult {
+    unreachable!("proxy kernels require unix process plumbing")
+}
+
+#[cfg(not(unix))]
 fn proxy_conn_latency(_smoke: bool) -> KernelResult {
     unreachable!("proxy kernels require unix process plumbing")
 }
@@ -930,6 +981,7 @@ pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
             Some(beside_a_parked_thread(|| global_churn(name, 50_000, smoke)))
         }
         "proxy_throughput" => Some(proxy_throughput(smoke)),
+        "proxy_stream" => Some(proxy_stream(smoke)),
         "proxy_conn_latency" => Some(proxy_conn_latency(smoke)),
         "proxy_conn_latency_warm" => Some(proxy_conn_latency_warm(smoke)),
         "pool_refill" => Some(pool_refill(smoke)),
@@ -1039,6 +1091,7 @@ mod tests {
         assert!(missing.contains(&"preload_alloc_churn_mt"));
         assert!(missing.contains(&"global_churn_cold_mt"));
         assert!(missing.contains(&"proxy_throughput"));
+        assert!(missing.contains(&"proxy_stream"));
         assert!(missing.contains(&"proxy_conn_latency"));
         assert!(missing.contains(&"proxy_conn_latency_warm"));
         assert!(missing.contains(&"pool_refill"));

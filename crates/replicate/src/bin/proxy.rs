@@ -14,6 +14,10 @@
 //! set of `REPLICAS` differently-seeded copies of `COMMAND`: request bytes
 //! are broadcast to the replicas' stdins, their stdouts are voted at
 //! `BYTES`-sized barriers, and only quorum bytes flow back to the client.
+//! `--chunk` sets the barrier only: bytes move between sockets and pipes up
+//! to 64 KiB at a time whatever it is, and a streaming connection retains
+//! at most (2 × REPLICAS + 1) × 64 KiB of unvoted bytes plus a `--cap`-sized
+//! outbound queue (a connection that never streams, a few chunks).
 //! Clients send their whole request, half-close (`shutdown(SHUT_WR)`), and
 //! read the voted response to EOF.
 //!
@@ -49,8 +53,11 @@ fn usage() -> ! {
          copies of COMMAND (default 3): request bytes are broadcast to every\n\
          replica's stdin and responses are voted at BYTES-sized barriers\n\
          (default 4096; power of two) — clients receive only quorum bytes.\n\
+         The barrier is not the transfer: reads and writes move up to 64 KiB,\n\
+         and a connection retains at most (2 x REPLICAS + 1) x 64 KiB unvoted.\n\
          Clients send the full request, shutdown(SHUT_WR), then read to EOF.\n\
-         --cap bounds the per-connection outbound queue; --seed derives\n\
+         --cap bounds the per-connection outbound queue (default 4 x BYTES;\n\
+         the queue holds at most cap + BYTES); --seed derives\n\
          deterministic per-replica seeds (default: fresh entropy per\n\
          connection); --pool pre-spawns up to DEPTH warm replica sets so\n\
          accepts skip fork/exec (0 = cold spawns, the default); --smoke\n\

@@ -8,10 +8,11 @@
 //! * [`crate::reactor`] owns `poll(2)` — registration, readiness dispatch,
 //!   non-blocking fd plumbing — and knows nothing about replicas;
 //! * [`crate::session`] owns the paper's voting state machine for one
-//!   client stream — the bounded ≤ chunk input window, the per-chunk vote
-//!   barriers with mid-run `SIGKILL`, the stderr captures, and the closing
-//!   stderr/exit ballots — and knows nothing about where bytes come from
-//!   or go;
+//!   client stream — the bounded input window and stdout buffers (each may
+//!   run one *transfer unit*, `max(chunk, TRANSFER)`, ahead of the vote),
+//!   the per-chunk vote barriers with mid-run `SIGKILL`, the stderr
+//!   captures, and the closing stderr/exit ballots — and knows nothing
+//!   about where bytes come from or go;
 //! * this module (and its TCP sibling [`crate::proxy`]) is a *transport*:
 //!   it wires a session's descriptors into a reactor, feeds the input
 //!   window from a buffer or the launcher's stdin, and ships each resolved
@@ -19,30 +20,36 @@
 //!
 //! The division of labor per reactor round is the protocol every transport
 //! follows: [`Session::pump`] resolves satisfied barriers into an output
-//! buffer, the transport flushes that buffer wherever it goes (applying its
-//! own backpressure by *not* pumping — unpumped full chunks stop being
-//! polled and the kernel pipes throttle the replicas),
+//! buffer — every one of them here, since this transport's sink blocks
+//! rather than fills, so the loop never reaches `poll` with a satisfiable
+//! barrier left in the buffers — the transport flushes that buffer wherever
+//! it goes (a transport with a bounded sink applies backpressure through
+//! `pump`'s byte budget: unvoted bytes fill the session's buffers, full
+//! buffers stop being polled and the kernel pipes throttle the replicas),
 //! [`Session::register_interest`] + [`Session::wants_input`] name the
 //! descriptors worth polling, and [`Session::service`] consumes readiness.
 //! When the session drains, [`Session::finalize`] runs the closing ballots
 //! and yields the [`StreamOutcome`].
 //!
 //! Everything observable about the pipe path — committed bytes, kill
-//! timing, `peak_buffered` accounting, stderr/exit ballots — is pinned
-//! byte-identical to the pre-refactor engine by `tests/streaming.rs` and
-//! `tests/pipe_equivalence.rs`.
+//! timing, stderr/exit ballots — is pinned byte-identical to the
+//! pre-refactor engine by `tests/streaming.rs` and
+//! `tests/pipe_equivalence.rs`; `peak_buffered` is pinned exactly where
+//! the run is one chunk long and against the
+//! `(2 × replicas + 1) × max(chunk, TRANSFER)` bound where replicas can
+//! run ahead of each other.
 //!
 //! Two deliberate limits, both inherited from the paper's design: a replica
 //! that trickles a partial chunk without closing its stream delays the
 //! barrier until the chunk fills or the stream ends (§5.2 votes on *full*
-//! pipe buffers), and the bounded input window means the slowest consumer
+//! buffers), and the bounded input window means the slowest consumer
 //! gates how fast input is replayed to the others (beyond the kernel's own
 //! per-pipe buffering).
 
 use crate::reactor::Reactor;
 use crate::session::{resolve_seeds, Phase, Session, SessionInput, SessionIo};
 use crate::LaunchConfig;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::os::unix::io::RawFd;
 
 pub use crate::session::StreamOutcome;
@@ -60,6 +67,23 @@ pub enum InputSource {
     /// and would leak to any stdout/stderr sharing it (a terminal). The
     /// reactor only reads it once `poll(2)` reports it readable.
     Fd(RawFd),
+}
+
+/// The streamed input source as a [`Read`]: the descriptor is borrowed —
+/// neither closed nor switched to `O_NONBLOCK` (see [`InputSource::Fd`]).
+struct Source(RawFd);
+
+impl Read for Source {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        // SAFETY: reading at most `buf.len()` bytes into a live buffer, on a
+        // descriptor the caller handed us.
+        let n = unsafe { libc::read(self.0, buf.as_mut_ptr().cast(), buf.len()) };
+        if n < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(n as usize)
+        }
+    }
 }
 
 /// What a pipe-transport `pollfd` entry refers to.
@@ -137,15 +161,12 @@ fn drive(
 ) -> io::Result<StreamOutcome> {
     let mut reactor: Reactor<Token> = Reactor::new();
     let mut voted = Vec::new();
-    // Scratch for `refill_from_fd`, one chunk long (streamed mode only):
-    // the session copies what it retains, so one buffer serves every refill
-    // of the stream.
-    let mut inbuf = vec![0u8; source.map_or(0, |_| session.chunk())];
+    let mut source = source.map(Source);
     loop {
         // Resolve every satisfied barrier, then ship the quorum bytes
         // immediately — the pipe transport has no cap of its own; the
         // sink (a Vec or the launcher's stdout) absorbs every commit.
-        let phase = session.pump(&mut voted);
+        let phase = session.pump(&mut voted, usize::MAX);
         if !voted.is_empty() {
             sink.write_all(&voted)?;
             sink.flush()?;
@@ -157,7 +178,7 @@ fn drive(
         reactor.clear();
         session
             .register_interest(|fd, events, io| reactor.register(fd, events, Token::Session(io)));
-        if let Some(fd) = source {
+        if let Some(Source(fd)) = source {
             if session.wants_input() {
                 reactor.register(fd, libc::POLLIN, Token::Source);
             }
@@ -169,7 +190,7 @@ fn drive(
             match token {
                 Token::Session(io) => session.service(io),
                 Token::Source => {
-                    refill_from_fd(&mut session, source.expect("streamed mode"), &mut inbuf);
+                    refill(&mut session, source.as_mut().expect("streamed mode"));
                 }
             }
         }
@@ -177,26 +198,16 @@ fn drive(
     Ok(session.finalize())
 }
 
-/// Slides the session's input window forward by one read from the source
-/// descriptor into `buf` (≤ one chunk — the window is the memory bound).
-fn refill_from_fd(session: &mut Session, fd: RawFd, buf: &mut [u8]) {
+/// Slides the session's input window forward by one read from the source,
+/// straight into the window (≤ one transfer unit — the window is the
+/// memory bound).
+fn refill(session: &mut Session, source: &mut Source) {
     loop {
-        // SAFETY: reading at most `buf.len()` bytes into a live buffer, on a
-        // descriptor the caller handed us.
-        let n = unsafe { libc::read(fd, buf.as_mut_ptr().cast(), buf.len()) };
-        if n > 0 {
-            session.accept_input(&buf[..n as usize]);
-            break;
-        }
-        if n == 0 {
-            session.accept_input_eof();
-            break;
-        }
-        let e = io::Error::last_os_error();
-        match e.kind() {
-            io::ErrorKind::WouldBlock => break,
-            io::ErrorKind::Interrupted => continue,
-            _ => {
+        match session.fill_input(source) {
+            Ok(_) => break, // bytes, or the end of the input
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(_) => {
                 // Treat an unreadable source as end-of-input.
                 session.accept_input_eof();
                 break;

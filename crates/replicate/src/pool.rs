@@ -5,7 +5,9 @@
 //! accept time. A [`Pool`] moves that work off the accept path: complete
 //! N-replica [`Session`]s — each member with its own distinct
 //! `DIEHARD_SEED`, the `--preload` env applied, and non-blocking pipes
-//! already set up — are spawned *ahead of demand* and parked. An accepted
+//! already set up — are spawned *ahead of demand* and parked. A parked set
+//! is processes and pipes only: a session allocates its first buffer at
+//! its first read, so pool depth costs no buffer memory. An accepted
 //! connection then takes a ready set in O(1) ([`Pool::take`]) and the pool
 //! refills asynchronously toward its depth target, at most one spawn per
 //! reactor tick ([`Pool::refill_step`]).

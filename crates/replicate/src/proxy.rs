@@ -17,14 +17,22 @@
 //! [`Session::register_interest`]), each client socket's read side when
 //! that session's window wants input, and each client socket's write side
 //! while voted bytes are queued. Per-connection memory is bounded end to
-//! end: the session keeps at most `(2 × replicas + 1) × chunk` bytes
-//! (window + stdout chunks + stderr captures), and the proxy's outbound
-//! queue is capped at `out_cap` — once a slow reader fills it, the proxy
-//! stops pumping that session, its full stdout chunks stop being polled,
-//! and the kernel pipes throttle the replicas themselves. Backpressure
-//! propagates to the client's *input* too: the window is refilled only
-//! when every replica has consumed it, so a fast sender just fills the
-//! kernel's TCP receive buffer.
+//! end: the session retains at most
+//! `(2 × replicas + 1) × max(chunk, TRANSFER)` bytes (window + stdout
+//! buffers + stderr captures; [`crate::TRANSFER`] is the 64 KiB *transfer*
+//! unit the buffers may run ahead of the vote by, the chunk the *barrier*
+//! unit every ballot is cut to — the same order as the nine kernel pipe
+//! buffers a three-replica connection already owns, and reached only by a
+//! connection that actually streams: buffers grow on demand from one
+//! chunk), and the proxy's outbound queue holds at most `out_cap` + one
+//! chunk — once a slow reader fills it, the proxy stops pumping that
+//! session, its stdout buffers fill and stop being polled, and the kernel
+//! pipes throttle the replicas themselves. While the socket does take
+//! bytes, a round alternates pump and flush until the queue stays full or
+//! no barrier is satisfiable, so it never sleeps on bytes it could vote.
+//! Backpressure propagates to the client's *input* too: the window is
+//! refilled only when every replica has consumed it, so a fast sender just
+//! fills the kernel's TCP receive buffer.
 //!
 //! Accept-time cost is optional: with a warm [`Pool`] configured
 //! ([`Proxy::with_pool`]), complete replica sets are pre-spawned in the
@@ -50,7 +58,7 @@ use crate::pool::{Pool, PoolStats};
 use crate::reactor::Reactor;
 use crate::session::{Phase, Session, SessionIo, StreamOutcome};
 use crate::LaunchConfig;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,9 +88,12 @@ struct Conn {
     /// the report so tests can pin pool-vs-cold seed discipline).
     seeds: Vec<u64>,
     session: Session,
-    /// Voted bytes not yet written to the client (≤ `out_cap` + one chunk).
+    /// The outbound queue: `out[out_head..]` is voted and not yet written
+    /// to the client (≤ `out_cap` + one chunk). A partial write moves the
+    /// head, not the bytes.
     out: Vec<u8>,
-    /// Highest `out` fill observed (test hook for the backpressure bound).
+    out_head: usize,
+    /// Highest queue fill observed (test hook for the backpressure bound).
     out_peak: usize,
     /// The client half-closed its write side: the request is complete.
     request_done: bool,
@@ -184,8 +195,8 @@ impl Proxy {
     /// sets are pre-spawned in the background and handed to accepted
     /// connections in O(1), refilling asynchronously. Depth 0 (the
     /// default) keeps today's cold-spawn path byte-identical. Memory-wise
-    /// the pool adds `depth × replicas` parked processes, each with empty
-    /// (≤ chunk capacity) buffers.
+    /// the pool adds `depth × replicas` parked processes and their pipes;
+    /// a parked set has no buffers.
     #[must_use]
     pub fn with_pool(mut self, depth: usize) -> Self {
         self.pool.set_target(depth);
@@ -229,11 +240,6 @@ impl Proxy {
         let mut reactor: Reactor<Token> = Reactor::new();
         let mut conns: Vec<Option<Conn>> = Vec::new();
         let mut summary = ProxySummary::default();
-        // The one read buffer every connection's request bytes pass through
-        // on their way into its session window (which copies what it keeps):
-        // scratch for the length of a `read_request` call, so it belongs to
-        // the reactor, not to the per-connection bound.
-        let mut inbuf = vec![0u8; self.config.chunk];
         while !stop.load(Ordering::Acquire) {
             // Refill the warm pool toward its target — at most one spawn
             // per tick (the crash-loop/fork-bomb cap), with the pool's own
@@ -258,8 +264,9 @@ impl Proxy {
             }
 
             // Pump: resolve satisfied barriers into each connection's
-            // outbound queue — unless the queue is over cap (the slow-
-            // reader backpressure), and flush what the sockets will take.
+            // outbound queue and flush what the socket will take, until
+            // the queue stays at its cap (the slow-reader backpressure) or
+            // no barrier is satisfiable.
             for slot in conns.iter_mut() {
                 let Some(conn) = slot else { continue };
                 conn.advance(self.out_cap);
@@ -288,7 +295,7 @@ impl Proxy {
                         reactor.register(fd, libc::POLLIN, Token::ClientIn(slot));
                     }
                 }
-                if !conn.out.is_empty() {
+                if conn.queued() > 0 {
                     reactor.register(fd, libc::POLLOUT, Token::ClientOut(slot));
                 }
             }
@@ -322,7 +329,7 @@ impl Proxy {
                                     // request often lands before the accept
                                     // is even dispatched, and picking it up
                                     // now saves the fast path a poll round.
-                                    conn.read_request(&mut inbuf);
+                                    conn.read_request();
                                     match conns.iter_mut().find(|s| s.is_none()) {
                                         Some(free) => *free = Some(conn),
                                         None => conns.push(Some(conn)),
@@ -351,7 +358,7 @@ impl Proxy {
                     }
                     Token::ClientIn(slot) => {
                         if let Some(conn) = conns[slot].as_mut() {
-                            conn.read_request(&mut inbuf);
+                            conn.read_request();
                         }
                     }
                     Token::ClientOut(slot) => {
@@ -395,6 +402,7 @@ impl Proxy {
                 seeds: session.seeds().to_vec(),
                 session,
                 out: Vec::new(),
+                out_head: 0,
                 out_peak: 0,
                 request_done: false,
                 outcome: None,
@@ -406,59 +414,87 @@ impl Proxy {
 }
 
 impl Conn {
-    /// Pump-then-flush: barriers into the queue (respecting the cap), then
-    /// the queue into the socket, finalizing when the session drains.
+    /// Voted bytes queued for the client.
+    fn queued(&self) -> usize {
+        self.out.len() - self.out_head
+    }
+
+    /// Pump-then-flush, repeated while it makes progress: barriers into
+    /// the queue (up to the cap), the queue into the socket, and again if
+    /// the socket took enough to reopen the queue while a barrier is still
+    /// satisfiable — those buffers are full and unpolled, so nothing but
+    /// the tick would wake the reactor for them. Finalizes when the
+    /// session drains.
     fn advance(&mut self, out_cap: usize) {
-        if self.outcome.is_none() && !self.aborted && self.out.len() < out_cap {
-            let phase = self.session.pump(&mut self.out);
-            self.out_peak = self.out_peak.max(self.out.len());
+        let mut flushed = false;
+        while self.outcome.is_none() && !self.aborted && self.queued() < out_cap {
+            // The written prefix goes once it outweighs the queue behind
+            // it, so the vector stays within twice the queue's bound and
+            // a byte is moved at most once.
+            if self.out_head > self.queued() {
+                self.out.drain(..self.out_head);
+                self.out_head = 0;
+            }
+            let room = out_cap - self.queued();
+            let phase = self.session.pump(&mut self.out, room);
+            self.out_peak = self.out_peak.max(self.queued());
+            // Flush (and, once drained, half-close toward the client)
+            // *before* the closing ballots: finalize blocks reaping the
+            // replica processes, and the client's EOF should not wait on
+            // that bookkeeping. (If the socket won't take the tail yet,
+            // later rounds keep flushing and the close falls back to
+            // retire time.)
+            self.flush_response();
+            flushed = true;
             if phase == Phase::Drained {
-                // Everything votable is committed. Flush and half-close
-                // toward the client *before* the closing ballots: finalize
-                // blocks reaping three replica processes, and the client's
-                // EOF should not wait on that bookkeeping. (If the socket
-                // won't take the tail yet, the slow-reader path below keeps
-                // flushing and the close falls back to retire time.)
-                self.flush_response();
-                if self.out.is_empty() {
+                if self.queued() == 0 && !self.aborted {
                     let _ = crate::net::shutdown_write(&self.stream);
                 }
-                let outcome = self.session.finalize();
-                if outcome.diverged {
-                    eprintln!(
-                        "diehard-proxy: connection {}: vote diverged after {} committed bytes; closing",
-                        self.id, outcome.committed
-                    );
+                // A disconnect during the flush has already reaped the
+                // session; there is nothing left to ballot.
+                if !self.aborted {
+                    let outcome = self.session.finalize();
+                    if outcome.diverged {
+                        eprintln!(
+                            "diehard-proxy: connection {}: vote diverged after {} committed bytes; closing",
+                            self.id, outcome.committed
+                        );
+                    }
+                    self.outcome = Some(outcome);
                 }
-                self.outcome = Some(outcome);
+                return;
+            }
+            if !self.session.barrier_ready() {
+                return;
             }
         }
-        self.flush_response();
+        // Nothing to pump (queue at its cap, or the session already
+        // finalized): the round still owes the socket what is queued.
+        if !flushed {
+            self.flush_response();
+        }
     }
 
     /// Complete and fully flushed (or dead): the slot can be retired. The
     /// socket closes on drop, which is also the client's EOF.
     fn finished(&self) -> bool {
-        self.aborted || (self.outcome.is_some() && self.out.is_empty())
+        self.aborted || (self.outcome.is_some() && self.queued() == 0)
     }
 
-    /// Reads one window's worth of request bytes into the session, through
-    /// the reactor's `buf` (one chunk long). EOF is the client's half-close:
-    /// the request is complete. A hard error is a disconnect: the session is
-    /// aborted and its replicas reaped.
-    fn read_request(&mut self, buf: &mut [u8]) {
+    /// Reads request bytes straight into the session's input window, one
+    /// window at a time. EOF is the client's half-close: the request is
+    /// complete. A hard error is a disconnect: the session is aborted and
+    /// its replicas reaped.
+    fn read_request(&mut self) {
         // Reads run in a loop with an eager stdin flush after each window:
         // a small request plus its FIN often arrive together, and the
         // empty replica pipes always take the first window — so the whole
         // request is broadcast in the round that received it instead of
         // burning a poll round each on the FIN and on `POLLOUT` reports.
         while !self.request_done && self.session.wants_input() {
-            match self.stream.read(buf) {
-                Ok(0) => {
-                    self.session.accept_input_eof();
-                    self.request_done = true;
-                }
-                Ok(n) => self.session.accept_input(&buf[..n]),
+            match self.session.fill_input(&mut self.stream) {
+                Ok(0) => self.request_done = true,
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -473,15 +509,13 @@ impl Conn {
     /// Writes queued voted bytes to the client. A write error is a
     /// disconnect: this session dies (SIGKILL + reap), nobody else's does.
     fn flush_response(&mut self) {
-        while !self.out.is_empty() {
-            match self.stream.write(&self.out) {
+        while self.queued() > 0 {
+            match self.stream.write(&self.out[self.out_head..]) {
                 Ok(0) => {
                     self.disconnect();
                     return;
                 }
-                Ok(n) => {
-                    self.out.drain(..n);
-                }
+                Ok(n) => self.out_head += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -490,6 +524,9 @@ impl Conn {
                 }
             }
         }
+        // Empty: the next commit starts at the front again.
+        self.out.clear();
+        self.out_head = 0;
     }
 
     /// The client is gone: reap this connection's replicas, drop the
@@ -499,6 +536,7 @@ impl Conn {
             self.session.abort();
         }
         self.out.clear();
+        self.out_head = 0;
         self.aborted = true;
     }
 }
@@ -515,7 +553,7 @@ impl ProxySummary {
         let sent = conn
             .outcome
             .as_ref()
-            .map_or(0, |o| o.committed - conn.out.len() as u64);
+            .map_or(0, |o| o.committed - conn.queued() as u64);
         self.reports.push(SessionReport {
             conn_id: conn.id,
             outcome: conn.outcome,

@@ -5,34 +5,54 @@
 //! know whether its input arrives from a launcher's stdin, an in-memory
 //! buffer, or a TCP socket, and it never writes to the outside world —
 //! voted bytes are appended to a caller-supplied buffer and the transport
-//! decides when (and whether) to ship them. What it *does* own, verbatim
-//! from the original single-session engine:
+//! decides when (and whether) to ship them. What it *does* own:
 //!
 //! * the `config.replicas` differently-seeded child processes and their
 //!   non-blocking stdin/stdout/stderr pipes;
-//! * the bounded broadcast-input **window** (≤ chunk bytes, refilled only
-//!   once every live consumer has drained it);
-//! * per-replica ≤ chunk stdout buffers and the **barrier votes** over them
-//!   the instant every live replica is ready, with `SIGKILL` for outvoted
-//!   replicas mid-run;
+//! * the bounded broadcast-input **window** (refilled only once every live
+//!   consumer has drained it);
+//! * per-replica stdout buffers and the **barrier votes** over them the
+//!   instant every live replica has a chunk ready, with `SIGKILL` for
+//!   outvoted replicas mid-run;
 //! * bounded (≤ chunk) stderr captures, drained past the cap;
 //! * the endgame: reap (stderr still drained), crash demotion for signal
 //!   deaths, the **stderr ballot**, and the final **exit-status ballot**.
 //!
+//! **Transfer unit vs barrier unit.** §5.2 votes "when the buffer fills
+//! (4K, the unit of transfer of a pipe)"; on today's kernels a pipe holds
+//! 64 KiB, and a 4 KiB `read` from a full pipe wakes the blocked writer for
+//! one page. So the two sizes are separate here. The *barrier* is
+//! [`LaunchConfig::chunk`]: every ballot is ≤ chunk bytes, a replica is
+//! outvoted and killed at the first chunk that differs, and a one-chunk
+//! response commits the moment every live replica has produced it. The
+//! *transfer* is `max(chunk, `[`TRANSFER`](crate::TRANSFER)`)`: each stdout
+//! buffer and the input window may run ahead of the vote by up to that
+//! much, filled by `read`s straight into them, and [`Session::pump`] votes
+//! chunk-sized slices of the buffers until one of them runs short. Buffers
+//! start empty, begin at one chunk and double only after a read has filled
+//! them to the brim (the one sign that the pipe may hold more), so a
+//! connection that never has more than a chunk in flight touches two chunks
+//! per buffer, not sixteen, and a parked pool set holds nothing.
+//!
 //! Transports drive a session through a narrow pull/push protocol each
-//! reactor round: [`Session::pump`] resolves every satisfied barrier into
-//! the caller's output buffer (backpressure = simply not calling it),
-//! [`Session::register_interest`] names the descriptors that can make
-//! progress, [`Session::service`] dispatches one readiness event, and
-//! [`Session::wants_input`]/[`Session::accept_input`] gate the bounded
-//! window. When [`Session::pump`] reports [`Phase::Drained`],
-//! [`Session::finalize`] runs the closing ballots and yields the
-//! [`StreamOutcome`]. Peak engine memory per session is
-//! `(2 × replicas + 1) × chunk` by construction, reported via
+//! reactor round: [`Session::pump`] resolves satisfied barriers into the
+//! caller's output buffer (backpressure = a byte budget, or simply not
+//! calling it), [`Session::register_interest`] names the descriptors that
+//! can make progress, [`Session::service`] dispatches one readiness event,
+//! and [`Session::wants_input`]/[`Session::fill_input`] gate the bounded
+//! window. A transport must not sleep in `poll` while
+//! [`Session::barrier_ready`] and its sink has room: full buffers are not
+//! polled, so nothing would wake it. When [`Session::pump`] reports
+//! [`Phase::Drained`], [`Session::finalize`] runs the closing ballots and
+//! yields the [`StreamOutcome`]. Peak engine memory per session is
+//! `(2 × replicas + 1) × max(chunk, TRANSFER)` retained bytes by
+//! construction — `replicas` stdout buffers, `replicas` stderr captures
+//! (≤ chunk each) and the window; the same order as the `3 × replicas`
+//! kernel pipe buffers the session already owns — reported via
 //! [`StreamOutcome::peak_buffered`].
 
 use crate::voter::{ChunkVote, Voter};
-use crate::{reactor, LaunchConfig};
+use crate::{reactor, LaunchConfig, TRANSFER};
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::process::ExitStatusExt;
@@ -52,9 +72,12 @@ pub struct StreamOutcome {
     pub exit_code: Option<i32>,
     /// Total bytes committed to the transport's output buffer.
     pub committed: u64,
-    /// High-water mark of bytes buffered inside the session (per-replica
-    /// stdout chunk and stderr capture buffers plus the streamed-input
-    /// window) — bounded by `(2 × replicas + 1) × chunk` by construction.
+    /// High-water mark of bytes retained inside the session (per-replica
+    /// stdout buffers and stderr captures plus the streamed-input window)
+    /// — bounded by `(2 × replicas + 1) × max(chunk, TRANSFER)` by
+    /// construction. How far below the bound it reads depends on how far
+    /// the replicas ran ahead of each other, so it is timing-dependent
+    /// once a stream is longer than one chunk.
     pub peak_buffered: usize,
     /// The quorum-agreed standard error (first ≤ chunk bytes — the same
     /// chunk discipline as stdout voting). After the streams end the
@@ -76,9 +99,9 @@ pub enum SessionInput {
     /// own pace via per-replica offsets, with no further copies. The buffer
     /// is caller memory and does not count toward the session's bound.
     Buffer(Vec<u8>),
-    /// The transport pushes ≤ chunk windows via [`Session::accept_input`]
-    /// whenever [`Session::wants_input`] allows; the window is session
-    /// memory and counts toward the `(2 × replicas + 1) × chunk` bound.
+    /// The transport refills the window (≤ one transfer unit) via
+    /// [`Session::fill_input`] whenever [`Session::wants_input`] allows;
+    /// the window is session memory and counts toward the session's bound.
     Streamed,
 }
 
@@ -113,13 +136,15 @@ struct Replica {
     stdout: Option<ChildStdout>,
     /// `None` once the replica's stderr ended (or it was killed).
     stderr: Option<ChildStderr>,
-    /// The chunk being assembled for the next barrier (≤ chunk bytes).
-    chunk: Vec<u8>,
+    /// Stdout read but not yet voted (≤ one transfer unit); the next
+    /// ballot is its first ≤ chunk bytes.
+    out: RunAhead,
     /// Captured stderr: the first ≤ chunk bytes this replica wrote.
     err_buf: Vec<u8>,
     /// Stderr bytes beyond the capture cap, drained and discarded.
     err_dropped: u64,
-    /// The output stream has ended; a partial `chunk` is its last ballot.
+    /// The output stream has ended; what is left of `out` is voted chunk
+    /// by chunk, a partial last one included.
     eof: bool,
     /// Absolute input offset this replica has consumed up to.
     in_pos: u64,
@@ -127,21 +152,117 @@ struct Replica {
     status: Option<ExitStatus>,
 }
 
-/// The broadcast-input window: `win` holds bytes `[base, base + win.len())`
-/// of the overall input stream.
+impl Replica {
+    /// The next ballot: the first ≤ `chunk` bytes not yet voted, `None`
+    /// once the stream has nothing left.
+    fn ballot(&self, chunk: usize) -> Option<&[u8]> {
+        let unvoted = self.out.as_slice();
+        (!unvoted.is_empty()).then(|| &unvoted[..unvoted.len().min(chunk)])
+    }
+}
+
+/// A read-ahead byte queue: filled by `read`s straight into its tail,
+/// consumed from its head, contiguous throughout (ballots are slices of
+/// it). `buf` is initialised storage and `buf[head..tail]` the retained
+/// bytes. Consuming moves no byte; room is made only before a read.
+#[derive(Default)]
+struct RunAhead {
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl RunAhead {
+    fn len(&self) -> usize {
+        self.tail - self.head
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.buf[self.head..self.tail]
+    }
+
+    /// Drops the first `n` retained bytes.
+    fn consume(&mut self, n: usize) {
+        self.head += n;
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
+        }
+    }
+
+    /// Whether [`spare`](Self::spare) would offer any room. It does not
+    /// when the storage is at `limit`, the tail has reached its end, and
+    /// the consumed prefix is still shorter than what is retained: sliding
+    /// then would move more bytes than it frees, so the reader waits until
+    /// the vote has consumed half the buffer, and each byte is moved at
+    /// most once. A buffer in that state retains more than `limit / 2`
+    /// bytes, which is at least a chunk whenever a partial consume can
+    /// leave a prefix at all (`limit` is the chunk or a multiple of two
+    /// chunks), so it never withholds a ballot.
+    fn has_room(&self, limit: usize) -> bool {
+        self.tail < self.buf.len() || self.slides() || self.buf.len() < limit
+    }
+
+    /// Whether sliding the retained bytes down to the start frees at least
+    /// as much as it moves.
+    fn slides(&self) -> bool {
+        self.head > 0 && self.head >= self.len()
+    }
+
+    /// The writable tail for the next read, after making room if the tail
+    /// is exhausted: slide the retained bytes down when that moves no more
+    /// than it frees, else double the storage (first `floor`, never beyond
+    /// `limit`). Empty when neither applies — see
+    /// [`has_room`](Self::has_room).
+    fn spare(&mut self, floor: usize, limit: usize) -> &mut [u8] {
+        if self.tail == self.buf.len() {
+            if self.slides() {
+                self.buf.copy_within(self.head..self.tail, 0);
+                (self.head, self.tail) = (0, self.len());
+            } else if self.buf.len() < limit {
+                let grown = (self.buf.len() * 2).clamp(floor, limit);
+                self.buf.resize(grown, 0);
+            }
+        }
+        &mut self.buf[self.tail..]
+    }
+
+    /// Records that a read put `n` bytes into [`spare`](Self::spare).
+    fn filled(&mut self, n: usize) {
+        self.tail += n;
+        debug_assert!(self.tail <= self.buf.len());
+    }
+}
+
+/// The broadcast-input window: `buf[..len]` holds bytes
+/// `[base, base + len)` of the overall input stream. It is replaced
+/// wholesale, never appended to, so it needs no head.
 struct Window {
-    win: Vec<u8>,
+    /// Initialised storage; grows by doubling, on demand, up to one
+    /// transfer unit (or is the caller's whole input in buffer mode).
+    buf: Vec<u8>,
+    len: usize,
     base: u64,
     eof: bool,
-    /// Whether `win` is session memory (streamed mode) or a caller-provided
+    /// Whether `buf` is session memory (streamed mode) or a caller-provided
     /// buffer that does not count toward the session's memory bound.
     engine_owned: bool,
 }
 
 impl Window {
+    /// The caller's whole input, already in memory and already ended.
+    fn buffer(data: Vec<u8>) -> Self {
+        Self {
+            len: data.len(),
+            buf: data,
+            base: 0,
+            eof: true,
+            engine_owned: false,
+        }
+    }
+
     /// Absolute offset one past the last byte currently available.
     fn end(&self) -> u64 {
-        self.base + self.win.len() as u64
+        self.base + self.len as u64
     }
 }
 
@@ -160,12 +281,11 @@ pub struct Session {
     seeds: Vec<u64>,
     input: Window,
     voter: Voter,
+    /// The barrier unit: every ballot is ≤ this many bytes.
     chunk: usize,
-    /// Reusable read buffer (one chunk); transient work space, not counted
-    /// toward `peak_buffered` (which tracks only bytes *retained* between
-    /// reactor rounds, as the pre-refactor engine did with its stack
-    /// buffers).
-    scratch: Vec<u8>,
+    /// The transfer unit, `max(chunk, TRANSFER)`: how far each stdout
+    /// buffer and the input window may run ahead of the vote.
+    unit: usize,
     committed: u64,
     peak_buffered: usize,
     diverged: bool,
@@ -230,7 +350,7 @@ impl Session {
                 stdin: Some(stdin),
                 stdout: Some(stdout),
                 stderr: Some(stderr),
-                chunk: Vec::with_capacity(chunk),
+                out: RunAhead::default(),
                 err_buf: Vec::new(),
                 err_dropped: 0,
                 eof: false,
@@ -245,14 +365,10 @@ impl Session {
             reps.push(rep);
         }
         let input = match input {
-            SessionInput::Buffer(data) => Window {
-                win: data,
-                base: 0,
-                eof: true,
-                engine_owned: false,
-            },
+            SessionInput::Buffer(data) => Window::buffer(data),
             SessionInput::Streamed => Window {
-                win: Vec::with_capacity(chunk),
+                buf: Vec::new(),
+                len: 0,
                 base: 0,
                 eof: false,
                 engine_owned: true,
@@ -265,18 +381,12 @@ impl Session {
             input,
             voter: Voter::new(n),
             chunk,
-            scratch: vec![0u8; chunk],
+            unit: chunk.max(TRANSFER),
             committed: 0,
             peak_buffered: 0,
             diverged: false,
             drained: false,
         })
-    }
-
-    /// The barrier chunk size this session votes at.
-    #[must_use]
-    pub fn chunk(&self) -> usize {
-        self.chunk
     }
 
     /// The per-replica seeds this session's children were spawned with (in
@@ -299,15 +409,10 @@ impl Session {
     /// (debug builds assert).
     pub fn adopt_buffer_input(&mut self, data: Vec<u8>) {
         debug_assert!(
-            self.input.engine_owned && self.input.base == 0 && self.input.win.is_empty(),
+            self.input.engine_owned && self.input.base == 0 && self.input.len == 0,
             "adopt_buffer_input on a session that already streamed input"
         );
-        self.input = Window {
-            win: data,
-            base: 0,
-            eof: true,
-            engine_owned: false,
-        };
+        self.input = Window::buffer(data);
     }
 
     /// Declares the descriptors a *parked* (pre-spawned, not yet handed
@@ -342,43 +447,59 @@ impl Session {
         exited
     }
 
-    /// Ready for the barrier: a full chunk, or the stream has ended (a
-    /// partial/empty final chunk is still a ballot).
-    fn ready(&self, i: usize) -> bool {
-        self.reps[i].eof || self.reps[i].chunk.len() >= self.chunk
+    /// Bytes committed to the transport's output buffer so far.
+    #[must_use]
+    pub fn committed(&self) -> u64 {
+        self.committed
     }
 
-    fn live_indices(&self) -> Vec<usize> {
-        (0..self.reps.len())
-            .filter(|&i| self.voter.is_alive(i))
-            .collect()
+    /// Replica indices killed so far, in kill order.
+    #[must_use]
+    pub fn killed(&self) -> &[usize] {
+        self.voter.killed()
+    }
+
+    /// Whether a barrier can be resolved right now: some replica is live
+    /// and every live one has a full chunk unvoted or has ended its stream
+    /// (a partial or empty final chunk is still a ballot). Reading more
+    /// cannot change that, so a transport that sleeps on it sleeps until
+    /// its next timeout.
+    #[must_use]
+    pub fn barrier_ready(&self) -> bool {
+        let ready = |r: &Replica| r.eof || r.out.len() >= self.chunk;
+        self.voter.live_count() > 0 && self.voter.live().all(|i| ready(&self.reps[i]))
     }
 
     /// Updates the buffered-bytes high-water mark.
     fn note_buffered(&mut self) {
         let win = if self.input.engine_owned {
-            self.input.win.len()
+            self.input.len
         } else {
             0 // a caller-provided buffer is not session memory
         };
+        debug_assert!(win <= self.unit, "window {win} beyond the transfer unit");
         let cur = self
             .reps
             .iter()
-            .map(|r| r.chunk.len() + r.err_buf.len())
+            .map(|r| {
+                debug_assert!(r.out.len() <= self.unit && r.err_buf.len() <= self.chunk);
+                r.out.len() + r.err_buf.len()
+            })
             .sum::<usize>()
             + win;
         self.peak_buffered = self.peak_buffered.max(cur);
     }
 
-    /// SIGKILLs replicas the voter just condemned and closes their pipes.
+    /// SIGKILLs replicas the voter just condemned, closes their pipes and
+    /// frees what they had buffered.
     fn enforce_kills(&mut self, already_killed: usize) {
-        for idx in self.voter.killed().into_iter().skip(already_killed) {
+        for &idx in &self.voter.killed()[already_killed..] {
             let r = &mut self.reps[idx];
             sigkill(&r.child);
             r.stdin = None;
             r.stdout = None;
             r.stderr = None;
-            r.chunk.clear();
+            r.out = RunAhead::default();
             r.eof = true;
         }
     }
@@ -432,15 +553,33 @@ impl Session {
         any_consumer
     }
 
-    /// Slides the input window forward to `bytes` (≤ chunk recommended —
-    /// the window is the per-session input memory bound). Only valid while
-    /// [`wants_input`](Self::wants_input) is true.
-    pub fn accept_input(&mut self, bytes: &[u8]) {
+    /// Slides the input window forward by one `read` from `src`, straight
+    /// into the window's storage (≤ one transfer unit — the window is the
+    /// per-session input memory bound; it starts at one chunk and doubles
+    /// only after a read has filled it to the brim). Only valid while
+    /// [`wants_input`](Self::wants_input) is true. `Ok(0)` is the end of
+    /// the source: the input is marked ended, as by
+    /// [`accept_input_eof`](Self::accept_input_eof).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `src.read` returns, `WouldBlock` and `Interrupted`
+    /// included; the window is then empty and still wants input.
+    pub fn fill_input(&mut self, src: &mut impl Read) -> io::Result<usize> {
         debug_assert!(self.wants_input(), "window still has unconsumed bytes");
-        self.input.base += self.input.win.len() as u64;
-        self.input.win.clear();
-        self.input.win.extend_from_slice(bytes);
+        let win = &mut self.input;
+        // Emptied first, so a failed read leaves an empty window behind.
+        let consumed = std::mem::take(&mut win.len);
+        win.base += consumed as u64;
+        if consumed == win.buf.len() && consumed < self.unit {
+            let grown = (consumed * 2).clamp(self.chunk, self.unit);
+            win.buf.resize(grown, 0);
+        }
+        let n = src.read(&mut win.buf)?;
+        win.len = n;
+        win.eof = n == 0;
         self.note_buffered();
+        Ok(n)
     }
 
     /// Opportunistically writes pending window bytes to every replica
@@ -466,19 +605,19 @@ impl Session {
     /// Marks the broadcast input as ended; replicas see EOF on their stdin
     /// once they drain what remains.
     pub fn accept_input_eof(&mut self) {
-        self.input.base += self.input.win.len() as u64;
-        self.input.win.clear();
+        self.input.base += self.input.len as u64;
+        self.input.len = 0;
         self.input.eof = true;
     }
 
     /// Declares every descriptor that can make progress this round,
-    /// notably *excluding* stdouts whose chunk is already full — that is
-    /// the barrier backpressure (the kernel pipe throttles the replica
-    /// while slower siblings catch up).
+    /// notably *excluding* stdouts whose buffer has no room — that is the
+    /// barrier backpressure (the kernel pipe throttles the replica while
+    /// slower siblings catch up, or while the transport is not pumping).
     pub fn register_interest(&self, mut register: impl FnMut(RawFd, libc::c_short, SessionIo)) {
         for (i, r) in self.reps.iter().enumerate() {
             if let Some(ref out) = r.stdout {
-                if self.voter.is_alive(i) && r.chunk.len() < self.chunk {
+                if self.voter.is_alive(i) && r.out.has_room(self.unit) {
                     register(out.as_raw_fd(), libc::POLLIN, SessionIo::Out(i));
                 }
             }
@@ -507,21 +646,33 @@ impl Session {
         }
     }
 
-    /// Drains replica `i`'s stdout into its chunk buffer (≤ chunk).
+    /// Reads replica `i`'s stdout straight into its buffer, as far ahead
+    /// of the vote as one transfer unit.
     fn read_stdout(&mut self, i: usize) {
-        let chunk = self.chunk;
-        let buf = &mut self.scratch;
+        let (chunk, unit) = (self.chunk, self.unit);
         let r = &mut self.reps[i];
         let Some(out) = r.stdout.as_mut() else { return };
         let mut ended = false;
-        while r.chunk.len() < chunk {
-            let want = chunk - r.chunk.len();
-            match out.read(&mut buf[..want]) {
+        loop {
+            let spare = r.out.spare(chunk, unit);
+            let room = spare.len();
+            if room == 0 {
+                break; // no room until the vote consumes some
+            }
+            match out.read(spare) {
                 Ok(0) => {
                     ended = true;
                     break;
                 }
-                Ok(n) => r.chunk.extend_from_slice(&buf[..n]),
+                Ok(n) => {
+                    r.out.filled(n);
+                    if n < room {
+                        // The pipe is drained: asking again would only buy
+                        // an EAGAIN, and `poll` reports the next byte (or
+                        // the hang-up) anyway.
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -543,11 +694,12 @@ impl Session {
     /// can never block on a full stderr pipe and stall its own exit.
     fn read_stderr(&mut self, i: usize) {
         let chunk = self.chunk;
-        let buf = &mut self.scratch;
+        // Diagnostics are short: a page of stack is transfer enough.
+        let mut buf = [0u8; 4096];
         let r = &mut self.reps[i];
         let Some(err) = r.stderr.as_mut() else { return };
         loop {
-            match err.read(&mut buf[..]) {
+            match err.read(&mut buf) {
                 Ok(0) => {
                     r.stderr = None;
                     break;
@@ -575,10 +727,10 @@ impl Session {
         loop {
             let Some(sin) = r.stdin.as_mut() else { return };
             let off = (r.in_pos - base) as usize;
-            if off >= self.input.win.len() {
+            if off >= self.input.len {
                 return;
             }
-            match sin.write(&self.input.win[off..]) {
+            match sin.write(&self.input.buf[off..self.input.len]) {
                 Ok(0) => {
                     r.stdin = None; // no progress possible: give up on it
                     return;
@@ -596,43 +748,41 @@ impl Session {
         }
     }
 
-    /// Resolves every barrier that is already satisfied (several in a row
-    /// when all streams have ended), appending quorum bytes to `out` and
-    /// SIGKILLing outvoted replicas on the spot. The transport applies
-    /// backpressure by *not* calling this while its own output buffer is
-    /// full — unpumped chunks stop being polled, and the kernel pipes
-    /// throttle the replicas.
+    /// Resolves barriers that are already satisfied — one ≤ chunk ballot
+    /// at a time over the replicas' buffers, several in a row when they ran
+    /// ahead or all streams have ended — appending quorum bytes to `out`
+    /// and SIGKILLing outvoted replicas on the spot, until no barrier is
+    /// satisfied or `budget` bytes have been appended (so at most
+    /// `budget − 1 + chunk` are: the transport's room, checked between
+    /// chunks). The transport applies backpressure through the budget, or
+    /// by *not* calling this while its own output buffer is full — unvoted
+    /// bytes fill the buffers, full buffers stop being polled, and the
+    /// kernel pipes throttle the replicas.
     ///
     /// Also retires the stdins of replicas that have consumed all input.
-    pub fn pump(&mut self, out: &mut Vec<u8>) -> Phase {
-        while !self.drained {
-            let live = self.live_indices();
-            if live.is_empty() {
+    pub fn pump(&mut self, out: &mut Vec<u8>, budget: usize) -> Phase {
+        let mut appended = 0;
+        while !self.drained && appended < budget {
+            if self.voter.live_count() == 0 {
                 self.drained = true;
                 break;
             }
-            if !live.iter().all(|&i| self.ready(i)) {
+            if !self.barrier_ready() {
                 break;
             }
-            let ballots: Vec<Option<&[u8]>> = self
-                .reps
-                .iter()
-                .map(|r| {
-                    if r.chunk.is_empty() {
-                        None // ended stream (dead replicas are ignored anyway)
-                    } else {
-                        Some(r.chunk.as_slice())
-                    }
-                })
-                .collect();
             let killed_before = self.voter.killed().len();
-            match self.voter.vote(&ballots) {
-                ChunkVote::Commit(bytes) => {
-                    out.extend_from_slice(&bytes);
-                    self.committed += bytes.len() as u64;
+            let (chunk, reps) = (self.chunk, &self.reps);
+            match self.voter.vote_by(|i| reps[i].ballot(chunk)) {
+                ChunkVote::Commit(winner) => {
+                    let bytes = reps[winner].ballot(chunk).expect("a committed ballot");
+                    out.extend_from_slice(bytes);
+                    let n = bytes.len();
+                    self.committed += n as u64;
+                    appended += n;
                     self.enforce_kills(killed_before);
-                    for i in self.live_indices() {
-                        self.reps[i].chunk.clear();
+                    // Every survivor cast exactly these bytes.
+                    for i in self.voter.live() {
+                        self.reps[i].out.consume(n);
                     }
                 }
                 ChunkVote::Divergence => {
@@ -712,13 +862,10 @@ impl Session {
         // deterministic (same cap per replica), so identical diagnostics
         // truncate identically and still agree.
         let mut diverged = self.diverged;
-        if !diverged && !self.live_indices().is_empty() {
-            let ballots: Vec<Option<&[u8]>> = self
-                .reps
-                .iter()
-                .map(|r| Some(r.err_buf.as_slice()))
-                .collect();
-            if matches!(self.voter.vote(&ballots), ChunkVote::Divergence) {
+        if !diverged && self.voter.live_count() > 0 {
+            let reps = &self.reps;
+            let vote = self.voter.vote_by(|i| Some(reps[i].err_buf.as_slice()));
+            if vote == ChunkVote::Divergence {
                 diverged = true;
             }
         }
@@ -727,13 +874,9 @@ impl Session {
         // exits nonzero in every replica (grep with no matches) agrees with
         // itself and its status is forwarded, not treated as a crash.
         let mut exit_code = None;
-        if !diverged && !self.live_indices().is_empty() {
-            let ballots: Vec<Option<&[u8]>> = codes.iter().map(|c| Some(&c[..])).collect();
-            match self.voter.vote(&ballots) {
-                ChunkVote::Commit(bytes) => {
-                    let raw: [u8; 4] = bytes[..4].try_into().expect("4-byte exit ballot");
-                    exit_code = Some(i32::from_le_bytes(raw));
-                }
+        if !diverged && self.voter.live_count() > 0 {
+            match self.voter.vote_by(|i| Some(&codes[i][..])) {
+                ChunkVote::Commit(winner) => exit_code = Some(i32::from_le_bytes(codes[winner])),
                 ChunkVote::Divergence => diverged = true,
                 ChunkVote::AllDone => {}
             }
@@ -746,7 +889,7 @@ impl Session {
         let (stderr, stderr_dropped) = if diverged {
             (Vec::new(), 0)
         } else {
-            match (0..self.reps.len()).find(|&i| self.voter.is_alive(i)) {
+            match self.voter.live().next() {
                 Some(i) => (
                     core::mem::take(&mut self.reps[i].err_buf),
                     self.reps[i].err_dropped,
@@ -758,7 +901,7 @@ impl Session {
 
         StreamOutcome {
             diverged,
-            killed: self.voter.killed(),
+            killed: self.voter.killed().to_vec(),
             exit_code,
             committed: self.committed,
             peak_buffered: self.peak_buffered,
@@ -883,4 +1026,95 @@ pub(crate) fn resolve_seeds(config: &LaunchConfig) -> io::Result<Vec<u64>> {
         ));
     }
     Ok(config.seeds.clone())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Drives a [`RunAhead`] the way a session does — reads of arbitrary
+    /// length into `spare`, whole-chunk consumes while a chunk is there —
+    /// against a plain queue, for every chunk/limit shape the config
+    /// allows (limit = chunk, or a multiple of two chunks).
+    #[test]
+    fn run_ahead_is_a_bounded_fifo_that_never_withholds_a_ballot() {
+        for (chunk, limit) in [(4usize, 4usize), (4, 8), (4, 64), (16, 64)] {
+            let mut q = RunAhead::default();
+            let mut model: std::collections::VecDeque<u8> = Default::default();
+            let (mut next, mut moved, mut read) = (0u8, 0usize, 0usize);
+            let mut state = 0x9E37_79B9u32;
+            for _ in 0..20_000 {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                if (state >> 16) % 3 < 2 {
+                    let had_room = q.has_room(limit);
+                    let before = (q.head, q.len());
+                    let spare = q.spare(chunk, limit);
+                    assert_eq!(had_room, !spare.is_empty(), "has_room mirrors spare");
+                    let n = spare.len().min(1 + (state >> 8) as usize % (limit + 1));
+                    for byte in &mut spare[..n] {
+                        *byte = next;
+                        model.push_back(next);
+                        next = next.wrapping_add(1);
+                    }
+                    q.filled(n);
+                    read += n;
+                    if q.head == 0 && before.0 > 0 && before.1 > 0 {
+                        moved += before.1; // a slide
+                    }
+                    if !had_room {
+                        assert!(q.len() >= chunk, "a full buffer holds a ballot");
+                    }
+                } else if q.len() >= chunk {
+                    q.consume(chunk);
+                    model.drain(..chunk);
+                }
+                assert!(q.len() <= limit && q.buf.len() <= limit);
+                assert!(q.as_slice().iter().eq(model.iter()), "FIFO order");
+            }
+            assert!(read > 10 * limit, "the walk must keep reading");
+            assert!(moved <= read, "a byte is slid at most once");
+        }
+    }
+
+    #[test]
+    fn a_spawned_session_holds_no_buffers_and_a_one_chunk_echo_grows_none_past_need() {
+        let mut config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
+        config.seeds = vec![1, 2, 3];
+        let mut session =
+            Session::spawn(&config, &config.seeds, SessionInput::Streamed).expect("spawn cat");
+        // What a parked pool set is: processes and pipes, no memory.
+        assert_eq!(session.input.buf.capacity(), 0);
+        for r in &session.reps {
+            assert_eq!(r.out.buf.capacity() + r.err_buf.capacity(), 0);
+        }
+
+        // One chunk in, one chunk voted out, input ended.
+        let request = vec![b'q'; session.chunk];
+        assert_eq!(
+            session.fill_input(&mut &request[..]).unwrap(),
+            request.len()
+        );
+        session.flush_input();
+        assert_eq!(session.fill_input(&mut io::empty()).unwrap(), 0);
+        let mut out = Vec::new();
+        let mut reactor: reactor::Reactor<SessionIo> = reactor::Reactor::new();
+        while session.pump(&mut out, usize::MAX) == Phase::Streaming {
+            reactor.clear();
+            session.register_interest(|fd, events, io| reactor.register(fd, events, io));
+            reactor.wait(10_000).expect("poll");
+            for (io, _) in reactor.ready() {
+                session.service(io);
+            }
+        }
+        assert_eq!(out, request);
+        // A brim-full read is a buffer's only sign that more may follow, so
+        // the reads that found the ends of the streams had two chunks each.
+        assert_eq!(session.input.buf.len(), 2 * session.chunk);
+        for r in &session.reps {
+            assert_eq!(r.out.buf.len(), 2 * session.chunk);
+        }
+        let outcome = session.finalize();
+        assert_eq!(outcome.exit_code, Some(0));
+        assert!(outcome.peak_buffered <= 4 * request.len());
+    }
 }

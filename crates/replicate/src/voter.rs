@@ -6,12 +6,19 @@
 //! that to standard out. Two replicas suffice, because the odds are slim
 //! that two randomized replicas with memory errors would return the same
 //! result."
+//!
+//! A vote allocates nothing: the verdict *names* the winning replica
+//! instead of copying its bytes (the caller already holds them), and the
+//! grouping scratch lives in the [`Voter`] across rounds — a voted stream
+//! resolves one barrier per ≤ chunk bytes, so anything allocated here is
+//! allocated a quarter of a million times per gigabyte.
 
 /// Result of voting on one round of chunks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChunkVote {
-    /// A quorum (≥ 2, or the lone survivor) agreed; commit these bytes.
-    Commit(Vec<u8>),
+    /// A quorum (≥ 2, or the lone survivor) agreed; commit the ballot of
+    /// this replica — the lowest-indexed member of the winning group.
+    Commit(usize),
     /// No two live replicas agreed: terminate (detected divergence).
     Divergence,
     /// Every live replica has ended its stream.
@@ -23,6 +30,9 @@ pub enum ChunkVote {
 pub struct Voter {
     alive: Vec<bool>,
     killed: Vec<usize>,
+    /// Scratch for one round: `(first member, size)` of each group of equal
+    /// live ballots, in first-appearance order.
+    groups: Vec<(usize, usize)>,
 }
 
 impl Voter {
@@ -32,6 +42,7 @@ impl Voter {
         Self {
             alive: vec![true; n],
             killed: Vec::new(),
+            groups: Vec::with_capacity(n),
         }
     }
 
@@ -55,10 +66,18 @@ impl Voter {
         idx < self.alive.len() && self.alive[idx]
     }
 
+    /// Indices of the live replicas, ascending.
+    pub fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        self.alive
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &alive)| alive.then_some(i))
+    }
+
     /// Indices of replicas killed so far, in kill order.
     #[must_use]
-    pub fn killed(&self) -> Vec<usize> {
-        self.killed.clone()
+    pub fn killed(&self) -> &[usize] {
+        &self.killed
     }
 
     /// Votes on one chunk round. `ballots[i]` is replica `i`'s chunk, or
@@ -66,48 +85,64 @@ impl Voter {
     /// ignored. Replicas that lose the vote are killed ("A replica that
     /// has generated anomalous output is no longer useful").
     pub fn vote(&mut self, ballots: &[Option<&[u8]>]) -> ChunkVote {
-        let live: Vec<usize> = (0..self.alive.len()).filter(|&i| self.alive[i]).collect();
-        if live.is_empty() {
-            return ChunkVote::AllDone;
-        }
-        // Streams that ended vote an "end" ballot; if everyone ended, done.
-        if live.iter().all(|&i| ballots[i].is_none()) {
-            return ChunkVote::AllDone;
-        }
-        if live.len() == 1 {
-            // Lone survivor: pass through (stand-alone degenerate case).
-            return match ballots[live[0]] {
-                Some(bytes) => ChunkVote::Commit(bytes.to_vec()),
-                None => ChunkVote::AllDone,
-            };
-        }
+        self.vote_by(|i| ballots[i])
+    }
+
+    /// [`vote`](Self::vote) over ballots the caller computes on demand —
+    /// slices of buffers it already holds — so a round needs no ballot
+    /// vector. `ballot(i)` is asked only for live `i` and must answer the
+    /// same every time within the call.
+    pub fn vote_by<'a>(&mut self, ballot: impl Fn(usize) -> Option<&'a [u8]>) -> ChunkVote {
         // Group live ballots (None = "ended" is its own group).
-        let mut groups: Vec<(Vec<usize>, Option<&[u8]>)> = Vec::new();
-        for &i in &live {
-            let b = ballots[i];
-            match groups.iter_mut().find(|(_, g)| *g == b) {
-                Some((members, _)) => members.push(i),
-                None => groups.push((vec![i], b)),
+        self.groups.clear();
+        let mut live = 0;
+        for i in (0..self.alive.len()).filter(|&i| self.alive[i]) {
+            live += 1;
+            let b = ballot(i);
+            match self
+                .groups
+                .iter_mut()
+                .find(|(first, _)| ballot(*first) == b)
+            {
+                Some((_, size)) => *size += 1,
+                None => self.groups.push((i, 1)),
             }
         }
-        groups.sort_by_key(|(members, _)| core::cmp::Reverse(members.len()));
-        let (winners, winning) = groups[0].clone();
-        // A quorum must be a *strict* plurality: on a tie (2-2 with four
-        // replicas, 2-2-1 with five) no group is distinguishable from the
-        // others, so committing either would be arbitrary — report the
-        // divergence instead of guessing.
-        let tied = groups.len() > 1 && groups[1].0.len() == winners.len();
-        if winners.len() < 2 || tied {
-            return ChunkVote::Divergence;
+        if live == 0 {
+            return ChunkVote::AllDone;
         }
-        // Kill the losers.
-        for &i in &live {
-            if !winners.contains(&i) {
-                self.kill(i);
+        // The largest group wins, the earliest among equals (which then
+        // ties and diverges below). A lone survivor is a group of one that
+        // passes through (stand-alone degenerate case).
+        let mut winner = self.groups[0];
+        for &group in &self.groups[1..] {
+            if group.1 > winner.1 {
+                winner = group;
+            }
+        }
+        let (first, size) = winner;
+        if live > 1 {
+            // A quorum must be a *strict* plurality: on a tie (2-2 with
+            // four replicas, 2-2-1 with five) no group is distinguishable
+            // from the others, so committing either would be arbitrary —
+            // report the divergence instead of guessing.
+            let tied = self.groups.iter().filter(|g| g.1 == size).count() > 1;
+            if size < 2 || tied {
+                return ChunkVote::Divergence;
+            }
+        }
+        // Kill the losers (none when the vote was unanimous, which is the
+        // round that must stay cheap).
+        let winning = ballot(first);
+        if size < live {
+            for i in 0..self.alive.len() {
+                if self.alive[i] && ballot(i) != winning {
+                    self.kill(i);
+                }
             }
         }
         match winning {
-            Some(bytes) => ChunkVote::Commit(bytes.to_vec()),
+            Some(_) => ChunkVote::Commit(first),
             // The quorum agreed the stream is over.
             None => ChunkVote::AllDone,
         }
@@ -122,7 +157,7 @@ mod tests {
     fn unanimous_commit() {
         let mut v = Voter::new(3);
         let out = v.vote(&[Some(b"abc"), Some(b"abc"), Some(b"abc")]);
-        assert_eq!(out, ChunkVote::Commit(b"abc".to_vec()));
+        assert_eq!(out, ChunkVote::Commit(0));
         assert_eq!(v.live_count(), 3);
     }
 
@@ -130,9 +165,9 @@ mod tests {
     fn majority_kills_minority() {
         let mut v = Voter::new(3);
         let out = v.vote(&[Some(b"abc"), Some(b"xyz"), Some(b"abc")]);
-        assert_eq!(out, ChunkVote::Commit(b"abc".to_vec()));
+        assert_eq!(out, ChunkVote::Commit(0));
         assert_eq!(v.live_count(), 2);
-        assert_eq!(v.killed(), vec![1]);
+        assert_eq!(v.killed(), [1]);
     }
 
     #[test]
@@ -148,7 +183,7 @@ mod tests {
         v.kill(0);
         // Remaining two agree: commit. (Two replicas suffice, §5.2.)
         let out = v.vote(&[Some(b"junk"), Some(b"ok"), Some(b"ok")]);
-        assert_eq!(out, ChunkVote::Commit(b"ok".to_vec()));
+        assert_eq!(out, ChunkVote::Commit(1));
     }
 
     #[test]
@@ -165,7 +200,7 @@ mod tests {
         v.kill(0);
         v.kill(1);
         let out = v.vote(&[None, None, Some(b"solo")]);
-        assert_eq!(out, ChunkVote::Commit(b"solo".to_vec()));
+        assert_eq!(out, ChunkVote::Commit(2));
     }
 
     #[test]
@@ -180,8 +215,8 @@ mod tests {
         // lose 2-1 and are killed.
         let mut v = Voter::new(3);
         let out = v.vote(&[Some(b"more"), Some(b"more"), None]);
-        assert_eq!(out, ChunkVote::Commit(b"more".to_vec()));
-        assert_eq!(v.killed(), vec![2]);
+        assert_eq!(out, ChunkVote::Commit(0));
+        assert_eq!(v.killed(), [2]);
     }
 
     #[test]
@@ -219,8 +254,8 @@ mod tests {
             Some(b"bb"),
             Some(b"aa"),
         ]);
-        assert_eq!(out, ChunkVote::Commit(b"aa".to_vec()));
-        assert_eq!(v.killed(), vec![1, 3]);
+        assert_eq!(out, ChunkVote::Commit(0));
+        assert_eq!(v.killed(), [1, 3]);
     }
 
     #[test]
@@ -228,7 +263,7 @@ mod tests {
         let mut v = Voter::new(3);
         v.kill(1);
         v.kill(1);
-        assert_eq!(v.killed(), vec![1]);
+        assert_eq!(v.killed(), [1]);
         assert_eq!(v.live_count(), 2);
     }
 }

@@ -20,7 +20,9 @@
 
 use diehard_replicate::net::Listener;
 use diehard_replicate::proxy::{Proxy, ProxySummary};
-use diehard_replicate::{run_pooled, run_streamed, InputSource, LaunchConfig, Pool, StreamOutcome};
+use diehard_replicate::{
+    run_pooled, run_streamed, InputSource, LaunchConfig, Pool, StreamOutcome, CHUNK, TRANSFER,
+};
 use diehard_workloads::client::{drive, Pace};
 use diehard_workloads::server::{self, ServerRequest};
 use std::io;
@@ -227,7 +229,11 @@ fn wait_for_warmth(gauge: &AtomicUsize, want: usize) {
 /// `--pool 0` proxy and a `--pool 2` proxy produce bit-identical voted
 /// transcripts, identical per-connection outcomes, and identical
 /// per-replica seed assignment — warmth changes *when* fork/exec happens,
-/// never what the connection observes.
+/// never what the connection observes. The one field left out of the
+/// equality is `peak_buffered`: how many bytes the replicas had delivered
+/// ahead of each other at the fullest moment is scheduling (it read 8552
+/// against 8510 between two runs of the same proxy), so it is held to the
+/// session's bound instead.
 #[test]
 fn proxy_transcripts_and_seeds_identical_pool_0_vs_pool_2() {
     const CONNS: usize = 4;
@@ -279,10 +285,25 @@ fn proxy_transcripts_and_seeds_identical_pool_0_vs_pool_2() {
             "replica seed assignment must not depend on pool depth"
         );
         assert_eq!(warm.seeds, vec![1, 7, 2]);
-        assert_eq!(
-            warm.outcome, cold.outcome,
-            "per-connection outcomes must match"
+        let (warm, cold) = (
+            warm.outcome.as_ref().expect("warm session resolved"),
+            cold.outcome.as_ref().expect("cold session resolved"),
         );
+        assert_eq!(
+            StreamOutcome {
+                peak_buffered: cold.peak_buffered,
+                ..warm.clone()
+            },
+            *cold,
+            "per-connection outcomes must match in every timing-independent field"
+        );
+        for outcome in [warm, cold] {
+            assert!(
+                outcome.peak_buffered <= (2 * 3 + 1) * TRANSFER.max(CHUNK),
+                "peak {} beyond (2 × replicas + 1) × max(chunk, TRANSFER)",
+                outcome.peak_buffered
+            );
+        }
     }
     // And the pool actually served warm sets (we waited for warmth before
     // the first connect, so at least that connection was a pool hit).

@@ -1,19 +1,20 @@
 //! Loopback integration tests for the replicated TCP proxy: many
 //! concurrent voted sessions over one reactor, a corrupt replica outvoted
-//! mid-connection, slow-reader backpressure, mid-stream client
-//! disconnects, and an unresolvable response tie.
+//! mid-connection, slow-reader backpressure (down to a one-chunk queue),
+//! a one-chunk answer that does not wait for the request to end,
+//! mid-stream client disconnects, and an unresolvable response tie.
 
 #![cfg(unix)]
 
-use diehard_replicate::net::Listener;
+use diehard_replicate::net::{connect_loopback, shutdown_write, Listener};
 use diehard_replicate::proxy::{Proxy, ProxySummary};
-use diehard_replicate::LaunchConfig;
+use diehard_replicate::{LaunchConfig, CHUNK, TRANSFER};
 use diehard_workloads::client::{abandon_mid_stream, drive, Pace};
 use diehard_workloads::server::{self, ServerRequest};
-use std::io;
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The server protocol with an injectable fault: when `bad_when` (a shell
 /// condition over `$DIEHARD_SEED`) holds, `ECHO poison*` answers `KO ...`
@@ -146,8 +147,8 @@ fn slow_reader_backpressure_keeps_buffers_bounded() {
     // One client drains a ~137 KB burst 512 bytes at a time with a pause
     // between reads. The proxy must not absorb the stream: its outbound
     // queue stays under cap + one chunk, and the session's own buffers
-    // stay under the (2 × replicas + 1) × chunk bound — the replicas are
-    // throttled by the kernel pipes instead.
+    // stay under the (2 × replicas + 1) × transfer-unit bound — the
+    // replicas are throttled by the kernel pipes instead.
     let chunk = 1024usize;
     let cap = 4 * chunk;
     let config = LaunchConfig::new(3, poisonable_server("false"), Vec::new()).with_chunk(chunk);
@@ -168,17 +169,118 @@ fn slow_reader_backpressure_keeps_buffers_bounded() {
     let report = &summary.reports[0];
     let outcome = report.outcome.as_ref().expect("session completed");
     assert_eq!(outcome.committed, expected.len() as u64);
+    let unit = TRANSFER.max(chunk);
     assert!(
-        outcome.peak_buffered <= (2 * 3 + 1) * chunk,
-        "session peak {} exceeds the (2·replicas+1)×chunk bound {}",
+        outcome.peak_buffered <= (2 * 3 + 1) * unit,
+        "session peak {} exceeds the (2·replicas+1)×max(chunk, TRANSFER) bound {}",
         outcome.peak_buffered,
-        (2 * 3 + 1) * chunk
+        (2 * 3 + 1) * unit
     );
     assert!(
         report.out_peak <= cap + chunk,
         "outbound queue peak {} exceeds cap {} + one chunk",
         report.out_peak,
         cap
+    );
+}
+
+#[test]
+fn one_chunk_queue_streams_without_waiting_for_the_tick() {
+    // 8 MiB through a queue capped at one chunk, to a reader that starts
+    // late (so the socket fills and the queue really is refused for a
+    // while) and then reads 4 KiB at a time (so it drains again). Each
+    // pump can commit one chunk before the queue is at its
+    // cap, and the replicas' buffers are full, which means unpolled: if a
+    // round went to sleep after one pump and one flush, nothing would wake
+    // it but the 100 ms tick, and 2048 chunks would take minutes. The
+    // round must alternate pump and flush for as long as the socket takes
+    // bytes — and the queue must still never exceed cap + one chunk.
+    let chunk = CHUNK;
+    let config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
+    let listener = Listener::bind_loopback(0).expect("bind");
+    let proxy = Proxy::new(listener, config)
+        .expect("chunk valid")
+        .with_out_cap(chunk);
+    let (port, stop, handle) = spawn_proxy(proxy);
+
+    let payload: Vec<u8> = (0..8usize << 20).map(|i| (i % 251) as u8).collect();
+    let start = Instant::now();
+    let mut stream = connect_loopback(port).expect("connect");
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone");
+        let payload = payload.clone();
+        std::thread::spawn(move || {
+            stream.write_all(&payload).expect("send");
+            shutdown_write(&stream).expect("half-close");
+        })
+    };
+    let mut echoed = Vec::with_capacity(payload.len());
+    let mut piece = [0u8; 4096];
+    std::thread::sleep(Duration::from_millis(100));
+    loop {
+        match stream.read(&mut piece).expect("read") {
+            0 => break,
+            n => echoed.extend_from_slice(&piece[..n]),
+        }
+    }
+    writer.join().expect("writer thread");
+    let elapsed = start.elapsed();
+    assert!(echoed == payload, "voted echo must be byte-exact");
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "8 MiB through a one-chunk queue took {elapsed:?}: the round is sleeping on votable bytes"
+    );
+
+    let summary = stop_and_join(&stop, handle);
+    let report = &summary.reports[0];
+    let outcome = report.outcome.as_ref().expect("session completed");
+    assert_eq!(outcome.committed, payload.len() as u64);
+    assert_eq!(report.sent, payload.len() as u64);
+    assert!(
+        report.out_peak <= chunk + chunk,
+        "outbound queue peak {} exceeds cap {chunk} + one chunk",
+        report.out_peak
+    );
+    assert!(outcome.peak_buffered <= (2 * 3 + 1) * TRANSFER.max(chunk));
+}
+
+#[test]
+fn one_chunk_request_is_answered_before_the_half_close() {
+    // A request of exactly one chunk, and no FIN: the barrier is the
+    // chunk, not the transfer unit, so the voted chunk must come back
+    // while the client still holds its sending side open. (Raising the
+    // default chunk to a pipe's 64 KiB instead of separating the two units
+    // would leave this client waiting for 60 KiB that never come.)
+    let config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
+    let listener = Listener::bind_loopback(0).expect("bind");
+    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let (port, stop, handle) = spawn_proxy(proxy);
+
+    let payload: Vec<u8> = (0..CHUNK).map(|i| (i % 239) as u8).collect();
+    let mut stream = connect_loopback(port).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream.write_all(&payload).expect("send");
+    let mut first = vec![0u8; CHUNK];
+    stream
+        .read_exact(&mut first)
+        .expect("the voted chunk must arrive with the request still open");
+    assert_eq!(first, payload);
+    shutdown_write(&stream).expect("half-close");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("EOF");
+    assert!(rest.is_empty(), "one chunk in, one chunk out");
+
+    let summary = stop_and_join(&stop, handle);
+    let outcome = summary.reports[0].outcome.as_ref().expect("finalized");
+    assert_eq!(outcome.committed, CHUNK as u64);
+    assert_eq!(outcome.exit_code, Some(0));
+    // One chunk in flight: no buffer ever grew past its first chunk.
+    assert!(
+        outcome.peak_buffered <= (3 + 1) * CHUNK,
+        "a 4 KiB connection retained {} bytes",
+        outcome.peak_buffered
     );
 }
 

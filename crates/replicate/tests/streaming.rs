@@ -1,10 +1,16 @@
 //! Integration tests for the event-driven streaming voter: mid-stream
-//! kills, bounded buffering over multi-megabyte streams, and a replicated
-//! server-style trace from `diehard-workloads`.
+//! kills (also of a dissenter whose bad chunk sits inside one multi-chunk
+//! transfer), bounded buffering over multi-megabyte streams (also when one
+//! replica runs far ahead of the others), and a replicated server-style
+//! trace from `diehard-workloads`.
 
 #![cfg(unix)]
 
-use diehard_replicate::{run_replicated, run_streamed, InputSource, LaunchConfig, CHUNK};
+use diehard_replicate::reactor::Reactor;
+use diehard_replicate::{
+    run_replicated, run_streamed, InputSource, LaunchConfig, Phase, Session, SessionInput,
+    SessionIo, CHUNK, TRANSFER,
+};
 use diehard_workloads::server;
 use std::time::{Duration, Instant};
 
@@ -81,8 +87,8 @@ fn survivors_continue_after_mid_stream_kill() {
 #[test]
 fn megabyte_stream_is_voted_with_bounded_buffering() {
     // 2,000,000 identical bytes per replica. The engine must commit all of
-    // them while never holding more than replicas × CHUNK bytes — the old
-    // design's peak was the full 6 MB of replica output.
+    // them while never holding more than replicas × the transfer unit —
+    // the old design's peak was the full 6 MB of replica output.
     let cfg = LaunchConfig::new(3, sh("yes 0123456789abcde | head -c 2000000"), Vec::new());
     let mut out = Vec::new();
     let outcome = run_streamed(&cfg, InputSource::Buffer(Vec::new()), &mut out).unwrap();
@@ -92,14 +98,134 @@ fn megabyte_stream_is_voted_with_bounded_buffering() {
     assert_eq!(outcome.exit_code, Some(0));
     assert!(outcome.killed.is_empty());
     assert!(
-        outcome.peak_buffered <= 3 * CHUNK,
-        "peak buffered {} exceeds the replicas × CHUNK = {} bound",
+        (3 * CHUNK..=3 * TRANSFER.max(CHUNK)).contains(&outcome.peak_buffered),
+        "peak buffered {} outside [replicas × CHUNK, replicas × transfer unit] = [{}, {}]",
         outcome.peak_buffered,
-        3 * CHUNK
+        3 * CHUNK,
+        3 * TRANSFER.max(CHUNK)
     );
     // Spot-check content: `yes` repeats "0123456789abcde\n".
     assert_eq!(&out[..16], b"0123456789abcde\n");
     assert_eq!(&out[1_999_984..], b"0123456789abcde\n");
+}
+
+#[test]
+fn replica_far_ahead_of_its_siblings_is_held_to_one_transfer_unit() {
+    // Seed 7 has its whole 1 MiB written before the others have produced a
+    // byte; they deliver theirs 16 KiB at a time with a pause in between.
+    // The fast replica's pipe and buffer fill and it blocks; nothing of the
+    // megabyte is held anywhere but in the kernel pipe and ≤ one transfer
+    // unit of session memory (debug builds, which is what `cargo test`
+    // runs, also assert that per buffer on every read). The stream that
+    // comes out is the one every replica wrote.
+    let mut cfg = LaunchConfig::new(
+        3,
+        sh(r#"if [ "$DIEHARD_SEED" = "7" ]; then
+                  head -c 1048576 /dev/zero | tr '\0' 'm'
+              else
+                  sleep 0.2
+                  i=0; while [ $i -lt 64 ]; do
+                      head -c 16384 /dev/zero | tr '\0' 'm'; sleep 0.005; i=$((i+1))
+                  done
+              fi"#),
+        Vec::new(),
+    );
+    cfg.seeds = vec![1, 7, 2];
+    let mut out = Vec::new();
+    let outcome = run_streamed(&cfg, InputSource::Buffer(Vec::new()), &mut out).unwrap();
+    assert_eq!(out.len(), 1 << 20);
+    assert!(out.iter().all(|&b| b == b'm'));
+    assert!(!outcome.diverged);
+    assert!(outcome.killed.is_empty());
+    assert_eq!(outcome.exit_code, Some(0));
+    assert_eq!(outcome.committed, 1 << 20);
+    let unit = TRANSFER.max(CHUNK);
+    // While the siblings sleep the fast replica alone fills its buffer.
+    assert!(
+        (unit..=3 * unit).contains(&outcome.peak_buffered),
+        "peak buffered {} outside [{unit}, {}]",
+        outcome.peak_buffered,
+        3 * unit
+    );
+}
+
+#[test]
+fn dissenter_inside_one_transfer_is_killed_at_its_chunk() {
+    // Every replica writes its 8 chunks with a single write(2), so each
+    // arrives in the session as one transfer; seed 7's chunk 3 (of 0..8)
+    // is wrong and it then hangs. The vote must still be per chunk: three
+    // unanimous chunks, then the barrier that kills the dissenter with
+    // exactly 3 × CHUNK committed, none of its bytes in the output, and
+    // the two survivors voted to the end.
+    const BAD: usize = 3;
+    let mut cfg = LaunchConfig::new(
+        3,
+        sh(r#"fill() { head -c "$1" /dev/zero | tr '\0' "$2"; }
+              if [ "$DIEHARD_SEED" = "7" ]; then
+                  { fill 12288 g; fill 4096 B; fill 16384 g; } | dd bs=32768 iflag=fullblock 2>/dev/null
+                  sleep 30
+              else
+                  fill 32768 g | dd bs=32768 iflag=fullblock 2>/dev/null
+              fi"#),
+        Vec::new(),
+    );
+    cfg.seeds = vec![1, 7, 2];
+    let mut session =
+        Session::spawn(&cfg, &cfg.seeds, SessionInput::Buffer(Vec::new())).expect("spawn");
+    let mut reactor: Reactor<SessionIo> = Reactor::new();
+    let mut wait_and_service = |session: &mut Session| {
+        reactor.clear();
+        session.register_interest(|fd, events, io| reactor.register(fd, events, io));
+        reactor.wait(10_000).expect("poll");
+        for (io, _) in reactor.ready() {
+            session.service(io);
+        }
+    };
+
+    // A zero budget votes nothing but still retires the ended input, so
+    // the replicas' `head`s are not left waiting on stdin.
+    let mut out = Vec::new();
+    assert_eq!(session.pump(&mut out, 0), Phase::Streaming);
+    // One chunk per call: a budget of one byte is spent by the first
+    // commit. (A 32 KiB write to an empty pipe lands whole and is read
+    // whole, so after the first wait every barrier below is already in the
+    // buffers; waiting before each keeps the test independent of that.)
+    let start = Instant::now();
+    let mut vote_one_chunk = |session: &mut Session, out: &mut Vec<u8>| {
+        while !session.barrier_ready() {
+            assert!(start.elapsed() < Duration::from_secs(10), "no output");
+            wait_and_service(session);
+        }
+        assert_eq!(session.pump(out, 1), Phase::Streaming);
+    };
+    for chunk in 0..BAD {
+        vote_one_chunk(&mut session, &mut out);
+        assert_eq!(session.committed(), ((chunk + 1) * CHUNK) as u64);
+        assert!(session.killed().is_empty(), "chunk {chunk} is unanimous");
+    }
+    assert_eq!(session.committed(), (BAD * CHUNK) as u64, "at the kill");
+    vote_one_chunk(&mut session, &mut out);
+    assert_eq!(session.killed(), [1], "killed at its own bad chunk");
+    assert_eq!(session.committed(), ((BAD + 1) * CHUNK) as u64);
+
+    // The survivors finish, long before the dissenter's sleep would.
+    while session.pump(&mut out, usize::MAX) == Phase::Streaming {
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "survivors stalled"
+        );
+        wait_and_service(&mut session);
+    }
+    let outcome = session.finalize();
+    assert_eq!(
+        out,
+        vec![b'g'; 8 * CHUNK],
+        "no dissenting byte reached the sink"
+    );
+    assert!(!outcome.diverged);
+    assert_eq!(outcome.killed, vec![1]);
+    assert_eq!(outcome.exit_code, Some(0));
+    assert_eq!(outcome.committed, (8 * CHUNK) as u64);
 }
 
 #[test]
