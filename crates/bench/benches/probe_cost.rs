@@ -19,7 +19,7 @@ fn bench_probe_by_fullness(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("1/{denom}_full")),
             &denom,
             |b, &denom| {
-                let mut part = Partition::new(SizeClass::from_index(0), CAPACITY, CAPACITY, 7);
+                let part = Partition::new(SizeClass::from_index(0), CAPACITY, CAPACITY, 7);
                 for _ in 0..CAPACITY / denom {
                     part.alloc();
                 }
@@ -35,9 +35,8 @@ fn bench_probe_by_fullness(c: &mut Criterion) {
 }
 
 fn bench_adaptive_vs_fixed(c: &mut Criterion) {
-    use diehard_core::adaptive::AdaptiveHeap;
     use diehard_core::config::HeapConfig;
-    use diehard_core::engine::HeapCore;
+    use diehard_core::engine::{HeapCore, DEFAULT_INITIAL_FRACTION_LOG2};
 
     let mut group = c.benchmark_group("adaptive_vs_fixed");
     group.sample_size(10);
@@ -53,7 +52,9 @@ fn bench_adaptive_vs_fixed(c: &mut Criterion) {
     });
     group.bench_function("adaptive_heap_1000_allocs", |b| {
         b.iter(|| {
-            let mut h = AdaptiveHeap::new(HeapConfig::default(), 1).unwrap();
+            let mut h =
+                HeapCore::new_elastic(HeapConfig::default(), 1, DEFAULT_INITIAL_FRACTION_LOG2)
+                    .unwrap();
             for i in 0..1000usize {
                 black_box(h.alloc(8 + (i % 512)));
             }

@@ -15,9 +15,10 @@
 //! Run: `cargo run --release -p diehard-bench --bin ablation`
 
 use diehard_bench::{pct, TextTable};
-use diehard_core::adaptive::AdaptiveHeap;
 use diehard_core::analysis::expected_probes_at_cap;
 use diehard_core::config::HeapConfig;
+use diehard_core::engine::{HeapCore, DEFAULT_INITIAL_FRACTION_LOG2};
+use diehard_core::size_class::SizeClass;
 use diehard_inject::{inject, Injection};
 use diehard_runtime::{System, Verdict};
 use diehard_workloads::profile_by_name;
@@ -103,7 +104,7 @@ fn main() {
     println!("a 2,000-allocation espresso prefix (M = 2):\n");
     let config = HeapConfig::default().with_region_bytes(4 << 20);
     let fixed_commit = config.heap_span();
-    let mut adaptive = AdaptiveHeap::new(config, 9).unwrap();
+    let mut adaptive = HeapCore::new_elastic(config, 9, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
     let espresso = profile_by_name("espresso").expect("espresso");
     let prog = espresso.generate(0.08, 0xADA);
     let mut served = 0usize;
@@ -114,6 +115,9 @@ fn main() {
             }
         }
     }
+    let committed: usize = SizeClass::all()
+        .map(|c| adaptive.partition(c).capacity() * c.object_size())
+        .sum();
     let mut t2 = TextTable::new(vec!["heap", "slot bytes committed", "vs fixed"]);
     t2.row(vec![
         "fixed (reserve max)".to_string(),
@@ -126,11 +130,8 @@ fn main() {
             served,
             adaptive.growth_events()
         ),
-        format!("{} KB", adaptive.committed_bytes() / 1024),
-        format!(
-            "{:.3}x",
-            adaptive.committed_bytes() as f64 / fixed_commit as f64
-        ),
+        format!("{} KB", committed / 1024),
+        format!("{:.3}x", committed as f64 / fixed_commit as f64),
     ]);
     println!("{}", t2.render());
     println!(

@@ -24,7 +24,7 @@ const TRIALS: usize = 20_000;
 /// least one replica it touched no live slot.
 fn trial(fullness: f64, replicas: usize, rng: &mut Mwc) -> bool {
     (0..replicas).any(|_| {
-        let mut part = Partition::new(
+        let part = Partition::new(
             SizeClass::from_index(0),
             CAPACITY,
             CAPACITY,

@@ -25,7 +25,7 @@ fn trial(class: SizeClass, a: u64, rng: &mut Mwc) -> bool {
     let capacity = SCALED_REGION >> class.shift();
     // Threshold = capacity so the partition accepts allocations past the
     // 1/M cap — the theorem's worst case fills F slots without freeing.
-    let mut part = Partition::new(class, capacity, capacity, splitmix(rng.next_u64()));
+    let part = Partition::new(class, capacity, capacity, splitmix(rng.next_u64()));
     let mut live = Vec::with_capacity(capacity / 2);
     for _ in 0..capacity / 2 {
         live.push(part.alloc().expect("has room"));

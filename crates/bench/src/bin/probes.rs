@@ -21,7 +21,7 @@ const STEADY_OPS: usize = 200_000;
 /// the mean free gap between live neighbours.
 fn measure(m: f64, rng: &mut Mwc) -> (f64, f64) {
     let threshold = (CAPACITY as f64 / m) as usize;
-    let mut part = Partition::new(
+    let part = Partition::new(
         SizeClass::from_index(0),
         CAPACITY,
         threshold,

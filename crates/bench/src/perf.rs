@@ -152,7 +152,10 @@ fn beside_a_parked_thread<R>(kernel: impl FnOnce() -> R) -> R {
 /// one malloc. The ring is a fixed array indexed by mask, so the harness
 /// contributes a load and a branch per op — the measurement is the
 /// allocator's placement and free-validation arithmetic, not container
-/// bookkeeping.
+/// bookkeeping. Since PR 22 the sim heap's partitions are the shipped probe
+/// loop, ticket and 2-bit slot map in their compile-time plain arm (every
+/// update a relaxed load and store), so this row times the code
+/// `magazine_alloc_churn` times, minus magazines and the run-time arm test.
 fn alloc_churn_mixed(smoke: bool) -> KernelResult {
     const RING: usize = 64;
     let (warmup, samples, ops) = if smoke {
@@ -315,6 +318,11 @@ fn preload_alloc_churn(_name: &'static str, _smoke: bool) -> KernelResult {
 
 /// Steady-state partition probing at the paper's default occupancy (half
 /// full, M = 2): one op = one alloc/free pair against a 16 Ki-slot region.
+/// Since PR 22 `Partition` is the shipped `AtomicPartition` in its
+/// compile-time plain arm, so this row times the shipped loop: ticket add,
+/// packed-MWC draw, `or` claim, validating free — each a relaxed atomic load
+/// and store, which the compiler keeps in memory where the former `&mut`
+/// copy's fields sat in registers (+5 ns a pair; CHANGES, PR 22).
 fn probe_steady_half_full(smoke: bool) -> KernelResult {
     const CAPACITY: usize = 1 << 14;
     let (warmup, samples, ops) = if smoke {
@@ -322,7 +330,7 @@ fn probe_steady_half_full(smoke: bool) -> KernelResult {
     } else {
         (3, 25, 100_000)
     };
-    let mut part = Partition::new(SizeClass::from_index(0), CAPACITY, CAPACITY, 7);
+    let part = Partition::new(SizeClass::from_index(0), CAPACITY, CAPACITY, 7);
     for _ in 0..CAPACITY / 2 {
         part.alloc();
     }

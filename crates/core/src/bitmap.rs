@@ -1,205 +1,30 @@
-//! Allocation bitmaps: one bit per object slot.
+//! Slot-state maps: two bits per object slot.
 //!
 //! The paper (§4.1): "The heap metadata includes a bitmap for each heap
 //! region, where one bit always stands for one object. All bits are initially
 //! zero, indicating that every object is free." Keeping per-object overhead
-//! to one bit (versus dlmalloc's eight-byte boundary tags) is one of the two
-//! features offsetting DieHard's power-of-two rounding cost (§4.5).
+//! to bits (versus dlmalloc's eight-byte boundary tags) is one of the two
+//! features offsetting DieHard's power-of-two rounding cost (§4.5). Here the
+//! map spends a second bit per object on the *reserved* state thread-local
+//! magazines need ([`SlotStateMap`] has why one word must hold both), and
+//! every heap in the crate — the single-owner simulator core included, in
+//! its [`Plain`](crate::sync::Plain) arm — runs on this one map.
 //!
-//! The bitmap never allocates after construction, so it is safe to use from
+//! The map never allocates after construction, so it is safe to use from
 //! inside a global allocator once built over caller-provided storage
-//! ([`Bitmap::from_storage`]).
+//! ([`SlotStateMap::from_storage`]).
 
-use crate::sync::Word;
+use crate::sync::{Arm, Shared, Word};
 use core::sync::atomic::Ordering;
-
-/// A fixed-capacity bitmap over object slots.
-///
-/// # Examples
-///
-/// ```
-/// use diehard_core::bitmap::Bitmap;
-///
-/// let mut bm = Bitmap::new(128);
-/// assert!(!bm.get(7));
-/// bm.set(7);
-/// assert!(bm.get(7));
-/// assert_eq!(bm.count_ones(), 1);
-/// bm.clear(7);
-/// assert_eq!(bm.count_ones(), 0);
-/// ```
-#[derive(Debug)]
-pub struct Bitmap {
-    words: Storage,
-    bits: usize,
-}
-
-#[derive(Debug)]
-enum Storage {
-    Owned(Vec<u64>),
-    /// Caller-provided word storage (e.g. carved out of an mmap'd metadata
-    /// arena by the global allocator, which must not allocate re-entrantly).
-    Raw {
-        ptr: *mut u64,
-        words: usize,
-    },
-}
-
-// SAFETY: `Raw` storage is exclusively owned by the bitmap for its lifetime;
-// the global allocator guards all access with a lock.
-unsafe impl Send for Bitmap {}
-unsafe impl Sync for Bitmap {}
-
-impl Storage {
-    #[inline]
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            Storage::Owned(v) => v,
-            // SAFETY: `ptr` is valid for `words` u64s per `from_storage`'s
-            // contract and no aliasing mutable access exists while `&self`
-            // is held.
-            Storage::Raw { ptr, words } => unsafe { core::slice::from_raw_parts(*ptr, *words) },
-        }
-    }
-
-    #[inline]
-    fn as_mut_slice(&mut self) -> &mut [u64] {
-        match self {
-            Storage::Owned(v) => v,
-            // SAFETY: as above, with exclusive access guaranteed by `&mut`.
-            Storage::Raw { ptr, words } => unsafe { core::slice::from_raw_parts_mut(*ptr, *words) },
-        }
-    }
-}
-
-impl Bitmap {
-    /// Creates a bitmap with `bits` slots, all free (zero).
-    #[must_use]
-    pub fn new(bits: usize) -> Self {
-        Self {
-            words: Storage::Owned(vec![0u64; bits.div_ceil(64)]),
-            bits,
-        }
-    }
-
-    /// Creates a bitmap over caller-provided zeroed word storage.
-    ///
-    /// Used by the real allocator, whose metadata lives in a dedicated mmap
-    /// region segregated from the heap (§4.1).
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be valid for reads and writes of `bits.div_ceil(64)` u64
-    /// words for the lifetime of the bitmap, must be exclusively owned by
-    /// it, and must point to zeroed memory.
-    #[must_use]
-    pub unsafe fn from_storage(ptr: *mut u64, bits: usize) -> Self {
-        Self {
-            words: Storage::Raw {
-                ptr,
-                words: bits.div_ceil(64),
-            },
-            bits,
-        }
-    }
-
-    /// Number of slots the bitmap covers.
-    #[must_use]
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bits
-    }
-
-    /// `true` when the bitmap covers zero slots.
-    #[must_use]
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-
-    /// Returns the bit at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[must_use]
-    #[inline]
-    pub fn get(&self, index: usize) -> bool {
-        assert!(index < self.bits, "bit index {index} out of range");
-        let w = self.words.as_slice()[index / 64];
-        (w >> (index % 64)) & 1 == 1
-    }
-
-    /// Sets the bit at `index` (marks the slot allocated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn set(&mut self, index: usize) {
-        assert!(index < self.bits, "bit index {index} out of range");
-        self.words.as_mut_slice()[index / 64] |= 1u64 << (index % 64);
-    }
-
-    /// Clears the bit at `index` (marks the slot free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn clear(&mut self, index: usize) {
-        assert!(index < self.bits, "bit index {index} out of range");
-        self.words.as_mut_slice()[index / 64] &= !(1u64 << (index % 64));
-    }
-
-    /// Atomically-in-effect test-and-set: returns `true` if the bit was
-    /// previously clear and is now set (the caller won the slot).
-    #[inline]
-    pub fn try_set(&mut self, index: usize) -> bool {
-        if self.get(index) {
-            false
-        } else {
-            self.set(index);
-            true
-        }
-    }
-
-    /// Clears every bit.
-    pub fn clear_all(&mut self) {
-        for w in self.words.as_mut_slice() {
-            *w = 0;
-        }
-    }
-
-    /// Number of set bits (live objects in the region).
-    #[must_use]
-    pub fn count_ones(&self) -> usize {
-        self.words
-            .as_slice()
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Iterates over the indices of set bits.
-    pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            words: self.words.as_slice(),
-            word_idx: 0,
-            current: self.words.as_slice().first().copied().unwrap_or(0),
-            bits: self.bits,
-        }
-    }
-}
 
 /// Backing words of a [`SlotStateMap`].
 #[derive(Debug)]
-enum AtomicStorage {
-    Owned(Box<[Word]>),
+enum AtomicStorage<A: Arm> {
+    Owned(Box<[Word<A>]>),
     /// Caller-provided word storage (carved out of the global allocator's
     /// mmap'd metadata arena, which must never allocate re-entrantly).
     Raw {
-        ptr: *const Word,
+        ptr: *const Word<A>,
         words: usize,
     },
 }
@@ -242,9 +67,9 @@ pub enum SlotState {
 /// | `01 → 00` free           | CAS loop, fails on `00`/`11`      | free fast path |
 /// | `11 → 00` release        | CAS loop                          | magazine teardown (slow path) |
 ///
-/// Each operation is a [`Word`] update: a locked RMW, or load + store while
-/// the process has one thread ([`crate::sync`] has the argument). The
-/// transitions, their outcomes and their order are the same in either arm.
+/// Each operation is a [`Word`] update: a locked RMW, or load + store, as the
+/// map's [`Arm`] says ([`crate::sync`] has the argument). The transitions,
+/// their outcomes and their order are the same in every arm.
 ///
 /// The claim is an unconditional `or` rather than a CAS loop: OR-ing the
 /// live bit into `01` or `11` is a no-op, so a lost claim cannot corrupt
@@ -258,20 +83,21 @@ pub enum SlotState {
 /// single-thread arm needs none: program order covers the one thread, and
 /// thread creation publishes everything it wrote to the threads that follow.
 #[derive(Debug)]
-pub struct SlotStateMap {
-    words: AtomicStorage,
+pub struct SlotStateMap<A: Arm = Shared> {
+    words: AtomicStorage<A>,
     slots: usize,
 }
 
 // SAFETY: `Raw` storage is exclusively owned by this map for its lifetime,
-// and every access goes through atomic operations.
-unsafe impl Send for SlotStateMap {}
-unsafe impl Sync for SlotStateMap {}
+// and every access goes through atomic operations. Only the `Shared` arm may
+// be reached from two threads at once: `Plain` updates are load + store.
+unsafe impl<A: Arm> Send for SlotStateMap<A> {}
+unsafe impl Sync for SlotStateMap<Shared> {}
 
 /// Even bit positions: one live bit per slot in a word.
 const LIVE_BITS: u64 = 0x5555_5555_5555_5555;
 
-impl SlotStateMap {
+impl<A: Arm> SlotStateMap<A> {
     /// Slots per word (two bits each).
     const PER_WORD: usize = 32;
 
@@ -305,7 +131,7 @@ impl SlotStateMap {
     pub unsafe fn from_storage(ptr: *mut u64, slots: usize) -> Self {
         Self {
             words: AtomicStorage::Raw {
-                ptr: ptr.cast::<Word>(),
+                ptr: ptr.cast::<Word<A>>(),
                 words: Self::words_needed(slots),
             },
             slots,
@@ -313,7 +139,7 @@ impl SlotStateMap {
     }
 
     #[inline]
-    fn words(&self) -> &[Word] {
+    fn words(&self) -> &[Word<A>] {
         match &self.words {
             AtomicStorage::Owned(v) => v,
             // SAFETY: `ptr` is valid for `words` `Word`s per the
@@ -512,17 +338,17 @@ impl SlotStateMap {
 
     /// Iterates the indices of occupied (live or reserved) slots, in order.
     /// Each word is read once; the iteration is not a snapshot.
-    pub fn iter_occupied(&self) -> IterOccupied<'_> {
-        IterOccupied {
-            words: self.words(),
-            word_idx: 0,
-            current: self
-                .words()
-                .first()
-                .map(|w| w.load(Ordering::Relaxed) & LIVE_BITS)
-                .unwrap_or(0),
-            slots: self.slots,
-        }
+    pub fn iter_occupied(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words().iter().enumerate().flat_map(|(w, word)| {
+            let mut live = word.load(Ordering::Relaxed) & LIVE_BITS;
+            core::iter::from_fn(move || {
+                (live != 0).then(|| {
+                    let bit = live.trailing_zeros() as usize;
+                    live &= live - 1;
+                    w * Self::PER_WORD + bit / 2
+                })
+            })
+        })
     }
 
     /// Iterates the indices of *live* slots only (reserved slots skipped).
@@ -532,162 +358,13 @@ impl SlotStateMap {
     }
 }
 
-/// Iterator over occupied slot indices, from [`SlotStateMap::iter_occupied`].
-#[derive(Debug)]
-pub struct IterOccupied<'a> {
-    words: &'a [Word],
-    word_idx: usize,
-    current: u64,
-    slots: usize,
-}
-
-impl Iterator for IterOccupied<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let tz = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                let idx = self.word_idx * SlotStateMap::PER_WORD + tz / 2;
-                if idx < self.slots {
-                    return Some(idx);
-                }
-                return None;
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx].load(Ordering::Relaxed) & LIVE_BITS;
-        }
-    }
-}
-
-/// Iterator over set-bit indices, produced by [`Bitmap::iter_ones`].
-#[derive(Debug)]
-pub struct IterOnes<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    current: u64,
-    bits: usize,
-}
-
-impl Iterator for IterOnes<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let tz = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                let idx = self.word_idx * 64 + tz;
-                if idx < self.bits {
-                    return Some(idx);
-                }
-                return None;
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use std::collections::HashSet;
-
-    #[test]
-    fn new_is_all_clear() {
-        let bm = Bitmap::new(100);
-        assert_eq!(bm.len(), 100);
-        assert!(!bm.is_empty());
-        assert_eq!(bm.count_ones(), 0);
-        for i in 0..100 {
-            assert!(!bm.get(i));
-        }
-    }
-
-    #[test]
-    fn empty_bitmap() {
-        let bm = Bitmap::new(0);
-        assert!(bm.is_empty());
-        assert_eq!(bm.iter_ones().count(), 0);
-    }
-
-    #[test]
-    fn set_get_clear_roundtrip() {
-        let mut bm = Bitmap::new(130);
-        for i in [0usize, 1, 63, 64, 65, 127, 128, 129] {
-            bm.set(i);
-            assert!(bm.get(i), "bit {i}");
-            bm.clear(i);
-            assert!(!bm.get(i), "bit {i}");
-        }
-    }
-
-    #[test]
-    fn try_set_semantics() {
-        let mut bm = Bitmap::new(8);
-        assert!(bm.try_set(3));
-        assert!(!bm.try_set(3));
-        assert!(bm.get(3));
-    }
-
-    #[test]
-    fn clear_all_resets() {
-        let mut bm = Bitmap::new(200);
-        for i in (0..200).step_by(3) {
-            bm.set(i);
-        }
-        bm.clear_all();
-        assert_eq!(bm.count_ones(), 0);
-    }
-
-    #[test]
-    fn iter_ones_yields_sorted_indices() {
-        let mut bm = Bitmap::new(300);
-        let expected = [0usize, 5, 63, 64, 128, 255, 299];
-        for &i in &expected {
-            bm.set(i);
-        }
-        let got: Vec<usize> = bm.iter_ones().collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn get_out_of_range_panics() {
-        let _ = Bitmap::new(10).get(10);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn set_out_of_range_panics() {
-        Bitmap::new(64).set(64);
-    }
-
-    #[test]
-    fn from_storage_works() {
-        let mut backing = vec![0u64; 4];
-        // SAFETY: `backing` outlives `bm`, is zeroed, and is not otherwise
-        // accessed while `bm` lives.
-        let mut bm = unsafe { Bitmap::from_storage(backing.as_mut_ptr(), 200) };
-        bm.set(150);
-        assert!(bm.get(150));
-        assert_eq!(bm.count_ones(), 1);
-        drop(bm);
-        assert_ne!(backing[2], 0, "bit 150 lives in word 2");
-    }
 
     #[test]
     fn slot_state_transitions() {
-        let map = SlotStateMap::new(100);
+        let map = <SlotStateMap>::new(100);
         assert_eq!(map.len(), 100);
         assert!(!map.is_empty());
         // Free → claim → Live.
@@ -726,7 +403,7 @@ mod tests {
 
     #[test]
     fn slot_state_counts_and_iteration() {
-        let map = SlotStateMap::new(130);
+        let map = <SlotStateMap>::new(130);
         for i in [0usize, 31, 32, 33, 129] {
             assert!(map.claim_live(i));
         }
@@ -744,10 +421,10 @@ mod tests {
 
     #[test]
     fn slot_state_map_over_raw_storage() {
-        let mut backing = vec![0u64; SlotStateMap::words_needed(100)];
+        let mut backing = vec![0u64; <SlotStateMap>::words_needed(100)];
         // SAFETY: `backing` outlives `map`, is zeroed, and is not otherwise
         // accessed while `map` lives.
-        let map = unsafe { SlotStateMap::from_storage(backing.as_mut_ptr(), 100) };
+        let map = unsafe { <SlotStateMap>::from_storage(backing.as_mut_ptr(), 100) };
         assert!(map.claim_live(40));
         assert!(map.is_live(40));
         assert_eq!(map.occupied_count(), 1);
@@ -758,7 +435,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn slot_state_map_out_of_range_panics() {
-        SlotStateMap::new(10).claim_live(10);
+        <SlotStateMap>::new(10).claim_live(10);
     }
 
     /// The targeted two-thread claim race: every round, both threads race a
@@ -769,7 +446,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering as O};
         use std::sync::{Arc, Barrier};
         const ROUNDS: usize = 2000;
-        let map = Arc::new(SlotStateMap::new(ROUNDS));
+        let map = Arc::new(<SlotStateMap>::new(ROUNDS));
         let barrier = Arc::new(Barrier::new(2));
         let wins = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
         std::thread::scope(|s| {
@@ -802,7 +479,7 @@ mod tests {
     fn free_vs_reserve_race_keeps_state_consistent() {
         use std::sync::{Arc, Barrier};
         const ROUNDS: usize = 2000;
-        let map = Arc::new(SlotStateMap::new(ROUNDS));
+        let map = Arc::new(<SlotStateMap>::new(ROUNDS));
         for slot in 0..ROUNDS {
             assert!(map.claim_live(slot));
         }
@@ -852,37 +529,5 @@ mod tests {
             }
             assert_eq!(map.occupied_count(), reserved);
         });
-    }
-
-    proptest! {
-        /// The bitmap behaves exactly like a set of indices.
-        #[test]
-        fn model_equivalence(ops in proptest::collection::vec((0usize..512, any::<bool>()), 1..300)) {
-            let mut bm = Bitmap::new(512);
-            let mut model: HashSet<usize> = HashSet::new();
-            for (idx, set) in ops {
-                if set {
-                    bm.set(idx);
-                    model.insert(idx);
-                } else {
-                    bm.clear(idx);
-                    model.remove(&idx);
-                }
-            }
-            prop_assert_eq!(bm.count_ones(), model.len());
-            let got: HashSet<usize> = bm.iter_ones().collect();
-            prop_assert_eq!(got, model);
-        }
-
-        #[test]
-        fn count_matches_individual_gets(idxs in proptest::collection::hash_set(0usize..256, 0..64)) {
-            let mut bm = Bitmap::new(256);
-            for &i in &idxs {
-                bm.set(i);
-            }
-            let by_get = (0..256).filter(|&i| bm.get(i)).count();
-            prop_assert_eq!(by_get, idxs.len());
-            prop_assert_eq!(bm.count_ones(), idxs.len());
-        }
     }
 }

@@ -7,11 +7,12 @@
 //! the real allocator maps them into an `mmap`ed region. Both therefore
 //! share one implementation of the paper's placement and validation logic.
 
+use crate::bitmap::SlotState;
 use crate::config::{ConfigError, FillPolicy, HeapConfig, HeapGeometry};
 use crate::partition::{AtomicPartition, Partition};
 use crate::rng::{stream_seed, Mwc};
 use crate::size_class::{SizeClass, NUM_CLASSES};
-use crate::sync::Word;
+use crate::sync::{Arm, Word};
 use core::sync::atomic::Ordering;
 
 /// A small-object allocation: its size class and slot index.
@@ -226,34 +227,18 @@ pub fn slot_at(geometry: &HeapGeometry, offset: usize) -> Option<Slot> {
 }
 
 /// Builds the twelve partition shards for `geometry`, each with its private
-/// RNG stream split from `seed` — the one definition of the partition
-/// layout, shared by [`HeapCore`] and
-/// [`ShardedHeap`](crate::sharded::ShardedHeap) so the two always produce
-/// identical placements for the same master seed.
+/// RNG stream `stream_seed(seed, class)` split from `seed` — the one
+/// definition of the partition layout, in whichever [`Arm`] the caller
+/// holds them, so [`HeapCore`] and
+/// [`ShardedHeap`](crate::sharded::ShardedHeap) always produce identical
+/// placements for the same master seed. Shards start at the geometry's
+/// *initial* capacity (== the maximum for fixed geometries) with their slot
+/// maps sized for the maximum, so elastic growth never relayouts.
 #[must_use]
-pub(crate) fn build_partitions(geometry: &HeapGeometry, seed: u64) -> [Partition; NUM_CLASSES] {
-    core::array::from_fn(|i| {
-        let c = SizeClass::from_index(i);
-        Partition::new(
-            c,
-            geometry.capacity(c),
-            geometry.threshold(c),
-            stream_seed(seed, i as u64),
-        )
-    })
-}
-
-/// As [`build_partitions`] but producing lock-free [`AtomicPartition`]
-/// shards. Each class's [`crate::rng::AtomicMwc`] is seeded from the same
-/// `stream_seed(seed, class)` as the locked builders, so serialized
-/// histories replay the locked layout bit for bit. Shards start at the
-/// geometry's *initial* capacity (== the maximum for fixed geometries) with
-/// their slot maps sized for the maximum, so elastic growth never relayouts.
-#[must_use]
-pub(crate) fn build_atomic_partitions(
+pub(crate) fn build_partitions<A: Arm>(
     geometry: &HeapGeometry,
     seed: u64,
-) -> [AtomicPartition; NUM_CLASSES] {
+) -> [AtomicPartition<A>; NUM_CLASSES] {
     core::array::from_fn(|i| {
         let c = SizeClass::from_index(i);
         AtomicPartition::new_elastic(
@@ -266,15 +251,15 @@ pub(crate) fn build_atomic_partitions(
     })
 }
 
-/// As [`build_atomic_partitions`], but carving the slot-state maps (two bits
-/// per slot, 32 slots per word) out of caller-provided storage.
+/// As [`build_partitions`] (`Shared` arm), but carving the slot-state maps
+/// (two bits per slot, 32 slots per word) out of caller-provided storage.
 ///
 /// # Safety
 ///
 /// `metadata_words` must point to at least
 /// [`ShardedHeap::bitmap_words_needed`](crate::sharded::ShardedHeap::bitmap_words_needed)
 /// zeroed `u64`s, valid and exclusively owned for the partitions' lifetime.
-pub(crate) unsafe fn build_atomic_partitions_from_storage(
+pub(crate) unsafe fn build_partitions_from_storage(
     geometry: &HeapGeometry,
     seed: u64,
     metadata_words: *mut u64,
@@ -296,7 +281,7 @@ pub(crate) unsafe fn build_atomic_partitions_from_storage(
                 cursor,
             )
         };
-        cursor = unsafe { cursor.add(AtomicPartition::words_needed(cap)) };
+        cursor = unsafe { cursor.add(<AtomicPartition>::words_needed(cap)) };
         p
     })
 }
@@ -327,7 +312,20 @@ pub fn locate_free(geometry: &HeapGeometry, offset: usize) -> Result<Slot, FreeO
     })
 }
 
-/// The randomized small-object heap core.
+/// The start the §9 adaptive experiments give [`HeapCore::new_elastic`]:
+/// every region begins at `1/2^6 = 1/64` of its maximum capacity.
+pub const DEFAULT_INITIAL_FRACTION_LOG2: u32 = 6;
+
+/// The randomized small-object heap core: the single-owner (`&mut`) facade
+/// the simulator and the Monte Carlo harnesses drive. Its twelve regions are
+/// [`Partition`]s — the probe loop, ticket and slot transitions
+/// `libdiehard.so` runs, in their plain arm — so the type is `Send` but not
+/// `Sync`, and sharing one between threads does not compile:
+///
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<diehard_core::engine::HeapCore>();
+/// ```
 ///
 /// # Examples
 ///
@@ -349,25 +347,65 @@ pub struct HeapCore {
     rng: Mwc,
     partitions: [Partition; NUM_CLASSES],
     /// Plain counters: the facade's mutating API is exclusively `&mut
-    /// self`, so the single-threaded hot paths pay no atomic RMW cost
-    /// (the sharded heap uses [`AtomicHeapStats`] instead).
+    /// self` (the sharded heap uses [`AtomicHeapStats`] instead).
     stats: HeapStats,
+    /// Completed per-class doublings (elastic heaps; 0 on fixed ones).
+    growths: u64,
 }
 
 impl HeapCore {
-    /// Creates an empty heap with the given configuration and RNG seed.
+    /// Creates an empty fixed-size heap with the given configuration and
+    /// RNG seed.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the configuration is invalid.
     pub fn new(config: HeapConfig, seed: u64) -> Result<Self, ConfigError> {
-        let geometry = HeapGeometry::new(config)?;
+        Self::new_elastic(config, seed, 0)
+    }
+
+    /// Creates an empty *elastic* heap — the paper's §9 "adaptive version of
+    /// DieHard that grows memory regions dynamically as objects are
+    /// allocated", with the geometry the concurrent heaps ship: each class
+    /// starts at `1 / 2^initial_fraction_log2` of its maximum capacity
+    /// (a power of two that keeps the `1/M` threshold ≥ 1; `0` is the fixed
+    /// heap) and doubles when an allocation finds it at its cap, until the
+    /// maximum. Regions are laid out at their maximum spacing, so growth
+    /// moves no object, changes no offset and draws no random number: only
+    /// the probing range — and with it §3's protection, which scales with
+    /// the *current* region size — changes. Histories are bit-identical to
+    /// an elastic [`ShardedHeap`](crate::sharded::ShardedHeap) of the same
+    /// seed and fraction.
+    ///
+    /// ```
+    /// use diehard_core::{config::HeapConfig, engine::*, size_class::SizeClass};
+    ///
+    /// let mut heap = HeapCore::new_elastic(HeapConfig::default(), 7, DEFAULT_INITIAL_FRACTION_LOG2)?;
+    /// let class = SizeClass::from_index(0);
+    /// let before = heap.partition(class).capacity();
+    /// for _ in 0..before {
+    ///     heap.alloc(8);
+    /// }
+    /// assert!(heap.partition(class).capacity() > before, "region grew under pressure");
+    /// # Ok::<(), diehard_core::config::ConfigError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] when the configuration is invalid.
+    pub fn new_elastic(
+        config: HeapConfig,
+        seed: u64,
+        initial_fraction_log2: u32,
+    ) -> Result<Self, ConfigError> {
+        let geometry = HeapGeometry::new_elastic(config, initial_fraction_log2)?;
         let partitions = build_partitions(&geometry, seed);
         Ok(Self {
             geometry,
             rng: Mwc::seeded(seed),
             partitions,
             stats: HeapStats::default(),
+            growths: 0,
         })
     }
 
@@ -408,21 +446,31 @@ impl HeapCore {
         &self.partitions[class.index()]
     }
 
+    /// Number of completed per-class doublings since construction.
+    #[must_use]
+    pub fn growth_events(&self) -> u64 {
+        self.growths
+    }
+
     /// Allocates `size` bytes, returning the chosen slot, or `None` when the
     /// request is zero, larger than 16 KB (large-object path), or the class
-    /// region is at its `1/M` cap (the paper returns `NULL`).
+    /// region is at its `1/M` cap (the paper returns `NULL`) — on an elastic
+    /// heap, at the cap of its *maximum* capacity: a denial below it doubles
+    /// the region and retries.
     #[inline]
     pub fn alloc(&mut self, size: usize) -> Option<Slot> {
         let class = SizeClass::for_size(size)?;
-        match self.partitions[class.index()].alloc() {
-            Some(index) => {
+        let partition = &self.partitions[class.index()];
+        loop {
+            if let Some(index) = partition.alloc() {
                 self.stats.allocs += 1;
-                Some(Slot { class, index })
+                return Some(Slot { class, index });
             }
-            None => {
+            if !partition.double(self.geometry.config()) {
                 self.stats.exhausted += 1;
-                None
+                return None;
             }
+            self.growths += 1;
         }
     }
 
@@ -459,7 +507,7 @@ impl HeapCore {
                 return outcome;
             }
         };
-        if self.partitions[slot.class.index()].free(slot.index) {
+        if self.partitions[slot.class.index()].free(slot.index) == SlotState::Live {
             self.stats.frees += 1;
             FreeOutcome::Freed(slot)
         } else {
@@ -686,6 +734,110 @@ mod tests {
         assert_eq!(got, expect);
     }
 
+    // ---- elastic heaps (§9's adaptive variant) ---------------------------
+
+    fn elastic_with(config: HeapConfig, seed: u64) -> HeapCore {
+        HeapCore::new_elastic(config, seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap()
+    }
+
+    fn elastic(seed: u64) -> HeapCore {
+        elastic_with(HeapConfig::default(), seed)
+    }
+
+    #[test]
+    fn starts_small() {
+        let h = elastic(1);
+        let c0 = SizeClass::from_index(0);
+        assert_eq!(h.partition(c0).capacity(), h.config().capacity(c0) / 64);
+        let committed_bytes: usize = SizeClass::all()
+            .map(|c| h.partition(c).capacity() * c.object_size())
+            .sum();
+        assert!(committed_bytes < HeapConfig::default().heap_span() / 16);
+    }
+
+    #[test]
+    fn start_capacities_are_pow2_for_the_shift_draw() {
+        // A non-dyadic multiplier used to produce non-pow2 starts (e.g. a
+        // minimum of 3 slots), dropping those partitions onto the slower
+        // `below` fallback draw. Every start — and therefore every doubling
+        // of it — must be a power of two.
+        for cfg in [
+            HeapConfig::default(),
+            HeapConfig::default().with_multiplier(3.0),
+            HeapConfig::default().with_multiplier(4.0 / 3.0),
+        ] {
+            let h = elastic_with(cfg, 9);
+            for c in SizeClass::all() {
+                let start = h.partition(c).capacity();
+                assert!(
+                    start.is_power_of_two(),
+                    "class {} starts at {start}",
+                    c.index()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grows_under_pressure_and_addresses_stay_valid() {
+        let mut h = elastic(2);
+        let c0 = SizeClass::from_index(0);
+        let start = h.partition(c0).capacity();
+        let mut offsets = Vec::new();
+        for _ in 0..start * 2 {
+            let slot = h.alloc(8).expect("an elastic heap must grow, not fail");
+            offsets.push(h.offset_of(slot));
+        }
+        assert!(h.partition(c0).capacity() > start);
+        assert!(h.growth_events() > 0);
+        assert_eq!(h.stats().exhausted, 0, "growth denials are not exhaustion");
+        // All earlier offsets still free correctly after growth.
+        for off in offsets {
+            assert!(h.free_at(off).freed(), "offset {off} should still be live");
+        }
+        assert_eq!(h.live_objects(), 0);
+    }
+
+    #[test]
+    fn growth_capped_at_configured_maximum() {
+        let cfg = HeapConfig::default().with_region_bytes(64 * 1024);
+        let mut h = elastic_with(cfg.clone(), 3);
+        let c11 = SizeClass::from_index(11); // 16 KB: max capacity 4
+        let max_cap = cfg.capacity(c11);
+        let got = (0..max_cap + 4)
+            .filter(|_| h.alloc(16 * 1024).is_some())
+            .count();
+        assert_eq!(h.partition(c11).capacity(), max_cap);
+        assert_eq!(got, cfg.threshold(c11), "serves exactly the 1/M cap");
+        assert_eq!(h.stats().exhausted, (max_cap + 4 - got) as u64);
+        assert_eq!(HeapCore::new(cfg, 3).unwrap().growth_events(), 0);
+    }
+
+    #[test]
+    fn double_free_ignored() {
+        let mut h = elastic(4);
+        let slot = h.alloc(64).unwrap();
+        let off = h.offset_of(slot);
+        assert!(h.free_at(off).freed());
+        assert_eq!(h.free_at(off), FreeOutcome::NotAllocated);
+        // A slot beyond the active range is inside the map, and free.
+        let beyond = h.offset_of(Slot {
+            class: slot.class,
+            index: h.partition(slot.class).capacity(),
+        });
+        assert_eq!(h.free_at(beyond), FreeOutcome::NotAllocated);
+    }
+
+    #[test]
+    fn offsets_disjoint_from_other_classes() {
+        let mut h = elastic(5);
+        let a = h.alloc(8).unwrap();
+        let b = h.alloc(16 * 1024).unwrap();
+        let (oa, ob) = (h.offset_of(a), h.offset_of(b));
+        assert!(oa < h.config().region_bytes);
+        assert!(ob >= 11 * h.config().region_bytes);
+    }
+
     proptest! {
         /// Any interleaving of allocs and (valid or bogus) frees keeps the
         /// engine consistent with a shadow model keyed by offset.
@@ -802,6 +954,32 @@ mod tests {
             intervals.sort_unstable();
             for w in intervals.windows(2) {
                 prop_assert!(w[0].1 <= w[1].0, "overlap: {:?} vs {:?}", w[0], w[1]);
+            }
+        }
+
+        /// Under arbitrary alloc/free interleavings an elastic heap never
+        /// hands out overlapping objects, even across growth events.
+        #[test]
+        fn no_overlap_across_growth(
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((any::<bool>(), 1usize..512), 1..300),
+        ) {
+            let mut h = elastic(seed);
+            let mut live: Vec<(usize, usize)> = Vec::new(); // (offset, size)
+            let mut rng = Mwc::seeded(seed);
+            for (do_alloc, sz) in ops {
+                if do_alloc || live.is_empty() {
+                    if let Some(slot) = h.alloc(sz) {
+                        let off = h.offset_of(slot);
+                        for &(o, s) in &live {
+                            prop_assert!(off + slot.size() <= o || o + s <= off, "overlap at {off}");
+                        }
+                        live.push((off, slot.size()));
+                    }
+                } else {
+                    let (off, _) = live.swap_remove(rng.below(live.len()));
+                    prop_assert!(h.free_at(off).freed());
+                }
             }
         }
     }

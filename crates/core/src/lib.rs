@@ -17,17 +17,21 @@
 //! ## Layout of this crate
 //!
 //! * [`rng`] — Marsaglia multiply-with-carry generator (§4.1).
-//! * [`bitmap`] — one-bit-per-object allocation bitmaps (§4.1).
+//! * [`bitmap`] — the slot-state maps: §4.1's allocation bitmap, two bits
+//!   per object.
 //! * [`size_class`] — the twelve 8 B…16 KB classes (§4.1).
-//! * [`partition`] — per-class random probing and the `1/M` cap (§4.2).
+//! * [`partition`] — per-class random probing and the `1/M` cap (§4.2):
+//!   one implementation, instantiated for shared and for single-owner use.
 //! * [`engine`] — [`engine::HeapCore`], `DieHardMalloc`/`DieHardFree` over
-//!   abstract byte offsets, shared by the simulated and real heaps.
+//!   abstract byte offsets, shared by the simulated and real heaps; elastic
+//!   on request (the adaptive-growth variant from future work, §9).
 //! * [`large`] — the large-object validity table (§4.1–4.3).
 //! * [`safe_str`] — heap-bounded `strcpy`/`strncpy` (§4.4).
 //! * [`env`] — audited parsing for the `DIEHARD_*` environment knobs.
 //! * [`analysis`] — Theorems 1–3 and the expectation formulas (§3.1, §6).
-//! * [`adaptive`] — the adaptive-growth variant from future work (§9).
-//! * [`sync`] — allocation-free [`sync::SpinLock`] and [`sync::OnceCell`].
+//! * [`sync`] — allocation-free [`sync::SpinLock`] and [`sync::OnceCell`],
+//!   and [`sync::Word`], whose [`sync::Arm`] decides how every partition
+//!   built from it updates its state.
 //! * [`sharded`] — [`sharded::ShardedHeap`], the thread-safe heap with one
 //!   lock per size class (concurrent allocations in different classes never
 //!   contend).
@@ -58,7 +62,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod analysis;
 pub mod bitmap;
 pub mod config;
@@ -91,7 +94,7 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<crate::engine::HeapCore>();
         assert_send::<crate::rng::Mwc>();
-        assert_send::<crate::bitmap::Bitmap>();
+        assert_send::<crate::partition::Partition>();
         assert_send::<crate::large::LargeTable>();
     }
 
@@ -99,6 +102,7 @@ mod tests {
     fn sharded_heap_is_sync() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<crate::sharded::ShardedHeap>();
+        assert_sync::<crate::partition::AtomicPartition>();
         assert_sync::<crate::engine::AtomicHeapStats>();
         assert_sync::<crate::sync::SpinLock<u64>>();
     }

@@ -1,46 +1,37 @@
-//! A single size-class region: bitmap, fullness accounting, random probing.
+//! A single size-class region: slot map, fullness accounting, random probing.
 //!
 //! Implements the per-region half of `DieHardMalloc`/`DieHardFree`
 //! (Figure 2 of the paper): hash-table-style probing for a free slot,
-//! the `1/M` fullness threshold, and the allocated-bit bookkeeping.
+//! the `1/M` fullness threshold, and the allocated-bit bookkeeping — once.
+//! [`AtomicPartition`] is the one implementation and its [`Arm`] parameter
+//! ([`crate::sync`]) says how its words are updated: `Shared`, the default,
+//! is the shard behind [`crate::sharded::ShardedHeap`] and everything that
+//! ships; [`Partition`] names the `Plain` instantiation that
+//! [`crate::engine::HeapCore`] and the Monte Carlo harnesses own outright.
 //!
-//! Each partition owns its own [`Mwc`] stream, so a partition is a complete,
+//! Each partition owns its own MWC stream, so a partition is a complete,
 //! independently-lockable *shard* of the heap: no shared RNG (or any other
-//! shared mutable state) couples allocations in different size classes.
+//! shared mutable state) couples allocations in different size classes. It
+//! works purely in slot indices; converting indices to byte offsets (or
+//! machine pointers) is the enclosing heap's job, so the simulated heap and
+//! the real `mmap`-backed heap share the exact same placement logic.
 
-use crate::bitmap::{Bitmap, SlotState, SlotStateMap};
-use crate::rng::{AtomicMwc, Mwc};
+use crate::bitmap::{SlotState, SlotStateMap};
+use crate::config::HeapConfig;
+use crate::rng::AtomicMwc;
 use crate::size_class::SizeClass;
-use crate::sync::Word;
+use crate::sync::{Arm, Plain, Shared, Word};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// One size-class region of the DieHard heap.
+/// The single-owner partition: [`AtomicPartition`] with every update a plain
+/// load and store. `Send` but not `Sync` — sharing one between threads does
+/// not compile:
 ///
-/// The partition works purely in slot indices; converting indices to byte
-/// offsets (or machine pointers) is the enclosing heap's job. This lets the
-/// simulated heap and the real `mmap`-backed heap share the exact same
-/// placement logic.
-#[derive(Debug)]
-pub struct Partition {
-    class: SizeClass,
-    bitmap: Bitmap,
-    capacity: usize,
-    threshold: usize,
-    in_use: usize,
-    rng: Mwc,
-    /// `64 - log2(capacity)` when the capacity is a power of two (every
-    /// region the heap geometry builds): a probe index is then drawn as
-    /// `next_u64() >> draw_shift`, which is **bit-identical** to the
-    /// widening-multiply [`Mwc::below`] for a power-of-two bound —
-    /// `(r * 2^k) >> 64 == r >> (64 - k)` — but costs a shift instead of a
-    /// 128-bit multiply. `0` means the capacity is not a power of two (the
-    /// adaptive variant's odd start sizes) and probes fall back to `below`.
-    draw_shift: u32,
-    /// Total probes performed by `alloc`, for validating the paper's
-    /// E[probes] = 1/(1 - 1/M) claim (§4.2).
-    probes: u64,
-    allocs: u64,
-}
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<diehard_core::partition::Partition>();
+/// ```
+pub type Partition = AtomicPartition<Plain>;
 
 /// The strength-reduced draw shift for `capacity`, or the `0` sentinel when
 /// only the general widening-multiply draw is exact.
@@ -54,197 +45,20 @@ fn draw_shift_for(capacity: usize) -> u32 {
     }
 }
 
-impl Partition {
-    /// Creates an empty partition with `capacity` slots of which at most
-    /// `threshold` may be live at once, probing with its own RNG stream
-    /// seeded from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold > capacity` or `capacity == 0`.
-    #[must_use]
-    pub fn new(class: SizeClass, capacity: usize, threshold: usize, seed: u64) -> Self {
-        assert!(capacity > 0, "partition capacity must be positive");
-        assert!(
-            threshold <= capacity,
-            "threshold {threshold} exceeds capacity {capacity}"
-        );
-        Self {
-            class,
-            bitmap: Bitmap::new(capacity),
-            capacity,
-            threshold,
-            in_use: 0,
-            rng: Mwc::seeded(seed),
-            draw_shift: draw_shift_for(capacity),
-            probes: 0,
-            allocs: 0,
-        }
-    }
-
-    /// The size class this partition serves.
-    #[must_use]
-    pub fn class(&self) -> SizeClass {
-        self.class
-    }
-
-    /// Total slots in the region.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Maximum simultaneously-live slots (`capacity / M`).
-    #[must_use]
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
-    /// Currently live slots (the paper's `inUse[c]`).
-    #[must_use]
-    #[inline]
-    pub fn in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Fraction of the region currently live.
-    #[must_use]
-    pub fn fullness(&self) -> f64 {
-        self.in_use as f64 / self.capacity as f64
-    }
-
-    /// `true` when the region has hit its `1/M` cap.
-    #[must_use]
-    #[inline]
-    pub fn at_threshold(&self) -> bool {
-        self.in_use >= self.threshold
-    }
-
-    /// Picks a uniformly random free slot, marks it live, and returns its
-    /// index; `None` when the region is at its threshold (the paper returns
-    /// `NULL` here — "At threshold: no more memory").
-    ///
-    /// Probing repeats until an empty slot is found, exactly like probing an
-    /// open hash table (§4.2). Because at most `1/M` of the region is ever
-    /// live, the expected probe count is `1/(1 - 1/M)`. Indices are drawn
-    /// from the partition's private RNG stream.
-    #[inline]
-    pub fn alloc(&mut self) -> Option<usize> {
-        if self.at_threshold() {
-            return None;
-        }
-        self.allocs += 1;
-        loop {
-            self.probes += 1;
-            // Power-of-two capacities (every geometry-built region) draw
-            // with one shift; the result is bit-identical to `below`, so
-            // placement sequences are stable across the two paths.
-            let index = if self.draw_shift != 0 {
-                (self.rng.next_u64() >> self.draw_shift) as usize
-            } else {
-                self.rng.below(self.capacity)
-            };
-            if self.bitmap.try_set(index) {
-                self.in_use += 1;
-                return Some(index);
-            }
-        }
-    }
-
-    /// Frees `index` if it is currently live; returns `false` (ignoring the
-    /// request, §4.3) when the slot is already free — a double or invalid
-    /// free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity` — the enclosing heap validates range
-    /// and alignment before calling in, so this indicates a heap bug.
-    #[inline]
-    pub fn free(&mut self, index: usize) -> bool {
-        if self.bitmap.get(index) {
-            self.bitmap.clear(index);
-            self.in_use -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether `index` is currently live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity`.
-    #[must_use]
-    #[inline]
-    pub fn is_live(&self, index: usize) -> bool {
-        self.bitmap.get(index)
-    }
-
-    /// Iterates over the indices of live slots.
-    pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bitmap.iter_ones()
-    }
-
-    /// Mean number of free slots between consecutive live slots, used to
-    /// check the paper's E[minimum separation] = M − 1 claim (§3.1).
-    /// Returns `None` with fewer than two live slots.
-    #[must_use]
-    pub fn mean_live_gap(&self) -> Option<f64> {
-        let live: Vec<usize> = self.bitmap.iter_ones().collect();
-        if live.len() < 2 {
-            return None;
-        }
-        let gaps: usize = live.windows(2).map(|w| w[1] - w[0] - 1).sum();
-        Some(gaps as f64 / (live.len() - 1) as f64)
-    }
-
-    /// Lifetime probe statistics: `(allocations, total probes)`.
-    #[must_use]
-    pub fn probe_stats(&self) -> (u64, u64) {
-        (self.allocs, self.probes)
-    }
-
-    /// Grows the region's slot count to `new_capacity`, rescaling the
-    /// threshold proportionally. Supports the adaptive variant sketched in
-    /// the paper's future work (§9). Existing live slots keep their indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_capacity < capacity`.
-    pub fn grow(&mut self, new_capacity: usize, new_threshold: usize) {
-        assert!(
-            new_capacity >= self.capacity,
-            "cannot shrink partition from {} to {new_capacity}",
-            self.capacity
-        );
-        assert!(new_threshold <= new_capacity);
-        let mut bigger = Bitmap::new(new_capacity);
-        for idx in self.bitmap.iter_ones() {
-            bigger.set(idx);
-        }
-        self.bitmap = bigger;
-        self.capacity = new_capacity;
-        self.threshold = new_threshold;
-        self.draw_shift = draw_shift_for(new_capacity);
-    }
-}
-
-/// A lock-free [`Partition`]: the same size-class region, probed and claimed
-/// entirely with atomics so allocation and free never take a lock.
+/// One size-class region of the DieHard heap, probed and claimed entirely
+/// through [`Word`] updates so allocation and free never take a lock.
 ///
-/// This is the per-shard type behind [`crate::sharded::ShardedHeap`]'s fast
-/// path. Slot state lives in a paired-bit [`SlotStateMap`], probe indices
-/// come from a CAS-advanced [`AtomicMwc`] on the same stream a locked
-/// [`Partition`] would draw, and the `1/M` cap is enforced by a ticket on an
-/// atomic `in_use` counter. Every update of those three, and of the probe
-/// counter, is a [`Word`] update: a locked RMW, or load + store while the
-/// process has one thread ([`crate::sync`]) — same draws, same outcomes,
-/// same order in either arm. The determinism contract:
+/// Slot state lives in a paired-bit [`SlotStateMap`], probe indices come
+/// from a CAS-advanced [`AtomicMwc`], and the `1/M` cap is enforced by a
+/// ticket on an `in_use` counter. Every update of those three, and of the
+/// probe counter, is a [`Word`] update in the partition's [`Arm`]: for
+/// `Shared` a locked RMW, or load + store while the process has one thread;
+/// for `Plain` ([`Partition`]) always load + store ([`crate::sync`]) — same
+/// draws, same outcomes, same order in every arm. The determinism contract:
 ///
-/// * **Single-threaded alloc-only sequences are bit-identical to
-///   [`Partition`]** for the same seed — the RNG stream, the shift draw, and
-///   the win/lose outcome of each claim are all the same.
+/// * **Single-threaded histories are bit-identical across arms** for the
+///   same seed — the RNG stream, the shift draw, and the win/lose outcome of
+///   each claim are all the same.
 /// * **Under contention the placement *sequence* may diverge** from any
 ///   serial execution (two threads' draws interleave one RNG stream, and a
 ///   lost claim redraws), but every placement is still a uniformly random
@@ -252,10 +66,9 @@ impl Partition {
 ///   contended-retry divergence rule: determinism is per-thread-serialized
 ///   history, not cross-thread.
 ///
-/// Probe accounting matches the locked path exactly: one RNG draw is one
-/// probe, whether the claim then loses to an already-occupied slot (locked
-/// path: `try_set` false) or to a racing claimant (CAS path only). Both
-/// show up identically in `probe_stats`, keeping the §4.2
+/// Probe accounting: one RNG draw is one probe, whether the claim then
+/// loses to an already-occupied slot or to a racing claimant. Both show up
+/// identically in `probe_stats`, keeping the §4.2
 /// E[probes] = 1/(1 − 1/M) assertions honest.
 ///
 /// # Why the probe loop terminates
@@ -287,11 +100,11 @@ impl Partition {
 ///   allocation counter advance in **one** `add` (the ROADMAP's one-RMW
 ///   dial; the alloc counter narrows to 32 bits, wrapping mod 2³²).
 #[derive(Debug)]
-pub struct AtomicPartition {
+pub struct AtomicPartition<A: Arm = Shared> {
     class: SizeClass,
     /// Slot states for the *maximum* capacity: growth never moves a slot,
     /// so indices, offsets, and live state are stable across doublings.
-    map: SlotStateMap,
+    map: SlotStateMap<A>,
     max_capacity: usize,
     /// Currently active slot count (≤ `max_capacity`); written only under
     /// the enclosing heap's maintenance lock, read lock-free.
@@ -299,15 +112,15 @@ pub struct AtomicPartition {
     /// Packed `draw_shift << 58 | threshold`; see the type docs.
     active: AtomicU64,
     /// Packed `allocs << 32 | in_use`. The low half is the occupancy
-    /// *ticket*: alloc adds [`TICKET`] (one RMW bumps both halves) before
+    /// *ticket*: alloc adds one to each half (in one RMW) before
     /// claiming a slot and backs the whole ticket out on denial, free
     /// decrements the low half after releasing a slot — so `in_use`
     /// transiently overcounts, never undercounts, real occupancy. The
     /// conservative direction: the `1/M` cap can deny an allocation a racing
     /// free was about to make room for, but can never admit one past the cap.
-    tickets: Word,
-    rng: AtomicMwc,
-    probes: Word,
+    tickets: Word<A>,
+    rng: AtomicMwc<A>,
+    probes: Word<A>,
 }
 
 /// Bit position of the packed draw shift inside `active`.
@@ -318,8 +131,6 @@ const ACTIVE_THRESHOLD_MASK: u64 = (1 << ACTIVE_SHIFT_BITS) - 1;
 const TICKET_ALLOC_SHIFT: u32 = 32;
 /// Low 32 bits of `tickets`: the occupancy ticket (`in_use`).
 const TICKET_IN_USE_MASK: u64 = u32::MAX as u64;
-/// One allocation ticket: bumps `in_use` and `allocs` in a single RMW.
-const TICKET: u64 = 1 | (1 << TICKET_ALLOC_SHIFT);
 
 /// Packs a draw shift and threshold into one `active` word.
 #[inline]
@@ -327,9 +138,10 @@ fn pack_active(draw_shift: u32, threshold: usize) -> u64 {
     ((draw_shift as u64) << ACTIVE_SHIFT_BITS) | threshold as u64
 }
 
-impl AtomicPartition {
-    /// Creates an empty lock-free partition; same parameters and panics as
-    /// [`Partition::new`]. The partition is *fixed-size*: it never grows.
+impl<A: Arm> AtomicPartition<A> {
+    /// Creates an empty partition with `capacity` slots of which at most
+    /// `threshold` may be occupied at once, probing with its own RNG stream
+    /// seeded from `seed`. The partition is *fixed-size*: it never grows.
     ///
     /// # Panics
     ///
@@ -357,19 +169,8 @@ impl AtomicPartition {
         seed: u64,
     ) -> Self {
         Self::check_geometry(max_capacity, initial_capacity, initial_threshold);
-        Self {
-            class,
-            map: SlotStateMap::new(max_capacity),
-            max_capacity,
-            capacity: AtomicUsize::new(initial_capacity),
-            active: AtomicU64::new(pack_active(
-                draw_shift_for(initial_capacity),
-                initial_threshold,
-            )),
-            tickets: Word::new(0),
-            rng: AtomicMwc::seeded(seed),
-            probes: Word::new(0),
-        }
+        let map = SlotStateMap::new(max_capacity);
+        Self::over(class, map, initial_capacity, initial_threshold, seed)
     }
 
     /// As [`new_elastic`](Self::new_elastic) but over caller-provided zeroed
@@ -390,11 +191,24 @@ impl AtomicPartition {
         words: *mut u64,
     ) -> Self {
         Self::check_geometry(max_capacity, initial_capacity, initial_threshold);
+        // SAFETY: forwarded caller contract.
+        let map = unsafe { SlotStateMap::from_storage(words, max_capacity) };
+        Self::over(class, map, initial_capacity, initial_threshold, seed)
+    }
+
+    /// An empty partition over `map`, whose length is the (checked) maximum
+    /// capacity.
+    fn over(
+        class: SizeClass,
+        map: SlotStateMap<A>,
+        initial_capacity: usize,
+        initial_threshold: usize,
+        seed: u64,
+    ) -> Self {
         Self {
             class,
-            // SAFETY: forwarded caller contract.
-            map: unsafe { SlotStateMap::from_storage(words, max_capacity) },
-            max_capacity,
+            max_capacity: map.len(),
+            map,
             capacity: AtomicUsize::new(initial_capacity),
             active: AtomicU64::new(pack_active(
                 draw_shift_for(initial_capacity),
@@ -427,7 +241,7 @@ impl AtomicPartition {
     /// *maximum* capacity.
     #[must_use]
     pub const fn words_needed(capacity: usize) -> usize {
-        SlotStateMap::words_needed(capacity)
+        SlotStateMap::<A>::words_needed(capacity)
     }
 
     /// Publishes a larger active capacity and threshold, lock-free for
@@ -465,6 +279,22 @@ impl AtomicPartition {
             pack_active(draw_shift_for(new_capacity), new_threshold),
             Ordering::Relaxed,
         );
+    }
+
+    /// The one growth step every elastic heap takes when this partition
+    /// denies at its `1/M` cap: double the active capacity (never past the
+    /// maximum) and give it `config`'s exact-integer `1/M` threshold for the
+    /// new size, at least 1. Draws nothing and moves nothing; same writer
+    /// rule as [`grow_to`](Self::grow_to). `false`, and nothing changes,
+    /// when the partition is already at its maximum.
+    pub fn double(&self, config: &HeapConfig) -> bool {
+        let capacity = self.capacity();
+        if capacity >= self.max_capacity {
+            return false;
+        }
+        let new_capacity = (capacity * 2).min(self.max_capacity);
+        self.grow_to(new_capacity, config.threshold_for(new_capacity).max(1));
+        true
     }
 
     /// The size class this partition serves.
@@ -527,18 +357,29 @@ impl AtomicPartition {
         }
     }
 
-    /// Takes a ticket against the `1/M` cap; `false` means at-threshold and
-    /// the ticket was returned. One `add` advances both the occupancy
-    /// ticket and the telemetry alloc counter; denial backs both out.
+    /// The ticket: takes up to `want` of them against the `1/M` cap and
+    /// returns how many were granted (0 = at threshold). One `add` advances
+    /// the occupancy ticket *and* the telemetry alloc counter for the whole
+    /// request; the ungranted part of both goes back in one `sub`, which
+    /// nets `allocs += granted`, exactly as sequential tickets would.
     #[inline]
-    fn take_ticket(&self) -> bool {
+    fn take_tickets(&self, want: usize) -> usize {
         let threshold = (self.active.load(Ordering::Relaxed) & ACTIVE_THRESHOLD_MASK) as usize;
-        let prev = self.tickets.add(TICKET, Ordering::Relaxed);
-        if (prev & TICKET_IN_USE_MASK) as usize >= threshold {
-            self.tickets.sub(TICKET, Ordering::Relaxed);
-            return false;
+        let bulk = ((want as u64) << TICKET_ALLOC_SHIFT) | want as u64;
+        let prev = (self.tickets.add(bulk, Ordering::Relaxed) & TICKET_IN_USE_MASK) as usize;
+        let granted = if prev >= threshold {
+            0
+        } else {
+            want.min(threshold - prev)
+        };
+        if granted < want {
+            let ungranted = (want - granted) as u64;
+            self.tickets.sub(
+                (ungranted << TICKET_ALLOC_SHIFT) | ungranted,
+                Ordering::Relaxed,
+            );
         }
-        true
+        granted
     }
 
     /// The lock-free `DieHardMalloc` fast path: take a ticket, then probe
@@ -560,9 +401,19 @@ impl AtomicPartition {
 
     #[inline]
     fn probe_claim(&self, claim: impl Fn(usize) -> bool) -> Option<usize> {
-        if !self.take_ticket() {
+        if self.take_tickets(1) == 0 {
             return None;
         }
+        let (index, probes) = self.probe(claim);
+        // One deferred add per allocation, not per probe.
+        self.probes.add(probes, Ordering::Relaxed);
+        Some(index)
+    }
+
+    /// The probe loop, for a caller that holds a ticket: draws until
+    /// `claim` wins a slot, and returns it with the number of draws taken.
+    #[inline]
+    fn probe(&self, claim: impl Fn(usize) -> bool) -> (usize, u64) {
         let mut probes = 0u64;
         loop {
             probes += 1;
@@ -574,10 +425,7 @@ impl AtomicPartition {
             // word — determinism is untouched.
             let index = self.draw(self.active.load(Ordering::Relaxed));
             if claim(index) {
-                // One deferred add per allocation, not per probe: same
-                // totals as the locked path's per-probe increment.
-                self.probes.add(probes, Ordering::Relaxed);
-                return Some(index);
+                return (index, probes);
             }
         }
     }
@@ -594,41 +442,18 @@ impl AtomicPartition {
     /// many slots were reserved (0 at the cap); `out[..n]` holds them in
     /// draw order.
     pub fn reserve_batch(&self, out: &mut [usize]) -> usize {
-        let want = out.len();
-        if want == 0 {
+        if out.is_empty() {
             return 0;
         }
-        let threshold = (self.active.load(Ordering::Relaxed) & ACTIVE_THRESHOLD_MASK) as usize;
-        // One bulk ticket covers the batch's occupancy *and* its alloc
-        // telemetry; returning the ungranted part of both in one RMW nets
-        // `allocs += granted`, exactly as sequential tickets would.
-        let bulk = ((want as u64) << TICKET_ALLOC_SHIFT) | want as u64;
-        let prev = (self.tickets.add(bulk, Ordering::Relaxed) & TICKET_IN_USE_MASK) as usize;
-        let granted = if prev >= threshold {
-            0
-        } else {
-            want.min(threshold - prev)
-        };
-        if granted < want {
-            let ungranted = (want - granted) as u64;
-            self.tickets.sub(
-                (ungranted << TICKET_ALLOC_SHIFT) | ungranted,
-                Ordering::Relaxed,
-            );
-        }
+        let granted = self.take_tickets(out.len());
         if granted == 0 {
             return 0;
         }
         let mut probes = 0u64;
         for slot in &mut out[..granted] {
-            loop {
-                probes += 1;
-                let index = self.draw(self.active.load(Ordering::Relaxed));
-                if self.map.reserve(index) {
-                    *slot = index;
-                    break;
-                }
-            }
+            let (index, draws) = self.probe(|index| self.map.reserve(index));
+            *slot = index;
+            probes += draws;
         }
         self.probes.add(probes, Ordering::Relaxed);
         granted
@@ -724,8 +549,7 @@ impl AtomicPartition {
     }
 
     /// Iterates the indices of occupied slots (live or reserved) — the
-    /// placement set the separation statistics are computed over, matching
-    /// the locked stack where reservations also set the partition bit.
+    /// placement set the separation statistics are computed over.
     pub fn occupied_slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.map.iter_occupied()
     }
@@ -741,10 +565,10 @@ impl AtomicPartition {
         self.map.reserved_count()
     }
 
-    /// Mean free gap between consecutive occupied slots; see
-    /// [`Partition::mean_live_gap`]. Computed over occupied slots so the
-    /// statistic is unchanged from the locked stack (where a reservation
-    /// also set the placement bit).
+    /// Mean number of free slots between consecutive occupied slots, used to
+    /// check the paper's E[minimum separation] = M − 1 claim (§3.1). `None`
+    /// with fewer than two. Computed over occupied slots: a magazine
+    /// reservation is a placement too.
     #[must_use]
     pub fn mean_live_gap(&self) -> Option<f64> {
         let occupied: Vec<usize> = self.map.iter_occupied().collect();
@@ -772,9 +596,12 @@ impl AtomicPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Mwc;
     use proptest::prelude::*;
     use std::collections::HashSet;
 
+    /// The single-owner tests below run the `Plain` arm: the code the
+    /// simulator runs, which nothing else under the (threaded) harness does.
     fn part_seeded(cap: usize, thresh: usize, seed: u64) -> Partition {
         Partition::new(SizeClass::from_index(0), cap, thresh, seed)
     }
@@ -785,7 +612,7 @@ mod tests {
 
     #[test]
     fn alloc_until_threshold() {
-        let mut p = part_seeded(64, 32, 1);
+        let p = part_seeded(64, 32, 1);
         let mut seen = HashSet::new();
         for _ in 0..32 {
             let idx = p.alloc().expect("below threshold");
@@ -799,33 +626,33 @@ mod tests {
 
     #[test]
     fn free_returns_slot_for_reuse() {
-        let mut p = part_seeded(16, 8, 2);
+        let p = part_seeded(16, 8, 2);
         let idx = p.alloc().unwrap();
         assert!(p.is_live(idx));
-        assert!(p.free(idx));
+        assert_eq!(p.free(idx), SlotState::Live);
         assert!(!p.is_live(idx));
         assert_eq!(p.in_use(), 0);
     }
 
     #[test]
     fn double_free_is_ignored() {
-        let mut p = part_seeded(16, 8, 3);
+        let p = part_seeded(16, 8, 3);
         let idx = p.alloc().unwrap();
-        assert!(p.free(idx));
-        assert!(!p.free(idx), "second free must be ignored");
+        assert_eq!(p.free(idx), SlotState::Live);
+        assert_eq!(p.free(idx), SlotState::Free, "second free must be ignored");
         assert_eq!(p.in_use(), 0, "accounting unchanged by double free");
     }
 
     #[test]
     fn invalid_free_of_never_allocated_slot_ignored() {
-        let mut p = part(16, 8);
-        assert!(!p.free(5));
+        let p = part(16, 8);
+        assert_eq!(p.free(5), SlotState::Free);
         assert_eq!(p.in_use(), 0);
     }
 
     #[test]
     fn fullness_tracks_in_use() {
-        let mut p = part_seeded(64, 32, 4);
+        let p = part_seeded(64, 32, 4);
         assert_eq!(p.fullness(), 0.0);
         for _ in 0..16 {
             p.alloc();
@@ -838,7 +665,7 @@ mod tests {
         // M = 2 ⇒ the heap is at most half full ⇒ E[probes] ≤ 2; measured
         // over a region driven to its threshold, the mean probe count from
         // an occupancy ramping 0 → 1/2 must be well under 2.
-        let mut p = part_seeded(4096, 2048, 5);
+        let p = part_seeded(4096, 2048, 5);
         while p.alloc().is_some() {}
         let (allocs, probes) = p.probe_stats();
         assert_eq!(allocs, 2048);
@@ -853,7 +680,7 @@ mod tests {
     fn probes_at_steady_state_half_full() {
         // Hold the region exactly at threshold−1 and measure steady-state
         // probing: should approach 1/(1 − 1/M) = 2 for M = 2.
-        let mut p = part_seeded(4096, 2048, 6);
+        let p = part_seeded(4096, 2048, 6);
         let mut victim_rng = Mwc::seeded(60);
         for _ in 0..2047 {
             p.alloc();
@@ -876,7 +703,7 @@ mod tests {
 
     #[test]
     fn mean_gap_none_when_sparse() {
-        let mut p = part_seeded(64, 32, 7);
+        let p = part_seeded(64, 32, 7);
         assert_eq!(p.mean_live_gap(), None);
         p.alloc();
         assert_eq!(p.mean_live_gap(), None);
@@ -885,25 +712,9 @@ mod tests {
     }
 
     #[test]
-    fn grow_preserves_live_slots() {
-        let mut p = part_seeded(32, 16, 8);
-        let mut live = HashSet::new();
-        for _ in 0..16 {
-            live.insert(p.alloc().unwrap());
-        }
-        assert!(p.at_threshold());
-        p.grow(64, 32);
-        assert!(!p.at_threshold());
-        let after: HashSet<usize> = p.live_slots().collect();
-        assert_eq!(after, live);
-        // Freshly unlocked capacity is allocatable.
-        assert!(p.alloc().is_some());
-    }
-
-    #[test]
     #[should_panic(expected = "cannot shrink")]
     fn grow_rejects_shrinking() {
-        part(32, 16).grow(16, 8);
+        part(32, 16).grow_to(16, 8);
     }
 
     #[test]
@@ -912,39 +723,42 @@ mod tests {
         part(8, 9);
     }
 
+    /// The `Shared` arm — under libtest, locked instructions.
     fn atomic_seeded(cap: usize, thresh: usize, seed: u64) -> AtomicPartition {
         AtomicPartition::new(SizeClass::from_index(0), cap, thresh, seed)
     }
 
     #[test]
-    fn atomic_matches_locked_partition_serially() {
-        // The determinism contract: single-threaded, the lock-free partition
-        // replays the locked one bit for bit — placements, accounting, and
+    fn plain_arm_matches_shared_arm_serially() {
+        // The determinism contract: driven by one thread, the two arms of
+        // the one partition replay each other bit for bit through a mixed
+        // alloc/free history — placements, free outcomes, accounting, and
         // probe statistics all identical for the same seed.
-        let mut locked = part_seeded(4096, 2048, 0xA70A1C);
-        let atomic = atomic_seeded(4096, 2048, 0xA70A1C);
+        let plain = part_seeded(4096, 2048, 0xA70A1C);
+        let shared = atomic_seeded(4096, 2048, 0xA70A1C);
         let mut victim_rng = Mwc::seeded(99);
         let mut live: Vec<usize> = Vec::new();
         for step in 0..20_000 {
             if live.is_empty() || victim_rng.chance(0.6) {
-                let a = locked.alloc();
-                let b = atomic.alloc();
-                assert_eq!(a, b, "placement diverged at step {step}");
-                if let Some(idx) = a {
-                    live.push(idx);
-                }
+                let a = plain.alloc();
+                assert_eq!(a, shared.alloc(), "placement diverged at step {step}");
+                live.extend(a);
             } else {
                 let victim = live.swap_remove(victim_rng.below(live.len()));
-                assert!(locked.free(victim));
-                assert_eq!(atomic.free(victim), SlotState::Live);
+                assert_eq!(plain.free(victim), SlotState::Live);
+                assert_eq!(shared.free(victim), SlotState::Live);
+                // Every tenth free twice: ignored alike.
+                if step % 10 == 0 {
+                    assert_eq!(plain.free(victim), shared.free(victim));
+                }
             }
-            assert_eq!(locked.in_use(), atomic.in_use());
+            assert_eq!(plain.in_use(), shared.in_use());
         }
-        assert_eq!(locked.probe_stats(), atomic.probe_stats());
-        let a: Vec<usize> = locked.live_slots().collect();
-        let b: Vec<usize> = atomic.occupied_slots().collect();
+        assert_eq!(plain.probe_stats(), shared.probe_stats());
+        let a: Vec<usize> = plain.live_slots().collect();
+        let b: Vec<usize> = shared.occupied_slots().collect();
         assert_eq!(a, b);
-        assert_eq!(locked.mean_live_gap(), atomic.mean_live_gap());
+        assert_eq!(plain.mean_live_gap(), shared.mean_live_gap());
     }
 
     #[test]
@@ -1066,7 +880,7 @@ mod tests {
 
     #[test]
     fn elastic_partition_grows_in_place() {
-        let p = AtomicPartition::new_elastic(SizeClass::from_index(0), 64, 8, 4, 0xE1A);
+        let p = Partition::new_elastic(SizeClass::from_index(0), 64, 8, 4, 0xE1A);
         assert_eq!(p.capacity(), 8);
         assert_eq!(p.max_capacity(), 64);
         assert_eq!(p.threshold(), 4);
@@ -1077,7 +891,8 @@ mod tests {
             held.push(idx);
         }
         assert_eq!(p.alloc(), None, "at the initial 1/M cap");
-        p.grow_to(16, 8);
+        let config = HeapConfig::default(); // M = 2
+        assert!(p.double(&config));
         assert_eq!(p.capacity(), 16);
         assert_eq!(p.threshold(), 8);
         for &idx in &held {
@@ -1096,15 +911,18 @@ mod tests {
             assert_eq!(p.free(idx), SlotState::Live);
         }
         assert_eq!(p.in_use(), 0, "tickets reconcile across growth");
+        assert!(p.double(&config) && p.double(&config));
+        assert!(!p.double(&config), "never past the maximum");
+        assert_eq!((p.capacity(), p.threshold()), (64, 32));
     }
 
     #[test]
     fn elastic_partition_matches_fixed_twin_at_full_size() {
         // An elastic partition grown to max before any traffic draws the
-        // exact sequence of a fixed partition: growth itself consumes no
-        // RNG state.
+        // exact sequence of a fixed partition (here across arms as well):
+        // growth itself consumes no RNG state.
         let fixed = atomic_seeded(256, 128, 0x90F7);
-        let elastic = AtomicPartition::new_elastic(SizeClass::from_index(0), 256, 4, 2, 0x90F7);
+        let elastic = Partition::new_elastic(SizeClass::from_index(0), 256, 4, 2, 0x90F7);
         elastic.grow_to(256, 128);
         for _ in 0..128 {
             assert_eq!(fixed.alloc(), elastic.alloc());
@@ -1115,26 +933,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot shrink")]
     fn atomic_grow_rejects_shrinking() {
-        let p = AtomicPartition::new_elastic(SizeClass::from_index(0), 64, 32, 16, 1);
+        let p = <AtomicPartition>::new_elastic(SizeClass::from_index(0), 64, 32, 16, 1);
         p.grow_to(16, 8);
     }
 
     #[test]
     #[should_panic(expected = "exceeds maximum")]
     fn atomic_grow_rejects_overflowing_the_map() {
-        let p = AtomicPartition::new_elastic(SizeClass::from_index(0), 64, 32, 16, 1);
+        let p = <AtomicPartition>::new_elastic(SizeClass::from_index(0), 64, 32, 16, 1);
         p.grow_to(128, 64);
     }
 
     proptest! {
         /// No two live allocations ever share a slot, and accounting matches
-        /// the bitmap exactly under arbitrary interleavings.
+        /// the slot map exactly under arbitrary interleavings.
         #[test]
         fn no_overlap_and_consistent_accounting(
             seed in any::<u64>(),
             ops in proptest::collection::vec(any::<bool>(), 1..400),
         ) {
-            let mut p = part_seeded(256, 128, seed);
+            let p = part_seeded(256, 128, seed);
             let mut rng = Mwc::seeded(seed);
             let mut model: Vec<usize> = Vec::new();
             for op in ops {
@@ -1147,7 +965,7 @@ mod tests {
                     }
                 } else {
                     let victim = model.swap_remove(rng.below(model.len()));
-                    prop_assert!(p.free(victim));
+                    prop_assert_eq!(p.free(victim), SlotState::Live);
                 }
                 prop_assert_eq!(p.in_use(), model.len());
                 let bitmap_live: HashSet<usize> = p.live_slots().collect();
@@ -1159,7 +977,7 @@ mod tests {
         /// Freeing everything returns the partition to pristine state.
         #[test]
         fn drain_restores_empty(seed in any::<u64>(), n in 1usize..100) {
-            let mut p = part_seeded(256, 128, seed);
+            let p = part_seeded(256, 128, seed);
             let mut live = Vec::new();
             for _ in 0..n {
                 if let Some(idx) = p.alloc() {
@@ -1167,7 +985,7 @@ mod tests {
                 }
             }
             for idx in live {
-                prop_assert!(p.free(idx));
+                prop_assert_eq!(p.free(idx), SlotState::Live);
             }
             prop_assert_eq!(p.in_use(), 0);
             prop_assert_eq!(p.live_slots().count(), 0);

@@ -15,7 +15,7 @@
 //! Every source of randomness in this repository flows through [`Mwc`] so
 //! that experiments are exactly reproducible from a seed.
 
-use crate::sync::Word;
+use crate::sync::{Arm, Shared, Word};
 
 /// Marsaglia multiply-with-carry generator ("MWC", a.k.a. `znew`/`wnew`).
 ///
@@ -214,7 +214,7 @@ impl Default for Mwc {
 /// The lock-free partition probe loop draws from this generator with `&self`
 /// from any thread. A draw loads the packed state, computes the next two MWC
 /// steps locally, and publishes them with a single compare-and-set (a locked
-/// `cmpxchg`, or a load and a store while the process has one thread — see
+/// `cmpxchg`, or a load and a store, as the [`Arm`] says — see
 /// [`crate::sync`]):
 ///
 /// * **single-threaded, the stream is bit-identical to [`Mwc`]** — every
@@ -230,12 +230,12 @@ impl Default for Mwc {
 /// payload other than its own lags, and slot claims are ordered separately
 /// by the bitmap's own atomics.
 #[derive(Debug)]
-pub struct AtomicMwc {
+pub struct AtomicMwc<A: Arm = Shared> {
     /// `z` in the high 32 bits, `w` in the low 32 bits.
-    state: Word,
+    state: Word<A>,
 }
 
-impl AtomicMwc {
+impl<A: Arm> AtomicMwc<A> {
     /// Creates a generator from a single 64-bit seed, with the same
     /// zero-half replacement as [`Mwc::seeded`] (so `AtomicMwc::seeded(s)`
     /// and `Mwc::seeded(s)` start from identical lags).
@@ -576,16 +576,20 @@ mod tests {
 
     #[test]
     fn atomic_mwc_matches_sequential_stream() {
-        // Single-threaded, the CAS generator is bit-identical to Mwc — the
-        // property the lock-free heap's determinism contract rests on.
-        let mut seq = Mwc::seeded(0xD1E_4A8D);
-        let atomic = AtomicMwc::seeded(0xD1E_4A8D);
-        for _ in 0..1000 {
-            assert_eq!(atomic.next_u64(), seq.next_u64());
+        // Single-threaded, the CAS generator is bit-identical to Mwc in
+        // either arm — the property the heap's determinism contract rests on.
+        fn check<A: Arm>() {
+            let mut seq = Mwc::seeded(0xD1E_4A8D);
+            let atomic = AtomicMwc::<A>::seeded(0xD1E_4A8D);
+            for _ in 0..1000 {
+                assert_eq!(atomic.next_u64(), seq.next_u64());
+            }
+            for bound in [1usize, 3, 1024, 4095] {
+                assert_eq!(atomic.below(bound), seq.below(bound));
+            }
         }
-        for bound in [1usize, 3, 1024, 4095] {
-            assert_eq!(atomic.below(bound), seq.below(bound));
-        }
+        check::<Shared>();
+        check::<crate::sync::Plain>();
     }
 
     #[test]
@@ -595,7 +599,7 @@ mod tests {
         // and no value is drawn twice.
         use std::collections::HashSet;
         use std::sync::Arc;
-        let atomic = Arc::new(AtomicMwc::seeded(0xC0FFEE));
+        let atomic = Arc::new(AtomicMwc::<Shared>::seeded(0xC0FFEE));
         const PER_THREAD: usize = 2000;
         const THREADS: usize = 4;
         let mut drawn: Vec<u64> = std::thread::scope(|s| {

@@ -20,15 +20,16 @@
 //!
 //! Determinism under the lock-free path — the pinned contended-retry rule:
 //!
-//! * single-threaded histories are **bit-identical** to the locked stack and
-//!   to [`HeapCore`](crate::engine::HeapCore) for the same master seed (same
-//!   RNG stream, same shift draw, same win/lose per probe);
+//! * single-threaded histories are **bit-identical** to
+//!   [`HeapCore`](crate::engine::HeapCore)'s for the same master seed (the
+//!   same partition code in its plain arm: same RNG stream, same shift
+//!   draw, same win/lose per probe);
 //! * under contention the placement *sequence* may diverge from any serial
 //!   replay — concurrent threads interleave one RNG stream and a lost claim
 //!   redraws — but every placement remains a uniformly random free slot,
-//!   accounting stays exact, and probe statistics count draws identically to
-//!   the locked path (each draw is one probe, whether it loses to an
-//!   occupied slot or to a racing claimant).
+//!   accounting stays exact, and probe statistics count draws identically
+//!   (each draw is one probe, whether it loses to an occupied slot or to a
+//!   racing claimant).
 //!
 //! The isolation property that makes the decomposition sound is DieHard's
 //! own: a (validated) free in one region can never mutate another region's
@@ -38,8 +39,8 @@
 use crate::bitmap::SlotState;
 use crate::config::{ConfigError, HeapConfig, HeapGeometry};
 use crate::engine::{
-    build_atomic_partitions, build_atomic_partitions_from_storage, locate_free, slot_at,
-    slot_offset, AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot,
+    build_partitions, build_partitions_from_storage, locate_free, slot_at, slot_offset,
+    AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot,
 };
 use crate::partition::AtomicPartition;
 use crate::size_class::{SizeClass, NUM_CLASSES};
@@ -175,7 +176,7 @@ impl ShardedHeap {
     }
 
     fn from_geometry(geometry: HeapGeometry, seed: u64) -> Result<Self, ConfigError> {
-        let shards = build_atomic_partitions(&geometry, seed);
+        let shards = build_partitions(&geometry, seed);
         Ok(Self {
             geometry,
             shards,
@@ -240,7 +241,7 @@ impl ShardedHeap {
         bitmap_words: *mut u64,
     ) -> Result<Self, ConfigError> {
         // SAFETY: forwarded caller contract.
-        let shards = unsafe { build_atomic_partitions_from_storage(&geometry, seed, bitmap_words) };
+        let shards = unsafe { build_partitions_from_storage(&geometry, seed, bitmap_words) };
         Ok(Self {
             geometry,
             shards,
@@ -254,13 +255,12 @@ impl ShardedHeap {
 
     /// Number of `u64` words of metadata storage
     /// [`from_raw_parts`](Self::from_raw_parts) requires for `config`: two
-    /// bits per slot (live + reserved), 32 slots per word — twice the
-    /// facade's one-bit bitmap, but it *absorbs* the magazine layer's old
-    /// separate reserved overlay, so the stack's total is unchanged.
+    /// bits per slot (live + reserved), 32 slots per word, every class
+    /// sized for its maximum capacity.
     #[must_use]
     pub fn bitmap_words_needed(config: &HeapConfig) -> usize {
         (0..NUM_CLASSES)
-            .map(|i| AtomicPartition::words_needed(config.capacity(SizeClass::from_index(i))))
+            .map(|i| <AtomicPartition>::words_needed(config.capacity(SizeClass::from_index(i))))
             .sum()
     }
 
@@ -395,25 +395,20 @@ impl ShardedHeap {
 
     /// The body of [`grow_class`] for callers that already hold `class`'s
     /// maintenance lock (the magazine refill path — re-locking would
-    /// deadlock on the non-reentrant `SpinLock`). Doubles the active
-    /// capacity with the exact-integer `1/M` threshold for the new size;
-    /// skips the doubling (but still reports "retry") when a racing free
-    /// dropped the shard below its cap while we waited for the lock.
+    /// deadlock on the non-reentrant `SpinLock`). Takes the one doubling
+    /// step ([`AtomicPartition::double`]); skips it (but still reports
+    /// "retry") when a racing free dropped the shard below its cap while we
+    /// waited for the lock.
     pub(crate) fn grow_class_locked(&self, class: SizeClass) -> bool {
         let shard = &self.shards[class.index()];
-        let capacity = shard.capacity();
-        let max = self.geometry.capacity(class);
-        if capacity >= max {
-            return false;
-        }
-        if !shard.at_threshold() {
+        if shard.capacity() < shard.max_capacity() && !shard.at_threshold() {
             // A concurrent free (or a finished grower) made room between
             // our denial and the lock: retry without spending a doubling.
             return true;
         }
-        let new_capacity = (capacity * 2).min(max);
-        let new_threshold = self.geometry.config().threshold_for(new_capacity).max(1);
-        shard.grow_to(new_capacity, new_threshold);
+        if !shard.double(self.geometry.config()) {
+            return false;
+        }
         self.growths.fetch_add(1, Ordering::Relaxed);
         // The uncached path's only maintenance-locked stop; after the
         // doubling, so the size test sees — and a promotion collapses — the
@@ -543,9 +538,9 @@ impl ShardedHeap {
     }
 
     /// Cumulative probe statistics summed across every shard:
-    /// `(allocations, total probes)` — the concurrent-stack counterpart of
-    /// [`crate::partition::Partition::probe_stats`], so §4.2's
-    /// E[probes] = 1/(1 − 1/M) claim is checkable on the lock-free heap too.
+    /// `(allocations, total probes)` — [`AtomicPartition::probe_stats`]
+    /// over the whole heap, so §4.2's E[probes] = 1/(1 − 1/M) claim is
+    /// checkable on the lock-free heap too.
     /// CAS-retry probes are counted exactly like occupied-slot probes (one
     /// draw = one probe). Exact totals once the threads touching the heap
     /// are joined.
@@ -584,8 +579,8 @@ mod tests {
     #[test]
     fn matches_facade_layout_for_same_seed() {
         // The facade and the sharded heap split the master seed the same
-        // way, so single-threaded histories coincide exactly — the
-        // lock-free claim wins first try whenever the locked try_set would.
+        // way and run the same partition code in two arms, so
+        // single-threaded histories coincide exactly.
         let sharded = heap(0xABCD);
         let mut facade = HeapCore::new(HeapConfig::default(), 0xABCD).unwrap();
         for req in [8usize, 8, 24, 100, 1000, 4000, 16_000, 8, 64] {

@@ -8,27 +8,40 @@
 //! critical sections are a handful of bitmap probes, which is exactly the
 //! regime where a spinlock with exponential backoff beats a parking mutex.
 //!
-//! # One word type, two ways to update it
+//! # One word type; the partition's type picks how it is updated
 //!
-//! Every read-modify-write of the lock-free protocol — the RNG advance, the
-//! slot-state transitions, the `1/M` ticket, the probe and statistics
-//! counters, the lock flag itself — goes through [`Word`]. A `Word` update
-//! is the locked instruction it always was (`lock xadd`, `lock cmpxchg`, …)
-//! **or**, while [`sole_thread`] is true, a relaxed load followed by a
-//! relaxed store of the new value. A locked instruction is a full barrier:
-//! it drains the store buffer and holds back younger loads, so on a
-//! single-threaded host the cache misses random placement forces are
-//! exposed at the next `malloc` instead of overlapped with it — the same
-//! reason glibc's `malloc` executes no `lock` prefix while the process has
-//! one thread (`SINGLE_THREAD_P`). It is one protocol, not two paths: the
-//! callers are single-copy and draw the same numbers in the same order, so
-//! per-seed histories are bit-identical in either arm (pinned by
-//! `tests/single_thread.rs`, which runs both in one process).
+//! Every read-modify-write of the slot/ticket/RNG protocol — the RNG
+//! advance, the slot-state transitions, the `1/M` ticket, the probe and
+//! statistics counters, the lock flag itself — goes through [`Word`]. How a
+//! `Word` is updated is a type parameter, an [`Arm`], carried by everything
+//! built from words (`bitmap::SlotStateMap`, `rng::AtomicMwc`,
+//! `partition::AtomicPartition`), so one copy of the protocol is compiled
+//! twice and nothing selects between copies at run time:
+//!
+//! * [`Shared`] (the default; everything that ships): the locked instruction
+//!   it always was (`lock xadd`, `lock cmpxchg`, …) **or**, while
+//!   [`sole_thread`] is true, a relaxed load followed by a relaxed store of
+//!   the new value. A locked instruction is a full barrier: it drains the
+//!   store buffer and holds back younger loads, so on a single-threaded host
+//!   the cache misses random placement forces are exposed at the next
+//!   `malloc` instead of overlapped with it — the same reason glibc's
+//!   `malloc` executes no `lock` prefix while the process has one thread
+//!   (`SINGLE_THREAD_P`).
+//! * [`Plain`] (`engine::HeapCore` and the Monte Carlo harnesses): always
+//!   the load and the store. `Plain` is `Send` but not `Sync`, and so is
+//!   every type built from it: a plain partition can move to another thread
+//!   but `&`-sharing one across threads is a compile error, which is the
+//!   whole soundness argument for this arm.
+//!
+//! It is one protocol, not two paths: the callers are single-copy and draw
+//! the same numbers in the same order, so per-seed histories are
+//! bit-identical in every arm (pinned by `tests/single_thread.rs`, which
+//! runs all three in one process).
 //!
 //! `sole_thread()` is one byte load of glibc's `__libc_single_threaded`
 //! where the `global` feature links the allocator into a glibc process, and
 //! a constant `false` everywhere else, which compiles the plain arm away.
-//! Three facts about that byte make the plain arm sound:
+//! Three facts about that byte make `Shared`'s plain arm sound:
 //!
 //! 1. **Who flips it, and when.** It goes `1 → 0` at the top of the
 //!    *calling thread's* `pthread_create`, before the `clone`. A thread that
@@ -52,7 +65,8 @@
 //! `clone(CLONE_VM)`), or a signal handler re-entering the allocator between
 //! the load and the store — both in the audit in `global/mod.rs`.
 
-use core::cell::UnsafeCell;
+use core::cell::{Cell, UnsafeCell};
+use core::marker::PhantomData;
 use core::mem::MaybeUninit;
 use core::ops::{Deref, DerefMut};
 use core::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -83,21 +97,65 @@ enum Rmw {
     And(u64),
 }
 
-/// A 64-bit word of shared allocator state: an `AtomicU64` (same layout, so
-/// words carved out of a raw metadata arena cast to it) whose
-/// read-modify-writes are locked instructions, or a relaxed load and store
-/// while the process has one thread (module docs). Loads and stores take
-/// the caller's ordering in either arm; every update returns the prior
-/// value, like the `fetch_*` family.
-#[derive(Debug, Default)]
-#[repr(transparent)]
-pub struct Word(AtomicU64);
+/// How a [`Word`] performs its read-modify-writes (module docs). Sealed:
+/// the two arms below are the only ones.
+pub trait Arm: arm::Sealed {
+    /// `true` when an update may be a relaxed load and a relaxed store.
+    fn sole() -> bool;
+}
 
-impl Word {
+/// The arm of everything that may be shared between threads: locked
+/// instructions, or load + store while [`sole_thread`] is true.
+#[derive(Debug)]
+pub enum Shared {}
+
+/// The single-owner arm: always load + store. `Send`, not `Sync` (the
+/// `Cell`), so a type built from `Plain` words cannot be reached from two
+/// threads at once.
+#[derive(Debug)]
+pub struct Plain(PhantomData<Cell<()>>);
+
+mod arm {
+    pub trait Sealed {}
+    impl Sealed for super::Shared {}
+    impl Sealed for super::Plain {}
+}
+
+impl Arm for Shared {
+    #[inline(always)]
+    fn sole() -> bool {
+        sole_thread()
+    }
+}
+
+impl Arm for Plain {
+    #[inline(always)]
+    fn sole() -> bool {
+        true
+    }
+}
+
+/// A 64-bit word of allocator state: an `AtomicU64` (same layout, so words
+/// carved out of a raw metadata arena cast to it) whose read-modify-writes
+/// are what its [`Arm`] says: locked instructions, or a relaxed load and
+/// store (module docs). Loads and stores take the caller's ordering in
+/// either arm; every update returns the prior value, like the `fetch_*`
+/// family.
+#[derive(Debug)]
+#[repr(transparent)]
+pub struct Word<A: Arm = Shared>(AtomicU64, PhantomData<A>);
+
+impl<A: Arm> Default for Word<A> {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl<A: Arm> Word<A> {
     /// A word holding `value` (usable in statics).
     #[must_use]
     pub const fn new(value: u64) -> Self {
-        Self(AtomicU64::new(value))
+        Self(AtomicU64::new(value), PhantomData)
     }
 
     /// Reads the word.
@@ -116,25 +174,25 @@ impl Word {
     /// Wrapping add; returns the prior value.
     #[inline]
     pub fn add(&self, n: u64, order: Ordering) -> u64 {
-        self.rmw(sole_thread(), Rmw::Add(n), order)
+        self.rmw(A::sole(), Rmw::Add(n), order)
     }
 
     /// Wrapping subtract; returns the prior value.
     #[inline]
     pub fn sub(&self, n: u64, order: Ordering) -> u64 {
-        self.rmw(sole_thread(), Rmw::Sub(n), order)
+        self.rmw(A::sole(), Rmw::Sub(n), order)
     }
 
     /// Bitwise or; returns the prior value.
     #[inline]
     pub fn or(&self, mask: u64, order: Ordering) -> u64 {
-        self.rmw(sole_thread(), Rmw::Or(mask), order)
+        self.rmw(A::sole(), Rmw::Or(mask), order)
     }
 
     /// Bitwise and; returns the prior value.
     #[inline]
     pub fn and(&self, mask: u64, order: Ordering) -> u64 {
-        self.rmw(sole_thread(), Rmw::And(mask), order)
+        self.rmw(A::sole(), Rmw::And(mask), order)
     }
 
     /// Stores `new` if the word holds `current`: `Ok(prior)` when it did,
@@ -148,7 +206,7 @@ impl Word {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64> {
-        self.cas(sole_thread(), false, current, new, success, failure)
+        self.cas(A::sole(), false, current, new, success, failure)
     }
 
     /// [`compare_set`](Self::compare_set) for retry loops: the locked arm is
@@ -162,7 +220,7 @@ impl Word {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64> {
-        self.cas(sole_thread(), true, current, new, success, failure)
+        self.cas(A::sole(), true, current, new, success, failure)
     }
 
     /// Both arms of the unconditional updates; `sole` picks one.
@@ -451,7 +509,7 @@ mod tests {
             hit in any::<bool>(),
         ) {
             for op in [Rmw::Add(operand), Rmw::Sub(operand), Rmw::Or(operand), Rmw::And(operand)] {
-                let (plain, locked) = (Word::new(start), Word::new(start));
+                let (plain, locked): (Word, Word) = (Word::new(start), Word::new(start));
                 prop_assert_eq!(
                     plain.rmw(true, op, Ordering::AcqRel),
                     locked.rmw(false, op, Ordering::AcqRel),
@@ -468,7 +526,7 @@ mod tests {
             let current = if hit { start } else { !start };
             let (ok, err) = (Ordering::AcqRel, Ordering::Acquire);
             for weak in [false, true] {
-                let (plain, locked) = (Word::new(start), Word::new(start));
+                let (plain, locked): (Word, Word) = (Word::new(start), Word::new(start));
                 let cas = |word: &Word, sole| loop {
                     let outcome = word.cas(sole, weak, current, operand, ok, err);
                     if outcome != Err(current) {

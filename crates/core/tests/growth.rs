@@ -1,5 +1,5 @@
-//! Integration suite for elastic region growth: the §9 adaptive-heap idea
-//! carried into the concurrent stack. A heap born at a fraction of its
+//! Integration suite for elastic region growth: the §9 adaptive-heap idea,
+//! one mechanism in every layer. A heap born at a fraction of its
 //! maximum capacity must absorb a max-capacity workload by doubling under
 //! `1/M`-cap pressure (no OOM), spill — not crash — past the final cap,
 //! keep single-threaded histories bit-identical across every layer, and
@@ -11,9 +11,8 @@
 //! `RUST_TEST_THREADS=8` in CI so the race tests overlap with each other as
 //! well as within themselves.
 
-use diehard_core::adaptive::{AdaptiveHeap, DEFAULT_INITIAL_FRACTION_LOG2};
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::AllocOutcome;
+use diehard_core::engine::{AllocOutcome, HeapCore, DEFAULT_INITIAL_FRACTION_LOG2};
 use diehard_core::magazine::MagazineHeap;
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::{ShardedHeap, HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
@@ -90,19 +89,18 @@ fn promotions_of(ctx: usize) -> Vec<(usize, usize, usize)> {
 }
 
 /// Single-threaded alloc-only histories are bit-identical across all three
-/// layers — locked adaptive (`HeapCore`'s partitions, grown in place),
-/// lock-free elastic sharded, and the elastic magazine stack — at the same
-/// seed and start fraction, through **every** doubling up to the maximum:
-/// growth triggers at the same pressure points in each and consumes no RNG
-/// draws. Two ladders: [`AdaptiveHeap`]'s own (1 MB regions from 1/64, all
-/// three layers, offsets included), and the shipped one (32 MB regions from
-/// 64 KiB; the locked layer has no such start, so the two concurrent layers
-/// carry it, and `global`'s tests add `DieHard`). The magazine heap alone
-/// carries a promote hook. On the shipped ladder the history runs through a
-/// class that gets hot and stays small (never promoted), a class promoted
-/// at the doubling that takes it to one huge page, and four more doublings
-/// of the promoted class; regions smaller than a huge page are never
-/// promoted. None of it is visible in placement.
+/// layers — the elastic `HeapCore` (the partition's plain arm, behind
+/// `&mut`), the lock-free elastic sharded heap, and the elastic magazine
+/// stack — at the same seed and start fraction, through **every** doubling
+/// up to the maximum: growth triggers at the same pressure points in each
+/// and consumes no RNG draws. Two ladders, all three layers and their
+/// offsets on both: the §9 experiments' (1 MB regions from 1/64) and the
+/// shipped one (32 MB regions from 64 KiB; `global`'s tests add `DieHard`).
+/// The magazine heap alone carries a promote hook. On the shipped ladder
+/// the history runs through a class that gets hot and stays small (never
+/// promoted), a class promoted at the doubling that takes it to one huge
+/// page, and four more doublings of the promoted class; regions smaller
+/// than a huge page are never promoted. None of it is visible in placement.
 #[test]
 fn single_threaded_histories_identical_across_layers() {
     let seed = 0xD17EC7;
@@ -117,8 +115,7 @@ fn single_threaded_histories_identical_across_layers() {
     ] {
         let ctx = 0x1A77 + fraction as usize;
         let sharded = ShardedHeap::new_elastic(config.clone(), seed, fraction).unwrap();
-        let mut adaptive = (fraction == DEFAULT_INITIAL_FRACTION_LOG2)
-            .then(|| AdaptiveHeap::new(config.clone(), seed).unwrap());
+        let mut core = HeapCore::new_elastic(config.clone(), seed, fraction).unwrap();
         let mut mag = MagazineHeap::new_elastic(config.clone(), seed, fraction).unwrap();
         mag.set_promote_hook(record, ctx);
         let mut cache = mag.thread_cache();
@@ -144,11 +141,9 @@ fn single_threaded_histories_identical_across_layers() {
                 s.is_some() || i < mixed,
                 "op {i} (size {size}) is under its cap"
             );
-            if let Some(adaptive) = adaptive.as_mut() {
-                assert_eq!(s, adaptive.alloc(size), "op {i} (size {size}): adaptive");
-                if let Some(slot) = s {
-                    assert_eq!(sharded.offset_of(slot), adaptive.offset_of(slot));
-                }
+            assert_eq!(s, core.alloc(size), "op {i} (size {size}): core");
+            if let Some(slot) = s {
+                assert_eq!(sharded.offset_of(slot), core.offset_of(slot));
             }
             assert_eq!(s, cache.alloc(size), "op {i} (size {size}): magazine");
             if i < small_hot {
@@ -161,9 +156,16 @@ fn single_threaded_histories_identical_across_layers() {
         assert_eq!(sharded.with_partition(hot, |p| p.capacity()), max);
         assert_eq!(mag.with_partition(hot, |p| p.capacity()), max);
         assert_eq!(sharded.growth_events(), mag.growth_events());
-        if let Some(adaptive) = &adaptive {
-            assert_eq!(adaptive.committed_slots(hot), max);
-            assert_eq!(sharded.growth_events(), adaptive.growth_events());
+        assert_eq!(core.partition(hot).capacity(), max);
+        assert_eq!(sharded.growth_events(), core.growth_events());
+        assert_eq!(sharded.stats(), core.stats());
+        for class in SizeClass::all() {
+            assert_eq!(
+                sharded.with_partition(class, |p| p.probe_stats()),
+                core.partition(class).probe_stats(),
+                "class {}: same draws, same probes",
+                class.index()
+            );
         }
         assert!(
             mag.with_partition(small, |p| p.probe_stats().0) >= 2 * PROMOTE_AFTER_ALLOCS,
@@ -195,36 +197,42 @@ fn single_threaded_histories_identical_across_layers() {
     }
 }
 
-/// Mixed alloc/free histories stay bit-identical between the adaptive and
-/// elastic sharded layers (both free immediately): every placement, every
-/// free outcome, and the growth count agree across 20k interleaved ops.
+/// Mixed alloc/free histories stay bit-identical between the elastic
+/// `HeapCore` and the elastic sharded heap (both free immediately), on the
+/// §9 ladder and on the shipped one: every placement, every free outcome,
+/// and the growth count agree across 20k interleaved ops.
 #[test]
 fn mixed_history_identical_before_and_after_growth() {
     let seed = 0x6F0ED1;
-    let sharded =
-        ShardedHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
-            .unwrap();
-    let mut adaptive = AdaptiveHeap::new(HeapConfig::default(), seed).unwrap();
-    let mut rng = Mwc::seeded(seed);
-    let mut live: Vec<usize> = Vec::new();
-    for i in 0..20_000usize {
-        if rng.below(3) < 2 || live.is_empty() {
-            let size = 1 + rng.below(1024);
-            let s = sharded.alloc(size);
-            assert_eq!(s, adaptive.alloc(size), "op {i}: placement diverged");
-            if let Some(slot) = s {
-                live.push(sharded.offset_of(slot));
+    for (config, fraction) in [
+        (HeapConfig::default(), DEFAULT_INITIAL_FRACTION_LOG2),
+        (HeapConfig::paper_default(), START_64K_LOG2),
+    ] {
+        let sharded = ShardedHeap::new_elastic(config.clone(), seed, fraction).unwrap();
+        let mut core = HeapCore::new_elastic(config, seed, fraction).unwrap();
+        let mut rng = Mwc::seeded(seed);
+        let mut live: Vec<usize> = Vec::new();
+        for i in 0..20_000usize {
+            if rng.below(3) < 2 || live.is_empty() {
+                let size = 1 + rng.below(1024);
+                let s = sharded.alloc(size);
+                assert_eq!(s, core.alloc(size), "op {i}: placement diverged");
+                if let Some(slot) = s {
+                    live.push(sharded.offset_of(slot));
+                }
+            } else {
+                let off = live.swap_remove(rng.below(live.len()));
+                assert_eq!(
+                    sharded.free_at(off),
+                    core.free_at(off),
+                    "op {i}: free outcome diverged"
+                );
             }
-        } else {
-            let off = live.swap_remove(rng.below(live.len()));
-            assert_eq!(
-                sharded.free_at(off),
-                adaptive.free_at(off),
-                "op {i}: free outcome diverged"
-            );
         }
+        assert!(core.growth_events() > 0);
+        assert_eq!(sharded.growth_events(), core.growth_events());
+        assert_eq!(sharded.stats(), core.stats());
     }
-    assert_eq!(sharded.growth_events(), adaptive.growth_events());
 }
 
 /// Elastic with fraction 0 *is* the fixed heap: initial == maximum, zero

@@ -1,7 +1,7 @@
-//! Both arms of [`diehard_core::sync::Word`] in one process.
+//! Every arm of [`diehard_core::sync::Word`] in one process.
 //!
-//! While a process has one thread the allocator's read-modify-writes are a
-//! load and a store; from its first `pthread_create` on they are locked
+//! While a process has one thread the shipped allocator's read-modify-writes
+//! are a load and a store; from its first `pthread_create` on they are locked
 //! instructions (`sync`'s module docs). `cargo test`'s harness is threaded,
 //! so nothing it runs ever executes the first arm — hence `harness = false`:
 //! `main` starts alone, drives a cross-layer history on fixed-seed heaps,
@@ -9,6 +9,9 @@
 //! good), drives the same history again on fresh heaps with the same seeds,
 //! and requires the two recordings to be bit-identical: every placement,
 //! every free outcome, probe and heap statistics, doublings, promotions.
+//! Each drive also records the history on an elastic `HeapCore` — the same
+//! partition code with the plain arm fixed at compile time — and requires
+//! that recording to equal the sharded heap's, whichever arm that ran in.
 //!
 //! Then the handover the soundness argument rests on: objects allocated and
 //! pattern-filled *before* the first spawn — slot states, tickets and
@@ -17,7 +20,7 @@
 //! at every free, and at quiescence the books must balance exactly.
 
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::HeapStats;
+use diehard_core::engine::{HeapCore, HeapStats};
 use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
 use diehard_core::magazine::{CachedFree, MagazineHeap};
 use diehard_core::rng::Mwc;
@@ -138,6 +141,29 @@ fn drive() -> Recording {
         |off| cache.borrow_mut().free_at(off) == CachedFree::Buffered,
     );
     drop(cache); // flushes buffered frees, returns unhanded reservations
+
+    // The simulator's heap: the compile-time plain arm of the same code.
+    let core =
+        std::cell::RefCell::new(HeapCore::new_elastic(config(), SEED, DEFAULT_GROW_LOG2).unwrap());
+    let core_trace = script(
+        |size| {
+            let mut core = core.borrow_mut();
+            core.alloc(size).map(|slot| core.offset_of(slot))
+        },
+        |off| core.borrow_mut().free_at(off).freed(),
+    );
+    let core = core.into_inner();
+    assert_eq!(core_trace, sharded_trace, "HeapCore against ShardedHeap");
+    assert_eq!(core.stats(), sharded.stats());
+    assert_eq!(core.growth_events(), sharded.growth_events());
+    for class in SizeClass::all() {
+        assert_eq!(
+            core.partition(class).probe_stats(),
+            sharded.with_partition(class, |p| p.probe_stats()),
+            "class {}: same draws, same probes",
+            class.index()
+        );
+    }
 
     let global = DieHard::with_elastic_config(config(), SEED, DEFAULT_GROW_LOG2);
     let mut global_trace = script(
@@ -338,7 +364,8 @@ fn main() {
         "parked until the sender dropped"
     );
     println!(
-        "single_thread: {} placements, {} frees and all counters {}; \
+        "single_thread: {} placements, {} frees and all counters {}, \
+         and on HeapCore's compile-time plain arm; \
          20000 objects handed over to 4 threads",
         threaded.sharded.placed.len() * 3,
         threaded.sharded.freed.len() * 3,

@@ -50,7 +50,6 @@ pub use diehard_workloads as workloads;
 /// The most commonly used types, importable in one line.
 pub mod prelude {
     pub use diehard_baselines::{BdwGcSim, LeaSimAllocator, WindowsSimAllocator};
-    pub use diehard_core::adaptive::AdaptiveHeap;
     pub use diehard_core::config::{FillPolicy, HeapConfig};
     pub use diehard_core::engine::{FreeOutcome, HeapCore, Slot};
     pub use diehard_core::rng::Mwc;

@@ -16,8 +16,7 @@ fn theorem1_matches_measurement() {
     for (fullness, denom) in [(0.125, 8u32), (0.25, 4), (0.5, 2)] {
         let mut masked = 0;
         for _ in 0..TRIALS {
-            let mut part =
-                Partition::new(SizeClass::from_index(0), CAP, CAP, splitmix(rng.next_u64()));
+            let part = Partition::new(SizeClass::from_index(0), CAP, CAP, splitmix(rng.next_u64()));
             for _ in 0..(CAP as f64 * fullness) as usize {
                 part.alloc().unwrap();
             }
@@ -44,7 +43,7 @@ fn theorem2_matches_measurement() {
     let mut rng = Mwc::seeded(0x7E02);
     let mut intact = 0;
     for _ in 0..TRIALS {
-        let mut part = Partition::new(SizeClass::from_index(0), CAP, CAP, splitmix(rng.next_u64()));
+        let part = Partition::new(SizeClass::from_index(0), CAP, CAP, splitmix(rng.next_u64()));
         let mut live = Vec::new();
         for _ in 0..CAP / 2 {
             live.push(part.alloc().unwrap());
@@ -106,7 +105,7 @@ fn expected_separation_matches() {
     for m in [2.0f64, 4.0] {
         let cap = 8192;
         let threshold = (cap as f64 / m) as usize;
-        let mut part = Partition::new(SizeClass::from_index(0), cap, threshold, 0x5E9A);
+        let part = Partition::new(SizeClass::from_index(0), cap, threshold, 0x5E9A);
         while part.alloc().is_some() {}
         let gap = part.mean_live_gap().unwrap();
         let expect = m - 1.0;

@@ -2,7 +2,7 @@
 //! cross-cutting invariants: the adaptive heap under real workloads, the
 //! M dial's monotone effect on protection, and bounded-strcpy end-to-end.
 
-use diehard::core::adaptive::AdaptiveHeap;
+use diehard::core::engine::DEFAULT_INITIAL_FRACTION_LOG2;
 use diehard::inject::{inject, Injection};
 use diehard::prelude::*;
 use diehard::workloads::profile_by_name;
@@ -15,7 +15,7 @@ fn adaptive_heap_serves_real_workloads_with_smaller_footprint() {
     // against the initial 1/64 slot allotment.
     let config = HeapConfig::default().with_region_bytes(64 * 1024);
     let fixed_span = config.heap_span();
-    let mut heap = AdaptiveHeap::new(config, 5).unwrap();
+    let mut heap = HeapCore::new_elastic(config, 5, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
     let prog = profile_by_name("p2c").unwrap().generate(0.2, 3);
     let mut live: std::collections::HashMap<u32, usize> = Default::default();
     for op in &prog.ops {
@@ -33,11 +33,12 @@ fn adaptive_heap_serves_real_workloads_with_smaller_footprint() {
         }
     }
     assert!(heap.growth_events() > 0, "p2c must trigger growth");
+    let committed: usize = SizeClass::all()
+        .map(|c| heap.partition(c).capacity() * c.object_size())
+        .sum();
     assert!(
-        heap.committed_bytes() < fixed_span / 4,
-        "adaptive commit {} should be far below fixed {}",
-        heap.committed_bytes(),
-        fixed_span
+        committed < fixed_span / 4,
+        "adaptive commit {committed} should be far below fixed {fixed_span}"
     );
 }
 
