@@ -2,13 +2,13 @@
 //! versus a single heap-wide lock versus thread-local magazines.
 //!
 //! The old global allocator funneled every operation through one
-//! `SpinLock<HeapCore>`; the sharded design locks only the size class an
-//! operation resolves to; the magazine layer removes even that for the hot
-//! path, touching a shard lock only once per refill/flush batch. This bench
-//! measures the architectural deltas on a mixed-class workload at 1/2/4/8
-//! threads: `single_lock` wraps the facade in one `SpinLock`, `sharded`
-//! uses [`ShardedHeap`] directly, and `magazine` runs each thread through a
-//! [`MagazineHeap`] thread cache (created and flushed inside the iteration,
+//! `SpinLock` around a single-owner heap; the sharded design locks only the
+//! size class an operation resolves to; the magazine layer removes even that
+//! for the hot path, touching a shard lock only once per refill/flush batch.
+//! This bench measures the architectural deltas on a mixed-class workload at
+//! 1/2/4/8 threads: `single_lock` wraps a `Heap<Plain>` in one `SpinLock`,
+//! `sharded` uses a shared [`Heap`] directly, and `magazine` runs each thread
+//! through a thread cache over one (created and flushed inside the iteration,
 //! so refill/flush costs are charged to the measurement). All three run
 //! identical per-thread op sequences (allocate into a sliding window, free
 //! the oldest), so the reported ns/iter are directly comparable — an
@@ -17,11 +17,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::HeapCore;
-use diehard_core::magazine::MagazineHeap;
 use diehard_core::rng::Mwc;
-use diehard_core::sharded::ShardedHeap;
-use diehard_core::sync::SpinLock;
+use diehard_core::sync::{Plain, SpinLock};
+use diehard_core::Heap;
 use std::hint::black_box;
 
 /// Alloc/free pairs each thread performs per iteration.
@@ -38,11 +36,11 @@ fn sizes_for_thread(thread: u64) -> Vec<usize> {
 
 /// The sliding-window churn against the single-lock heap: every alloc and
 /// every free takes the one heap-wide lock (the old architecture).
-fn churn_single(heap: &SpinLock<HeapCore>, sizes: &[usize]) {
+fn churn_single(heap: &SpinLock<Heap<Plain>>, sizes: &[usize]) {
     let mut live: Vec<usize> = Vec::with_capacity(WINDOW + 1);
     for (i, &sz) in sizes.iter().cycle().take(OPS_PER_THREAD).enumerate() {
         let off = {
-            let mut h = heap.lock();
+            let h = heap.lock();
             h.alloc(sz).map(|slot| h.offset_of(slot))
         };
         if let Some(off) = off {
@@ -60,7 +58,7 @@ fn churn_single(heap: &SpinLock<HeapCore>, sizes: &[usize]) {
 
 /// The identical churn against the sharded heap: each operation locks only
 /// the shard its size class / offset resolves to.
-fn churn_sharded(heap: &ShardedHeap, sizes: &[usize]) {
+fn churn_sharded(heap: &Heap, sizes: &[usize]) {
     let mut live: Vec<usize> = Vec::with_capacity(WINDOW + 1);
     for (i, &sz) in sizes.iter().cycle().take(OPS_PER_THREAD).enumerate() {
         if let Some(slot) = heap.alloc(sz) {
@@ -79,7 +77,7 @@ fn churn_sharded(heap: &ShardedHeap, sizes: &[usize]) {
 /// The identical churn through a thread-local magazine cache: the hot path
 /// is a lock-free handout/buffered free; shard locks are touched only by
 /// batched refills and flushes (including the flush when the cache drops).
-fn churn_magazine(heap: &MagazineHeap, sizes: &[usize]) {
+fn churn_magazine(heap: &Heap, sizes: &[usize]) {
     let mut cache = heap.thread_cache();
     let mut live: Vec<usize> = Vec::with_capacity(WINDOW + 1);
     for (i, &sz) in sizes.iter().cycle().take(OPS_PER_THREAD).enumerate() {
@@ -114,7 +112,7 @@ fn bench_alloc_mt(c: &mut Criterion) {
     for &threads in &[1usize, 2, 4, 8] {
         let size_tables: Vec<Vec<usize>> = (0..threads as u64).map(sizes_for_thread).collect();
 
-        let single = SpinLock::new(HeapCore::new(HeapConfig::default(), 1).unwrap());
+        let single = SpinLock::new(Heap::<Plain>::new(HeapConfig::default(), 1).unwrap());
         group.bench_with_input(
             BenchmarkId::new("single_lock", threads),
             &threads,
@@ -127,7 +125,7 @@ fn bench_alloc_mt(c: &mut Criterion) {
             },
         );
 
-        let sharded = ShardedHeap::new(HeapConfig::default(), 1).unwrap();
+        let sharded: Heap = Heap::new(HeapConfig::default(), 1).unwrap();
         group.bench_with_input(
             BenchmarkId::new("sharded", threads),
             &threads,
@@ -140,7 +138,7 @@ fn bench_alloc_mt(c: &mut Criterion) {
             },
         );
 
-        let magazine = MagazineHeap::new(HeapConfig::default(), 1).unwrap();
+        let magazine: Heap = Heap::new(HeapConfig::default(), 1).unwrap();
         group.bench_with_input(
             BenchmarkId::new("magazine", threads),
             &threads,

@@ -36,7 +36,9 @@ fn bench_probe_by_fullness(c: &mut Criterion) {
 
 fn bench_adaptive_vs_fixed(c: &mut Criterion) {
     use diehard_core::config::HeapConfig;
-    use diehard_core::engine::{HeapCore, DEFAULT_INITIAL_FRACTION_LOG2};
+    use diehard_core::engine::DEFAULT_INITIAL_FRACTION_LOG2;
+    use diehard_core::sync::Plain;
+    use diehard_core::Heap;
 
     let mut group = c.benchmark_group("adaptive_vs_fixed");
     group.sample_size(10);
@@ -44,7 +46,7 @@ fn bench_adaptive_vs_fixed(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.bench_function("fixed_heap_1000_allocs", |b| {
         b.iter(|| {
-            let mut h = HeapCore::new(HeapConfig::default(), 1).unwrap();
+            let h: Heap<Plain> = Heap::new(HeapConfig::default(), 1).unwrap();
             for i in 0..1000usize {
                 black_box(h.alloc(8 + (i % 512)));
             }
@@ -52,9 +54,8 @@ fn bench_adaptive_vs_fixed(c: &mut Criterion) {
     });
     group.bench_function("adaptive_heap_1000_allocs", |b| {
         b.iter(|| {
-            let mut h =
-                HeapCore::new_elastic(HeapConfig::default(), 1, DEFAULT_INITIAL_FRACTION_LOG2)
-                    .unwrap();
+            let h: Heap<Plain> =
+                Heap::new_elastic(HeapConfig::default(), 1, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
             for i in 0..1000usize {
                 black_box(h.alloc(8 + (i % 512)));
             }

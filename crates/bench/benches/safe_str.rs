@@ -4,12 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::HeapCore;
 use diehard_core::safe_str::{bounded_strcpy, space_to_object_end};
+use diehard_core::sync::Plain;
+use diehard_core::Heap;
 use std::hint::black_box;
 
 fn bench_bound_computation(c: &mut Criterion) {
-    let mut heap = HeapCore::new(HeapConfig::default(), 1).unwrap();
+    let heap: Heap<Plain> = Heap::new(HeapConfig::default(), 1).unwrap();
     let slot = heap.alloc(256).unwrap();
     let offset = heap.offset_of(slot);
     c.bench_function("space_to_object_end", |b| {

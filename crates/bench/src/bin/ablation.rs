@@ -17,8 +17,10 @@
 use diehard_bench::{pct, TextTable};
 use diehard_core::analysis::expected_probes_at_cap;
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::{HeapCore, DEFAULT_INITIAL_FRACTION_LOG2};
+use diehard_core::engine::DEFAULT_INITIAL_FRACTION_LOG2;
 use diehard_core::size_class::SizeClass;
+use diehard_core::sync::Plain;
+use diehard_core::Heap;
 use diehard_inject::{inject, Injection};
 use diehard_runtime::{System, Verdict};
 use diehard_workloads::profile_by_name;
@@ -104,7 +106,8 @@ fn main() {
     println!("a 2,000-allocation espresso prefix (M = 2):\n");
     let config = HeapConfig::default().with_region_bytes(4 << 20);
     let fixed_commit = config.heap_span();
-    let mut adaptive = HeapCore::new_elastic(config, 9, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+    let adaptive: Heap<Plain> =
+        Heap::new_elastic(config, 9, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
     let espresso = profile_by_name("espresso").expect("espresso");
     let prog = espresso.generate(0.08, 0xADA);
     let mut served = 0usize;

@@ -31,10 +31,9 @@
 
 use diehard_core::config::{FillPolicy, HeapConfig};
 use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
-use diehard_core::magazine::MagazineHeap;
 use diehard_core::partition::Partition;
 use diehard_core::rng::Mwc;
-use diehard_core::sharded::{ShardedHeap, HUGE_PAGE};
+use diehard_core::sharded::{Heap, HUGE_PAGE};
 use diehard_core::size_class::{SizeClass, NUM_CLASSES};
 use diehard_core::sync::sole_thread;
 use diehard_sim::{DieHardSimHeap, SimAllocator};
@@ -186,7 +185,7 @@ fn alloc_churn_mixed(smoke: bool) -> KernelResult {
 }
 
 /// The same 64-slot mixed-size churn ring as `alloc_churn_mixed`, but
-/// against the concurrent [`MagazineHeap`] through its thread-local
+/// against the concurrent [`Heap`] through its thread-local
 /// magazine cache — the exact in-process path `libdiehard.so` puts under
 /// every interposed `malloc`. Comparing the two rows prices the
 /// thread-safety layers (magazines + lock-free shard CAS) against the
@@ -202,7 +201,7 @@ fn magazine_alloc_churn(smoke: bool) -> KernelResult {
         let mut rng = Mwc::seeded(0xBEAC4);
         core::array::from_fn(|_| 8 + rng.below(2040))
     };
-    let heap = MagazineHeap::new(HeapConfig::default(), 0xCAFE).unwrap();
+    let heap: Heap = Heap::new(HeapConfig::default(), 0xCAFE).unwrap();
     let mut ring = [usize::MAX; RING];
     let mut i = 0usize;
     measure("magazine_alloc_churn", warmup, samples, ops, move || {
@@ -385,7 +384,7 @@ fn grow_under_churn(smoke: bool) -> KernelResult {
     let mut seed = 0x6_2011u64;
     measure("grow_under_churn", warmup, samples, ops, move || {
         seed += 1;
-        let heap = ShardedHeap::new_elastic(config.clone(), seed, 6).unwrap();
+        let heap: Heap = Heap::new_elastic(config.clone(), seed, 6).unwrap();
         for _ in 0..ops {
             let slot = heap.try_alloc(8).placed().expect("below the 1/M cap");
             black_box(slot);

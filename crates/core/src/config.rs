@@ -229,7 +229,6 @@ pub struct HeapGeometry {
     region_mask: usize,
     heap_span: usize,
     capacity: [usize; NUM_CLASSES],
-    threshold: [usize; NUM_CLASSES],
     initial_capacity: [usize; NUM_CLASSES],
     initial_threshold: [usize; NUM_CLASSES],
 }
@@ -244,7 +243,7 @@ impl HeapGeometry {
     ///
     /// Returns [`ConfigError`] when the configuration is invalid.
     pub fn new(config: HeapConfig) -> Result<Self, ConfigError> {
-        Self::build(config, 0)
+        Self::new_elastic(config, 0)
     }
 
     /// As [`new`](Self::new), but the heap starts *elastic*: each class
@@ -263,14 +262,9 @@ impl HeapGeometry {
         config: HeapConfig,
         initial_fraction_log2: u32,
     ) -> Result<Self, ConfigError> {
-        Self::build(config, initial_fraction_log2)
-    }
-
-    fn build(config: HeapConfig, initial_fraction_log2: u32) -> Result<Self, ConfigError> {
         config.validate()?;
         let region_shift = config.region_bytes.trailing_zeros();
         let mut capacity = [0usize; NUM_CLASSES];
-        let mut threshold = [0usize; NUM_CLASSES];
         let mut initial_capacity = [0usize; NUM_CLASSES];
         let mut initial_threshold = [0usize; NUM_CLASSES];
         // Smallest useful start: one live slot under 1/M, rounded up to a
@@ -282,7 +276,6 @@ impl HeapGeometry {
             let cap = config.capacity(c);
             debug_assert!(cap.is_power_of_two(), "pow2 region / pow2 class");
             capacity[c.index()] = cap;
-            threshold[c.index()] = config.threshold(c);
             let start = (cap >> initial_fraction_log2.min(63))
                 .max(min_start)
                 .min(cap);
@@ -295,7 +288,6 @@ impl HeapGeometry {
             region_mask: config.region_bytes - 1,
             heap_span: config.heap_span(),
             capacity,
-            threshold,
             initial_capacity,
             initial_threshold,
             config,
@@ -344,24 +336,6 @@ impl HeapGeometry {
     #[inline]
     pub fn capacity(&self, class: SizeClass) -> usize {
         self.capacity[class.index()]
-    }
-
-    /// `log2` of [`capacity`](Self::capacity): `region_shift - class.shift()`,
-    /// computed from the same stored shift the offset arithmetic uses, so it
-    /// cannot drift from the capacities the partitions are built with. The
-    /// partition probe loop's draw shift is `64 - capacity_log2`.
-    #[must_use]
-    #[inline]
-    pub fn capacity_log2(&self, class: SizeClass) -> u32 {
-        self.region_shift - class.shift()
-    }
-
-    /// Maximum live objects allowed in `class`'s region (`⌊capacity / M⌋`,
-    /// computed once in exact integer arithmetic).
-    #[must_use]
-    #[inline]
-    pub fn threshold(&self, class: SizeClass) -> usize {
-        self.threshold[class.index()]
     }
 
     /// The slot count `class`'s region starts with — equal to
@@ -592,11 +566,8 @@ mod tests {
             assert_eq!(1usize << geom.region_shift(), cfg.region_bytes);
             for c in SizeClass::all() {
                 assert_eq!(geom.capacity(c), cfg.capacity(c));
-                assert_eq!(geom.threshold(c), cfg.threshold(c));
+                assert_eq!(geom.initial_threshold(c), cfg.threshold(c));
                 assert_eq!(geom.region_base(c), cfg.region_base(c));
-                // The shift the probe loop derives from the capacity is the
-                // same one the geometry advertises.
-                assert_eq!(1usize << geom.capacity_log2(c), geom.capacity(c));
             }
         }
         // Construction validates.
@@ -619,10 +590,10 @@ mod tests {
             assert_eq!(start, (max / 64).max(2).min(max));
         }
         // Fixed geometry: initial == maximum, thresholds identical.
-        let fixed = HeapGeometry::new(cfg).unwrap();
+        let fixed = HeapGeometry::new(cfg.clone()).unwrap();
         for c in SizeClass::all() {
             assert_eq!(fixed.initial_capacity(c), fixed.capacity(c));
-            assert_eq!(fixed.initial_threshold(c), fixed.threshold(c));
+            assert_eq!(fixed.initial_threshold(c), cfg.threshold(c));
         }
         // Non-dyadic multiplier: the start is still a power of two (the
         // point of the elastic geometry — the shift draw never degrades).

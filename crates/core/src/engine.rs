@@ -1,18 +1,18 @@
-//! The DieHard allocation engine: twelve randomized partitions behind the
-//! offset arithmetic of `DieHardMalloc`/`DieHardFree` (Figure 2).
+//! What the heap says and where things are: the outcome types of
+//! `DieHardMalloc`/`DieHardFree` (Figure 2) and the *memory-free* offset
+//! arithmetic behind them.
 //!
-//! The engine is *memory-free*: it decides where objects live (as byte
-//! offsets inside the heap span) and validates frees, but never reads or
-//! writes the heap itself. The simulated heap maps offsets into an arena;
-//! the real allocator maps them into an `mmap`ed region. Both therefore
-//! share one implementation of the paper's placement and validation logic.
+//! The heap itself is [`Heap`] — one type,
+//! twelve randomized partitions, in whichever [`Arm`] its owner needs. It
+//! decides where objects live (as byte offsets inside the heap span) and
+//! validates frees, but never reads or writes the heap: the simulated heap
+//! maps offsets into an arena, the real allocator into an `mmap`ed region,
+//! and both share the conversions and §4.3 checks defined here.
 
-use crate::bitmap::SlotState;
-use crate::config::{ConfigError, FillPolicy, HeapConfig, HeapGeometry};
-use crate::partition::{AtomicPartition, Partition};
-use crate::rng::{stream_seed, Mwc};
+use crate::config::HeapGeometry;
+use crate::sharded::Heap;
 use crate::size_class::{SizeClass, NUM_CLASSES};
-use crate::sync::{Arm, Word};
+use crate::sync::{Arm, Plain, Shared, Word};
 use core::sync::atomic::Ordering;
 
 /// A small-object allocation: its size class and slot index.
@@ -65,8 +65,7 @@ impl FreeOutcome {
 /// The result of a small-object allocation attempt on a heap that can grow.
 ///
 /// Fixed heaps only ever report `Placed` or the terminal condition; elastic
-/// heaps ([`ShardedHeap::new_elastic`](crate::sharded::ShardedHeap::new_elastic))
-/// distinguish *why* a request was not placed so the caller can route
+/// heaps ([`Heap::new_elastic`]) distinguish *why* a request was not placed so the caller can route
 /// around exhaustion instead of treating it as OOM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocOutcome {
@@ -113,21 +112,27 @@ pub struct HeapStats {
 
 /// Lock-free heap counters.
 ///
-/// The sharded heap updates these from whichever shard served an operation,
-/// concurrently with every other shard; relaxed atomics suffice because the
+/// The heap updates these from whichever partition served an operation,
+/// concurrently with every other; relaxed atomics suffice because the
 /// counters carry no synchronization responsibility — they only have to end
 /// up numerically exact once the threads touching the heap are joined.
-/// ([`Word`]s: a locked add, or load + store while the process has one
-/// thread.)
-#[derive(Debug, Default)]
-pub struct AtomicHeapStats {
-    allocs: Word,
-    frees: Word,
-    ignored_frees: Word,
-    exhausted: Word,
+/// ([`Word`]s in the heap's [`Arm`]: for `Shared` a locked add, or load +
+/// store while the process has one thread; for `Plain` always load + store.)
+#[derive(Debug)]
+pub struct AtomicHeapStats<A: Arm = Shared> {
+    allocs: Word<A>,
+    frees: Word<A>,
+    ignored_frees: Word<A>,
+    exhausted: Word<A>,
 }
 
-impl AtomicHeapStats {
+impl<A: Arm> Default for AtomicHeapStats<A> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<A: Arm> AtomicHeapStats<A> {
     /// Fresh zeroed counters; `const` so they can live in a `static`
     /// allocator initialized before `main`.
     #[must_use]
@@ -156,26 +161,17 @@ impl AtomicHeapStats {
         self.allocs.add(1, Ordering::Relaxed);
     }
 
-    /// Counts one successful free.
-    pub fn record_free(&self) {
-        self.frees.add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one ignored (double/invalid) free.
-    pub fn record_ignored_free(&self) {
-        self.ignored_frees.add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` successful frees in one atomic add — used by the magazine
-    /// layer, whose free buffer releases a whole batch under one shard-lock
-    /// acquisition and should pay one counter RMW for it, not `n`.
+    /// Counts `n` successful frees in one add — one for the per-op path, a
+    /// whole batch for a free-buffer flush, which releases it under one
+    /// maintenance-lock acquisition and should pay one counter RMW for it,
+    /// not `n` (and none for an empty batch).
     pub fn record_frees(&self, n: u64) {
         if n > 0 {
             self.frees.add(n, Ordering::Relaxed);
         }
     }
 
-    /// Counts `n` ignored (double/invalid) frees in one atomic add.
+    /// Counts `n` ignored (double/invalid) frees in one add.
     pub fn record_ignored_frees(&self, n: u64) {
         if n > 0 {
             self.ignored_frees.add(n, Ordering::Relaxed);
@@ -191,10 +187,9 @@ impl AtomicHeapStats {
 // ---- shared offset arithmetic ------------------------------------------
 //
 // The byte-offset ↔ (class, slot) conversions and the §4.3 free-validation
-// checks are pure functions of the precomputed [`HeapGeometry`]. They are
-// factored out of `HeapCore` so the single-threaded facade and the sharded
-// concurrent heap run the *same* logic — a shard lock is only needed for
-// the bitmap bit itself, never for the arithmetic. Per the paper's §4.1,
+// checks are pure functions of the precomputed [`HeapGeometry`], so the
+// heap, its magazines and the global allocator's bounded string functions
+// run the *same* logic and none of it needs a lock. Per the paper's §4.1,
 // the arithmetic is shifts and masks only: no division, modulus, or
 // multiplication survives on these paths.
 
@@ -226,66 +221,6 @@ pub fn slot_at(geometry: &HeapGeometry, offset: usize) -> Option<Slot> {
     })
 }
 
-/// Builds the twelve partition shards for `geometry`, each with its private
-/// RNG stream `stream_seed(seed, class)` split from `seed` — the one
-/// definition of the partition layout, in whichever [`Arm`] the caller
-/// holds them, so [`HeapCore`] and
-/// [`ShardedHeap`](crate::sharded::ShardedHeap) always produce identical
-/// placements for the same master seed. Shards start at the geometry's
-/// *initial* capacity (== the maximum for fixed geometries) with their slot
-/// maps sized for the maximum, so elastic growth never relayouts.
-#[must_use]
-pub(crate) fn build_partitions<A: Arm>(
-    geometry: &HeapGeometry,
-    seed: u64,
-) -> [AtomicPartition<A>; NUM_CLASSES] {
-    core::array::from_fn(|i| {
-        let c = SizeClass::from_index(i);
-        AtomicPartition::new_elastic(
-            c,
-            geometry.capacity(c),
-            geometry.initial_capacity(c),
-            geometry.initial_threshold(c),
-            stream_seed(seed, i as u64),
-        )
-    })
-}
-
-/// As [`build_partitions`] (`Shared` arm), but carving the slot-state maps
-/// (two bits per slot, 32 slots per word) out of caller-provided storage.
-///
-/// # Safety
-///
-/// `metadata_words` must point to at least
-/// [`ShardedHeap::bitmap_words_needed`](crate::sharded::ShardedHeap::bitmap_words_needed)
-/// zeroed `u64`s, valid and exclusively owned for the partitions' lifetime.
-pub(crate) unsafe fn build_partitions_from_storage(
-    geometry: &HeapGeometry,
-    seed: u64,
-    metadata_words: *mut u64,
-) -> [AtomicPartition; NUM_CLASSES] {
-    let mut cursor = metadata_words;
-    core::array::from_fn(|i| {
-        let c = SizeClass::from_index(i);
-        let cap = geometry.capacity(c);
-        // SAFETY: the caller provides enough zeroed words for the sum of
-        // all class maps (sized at maximum capacity, growth-stable); we
-        // carve them off sequentially.
-        let p = unsafe {
-            AtomicPartition::from_storage_elastic(
-                c,
-                cap,
-                geometry.initial_capacity(c),
-                geometry.initial_threshold(c),
-                stream_seed(seed, i as u64),
-                cursor,
-            )
-        };
-        cursor = unsafe { cursor.add(<AtomicPartition>::words_needed(cap)) };
-        p
-    })
-}
-
 /// The span/alignment half of `DieHardFree`'s validation (§4.3): `Ok` names
 /// the slot whose shard must be locked to complete the free; `Err` carries
 /// the outcome that needs no shard at all (outside the heap, or an interior
@@ -297,280 +232,61 @@ pub(crate) unsafe fn build_partitions_from_storage(
 /// `Err(FreeOutcome::MisalignedOffset)`; never any other variant.
 #[inline]
 pub fn locate_free(geometry: &HeapGeometry, offset: usize) -> Result<Slot, FreeOutcome> {
-    let region = offset >> geometry.region_shift();
-    if region >= NUM_CLASSES {
-        return Err(FreeOutcome::NotInHeap);
-    }
-    let class = SizeClass::from_index(region);
-    let within = offset & geometry.region_mask();
-    if within & (class.object_size() - 1) != 0 {
+    let slot = slot_at(geometry, offset).ok_or(FreeOutcome::NotInHeap)?;
+    // Regions are multiples of every object size, so the offset's low bits
+    // are its low bits within the region.
+    if offset & (slot.class.object_size() - 1) != 0 {
         return Err(FreeOutcome::MisalignedOffset);
     }
-    Ok(Slot {
-        class,
-        index: within >> class.shift(),
-    })
+    Ok(slot)
 }
 
-/// The start the §9 adaptive experiments give [`HeapCore::new_elastic`]:
-/// every region begins at `1/2^6 = 1/64` of its maximum capacity.
+/// The start the §9 adaptive experiments give [`Heap::new_elastic`]: every
+/// region begins at `1/2^6 = 1/64` of its maximum capacity.
 pub const DEFAULT_INITIAL_FRACTION_LOG2: u32 = 6;
 
-/// The randomized small-object heap core: the single-owner (`&mut`) facade
-/// the simulator and the Monte Carlo harnesses drive. Its twelve regions are
-/// [`Partition`]s — the probe loop, ticket and slot transitions
-/// `libdiehard.so` runs, in their plain arm — so the type is `Send` but not
-/// `Sync`, and sharing one between threads does not compile:
+/// The single-owner heap of the simulator and the Monte Carlo harnesses:
+/// [`Heap`] with every update a plain load and store — the probe loop, ticket
+/// and slot transitions `libdiehard.so` runs, monomorphised for one owner.
+/// `Send` but not `Sync`, so sharing one between threads does not compile:
 ///
 /// ```compile_fail
 /// fn assert_sync<T: Sync>() {}
 /// assert_sync::<diehard_core::engine::HeapCore>();
 /// ```
 ///
+/// The name survives as the frozen `benchmark/` package's import path;
+/// in-tree code says `Heap<Plain>`.
+///
 /// # Examples
 ///
 /// ```
 /// use diehard_core::{config::HeapConfig, engine::HeapCore};
 ///
-/// let mut heap = HeapCore::new(HeapConfig::default(), 42)?;
+/// let heap = HeapCore::new(HeapConfig::default(), 42)?;
 /// let slot = heap.alloc(100).expect("space available");
 /// assert_eq!(slot.size(), 128);
 /// let off = heap.offset_of(slot);
 /// assert!(heap.free_at(off).freed());
 /// # Ok::<(), diehard_core::config::ConfigError>(())
 /// ```
-#[derive(Debug)]
-pub struct HeapCore {
-    geometry: HeapGeometry,
-    /// Auxiliary stream for wrappers (random fills in replicated mode);
-    /// placement randomness lives inside each partition shard.
-    rng: Mwc,
-    partitions: [Partition; NUM_CLASSES],
-    /// Plain counters: the facade's mutating API is exclusively `&mut
-    /// self` (the sharded heap uses [`AtomicHeapStats`] instead).
-    stats: HeapStats,
-    /// Completed per-class doublings (elastic heaps; 0 on fixed ones).
-    growths: u64,
-}
-
-impl HeapCore {
-    /// Creates an empty fixed-size heap with the given configuration and
-    /// RNG seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new(config: HeapConfig, seed: u64) -> Result<Self, ConfigError> {
-        Self::new_elastic(config, seed, 0)
-    }
-
-    /// Creates an empty *elastic* heap — the paper's §9 "adaptive version of
-    /// DieHard that grows memory regions dynamically as objects are
-    /// allocated", with the geometry the concurrent heaps ship: each class
-    /// starts at `1 / 2^initial_fraction_log2` of its maximum capacity
-    /// (a power of two that keeps the `1/M` threshold ≥ 1; `0` is the fixed
-    /// heap) and doubles when an allocation finds it at its cap, until the
-    /// maximum. Regions are laid out at their maximum spacing, so growth
-    /// moves no object, changes no offset and draws no random number: only
-    /// the probing range — and with it §3's protection, which scales with
-    /// the *current* region size — changes. Histories are bit-identical to
-    /// an elastic [`ShardedHeap`](crate::sharded::ShardedHeap) of the same
-    /// seed and fraction.
-    ///
-    /// ```
-    /// use diehard_core::{config::HeapConfig, engine::*, size_class::SizeClass};
-    ///
-    /// let mut heap = HeapCore::new_elastic(HeapConfig::default(), 7, DEFAULT_INITIAL_FRACTION_LOG2)?;
-    /// let class = SizeClass::from_index(0);
-    /// let before = heap.partition(class).capacity();
-    /// for _ in 0..before {
-    ///     heap.alloc(8);
-    /// }
-    /// assert!(heap.partition(class).capacity() > before, "region grew under pressure");
-    /// # Ok::<(), diehard_core::config::ConfigError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new_elastic(
-        config: HeapConfig,
-        seed: u64,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        let geometry = HeapGeometry::new_elastic(config, initial_fraction_log2)?;
-        let partitions = build_partitions(&geometry, seed);
-        Ok(Self {
-            geometry,
-            rng: Mwc::seeded(seed),
-            partitions,
-            stats: HeapStats::default(),
-            growths: 0,
-        })
-    }
-
-    /// The heap's configuration.
-    #[must_use]
-    pub fn config(&self) -> &HeapConfig {
-        self.geometry.config()
-    }
-
-    /// The heap's precomputed shift/mask geometry.
-    #[must_use]
-    #[inline]
-    pub fn geometry(&self) -> &HeapGeometry {
-        &self.geometry
-    }
-
-    /// Counters since construction.
-    #[must_use]
-    pub fn stats(&self) -> HeapStats {
-        self.stats
-    }
-
-    /// The heap's RNG; exposed so wrappers can draw the random fill values
-    /// of replicated mode from the same seeded stream.
-    pub fn rng_mut(&mut self) -> &mut Mwc {
-        &mut self.rng
-    }
-
-    /// Whether allocations should be filled with random values.
-    #[must_use]
-    pub fn fill_policy(&self) -> FillPolicy {
-        self.geometry.fill()
-    }
-
-    /// The partition serving `class`.
-    #[must_use]
-    pub fn partition(&self, class: SizeClass) -> &Partition {
-        &self.partitions[class.index()]
-    }
-
-    /// Number of completed per-class doublings since construction.
-    #[must_use]
-    pub fn growth_events(&self) -> u64 {
-        self.growths
-    }
-
-    /// Allocates `size` bytes, returning the chosen slot, or `None` when the
-    /// request is zero, larger than 16 KB (large-object path), or the class
-    /// region is at its `1/M` cap (the paper returns `NULL`) — on an elastic
-    /// heap, at the cap of its *maximum* capacity: a denial below it doubles
-    /// the region and retries.
-    #[inline]
-    pub fn alloc(&mut self, size: usize) -> Option<Slot> {
-        let class = SizeClass::for_size(size)?;
-        let partition = &self.partitions[class.index()];
-        loop {
-            if let Some(index) = partition.alloc() {
-                self.stats.allocs += 1;
-                return Some(Slot { class, index });
-            }
-            if !partition.double(self.geometry.config()) {
-                self.stats.exhausted += 1;
-                return None;
-            }
-            self.growths += 1;
-        }
-    }
-
-    /// Byte offset of `slot` within the heap span.
-    #[must_use]
-    #[inline]
-    pub fn offset_of(&self, slot: Slot) -> usize {
-        slot_offset(&self.geometry, slot)
-    }
-
-    /// Resolves a byte offset to the slot containing it, requiring the
-    /// offset to point exactly at the slot start when `exact` is set (free
-    /// validation) or anywhere inside the object otherwise (used by the
-    /// bounded string functions of §4.4 to find an object's start).
-    #[must_use]
-    pub fn slot_containing(&self, offset: usize) -> Option<Slot> {
-        slot_at(&self.geometry, offset)
-    }
-
-    /// `DieHardFree` (§4.3): validates and frees the object at `offset`.
-    ///
-    /// The three checks, in order: the offset must fall inside the heap
-    /// span; it must be a multiple of its region's object size; and the slot
-    /// must currently be allocated. Failing any check *ignores* the free —
-    /// this is what makes DieHard immune to double and invalid frees.
-    #[inline]
-    pub fn free_at(&mut self, offset: usize) -> FreeOutcome {
-        let slot = match locate_free(&self.geometry, offset) {
-            Ok(slot) => slot,
-            Err(outcome) => {
-                if outcome == FreeOutcome::MisalignedOffset {
-                    self.stats.ignored_frees += 1;
-                }
-                return outcome;
-            }
-        };
-        if self.partitions[slot.class.index()].free(slot.index) == SlotState::Live {
-            self.stats.frees += 1;
-            FreeOutcome::Freed(slot)
-        } else {
-            self.stats.ignored_frees += 1;
-            FreeOutcome::NotAllocated
-        }
-    }
-
-    /// Whether the object at `offset` (any interior pointer) is live.
-    #[must_use]
-    pub fn is_live_at(&self, offset: usize) -> bool {
-        match self.slot_containing(offset) {
-            Some(slot) => self.partitions[slot.class.index()].is_live(slot.index),
-            None => false,
-        }
-    }
-
-    /// Total live bytes across all regions (rounded object sizes).
-    #[must_use]
-    pub fn live_bytes(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.in_use() * p.class().object_size())
-            .sum()
-    }
-
-    /// Total live objects across all regions.
-    #[must_use]
-    pub fn live_objects(&self) -> usize {
-        self.partitions.iter().map(Partition::in_use).sum()
-    }
-
-    /// Iterates over every live slot in the heap, smallest class first.
-    pub fn live_slots(&self) -> impl Iterator<Item = Slot> + '_ {
-        self.partitions.iter().flat_map(|p| {
-            let class = p.class();
-            p.live_slots().map(move |index| Slot { class, index })
-        })
-    }
-
-    /// Bytes spanned by the small-object heap (12 × region size).
-    #[must_use]
-    pub fn heap_span(&self) -> usize {
-        self.geometry.heap_span()
-    }
-}
-
-/// Number of size classes the engine manages; re-exported for harnesses.
-pub const CLASS_COUNT: usize = NUM_CLASSES;
+pub type HeapCore = Heap<Plain>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HeapConfig;
+    use crate::rng::Mwc;
+    use crate::sharded::tests as both_arms;
     use proptest::prelude::*;
-    use std::collections::HashMap;
 
-    fn heap(seed: u64) -> HeapCore {
-        HeapCore::new(HeapConfig::default(), seed).unwrap()
+    fn heap(seed: u64) -> Heap<Plain> {
+        Heap::new(HeapConfig::default(), seed).unwrap()
     }
 
     #[test]
     fn alloc_routes_to_correct_class() {
-        let mut h = heap(1);
+        let h = heap(1);
         for (req, expect) in [
             (1usize, 8usize),
             (8, 8),
@@ -585,7 +301,7 @@ mod tests {
 
     #[test]
     fn zero_and_large_requests_return_none() {
-        let mut h = heap(2);
+        let h = heap(2);
         assert_eq!(h.alloc(0), None);
         assert_eq!(h.alloc(16 * 1024 + 1), None);
         assert_eq!(h.stats().allocs, 0);
@@ -593,7 +309,7 @@ mod tests {
 
     #[test]
     fn offset_roundtrip() {
-        let mut h = heap(3);
+        let h = heap(3);
         for req in [8usize, 64, 1000, 16384] {
             let slot = h.alloc(req).unwrap();
             let off = h.offset_of(slot);
@@ -605,32 +321,12 @@ mod tests {
 
     #[test]
     fn free_validation_pipeline() {
-        let mut h = heap(4);
-        let slot = h.alloc(64).unwrap();
-        let off = h.offset_of(slot);
-
-        // Interior (misaligned) pointer: ignored.
-        assert_eq!(h.free_at(off + 1), FreeOutcome::MisalignedOffset);
-        assert!(h.is_live_at(off));
-
-        // Proper free succeeds.
-        assert_eq!(h.free_at(off), FreeOutcome::Freed(slot));
-        assert!(!h.is_live_at(off));
-
-        // Double free: ignored.
-        assert_eq!(h.free_at(off), FreeOutcome::NotAllocated);
-
-        // Outside the heap: reported for the large-object path.
-        assert_eq!(h.free_at(usize::MAX / 2), FreeOutcome::NotInHeap);
-
-        let stats = h.stats();
-        assert_eq!(stats.frees, 1);
-        assert_eq!(stats.ignored_frees, 2);
+        both_arms::free_validation_pipeline_in::<Plain>();
     }
 
     #[test]
     fn free_of_wrong_class_alignment_ignored() {
-        let mut h = heap(5);
+        let h = heap(5);
         // Allocate an 8-byte object, then try to free at an offset inside
         // the 16 KB region that was never allocated.
         let _ = h.alloc(8).unwrap();
@@ -640,7 +336,7 @@ mod tests {
 
     #[test]
     fn live_accounting() {
-        let mut h = heap(6);
+        let h = heap(6);
         let a = h.alloc(8).unwrap();
         let b = h.alloc(100).unwrap();
         assert_eq!(h.live_objects(), 2);
@@ -655,7 +351,7 @@ mod tests {
     #[test]
     fn exhaustion_counted() {
         let cfg = HeapConfig::default().with_region_bytes(32 * 1024);
-        let mut h = HeapCore::new(cfg, 7).unwrap();
+        let h = Heap::<Plain>::new(cfg, 7).unwrap();
         // 16 KB class has capacity 2, threshold 1 with M=2.
         assert!(h.alloc(16 * 1024).is_some());
         assert!(h.alloc(16 * 1024).is_none());
@@ -668,7 +364,10 @@ mod tests {
     /// widening-multiply `below` it replaced — verified against the
     /// pre-geometry implementation; any drift in RNG streams, seed
     /// splitting, or the draw itself breaks this list.
+    // The body is byte-for-byte what it was when `alloc` took `&mut self`,
+    // `mut` binding included: it pins the history, so it is not touched.
     #[test]
+    #[allow(unused_mut)]
     fn pinned_placement_sequence_for_known_seed() {
         let mut h = HeapCore::new(HeapConfig::default(), 0xD1E_4A8D).unwrap();
         let got: Vec<(usize, usize)> = [8usize, 8, 16, 100, 1000, 4000, 16384, 8, 64, 300]
@@ -697,8 +396,8 @@ mod tests {
 
     #[test]
     fn identical_seeds_identical_layout() {
-        let mut a = heap(99);
-        let mut b = heap(99);
+        let a = heap(99);
+        let b = heap(99);
         for req in [8, 16, 8, 300, 4000, 8, 64] {
             assert_eq!(a.alloc(req), b.alloc(req));
         }
@@ -706,8 +405,8 @@ mod tests {
 
     #[test]
     fn different_seeds_different_layout() {
-        let mut a = heap(1);
-        let mut b = heap(2);
+        let a = heap(1);
+        let b = heap(2);
         let mut same = 0;
         for _ in 0..32 {
             if a.alloc(64) == b.alloc(64) {
@@ -722,7 +421,7 @@ mod tests {
 
     #[test]
     fn live_slots_enumerates_everything() {
-        let mut h = heap(8);
+        let h = heap(8);
         let mut expect = Vec::new();
         for req in [8, 8, 50, 1000, 16000] {
             expect.push(h.alloc(req).unwrap());
@@ -736,11 +435,11 @@ mod tests {
 
     // ---- elastic heaps (§9's adaptive variant) ---------------------------
 
-    fn elastic_with(config: HeapConfig, seed: u64) -> HeapCore {
-        HeapCore::new_elastic(config, seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap()
+    fn elastic_with(config: HeapConfig, seed: u64) -> Heap<Plain> {
+        Heap::new_elastic(config, seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap()
     }
 
-    fn elastic(seed: u64) -> HeapCore {
+    fn elastic(seed: u64) -> Heap<Plain> {
         elastic_with(HeapConfig::default(), seed)
     }
 
@@ -780,7 +479,7 @@ mod tests {
 
     #[test]
     fn grows_under_pressure_and_addresses_stay_valid() {
-        let mut h = elastic(2);
+        let h = elastic(2);
         let c0 = SizeClass::from_index(0);
         let start = h.partition(c0).capacity();
         let mut offsets = Vec::new();
@@ -801,7 +500,7 @@ mod tests {
     #[test]
     fn growth_capped_at_configured_maximum() {
         let cfg = HeapConfig::default().with_region_bytes(64 * 1024);
-        let mut h = elastic_with(cfg.clone(), 3);
+        let h = elastic_with(cfg.clone(), 3);
         let c11 = SizeClass::from_index(11); // 16 KB: max capacity 4
         let max_cap = cfg.capacity(c11);
         let got = (0..max_cap + 4)
@@ -810,12 +509,12 @@ mod tests {
         assert_eq!(h.partition(c11).capacity(), max_cap);
         assert_eq!(got, cfg.threshold(c11), "serves exactly the 1/M cap");
         assert_eq!(h.stats().exhausted, (max_cap + 4 - got) as u64);
-        assert_eq!(HeapCore::new(cfg, 3).unwrap().growth_events(), 0);
+        assert_eq!(Heap::<Plain>::new(cfg, 3).unwrap().growth_events(), 0);
     }
 
     #[test]
     fn double_free_ignored() {
-        let mut h = elastic(4);
+        let h = elastic(4);
         let slot = h.alloc(64).unwrap();
         let off = h.offset_of(slot);
         assert!(h.free_at(off).freed());
@@ -830,7 +529,7 @@ mod tests {
 
     #[test]
     fn offsets_disjoint_from_other_classes() {
-        let mut h = elastic(5);
+        let h = elastic(5);
         let a = h.alloc(8).unwrap();
         let b = h.alloc(16 * 1024).unwrap();
         let (oa, ob) = (h.offset_of(a), h.offset_of(b));
@@ -840,49 +539,13 @@ mod tests {
 
     proptest! {
         /// Any interleaving of allocs and (valid or bogus) frees keeps the
-        /// engine consistent with a shadow model keyed by offset.
+        /// plain-arm heap consistent with a shadow model keyed by offset.
         #[test]
         fn engine_matches_shadow_model(
             seed in any::<u64>(),
             ops in proptest::collection::vec((0usize..3, 1usize..20_000), 1..300),
         ) {
-            let mut h = heap(seed);
-            let mut model: HashMap<usize, Slot> = HashMap::new();
-            let mut rng = Mwc::seeded(seed ^ 0xABCD);
-            for (op, arg) in ops {
-                match op {
-                    0 => {
-                        if let Some(slot) = h.alloc(arg.min(16 * 1024)) {
-                            let off = h.offset_of(slot);
-                            prop_assert!(!model.contains_key(&off), "offset reuse while live");
-                            model.insert(off, slot);
-                        }
-                    }
-                    1 => {
-                        if !model.is_empty() {
-                            let keys: Vec<usize> = model.keys().copied().collect();
-                            let off = keys[rng.below(keys.len())];
-                            prop_assert!(h.free_at(off).freed());
-                            model.remove(&off);
-                        }
-                    }
-                    _ => {
-                        // Bogus free at a random offset: must never free a
-                        // *different* object or corrupt accounting.
-                        let off = rng.below(h.heap_span() + 1000);
-                        let before = h.live_objects();
-                        let out = h.free_at(off);
-                        match out {
-                            FreeOutcome::Freed(_) => {
-                                prop_assert!(model.remove(&off).is_some(),
-                                    "freed an object the model did not know");
-                            }
-                            _ => prop_assert_eq!(h.live_objects(), before),
-                        }
-                    }
-                }
-                prop_assert_eq!(h.live_objects(), model.len());
-            }
+            both_arms::matches_shadow_model(&heap(seed), seed, ops);
         }
 
         /// The shift/mask conversions agree with a division/modulus
@@ -941,7 +604,7 @@ mod tests {
         /// Live objects never overlap in the offset space.
         #[test]
         fn no_byte_overlap(seed in any::<u64>(), n in 1usize..200) {
-            let mut h = heap(seed);
+            let h = heap(seed);
             let mut intervals: Vec<(usize, usize)> = Vec::new();
             let mut rng = Mwc::seeded(seed);
             for _ in 0..n {
@@ -964,7 +627,7 @@ mod tests {
             seed in any::<u64>(),
             ops in proptest::collection::vec((any::<bool>(), 1usize..512), 1..300),
         ) {
-            let mut h = elastic(seed);
+            let h = elastic(seed);
             let mut live: Vec<(usize, usize)> = Vec::new(); // (offset, size)
             let mut rng = Mwc::seeded(seed);
             for (do_alloc, sz) in ops {

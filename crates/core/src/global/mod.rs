@@ -206,7 +206,7 @@
 //!   changes no architectural state, so the program's behaviour — and the
 //!   infinite-heap noninterference the paper's safety argument rests on —
 //!   is exactly what it was. Placement is untouched by construction (pinned
-//!   against a never-prefetching [`MagazineHeap`] twin in
+//!   against a never-prefetching [`Heap`] twin in
 //!   `hot_class_is_promoted_once_alone_and_in_place`).
 //! * **Elastic growth adds no new unsafety.** Growing a class rewrites two
 //!   atomics (`capacity`, the packed shift/threshold word) under the class
@@ -225,9 +225,10 @@ pub use crate::sync::{OnceCell, SpinGuard, SpinLock};
 use crate::config::{HeapConfig, HeapGeometry};
 use crate::engine::{slot_offset, AllocOutcome, HeapStats, Slot};
 use crate::large::LargeTable;
-use crate::magazine::{MagazineHeap, ThreadMagazines};
+use crate::magazine::ThreadMagazines;
 use crate::rng::entropy_seed;
 use crate::safe_str;
+use crate::sharded::Heap;
 use crate::size_class::SizeClass;
 use core::alloc::{GlobalAlloc, Layout};
 use core::ptr;
@@ -281,10 +282,9 @@ const MAG_OFF: u8 = 2;
 /// The state behind an initialized allocator: the lock-free header fields
 /// plus the two locked domains (small-object shards, large-object tables).
 struct GlobalState {
-    /// Twelve lock-free partition shards (reservations live in their
-    /// paired-bit slot-state maps) + atomic stats: the magazine-capable
-    /// heap.
-    heap: MagazineHeap,
+    /// Twelve lock-free partitions (reservations live in their paired-bit
+    /// slot-state maps) + atomic stats: the heap, in its shared arm.
+    heap: Heap,
     /// Base address of the small-object span. Written once at init, then
     /// read-only.
     heap_base: *mut u8,
@@ -345,31 +345,35 @@ pub struct DieHard {
 }
 
 impl DieHard {
+    /// The one field list behind the five constructors: what is fixed at
+    /// construction, and the fraction an env-configured allocator falls back to.
+    const fn configured(
+        fixed_seed: Option<u64>,
+        fixed_config: Option<HeapConfig>,
+        fixed_grow: Option<u32>,
+        default_grow: Option<u32>,
+    ) -> Self {
+        Self {
+            state: OnceCell::new(),
+            fixed_seed,
+            fixed_config,
+            fixed_grow,
+            default_grow,
+            fork_locked: core::sync::atomic::AtomicUsize::new(0),
+        }
+    }
+
     /// Creates an uninitialized allocator; usable in `static` items.
     #[must_use]
     pub const fn new() -> Self {
-        Self {
-            state: OnceCell::new(),
-            fixed_seed: None,
-            fixed_config: None,
-            fixed_grow: None,
-            default_grow: None,
-            fork_locked: core::sync::atomic::AtomicUsize::new(0),
-        }
+        Self::configured(None, None, None, None)
     }
 
     /// As [`new`](Self::new) but with a fixed RNG seed — deterministic
     /// layouts for tests and debugging (heap differencing, §9).
     #[must_use]
     pub const fn with_seed(seed: u64) -> Self {
-        Self {
-            state: OnceCell::new(),
-            fixed_seed: Some(seed),
-            fixed_config: None,
-            fixed_grow: None,
-            default_grow: None,
-            fork_locked: core::sync::atomic::AtomicUsize::new(0),
-        }
+        Self::configured(Some(seed), None, None, None)
     }
 
     /// As [`with_seed`](Self::with_seed) but with an explicit heap
@@ -382,14 +386,7 @@ impl DieHard {
     /// allocation returns null.)
     #[must_use]
     pub const fn with_config(config: HeapConfig, seed: u64) -> Self {
-        Self {
-            state: OnceCell::new(),
-            fixed_seed: Some(seed),
-            fixed_config: Some(config),
-            fixed_grow: None,
-            default_grow: None,
-            fork_locked: core::sync::atomic::AtomicUsize::new(0),
-        }
+        Self::configured(Some(seed), Some(config), None, None)
     }
 
     /// As [`with_config`](Self::with_config) but **elastic**: every class
@@ -405,14 +402,7 @@ impl DieHard {
         seed: u64,
         initial_fraction_log2: u32,
     ) -> Self {
-        Self {
-            state: OnceCell::new(),
-            fixed_seed: Some(seed),
-            fixed_config: Some(config),
-            fixed_grow: Some(initial_fraction_log2),
-            default_grow: None,
-            fork_locked: core::sync::atomic::AtomicUsize::new(0),
-        }
+        Self::configured(Some(seed), Some(config), Some(initial_fraction_log2), None)
     }
 
     /// As [`new`](Self::new) — fully environment-configured — but
@@ -425,14 +415,7 @@ impl DieHard {
     /// OOM) would fail host programs the paper promises to keep running.
     #[must_use]
     pub const fn elastic_from_env(default_fraction_log2: u32) -> Self {
-        Self {
-            state: OnceCell::new(),
-            fixed_seed: None,
-            fixed_config: None,
-            fixed_grow: None,
-            default_grow: Some(default_fraction_log2),
-            fork_locked: core::sync::atomic::AtomicUsize::new(0),
-        }
+        Self::configured(None, None, None, Some(default_fraction_log2))
     }
 
     /// C-style allocation entry point: allocate `size` bytes aligned to 8
@@ -520,10 +503,11 @@ impl DieHard {
         safe_str::bounded_strncpy(dest_slice, space, src_slice, n).copied
     }
 
-    /// Live small objects currently tracked (diagnostics; locks each shard
-    /// briefly in turn). Flushes the calling thread's magazine first so the
-    /// count reflects this thread's buffered frees; slots reserved inside
-    /// other threads' magazines are excluded (they are not live).
+    /// Live small objects currently tracked (diagnostics: a popcount over
+    /// every slot-map word, [`Heap::live_objects`]). Flushes the calling
+    /// thread's magazine first so the count reflects this thread's buffered
+    /// frees; slots reserved inside other threads' magazines are excluded
+    /// (they are not live).
     #[must_use]
     pub fn live_objects(&self) -> usize {
         self.flush_thread_cache();
@@ -701,7 +685,7 @@ impl DieHard {
     }
 
     /// The one-time initialization: choose a configuration and seed, map the
-    /// metadata arena and the heap span, and assemble the sharded heap plus
+    /// metadata arena and the heap span, and assemble the heap plus
     /// large-object tables. Runs on exactly one thread.
     fn build_state(&self) -> Option<GlobalState> {
         let config = match &self.fixed_config {
@@ -729,7 +713,7 @@ impl DieHard {
 
         let page = sys::page_size();
         let span = config.heap_span();
-        let words = MagazineHeap::metadata_words_needed(&config);
+        let words = <Heap>::metadata_words_needed(&config);
         let table_cap = (LARGE_CAPACITY * 2).next_power_of_two();
         let meta_bytes = (words * 8 + 4 * table_cap * 8 + page - 1) & !(page - 1);
         let meta = sys::map_reserve(meta_bytes);
@@ -754,15 +738,8 @@ impl DieHard {
         // classes' paired-bit slot-state maps, each sized for its maximum
         // capacity — all `metadata_words_needed` counts) followed by four
         // table arrays of `table_cap` usizes each; mmap'd memory is zeroed
-        // and exclusively ours.
-        let heap = match grow {
-            // SAFETY: as above — the elastic variant has the identical
-            // metadata footprint (slot maps are max-capacity-sized).
-            Some(fraction) => unsafe {
-                MagazineHeap::from_raw_parts_elastic(config, seed, bitmap_words, fraction)
-            },
-            None => unsafe { MagazineHeap::from_raw_parts(config, seed, bitmap_words) },
-        };
+        // and exclusively ours. (Fraction 0 is the fixed heap.)
+        let heap = unsafe { Heap::from_raw_parts(config, seed, bitmap_words, grow.unwrap_or(0)) };
         let mut heap = match heap {
             Ok(heap) => heap,
             Err(_) => {
@@ -1398,11 +1375,11 @@ mod tests {
             let (heap, twin) = match start {
                 Some(log2) => (
                     DieHard::with_elastic_config(config(), SEED, log2),
-                    MagazineHeap::new_elastic(config(), SEED, log2).unwrap(),
+                    <Heap>::new_elastic(config(), SEED, log2).unwrap(),
                 ),
                 None => (
                     DieHard::with_config(config(), SEED),
-                    MagazineHeap::new(config(), SEED).unwrap(),
+                    <Heap>::new(config(), SEED).unwrap(),
                 ),
             };
             let mut twin_cache = twin.thread_cache();
@@ -1451,7 +1428,7 @@ mod tests {
             );
             if start == Some(DEFAULT_GROW_LOG2) {
                 assert_eq!(
-                    twin.with_partition(hot_class, |p| p.capacity()),
+                    twin.partition(hot_class).capacity(),
                     config().capacity(hot_class),
                     "every doubling from 64 KiB to the maximum"
                 );
@@ -1525,7 +1502,7 @@ mod tests {
         }
         let state = heap.state.get().unwrap();
         let active: usize = SizeClass::all()
-            .map(|c| state.heap.with_partition(c, |p| p.capacity()) * c.object_size())
+            .map(|c| state.heap.partition(c).capacity() * c.object_size())
             .sum();
         assert_eq!(heap.promoted_classes(), 0, "nothing here spans 2 MB");
         let resident = resident_bytes(state.heap_base as usize, state.heap.heap_span(), state.page);

@@ -22,32 +22,31 @@
 //! * [`size_class`] — the twelve 8 B…16 KB classes (§4.1).
 //! * [`partition`] — per-class random probing and the `1/M` cap (§4.2):
 //!   one implementation, instantiated for shared and for single-owner use.
-//! * [`engine`] — [`engine::HeapCore`], `DieHardMalloc`/`DieHardFree` over
-//!   abstract byte offsets, shared by the simulated and real heaps; elastic
-//!   on request (the adaptive-growth variant from future work, §9).
+//! * [`engine`] — the outcome types of `DieHardMalloc`/`DieHardFree` and
+//!   the memory-free offset ↔ slot arithmetic every layer shares.
 //! * [`large`] — the large-object validity table (§4.1–4.3).
 //! * [`safe_str`] — heap-bounded `strcpy`/`strncpy` (§4.4).
 //! * [`env`] — audited parsing for the `DIEHARD_*` environment knobs.
 //! * [`analysis`] — Theorems 1–3 and the expectation formulas (§3.1, §6).
 //! * [`sync`] — allocation-free [`sync::SpinLock`] and [`sync::OnceCell`],
-//!   and [`sync::Word`], whose [`sync::Arm`] decides how every partition
-//!   built from it updates its state.
-//! * [`sharded`] — [`sharded::ShardedHeap`], the thread-safe heap with one
-//!   lock per size class (concurrent allocations in different classes never
-//!   contend).
-//! * [`magazine`] — [`magazine::MagazineHeap`], thread-local allocation
-//!   magazines in front of the sharded heap: batched, probe-loop-sampled
-//!   refills and buffered frees, so same-class allocations from different
-//!   threads stop contending too.
+//!   and [`sync::Word`], whose [`sync::Arm`] decides how every partition —
+//!   and the heap built from them — updates its state.
+//! * [`sharded`] — [`Heap`], **the** heap: twelve partitions behind one
+//!   `DieHardMalloc`/`DieHardFree` over abstract byte offsets; lock-free per
+//!   operation, `Sync` in its default arm (the real heap) and single-owner
+//!   in [`sync::Plain`] (the simulated one); elastic on request (§9).
+//! * [`magazine`] — thread-local allocation magazines, a cache in front of
+//!   the heap: batched, probe-loop-sampled refills and buffered frees, so
+//!   same-class allocations from different threads stop contending too.
 //! * [`global`] *(feature `global`, Unix)* — a real `#[global_allocator]`
 //!   built on `mmap`, with guard-paged large objects, sharded per class.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use diehard_core::{config::HeapConfig, engine::HeapCore};
+//! use diehard_core::{config::HeapConfig, Heap};
 //!
-//! let mut heap = HeapCore::new(HeapConfig::default(), 0xD1E_4A8D)?;
+//! let heap: Heap = Heap::new(HeapConfig::default(), 0xD1E_4A8D)?;
 //! let slot = heap.alloc(48).expect("plenty of room");
 //! assert_eq!(slot.size(), 64); // rounded to the class size
 //! let offset = heap.offset_of(slot);
@@ -80,10 +79,10 @@ pub mod sync;
 pub mod global;
 
 pub use config::{FillPolicy, HeapConfig, HeapGeometry};
-pub use engine::{AllocOutcome, AtomicHeapStats, FreeOutcome, HeapCore, HeapStats, Slot};
-pub use magazine::{MagazineCache, MagazineHeap, ThreadMagazines};
+pub use engine::{AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot};
+pub use magazine::{MagazineCache, ThreadMagazines};
 pub use rng::Mwc;
-pub use sharded::ShardedHeap;
+pub use sharded::Heap;
 pub use size_class::SizeClass;
 pub use sync::{OnceCell, SpinGuard, SpinLock};
 
@@ -101,7 +100,7 @@ mod tests {
     #[test]
     fn sharded_heap_is_sync() {
         fn assert_sync<T: Sync + Send>() {}
-        assert_sync::<crate::sharded::ShardedHeap>();
+        assert_sync::<crate::Heap>();
         assert_sync::<crate::partition::AtomicPartition>();
         assert_sync::<crate::engine::AtomicHeapStats>();
         assert_sync::<crate::sync::SpinLock<u64>>();

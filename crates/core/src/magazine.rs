@@ -1,4 +1,4 @@
-//! Thread-local allocation magazines in front of the lock-free sharded heap.
+//! Thread-local allocation magazines: a cache in front of the lock-free heap.
 //!
 //! PR 2 sharded the heap per size class and PR 6 made the per-op paths
 //! lock-free, but a thread still pays one CAS-contended probe sequence per
@@ -21,8 +21,8 @@
 //!   therefore a uniform draw over the free slots, from the same per-class
 //!   RNG stream the uncached heap would have used — for one thread
 //!   performing only allocations, the magazine-served sequence is
-//!   *bit-identical* to [`ShardedHeap`]'s for the same master seed (handout
-//!   is FIFO in draw order).
+//!   *bit-identical* to the uncached [`Heap`]'s for the same master seed
+//!   (handout is FIFO in draw order).
 //! * **The `1/M` occupancy cap.** Reserved slots take a regular ticket
 //!   against the partition's `inUse`, so the threshold check bounds
 //!   *live + reserved* — strictly conservative: the truly live fraction is
@@ -54,8 +54,8 @@
 //! re-reserved, then clear a reservation it no longer owns). With the paired
 //! encoding every transition is one atomic on one word:
 //!
-//! * free→reserved (`00 → 11`): a CAS inside [`AtomicPartition::reserve_batch`]
-//!   during refill, under the class maintenance lock;
+//! * free→reserved (`00 → 11`): a CAS inside `reserve_batch` during refill,
+//!   under the class maintenance lock;
 //! * reserved→live (`11 → 01`): one lock-free `fetch_and` on the owning
 //!   thread (the handout — the fast path the whole layer exists for);
 //! * live→free (`01 → 00`): one CAS, from the lock-free `free_at` or a
@@ -74,13 +74,10 @@
 //! buffered frees and returns every unhanded reservation to its shard —
 //! zero leaked reservations, no spurious stats.
 
-use crate::config::{ConfigError, HeapConfig, HeapGeometry};
-use crate::engine::{
-    locate_free, slot_at, slot_offset, AllocOutcome, FreeOutcome, HeapStats, Slot,
-};
-use crate::partition::AtomicPartition;
-use crate::sharded::{PromoteHook, ShardedHeap};
+use crate::engine::{AllocOutcome, FreeOutcome, Slot};
+use crate::sharded::Heap;
 use crate::size_class::{SizeClass, NUM_CLASSES};
+use crate::sync::{Arm, Shared};
 
 /// Maximum slots a per-class magazine holds between refills.
 pub const MAG_SLOTS: usize = 8;
@@ -93,18 +90,13 @@ pub const FREE_SLOTS: usize = 16;
 /// regions reserve less so a handful of threads cannot park the entire
 /// allowance inside magazines.
 #[inline]
-fn refill_batch(threshold: usize) -> usize {
+pub(crate) fn refill_batch(threshold: usize) -> usize {
     MAG_SLOTS.min((threshold / 8).max(1))
 }
 
-/// A thread-safe DieHard heap that supports thread-local magazine caching.
-///
-/// Structurally this is now just a [`ShardedHeap`] — reservation state lives
-/// inside the shards' paired-bit slot maps — plus the refill/flush batch
-/// logic. All operations take `&self`; threads that want the cached fast
-/// path create a [`MagazineCache`] via [`thread_cache`](Self::thread_cache),
-/// while uncached (`alloc`/`free_at`) calls remain available, are lock-free,
-/// and interleave correctly with cached traffic.
+/// The heap threads put magazines in front of is [`Heap`] itself (shared
+/// arm): reservations live in its slot maps and the batch logic is its own.
+/// The name survives as the frozen `benchmark/` package's import path.
 ///
 /// # Examples
 ///
@@ -122,360 +114,7 @@ fn refill_batch(threshold: usize) -> usize {
 /// assert_eq!(heap.reserved_slots(), 0);
 /// # Ok::<(), diehard_core::config::ConfigError>(())
 /// ```
-#[derive(Debug)]
-pub struct MagazineHeap {
-    heap: ShardedHeap,
-}
-
-impl MagazineHeap {
-    /// Creates an empty magazine-capable heap; placement is driven by the
-    /// same per-class RNG streams as [`ShardedHeap::new`] with this seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new(config: HeapConfig, seed: u64) -> Result<Self, ConfigError> {
-        Ok(Self {
-            heap: ShardedHeap::new(config, seed)?,
-        })
-    }
-
-    /// As [`new`](Self::new), but elastic: each class starts at
-    /// `1 / 2^initial_fraction_log2` of its maximum capacity and doubles
-    /// under `1/M`-cap pressure (see [`ShardedHeap::new_elastic`]). Refills
-    /// participate in growth: an at-cap refill grows the class under the
-    /// maintenance lock it already holds, and only a denial at the maximum
-    /// capacity surfaces as [`AllocOutcome::Spill`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new_elastic(
-        config: HeapConfig,
-        seed: u64,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        Ok(Self {
-            heap: ShardedHeap::new_elastic(config, seed, initial_fraction_log2)?,
-        })
-    }
-
-    /// As [`new`](Self::new), but hosting all metadata in caller-provided
-    /// storage so construction performs no heap allocation — required when
-    /// DieHard itself is the process's global allocator.
-    ///
-    /// # Safety
-    ///
-    /// `words` must point to at least
-    /// [`metadata_words_needed`](Self::metadata_words_needed)`(&config)`
-    /// zeroed `u64`s, valid and exclusively owned for the heap's lifetime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub unsafe fn from_raw_parts(
-        config: HeapConfig,
-        seed: u64,
-        words: *mut u64,
-    ) -> Result<Self, ConfigError> {
-        // SAFETY: forwarded caller contract.
-        Ok(Self {
-            heap: unsafe { ShardedHeap::from_raw_parts(config, seed, words) }?,
-        })
-    }
-
-    /// As [`from_raw_parts`](Self::from_raw_parts) but elastic (see
-    /// [`new_elastic`](Self::new_elastic)). The metadata footprint is
-    /// identical — slot maps are always sized for the maximum capacity.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`from_raw_parts`](Self::from_raw_parts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub unsafe fn from_raw_parts_elastic(
-        config: HeapConfig,
-        seed: u64,
-        words: *mut u64,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        // SAFETY: forwarded caller contract.
-        Ok(Self {
-            heap: unsafe {
-                ShardedHeap::from_raw_parts_elastic(config, seed, words, initial_fraction_log2)
-            }?,
-        })
-    }
-
-    /// Number of `u64` words of metadata storage
-    /// [`from_raw_parts`](Self::from_raw_parts) requires for `config` —
-    /// exactly [`ShardedHeap::bitmap_words_needed`]: the paired slot-state
-    /// maps already encode reservations, so the magazine layer adds **no**
-    /// metadata of its own (the old separate overlay doubled this).
-    #[must_use]
-    pub fn metadata_words_needed(config: &HeapConfig) -> usize {
-        ShardedHeap::bitmap_words_needed(config)
-    }
-
-    /// The heap's configuration (lock-free; immutable).
-    #[must_use]
-    pub fn config(&self) -> &HeapConfig {
-        self.heap.config()
-    }
-
-    /// The heap's precomputed shift/mask geometry (lock-free; immutable).
-    #[must_use]
-    #[inline]
-    pub fn geometry(&self) -> &HeapGeometry {
-        self.heap.geometry()
-    }
-
-    /// Counters since construction (lock-free snapshot). Frees sitting in a
-    /// thread's buffer are counted when that buffer flushes.
-    #[must_use]
-    pub fn stats(&self) -> HeapStats {
-        self.heap.stats()
-    }
-
-    /// Bytes spanned by the small-object heap.
-    #[must_use]
-    pub fn heap_span(&self) -> usize {
-        self.heap.heap_span()
-    }
-
-    /// Byte offset of `slot` within the heap span (pure arithmetic).
-    #[must_use]
-    #[inline]
-    pub fn offset_of(&self, slot: Slot) -> usize {
-        slot_offset(self.geometry(), slot)
-    }
-
-    /// Resolves a byte offset (any interior pointer) to the slot containing
-    /// it (pure arithmetic).
-    #[must_use]
-    pub fn slot_containing(&self, offset: usize) -> Option<Slot> {
-        slot_at(self.geometry(), offset)
-    }
-
-    /// A thread-local cache over this heap. Dropping the cache flushes its
-    /// buffered frees and returns its unhanded reservations.
-    #[must_use]
-    pub fn thread_cache(&self) -> MagazineCache<'_> {
-        MagazineCache {
-            heap: self,
-            mags: ThreadMagazines::new(),
-        }
-    }
-
-    /// Uncached allocation: identical to [`ShardedHeap::alloc`] — lock-free;
-    /// the probe loop skips reserved slots because their claim loses.
-    pub fn alloc(&self, size: usize) -> Option<Slot> {
-        self.heap.alloc(size)
-    }
-
-    /// Uncached [`alloc`](Self::alloc) with the elastic outcome surfaced
-    /// (see [`ShardedHeap::try_alloc`]): a denial grows the class when the
-    /// heap is elastic and below its maximum, and only a denial at the
-    /// maximum capacity returns [`AllocOutcome::Spill`].
-    pub fn try_alloc(&self, size: usize) -> AllocOutcome {
-        self.heap.try_alloc(size)
-    }
-
-    /// Number of completed per-class doublings since construction, whether
-    /// triggered by uncached allocations or magazine refills.
-    #[must_use]
-    pub fn growth_events(&self) -> u64 {
-        self.heap.growth_events()
-    }
-
-    /// Installs the huge-page promotion hook
-    /// (see [`ShardedHeap::set_promote_hook`]).
-    pub fn set_promote_hook(&mut self, hook: PromoteHook, ctx: usize) {
-        self.heap.set_promote_hook(hook, ctx);
-    }
-
-    /// Bitmask of size classes promoted to huge pages so far
-    /// (see [`ShardedHeap::promoted_classes`]).
-    #[must_use]
-    pub fn promoted_classes(&self) -> u32 {
-        self.heap.promoted_classes()
-    }
-
-    /// Uncached `DieHardFree` (§4.3), lock-free: validates and frees the
-    /// object at `offset`. A reserved-but-unhanded slot makes the free CAS
-    /// observe `Reserved` and the request is ignored (it is not live — no
-    /// pointer to it was ever returned).
-    pub fn free_at(&self, offset: usize) -> FreeOutcome {
-        self.heap.free_at(offset)
-    }
-
-    /// Whether the object at `offset` is live — one atomic load.
-    /// Reserved-but-unhanded slots report `false`.
-    #[must_use]
-    pub fn is_live_at(&self, offset: usize) -> bool {
-        self.heap.is_live_at(offset)
-    }
-
-    /// Total live objects: partition occupancy minus magazine reservations.
-    /// Exact only when the heap is quiescent (same caveat as
-    /// [`ShardedHeap::live_objects`]).
-    #[must_use]
-    pub fn live_objects(&self) -> usize {
-        SizeClass::all()
-            .map(|c| {
-                let p = self.heap.shard(c);
-                let in_use = p.in_use();
-                in_use - p.reserved_count().min(in_use)
-            })
-            .sum()
-    }
-
-    /// Slots currently reserved inside thread magazines across all classes
-    /// (quiescence caveat as above). Zero once every cache has flushed.
-    #[must_use]
-    pub fn reserved_slots(&self) -> usize {
-        SizeClass::all()
-            .map(|c| self.heap.shard(c).reserved_count())
-            .sum()
-    }
-
-    /// Cumulative probe statistics summed across every shard:
-    /// `(allocations, total probes)`. Magazine refills run the partition's
-    /// own probe loop ([`AtomicPartition::reserve_batch`]), so reservation
-    /// draws count here exactly like direct allocations — the §4.2
-    /// expectation applies to the cached stack unchanged (reserved slots
-    /// hold occupancy at or below the `1/M` cap).
-    #[must_use]
-    pub fn probe_stats(&self) -> (u64, u64) {
-        self.heap.probe_stats()
-    }
-
-    /// Runs `f` against the partition serving `class` — shard-local
-    /// diagnostics, e.g. layout statistics for the sim harness's A/B runs.
-    /// Note the slot-state map includes reserved slots (occupied, not
-    /// live); flush caches first for live-only statistics.
-    pub fn with_partition<R>(&self, class: SizeClass, f: impl FnOnce(&AtomicPartition) -> R) -> R {
-        self.heap.with_partition(class, f)
-    }
-
-    /// Acquires every maintenance lock (`fork(2)` prepare); see
-    /// [`ShardedHeap::lock_all_maintenance`].
-    pub fn lock_all_maintenance(&self) {
-        self.heap.lock_all_maintenance();
-    }
-
-    /// Releases the locks taken by
-    /// [`lock_all_maintenance`](Self::lock_all_maintenance).
-    ///
-    /// # Safety
-    ///
-    /// As [`ShardedHeap::unlock_all_maintenance`]: the locks must be held
-    /// via `lock_all_maintenance`.
-    pub unsafe fn unlock_all_maintenance(&self) {
-        // SAFETY: forwarded caller contract.
-        unsafe { self.heap.unlock_all_maintenance() };
-    }
-
-    // ---- cache back end --------------------------------------------------
-
-    /// Refills `out` with up to one batch of reserved slots for `class`,
-    /// drawn by the partition's own probe loop under one acquisition of the
-    /// class **maintenance** lock (the slow path — per-op traffic never
-    /// waits on it; the lock only serializes refills against flushes and
-    /// teardowns so batches do not interleave draws). Returns the number of
-    /// slots reserved (0 when at the `1/M` cap).
-    /// On an elastic heap an at-cap refill grows the class before giving
-    /// up. `grow_class_locked` is called directly because this thread
-    /// already holds the maintenance lock — re-entering through the public
-    /// grow path would deadlock on the non-reentrant `SpinLock`. A `0` here
-    /// therefore means the class is at its *maximum* capacity and full: the
-    /// caller's denial is a genuine spill, not growth pressure.
-    fn refill(&self, class: SizeClass, out: &mut [usize; MAG_SLOTS]) -> usize {
-        let shard = self.heap.shard(class);
-        let _batch = self.heap.maintenance_lock(class).lock();
-        let got = loop {
-            let want = refill_batch(shard.threshold());
-            let got = shard.reserve_batch(&mut out[..want]);
-            if got > 0 || !self.heap.grow_class_locked(class) {
-                break got;
-            }
-        };
-        // Once per batch, under the lock already held: the handout path
-        // never learns huge pages exist.
-        self.heap.promote_if_hot_locked(class);
-        got
-    }
-
-    /// The lock-free reserved→live handout transition: one `fetch_and` in
-    /// the slot-state map plus the alloc counter.
-    #[inline]
-    fn commit(&self, class: SizeClass, index: usize) {
-        self.heap.shard(class).commit(index);
-        self.heap.stats_ref().record_alloc();
-    }
-
-    /// Releases a batch of buffered frees for `class` under one maintenance
-    /// lock acquisition. With `force` false the flush is opportunistic: a
-    /// contended lock leaves the buffer untouched. (Each individual free is
-    /// itself a lock-free CAS — the lock only keeps maintenance batches
-    /// from interleaving.)
-    fn flush_frees(&self, class: SizeClass, frees: &mut [usize; FREE_SLOTS], len: &mut usize) {
-        self.flush_frees_inner(class, frees, len, true);
-    }
-
-    fn try_flush_frees(&self, class: SizeClass, frees: &mut [usize; FREE_SLOTS], len: &mut usize) {
-        self.flush_frees_inner(class, frees, len, false);
-    }
-
-    fn flush_frees_inner(
-        &self,
-        class: SizeClass,
-        frees: &mut [usize; FREE_SLOTS],
-        len: &mut usize,
-        force: bool,
-    ) {
-        if *len == 0 {
-            return;
-        }
-        let lock = self.heap.maintenance_lock(class);
-        let guard = if force {
-            lock.lock()
-        } else {
-            match lock.try_lock() {
-                Some(guard) => guard,
-                None => return,
-            }
-        };
-        // The paired slot map resolves all three cases per slot in one CAS:
-        // a live slot is freed; a free slot (double/invalid free) and a
-        // reserved slot (an address the application never received — which
-        // must not release a reservation another magazine holds) are both
-        // ignored. The ticket return is one batched decrement.
-        let (freed, ignored) = self.heap.shard(class).free_batch(&frees[..*len]);
-        drop(guard);
-        *len = 0;
-        let stats = self.heap.stats_ref();
-        stats.record_frees(freed);
-        stats.record_ignored_frees(ignored);
-    }
-
-    /// Returns unhanded reservations to their shard (no stats: they were
-    /// never allocations). Holds the maintenance lock so teardown cannot
-    /// interleave with a racing refill's batch.
-    fn return_reservations(&self, class: SizeClass, slots: &[usize]) {
-        if slots.is_empty() {
-            return;
-        }
-        let shard = self.heap.shard(class);
-        let _batch = self.heap.maintenance_lock(class).lock();
-        for &index in slots {
-            let was_reserved = shard.release_reservation(index);
-            debug_assert!(was_reserved, "returned slot {index} was not reserved");
-        }
-    }
-}
+pub type MagazineHeap = Heap<Shared>;
 
 /// Outcome of a cached free: either queued for a batched release or
 /// resolved immediately by the lock-free span/alignment validation.
@@ -493,7 +132,7 @@ pub enum CachedFree {
 
 /// One size class's thread-local state: the magazine (FIFO over the refill
 /// draw order, preserving the probe stream's sequence) and the free buffer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ClassCache {
     mag: [usize; MAG_SLOTS],
     head: usize,
@@ -521,7 +160,7 @@ impl ClassCache {
 /// where `std`'s lazy TLS destructor machinery must not be triggered.
 /// Callers that want automatic cleanup wrap it in a [`MagazineCache`] guard;
 /// the global allocator flushes via a `pthread` key destructor instead.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ThreadMagazines {
     classes: [ClassCache; NUM_CLASSES],
 }
@@ -535,29 +174,16 @@ impl ThreadMagazines {
         }
     }
 
-    /// `true` when no reservations are held and no frees are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.classes.iter().all(|c| c.len == 0 && c.flen == 0)
-    }
-
     /// Allocates `size` bytes through this thread's magazine, refilling from
-    /// `heap` (one shard-lock acquisition per batch) when empty. Returns
-    /// `None` for zero/oversized requests or when the class is at its `1/M`
-    /// cap — each denied request records one exhaustion, like the uncached
-    /// path.
-    pub fn alloc(&mut self, heap: &MagazineHeap, size: usize) -> Option<Slot> {
-        self.try_alloc(heap, size).placed()
-    }
-
-    /// [`alloc`](Self::alloc) with the elastic outcome surfaced:
-    /// zero/oversized requests are [`AllocOutcome::Unsupported`] (nothing
+    /// `heap` (one maintenance-lock acquisition per batch) when empty.
+    /// Zero/oversized requests are [`AllocOutcome::Unsupported`] (nothing
     /// recorded — the large-object path's business), while an empty refill
-    /// is [`AllocOutcome::Spill`]. On an elastic heap the refill has already
-    /// grown the class to its maximum before reporting empty, so `Spill`
-    /// always means "the `1/M` cap at full size", exactly like the uncached
-    /// [`MagazineHeap::try_alloc`].
-    pub fn try_alloc(&mut self, heap: &MagazineHeap, size: usize) -> AllocOutcome {
+    /// is [`AllocOutcome::Spill`] and has recorded one exhaustion for the
+    /// denied request, like the uncached path. On an elastic heap the refill
+    /// has already grown the class to its maximum before reporting empty, so
+    /// `Spill` always means "the `1/M` cap at full size", exactly like the
+    /// uncached [`Heap::try_alloc`].
+    pub fn try_alloc<A: Arm>(&mut self, heap: &Heap<A>, size: usize) -> AllocOutcome {
         let Some(class) = SizeClass::for_size(size) else {
             return AllocOutcome::Unsupported;
         };
@@ -565,7 +191,6 @@ impl ThreadMagazines {
         if cache.len == 0 {
             let drawn = heap.refill(class, &mut cache.mag);
             if drawn == 0 {
-                heap.heap.stats_ref().record_exhausted();
                 return AllocOutcome::Spill;
             }
             cache.head = 0;
@@ -595,27 +220,21 @@ impl ThreadMagazines {
     }
 
     /// Frees the object at `offset` through this thread's buffer. The
-    /// lock-free [`locate_free`] arithmetic rejects out-of-span and
-    /// misaligned offsets immediately; plausible slots are buffered per
-    /// class and released in batches (opportunistically at half capacity,
-    /// forced at full capacity).
-    pub fn free_at(&mut self, heap: &MagazineHeap, offset: usize) -> CachedFree {
-        let slot = match locate_free(heap.geometry(), offset) {
+    /// lock-free [`locate_free`](crate::engine::locate_free) arithmetic
+    /// rejects out-of-span and misaligned offsets immediately; plausible
+    /// slots are buffered per class and released in batches
+    /// (opportunistically at half capacity, forced at full capacity).
+    pub fn free_at<A: Arm>(&mut self, heap: &Heap<A>, offset: usize) -> CachedFree {
+        let slot = match heap.locate_free(offset) {
             Ok(slot) => slot,
-            Err(outcome) => {
-                if outcome == FreeOutcome::MisalignedOffset {
-                    heap.heap.stats_ref().record_ignored_free();
-                }
-                return CachedFree::Rejected(outcome);
-            }
+            Err(outcome) => return CachedFree::Rejected(outcome),
         };
         let cache = &mut self.classes[slot.class.index()];
         cache.frees[cache.flen] = slot.index;
         cache.flen += 1;
-        if cache.flen == FREE_SLOTS {
-            heap.flush_frees(slot.class, &mut cache.frees, &mut cache.flen);
-        } else if cache.flen >= FREE_SLOTS / 2 {
-            heap.try_flush_frees(slot.class, &mut cache.frees, &mut cache.flen);
+        if cache.flen >= FREE_SLOTS / 2 {
+            let force = cache.flen == FREE_SLOTS;
+            heap.flush_frees(slot.class, &mut cache.frees, &mut cache.flen, force);
         }
         CachedFree::Buffered
     }
@@ -623,10 +242,10 @@ impl ThreadMagazines {
     /// Flushes everything: buffered frees are released (stats recorded) and
     /// unhanded reservations are returned to their shards (no stats). The
     /// thread-exit path.
-    pub fn flush(&mut self, heap: &MagazineHeap) {
+    pub fn flush<A: Arm>(&mut self, heap: &Heap<A>) {
         for (i, cache) in self.classes.iter_mut().enumerate() {
             let class = SizeClass::from_index(i);
-            heap.flush_frees(class, &mut cache.frees, &mut cache.flen);
+            heap.flush_frees(class, &mut cache.frees, &mut cache.flen, true);
             let held = &cache.mag[cache.head..cache.head + cache.len];
             heap.return_reservations(class, held);
             cache.head = 0;
@@ -643,27 +262,33 @@ impl ThreadMagazines {
     }
 }
 
-impl Default for ThreadMagazines {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A guard coupling a [`ThreadMagazines`] to its heap: the ergonomic façade
-/// for threads using `&MagazineHeap` directly (benches, the sim harness's
-/// A/B runs, tests). Dropping it flushes — the in-process analogue of the
-/// global allocator's thread-exit flush.
+/// for threads using a `&Heap` directly (benches, the sim harness's A/B
+/// runs, tests; [`Heap::thread_cache`] makes one). Dropping it flushes — the
+/// in-process analogue of the global allocator's thread-exit flush.
 #[derive(Debug)]
-pub struct MagazineCache<'h> {
-    heap: &'h MagazineHeap,
+pub struct MagazineCache<'h, A: Arm = Shared> {
+    heap: &'h Heap<A>,
     mags: ThreadMagazines,
 }
 
-impl MagazineCache<'_> {
-    /// Allocates `size` bytes through the magazine
-    /// (see [`ThreadMagazines::alloc`]).
+impl<A: Arm> Heap<A> {
+    /// A thread-local cache over this heap. Dropping the cache flushes its
+    /// buffered frees and returns its unhanded reservations. Uncached
+    /// `alloc`/`free_at` calls remain available, are lock-free, and
+    /// interleave correctly with cached traffic.
+    #[must_use]
+    pub fn thread_cache(&self) -> MagazineCache<'_, A> {
+        let mags = ThreadMagazines::new();
+        MagazineCache { heap: self, mags }
+    }
+}
+
+impl<A: Arm> MagazineCache<'_, A> {
+    /// Allocates `size` bytes through the magazine; `None` for
+    /// zero/oversized requests or when the class is at its `1/M` cap.
     pub fn alloc(&mut self, size: usize) -> Option<Slot> {
-        self.mags.alloc(self.heap, size)
+        self.try_alloc(size).placed()
     }
 
     /// Allocates with the elastic outcome surfaced
@@ -685,7 +310,7 @@ impl MagazineCache<'_> {
     }
 }
 
-impl Drop for MagazineCache<'_> {
+impl<A: Arm> Drop for MagazineCache<'_, A> {
     fn drop(&mut self) {
         self.mags.flush(self.heap);
     }
@@ -694,26 +319,26 @@ impl Drop for MagazineCache<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::HeapCore;
+    use crate::config::HeapConfig;
+    use crate::sync::Plain;
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn heap(seed: u64) -> MagazineHeap {
-        MagazineHeap::new(HeapConfig::default(), seed).unwrap()
+    fn heap(seed: u64) -> Heap {
+        Heap::new(HeapConfig::default(), seed).unwrap()
     }
 
     /// For one thread performing only allocations, the magazine serves the
-    /// exact slot sequence the sharded heap would have: refills run the same
+    /// exact slot sequence the uncached path would have: refills run the same
     /// probe loop on the same per-class stream, and handout is FIFO.
     #[test]
     fn alloc_only_sequence_matches_sharded_exactly() {
-        let mag = heap(0xABCD);
-        let sharded = ShardedHeap::new(HeapConfig::default(), 0xABCD).unwrap();
-        let mut cache = mag.thread_cache();
+        let (cached, uncached) = (heap(0xABCD), heap(0xABCD));
+        let mut cache = cached.thread_cache();
         for req in [8usize, 8, 24, 100, 1000, 4000, 16_000, 8, 64, 100, 100] {
-            assert_eq!(cache.alloc(req), sharded.alloc(req), "request {req}");
+            assert_eq!(cache.alloc(req), uncached.alloc(req), "request {req}");
         }
     }
 
@@ -732,9 +357,9 @@ mod tests {
         assert!(h.is_live_at(handed));
 
         let reserved_idx = h
-            .with_partition(slot.class, |p| {
-                p.occupied_slots().find(|&i| i != slot.index)
-            })
+            .partition(slot.class)
+            .occupied_slots()
+            .find(|&i| i != slot.index)
             .expect("a reserved slot exists");
         let reserved_off = h.offset_of(Slot {
             class: slot.class,
@@ -887,7 +512,7 @@ mod tests {
     fn exhaustion_is_counted_per_denied_request() {
         // 32 KB regions: the 16 KB class has capacity 2, threshold 1.
         let cfg = HeapConfig::default().with_region_bytes(32 * 1024);
-        let h = MagazineHeap::new(cfg, 19).unwrap();
+        let h: Heap = Heap::new(cfg, 19).unwrap();
         let mut cache = h.thread_cache();
         assert!(cache.alloc(16 * 1024).is_some());
         assert!(cache.alloc(16 * 1024).is_none());
@@ -902,7 +527,7 @@ mod tests {
     /// a 1/64 start and spills — not crashes — past the final `1/M` cap.
     #[test]
     fn elastic_refills_grow_then_spill() {
-        let h = MagazineHeap::new_elastic(HeapConfig::default(), 0x1A57, 6).unwrap();
+        let h: Heap = Heap::new_elastic(HeapConfig::default(), 0x1A57, 6).unwrap();
         let mut cache = h.thread_cache();
         // 16 KB class: max capacity 64 (threshold 32), starting at 2.
         let mut placed = 0usize;
@@ -922,17 +547,17 @@ mod tests {
         assert_eq!(stats.exhausted, 2, "each denied request counted once");
     }
 
-    /// Single-threaded alloc-only histories are bit-identical between the
-    /// elastic magazine stack and the elastic sharded heap: refills grow at
-    /// exactly the same pressure points and growth consumes no RNG draws.
+    /// Single-threaded alloc-only histories are bit-identical through a
+    /// cache and without one on an elastic heap: refills grow at exactly the
+    /// same pressure points and growth consumes no RNG draws.
     #[test]
     fn elastic_alloc_sequence_matches_elastic_sharded() {
-        let mag = MagazineHeap::new_elastic(HeapConfig::default(), 0xE1A5, 6).unwrap();
-        let sharded = ShardedHeap::new_elastic(HeapConfig::default(), 0xE1A5, 6).unwrap();
-        let mut cache = mag.thread_cache();
+        let elastic = || -> Heap { Heap::new_elastic(HeapConfig::default(), 0xE1A5, 6).unwrap() };
+        let (cached, uncached) = (elastic(), elastic());
+        let mut cache = cached.thread_cache();
         for i in 0..2000usize {
             let req = 1 + (i * 37) % 1024;
-            assert_eq!(cache.alloc(req), sharded.alloc(req), "request {i}");
+            assert_eq!(cache.alloc(req), uncached.alloc(req), "request {i}");
         }
     }
 
@@ -955,7 +580,7 @@ mod tests {
     }
 
     /// Satellite: alloc on thread A, free on thread B, thread-exit flush
-    /// with zero leaked reservations, stats reconciled against a `HeapCore`
+    /// with zero leaked reservations, stats reconciled against a plain-arm
     /// shadow run of the same logical operation sequence.
     #[test]
     fn cross_thread_traffic_flushes_and_reconciles() {
@@ -1001,9 +626,8 @@ mod tests {
         let stats = h.stats();
 
         // Shadow run: the same logical sequence (every alloc later freed)
-        // through the single-threaded facade must produce identical
-        // counters.
-        let mut shadow = HeapCore::new(HeapConfig::default(), 0xC0DE).unwrap();
+        // through the single-owner arm must produce identical counters.
+        let shadow: Heap<Plain> = Heap::new(HeapConfig::default(), 0xC0DE).unwrap();
         let mut offs = Vec::new();
         for &sz in &sizes {
             let slot = shadow.alloc(sz).unwrap();

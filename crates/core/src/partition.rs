@@ -4,10 +4,10 @@
 //! (Figure 2 of the paper): hash-table-style probing for a free slot,
 //! the `1/M` fullness threshold, and the allocated-bit bookkeeping — once.
 //! [`AtomicPartition`] is the one implementation and its [`Arm`] parameter
-//! ([`crate::sync`]) says how its words are updated: `Shared`, the default,
-//! is the shard behind [`crate::sharded::ShardedHeap`] and everything that
-//! ships; [`Partition`] names the `Plain` instantiation that
-//! [`crate::engine::HeapCore`] and the Monte Carlo harnesses own outright.
+//! ([`crate::sync`]) says how its words are updated — the arm of the
+//! [`Heap`](crate::sharded::Heap) that holds it: `Shared`, the default, is
+//! everything that ships; [`Partition`] names the `Plain` instantiation
+//! that the simulator and the Monte Carlo harnesses own outright.
 //!
 //! Each partition owns its own MWC stream, so a partition is a complete,
 //! independently-lockable *shard* of the heap: no shared RNG (or any other

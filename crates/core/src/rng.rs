@@ -304,7 +304,7 @@ impl Iterator for Mwc {
 
 /// Derives the seed of substream `stream` from a single master seed.
 ///
-/// The sharded heap gives every size-class partition its own [`Mwc`] so
+/// The heap gives every size-class partition its own [`Mwc`] so
 /// that shards never contend on a shared generator; seeding each from
 /// `stream_seed(master, class_index)` keeps the whole heap deterministic
 /// from one master seed while decorrelating the per-shard streams (two

@@ -12,12 +12,13 @@
 //! length bound is itself a bug vector, so DieHard clamps it with the *true*
 //! object bound.
 //!
-//! This module implements the bound computation against [`HeapCore`] and
+//! This module implements the bound computation against [`Heap`] and
 //! slice-based copy routines shared by the simulated heap; the real global
 //! allocator wraps them with raw-pointer entry points.
 
 use crate::config::HeapGeometry;
-use crate::engine::HeapCore;
+use crate::sharded::Heap;
+use crate::sync::Arm;
 
 /// Computes the number of bytes available from `offset` to the end of the
 /// heap object containing it, via the paper's mask-and-subtract scheme.
@@ -33,9 +34,9 @@ use crate::engine::HeapCore;
 /// # Examples
 ///
 /// ```
-/// use diehard_core::{config::HeapConfig, engine::HeapCore, safe_str::space_to_object_end};
+/// use diehard_core::{config::HeapConfig, safe_str::space_to_object_end, Heap};
 ///
-/// let mut heap = HeapCore::new(HeapConfig::default(), 1)?;
+/// let heap: Heap = Heap::new(HeapConfig::default(), 1)?;
 /// let slot = heap.alloc(100).unwrap(); // rounds to a 128-byte object
 /// let off = heap.offset_of(slot);
 /// assert_eq!(space_to_object_end(&heap, off), Some(128));
@@ -43,7 +44,7 @@ use crate::engine::HeapCore;
 /// # Ok::<(), diehard_core::config::ConfigError>(())
 /// ```
 #[must_use]
-pub fn space_to_object_end(heap: &HeapCore, offset: usize) -> Option<usize> {
+pub fn space_to_object_end<A: Arm>(heap: &Heap<A>, offset: usize) -> Option<usize> {
     space_in_object(heap.geometry(), offset)
 }
 
@@ -123,13 +124,13 @@ mod tests {
     use crate::config::HeapConfig;
     use proptest::prelude::*;
 
-    fn heap() -> HeapCore {
-        HeapCore::new(HeapConfig::default(), 42).unwrap()
+    fn heap() -> Heap {
+        Heap::new(HeapConfig::default(), 42).unwrap()
     }
 
     #[test]
     fn space_full_object() {
-        let mut h = heap();
+        let h = heap();
         for req in [8usize, 33, 4097] {
             let slot = h.alloc(req).unwrap();
             let off = h.offset_of(slot);
@@ -139,7 +140,7 @@ mod tests {
 
     #[test]
     fn space_interior_pointer() {
-        let mut h = heap();
+        let h = heap();
         let slot = h.alloc(256).unwrap();
         let off = h.offset_of(slot);
         assert_eq!(space_to_object_end(&h, off + 200), Some(56));
@@ -249,7 +250,7 @@ mod tests {
         /// Interior-pointer bound plus offset always equals the object size.
         #[test]
         fn interior_bounds_consistent(req in 1usize..=16*1024, delta in 0usize..64) {
-            let mut h = heap();
+            let h = heap();
             let slot = h.alloc(req).unwrap();
             let off = h.offset_of(slot);
             let delta = delta % slot.size();

@@ -1,11 +1,19 @@
-//! The sharded DieHard heap: a lock-free per-op path over shared-nothing
-//! partition shards, with per-class locks demoted to slow-path maintenance.
+//! The DieHard heap: twelve shared-nothing partitions behind one
+//! `DieHardMalloc`/`DieHardFree` (Figure 2), a lock-free per-op path, and
+//! per-class locks demoted to slow-path maintenance.
+//!
+//! There is one heap type, [`Heap`], generic in the [`Arm`] its words are
+//! updated in exactly as its partitions are: `Heap<Shared>` (the default;
+//! `Sync` — the global allocator embeds one behind its once-initialized
+//! header, and it is what `libdiehard.so` runs) and `Heap<Plain>` (always
+//! load + store; `Send` but not `Sync` — the simulator's and the Monte Carlo
+//! harnesses' single-owner heap). Same code, same draws, same histories.
 //!
 //! The paper's allocator (§4.2) is embarrassingly partitionable: each of the
 //! twelve size-class regions owns its slot-state map, its `1/M` threshold,
 //! and its probe loop, and `DieHardFree`'s validation resolves any offset to
-//! exactly one region with pure arithmetic. [`ShardedHeap`] exploits that
-//! structure twice over. First, shards share nothing: every
+//! exactly one region with pure arithmetic. [`Heap`] exploits that
+//! structure twice over. First, partitions share nothing: every
 //! [`AtomicPartition`] has its private CAS-advanced RNG stream (seeded by
 //! splitting the master seed), so operations in *different* classes never
 //! touch the same cache lines. Second, **no per-op path takes a lock at
@@ -14,16 +22,21 @@
 //! occupied slot), and a free validates with lock-free arithmetic
 //! ([`locate_free`]) and clears the slot with one CAS. The per-class
 //! [`SpinLock`]s survive only as *maintenance locks* for slow-path batches —
-//! magazine refills, free-buffer flushes, reservation teardown — where one
-//! acquisition amortizes over many slots and mutual exclusion among
-//! *maintainers* (not allocators) is the point.
+//! magazine refills, free-buffer flushes, reservation teardown, doublings —
+//! where one acquisition amortizes over many slots and mutual exclusion
+//! among *maintainers* (not allocators) is the point.
+//!
+//! Threads that want to touch shared lines once per batch put a magazine
+//! cache in front of the heap ([`Heap::thread_cache`], [`crate::magazine`]);
+//! the batch operations it calls — refill, commit, flush, return — are the
+//! heap's methods, because the state they change is the heap's own.
 //!
 //! Determinism under the lock-free path — the pinned contended-retry rule:
 //!
-//! * single-threaded histories are **bit-identical** to
-//!   [`HeapCore`](crate::engine::HeapCore)'s for the same master seed (the
-//!   same partition code in its plain arm: same RNG stream, same shift
-//!   draw, same win/lose per probe);
+//! * single-threaded histories are **bit-identical** across both arms and
+//!   through a cache for the same master seed (one partition code: same RNG
+//!   stream, same shift draw, same win/lose per probe; handout is FIFO in
+//!   draw order);
 //! * under contention the placement *sequence* may diverge from any serial
 //!   replay — concurrent threads interleave one RNG stream and a lost claim
 //!   redraws — but every placement remains a uniformly random free slot,
@@ -33,18 +46,19 @@
 //!
 //! The isolation property that makes the decomposition sound is DieHard's
 //! own: a (validated) free in one region can never mutate another region's
-//! metadata, so shards compose without any ordering discipline — no
+//! metadata, so partitions compose without any ordering discipline — no
 //! operation ever takes two maintenance locks at once.
 
 use crate::bitmap::SlotState;
 use crate::config::{ConfigError, HeapConfig, HeapGeometry};
 use crate::engine::{
-    build_partitions, build_partitions_from_storage, locate_free, slot_at, slot_offset,
-    AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot,
+    locate_free, slot_at, slot_offset, AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot,
 };
+use crate::magazine::{refill_batch, FREE_SLOTS, MAG_SLOTS};
 use crate::partition::AtomicPartition;
+use crate::rng::stream_seed;
 use crate::size_class::{SizeClass, NUM_CLASSES};
-use crate::sync::SpinLock;
+use crate::sync::{Arm, Shared, SpinLock};
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// One transparent huge page: the PMD size on x86-64 and on aarch64 with
@@ -99,12 +113,35 @@ pub const PROMOTE_AFTER_ALLOCS: u64 = (HUGE_PAGE / 4096) as u64;
 /// placement is bit-identical with and without one installed.
 pub type PromoteHook = fn(ctx: usize, region_offset: usize, region_len: usize, active_len: usize);
 
-/// A thread-safe DieHard heap whose alloc and free paths are lock-free; one
-/// maintenance lock per size class guards slow-path batches only.
-///
-/// All operations take `&self`; the heap is `Sync` and designed to be
-/// shared across threads (the real global allocator embeds one behind its
-/// once-initialized header).
+/// The randomized small-object heap: twelve [`AtomicPartition`]s, the
+/// geometry that turns their slot indices into byte offsets, and the
+/// counters. Alloc and free are lock-free; one maintenance lock per size
+/// class guards slow-path batches only. All operations take `&self`; which
+/// arms may be shared between threads is in the module docs.
+#[derive(Debug)]
+pub struct Heap<A: Arm = Shared> {
+    geometry: HeapGeometry,
+    partitions: [AtomicPartition<A>; NUM_CLASSES],
+    /// Slow-path mutual exclusion per class: magazine refills, free-buffer
+    /// flushes, reservation teardown and doublings serialize against each
+    /// other here. **Never taken by `alloc`/`free_at`/`is_live_at`** — the
+    /// per-op paths are lock-free by construction, and the slot-state map's
+    /// atomics keep them correct against in-flight maintenance.
+    maintenance: [SpinLock<()>; NUM_CLASSES],
+    stats: AtomicHeapStats<A>,
+    /// Number of completed per-class doublings (elastic heaps; always 0 on
+    /// fixed heaps).
+    growths: AtomicU64,
+    /// The installed [`PromoteHook`] and its `ctx` word; `None` (every heap
+    /// that owns no real memory) disables the promotion check entirely.
+    promote: Option<(PromoteHook, usize)>,
+    /// Bit `i` set = class `i` has been promoted. Each bit is written once,
+    /// under its class's maintenance lock.
+    promoted: AtomicU32,
+}
+
+/// [`Heap`] in its default, thread-safe [`Shared`] arm. The name survives as
+/// the frozen `benchmark/` package's import path; in-tree code says `Heap`.
 ///
 /// # Examples
 ///
@@ -120,46 +157,44 @@ pub type PromoteHook = fn(ctx: usize, region_offset: usize, region_len: usize, a
 /// assert!(!heap.free_at(off).freed()); // double free: ignored
 /// # Ok::<(), diehard_core::config::ConfigError>(())
 /// ```
-#[derive(Debug)]
-pub struct ShardedHeap {
-    geometry: HeapGeometry,
-    shards: [AtomicPartition; NUM_CLASSES],
-    /// Slow-path mutual exclusion per class: magazine refills, free-buffer
-    /// flushes, and reservation teardown serialize against each other here.
-    /// **Never taken by `alloc`/`free_at`/`is_live_at`** — the per-op paths
-    /// are lock-free by construction, and the slot-state map's atomics keep
-    /// them correct against in-flight maintenance.
-    maintenance: [SpinLock<()>; NUM_CLASSES],
-    stats: AtomicHeapStats,
-    /// Number of completed per-class doublings (elastic heaps; always 0 on
-    /// fixed heaps).
-    growths: AtomicU64,
-    /// The installed [`PromoteHook`] and its `ctx` word; `None` (every heap
-    /// that owns no real memory) disables the promotion check entirely.
-    promote: Option<(PromoteHook, usize)>,
-    /// Bit `i` set = class `i` has been promoted. Each bit is written once,
-    /// under its class's maintenance lock.
-    promoted: AtomicU32,
-}
+pub type ShardedHeap = Heap<Shared>;
 
-impl ShardedHeap {
-    /// Creates an empty sharded heap; shard `i` probes with the RNG stream
-    /// `stream_seed(seed, i)`, so one master seed reproduces the layout.
+impl<A: Arm> Heap<A> {
+    /// Creates an empty fixed-size heap; class `i` probes with the RNG
+    /// stream `stream_seed(seed, i)`, so one master seed reproduces the
+    /// layout in either arm.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the configuration is invalid.
     pub fn new(config: HeapConfig, seed: u64) -> Result<Self, ConfigError> {
-        Self::from_geometry(HeapGeometry::new(config)?, seed)
+        Self::new_elastic(config, seed, 0)
     }
 
-    /// Creates an *elastic* sharded heap: each class starts at
-    /// `1 / 2^initial_fraction_log2` of its maximum capacity and doubles
-    /// lock-free-readably under `1/M`-cap pressure until the maximum, after
-    /// which [`try_alloc`](Self::try_alloc) reports
-    /// [`AllocOutcome::Spill`] instead of hard-failing. Slot layout is
-    /// computed against the maximum capacity from day one, so growth moves
-    /// no object and changes no offset arithmetic.
+    /// Creates an empty *elastic* heap — the paper's §9 "adaptive version of
+    /// DieHard that grows memory regions dynamically as objects are
+    /// allocated": each class starts at `1 / 2^initial_fraction_log2` of its
+    /// maximum capacity (a power of two that keeps the `1/M` threshold ≥ 1;
+    /// `0` is the fixed heap) and doubles when an allocation finds it at its
+    /// cap, until the maximum, after which [`try_alloc`](Self::try_alloc)
+    /// reports [`AllocOutcome::Spill`] instead of hard-failing. Regions are
+    /// laid out at their maximum spacing, so growth moves no object, changes
+    /// no offset and draws no random number: only the probing range — and
+    /// with it §3's protection, which scales with the *current* region size —
+    /// changes.
+    ///
+    /// ```
+    /// use diehard_core::{config::HeapConfig, engine::*, sharded::Heap, size_class::SizeClass};
+    ///
+    /// let heap: Heap = Heap::new_elastic(HeapConfig::default(), 7, DEFAULT_INITIAL_FRACTION_LOG2)?;
+    /// let class = SizeClass::from_index(0);
+    /// let before = heap.partition(class).capacity();
+    /// for _ in 0..before {
+    ///     heap.alloc(8);
+    /// }
+    /// assert!(heap.partition(class).capacity() > before, "region grew under pressure");
+    /// # Ok::<(), diehard_core::config::ConfigError>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -169,35 +204,23 @@ impl ShardedHeap {
         seed: u64,
         initial_fraction_log2: u32,
     ) -> Result<Self, ConfigError> {
-        Self::from_geometry(
-            HeapGeometry::new_elastic(config, initial_fraction_log2)?,
-            seed,
-        )
+        let geometry = HeapGeometry::new_elastic(config, initial_fraction_log2)?;
+        // SAFETY: no storage is passed, so there is no contract to meet.
+        Ok(unsafe { Self::build(geometry, seed, None) })
     }
 
-    fn from_geometry(geometry: HeapGeometry, seed: u64) -> Result<Self, ConfigError> {
-        let shards = build_partitions(&geometry, seed);
-        Ok(Self {
-            geometry,
-            shards,
-            maintenance: core::array::from_fn(|_| SpinLock::new(())),
-            stats: AtomicHeapStats::new(),
-            growths: AtomicU64::new(0),
-            promote: None,
-            promoted: AtomicU32::new(0),
-        })
-    }
-
-    /// As [`new`](Self::new), but hosting all twelve slot-state maps in
-    /// caller-provided storage so that construction performs **no heap
-    /// allocation** — required when DieHard itself is the process's global
-    /// allocator (metadata lives in a segregated mmap arena, §4.1).
+    /// As [`new_elastic`](Self::new_elastic), but hosting all twelve
+    /// slot-state maps in caller-provided storage so that construction
+    /// performs **no heap allocation** — required when DieHard itself is the
+    /// process's global allocator (metadata lives in a segregated mmap arena,
+    /// §4.1). The footprint does not depend on the fraction: slot maps are
+    /// always sized for the maximum capacity.
     ///
     /// # Safety
     ///
-    /// `bitmap_words` must point to at least
-    /// [`bitmap_words_needed`](Self::bitmap_words_needed)`(&config)` zeroed
-    /// `u64`s, valid and exclusively owned for the heap's lifetime.
+    /// `words` must point to at least
+    /// [`metadata_words_needed`](Self::metadata_words_needed)`(&config)`
+    /// zeroed `u64`s, valid and exclusively owned for the heap's lifetime.
     ///
     /// # Errors
     ///
@@ -205,79 +228,84 @@ impl ShardedHeap {
     pub unsafe fn from_raw_parts(
         config: HeapConfig,
         seed: u64,
-        bitmap_words: *mut u64,
-    ) -> Result<Self, ConfigError> {
-        let geometry = HeapGeometry::new(config)?;
-        // SAFETY: forwarded caller contract.
-        unsafe { Self::from_geometry_raw(geometry, seed, bitmap_words) }
-    }
-
-    /// As [`from_raw_parts`] but elastic (see [`new_elastic`](Self::new_elastic)).
-    /// The metadata footprint is identical — slot maps are always sized for
-    /// the maximum capacity — so
-    /// [`bitmap_words_needed`](Self::bitmap_words_needed) applies unchanged.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`from_raw_parts`](Self::from_raw_parts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub unsafe fn from_raw_parts_elastic(
-        config: HeapConfig,
-        seed: u64,
-        bitmap_words: *mut u64,
+        words: *mut u64,
         initial_fraction_log2: u32,
     ) -> Result<Self, ConfigError> {
         let geometry = HeapGeometry::new_elastic(config, initial_fraction_log2)?;
         // SAFETY: forwarded caller contract.
-        unsafe { Self::from_geometry_raw(geometry, seed, bitmap_words) }
+        Ok(unsafe { Self::build(geometry, seed, Some(words)) })
     }
 
-    unsafe fn from_geometry_raw(
-        geometry: HeapGeometry,
-        seed: u64,
-        bitmap_words: *mut u64,
-    ) -> Result<Self, ConfigError> {
-        // SAFETY: forwarded caller contract.
-        let shards = unsafe { build_partitions_from_storage(&geometry, seed, bitmap_words) };
-        Ok(Self {
+    /// The one definition of the partition layout: twelve partitions, each
+    /// with its private RNG stream `stream_seed(seed, class)` split from
+    /// `seed`, starting at the geometry's *initial* capacity (== the maximum
+    /// for fixed geometries) with slot maps sized for the maximum, so elastic
+    /// growth never relayouts. The maps are carved sequentially out of
+    /// `storage` when there is one and heap-allocated otherwise.
+    ///
+    /// # Safety
+    ///
+    /// `storage`, if any, meets [`from_raw_parts`](Self::from_raw_parts)'s
+    /// contract.
+    unsafe fn build(geometry: HeapGeometry, seed: u64, mut storage: Option<*mut u64>) -> Self {
+        let partitions = core::array::from_fn(|i| {
+            let c = SizeClass::from_index(i);
+            let (max, start) = (geometry.capacity(c), geometry.initial_capacity(c));
+            let (threshold, stream) = (geometry.initial_threshold(c), stream_seed(seed, i as u64));
+            match &mut storage {
+                None => AtomicPartition::new_elastic(c, max, start, threshold, stream),
+                Some(cursor) => {
+                    let words = *cursor;
+                    // SAFETY: the caller provides enough zeroed words for the
+                    // sum of all class maps; each class takes the next
+                    // `words_needed(max)` of them.
+                    *cursor = unsafe { words.add(AtomicPartition::<A>::words_needed(max)) };
+                    unsafe {
+                        AtomicPartition::from_storage_elastic(
+                            c, max, start, threshold, stream, words,
+                        )
+                    }
+                }
+            }
+        });
+        Self {
             geometry,
-            shards,
+            partitions,
             maintenance: core::array::from_fn(|_| SpinLock::new(())),
             stats: AtomicHeapStats::new(),
             growths: AtomicU64::new(0),
             promote: None,
             promoted: AtomicU32::new(0),
-        })
+        }
     }
 
     /// Number of `u64` words of metadata storage
     /// [`from_raw_parts`](Self::from_raw_parts) requires for `config`: two
-    /// bits per slot (live + reserved), 32 slots per word, every class
-    /// sized for its maximum capacity.
+    /// bits per slot (live + reserved — the paired maps already encode
+    /// magazine reservations, so caching adds no metadata), 32 slots per
+    /// word, every class sized for its maximum capacity.
     #[must_use]
-    pub fn bitmap_words_needed(config: &HeapConfig) -> usize {
-        (0..NUM_CLASSES)
-            .map(|i| <AtomicPartition>::words_needed(config.capacity(SizeClass::from_index(i))))
+    pub fn metadata_words_needed(config: &HeapConfig) -> usize {
+        SizeClass::all()
+            .map(|c| AtomicPartition::<A>::words_needed(config.capacity(c)))
             .sum()
     }
 
-    /// The heap's configuration (lock-free; the config is immutable).
+    /// The heap's configuration (immutable).
     #[must_use]
     pub fn config(&self) -> &HeapConfig {
         self.geometry.config()
     }
 
-    /// The heap's precomputed shift/mask geometry (lock-free; immutable).
+    /// The heap's precomputed shift/mask geometry (immutable).
     #[must_use]
     #[inline]
     pub fn geometry(&self) -> &HeapGeometry {
         &self.geometry
     }
 
-    /// Counters since construction (lock-free snapshot).
+    /// Counters since construction (lock-free snapshot). Frees sitting in a
+    /// thread's buffer are counted when that buffer flushes.
     #[must_use]
     pub fn stats(&self) -> HeapStats {
         self.stats.snapshot()
@@ -289,14 +317,23 @@ impl ShardedHeap {
         self.geometry.heap_span()
     }
 
+    /// The partition serving `class` — capacity, probe statistics, layout
+    /// diagnostics. No lock: the partition's own atomics make reads safe,
+    /// with the usual not-a-snapshot caveat under concurrent traffic. Note
+    /// its slot-state map includes reserved slots (occupied, not live);
+    /// flush caches first for live-only statistics.
+    #[must_use]
+    #[inline]
+    pub fn partition(&self, class: SizeClass) -> &AtomicPartition<A> {
+        &self.partitions[class.index()]
+    }
+
     /// Allocates `size` bytes — the lock-free fast path: a ticket against
     /// the `1/M` cap, then probe draws claimed by `fetch_or`, no lock in any
     /// branch. Returns `None` when the request is zero, larger than 16 KB
-    /// (large-object path), or the class region is at its `1/M` cap.
-    ///
-    /// On an elastic heap a denial first grows the class (see
-    /// [`try_alloc`](Self::try_alloc)); only a denial at the *maximum*
-    /// capacity becomes `None`.
+    /// (large-object path), or the class region is at its `1/M` cap (the
+    /// paper returns `NULL`) — on an elastic heap, at the cap of its
+    /// *maximum* capacity (see [`try_alloc`](Self::try_alloc)).
     #[inline]
     pub fn alloc(&self, size: usize) -> Option<Slot> {
         self.try_alloc(size).placed()
@@ -315,7 +352,7 @@ impl ShardedHeap {
             return AllocOutcome::Unsupported;
         };
         loop {
-            if let Some(index) = self.shards[class.index()].alloc() {
+            if let Some(index) = self.partitions[class.index()].alloc() {
                 self.stats.record_alloc();
                 return AllocOutcome::Placed(Slot { class, index });
             }
@@ -326,7 +363,8 @@ impl ShardedHeap {
         }
     }
 
-    /// Number of completed per-class doublings since construction.
+    /// Number of completed per-class doublings since construction, whether
+    /// triggered by uncached allocations or magazine refills.
     #[must_use]
     pub fn growth_events(&self) -> u64 {
         self.growths.load(Ordering::Relaxed)
@@ -358,7 +396,7 @@ impl ShardedHeap {
     /// wraps: a check that lands within the threshold's worth of
     /// allocations after a wrap reads the class as cold, and the next refill
     /// or doubling promotes it instead.)
-    pub(crate) fn promote_if_hot_locked(&self, class: SizeClass) {
+    fn promote_if_hot_locked(&self, class: SizeClass) {
         let Some((hook, ctx)) = self.promote else {
             return;
         };
@@ -366,9 +404,9 @@ impl ShardedHeap {
         if self.promoted.load(Ordering::Relaxed) & bit != 0 {
             return;
         }
-        let shard = &self.shards[class.index()];
-        let active_len = shard.capacity() * class.object_size();
-        if active_len < HUGE_PAGE || shard.probe_stats().0 < PROMOTE_AFTER_ALLOCS {
+        let partition = &self.partitions[class.index()];
+        let active_len = partition.capacity() * class.object_size();
+        if active_len < HUGE_PAGE || partition.probe_stats().0 < PROMOTE_AFTER_ALLOCS {
             return;
         }
         self.promoted.fetch_or(bit, Ordering::Relaxed);
@@ -385,28 +423,28 @@ impl ShardedHeap {
     /// caller should retry its allocation — either this call doubled the
     /// active capacity or a racing free already made room.
     fn grow_class(&self, class: SizeClass) -> bool {
-        let shard = &self.shards[class.index()];
-        if shard.capacity() >= self.geometry.capacity(class) {
+        let partition = &self.partitions[class.index()];
+        if partition.capacity() >= self.geometry.capacity(class) {
             return false;
         }
         let _guard = self.maintenance[class.index()].lock();
         self.grow_class_locked(class)
     }
 
-    /// The body of [`grow_class`] for callers that already hold `class`'s
-    /// maintenance lock (the magazine refill path — re-locking would
+    /// The body of [`grow_class`](Self::grow_class) for callers that already
+    /// hold `class`'s maintenance lock (the refill path — re-locking would
     /// deadlock on the non-reentrant `SpinLock`). Takes the one doubling
     /// step ([`AtomicPartition::double`]); skips it (but still reports
-    /// "retry") when a racing free dropped the shard below its cap while we
-    /// waited for the lock.
-    pub(crate) fn grow_class_locked(&self, class: SizeClass) -> bool {
-        let shard = &self.shards[class.index()];
-        if shard.capacity() < shard.max_capacity() && !shard.at_threshold() {
+    /// "retry") when a racing free dropped the partition below its cap while
+    /// we waited for the lock.
+    fn grow_class_locked(&self, class: SizeClass) -> bool {
+        let partition = &self.partitions[class.index()];
+        if partition.capacity() < partition.max_capacity() && !partition.at_threshold() {
             // A concurrent free (or a finished grower) made room between
             // our denial and the lock: retry without spending a doubling.
             return true;
         }
-        if !shard.double(self.geometry.config()) {
+        if !partition.double(self.geometry.config()) {
             return false;
         }
         self.growths.fetch_add(1, Ordering::Relaxed);
@@ -426,34 +464,48 @@ impl ShardedHeap {
     }
 
     /// Resolves a byte offset (any interior pointer) to the slot containing
-    /// it (pure arithmetic, no lock).
+    /// it (pure arithmetic, no lock) — what the bounded string functions of
+    /// §4.4 use to find an object's start.
     #[must_use]
     pub fn slot_containing(&self, offset: usize) -> Option<Slot> {
         slot_at(&self.geometry, offset)
     }
 
-    /// `DieHardFree` (§4.3), fully lock-free: the span and alignment checks
-    /// are pure arithmetic and the slot clear is one CAS. A slot observed
-    /// free (double/invalid free) or magazine-reserved (not yet handed out)
-    /// is ignored, per the paper's contract.
+    /// The span/alignment half of `DieHardFree` ([`locate_free`]) with its
+    /// bookkeeping: a misaligned offset is an ignored free and is counted
+    /// here, so the uncached and the buffered free path reject identically.
+    #[inline]
+    pub(crate) fn locate_free(&self, offset: usize) -> Result<Slot, FreeOutcome> {
+        locate_free(&self.geometry, offset).inspect_err(|&outcome| {
+            if outcome == FreeOutcome::MisalignedOffset {
+                self.stats.record_ignored_frees(1);
+            }
+        })
+    }
+
+    /// `DieHardFree` (§4.3), fully lock-free: validates and frees the object
+    /// at `offset`.
+    ///
+    /// The three checks, in order: the offset must fall inside the heap
+    /// span; it must be a multiple of its region's object size (both pure
+    /// arithmetic); and the slot must currently be allocated (one CAS). A
+    /// slot observed free (double/invalid free) or magazine-reserved (no
+    /// pointer to it was ever returned) fails the third. Failing any check
+    /// *ignores* the free — this is what makes DieHard immune to double and
+    /// invalid frees.
     #[inline]
     pub fn free_at(&self, offset: usize) -> FreeOutcome {
-        let slot = match locate_free(&self.geometry, offset) {
+        let slot = match self.locate_free(offset) {
             Ok(slot) => slot,
-            Err(outcome) => {
-                if outcome == FreeOutcome::MisalignedOffset {
-                    self.stats.record_ignored_free();
-                }
-                return outcome;
-            }
+            Err(outcome) => return outcome,
         };
-        match self.shards[slot.class.index()].free(slot.index) {
+        match self.partitions[slot.class.index()].free(slot.index) {
             SlotState::Live => {
-                self.stats.record_free();
+                self.stats.record_frees(1);
                 FreeOutcome::Freed(slot)
             }
             SlotState::Free | SlotState::Reserved => {
-                self.stats.record_ignored_free();
+                self.stats.record_ignored_frees(1);
                 FreeOutcome::NotAllocated
             }
         }
@@ -464,31 +516,16 @@ impl ShardedHeap {
     #[must_use]
     pub fn is_live_at(&self, offset: usize) -> bool {
         match slot_at(&self.geometry, offset) {
-            Some(slot) => self.shards[slot.class.index()].is_live(slot.index),
+            Some(slot) => self.partitions[slot.class.index()].is_live(slot.index),
             None => false,
         }
-    }
-
-    /// The lock-free partition serving `class` — the magazine layer reserves
-    /// and releases slots against a shard directly.
-    #[inline]
-    pub(crate) fn shard(&self, class: SizeClass) -> &AtomicPartition {
-        &self.shards[class.index()]
-    }
-
-    /// The slow-path maintenance lock for `class`. Batch operations (refill,
-    /// flush, teardown) hold it so maintainers serialize with each other;
-    /// the per-op paths never touch it.
-    #[inline]
-    pub(crate) fn maintenance_lock(&self, class: SizeClass) -> &SpinLock<()> {
-        &self.maintenance[class.index()]
     }
 
     /// Acquires every per-class maintenance lock, in class-index order —
     /// the `fork(2)` prepare path: with all twelve held, no batch operation
     /// (refill, flush, growth, teardown) is mid-flight anywhere, so the
-    /// child inherits shard metadata that is batch-consistent. Per-op CAS
-    /// traffic is not (and cannot be) excluded; an in-flight reservation
+    /// child inherits partition metadata that is batch-consistent. Per-op
+    /// CAS traffic is not (and cannot be) excluded; an in-flight reservation
     /// ticket in the forking parent can leak a bounded number of slots in
     /// the child, which is availability, not corruption.
     ///
@@ -514,97 +551,270 @@ impl ShardedHeap {
         }
     }
 
-    /// The heap-wide atomic counters, shared with wrappers (the magazine
-    /// layer records handouts and batched frees into the same stats so the
-    /// aggregate numbers stay exact whichever path served an operation).
-    #[inline]
-    pub(crate) fn stats_ref(&self) -> &AtomicHeapStats {
-        &self.stats
+    /// Occupied slots across all regions — the sum of the twelve `1/M`
+    /// tickets (the paper's `inUse`): live objects **plus** any slots
+    /// reserved inside thread magazines, which count toward the cap. Twelve
+    /// relaxed loads, O(1) in the heap's size; an instantaneous total only
+    /// when the heap is quiescent.
+    #[must_use]
+    pub fn in_use(&self) -> usize {
+        self.partitions.iter().map(AtomicPartition::in_use).sum()
     }
 
-    /// Runs `f` against the partition serving `class` — shard-local
-    /// diagnostics. No lock: the partition's own atomics make reads safe,
-    /// with the usual not-a-snapshot caveat under concurrent traffic.
-    pub fn with_partition<R>(&self, class: SizeClass, f: impl FnOnce(&AtomicPartition) -> R) -> R {
-        f(&self.shards[class.index()])
+    /// One partition's live count: its ticket minus its reservations.
+    fn live_in(partition: &AtomicPartition<A>) -> usize {
+        let in_use = partition.in_use();
+        in_use - partition.reserved_count().min(in_use)
     }
 
-    /// Total occupied objects across all regions (live plus any
-    /// magazine-reserved slots, which count toward `1/M`). Lock-free reads;
-    /// an instantaneous total only when the heap is quiescent.
+    /// Live objects across all regions: [`in_use`](Self::in_use) minus the
+    /// slots magazines hold but have not handed out. **O(slot map)** — the
+    /// reservation count is a popcount over every slot-map word (≈ 8 k words
+    /// on the 1 MB default, ≈ 260 k on 32 MB regions) — so poll `in_use`
+    /// instead where no cache is attached. Same quiescence caveat.
     #[must_use]
     pub fn live_objects(&self) -> usize {
-        self.shards.iter().map(AtomicPartition::in_use).sum()
+        self.partitions.iter().map(Self::live_in).sum()
     }
 
-    /// Cumulative probe statistics summed across every shard:
-    /// `(allocations, total probes)` — [`AtomicPartition::probe_stats`]
-    /// over the whole heap, so §4.2's E[probes] = 1/(1 − 1/M) claim is
-    /// checkable on the lock-free heap too.
-    /// CAS-retry probes are counted exactly like occupied-slot probes (one
-    /// draw = one probe). Exact totals once the threads touching the heap
-    /// are joined.
+    /// Live bytes across all regions (rounded object sizes); O(slot map)
+    /// and quiescence-exact like [`live_objects`](Self::live_objects).
     #[must_use]
-    pub fn probe_stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(allocs, probes), shard| {
-            let (a, p) = shard.probe_stats();
-            (allocs + a, probes + p)
+    pub fn live_bytes(&self) -> usize {
+        let bytes = |p| Self::live_in(p) * p.class().object_size();
+        self.partitions.iter().map(bytes).sum()
+    }
+
+    /// Slots currently reserved inside thread magazines across all classes
+    /// (O(slot map), quiescence caveat as above). Zero once every cache has
+    /// flushed.
+    #[must_use]
+    pub fn reserved_slots(&self) -> usize {
+        let reserved = self.partitions.iter().map(AtomicPartition::reserved_count);
+        reserved.sum()
+    }
+
+    /// Iterates over every live slot in the heap, smallest class first.
+    pub fn live_slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.partitions.iter().flat_map(|p| {
+            let class = p.class();
+            p.live_slots().map(move |index| Slot { class, index })
         })
     }
 
-    /// Total occupied bytes across all regions (rounded object sizes); same
-    /// quiescence caveat as [`live_objects`](Self::live_objects).
+    /// Cumulative probe statistics summed across every partition:
+    /// `(allocations, total probes)` — [`AtomicPartition::probe_stats`]
+    /// over the whole heap, so §4.2's E[probes] = 1/(1 − 1/M) claim is
+    /// checkable on the lock-free heap too. CAS-retry probes are counted
+    /// exactly like occupied-slot probes (one draw = one probe), and
+    /// magazine refills run the partition's own probe loop, so reservation
+    /// draws count exactly like direct allocations. Exact totals once the
+    /// threads touching the heap are joined.
     #[must_use]
-    pub fn live_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|p| p.in_use() * p.class().object_size())
-            .sum()
+    pub fn probe_stats(&self) -> (u64, u64) {
+        let each = self.partitions.iter().map(AtomicPartition::probe_stats);
+        each.fold((0, 0), |(allocs, probes), (a, p)| (allocs + a, probes + p))
+    }
+
+    // ---- cache back end ([`Heap::thread_cache`] is beside the cache) --------
+
+    /// Refills `out` with up to one batch of reserved slots for `class`,
+    /// drawn by the partition's own probe loop under one acquisition of the
+    /// class **maintenance** lock (the slow path — per-op traffic never
+    /// waits on it; the lock only serializes refills against flushes and
+    /// teardowns so batches do not interleave draws). Returns the number of
+    /// slots reserved.
+    /// On an elastic heap an at-cap refill grows the class before giving
+    /// up. `grow_class_locked` is called directly because this thread
+    /// already holds the maintenance lock — re-entering through
+    /// `grow_class` would deadlock on the non-reentrant `SpinLock`. A `0`
+    /// here therefore means the class is at its *maximum* capacity and full
+    /// — a genuine spill, not growth pressure — and is recorded as one
+    /// exhaustion (the caller's denied request), like the uncached path's.
+    pub(crate) fn refill(&self, class: SizeClass, out: &mut [usize; MAG_SLOTS]) -> usize {
+        let partition = &self.partitions[class.index()];
+        let batch = self.maintenance[class.index()].lock();
+        let got = loop {
+            let want = refill_batch(partition.threshold());
+            let got = partition.reserve_batch(&mut out[..want]);
+            if got > 0 || !self.grow_class_locked(class) {
+                break got;
+            }
+        };
+        // Once per batch, under the lock already held: the handout path
+        // never learns huge pages exist.
+        self.promote_if_hot_locked(class);
+        drop(batch);
+        if got == 0 {
+            self.stats.record_exhausted();
+        }
+        got
+    }
+
+    /// The lock-free reserved→live handout transition: one `fetch_and` in
+    /// the slot-state map plus the alloc counter.
+    #[inline]
+    pub(crate) fn commit(&self, class: SizeClass, index: usize) {
+        self.partitions[class.index()].commit(index);
+        self.stats.record_alloc();
+    }
+
+    /// Releases a batch of buffered frees for `class` under one maintenance
+    /// lock acquisition. With `force` false the flush is opportunistic: a
+    /// contended lock leaves the buffer untouched. (Each individual free is
+    /// itself a lock-free CAS — the lock only keeps maintenance batches
+    /// from interleaving.)
+    pub(crate) fn flush_frees(
+        &self,
+        class: SizeClass,
+        frees: &mut [usize; FREE_SLOTS],
+        len: &mut usize,
+        force: bool,
+    ) {
+        if *len == 0 {
+            return;
+        }
+        let lock = &self.maintenance[class.index()];
+        let guard = if force {
+            lock.lock()
+        } else {
+            match lock.try_lock() {
+                Some(guard) => guard,
+                None => return,
+            }
+        };
+        // The paired slot map resolves all three cases per slot in one CAS:
+        // a live slot is freed; a free slot (double/invalid free) and a
+        // reserved slot (an address the application never received — which
+        // must not release a reservation another magazine holds) are both
+        // ignored. The ticket return is one batched decrement.
+        let (freed, ignored) = self.partitions[class.index()].free_batch(&frees[..*len]);
+        drop(guard);
+        *len = 0;
+        self.stats.record_frees(freed);
+        self.stats.record_ignored_frees(ignored);
+    }
+
+    /// Returns unhanded reservations to their partition (no stats: they were
+    /// never allocations). Holds the maintenance lock so teardown cannot
+    /// interleave with a racing refill's batch. Out of line: the thread-exit
+    /// flush calls it once per class, in a loop the optimizer otherwise
+    /// unrolls twelve times around the inlined body.
+    #[inline(never)]
+    pub(crate) fn return_reservations(&self, class: SizeClass, slots: &[usize]) {
+        if slots.is_empty() {
+            return;
+        }
+        let partition = &self.partitions[class.index()];
+        let _batch = self.maintenance[class.index()].lock();
+        for &index in slots {
+            let was_reserved = partition.release_reservation(index);
+            debug_assert!(was_reserved, "returned slot {index} was not reserved");
+        }
     }
 }
 
+/// The shared arm's tests, and the bodies `engine::tests` instantiates for
+/// the plain one.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::engine::HeapCore;
+    use crate::rng::Mwc;
+    use crate::sync::Plain;
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn heap(seed: u64) -> ShardedHeap {
-        ShardedHeap::new(HeapConfig::default(), seed).unwrap()
+    fn heap(seed: u64) -> Heap {
+        Heap::new(HeapConfig::default(), seed).unwrap()
+    }
+
+    fn plain_heap(seed: u64) -> Heap<Plain> {
+        Heap::new(HeapConfig::default(), seed).unwrap()
     }
 
     #[test]
     fn matches_facade_layout_for_same_seed() {
-        // The facade and the sharded heap split the master seed the same
-        // way and run the same partition code in two arms, so
-        // single-threaded histories coincide exactly.
-        let sharded = heap(0xABCD);
-        let mut facade = HeapCore::new(HeapConfig::default(), 0xABCD).unwrap();
+        // Both arms split the master seed the same way and run the same
+        // partition code, so single-threaded histories coincide exactly.
+        let (shared, plain) = (heap(0xABCD), plain_heap(0xABCD));
         for req in [8usize, 8, 24, 100, 1000, 4000, 16_000, 8, 64] {
-            assert_eq!(sharded.alloc(req), facade.alloc(req), "request {req}");
+            assert_eq!(shared.alloc(req), plain.alloc(req), "request {req}");
         }
-        assert_eq!(sharded.stats(), facade.stats());
+        assert_eq!(shared.stats(), plain.stats());
     }
 
-    #[test]
-    fn free_validation_pipeline() {
-        let h = heap(4);
+    /// §4.3's three checks and their bookkeeping, in arm `A`.
+    pub(crate) fn free_validation_pipeline_in<A: Arm>() {
+        let h: Heap<A> = Heap::new(HeapConfig::default(), 4).unwrap();
         let slot = h.alloc(64).unwrap();
         let off = h.offset_of(slot);
 
+        // Interior (misaligned) pointer: ignored.
         assert_eq!(h.free_at(off + 1), FreeOutcome::MisalignedOffset);
         assert!(h.is_live_at(off));
+
+        // Proper free succeeds.
         assert_eq!(h.free_at(off), FreeOutcome::Freed(slot));
         assert!(!h.is_live_at(off));
+
+        // Double free: ignored.
         assert_eq!(h.free_at(off), FreeOutcome::NotAllocated);
+
+        // Outside the heap: reported for the large-object path.
         assert_eq!(h.free_at(usize::MAX / 2), FreeOutcome::NotInHeap);
 
         let stats = h.stats();
         assert_eq!(stats.frees, 1);
         assert_eq!(stats.ignored_frees, 2);
+    }
+
+    #[test]
+    fn free_validation_pipeline() {
+        free_validation_pipeline_in::<Shared>();
+    }
+
+    /// Any interleaving of allocs and (valid or bogus) frees keeps `h`
+    /// consistent with a shadow model keyed by offset. No cache is attached,
+    /// so the ticket sum *is* the live count and is cheap enough to poll
+    /// after every operation.
+    pub(crate) fn matches_shadow_model<A: Arm>(h: &Heap<A>, seed: u64, ops: Vec<(usize, usize)>) {
+        let mut model: HashMap<usize, Slot> = HashMap::new();
+        let mut rng = Mwc::seeded(seed ^ 0xABCD);
+        for (op, arg) in ops {
+            match op {
+                0 => {
+                    if let Some(slot) = h.alloc(arg.min(16 * 1024)) {
+                        let off = h.offset_of(slot);
+                        assert!(!model.contains_key(&off), "offset reuse while live");
+                        model.insert(off, slot);
+                    }
+                }
+                1 => {
+                    if !model.is_empty() {
+                        let keys: Vec<usize> = model.keys().copied().collect();
+                        let off = keys[rng.below(keys.len())];
+                        assert!(h.free_at(off).freed());
+                        model.remove(&off);
+                    }
+                }
+                _ => {
+                    // Bogus free at a random offset: must never free a
+                    // *different* object or corrupt accounting.
+                    let off = rng.below(h.heap_span() + 1000);
+                    let before = h.in_use();
+                    match h.free_at(off) {
+                        FreeOutcome::Freed(_) => assert!(
+                            model.remove(&off).is_some(),
+                            "freed an object the model did not know"
+                        ),
+                        _ => assert_eq!(h.in_use(), before),
+                    }
+                }
+            }
+            assert_eq!(h.in_use(), model.len());
+        }
     }
 
     #[test]
@@ -619,7 +829,7 @@ mod tests {
             let allocated = Arc::clone(&allocated);
             handles.push(std::thread::spawn(move || {
                 let mut live: Vec<usize> = Vec::new();
-                let mut rng = crate::rng::Mwc::seeded(0x1000 + t as u64);
+                let mut rng = Mwc::seeded(0x1000 + t as u64);
                 for _ in 0..OPS {
                     let size = 1 + rng.below(16 * 1024);
                     if let Some(slot) = h.alloc(size) {
@@ -695,15 +905,15 @@ mod tests {
     }
 
     /// The pinned contended-retry divergence rule, positive half: an
-    /// alloc-only sequence on one thread is bit-identical to the facade even
-    /// when *other* classes are being hammered concurrently — contention
+    /// alloc-only sequence on one thread is bit-identical to the plain arm's
+    /// even when *other* classes are being hammered concurrently — contention
     /// only reorders draws within a class's own stream, never across
     /// classes.
     #[test]
     fn alloc_only_determinism_isolated_per_class() {
         const SEED: u64 = 0x05EE_DCA5;
-        let mut facade = HeapCore::new(HeapConfig::default(), SEED).unwrap();
-        let expected: Vec<Option<Slot>> = (0..500).map(|_| facade.alloc(8)).collect();
+        let plain = plain_heap(SEED);
+        let expected: Vec<Option<Slot>> = (0..500).map(|_| plain.alloc(8)).collect();
 
         let h = Arc::new(heap(SEED));
         let stop = Arc::new(AtomicUsize::new(0));
@@ -737,7 +947,7 @@ mod tests {
         // heap must absorb the full fixed-size workload (32 slots under
         // M = 2) by doubling, then report Spill — not a crash — past the
         // final cap.
-        let h = ShardedHeap::new_elastic(HeapConfig::default(), 0x57A7, 6).unwrap();
+        let h: Heap = Heap::new_elastic(HeapConfig::default(), 0x57A7, 6).unwrap();
         let mut placed = 0u64;
         let spilled = loop {
             match h.try_alloc(16 * 1024) {
@@ -774,49 +984,15 @@ mod tests {
     }
 
     proptest! {
-        /// The lock-free sharded heap matches the same shadow model as the
-        /// facade (mirrors `engine_matches_shadow_model`) — the satellite
-        /// proptest that atomic slot state tracks a `HeapCore`-style model
-        /// through mixed alloc/free traffic.
+        /// The shared arm against the shadow model (`engine::tests` runs the
+        /// plain one): atomic slot state tracks the model through mixed
+        /// alloc/free traffic.
         #[test]
         fn sharded_matches_shadow_model(
             seed in any::<u64>(),
             ops in proptest::collection::vec((0usize..3, 1usize..20_000), 1..300),
         ) {
-            let h = heap(seed);
-            let mut model: HashMap<usize, Slot> = HashMap::new();
-            let mut rng = crate::rng::Mwc::seeded(seed ^ 0xABCD);
-            for (op, arg) in ops {
-                match op {
-                    0 => {
-                        if let Some(slot) = h.alloc(arg.min(16 * 1024)) {
-                            let off = h.offset_of(slot);
-                            prop_assert!(!model.contains_key(&off), "offset reuse while live");
-                            model.insert(off, slot);
-                        }
-                    }
-                    1 => {
-                        if !model.is_empty() {
-                            let keys: Vec<usize> = model.keys().copied().collect();
-                            let off = keys[rng.below(keys.len())];
-                            prop_assert!(h.free_at(off).freed());
-                            model.remove(&off);
-                        }
-                    }
-                    _ => {
-                        let off = rng.below(h.heap_span() + 1000);
-                        let before = h.live_objects();
-                        match h.free_at(off) {
-                            FreeOutcome::Freed(_) => {
-                                prop_assert!(model.remove(&off).is_some(),
-                                    "freed an object the model did not know");
-                            }
-                            _ => prop_assert_eq!(h.live_objects(), before),
-                        }
-                    }
-                }
-                prop_assert_eq!(h.live_objects(), model.len());
-            }
+            matches_shadow_model(&heap(seed), seed, ops);
         }
     }
 }

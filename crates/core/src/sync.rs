@@ -1,10 +1,10 @@
-//! Allocation-free synchronization primitives for the sharded heap.
+//! Allocation-free synchronization primitives for the heap.
 //!
 //! Two constraints shape everything here. First, these primitives guard an
 //! *allocator*: general-purpose mutexes (including `parking_lot`) may lazily
 //! allocate per-thread parking state on contention, which would re-enter the
 //! allocator mid-operation, so both the lock and the once-cell must never
-//! allocate. Second, the sharded heap takes one [`SpinLock`] per size class:
+//! allocate. Second, the heap takes one [`SpinLock`] per size class:
 //! critical sections are a handful of bitmap probes, which is exactly the
 //! regime where a spinlock with exponential backoff beats a parking mutex.
 //!
@@ -15,8 +15,8 @@
 //! statistics counters, the lock flag itself — goes through [`Word`]. How a
 //! `Word` is updated is a type parameter, an [`Arm`], carried by everything
 //! built from words (`bitmap::SlotStateMap`, `rng::AtomicMwc`,
-//! `partition::AtomicPartition`), so one copy of the protocol is compiled
-//! twice and nothing selects between copies at run time:
+//! `partition::AtomicPartition`, `sharded::Heap`), so one copy of the
+//! protocol is compiled twice and nothing selects between copies at run time:
 //!
 //! * [`Shared`] (the default; everything that ships): the locked instruction
 //!   it always was (`lock xadd`, `lock cmpxchg`, …) **or**, while
@@ -27,9 +27,9 @@
 //!   `malloc` instead of overlapped with it — the same reason glibc's
 //!   `malloc` executes no `lock` prefix while the process has one thread
 //!   (`SINGLE_THREAD_P`).
-//! * [`Plain`] (`engine::HeapCore` and the Monte Carlo harnesses): always
-//!   the load and the store. `Plain` is `Send` but not `Sync`, and so is
-//!   every type built from it: a plain partition can move to another thread
+//! * [`Plain`] (`Heap<Plain>`: the simulator and the Monte Carlo harnesses):
+//!   always the load and the store. `Plain` is `Send` but not `Sync`, and so
+//!   is every type built from it: a plain heap can move to another thread
 //!   but `&`-sharing one across threads is a compile error, which is the
 //!   whole soundness argument for this arm.
 //!

@@ -1,8 +1,9 @@
 //! Integration suite for elastic region growth: the §9 adaptive-heap idea,
-//! one mechanism in every layer. A heap born at a fraction of its
+//! one mechanism in one heap. A heap born at a fraction of its
 //! maximum capacity must absorb a max-capacity workload by doubling under
 //! `1/M`-cap pressure (no OOM), spill — not crash — past the final cap,
-//! keep single-threaded histories bit-identical across every layer, and
+//! keep single-threaded histories bit-identical in both arms and through a
+//! magazine cache, and
 //! keep its statistics exact while growth races allocations, frees, and
 //! magazine refills — and stay bit-identical through a huge-page promotion
 //! (advice draws no random numbers and moves no object), which a class born
@@ -11,12 +12,16 @@
 //! `RUST_TEST_THREADS=8` in CI so the race tests overlap with each other as
 //! well as within themselves.
 
+mod common;
+
+use common::record;
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::{AllocOutcome, HeapCore, DEFAULT_INITIAL_FRACTION_LOG2};
-use diehard_core::magazine::MagazineHeap;
+use diehard_core::engine::{AllocOutcome, DEFAULT_INITIAL_FRACTION_LOG2};
 use diehard_core::rng::Mwc;
-use diehard_core::sharded::{ShardedHeap, HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
+use diehard_core::sharded::{HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
 use diehard_core::size_class::SizeClass;
+use diehard_core::sync::{Arm, Plain, Shared};
+use diehard_core::Heap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -28,7 +33,7 @@ use std::sync::{Arc, Barrier, Mutex};
 #[test]
 fn heap_started_at_one_64th_absorbs_max_capacity_workload() {
     let config = HeapConfig::default();
-    let heap = ShardedHeap::new_elastic(config.clone(), 0xACCE57, 6).unwrap();
+    let heap: Heap = Heap::new_elastic(config.clone(), 0xACCE57, 6).unwrap();
     let mut expected_doublings = 0u64;
     for class in SizeClass::all() {
         let size = class.object_size();
@@ -53,7 +58,7 @@ fn heap_started_at_one_64th_absorbs_max_capacity_workload() {
     assert_eq!(heap.growth_events(), expected_doublings);
     for class in SizeClass::all() {
         assert_eq!(
-            heap.with_partition(class, |p| p.capacity()),
+            heap.partition(class).capacity(),
             heap.geometry().capacity(class),
             "class {} grew to its maximum",
             class.index()
@@ -66,20 +71,20 @@ fn heap_started_at_one_64th_absorbs_max_capacity_workload() {
 /// feature-gated `global` tests pin that ladder under the constant itself.)
 const START_64K_LOG2: u32 = 9;
 
-/// Every `(ctx, region_offset, region_len, active_len)` a [`record`] hook
-/// has been called with; each test filters by the `ctx` values it hands out.
+/// Every `(ctx, region_offset, region_len, active_len)` a [`note_promotion`]
+/// hook has been called with; each test filters by the `ctx` values it hands out.
 static PROMOTIONS: Mutex<Vec<(usize, usize, usize, usize)>> = Mutex::new(Vec::new());
 
 /// A [`PromoteHook`](diehard_core::sharded::PromoteHook) that only takes
 /// notes.
-fn record(ctx: usize, region_offset: usize, region_len: usize, active_len: usize) {
+fn note_promotion(ctx: usize, region_offset: usize, region_len: usize, active_len: usize) {
     PROMOTIONS
         .lock()
         .unwrap()
         .push((ctx, region_offset, region_len, active_len));
 }
 
-/// The calls [`record`] saw for `ctx`, without the tag.
+/// The calls [`note_promotion`] saw for `ctx`, without the tag.
 fn promotions_of(ctx: usize) -> Vec<(usize, usize, usize)> {
     let calls = PROMOTIONS.lock().unwrap();
     let of_ctx = calls.iter().filter(|call| call.0 == ctx);
@@ -88,46 +93,26 @@ fn promotions_of(ctx: usize) -> Vec<(usize, usize, usize)> {
         .collect()
 }
 
-/// Single-threaded alloc-only histories are bit-identical across all three
-/// layers — the elastic `HeapCore` (the partition's plain arm, behind
-/// `&mut`), the lock-free elastic sharded heap, and the elastic magazine
-/// stack — at the same seed and start fraction, through **every** doubling
-/// up to the maximum: growth triggers at the same pressure points in each
-/// and consumes no RNG draws. Two ladders, all three layers and their
-/// offsets on both: the §9 experiments' (1 MB regions from 1/64) and the
-/// shipped one (32 MB regions from 64 KiB; `global`'s tests add `DieHard`).
-/// The magazine heap alone carries a promote hook. On the shipped ladder
-/// the history runs through a class that gets hot and stays small (never
-/// promoted), a class promoted at the doubling that takes it to one huge
-/// page, and four more doublings of the promoted class; regions smaller
-/// than a huge page are never promoted. None of it is visible in placement.
-#[test]
-fn single_threaded_histories_identical_across_layers() {
-    let seed = 0xD17EC7;
-    let small = SizeClass::for_size(8).unwrap();
+/// The ladder history of [`single_threaded_histories_identical_across_layers`]
+/// on one heap, by one path: `mixed` sizes spread over every class first (on
+/// 1 MB regions the large classes double to their maximum and then spill; on
+/// 32 MB regions they double and none makes 512 allocations); then twice the
+/// promotion count into the 8-byte class, inside a range far below 2 MB; then
+/// the 64-byte class past its last doubling (three quarters of the `1/M`
+/// allowance of its maximum; the last doubling is at half). Returns the trace
+/// and the capacity of the 64-byte class when its promotion was first seen.
+fn ladder<A: Arm>(
+    heap: &Heap<A>,
+    cached: bool,
+    seed: u64,
+    mixed: usize,
+) -> (common::Trace, Option<usize>) {
     let hot = SizeClass::for_size(64).unwrap();
-    // `mixed` sizes spread over every class come first: on 1 MB regions the
-    // large classes double to their maximum and then spill, identically; on
-    // 32 MB regions they double and none makes 512 allocations.
-    for (config, fraction, mixed) in [
-        (HeapConfig::default(), DEFAULT_INITIAL_FRACTION_LOG2, 4000),
-        (HeapConfig::paper_default(), START_64K_LOG2, 300),
-    ] {
-        let ctx = 0x1A77 + fraction as usize;
-        let sharded = ShardedHeap::new_elastic(config.clone(), seed, fraction).unwrap();
-        let mut core = HeapCore::new_elastic(config.clone(), seed, fraction).unwrap();
-        let mut mag = MagazineHeap::new_elastic(config.clone(), seed, fraction).unwrap();
-        mag.set_promote_hook(record, ctx);
-        let mut cache = mag.thread_cache();
-        let mut rng = Mwc::seeded(seed ^ 0x5EED);
-        // Then twice the promotion count into the 8-byte class, inside a
-        // range far below 2 MB; then the 64-byte class past its last
-        // doubling (three quarters of the `1/M` allowance of its maximum;
-        // the last doubling is at half).
-        let small_hot = mixed + 2 * PROMOTE_AFTER_ALLOCS as usize;
-        let total = small_hot + config.threshold(hot) / 4 * 3;
-        // Capacity of the 64-byte class when the first promotion was seen.
-        let mut promoted_at = None;
+    let small_hot = mixed + 2 * PROMOTE_AFTER_ALLOCS as usize;
+    let total = small_hot + heap.config().threshold(hot) / 4 * 3;
+    let mut rng = Mwc::seeded(seed ^ 0x5EED);
+    let mut promoted_at = None;
+    let trace = record(heap, cached, |r| {
         for i in 0..total {
             let size = if i < mixed {
                 1 + rng.below(16 * 1024)
@@ -136,46 +121,76 @@ fn single_threaded_histories_identical_across_layers() {
             } else {
                 64
             };
-            let s = sharded.alloc(size);
+            let at = r.alloc(size);
             assert!(
-                s.is_some() || i < mixed,
+                at.is_some() || i < mixed,
                 "op {i} (size {size}) is under its cap"
             );
-            assert_eq!(s, core.alloc(size), "op {i} (size {size}): core");
-            if let Some(slot) = s {
-                assert_eq!(sharded.offset_of(slot), core.offset_of(slot));
-            }
-            assert_eq!(s, cache.alloc(size), "op {i} (size {size}): magazine");
             if i < small_hot {
-                assert_eq!(mag.promoted_classes(), 0, "op {i}: nothing spans 2 MB");
-            } else if promoted_at.is_none() && mag.promoted_classes() != 0 {
-                promoted_at = Some(mag.with_partition(hot, |p| p.capacity()));
+                assert_eq!(heap.promoted_classes(), 0, "op {i}: nothing spans 2 MB");
+            } else if promoted_at.is_none() && heap.promoted_classes() != 0 {
+                promoted_at = Some(heap.partition(hot).capacity());
             }
         }
+    });
+    (trace, promoted_at)
+}
+
+/// Single-threaded alloc-only histories are bit-identical in both arms and
+/// by both paths — the plain arm (the simulator's heap), the shared arm
+/// uncached, and the shared arm through a magazine cache — at the same seed
+/// and start fraction, through **every** doubling up to the maximum: growth
+/// triggers at the same pressure points in each and consumes no RNG draws.
+/// Two ladders, all three columns and their offsets on both: the §9
+/// experiments' (1 MB regions from 1/64) and the shipped one (32 MB regions
+/// from 64 KiB; `global`'s tests add `DieHard`). The cached heap alone
+/// carries a promote hook. On the shipped ladder the history runs through a
+/// class that gets hot and stays small (never promoted), a class promoted at
+/// the doubling that takes it to one huge page, and four more doublings of
+/// the promoted class; regions smaller than a huge page are never promoted.
+/// None of it is visible in placement.
+#[test]
+fn single_threaded_histories_identical_across_layers() {
+    let seed = 0xD17EC7;
+    let small = SizeClass::for_size(8).unwrap();
+    let hot = SizeClass::for_size(64).unwrap();
+    for (config, fraction, mixed) in [
+        (HeapConfig::default(), DEFAULT_INITIAL_FRACTION_LOG2, 4000),
+        (HeapConfig::paper_default(), START_64K_LOG2, 300),
+    ] {
+        let ctx = 0x1A77 + fraction as usize;
+        let plain: Heap<Plain> = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
+        let shared: Heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
+        let mut hooked: Heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
+        hooked.set_promote_hook(note_promotion, ctx);
+
+        let (uncached, _) = ladder(&shared, false, seed, mixed);
+        let (single_owner, _) = ladder(&plain, false, seed, mixed);
+        let (cached, promoted_at) = ladder(&hooked, true, seed, mixed);
+        // Placements (hence offsets), statistics, doublings and per-class
+        // probe counts: the plain arm is the shared arm.
+        uncached.assert_same(&single_owner, "plain arm");
+        uncached.ops.assert_same(&cached.ops, "magazine cache");
+        assert_eq!(uncached.doublings, cached.doublings);
+        assert_eq!(uncached.promoted, 0, "no hook, no promotion");
+
         let max = config.capacity(hot);
-        assert_eq!(sharded.with_partition(hot, |p| p.capacity()), max);
-        assert_eq!(mag.with_partition(hot, |p| p.capacity()), max);
-        assert_eq!(sharded.growth_events(), mag.growth_events());
-        assert_eq!(core.partition(hot).capacity(), max);
-        assert_eq!(sharded.growth_events(), core.growth_events());
-        assert_eq!(sharded.stats(), core.stats());
-        for class in SizeClass::all() {
-            assert_eq!(
-                sharded.with_partition(class, |p| p.probe_stats()),
-                core.partition(class).probe_stats(),
-                "class {}: same draws, same probes",
-                class.index()
-            );
+        for capacity in [
+            shared.partition(hot).capacity(),
+            plain.partition(hot).capacity(),
+            hooked.partition(hot).capacity(),
+        ] {
+            assert_eq!(capacity, max);
         }
         assert!(
-            mag.with_partition(small, |p| p.probe_stats().0) >= 2 * PROMOTE_AFTER_ALLOCS,
+            cached.probe_stats[small.index()].0 >= 2 * PROMOTE_AFTER_ALLOCS,
             "the 8-byte class is hot by count"
         );
         // Only a range of a whole huge page is promoted: the 64-byte class
         // of the 32 MB regions, once, at the doubling that made it one.
         let promotes = config.region_bytes >= HUGE_PAGE;
         assert_eq!(
-            mag.promoted_classes(),
+            cached.promoted,
             u32::from(promotes) << hot.index(),
             "and the 8-byte class still too small to promote"
         );
@@ -184,7 +199,7 @@ fn single_threaded_histories_identical_across_layers() {
             promotes.then_some(HUGE_PAGE / hot.object_size())
         );
         let call = (
-            mag.geometry().region_base(hot),
+            hooked.geometry().region_base(hot),
             config.region_bytes,
             HUGE_PAGE,
         );
@@ -193,45 +208,40 @@ fn single_threaded_histories_identical_across_layers() {
             Vec::from_iter(promotes.then_some(call)),
             "one call, with the range of one huge page, or none"
         );
-        assert_eq!(sharded.promoted_classes(), 0, "no hook, no promotion");
     }
 }
 
-/// Mixed alloc/free histories stay bit-identical between the elastic
-/// `HeapCore` and the elastic sharded heap (both free immediately), on the
-/// §9 ladder and on the shipped one: every placement, every free outcome,
-/// and the growth count agree across 20k interleaved ops.
+/// Mixed alloc/free histories stay bit-identical between the plain and the
+/// shared arm (both free immediately), on the §9 ladder and on the shipped
+/// one: every placement, every free outcome, the statistics, the per-class
+/// probe counts and the growth count agree across 20k interleaved ops.
 #[test]
 fn mixed_history_identical_before_and_after_growth() {
     let seed = 0x6F0ED1;
+    fn history<A: Arm>(heap: &Heap<A>, seed: u64) -> common::Trace {
+        let mut rng = Mwc::seeded(seed);
+        let mut live: Vec<usize> = Vec::new();
+        record(heap, false, |r| {
+            for _ in 0..20_000usize {
+                if rng.below(3) < 2 || live.is_empty() {
+                    live.extend(r.alloc(1 + rng.below(1024)));
+                } else {
+                    r.free(live.swap_remove(rng.below(live.len())));
+                }
+            }
+        })
+    }
     for (config, fraction) in [
         (HeapConfig::default(), DEFAULT_INITIAL_FRACTION_LOG2),
         (HeapConfig::paper_default(), START_64K_LOG2),
     ] {
-        let sharded = ShardedHeap::new_elastic(config.clone(), seed, fraction).unwrap();
-        let mut core = HeapCore::new_elastic(config, seed, fraction).unwrap();
-        let mut rng = Mwc::seeded(seed);
-        let mut live: Vec<usize> = Vec::new();
-        for i in 0..20_000usize {
-            if rng.below(3) < 2 || live.is_empty() {
-                let size = 1 + rng.below(1024);
-                let s = sharded.alloc(size);
-                assert_eq!(s, core.alloc(size), "op {i}: placement diverged");
-                if let Some(slot) = s {
-                    live.push(sharded.offset_of(slot));
-                }
-            } else {
-                let off = live.swap_remove(rng.below(live.len()));
-                assert_eq!(
-                    sharded.free_at(off),
-                    core.free_at(off),
-                    "op {i}: free outcome diverged"
-                );
-            }
-        }
-        assert!(core.growth_events() > 0);
-        assert_eq!(sharded.growth_events(), core.growth_events());
-        assert_eq!(sharded.stats(), core.stats());
+        let shared = history::<Shared>(
+            &Heap::new_elastic(config.clone(), seed, fraction).unwrap(),
+            seed,
+        );
+        let plain = history::<Plain>(&Heap::new_elastic(config, seed, fraction).unwrap(), seed);
+        assert!(plain.doublings > 0);
+        shared.assert_same(&plain, "plain arm");
     }
 }
 
@@ -240,8 +250,8 @@ fn mixed_history_identical_before_and_after_growth() {
 #[test]
 fn elastic_fraction_zero_is_bit_identical_to_fixed() {
     let seed = 0xF1DE77;
-    let fixed = ShardedHeap::new(HeapConfig::default(), seed).unwrap();
-    let elastic = ShardedHeap::new_elastic(HeapConfig::default(), seed, 0).unwrap();
+    let fixed: Heap = Heap::new(HeapConfig::default(), seed).unwrap();
+    let elastic: Heap = Heap::new_elastic(HeapConfig::default(), seed, 0).unwrap();
     let mut rng = Mwc::seeded(seed ^ 1);
     let mut live: Vec<usize> = Vec::new();
     for _ in 0..5000usize {
@@ -270,7 +280,7 @@ fn concurrent_alloc_pressure_grows_exactly_once_per_threshold() {
     const THREADS: u64 = 8;
     let config = HeapConfig::default().with_region_bytes(256 * 1024);
     let class0 = SizeClass::from_index(0);
-    let h = Arc::new(ShardedHeap::new_elastic(config.clone(), 0x6A0E, 6).unwrap());
+    let h: Arc<Heap> = Arc::new(Heap::new_elastic(config.clone(), 0x6A0E, 6).unwrap());
     let attempted = Arc::new(AtomicU64::new(0));
     let served = Arc::new(AtomicU64::new(0));
     // No thread frees until every thread has spilled: with zero frees in
@@ -319,7 +329,7 @@ fn concurrent_alloc_pressure_grows_exactly_once_per_threshold() {
         u64::from(max.trailing_zeros() - start.trailing_zeros()),
         "one doubling per threshold crossing, never more"
     );
-    assert_eq!(h.with_partition(class0, |p| p.capacity()), max);
+    assert_eq!(h.partition(class0).capacity(), max);
     assert_eq!(h.live_objects(), 0);
     let stats = h.stats();
     assert_eq!(stats.allocs, served.load(Ordering::Relaxed));
@@ -342,7 +352,7 @@ fn magazine_refills_race_growth_and_reconcile() {
     const OPS: usize = 4000;
     const WINDOW: usize = 1500;
     let config = HeapConfig::default().with_region_bytes(128 * 1024);
-    let h = Arc::new(MagazineHeap::new_elastic(config, 0xBEEF6, 6).unwrap());
+    let h: Arc<Heap> = Arc::new(Heap::new_elastic(config, 0xBEEF6, 6).unwrap());
     let attempted = Arc::new(AtomicU64::new(0));
     let served = Arc::new(AtomicU64::new(0));
 
@@ -390,7 +400,7 @@ fn magazine_refills_race_growth_and_reconcile() {
 }
 
 /// The uncached path has exactly one maintenance-locked stop — a doubling —
-/// so a sharded heap driven directly from a 64 KiB start passes
+/// so a heap driven directly from a 64 KiB start passes
 /// the allocation count at its first doubling and is *not* promoted there,
 /// nor at the three after it; it is promoted at the doubling that brings
 /// its range to 2 MB, once, however many doublings follow; the hook is told
@@ -400,9 +410,9 @@ fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
     const CTX: usize = 0x0DD;
     let config = HeapConfig::paper_default();
     let hot = SizeClass::for_size(64).expect("64 B is a small object");
-    let mut heap = ShardedHeap::new_elastic(config.clone(), 0x0DD, START_64K_LOG2).unwrap();
-    heap.set_promote_hook(record, CTX);
-    let capacity = |heap: &ShardedHeap| heap.with_partition(hot, |p| p.capacity());
+    let mut heap: Heap = Heap::new_elastic(config.clone(), 0x0DD, START_64K_LOG2).unwrap();
+    heap.set_promote_hook(note_promotion, CTX);
+    let capacity = |heap: &Heap| heap.partition(hot).capacity();
     assert_eq!(capacity(&heap) * hot.object_size(), 64 << 10);
     let mut promoted_at = None;
     let mut hot_doublings_left_small = 0;

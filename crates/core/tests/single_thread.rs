@@ -4,14 +4,16 @@
 //! are a load and a store; from its first `pthread_create` on they are locked
 //! instructions (`sync`'s module docs). `cargo test`'s harness is threaded,
 //! so nothing it runs ever executes the first arm — hence `harness = false`:
-//! `main` starts alone, drives a cross-layer history on fixed-seed heaps,
-//! parks a second thread (which flips glibc's `__libc_single_threaded` for
-//! good), drives the same history again on fresh heaps with the same seeds,
-//! and requires the two recordings to be bit-identical: every placement,
-//! every free outcome, probe and heap statistics, doublings, promotions.
-//! Each drive also records the history on an elastic `HeapCore` — the same
-//! partition code with the plain arm fixed at compile time — and requires
-//! that recording to equal the sharded heap's, whichever arm that ran in.
+//! `main` starts alone, drives a scripted history on fixed-seed heaps — the
+//! shared arm uncached, the shared arm through a magazine cache, and
+//! `DieHard` — parks a second thread (which flips glibc's
+//! `__libc_single_threaded` for good), drives the same history again on
+//! fresh heaps with the same seeds, and requires the two recordings to be
+//! bit-identical: every placement, every free outcome, probe and heap
+//! statistics, doublings, promotions. Each drive also records the history on
+//! a `Heap<Plain>` — the same code with the plain arm fixed at compile time —
+//! and requires that trace to equal the shared heap's, whichever arm that
+//! ran in.
 //!
 //! Then the handover the soundness argument rests on: objects allocated and
 //! pattern-filled *before* the first spawn — slot states, tickets and
@@ -19,33 +21,27 @@
 //! while the main thread keeps churning the same heap. Contents are checked
 //! at every free, and at quiescence the books must balance exactly.
 
+mod common;
+
+use common::{drive, record, Ops, Path, Recorder, Trace};
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::{HeapCore, HeapStats};
+use diehard_core::engine::HeapStats;
 use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
-use diehard_core::magazine::{CachedFree, MagazineHeap};
 use diehard_core::rng::Mwc;
-use diehard_core::sharded::{ShardedHeap, HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
+use diehard_core::sharded::{HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
 use diehard_core::size_class::{SizeClass, NUM_CLASSES};
-use diehard_core::sync::sole_thread;
+use diehard_core::sync::{sole_thread, Arm, Plain, Shared};
+use diehard_core::Heap;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier};
 
 const SEED: u64 = 0x501E_7EAD;
 
-/// A [`PromoteHook`](diehard_core::sharded::PromoteHook) for the two layers
-/// that own no memory: without one they never promote. What it is called
-/// with is `growth.rs`'s business; here the promoted masks are compared.
+/// A [`PromoteHook`](diehard_core::sharded::PromoteHook) for the heaps that
+/// own no memory: without one they never promote. What it is called with is
+/// `growth.rs`'s business; here the promoted masks are compared.
 fn no_memory_to_advise(_ctx: usize, _region_offset: usize, _region_len: usize, _active_len: usize) {
-}
-
-/// What one heap did with the scripted history.
-#[derive(Debug, PartialEq)]
-struct Trace {
-    /// Where each allocation landed (`None` = denied), in script order.
-    placed: Vec<Option<usize>>,
-    /// What each free reported, in script order (`true` = accepted).
-    freed: Vec<bool>,
 }
 
 /// `growth.rs`'s shipped-ladder history (32 MB regions from a 64 KiB start:
@@ -54,20 +50,13 @@ struct Trace {
 /// promotes it), with frees mixed in so free buffers fill and flush: every
 /// fourth step frees a random live object, and every tenth of those frees it
 /// twice (the second must be ignored, §4.3).
-fn script(
-    mut alloc: impl FnMut(usize) -> Option<usize>,
-    mut free: impl FnMut(usize) -> bool,
-) -> Trace {
+fn script(r: &mut Recorder<'_>) {
     const MIXED: usize = 300;
     let small_hot = MIXED + 2 * PROMOTE_AFTER_ALLOCS as usize;
     // The 64-byte class doubles from 2 MB to 4 MB when its live count meets
     // the 2 MB range's `1/M` allowance.
     let hot_live = HeapConfig::paper_default().threshold_for(HUGE_PAGE / 64) + 64;
     let mut rng = Mwc::seeded(SEED ^ 0x5EED);
-    let mut trace = Trace {
-        placed: Vec::new(),
-        freed: Vec::new(),
-    };
     // Live objects as `(address, size)`, and how many of them are 64 B.
     let mut live: Vec<(usize, usize)> = Vec::new();
     let mut hot = 0usize;
@@ -78,14 +67,14 @@ fn script(
         if step.is_multiple_of(4) {
             let (victim, size) = live.swap_remove(rng.below(live.len()));
             hot -= usize::from(size == 64);
-            trace.freed.push(free(victim));
+            r.free(victim);
             frees += 1;
             if frees.is_multiple_of(10) {
-                trace.freed.push(free(victim));
+                r.free(victim);
             }
             continue;
         }
-        let allocs = trace.placed.len();
+        let allocs = r.ops.placed.len();
         let size = if allocs < MIXED {
             // A size of each class in turn's top half: 8 B … 16 KiB.
             (8 << rng.below(NUM_CLASSES)) - rng.below(4)
@@ -94,148 +83,100 @@ fn script(
         } else {
             64
         };
-        let at = alloc(size);
+        let at = r.alloc(size);
         live.extend(at.map(|at| (at, size)));
         hot += usize::from(size == 64 && at.is_some());
-        trace.placed.push(at);
     }
-    trace
 }
 
-/// Everything one arm recorded, across the three layers.
+/// The global allocator as a path: addresses for offsets, and a `free` that
+/// reports nothing.
+impl Path for &DieHard {
+    fn alloc(&mut self, size: usize) -> Option<usize> {
+        let p = self.malloc(size);
+        (!p.is_null()).then_some(p as usize)
+    }
+
+    fn free(&mut self, at: usize) -> bool {
+        DieHard::free(self, at as *mut u8);
+        true
+    }
+}
+
+/// Everything one run-time arm recorded.
 #[derive(Debug, PartialEq)]
 struct Recording {
-    sharded: Trace,
-    magazine: Trace,
+    /// The shared arm, uncached and through a magazine cache.
+    uncached: Trace,
+    cached: Trace,
     /// `DieHard`'s placements relative to its first (the span's address is
     /// the kernel's choice; everything inside it is the seed's).
-    global: Trace,
-    /// Per class: `(allocs, probes)` of the sharded and the magazine heap.
-    probe_stats: Vec<[(u64, u64); 2]>,
-    stats: [HeapStats; 3],
-    growth_events: [u64; 2],
-    promoted: [u32; 3],
+    global: Ops,
+    global_stats: HeapStats,
+    global_promoted: u32,
     /// `DieHard` after its flush: `(live_objects, reserved_slots)`.
     global_books: (usize, usize),
 }
 
-/// Drives [`script`] on a fresh fixed-seed heap of each layer.
-fn drive() -> Recording {
-    let config = HeapConfig::paper_default;
-    let mut sharded = ShardedHeap::new_elastic(config(), SEED, DEFAULT_GROW_LOG2).unwrap();
-    sharded.set_promote_hook(no_memory_to_advise, 0);
-    let sharded_trace = script(
-        |size| sharded.alloc(size).map(|slot| sharded.offset_of(slot)),
-        |off| sharded.free_at(off).freed(),
-    );
+/// A fresh fixed-seed heap of the shipped geometry in arm `A`.
+fn fresh<A: Arm>() -> Heap<A> {
+    let config = HeapConfig::paper_default();
+    let mut heap = Heap::new_elastic(config, SEED, DEFAULT_GROW_LOG2).unwrap();
+    heap.set_promote_hook(no_memory_to_advise, 0);
+    heap
+}
 
-    let mut magazine = MagazineHeap::new_elastic(config(), SEED, DEFAULT_GROW_LOG2).unwrap();
-    magazine.set_promote_hook(no_memory_to_advise, 0);
-    // One cache for both closures: hand it out through a cell.
-    let cache = std::cell::RefCell::new(magazine.thread_cache());
-    let magazine_trace = script(
-        |size| {
-            let slot = cache.borrow_mut().alloc(size);
-            slot.map(|slot| magazine.offset_of(slot))
-        },
-        |off| cache.borrow_mut().free_at(off) == CachedFree::Buffered,
-    );
-    drop(cache); // flushes buffered frees, returns unhanded reservations
-
+/// Drives [`script`] on a fresh fixed-seed heap by each path.
+fn drive_all() -> Recording {
+    let uncached = record(&fresh::<Shared>(), false, script);
+    let cached = record(&fresh::<Shared>(), true, script);
     // The simulator's heap: the compile-time plain arm of the same code.
-    let core =
-        std::cell::RefCell::new(HeapCore::new_elastic(config(), SEED, DEFAULT_GROW_LOG2).unwrap());
-    let core_trace = script(
-        |size| {
-            let mut core = core.borrow_mut();
-            core.alloc(size).map(|slot| core.offset_of(slot))
-        },
-        |off| core.borrow_mut().free_at(off).freed(),
-    );
-    let core = core.into_inner();
-    assert_eq!(core_trace, sharded_trace, "HeapCore against ShardedHeap");
-    assert_eq!(core.stats(), sharded.stats());
-    assert_eq!(core.growth_events(), sharded.growth_events());
-    for class in SizeClass::all() {
-        assert_eq!(
-            core.partition(class).probe_stats(),
-            sharded.with_partition(class, |p| p.probe_stats()),
-            "class {}: same draws, same probes",
-            class.index()
-        );
-    }
+    let plain = record(&fresh::<Plain>(), false, script);
+    plain.assert_same(&uncached, "Heap<Plain> against Heap<Shared>");
 
-    let global = DieHard::with_elastic_config(config(), SEED, DEFAULT_GROW_LOG2);
-    let mut global_trace = script(
-        |size| {
-            let p = global.malloc(size);
-            (!p.is_null()).then_some(p as usize)
-        },
-        |p| {
-            global.free(p as *mut u8);
-            true
-        },
-    );
-    let first = global_trace.placed[0].expect("the first allocation is placed");
-    for at in global_trace.placed.iter_mut().flatten() {
+    let global = DieHard::with_elastic_config(HeapConfig::paper_default(), SEED, DEFAULT_GROW_LOG2);
+    let mut global_ops = drive(&mut &global, script);
+    let first = global_ops.placed[0].expect("the first allocation is placed");
+    for at in global_ops.placed.iter_mut().flatten() {
         *at = at.wrapping_sub(first);
     }
-
-    let recording = Recording {
-        probe_stats: SizeClass::all()
-            .map(|class| {
-                [
-                    sharded.with_partition(class, |p| p.probe_stats()),
-                    magazine.with_partition(class, |p| p.probe_stats()),
-                ]
-            })
-            .collect(),
-        stats: [sharded.stats(), magazine.stats(), global.stats()],
-        growth_events: [sharded.growth_events(), magazine.growth_events()],
-        promoted: [
-            sharded.promoted_classes(),
-            magazine.promoted_classes(),
-            global.promoted_classes(),
-        ],
+    Recording {
+        uncached,
+        cached,
+        global_stats: global.stats(),
+        global_promoted: global.promoted_classes(),
         global_books: (global.live_objects(), global.reserved_slots()),
-        sharded: sharded_trace,
-        magazine: magazine_trace,
-        global: global_trace,
-    };
-    assert_eq!(
-        magazine.reserved_slots(),
-        0,
-        "the dropped cache returned them"
-    );
-    recording
+        global: global_ops,
+    }
 }
 
 /// The history is worth pinning only if it went where the docs say it goes.
 fn assert_history_covers_the_protocol(r: &Recording) {
     let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
-    assert_eq!(r.promoted, [hot; 3], "the 64-byte class, alone, everywhere");
+    let promoted = [r.uncached.promoted, r.cached.promoted, r.global_promoted];
+    assert_eq!(promoted, [hot; 3], "the 64-byte class, alone, everywhere");
     // 64 KiB → 4 MB is six doublings of the 64-byte class alone.
-    assert!(
-        r.growth_events.iter().all(|&g| g >= 6),
-        "{:?}",
-        r.growth_events
-    );
-    for (class, [sharded, magazine]) in r.probe_stats.iter().enumerate() {
-        assert!(sharded.0 > 0 && magazine.0 > 0, "class {class} was used");
-        assert!(sharded.1 >= sharded.0 && magazine.1 >= magazine.0);
+    let doublings = [r.uncached.doublings, r.cached.doublings];
+    assert!(doublings.iter().all(|&g| g >= 6), "{doublings:?}");
+    let per_class = r.uncached.probe_stats.iter().zip(&r.cached.probe_stats);
+    for (class, (uncached, cached)) in per_class.enumerate() {
+        assert!(uncached.0 > 0 && cached.0 > 0, "class {class} was used");
+        assert!(uncached.1 >= uncached.0 && cached.1 >= cached.0);
     }
-    for (layer, stats) in r.stats.iter().enumerate() {
-        assert!(stats.frees > 1000, "layer {layer}: {stats:?}");
-        assert!(stats.ignored_frees > 100, "layer {layer}: {stats:?}");
-        assert_eq!(stats.exhausted, 0, "layer {layer}: nothing was denied");
+    let all_stats = [r.uncached.stats, r.cached.stats, r.global_stats];
+    for (column, stats) in all_stats.iter().enumerate() {
+        assert!(stats.frees > 1000, "column {column}: {stats:?}");
+        assert!(stats.ignored_frees > 100, "column {column}: {stats:?}");
+        assert_eq!(stats.exhausted, 0, "column {column}: nothing was denied");
     }
-    assert_eq!(r.stats[1], r.stats[2], "DieHard is the magazine heap");
-    assert_eq!(r.magazine.placed.len(), r.global.placed.len());
-    let first = r.magazine.placed[0].unwrap();
-    for (i, (m, g)) in r.magazine.placed.iter().zip(&r.global.placed).enumerate() {
+    assert_eq!(r.cached.stats, r.global_stats, "DieHard is the cached heap");
+    assert_eq!(r.cached.ops.placed.len(), r.global.placed.len());
+    let first = r.cached.ops.placed[0].unwrap();
+    let pairs = r.cached.ops.placed.iter().zip(&r.global.placed);
+    for (i, (m, g)) in pairs.enumerate() {
         assert_eq!(m.map(|off| off.wrapping_sub(first)), *g, "placement {i}");
     }
-    let live = (r.stats[2].allocs - r.stats[2].frees) as usize;
+    let live = (r.global_stats.allocs - r.global_stats.frees) as usize;
     assert_eq!(
         r.global_books,
         (live, 0),
@@ -333,7 +274,7 @@ fn main() {
         "a `harness = false` test starts with one thread, and on glibc the \
          `global` feature must see that"
     );
-    let alone = two_arms.then(drive);
+    let alone = two_arms.then(drive_all);
 
     // Allocated and filled with plain loads and stores.
     let heap =
@@ -347,7 +288,7 @@ fn main() {
     let helper = std::thread::spawn(move || parked.recv().is_err());
     assert!(!sole_thread(), "pthread_create cleared the byte");
 
-    let threaded = drive();
+    let threaded = drive_all();
     assert_history_covers_the_protocol(&threaded);
     if let Some(alone) = &alone {
         assert_eq!(
@@ -365,10 +306,10 @@ fn main() {
     );
     println!(
         "single_thread: {} placements, {} frees and all counters {}, \
-         and on HeapCore's compile-time plain arm; \
+         and on Heap<Plain>'s compile-time plain arm; \
          20000 objects handed over to 4 threads",
-        threaded.sharded.placed.len() * 3,
-        threaded.sharded.freed.len() * 3,
+        threaded.uncached.ops.placed.len() * 3,
+        threaded.uncached.ops.freed.len() * 3,
         if two_arms {
             "identical in both arms"
         } else {

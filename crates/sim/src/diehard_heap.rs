@@ -1,7 +1,7 @@
 //! DieHard running on the simulated address space.
 //!
-//! This wraps [`HeapCore`] — the same placement/validation engine the real
-//! `GlobalAlloc` uses — around a [`PagedArena`]. Small objects live in the
+//! This wraps a [`Heap`] in its single-owner arm — the same
+//! placement/validation code the real `GlobalAlloc` runs — around a [`PagedArena`]. Small objects live in the
 //! twelve randomized regions at arena offsets `[0, heap_span)`; large
 //! objects are mapped above the small heap with simulated `PROT_NONE` guard
 //! pages on both ends and are validated through a [`LargeTable`], exactly
@@ -11,10 +11,13 @@ use crate::arena::{FillPattern, PagedArena, PAGE_SIZE};
 use crate::fault::Fault;
 use crate::traits::{Addr, SimAllocator};
 use diehard_core::config::{FillPolicy, HeapConfig};
-use diehard_core::engine::{HeapCore, HeapStats};
+use diehard_core::engine::HeapStats;
 use diehard_core::large::LargeTable;
+use diehard_core::rng::Mwc;
 use diehard_core::safe_str::{self, CopyOutcome};
 use diehard_core::size_class::MAX_OBJECT_SIZE;
+use diehard_core::sync::Plain;
+use diehard_core::Heap;
 
 /// DieHard over simulated memory.
 ///
@@ -33,7 +36,11 @@ use diehard_core::size_class::MAX_OBJECT_SIZE;
 /// ```
 #[derive(Debug)]
 pub struct DieHardSimHeap {
-    core: HeapCore,
+    core: Heap<Plain>,
+    /// The stream replicated mode's random object fills are drawn from,
+    /// seeded with the heap's master seed (placement draws come from the
+    /// partitions' own streams, split from the same seed).
+    fill_rng: Mwc,
     arena: PagedArena,
     large: LargeTable,
     /// Bump cursor for the large-object mapping area above the small heap.
@@ -56,9 +63,10 @@ impl DieHardSimHeap {
         let span = config.heap_span();
         // Large objects map above the small heap; give them an equal span.
         let arena = PagedArena::with_fill(span * 2, fill);
-        let core = HeapCore::new(config, seed)?;
+        let core = Heap::new(config, seed)?;
         Ok(Self {
             core,
+            fill_rng: Mwc::seeded(seed),
             arena,
             large: LargeTable::new(1024),
             large_cursor: span,
@@ -68,7 +76,7 @@ impl DieHardSimHeap {
 
     /// The underlying engine (placement decisions, stats, config).
     #[must_use]
-    pub fn core(&self) -> &HeapCore {
+    pub fn core(&self) -> &Heap<Plain> {
         &self.core
     }
 
@@ -94,9 +102,14 @@ impl DieHardSimHeap {
         Ok(outcome)
     }
 
+    /// Whether allocations are filled with random values.
+    fn fill_policy(&self) -> FillPolicy {
+        self.core.geometry().fill()
+    }
+
     fn fill_random(&mut self, addr: usize, len: usize) -> Result<(), Fault> {
         // "REPLICATED: fill with random values" (Figure 2) — drawn from the
-        // heap's own RNG stream so replicas with different seeds diverge.
+        // heap's own seeded stream so replicas with different seeds diverge.
         // `Mwc::fill_bytes` draws a word per 8 bytes and the arena is
         // written a page at a time, not one 8-byte write per draw; the byte
         // stream (and RNG advancement) is identical to the word-by-word
@@ -106,7 +119,7 @@ impl DieHardSimHeap {
         let mut remaining = len;
         while remaining > 0 {
             let n = remaining.min(PAGE_SIZE);
-            self.core.rng_mut().fill_bytes(&mut buf[..n]);
+            self.fill_rng.fill_bytes(&mut buf[..n]);
             self.arena.write(cursor, &buf[..n])?;
             cursor += n;
             remaining -= n;
@@ -130,7 +143,7 @@ impl DieHardSimHeap {
             return Ok(None);
         }
         self.large_live_bytes += user_len;
-        if self.core.fill_policy() == FillPolicy::Random {
+        if self.fill_policy() == FillPolicy::Random {
             self.fill_random(user, user_len)?;
         }
         Ok(Some(user))
@@ -152,7 +165,7 @@ impl SimAllocator for DieHardSimHeap {
         match self.core.alloc(size) {
             Some(slot) => {
                 let addr = self.core.offset_of(slot);
-                if self.core.fill_policy() == FillPolicy::Random {
+                if self.fill_policy() == FillPolicy::Random {
                     self.fill_random(addr, slot.size())?;
                 }
                 Ok(Some(addr))

@@ -51,8 +51,9 @@ pub use diehard_workloads as workloads;
 pub mod prelude {
     pub use diehard_baselines::{BdwGcSim, LeaSimAllocator, WindowsSimAllocator};
     pub use diehard_core::config::{FillPolicy, HeapConfig};
-    pub use diehard_core::engine::{FreeOutcome, HeapCore, Slot};
+    pub use diehard_core::engine::{FreeOutcome, Slot};
     pub use diehard_core::rng::Mwc;
+    pub use diehard_core::sharded::Heap;
     pub use diehard_core::size_class::SizeClass;
     pub use diehard_runtime::{
         oracle_output, run_program, verdict, CheckPolicy, ExecOptions, Op, Program, ReplicaSet,

@@ -3,6 +3,7 @@
 //! M dial's monotone effect on protection, and bounded-strcpy end-to-end.
 
 use diehard::core::engine::DEFAULT_INITIAL_FRACTION_LOG2;
+use diehard::core::sync::Plain;
 use diehard::inject::{inject, Injection};
 use diehard::prelude::*;
 use diehard::workloads::profile_by_name;
@@ -15,7 +16,7 @@ fn adaptive_heap_serves_real_workloads_with_smaller_footprint() {
     // against the initial 1/64 slot allotment.
     let config = HeapConfig::default().with_region_bytes(64 * 1024);
     let fixed_span = config.heap_span();
-    let mut heap = HeapCore::new_elastic(config, 5, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+    let heap: Heap<Plain> = Heap::new_elastic(config, 5, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
     let prog = profile_by_name("p2c").unwrap().generate(0.2, 3);
     let mut live: std::collections::HashMap<u32, usize> = Default::default();
     for op in &prog.ops {
@@ -170,9 +171,9 @@ fn erroneous_free_storm_leaves_heap_consistent() {
     // Every legitimately live object must still free exactly once.
     let mut freed = 0;
     for p in live {
-        let live_before = heap.core().live_objects();
+        let live_before = heap.core().in_use();
         heap.free(p).unwrap();
-        if heap.core().live_objects() == live_before - 1 {
+        if heap.core().in_use() == live_before - 1 {
             freed += 1;
         }
     }
@@ -183,17 +184,16 @@ fn erroneous_free_storm_leaves_heap_consistent() {
         freed >= 490,
         "only {freed}/500 survived the bogus-free storm"
     );
-    assert_eq!(heap.core().live_objects(), 0);
+    assert_eq!(heap.core().in_use(), 0);
 }
 
 mod magazine_ab {
-    //! The sim harness's A/B of the magazine layer against the plain
-    //! sharded heap: same master seeds, same logical churn, statistically
+    //! The sim harness's A/B of the magazine cache against the uncached
+    //! heap: same master seeds, same logical churn, statistically
     //! indistinguishable placement (the §4.2 uniform-randomness guarantee
     //! the magazine must preserve).
 
-    use diehard::core::magazine::{MagazineCache, MagazineHeap};
-    use diehard::core::sharded::ShardedHeap;
+    use diehard::core::magazine::MagazineCache;
     use diehard::prelude::*;
 
     const CLASS_64B: usize = 3;
@@ -205,7 +205,7 @@ mod magazine_ab {
         fn offset_of(&self, slot: Slot) -> usize;
     }
 
-    impl Driver for &ShardedHeap {
+    impl Driver for &Heap {
         fn alloc64(&mut self) -> Option<Slot> {
             self.alloc(64)
         }
@@ -213,11 +213,11 @@ mod magazine_ab {
             assert!(self.free_at(offset).freed());
         }
         fn offset_of(&self, slot: Slot) -> usize {
-            ShardedHeap::offset_of(self, slot)
+            Heap::offset_of(self, slot)
         }
     }
 
-    impl Driver for (&MagazineHeap, MagazineCache<'_>) {
+    impl Driver for (&Heap, MagazineCache<'_>) {
         fn alloc64(&mut self) -> Option<Slot> {
             self.1.alloc(64)
         }
@@ -285,12 +285,12 @@ mod magazine_ab {
         let mut magazine_hist = [0u64; BUCKETS];
 
         for seed in 0..SEEDS {
-            let sharded = ShardedHeap::new(config.clone(), seed).unwrap();
+            let sharded: Heap = Heap::new(config.clone(), seed).unwrap();
             for idx in churn(seed, &mut (&sharded), OPS, WINDOW) {
                 sharded_hist[idx * BUCKETS / capacity] += 1;
             }
 
-            let magazine = MagazineHeap::new(config.clone(), seed).unwrap();
+            let magazine: Heap = Heap::new(config.clone(), seed).unwrap();
             let mut driver = (&magazine, magazine.thread_cache());
             for idx in churn(seed, &mut driver, OPS, WINDOW) {
                 magazine_hist[idx * BUCKETS / capacity] += 1;
@@ -331,18 +331,20 @@ mod magazine_ab {
         let class = SizeClass::from_index(CLASS_64B);
         let mut gaps = Vec::new();
         for seed in [3u64, 17, 99] {
-            let sharded = ShardedHeap::new(HeapConfig::default(), seed).unwrap();
+            let sharded: Heap = Heap::new(HeapConfig::default(), seed).unwrap();
             churn(seed, &mut (&sharded), 300, 16);
             let sharded_gap = sharded
-                .with_partition(class, |p| p.mean_live_gap())
+                .partition(class)
+                .mean_live_gap()
                 .expect("window keeps ≥ 2 live objects");
 
-            let magazine = MagazineHeap::new(HeapConfig::default(), seed).unwrap();
+            let magazine: Heap = Heap::new(HeapConfig::default(), seed).unwrap();
             let mut driver = (&magazine, magazine.thread_cache());
             churn(seed, &mut driver, 300, 16);
             drop(driver);
             let magazine_gap = magazine
-                .with_partition(class, |p| p.mean_live_gap())
+                .partition(class)
+                .mean_live_gap()
                 .expect("window keeps ≥ 2 live objects");
 
             let rel = (sharded_gap - magazine_gap).abs() / sharded_gap;
