@@ -46,6 +46,7 @@ pub const KERNELS: &[&str] = &[
     "magazine_alloc_churn",
     "preload_alloc_churn",
     "probe_steady_half_full",
+    "probe_steady_three_quarter_band",
     "fill_none",
     "fill_random",
     "grow_under_churn",
@@ -323,17 +324,29 @@ fn preload_alloc_churn(_name: &'static str, _smoke: bool) -> KernelResult {
 /// and store, which the compiler keeps in memory where the former `&mut`
 /// copy's fields sat in registers (+5 ns a pair; CHANGES, PR 22).
 fn probe_steady_half_full(smoke: bool) -> KernelResult {
-    const CAPACITY: usize = 1 << 14;
+    probe_steady("probe_steady_half_full", 1 << 14, smoke)
+}
+
+/// [`probe_steady_half_full`] at a capacity that is not a power of two —
+/// `3 · 2^13` slots, the third rung of a band — which is where a class on
+/// the quarter-band ladder spends most of its life. Same loop, same
+/// occupancy, same multiply draw; the difference between the two rows is
+/// what the rung costs (nothing, unless the draw is forked again).
+fn probe_steady_three_quarter_band(smoke: bool) -> KernelResult {
+    probe_steady("probe_steady_three_quarter_band", 3 << 13, smoke)
+}
+
+fn probe_steady(name: &'static str, capacity: usize, smoke: bool) -> KernelResult {
     let (warmup, samples, ops) = if smoke {
         (1, 3, 5_000)
     } else {
         (3, 25, 100_000)
     };
-    let part = Partition::new(SizeClass::from_index(0), CAPACITY, CAPACITY, 7);
-    for _ in 0..CAPACITY / 2 {
+    let part = Partition::new(SizeClass::from_index(0), capacity, capacity, 7);
+    for _ in 0..capacity / 2 {
         part.alloc();
     }
-    measure("probe_steady_half_full", warmup, samples, ops, move || {
+    measure(name, warmup, samples, ops, move || {
         for _ in 0..ops {
             let idx = part.alloc().expect("has space");
             part.free(black_box(idx));
@@ -368,11 +381,12 @@ fn fill_kernel(name: &'static str, fill: FillPolicy, smoke: bool) -> KernelResul
 
 /// Elastic growth under allocation pressure: one op = one 8-byte
 /// allocation against a concurrent heap born at 1/64 of its maximum
-/// capacity, so the timed loop crosses every doubling of the smallest
-/// class on its way to the full-size `1/M` threshold. Each sample builds
-/// a fresh heap (seed varied per sample) — the growth protocol runs
-/// *inside* the measurement, so this number prices the lock-free read
-/// path plus the maintenance-locked doublings, not just steady state.
+/// capacity, so the timed loop crosses every step of the smallest class's
+/// ladder (24 quarter-bands) on its way to the full-size `1/M` threshold.
+/// Each sample builds a fresh heap (seed varied per sample) — the growth
+/// protocol runs *inside* the measurement, so this number prices the
+/// lock-free read path plus the maintenance-locked steps, not just steady
+/// state.
 fn grow_under_churn(smoke: bool) -> KernelResult {
     let (warmup, samples, region) = if smoke {
         (1, 3, 1usize << 16)
@@ -495,22 +509,22 @@ fn anon_huge_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// The price of a promotion: one op = the `malloc` whose refill doubles the
-/// 8-byte class of a fresh heap from 1 MB to 2 MB — the first moment the
+/// The price of a promotion: one op = the `malloc` whose refill steps the
+/// 8-byte class of a fresh heap from 1.75 MB to 2 MB — the first moment the
 /// class, long since past `PROMOTE_AFTER_ALLOCS`, has an active range one
-/// huge page long: the doubling itself, `MADV_HUGEPAGE` over the 32 MB
-/// region, and `MADV_COLLAPSE` of the 2 MB range, whose lower half by then
-/// holds 65 536 live, written objects on all 256 of its pages and whose
-/// upper half has never been touched. Paid once per class per process, and
-/// only by classes with 512 KiB live at once. Where the kernel refuses
+/// huge page long: the step itself, `MADV_HUGEPAGE` and `MADV_COLLAPSE` of
+/// that 2 MB, whose lower seven eighths by then hold 114 688 live, written
+/// objects on all 448 of their pages and whose last eighth has never been
+/// touched. Paid once per huge page of a class's range, and only by
+/// classes with 896 KiB live at once. Where the kernel refuses
 /// the collapse (THP off, pre-6.1, no free 2 MB block) the op is two
 /// syscalls that change no page, and the kernel says so on stderr.
 fn class_promote(smoke: bool) -> KernelResult {
     let (warmup, samples) = if smoke { (0, 2) } else { (2, 25) };
-    // The class doubles when its live count meets the `1/M` allowance of
-    // its range, so the allowance of the 1 MB range is the number of
-    // objects to hold before the timed one.
-    let before_crossing = HeapConfig::paper_default().threshold_for(HUGE_PAGE / 2 / 8);
+    // The class grows when its live count meets the `1/M` allowance of its
+    // range, so the allowance of the 1.75 MB range is the number of objects
+    // to hold before the timed one.
+    let before_crossing = HeapConfig::paper_default().threshold_for(HUGE_PAGE / 8 * 7 / 8);
     let mut seed = 0x9407_07E5u64;
     let mut per_op: Vec<f64> = Vec::with_capacity(samples);
     let mut collapsed = 0usize;
@@ -560,10 +574,12 @@ fn class_promote(smoke: bool) -> KernelResult {
 /// Fig. 5's allocation-intensive overhead. Two sizes, because a heap that
 /// tracks what is live behaves differently at each:
 ///
-/// * `global_churn_cold`, 50 000 objects (≈ 6 MB live, ranges of 33 MB): it
-///   does not fit in cache, every touch is a miss, and the number moves
-///   with what hides latency (the look-ahead prefetch at handout) and with
-///   TLB reach (its six largest ranges are promoted to huge pages);
+/// * `global_churn_cold`, 50 000 objects (≈ 6 MB live; ranges of 26 MB on
+///   the quarter-band ladder, 33 MB when classes doubled): it does not fit
+///   in cache, every touch is a miss, and the number moves with what hides
+///   latency (the look-ahead prefetch at handout), with TLB reach (the
+///   whole huge pages of its six largest ranges are promoted) and with how
+///   full the ranges are (the paper's `1/(1 − 1/M)` probes);
 /// * `global_churn_small`, 3 000 objects (≈ 0.5 MB live): from the 64 KiB
 ///   start the ten classes the mix touches span 2.5 MB between them, on
 ///   base pages, each near its `1/M` cap — so an allocation pays the
@@ -973,6 +989,7 @@ pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
         "magazine_alloc_churn" => Some(alone(name, || magazine_alloc_churn(smoke))),
         "preload_alloc_churn" => Some(alone(name, || preload_alloc_churn(name, smoke))),
         "probe_steady_half_full" => Some(probe_steady_half_full(smoke)),
+        "probe_steady_three_quarter_band" => Some(probe_steady_three_quarter_band(smoke)),
         "fill_none" => Some(fill_kernel("fill_none", FillPolicy::None, smoke)),
         "fill_random" => Some(fill_kernel("fill_random", FillPolicy::Random, smoke)),
         "grow_under_churn" => Some(alone(name, || grow_under_churn(smoke))),

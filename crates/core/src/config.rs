@@ -214,8 +214,9 @@ impl Default for HeapConfig {
 /// * offset → class is `offset >> region_shift` (no division),
 /// * offset → within-region is `offset & region_mask` (no modulus),
 /// * class → region base is `index << region_shift` (no multiply),
-/// * per-class capacities are stored with their exact `log2`, so partition
-///   probes can draw a uniform slot as `next_u64() >> (64 - capacity_log2)`,
+/// * per-class capacities are powers of two, for which the partition's
+///   probe draw (`⌊next_u64() × capacity / 2^64⌋`, one widening multiply) is
+///   exactly `next_u64() >> (64 - log2 capacity)`,
 /// * the `1/M` thresholds are integer values computed once
 ///   ([`HeapConfig::threshold_for`]), never per-call float division.
 ///
@@ -249,9 +250,10 @@ impl HeapGeometry {
     /// As [`new`](Self::new), but the heap starts *elastic*: each class
     /// begins at `1 / 2^initial_fraction_log2` of its maximum capacity
     /// (clamped to a power of two that can hold at least one live object
-    /// under `1/M`) and doubles on demand up to the maximum. Because every
-    /// start capacity is a power of two, the partitions keep the
-    /// shift-only probe draw through every doubling; the slot layout is
+    /// under `1/M`) and grows on demand, a quarter of its power-of-two band
+    /// at a time ([`AtomicPartition::grow_step`](crate::partition::AtomicPartition::grow_step)),
+    /// up to the maximum — which a ladder of quarter-bands reaches exactly
+    /// because every start capacity is a power of two. The slot layout is
     /// computed against the *maximum* capacity, so indices, offsets, and
     /// `slot_at`/`locate_free` arithmetic are growth-stable.
     ///
@@ -268,7 +270,7 @@ impl HeapGeometry {
         let mut initial_capacity = [0usize; NUM_CLASSES];
         let mut initial_threshold = [0usize; NUM_CLASSES];
         // Smallest useful start: one live slot under 1/M, rounded up to a
-        // power of two so the shift draw applies from the first allocation.
+        // power of two so the ladder lands on the power-of-two maximum.
         let min_start = (config.multiplier.ceil() as usize)
             .max(2)
             .next_power_of_two();
@@ -596,7 +598,7 @@ mod tests {
             assert_eq!(fixed.initial_threshold(c), cfg.threshold(c));
         }
         // Non-dyadic multiplier: the start is still a power of two (the
-        // point of the elastic geometry — the shift draw never degrades).
+        // ladder's quarter-bands then land exactly on the maximum).
         let odd = HeapConfig::new().with_multiplier(3.0);
         let geom = HeapGeometry::new_elastic(odd, 10).unwrap();
         for c in SizeClass::all() {

@@ -457,9 +457,9 @@ mod tests {
     #[test]
     fn start_capacities_are_pow2_for_the_shift_draw() {
         // A non-dyadic multiplier used to produce non-pow2 starts (e.g. a
-        // minimum of 3 slots), dropping those partitions onto the slower
-        // `below` fallback draw. Every start — and therefore every doubling
-        // of it — must be a power of two.
+        // minimum of 3 slots). Every start must be a power of two: steps
+        // of a quarter of a power-of-two band then land exactly on the
+        // power-of-two maximum, and the draw at the start is the shift.
         for cfg in [
             HeapConfig::default(),
             HeapConfig::default().with_multiplier(3.0),

@@ -36,14 +36,17 @@
 //! their maximum, exhaustion is null). `libdiehard.so` is elastic either
 //! way and falls back to `global::DEFAULT_GROW_LOG2` = 9: with 32 MB
 //! regions every class starts at 64 KiB (8192 slots of 8 B … 4 slots of
-//! 16 KiB), doubles whenever `1/M` of its active range is live, and is
-//! resident in proportion to what is live in it. `DIEHARD_GROW=4` is the
+//! 16 KiB), grows by a quarter of its power-of-two band (64, 80, 96, 112,
+//! 128, 160 … KiB) whenever `1/M` of its active range is live, and is
+//! resident in proportion to what is live in it — within a quarter of `M` ×
+//! the most that has been. The variable names where the ladder *starts*,
+//! not how it climbs. `DIEHARD_GROW=4` is the
 //! 2 MB-per-class start the library shipped with before, `DIEHARD_GROW=0`
 //! a fixed heap that spills instead of returning null. Where the start
 //! matters for §3's bounds is spelled out in `global`'s module docs.
 
 /// Largest accepted `DIEHARD_GROW` exponent: a class starting at `1/2^63`
-/// of its maximum is already a degenerate single-doubling ladder, and the
+/// of its maximum is already clamped to the smallest start there is, and the
 /// geometry's shift arithmetic lives in `u64` space. Values above this are
 /// clamped (the intent "start tiny" is preserved), never truncated bit-wise
 /// — `DIEHARD_GROW=4294967296` used to truncate through `as u32` to `0`,

@@ -34,7 +34,8 @@
 //! * `DIEHARD_M` — integer expansion factor `M` (default 2).
 //! * `DIEHARD_GROW` — elastic mode (§9's adaptive growth, concurrent):
 //!   each class's *active* capacity starts at `1/2^value` of its configured
-//!   maximum (e.g. `6` → 1/64) and doubles under `1/M`-cap pressure.
+//!   maximum (e.g. `6` → 1/64) and grows under `1/M`-cap pressure, a quarter
+//!   of its power-of-two band at a time (64, 80, 96, 112, 128, 160 … KiB).
 //!   Offsets never move — the full virtual span is reserved up front and
 //!   only the probing range widens. A class denied at its *maximum*
 //!   capacity spills the request to a dedicated guard-paged mapping
@@ -43,13 +44,14 @@
 //!   capacity, exhaustion is null), for [`DieHard::elastic_from_env`] —
 //!   `libdiehard.so` — its default fraction, [`DEFAULT_GROW_LOG2`]. `0` is
 //!   the paper's fixed heap in elastic clothing: born at the maximum, no
-//!   doublings, spills past it.
+//!   growth, spills past it.
 //!
 //!   What the start fraction buys and costs. Uniform placement touches
 //!   every page of a class's *active range* however few objects are live,
 //!   so a class's resident floor is its range, and the range stays within
-//!   `2M` × what has been live at once (`M` × live, rounded up to a power
-//!   of two) only if it starts small: at [`DEFAULT_GROW_LOG2`] every class
+//!   `1.25 M` × what has been live at once (`M` × live, rounded up to the
+//!   next quarter-band rung; `2M` while classes doubled) only if it starts
+//!   small: at [`DEFAULT_GROW_LOG2`] every class
 //!   of a 32 MB region starts at 64 KiB, where the former 2 MB start
 //!   charged 2 MB per class the host so much as warmed up. The capacity
 //!   is `≥ M × live` at every instant either way, which is how the paper
@@ -58,8 +60,9 @@
 //!   is not: it scales with the number of free slots `Q` the freed slot
 //!   hides among, and a young class now has `Q ≥` 4096 (8 B objects) …
 //!   8 (4 KiB) … 2 (16 KiB) where a 2 MB start gave 131 072 … 256 … 64;
-//!   `Q` doubles with every doubling and is back to the old figure once
-//!   `M` × live reaches 2 MB. The other cost is time: a class whose range
+//!   `Q` grows with the range — `Q ≥ (1 − 1/M)` × capacity at every rung —
+//!   and is back to the old figure once `M` × live reaches 2 MB. The other
+//!   cost is time: a class whose range
 //!   follows its live set sits near its `1/M` cap, so an allocation pays
 //!   the paper's expected `1/(1 − 1/M)` probes (§4.2) where a range far
 //!   larger than `M` × live paid one — 8 ns a pair on `perf_report`'s
@@ -160,36 +163,43 @@
 //!   2 MB-aligned and faults in 4 KB at a time, so a class a process barely
 //!   uses costs the pages it touches (§4.1's lazily initialized
 //!   partitions). Once a class has proven hot
-//!   ([`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS))
-//!   **and its active range spans a whole huge page** — for a class born
-//!   smaller, at the doubling that first makes it one — the
-//!   promote hook issues [`sys::advise_hugepages`] (`MADV_HUGEPAGE`) over
-//!   the class's whole region — later faults and elastic doublings arrive
-//!   2 MB at a time, §7's TLB-reach remedy — and
-//!   [`sys::collapse_hugepages`] (`MADV_COLLAPSE`) over its active range,
+//!   ([`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS)),
+//!   **every whole huge page of its active range** is handed to the promote
+//!   hook, once, at the refill or growth step that completes it: the hook
+//!   issues [`sys::advise_hugepages`] (`MADV_HUGEPAGE`) over exactly those
+//!   huge pages — §7's TLB-reach remedy — and
+//!   [`sys::collapse_hugepages`] (`MADV_COLLAPSE`) over the same bytes,
 //!   which re-backs the pages already touched without moving or changing a
-//!   byte. The size condition is what keeps a small hot class small: advice
+//!   byte. Advice never reaches past the active range, which is what keeps
+//!   resident memory at what is in use: advice
 //!   over a region whose active range is 64 KiB invites `khugepaged` to
 //!   rebuild those 16 base pages as one 2 MB page (it collapses a range
 //!   with up to `max_ptes_none` = 511 of 512 pages absent), and a
 //!   long-lived process would creep back to 2 MB per hot class behind the
-//!   allocator's back. Both calls are non-destructive by specification:
+//!   allocator's back; advice over the whole region of a class whose range
+//!   is 2.5 MB makes the first touch of its tail a 2 MB fault, 4 MB
+//!   resident for 2.5 in use. The tail of less than one huge page stays on
+//!   base pages until a later step completes it. A refused advice is not
+//!   recorded as given: the range is offered again when the class next
+//!   grows. Both calls are non-destructive by specification:
 //!   neither can unmap, move, or zero memory,
 //!   the kernel performs the collapse atomically with
 //!   respect to other threads' loads and stores, and every failure (a
 //!   kernel built without THP, `EINVAL` from the collapse before Linux 6.1
 //!   or with THP off, no free 2 MB block) leaves the range exactly as it
-//!   was, on 4 KB pages — so the results are ignored. Under THP `never`
-//!   the advice is recorded and never acted on. Both are issued once per
-//!   class, under that class's maintenance lock (so never concurrently with
-//!   a doubling of the same class, and `fork_prepare` waits for one in
-//!   flight), and never from a per-op path. The price of holding the lock
-//!   across them is a one-off stall: a collapse copies 2 MB and took
+//!   was, on 4 KB pages — so the collapse's result is ignored. Under THP
+//!   `never` the advice is recorded and never acted on. Both are issued
+//!   once per huge page, under the class's maintenance lock (so never
+//!   concurrently with a growth step of the same class, and `fork_prepare`
+//!   waits for one in flight), and never from a per-op path. The price of
+//!   holding the lock across them is a stall per huge page: a collapse
+//!   copies 2 MB and took
 //!   0.4–15 ms on the reference box (`class_promote` in `BENCH_12.json`),
 //!   during which a thread refilling *that* class, or a `fork`, waits in
 //!   the lock's yield loop; handouts from magazines and every other class
 //!   carry on. Under THP `always` the kernel may back first touches with
-//!   huge pages on its own, promoted or not — nothing here forbids it.
+//!   huge pages on its own, promoted or not — nothing here forbids it, and
+//!   there a range's tail is resident to the next 2 MB boundary.
 //!   Each large-object mapping is still advised before its pointer escapes.
 //! * **One more intrinsic: a prefetch hint at handout.** After a magazine
 //!   handout, `alloc` asks the magazine which slot this thread's *next*
@@ -208,8 +218,8 @@
 //!   is exactly what it was. Placement is untouched by construction (pinned
 //!   against a never-prefetching [`Heap`] twin in
 //!   `hot_class_is_promoted_once_alone_and_in_place`).
-//! * **Elastic growth adds no new unsafety.** Growing a class rewrites two
-//!   atomics (`capacity`, the packed shift/threshold word) under the class
+//! * **Elastic growth adds no new unsafety.** Growing a class rewrites one
+//!   atomic (the packed capacity/threshold word) under the class
 //!   maintenance lock; the slot-state maps and the heap span are sized for
 //!   the *maximum* capacity from initialization, so no metadata or object
 //!   memory is ever remapped, and every pointer handed out before a growth
@@ -238,15 +248,34 @@ use core::sync::atomic::{AtomicU8, Ordering};
 /// [`DieHard::elastic_from_env`], used when `DIEHARD_GROW` is unset): every
 /// class begins at `1/2^9` of its maximum — 64 KiB of the default 32 MB
 /// region, i.e. 8192 slots of 8 B down to 4 of 16 KiB — and climbs the
-/// doubling ladder from there, so a class's resident floor follows what is
+/// quarter-band ladder from there (64, 80, 96, 112, 128, 160 … KiB:
+/// [`AtomicPartition::grow_step`](crate::partition::AtomicPartition::grow_step)),
+/// so a class's resident floor follows what is
 /// live in it instead of being 2 MB from its first object (the
 /// `DIEHARD_GROW` paragraph in the module docs has the price; the
 /// measurements that chose 9 over 7 and 13 are in `CHANGES.md`, PR 16).
-/// Short of 2 MB the class stays on base pages whatever its traffic; at the
-/// doubling that takes a hot class to 2 MB it is promoted to huge pages
-/// ([`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS)). The
-/// one definition: the interposer and the perf kernels that model it both
-/// read it from here.
+/// Short of 2 MB the class stays on base pages whatever its traffic; from
+/// the step that takes a hot class to 2 MB, each whole huge page of its
+/// range is promoted as a step completes it
+/// ([`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS)).
+///
+/// What the ladder keeps and what it gives up (PR 24). Kept, at every rung
+/// of every class: `threshold = ⌊capacity / M⌋` exactly, so capacity ≥ `M` ×
+/// live and free slots `Q ≥ (1 − 1/M)` × capacity — §3 where it is stated.
+/// Given up: the doubling ladder's *unearned* slack. A class that doubled
+/// sat, on average over where `M` × live falls in a band, at ≈ 1.44 × its
+/// need; a quarter-band rung leaves ≈ 1.10 × (`churn_host`: 8 MB for 5–6 MB
+/// of `M` × live became 6–7; `rss_ratio` 2.89 → 2.25). That slack was
+/// protection nobody sized — up to twice the `Q` §3 asks for — and it was
+/// speed: a class nearer its cap pays nearer the paper's `1/(1 − 1/M)`
+/// expected probes (§4.2), and a refill nearer its cap is clamped to fewer
+/// slots (`global_churn_cold` ≈ +7 ns a pair, the 64-object
+/// `preload_alloc_churn` ring ≈ +4.5 ns because its 2 KiB class now stops
+/// at 80–96 slots where it used to double to 128; `churn_host`'s
+/// `overhead_ratio` does not move — CHANGES.md, PR 24).
+///
+/// The one definition: the interposer and the perf kernels that model it
+/// both read it from here.
 pub const DEFAULT_GROW_LOG2: u32 = 9;
 
 /// Capacity of the large-object validity tables (live large objects).
@@ -391,7 +420,7 @@ impl DieHard {
 
     /// As [`with_config`](Self::with_config) but **elastic**: every class
     /// starts at `1/2^initial_fraction_log2` of its configured maximum
-    /// capacity, doubles under `1/M`-cap pressure, and — once denied at the
+    /// capacity, grows under `1/M`-cap pressure, and — once denied at the
     /// maximum — spills the request to a dedicated guard-paged mapping
     /// instead of returning null. The `DIEHARD_GROW` environment knob is
     /// this constructor's env-driven equivalent for allocators built with
@@ -534,12 +563,14 @@ impl DieHard {
         self.state.get().map_or(0, |s| s.heap.reserved_slots())
     }
 
-    /// Bitmask of size classes whose memory has been promoted to huge pages
-    /// (bit `i` = class index `i`; diagnostics). A class is promoted once,
-    /// the first time a refill or doubling finds its cumulative allocation
-    /// count at [`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS)
-    /// or more and its active range at one huge page or more;
-    /// whether the kernel honoured the request is not recorded.
+    /// Bitmask of size classes with memory promoted to huge pages (bit `i` =
+    /// class index `i`; diagnostics): those for which a refill or growth
+    /// step has found the cumulative allocation count at
+    /// [`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS) or
+    /// more and whole huge pages in the active range, **and the kernel has
+    /// accepted the advice** for at least one of them
+    /// ([`Heap::advised_len`] has the extent; whether it also collapsed
+    /// them is not recorded).
     #[must_use]
     pub fn promoted_classes(&self) -> u32 {
         self.state.get().map_or(0, |s| s.heap.promoted_classes())
@@ -933,16 +964,20 @@ fn prefetch_range(geometry: &HeapGeometry, slot: Slot) -> core::ops::Range<usize
     start..start + slot.size().min(PREFETCH_BYTES)
 }
 
-/// The heap's [`PromoteHook`](crate::sharded::PromoteHook): moves one size
-/// class of the span at `heap_base` onto huge pages. Advice over the whole
-/// region covers everything faulted in from here on (elastic doublings
-/// included); the collapse re-backs the active range touched so far. Both
-/// are best-effort and their results ignored: whatever the kernel refuses,
-/// the class simply stays on the pages it has.
-fn promote_region(heap_base: usize, region_offset: usize, region_len: usize, active_len: usize) {
-    let region = (heap_base + region_offset) as *mut u8;
-    sys::advise_hugepages(region, region_len);
-    sys::collapse_hugepages(region, active_len);
+/// The heap's [`PromoteHook`](crate::sharded::PromoteHook): moves the huge
+/// pages `[offset, offset + len)` of the span at `heap_base` — whole ones,
+/// inside one class's active range — onto huge pages. The advice covers
+/// what the range faults in from here on, the collapse re-backs what has
+/// been touched so far. The advice's answer is the hook's: refused, the
+/// range stays on the pages it has and the heap offers it again when the
+/// class next grows. The collapse is best-effort and its result ignored.
+fn promote_region(heap_base: usize, offset: usize, len: usize) -> bool {
+    let range = (heap_base + offset) as *mut u8;
+    let advised = sys::advise_hugepages(range, len);
+    if advised {
+        sys::collapse_hugepages(range, len);
+    }
+    advised
 }
 
 impl Default for DieHard {
@@ -1339,16 +1374,18 @@ mod tests {
         DieHard::with_elastic_config(HeapConfig::paper_default(), seed, 4)
     }
 
-    /// A class driven past the count is promoted once and alone, at the
-    /// first refill that finds it with a whole huge page: on a fixed heap
-    /// and from a 2 MB start that is the refill that takes its count there,
-    /// as it always was; from the shipped 64 KiB start it is the refill
-    /// that doubles the class from 1 MB to 2 MB, sixteen times the count
-    /// later. The collapse happens in place (every object keeps its address
-    /// and its contents), and placement stays identical to a heap that owns
-    /// no memory, has no hook at all and never prefetches — through
-    /// refills, every doubling on the way, the promotion, interleaved frees
-    /// and a doubling after it.
+    /// A class driven past the count is promoted alone, at the first refill
+    /// that finds it with a whole huge page: on a fixed heap and from a 2 MB
+    /// start that is the refill that takes its count there, as it always
+    /// was — the whole region of the one, the 2 MB range of the other; from
+    /// the shipped 64 KiB start it is the refill that steps the class from
+    /// 1.75 MB to 2 MB, thirty times the count later, and every later step
+    /// adds the huge pages it completed, up to the whole region. Each
+    /// collapse happens in place (every object keeps its address and its
+    /// contents), and placement stays identical to a heap that owns no
+    /// memory, has no hook at all and never prefetches — through refills,
+    /// every step on the way, the promotions, interleaved frees and a step
+    /// after them.
     #[test]
     fn hot_class_is_promoted_once_alone_and_in_place() {
         use crate::magazine::MAG_SLOTS;
@@ -1360,17 +1397,18 @@ mod tests {
         let hot = 1u32 << hot_class.index();
         // Handouts 1..=8 come from refill 1, so the refill that takes the
         // count to `n` serves handout `n − 8 + 1`; the refill that finds a
-        // range's `1/M` allowance `t` used up, and doubles it, serves
+        // range's `1/M` allowance `t` used up, and widens it, serves
         // handout `t + 1`.
         let at_the_count = PROMOTE_AFTER_ALLOCS as usize - MAG_SLOTS + 1;
-        let at_two_mb = config().threshold_for(sys::HUGE_PAGE / 2 / 64) + 1;
-        // The shipped start then climbs on, past its last doubling (at half
-        // the `1/M` allowance of the 32 MB maximum).
-        let whole_ladder = config().threshold(hot_class) / 4 * 3;
-        for (start, crossing, objects) in [
-            (None, at_the_count, 2 * at_the_count),
-            (Some(4), at_the_count, 2 * at_the_count),
-            (Some(DEFAULT_GROW_LOG2), at_two_mb, whole_ladder),
+        let at_two_mb = config().threshold_for(sys::HUGE_PAGE / 8 * 7 / 64) + 1;
+        // The shipped start then climbs on, past its last step (at seven
+        // eighths of the `1/M` allowance of the 32 MB maximum).
+        let whole_ladder = config().threshold(hot_class) / 16 * 15;
+        let region = config().region_bytes;
+        for (start, crossing, objects, advised) in [
+            (None, at_the_count, 2 * at_the_count, region),
+            (Some(4), at_the_count, 2 * at_the_count, sys::HUGE_PAGE),
+            (Some(DEFAULT_GROW_LOG2), at_two_mb, whole_ladder, region),
         ] {
             let (heap, twin) = match start {
                 Some(log2) => (
@@ -1401,10 +1439,12 @@ mod tests {
                     "start {start:?}, after object {i}"
                 );
             }
+            let shared = &heap.state.get().unwrap().heap;
+            assert_eq!(shared.advised_len(hot_class), advised, "start {start:?}");
             // A mixed history on top — three classes, every third call a
             // free of a random live object, so refills, free-buffer flushes
             // and the look-ahead interleave — holding enough 16 KB objects
-            // live to double that class on either elastic heap.
+            // live to grow that class on either elastic heap.
             let base = heap.state.get().unwrap().heap_base as usize;
             let mut rng = crate::rng::Mwc::seeded(SEED);
             let mut mixed: Vec<*mut u8> = Vec::new();
@@ -1424,13 +1464,13 @@ mod tests {
             assert_eq!(
                 twin.growth_events() > 0,
                 start.is_some(),
-                "the elastic histories crossed a doubling"
+                "the elastic histories crossed a growth step"
             );
             if start == Some(DEFAULT_GROW_LOG2) {
                 assert_eq!(
                     twin.partition(hot_class).capacity(),
                     config().capacity(hot_class),
-                    "every doubling from 64 KiB to the maximum"
+                    "every step from 64 KiB to the maximum"
                 );
             }
             for p in mixed {
@@ -1469,16 +1509,10 @@ mod tests {
         pages.iter().filter(|&&p| p & 1 != 0).count() * page
     }
 
-    /// The default elastic heap pays for what is live: after `churn_host`'s
-    /// size mix has churned over 3 000 live objects — every class it uses
-    /// long past the promotion count — the arena's resident memory is no
-    /// more than the sum of the classes' active ranges (placement touches a
-    /// range, never beyond it), and no class has been handed a huge page to
-    /// hold it.
-    #[test]
-    fn small_live_set_stays_small_on_the_default_heap() {
-        const LIVE: usize = 3_000;
-        const OPS: usize = 20_000;
+    /// `churn_host`'s size mix churned over `live` objects on the default
+    /// elastic heap, every object written: the heap, its resident bytes and
+    /// the sum of its classes' active ranges.
+    fn churned_default_heap(live: usize, ops: usize) -> (DieHard, usize, usize) {
         let heap =
             DieHard::with_elastic_config(HeapConfig::paper_default(), 0x11FE, DEFAULT_GROW_LOG2);
         let mut rng = crate::rng::Mwc::seeded(0x5EED_11FE);
@@ -1495,26 +1529,68 @@ mod tests {
             unsafe { p.write_bytes(size as u8, size) };
             p
         };
-        let mut ring: Vec<*mut u8> = (0..LIVE).map(|_| place(&mut rng)).collect();
-        for _ in 0..OPS {
-            let victim = rng.below(LIVE);
+        let mut ring: Vec<*mut u8> = (0..live).map(|_| place(&mut rng)).collect();
+        for _ in 0..ops {
+            let victim = rng.below(live);
             heap.free(core::mem::replace(&mut ring[victim], place(&mut rng)));
         }
         let state = heap.state.get().unwrap();
         let active: usize = SizeClass::all()
             .map(|c| state.heap.partition(c).capacity() * c.object_size())
             .sum();
-        assert_eq!(heap.promoted_classes(), 0, "nothing here spans 2 MB");
         let resident = resident_bytes(state.heap_base as usize, state.heap.heap_span(), state.page);
         assert!(resident > 0, "the objects were written");
-        assert!(
-            resident <= active,
-            "{resident} B resident outside {active} B of active ranges"
-        );
         for p in ring {
             heap.free(p);
         }
         assert_eq!(heap.live_objects(), 0);
+        (heap, resident, active)
+    }
+
+    /// The default elastic heap pays for what is live: after `churn_host`'s
+    /// size mix has churned over 3 000 live objects — every class it uses
+    /// long past the promotion count — the arena's resident memory is no
+    /// more than the sum of the classes' active ranges (placement touches a
+    /// range, never beyond it), and no class has been handed a huge page to
+    /// hold it.
+    #[test]
+    fn small_live_set_stays_small_on_the_default_heap() {
+        let (heap, resident, active) = churned_default_heap(3_000, 20_000);
+        assert_eq!(heap.promoted_classes(), 0, "nothing here spans 2 MB");
+        assert!(
+            resident <= active,
+            "{resident} B resident outside {active} B of active ranges"
+        );
+    }
+
+    /// And it goes on paying for what is live past 2 MB: at 50 000 live
+    /// objects the busiest classes have grown whole huge pages and been given them,
+    /// and still nothing is resident beyond the active ranges — the advice
+    /// covers `⌊active / 2 MB⌋` huge pages of each, so neither a first touch
+    /// nor `khugepaged` can round a 2.5 MB range up to 4. (Under THP mode
+    /// `always` the kernel backs the unadvised tails with huge pages unasked
+    /// and the bound is the rounded one.)
+    #[test]
+    fn huge_pages_stay_inside_the_active_ranges_as_they_grow() {
+        let (heap, resident, active) = churned_default_heap(50_000, 20_000);
+        let shared = &heap.state.get().unwrap().heap;
+        let mut advised = 0;
+        for class in SizeClass::all() {
+            let partition = shared.partition(class);
+            let range = partition.capacity() * class.object_size();
+            let hot = partition.probe_stats().0 >= crate::sharded::PROMOTE_AFTER_ALLOCS;
+            let whole = range / sys::HUGE_PAGE * sys::HUGE_PAGE;
+            assert_eq!(shared.advised_len(class), usize::from(hot) * whole);
+            advised += shared.advised_len(class);
+        }
+        assert!(advised >= 4 * sys::HUGE_PAGE, "{advised} B advised");
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        let rounded = thp.is_ok_and(|mode| mode.contains("[always]"));
+        let bound = active + usize::from(rounded) * crate::size_class::NUM_CLASSES * sys::HUGE_PAGE;
+        assert!(
+            resident <= bound,
+            "{resident} B resident outside {active} B of active ranges"
+        );
     }
 
     /// The look-ahead never hints past the slot it names: for the last slot

@@ -539,7 +539,7 @@ mod tests {
             }
         }
         assert_eq!(placed, 32, "full-size 1/M allowance served");
-        assert!(h.growth_events() >= 5, "2 -> 64 takes five doublings");
+        assert!(h.growth_events() >= 15, "2 -> 64 takes fifteen steps");
         assert_eq!(cache.try_alloc(16 * 1024), AllocOutcome::Spill);
         assert_eq!(cache.try_alloc(0), AllocOutcome::Unsupported);
         let stats = h.stats();

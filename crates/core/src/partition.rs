@@ -21,7 +21,7 @@ use crate::config::HeapConfig;
 use crate::rng::AtomicMwc;
 use crate::size_class::SizeClass;
 use crate::sync::{Arm, Plain, Shared, Word};
-use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 
 /// The single-owner partition: [`AtomicPartition`] with every update a plain
 /// load and store. `Send` but not `Sync` — sharing one between threads does
@@ -32,18 +32,6 @@ use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// assert_sync::<diehard_core::partition::Partition>();
 /// ```
 pub type Partition = AtomicPartition<Plain>;
-
-/// The strength-reduced draw shift for `capacity`, or the `0` sentinel when
-/// only the general widening-multiply draw is exact.
-#[inline]
-fn draw_shift_for(capacity: usize) -> u32 {
-    if capacity.is_power_of_two() && capacity > 1 {
-        64 - capacity.trailing_zeros()
-    } else {
-        // capacity == 1 draws index 0 either way; `below` handles it.
-        0
-    }
-}
 
 /// One size-class region of the DieHard heap, probed and claimed entirely
 /// through [`Word`] updates so allocation and free never take a lock.
@@ -79,23 +67,33 @@ fn draw_shift_for(capacity: usize) -> u32 {
 /// `capacity − threshold` slots stay free while anyone probes, and each
 /// probe hits a free slot with probability ≥ `1 − 1/M`. Growth only widens
 /// that margin: the probe loop re-reads the packed active word every
-/// iteration, so a concurrent doubling (which can raise the threshold past
+/// iteration, so a concurrent growth step (which can raise the threshold past
 /// the *old* capacity) immediately widens the draw range too — probing a
 /// stale, now-fillable range can never persist for more than one draw.
 ///
 /// # Elastic growth
 ///
 /// An elastic partition ([`new_elastic`](Self::new_elastic)) sizes its slot
-/// map for `max_capacity` up front but starts serving a smaller
-/// power-of-two *active* capacity. [`grow_to`](Self::grow_to) — called with
-/// the enclosing heap's per-class maintenance lock held, so writes are
-/// serialized — publishes a larger capacity with two relaxed stores; readers
-/// need no lock. Two packed words make lock-free reads tear-proof:
+/// map for `max_capacity` up front but starts serving a smaller *active*
+/// capacity, and under `1/M`-cap pressure climbs a **quarter-band ladder**
+/// ([`grow_step`](Self::grow_step)): from capacity `c` by `2^⌊log2 c⌋ / 4`
+/// slots, so capacities walk 4, 5, 6, 7, 8, 10, 12, 14, 16, … × `2^j` and a
+/// class never holds more than a quarter more than `M` × what has been live
+/// in it at once (a doubling ladder held up to twice that). §3 asks one
+/// thing of a capacity — at least `M` × live, which the exact
+/// `threshold = ⌊capacity / M⌋` keeps at every rung — and nothing of its
+/// shape, so the draw is the one widening multiply
+/// ([`AtomicMwc::below`]) whatever the capacity; for a power of two it is
+/// bit for bit the shift `next_u64() >> (64 − k)`, which is why fixed heaps
+/// and every pow2 history are unchanged by the ladder.
+/// [`grow_to`](Self::grow_to) — called with the enclosing heap's per-class
+/// maintenance lock held, so writes are serialized — publishes a larger
+/// capacity and its threshold with one relaxed store; readers need no lock.
+/// Two packed words make lock-free reads tear-proof:
 ///
-/// * `active` = `draw_shift << 58 | threshold`: one load yields a mutually
-///   consistent (draw range, `1/M` cap) pair. Shift `0` is the non-pow2
-///   sentinel (falls back to [`AtomicMwc::below`]); elastic capacities are
-///   always pow2, so the hot path never takes it.
+/// * `active` = `capacity << 32 | threshold`: one load yields a mutually
+///   consistent (draw range, `1/M` cap) pair, and there is no second copy
+///   of either to fall out of step with it.
 /// * `tickets` = `allocs << 32 | in_use`: the `1/M` ticket and the telemetry
 ///   allocation counter advance in **one** `add` (the ROADMAP's one-RMW
 ///   dial; the alloc counter narrows to 32 bits, wrapping mod 2³²).
@@ -103,13 +101,12 @@ fn draw_shift_for(capacity: usize) -> u32 {
 pub struct AtomicPartition<A: Arm = Shared> {
     class: SizeClass,
     /// Slot states for the *maximum* capacity: growth never moves a slot,
-    /// so indices, offsets, and live state are stable across doublings.
+    /// so indices, offsets, and live state are stable across growth steps.
     map: SlotStateMap<A>,
     max_capacity: usize,
-    /// Currently active slot count (≤ `max_capacity`); written only under
-    /// the enclosing heap's maintenance lock, read lock-free.
-    capacity: AtomicUsize,
-    /// Packed `draw_shift << 58 | threshold`; see the type docs.
+    /// Packed `capacity << 32 | threshold` — the currently active slot count
+    /// (≤ `max_capacity`) and its `1/M` cap; written only under the
+    /// enclosing heap's maintenance lock, read lock-free. See the type docs.
     active: AtomicU64,
     /// Packed `allocs << 32 | in_use`. The low half is the occupancy
     /// *ticket*: alloc adds one to each half (in one RMW) before
@@ -123,19 +120,21 @@ pub struct AtomicPartition<A: Arm = Shared> {
     probes: Word<A>,
 }
 
-/// Bit position of the packed draw shift inside `active`.
-const ACTIVE_SHIFT_BITS: u32 = 58;
-/// Low 58 bits of `active`: the `1/M` threshold.
-const ACTIVE_THRESHOLD_MASK: u64 = (1 << ACTIVE_SHIFT_BITS) - 1;
+/// Bit position of the packed capacity inside `active`.
+const ACTIVE_CAPACITY_SHIFT: u32 = 32;
+/// Low 32 bits of `active`: the `1/M` threshold.
+const ACTIVE_THRESHOLD_MASK: u64 = u32::MAX as u64;
 /// Bit position of the packed alloc counter inside `tickets`.
 const TICKET_ALLOC_SHIFT: u32 = 32;
 /// Low 32 bits of `tickets`: the occupancy ticket (`in_use`).
 const TICKET_IN_USE_MASK: u64 = u32::MAX as u64;
 
-/// Packs a draw shift and threshold into one `active` word.
+/// Packs a capacity and its threshold into one `active` word. Both fit 31
+/// bits: `check_geometry` bounds the maximum capacity, and every writer
+/// keeps `threshold ≤ capacity ≤ max_capacity`.
 #[inline]
-fn pack_active(draw_shift: u32, threshold: usize) -> u64 {
-    ((draw_shift as u64) << ACTIVE_SHIFT_BITS) | threshold as u64
+fn pack_active(capacity: usize, threshold: usize) -> u64 {
+    ((capacity as u64) << ACTIVE_CAPACITY_SHIFT) | threshold as u64
 }
 
 impl<A: Arm> AtomicPartition<A> {
@@ -209,11 +208,7 @@ impl<A: Arm> AtomicPartition<A> {
             class,
             max_capacity: map.len(),
             map,
-            capacity: AtomicUsize::new(initial_capacity),
-            active: AtomicU64::new(pack_active(
-                draw_shift_for(initial_capacity),
-                initial_threshold,
-            )),
+            active: AtomicU64::new(pack_active(initial_capacity, initial_threshold)),
             tickets: Word::new(0),
             rng: AtomicMwc::seeded(seed),
             probes: Word::new(0),
@@ -232,7 +227,7 @@ impl<A: Arm> AtomicPartition<A> {
         );
         assert!(
             (max_capacity as u64) <= TICKET_IN_USE_MASK >> 1,
-            "max capacity {max_capacity} overflows the packed 32-bit ticket word"
+            "max capacity {max_capacity} overflows the packed 32-bit ticket and active words"
         );
     }
 
@@ -249,18 +244,17 @@ impl<A: Arm> AtomicPartition<A> {
     /// its per-class maintenance lock). Existing live and reserved slots
     /// keep their indices — the map was sized for `max_capacity` up front.
     ///
-    /// The two relaxed stores (capacity, then the packed active word) are
-    /// individually consistent for concurrent allocators: an old `active`
-    /// with the new capacity just probes the old range under the old cap,
-    /// and the probe loop re-reads `active` every draw, so the new range
-    /// becomes visible within one iteration.
+    /// Capacity and threshold are one relaxed store of the packed active
+    /// word, so a concurrent allocator sees the old pair or the new one,
+    /// never a mix; the probe loop re-reads the word every draw, so the new
+    /// range becomes visible within one iteration.
     ///
     /// # Panics
     ///
     /// Panics if `new_capacity` shrinks the partition, exceeds
     /// `max_capacity`, or `new_threshold > new_capacity`.
     pub fn grow_to(&self, new_capacity: usize, new_threshold: usize) {
-        let current = self.capacity.load(Ordering::Relaxed);
+        let current = self.capacity();
         assert!(
             new_capacity >= current,
             "cannot shrink partition from {current} to {new_capacity}"
@@ -274,26 +268,35 @@ impl<A: Arm> AtomicPartition<A> {
             new_threshold <= new_capacity,
             "threshold {new_threshold} exceeds capacity {new_capacity}"
         );
-        self.capacity.store(new_capacity, Ordering::Relaxed);
-        self.active.store(
-            pack_active(draw_shift_for(new_capacity), new_threshold),
-            Ordering::Relaxed,
-        );
+        self.active
+            .store(pack_active(new_capacity, new_threshold), Ordering::Relaxed);
     }
 
     /// The one growth step every elastic heap takes when this partition
-    /// denies at its `1/M` cap: double the active capacity (never past the
-    /// maximum) and give it `config`'s exact-integer `1/M` threshold for the
-    /// new size, at least 1. Draws nothing and moves nothing; same writer
+    /// denies at its `1/M` cap: a quarter of the capacity's power-of-two band
+    /// — from `c` to `c + 2^⌊log2 c⌋ / 4`, at least one slot — repeated
+    /// while `config`'s exact-integer `1/M` threshold for the new size has
+    /// not risen above the current one (a step that admits no further object
+    /// is no step: 4 → 6 at `M = 2`), never past the maximum, and the
+    /// threshold at least 1. Draws nothing and moves nothing; same writer
     /// rule as [`grow_to`](Self::grow_to). `false`, and nothing changes,
     /// when the partition is already at its maximum.
-    pub fn double(&self, config: &HeapConfig) -> bool {
+    pub fn grow_step(&self, config: &HeapConfig) -> bool {
         let capacity = self.capacity();
         if capacity >= self.max_capacity {
             return false;
         }
-        let new_capacity = (capacity * 2).min(self.max_capacity);
-        self.grow_to(new_capacity, config.threshold_for(new_capacity).max(1));
+        let threshold = self.threshold();
+        let mut new_capacity = capacity;
+        let new_threshold = loop {
+            let band = 1usize << new_capacity.ilog2();
+            new_capacity = (new_capacity + (band / 4).max(1)).min(self.max_capacity);
+            let new_threshold = config.threshold_for(new_capacity).max(1);
+            if new_threshold > threshold || new_capacity == self.max_capacity {
+                break new_threshold;
+            }
+        };
+        self.grow_to(new_capacity, new_threshold);
         true
     }
 
@@ -307,7 +310,7 @@ impl<A: Arm> AtomicPartition<A> {
     /// [`max_capacity`](Self::max_capacity)).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
+        (self.active.load(Ordering::Relaxed) >> ACTIVE_CAPACITY_SHIFT) as usize
     }
 
     /// The capacity ceiling the slot map was sized for; fixed partitions
@@ -345,16 +348,12 @@ impl<A: Arm> AtomicPartition<A> {
     }
 
     /// Draws one probe index for the range described by a loaded `active`
-    /// word (the packed shift keeps the draw and the threshold mutually
-    /// consistent without locking).
+    /// word (the packed capacity keeps the draw and the threshold mutually
+    /// consistent without locking): uniform over `[0, capacity)` by the
+    /// widening multiply, which for a power of two is the shift.
     #[inline]
     fn draw(&self, active: u64) -> usize {
-        let shift = (active >> ACTIVE_SHIFT_BITS) as u32;
-        if shift != 0 {
-            (self.rng.next_u64() >> shift) as usize
-        } else {
-            self.rng.below(self.capacity.load(Ordering::Relaxed))
-        }
+        self.rng.below((active >> ACTIVE_CAPACITY_SHIFT) as usize)
     }
 
     /// The ticket: takes up to `want` of them against the `1/M` cap and
@@ -597,6 +596,7 @@ impl<A: Arm> AtomicPartition<A> {
 mod tests {
     use super::*;
     use crate::rng::Mwc;
+    use core::sync::atomic::AtomicUsize;
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -892,28 +892,115 @@ mod tests {
         }
         assert_eq!(p.alloc(), None, "at the initial 1/M cap");
         let config = HeapConfig::default(); // M = 2
-        assert!(p.double(&config));
-        assert_eq!(p.capacity(), 16);
-        assert_eq!(p.threshold(), 8);
+        assert!(p.grow_step(&config));
+        assert_eq!(p.capacity(), 10, "a quarter of the band 8..16");
+        assert_eq!(p.threshold(), 5);
         for &idx in &held {
             assert!(p.is_live(idx), "growth never moves a live slot");
         }
-        for _ in 0..4 {
-            let idx = p.alloc().expect("grown capacity is allocatable");
-            assert!(idx < 16);
-            held.push(idx);
-        }
+        let idx = p.alloc().expect("grown capacity is allocatable");
+        assert!(idx < 10);
+        held.push(idx);
         assert_eq!(p.alloc(), None, "at the grown 1/M cap");
         let (allocs, probes) = p.probe_stats();
-        assert_eq!(allocs, 8, "denied tickets leave no alloc telemetry");
+        assert_eq!(allocs, 5, "denied tickets leave no alloc telemetry");
         assert!(probes >= allocs);
         for idx in held {
             assert_eq!(p.free(idx), SlotState::Live);
         }
         assert_eq!(p.in_use(), 0, "tickets reconcile across growth");
-        assert!(p.double(&config) && p.double(&config));
-        assert!(!p.double(&config), "never past the maximum");
+        let rest: Vec<usize> = core::iter::from_fn(|| p.grow_step(&config).then(|| p.capacity()))
+            .inspect(|&c| assert_eq!(p.threshold(), c / 2))
+            .collect();
+        assert_eq!(rest, [12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64]);
+        assert!(!p.grow_step(&config), "never past the maximum");
         assert_eq!((p.capacity(), p.threshold()), (64, 32));
+    }
+
+    /// The ladder, for every class of the shipped 32 MB regions, `M` ∈ {2, 4,
+    /// 8} and every power-of-two start from 64 KiB up: thresholds rise
+    /// strictly and are exactly `⌊capacity / M⌋` (capacity ≥ `M` × live and
+    /// free slots ≥ `(1 − 1/M)` × capacity at every rung), a step is one
+    /// quarter of the capacity's band — so at most a quarter more — wherever
+    /// that admits another object and the fewest such quarters where it does
+    /// not, and the last one lands exactly on the maximum.
+    #[test]
+    fn quarter_band_ladder_keeps_the_threshold_exact_at_every_rung() {
+        use crate::config::HeapGeometry;
+        for m in [2.0, 4.0, 8.0] {
+            let config = HeapConfig::paper_default().with_multiplier(m);
+            for fraction in 0..=9 {
+                let geometry = HeapGeometry::new_elastic(config.clone(), fraction).unwrap();
+                for class in SizeClass::all() {
+                    let max = geometry.capacity(class);
+                    let start = geometry.initial_capacity(class);
+                    let p = Partition::new_elastic(
+                        class,
+                        max,
+                        start,
+                        geometry.initial_threshold(class),
+                        1,
+                    );
+                    let at = |c: usize| format!("M = {m}, class {}, at {c}", class.index());
+                    let (mut capacity, mut threshold) = (start, p.threshold());
+                    assert_eq!(threshold, config.threshold_for(start), "{}", at(start));
+                    while p.grow_step(&config) {
+                        let (next, raised) = (p.capacity(), p.threshold());
+                        let quarter = (1usize << capacity.ilog2()) / 4;
+                        assert!(raised > threshold, "{}", at(next));
+                        assert_eq!(raised, config.threshold_for(next), "{}", at(next));
+                        assert!(next <= max && (next - capacity) % quarter.max(1) == 0);
+                        if quarter as f64 >= m {
+                            assert_eq!(next, capacity + quarter, "{}", at(next));
+                            assert!(next <= capacity + capacity / 4);
+                        } else {
+                            // A rung skipped admitted nothing more.
+                            let skipped = next - quarter.max(1);
+                            assert!(config.threshold_for(skipped) <= threshold, "{}", at(next));
+                        }
+                        (capacity, threshold) = (next, raised);
+                    }
+                    assert_eq!(capacity, max, "{}", at(capacity));
+                    assert_eq!(threshold, config.threshold(class));
+                    assert!(!p.grow_step(&config), "and stays there");
+                    assert_eq!(p.capacity(), max);
+                }
+            }
+        }
+    }
+
+    /// The draw at a capacity that is not a power of two: 200 000 steady-state
+    /// placements in a half-full region of `6 · 2^k` slots are uniform over
+    /// `[0, capacity)` (chi-square over 96 bins of 16 slots) and never reach
+    /// the unused slots beyond it.
+    #[test]
+    fn draws_at_three_quarters_of_a_band_are_uniform_and_in_range() {
+        const CAPACITY: usize = 6 << 8;
+        const BINS: usize = 96;
+        const PLACEMENTS: usize = 200_000;
+        let p = Partition::new_elastic(SizeClass::from_index(0), 8 << 8, 4 << 8, 2 << 8, 0xC41);
+        p.grow_to(CAPACITY, CAPACITY / 2);
+        let mut victim_rng = Mwc::seeded(0x3B);
+        let mut live: Vec<usize> = (0..CAPACITY / 2 - 1).map(|_| p.alloc().unwrap()).collect();
+        let mut hist = [0u32; BINS];
+        for _ in 0..PLACEMENTS {
+            let idx = p.alloc().expect("one below the cap");
+            assert!(idx < CAPACITY, "slot {idx} is outside the active range");
+            hist[idx / (CAPACITY / BINS)] += 1;
+            let victim = victim_rng.below(live.len());
+            p.free(core::mem::replace(&mut live[victim], idx));
+        }
+        let expected = (PLACEMENTS / BINS) as f64;
+        let chi2: f64 = hist
+            .iter()
+            .map(|&n| (f64::from(n) - expected).powi(2) / expected)
+            .sum();
+        // 95 degrees of freedom: mean 95, the 99.9th percentile is 144.
+        assert!(
+            chi2 < 144.0,
+            "placement chi-square {chi2:.1} over {BINS} bins"
+        );
+        assert!(hist.iter().all(|&n| n > 0));
     }
 
     #[test]

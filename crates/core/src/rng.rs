@@ -107,7 +107,8 @@ impl Mwc {
     /// Uses the widening-multiply technique, which avoids the modulo bias of
     /// `next % bound` while staying branch-light (important inside `malloc`).
     /// For a power-of-two bound `2^k` the result is exactly
-    /// `next_u64() >> (64 - k)` — the shift the partition probe loop uses.
+    /// `next_u64() >> (64 - k)` — the shift the partition probe loop used
+    /// while every capacity was one.
     ///
     /// # Panics
     ///
@@ -267,8 +268,9 @@ impl<A: Arm> AtomicMwc<A> {
     }
 
     /// Returns a uniformly distributed index in `0..bound` via the same
-    /// widening multiply as [`Mwc::below`] (used for the rare non-power-of-two
-    /// capacities; power-of-two probes use the shift on `next_u64` directly).
+    /// widening multiply as [`Mwc::below`] — the partition's one probe draw:
+    /// elastic capacities are mostly not powers of two, and for those that
+    /// are the result is the shift on `next_u64`, bit for bit.
     ///
     /// # Panics
     ///

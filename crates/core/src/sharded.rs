@@ -22,7 +22,7 @@
 //! occupied slot), and a free validates with lock-free arithmetic
 //! ([`locate_free`]) and clears the slot with one CAS. The per-class
 //! [`SpinLock`]s survive only as *maintenance locks* for slow-path batches —
-//! magazine refills, free-buffer flushes, reservation teardown, doublings —
+//! magazine refills, free-buffer flushes, reservation teardown, growth steps —
 //! where one acquisition amortizes over many slots and mutual exclusion
 //! among *maintainers* (not allocators) is the point.
 //!
@@ -59,7 +59,7 @@ use crate::partition::AtomicPartition;
 use crate::rng::stream_seed;
 use crate::size_class::{SizeClass, NUM_CLASSES};
 use crate::sync::{Arm, Shared, SpinLock};
-use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// One transparent huge page: the PMD size on x86-64 and on aarch64 with
 /// 4 KB base pages. Defined here, ungated, because the promotion rule below
@@ -67,8 +67,8 @@ use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 pub const HUGE_PAGE: usize = 2 << 20;
 
 /// Cumulative allocations after which a size class counts as *hot*. A hot
-/// class is promoted to huge pages (see [`PromoteHook`]) as soon as its
-/// active range also spans at least one [`HUGE_PAGE`].
+/// class gets huge pages (see [`PromoteHook`]) under every whole
+/// [`HUGE_PAGE`] of its active range, as its growth completes them.
 ///
 /// Derivation (ski rental). Left on 4 KB pages, a class pays at most one
 /// small fault per allocation: each placement lands on one random page of
@@ -82,36 +82,44 @@ pub const HUGE_PAGE: usize = 2 << 20;
 ///
 /// The count alone is evidence of traffic, not of size: a class can make any
 /// number of allocations inside an active range of a few base pages (an
-/// elastic heap starts every class far below 2 MB and doubles it only under
-/// `1/M` pressure from what is *live*), and advising that class's region
-/// would let `khugepaged` rebuild the small range as a whole 2 MB page —
-/// 2 MB resident for kilobytes in use. So the count decides *whether* a
-/// class may be promoted and the range decides *when*: at the first refill
-/// or doubling that finds it hot with `active_len >= HUGE_PAGE`, which for a
-/// class that started smaller is the doubling that first makes its range one
-/// whole huge page — by then `1/M` of 1 MB is live in it and uniform
-/// placement is touching every base page of the range anyway. Fixed heaps
-/// and elastic heaps started at ≥ 2 MB per class have the size from the
-/// start and are promoted by the count alone; a heap whose regions are
-/// smaller than a huge page has nothing one could back and never promotes.
+/// elastic heap starts every class far below 2 MB and grows it only under
+/// `1/M` pressure from what is *live*), and advice that reaches past the
+/// active range hands out memory nothing asked for — `khugepaged` rebuilds
+/// a small advised range as a whole 2 MB page, and a first touch in an
+/// advised region is a 2 MB fault, so a 2.5 MB range would be 4 MB
+/// resident. So the count decides *whether* a class gets huge pages and the
+/// range decides *where*: at each refill or growth step that finds the
+/// class hot, exactly the whole huge pages of the active range not advised
+/// yet — `[advised, ⌊active / HUGE_PAGE⌋ × HUGE_PAGE)` — are advised and
+/// collapsed; by then `1/M` of almost all of it is live and uniform
+/// placement is touching every base page of it anyway. The tail of less
+/// than one huge page stays on 4 KB pages until a later step completes it.
+/// Fixed heaps and elastic heaps started at their maximum have the whole
+/// region from the start and are promoted by the count alone; a heap whose
+/// regions are smaller than a huge page has nothing one could back and
+/// never promotes.
 pub const PROMOTE_AFTER_ALLOCS: u64 = (HUGE_PAGE / 4096) as u64;
 
 /// The huge-page promotion seam: the one call the ungated heap layers make
 /// towards whoever owns the real memory (the `global` allocator; tests
 /// install counting stand-ins).
 ///
-/// Invoked **once per size class**, with that class's maintenance lock
-/// held, the first time a refill or a doubling finds the class past
-/// [`PROMOTE_AFTER_ALLOCS`] with an active range of at least one
-/// [`HUGE_PAGE`]. Arguments: the `ctx` word the hook was
-/// installed with, the byte offset of the class's region within the heap
-/// span, the region's full length (advise this much, so later doublings
-/// fault in huge), and the length of its currently active prefix (collapse
-/// this much — it is what has been touched, and never less than one huge
-/// page). The hook must not allocate
-/// from the heap it serves, draws no random numbers and moves no object, so
-/// placement is bit-identical with and without one installed.
-pub type PromoteHook = fn(ctx: usize, region_offset: usize, region_len: usize, active_len: usize);
+/// Invoked with a size class's maintenance lock held, whenever a refill or
+/// a growth step finds the class past [`PROMOTE_AFTER_ALLOCS`] with whole
+/// [`HUGE_PAGE`]s in its active range that have not been advised yet.
+/// Arguments: the `ctx` word the hook was installed with, then the byte
+/// offset within the heap span and the length of exactly those huge pages —
+/// both multiples of [`HUGE_PAGE`] when the span is aligned to one, the
+/// range inside the class's active range and disjoint from every range the
+/// hook has accepted before. Advise it and collapse it: all of it is in
+/// use. Returns whether the advice took: `true` moves the class's
+/// [advised length](Heap::advised_len) past the range, so each huge page is
+/// advised once; `false` leaves it where it was, and the class's next
+/// growth step offers the range again (with whatever that step completed).
+/// The hook must not allocate from the heap it serves, draws no random
+/// numbers and moves no object, so placement is bit-identical with and
+/// without one installed.
+pub type PromoteHook = fn(ctx: usize, offset: usize, len: usize) -> bool;
 
 /// The randomized small-object heap: twelve [`AtomicPartition`]s, the
 /// geometry that turns their slot indices into byte offsets, and the
@@ -123,21 +131,26 @@ pub struct Heap<A: Arm = Shared> {
     geometry: HeapGeometry,
     partitions: [AtomicPartition<A>; NUM_CLASSES],
     /// Slow-path mutual exclusion per class: magazine refills, free-buffer
-    /// flushes, reservation teardown and doublings serialize against each
+    /// flushes, reservation teardown and growth steps serialize against each
     /// other here. **Never taken by `alloc`/`free_at`/`is_live_at`** — the
     /// per-op paths are lock-free by construction, and the slot-state map's
     /// atomics keep them correct against in-flight maintenance.
     maintenance: [SpinLock<()>; NUM_CLASSES],
     stats: AtomicHeapStats<A>,
-    /// Number of completed per-class doublings (elastic heaps; always 0 on
-    /// fixed heaps).
+    /// Number of completed per-class growth steps (elastic heaps; always 0
+    /// on fixed heaps).
     growths: AtomicU64,
     /// The installed [`PromoteHook`] and its `ctx` word; `None` (every heap
     /// that owns no real memory) disables the promotion check entirely.
     promote: Option<(PromoteHook, usize)>,
-    /// Bit `i` set = class `i` has been promoted. Each bit is written once,
-    /// under its class's maintenance lock.
-    promoted: AtomicU32,
+    /// Per class: the length of the prefix of its region the hook has
+    /// advised to huge pages (see [`advised_len`](Self::advised_len)).
+    /// Written under the class's maintenance lock.
+    advised: [AtomicUsize; NUM_CLASSES],
+    /// Per class: the hook refused the range past `advised` and the class
+    /// has not grown since — what keeps a kernel that always refuses from
+    /// being asked again at every refill. Same writer rule.
+    refused: [AtomicBool; NUM_CLASSES],
 }
 
 /// [`Heap`] in its default, thread-safe [`Shared`] arm. The name survives as
@@ -175,7 +188,8 @@ impl<A: Arm> Heap<A> {
     /// DieHard that grows memory regions dynamically as objects are
     /// allocated": each class starts at `1 / 2^initial_fraction_log2` of its
     /// maximum capacity (a power of two that keeps the `1/M` threshold ≥ 1;
-    /// `0` is the fixed heap) and doubles when an allocation finds it at its
+    /// `0` is the fixed heap) and grows a quarter-band at a time
+    /// ([`AtomicPartition::grow_step`]) when an allocation finds it at its
     /// cap, until the maximum, after which [`try_alloc`](Self::try_alloc)
     /// reports [`AllocOutcome::Spill`] instead of hard-failing. Regions are
     /// laid out at their maximum spacing, so growth moves no object, changes
@@ -275,7 +289,8 @@ impl<A: Arm> Heap<A> {
             stats: AtomicHeapStats::new(),
             growths: AtomicU64::new(0),
             promote: None,
-            promoted: AtomicU32::new(0),
+            advised: core::array::from_fn(|_| AtomicUsize::new(0)),
+            refused: core::array::from_fn(|_| AtomicBool::new(false)),
         }
     }
 
@@ -340,7 +355,7 @@ impl<A: Arm> Heap<A> {
     }
 
     /// [`alloc`](Self::alloc) with the elastic outcome surfaced: a denial at
-    /// the `1/M` cap grows the class (doubling, under the class's
+    /// the `1/M` cap grows the class (one ladder step, under the class's
     /// maintenance lock) and retries, until a denial at the maximum capacity
     /// returns [`AllocOutcome::Spill`] — the routable "spill elsewhere"
     /// signal, recorded as an exhaustion in the heap stats. On fixed heaps
@@ -363,8 +378,8 @@ impl<A: Arm> Heap<A> {
         }
     }
 
-    /// Number of completed per-class doublings since construction, whether
-    /// triggered by uncached allocations or magazine refills.
+    /// Number of completed per-class growth steps since construction,
+    /// whether triggered by uncached allocations or magazine refills.
     #[must_use]
     pub fn growth_events(&self) -> u64 {
         self.growths.load(Ordering::Relaxed)
@@ -378,49 +393,61 @@ impl<A: Arm> Heap<A> {
     }
 
     /// Bitmask of size classes promoted to huge pages so far (bit `i` =
-    /// class index `i`); always 0 without a [`PromoteHook`].
+    /// class index `i`) — those with an [`advised_len`](Self::advised_len)
+    /// above zero; always 0 without a [`PromoteHook`].
     #[must_use]
     pub fn promoted_classes(&self) -> u32 {
-        self.promoted.load(Ordering::Relaxed)
+        let advised = self.advised.iter().enumerate();
+        advised.fold(0, |mask, (i, len)| {
+            mask | u32::from(len.load(Ordering::Relaxed) > 0) << i
+        })
     }
 
-    /// Promotes `class` to huge pages if it has proven hot, its active range
-    /// spans at least one huge page, and it has not been promoted yet. The
-    /// caller holds `class`'s maintenance lock, which is what makes the flag
-    /// check-then-set race-free and keeps the hook from overlapping a
-    /// doubling of the same class (so the range read here is the range the
-    /// hook collapses); the per-op paths never come here. The hook runs with
-    /// the lock held — milliseconds when it collapses a touched 2 MB range,
-    /// once per class, during which only refills and doublings of this class
-    /// (and a `fork`) wait. (The alloc counter is 32-bit telemetry that
-    /// wraps: a check that lands within the threshold's worth of
-    /// allocations after a wrap reads the class as cold, and the next refill
-    /// or doubling promotes it instead.)
+    /// How much of `class`'s region — a prefix, in bytes — the
+    /// [`PromoteHook`] has advised to huge pages: whole [`HUGE_PAGE`]s, never
+    /// past the class's active range, and only what the hook accepted.
+    #[must_use]
+    pub fn advised_len(&self, class: SizeClass) -> usize {
+        self.advised[class.index()].load(Ordering::Relaxed)
+    }
+
+    /// Offers the hook the whole huge pages of `class`'s active range that
+    /// have not been advised yet, if the class has proven hot and there are
+    /// any. The caller holds `class`'s maintenance lock, which is what makes
+    /// the read-then-advance of the advised length race-free and keeps the
+    /// hook from overlapping a growth step of the same class (so the range
+    /// read here is in use when the hook collapses it); the per-op paths
+    /// never come here. The hook runs with the lock held — milliseconds when
+    /// it collapses a touched 2 MB range, once per huge page of the class,
+    /// during which only refills and growth steps of this class (and a
+    /// `fork`) wait. (The alloc counter is 32-bit telemetry that wraps: a
+    /// check that lands within the threshold's worth of allocations after a
+    /// wrap reads the class as cold, and the next refill or growth step
+    /// promotes it instead.)
     fn promote_if_hot_locked(&self, class: SizeClass) {
         let Some((hook, ctx)) = self.promote else {
             return;
         };
-        let bit = 1u32 << class.index();
-        if self.promoted.load(Ordering::Relaxed) & bit != 0 {
-            return;
-        }
+        let (advised, refused) = (&self.advised[class.index()], &self.refused[class.index()]);
         let partition = &self.partitions[class.index()];
-        let active_len = partition.capacity() * class.object_size();
-        if active_len < HUGE_PAGE || partition.probe_stats().0 < PROMOTE_AFTER_ALLOCS {
+        let whole = partition.capacity() * class.object_size() / HUGE_PAGE * HUGE_PAGE;
+        let done = advised.load(Ordering::Relaxed);
+        if whole <= done
+            || refused.load(Ordering::Relaxed)
+            || partition.probe_stats().0 < PROMOTE_AFTER_ALLOCS
+        {
             return;
         }
-        self.promoted.fetch_or(bit, Ordering::Relaxed);
-        hook(
-            ctx,
-            self.geometry.region_base(class),
-            self.geometry.config().region_bytes,
-            active_len,
-        );
+        if hook(ctx, self.geometry.region_base(class) + done, whole - done) {
+            advised.store(whole, Ordering::Relaxed);
+        } else {
+            refused.store(true, Ordering::Relaxed);
+        }
     }
 
     /// Attempts one growth step for `class`; `false` means the class is
     /// already at its maximum capacity (time to spill), `true` means the
-    /// caller should retry its allocation — either this call doubled the
+    /// caller should retry its allocation — either this call widened the
     /// active capacity or a racing free already made room.
     fn grow_class(&self, class: SizeClass) -> bool {
         let partition = &self.partitions[class.index()];
@@ -433,24 +460,25 @@ impl<A: Arm> Heap<A> {
 
     /// The body of [`grow_class`](Self::grow_class) for callers that already
     /// hold `class`'s maintenance lock (the refill path — re-locking would
-    /// deadlock on the non-reentrant `SpinLock`). Takes the one doubling
-    /// step ([`AtomicPartition::double`]); skips it (but still reports
+    /// deadlock on the non-reentrant `SpinLock`). Takes the one ladder step
+    /// ([`AtomicPartition::grow_step`]); skips it (but still reports
     /// "retry") when a racing free dropped the partition below its cap while
     /// we waited for the lock.
     fn grow_class_locked(&self, class: SizeClass) -> bool {
         let partition = &self.partitions[class.index()];
         if partition.capacity() < partition.max_capacity() && !partition.at_threshold() {
             // A concurrent free (or a finished grower) made room between
-            // our denial and the lock: retry without spending a doubling.
+            // our denial and the lock: retry without spending a step.
             return true;
         }
-        if !partition.double(self.geometry.config()) {
+        if !partition.grow_step(self.geometry.config()) {
             return false;
         }
         self.growths.fetch_add(1, Ordering::Relaxed);
-        // The uncached path's only maintenance-locked stop; after the
-        // doubling, so the size test sees — and a promotion collapses — the
-        // range now in use.
+        // The uncached path's only maintenance-locked stop; after the step,
+        // so the size test sees — and a promotion collapses — the range now
+        // in use. A range the hook refused is offered again here.
+        self.refused[class.index()].store(false, Ordering::Relaxed);
         self.promote_if_hot_locked(class);
         true
     }
@@ -945,8 +973,8 @@ pub(crate) mod tests {
     fn elastic_heap_grows_then_spills_gracefully() {
         // 16 KB class: max capacity 64, elastic start 2 (threshold 1). The
         // heap must absorb the full fixed-size workload (32 slots under
-        // M = 2) by doubling, then report Spill — not a crash — past the
-        // final cap.
+        // M = 2) by climbing its ladder, then report Spill — not a crash —
+        // past the final cap.
         let h: Heap = Heap::new_elastic(HeapConfig::default(), 0x57A7, 6).unwrap();
         let mut placed = 0u64;
         let spilled = loop {
@@ -961,7 +989,11 @@ pub(crate) mod tests {
         };
         assert!(spilled);
         assert_eq!(placed, 32, "same capacity as a fixed heap after growth");
-        assert_eq!(h.growth_events(), 5, "2 → 4 → 8 → 16 → 32 → 64");
+        assert_eq!(
+            h.growth_events(),
+            15,
+            "2 → 4, then by twos to 16, by fours to 32, by eights to 64"
+        );
         assert_eq!(h.stats().exhausted, 1, "growth denials are not exhaustion");
         assert_eq!(h.stats().allocs, 32);
         // Outcomes are stable and routable, and zero-size stays unsupported

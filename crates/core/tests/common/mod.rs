@@ -114,9 +114,11 @@ pub struct Trace {
     /// Per class: `(allocs, probes)`.
     pub probe_stats: Vec<(u64, u64)>,
     pub stats: HeapStats,
-    pub doublings: u64,
+    pub growths: u64,
     /// The promoted-classes mask (0 without a promote hook).
     pub promoted: u32,
+    /// Per class: the advised length (0 without a promote hook).
+    pub advised: Vec<usize>,
 }
 
 impl Trace {
@@ -125,8 +127,9 @@ impl Trace {
     pub fn assert_same(&self, other: &Trace, what: &str) {
         self.ops.assert_same(&other.ops, what);
         assert_eq!(self.stats, other.stats, "{what}: heap statistics");
-        assert_eq!(self.doublings, other.doublings, "{what}: doublings");
+        assert_eq!(self.growths, other.growths, "{what}: growth steps");
         assert_eq!(self.promoted, other.promoted, "{what}: promoted mask");
+        assert_eq!(self.advised, other.advised, "{what}: advised lengths");
         for (class, pair) in self.probe_stats.iter().zip(&other.probe_stats).enumerate() {
             assert_eq!(
                 pair.0, pair.1,
@@ -155,7 +158,10 @@ pub fn record<A: Arm>(
             .map(|class| heap.partition(class).probe_stats())
             .collect(),
         stats: heap.stats(),
-        doublings: heap.growth_events(),
+        growths: heap.growth_events(),
         promoted: heap.promoted_classes(),
+        advised: SizeClass::all()
+            .map(|class| heap.advised_len(class))
+            .collect(),
     }
 }

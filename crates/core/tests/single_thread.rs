@@ -10,7 +10,7 @@
 //! `__libc_single_threaded` for good), drives the same history again on
 //! fresh heaps with the same seeds, and requires the two recordings to be
 //! bit-identical: every placement, every free outcome, probe and heap
-//! statistics, doublings, promotions. Each drive also records the history on
+//! statistics, growth steps, promotions. Each drive also records the history on
 //! a `Heap<Plain>` — the same code with the plain arm fixed at compile time —
 //! and requires that trace to equal the shared heap's, whichever arm that
 //! ran in.
@@ -40,22 +40,25 @@ const SEED: u64 = 0x501E_7EAD;
 
 /// A [`PromoteHook`](diehard_core::sharded::PromoteHook) for the heaps that
 /// own no memory: without one they never promote. What it is called with is
-/// `growth.rs`'s business; here the promoted masks are compared.
-fn no_memory_to_advise(_ctx: usize, _region_offset: usize, _region_len: usize, _active_len: usize) {
+/// `growth.rs`'s business; here the promoted masks and advised lengths are
+/// compared.
+fn no_memory_to_advise(_ctx: usize, _offset: usize, _len: usize) -> bool {
+    true
 }
 
 /// `growth.rs`'s shipped-ladder history (32 MB regions from a 64 KiB start:
 /// sizes spread evenly over all twelve classes, then the 8-byte class hot but small, then
-/// the 64-byte class through every doubling up to 4 MB — past the one that
-/// promotes it), with frees mixed in so free buffers fill and flush: every
+/// the 64-byte class through every step up to 4 MB — past the one that
+/// promotes it and the one that completes its second huge page), with frees
+/// mixed in so free buffers fill and flush: every
 /// fourth step frees a random live object, and every tenth of those frees it
 /// twice (the second must be ignored, §4.3).
 fn script(r: &mut Recorder<'_>) {
     const MIXED: usize = 300;
     let small_hot = MIXED + 2 * PROMOTE_AFTER_ALLOCS as usize;
-    // The 64-byte class doubles from 2 MB to 4 MB when its live count meets
-    // the 2 MB range's `1/M` allowance.
-    let hot_live = HeapConfig::paper_default().threshold_for(HUGE_PAGE / 64) + 64;
+    // The 64-byte class steps from 3.5 MB to 4 MB when its live count meets
+    // the 3.5 MB range's `1/M` allowance.
+    let hot_live = HeapConfig::paper_default().threshold_for(7 * HUGE_PAGE / 4 / 64) + 64;
     let mut rng = Mwc::seeded(SEED ^ 0x5EED);
     // Live objects as `(address, size)`, and how many of them are 64 B.
     let mut live: Vec<(usize, usize)> = Vec::new();
@@ -155,9 +158,13 @@ fn assert_history_covers_the_protocol(r: &Recording) {
     let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
     let promoted = [r.uncached.promoted, r.cached.promoted, r.global_promoted];
     assert_eq!(promoted, [hot; 3], "the 64-byte class, alone, everywhere");
-    // 64 KiB → 4 MB is six doublings of the 64-byte class alone.
-    let doublings = [r.uncached.doublings, r.cached.doublings];
-    assert!(doublings.iter().all(|&g| g >= 6), "{doublings:?}");
+    // 64 KiB → 4 MB is 24 quarter-band steps of the 64-byte class alone,
+    // and two huge pages of it advised.
+    let growths = [r.uncached.growths, r.cached.growths];
+    assert!(growths.iter().all(|&g| g >= 24), "{growths:?}");
+    let hot_class = SizeClass::for_size(64).unwrap().index();
+    let advised = [&r.uncached.advised, &r.cached.advised].map(|a| a[hot_class]);
+    assert_eq!(advised, [2 * HUGE_PAGE; 2]);
     let per_class = r.uncached.probe_stats.iter().zip(&r.cached.probe_stats);
     for (class, (uncached, cached)) in per_class.enumerate() {
         assert!(uncached.0 > 0 && cached.0 > 0, "class {class} was used");

@@ -22,7 +22,10 @@
 //! a fixed region. `DIEHARD_SEED`, `DIEHARD_GROW`,
 //! `DIEHARD_REGION_MB`, and `DIEHARD_M` are honored via
 //! [`diehard_core::env`]'s audited parsers — the replication launcher's
-//! per-replica `DIEHARD_SEED` lands exactly here.
+//! per-replica `DIEHARD_SEED` lands exactly here. The library needs `libc`
+//! and the loader and nothing else: `build.rs` links `std`'s unwinder from
+//! the static `libgcc_eh.a` where the toolchain has one, so a preloaded
+//! host does not load `libgcc_s.so.1` on the interposer's account.
 //!
 //! Unlike `dlsym(RTLD_NEXT)`-style wrappers, this library does **not**
 //! forward to the system allocator: its exports *are* the process's

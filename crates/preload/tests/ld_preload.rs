@@ -123,6 +123,65 @@ fn distinct_seeds_still_produce_identical_output() {
     assert_eq!(a, b);
 }
 
+/// A preloaded host maps the interposer and nothing it would not have mapped
+/// anyway: where the build found the static unwinder (`build.rs`), no
+/// `libgcc_s` — which no coreutils host loads on its own, and which cost
+/// every `exec` more than the interposer's own start-up did.
+#[test]
+fn preloaded_host_maps_no_libgcc_s() {
+    let so = require_so!();
+    let (maps, ok) = run_preloaded(&so, &["cat", "/proc/self/maps"], "", None);
+    assert!(ok);
+    assert!(maps.contains("libdiehard.so"), "the interposer is mapped");
+    if option_env!("STATIC_UNWINDER").is_none() {
+        eprintln!("skipping: this toolchain has no libgcc_eh.a to link statically");
+        return;
+    }
+    assert!(!maps.contains("libgcc_s"), "libgcc_s is mapped:\n{maps}");
+}
+
+/// The library exports the C allocation ABI and nothing else. In particular
+/// no `_Unwind_*`: with the unwinder linked statically, exporting it would
+/// interpose every C++ host's exception handling with ours.
+#[test]
+fn exports_are_the_allocation_abi_only() {
+    let so = require_so!();
+    let Ok(nm) = Command::new("nm")
+        .args(["-D", "--defined-only"])
+        .arg(&so)
+        .output()
+    else {
+        eprintln!("skipping: no `nm` on this machine");
+        return;
+    };
+    assert!(nm.status.success(), "nm -D {so:?}");
+    let listing = String::from_utf8_lossy(&nm.stdout);
+    let mut exports: Vec<&str> = listing
+        .lines()
+        .filter_map(|line| line.split_whitespace().nth(2))
+        .collect();
+    exports.sort_unstable();
+    assert_eq!(
+        exports,
+        [
+            "aligned_alloc",
+            "calloc",
+            "free",
+            "malloc",
+            "malloc_usable_size",
+            "memalign",
+            "posix_memalign",
+            "realloc",
+            "reallocarray",
+            "strcpy",
+            "strdup",
+            "strncpy",
+            "strndup",
+            "valloc",
+        ]
+    );
+}
+
 /// `AnonHugePages` of process `pid` in kB, from `/proc/<pid>/smaps_rollup`;
 /// `None` when the kernel does not report it.
 fn anon_huge_kb(pid: u32) -> Option<u64> {
