@@ -22,8 +22,8 @@
 //! atomics — a probe/CAS loop over the class's paired slot-state map, with
 //! a ticket counter enforcing the `1/M` cap. Each size class keeps one
 //! *maintenance* `SpinLock` for batch work only (magazine refills, free
-//! flushes, reservation teardown); the large-object validity tables have a
-//! separate lock of their own.
+//! flushes, reservation teardown); the large-object validity table has a
+//! separate lock of its own.
 //!
 //! Environment knobs (read once, at first allocation; ignored when the
 //! allocator was built with [`DieHard::with_config`]):
@@ -101,7 +101,9 @@
 //!   class serializing *batches* (refill, flush, teardown) against each
 //!   other — never taken by per-op traffic — plus the large-object table
 //!   lock. No operation ever takes two locks at once; a free resolves its
-//!   address with pure arithmetic *before* touching any shared state.
+//!   address with pure arithmetic *before* touching any shared state — one
+//!   subtraction and one comparison, in `GlobalState::span_offset`, the
+//!   only place a pointer is tested against the span.
 //!   Heap-wide statistics are relaxed atomics and take no lock at all.
 //! * **One extern read decides how those atomics are updated.**
 //!   [`sys::single_threaded`] loads glibc's `__libc_single_threaded`
@@ -128,13 +130,21 @@
 //!   written once before the `OnceCell` publishes (Release/Acquire) and
 //!   only ever *read* afterwards, while everything reachable for mutation
 //!   is behind the shard and large-table locks described above.
+//! * **One large-object table, one mapping shape.** Every large mapping —
+//!   an oversized request or an elastic spill — is exactly
+//!   `[user − page, user + len + page)`: `alloc_large` trims the alignment
+//!   slack off *both* ends before the pointer escapes, so one entry
+//!   `user → len` is the whole record. `usable_size` answers `len`, and
+//!   `release` unmaps `len + 2 × page` from `user − page`, each from one
+//!   lookup; nothing else is ever derived from a large pointer (an interior
+//!   one is not in the table and is refused — its guard pages bound it).
 //! * **Every `unsafe` block carries a `SAFETY:` comment** naming its
 //!   invariant; `cargo clippy --all-targets --features global` is
 //!   warning-clean with no `#[allow]` escapes in this subtree.
 //! * **Lazily-initialized, never self-allocating.** Exactly one thread runs
 //!   initialization (losers of the `OnceCell` race spin without parking —
 //!   parking may allocate and re-enter the allocator being initialized);
-//!   metadata (the slot-state maps and the large-object validity tables)
+//!   metadata (the slot-state maps and the large-object validity table)
 //!   lives in a dedicated mapping, so initialization cannot recurse.
 //!   A failed initialization (OOM, invalid config) is terminal: later calls
 //!   return null instead of retrying `mmap` storms.
@@ -278,7 +288,7 @@ use core::sync::atomic::{AtomicU8, Ordering};
 /// both read it from here.
 pub const DEFAULT_GROW_LOG2: u32 = 9;
 
-/// Capacity of the large-object validity tables (live large objects).
+/// Capacity of the large-object validity table (live large objects).
 const LARGE_CAPACITY: usize = 4096;
 
 /// The cache-line size the look-ahead prefetch steps by.
@@ -293,23 +303,13 @@ const CACHE_LINE: usize = 64;
 /// that trace's objects are larger than 1 KB.
 const PREFETCH_BYTES: usize = 256;
 
-/// The large-object validity tables (§4.1/§4.3), guarded by one lock that
-/// is disjoint from every small-object shard.
-struct LargeObjects {
-    /// user pointer → mapping base (differs from the user pointer by the
-    /// front guard page and any extra alignment padding).
-    base: LargeTable,
-    /// user pointer → total mapping length (guards included).
-    len: LargeTable,
-}
-
 /// Magazine engagement states for [`GlobalState::mag_state`].
 const MAG_UNDECIDED: u8 = 0;
 const MAG_ON: u8 = 1;
 const MAG_OFF: u8 = 2;
 
 /// The state behind an initialized allocator: the lock-free header fields
-/// plus the two locked domains (small-object shards, large-object tables).
+/// plus the two locked domains (small-object shards, large-object table).
 struct GlobalState {
     /// Twelve lock-free partitions (reservations live in their paired-bit
     /// slot-state maps) + atomic stats: the heap, in its shared arm.
@@ -330,23 +330,45 @@ struct GlobalState {
     /// the maximum capacity spills to a dedicated mapping instead of
     /// returning null. Written once at init, then read-only.
     elastic: bool,
-    large: SpinLock<LargeObjects>,
+    /// The large-object validity table (§4.1/§4.3): user pointer → user
+    /// length, behind one lock disjoint from every small-object shard. The
+    /// mapping is always `[user − page, user + len + page)` (`alloc_large`).
+    large: SpinLock<LargeTable>,
 }
 
 // SAFETY: `heap_base` and `page` are written once before the enclosing
 // OnceCell publishes this value (Release/Acquire) and are only read
 // afterwards; `heap` is Sync by construction (per-shard SpinLocks + atomic
-// stats) and the large tables are guarded by their SpinLock. The mappings
+// stats) and the large table is guarded by its SpinLock. The mappings
 // referenced by the raw pointers are owned by this state for its lifetime.
 unsafe impl Send for GlobalState {}
 unsafe impl Sync for GlobalState {}
+
+impl GlobalState {
+    /// Where `ptr` falls in the small-object span, or `None` outside it
+    /// (large objects, foreign pointers, null). The one span test: §4.4's
+    /// "two comparisons", as a wrapping subtraction and one comparison.
+    #[inline(always)]
+    fn span_offset(&self, ptr: *const u8) -> Option<usize> {
+        let off = (ptr as usize).wrapping_sub(self.heap_base as usize);
+        (off < self.heap.heap_span()).then_some(off)
+    }
+
+    /// The length of the live large object starting at `ptr` — one lookup,
+    /// under the table lock. Out of line, so the lock's acquisition is one
+    /// copy for both readers (`usable_size`, `remaining_space`).
+    #[inline(never)]
+    fn large_len(&self, ptr: *const u8) -> Option<usize> {
+        self.large.lock().get(ptr as usize)
+    }
+}
 
 impl core::fmt::Debug for GlobalState {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("GlobalState")
             .field("heap_base", &self.heap_base)
             .field("live_objects", &self.heap.live_objects())
-            .field("large_objects", &self.large.lock().len.len())
+            .field("large_objects", &self.large.lock().len())
             .finish()
     }
 }
@@ -374,7 +396,7 @@ pub struct DieHard {
 }
 
 impl DieHard {
-    /// The one field list behind the five constructors: what is fixed at
+    /// The one field list behind the four constructors: what is fixed at
     /// construction, and the fraction an env-configured allocator falls back to.
     const fn configured(
         fixed_seed: Option<u64>,
@@ -399,14 +421,9 @@ impl DieHard {
     }
 
     /// As [`new`](Self::new) but with a fixed RNG seed — deterministic
-    /// layouts for tests and debugging (heap differencing, §9).
-    #[must_use]
-    pub const fn with_seed(seed: u64) -> Self {
-        Self::configured(Some(seed), None, None, None)
-    }
-
-    /// As [`with_seed`](Self::with_seed) but with an explicit heap
-    /// configuration, bypassing the `DIEHARD_*` environment knobs entirely.
+    /// layouts for tests and debugging (heap differencing, §9) — and an
+    /// explicit heap configuration, bypassing the `DIEHARD_*` environment
+    /// knobs entirely.
     ///
     /// This is the constructor tests should use: configuring instances
     /// directly keeps parallel tests isolated, where mutating process-global
@@ -480,56 +497,84 @@ impl DieHard {
         Self::release(state, ptr);
     }
 
-    /// DieHard's bounded `strcpy` (§4.4): copies the NUL-terminated string
-    /// at `src` to `dest`, clamped to the true remaining space of the heap
-    /// object containing `dest`. Falls back to an ordinary bounded-by-source
-    /// copy when `dest` is not a DieHard heap pointer.
+    /// DieHard's bounded `strcpy` (§4.4) — `libdiehard.so` exports exactly
+    /// this. When `dest` is in a DieHard object
+    /// ([`remaining_space`](Self::remaining_space): any pointer into a small
+    /// object, the start of a large one) the copy is clamped to the space
+    /// left in it and always NUL-terminated inside it; anywhere else it is
+    /// C's `strcpy`, `strlen(src) + 1` bytes.
     ///
-    /// The bound is pure header arithmetic — no shard lock is taken, keeping
-    /// the paper's two-comparisons-cheap contract even under concurrency.
+    /// The bound takes no shard lock (a large start pointer takes the
+    /// large-table lock for one lookup), keeping the paper's
+    /// two-comparisons-cheap contract under concurrency.
     ///
     /// Returns the number of payload bytes copied.
     ///
     /// # Safety
     ///
-    /// `src` must point to a NUL-terminated string; `dest` must be valid for
-    /// writes of the computed bound (always true for live DieHard objects).
+    /// `src` must point to a NUL-terminated string; off the heap `dest` must
+    /// have room for all of it, terminator included, exactly as C requires.
     pub unsafe fn strcpy(&self, dest: *mut u8, src: *const u8) -> usize {
-        // SAFETY: src is NUL-terminated per contract.
-        let src_len = unsafe { c_strlen(src) };
-        let src_slice = unsafe { core::slice::from_raw_parts(src, src_len) };
-
-        let space = self
-            .state
-            .get()
-            .and_then(|state| Self::object_space(state, dest))
-            .unwrap_or(src_len + 1);
-        // SAFETY: dest is valid for `space` bytes: inside the heap that is
-        // the distance to the object end; outside it the caller guarantees
-        // room for the whole string.
-        let dest_slice = unsafe { core::slice::from_raw_parts_mut(dest, space) };
-        safe_str::bounded_strcpy(dest_slice, space, src_slice).copied
+        // SAFETY: src is NUL-terminated per contract, and a strcpy is the
+        // strncpy whose `n` is exactly the string and its terminator.
+        unsafe {
+            let len = c_strlen(src);
+            self.bounded_copy(dest, src, len, len + 1)
+        }
     }
 
-    /// DieHard's bounded `strncpy` (§4.4): the caller's `n` is clamped by
-    /// the true object bound.
+    /// DieHard's bounded `strncpy` (§4.4) — `libdiehard.so` exports exactly
+    /// this. Off the heap it is C's `strncpy`: `min(strlen, n)` bytes, then
+    /// zeros up to `n`, never byte `n` itself, no terminator beyond that. In
+    /// a DieHard object the caller's `n` is clamped by the true space left,
+    /// because "programmers can inadvertently specify an incorrect length".
+    ///
+    /// **The paper's deliberate deviation from C**, stated here once: in an
+    /// object the result is always NUL-terminated *within the object* — so a
+    /// source of `n` or more bytes gets a terminator at byte `n` when the
+    /// object has room for it, and the last byte of the object when it does
+    /// not — where C would write exactly `n` bytes, unterminated. The
+    /// zero-padding stops at `min(n, space)`. Off the heap nothing deviates:
+    /// the interposer must not write one byte more than the contract allows
+    /// into memory it knows nothing about.
+    ///
+    /// Returns the number of payload bytes copied.
     ///
     /// # Safety
     ///
-    /// As [`strcpy`](Self::strcpy); `src` must be valid for `n` bytes or up
-    /// to its NUL terminator, whichever comes first.
+    /// `src` must be readable up to `n` bytes or its NUL terminator,
+    /// whichever comes first; off the heap `dest` must hold `n` bytes,
+    /// exactly as C requires.
     pub unsafe fn strncpy(&self, dest: *mut u8, src: *const u8, n: usize) -> usize {
-        // SAFETY: per contract.
-        let src_len = unsafe { c_strlen_bounded(src, n) };
-        let src_slice = unsafe { core::slice::from_raw_parts(src, src_len) };
-        let space = self
-            .state
-            .get()
-            .and_then(|state| Self::object_space(state, dest))
-            .unwrap_or_else(|| n.max(src_len + 1));
-        // SAFETY: as in `strcpy`.
-        let dest_slice = unsafe { core::slice::from_raw_parts_mut(dest, space) };
-        safe_str::bounded_strncpy(dest_slice, space, src_slice, n).copied
+        // SAFETY: per contract; the scan stops at `n`.
+        unsafe { self.bounded_copy(dest, src, c_strlen_bounded(src, n), n) }
+    }
+
+    /// The one §4.4 copy behind [`strcpy`](Self::strcpy) and
+    /// [`strncpy`](Self::strncpy): the `len ≤ n` bytes at `src` into `dest`
+    /// as `strncpy(dest, src, n)` has them, clamped in a DieHard object.
+    ///
+    /// # Safety
+    ///
+    /// `src` is readable for `len` bytes; off the heap `dest` holds `n`.
+    unsafe fn bounded_copy(&self, dest: *mut u8, src: *const u8, len: usize, n: usize) -> usize {
+        // SAFETY: the caller scanned `len` readable bytes at `src`. A DieHard
+        // object has `space` writable bytes at `dest` (live or not, the
+        // slot is mapped), and off the heap the caller guarantees `n`.
+        unsafe {
+            let src = core::slice::from_raw_parts(src, len);
+            let Some(space) = self.remaining_space(dest) else {
+                ptr::copy_nonoverlapping(src.as_ptr(), dest, len);
+                ptr::write_bytes(dest.add(len), 0, n - len);
+                return len;
+            };
+            let dest = core::slice::from_raw_parts_mut(dest, space);
+            let copied = safe_str::bounded_strncpy(dest, space, src, n).copied;
+            // C zero-pads through byte n − 1, clamped to the object; byte
+            // `copied` already holds the bounded terminator.
+            dest[copied..n.min(space)].fill(0);
+            copied
+        }
     }
 
     /// Live small objects currently tracked (diagnostics: a popcount over
@@ -602,51 +647,31 @@ impl DieHard {
         let Some(state) = self.state.get() else {
             return 0;
         };
-        if ptr.is_null() {
-            return 0;
-        }
-        let base = state.heap_base as usize;
-        let addr = ptr as usize;
-        if addr >= base && addr < base + state.heap.heap_span() {
-            let off = addr - base;
-            return match state.heap.slot_containing(off) {
+        match state.span_offset(ptr) {
+            Some(off) => match state.heap.slot_containing(off) {
                 Some(slot) if state.heap.offset_of(slot) == off && state.heap.is_live_at(off) => {
                     slot.size()
                 }
                 _ => 0,
-            };
+            },
+            None => state.large_len(ptr).unwrap_or(0),
         }
-        let large = state.large.lock();
-        let (Some(total), Some(map_base)) = (large.len.get(addr), large.base.get(addr)) else {
-            return 0;
-        };
-        // The mapping is [map_base .. map_base + total): front guard (plus
-        // any alignment padding), the user range, then exactly one tail
-        // guard page (`alloc_large` trims any alignment excess off the
-        // tail), so the user range ends one page before the mapping does.
-        total - (addr - map_base) - state.page
     }
 
     /// Bytes from `ptr` to the end of the object containing it — the §4.4
     /// clamp bound, valid for *interior* pointers too (unlike
     /// [`usable_size`](Self::usable_size)). `None` when `ptr` is not inside
     /// a DieHard object; small-object answers are pure arithmetic (no
-    /// liveness check, matching [`strcpy`](Self::strcpy)'s bound), large
-    /// ones resolve exact-start pointers through the validity tables
+    /// liveness check — the paper's mask and two subtractions), large
+    /// ones resolve exact-start pointers through the validity table
     /// (interior large pointers are not resolvable — the mapping's own
     /// guard pages bound those).
     #[must_use]
     pub fn remaining_space(&self, ptr: *mut u8) -> Option<usize> {
         let state = self.state.get()?;
-        if ptr.is_null() {
-            return None;
-        }
-        match Self::object_space(state, ptr) {
-            Some(space) => Some(space),
-            None => {
-                let size = self.usable_size(ptr);
-                (size != 0).then_some(size)
-            }
+        match state.span_offset(ptr) {
+            Some(off) => safe_str::space_in_object(state.heap.geometry(), off),
+            None => state.large_len(ptr),
         }
     }
 
@@ -717,7 +742,7 @@ impl DieHard {
 
     /// The one-time initialization: choose a configuration and seed, map the
     /// metadata arena and the heap span, and assemble the heap plus
-    /// large-object tables. Runs on exactly one thread.
+    /// large-object table. Runs on exactly one thread.
     fn build_state(&self) -> Option<GlobalState> {
         let config = match &self.fixed_config {
             Some(config) => config.clone(),
@@ -746,7 +771,7 @@ impl DieHard {
         let span = config.heap_span();
         let words = <Heap>::metadata_words_needed(&config);
         let table_cap = (LARGE_CAPACITY * 2).next_power_of_two();
-        let meta_bytes = (words * 8 + 4 * table_cap * 8 + page - 1) & !(page - 1);
+        let meta_bytes = (words * 8 + 2 * table_cap * 8 + page - 1) & !(page - 1);
         let meta = sys::map_reserve(meta_bytes);
         if meta.is_null() {
             return None;
@@ -767,8 +792,8 @@ impl DieHard {
         let bitmap_words = meta.cast::<u64>();
         // SAFETY: the meta arena provides `words` zeroed u64s (the twelve
         // classes' paired-bit slot-state maps, each sized for its maximum
-        // capacity — all `metadata_words_needed` counts) followed by four
-        // table arrays of `table_cap` usizes each; mmap'd memory is zeroed
+        // capacity — all `metadata_words_needed` counts) followed by the
+        // table's two arrays of `table_cap` usizes; mmap'd memory is zeroed
         // and exclusively ours. (Fraction 0 is the fixed heap.)
         let heap = unsafe { Heap::from_raw_parts(config, seed, bitmap_words, grow.unwrap_or(0)) };
         let mut heap = match heap {
@@ -784,15 +809,10 @@ impl DieHard {
             }
         };
         heap.set_promote_hook(promote_region, heap_base as usize);
-        let tables = unsafe { meta.add(words * 8).cast::<usize>() };
-        // SAFETY: as above; disjoint quarters of the table area.
-        let base = unsafe { LargeTable::from_storage(tables, tables.add(table_cap), table_cap) };
-        let len = unsafe {
-            LargeTable::from_storage(
-                tables.add(2 * table_cap),
-                tables.add(3 * table_cap),
-                table_cap,
-            )
+        // SAFETY: as above; the two halves of the table area.
+        let large = unsafe {
+            let keys = meta.add(words * 8).cast::<usize>();
+            LargeTable::from_storage(keys, keys.add(table_cap), table_cap)
         };
         Some(GlobalState {
             heap,
@@ -801,7 +821,7 @@ impl DieHard {
             id: tls::allocate_id(),
             mag_state: AtomicU8::new(MAG_UNDECIDED),
             elastic: grow.is_some(),
-            large: SpinLock::new(LargeObjects { base, len }),
+            large: SpinLock::new(large),
         })
     }
 
@@ -834,18 +854,6 @@ impl DieHard {
         }
     }
 
-    /// Distance from `ptr` to the end of its (small) heap object, when
-    /// `ptr` points into the small-object heap. Pure header arithmetic —
-    /// takes no lock.
-    fn object_space(state: &GlobalState, ptr: *mut u8) -> Option<usize> {
-        let base = state.heap_base as usize;
-        let addr = ptr as usize;
-        if addr < base || addr >= base + state.heap.heap_span() {
-            return None;
-        }
-        safe_str::space_in_object(state.heap.geometry(), addr - base)
-    }
-
     /// Starts the cache miss the host's *next* allocation of `class` would
     /// otherwise take on its first write. Random placement makes every
     /// fresh object a cold line (on `churn_host` that miss, not `malloc`'s
@@ -868,91 +876,71 @@ impl DieHard {
     }
 
     fn release(state: &GlobalState, ptr: *mut u8) {
-        let base = state.heap_base as usize;
-        let addr = ptr as usize;
-        if addr >= base && addr < base + state.heap.heap_span() {
+        if let Some(off) = state.span_offset(ptr) {
             // Small object: full §4.3 validation. The span/alignment half is
             // lock-free arithmetic either way; with magazines engaged the
             // free is buffered in this thread's cache and released to its
             // shard in a batch.
             if Self::magazines_on(state) {
                 tls::with_cache(state, |mags, state| {
-                    let _ = mags.free_at(&state.heap, addr - base);
+                    let _ = mags.free_at(&state.heap, off);
                 });
             } else {
-                let _ = state.heap.free_at(addr - base);
+                let _ = state.heap.free_at(off);
             }
             return;
         }
-        // Possibly a large object: consult the validity tables; unknown
+        // Possibly a large object: consult the validity table; unknown
         // addresses are ignored ("otherwise, it ignores the request").
-        let (map_base, total) = {
-            let mut large = state.large.lock();
-            let Some(total) = large.len.remove(addr) else {
-                return;
-            };
-            let map_base = large.base.remove(addr).expect("large tables out of sync");
-            (map_base, total)
+        let Some(len) = state.large.lock().remove(ptr as usize) else {
+            return;
         };
-        // SAFETY: we recorded (map_base, total) when mapping this object and
-        // it has not been released since (the table entry was live); the
-        // lock is already dropped, so the syscall never runs under it.
-        unsafe { sys::unmap(map_base as *mut u8, total) };
+        // SAFETY: the entry was live, so `[ptr − page, ptr + len + page)` is
+        // the mapping `alloc_large` made for this object and nothing has
+        // released it since; the lock is already dropped, so the syscall
+        // never runs under it.
+        unsafe { sys::unmap(ptr.wrapping_sub(state.page), len + 2 * state.page) };
     }
 
     fn alloc_large(state: &GlobalState, size: usize, align: usize) -> *mut u8 {
         let page = state.page;
-        let user_len = (size + page - 1) & !(page - 1);
-        let extra_align = if align > page { align } else { 0 };
-        let total = user_len + 2 * page + extra_align;
-        let base = sys::map_reserve(total);
-        if base.is_null() {
+        let len = (size + page - 1) & !(page - 1);
+        // A page-aligned reservation reaches an `align` boundary within
+        // `align − page` bytes of its first guard page.
+        let slack = align.max(page) - page;
+        let total = len + 2 * page + slack;
+        let raw = sys::map_reserve(total);
+        if raw.is_null() {
             return ptr::null_mut();
         }
-        let user = {
-            let candidate = base as usize + page;
-            let aligned = if align > page {
-                (candidate + align - 1) & !(align - 1)
-            } else {
-                candidate
-            };
-            aligned as *mut u8
-        };
-        let user_addr = user as usize;
-        // Trim any alignment excess off the tail so the user range always
-        // ends exactly one page before the mapping does — that invariant is
-        // what lets `usable_size` recover the user length from the two
-        // table entries alone. (With `align <= page` the excess is zero and
-        // this is a no-op.)
-        let tail = user_addr + user_len;
-        let excess = base as usize + total - (tail + page);
-        if excess > 0 {
-            // SAFETY: [tail + page, base + total) is a page-aligned unused
-            // suffix of the fresh mapping; nothing references it.
-            unsafe { sys::unmap((tail + page) as *mut u8, excess) };
-        }
-        let total = tail + page - base as usize;
-        // Guard everything before and after the user range (§4.1: "guard
-        // pages without read or write access on either end").
-        // SAFETY: the ranges are page-aligned and inside the fresh mapping.
+        let user = (raw as usize + page).next_multiple_of(align);
+        let (start, end) = (user - page, user + len + page);
+        // Trim the slack off both ends, so the mapping is exactly
+        // `[user − page, user + len + page)` — the shape `release` and
+        // `usable_size` rely on — and guard its first and last page (§4.1:
+        // "guard pages without read or write access on either end").
+        // SAFETY: both trims are page-aligned, unreferenced slices of the
+        // fresh mapping outside `[start, end)`, and both guards lie inside it.
         unsafe {
-            sys::protect_none(base, user_addr - base as usize);
-            sys::protect_none(tail as *mut u8, page);
+            if start > raw as usize {
+                sys::unmap(raw, start - raw as usize);
+            }
+            if raw as usize + total > end {
+                sys::unmap(end as *mut u8, raw as usize + total - end);
+            }
+            sys::protect_none(start as *mut u8, page);
+            sys::protect_none((end - page) as *mut u8, page);
         }
         // Huge-page advice on the user range only (the guards must stay
         // 4 KB mappings); self-gated below 2 MB, best-effort above.
-        sys::advise_hugepages(user, user_len);
-        let mut large = state.large.lock();
-        if !large.len.insert(user_addr, total) {
-            drop(large);
+        sys::advise_hugepages(user as *mut u8, len);
+        if !state.large.lock().insert(user, len) {
             // Table full: refuse rather than lose track of the mapping.
-            // SAFETY: mapping is unreferenced; release it whole.
-            unsafe { sys::unmap(base, total) };
+            // SAFETY: the mapping is unreferenced; release it whole.
+            unsafe { sys::unmap(start as *mut u8, end - start) };
             return ptr::null_mut();
         }
-        let inserted = large.base.insert(user_addr, base as usize);
-        debug_assert!(inserted, "large tables out of sync");
-        user
+        user as *mut u8
     }
 }
 
@@ -1273,6 +1261,115 @@ mod tests {
         heap.free(dst);
     }
 
+    /// Off the heap `strncpy` is C's: exactly `n` bytes, the source's
+    /// first `min(strlen, n)` and then zeros — never byte `n`, which the
+    /// caller never offered.
+    #[test]
+    fn strncpy_off_heap_writes_exactly_n_bytes() {
+        let heap = small_test_heap();
+        heap.free(heap.malloc(8)); // initialized: the span exists
+        let mut buf = [0xAAu8; 8];
+        // SAFETY: buf holds n = 4 bytes; the source is NUL-terminated.
+        let copied = unsafe { heap.strncpy(buf.as_mut_ptr(), c"abcd".as_ptr().cast(), 4) };
+        assert_eq!(copied, 4);
+        assert_eq!(buf, *b"abcd\xAA\xAA\xAA\xAA", "byte n is the caller's");
+        // SAFETY: buf holds n = 6 bytes; the source is NUL-terminated.
+        let copied = unsafe { heap.strncpy(buf.as_mut_ptr(), c"ab".as_ptr().cast(), 6) };
+        assert_eq!(copied, 2);
+        assert_eq!(buf, *b"ab\0\0\0\0\xAA\xAA", "zero-padded to n, no further");
+        // SAFETY: buf has room for the 3 + NUL source.
+        let copied = unsafe { heap.strcpy(buf.as_mut_ptr(), c"xyz".as_ptr().cast()) };
+        assert_eq!(copied, 3);
+        assert_eq!(buf, *b"xyz\0\0\0\xAA\xAA", "strlen + 1 bytes");
+    }
+
+    /// A large object bounds a copy by its start pointer like a small one
+    /// does by any pointer: a source three times the object stops at its
+    /// last byte, which the tail guard page follows directly.
+    #[test]
+    fn strcpy_into_a_large_object_is_clamped_to_it() {
+        let heap = small_test_heap();
+        let p = heap.malloc(100_000);
+        assert!(!p.is_null());
+        let usable = heap.usable_size(p);
+        assert_eq!(heap.remaining_space(p), Some(usable));
+        let mut src = vec![b'x'; 3 * usable];
+        src.push(0);
+        // SAFETY: p is a live large object; the source is NUL-terminated.
+        let copied = unsafe { heap.strcpy(p, src.as_ptr()) };
+        assert_eq!(copied, usable - 1);
+        // SAFETY: the object's last byte.
+        assert_eq!(unsafe { *p.add(usable - 1) }, 0, "terminated inside");
+        // SAFETY: as above; `n` lies about the room, the object does not.
+        let copied = unsafe { heap.strncpy(p, src.as_ptr(), 2 * usable) };
+        assert_eq!(copied, usable - 1);
+        heap.free(p);
+    }
+
+    /// `(start, end, perms)` of the `/proc/self/maps` line holding `addr`.
+    fn mapping_at(maps: &str, addr: usize) -> Option<(usize, usize, &str)> {
+        maps.lines().find_map(|line| {
+            let mut fields = line.split_whitespace();
+            let (start, end) = fields.next()?.split_once('-')?;
+            let start = usize::from_str_radix(start, 16).ok()?;
+            let end = usize::from_str_radix(end, 16).ok()?;
+            (start..end)
+                .contains(&addr)
+                .then(|| (start, end, fields.next().unwrap_or("")))
+        })
+    }
+
+    /// However it is aligned, a large object's mapping is its range and one
+    /// guard page on each side, nothing more: with 2 MiB alignment the
+    /// reservation's slack is trimmed off the front as well as the tail, so
+    /// releasing the object leaves every neighbouring address as it was.
+    /// The check runs in a forked child, where no other test thread maps or
+    /// unmaps anything between the two reads of `/proc/self/maps`.
+    #[test]
+    fn aligned_large_object_maps_exactly_its_range_and_guards() {
+        let read_maps = || std::fs::read_to_string("/proc/self/maps").unwrap_or_default();
+        // SAFETY: the child touches only a heap of its own, `/proc` and
+        // `_exit` — no lock another thread of this process may hold.
+        let pid = unsafe { libc::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            let heap = small_test_heap();
+            let page = sys::page_size();
+            let layout = Layout::from_size_align(100_000, 1 << 21).unwrap();
+            // SAFETY: valid non-zero layout.
+            let p = unsafe { heap.alloc(layout) } as usize;
+            let len = heap.usable_size(p as *mut u8);
+            if !p.is_multiple_of(1 << 21) || len < 100_000 {
+                // SAFETY: child exit, as below.
+                unsafe { libc::_exit(100) };
+            }
+            let (below, above) = (p - page - 1, p + len + page);
+            let before = read_maps();
+            let mapped_before = [below, above].map(|a| mapping_at(&before, a).is_some());
+            // SAFETY: p came from alloc with this layout.
+            unsafe { heap.dealloc(p as *mut u8, layout) };
+            let after = read_maps();
+            let failed = [
+                mapping_at(&before, p) == Some((p, p + len, "rw-p")),
+                mapping_at(&before, p - page).is_some_and(|(_, end, m)| end == p && m == "---p"),
+                mapping_at(&before, p + len)
+                    .is_some_and(|(start, _, m)| start == p + len && m == "---p"),
+                [p - page, p, p + len]
+                    .iter()
+                    .all(|&a| mapping_at(&after, a).is_none()),
+                [below, above].map(|a| mapping_at(&after, a).is_some()) == mapped_before,
+            ]
+            .iter()
+            .position(|ok| !ok);
+            // SAFETY: child exit, no cleanup (the heap is never dropped).
+            unsafe { libc::_exit(failed.map_or(0, |i| i as i32 + 1)) };
+        }
+        let mut status: libc::c_int = -1;
+        // SAFETY: pid is our direct child.
+        assert_eq!(unsafe { libc::waitpid(pid, &raw mut status, 0) }, pid);
+        assert_eq!(status, 0, "check {} of the child failed", status >> 8);
+    }
+
     #[test]
     fn usable_size_reports_rounded_class_size() {
         let heap = small_test_heap();
@@ -1314,7 +1411,7 @@ mod tests {
     #[test]
     fn usable_size_exact_under_extreme_alignment() {
         let heap = small_test_heap();
-        // Alignment beyond a page exercises the tail-trim path.
+        // Alignment beyond a page exercises both trims.
         let layout = Layout::from_size_align(100_000, 1 << 21).unwrap();
         // SAFETY: valid non-zero layout.
         let p = unsafe { heap.alloc(layout) };

@@ -166,9 +166,13 @@ impl LargeTable {
         }
     }
 
-    /// Looks up the recorded size for `addr`.
+    /// Looks up the recorded size for `addr`. The sentinel addresses 0 and
+    /// 1 are never present (a null pointer is no large object).
     #[must_use]
     pub fn get(&self, addr: usize) -> Option<usize> {
+        if addr <= TOMBSTONE {
+            return None;
+        }
         let mut i = self.hash(addr);
         loop {
             let k = self.keys.slice()[i];
@@ -186,6 +190,9 @@ impl LargeTable {
     /// returned by the large-object allocator (the caller then ignores the
     /// free, per §4.3).
     pub fn remove(&mut self, addr: usize) -> Option<usize> {
+        if addr <= TOMBSTONE {
+            return None;
+        }
         let mut i = self.hash(addr);
         loop {
             let k = self.keys.slice()[i];
@@ -244,6 +251,22 @@ mod tests {
     fn remove_unknown_is_none() {
         let mut t = LargeTable::new(8);
         assert_eq!(t.remove(0xDEAD), None);
+    }
+
+    /// A free of address 1 must not match a tombstone (and return the size
+    /// that slot once held), nor a lookup of null an empty slot.
+    #[test]
+    fn sentinel_addresses_are_never_found() {
+        let mut t = LargeTable::new(2);
+        for i in 1..=4usize {
+            assert!(t.insert(i * 0x1000, i));
+            assert_eq!(t.remove(i * 0x1000), Some(i));
+        }
+        for sentinel in [EMPTY, TOMBSTONE] {
+            assert_eq!(t.get(sentinel), None);
+            assert_eq!(t.remove(sentinel), None);
+        }
+        assert!(t.is_empty());
     }
 
     #[test]

@@ -325,6 +325,24 @@ pub fn stream_seed(master: u64, stream: u64) -> u64 {
     splitmix(master ^ splitmix(stream.wrapping_add(1)))
 }
 
+/// The heap seed of replica `replica` in a set derived from one master
+/// seed — the one derivation behind the in-process `ReplicaSet` and the
+/// process launcher's seeds, so the same master seeds the same replicas in
+/// both (§5: every replica runs on a differently seeded heap).
+///
+/// # Examples
+///
+/// ```
+/// use diehard_core::rng::{replica_seed, splitmix};
+///
+/// assert_eq!(replica_seed(42, 0), splitmix(42 ^ 0x9E37_79B9_7F4A_7C15));
+/// assert_ne!(replica_seed(42, 0), replica_seed(42, 1));
+/// ```
+#[must_use]
+pub fn replica_seed(master: u64, replica: u64) -> u64 {
+    splitmix(master ^ (replica + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
 /// One round of the SplitMix64 finalizer, used to stretch and decorrelate
 /// seeds (not used on the allocation fast path).
 #[must_use]

@@ -10,7 +10,11 @@
 //! Exported surface: `malloc`, `free`, `calloc`, `realloc`, `reallocarray`,
 //! `posix_memalign`, `aligned_alloc`, `memalign`, `valloc`,
 //! `malloc_usable_size`, `strdup`/`strndup` (duplicated onto the
-//! randomized heap), and the paper's §4.4 bounded `strcpy`/`strncpy`.
+//! randomized heap), and the paper's §4.4 bounded `strcpy`/`strncpy`. The
+//! string exports are `DieHard`'s: `strcpy`/`strncpy` call
+//! [`DieHard::strcpy`]/[`DieHard::strncpy`] and return `dest`, and the dups
+//! copy through [`DieHard::strncpy`] — one copy routine, one object bound,
+//! and the §4.4 deviation from C stated once, on [`DieHard::strncpy`].
 //! Everything is backed by one process-wide
 //! [`DieHard`](diehard_core::global::DieHard) heap built with
 //! [`elastic_from_env`](diehard_core::global::DieHard::elastic_from_env):
@@ -75,7 +79,7 @@
 //! * **Foreign pointers.** `free`/`realloc` on pointers this allocator
 //!   never produced (ld.so bootstrap blocks, another library's private
 //!   arena) are detected by the heap's span check plus the large-object
-//!   validity tables and **ignored**, exactly like the paper's invalid
+//!   validity table and **ignored**, exactly like the paper's invalid
 //!   frees (§4.3: "otherwise, it ignores the request"). A foreign
 //!   `realloc` allocates fresh memory and copies nothing — the old
 //!   block's length is unknowable, and the old block is left untouched.
@@ -97,19 +101,11 @@
 //! * **`errno` discipline.** Allocation failure sets `ENOMEM`;
 //!   `aligned_alloc` with a bad alignment sets `EINVAL`; `posix_memalign`
 //!   reports by return value and leaves `errno` alone, per POSIX.
-//! * **§4.4 deviation, inherited from the paper:** `strncpy` into a heap
-//!   object always NUL-terminates within the object's true bounds (and
-//!   zero-pads only up to those bounds), where C's `strncpy` would write
-//!   exactly `n` bytes unterminated. For non-heap destinations both
-//!   copies follow exact C semantics — the interposer must not write one
-//!   byte more than the contract allows into memory it knows nothing
-//!   about.
 
 use core::cell::Cell;
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
-use diehard_core::safe_str;
 use libc::{c_char, c_int, c_void};
 use std::alloc::{GlobalAlloc, Layout};
 
@@ -441,38 +437,8 @@ pub extern "C" fn malloc_usable_size(ptr: *mut c_void) -> usize {
 
 // ---- §4.4 bounded string copies ------------------------------------------
 
-/// Length of the NUL-terminated string at `p`.
-///
-/// # Safety
-///
-/// `p` must point to a NUL-terminated string.
-unsafe fn c_strlen(p: *const u8) -> usize {
-    let mut n = 0;
-    // SAFETY: the caller guarantees a terminator exists.
-    while unsafe { *p.add(n) } != 0 {
-        n += 1;
-    }
-    n
-}
-
-/// Length of the string at `p`, scanning at most `max` bytes.
-///
-/// # Safety
-///
-/// `p` must be valid for reads up to `max` bytes or its NUL terminator.
-unsafe fn c_strlen_bounded(p: *const u8, max: usize) -> usize {
-    let mut n = 0;
-    // SAFETY: the caller guarantees validity to `max` or the terminator.
-    while n < max && unsafe { *p.add(n) } != 0 {
-        n += 1;
-    }
-    n
-}
-
-/// DieHard's `strcpy` (§4.4): when `dest` is a DieHard heap pointer the
-/// copy is clamped to the object's true remaining capacity (and always
-/// NUL-terminated within it); otherwise exact C `strcpy` semantics apply.
-/// Returns `dest`, like C.
+/// C `strcpy(3)`: [`DieHard::strcpy`] — clamped to the object when `dest`
+/// is in one, C's `strcpy` when it is not. Returns `dest`, like C.
 ///
 /// # Safety
 ///
@@ -480,35 +446,14 @@ unsafe fn c_strlen_bounded(p: *const u8, max: usize) -> usize {
 /// have room for the full string, exactly as C requires.
 #[no_mangle]
 pub unsafe extern "C" fn strcpy(dest: *mut c_char, src: *const c_char) -> *mut c_char {
-    let d = dest.cast::<u8>();
-    let s = src.cast::<u8>();
-    // SAFETY: src is NUL-terminated per contract.
-    let len = unsafe { c_strlen(s) };
-    // SAFETY: the source slice covers exactly the scanned bytes.
-    let src_slice = unsafe { core::slice::from_raw_parts(s, len) };
-    match HEAP.remaining_space(d) {
-        Some(space) => {
-            // SAFETY: the DieHard object has `space` writable bytes at d.
-            let dest_slice = unsafe { core::slice::from_raw_parts_mut(d, space) };
-            safe_str::bounded_strcpy(dest_slice, space, src_slice);
-        }
-        None => {
-            // SAFETY: C contract — dest holds len + 1 bytes.
-            unsafe {
-                ptr::copy_nonoverlapping(s, d, len);
-                *d.add(len) = 0;
-            }
-        }
-    }
+    // SAFETY: forwarded C contract.
+    unsafe { HEAP.strcpy(dest.cast(), src.cast()) };
     dest
 }
 
-/// DieHard's `strncpy` (§4.4): the caller's `n` is additionally clamped
-/// by the destination object's true capacity, and (the paper's deliberate
-/// deviation) the result is always NUL-terminated *within the object*;
-/// zero-padding stops at the object bound too. Non-heap destinations get
-/// exact C semantics — copy `min(strlen, n)`, pad with zeros to `n`, no
-/// terminator beyond that. Returns `dest`.
+/// C `strncpy(3)`: [`DieHard::strncpy`] — clamped to the object when `dest`
+/// is in one (the paper's one deviation from C is stated there), C's
+/// `strncpy` when it is not. Returns `dest`.
 ///
 /// # Safety
 ///
@@ -516,89 +461,47 @@ pub unsafe extern "C" fn strcpy(dest: *mut c_char, src: *const c_char) -> *mut c
 /// destinations `dest` must hold `n` bytes, exactly as C requires.
 #[no_mangle]
 pub unsafe extern "C" fn strncpy(dest: *mut c_char, src: *const c_char, n: usize) -> *mut c_char {
-    let d = dest.cast::<u8>();
-    let s = src.cast::<u8>();
-    // SAFETY: src is readable to n or NUL per contract.
-    let len = unsafe { c_strlen_bounded(s, n) };
-    // SAFETY: the source slice covers exactly the scanned bytes.
-    let src_slice = unsafe { core::slice::from_raw_parts(s, len) };
-    match HEAP.remaining_space(d) {
-        Some(space) => {
-            // SAFETY: the DieHard object has `space` writable bytes at d.
-            let dest_slice = unsafe { core::slice::from_raw_parts_mut(d, space) };
-            let out = safe_str::bounded_strncpy(dest_slice, space, src_slice, n);
-            // C zero-pads through byte n - 1; clamp that to the object.
-            // (Byte `out.copied` already holds the bounded terminator.)
-            let pad_end = n.min(space);
-            let mut i = out.copied;
-            while i < pad_end {
-                // SAFETY: i < space, inside the object.
-                unsafe { *d.add(i) = 0 };
-                i += 1;
-            }
-        }
-        None => {
-            // SAFETY: C contract — dest holds n bytes.
-            unsafe {
-                ptr::copy_nonoverlapping(s, d, len);
-                ptr::write_bytes(d.add(len), 0, n - len);
-            }
-        }
-    }
+    // SAFETY: forwarded C contract.
+    unsafe { HEAP.strncpy(dest.cast(), src.cast(), n) };
     dest
 }
 
-/// Shared tail of `strdup`/`strndup`: allocates `len + 1` bytes on the
-/// randomized heap and copies the scanned prefix with the §4.4 bounded
-/// semantics. A fresh heap object always holds at least the requested
-/// `len + 1` bytes, so the bounded copy never truncates in practice — the
-/// clamp is defense in depth, same as the other string entry points.
+/// Shared tail of `strdup`/`strndup`: `len + 1` fresh bytes, the `len`
+/// scanned ones copied by [`DieHard::strncpy`] — never clamped in practice,
+/// since a fresh object holds at least what was asked for — and the
+/// terminator, which the strncpy leaves to us when the block is a
+/// bootstrap-arena one. Out of line: one copy of the allocation funnel
+/// (and of its arena CAS) for both exports.
 ///
 /// # Safety
 ///
 /// `s` must be readable for `len` bytes.
-unsafe fn dup_impl(s: *const u8, len: usize) -> *mut c_char {
+#[inline(never)]
+unsafe fn dup_impl(s: *const c_char, len: usize) -> *mut c_char {
     let d = alloc_impl(len.saturating_add(1), MALLOC_ALIGN);
     if d.is_null() {
         set_errno(libc::ENOMEM);
         return ptr::null_mut();
     }
-    // SAFETY: the source slice covers exactly the scanned bytes.
-    let src_slice = unsafe { core::slice::from_raw_parts(s, len) };
-    match HEAP.remaining_space(d) {
-        Some(space) => {
-            // SAFETY: the DieHard object has `space` writable bytes at d.
-            let dest_slice = unsafe { core::slice::from_raw_parts_mut(d, space) };
-            safe_str::bounded_strcpy(dest_slice, space, src_slice);
-        }
-        None => {
-            // Arena block (re-entrant bootstrap path): we own len + 1
-            // bytes by construction.
-            // SAFETY: the arena block holds len + 1 bytes; src covers len.
-            unsafe {
-                ptr::copy_nonoverlapping(s, d, len);
-                *d.add(len) = 0;
-            }
-        }
+    // SAFETY: `s` holds `len` bytes and `d` the `len + 1` just allocated.
+    unsafe {
+        HEAP.strncpy(d, s.cast(), len);
+        *d.add(len) = 0;
     }
     d.cast()
 }
 
 /// C `strdup(3)`: duplicates `s` onto the randomized heap — the copy gets
 /// DieHard's placement, over-provisioning, and §4.3 free validation like
-/// any `malloc`ed block, and the write takes the §4.4 bounded path. Null +
-/// `ENOMEM` on exhaustion.
+/// any `malloc`ed block. Null + `ENOMEM` on exhaustion.
 ///
 /// # Safety
 ///
 /// `s` must be NUL-terminated, exactly as C requires.
 #[no_mangle]
 pub unsafe extern "C" fn strdup(s: *const c_char) -> *mut c_char {
-    let src = s.cast::<u8>();
-    // SAFETY: src is NUL-terminated per contract.
-    let len = unsafe { c_strlen(src) };
-    // SAFETY: len bytes were just scanned as readable.
-    unsafe { dup_impl(src, len) }
+    // SAFETY: C contract: `s` is NUL-terminated, so its length is readable.
+    unsafe { dup_impl(s, libc::strlen(s)) }
 }
 
 /// C `strndup(3)`: like [`strdup`] but copies at most `n` bytes of `s`
@@ -611,11 +514,9 @@ pub unsafe extern "C" fn strdup(s: *const c_char) -> *mut c_char {
 /// `s` must be readable up to `n` bytes or its NUL terminator.
 #[no_mangle]
 pub unsafe extern "C" fn strndup(s: *const c_char, n: usize) -> *mut c_char {
-    let src = s.cast::<u8>();
-    // SAFETY: src is readable to n or NUL per contract.
-    let len = unsafe { c_strlen_bounded(src, n) };
-    // SAFETY: len ≤ n bytes were just scanned as readable.
-    unsafe { dup_impl(src, len) }
+    // SAFETY: C contract: readable to `n` or the terminator, where the
+    // scan stops.
+    unsafe { dup_impl(s, libc::strnlen(s, n)) }
 }
 
 // ---- fork story ----------------------------------------------------------

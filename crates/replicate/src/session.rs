@@ -1008,11 +1008,11 @@ impl Drop for Session {
 /// Returns [`io::ErrorKind::InvalidInput`] when `config.seeds` is non-empty
 /// but its length differs from `config.replicas`.
 pub(crate) fn resolve_seeds(config: &LaunchConfig) -> io::Result<Vec<u64>> {
-    use diehard_core::rng::{entropy_seed, splitmix};
+    use diehard_core::rng::{entropy_seed, replica_seed};
     if config.seeds.is_empty() {
         let master = entropy_seed();
         return Ok((0..config.replicas as u64)
-            .map(|i| splitmix(master ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .map(|i| replica_seed(master, i))
             .collect());
     }
     if config.seeds.len() != config.replicas {

@@ -26,6 +26,13 @@ pub enum ChunkVote {
 }
 
 /// Tracks live replicas across voting rounds and kills disagreeing ones.
+///
+/// **Ties.** A quorum is a *strict* plurality of at least two: four
+/// replicas split 2–2 (or five 2–2–1) are a [`ChunkVote::Divergence`], and
+/// nobody is killed. The in-process voter (`diehard_runtime::replicas::
+/// ReplicaSet`) commits the first of two equal groups instead — Theorem 3's
+/// model, where only "no two agree" is a detection — so the two voters
+/// disagree on ties (ROADMAP B(v)).
 #[derive(Debug, Clone)]
 pub struct Voter {
     alive: Vec<bool>,

@@ -16,7 +16,7 @@ use crate::exec::{run_program, ExecOptions, RunOutcome, Verdict};
 use crate::ops::Program;
 use crate::output::{Output, CHUNK};
 use diehard_core::config::{FillPolicy, HeapConfig};
-use diehard_core::rng::splitmix;
+use diehard_core::rng::replica_seed;
 use diehard_sim::DieHardSimHeap;
 
 /// What happened to one replica.
@@ -73,6 +73,14 @@ impl ReplicatedRun {
 }
 
 /// A set of differently-seeded DieHard replicas.
+///
+/// **Ties.** The vote commits the largest group of agreeing replicas, and
+/// of equally large groups the first (lowest replica index): four replicas
+/// split 2–2 commit one pair and outvote the other. That is Theorem 3's
+/// model, where an uninitialized read is detected when *no two* replicas
+/// agree. The process launcher's voter (`diehard_replicate::voter::Voter`)
+/// requires a strict plurality and reports the same split as a divergence,
+/// so the two voters disagree on ties (ROADMAP B(v)).
 #[derive(Debug, Clone)]
 pub struct ReplicaSet {
     config: HeapConfig,
@@ -94,7 +102,7 @@ impl ReplicaSet {
         assert!(k != 2, "two replicas cannot vote (§6)");
         let config = config.with_fill(FillPolicy::Random);
         let seeds = (0..k as u64)
-            .map(|i| splitmix(master_seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .map(|i| replica_seed(master_seed, i))
             .collect();
         Self { config, seeds }
     }
@@ -367,6 +375,36 @@ mod tests {
     #[should_panic(expected = "cannot vote")]
     fn two_replicas_rejected() {
         let _ = ReplicaSet::new(2, 1, HeapConfig::default());
+    }
+
+    /// Today's in-process tie rule, pinned before the two voters share one
+    /// implementation (ROADMAP B(v)): a 2–2 split commits the first group
+    /// and outvotes the other pair. `replicate::voter`'s
+    /// `two_two_tie_is_divergence` pins the opposite rule.
+    #[test]
+    fn two_two_tie_commits_the_first_group() {
+        let output = |bytes: &[u8]| {
+            let mut out = Output::new();
+            out.push(bytes);
+            out
+        };
+        let set = ReplicaSet::new(4, 1, HeapConfig::default());
+        let run = set.vote(
+            [b"aa", b"bb", b"aa", b"bb"]
+                .map(|b| RunOutcome::Completed(output(b)))
+                .to_vec(),
+        );
+        assert_eq!(run.outcome, ReplicatedOutcome::Agreed(output(b"aa")));
+        let outvoted = ReplicaFate::Outvoted { at_chunk: 0 };
+        assert_eq!(
+            run.fates,
+            [
+                ReplicaFate::Agreed,
+                outvoted.clone(),
+                ReplicaFate::Agreed,
+                outvoted
+            ]
+        );
     }
 
     #[test]

@@ -190,6 +190,10 @@ extern "C" {
     pub fn sysconf(name: c_int) -> c_long;
     /// `getenv(3)`.
     pub fn getenv(name: *const c_char) -> *mut c_char;
+    /// `strlen(3)`.
+    pub fn strlen(s: *const c_char) -> size_t;
+    /// `strnlen(3)`: scans at most `maxlen` bytes.
+    pub fn strnlen(s: *const c_char, maxlen: size_t) -> size_t;
     /// `mmap(2)`.
     pub fn mmap(
         addr: *mut c_void,
