@@ -280,10 +280,16 @@ fn preload_library() -> (
 /// The same churn ring once more, but through the `LD_PRELOAD`
 /// interposer's exported C ABI (`dlopen` + `dlsym`, see
 /// [`preload_library`]). The delta against `magazine_alloc_churn` is the
-/// interposition overhead itself: the re-entrancy guard, the arena range
-/// check, the `Layout` round-trip, and the indirect call. (`libdiehard.so`
-/// reads the same `__libc_single_threaded` as this process, so the arm is
-/// this process's.)
+/// interposition overhead itself: the `dlsym`'d call into each export and
+/// the export's call into its funnel (`alloc_impl`, `free_impl`), the one
+/// `__tls_get_addr` there, the re-entrancy flag, the arena range check,
+/// the `Layout` round-trip, the `OnceCell`'s `Acquire` load, the
+/// heap-binding and magazine-decision loads, and the handout's prefetch.
+/// No fence: the delta was ≈ 44 ns in `BENCH_24.json`, when every `malloc`
+/// also paid a failing `lock cmpxchg` in `OnceCell::get_or_try_init`, a
+/// second TLS lookup and a five-call chain, and is ≈ 24 ns in
+/// `BENCH_26.json`. (`libdiehard.so` reads the same
+/// `__libc_single_threaded` as this process, so the arm is this process's.)
 #[cfg(unix)]
 fn preload_alloc_churn(name: &'static str, smoke: bool) -> KernelResult {
     const RING: usize = 64;

@@ -82,7 +82,10 @@
 //! * **No `static mut` anywhere.** Allocator state is a once-initialized
 //!   [`OnceCell`]`<GlobalState>`: one `Acquire` load proves the header
 //!   (config, `heap_base`, page size) fully initialized, after which it is
-//!   immutable and read without any lock. All *mutable* state is interior-
+//!   immutable and read without any lock. That load is all any entry pays
+//!   once the heap is ready — `alloc`'s `get_or_try_init` as much as
+//!   `free`'s `get`: a plain `mov` on x86-64, with the initializing CAS out
+//!   of line. All *mutable* state is interior-
 //!   mutable behind locks — the pattern stable Rust recommends over
 //!   `static mut` (which trips `static_mut_refs` on current toolchains).
 //! * **Atomics replace the old per-shard exclusivity argument.** Every
@@ -160,7 +163,20 @@
 //!   dereferenced (full protocol in [`tls`]'s module docs). Corollary: a
 //!   `DieHard` value must not be moved after its first allocation (the
 //!   registry pins its interior address); statics never move, and test
-//!   instances move only while uninitialized.
+//!   instances move only while uninitialized. The same block holds
+//!   `libdiehard.so`'s re-entrancy flag ([`with_guard`],
+//!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]), so an entry
+//!   looks it up once — one `__tls_get_addr` in a shared object — and
+//!   passes it down; the one `unsafe` of that lookup is a deref of the
+//!   block's address on its own thread.
+//! * **The per-op path is one function per direction.** Every function
+//!   from an entry point to the magazine pop or the free-buffer push is
+//!   inlined into the entry (`libdiehard.so`'s `alloc_impl` and
+//!   `free_impl`), and everything else — initialization, the magazine
+//!   decision, a refill, a free flush, a rebind, large objects, the
+//!   uncached heap — is a `#[cold]` call out of it. On a ready heap and a
+//!   single-threaded host that path calls nothing and executes no locked
+//!   instruction until a refill or a flush.
 //! * **Per-op traffic never spins.** An uncached `alloc` or `free` — and a
 //!   magazine handout — completes without acquiring any lock: a thread
 //!   preempted mid-operation cannot wedge another thread's allocation, which
@@ -487,14 +503,51 @@ impl DieHard {
 
     /// C-style free: validates `ptr` exactly like `DieHardFree` (§4.3) and
     /// *ignores* invalid, double, and foreign frees.
+    #[inline]
     pub fn free(&self, ptr: *mut u8) {
         if ptr.is_null() {
             return;
         }
-        let Some(state) = self.state.get() else {
-            return;
-        };
-        Self::release(state, ptr);
+        tls::with_block(|block| self.free_in(block, ptr));
+    }
+
+    /// [`GlobalAlloc::alloc`] behind this thread's re-entrancy flag — the
+    /// entry `libdiehard.so`'s allocation exports funnel into. A call made
+    /// while the flag is already set ([`with_guard`], or an enclosing
+    /// guarded entry: glibc allocating from inside the allocator's own
+    /// machinery, a signal handler interrupting it) returns `nested()` and
+    /// never reaches the heap, whose magazines and single-thread arm are not
+    /// re-entrant. The flag and the magazines are one thread-local block,
+    /// looked up once for both; inlined whole into the caller, so the
+    /// `READY` path makes no call until a magazine refill.
+    #[inline(always)]
+    pub fn alloc_guarded(&self, layout: Layout, nested: impl FnOnce() -> *mut u8) -> *mut u8 {
+        tls::with_block(|block| {
+            block.guarded(|reentered| {
+                if reentered {
+                    nested()
+                } else {
+                    self.alloc_in(block, layout)
+                }
+            })
+        })
+    }
+
+    /// [`free`](Self::free) behind the same flag as
+    /// [`alloc_guarded`](Self::alloc_guarded): a re-entrant call runs
+    /// `nested` instead of touching the heap. One lookup, inlined whole; no
+    /// call until a free-buffer flush.
+    #[inline(always)]
+    pub fn free_guarded(&self, ptr: *mut u8, nested: impl FnOnce()) {
+        tls::with_block(|block| {
+            block.guarded(|reentered| {
+                if reentered {
+                    nested();
+                } else {
+                    self.free_in(block, ptr);
+                }
+            });
+        });
     }
 
     /// DieHard's bounded `strcpy` (§4.4) — `libdiehard.so` exports exactly
@@ -735,7 +788,9 @@ impl DieHard {
     // ---- internals -------------------------------------------------------
 
     /// The initialized state, running the one-time initialization on first
-    /// call. `None` means initialization failed (terminally).
+    /// call. `None` means initialization failed (terminally). Once ready,
+    /// one `Acquire` load.
+    #[inline(always)]
     fn state(&self) -> Option<&GlobalState> {
         self.state.get_or_try_init(|| self.build_state())
     }
@@ -743,6 +798,8 @@ impl DieHard {
     /// The one-time initialization: choose a configuration and seed, map the
     /// metadata arena and the heap span, and assemble the heap plus
     /// large-object table. Runs on exactly one thread.
+    #[cold]
+    #[inline(never)]
     fn build_state(&self) -> Option<GlobalState> {
         let config = match &self.fixed_config {
             Some(config) => config.clone(),
@@ -828,29 +885,35 @@ impl DieHard {
     /// Whether thread-local magazines serve this heap. The first call
     /// registers the (now pinned) state in the TLS registry; a full
     /// registry disables magazines for this heap, which then runs through
-    /// the uncached sharded path.
+    /// the uncached sharded path. Decided, one `Acquire` load.
+    #[inline(always)]
     fn magazines_on(state: &GlobalState) -> bool {
         match state.mag_state.load(Ordering::Acquire) {
             MAG_ON => true,
             MAG_OFF => false,
-            _ => {
-                let on = tls::register(state);
-                let decided = if on { MAG_ON } else { MAG_OFF };
-                // Racing first-operations may decide differently (one can
-                // register just as a registry row frees up); the CAS makes
-                // one decision win and every racer adopt it — registration
-                // is idempotent by id, so the winner's view is correct for
-                // all.
-                match state.mag_state.compare_exchange(
-                    MAG_UNDECIDED,
-                    decided,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => on,
-                    Err(current) => current == MAG_ON,
-                }
-            }
+            _ => Self::decide_magazines(state),
+        }
+    }
+
+    /// The first operation's half of [`magazines_on`](Self::magazines_on):
+    /// register, and publish the decision.
+    #[cold]
+    #[inline(never)]
+    fn decide_magazines(state: &GlobalState) -> bool {
+        let on = tls::register(state);
+        let decided = if on { MAG_ON } else { MAG_OFF };
+        // Racing first-operations may decide differently (one can register
+        // just as a registry row frees up); the CAS makes one decision win
+        // and every racer adopt it — registration is idempotent by id, so
+        // the winner's view is correct for all.
+        match state.mag_state.compare_exchange(
+            MAG_UNDECIDED,
+            decided,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => on,
+            Err(current) => current == MAG_ON,
         }
     }
 
@@ -863,7 +926,7 @@ impl DieHard {
     /// returned. Does nothing when the magazine is empty: the next
     /// allocation refills first and its draw is not known yet. The uncached
     /// path has no look-ahead to offer.
-    #[inline]
+    #[inline(always)]
     fn prefetch_next_up(state: &GlobalState, mags: &ThreadMagazines, class: SizeClass) {
         let Some(next) = mags.next_up(class) else {
             return;
@@ -875,23 +938,99 @@ impl DieHard {
         }
     }
 
-    fn release(state: &GlobalState, ptr: *mut u8) {
-        if let Some(off) = state.span_offset(ptr) {
-            // Small object: full §4.3 validation. The span/alignment half is
-            // lock-free arithmetic either way; with magazines engaged the
-            // free is buffered in this thread's cache and released to its
-            // shard in a batch.
-            if Self::magazines_on(state) {
-                tls::with_cache(state, |mags, state| {
-                    let _ = mags.free_at(&state.heap, off);
-                });
-            } else {
-                let _ = state.heap.free_at(off);
-            }
-            return;
+    /// The one allocation body, on this thread's block: behind
+    /// [`GlobalAlloc::alloc`] and [`alloc_guarded`](Self::alloc_guarded).
+    /// Inlined into each of them, with every slow path — initialization,
+    /// the magazine decision, a refill, a large object — out of line.
+    #[inline(always)]
+    fn alloc_in(&self, block: &tls::TlsBlock, layout: Layout) -> *mut u8 {
+        let Some(state) = self.state() else {
+            return ptr::null_mut();
+        };
+        // Slots are naturally aligned to their (power-of-two) class size, so
+        // serving max(size, align) satisfies any alignment request.
+        let need = layout.size().max(layout.align()).max(1);
+        if need > crate::size_class::MAX_OBJECT_SIZE {
+            return Self::alloc_large(state, layout.size(), layout.align());
         }
-        // Possibly a large object: consult the validity table; unknown
-        // addresses are ignored ("otherwise, it ignores the request").
+        // Fast path: pop a pre-reserved random slot from this thread's
+        // magazine (no lock); refills batch the shard lock.
+        let outcome = if Self::magazines_on(state) {
+            block.with_cache(state, |mags| {
+                let outcome = mags.try_alloc(&state.heap, need);
+                if let AllocOutcome::Placed(slot) = outcome {
+                    Self::prefetch_next_up(state, mags, slot.class);
+                }
+                outcome
+            })
+        } else {
+            Self::alloc_uncached(state, need)
+        };
+        match outcome {
+            AllocOutcome::Placed(slot) => {
+                let off = state.heap.offset_of(slot);
+                // SAFETY: `off` lies within the reserved heap span.
+                unsafe { state.heap_base.add(off) }
+            }
+            // An elastic class denied at its *maximum* capacity spills to a
+            // dedicated guard-paged mapping rather than failing: the pointer
+            // frees through the same large-object table an oversized request
+            // would use.
+            AllocOutcome::Spill if state.elastic => {
+                Self::alloc_large(state, layout.size().max(1), layout.align())
+            }
+            AllocOutcome::Spill | AllocOutcome::Unsupported => ptr::null_mut(),
+        }
+    }
+
+    /// The one free body, on this thread's block: behind [`free`](Self::free),
+    /// [`free_guarded`](Self::free_guarded) and `dealloc`.
+    #[inline(always)]
+    fn free_in(&self, block: &tls::TlsBlock, ptr: *mut u8) {
+        let Some(state) = self.state.get() else {
+            return;
+        };
+        let Some(off) = state.span_offset(ptr) else {
+            Self::release_large(state, ptr);
+            return;
+        };
+        // Small object: full §4.3 validation. The span/alignment half is
+        // lock-free arithmetic either way; with magazines engaged the free
+        // is buffered in this thread's cache and released to its shard in a
+        // batch.
+        if Self::magazines_on(state) {
+            block.with_cache(state, |mags| {
+                let _ = mags.free_at(&state.heap, off);
+            });
+        } else {
+            Self::free_uncached(state, off);
+        }
+    }
+
+    /// The uncached heap's allocation, for a heap the registry had no row
+    /// for ([`magazines_on`](Self::magazines_on)): out of line, so its probe
+    /// loop is not inlined beside the magazine path.
+    #[cold]
+    #[inline(never)]
+    fn alloc_uncached(state: &GlobalState, need: usize) -> AllocOutcome {
+        state.heap.try_alloc(need)
+    }
+
+    /// The uncached heap's free, out of line like
+    /// [`alloc_uncached`](Self::alloc_uncached).
+    #[cold]
+    #[inline(never)]
+    fn free_uncached(state: &GlobalState, off: usize) {
+        let _ = state.heap.free_at(off);
+    }
+
+    /// Frees a pointer outside the small-object span: possibly a large
+    /// object.
+    #[cold]
+    #[inline(never)]
+    fn release_large(state: &GlobalState, ptr: *mut u8) {
+        // Consult the validity table; unknown addresses are ignored
+        // ("otherwise, it ignores the request").
         let Some(len) = state.large.lock().remove(ptr as usize) else {
             return;
         };
@@ -902,6 +1041,8 @@ impl DieHard {
         unsafe { sys::unmap(ptr.wrapping_sub(state.page), len + 2 * state.page) };
     }
 
+    #[cold]
+    #[inline(never)]
     fn alloc_large(state: &GlobalState, size: usize, align: usize) -> *mut u8 {
         let page = state.page;
         let len = (size + page - 1) & !(page - 1);
@@ -947,6 +1088,7 @@ impl DieHard {
 /// The bytes of the span a handout prefetches for `slot`, as heap offsets:
 /// the head of the slot, never past its end (so never outside the class's
 /// active range, which is whole slots).
+#[inline(always)]
 fn prefetch_range(geometry: &HeapGeometry, slot: Slot) -> core::ops::Range<usize> {
     let start = slot_offset(geometry, slot);
     start..start + slot.size().min(PREFETCH_BYTES)
@@ -966,6 +1108,14 @@ fn promote_region(heap_base: usize, offset: usize, len: usize) -> bool {
         sys::collapse_hugepages(range, len);
     }
     advised
+}
+
+/// Runs `f` with this thread's re-entrancy flag set, telling it whether it
+/// was already set — the flag [`DieHard::alloc_guarded`] and
+/// [`DieHard::free_guarded`] check and set. One flag per thread, kept in the
+/// same thread-local block as the magazines.
+pub fn with_guard<R>(f: impl FnOnce(bool) -> R) -> R {
+    tls::with_block(|block| block.guarded(f))
 }
 
 impl Default for DieHard {
@@ -997,52 +1147,14 @@ impl Drop for DieHard {
 // per-shard bitmap no-overlap invariant), and dealloc releases exactly what
 // alloc returned.
 unsafe impl GlobalAlloc for DieHard {
+    #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let Some(state) = self.state() else {
-            return ptr::null_mut();
-        };
-        // Slots are naturally aligned to their (power-of-two) class size, so
-        // serving max(size, align) satisfies any alignment request.
-        let need = layout.size().max(layout.align()).max(1);
-        if need <= crate::size_class::MAX_OBJECT_SIZE {
-            // Fast path: pop a pre-reserved random slot from this thread's
-            // magazine (no lock); refills batch the shard lock.
-            let outcome = if Self::magazines_on(state) {
-                tls::with_cache(state, |mags, state| {
-                    let outcome = mags.try_alloc(&state.heap, need);
-                    if let AllocOutcome::Placed(slot) = outcome {
-                        Self::prefetch_next_up(state, mags, slot.class);
-                    }
-                    outcome
-                })
-            } else {
-                state.heap.try_alloc(need)
-            };
-            match outcome {
-                AllocOutcome::Placed(slot) => {
-                    let off = state.heap.offset_of(slot);
-                    // SAFETY: `off` lies within the reserved heap span.
-                    unsafe { state.heap_base.add(off) }
-                }
-                // An elastic class denied at its *maximum* capacity spills
-                // to a dedicated guard-paged mapping rather than failing:
-                // the pointer frees through the same large-object table an
-                // oversized request would use.
-                AllocOutcome::Spill if state.elastic => {
-                    Self::alloc_large(state, layout.size().max(1), layout.align())
-                }
-                AllocOutcome::Spill | AllocOutcome::Unsupported => ptr::null_mut(),
-            }
-        } else {
-            Self::alloc_large(state, layout.size(), layout.align())
-        }
+        tls::with_block(|block| self.alloc_in(block, layout))
     }
 
+    #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, _layout: Layout) {
-        let Some(state) = self.state.get() else {
-            return;
-        };
-        Self::release(state, ptr);
+        tls::with_block(|block| self.free_in(block, ptr));
     }
 }
 

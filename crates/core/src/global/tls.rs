@@ -18,7 +18,12 @@
 //! `const` initializer and a type that `!needs_drop` — no lazy-init state,
 //! no destructor registration, no allocation, ever. So the per-thread block
 //! here is exactly that: a `const`-initialized [`ThreadMagazines`] plus a
-//! few `Cell`s. The one thing ELF TLS cannot give us is a **thread-exit
+//! few `Cell`s, one of which is `libdiehard.so`'s re-entrancy flag. A
+//! shared object reaches its TLS through a `__tls_get_addr` call, so the
+//! flag lives here rather than in a `thread_local!` of the interposer's
+//! own: an interposed `malloc` or `free` looks the block up once and hands
+//! it down ([`with_block`]), where two variables cost two calls. The one
+//! thing ELF TLS cannot give us is a **thread-exit
 //! hook** (a thread that dies holding reservations would leak them), so a
 //! single process-wide `pthread` key is created lazily and each thread's
 //! block pointer is stored in it once — the key's destructor flushes the
@@ -146,12 +151,19 @@ impl Registry {
 }
 
 /// The per-thread block: plain data, `const`-initialized, `!needs_drop` —
-/// see the module docs for why all three properties are load-bearing.
-struct TlsBlock {
+/// see the module docs for why all three properties are load-bearing. It
+/// holds everything an allocation needs per thread — the interposer's
+/// re-entrancy flag and the magazines — so an entry point looks it up once
+/// ([`with_block`]) and passes it down.
+pub(super) struct TlsBlock {
     /// Id of the heap the magazines are bound to; 0 = unbound.
     bound: Cell<u64>,
     /// Whether this thread's pointer is stored in [`EXIT_KEY`].
     exit_hooked: Cell<bool>,
+    /// "This thread is inside the allocator": set by [`guarded`](Self::guarded)
+    /// around the interposer's entries, so a `malloc` issued from inside one
+    /// (glibc's own bookkeeping, a signal handler) is told it re-entered.
+    entered: Cell<bool>,
     mags: UnsafeCell<ThreadMagazines>,
 }
 
@@ -160,34 +172,61 @@ thread_local! {
         TlsBlock {
             bound: Cell::new(0),
             exit_hooked: Cell::new(false),
+            entered: Cell::new(false),
             mags: UnsafeCell::new(ThreadMagazines::new()),
         }
     };
 }
 
-/// Runs `f` on this thread's magazines, bound to `state`'s heap — rebinding
-/// (flush old heap via the registry, or discard if it is gone) when the
-/// thread last touched a different heap.
-pub(super) fn with_cache<R>(
-    state: &GlobalState,
-    f: impl FnOnce(&mut ThreadMagazines, &GlobalState) -> R,
-) -> R {
-    BLOCK.with(|block| {
-        if block.bound.get() != state.id {
-            rebind(block, state);
+/// Runs `f` on this thread's block: the one thread-local lookup an
+/// allocation makes (`__tls_get_addr` in a shared object, an `%fs` offset
+/// in an executable). The closure handed to `LocalKey::with` only returns
+/// the address, so that call inlines whatever `f` is.
+#[inline(always)]
+pub(super) fn with_block<R>(f: impl FnOnce(&TlsBlock) -> R) -> R {
+    let block = BLOCK.with(core::ptr::from_ref);
+    // SAFETY: `BLOCK` is const-initialized and `!needs_drop`, i.e. plain ELF
+    // TLS: it sits at this address, initialized, for as long as this thread
+    // runs, and the borrow handed to `f` ends on this thread before
+    // `with_block` returns (`TlsBlock` is not `Sync`, so `f` cannot send it).
+    f(unsafe { &*block })
+}
+
+impl TlsBlock {
+    /// Runs `f` with the re-entrancy flag set, telling it whether it was
+    /// already set (i.e. this call re-entered the allocator).
+    #[inline(always)]
+    pub(super) fn guarded<R>(&self, f: impl FnOnce(bool) -> R) -> R {
+        let reentered = self.entered.replace(true);
+        let r = f(reentered);
+        self.entered.set(reentered);
+        r
+    }
+
+    /// Runs `f` on this thread's magazines, bound to `state`'s heap —
+    /// rebinding (flush old heap via the registry, or discard if it is
+    /// gone) when the thread last touched a different heap.
+    #[inline(always)]
+    pub(super) fn with_cache<R>(
+        &self,
+        state: &GlobalState,
+        f: impl FnOnce(&mut ThreadMagazines) -> R,
+    ) -> R {
+        if self.bound.get() != state.id {
+            rebind(self, state);
         }
-        // SAFETY: the block is thread-local and `with_cache` is never
-        // re-entered while `f` runs — magazine operations neither allocate
-        // nor call back into the allocator.
-        let mags = unsafe { &mut *block.mags.get() };
-        f(mags, state)
-    })
+        // SAFETY: the block is this thread's, and no other `&mut` to its
+        // magazines is live: `with_cache` is never re-entered while `f`
+        // runs — magazine operations neither allocate nor call back into
+        // the allocator.
+        f(unsafe { &mut *self.mags.get() })
+    }
 }
 
 /// Flushes this thread's magazines into `state`'s heap if they are bound to
 /// it (leaves the binding in place). Used before reading diagnostics.
 pub(super) fn flush_if_bound(state: &GlobalState) {
-    BLOCK.with(|block| {
+    with_block(|block| {
         if block.bound.get() == state.id {
             // SAFETY: thread-local block; `&GlobalState` proves the heap is
             // live, so no registry round-trip is needed.
@@ -200,7 +239,7 @@ pub(super) fn flush_if_bound(state: &GlobalState) {
 /// threads' bindings become registry misses and are discarded on their next
 /// rebind or exit) and remove it from the registry.
 pub(super) fn retire(state: &GlobalState) {
-    BLOCK.with(|block| {
+    with_block(|block| {
         if block.bound.get() == state.id {
             // SAFETY: as in `flush_if_bound`.
             unsafe { (*block.mags.get()).flush(&state.heap) };
@@ -212,6 +251,7 @@ pub(super) fn retire(state: &GlobalState) {
 
 /// Rebinds `block` from whatever heap it was serving to `state`'s.
 #[cold]
+#[inline(never)]
 fn rebind(block: &TlsBlock, state: &GlobalState) {
     let old = block.bound.get();
     if old != 0 {

@@ -182,7 +182,9 @@ impl ThreadMagazines {
     /// denied request, like the uncached path. On an elastic heap the refill
     /// has already grown the class to its maximum before reporting empty, so
     /// `Spill` always means "the `1/M` cap at full size", exactly like the
-    /// uncached [`Heap::try_alloc`].
+    /// uncached [`Heap::try_alloc`]. Inlined whole into the global
+    /// allocator's entry points; the refill is out of line.
+    #[inline(always)]
     pub fn try_alloc<A: Arm>(&mut self, heap: &Heap<A>, size: usize) -> AllocOutcome {
         let Some(class) = SizeClass::for_size(size) else {
             return AllocOutcome::Unsupported;
@@ -224,6 +226,9 @@ impl ThreadMagazines {
     /// rejects out-of-span and misaligned offsets immediately; plausible
     /// slots are buffered per class and released in batches
     /// (opportunistically at half capacity, forced at full capacity).
+    /// Inlined whole into the global allocator's entry points; the flush is
+    /// out of line.
+    #[inline(always)]
     pub fn free_at<A: Arm>(&mut self, heap: &Heap<A>, offset: usize) -> CachedFree {
         let slot = match heap.locate_free(offset) {
             Ok(slot) => slot,

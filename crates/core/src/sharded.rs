@@ -502,7 +502,7 @@ impl<A: Arm> Heap<A> {
     /// The span/alignment half of `DieHardFree` ([`locate_free`]) with its
     /// bookkeeping: a misaligned offset is an ignored free and is counted
     /// here, so the uncached and the buffered free path reject identically.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn locate_free(&self, offset: usize) -> Result<Slot, FreeOutcome> {
         locate_free(&self.geometry, offset).inspect_err(|&outcome| {
             if outcome == FreeOutcome::MisalignedOffset {
@@ -659,6 +659,10 @@ impl<A: Arm> Heap<A> {
     /// here therefore means the class is at its *maximum* capacity and full
     /// — a genuine spill, not growth pressure — and is recorded as one
     /// exhaustion (the caller's denied request), like the uncached path's.
+    /// Out of line and cold: one call per `MAG_SLOTS` handouts, kept off the
+    /// inlined handout path.
+    #[cold]
+    #[inline(never)]
     pub(crate) fn refill(&self, class: SizeClass, out: &mut [usize; MAG_SLOTS]) -> usize {
         let partition = &self.partitions[class.index()];
         let batch = self.maintenance[class.index()].lock();
@@ -681,7 +685,7 @@ impl<A: Arm> Heap<A> {
 
     /// The lock-free reserved→live handout transition: one `fetch_and` in
     /// the slot-state map plus the alloc counter.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn commit(&self, class: SizeClass, index: usize) {
         self.partitions[class.index()].commit(index);
         self.stats.record_alloc();
@@ -691,7 +695,10 @@ impl<A: Arm> Heap<A> {
     /// lock acquisition. With `force` false the flush is opportunistic: a
     /// contended lock leaves the buffer untouched. (Each individual free is
     /// itself a lock-free CAS — the lock only keeps maintenance batches
-    /// from interleaving.)
+    /// from interleaving.) Out of line and cold: the buffered free path
+    /// reaches it once per `FREE_SLOTS / 2` frees.
+    #[cold]
+    #[inline(never)]
     pub(crate) fn flush_frees(
         &self,
         class: SizeClass,

@@ -389,13 +389,17 @@ const FAILED: u8 = 3;
 
 /// A once-initialized cell with lock-free reads, usable in statics.
 ///
-/// After the single successful initialization, [`get`](Self::get) is one
-/// `Acquire` load plus a pointer deref — this is what makes the global
-/// allocator's header (heap base, page size, config) readable on every
-/// `malloc`/`free` without touching any lock. Initialization is fallible:
-/// a failed attempt parks the cell in a terminal failed state and every
-/// later access returns `None` (the allocator then reports out-of-memory
-/// rather than retrying `mmap` storms forever).
+/// After the single successful initialization, [`get`](Self::get) *and*
+/// [`get_or_try_init`](Self::get_or_try_init) are one `Acquire` load plus a
+/// pointer deref — a plain `mov` on x86-64, no locked instruction — which
+/// is what makes the global allocator's header (heap base, page size,
+/// config) readable on every `malloc`/`free` without a fence. Only a cell
+/// not yet `READY` is ever CASed, out of line: a CAS is a full barrier even
+/// when it fails, so one on the ready path would be a `lock cmpxchg` in
+/// every `malloc` of every host. Initialization is fallible: a failed
+/// attempt parks the cell in a terminal failed state and every later access
+/// returns `None` (the allocator then reports out-of-memory rather than
+/// retrying `mmap` storms forever).
 #[derive(Debug)]
 pub struct OnceCell<T> {
     state: AtomicU8,
@@ -437,8 +441,20 @@ impl<T> OnceCell<T> {
     ///
     /// Exactly one thread runs `init`; racing threads spin until the winner
     /// publishes. When `init` returns `None` the cell is left in a terminal
-    /// failed state and this (and every later) call returns `None`.
+    /// failed state and this (and every later) call returns `None`. On a
+    /// ready cell this is [`get`](Self::get): one `Acquire` load.
+    #[inline(always)]
     pub fn get_or_try_init(&self, init: impl FnOnce() -> Option<T>) -> Option<&T> {
+        self.get().or_else(|| self.initialize(init))
+    }
+
+    /// The not-ready half of [`get_or_try_init`](Self::get_or_try_init):
+    /// claim the cell from `EMPTY`, or wait out another thread's claim, or
+    /// report a terminal failure. Out of line, so the hot path carries no
+    /// CAS.
+    #[cold]
+    #[inline(never)]
+    fn initialize(&self, init: impl FnOnce() -> Option<T>) -> Option<&T> {
         loop {
             match self.state.compare_exchange(
                 EMPTY,
@@ -618,6 +634,25 @@ mod tests {
         // the allocator must not loop retrying mmap after the first OOM.
         assert_eq!(cell.get_or_try_init(|| Some(7)), None);
         assert_eq!(cell.get(), None);
+        // Nor does it try: a failed cell never calls its initializer again.
+        assert_eq!(
+            cell.get_or_try_init(|| panic!("retried a failed cell")),
+            None
+        );
+    }
+
+    #[test]
+    fn once_cell_ready_path_is_get() {
+        let cell = OnceCell::new();
+        let first = cell.get_or_try_init(|| Some(11u32)).expect("initialized");
+        // A ready cell answers without running `init`: the panicking
+        // closure is never called, and the reference is `get()`'s.
+        let again = cell
+            .get_or_try_init(|| panic!("init ran on a ready cell"))
+            .expect("ready");
+        assert!(core::ptr::eq(first, again));
+        assert!(core::ptr::eq(again, cell.get().expect("ready")));
+        assert_eq!(*again, 11);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! `posix_memalign`, `aligned_alloc`, `memalign`, `valloc`,
 //! `malloc_usable_size`, `strdup`/`strndup` (duplicated onto the
 //! randomized heap), and the paper's §4.4 bounded `strcpy`/`strncpy`. The
-//! string exports are `DieHard`'s: `strcpy`/`strncpy` call
-//! [`DieHard::strcpy`]/[`DieHard::strncpy`] and return `dest`, and the dups
-//! copy through [`DieHard::strncpy`] — one copy routine, one object bound,
-//! and the §4.4 deviation from C stated once, on [`DieHard::strncpy`].
+//! copies are `DieHard`'s: `strcpy`/`strncpy` call
+//! [`DieHard::strcpy`]/[`DieHard::strncpy`] and return `dest` — one copy
+//! routine, one object bound, and the §4.4 deviation from C stated once,
+//! on [`DieHard::strncpy`]. The dups need no bound: they scan the source
+//! once and copy it into a fresh object sized for it.
 //! Everything is backed by one process-wide
 //! [`DieHard`](diehard_core::global::DieHard) heap built with
 //! [`elastic_from_env`](diehard_core::global::DieHard::elastic_from_env):
@@ -66,10 +67,13 @@
 //!   by their header size, `malloc_usable_size` answers from the header.
 //!   Arena exhaustion fails *re-entrant* requests with null — bounded,
 //!   since only allocator-internal traffic lands there after startup.
-//! * **Re-entrancy.** A `const`-initialized, `!needs_drop` `thread_local!`
-//!   flag (plain ELF TLS: no lazy init, no destructor registration, no
-//!   allocation; startup-loaded modules get static TLS offsets) marks
-//!   "this thread is inside the allocator". A nested `malloc` is served
+//! * **Re-entrancy.** A per-thread flag marks "this thread is inside the
+//!   allocator". It is a field of the heap's own thread-local block (plain
+//!   ELF TLS: no lazy init, no destructor registration, no allocation;
+//!   startup-loaded modules get static TLS offsets), beside the magazines,
+//!   so [`DieHard::alloc_guarded`]/[`DieHard::free_guarded`] test the flag
+//!   and reach the magazines through one `__tls_get_addr`, and this crate
+//!   has no thread-local of its own. A nested `malloc` is served
 //!   from the arena; a nested `free` of a non-arena pointer is *dropped*
 //!   and counted ([`reentrant_frees_dropped`]) — leaking a bounded number
 //!   of allocator-internal blocks beats re-entering a heap mid-operation.
@@ -102,12 +106,11 @@
 //!   `aligned_alloc` with a bad alignment sets `EINVAL`; `posix_memalign`
 //!   reports by return value and leaves `errno` alone, per POSIX.
 
-use core::cell::Cell;
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
 use libc::{c_char, c_int, c_void};
-use std::alloc::{GlobalAlloc, Layout};
+use std::alloc::Layout;
 
 /// C ABI alignment floor: `max_align_t` is 16 on x86_64 and aarch64.
 const MALLOC_ALIGN: usize = 16;
@@ -119,24 +122,6 @@ static HEAP: DieHard = DieHard::elastic_from_env(DEFAULT_GROW_LOG2);
 /// Frees dropped because they arrived re-entrantly for non-arena pointers
 /// (see the audit above). Diagnostic, read by tests.
 static REENTRANT_FREES: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// "This thread is inside the allocator" — const-init, `!needs_drop`,
-    /// so it lowers to plain ELF TLS (no allocation on first touch).
-    static IN_ALLOCATOR: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with the re-entrancy flag set, telling it whether it was
-/// already set (i.e. this call re-entered the allocator).
-fn with_guard<R>(f: impl FnOnce(bool) -> R) -> R {
-    IN_ALLOCATOR.with(|flag| {
-        let reentered = flag.get();
-        flag.set(true);
-        let r = f(reentered);
-        flag.set(reentered);
-        r
-    })
-}
 
 /// Frees dropped on the re-entrant path since process start.
 pub fn reentrant_frees_dropped() -> usize {
@@ -242,18 +227,15 @@ fn set_errno(v: c_int) {
 /// The one allocation funnel: size 0 is served as 1 byte (glibc-style
 /// unique, freeable pointers), re-entrant calls go to the arena, and
 /// failure returns null with `errno` untouched (callers decide between
-/// `ENOMEM` and POSIX's return-value-only reporting).
+/// `ENOMEM` and POSIX's return-value-only reporting). Out of line, with
+/// [`DieHard::alloc_guarded`] inlined whole into it: every export shares
+/// one copy of the path from the re-entrancy flag to the magazine pop.
+#[inline(never)]
 fn alloc_impl(size: usize, align: usize) -> *mut u8 {
-    with_guard(|reentered| {
-        if reentered {
-            return arena::alloc(size, align);
-        }
-        let Ok(layout) = Layout::from_size_align(size.max(1), align) else {
-            return ptr::null_mut();
-        };
-        // SAFETY: the layout is valid and non-zero-sized.
-        unsafe { GlobalAlloc::alloc(&HEAP, layout) }
-    })
+    let Ok(layout) = Layout::from_size_align(size.max(1), align) else {
+        return ptr::null_mut();
+    };
+    HEAP.alloc_guarded(layout, || arena::alloc(size, align))
 }
 
 /// Usable capacity of `p` wherever it lives: arena header, small-object
@@ -270,17 +252,15 @@ fn usable(p: *mut u8) -> usize {
 
 /// Shared free path: arena blocks are a no-op, re-entrant frees of heap
 /// pointers are dropped and counted, everything else takes the §4.3
-/// validated path (which ignores foreign and invalid pointers).
+/// validated path (which ignores foreign and invalid pointers). Out of
+/// line, with [`DieHard::free_guarded`] inlined whole into it.
+#[inline(never)]
 fn free_impl(p: *mut u8) {
     if p.is_null() || arena::contains(p) {
         return;
     }
-    with_guard(|reentered| {
-        if reentered {
-            REENTRANT_FREES.fetch_add(1, Ordering::Relaxed);
-        } else {
-            HEAP.free(p);
-        }
+    HEAP.free_guarded(p, || {
+        REENTRANT_FREES.fetch_add(1, Ordering::Relaxed);
     });
 }
 
@@ -467,25 +447,24 @@ pub unsafe extern "C" fn strncpy(dest: *mut c_char, src: *const c_char, n: usize
 }
 
 /// Shared tail of `strdup`/`strndup`: `len + 1` fresh bytes, the `len`
-/// scanned ones copied by [`DieHard::strncpy`] — never clamped in practice,
-/// since a fresh object holds at least what was asked for — and the
-/// terminator, which the strncpy leaves to us when the block is a
-/// bootstrap-arena one. Out of line: one copy of the allocation funnel
-/// (and of its arena CAS) for both exports.
+/// scanned ones copied and the terminator written. The source is scanned
+/// once, by the caller: a fresh object — heap or arena — holds at least
+/// the `len + 1` bytes asked for, so there is no §4.4 bound to look up and
+/// nothing for a bounded copy to rescan.
 ///
 /// # Safety
 ///
 /// `s` must be readable for `len` bytes.
-#[inline(never)]
 unsafe fn dup_impl(s: *const c_char, len: usize) -> *mut c_char {
     let d = alloc_impl(len.saturating_add(1), MALLOC_ALIGN);
     if d.is_null() {
         set_errno(libc::ENOMEM);
         return ptr::null_mut();
     }
-    // SAFETY: `s` holds `len` bytes and `d` the `len + 1` just allocated.
+    // SAFETY: `s` holds `len` bytes, `d` the `len + 1` just allocated, and
+    // a fresh block cannot overlap its source.
     unsafe {
-        HEAP.strncpy(d, s.cast(), len);
+        ptr::copy_nonoverlapping(s.cast(), d, len);
         *d.add(len) = 0;
     }
     d.cast()
@@ -564,6 +543,7 @@ mod tests {
     //! the contract explicit.
 
     use super::*;
+    use diehard_core::global::with_guard;
     use std::hint::black_box as bb;
 
     // LLVM treats calls to symbols named `malloc`, `calloc`, `strcpy`, …
@@ -953,6 +933,47 @@ mod tests {
         // SAFETY: live 500-byte object holding the copied prefix.
         unsafe { assert_eq!(*grown.add(99), 0x3C) };
         free(grown.cast());
+    }
+
+    #[test]
+    fn reentrancy_flag_is_per_thread() {
+        // The flag lives in the heap's thread-local block: one thread
+        // holding it must divert only its own requests. The barrier puts
+        // the other thread's malloc inside this thread's guarded window.
+        let inside = std::sync::Barrier::new(2);
+        let done = std::sync::Barrier::new(2);
+        // Assertions wait until both barriers are passed, so a failure
+        // fails the test instead of stranding the other thread.
+        std::thread::scope(|scope| {
+            let guarded = scope.spawn(|| {
+                with_guard(|reentered| {
+                    let nested = malloc(100).cast::<u8>();
+                    inside.wait();
+                    done.wait();
+                    (reentered, nested as usize)
+                })
+            });
+            let other = scope.spawn(|| {
+                inside.wait();
+                let p = malloc(100).cast::<u8>();
+                done.wait();
+                p as usize
+            });
+            // Pointers cross the join as addresses (raw pointers are not Send).
+            let (reentered, nested) = guarded.join().unwrap();
+            assert!(!reentered, "a fresh thread starts outside the allocator");
+            assert!(
+                arena::contains(nested as *const u8),
+                "the nested request lands in the arena"
+            );
+            let p = other.join().unwrap() as *mut u8;
+            assert!(
+                !p.is_null() && !arena::contains(p),
+                "the other lands on the heap"
+            );
+            assert!(HEAP.usable_size(p) >= 100, "a live heap object");
+            free(p.cast());
+        });
     }
 
     #[test]
