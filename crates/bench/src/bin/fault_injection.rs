@@ -10,7 +10,7 @@
 //!   crashes in 9 out of 10 runs and enters an infinite loop in the tenth.
 //!   With DieHard, it runs successfully in all 10 of 10 runs."
 //!
-//! Substitution note (documented in DESIGN.md): our Lea model rounds chunks
+//! Substitution note: our Lea model rounds chunks
 //!   to 16 bytes without dlmalloc's borrowed-footer trick, so a 4-byte
 //!   under-allocation is absorbed by rounding; the experiment uses one
 //!   16-byte granule instead, which exercises the identical code path

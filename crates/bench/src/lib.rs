@@ -1,9 +1,12 @@
 //! # diehard-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper (see
-//! `DESIGN.md`'s experiment index) plus criterion microbenchmarks. This
-//! library holds the shared plumbing: aligned text tables, geometric means,
-//! wall-clock timing, and formatting helpers.
+//! The evaluation harness: eleven binaries, one per table/figure or
+//! experiment of the paper (`fig4a`, `fig4b`, `fig5a`, `fig5b`, `table1`,
+//! `squid`, `uninit`, `probes`, `ablation`, `fault_injection`,
+//! `replicated_scaling`), and [`perf`], the registered kernels that
+//! `perf_report` times into `BENCH_<pr>.json`. This library holds the
+//! shared plumbing: aligned text tables, geometric means, wall-clock timing,
+//! and formatting helpers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -8,11 +8,14 @@
 //! and fixed-size — two runs on the same machine measure the same work —
 //! and deliberately target the allocator's strength-reduced arithmetic:
 //! partition probing, free validation, and the replicated-mode random fill —
-//! plus the §5 replicated network front end: voted bytes/second through a
-//! loopback proxy session (a short one, mostly spawn, and a 16 MiB one,
+//! plus §4.3's ignored frees (double and misaligned) and §4.4's bound and
+//! bounded copy on the heap `libdiehard.so` ships, and the two §5
+//! transports: the replicated network front end — voted bytes/second through
+//! a loopback proxy session (a short one, mostly spawn, and a 16 MiB one,
 //! mostly stream), the full connect→vote→close cycle cost both
 //! cold (replicas spawned inline) and warm (handed out of the pre-spawned
-//! replica-set pool), and the background cost of refilling that pool.
+//! replica-set pool), and the background cost of refilling that pool — and
+//! the launcher's pipe path, ns per voted byte at 1, 3 and 5 replicas.
 //!
 //! The allocator kernels come in two arms, because the allocator does: while
 //! a process has one thread its read-modify-writes are plain loads and
@@ -55,6 +58,10 @@ pub const KERNELS: &[&str] = &[
     "class_promote",
     "global_churn_cold",
     "global_churn_small",
+    "free_double_ignored",
+    "free_misaligned_ignored",
+    "strcpy_bound",
+    "strcpy_bounded",
     "preload_alloc_churn_mt",
     "global_churn_cold_mt",
     "proxy_throughput",
@@ -62,6 +69,9 @@ pub const KERNELS: &[&str] = &[
     "proxy_conn_latency",
     "proxy_conn_latency_warm",
     "pool_refill",
+    "launcher_stream_n1",
+    "launcher_stream_n3",
+    "launcher_stream_n5",
 ];
 
 /// One kernel's timing summary (nanoseconds per operation across samples).
@@ -647,6 +657,102 @@ fn global_churn(name: &'static str, live: usize, smoke: bool) -> KernelResult {
     result
 }
 
+/// §4.3 on the shipped heap: one op = one `free` that validation must
+/// ignore, through the interposer-shaped heap's C-style entry.
+/// `free_double_ignored` re-frees a 64 B object that was already freed (the
+/// free is buffered in the thread's magazine and rejected by the batch
+/// flush's slot-state check); `free_misaligned_ignored` frees `p + 8` of a
+/// live 64 B object (rejected at once by the alignment arithmetic). A valid
+/// free is half of every churn row above, so it has no row of its own. After
+/// the samples, every free the kernel made, warm-up included, must have been
+/// counted as ignored, and the live object must still free as a counted free.
+fn free_ignored(name: &'static str, smoke: bool) -> KernelResult {
+    let (warmup, samples, ops) = if smoke {
+        (1, 3, 2_000)
+    } else {
+        (3, 25, 50_000)
+    };
+    let heap = interposer_heap(0xF4EE);
+    initialize_off_clock(&heap);
+    let live = heap.malloc(64);
+    assert!(!live.is_null(), "a 64 B object");
+    let wrong = if name == "free_double_ignored" {
+        let dead = heap.malloc(64);
+        assert!(!dead.is_null(), "a 64 B object");
+        heap.free(dead);
+        dead
+    } else {
+        live.wrapping_add(8)
+    };
+    // Flushes the thread's magazine, so `dead`'s one valid free lands here.
+    let before = heap.stats();
+    let result = measure(name, warmup, samples, ops, || {
+        for _ in 0..ops {
+            heap.free(black_box(wrong));
+        }
+    });
+    let after = heap.stats();
+    assert_eq!(
+        after.ignored_frees - before.ignored_frees,
+        (warmup + samples) as u64 * ops,
+        "{name}: every free the kernel made is ignored, and counted"
+    );
+    heap.free(live);
+    assert_eq!(
+        heap.stats().frees,
+        after.frees + 1,
+        "{name}: the live object still frees as a counted free"
+    );
+    result
+}
+
+/// §4.4's bound on the shipped heap: one op = [`DieHard::remaining_space`]
+/// of an interior pointer, `p + 13` of a live 64 B object — "two
+/// comparisons … a bitshift … two subtractions" in the paper, here the span
+/// test and the class geometry's shifts and masks. It must answer 51.
+fn strcpy_bound(smoke: bool) -> KernelResult {
+    let (warmup, samples, ops) = if smoke {
+        (1, 3, 5_000)
+    } else {
+        (3, 25, 100_000)
+    };
+    let heap = interposer_heap(0x5_7C4B);
+    initialize_off_clock(&heap);
+    let p = heap.malloc(64);
+    assert!(!p.is_null(), "a 64 B object");
+    let interior = p.wrapping_add(13);
+    measure("strcpy_bound", warmup, samples, ops, || {
+        for _ in 0..ops {
+            assert_eq!(heap.remaining_space(black_box(interior)), Some(51));
+        }
+    })
+}
+
+/// §4.4's bounded copy on the shipped heap: one op = [`DieHard::strcpy`] of
+/// a 300-byte string into a 256 B object — the source scan, the bound, and
+/// a copy clamped to the object, terminator included. It must copy 255
+/// bytes.
+fn strcpy_bounded(smoke: bool) -> KernelResult {
+    let (warmup, samples, ops) = if smoke {
+        (1, 3, 2_000)
+    } else {
+        (3, 25, 50_000)
+    };
+    let heap = interposer_heap(0x5_7C4D);
+    initialize_off_clock(&heap);
+    let dest = heap.malloc(256);
+    assert!(!dest.is_null(), "a 256 B object");
+    let src: Vec<u8> = (0..300).map(|i| b'a' + (i % 26) as u8).chain([0]).collect();
+    measure("strcpy_bounded", warmup, samples, ops, || {
+        for _ in 0..ops {
+            // SAFETY: `src` is NUL-terminated, and `dest` is a DieHard
+            // object, so the copy is clamped to its 256 bytes.
+            let copied = unsafe { heap.strcpy(black_box(dest), src.as_ptr()) };
+            assert_eq!(copied, 255);
+        }
+    })
+}
+
 /// Shared proxy-kernel scaffolding: a loopback [`Proxy`] voting three
 /// `/bin/cat` replicas per connection, run on its own thread for the
 /// duration of `body`, which receives the bound port.
@@ -951,6 +1057,33 @@ fn pool_refill(smoke: bool) -> KernelResult {
     summarize("pool_refill", &per_op, (samples * depth) as u64)
 }
 
+/// The §5 pipe transport, what the `diehard` launcher runs: one op = one
+/// voted byte of a 1 MiB stream that `n` replicas of `yes 0123456789abcde |
+/// head -c 1048576` produce, through [`run_replicated`]'s event loop —
+/// spawn, 4 KiB chunk votes, exit ballots and reap included. `n1` is the
+/// unvoted reference the voted rows are read against; two replicas cannot
+/// vote (§6), so there is no `n2`. Each sample must agree and return the
+/// whole stream.
+///
+/// [`run_replicated`]: diehard_replicate::run_replicated
+fn launcher_stream(name: &'static str, replicas: usize, smoke: bool) -> KernelResult {
+    use diehard_replicate::{run_replicated, LaunchConfig};
+
+    const LEN: usize = 1 << 20;
+    let (warmup, samples) = if smoke { (0, 3) } else { (1, 15) };
+    let command = vec![
+        "/bin/sh".into(),
+        "-c".into(),
+        format!("yes 0123456789abcde | head -c {LEN}"),
+    ];
+    let config = LaunchConfig::new(replicas, command, Vec::new());
+    measure(name, warmup, samples, LEN as u64, || {
+        let exit = run_replicated(&config).expect("replicated run");
+        assert!(!exit.diverged, "{name}: identical replicas diverged");
+        assert_eq!(exit.output.len(), LEN, "{name}: the whole stream is voted");
+    })
+}
+
 #[cfg(not(unix))]
 fn proxy_throughput(_smoke: bool) -> KernelResult {
     unreachable!("proxy kernels require unix process plumbing")
@@ -1004,6 +1137,11 @@ pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
         "class_promote" => Some(alone(name, || class_promote(smoke))),
         "global_churn_cold" => Some(alone(name, || global_churn(name, 50_000, smoke))),
         "global_churn_small" => Some(alone(name, || global_churn(name, 3_000, smoke))),
+        "free_double_ignored" | "free_misaligned_ignored" => {
+            Some(alone(name, || free_ignored(name, smoke)))
+        }
+        "strcpy_bound" => Some(strcpy_bound(smoke)),
+        "strcpy_bounded" => Some(strcpy_bounded(smoke)),
         "preload_alloc_churn_mt" => {
             Some(beside_a_parked_thread(|| preload_alloc_churn(name, smoke)))
         }
@@ -1015,6 +1153,9 @@ pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
         "proxy_conn_latency" => Some(proxy_conn_latency(smoke)),
         "proxy_conn_latency_warm" => Some(proxy_conn_latency_warm(smoke)),
         "pool_refill" => Some(pool_refill(smoke)),
+        "launcher_stream_n1" => Some(launcher_stream(name, 1, smoke)),
+        "launcher_stream_n3" => Some(launcher_stream(name, 3, smoke)),
+        "launcher_stream_n5" => Some(launcher_stream(name, 5, smoke)),
         _ => None,
     }
 }
@@ -1105,26 +1246,11 @@ mod tests {
 
     #[test]
     fn missing_kernels_detects_gaps() {
-        let missing = missing_kernels("{\"alloc_churn_mixed\": {}}");
-        assert!(!missing.contains(&"alloc_churn_mixed"));
-        assert!(missing.contains(&"magazine_alloc_churn"));
-        assert!(missing.contains(&"preload_alloc_churn"));
-        assert!(missing.contains(&"probe_steady_half_full"));
-        assert!(missing.contains(&"fill_none"));
-        assert!(missing.contains(&"fill_random"));
-        assert!(missing.contains(&"grow_under_churn"));
-        assert!(missing.contains(&"hugepage_fill"));
-        assert!(missing.contains(&"class_first_touch"));
-        assert!(missing.contains(&"class_promote"));
-        assert!(missing.contains(&"global_churn_cold"));
-        assert!(missing.contains(&"global_churn_small"));
-        assert!(missing.contains(&"preload_alloc_churn_mt"));
-        assert!(missing.contains(&"global_churn_cold_mt"));
-        assert!(missing.contains(&"proxy_throughput"));
-        assert!(missing.contains(&"proxy_stream"));
-        assert!(missing.contains(&"proxy_conn_latency"));
-        assert!(missing.contains(&"proxy_conn_latency_warm"));
-        assert!(missing.contains(&"pool_refill"));
+        let missing = missing_kernels(&format!("{{\"{}\": {{}}}}", KERNELS[0]));
+        assert!(!missing.contains(&KERNELS[0]));
+        for name in &KERNELS[1..] {
+            assert!(missing.contains(name), "{name} is not reported missing");
+        }
     }
 
     #[test]

@@ -105,8 +105,9 @@ enum Token {
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidInput`] when `config.seeds` is non-empty
-/// but its length differs from `config.replicas`, or when `config.chunk`
-/// is out of range; otherwise propagates process-spawn, `poll(2)`, and
+/// but its length differs from `config.replicas`, or when
+/// [`LaunchConfig::validated`] refuses the replica count or the chunk;
+/// otherwise propagates process-spawn, `poll(2)`, and
 /// sink-write failures. Replica crashes and disagreements are **not**
 /// errors — the voter folds them into the returned [`StreamOutcome`].
 pub fn run_streamed(

@@ -93,7 +93,8 @@ pub const CHUNK_MAX: usize = 65536;
 /// Configuration for a replicated launch.
 #[derive(Debug, Clone)]
 pub struct LaunchConfig {
-    /// Number of replicas (1, or at least 3 — a 1-1 tie cannot be broken).
+    /// Number of replicas (1, or at least 3 — a 1-1 tie cannot be broken;
+    /// [`validated`](Self::validated) refuses the rest).
     pub replicas: usize,
     /// The command and its arguments.
     pub command: Vec<String>,
@@ -113,7 +114,7 @@ pub struct LaunchConfig {
     /// and writes move up to `max(chunk, `[`TRANSFER`]`)` bytes and each
     /// session buffer may hold that much ahead of the vote. Must be a power
     /// of two in `[`[`CHUNK_MIN`]`, `[`CHUNK_MAX`]`]` — validated when the
-    /// session launches, so benches can sweep barrier granularity without
+    /// session launches, so a caller can sweep barrier granularity without
     /// a recompile.
     pub chunk: usize,
 }
@@ -146,20 +147,28 @@ impl LaunchConfig {
         self
     }
 
-    /// Validates and returns [`chunk`](Self::chunk).
+    /// Validates the replica count (which [`new`](Self::new) asserts but a
+    /// struct literal skips) and the [`chunk`](Self::chunk), and returns the
+    /// chunk. Every session, proxy and pool is built through this check.
     ///
     /// # Errors
     ///
-    /// Returns [`std::io::ErrorKind::InvalidInput`] unless the chunk is a
-    /// power of two in `[`[`CHUNK_MIN`]`, `[`CHUNK_MAX`]`]`.
-    pub fn validated_chunk(&self) -> std::io::Result<usize> {
+    /// Returns [`std::io::ErrorKind::InvalidInput`] when `replicas` is 0
+    /// (nothing would run, and nothing would vote) or 2 (a 1-1 tie cannot be
+    /// broken, §6), or unless the chunk is a power of two in
+    /// `[`[`CHUNK_MIN`]`, `[`CHUNK_MAX`]`]`.
+    pub fn validated(&self) -> std::io::Result<usize> {
+        let invalid = |msg: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+        if self.replicas == 0 || self.replicas == 2 {
+            return invalid(format!(
+                "{} replicas cannot vote (use 1, or 3 or more)",
+                self.replicas
+            ));
+        }
         if !self.chunk.is_power_of_two() || !(CHUNK_MIN..=CHUNK_MAX).contains(&self.chunk) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "chunk {} must be a power of two in [{CHUNK_MIN}, {CHUNK_MAX}]",
-                    self.chunk
-                ),
+            return invalid(format!(
+                "chunk {} must be a power of two in [{CHUNK_MIN}, {CHUNK_MAX}]",
+                self.chunk
             ));
         }
         Ok(self.chunk)
@@ -199,7 +208,8 @@ pub struct ReplicatedExit {
 /// # Errors
 ///
 /// Returns [`std::io::ErrorKind::InvalidInput`] when `config.seeds` is
-/// non-empty but does not provide exactly one seed per replica; otherwise
+/// non-empty but does not provide exactly one seed per replica, or when
+/// [`LaunchConfig::validated`] refuses the replica count or the chunk; otherwise
 /// propagates process-spawn and pipe I/O failures. Replica *crashes* are
 /// not errors — the voter handles them by decrementing the live set.
 pub fn run_replicated(config: &LaunchConfig) -> std::io::Result<ReplicatedExit> {
@@ -337,5 +347,37 @@ mod tests {
     #[should_panic(expected = "two replicas cannot vote")]
     fn two_replicas_rejected() {
         let _ = LaunchConfig::new(2, sh("cat"), Vec::new());
+    }
+
+    /// The fields are public, so a struct literal skips `new`'s asserts:
+    /// every entry that launches replicas refuses such a config instead of
+    /// running it — 0 replicas would report success for a command that never
+    /// ran, and 2 cannot vote.
+    #[test]
+    fn replica_counts_that_cannot_vote_are_invalid_input() {
+        use std::io::ErrorKind::InvalidInput;
+        for replicas in [0, 2] {
+            let config = LaunchConfig {
+                replicas,
+                ..LaunchConfig::new(3, sh("cat"), b"x\n".to_vec())
+            };
+            let kind = |e: std::io::Error| e.kind();
+            assert_eq!(
+                run_replicated(&config).err().map(kind),
+                Some(InvalidInput),
+                "run_replicated with {replicas} replicas"
+            );
+            let listener = net::Listener::bind_loopback(0).expect("loopback bind");
+            assert_eq!(
+                proxy::Proxy::new(listener, config.clone()).err().map(kind),
+                Some(InvalidInput),
+                "Proxy::new with {replicas} replicas"
+            );
+            assert_eq!(
+                Pool::new(config, 1).err().map(kind),
+                Some(InvalidInput),
+                "Pool::new with {replicas} replicas"
+            );
+        }
     }
 }

@@ -108,10 +108,11 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// Rejects an invalid `config.chunk` up front (the same validation a
-    /// cold spawn would apply later).
+    /// Rejects an invalid replica count or `config.chunk` up front
+    /// ([`LaunchConfig::validated`], the same validation a cold spawn would
+    /// apply later).
     pub fn new(config: LaunchConfig, target: usize) -> io::Result<Self> {
-        let _ = config.validated_chunk()?;
+        let _ = config.validated()?;
         Ok(Self {
             config,
             target,

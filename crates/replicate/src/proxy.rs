@@ -168,10 +168,12 @@ impl Proxy {
     ///
     /// # Errors
     ///
-    /// Returns [`io::ErrorKind::InvalidInput`] for an out-of-range
-    /// `config.chunk` (validated here so `run` can't fail per-connection).
+    /// Returns [`io::ErrorKind::InvalidInput`] for a replica count that
+    /// cannot vote or an out-of-range `config.chunk`
+    /// ([`LaunchConfig::validated`], checked here so `run` can't fail
+    /// per-connection).
     pub fn new(listener: Listener, config: LaunchConfig) -> io::Result<Self> {
-        let chunk = config.validated_chunk()?;
+        let chunk = config.validated()?;
         let pool = Pool::new(config.clone(), 0)?;
         Ok(Self {
             listener,

@@ -312,10 +312,12 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates spawn and `fcntl(2)` failures; anything spawned before
-    /// the failure is killed and reaped.
+    /// Returns [`io::ErrorKind::InvalidInput`] when
+    /// [`LaunchConfig::validated`] refuses `config`; propagates spawn and
+    /// `fcntl(2)` failures, and anything spawned before the failure is
+    /// killed and reaped.
     pub fn spawn(config: &LaunchConfig, seeds: &[u64], input: SessionInput) -> io::Result<Self> {
-        let chunk = config.validated_chunk()?;
+        let chunk = config.validated()?;
         let mut reps: Vec<Replica> = Vec::with_capacity(seeds.len());
         // Kill-and-reap anything spawned so far if setup fails partway.
         let abort = |reps: &mut Vec<Replica>, e: io::Error| -> io::Error {
