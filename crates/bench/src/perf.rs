@@ -293,13 +293,23 @@ fn preload_library() -> (
 /// interposition overhead itself: the `dlsym`'d call into each export and
 /// the export's call into its funnel (`alloc_impl`, `free_impl`), the one
 /// `__tls_get_addr` there, the re-entrancy flag, the arena range check,
-/// the `Layout` round-trip, the `OnceCell`'s `Acquire` load, the
-/// heap-binding and magazine-decision loads, and the handout's prefetch.
-/// No fence: the delta was ≈ 44 ns in `BENCH_24.json`, when every `malloc`
-/// also paid a failing `lock cmpxchg` in `OnceCell::get_or_try_init`, a
-/// second TLS lookup and a five-call chain, and is ≈ 24 ns in
-/// `BENCH_26.json`. (`libdiehard.so` reads the same
-/// `__libc_single_threaded` as this process, so the arm is this process's.)
+/// the `Layout` round-trip, the `OnceCell`'s `Acquire` load, and — in the
+/// `_mt` row only — the heap-binding and magazine-decision loads. No fence:
+/// the delta was ≈ 44 ns in `BENCH_24.json`, when every `malloc` also paid
+/// a failing `lock cmpxchg` in `OnceCell::get_or_try_init`, a second TLS
+/// lookup and a five-call chain, and is ≈ 24 ns in `BENCH_26.json`.
+/// (`libdiehard.so` reads the same `__libc_single_threaded` as this
+/// process, so the arm is this process's; alone, the library makes no TLS
+/// lookup at all.)
+///
+/// This ring never writes its objects, unlike a host and unlike the ring
+/// `crates/preload/tests/instructions.rs` counts. Random placement spreads
+/// them over pages nothing has faulted in, so a prefetch of one walks the
+/// page tables to find no page: the look-ahead prefetch the library once
+/// issued at handout cost ≈ 18 ns a pair here on an 8 B ring, against ≈ 4 ns
+/// with the objects written. So this row overstated that hint's price, and
+/// it overstates what deleting it saved. The body and its gate stay as they
+/// are (ROADMAP K(ii)).
 #[cfg(unix)]
 fn preload_alloc_churn(name: &'static str, smoke: bool) -> KernelResult {
     const RING: usize = 64;
@@ -593,7 +603,9 @@ fn class_promote(smoke: bool) -> KernelResult {
 /// * `global_churn_cold`, 50 000 objects (≈ 6 MB live; ranges of 26 MB on
 ///   the quarter-band ladder, 33 MB when classes doubled): it does not fit
 ///   in cache, every touch is a miss, and the number moves with what hides
-///   latency (the look-ahead prefetch at handout), with TLB reach (the
+///   latency (the allocator issues no prefetch: a hint one allocation ahead
+///   did not pay for its instructions once `malloc` had no fences), with
+///   TLB reach (the
 ///   whole huge pages of its six largest ranges are promoted) and with how
 ///   full the ranges are (the paper's `1/(1 − 1/M)` probes);
 /// * `global_churn_small`, 3 000 objects (≈ 0.5 MB live): from the 64 KiB

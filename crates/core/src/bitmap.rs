@@ -14,7 +14,7 @@
 //! inside a global allocator once built over caller-provided storage
 //! ([`SlotStateMap::from_storage`]).
 
-use crate::sync::{Arm, Shared, Word};
+use crate::sync::{Arm, Rmw, Shared, Word};
 use core::sync::atomic::Ordering;
 
 /// Backing words of a [`SlotStateMap`].
@@ -68,8 +68,9 @@ pub enum SlotState {
 /// | `11 → 00` release        | CAS loop                          | magazine teardown (slow path) |
 ///
 /// Each operation is a [`Word`] update: a locked RMW, or load + store, as the
-/// map's [`Arm`] says ([`crate::sync`] has the argument). The transitions,
-/// their outcomes and their order are the same in every arm.
+/// caller's `sole` says — read once at the entry of its call, for the map's
+/// [`Arm`] ([`crate::sync`] has the argument). The transitions, their
+/// outcomes and their order are the same in every arm.
 ///
 /// The claim is an unconditional `or` rather than a CAS loop: OR-ing the
 /// live bit into `01` or `11` is a no-op, so a lost claim cannot corrupt
@@ -210,11 +211,11 @@ impl<A: Arm> SlotStateMap<A> {
     ///
     /// Panics if `index >= len()`.
     #[inline]
-    pub fn claim_live(&self, index: usize) -> bool {
+    pub(crate) fn claim_live(&self, sole: bool, index: usize) -> bool {
         let (word, shift) = self.check(index);
         // OR-ing the live bit into 01 (live) or 11 (reserved) changes
         // nothing, so a losing claim is harmless; the prior word decides.
-        let prior = self.words()[word].or(1u64 << shift, Ordering::AcqRel);
+        let prior = self.words()[word].rmw(sole, Rmw::Or(1u64 << shift), Ordering::AcqRel);
         (prior >> shift) & 0b11 == 0b00
     }
 
@@ -228,8 +229,8 @@ impl<A: Arm> SlotStateMap<A> {
     ///
     /// Panics if `index >= len()`.
     #[inline]
-    pub fn reserve(&self, index: usize) -> bool {
-        self.transition(index, 0b00, 0b11)
+    pub(crate) fn reserve(&self, sole: bool, index: usize) -> bool {
+        self.transition(sole, index, 0b00, 0b11)
     }
 
     /// The magazine handout's commit: `11 → 01` via one `and`. The slot
@@ -240,9 +241,10 @@ impl<A: Arm> SlotStateMap<A> {
     /// Panics if `index >= len()` (always), or if the slot was not reserved
     /// (debug builds).
     #[inline]
-    pub fn commit(&self, index: usize) {
+    pub(crate) fn commit(&self, sole: bool, index: usize) {
         let (word, shift) = self.check(index);
-        let prior = self.words()[word].and(!(1u64 << (shift + 1)), Ordering::AcqRel);
+        let reserved = Rmw::And(!(1u64 << (shift + 1)));
+        let prior = self.words()[word].rmw(sole, reserved, Ordering::AcqRel);
         debug_assert_eq!(
             (prior >> shift) & 0b11,
             0b11,
@@ -259,25 +261,13 @@ impl<A: Arm> SlotStateMap<A> {
     ///
     /// Panics if `index >= len()`.
     #[inline]
-    pub fn free(&self, index: usize) -> SlotState {
+    pub(crate) fn free(&self, sole: bool, index: usize) -> SlotState {
         let (word, shift) = self.check(index);
-        let words = self.words();
-        let mut cur = words[word].load(Ordering::Acquire);
-        loop {
-            match (cur >> shift) & 0b11 {
-                0b00 => return SlotState::Free,
-                0b01 => {}
-                _ => return SlotState::Reserved,
-            }
-            match words[word].compare_set_weak(
-                cur,
-                cur & !(0b11u64 << shift),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return SlotState::Live,
-                Err(seen) => cur = seen,
-            }
+        let clear = |cur: u64| ((cur >> shift) & 0b11 == 0b01).then_some(cur & !(0b11u64 << shift));
+        match self.words()[word].update(sole, Ordering::AcqRel, Ordering::Acquire, clear) {
+            Ok(_) => SlotState::Live,
+            Err(seen) if (seen >> shift) & 0b11 == 0b00 => SlotState::Free,
+            Err(_) => SlotState::Reserved,
         }
     }
 
@@ -288,27 +278,21 @@ impl<A: Arm> SlotStateMap<A> {
     ///
     /// Panics if `index >= len()`.
     #[inline]
-    pub fn release_reservation(&self, index: usize) -> bool {
-        self.transition(index, 0b11, 0b00)
+    pub(crate) fn release_reservation(&self, sole: bool, index: usize) -> bool {
+        self.transition(sole, index, 0b11, 0b00)
     }
 
     /// CAS loop taking slot `index` from 2-bit state `from` to `to`;
     /// `false` when the slot is observed in any other state.
     #[inline]
-    fn transition(&self, index: usize, from: u64, to: u64) -> bool {
+    fn transition(&self, sole: bool, index: usize, from: u64, to: u64) -> bool {
         let (word, shift) = self.check(index);
-        let words = self.words();
-        let mut cur = words[word].load(Ordering::Acquire);
-        loop {
-            if (cur >> shift) & 0b11 != from {
-                return false;
-            }
-            let next = (cur & !(0b11u64 << shift)) | (to << shift);
-            match words[word].compare_set_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
+        let next = |cur: u64| {
+            ((cur >> shift) & 0b11 == from).then_some((cur & !(0b11u64 << shift)) | (to << shift))
+        };
+        self.words()[word]
+            .update(sole, Ordering::AcqRel, Ordering::Acquire, next)
+            .is_ok()
     }
 
     /// Number of occupied (live **or** reserved) slots. Per-word reads are
@@ -360,6 +344,8 @@ impl<A: Arm> SlotStateMap<A> {
 
 #[cfg(test)]
 mod tests {
+    //! Every update below passes `sole = false`, the locked arm: the test
+    //! harness is threaded, and two of these tests race threads on a map.
     use super::*;
 
     #[test]
@@ -369,35 +355,35 @@ mod tests {
         assert!(!map.is_empty());
         // Free → claim → Live.
         assert_eq!(map.state(5), SlotState::Free);
-        assert!(map.claim_live(5));
+        assert!(map.claim_live(false, 5));
         assert_eq!(map.state(5), SlotState::Live);
         assert!(map.is_live(5) && map.is_occupied(5));
         // Claiming a live slot loses without corrupting it.
-        assert!(!map.claim_live(5));
+        assert!(!map.claim_live(false, 5));
         assert_eq!(map.state(5), SlotState::Live);
         // Free → reserve → Reserved (occupied but not live).
-        assert!(map.reserve(6));
+        assert!(map.reserve(false, 6));
         assert_eq!(map.state(6), SlotState::Reserved);
         assert!(!map.is_live(6) && map.is_occupied(6));
         // Reserved slots can be neither claimed nor re-reserved nor freed.
-        assert!(!map.claim_live(6));
-        assert!(!map.reserve(6));
-        assert_eq!(map.free(6), SlotState::Reserved);
+        assert!(!map.claim_live(false, 6));
+        assert!(!map.reserve(false, 6));
+        assert_eq!(map.free(false, 6), SlotState::Reserved);
         assert_eq!(map.state(6), SlotState::Reserved);
         // Commit hands the reservation out: Reserved → Live.
-        map.commit(6);
+        map.commit(false, 6);
         assert_eq!(map.state(6), SlotState::Live);
         // Free only succeeds on a live slot, exactly once.
-        assert_eq!(map.free(6), SlotState::Live);
+        assert_eq!(map.free(false, 6), SlotState::Live);
         assert_eq!(map.state(6), SlotState::Free);
-        assert_eq!(map.free(6), SlotState::Free);
+        assert_eq!(map.free(false, 6), SlotState::Free);
         // Release only succeeds on a reserved slot.
-        assert!(map.reserve(7));
-        assert!(map.release_reservation(7));
+        assert!(map.reserve(false, 7));
+        assert!(map.release_reservation(false, 7));
         assert_eq!(map.state(7), SlotState::Free);
-        assert!(!map.release_reservation(7));
-        assert!(map.claim_live(7));
-        assert!(!map.release_reservation(7));
+        assert!(!map.release_reservation(false, 7));
+        assert!(map.claim_live(false, 7));
+        assert!(!map.release_reservation(false, 7));
         assert_eq!(map.state(7), SlotState::Live);
     }
 
@@ -405,10 +391,10 @@ mod tests {
     fn slot_state_counts_and_iteration() {
         let map = <SlotStateMap>::new(130);
         for i in [0usize, 31, 32, 33, 129] {
-            assert!(map.claim_live(i));
+            assert!(map.claim_live(false, i));
         }
         for i in [1usize, 64] {
-            assert!(map.reserve(i));
+            assert!(map.reserve(false, i));
         }
         assert_eq!(map.occupied_count(), 7);
         assert_eq!(map.reserved_count(), 2);
@@ -425,7 +411,7 @@ mod tests {
         // SAFETY: `backing` outlives `map`, is zeroed, and is not otherwise
         // accessed while `map` lives.
         let map = unsafe { <SlotStateMap>::from_storage(backing.as_mut_ptr(), 100) };
-        assert!(map.claim_live(40));
+        assert!(map.claim_live(false, 40));
         assert!(map.is_live(40));
         assert_eq!(map.occupied_count(), 1);
         drop(map);
@@ -435,7 +421,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn slot_state_map_out_of_range_panics() {
-        <SlotStateMap>::new(10).claim_live(10);
+        <SlotStateMap>::new(10).claim_live(false, 10);
     }
 
     /// The targeted two-thread claim race: every round, both threads race a
@@ -457,7 +443,7 @@ mod tests {
                 s.spawn(move || {
                     for slot in 0..ROUNDS {
                         barrier.wait();
-                        if map.claim_live(slot) {
+                        if map.claim_live(false, slot) {
                             wins[t].fetch_add(1, O::Relaxed);
                         }
                     }
@@ -481,7 +467,7 @@ mod tests {
         const ROUNDS: usize = 2000;
         let map = Arc::new(<SlotStateMap>::new(ROUNDS));
         for slot in 0..ROUNDS {
-            assert!(map.claim_live(slot));
+            assert!(map.claim_live(false, slot));
         }
         let barrier = Arc::new(Barrier::new(2));
         std::thread::scope(|s| {
@@ -492,7 +478,7 @@ mod tests {
                     let mut freed = 0usize;
                     for slot in 0..ROUNDS {
                         barrier.wait();
-                        if map.free(slot) == SlotState::Live {
+                        if map.free(false, slot) == SlotState::Live {
                             freed += 1;
                         }
                     }
@@ -509,8 +495,8 @@ mod tests {
                         // Emulates a racing refill: free the slot first (an
                         // erroneous double free may have won), then try to
                         // re-reserve it.
-                        let _ = map.free(slot);
-                        if map.reserve(slot) {
+                        let _ = map.free(false, slot);
+                        if map.reserve(false, slot) {
                             reserved += 1;
                         }
                     }

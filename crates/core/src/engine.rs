@@ -12,7 +12,7 @@
 use crate::config::HeapGeometry;
 use crate::sharded::Heap;
 use crate::size_class::{SizeClass, NUM_CLASSES};
-use crate::sync::{Arm, Plain, Shared, Word};
+use crate::sync::{Arm, Plain, Rmw, Shared, Word};
 use core::sync::atomic::Ordering;
 
 /// A small-object allocation: its size class and slot index.
@@ -156,31 +156,32 @@ impl<A: Arm> AtomicHeapStats<A> {
         }
     }
 
-    /// Counts one successful allocation.
-    pub fn record_alloc(&self) {
-        self.allocs.add(1, Ordering::Relaxed);
+    /// Counts one successful allocation. Like every `record_*`, in the arm
+    /// the caller's call read once (`sole`, [`crate::sync`]).
+    pub(crate) fn record_alloc(&self, sole: bool) {
+        self.allocs.rmw(sole, Rmw::Add(1), Ordering::Relaxed);
     }
 
     /// Counts `n` successful frees in one add — one for the per-op path, a
     /// whole batch for a free-buffer flush, which releases it under one
     /// maintenance-lock acquisition and should pay one counter RMW for it,
     /// not `n` (and none for an empty batch).
-    pub fn record_frees(&self, n: u64) {
+    pub(crate) fn record_frees(&self, sole: bool, n: u64) {
         if n > 0 {
-            self.frees.add(n, Ordering::Relaxed);
+            self.frees.rmw(sole, Rmw::Add(n), Ordering::Relaxed);
         }
     }
 
     /// Counts `n` ignored (double/invalid) frees in one add.
-    pub fn record_ignored_frees(&self, n: u64) {
+    pub(crate) fn record_ignored_frees(&self, sole: bool, n: u64) {
         if n > 0 {
-            self.ignored_frees.add(n, Ordering::Relaxed);
+            self.ignored_frees.rmw(sole, Rmw::Add(n), Ordering::Relaxed);
         }
     }
 
     /// Counts one allocation denied at the `1/M` cap.
-    pub fn record_exhausted(&self) {
-        self.exhausted.add(1, Ordering::Relaxed);
+    pub(crate) fn record_exhausted(&self, sole: bool) {
+        self.exhausted.rmw(sole, Rmw::Add(1), Ordering::Relaxed);
     }
 }
 

@@ -115,7 +115,9 @@
 //!   [`Word`](crate::sync::Word) update — RNG advance, slot transitions,
 //!   ticket, counters, the `SpinLock` flag — is a relaxed load and a relaxed
 //!   store instead of a locked instruction; [`crate::sync`]'s module docs
-//!   carry the argument. Linearizability is untouched: with one thread
+//!   carry the argument. The byte is read once per call, at the entry
+//!   ([`tls::enter`]), and that answer is carried down to every update the
+//!   call makes. Linearizability is untouched: with one thread
 //!   every operation is trivially atomic, and none straddles the flip,
 //!   because the only thread that can clear the byte is the one executing
 //!   the operation. What this arm does **not** survive is a thread of
@@ -127,12 +129,13 @@
 //!   re-entering the allocator between a load and its store:
 //!   `libdiehard.so` diverts re-entrant calls to its bootstrap arena before
 //!   they reach this heap, and `GlobalAlloc` was never async-signal-safe in
-//!   either arm (the thread-local magazines are not re-entrant).
+//!   either arm (neither kind of magazine is re-entrant).
 //! * **Raw-pointer state.** `GlobalState` owns raw `mmap` regions; its
 //!   `unsafe impl Send + Sync` is sound because `heap_base`/`page` are
 //!   written once before the `OnceCell` publishes (Release/Acquire) and
 //!   only ever *read* afterwards, while everything reachable for mutation
-//!   is behind the shard and large-table locks described above.
+//!   is behind the shard and large-table locks described above — except the
+//!   heap's own magazines, whose argument is the next-but-one finding.
 //! * **One large-object table, one mapping shape.** Every large mapping —
 //!   an oversized request or an elastic spill — is exactly
 //!   `[user − page, user + len + page)`: `alloc_large` trims the alignment
@@ -165,18 +168,36 @@
 //!   registry pins its interior address); statics never move, and test
 //!   instances move only while uninitialized. The same block holds
 //!   `libdiehard.so`'s re-entrancy flag ([`with_guard`],
-//!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]), so an entry
-//!   looks it up once — one `__tls_get_addr` in a shared object — and
-//!   passes it down; the one `unsafe` of that lookup is a deref of the
-//!   block's address on its own thread.
+//!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]), so a call in a
+//!   threaded process looks it up once — one `__tls_get_addr` in a shared
+//!   object — and passes it down; the one `unsafe` of that lookup is a
+//!   deref of the block's address on its own thread.
+//! * **A process with one thread uses no thread-local storage.** When a
+//!   call's one read of the thread count says the process is alone, its
+//!   re-entrancy flag is a process-wide static and its magazines are the
+//!   heap's own (`GlobalState::solo`, [`tls::SoloMagazines`]): no lookup, no
+//!   binding check, no registry. The invariant: *the heap's own magazines
+//!   are touched only by a call that found the process alone, or by the one
+//!   drain that empties them* — the first threaded call into the heap (in
+//!   `DieHard::decide_magazines`) hands their reservations and buffered
+//!   frees back exactly once, behind a one-shot flag, and nothing reaches
+//!   them afterwards, because the byte never returns to 1. The two cannot overlap: the drainer exists only after a
+//!   `pthread_create` that every alone call happened before, which also
+//!   publishes their plain stores to it. The block is consistent with the
+//!   heap at every instant (reserved slots hold their tickets, buffered
+//!   frees are live slots), so draining late only ever delays a reuse,
+//!   never loses one. A fork child of a process that never had a second
+//!   thread is alone too, and keeps using its copy. The one dereference of
+//!   the block is in [`tls`], beside the thread-local block's.
 //! * **The per-op path is one function per direction.** Every function
 //!   from an entry point to the magazine pop or the free-buffer push is
 //!   inlined into the entry (`libdiehard.so`'s `alloc_impl` and
 //!   `free_impl`), and everything else — initialization, the magazine
 //!   decision, a refill, a free flush, a rebind, large objects, the
 //!   uncached heap — is a `#[cold]` call out of it. On a ready heap and a
-//!   single-threaded host that path calls nothing and executes no locked
-//!   instruction until a refill or a flush.
+//!   single-threaded host that path calls nothing — not `__tls_get_addr`
+//!   either — and executes no locked instruction until a refill or a flush,
+//!   and neither does the refill or the flush then.
 //! * **Per-op traffic never spins.** An uncached `alloc` or `free` — and a
 //!   magazine handout — completes without acquiring any lock: a thread
 //!   preempted mid-operation cannot wedge another thread's allocation, which
@@ -227,23 +248,6 @@
 //!   huge pages on its own, promoted or not — nothing here forbids it, and
 //!   there a range's tail is resident to the next 2 MB boundary.
 //!   Each large-object mapping is still advised before its pointer escapes.
-//! * **One more intrinsic: a prefetch hint at handout.** After a magazine
-//!   handout, `alloc` asks the magazine which slot this thread's *next*
-//!   allocation of that class will receive
-//!   ([`ThreadMagazines::next_up`] — a read of thread-local state: no
-//!   refill, no RNG draw, no slot-state access) and issues
-//!   [`sys::prefetch_write`] (`_mm_prefetch`, `prefetcht0` on the baseline
-//!   target; nothing on other architectures) on its first
-//!   `min(object_size, 256)` bytes. The address is inside a slot reserved
-//!   to this thread, which nobody else can be handed, inside the mapped
-//!   span; but nothing rests on that, because the instruction is a hint:
-//!   it cannot fault (an unfaulted page drops it — no memory is touched
-//!   earlier or in greater amount), it reads and writes nothing, and it
-//!   changes no architectural state, so the program's behaviour — and the
-//!   infinite-heap noninterference the paper's safety argument rests on —
-//!   is exactly what it was. Placement is untouched by construction (pinned
-//!   against a never-prefetching [`Heap`] twin in
-//!   `hot_class_is_promoted_once_alone_and_in_place`).
 //! * **Elastic growth adds no new unsafety.** Growing a class rewrites one
 //!   atomic (the packed capacity/threshold word) under the class
 //!   maintenance lock; the slot-state maps and the heap span are sized for
@@ -258,14 +262,12 @@ mod tls;
 
 pub use crate::sync::{OnceCell, SpinGuard, SpinLock};
 
-use crate::config::{HeapConfig, HeapGeometry};
-use crate::engine::{slot_offset, AllocOutcome, HeapStats, Slot};
+use crate::config::HeapConfig;
+use crate::engine::{AllocOutcome, HeapStats};
 use crate::large::LargeTable;
-use crate::magazine::ThreadMagazines;
 use crate::rng::entropy_seed;
 use crate::safe_str;
 use crate::sharded::Heap;
-use crate::size_class::SizeClass;
 use core::alloc::{GlobalAlloc, Layout};
 use core::ptr;
 use core::sync::atomic::{AtomicU8, Ordering};
@@ -307,18 +309,6 @@ pub const DEFAULT_GROW_LOG2: u32 = 9;
 /// Capacity of the large-object validity table (live large objects).
 const LARGE_CAPACITY: usize = 4096;
 
-/// The cache-line size the look-ahead prefetch steps by.
-const CACHE_LINE: usize = 64;
-
-/// How much of the next-up slot a handout prefetches: its first
-/// `min(object_size, PREFETCH_BYTES)` bytes, one to four lines. Measured on
-/// `churn_host`'s raw job (1 M pairs over 50 000 live objects, medians of
-/// 21 interleaved runs; glibc 120 ms, no prefetch 330 ms): one line 296 ms,
-/// four lines 268 ms, 16 lines 258 ms, 64 lines 263 ms — past four lines
-/// the differences are inside the run-to-run spread (≈ 10 %), and 1 % of
-/// that trace's objects are larger than 1 KB.
-const PREFETCH_BYTES: usize = 256;
-
 /// Magazine engagement states for [`GlobalState::mag_state`].
 const MAG_UNDECIDED: u8 = 0;
 const MAG_ON: u8 = 1;
@@ -330,6 +320,10 @@ struct GlobalState {
     /// Twelve lock-free partitions (reservations live in their paired-bit
     /// slot-state maps) + atomic stats: the heap, in its shared arm.
     heap: Heap,
+    /// The magazines of every call that finds the process with one thread:
+    /// the heap's own, reached without a thread-local lookup
+    /// ([`tls::SoloMagazines`]).
+    solo: tls::SoloMagazines,
     /// Base address of the small-object span. Written once at init, then
     /// read-only.
     heap_base: *mut u8,
@@ -508,7 +502,10 @@ impl DieHard {
         if ptr.is_null() {
             return;
         }
-        tls::with_block(|block| self.free_in(block, ptr));
+        tls::enter(
+            |alone| self.free_in(alone, ptr),
+            |block| self.free_in(block, ptr),
+        );
     }
 
     /// [`GlobalAlloc::alloc`] behind this thread's re-entrancy flag — the
@@ -517,37 +514,34 @@ impl DieHard {
     /// guarded entry: glibc allocating from inside the allocator's own
     /// machinery, a signal handler interrupting it) returns `nested()` and
     /// never reaches the heap, whose magazines and single-thread arm are not
-    /// re-entrant. The flag and the magazines are one thread-local block,
-    /// looked up once for both; inlined whole into the caller, so the
-    /// `READY` path makes no call until a magazine refill.
+    /// re-entrant. One read of the thread count decides where the flag and
+    /// the magazines are: while the process has one thread, a process-wide
+    /// flag and the heap's own magazines; after that, one thread-local
+    /// block, looked up once for both ([`tls`] has why). Inlined whole
+    /// into the caller, so the `READY` path makes no call until a magazine
+    /// refill.
     #[inline(always)]
     pub fn alloc_guarded(&self, layout: Layout, nested: impl FnOnce() -> *mut u8) -> *mut u8 {
-        tls::with_block(|block| {
-            block.guarded(|reentered| {
-                if reentered {
-                    nested()
-                } else {
-                    self.alloc_in(block, layout)
-                }
-            })
-        })
+        tls::enter(
+            |alone| alone.guarded(|reentered| (!reentered).then(|| self.alloc_in(alone, layout))),
+            |block| block.guarded(|reentered| (!reentered).then(|| self.alloc_in(block, layout))),
+        )
+        .unwrap_or_else(nested)
     }
 
     /// [`free`](Self::free) behind the same flag as
     /// [`alloc_guarded`](Self::alloc_guarded): a re-entrant call runs
-    /// `nested` instead of touching the heap. One lookup, inlined whole; no
-    /// call until a free-buffer flush.
+    /// `nested` instead of touching the heap. The same one read, inlined
+    /// whole; no call until a free-buffer flush.
     #[inline(always)]
     pub fn free_guarded(&self, ptr: *mut u8, nested: impl FnOnce()) {
-        tls::with_block(|block| {
-            block.guarded(|reentered| {
-                if reentered {
-                    nested();
-                } else {
-                    self.free_in(block, ptr);
-                }
-            });
-        });
+        let freed = tls::enter(
+            |alone| alone.guarded(|reentered| (!reentered).then(|| self.free_in(alone, ptr))),
+            |block| block.guarded(|reentered| (!reentered).then(|| self.free_in(block, ptr))),
+        );
+        if freed.is_none() {
+            nested();
+        }
     }
 
     /// DieHard's bounded `strcpy` (§4.4) — `libdiehard.so` exports exactly
@@ -678,13 +672,21 @@ impl DieHard {
     /// buffered frees and returning its unhanded reservations. A no-op when
     /// the thread's magazines are bound to a different heap (or to none).
     /// Other threads flush at their own exits; call this from each thread
-    /// that should settle its accounting early.
+    /// that should settle its accounting early. While the process has one
+    /// thread the magazine flushed is the heap's own; once it has more, the
+    /// first call also drains that one, if no other call has.
     pub fn flush_thread_cache(&self) {
-        if let Some(state) = self.state.get() {
-            if state.mag_state.load(Ordering::Acquire) == MAG_ON {
-                tls::flush_if_bound(state);
-            }
-        }
+        let Some(state) = self.state.get() else {
+            return;
+        };
+        tls::enter(
+            |alone| state.solo.with(alone, |mags| mags.flush(true, &state.heap)),
+            |block| {
+                if Self::magazines_on(state) {
+                    block.flush_if_bound(state);
+                }
+            },
+        );
     }
 
     /// C `malloc_usable_size`: the full capacity of the live object whose
@@ -873,6 +875,7 @@ impl DieHard {
         };
         Some(GlobalState {
             heap,
+            solo: tls::SoloMagazines::new(),
             heap_base,
             page,
             id: tls::allocate_id(),
@@ -895,11 +898,14 @@ impl DieHard {
         }
     }
 
-    /// The first operation's half of [`magazines_on`](Self::magazines_on):
-    /// register, and publish the decision.
+    /// The first threaded operation's half of
+    /// [`magazines_on`](Self::magazines_on): settle what the heap's own
+    /// magazines hold from a single-threaded era, if any, then register and
+    /// publish the decision.
     #[cold]
     #[inline(never)]
     fn decide_magazines(state: &GlobalState) -> bool {
+        state.solo.drain(&state.heap);
         let on = tls::register(state);
         let decided = if on { MAG_ON } else { MAG_OFF };
         // Racing first-operations may decide differently (one can register
@@ -917,33 +923,13 @@ impl DieHard {
         }
     }
 
-    /// Starts the cache miss the host's *next* allocation of `class` would
-    /// otherwise take on its first write. Random placement makes every
-    /// fresh object a cold line (on `churn_host` that miss, not `malloc`'s
-    /// instructions, is most of DieHard's wall-clock overhead), and the
-    /// magazine already knows which slot it hands out next — so hint it
-    /// now and let the fetch overlap the host's work on the object being
-    /// returned. Does nothing when the magazine is empty: the next
-    /// allocation refills first and its draw is not known yet. The uncached
-    /// path has no look-ahead to offer.
+    /// The one allocation body, on the magazines this call's one read of the
+    /// thread count chose: behind [`GlobalAlloc::alloc`] and
+    /// [`alloc_guarded`](Self::alloc_guarded). Inlined into both arms of each
+    /// of them, with every slow path — initialization, the magazine
+    /// decision, a refill, a large object — out of line.
     #[inline(always)]
-    fn prefetch_next_up(state: &GlobalState, mags: &ThreadMagazines, class: SizeClass) {
-        let Some(next) = mags.next_up(class) else {
-            return;
-        };
-        for off in prefetch_range(state.heap.geometry(), next).step_by(CACHE_LINE) {
-            // A slot reserved to this thread, inside the mapped span — and
-            // the hint could not fault even if it were not.
-            sys::prefetch_write(state.heap_base.wrapping_add(off));
-        }
-    }
-
-    /// The one allocation body, on this thread's block: behind
-    /// [`GlobalAlloc::alloc`] and [`alloc_guarded`](Self::alloc_guarded).
-    /// Inlined into each of them, with every slow path — initialization,
-    /// the magazine decision, a refill, a large object — out of line.
-    #[inline(always)]
-    fn alloc_in(&self, block: &tls::TlsBlock, layout: Layout) -> *mut u8 {
+    fn alloc_in(&self, mags: &impl Magazines, layout: Layout) -> *mut u8 {
         let Some(state) = self.state() else {
             return ptr::null_mut();
         };
@@ -953,20 +939,9 @@ impl DieHard {
         if need > crate::size_class::MAX_OBJECT_SIZE {
             return Self::alloc_large(state, layout.size(), layout.align());
         }
-        // Fast path: pop a pre-reserved random slot from this thread's
-        // magazine (no lock); refills batch the shard lock.
-        let outcome = if Self::magazines_on(state) {
-            block.with_cache(state, |mags| {
-                let outcome = mags.try_alloc(&state.heap, need);
-                if let AllocOutcome::Placed(slot) = outcome {
-                    Self::prefetch_next_up(state, mags, slot.class);
-                }
-                outcome
-            })
-        } else {
-            Self::alloc_uncached(state, need)
-        };
-        match outcome {
+        // Fast path: pop a pre-reserved random slot from a magazine (no
+        // lock); refills batch the shard lock.
+        match mags.alloc(state, need) {
             AllocOutcome::Placed(slot) => {
                 let off = state.heap.offset_of(slot);
                 // SAFETY: `off` lies within the reserved heap span.
@@ -983,10 +958,11 @@ impl DieHard {
         }
     }
 
-    /// The one free body, on this thread's block: behind [`free`](Self::free),
-    /// [`free_guarded`](Self::free_guarded) and `dealloc`.
+    /// The one free body, on the magazines this call chose: behind
+    /// [`free`](Self::free), [`free_guarded`](Self::free_guarded) and
+    /// `dealloc`.
     #[inline(always)]
-    fn free_in(&self, block: &tls::TlsBlock, ptr: *mut u8) {
+    fn free_in(&self, mags: &impl Magazines, ptr: *mut u8) {
         let Some(state) = self.state.get() else {
             return;
         };
@@ -996,24 +972,17 @@ impl DieHard {
         };
         // Small object: full §4.3 validation. The span/alignment half is
         // lock-free arithmetic either way; with magazines engaged the free
-        // is buffered in this thread's cache and released to its shard in a
-        // batch.
-        if Self::magazines_on(state) {
-            block.with_cache(state, |mags| {
-                let _ = mags.free_at(&state.heap, off);
-            });
-        } else {
-            Self::free_uncached(state, off);
-        }
+        // is buffered and released to its shard in a batch.
+        mags.free(state, off);
     }
 
-    /// The uncached heap's allocation, for a heap the registry had no row
-    /// for ([`magazines_on`](Self::magazines_on)): out of line, so its probe
-    /// loop is not inlined beside the magazine path.
+    /// The uncached heap's allocation, for a threaded call into a heap the
+    /// registry had no row for ([`magazines_on`](Self::magazines_on)): out
+    /// of line, so its probe loop is not inlined beside the magazine path.
     #[cold]
     #[inline(never)]
     fn alloc_uncached(state: &GlobalState, need: usize) -> AllocOutcome {
-        state.heap.try_alloc(need)
+        state.heap.try_alloc_in(false, need)
     }
 
     /// The uncached heap's free, out of line like
@@ -1021,7 +990,7 @@ impl DieHard {
     #[cold]
     #[inline(never)]
     fn free_uncached(state: &GlobalState, off: usize) {
-        let _ = state.heap.free_at(off);
+        let _ = state.heap.free_at_in(false, off);
     }
 
     /// Frees a pointer outside the small-object span: possibly a large
@@ -1041,6 +1010,9 @@ impl DieHard {
         unsafe { sys::unmap(ptr.wrapping_sub(state.page), len + 2 * state.page) };
     }
 
+    /// One object in a dedicated guard-paged mapping: past the largest
+    /// class, or a spill. Always a fresh anonymous mapping, so its bytes
+    /// read zero — `libdiehard.so`'s `calloc` relies on that.
     #[cold]
     #[inline(never)]
     fn alloc_large(state: &GlobalState, size: usize, align: usize) -> *mut u8 {
@@ -1085,13 +1057,54 @@ impl DieHard {
     }
 }
 
-/// The bytes of the span a handout prefetches for `slot`, as heap offsets:
-/// the head of the slot, never past its end (so never outside the class's
-/// active range, which is whole slots).
-#[inline(always)]
-fn prefetch_range(geometry: &HeapGeometry, slot: Slot) -> core::ops::Range<usize> {
-    let start = slot_offset(geometry, slot);
-    start..start + slot.size().min(PREFETCH_BYTES)
+/// The magazines one call allocates from and frees into, as its one read of
+/// the thread count chose ([`tls::enter`]): the heap's own, in the plain
+/// arm, while the process has one thread; this thread's block, in the
+/// locked arm, after that. Each entry point's body is compiled once per
+/// side, so neither copy tests the other side's case.
+trait Magazines {
+    /// A slot for `need` bytes.
+    fn alloc(&self, state: &GlobalState, need: usize) -> AllocOutcome;
+    /// The small-object free at span offset `off`.
+    fn free(&self, state: &GlobalState, off: usize);
+}
+
+impl Magazines for tls::Alone {
+    #[inline(always)]
+    fn alloc(&self, state: &GlobalState, need: usize) -> AllocOutcome {
+        state
+            .solo
+            .with(self, |mags| mags.try_alloc(true, &state.heap, need))
+    }
+
+    #[inline(always)]
+    fn free(&self, state: &GlobalState, off: usize) {
+        state.solo.with(self, |mags| {
+            let _ = mags.free_at(true, &state.heap, off);
+        });
+    }
+}
+
+impl Magazines for tls::TlsBlock {
+    #[inline(always)]
+    fn alloc(&self, state: &GlobalState, need: usize) -> AllocOutcome {
+        if DieHard::magazines_on(state) {
+            self.with_cache(state, |mags| mags.try_alloc(false, &state.heap, need))
+        } else {
+            DieHard::alloc_uncached(state, need)
+        }
+    }
+
+    #[inline(always)]
+    fn free(&self, state: &GlobalState, off: usize) {
+        if DieHard::magazines_on(state) {
+            self.with_cache(state, |mags| {
+                let _ = mags.free_at(false, &state.heap, off);
+            });
+        } else {
+            DieHard::free_uncached(state, off);
+        }
+    }
 }
 
 /// The heap's [`PromoteHook`](crate::sharded::PromoteHook): moves the huge
@@ -1113,9 +1126,10 @@ fn promote_region(heap_base: usize, offset: usize, len: usize) -> bool {
 /// Runs `f` with this thread's re-entrancy flag set, telling it whether it
 /// was already set — the flag [`DieHard::alloc_guarded`] and
 /// [`DieHard::free_guarded`] check and set. One flag per thread, kept in the
-/// same thread-local block as the magazines.
+/// same thread-local block as the magazines — or, while the process has one
+/// thread, one flag for the process, read the same way.
 pub fn with_guard<R>(f: impl FnOnce(bool) -> R) -> R {
-    tls::with_block(|block| block.guarded(f))
+    tls::guarded(f)
 }
 
 impl Default for DieHard {
@@ -1149,12 +1163,18 @@ impl Drop for DieHard {
 unsafe impl GlobalAlloc for DieHard {
     #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tls::with_block(|block| self.alloc_in(block, layout))
+        tls::enter(
+            |alone| self.alloc_in(alone, layout),
+            |block| self.alloc_in(block, layout),
+        )
     }
 
     #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, _layout: Layout) {
-        tls::with_block(|block| self.free_in(block, ptr));
+        tls::enter(
+            |alone| self.free_in(alone, ptr),
+            |block| self.free_in(block, ptr),
+        );
     }
 }
 
@@ -1189,6 +1209,7 @@ unsafe fn c_strlen_bounded(p: *const u8, max: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::size_class::SizeClass;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn small_test_heap() -> DieHard {
@@ -1592,7 +1613,7 @@ mod tests {
     /// adds the huge pages it completed, up to the whole region. Each
     /// collapse happens in place (every object keeps its address and its
     /// contents), and placement stays identical to a heap that owns no
-    /// memory, has no hook at all and never prefetches — through refills,
+    /// memory and has no hook at all — through refills,
     /// every step on the way, the promotions, interleaved frees and a step
     /// after them.
     #[test]
@@ -1651,8 +1672,8 @@ mod tests {
             let shared = &heap.state.get().unwrap().heap;
             assert_eq!(shared.advised_len(hot_class), advised, "start {start:?}");
             // A mixed history on top — three classes, every third call a
-            // free of a random live object, so refills, free-buffer flushes
-            // and the look-ahead interleave — holding enough 16 KB objects
+            // free of a random live object, so refills and free-buffer
+            // flushes interleave — holding enough 16 KB objects
             // live to grow that class on either elastic heap.
             let base = heap.state.get().unwrap().heap_base as usize;
             let mut rng = crate::rng::Mwc::seeded(SEED);
@@ -1708,12 +1729,9 @@ mod tests {
     /// the kernel merges adjacent anonymous mappings, and the other heaps of
     /// a parallel test run sit next to this one.
     fn resident_bytes(base: usize, len: usize, page: usize) -> usize {
-        extern "C" {
-            fn mincore(addr: *mut libc::c_void, length: usize, vec: *mut u8) -> libc::c_int;
-        }
         let mut pages = vec![0u8; len / page];
         // SAFETY: a page-aligned mapped range, and one byte per page of it.
-        let rc = unsafe { mincore(base as *mut libc::c_void, len, pages.as_mut_ptr()) };
+        let rc = unsafe { libc::mincore(base as *mut libc::c_void, len, pages.as_mut_ptr()) };
         assert_eq!(rc, 0, "mincore over the heap span");
         pages.iter().filter(|&&p| p & 1 != 0).count() * page
     }
@@ -1800,33 +1818,6 @@ mod tests {
             resident <= bound,
             "{resident} B resident outside {active} B of active ranges"
         );
-    }
-
-    /// The look-ahead never hints past the slot it names: for the last slot
-    /// of every class — of its starting active range and of its maximum —
-    /// the prefetched bytes start at the slot, stop at 256 bytes or the
-    /// slot's end, and so stay inside the range the class is using.
-    #[test]
-    fn prefetched_range_stays_inside_the_slot_and_the_active_range() {
-        let fixed = HeapGeometry::new(HeapConfig::default()).unwrap();
-        let elastic = HeapGeometry::new_elastic(HeapConfig::paper_default(), 4).unwrap();
-        for geometry in [&fixed, &elastic] {
-            for class in SizeClass::all() {
-                let size = class.object_size();
-                for active in [geometry.initial_capacity(class), geometry.capacity(class)] {
-                    let slot = Slot {
-                        class,
-                        index: active - 1,
-                    };
-                    let range = prefetch_range(geometry, slot);
-                    let active_end = geometry.region_base(class) + active * size;
-                    assert_eq!(range.start, slot_offset(geometry, slot));
-                    assert_eq!(range.len(), size.min(PREFETCH_BYTES), "{size} B class");
-                    assert_eq!(active_end - range.start, size, "the range's last slot");
-                    assert!(range.end <= active_end && active_end <= geometry.heap_span());
-                }
-            }
-        }
     }
 
     /// `fork_prepare` holds every maintenance lock, and a promotion runs

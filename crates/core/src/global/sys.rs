@@ -125,25 +125,6 @@ pub fn collapse_hugepages(ptr: *mut u8, len: usize) -> bool {
     madvise_huge(ptr, len, libc::MADV_COLLAPSE)
 }
 
-/// Hints that the cache line holding `ptr` is about to be written
-/// (`prefetcht0` on baseline x86-64, `prefetchw` where the target has it).
-/// A hint only: it reads and writes no memory, changes no architectural
-/// state, and cannot fault — the CPU drops it when the address is unmapped
-/// or its page not yet faulted in — so any address is acceptable and the
-/// function is safe. Nothing on other architectures.
-#[inline(always)]
-pub fn prefetch_write(ptr: *const u8) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0};
-        // SAFETY: SSE is part of the x86-64 baseline, and a prefetch has no
-        // requirement on its address (see above).
-        unsafe { _mm_prefetch::<_MM_HINT_ET0>(ptr.cast::<i8>()) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = ptr;
-}
-
 #[cfg(target_env = "gnu")]
 extern "C" {
     /// glibc's own record of whether the process has ever had a second

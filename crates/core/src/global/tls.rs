@@ -32,6 +32,24 @@
 //! and the destructor runs while ELF TLS is still mapped, so the pointer it
 //! receives is valid.
 //!
+//! # Why a process with one thread uses none of it
+//!
+//! A shared object's TLS costs a `__tls_get_addr` call per lookup — 24
+//! instructions a `malloc`/`free` pair in `ld.so` and its PLT stub, plus the
+//! call sites (`crates/preload/tests/instructions.rs` counts them) — and a
+//! single-threaded host gets nothing for it: only one thread can be in the
+//! allocator. So every call reads the thread count
+//! once, first ([`enter`]): while glibc's `__libc_single_threaded` says the
+//! process has one thread, the call's re-entrancy flag is a process-wide
+//! static and its magazines are the heap's own ([`SoloMagazines`], a field
+//! of the heap's state), reached without a lookup, a binding check or the
+//! registry; the same read makes every word update of the call a plain load
+//! and store (`crate::sync`). A process that gains a thread switches for
+//! good (the byte never returns to 1): from the next call on, each thread
+//! uses its block below, and the first call into a heap that finds the
+//! process threaded drains that heap's own magazines once. Every host in
+//! the repository's benchmark has one thread.
+//!
 //! # Why the heap registry
 //!
 //! A TLS block caches a raw pointer to the [`GlobalState`] it is bound to.
@@ -57,9 +75,11 @@
 
 use super::GlobalState;
 use crate::magazine::ThreadMagazines;
-use crate::sync::{OnceCell, SpinLock};
+use crate::sharded::Heap;
+use crate::sync::{sole_thread, OnceCell, SpinLock};
 use core::cell::{Cell, UnsafeCell};
-use core::sync::atomic::{AtomicU64, Ordering};
+use core::marker::PhantomData;
+use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Maximum simultaneously-live registered heaps. Overflow is handled
 /// gracefully: an unregistrable heap simply runs uncached (see
@@ -178,12 +198,12 @@ thread_local! {
     };
 }
 
-/// Runs `f` on this thread's block: the one thread-local lookup an
-/// allocation makes (`__tls_get_addr` in a shared object, an `%fs` offset
-/// in an executable). The closure handed to `LocalKey::with` only returns
-/// the address, so that call inlines whatever `f` is.
+/// Runs `f` on this thread's block: the one thread-local lookup a threaded
+/// process's allocation makes (`__tls_get_addr` in a shared object, an
+/// `%fs` offset in an executable). The closure handed to `LocalKey::with`
+/// only returns the address, so that call inlines whatever `f` is.
 #[inline(always)]
-pub(super) fn with_block<R>(f: impl FnOnce(&TlsBlock) -> R) -> R {
+fn with_block<R>(f: impl FnOnce(&TlsBlock) -> R) -> R {
     let block = BLOCK.with(core::ptr::from_ref);
     // SAFETY: `BLOCK` is const-initialized and `!needs_drop`, i.e. plain ELF
     // TLS: it sits at this address, initialized, for as long as this thread
@@ -192,9 +212,127 @@ pub(super) fn with_block<R>(f: impl FnOnce(&TlsBlock) -> R) -> R {
     f(unsafe { &*block })
 }
 
+/// The re-entrancy flag of a process with one thread: [`TlsBlock`]'s
+/// `entered`, kept process-wide because while the process has one thread
+/// the process *is* that thread. Relaxed loads and stores, plain `mov`s.
+static ENTERED_ALONE: AtomicBool = AtomicBool::new(false);
+
+/// Proof that the call holding it found the process with one thread: made
+/// only by [`enter`] and [`guarded`], after a read of [`sole_thread`]
+/// answered `true`, and lent out for that call alone. Not `Send`.
+pub(super) struct Alone(PhantomData<*const ()>);
+
+/// The one read of the thread count a call into the allocator makes, and
+/// where its per-thread state is on each answer: `alone` runs when the
+/// process has one thread — its re-entrancy flag is process-wide and its
+/// magazines are the heap's own ([`SoloMagazines`]), no thread-local lookup
+/// — and `threaded` on this thread's block ([`with_block`]). Two closures,
+/// so each arm is compiled with its answer known.
+#[inline(always)]
+pub(super) fn enter<R>(
+    alone: impl FnOnce(&Alone) -> R,
+    threaded: impl FnOnce(&TlsBlock) -> R,
+) -> R {
+    if sole_thread() {
+        alone(&Alone(PhantomData))
+    } else {
+        with_block(threaded)
+    }
+}
+
+/// Runs `f` with this call's re-entrancy flag set, on whichever side of
+/// [`enter`] the call is, telling it whether the flag was already set.
+pub(super) fn guarded<R>(f: impl FnOnce(bool) -> R) -> R {
+    if sole_thread() {
+        Alone(PhantomData).guarded(f)
+    } else {
+        with_block(|block| block.guarded(f))
+    }
+}
+
+impl Alone {
+    /// Runs `f` with the process-wide re-entrancy flag set, telling it
+    /// whether it was already set (i.e. this call re-entered the
+    /// allocator).
+    #[inline(always)]
+    pub(super) fn guarded<R>(&self, f: impl FnOnce(bool) -> R) -> R {
+        let reentered = ENTERED_ALONE.load(Ordering::Relaxed);
+        ENTERED_ALONE.store(true, Ordering::Relaxed);
+        let r = f(reentered);
+        ENTERED_ALONE.store(reentered, Ordering::Relaxed);
+        r
+    }
+}
+
+/// The magazines a heap owns for the time its process has one thread.
+///
+/// A process with one thread needs no thread-local storage: its one thread
+/// is the only one that can be inside the allocator, so its magazines can
+/// live in the heap, beside the header every call reads anyway, and a call
+/// that finds the process alone reaches them with no `__tls_get_addr`, no
+/// binding check and no registry — this block belongs to one heap and never
+/// rebinds. Its contents are always consistent with the heap (reserved
+/// slots hold their tickets, buffered frees are live slots), so when the
+/// process gains a thread nothing has to happen at once: the first call that
+/// finds it threaded drains the block into the heap ([`drain`](Self::drain),
+/// once, behind its own flag), and from then on every thread uses its
+/// [`TlsBlock`]. A process never returns to one thread (`sync`'s fact 3),
+/// so nothing uses this block again — except in the fork child of a parent
+/// that never had a second thread, which is alone and keeps using its copy.
+pub(super) struct SoloMagazines {
+    mags: UnsafeCell<ThreadMagazines>,
+    /// Set by the one [`drain`](Self::drain) that empties the block.
+    drained: AtomicBool,
+}
+
+// SAFETY: the magazines are reached in two ways. (1) Through `with`, by a
+// call holding `Alone`: that call read the process as having one thread,
+// which is its own, and no other call on these magazines is in flight on it
+// (a nested guarded call is diverted by `ENTERED_ALONE`; an unguarded entry
+// is not re-entrant in either arm). (2) Through `drain`, which only a call
+// that found the process threaded makes, and of those only the one that
+// flips `drained` goes on. The two never overlap: the drainer runs after
+// the thread count went past one, which it never comes back from, so no
+// `with` starts again, and each one that ran finished before the
+// `pthread_create` the drainer's thread goes back to, which also publishes
+// its stores to that thread (`sync`'s facts 2 and 3).
+unsafe impl Sync for SoloMagazines {}
+
+impl SoloMagazines {
+    /// An empty block.
+    pub(super) const fn new() -> Self {
+        Self {
+            mags: UnsafeCell::new(ThreadMagazines::new()),
+            drained: AtomicBool::new(false),
+        }
+    }
+
+    /// Runs `f` on the heap's own magazines, for a call that found the
+    /// process alone.
+    #[inline(always)]
+    pub(super) fn with<R>(&self, _alone: &Alone, f: impl FnOnce(&mut ThreadMagazines) -> R) -> R {
+        // SAFETY: case (1) of the `Sync` argument: no other `&mut` to the
+        // magazines is live while `f` runs.
+        f(unsafe { &mut *self.mags.get() })
+    }
+
+    /// Hands everything the block holds back to `heap`, the first time it
+    /// is called: the first call into a heap that finds the process
+    /// threaded makes it, so the reservations and buffered frees of the
+    /// single-threaded era are settled exactly once, by one thread.
+    #[cold]
+    #[inline(never)]
+    pub(super) fn drain(&self, heap: &Heap) {
+        if !self.drained.load(Ordering::Relaxed) && !self.drained.swap(true, Ordering::AcqRel) {
+            // SAFETY: case (2) of the `Sync` argument.
+            unsafe { (*self.mags.get()).flush(false, heap) };
+        }
+    }
+}
+
 impl TlsBlock {
-    /// Runs `f` with the re-entrancy flag set, telling it whether it was
-    /// already set (i.e. this call re-entered the allocator).
+    /// Runs `f` with this thread's re-entrancy flag set, telling it whether
+    /// it was already set (i.e. this call re-entered the allocator).
     #[inline(always)]
     pub(super) fn guarded<R>(&self, f: impl FnOnce(bool) -> R) -> R {
         let reentered = self.entered.replace(true);
@@ -221,18 +359,17 @@ impl TlsBlock {
         // the allocator.
         f(unsafe { &mut *self.mags.get() })
     }
-}
 
-/// Flushes this thread's magazines into `state`'s heap if they are bound to
-/// it (leaves the binding in place). Used before reading diagnostics.
-pub(super) fn flush_if_bound(state: &GlobalState) {
-    with_block(|block| {
-        if block.bound.get() == state.id {
+    /// Flushes this thread's magazines into `state`'s heap if they are bound
+    /// to it (leaves the binding in place). Used before reading diagnostics.
+    pub(super) fn flush_if_bound(&self, state: &GlobalState) {
+        if self.bound.get() == state.id {
             // SAFETY: thread-local block; `&GlobalState` proves the heap is
-            // live, so no registry round-trip is needed.
-            unsafe { (*block.mags.get()).flush(&state.heap) };
+            // live, so no registry round-trip is needed. (Bound, so the
+            // process is threaded: the locked arm.)
+            unsafe { (*self.mags.get()).flush(false, &state.heap) };
         }
-    });
+    }
 }
 
 /// `Drop` path: flush this thread's binding to the dying heap (other
@@ -241,8 +378,9 @@ pub(super) fn flush_if_bound(state: &GlobalState) {
 pub(super) fn retire(state: &GlobalState) {
     with_block(|block| {
         if block.bound.get() == state.id {
-            // SAFETY: as in `flush_if_bound`.
-            unsafe { (*block.mags.get()).flush(&state.heap) };
+            // SAFETY: as in `flush_if_bound`. (A block is bound only by a
+            // threaded call, so the process is threaded for good.)
+            unsafe { (*block.mags.get()).flush(false, &state.heap) };
             block.bound.set(0);
         }
     });
@@ -272,7 +410,7 @@ fn flush_stale(block: &TlsBlock, id: u64) {
             // SAFETY: the registry entry proves the GlobalState is live, and
             // the held registry lock blocks its Drop until we are done; the
             // mags pointer is this thread's own TLS block.
-            unsafe { (*block.mags.get()).flush(&(*ptr).heap) };
+            unsafe { (*block.mags.get()).flush(false, &(*ptr).heap) };
         }
         None => {
             // SAFETY: thread-local block, no heap to flush into.

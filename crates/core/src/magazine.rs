@@ -32,14 +32,6 @@
 //!   where the slot rejoins the uniform probe space. Immediate deterministic
 //!   reuse (what tcmalloc-style caches do) would gut the dangling-pointer
 //!   protection of §3.3.
-//! * **Look-ahead draws nothing and reorders nothing.**
-//!   [`ThreadMagazines::next_up`] only reads which reserved slot sits at the
-//!   head of this thread's magazine, so the global allocator can prefetch
-//!   the cold line the host will write next. It never refills, consumes no
-//!   RNG draw, and leaves the slot reserved-not-live, so placement is
-//!   bit-identical per seed whether or not anyone looks — and a prefetch is
-//!   architecturally invisible, so a safe program still behaves as on the
-//!   infinite heap.
 //!
 //! # The reserved/live distinction
 //!
@@ -183,15 +175,23 @@ impl ThreadMagazines {
     /// has already grown the class to its maximum before reporting empty, so
     /// `Spill` always means "the `1/M` cap at full size", exactly like the
     /// uncached [`Heap::try_alloc`]. Inlined whole into the global
-    /// allocator's entry points; the refill is out of line.
+    /// allocator's entry points; the refill is out of line. Every update it
+    /// makes is in the arm `sole` picks — the caller's one read of the
+    /// thread count ([`crate::sync`]); so are [`free_at`](Self::free_at)'s
+    /// and [`flush`](Self::flush)'s.
     #[inline(always)]
-    pub fn try_alloc<A: Arm>(&mut self, heap: &Heap<A>, size: usize) -> AllocOutcome {
+    pub(crate) fn try_alloc<A: Arm>(
+        &mut self,
+        sole: bool,
+        heap: &Heap<A>,
+        size: usize,
+    ) -> AllocOutcome {
         let Some(class) = SizeClass::for_size(size) else {
             return AllocOutcome::Unsupported;
         };
         let cache = &mut self.classes[class.index()];
         if cache.len == 0 {
-            let drawn = heap.refill(class, &mut cache.mag);
+            let drawn = heap.refill(sole, class, &mut cache.mag);
             if drawn == 0 {
                 return AllocOutcome::Spill;
             }
@@ -201,24 +201,8 @@ impl ThreadMagazines {
         let index = cache.mag[cache.head];
         cache.head += 1;
         cache.len -= 1;
-        heap.commit(class, index);
+        heap.commit(sole, class, index);
         AllocOutcome::Placed(Slot { class, index })
-    }
-
-    /// The slot the next allocation of `class` will receive, when this
-    /// thread's magazine already holds it; `None` on an empty magazine (the
-    /// next allocation refills first, and nobody knows its draw yet). A
-    /// read of thread-local state only: no refill, no RNG draw, no
-    /// slot-state access — the named slot stays reserved-not-live. This is
-    /// the look-ahead the global allocator prefetches through.
-    #[must_use]
-    #[inline]
-    pub fn next_up(&self, class: SizeClass) -> Option<Slot> {
-        let cache = &self.classes[class.index()];
-        (cache.len > 0).then(|| Slot {
-            class,
-            index: cache.mag[cache.head],
-        })
     }
 
     /// Frees the object at `offset` through this thread's buffer. The
@@ -229,8 +213,13 @@ impl ThreadMagazines {
     /// Inlined whole into the global allocator's entry points; the flush is
     /// out of line.
     #[inline(always)]
-    pub fn free_at<A: Arm>(&mut self, heap: &Heap<A>, offset: usize) -> CachedFree {
-        let slot = match heap.locate_free(offset) {
+    pub(crate) fn free_at<A: Arm>(
+        &mut self,
+        sole: bool,
+        heap: &Heap<A>,
+        offset: usize,
+    ) -> CachedFree {
+        let slot = match heap.locate_free(sole, offset) {
             Ok(slot) => slot,
             Err(outcome) => return CachedFree::Rejected(outcome),
         };
@@ -239,7 +228,7 @@ impl ThreadMagazines {
         cache.flen += 1;
         if cache.flen >= FREE_SLOTS / 2 {
             let force = cache.flen == FREE_SLOTS;
-            heap.flush_frees(slot.class, &mut cache.frees, &mut cache.flen, force);
+            heap.flush_frees(sole, slot.class, &mut cache.frees, &mut cache.flen, force);
         }
         CachedFree::Buffered
     }
@@ -247,12 +236,12 @@ impl ThreadMagazines {
     /// Flushes everything: buffered frees are released (stats recorded) and
     /// unhanded reservations are returned to their shards (no stats). The
     /// thread-exit path.
-    pub fn flush<A: Arm>(&mut self, heap: &Heap<A>) {
+    pub(crate) fn flush<A: Arm>(&mut self, sole: bool, heap: &Heap<A>) {
         for (i, cache) in self.classes.iter_mut().enumerate() {
             let class = SizeClass::from_index(i);
-            heap.flush_frees(class, &mut cache.frees, &mut cache.flen, true);
+            heap.flush_frees(sole, class, &mut cache.frees, &mut cache.flen, true);
             let held = &cache.mag[cache.head..cache.head + cache.len];
-            heap.return_reservations(class, held);
+            heap.return_reservations(sole, class, held);
             cache.head = 0;
             cache.len = 0;
         }
@@ -296,28 +285,31 @@ impl<A: Arm> MagazineCache<'_, A> {
         self.try_alloc(size).placed()
     }
 
-    /// Allocates with the elastic outcome surfaced
-    /// (see [`ThreadMagazines::try_alloc`]).
+    /// Allocates with the elastic outcome surfaced, as the uncached
+    /// [`Heap::try_alloc`] does: `Unsupported` records nothing, and a
+    /// `Spill` (an empty refill at the class's maximum) has recorded one
+    /// exhaustion.
     pub fn try_alloc(&mut self, size: usize) -> AllocOutcome {
-        self.mags.try_alloc(self.heap, size)
+        self.mags.try_alloc(A::sole(), self.heap, size)
     }
 
-    /// Frees the object at `offset` through the buffer
-    /// (see [`ThreadMagazines::free_at`]).
+    /// Frees the object at `offset` through the buffer: out-of-span and
+    /// misaligned offsets are rejected at once, plausible slots are buffered
+    /// and validated when the buffer flushes.
     pub fn free_at(&mut self, offset: usize) -> CachedFree {
-        self.mags.free_at(self.heap, offset)
+        self.mags.free_at(A::sole(), self.heap, offset)
     }
 
     /// Flushes buffered frees and returns unhanded reservations now, without
     /// consuming the cache.
     pub fn flush(&mut self) {
-        self.mags.flush(self.heap);
+        self.mags.flush(A::sole(), self.heap);
     }
 }
 
 impl<A: Arm> Drop for MagazineCache<'_, A> {
     fn drop(&mut self) {
-        self.mags.flush(self.heap);
+        self.mags.flush(A::sole(), self.heap);
     }
 }
 
@@ -391,46 +383,6 @@ mod tests {
             assert!(h.is_live_at(h.offset_of(s)));
         }
         assert_eq!(h.reserved_slots(), 0);
-    }
-
-    /// The look-ahead contract: `next_up` names exactly the slot the
-    /// following allocation of that class receives, is `None` whenever that
-    /// allocation would have to refill first, and is a pure read — it never
-    /// refills, draws, or turns the reserved slot it names live.
-    #[test]
-    fn next_up_names_the_following_handout_and_touches_nothing() {
-        let h = heap(0x5EE);
-        let mut cache = h.thread_cache();
-        let class = SizeClass::for_size(64).unwrap();
-        let batch = refill_batch(h.config().threshold(class));
-        assert!(batch > 1, "test needs a multi-slot refill");
-
-        assert_eq!(cache.mags.next_up(class), None, "nothing reserved yet");
-        assert_eq!(h.reserved_slots(), 0, "asking did not refill");
-        assert_eq!(h.probe_stats(), (0, 0), "asking drew nothing");
-
-        let mut expected = None;
-        for i in 1..=2 * batch + 1 {
-            let got = cache.alloc(64).unwrap();
-            if let Some(named) = expected {
-                assert_eq!(got, named, "handout {i}");
-            }
-            let before = (h.probe_stats(), h.reserved_slots());
-            expected = cache.mags.next_up(class);
-            assert_eq!((h.probe_stats(), h.reserved_slots()), before, "pure read");
-            assert_eq!(
-                expected.is_none(),
-                i % batch == 0,
-                "empty after handout {i}"
-            );
-            if let Some(named) = expected {
-                let off = h.offset_of(named);
-                assert!(!h.is_live_at(off), "named slot is reserved, not live");
-                assert_eq!(h.free_at(off), FreeOutcome::NotAllocated);
-            }
-            let other = SizeClass::for_size(1000).unwrap();
-            assert_eq!(cache.mags.next_up(other), None, "classes are independent");
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::bitmap::{SlotState, SlotStateMap};
 use crate::config::HeapConfig;
 use crate::rng::AtomicMwc;
 use crate::size_class::SizeClass;
-use crate::sync::{Arm, Plain, Shared, Word};
+use crate::sync::{Arm, Plain, Rmw, Shared, Word};
 use core::sync::atomic::{AtomicU64, Ordering};
 
 /// The single-owner partition: [`AtomicPartition`] with every update a plain
@@ -40,9 +40,10 @@ pub type Partition = AtomicPartition<Plain>;
 /// from a CAS-advanced [`AtomicMwc`], and the `1/M` cap is enforced by a
 /// ticket on an `in_use` counter. Every update of those three, and of the
 /// probe counter, is a [`Word`] update in the partition's [`Arm`]: for
-/// `Shared` a locked RMW, or load + store while the process has one thread;
-/// for `Plain` ([`Partition`]) always load + store ([`crate::sync`]) — same
-/// draws, same outcomes, same order in every arm. The determinism contract:
+/// `Shared` a locked RMW, or load + store while the process has one thread
+/// (read once per call and carried down as `sole`); for `Plain`
+/// ([`Partition`]) always load + store ([`crate::sync`]) — same draws, same
+/// outcomes, same order in every arm. The determinism contract:
 ///
 /// * **Single-threaded histories are bit-identical across arms** for the
 ///   same seed — the RNG stream, the shift draw, and the win/lose outcome of
@@ -352,8 +353,9 @@ impl<A: Arm> AtomicPartition<A> {
     /// consistent without locking): uniform over `[0, capacity)` by the
     /// widening multiply, which for a power of two is the shift.
     #[inline]
-    fn draw(&self, active: u64) -> usize {
-        self.rng.below((active >> ACTIVE_CAPACITY_SHIFT) as usize)
+    fn draw(&self, sole: bool, active: u64) -> usize {
+        self.rng
+            .below_in(sole, (active >> ACTIVE_CAPACITY_SHIFT) as usize)
     }
 
     /// The ticket: takes up to `want` of them against the `1/M` cap and
@@ -362,10 +364,11 @@ impl<A: Arm> AtomicPartition<A> {
     /// request; the ungranted part of both goes back in one `sub`, which
     /// nets `allocs += granted`, exactly as sequential tickets would.
     #[inline]
-    fn take_tickets(&self, want: usize) -> usize {
+    fn take_tickets(&self, sole: bool, want: usize) -> usize {
         let threshold = (self.active.load(Ordering::Relaxed) & ACTIVE_THRESHOLD_MASK) as usize;
         let bulk = ((want as u64) << TICKET_ALLOC_SHIFT) | want as u64;
-        let prev = (self.tickets.add(bulk, Ordering::Relaxed) & TICKET_IN_USE_MASK) as usize;
+        let prev = self.tickets.rmw(sole, Rmw::Add(bulk), Ordering::Relaxed);
+        let prev = (prev & TICKET_IN_USE_MASK) as usize;
         let granted = if prev >= threshold {
             0
         } else {
@@ -373,10 +376,8 @@ impl<A: Arm> AtomicPartition<A> {
         };
         if granted < want {
             let ungranted = (want - granted) as u64;
-            self.tickets.sub(
-                (ungranted << TICKET_ALLOC_SHIFT) | ungranted,
-                Ordering::Relaxed,
-            );
+            let back = (ungranted << TICKET_ALLOC_SHIFT) | ungranted;
+            self.tickets.rmw(sole, Rmw::Sub(back), Ordering::Relaxed);
         }
         granted
     }
@@ -386,7 +387,14 @@ impl<A: Arm> AtomicPartition<A> {
     /// region is at its threshold ("At threshold: no more memory").
     #[inline]
     pub fn alloc(&self) -> Option<usize> {
-        self.probe_claim(|index| self.map.claim_live(index))
+        self.alloc_in(A::sole())
+    }
+
+    /// [`alloc`](Self::alloc) in the arm `sole` picks: the caller's one read
+    /// of the thread count ([`crate::sync`]), carried down from its entry.
+    #[inline]
+    pub(crate) fn alloc_in(&self, sole: bool) -> Option<usize> {
+        self.probe_claim(sole, |index| self.map.claim_live(sole, index))
     }
 
     /// The magazine refill's lock-free twin of [`alloc`](Self::alloc):
@@ -395,24 +403,25 @@ impl<A: Arm> AtomicPartition<A> {
     /// E[probes] statistics as direct allocations.
     #[inline]
     pub fn reserve_one(&self) -> Option<usize> {
-        self.probe_claim(|index| self.map.reserve(index))
+        let sole = A::sole();
+        self.probe_claim(sole, |index| self.map.reserve(sole, index))
     }
 
     #[inline]
-    fn probe_claim(&self, claim: impl Fn(usize) -> bool) -> Option<usize> {
-        if self.take_tickets(1) == 0 {
+    fn probe_claim(&self, sole: bool, claim: impl Fn(usize) -> bool) -> Option<usize> {
+        if self.take_tickets(sole, 1) == 0 {
             return None;
         }
-        let (index, probes) = self.probe(claim);
+        let (index, probes) = self.probe(sole, claim);
         // One deferred add per allocation, not per probe.
-        self.probes.add(probes, Ordering::Relaxed);
+        self.probes.rmw(sole, Rmw::Add(probes), Ordering::Relaxed);
         Some(index)
     }
 
     /// The probe loop, for a caller that holds a ticket: draws until
     /// `claim` wins a slot, and returns it with the number of draws taken.
     #[inline]
-    fn probe(&self, claim: impl Fn(usize) -> bool) -> (usize, u64) {
+    fn probe(&self, sole: bool, claim: impl Fn(usize) -> bool) -> (usize, u64) {
         let mut probes = 0u64;
         loop {
             probes += 1;
@@ -422,7 +431,7 @@ impl<A: Arm> AtomicPartition<A> {
             // relaxed reload of a rarely-written line is free next to the
             // draw itself, and single-threaded it always reads the same
             // word — determinism is untouched.
-            let index = self.draw(self.active.load(Ordering::Relaxed));
+            let index = self.draw(sole, self.active.load(Ordering::Relaxed));
             if claim(index) {
                 return (index, probes);
             }
@@ -440,21 +449,21 @@ impl<A: Arm> AtomicPartition<A> {
     /// only the number of atomic read-modify-writes shrinks. Returns how
     /// many slots were reserved (0 at the cap); `out[..n]` holds them in
     /// draw order.
-    pub fn reserve_batch(&self, out: &mut [usize]) -> usize {
+    pub(crate) fn reserve_batch(&self, sole: bool, out: &mut [usize]) -> usize {
         if out.is_empty() {
             return 0;
         }
-        let granted = self.take_tickets(out.len());
+        let granted = self.take_tickets(sole, out.len());
         if granted == 0 {
             return 0;
         }
         let mut probes = 0u64;
         for slot in &mut out[..granted] {
-            let (index, draws) = self.probe(|index| self.map.reserve(index));
+            let (index, draws) = self.probe(sole, |index| self.map.reserve(sole, index));
             *slot = index;
             probes += draws;
         }
-        self.probes.add(probes, Ordering::Relaxed);
+        self.probes.rmw(sole, Rmw::Add(probes), Ordering::Relaxed);
         granted
     }
 
@@ -465,17 +474,17 @@ impl<A: Arm> AtomicPartition<A> {
     /// for the whole batch. Clear-then-decrement keeps the conservative
     /// transient overcount of the single-slot path. Returns
     /// `(freed, ignored)`.
-    pub fn free_batch(&self, indices: &[usize]) -> (u64, u64) {
+    pub(crate) fn free_batch(&self, sole: bool, indices: &[usize]) -> (u64, u64) {
         let mut freed = 0u64;
         for &index in indices {
-            if self.map.free(index) == SlotState::Live {
+            if self.map.free(sole, index) == SlotState::Live {
                 freed += 1;
             }
         }
         if freed > 0 {
             // Low half only: frees return occupancy tickets, never alloc
             // telemetry.
-            self.tickets.sub(freed, Ordering::Relaxed);
+            self.tickets.rmw(sole, Rmw::Sub(freed), Ordering::Relaxed);
         }
         (freed, indices.len() as u64 - freed)
     }
@@ -488,15 +497,15 @@ impl<A: Arm> AtomicPartition<A> {
     /// Panics if `index >= capacity` (always), or if the slot was not
     /// reserved (debug builds).
     #[inline]
-    pub fn commit(&self, index: usize) {
-        self.map.commit(index);
+    pub(crate) fn commit(&self, sole: bool, index: usize) {
+        self.map.commit(sole, index);
     }
 
     /// Returns an unhanded reservation (`11 → 00`) and its ticket; `true`
     /// when this call released it.
-    pub fn release_reservation(&self, index: usize) -> bool {
-        if self.map.release_reservation(index) {
-            self.tickets.sub(1, Ordering::Relaxed);
+    pub(crate) fn release_reservation(&self, sole: bool, index: usize) -> bool {
+        if self.map.release_reservation(sole, index) {
+            self.tickets.rmw(sole, Rmw::Sub(1), Ordering::Relaxed);
             true
         } else {
             false
@@ -514,13 +523,20 @@ impl<A: Arm> AtomicPartition<A> {
     /// and alignment before calling in, so this indicates a heap bug.
     #[inline]
     pub fn free(&self, index: usize) -> SlotState {
-        let was = self.map.free(index);
+        self.free_in(A::sole(), index)
+    }
+
+    /// [`free`](Self::free) in the arm `sole` picks, as for
+    /// [`alloc_in`](Self::alloc_in).
+    #[inline]
+    pub(crate) fn free_in(&self, sole: bool, index: usize) -> SlotState {
+        let was = self.map.free(sole, index);
         if was == SlotState::Live {
             // Clear-then-decrement: between the two, `in_use` overcounts,
             // which only ever errs toward denying an allocation. A live slot
             // guarantees the low half is ≥ 1, so the subtraction cannot
             // borrow into the packed alloc counter.
-            self.tickets.sub(1, Ordering::Relaxed);
+            self.tickets.rmw(sole, Rmw::Sub(1), Ordering::Relaxed);
         }
         was
     }
@@ -782,14 +798,14 @@ mod tests {
         assert!(p.is_occupied(r));
         assert_eq!(p.in_use(), 1, "reservations count toward 1/M");
         assert_eq!(p.free(r), SlotState::Reserved, "free of reserved ignored");
-        p.commit(r);
+        p.commit(false, r);
         assert!(p.is_live(r));
         assert_eq!(p.free(r), SlotState::Live);
         assert_eq!(p.in_use(), 0);
         // Release path: reservation returned without ever going live.
         let r2 = p.reserve_one().unwrap();
-        assert!(p.release_reservation(r2));
-        assert!(!p.release_reservation(r2));
+        assert!(p.release_reservation(false, r2));
+        assert!(!p.release_reservation(false, r2));
         assert_eq!(p.in_use(), 0);
         assert_eq!(p.occupied_slots().count(), 0);
     }
@@ -803,7 +819,7 @@ mod tests {
         let batch = atomic_seeded(128, 64, 0xBA7C);
         let singles: Vec<usize> = (0..8).map(|_| one.reserve_one().unwrap()).collect();
         let mut out = [usize::MAX; 8];
-        assert_eq!(batch.reserve_batch(&mut out), 8);
+        assert_eq!(batch.reserve_batch(false, &mut out), 8);
         assert_eq!(out.to_vec(), singles);
         assert_eq!(batch.in_use(), one.in_use());
         assert_eq!(batch.probe_stats(), one.probe_stats());
@@ -813,12 +829,16 @@ mod tests {
     fn reserve_batch_clamps_to_threshold_and_frees_batch_reconcile() {
         let p = atomic_seeded(64, 5, 0x0B47);
         let mut out = [usize::MAX; 8];
-        assert_eq!(p.reserve_batch(&mut out), 5, "clamped at the 1/M cap");
+        assert_eq!(
+            p.reserve_batch(false, &mut out),
+            5,
+            "clamped at the 1/M cap"
+        );
         assert_eq!(p.in_use(), 5, "overshoot tickets returned");
-        assert_eq!(p.reserve_batch(&mut out), 0, "at threshold");
+        assert_eq!(p.reserve_batch(false, &mut out), 0, "at threshold");
         assert_eq!(p.in_use(), 5);
         for &i in &out[..5] {
-            p.commit(i);
+            p.commit(false, i);
         }
         // Batch free: 5 live slots, one double (ignored), one never
         // allocated (ignored).
@@ -826,7 +846,7 @@ mod tests {
         let mut to_free: Vec<usize> = out[..5].to_vec();
         to_free.push(out[0]);
         to_free.push(never);
-        assert_eq!(p.free_batch(&to_free), (5, 2));
+        assert_eq!(p.free_batch(false, &to_free), (5, 2));
         assert_eq!(p.in_use(), 0);
         assert_eq!(p.occupied_slots().count(), 0);
     }

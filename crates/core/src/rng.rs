@@ -252,19 +252,21 @@ impl<A: Arm> AtomicMwc<A> {
     /// [`Mwc::next_u64`] on the same state.
     #[inline]
     pub fn next_u64(&self) -> u64 {
+        self.next_u64_in(A::sole())
+    }
+
+    /// [`next_u64`](Self::next_u64) in the arm `sole` picks (read once by
+    /// the caller's call, [`crate::sync`]).
+    #[inline]
+    fn next_u64_in(&self, sole: bool) -> u64 {
         use core::sync::atomic::Ordering::Relaxed;
-        let mut cur = self.state.load(Relaxed);
-        loop {
+        let mut out = 0;
+        let _ = self.state.update(sole, Relaxed, Relaxed, |cur| {
             let mut m = unpack(cur);
-            let out = m.next_u64();
-            match self
-                .state
-                .compare_set_weak(cur, pack(m.z, m.w), Relaxed, Relaxed)
-            {
-                Ok(_) => return out,
-                Err(seen) => cur = seen,
-            }
-        }
+            out = m.next_u64();
+            Some(pack(m.z, m.w))
+        });
+        out
     }
 
     /// Returns a uniformly distributed index in `0..bound` via the same
@@ -277,8 +279,14 @@ impl<A: Arm> AtomicMwc<A> {
     /// Panics if `bound` is zero (debug builds only).
     #[inline]
     pub fn below(&self, bound: usize) -> usize {
+        self.below_in(A::sole(), bound)
+    }
+
+    /// [`below`](Self::below) in the arm `sole` picks.
+    #[inline]
+    pub(crate) fn below_in(&self, sole: bool, bound: usize) -> usize {
         debug_assert!(bound > 0, "bound must be positive");
-        let r = self.next_u64();
+        let r = self.next_u64_in(sole);
         ((u128::from(r) * bound as u128) >> 64) as usize
     }
 }

@@ -363,16 +363,25 @@ impl<A: Arm> Heap<A> {
     /// so the fast path is unchanged.
     #[inline]
     pub fn try_alloc(&self, size: usize) -> AllocOutcome {
+        self.try_alloc_in(A::sole(), size)
+    }
+
+    /// [`try_alloc`](Self::try_alloc) in the arm `sole` picks: the one read
+    /// of the thread count the caller's call made at its entry, carried down
+    /// to every update ([`crate::sync`]). Every `sole`-taking method below
+    /// has that contract.
+    #[inline]
+    pub(crate) fn try_alloc_in(&self, sole: bool, size: usize) -> AllocOutcome {
         let Some(class) = SizeClass::for_size(size) else {
             return AllocOutcome::Unsupported;
         };
         loop {
-            if let Some(index) = self.partitions[class.index()].alloc() {
-                self.stats.record_alloc();
+            if let Some(index) = self.partitions[class.index()].alloc_in(sole) {
+                self.stats.record_alloc(sole);
                 return AllocOutcome::Placed(Slot { class, index });
             }
-            if !self.grow_class(class) {
-                self.stats.record_exhausted();
+            if !self.grow_class(sole, class) {
+                self.stats.record_exhausted(sole);
                 return AllocOutcome::Spill;
             }
         }
@@ -449,12 +458,12 @@ impl<A: Arm> Heap<A> {
     /// already at its maximum capacity (time to spill), `true` means the
     /// caller should retry its allocation — either this call widened the
     /// active capacity or a racing free already made room.
-    fn grow_class(&self, class: SizeClass) -> bool {
+    fn grow_class(&self, sole: bool, class: SizeClass) -> bool {
         let partition = &self.partitions[class.index()];
         if partition.capacity() >= self.geometry.capacity(class) {
             return false;
         }
-        let _guard = self.maintenance[class.index()].lock();
+        let _guard = self.maintenance[class.index()].lock_in(sole);
         self.grow_class_locked(class)
     }
 
@@ -503,10 +512,10 @@ impl<A: Arm> Heap<A> {
     /// bookkeeping: a misaligned offset is an ignored free and is counted
     /// here, so the uncached and the buffered free path reject identically.
     #[inline(always)]
-    pub(crate) fn locate_free(&self, offset: usize) -> Result<Slot, FreeOutcome> {
+    pub(crate) fn locate_free(&self, sole: bool, offset: usize) -> Result<Slot, FreeOutcome> {
         locate_free(&self.geometry, offset).inspect_err(|&outcome| {
             if outcome == FreeOutcome::MisalignedOffset {
-                self.stats.record_ignored_frees(1);
+                self.stats.record_ignored_frees(sole, 1);
             }
         })
     }
@@ -523,17 +532,23 @@ impl<A: Arm> Heap<A> {
     /// invalid frees.
     #[inline]
     pub fn free_at(&self, offset: usize) -> FreeOutcome {
-        let slot = match self.locate_free(offset) {
+        self.free_at_in(A::sole(), offset)
+    }
+
+    /// [`free_at`](Self::free_at) in the arm `sole` picks.
+    #[inline]
+    pub(crate) fn free_at_in(&self, sole: bool, offset: usize) -> FreeOutcome {
+        let slot = match self.locate_free(sole, offset) {
             Ok(slot) => slot,
             Err(outcome) => return outcome,
         };
-        match self.partitions[slot.class.index()].free(slot.index) {
+        match self.partitions[slot.class.index()].free_in(sole, slot.index) {
             SlotState::Live => {
-                self.stats.record_frees(1);
+                self.stats.record_frees(sole, 1);
                 FreeOutcome::Freed(slot)
             }
             SlotState::Free | SlotState::Reserved => {
-                self.stats.record_ignored_frees(1);
+                self.stats.record_ignored_frees(sole, 1);
                 FreeOutcome::NotAllocated
             }
         }
@@ -663,12 +678,17 @@ impl<A: Arm> Heap<A> {
     /// inlined handout path.
     #[cold]
     #[inline(never)]
-    pub(crate) fn refill(&self, class: SizeClass, out: &mut [usize; MAG_SLOTS]) -> usize {
+    pub(crate) fn refill(
+        &self,
+        sole: bool,
+        class: SizeClass,
+        out: &mut [usize; MAG_SLOTS],
+    ) -> usize {
         let partition = &self.partitions[class.index()];
-        let batch = self.maintenance[class.index()].lock();
+        let batch = self.maintenance[class.index()].lock_in(sole);
         let got = loop {
             let want = refill_batch(partition.threshold());
-            let got = partition.reserve_batch(&mut out[..want]);
+            let got = partition.reserve_batch(sole, &mut out[..want]);
             if got > 0 || !self.grow_class_locked(class) {
                 break got;
             }
@@ -678,7 +698,7 @@ impl<A: Arm> Heap<A> {
         self.promote_if_hot_locked(class);
         drop(batch);
         if got == 0 {
-            self.stats.record_exhausted();
+            self.stats.record_exhausted(sole);
         }
         got
     }
@@ -686,9 +706,9 @@ impl<A: Arm> Heap<A> {
     /// The lock-free reserved→live handout transition: one `fetch_and` in
     /// the slot-state map plus the alloc counter.
     #[inline(always)]
-    pub(crate) fn commit(&self, class: SizeClass, index: usize) {
-        self.partitions[class.index()].commit(index);
-        self.stats.record_alloc();
+    pub(crate) fn commit(&self, sole: bool, class: SizeClass, index: usize) {
+        self.partitions[class.index()].commit(sole, index);
+        self.stats.record_alloc(sole);
     }
 
     /// Releases a batch of buffered frees for `class` under one maintenance
@@ -701,6 +721,7 @@ impl<A: Arm> Heap<A> {
     #[inline(never)]
     pub(crate) fn flush_frees(
         &self,
+        sole: bool,
         class: SizeClass,
         frees: &mut [usize; FREE_SLOTS],
         len: &mut usize,
@@ -711,9 +732,9 @@ impl<A: Arm> Heap<A> {
         }
         let lock = &self.maintenance[class.index()];
         let guard = if force {
-            lock.lock()
+            lock.lock_in(sole)
         } else {
-            match lock.try_lock() {
+            match lock.try_lock_in(sole) {
                 Some(guard) => guard,
                 None => return,
             }
@@ -723,11 +744,11 @@ impl<A: Arm> Heap<A> {
         // reserved slot (an address the application never received — which
         // must not release a reservation another magazine holds) are both
         // ignored. The ticket return is one batched decrement.
-        let (freed, ignored) = self.partitions[class.index()].free_batch(&frees[..*len]);
+        let (freed, ignored) = self.partitions[class.index()].free_batch(sole, &frees[..*len]);
         drop(guard);
         *len = 0;
-        self.stats.record_frees(freed);
-        self.stats.record_ignored_frees(ignored);
+        self.stats.record_frees(sole, freed);
+        self.stats.record_ignored_frees(sole, ignored);
     }
 
     /// Returns unhanded reservations to their partition (no stats: they were
@@ -736,14 +757,14 @@ impl<A: Arm> Heap<A> {
     /// flush calls it once per class, in a loop the optimizer otherwise
     /// unrolls twelve times around the inlined body.
     #[inline(never)]
-    pub(crate) fn return_reservations(&self, class: SizeClass, slots: &[usize]) {
+    pub(crate) fn return_reservations(&self, sole: bool, class: SizeClass, slots: &[usize]) {
         if slots.is_empty() {
             return;
         }
         let partition = &self.partitions[class.index()];
-        let _batch = self.maintenance[class.index()].lock();
+        let _batch = self.maintenance[class.index()].lock_in(sole);
         for &index in slots {
-            let was_reserved = partition.release_reservation(index);
+            let was_reserved = partition.release_reservation(sole, index);
             debug_assert!(was_reserved, "returned slot {index} was not reserved");
         }
     }

@@ -47,7 +47,14 @@
 //!    *calling thread's* `pthread_create`, before the `clone`. A thread that
 //!    reads 1 is therefore alone at that instant, and only it could change
 //!    that — by calling `pthread_create` itself, which it is not doing in
-//!    the middle of a `Word` update.
+//!    the middle of an allocator call. So the byte is **read once per
+//!    call**: the entry of each per-call path (an allocation, a free, a
+//!    refill or flush behind them, a statistics add) reads it and passes the
+//!    answer down as `sole: bool`, and every update the call makes uses that
+//!    one answer instead of reading the byte again. Functions that take it
+//!    are crate-private (named `…_in` where a public form reads the byte for
+//!    its caller), so no caller outside the crate can hand a stale `true` to
+//!    a word other threads can reach.
 //! 2. **Creation is the barrier.** `pthread_create` synchronizes-with the
 //!    start of the new thread (and `clone` is a full fence), so every plain
 //!    store made while alone is visible to every thread that will ever
@@ -56,7 +63,9 @@
 //!    last `pthread_join`, not in the fork child of a once-threaded parent —
 //!    so a process that has ever had two threads stays on the locked arm.
 //!    (Were a later glibc to set it again once a process is provably back
-//!    to one thread, fact 1 would still hold at every read.)
+//!    to one thread, fact 1 would still hold at every read.) The global
+//!    allocator leans on this once more: while the byte reads 1 its
+//!    magazines are the heap's own, not thread-local (`global/tls.rs`).
 //!
 //! Both arms are atomic loads and stores, so there is no data race under
 //! the language's memory model either way, and no `unsafe` beyond the one
@@ -90,7 +99,7 @@ pub fn sole_thread() -> bool {
 
 /// The four unconditional updates of a [`Word`].
 #[derive(Debug, Clone, Copy)]
-enum Rmw {
+pub(crate) enum Rmw {
     Add(u64),
     Sub(u64),
     Or(u64),
@@ -137,10 +146,12 @@ impl Arm for Plain {
 
 /// A 64-bit word of allocator state: an `AtomicU64` (same layout, so words
 /// carved out of a raw metadata arena cast to it) whose read-modify-writes
-/// are what its [`Arm`] says: locked instructions, or a relaxed load and
-/// store (module docs). Loads and stores take the caller's ordering in
-/// either arm; every update returns the prior value, like the `fetch_*`
-/// family.
+/// are locked instructions, or a relaxed load and store, as the `sole` each
+/// one is handed says — the one read of [`Arm::sole`] the calling operation
+/// made at its entry (module docs). Loads and stores take the caller's
+/// ordering in either arm; every update returns the prior value, like the
+/// `fetch_*` family. The updates are crate-private: a stale `true` handed
+/// to a word other threads reach would lose updates.
 #[derive(Debug)]
 #[repr(transparent)]
 pub struct Word<A: Arm = Shared>(AtomicU64, PhantomData<A>);
@@ -171,61 +182,11 @@ impl<A: Arm> Word<A> {
         self.0.store(value, order);
     }
 
-    /// Wrapping add; returns the prior value.
-    #[inline]
-    pub fn add(&self, n: u64, order: Ordering) -> u64 {
-        self.rmw(A::sole(), Rmw::Add(n), order)
-    }
-
-    /// Wrapping subtract; returns the prior value.
-    #[inline]
-    pub fn sub(&self, n: u64, order: Ordering) -> u64 {
-        self.rmw(A::sole(), Rmw::Sub(n), order)
-    }
-
-    /// Bitwise or; returns the prior value.
-    #[inline]
-    pub fn or(&self, mask: u64, order: Ordering) -> u64 {
-        self.rmw(A::sole(), Rmw::Or(mask), order)
-    }
-
-    /// Bitwise and; returns the prior value.
-    #[inline]
-    pub fn and(&self, mask: u64, order: Ordering) -> u64 {
-        self.rmw(A::sole(), Rmw::And(mask), order)
-    }
-
-    /// Stores `new` if the word holds `current`: `Ok(prior)` when it did,
-    /// `Err(seen)` and the word unchanged when it did not. Never fails
-    /// spuriously, which a single attempt ([`SpinLock::try_lock`]) needs.
-    #[inline]
-    pub fn compare_set(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.cas(A::sole(), false, current, new, success, failure)
-    }
-
-    /// [`compare_set`](Self::compare_set) for retry loops: the locked arm is
-    /// `compare_exchange_weak` (on LL/SC targets one attempt, not a loop
-    /// nested in the caller's) and may fail spuriously, with `Err(current)`.
-    #[inline]
-    pub fn compare_set_weak(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.cas(A::sole(), true, current, new, success, failure)
-    }
-
-    /// Both arms of the unconditional updates; `sole` picks one.
+    /// Wrapping add or subtract, or bitwise or or and, returning the prior
+    /// value; `sole` picks the arm — the entry point to a per-call path
+    /// reads it once and passes it down (module docs).
     #[inline(always)]
-    fn rmw(&self, sole: bool, op: Rmw, order: Ordering) -> u64 {
+    pub(crate) fn rmw(&self, sole: bool, op: Rmw, order: Ordering) -> u64 {
         if sole {
             let prior = self.0.load(Ordering::Relaxed);
             let next = match op {
@@ -246,10 +207,40 @@ impl<A: Arm> Word<A> {
         }
     }
 
-    /// Both arms of [`compare_set`](Self::compare_set) and its weak form;
-    /// `sole` picks the arm, `weak` the locked arm's instruction.
+    /// Replaces the word with `f(prior)`, or leaves it when `f` answers
+    /// `None`, and returns `Ok(prior)` or `Err(prior)` to match — the
+    /// load-compute-compare-and-set loop of `AtomicU64::fetch_update`, in the
+    /// arm `sole` picks, as in [`rmw`](Self::rmw). The locked arm retries `f`
+    /// on whatever a lost race left (`set` and `fetch` are its orderings);
+    /// the plain arm is one load and at most one store, with no compare:
+    /// nothing else can write the word in between.
     #[inline(always)]
-    fn cas(
+    pub(crate) fn update(
+        &self,
+        sole: bool,
+        set: Ordering,
+        fetch: Ordering,
+        mut f: impl FnMut(u64) -> Option<u64>,
+    ) -> Result<u64, u64> {
+        if sole {
+            let prior = self.0.load(Ordering::Relaxed);
+            let next = f(prior).ok_or(prior)?;
+            self.0.store(next, Ordering::Relaxed);
+            Ok(prior)
+        } else {
+            self.0.fetch_update(set, fetch, f)
+        }
+    }
+
+    /// Stores `new` if the word holds `current`: `Ok(prior)` when it did,
+    /// `Err(seen)` and the word unchanged when it did not. `sole` picks the
+    /// arm, as in [`rmw`](Self::rmw), and `weak` the locked arm's
+    /// instruction: `compare_exchange_weak` for retry loops (on LL/SC targets
+    /// one attempt, not a loop nested in the caller's; it may fail
+    /// spuriously, with `Err(current)`), `compare_exchange` for a single
+    /// attempt ([`SpinLock::try_lock`]), which must not.
+    #[inline(always)]
+    pub(crate) fn cas(
         &self,
         sole: bool,
         weak: bool,
@@ -297,21 +288,20 @@ impl<T> SpinLock<T> {
 
     /// Acquires the lock, spinning with exponential backoff until free.
     pub fn lock(&self) -> SpinGuard<'_, T> {
-        let mut spins = 0u32;
-        while self
+        self.lock_in(sole_thread())
+    }
+
+    /// [`lock`](Self::lock), in the arm the caller's one read of
+    /// [`sole_thread`] picked.
+    /// One attempt inline; the spinning is [`acquire_contended`]'s, out of
+    /// line, so a lock site carries one copy of the attempt in each arm.
+    #[inline]
+    pub(crate) fn lock_in(&self, sole: bool) -> SpinGuard<'_, T> {
+        let attempt = self
             .locked
-            .compare_set_weak(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            // Backoff: brief busy-wait, then yield to the scheduler.
-            if spins < 10 {
-                for _ in 0..(1 << spins) {
-                    core::hint::spin_loop();
-                }
-                spins += 1;
-            } else {
-                std::thread::yield_now();
-            }
+            .cas(sole, true, 0, 1, Ordering::Acquire, Ordering::Relaxed);
+        if attempt.is_err() {
+            acquire_contended(&self.locked);
         }
         SpinGuard { lock: self }
     }
@@ -345,11 +335,48 @@ impl<T> SpinLock<T> {
     /// (the flush retries at the next free), and only a completely full
     /// buffer forces a blocking [`lock`](Self::lock).
     pub fn try_lock(&self) -> Option<SpinGuard<'_, T>> {
+        self.try_lock_in(sole_thread())
+    }
+
+    /// [`try_lock`](Self::try_lock), in the arm `sole` picks, as for
+    /// [`lock_in`](Self::lock_in).
+    pub(crate) fn try_lock_in(&self, sole: bool) -> Option<SpinGuard<'_, T>> {
         // Lazily: a guard built for a failed attempt would unlock on drop.
         self.locked
-            .compare_set(0, 1, Ordering::Acquire, Ordering::Relaxed)
+            .cas(sole, false, 0, 1, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
             .then(|| SpinGuard { lock: self })
+    }
+}
+
+/// The rest of [`SpinLock::lock_in`] after a failed attempt: spins with
+/// exponential backoff until the flag is free, then takes it. A held lock is
+/// another thread's (one thread never waits on itself), so each retry reads
+/// the thread count afresh.
+#[cold]
+#[inline(never)]
+fn acquire_contended(locked: &Word) {
+    let mut spins = 0u32;
+    while locked
+        .cas(
+            sole_thread(),
+            true,
+            0,
+            1,
+            Ordering::Acquire,
+            Ordering::Relaxed,
+        )
+        .is_err()
+    {
+        // Backoff: brief busy-wait, then yield to the scheduler.
+        if spins < 10 {
+            for _ in 0..(1 << spins) {
+                core::hint::spin_loop();
+            }
+            spins += 1;
+        } else {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -513,11 +540,12 @@ mod tests {
     use std::sync::Arc;
 
     proptest! {
-        /// The load + store arm and the locked arm of each of the five
+        /// The load + store arm and the locked arm of each of the six
         /// updates are the same function of (word, operand): same prior
-        /// value returned, same word left behind. Called on the private
-        /// `rmw`/`cas` with the arm spelled out, because under the (threaded)
-        /// test harness `sole_thread()` only ever picks the locked one.
+        /// value returned, same word left behind. Called on `rmw`, `cas`
+        /// and `update` with the arm spelled out, because under the
+        /// (threaded) test harness `sole_thread()` only ever picks the
+        /// locked one.
         #[test]
         fn plain_and_locked_updates_agree(
             start in any::<u64>(),
@@ -553,6 +581,15 @@ mod tests {
                 prop_assert_eq!(plain.load(Ordering::Relaxed), locked.load(Ordering::Relaxed));
                 prop_assert_eq!(plain.load(Ordering::Relaxed), if hit { operand } else { start });
             }
+            // The load-compute-set loop, with a step that declines half the
+            // time.
+            let step = |word: u64| (word & 1 == u64::from(hit)).then_some(word ^ operand);
+            let (plain, locked): (Word, Word) = (Word::new(start), Word::new(start));
+            prop_assert_eq!(
+                plain.update(true, ok, err, step),
+                locked.update(false, ok, err, step)
+            );
+            prop_assert_eq!(plain.load(Ordering::Relaxed), locked.load(Ordering::Relaxed));
         }
     }
 

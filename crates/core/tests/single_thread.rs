@@ -15,28 +15,42 @@
 //! and requires that trace to equal the shared heap's, whichever arm that
 //! ran in.
 //!
+//! While the process is alone, `DieHard` keeps its magazines in the heap, not
+//! in thread-local storage, and diverts a call made inside a guarded one; a
+//! fork child of the lone process keeps allocating on its copy of them.
+//!
 //! Then the handover the soundness argument rests on: objects allocated and
 //! pattern-filled *before* the first spawn — slot states, tickets and
-//! counters all written with plain stores — are freed from four new threads
-//! while the main thread keeps churning the same heap. Contents are checked
-//! at every free, and at quiescence the books must balance exactly.
+//! counters all written with plain stores, some already freed into the
+//! heap's own magazines — are settled when threads appear: four threads'
+//! racing first calls drain those magazines exactly once, after which
+//! nothing is reserved and the counters are exact. The objects are then
+//! freed from four new threads while the main thread keeps churning the same
+//! heap. Contents are checked at every free, and at quiescence the books
+//! must balance exactly.
 
 mod common;
 
 use common::{drive, record, Ops, Path, Recorder, Trace};
 use diehard_core::config::HeapConfig;
 use diehard_core::engine::HeapStats;
-use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
+use diehard_core::global::{with_guard, DieHard, DEFAULT_GROW_LOG2};
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::{HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
 use diehard_core::size_class::{SizeClass, NUM_CLASSES};
 use diehard_core::sync::{sole_thread, Arm, Plain, Shared};
 use diehard_core::Heap;
+use std::alloc::Layout;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier};
 
 const SEED: u64 = 0x501E_7EAD;
+
+/// Objects the handover heap allocates while alone, and how many of them
+/// it frees again before the first spawn.
+const MADE_ALONE: usize = 20_000;
+const FREED_ALONE: usize = 300;
 
 /// A [`PromoteHook`](diehard_core::sharded::PromoteHook) for the heaps that
 /// own no memory: without one they never promote. What it is called with is
@@ -218,12 +232,101 @@ fn check_and_free(heap: &DieHard, (p, size, id): (usize, usize, usize)) {
     heap.free(p as *mut u8);
 }
 
+/// A call into the allocator made inside a guarded one — glibc's own
+/// bookkeeping, a signal handler — never reaches the heap while the process
+/// is alone either: the guarded entries run their `nested` fallback
+/// (`libdiehard.so`'s arena), and an unnested call is served as usual.
+fn nested_calls_are_diverted_alone() {
+    let heap = DieHard::with_config(HeapConfig::default(), SEED ^ 3);
+    let layout = Layout::from_size_align(64, 16).unwrap();
+    let p = heap.alloc_guarded(layout, || panic!("an outermost call is not nested"));
+    assert!(!p.is_null());
+    let diverted = with_guard(|reentered| {
+        assert!(!reentered, "the flag starts clear");
+        let arena = 0x5EA1_0000 as *mut u8;
+        let nested = heap.alloc_guarded(layout, || arena);
+        let mut dropped = false;
+        heap.free_guarded(p, || dropped = true);
+        (nested == arena, dropped)
+    });
+    assert_eq!(diverted, (true, true), "both nested calls diverted");
+    let stats = heap.stats();
+    assert_eq!(
+        (stats.allocs, stats.frees),
+        (1, 0),
+        "only the outer call reached the heap"
+    );
+    heap.free_guarded(p, || panic!("an outermost call is not nested"));
+    assert_eq!(heap.stats().frees, 1);
+    assert_eq!((heap.live_objects(), heap.reserved_slots()), (0, 0));
+}
+
+/// The fork child of a process that has only ever had one thread is alone
+/// too, and keeps allocating on its copy of the heap — its own magazines,
+/// reservations and buffered frees included — while the parent's is left as
+/// it was.
+fn fork_child_keeps_allocating(heap: &DieHard, live: usize) {
+    // SAFETY: the process has one thread, so no lock is held across the
+    // fork by anyone else; the child makes no call that could need one and
+    // leaves by `_exit`.
+    let pid = unsafe { libc::fork() };
+    assert!(pid >= 0, "fork failed");
+    if pid == 0 {
+        let mut rng = Mwc::seeded(SEED ^ 4);
+        let ring: Vec<_> = (0..1000).map(|id| make(heap, &mut rng, id)).collect();
+        let alone = sole_thread() == cfg!(target_env = "gnu");
+        for object in ring {
+            check_and_free(heap, object);
+        }
+        let books = (heap.live_objects(), heap.reserved_slots());
+        // SAFETY: leaves the child without running the parent's teardown.
+        unsafe { libc::_exit(if alone && books == (live, 0) { 0 } else { 1 }) };
+    }
+    let mut status = -1;
+    // SAFETY: `pid` is this process's child; `status` is a live out-pointer.
+    assert_eq!(unsafe { libc::waitpid(pid, &raw mut status, 0) }, pid);
+    assert_eq!(
+        status, 0,
+        "the fork child allocated, freed and balanced its books"
+    );
+}
+
+/// The first calls into `heap` after the first spawn, racing from four
+/// threads: one of them drains what the heap's own magazines kept while the
+/// process was alone — reservations and buffered frees — and none of them
+/// finds a reservation left over or a counter short.
+fn first_calls_drain_once(heap: &DieHard) {
+    const THREADS: usize = 4;
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for id in 0..THREADS {
+            let start = &start;
+            s.spawn(move || {
+                let mut rng = Mwc::seeded(SEED ^ 5 ^ id as u64);
+                start.wait();
+                let object = make(heap, &mut rng, id);
+                check_and_free(heap, object);
+                // A scoped thread can outrun its exit flush: settle here.
+                heap.flush_thread_cache();
+            });
+        }
+    });
+    let stats = heap.stats();
+    let alone = (MADE_ALONE as u64, FREED_ALONE as u64);
+    assert_eq!(stats.allocs, alone.0 + THREADS as u64, "{stats:?}");
+    assert_eq!(stats.frees, alone.1 + THREADS as u64, "{stats:?}");
+    assert_eq!((stats.ignored_frees, stats.exhausted), (0, 0));
+    assert_eq!(heap.reserved_slots(), 0, "the reservations went back");
+    assert_eq!(heap.live_objects(), MADE_ALONE - FREED_ALONE);
+}
+
 /// Frees `before` — allocated while the process had one thread — from four
 /// new threads while the main thread churns `heap`, then balances the books.
 fn handover(heap: &DieHard, before: Vec<(usize, usize, usize)>) {
     const FREERS: usize = 4;
     const RING: usize = 512;
     let handed_over = before.len();
+    let settled = heap.stats();
     let start = Barrier::new(FREERS + 1);
     let done = AtomicUsize::new(0);
     let mut rng = Mwc::seeded(SEED ^ 0xC4);
@@ -242,7 +345,7 @@ fn handover(heap: &DieHard, before: Vec<(usize, usize, usize)>) {
         }
         start.wait();
         while done.load(Ordering::Acquire) < FREERS || churned < 20_000 {
-            let id = handed_over + churned;
+            let id = MADE_ALONE + churned;
             churned += 1;
             let object = make(heap, &mut rng, id);
             if ring.len() < RING {
@@ -256,7 +359,9 @@ fn handover(heap: &DieHard, before: Vec<(usize, usize, usize)>) {
     // Quiescence: the freers' magazines flushed at thread exit, and every
     // accessor below flushes this thread's first.
     let stats = heap.stats();
-    assert_eq!(stats.allocs, (handed_over + churned) as u64);
+    assert_eq!(stats.allocs - settled.allocs, churned as u64);
+    let freed = handed_over + churned - ring.len();
+    assert_eq!(stats.frees - settled.frees, freed as u64);
     assert_eq!(stats.ignored_frees, 0, "every free found its object live");
     assert_eq!(stats.exhausted, 0, "and no class ran out");
     assert_eq!((stats.allocs - stats.frees) as usize, heap.live_objects());
@@ -283,11 +388,20 @@ fn main() {
     );
     let alone = two_arms.then(drive_all);
 
-    // Allocated and filled with plain loads and stores.
+    nested_calls_are_diverted_alone();
+
+    // Allocated and filled with plain loads and stores, and some freed again:
+    // the heap's own magazines now hold reservations and buffered frees.
     let heap =
         DieHard::with_elastic_config(HeapConfig::paper_default(), SEED ^ 1, DEFAULT_GROW_LOG2);
     let mut rng = Mwc::seeded(SEED ^ 2);
-    let before: Vec<_> = (0..20_000).map(|id| make(&heap, &mut rng, id)).collect();
+    let mut before: Vec<_> = (0..MADE_ALONE)
+        .map(|id| make(&heap, &mut rng, id))
+        .collect();
+    for _ in 0..FREED_ALONE {
+        check_and_free(&heap, before.swap_remove(rng.below(before.len())));
+    }
+    fork_child_keeps_allocating(&heap, before.len());
     assert_eq!(sole_thread(), two_arms, "nothing above spawns");
 
     // A second thread, parked for the rest of the run.
@@ -304,6 +418,7 @@ fn main() {
         );
     }
 
+    first_calls_drain_once(&heap);
     handover(&heap, before);
 
     drop(unpark);
@@ -313,8 +428,9 @@ fn main() {
     );
     println!(
         "single_thread: {} placements, {} frees and all counters {}, \
-         and on Heap<Plain>'s compile-time plain arm; \
-         20000 objects handed over to 4 threads",
+         and on Heap<Plain>'s compile-time plain arm; nested calls diverted and a \
+         fork child served alone; 20000 objects made alone, drained once and handed over \
+         to 4 threads",
         threaded.uncached.ops.placed.len() * 3,
         threaded.uncached.ops.freed.len() * 3,
         if two_arms {

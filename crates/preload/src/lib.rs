@@ -45,9 +45,11 @@
 //! `ld.so` at load like every other libc import): while the host has one
 //! thread — `cat`, `tr`, `grep`, `awk`, `sort --parallel=1` — the
 //! allocator's read-modify-writes are plain loads and stores, which is what
-//! glibc's own `malloc` does for such a host, and they become locked
-//! instructions at the host's first `pthread_create`
-//! ([`diehard_core::sync`]). On an older glibc the library fails to load
+//! glibc's own `malloc` does for such a host, and its magazines are the
+//! heap's own, reached without a thread-local lookup; at the host's first
+//! `pthread_create` they become locked instructions and per-thread
+//! magazines ([`diehard_core::sync`]). Each call reads the byte once. On an
+//! older glibc the library fails to load
 //! with an unresolved-symbol error instead of running. The symbol is
 //! deliberately *not* looked up with `dlsym` during heap initialization to
 //! soften that: `dlsym` can allocate, and would re-enter an allocator that
@@ -68,12 +70,14 @@
 //!   Arena exhaustion fails *re-entrant* requests with null — bounded,
 //!   since only allocator-internal traffic lands there after startup.
 //! * **Re-entrancy.** A per-thread flag marks "this thread is inside the
-//!   allocator". It is a field of the heap's own thread-local block (plain
-//!   ELF TLS: no lazy init, no destructor registration, no allocation;
-//!   startup-loaded modules get static TLS offsets), beside the magazines,
-//!   so [`DieHard::alloc_guarded`]/[`DieHard::free_guarded`] test the flag
-//!   and reach the magazines through one `__tls_get_addr`, and this crate
-//!   has no thread-local of its own. A nested `malloc` is served
+//!   allocator". In a threaded host it is a field of the heap's own
+//!   thread-local block (plain ELF TLS: no lazy init, no destructor
+//!   registration, no allocation; startup-loaded modules get static TLS
+//!   offsets), beside the magazines, so
+//!   [`DieHard::alloc_guarded`]/[`DieHard::free_guarded`] test the flag and
+//!   reach the magazines through one `__tls_get_addr`; while the host has
+//!   one thread it is one process-wide flag and no lookup is made. This
+//!   crate has no thread-local of its own. A nested `malloc` is served
 //!   from the arena; a nested `free` of a non-arena pointer is *dropped*
 //!   and counted ([`reentrant_frees_dropped`]) — leaking a bounded number
 //!   of allocator-internal blocks beats re-entering a heap mid-operation.
@@ -109,6 +113,7 @@
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
+use diehard_core::size_class::MAX_OBJECT_SIZE;
 use libc::{c_char, c_int, c_void};
 use std::alloc::Layout;
 
@@ -224,18 +229,24 @@ fn set_errno(v: c_int) {
     unsafe { *libc::__errno_location() = v };
 }
 
-/// The one allocation funnel: size 0 is served as 1 byte (glibc-style
-/// unique, freeable pointers), re-entrant calls go to the arena, and
-/// failure returns null with `errno` untouched (callers decide between
-/// `ENOMEM` and POSIX's return-value-only reporting). Out of line, with
-/// [`DieHard::alloc_guarded`] inlined whole into it: every export shares
-/// one copy of the path from the re-entrancy flag to the magazine pop.
+/// `size` bytes at `align` (a power of two): size 0 is served as 1 byte
+/// (glibc-style unique, freeable pointers), and failure — an unrepresentable
+/// request included — returns null with `errno` untouched (callers decide
+/// between `ENOMEM` and POSIX's return-value-only reporting). The `Layout`
+/// is built here, inlined into each export, so `malloc`'s constant alignment
+/// folds its check to one comparison; the rest is [`alloc_impl`]'s.
+#[inline(always)]
+fn allocate(size: usize, align: usize) -> *mut u8 {
+    Layout::from_size_align(size.max(1), align).map_or(ptr::null_mut(), alloc_impl)
+}
+
+/// The one allocation funnel: re-entrant calls go to the arena. Out of
+/// line, with [`DieHard::alloc_guarded`] inlined whole into it: every export
+/// shares one copy of the path from the re-entrancy flag to the magazine
+/// pop.
 #[inline(never)]
-fn alloc_impl(size: usize, align: usize) -> *mut u8 {
-    let Ok(layout) = Layout::from_size_align(size.max(1), align) else {
-        return ptr::null_mut();
-    };
-    HEAP.alloc_guarded(layout, || arena::alloc(size, align))
+fn alloc_impl(layout: Layout) -> *mut u8 {
+    HEAP.alloc_guarded(layout, || arena::alloc(layout.size(), layout.align()))
 }
 
 /// Usable capacity of `p` wherever it lives: arena header, small-object
@@ -270,7 +281,7 @@ fn free_impl(p: *mut u8) {
 /// unique freeable pointer; null + `ENOMEM` on exhaustion.
 #[no_mangle]
 pub extern "C" fn malloc(size: usize) -> *mut c_void {
-    let p = alloc_impl(size, MALLOC_ALIGN);
+    let p = allocate(size, MALLOC_ALIGN);
     if p.is_null() {
         set_errno(libc::ENOMEM);
     }
@@ -293,14 +304,19 @@ pub extern "C" fn calloc(nmemb: usize, size: usize) -> *mut c_void {
         set_errno(libc::ENOMEM);
         return ptr::null_mut();
     };
-    let p = alloc_impl(total, MALLOC_ALIGN);
+    let p = allocate(total, MALLOC_ALIGN);
     if p.is_null() {
         set_errno(libc::ENOMEM);
         return ptr::null_mut();
     }
-    // Slots are recycled, so zeroing is mandatory, not cosmetic.
-    // SAFETY: the allocation above holds at least `total` bytes.
-    unsafe { ptr::write_bytes(p, 0, total) };
+    // Slots are recycled, so zeroing one is mandatory, not cosmetic. Past
+    // the largest class the block is a fresh anonymous mapping (or fresh
+    // arena bytes, which are never recycled either): the kernel zeroed it,
+    // and writing the zeros again would fault in every page of it.
+    if total <= MAX_OBJECT_SIZE {
+        // SAFETY: the allocation above holds at least `total` bytes.
+        unsafe { ptr::write_bytes(p, 0, total) };
+    }
     p.cast()
 }
 
@@ -324,7 +340,7 @@ pub extern "C" fn realloc(ptr: *mut c_void, size: usize) -> *mut c_void {
     if old >= size {
         return ptr;
     }
-    let new = alloc_impl(size, MALLOC_ALIGN);
+    let new = allocate(size, MALLOC_ALIGN);
     if new.is_null() {
         set_errno(libc::ENOMEM);
         return ptr::null_mut();
@@ -366,7 +382,7 @@ pub extern "C" fn posix_memalign(memptr: *mut *mut c_void, align: usize, size: u
     {
         return libc::EINVAL;
     }
-    let p = alloc_impl(size, align.max(MALLOC_ALIGN));
+    let p = allocate(size, align.max(MALLOC_ALIGN));
     if p.is_null() {
         return libc::ENOMEM;
     }
@@ -384,7 +400,7 @@ pub extern "C" fn aligned_alloc(align: usize, size: usize) -> *mut c_void {
         set_errno(libc::EINVAL);
         return ptr::null_mut();
     }
-    let p = alloc_impl(size, align.max(MALLOC_ALIGN));
+    let p = allocate(size, align.max(MALLOC_ALIGN));
     if p.is_null() {
         set_errno(libc::ENOMEM);
     }
@@ -456,7 +472,7 @@ pub unsafe extern "C" fn strncpy(dest: *mut c_char, src: *const c_char, n: usize
 ///
 /// `s` must be readable for `len` bytes.
 unsafe fn dup_impl(s: *const c_char, len: usize) -> *mut c_char {
-    let d = alloc_impl(len.saturating_add(1), MALLOC_ALIGN);
+    let d = allocate(len.saturating_add(1), MALLOC_ALIGN);
     if d.is_null() {
         set_errno(libc::ENOMEM);
         return ptr::null_mut();
@@ -677,6 +693,35 @@ mod tests {
             }
             free(q.cast());
         }
+    }
+
+    /// A `calloc` past the largest class is a fresh mapping the kernel has
+    /// zeroed, so it is handed out unwritten: 64 MiB of zeros, almost none
+    /// of it resident (`mincore`, before anything reads it). Zeroing it
+    /// again faulted in all 64 MiB — 69 MB resident and 12 ms, where glibc
+    /// reads 1.5 MB and 0.01 ms.
+    #[test]
+    fn large_calloc_is_zero_without_being_written() {
+        const LEN: usize = 64 << 20;
+        let p = calloc(64, 1 << 20).cast::<u8>();
+        assert!(!p.is_null());
+        // SAFETY: sysconf has no preconditions.
+        let page = unsafe { libc::sysconf(libc::_SC_PAGESIZE) } as usize;
+        let mut pages = vec![0u8; LEN / page];
+        // SAFETY: a large object starts on a page and maps at least LEN
+        // bytes; one byte of `pages` per page of it.
+        let rc = unsafe { libc::mincore(p.cast(), LEN, pages.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore over the object");
+        let resident = pages.iter().filter(|&&b| b & 1 != 0).count() * page;
+        assert!(
+            resident <= LEN / 16,
+            "{resident} B of a {LEN} B calloc resident"
+        );
+        for off in (0..LEN).step_by(page * 97) {
+            // SAFETY: inside the live object.
+            assert_eq!(unsafe { *p.add(off) }, 0, "byte {off}");
+        }
+        free(p.cast());
     }
 
     #[test]
@@ -916,7 +961,7 @@ mod tests {
     fn arena_serves_reentrant_requests() {
         let before = arena::used();
         // Simulate a re-entrant malloc: the guard is already set.
-        let p = with_guard(|_| alloc_impl(100, MALLOC_ALIGN));
+        let p = with_guard(|_| allocate(100, MALLOC_ALIGN));
         assert!(!p.is_null());
         assert!(arena::contains(p), "re-entrant requests hit the arena");
         assert!(arena::used() > before);

@@ -5,7 +5,8 @@
 //! file-descriptor calls behind `diehard_core::global`, the TCP
 //! socket surface behind `diehard_replicate::net` (socket/bind/listen/
 //! accept/connect/setsockopt/getsockname/shutdown), plus the errno/fork/
-//! dlopen surface behind the `diehard-preload` interposer and its tests —
+//! dlopen/ptrace surface behind the `diehard-preload` interposer and its
+//! tests —
 //! against the system C library that every Rust binary on Linux already
 //! links. Constants are
 //! the Linux (x86_64/aarch64) values; each is annotated where platforms
@@ -25,6 +26,8 @@ pub type c_int = core::ffi::c_int;
 pub type c_long = core::ffi::c_long;
 /// C `unsigned long`.
 pub type c_ulong = core::ffi::c_ulong;
+/// C `unsigned int`.
+pub type c_uint = core::ffi::c_uint;
 /// C `void` (only ever used behind a pointer).
 pub type c_void = core::ffi::c_void;
 /// C `size_t`.
@@ -138,6 +141,19 @@ pub const POLLNVAL: c_short = 0x020;
 
 /// `SIGKILL` — uncatchable termination (the voter's kill signal).
 pub const SIGKILL: c_int = 9;
+/// `SIGTRAP` — what a traced process stops with after `execve(2)` and after
+/// each single step (Linux value).
+pub const SIGTRAP: c_int = 5;
+/// `SIGUSR1` — user-defined signal 1 (Linux x86_64/aarch64 value).
+pub const SIGUSR1: c_int = 10;
+
+/// `ptrace(2)` request: let the parent trace this process (Linux value).
+pub const PTRACE_TRACEME: c_uint = 0;
+/// `ptrace(2)` request: resume a stopped tracee (Linux value).
+pub const PTRACE_CONT: c_uint = 7;
+/// `ptrace(2)` request: resume a stopped tracee for one instruction (Linux
+/// value).
+pub const PTRACE_SINGLESTEP: c_uint = 9;
 
 /// `errno` value: out of memory (`ENOMEM`, Linux generic value).
 pub const ENOMEM: c_int = 12;
@@ -215,6 +231,14 @@ extern "C" {
     pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
     /// `kill(2)`.
     pub fn kill(pid: pid_t, sig: c_int) -> c_int;
+    /// `raise(3)`: sends `sig` to the calling thread.
+    pub fn raise(sig: c_int) -> c_int;
+    /// `ptrace(2)` (variadic in glibc: `pid`, `addr`, `data` follow the
+    /// request).
+    pub fn ptrace(request: c_uint, ...) -> c_long;
+    /// `mincore(2)`: one byte per page of `[addr, addr + length)`, bit 0 set
+    /// when the page is resident.
+    pub fn mincore(addr: *mut c_void, length: size_t, vec: *mut u8) -> c_int;
     /// `fork(2)`.
     pub fn fork() -> pid_t;
     /// `waitpid(2)`.
