@@ -79,13 +79,13 @@
 //! [`crate::partition`] / [`crate::magazine`]. Findings, kept current as
 //! the module changes:
 //!
-//! * **No `static mut` anywhere.** Allocator state is a once-initialized
-//!   [`OnceCell`]`<GlobalState>`: one `Acquire` load proves the header
-//!   (config, `heap_base`, page size) fully initialized, after which it is
-//!   immutable and read without any lock. That load is all any entry pays
-//!   once the heap is ready — `alloc`'s `get_or_try_init` as much as
-//!   `free`'s `get`: a plain `mov` on x86-64, with the initializing CAS out
-//!   of line. All *mutable* state is interior-
+//! * **No `static mut` anywhere.** Allocator state is a `GlobalState`
+//!   whose address a `DieHard` publishes once: one `Acquire` load of that
+//!   word, non-null, proves the header (config, `heap_base`, page size)
+//!   fully initialized, after which it is immutable and read without any
+//!   lock. That load is all any entry pays once the heap is ready — `alloc`
+//!   as much as `free`: a plain `mov` on x86-64, with the initializing
+//!   [`OnceCell`]'s CAS out of line. All *mutable* state is interior-
 //!   mutable behind locks — the pattern stable Rust recommends over
 //!   `static mut` (which trips `static_mut_refs` on current toolchains).
 //! * **Atomics replace the old per-shard exclusivity argument.** Every
@@ -130,12 +130,13 @@
 //!   `libdiehard.so` diverts re-entrant calls to its bootstrap arena before
 //!   they reach this heap, and `GlobalAlloc` was never async-signal-safe in
 //!   either arm (neither kind of magazine is re-entrant).
-//! * **Raw-pointer state.** `GlobalState` owns raw `mmap` regions; its
-//!   `unsafe impl Send + Sync` is sound because `heap_base`/`page` are
-//!   written once before the `OnceCell` publishes (Release/Acquire) and
-//!   only ever *read* afterwards, while everything reachable for mutation
-//!   is behind the shard and large-table locks described above — except the
-//!   heap's own magazines, whose argument is the next-but-one finding.
+//! * **Raw-pointer state.** `GlobalState` owns raw `mmap` regions and is
+//!   never moved or sent, only shared; its `unsafe impl Sync` is sound
+//!   because `heap_base`/`page` are written once before the state's address
+//!   is published (Release/Acquire) and only ever *read* afterwards, while
+//!   everything reachable for mutation is behind the shard and large-table
+//!   locks described above — except the heap's own magazines, whose
+//!   argument is the next-but-one finding.
 //! * **One large-object table, one mapping shape.** Every large mapping —
 //!   an oversized request or an elastic spill — is exactly
 //!   `[user − page, user + len + page)`: `alloc_large` trims the alignment
@@ -148,7 +149,7 @@
 //!   invariant; `cargo clippy --all-targets --features global` is
 //!   warning-clean with no `#[allow]` escapes in this subtree.
 //! * **Lazily-initialized, never self-allocating.** Exactly one thread runs
-//!   initialization (losers of the `OnceCell` race spin without parking —
+//!   initialization (losers of the [`OnceCell`] race spin without parking —
 //!   parking may allocate and re-enter the allocator being initialized);
 //!   metadata (the slot-state maps and the large-object validity table)
 //!   lives in a dedicated mapping, so initialization cannot recurse.
@@ -159,14 +160,13 @@
 //!   no `std` destructor registration — which would `calloc` inside glibc
 //!   and re-enter the allocator); the thread-exit flush is a single
 //!   `pthread` key whose destructor runs while ELF TLS is still mapped.
-//!   TLS blocks cache only a heap *id*; every flush that is not protected
-//!   by a live `&GlobalState` resolves the id through a registry whose
-//!   lock is held across the flush and across `Drop`'s unregistration, so
-//!   a dropped heap is either flushed-before-freed or discarded — never
-//!   dereferenced (full protocol in [`tls`]'s module docs). Corollary: a
-//!   `DieHard` value must not be moved after its first allocation (the
-//!   registry pins its interior address); statics never move, and test
-//!   instances move only while uninitialized. The same block holds
+//!   The invariant that keeps a binding valid: *a `GlobalState` lives in
+//!   its heap's metadata mapping, which is never unmapped*, so every
+//!   binding is a plain `&'static` pointer, and a flush through one — at
+//!   rebind or at thread exit, after the `DieHard` that made it was dropped
+//!   or moved — lands in a heap that is still mapped ([`tls`]'s module docs
+//!   have why). A `DieHard` holds only that address, so moving one,
+//!   initialized or not, is sound. The same block holds
 //!   `libdiehard.so`'s re-entrancy flag ([`with_guard`],
 //!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]), so a call in a
 //!   threaded process looks it up once — one `__tls_get_addr` in a shared
@@ -176,32 +176,33 @@
 //!   call's one read of the thread count says the process is alone, its
 //!   re-entrancy flag is a process-wide static and its magazines are the
 //!   heap's own (`GlobalState::solo`, [`tls::SoloMagazines`]): no lookup, no
-//!   binding check, no registry. The invariant: *the heap's own magazines
-//!   are touched only by a call that found the process alone, or by the one
-//!   drain that empties them* — the first threaded call into the heap (in
-//!   `DieHard::decide_magazines`) hands their reservations and buffered
-//!   frees back exactly once, behind a one-shot flag, and nothing reaches
-//!   them afterwards, because the byte never returns to 1. The two cannot overlap: the drainer exists only after a
-//!   `pthread_create` that every alone call happened before, which also
-//!   publishes their plain stores to it. The block is consistent with the
-//!   heap at every instant (reserved slots hold their tickets, buffered
-//!   frees are live slots), so draining late only ever delays a reuse,
-//!   never loses one. A fork child of a process that never had a second
+//!   binding check. The invariant: *the heap's own magazines are touched
+//!   only by a call that found the process alone, or by the one drain that
+//!   empties them* — the first thread to bind to the heap or flush its
+//!   cache into it (the cold rebind, or `flush_thread_cache`'s threaded
+//!   arm) hands their reservations and buffered frees back exactly once,
+//!   behind a one-shot flag, and nothing reaches them afterwards, because
+//!   the byte never returns to 1. The two cannot overlap: the drainer
+//!   exists only after a `pthread_create` that every alone call happened
+//!   before, which also publishes their plain stores to it. The block is
+//!   consistent with the heap at every instant (reserved slots hold their
+//!   tickets, buffered frees are live slots), so draining late only ever
+//!   delays a reuse, never loses one. A fork child of a process that never had a second
 //!   thread is alone too, and keeps using its copy. The one dereference of
 //!   the block is in [`tls`], beside the thread-local block's.
 //! * **The per-op path is one function per direction.** Every function
 //!   from an entry point to the magazine pop or the free-buffer push is
 //!   inlined into the entry (`libdiehard.so`'s `alloc_impl` and
-//!   `free_impl`), and everything else — initialization, the magazine
-//!   decision, a refill, a free flush, a rebind, large objects, the
-//!   uncached heap — is a `#[cold]` call out of it. On a ready heap and a
-//!   single-threaded host that path calls nothing — not `__tls_get_addr`
-//!   either — and executes no locked instruction until a refill or a flush,
-//!   and neither does the refill or the flush then.
-//! * **Per-op traffic never spins.** An uncached `alloc` or `free` — and a
-//!   magazine handout — completes without acquiring any lock: a thread
-//!   preempted mid-operation cannot wedge another thread's allocation, which
-//!   the old shard-`SpinLock` design could not promise. The reserved/live
+//!   `free_impl`), and everything else — initialization, a refill, a free
+//!   flush, a rebind, large objects — is a `#[cold]` call out of it. On a
+//!   ready heap and a single-threaded host that path calls nothing — not
+//!   `__tls_get_addr` either — and executes no locked instruction until a
+//!   refill or a flush, and neither does the refill or the flush then.
+//! * **Per-op traffic never spins.** A magazine handout or buffered free —
+//!   and the heap's own `try_alloc`/`free_at` — completes without acquiring
+//!   any lock: a thread preempted mid-operation cannot wedge another
+//!   thread's allocation, which the old shard-`SpinLock` design could not
+//!   promise. The reserved/live
 //!   state machine (free → reserved → live → free, one paired-bit cell per
 //!   slot) is documented and tested in [`crate::bitmap`] and
 //!   [`crate::magazine`].
@@ -270,7 +271,7 @@ use crate::safe_str;
 use crate::sharded::Heap;
 use core::alloc::{GlobalAlloc, Layout};
 use core::ptr;
-use core::sync::atomic::{AtomicU8, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
 /// The elastic start `libdiehard.so` ships with (the fraction it passes to
 /// [`DieHard::elastic_from_env`], used when `DIEHARD_GROW` is unset): every
@@ -309,13 +310,12 @@ pub const DEFAULT_GROW_LOG2: u32 = 9;
 /// Capacity of the large-object validity table (live large objects).
 const LARGE_CAPACITY: usize = 4096;
 
-/// Magazine engagement states for [`GlobalState::mag_state`].
-const MAG_UNDECIDED: u8 = 0;
-const MAG_ON: u8 = 1;
-const MAG_OFF: u8 = 2;
-
 /// The state behind an initialized allocator: the lock-free header fields
 /// plus the two locked domains (small-object shards, large-object table).
+/// It heads its heap's metadata mapping, which is never unmapped, so it is
+/// never freed: every reference to it is `&'static`, and one outlives the
+/// [`DieHard`] that made it, dropped or moved (the thread-local bindings of
+/// [`tls`] rely on this).
 struct GlobalState {
     /// Twelve lock-free partitions (reservations live in their paired-bit
     /// slot-state maps) + atomic stats: the heap, in its shared arm.
@@ -329,13 +329,6 @@ struct GlobalState {
     heap_base: *mut u8,
     /// System page size. Written once at init, then read-only.
     page: usize,
-    /// Unique id for the thread-local magazine registry (see [`tls`]).
-    id: u64,
-    /// Whether per-thread magazines are engaged: undecided until the first
-    /// operation (registration must run *after* the state reaches its final
-    /// address inside the `OnceCell`), then on, or off when the registry is
-    /// full (the heap runs uncached — correct, just unbatched).
-    mag_state: AtomicU8,
     /// Whether the heap is elastic: classes grow on demand and a denial at
     /// the maximum capacity spills to a dedicated mapping instead of
     /// returning null. Written once at init, then read-only.
@@ -346,12 +339,12 @@ struct GlobalState {
     large: SpinLock<LargeTable>,
 }
 
-// SAFETY: `heap_base` and `page` are written once before the enclosing
-// OnceCell publishes this value (Release/Acquire) and are only read
+// SAFETY: `heap_base` and `page` are written once before `DieHard`
+// publishes this state's address (Release/Acquire) and are only read
 // afterwards; `heap` is Sync by construction (per-shard SpinLocks + atomic
-// stats) and the large table is guarded by its SpinLock. The mappings
-// referenced by the raw pointers are owned by this state for its lifetime.
-unsafe impl Send for GlobalState {}
+// stats), the large table is guarded by its SpinLock, and the heap's own
+// magazines carry their own argument (`tls::SoloMagazines`). The mappings
+// the raw pointers refer to are never unmapped.
 unsafe impl Sync for GlobalState {}
 
 impl GlobalState {
@@ -387,47 +380,45 @@ impl core::fmt::Debug for GlobalState {
 ///
 /// Construct it `const` in a static; the heap initializes lazily on first
 /// allocation (never allocating through itself — all metadata lives in a
-/// dedicated `mmap` arena).
+/// dedicated `mmap` arena). It holds only the address of its state, which
+/// lives in that arena, so a `DieHard` may be moved at any time.
 #[derive(Debug)]
 pub struct DieHard {
-    state: OnceCell<GlobalState>,
-    fixed_seed: Option<u64>,
-    fixed_config: Option<HeapConfig>,
-    fixed_grow: Option<u32>,
-    /// Elastic fraction to fall back to when `DIEHARD_GROW` is unset —
-    /// only consulted by env-configured allocators
-    /// ([`elastic_from_env`](Self::elastic_from_env)).
-    default_grow: Option<u32>,
-    /// Address of the `GlobalState` whose locks
-    /// [`fork_prepare`](Self::fork_prepare) acquired (0 = registry only):
-    /// [`fork_resume`](Self::fork_resume) must release exactly that set,
-    /// even if another thread initialized the heap between the two calls.
-    fork_locked: core::sync::atomic::AtomicUsize,
+    /// The state's address once initialized, null until then: the ready
+    /// path's one `Acquire` load.
+    state: AtomicPtr<GlobalState>,
+    /// Elects the one thread that builds and publishes `state`; terminal
+    /// when that fails.
+    init: OnceCell<()>,
+    /// The configuration and seed fixed at construction, if any: the
+    /// `DIEHARD_*` environment is then ignored.
+    fixed: Option<(HeapConfig, u64)>,
+    /// The elastic start fraction: fixed when `fixed` is, else the
+    /// fallback for an unset `DIEHARD_GROW`. `None` is the fixed-size heap.
+    grow: Option<u32>,
+    /// Whether [`fork_prepare`](Self::fork_prepare) found the heap ready
+    /// and took its locks: [`fork_resume`](Self::fork_resume) must release
+    /// exactly that set, even if another thread initialized the heap
+    /// between the two calls.
+    fork_locked: AtomicBool,
 }
 
 impl DieHard {
-    /// The one field list behind the four constructors: what is fixed at
-    /// construction, and the fraction an env-configured allocator falls back to.
-    const fn configured(
-        fixed_seed: Option<u64>,
-        fixed_config: Option<HeapConfig>,
-        fixed_grow: Option<u32>,
-        default_grow: Option<u32>,
-    ) -> Self {
+    /// The one field list behind the four constructors.
+    const fn configured(fixed: Option<(HeapConfig, u64)>, grow: Option<u32>) -> Self {
         Self {
-            state: OnceCell::new(),
-            fixed_seed,
-            fixed_config,
-            fixed_grow,
-            default_grow,
-            fork_locked: core::sync::atomic::AtomicUsize::new(0),
+            state: AtomicPtr::new(ptr::null_mut()),
+            init: OnceCell::new(),
+            fixed,
+            grow,
+            fork_locked: AtomicBool::new(false),
         }
     }
 
     /// Creates an uninitialized allocator; usable in `static` items.
     #[must_use]
     pub const fn new() -> Self {
-        Self::configured(None, None, None, None)
+        Self::configured(None, None)
     }
 
     /// As [`new`](Self::new) but with a fixed RNG seed — deterministic
@@ -442,7 +433,7 @@ impl DieHard {
     /// allocation returns null.)
     #[must_use]
     pub const fn with_config(config: HeapConfig, seed: u64) -> Self {
-        Self::configured(Some(seed), Some(config), None, None)
+        Self::configured(Some((config, seed)), None)
     }
 
     /// As [`with_config`](Self::with_config) but **elastic**: every class
@@ -458,7 +449,7 @@ impl DieHard {
         seed: u64,
         initial_fraction_log2: u32,
     ) -> Self {
-        Self::configured(Some(seed), Some(config), Some(initial_fraction_log2), None)
+        Self::configured(Some((config, seed)), Some(initial_fraction_log2))
     }
 
     /// As [`new`](Self::new) — fully environment-configured — but
@@ -471,7 +462,7 @@ impl DieHard {
     /// OOM) would fail host programs the paper promises to keep running.
     #[must_use]
     pub const fn elastic_from_env(default_fraction_log2: u32) -> Self {
-        Self::configured(None, None, None, Some(default_fraction_log2))
+        Self::configured(None, Some(default_fraction_log2))
     }
 
     /// C-style allocation entry point: allocate `size` bytes aligned to 8
@@ -632,7 +623,7 @@ impl DieHard {
     #[must_use]
     pub fn live_objects(&self) -> usize {
         self.flush_thread_cache();
-        self.state.get().map_or(0, |s| s.heap.live_objects())
+        self.ready().map_or(0, |s| s.heap.live_objects())
     }
 
     /// Heap statistics since initialization. Flushes the calling thread's
@@ -641,8 +632,7 @@ impl DieHard {
     #[must_use]
     pub fn stats(&self) -> HeapStats {
         self.flush_thread_cache();
-        self.state
-            .get()
+        self.ready()
             .map_or_else(Default::default, |s| s.heap.stats())
     }
 
@@ -652,7 +642,7 @@ impl DieHard {
     #[must_use]
     pub fn reserved_slots(&self) -> usize {
         self.flush_thread_cache();
-        self.state.get().map_or(0, |s| s.heap.reserved_slots())
+        self.ready().map_or(0, |s| s.heap.reserved_slots())
     }
 
     /// Bitmask of size classes with memory promoted to huge pages (bit `i` =
@@ -665,7 +655,7 @@ impl DieHard {
     /// them is not recorded).
     #[must_use]
     pub fn promoted_classes(&self) -> u32 {
-        self.state.get().map_or(0, |s| s.heap.promoted_classes())
+        self.ready().map_or(0, |s| s.heap.promoted_classes())
     }
 
     /// Flushes the calling thread's magazine into this heap, releasing its
@@ -676,15 +666,14 @@ impl DieHard {
     /// thread the magazine flushed is the heap's own; once it has more, the
     /// first call also drains that one, if no other call has.
     pub fn flush_thread_cache(&self) {
-        let Some(state) = self.state.get() else {
+        let Some(state) = self.ready() else {
             return;
         };
         tls::enter(
             |alone| state.solo.with(alone, |mags| mags.flush(true, &state.heap)),
             |block| {
-                if Self::magazines_on(state) {
-                    block.flush_if_bound(state);
-                }
+                state.solo.drain(&state.heap);
+                block.flush_if_bound(state);
             },
         );
     }
@@ -699,7 +688,7 @@ impl DieHard {
     /// flushes — the slot is genuinely not reusable before then.
     #[must_use]
     pub fn usable_size(&self, ptr: *mut u8) -> usize {
-        let Some(state) = self.state.get() else {
+        let Some(state) = self.ready() else {
             return 0;
         };
         match state.span_offset(ptr) {
@@ -723,7 +712,7 @@ impl DieHard {
     /// guard pages bound those).
     #[must_use]
     pub fn remaining_space(&self, ptr: *mut u8) -> Option<usize> {
-        let state = self.state.get()?;
+        let state = self.ready()?;
         match state.span_offset(ptr) {
             Some(off) => safe_str::space_in_object(state.heap.geometry(), off),
             None => state.large_len(ptr),
@@ -731,9 +720,9 @@ impl DieHard {
     }
 
     /// `fork(2)` prepare: acquires, in a fixed global order, every lock a
-    /// forked child could otherwise inherit mid-critical-section — the TLS
-    /// registry, all twelve per-class maintenance locks, then the
-    /// large-object table lock. With these held across the `fork`, the
+    /// forked child could otherwise inherit mid-critical-section — all
+    /// twelve per-class maintenance locks, then the large-object table
+    /// lock. With these held across the `fork`, the
     /// child's single thread sees batch-consistent shard metadata and
     /// settled tables. In-flight *lock-free* operations in other threads
     /// (a reservation ticket between `fetch_add` and commit) can strand a
@@ -744,19 +733,15 @@ impl DieHard {
     /// Pair with [`fork_resume`](Self::fork_resume) in both the parent and
     /// the child (the `pthread_atfork` parent/child hooks).
     pub fn fork_prepare(&self) {
-        tls::registry_lock();
         // Record exactly which state (if any) gets locked: a racing first
         // allocation can initialize the heap between prepare and resume,
         // and resume must not "release" locks that were never taken.
-        let locked = match self.state.get() {
-            Some(state) => {
-                state.heap.lock_all_maintenance();
-                state.large.raw_lock();
-                core::ptr::from_ref(state) as usize
-            }
-            None => 0,
-        };
-        self.fork_locked.store(locked, Ordering::Release);
+        let state = self.ready();
+        if let Some(state) = state {
+            state.heap.lock_all_maintenance();
+            state.large.raw_lock();
+        }
+        self.fork_locked.store(state.is_some(), Ordering::Release);
     }
 
     /// Releases the locks taken by [`fork_prepare`](Self::fork_prepare), in
@@ -770,67 +755,83 @@ impl DieHard {
     /// that initialized concurrently between the two calls is handled
     /// correctly (its locks were never taken and are left alone).
     pub unsafe fn fork_resume(&self) {
-        let locked = self.fork_locked.load(Ordering::Acquire);
-        if locked != 0 {
-            // SAFETY: `locked` is the address of the pinned GlobalState
-            // whose locks the paired fork_prepare acquired (this thread, or
-            // the forking thread this child process inherited from); the
-            // state outlives the allocator and never moves.
-            let state = unsafe { &*(locked as *const GlobalState) };
-            // SAFETY: held by the paired fork_prepare.
+        // A state, once published, stays: the one prepare locked is the one
+        // `ready` answers now.
+        if let (true, Some(state)) = (self.fork_locked.load(Ordering::Acquire), self.ready()) {
+            // SAFETY: held by the paired fork_prepare (this thread, or the
+            // forking thread this child process inherited from).
             unsafe {
                 state.large.raw_unlock();
                 state.heap.unlock_all_maintenance();
             }
         }
-        // SAFETY: registry_lock was unconditional in prepare.
-        unsafe { tls::registry_unlock() };
     }
 
     // ---- internals -------------------------------------------------------
 
-    /// The initialized state, running the one-time initialization on first
-    /// call. `None` means initialization failed (terminally). Once ready,
+    /// The initialized state, if initialization has run and succeeded:
     /// one `Acquire` load.
     #[inline(always)]
-    fn state(&self) -> Option<&GlobalState> {
-        self.state.get_or_try_init(|| self.build_state())
+    fn ready(&self) -> Option<&'static GlobalState> {
+        // SAFETY: null, or the address `initialize` published with Release
+        // after `build_state` wrote the whole state into a mapping that is
+        // never unmapped; the Acquire load makes those writes visible.
+        unsafe { self.state.load(Ordering::Acquire).as_ref() }
+    }
+
+    /// The initialized state, running the one-time initialization on first
+    /// call. `None` means initialization failed (terminally). Once ready,
+    /// [`ready`](Self::ready).
+    #[inline(always)]
+    fn state(&self) -> Option<&'static GlobalState> {
+        self.ready().or_else(|| self.initialize())
+    }
+
+    /// The not-ready half of [`state`](Self::state): exactly one thread
+    /// builds the state and publishes its address; racers wait for it.
+    #[cold]
+    #[inline(never)]
+    fn initialize(&self) -> Option<&'static GlobalState> {
+        let init = || {
+            let state = self.build_state()?;
+            self.state
+                .store(ptr::from_ref(state).cast_mut(), Ordering::Release);
+            Some(())
+        };
+        self.init.get_or_try_init(init).and_then(|()| self.ready())
     }
 
     /// The one-time initialization: choose a configuration and seed, map the
     /// metadata arena and the heap span, and assemble the heap plus
-    /// large-object table. Runs on exactly one thread.
+    /// large-object table at the front of the arena. Runs on exactly one
+    /// thread.
     #[cold]
     #[inline(never)]
-    fn build_state(&self) -> Option<GlobalState> {
-        let config = match &self.fixed_config {
-            Some(config) => config.clone(),
-            None => HeapConfig::paper_default()
-                .with_region_bytes((crate::env::region_mb() as usize) << 20)
-                .with_multiplier(crate::env::multiplier() as f64),
+    fn build_state(&self) -> Option<&'static GlobalState> {
+        // Elastic mode: a config-fixed allocator takes its constructor's
+        // choice and ignores the environment (the same isolation contract
+        // as the other knobs); an env-configured one honors DIEHARD_GROW,
+        // falling back to the constructor's default fraction, if any.
+        let (config, seed, grow) = match &self.fixed {
+            Some((config, seed)) => (config.clone(), *seed, self.grow),
+            None => (
+                HeapConfig::paper_default()
+                    .with_region_bytes((crate::env::region_mb() as usize) << 20)
+                    .with_multiplier(crate::env::multiplier() as f64),
+                crate::env::seed().unwrap_or_else(entropy_seed),
+                crate::env::grow().or(self.grow),
+            ),
         };
         config.validate().ok()?;
-        let seed = self
-            .fixed_seed
-            .or_else(crate::env::seed)
-            .unwrap_or_else(entropy_seed);
-        // Elastic mode: an explicit constructor choice wins; env-configured
-        // allocators honor DIEHARD_GROW (falling back to the constructor's
-        // default fraction, if any), config-fixed ones ignore the
-        // environment entirely (same isolation contract as the other knobs).
-        let grow = self.fixed_grow.or_else(|| {
-            if self.fixed_config.is_some() {
-                None
-            } else {
-                crate::env::grow().or(self.default_grow)
-            }
-        });
 
         let page = sys::page_size();
         let span = config.heap_span();
         let words = <Heap>::metadata_words_needed(&config);
         let table_cap = (LARGE_CAPACITY * 2).next_power_of_two();
-        let meta_bytes = (words * 8 + 2 * table_cap * 8 + page - 1) & !(page - 1);
+        // The state heads the arena, in whole pages of its own, so the maps
+        // behind it start page-aligned.
+        let head = size_of::<GlobalState>().next_multiple_of(page);
+        let meta_bytes = (head + words * 8 + 2 * table_cap * 8 + page - 1) & !(page - 1);
         let meta = sys::map_reserve(meta_bytes);
         if meta.is_null() {
             return None;
@@ -848,12 +849,13 @@ impl DieHard {
         }
         debug_assert_eq!(heap_base as usize % sys::HUGE_PAGE, 0);
 
-        let bitmap_words = meta.cast::<u64>();
-        // SAFETY: the meta arena provides `words` zeroed u64s (the twelve
-        // classes' paired-bit slot-state maps, each sized for its maximum
-        // capacity — all `metadata_words_needed` counts) followed by the
-        // table's two arrays of `table_cap` usizes; mmap'd memory is zeroed
-        // and exclusively ours. (Fraction 0 is the fixed heap.)
+        let bitmap_words = meta.wrapping_add(head).cast::<u64>();
+        // SAFETY: past its head the meta arena provides `words` zeroed u64s
+        // (the twelve classes' paired-bit slot-state maps, each sized for
+        // its maximum capacity — all `metadata_words_needed` counts)
+        // followed by the table's two arrays of `table_cap` usizes; mmap'd
+        // memory is zeroed and exclusively ours. (Fraction 0 is the fixed
+        // heap.)
         let heap = unsafe { Heap::from_raw_parts(config, seed, bitmap_words, grow.unwrap_or(0)) };
         let mut heap = match heap {
             Ok(heap) => heap,
@@ -870,64 +872,31 @@ impl DieHard {
         heap.set_promote_hook(promote_region, heap_base as usize);
         // SAFETY: as above; the two halves of the table area.
         let large = unsafe {
-            let keys = meta.add(words * 8).cast::<usize>();
+            let keys = bitmap_words.add(words).cast::<usize>();
             LargeTable::from_storage(keys, keys.add(table_cap), table_cap)
         };
-        Some(GlobalState {
-            heap,
-            solo: tls::SoloMagazines::new(),
-            heap_base,
-            page,
-            id: tls::allocate_id(),
-            mag_state: AtomicU8::new(MAG_UNDECIDED),
-            elastic: grow.is_some(),
-            large: SpinLock::new(large),
-        })
-    }
-
-    /// Whether thread-local magazines serve this heap. The first call
-    /// registers the (now pinned) state in the TLS registry; a full
-    /// registry disables magazines for this heap, which then runs through
-    /// the uncached sharded path. Decided, one `Acquire` load.
-    #[inline(always)]
-    fn magazines_on(state: &GlobalState) -> bool {
-        match state.mag_state.load(Ordering::Acquire) {
-            MAG_ON => true,
-            MAG_OFF => false,
-            _ => Self::decide_magazines(state),
-        }
-    }
-
-    /// The first threaded operation's half of
-    /// [`magazines_on`](Self::magazines_on): settle what the heap's own
-    /// magazines hold from a single-threaded era, if any, then register and
-    /// publish the decision.
-    #[cold]
-    #[inline(never)]
-    fn decide_magazines(state: &GlobalState) -> bool {
-        state.solo.drain(&state.heap);
-        let on = tls::register(state);
-        let decided = if on { MAG_ON } else { MAG_OFF };
-        // Racing first-operations may decide differently (one can register
-        // just as a registry row frees up); the CAS makes one decision win
-        // and every racer adopt it — registration is idempotent by id, so
-        // the winner's view is correct for all.
-        match state.mag_state.compare_exchange(
-            MAG_UNDECIDED,
-            decided,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => on,
-            Err(current) => current == MAG_ON,
+        let state = meta.cast::<GlobalState>();
+        // SAFETY: the arena's first `head` bytes are page-aligned, zeroed,
+        // exclusively ours and large enough for a GlobalState; nothing
+        // unmaps the arena, so the state lives as long as the process.
+        unsafe {
+            state.write(GlobalState {
+                heap,
+                solo: tls::SoloMagazines::new(),
+                heap_base,
+                page,
+                elastic: grow.is_some(),
+                large: SpinLock::new(large),
+            });
+            Some(&*state)
         }
     }
 
     /// The one allocation body, on the magazines this call's one read of the
     /// thread count chose: behind [`GlobalAlloc::alloc`] and
     /// [`alloc_guarded`](Self::alloc_guarded). Inlined into both arms of each
-    /// of them, with every slow path — initialization, the magazine
-    /// decision, a refill, a large object — out of line.
+    /// of them, with every slow path — initialization, a rebind, a refill,
+    /// a large object — out of line.
     #[inline(always)]
     fn alloc_in(&self, mags: &impl Magazines, layout: Layout) -> *mut u8 {
         let Some(state) = self.state() else {
@@ -963,7 +932,7 @@ impl DieHard {
     /// `dealloc`.
     #[inline(always)]
     fn free_in(&self, mags: &impl Magazines, ptr: *mut u8) {
-        let Some(state) = self.state.get() else {
+        let Some(state) = self.ready() else {
             return;
         };
         let Some(off) = state.span_offset(ptr) else {
@@ -974,23 +943,6 @@ impl DieHard {
         // lock-free arithmetic either way; with magazines engaged the free
         // is buffered and released to its shard in a batch.
         mags.free(state, off);
-    }
-
-    /// The uncached heap's allocation, for a threaded call into a heap the
-    /// registry had no row for ([`magazines_on`](Self::magazines_on)): out
-    /// of line, so its probe loop is not inlined beside the magazine path.
-    #[cold]
-    #[inline(never)]
-    fn alloc_uncached(state: &GlobalState, need: usize) -> AllocOutcome {
-        state.heap.try_alloc_in(false, need)
-    }
-
-    /// The uncached heap's free, out of line like
-    /// [`alloc_uncached`](Self::alloc_uncached).
-    #[cold]
-    #[inline(never)]
-    fn free_uncached(state: &GlobalState, off: usize) {
-        let _ = state.heap.free_at_in(false, off);
     }
 
     /// Frees a pointer outside the small-object span: possibly a large
@@ -1064,21 +1016,21 @@ impl DieHard {
 /// side, so neither copy tests the other side's case.
 trait Magazines {
     /// A slot for `need` bytes.
-    fn alloc(&self, state: &GlobalState, need: usize) -> AllocOutcome;
+    fn alloc(&self, state: &'static GlobalState, need: usize) -> AllocOutcome;
     /// The small-object free at span offset `off`.
-    fn free(&self, state: &GlobalState, off: usize);
+    fn free(&self, state: &'static GlobalState, off: usize);
 }
 
 impl Magazines for tls::Alone {
     #[inline(always)]
-    fn alloc(&self, state: &GlobalState, need: usize) -> AllocOutcome {
+    fn alloc(&self, state: &'static GlobalState, need: usize) -> AllocOutcome {
         state
             .solo
             .with(self, |mags| mags.try_alloc(true, &state.heap, need))
     }
 
     #[inline(always)]
-    fn free(&self, state: &GlobalState, off: usize) {
+    fn free(&self, state: &'static GlobalState, off: usize) {
         state.solo.with(self, |mags| {
             let _ = mags.free_at(true, &state.heap, off);
         });
@@ -1087,23 +1039,15 @@ impl Magazines for tls::Alone {
 
 impl Magazines for tls::TlsBlock {
     #[inline(always)]
-    fn alloc(&self, state: &GlobalState, need: usize) -> AllocOutcome {
-        if DieHard::magazines_on(state) {
-            self.with_cache(state, |mags| mags.try_alloc(false, &state.heap, need))
-        } else {
-            DieHard::alloc_uncached(state, need)
-        }
+    fn alloc(&self, state: &'static GlobalState, need: usize) -> AllocOutcome {
+        self.with_cache(state, |mags| mags.try_alloc(false, &state.heap, need))
     }
 
     #[inline(always)]
-    fn free(&self, state: &GlobalState, off: usize) {
-        if DieHard::magazines_on(state) {
-            self.with_cache(state, |mags| {
-                let _ = mags.free_at(false, &state.heap, off);
-            });
-        } else {
-            DieHard::free_uncached(state, off);
-        }
+    fn free(&self, state: &'static GlobalState, off: usize) {
+        self.with_cache(state, |mags| {
+            let _ = mags.free_at(false, &state.heap, off);
+        });
     }
 }
 
@@ -1135,24 +1079,6 @@ pub fn with_guard<R>(f: impl FnOnce(bool) -> R) -> R {
 impl Default for DieHard {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Drop for DieHard {
-    /// Unregisters the heap from the magazine registry (so other threads'
-    /// stale TLS bindings become lookup misses and are discarded, never
-    /// dereferenced) after flushing this thread's own binding. The `mmap`
-    /// regions themselves are deliberately leaked, as before: a global
-    /// allocator's heap must outlive every object it ever served, and
-    /// tracking that is the caller's impossible job, not ours.
-    fn drop(&mut self) {
-        if let Some(state) = self.state.get() {
-            // Unconditionally: even a heap that settled on MAG_OFF can have
-            // lost a registration race and still own a registry row (the
-            // row must not outlive the state it points to); retire's
-            // removal is a no-op when the id was never registered.
-            tls::retire(state);
-        }
     }
 }
 
@@ -1585,7 +1511,7 @@ mod tests {
         unsafe { heap.fork_resume() };
         let p = heap.malloc(64);
         assert!(!p.is_null());
-        // Initialized: the full lock set (registry, 12 maintenance, large).
+        // Initialized: the full lock set (12 maintenance, then large).
         heap.fork_prepare();
         // SAFETY: paired with the prepare above, same thread.
         unsafe { heap.fork_resume() };
@@ -1658,7 +1584,7 @@ mod tests {
                 // SAFETY: a live, 64-byte-aligned 64-byte object.
                 unsafe { p.cast::<usize>().write(i) };
                 ptrs.push(p);
-                let base = heap.state.get().unwrap().heap_base as usize;
+                let base = heap.ready().unwrap().heap_base as usize;
                 assert_eq!(base % sys::HUGE_PAGE, 0, "span is huge-page aligned");
                 let expected = twin.offset_of(twin_cache.alloc(64).unwrap());
                 assert_eq!(p as usize - base, expected, "placement of object {i}");
@@ -1669,13 +1595,13 @@ mod tests {
                     "start {start:?}, after object {i}"
                 );
             }
-            let shared = &heap.state.get().unwrap().heap;
+            let shared = &heap.ready().unwrap().heap;
             assert_eq!(shared.advised_len(hot_class), advised, "start {start:?}");
             // A mixed history on top — three classes, every third call a
             // free of a random live object, so refills and free-buffer
             // flushes interleave — holding enough 16 KB objects
             // live to grow that class on either elastic heap.
-            let base = heap.state.get().unwrap().heap_base as usize;
+            let base = heap.ready().unwrap().heap_base as usize;
             let mut rng = crate::rng::Mwc::seeded(SEED);
             let mut mixed: Vec<*mut u8> = Vec::new();
             for i in 0..600usize {
@@ -1761,7 +1687,7 @@ mod tests {
             let victim = rng.below(live);
             heap.free(core::mem::replace(&mut ring[victim], place(&mut rng)));
         }
-        let state = heap.state.get().unwrap();
+        let state = heap.ready().unwrap();
         let active: usize = SizeClass::all()
             .map(|c| state.heap.partition(c).capacity() * c.object_size())
             .sum();
@@ -1800,7 +1726,7 @@ mod tests {
     #[test]
     fn huge_pages_stay_inside_the_active_ranges_as_they_grow() {
         let (heap, resident, active) = churned_default_heap(50_000, 20_000);
-        let shared = &heap.state.get().unwrap().heap;
+        let shared = &heap.ready().unwrap().heap;
         let mut advised = 0;
         for class in SizeClass::all() {
             let partition = shared.partition(class);
@@ -1970,6 +1896,123 @@ mod tests {
         b.free(pb);
         assert_eq!(a.live_objects(), 0);
         assert_eq!(b.live_objects(), 0);
+    }
+
+    /// `n` 8–2000 B objects from `heap`, each written, as addresses.
+    fn fill(heap: &DieHard, n: usize, salt: usize) -> Vec<usize> {
+        (0..n)
+            .map(|i| {
+                let p = heap.malloc(8 + (i * 37 + salt) % 2000);
+                assert!(!p.is_null());
+                // SAFETY: a live object of at least 8 bytes.
+                unsafe { p.write_bytes(salt as u8, 8) };
+                p as usize
+            })
+            .collect()
+    }
+
+    /// An initialized heap moves — its `Vec` reallocates — while a second
+    /// thread is bound to it with reservations and buffered frees in its
+    /// magazines, and both threads go on allocating and freeing through it
+    /// at its new address. Nothing a binding refers to moved, so the books
+    /// balance exactly.
+    #[test]
+    fn moving_an_initialized_heap_keeps_every_binding_valid() {
+        const ROUNDS: usize = 6;
+        const PER_ROUND: usize = 64;
+        let heaps =
+            std::sync::RwLock::new(vec![DieHard::with_config(HeapConfig::default(), 0x30FE)]);
+        let turn = std::sync::Barrier::new(2);
+        let churn = |salt: usize, held: &mut Vec<usize>| {
+            let heaps = heaps.read().unwrap();
+            let heap = &heaps[0];
+            held.extend(fill(heap, PER_ROUND, salt));
+            for p in held.drain(..PER_ROUND / 2) {
+                heap.free(p as *mut u8);
+            }
+        };
+        std::thread::scope(|scope| {
+            let (heaps, turn, churn) = (&heaps, &turn, &churn);
+            scope.spawn(move || {
+                let mut held = Vec::new();
+                for round in 0..ROUNDS {
+                    churn(2 * round, &mut held);
+                    turn.wait(); // bound, with a half-full magazine: move it
+                    turn.wait();
+                }
+                let heaps = heaps.read().unwrap();
+                for p in held {
+                    heaps[0].free(p as *mut u8);
+                }
+                heaps[0].flush_thread_cache();
+            });
+            let mut held = Vec::new();
+            for round in 0..ROUNDS {
+                churn(2 * round + 1, &mut held);
+                turn.wait();
+                let mut heaps = heaps.write().unwrap();
+                let before = heaps.as_ptr();
+                while heaps.as_ptr() == before {
+                    heaps.push(DieHard::new());
+                }
+                drop(heaps);
+                turn.wait();
+            }
+            let heaps = heaps.read().unwrap();
+            for p in held {
+                heaps[0].free(p as *mut u8);
+            }
+        });
+        let heaps = heaps.into_inner().unwrap();
+        let stats = heaps[0].stats();
+        let made = (2 * ROUNDS * PER_ROUND) as u64;
+        assert_eq!((stats.allocs, stats.frees), (made, made), "{stats:?}");
+        assert_eq!((stats.ignored_frees, stats.exhausted), (0, 0));
+        assert_eq!(heaps[0].reserved_slots(), 0);
+        assert_eq!(heaps[0].live_objects(), 0);
+    }
+
+    /// A heap dropped while a thread is still bound to it: that thread's
+    /// next allocation, from a second heap, rebinds and flushes into the
+    /// dropped heap's state — which was never freed, so the flush lands —
+    /// and its exit flush then settles the second heap exactly.
+    #[test]
+    fn a_dropped_heap_takes_the_stale_flush_of_a_bound_thread() {
+        use std::sync::{mpsc, Arc};
+
+        let first = Arc::new(DieHard::with_config(HeapConfig::default(), 0xD0));
+        let second = Arc::new(DieHard::with_config(HeapConfig::default(), 0xD1));
+        let (bound_tx, bound_rx) = mpsc::channel();
+        let (dropped_tx, dropped_rx) = mpsc::channel::<()>();
+        let worker = {
+            let (first, second) = (Arc::clone(&first), Arc::clone(&second));
+            std::thread::spawn(move || {
+                let kept = fill(&first, 40, 1);
+                for &p in &kept[..30] {
+                    first.free(p as *mut u8); // buffered in this thread's magazine
+                }
+                drop(first);
+                bound_tx.send(()).unwrap();
+                dropped_rx.recv().unwrap();
+                for p in fill(&second, 100, 2) {
+                    second.free(p as *mut u8);
+                }
+            })
+        };
+        bound_rx.recv().unwrap();
+        let leaked = first.ready().unwrap();
+        drop(Arc::into_inner(first).expect("the worker let go of the first heap"));
+        dropped_tx.send(()).unwrap();
+        worker.join().unwrap();
+        // The rebind settled the dropped heap: its reservations went back
+        // and its buffered frees were released.
+        assert_eq!(leaked.heap.reserved_slots(), 0);
+        assert_eq!(leaked.heap.live_objects(), 10);
+        assert_eq!(leaked.heap.stats().frees, 30);
+        let stats = second.stats();
+        assert_eq!((stats.allocs, stats.frees), (100, 100), "{stats:?}");
+        assert_eq!(second.reserved_slots(), 0);
+        assert_eq!(second.live_objects(), 0);
     }
 
     /// Reserved-but-unhanded slots are not live through the C API either:

@@ -42,133 +42,42 @@
 //! once, first ([`enter`]): while glibc's `__libc_single_threaded` says the
 //! process has one thread, the call's re-entrancy flag is a process-wide
 //! static and its magazines are the heap's own ([`SoloMagazines`], a field
-//! of the heap's state), reached without a lookup, a binding check or the
-//! registry; the same read makes every word update of the call a plain load
-//! and store (`crate::sync`). A process that gains a thread switches for
-//! good (the byte never returns to 1): from the next call on, each thread
-//! uses its block below, and the first call into a heap that finds the
-//! process threaded drains that heap's own magazines once. Every host in
-//! the repository's benchmark has one thread.
+//! of the heap's state), reached without a lookup or a binding check; the
+//! same read makes every word update of the call a plain load and store
+//! (`crate::sync`). A process that gains a thread switches for good (the
+//! byte never returns to 1): from the next call on, each thread uses its
+//! block below, and the first thread to bind to a heap (or to flush its
+//! cache into it) drains that heap's own magazines once. Every host in the
+//! repository's benchmark has one thread.
 //!
-//! # Why the heap registry
+//! # Why a binding cannot dangle
 //!
-//! A TLS block caches a raw pointer to the [`GlobalState`] it is bound to.
-//! Unlike the process-singleton `#[global_allocator]` case, tests construct
-//! many short-lived [`DieHard`](super::DieHard) instances, so that pointer
-//! can outlive its heap. Every deref that is **not** protected by a live
-//! `&GlobalState` borrow (the thread-exit destructor, and the flush of the
-//! *previous* heap when a thread rebinds to a new one) therefore goes
-//! through [`REGISTRY`], a fixed-capacity table of live heap ids:
-//!
-//! * a heap registers itself (id → pointer) when magazines first engage and
-//!   unregisters in `Drop` — both under the registry lock;
-//! * dangling-pointer flushes hold the registry lock for the *entire* flush,
-//!   so a concurrent `Drop` (which must take the same lock to unregister)
-//!   cannot free the state mid-flush;
-//! * a lookup miss means the heap is gone: the block's contents are
-//!   discarded (the reservations died with the heap's arena).
-//!
-//! Consequence, documented in the unsafe-surface audit: a `DieHard` value
-//! must not be *moved* after its first allocation (the registry holds its
-//! interior address). Statics never move; test instances are moved only
-//! while still uninitialized.
+//! A TLS block remembers the [`GlobalState`] its magazines are bound to, as
+//! a plain reference, and follows it outside any call into that heap: when
+//! the thread rebinds to another heap, and when it exits. Unlike the
+//! process-singleton `#[global_allocator]` case, tests construct many
+//! short-lived [`DieHard`](super::DieHard) instances, so the binding can
+//! outlive the value that made it — dropped, or moved elsewhere. It still
+//! points at a live heap: a `GlobalState` lives at the front of its heap's
+//! metadata mapping, which, like the heap span, is never unmapped (a global
+//! allocator's heap must outlive every object it ever served). The binding
+//! is therefore `&'static`, and a stale flush — at rebind or at thread exit
+//! — settles the reservations and buffered frees of the era before into a
+//! heap that is still mapped, whether or not anything will allocate from
+//! it again. A `DieHard` holds only the state's address, so moving one,
+//! initialized or not, moves nothing a binding refers to.
 
 use super::GlobalState;
 use crate::magazine::ThreadMagazines;
 use crate::sharded::Heap;
-use crate::sync::{sole_thread, OnceCell, SpinLock};
+use crate::sync::{sole_thread, OnceCell};
 use core::cell::{Cell, UnsafeCell};
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Maximum simultaneously-live registered heaps. Overflow is handled
-/// gracefully: an unregistrable heap simply runs uncached (see
-/// [`super::DieHard`]'s `magazines_on`).
-const MAX_HEAPS: usize = 64;
-
-/// Live-heap table: `ids[i]` is 0 for a free row, else the id whose
-/// `GlobalState` lives at `ptrs[i]`.
-struct Registry {
-    ids: [u64; MAX_HEAPS],
-    ptrs: [usize; MAX_HEAPS],
-}
-
-static REGISTRY: SpinLock<Registry> = SpinLock::new(Registry {
-    ids: [0; MAX_HEAPS],
-    ptrs: [0; MAX_HEAPS],
-});
-
-/// Monotonic heap-id source; 0 is reserved for "unbound".
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+use core::ptr;
+use core::sync::atomic::{AtomicBool, Ordering};
 
 /// The one process-wide thread-exit key (created on first magazine bind).
 static EXIT_KEY: OnceCell<libc::pthread_key_t> = OnceCell::new();
-
-/// Draws a fresh nonzero heap id.
-pub(super) fn allocate_id() -> u64 {
-    NEXT_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Guardless registry lock for the `fork(2)` prepare path: with the
-/// registry held, no thread is mid-way through a stale-heap flush (which
-/// holds this lock for its whole duration), so the child inherits a
-/// registry no one was mutating. First in the fork lock order — a flush
-/// takes maintenance locks *while* holding the registry, never the
-/// reverse.
-pub(super) fn registry_lock() {
-    REGISTRY.raw_lock();
-}
-
-/// Releases [`registry_lock`] (parent and child resume paths).
-///
-/// # Safety
-///
-/// The registry must be held via `registry_lock` (by this thread or, in a
-/// fork child, by the thread the process forked from).
-pub(super) unsafe fn registry_unlock() {
-    // SAFETY: forwarded caller contract.
-    unsafe { REGISTRY.raw_unlock() };
-}
-
-/// Registers `state` under its id; idempotent. Returns `false` when the
-/// table is full (the caller then disables magazines for this heap).
-pub(super) fn register(state: &GlobalState) -> bool {
-    let mut reg = REGISTRY.lock();
-    let mut free = None;
-    for i in 0..MAX_HEAPS {
-        if reg.ids[i] == state.id {
-            return true;
-        }
-        if reg.ids[i] == 0 && free.is_none() {
-            free = Some(i);
-        }
-    }
-    match free {
-        Some(i) => {
-            reg.ids[i] = state.id;
-            reg.ptrs[i] = core::ptr::from_ref(state) as usize;
-            true
-        }
-        None => false,
-    }
-}
-
-impl Registry {
-    fn lookup(&self, id: u64) -> Option<*const GlobalState> {
-        (0..MAX_HEAPS)
-            .find(|&i| self.ids[i] == id)
-            .map(|i| self.ptrs[i] as *const GlobalState)
-    }
-
-    fn remove(&mut self, id: u64) {
-        for i in 0..MAX_HEAPS {
-            if self.ids[i] == id {
-                self.ids[i] = 0;
-                self.ptrs[i] = 0;
-            }
-        }
-    }
-}
 
 /// The per-thread block: plain data, `const`-initialized, `!needs_drop` —
 /// see the module docs for why all three properties are load-bearing. It
@@ -176,8 +85,9 @@ impl Registry {
 /// re-entrancy flag and the magazines — so an entry point looks it up once
 /// ([`with_block`]) and passes it down.
 pub(super) struct TlsBlock {
-    /// Id of the heap the magazines are bound to; 0 = unbound.
-    bound: Cell<u64>,
+    /// The heap the magazines are bound to, if any (never freed: see the
+    /// module docs).
+    bound: Cell<Option<&'static GlobalState>>,
     /// Whether this thread's pointer is stored in [`EXIT_KEY`].
     exit_hooked: Cell<bool>,
     /// "This thread is inside the allocator": set by [`guarded`](Self::guarded)
@@ -190,7 +100,7 @@ pub(super) struct TlsBlock {
 thread_local! {
     static BLOCK: TlsBlock = const {
         TlsBlock {
-            bound: Cell::new(0),
+            bound: Cell::new(None),
             exit_hooked: Cell::new(false),
             entered: Cell::new(false),
             mags: UnsafeCell::new(ThreadMagazines::new()),
@@ -204,7 +114,7 @@ thread_local! {
 /// only returns the address, so that call inlines whatever `f` is.
 #[inline(always)]
 fn with_block<R>(f: impl FnOnce(&TlsBlock) -> R) -> R {
-    let block = BLOCK.with(core::ptr::from_ref);
+    let block = BLOCK.with(ptr::from_ref);
     // SAFETY: `BLOCK` is const-initialized and `!needs_drop`, i.e. plain ELF
     // TLS: it sits at this address, initialized, for as long as this thread
     // runs, and the borrow handed to `f` ends on this thread before
@@ -269,13 +179,13 @@ impl Alone {
 /// A process with one thread needs no thread-local storage: its one thread
 /// is the only one that can be inside the allocator, so its magazines can
 /// live in the heap, beside the header every call reads anyway, and a call
-/// that finds the process alone reaches them with no `__tls_get_addr`, no
-/// binding check and no registry — this block belongs to one heap and never
-/// rebinds. Its contents are always consistent with the heap (reserved
-/// slots hold their tickets, buffered frees are live slots), so when the
-/// process gains a thread nothing has to happen at once: the first call that
-/// finds it threaded drains the block into the heap ([`drain`](Self::drain),
-/// once, behind its own flag), and from then on every thread uses its
+/// that finds the process alone reaches them with no `__tls_get_addr` and no
+/// binding check — this block belongs to one heap and never rebinds. Its
+/// contents are always consistent with the heap (reserved slots hold their
+/// tickets, buffered frees are live slots), so when the process gains a
+/// thread nothing has to happen at once: the first thread that binds to the
+/// heap, or flushes its cache into it, drains the block into the heap
+/// ([`drain`](Self::drain), once, behind its own flag), and from then on every thread uses its
 /// [`TlsBlock`]. A process never returns to one thread (`sync`'s fact 3),
 /// so nothing uses this block again — except in the fork child of a parent
 /// that never had a second thread, which is alone and keeps using its copy.
@@ -317,9 +227,10 @@ impl SoloMagazines {
     }
 
     /// Hands everything the block holds back to `heap`, the first time it
-    /// is called: the first call into a heap that finds the process
-    /// threaded makes it, so the reservations and buffered frees of the
-    /// single-threaded era are settled exactly once, by one thread.
+    /// is called: every rebind to the heap and every threaded cache flush
+    /// into it makes it, so the reservations and buffered frees of the
+    /// single-threaded era are settled exactly once, by one thread, before
+    /// any thread's own magazines serve the heap.
     #[cold]
     #[inline(never)]
     pub(super) fn drain(&self, heap: &Heap) {
@@ -342,15 +253,15 @@ impl TlsBlock {
     }
 
     /// Runs `f` on this thread's magazines, bound to `state`'s heap —
-    /// rebinding (flush old heap via the registry, or discard if it is
-    /// gone) when the thread last touched a different heap.
+    /// rebinding (flushing into the heap they were bound to) when the
+    /// thread last touched a different heap.
     #[inline(always)]
     pub(super) fn with_cache<R>(
         &self,
-        state: &GlobalState,
+        state: &'static GlobalState,
         f: impl FnOnce(&mut ThreadMagazines) -> R,
     ) -> R {
-        if self.bound.get() != state.id {
+        if !self.bound_to(state) {
             rebind(self, state);
         }
         // SAFETY: the block is this thread's, and no other `&mut` to its
@@ -360,65 +271,48 @@ impl TlsBlock {
         f(unsafe { &mut *self.mags.get() })
     }
 
+    /// Whether the magazines are bound to `state`'s heap.
+    #[inline(always)]
+    fn bound_to(&self, state: &GlobalState) -> bool {
+        self.bound.get().is_some_and(|bound| ptr::eq(bound, state))
+    }
+
     /// Flushes this thread's magazines into `state`'s heap if they are bound
     /// to it (leaves the binding in place). Used before reading diagnostics.
     pub(super) fn flush_if_bound(&self, state: &GlobalState) {
-        if self.bound.get() == state.id {
-            // SAFETY: thread-local block; `&GlobalState` proves the heap is
-            // live, so no registry round-trip is needed. (Bound, so the
-            // process is threaded: the locked arm.)
-            unsafe { (*self.mags.get()).flush(false, &state.heap) };
+        if self.bound_to(state) {
+            self.flush_into(state);
         }
+    }
+
+    /// Flushes this thread's magazines into the heap they are bound to, if
+    /// any, and unbinds them. That heap may belong to a dropped or moved
+    /// `DieHard`: its state is never freed (module docs), so the flush
+    /// lands in a mapped heap either way.
+    fn unbind(&self) {
+        if let Some(old) = self.bound.take() {
+            self.flush_into(old);
+        }
+    }
+
+    fn flush_into(&self, state: &GlobalState) {
+        // SAFETY: the block is this thread's, and no `&mut` to its
+        // magazines is live: callers run outside `with_cache`'s `f`. (A
+        // block is bound only by a threaded call: the locked arm.)
+        unsafe { (*self.mags.get()).flush(false, &state.heap) };
     }
 }
 
-/// `Drop` path: flush this thread's binding to the dying heap (other
-/// threads' bindings become registry misses and are discarded on their next
-/// rebind or exit) and remove it from the registry.
-pub(super) fn retire(state: &GlobalState) {
-    with_block(|block| {
-        if block.bound.get() == state.id {
-            // SAFETY: as in `flush_if_bound`. (A block is bound only by a
-            // threaded call, so the process is threaded for good.)
-            unsafe { (*block.mags.get()).flush(false, &state.heap) };
-            block.bound.set(0);
-        }
-    });
-    REGISTRY.lock().remove(state.id);
-}
-
-/// Rebinds `block` from whatever heap it was serving to `state`'s.
+/// Rebinds `block` from whatever heap it was serving to `state`'s, after
+/// draining `state`'s own magazines of the single-threaded era, if no
+/// thread has yet.
 #[cold]
 #[inline(never)]
-fn rebind(block: &TlsBlock, state: &GlobalState) {
-    let old = block.bound.get();
-    if old != 0 {
-        flush_stale(block, old);
-    }
-    block.bound.set(state.id);
+fn rebind(block: &TlsBlock, state: &'static GlobalState) {
+    state.solo.drain(&state.heap);
+    block.unbind();
+    block.bound.set(Some(state));
     ensure_exit_hook(block);
-}
-
-/// Flushes `block` into the heap registered under `id`, or discards the
-/// cached state when that heap no longer exists. Holding the registry lock
-/// across the flush pins the heap: `Drop` must take the same lock to
-/// unregister before the state can be freed.
-fn flush_stale(block: &TlsBlock, id: u64) {
-    let reg = REGISTRY.lock();
-    match reg.lookup(id) {
-        Some(ptr) => {
-            // SAFETY: the registry entry proves the GlobalState is live, and
-            // the held registry lock blocks its Drop until we are done; the
-            // mags pointer is this thread's own TLS block.
-            unsafe { (*block.mags.get()).flush(false, &(*ptr).heap) };
-        }
-        None => {
-            // SAFETY: thread-local block, no heap to flush into.
-            unsafe { (*block.mags.get()).discard() };
-        }
-    }
-    drop(reg);
-    block.bound.set(0);
 }
 
 /// Ensures this thread's block pointer is stored under the process-wide
@@ -440,22 +334,19 @@ fn ensure_exit_hook(block: &TlsBlock) {
     // SAFETY: the value is this thread's ELF-TLS block, which glibc keeps
     // mapped until after pthread key destructors run; setspecific for
     // low-numbered keys writes into fixed per-thread storage (no malloc).
-    if unsafe { libc::pthread_setspecific(key, core::ptr::from_ref(block).cast()) } == 0 {
+    if unsafe { libc::pthread_setspecific(key, ptr::from_ref(block).cast()) } == 0 {
         block.exit_hooked.set(true);
     }
 }
 
 /// The thread-exit destructor: flush the dying thread's magazines into
-/// their heap (if it still exists) so no reservation outlives its thread.
+/// their heap so no reservation outlives its thread.
 unsafe extern "C" fn thread_exit_flush(value: *mut libc::c_void) {
     let block = value.cast_const().cast::<TlsBlock>();
     // SAFETY: `value` was set (once) to this thread's TLS block, which is
     // still mapped while pthread key destructors run.
     let block = unsafe { &*block };
-    let id = block.bound.get();
-    if id != 0 {
-        flush_stale(block, id);
-    }
+    block.unbind();
     // pthread has already nulled the key's value for this run, so if a
     // *later* TSD destructor (ordering is unspecified) routes allocator
     // traffic back through this block, the rebind must re-register or that

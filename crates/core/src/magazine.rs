@@ -246,14 +246,6 @@ impl ThreadMagazines {
             cache.len = 0;
         }
     }
-
-    /// Drops all cached state without touching any heap. Only for the case
-    /// where the owning heap is already gone (the global allocator's TLS
-    /// rebinding after a heap was dropped); on a live heap this would leak
-    /// reservations — use [`flush`](Self::flush).
-    pub fn discard(&mut self) {
-        self.classes = [ClassCache::EMPTY; NUM_CLASSES];
-    }
 }
 
 /// A guard coupling a [`ThreadMagazines`] to its heap: the ergonomic façade

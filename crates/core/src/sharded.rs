@@ -361,17 +361,14 @@ impl<A: Arm> Heap<A> {
     /// signal, recorded as an exhaustion in the heap stats. On fixed heaps
     /// the growth check is one relaxed load (capacity is already maximal),
     /// so the fast path is unchanged.
+    ///
+    /// Reads the thread count once and carries the answer down to every
+    /// update. Every `sole`-taking method below has that contract: `sole`
+    /// is the one read its caller's call made at its entry
+    /// ([`crate::sync`]).
     #[inline]
     pub fn try_alloc(&self, size: usize) -> AllocOutcome {
-        self.try_alloc_in(A::sole(), size)
-    }
-
-    /// [`try_alloc`](Self::try_alloc) in the arm `sole` picks: the one read
-    /// of the thread count the caller's call made at its entry, carried down
-    /// to every update ([`crate::sync`]). Every `sole`-taking method below
-    /// has that contract.
-    #[inline]
-    pub(crate) fn try_alloc_in(&self, sole: bool, size: usize) -> AllocOutcome {
+        let sole = A::sole();
         let Some(class) = SizeClass::for_size(size) else {
             return AllocOutcome::Unsupported;
         };
@@ -532,12 +529,7 @@ impl<A: Arm> Heap<A> {
     /// invalid frees.
     #[inline]
     pub fn free_at(&self, offset: usize) -> FreeOutcome {
-        self.free_at_in(A::sole(), offset)
-    }
-
-    /// [`free_at`](Self::free_at) in the arm `sole` picks.
-    #[inline]
-    pub(crate) fn free_at_in(&self, sole: bool, offset: usize) -> FreeOutcome {
+        let sole = A::sole();
         let slot = match self.locate_free(sole, offset) {
             Ok(slot) => slot,
             Err(outcome) => return outcome,

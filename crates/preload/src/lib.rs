@@ -94,9 +94,9 @@
 //! * **Fork inheritance.** A `.init_array` constructor registers
 //!   `pthread_atfork` handlers that wrap `fork(2)` in
 //!   [`DieHard::fork_prepare`]/[`fork_resume`](DieHard::fork_resume):
-//!   every allocator lock (TLS registry → twelve per-class maintenance
-//!   locks → large-object table) is acquired in fixed order across the
-//!   fork and released in both parent and child, so the child's single
+//!   every allocator lock (twelve per-class maintenance locks →
+//!   large-object table) is acquired in fixed order across the fork and
+//!   released in both parent and child, so the child's single
 //!   thread never inherits a lock frozen mid-critical-section. In-flight
 //!   *lock-free* reservation tickets in other threads can strand a
 //!   bounded number of slots in the child — availability, not corruption.
