@@ -1,22 +1,21 @@
 //! The pipe transport: [`run_streamed`] drives one [`Session`] over a
 //! [`Reactor`] between a launcher's stdin and stdout (§5.2).
 //!
-//! This module used to *be* the whole engine — one 800-line reactor with the
-//! replica lifecycle, the barrier voting, and the stdin/stdout plumbing
-//! fused together. It is now the thinnest of the three layers:
+//! It is one of the transports over the layers below:
 //!
 //! * [`crate::reactor`] owns `poll(2)` — registration, readiness dispatch,
 //!   non-blocking fd plumbing — and knows nothing about replicas;
-//! * [`crate::session`] owns the paper's voting state machine for one
-//!   client stream — the bounded input window and stdout buffers (each may
-//!   run one *transfer unit*, `max(chunk, TRANSFER)`, ahead of the vote),
-//!   the per-chunk vote barriers with mid-run `SIGKILL`, the stderr
-//!   captures, and the closing stderr/exit ballots — and knows nothing
-//!   about where bytes come from or go;
-//! * this module (and its TCP sibling [`crate::proxy`]) is a *transport*:
-//!   it wires a session's descriptors into a reactor, feeds the input
-//!   window from a buffer or the launcher's stdin, and ships each resolved
-//!   quorum chunk to the caller's sink the moment the barrier commits.
+//! * [`crate::voter::VoteCore`] owns the paper's vote for one client
+//!   stream — the bounded input window and stdout buffers (each may run
+//!   one *transfer unit*, `max(chunk, TRANSFER)`, ahead of the vote), the
+//!   per-chunk vote barriers and their kills, the stderr captures, and the
+//!   closing stderr/exit ballots — and touches no descriptor;
+//! * [`crate::session`] is the core's process edge: spawn, pipes,
+//!   `SIGKILL`, reaping;
+//! * this module (and its TCP sibling [`crate::proxy`]) wires a session's
+//!   descriptors into a reactor, feeds the input window from a buffer or
+//!   the launcher's stdin, and ships each resolved quorum chunk to the
+//!   caller's sink the moment the barrier commits.
 //!
 //! The division of labor per reactor round is the protocol every transport
 //! follows: [`Session::pump`] resolves satisfied barriers into an output
@@ -32,8 +31,7 @@
 //! and yields the [`StreamOutcome`].
 //!
 //! Everything observable about the pipe path — committed bytes, kill
-//! timing, stderr/exit ballots — is pinned byte-identical to the
-//! pre-refactor engine by `tests/streaming.rs` and
+//! timing, stderr/exit ballots — is pinned by `tests/streaming.rs` and
 //! `tests/pipe_equivalence.rs`; `peak_buffered` is pinned exactly where
 //! the run is one chunk long and against the
 //! `(2 × replicas + 1) × max(chunk, TRANSFER)` bound where replicas can

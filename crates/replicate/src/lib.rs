@@ -14,27 +14,31 @@
 //! their seed from `DIEHARD_SEED`, which this launcher sets uniquely per
 //! replica. (An `LD_PRELOAD` passthrough is provided for C binaries.)
 //!
-//! The engine is three layers, each unit-testable in isolation:
+//! The engine is a pure vote core under a thin process edge, driven by
+//! transports:
 //!
-//! * [`reactor`] — a generic `poll(2)` registration/dispatch loop that
-//!   knows nothing about replicas;
-//! * [`session`] — the §5.2 voting state machine for **one** client
-//!   stream: the bounded input window, per-chunk vote barriers with
-//!   mid-run SIGKILL of outvoted replicas, bounded stderr captures, and
-//!   the closing stderr/exit ballots. Bytes *move* a pipe-full
-//!   ([`TRANSFER`]) at a time and are *voted* a chunk at a time: each
-//!   stdout buffer and the window may run one transfer unit ahead of the
-//!   barrier. Peak memory per session is
+//! * [`voter`] — the §5.2 vote with no process and no descriptor in it:
+//!   the chunk [`Voter`] (its tie rule, [`Ties`], is set in code), and the
+//!   [`VoteCore`] that runs one voted stream on it — the bounded input
+//!   window, per-replica stdout buffers voted a chunk at a time, the kills
+//!   (each with its barrier index), bounded stderr captures, and the
+//!   closing stderr/exit ballots. Bytes *move* a pipe-full ([`TRANSFER`])
+//!   at a time and are *voted* a chunk at a time. Peak memory per stream is
 //!   `(2 × replicas + 1) × max(chunk, TRANSFER)` retained bytes no matter
 //!   how much the replicas produce, so long-running/server-style commands
-//!   work;
-//! * transports — [`event`] re-expresses the original pipe path
-//!   (stdin → N replicas → stdout) on the two layers below with
-//!   byte-identical [`StreamOutcome`]s, and [`proxy`] serves the paper's
-//!   squid scenario for real: a TCP front end that fans each accepted
-//!   connection to its own N-replica set, votes response chunks at the
-//!   same barriers, and returns only quorum bytes — many concurrent voted
-//!   sessions multiplexed over one reactor.
+//!   work. The in-process `diehard_runtime::ReplicaSet` votes through the
+//!   same core;
+//! * [`session`] — the process edge for **one** client stream: spawns the
+//!   replicas, moves bytes between their non-blocking pipes and the core,
+//!   SIGKILLs the replicas the core outvotes, and reaps them all;
+//! * [`reactor`] — a generic `poll(2)` registration/dispatch loop that
+//!   knows nothing about replicas;
+//! * transports — [`event`] drives a session between a launcher's stdin and
+//!   stdout, and [`proxy`] serves the paper's squid scenario for real: a
+//!   TCP front end that fans each accepted connection to its own N-replica
+//!   set, votes response chunks at the same barriers, and returns only
+//!   quorum bytes — many concurrent voted sessions multiplexed over one
+//!   reactor.
 //!
 //! Orthogonal to the layers, [`pool`] keeps complete replica sets
 //! pre-spawned and parked (`--pool <depth>`), so a transport takes a ready
@@ -42,7 +46,7 @@
 //! at accept time; seed discipline makes the pool invisible to vote
 //! outcomes, and depth 0 is the byte-identical cold path.
 //!
-//! The [`Voter`] referees every ballot. [`run_replicated`] is a
+//! [`run_replicated`] is a
 //! convenience wrapper over [`run_streamed`] for in-memory input/output;
 //! the `diehard` binary streams its real stdin/stdout through the same
 //! engine, and the `diehard-proxy` binary serves the TCP front end. The
@@ -65,7 +69,7 @@ pub mod voter;
 pub use event::{run_pooled, run_streamed, InputSource, StreamOutcome};
 pub use pool::{Pool, PoolStats};
 pub use session::{Phase, Session, SessionInput, SessionIo};
-pub use voter::{ChunkVote, Voter};
+pub use voter::{ChunkVote, Ties, VoteCore, Voter};
 
 /// The default barrier chunk size the voter compares — the pipe-buffer
 /// transfer unit the paper votes on (§5.2).
@@ -191,15 +195,17 @@ pub struct ReplicatedExit {
     /// a command that fails identically in every replica keeps its output
     /// and forwards its status.
     pub exit_code: Option<i32>,
-    /// The winning replica's captured standard error: the first ≤ 4 KB it
-    /// wrote (bytes beyond the cap are drained and discarded so the replica
-    /// never blocks on stderr). Empty on divergence or total crash. Stderr
-    /// is captured and forwarded, not voted.
+    /// The quorum-agreed standard error: the first ≤ `config.chunk` bytes
+    /// each replica wrote (bytes beyond the cap are drained and discarded
+    /// so a replica never blocks on stderr) are voted as a ballot after the
+    /// streams end, and the winners' capture is forwarded. Empty on
+    /// divergence or total crash.
     pub stderr: Vec<u8>,
 }
 
-/// Spawns the replicas, broadcasts `config.input`, votes on stdout at 4 KB
-/// barriers while the replicas run, and returns the committed output.
+/// Spawns the replicas, broadcasts `config.input`, votes on stdout at
+/// `config.chunk` barriers while the replicas run, and returns the
+/// committed output.
 ///
 /// This is a thin in-memory wrapper over [`run_streamed`] — same engine,
 /// same incremental voting and mid-stream kills; only the input source

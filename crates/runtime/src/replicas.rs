@@ -10,13 +10,15 @@
 //!
 //! Here the replicas are in-process deterministic executions (our programs
 //! are single-threaded and replayable); the subprocess version with real
-//! pipes lives in the `diehard-replicate` crate.
+//! pipes lives in the `diehard-replicate` crate, and both are voted by its
+//! one vote core (`diehard_replicate::VoteCore`).
 
 use crate::exec::{run_program, ExecOptions, RunOutcome, Verdict};
 use crate::ops::Program;
 use crate::output::{Output, CHUNK};
 use diehard_core::config::{FillPolicy, HeapConfig};
 use diehard_core::rng::replica_seed;
+use diehard_replicate::{Phase, SessionInput, Ties, VoteCore, Voter};
 use diehard_sim::DieHardSimHeap;
 
 /// What happened to one replica.
@@ -76,11 +78,10 @@ impl ReplicatedRun {
 ///
 /// **Ties.** The vote commits the largest group of agreeing replicas, and
 /// of equally large groups the first (lowest replica index): four replicas
-/// split 2–2 commit one pair and outvote the other. That is Theorem 3's
-/// model, where an uninitialized read is detected when *no two* replicas
-/// agree. The process launcher's voter (`diehard_replicate::voter::Voter`)
-/// requires a strict plurality and reports the same split as a divergence,
-/// so the two voters disagree on ties (ROADMAP B(v)).
+/// split 2–2 commit one pair and outvote the other
+/// (`diehard_replicate::Ties::First`, which says why). The process
+/// launcher votes the same way except that it reports that split as a
+/// divergence.
 #[derive(Debug, Clone)]
 pub struct ReplicaSet {
     config: HeapConfig,
@@ -124,16 +125,12 @@ impl ReplicaSet {
     pub fn run(&self, program: &Program) -> ReplicatedRun {
         // Execute all replicas (equivalent to running them to their output
         // barriers; our programs are deterministic and finite).
-        let results: Vec<RunOutcome> = self
-            .seeds
-            .iter()
-            .map(|&seed| {
-                let mut heap =
-                    DieHardSimHeap::new(self.config.clone(), seed).expect("valid replica config");
-                run_program(&mut heap, program, &ExecOptions::default())
-            })
-            .collect();
-        self.vote(results)
+        self.vote(
+            self.seeds
+                .iter()
+                .map(|&seed| self.replica(seed, program))
+                .collect(),
+        )
     }
 
     /// As [`run`](Self::run) but executing the replicas on OS threads —
@@ -146,14 +143,7 @@ impl ReplicaSet {
             let handles: Vec<_> = self
                 .seeds
                 .iter()
-                .map(|&seed| {
-                    let config = self.config.clone();
-                    scope.spawn(move || {
-                        let mut heap =
-                            DieHardSimHeap::new(config, seed).expect("valid replica config");
-                        run_program(&mut heap, program, &ExecOptions::default())
-                    })
-                })
+                .map(|&seed| scope.spawn(move || self.replica(seed, program)))
                 .collect();
             handles
                 .into_iter()
@@ -163,90 +153,66 @@ impl ReplicaSet {
         self.vote(results)
     }
 
+    /// Runs `program` on the replica seeded with `seed`.
+    fn replica(&self, seed: u64, program: &Program) -> RunOutcome {
+        let mut heap =
+            DieHardSimHeap::new(self.config.clone(), seed).expect("valid replica config");
+        run_program(&mut heap, program, &ExecOptions::default())
+    }
+
+    /// Votes the finished outputs through the launcher's vote core, chunk
+    /// by chunk, as if each replica had written its output to a pipe; a
+    /// replica that died before completing is out of the vote from the
+    /// start.
     fn vote(&self, results: Vec<RunOutcome>) -> ReplicatedRun {
-        let mut fates: Vec<ReplicaFate> = results
+        let outputs: Vec<Option<&[u8]>> = results
             .iter()
-            .map(|r| match r {
-                RunOutcome::Completed(_) => ReplicaFate::Agreed, // provisional
-                _ => ReplicaFate::Died,
-            })
+            .map(|r| r.output().map(Output::as_bytes))
             .collect();
-
-        let outputs: Vec<Option<&Output>> = results.iter().map(RunOutcome::output).collect();
-        let max_chunks = outputs
-            .iter()
-            .flatten()
-            .map(|o| o.chunk_count())
-            .max()
-            .unwrap_or(0);
-
-        let mut live: Vec<usize> = (0..self.seeds.len())
-            .filter(|&i| outputs[i].is_some())
-            .collect();
-        if live.is_empty() {
-            return ReplicatedRun {
-                outcome: ReplicatedOutcome::AllDied,
-                fates,
-            };
+        let voter = Voter::with_ties(outputs.len(), Ties::First);
+        let mut core = VoteCore::new(voter, CHUNK, SessionInput::Buffer(Vec::new()));
+        let mut fates = Vec::with_capacity(outputs.len());
+        for (i, output) in outputs.iter().enumerate() {
+            fates.push(match output {
+                Some(_) => ReplicaFate::Agreed, // provisional
+                None => {
+                    core.kill(i);
+                    ReplicaFate::Died
+                }
+            });
         }
-
-        let mut committed = Output::new();
-        for chunk_idx in 0..max_chunks {
-            let chunk_of = |i: usize| -> &[u8] {
-                outputs[i]
-                    .expect("live replicas completed")
-                    .as_bytes()
-                    .chunks(CHUNK)
-                    .nth(chunk_idx)
-                    .unwrap_or(&[])
-            };
-            if live.len() == 1 {
-                // One survivor: no quorum possible, pass its output through
-                // (the degenerate stand-alone case).
-                committed.push(chunk_of(live[0]));
-                continue;
-            }
-            // Group live replicas by chunk content and pick the largest
-            // agreeing group ("chooses an output buffer agreed upon by at
-            // least two replicas", §5.2).
-            let mut groups: Vec<(Vec<usize>, &[u8])> = Vec::new();
-            for &i in &live {
-                let c = chunk_of(i);
-                match groups.iter_mut().find(|(_, g)| *g == c) {
-                    Some((members, _)) => members.push(i),
-                    None => groups.push((vec![i], c)),
+        let (mut fed, mut committed) = (vec![0; outputs.len()], Vec::new());
+        while core.pump(&mut committed, usize::MAX) == Phase::Streaming {
+            for (i, output) in outputs.iter().enumerate() {
+                let rest = &output.unwrap_or_default()[fed[i]..];
+                if rest.is_empty() {
+                    core.out_ended(i);
+                } else if core.out_room(i) {
+                    let spare = core.out_spare(i);
+                    let n = spare.len().min(rest.len());
+                    spare[..n].copy_from_slice(&rest[..n]);
+                    core.out_filled(i, n);
+                    fed[i] += n;
                 }
             }
-            groups.sort_by_key(|(members, _)| core::cmp::Reverse(members.len()));
-            let (winners, winning_chunk) = &groups[0];
-            if winners.len() < 2 {
-                // All live replicas disagree: the voter cannot commit —
-                // terminate (this is the §6.3 uninit-read detection path).
-                return ReplicatedRun {
-                    outcome: ReplicatedOutcome::Divergence {
-                        at_chunk: chunk_idx,
-                    },
-                    fates,
-                };
-            }
-            committed.push(winning_chunk);
-            // Kill the outvoted replicas.
-            let losers: Vec<usize> = live
-                .iter()
-                .copied()
-                .filter(|i| !winners.contains(i))
-                .collect();
-            for i in losers {
-                fates[i] = ReplicaFate::Outvoted {
-                    at_chunk: chunk_idx,
-                };
-            }
-            live.retain(|i| winners.contains(i));
         }
-        ReplicatedRun {
-            outcome: ReplicatedOutcome::Agreed(committed),
-            fates,
+        for (&i, &at_chunk) in core.killed().iter().zip(core.killed_at()) {
+            if outputs[i].is_some() {
+                fates[i] = ReplicaFate::Outvoted { at_chunk };
+            }
         }
+        let outcome = if core.has_diverged() {
+            ReplicatedOutcome::Divergence {
+                at_chunk: core.barriers(),
+            }
+        } else if outputs.iter().all(Option::is_none) {
+            ReplicatedOutcome::AllDied
+        } else {
+            let mut output = Output::new();
+            output.push(&committed);
+            ReplicatedOutcome::Agreed(output)
+        };
+        ReplicatedRun { outcome, fates }
     }
 }
 
@@ -377,10 +343,10 @@ mod tests {
         let _ = ReplicaSet::new(2, 1, HeapConfig::default());
     }
 
-    /// Today's in-process tie rule, pinned before the two voters share one
-    /// implementation (ROADMAP B(v)): a 2–2 split commits the first group
-    /// and outvotes the other pair. `replicate::voter`'s
-    /// `two_two_tie_is_divergence` pins the opposite rule.
+    /// The in-process tie rule (`Ties::First`): a 2–2 split commits the
+    /// first group and outvotes the other pair. `replicate::voter`'s
+    /// `two_two_tie_is_divergence` pins the launcher's rule
+    /// (`Ties::Diverge`) on the same vote core.
     #[test]
     fn two_two_tie_commits_the_first_group() {
         let output = |bytes: &[u8]| {
