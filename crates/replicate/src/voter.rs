@@ -532,9 +532,16 @@ impl VoteCore {
         } else {
             0
         };
+        // Each buffer within its own cap, not only their sum.
+        let (unit, chunk) = (self.unit, self.chunk);
+        debug_assert!(win <= unit);
+        debug_assert!(self
+            .lanes
+            .iter()
+            .all(|l| l.out.len() <= unit && l.err.len() <= chunk));
         let lanes: usize = self.lanes.iter().map(|l| l.out.len() + l.err.len()).sum();
         self.peak_buffered = self.peak_buffered.max(lanes + win);
-        debug_assert!(self.peak_buffered <= (2 * self.lanes.len() + 1) * self.unit);
+        debug_assert!(self.peak_buffered <= (2 * self.lanes.len() + 1) * unit);
     }
 
     /// Whether the caller should supply the next input window: streamed
