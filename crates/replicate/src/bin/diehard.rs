@@ -7,17 +7,12 @@
 //! Usage:
 //!
 //! ```text
-//! diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] [--pool DEPTH] -- COMMAND [ARGS...]
+//! diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] -- COMMAND [ARGS...]
 //! ```
-//!
-//! `--pool DEPTH` primes a warm replica-set pool before streaming begins:
-//! the run takes a pre-spawned set (same seed stream as the cold path, so
-//! outcomes are bit-identical) instead of paying fork/exec inline. Depth 0
-//! (the default) is the unchanged cold path.
 //!
 //! Standard input is broadcast to all replicas **incrementally** (never
 //! buffered whole — arbitrary-length and interactive streams work) and
-//! standard output carries the voted output, committed as each 4 KB
+//! standard output carries the voted output, committed as each `--chunk`
 //! barrier resolves. Exit status: the replicas' *agreed* exit status on
 //! agreement (so a command that fails identically everywhere keeps its
 //! status), 2 on detected divergence (the uninitialized-read signal), and
@@ -26,21 +21,19 @@
 //! from the launcher's own sentinels by code alone — the stderr diagnostics
 //! (`diehard: ...`) disambiguate.
 
-use diehard_replicate::{run_pooled, run_streamed, InputSource, LaunchConfig, Pool};
-use std::os::unix::io::AsRawFd;
+use diehard_replicate::{run_streamed, InputSource, LaunchConfig};
+use std::os::unix::io::AsFd;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] [--pool DEPTH] -- COMMAND [ARGS...]\n\
+        "usage: diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] -- COMMAND [ARGS...]\n\
          \n\
          Runs COMMAND in REPLICAS differently-seeded replicas (default 3),\n\
          streaming stdin to all and voting on stdout at BYTES-sized barriers\n\
          (default 4096; a bounded power of two).\n\
          Exits with the replicas' agreed status, or 2 on divergence.\n\
          Each replica receives a unique DIEHARD_SEED; --preload exports\n\
-         LD_PRELOAD for C binaries using libdiehard-style interposition.\n\
-         --pool primes DEPTH warm replica sets before streaming begins\n\
-         (same seed stream as the cold path; 0 = spawn inline, the default)."
+         LD_PRELOAD for C binaries using libdiehard-style interposition."
     );
     std::process::exit(1);
 }
@@ -51,7 +44,6 @@ fn main() {
     let mut chunk: Option<usize> = None;
     let mut preload: Option<String> = None;
     let mut master_seed: Option<u64> = None;
-    let mut pool_depth: Option<usize> = None;
     let mut command: Vec<String> = Vec::new();
 
     let mut i = 0;
@@ -79,13 +71,6 @@ fn main() {
                 i += 1;
                 master_seed = args.get(i).and_then(|s| s.parse().ok());
                 if master_seed.is_none() {
-                    usage();
-                }
-            }
-            "--pool" => {
-                i += 1;
-                pool_depth = args.get(i).and_then(|s| s.parse().ok());
-                if pool_depth.is_none() {
                     usage();
                 }
             }
@@ -117,33 +102,21 @@ fn main() {
             .collect();
     }
 
-    // Hand the engine our stdin descriptor and locked stdout: input is
-    // streamed on demand and each voted chunk is committed the moment its
-    // barrier resolves.
-    let stdin = std::io::stdin();
+    // Hand the engine a duplicate of our stdin descriptor (close-on-exec,
+    // so no replica inherits it) and our locked stdout: input is streamed
+    // on demand and each voted chunk is committed the moment its barrier
+    // resolves.
     let stdout = std::io::stdout();
     let mut sink = stdout.lock();
-    let input = InputSource::Fd(stdin.as_raw_fd());
-    let result = match pool_depth.unwrap_or(0) {
-        0 => run_streamed(&config, input, &mut sink),
-        depth => {
-            // Warm start: pre-spawn the set(s) before touching stdin, then
-            // stream through a pooled session — same engine, same seed
-            // stream, bit-identical outcomes (pinned by tests/pool.rs).
-            match Pool::new(config.clone(), depth) {
-                Ok(mut pool) => {
-                    pool.prime();
-                    run_pooled(&mut pool, input, &mut sink)
-                }
-                Err(e) => Err(e),
-            }
-        }
-    };
+    let result = std::io::stdin()
+        .as_fd()
+        .try_clone_to_owned()
+        .and_then(|fd| run_streamed(&config, InputSource::Fd(fd), &mut sink));
     match result {
         Ok(outcome) => {
             drop(sink);
-            // Forward the winning replica's captured stderr (first ≤ 4 KB)
-            // before the launcher's own diagnostics.
+            // Forward the winning replica's captured stderr (first
+            // ≤ `--chunk` bytes) before the launcher's own diagnostics.
             if !outcome.stderr.is_empty() {
                 use std::io::Write;
                 let _ = std::io::stderr().write_all(&outcome.stderr);

@@ -47,8 +47,9 @@
 use crate::reactor::Reactor;
 use crate::session::{resolve_seeds, Phase, Session, SessionInput, SessionIo};
 use crate::LaunchConfig;
-use std::io::{self, Read, Write};
-use std::os::unix::io::RawFd;
+use std::fs::File;
+use std::io::{self, Write};
+use std::os::unix::io::{AsRawFd, OwnedFd};
 
 pub use crate::session::StreamOutcome;
 
@@ -59,29 +60,13 @@ pub enum InputSource {
     /// path); replicas consume it at their own pace via per-replica
     /// offsets, with no further copies.
     Buffer(Vec<u8>),
-    /// Stream incrementally from this descriptor (the launcher's stdin).
-    /// Its file-status flags are left untouched — in particular it is NOT
-    /// switched to `O_NONBLOCK`, which lives on the open file description
-    /// and would leak to any stdout/stderr sharing it (a terminal). The
-    /// reactor only reads it once `poll(2)` reports it readable.
-    Fd(RawFd),
-}
-
-/// The streamed input source as a [`Read`]: the descriptor is borrowed —
-/// neither closed nor switched to `O_NONBLOCK` (see [`InputSource::Fd`]).
-struct Source(RawFd);
-
-impl Read for Source {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        // SAFETY: reading at most `buf.len()` bytes into a live buffer, on a
-        // descriptor the caller handed us.
-        let n = unsafe { libc::read(self.0, buf.as_mut_ptr().cast(), buf.len()) };
-        if n < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(n as usize)
-        }
-    }
+    /// Stream incrementally from this descriptor (the launcher passes a
+    /// duplicate of its stdin), closed when the run ends. Its file-status
+    /// flags are left untouched — in particular it is NOT switched to
+    /// `O_NONBLOCK`, which lives on the open file description a duplicate
+    /// shares, and would leak to any stdout/stderr sharing it (a terminal).
+    /// The reactor only reads it once `poll(2)` reports it readable.
+    Fd(OwnedFd),
 }
 
 /// What a pipe-transport `pollfd` entry refers to.
@@ -114,53 +99,14 @@ pub fn run_streamed(
     sink: &mut dyn Write,
 ) -> io::Result<StreamOutcome> {
     let seeds = resolve_seeds(config)?;
-    let (session_input, source) = match input {
+    let (session_input, mut source) = match input {
         InputSource::Buffer(data) => (SessionInput::Buffer(data), None),
-        InputSource::Fd(fd) => (SessionInput::Streamed, Some(fd)),
+        InputSource::Fd(fd) => (SessionInput::Streamed, Some(File::from(fd))),
     };
     // On any error below, Session's Drop kills and reaps the replicas.
-    let session = Session::spawn(config, &seeds, session_input)?;
-    drive(session, source, sink)
-}
-
-/// Warm-start variant of [`run_streamed`]: the replica set comes from
-/// `pool` when one is parked (a `--pool`-primed launcher), falling back
-/// to a cold spawn through the identical path otherwise. Buffered input
-/// is adopted into the pre-spawned (streamed-mode) session with the exact
-/// buffer-mode accounting, so outcomes are byte-identical either way —
-/// pinned by `tests/pool.rs` against the golden equivalence corpus.
-///
-/// # Errors
-///
-/// As [`run_streamed`]; a cold-spawn fallback surfaces the same
-/// validation and spawn errors it always has.
-pub fn run_pooled(
-    pool: &mut crate::Pool,
-    input: InputSource,
-    sink: &mut dyn Write,
-) -> io::Result<StreamOutcome> {
-    let mut session = pool.acquire()?;
-    let source = match input {
-        InputSource::Buffer(data) => {
-            session.adopt_buffer_input(data);
-            None
-        }
-        InputSource::Fd(fd) => Some(fd),
-    };
-    drive(session, source, sink)
-}
-
-/// The pipe-transport reactor loop shared by the cold and pooled entry
-/// points: pump/ship/register/wait/dispatch until the session drains,
-/// then run the closing ballots.
-fn drive(
-    mut session: Session,
-    source: Option<RawFd>,
-    sink: &mut dyn Write,
-) -> io::Result<StreamOutcome> {
+    let mut session = Session::spawn(config, &seeds, session_input)?;
     let mut reactor: Reactor<Token> = Reactor::new();
     let mut voted = Vec::new();
-    let mut source = source.map(Source);
     loop {
         // Resolve every satisfied barrier, then ship the quorum bytes
         // immediately — the pipe transport has no cap of its own; the
@@ -177,9 +123,9 @@ fn drive(
         reactor.clear();
         session
             .register_interest(|fd, events, io| reactor.register(fd, events, Token::Session(io)));
-        if let Some(Source(fd)) = source {
+        if let Some(file) = &source {
             if session.wants_input() {
-                reactor.register(fd, libc::POLLIN, Token::Source);
+                reactor.register(file.as_raw_fd(), libc::POLLIN, Token::Source);
             }
         }
         reactor.wait(-1)?;
@@ -200,7 +146,7 @@ fn drive(
 /// Slides the session's input window forward by one read from the source,
 /// straight into the window (≤ one transfer unit — the window is the
 /// memory bound).
-fn refill(session: &mut Session, source: &mut Source) {
+fn refill(session: &mut Session, source: &mut File) {
     loop {
         match session.fill_input(source) {
             Ok(_) => break, // bytes, or the end of the input

@@ -41,10 +41,11 @@
 //!   reactor.
 //!
 //! Orthogonal to the layers, [`pool`] keeps complete replica sets
-//! pre-spawned and parked (`--pool <depth>`), so a transport takes a ready
-//! [`Session`] in O(1) instead of paying the multi-millisecond fork/exec
-//! at accept time; seed discipline makes the pool invisible to vote
-//! outcomes, and depth 0 is the byte-identical cold path.
+//! pre-spawned and parked (`diehard-proxy --pool <depth>`), so the proxy
+//! takes a ready [`Session`] in O(1) instead of paying the
+//! multi-millisecond fork/exec at accept time; seed discipline makes the
+//! pool invisible to vote outcomes, and depth 0 is the byte-identical cold
+//! path.
 //!
 //! [`run_replicated`] is a
 //! convenience wrapper over [`run_streamed`] for in-memory input/output;
@@ -66,7 +67,7 @@ pub mod reactor;
 pub mod session;
 pub mod voter;
 
-pub use event::{run_pooled, run_streamed, InputSource, StreamOutcome};
+pub use event::{run_streamed, InputSource, StreamOutcome};
 pub use pool::{Pool, PoolStats};
 pub use session::{Phase, Session, SessionInput, SessionIo};
 pub use voter::{ChunkVote, Ties, VoteCore, Voter};

@@ -1,113 +1,36 @@
-//! Thin safe wrappers over the `libc` TCP socket surface.
+//! The proxy's loopback TCP edge, on `std::net`.
 //!
-//! The [`crate::proxy`] transport needs exactly five socket operations —
-//! create/bind/listen, accept, connect, local-port recovery, and write-half
-//! shutdown — and this module is that surface, audited once: every raw fd
-//! is owned (closed on drop or handed to `TcpStream::from_raw_fd`), every
-//! accepted or created socket gets `FD_CLOEXEC` **before** any replica can
-//! be spawned (a client socket leaked into a replica child would hold the
-//! connection open and the client would never see EOF), and the listener
-//! runs non-blocking so one reactor can multiplex accepts with session
-//! I/O. Addresses are IPv4 loopback only — the proxy is a voted front end
-//! for local experiments, not a hardened network daemon.
-//!
-//! Accepted and connected streams are returned as `std::net::TcpStream`
-//! so transports reuse std's `Read`/`Write`/`shutdown` implementations on
-//! a descriptor this module configured.
+//! The [`crate::proxy`] transport needs five socket operations: bind and
+//! listen, accept, connect, the bound port, and write-half shutdown. `std`
+//! binds with `SO_REUSEADDR` and a backlog of 128, and creates and accepts
+//! every socket close-on-exec (`SOCK_CLOEXEC`, `accept4`), so no replica
+//! spawned later inherits a client connection (one that did would hold it
+//! open, and the client would never see EOF). The listener and the streams
+//! it accepts are non-blocking, so one reactor multiplexes accepts with
+//! session I/O. Addresses are IPv4 loopback only: the proxy is a voted
+//! front end for local experiments, not a hardened network daemon.
 
 use std::io;
-use std::net::TcpStream;
-use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
+use std::net::{Ipv4Addr, Shutdown, TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 
-/// Loopback in network byte order (127.0.0.1).
-const LOOPBACK_BE: u32 = u32::from_be_bytes([127, 0, 0, 1]).to_be();
-
-/// Checks a C return value, mapping `-1` to the current `errno`.
-fn cvt(rc: libc::c_int) -> io::Result<libc::c_int> {
-    if rc < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(rc)
-    }
-}
-
-/// Marks `fd` close-on-exec so spawned replicas never inherit it.
-fn set_cloexec(fd: RawFd) -> io::Result<()> {
-    // SAFETY: fcntl on a descriptor we own; no memory is passed.
-    let flags = cvt(unsafe { libc::fcntl(fd, libc::F_GETFD) })?;
-    // SAFETY: as above; third argument is the int F_SETFD expects.
-    cvt(unsafe { libc::fcntl(fd, libc::F_SETFD, flags | libc::FD_CLOEXEC) })?;
-    Ok(())
-}
-
-/// A loopback IPv4 socket address for `port` (0 = kernel-assigned).
-fn loopback_addr(port: u16) -> libc::sockaddr_in {
-    libc::sockaddr_in {
-        sin_family: libc::AF_INET as libc::sa_family_t,
-        sin_port: port.to_be(),
-        sin_addr: libc::in_addr {
-            s_addr: LOOPBACK_BE,
-        },
-        sin_zero: [0; 8],
-    }
-}
-
-/// A new `FD_CLOEXEC` TCP socket.
-fn tcp_socket() -> io::Result<RawFd> {
-    // SAFETY: plain socket(2); no memory is passed.
-    let fd = cvt(unsafe { libc::socket(libc::AF_INET, libc::SOCK_STREAM, 0) })?;
-    if let Err(e) = set_cloexec(fd) {
-        // SAFETY: fd came from socket(2) above and is otherwise unused.
-        unsafe { libc::close(fd) };
-        return Err(e);
-    }
-    Ok(fd)
-}
-
-/// A non-blocking loopback TCP listener whose accepted sockets are
-/// `FD_CLOEXEC` and non-blocking from birth.
+/// A non-blocking loopback TCP listener whose accepted streams are
+/// non-blocking and close-on-exec.
 #[derive(Debug)]
-pub struct Listener {
-    fd: RawFd,
-}
+pub struct Listener(TcpListener);
 
 impl Listener {
-    /// Binds `127.0.0.1:port` (`SO_REUSEADDR`; port 0 asks the kernel for
-    /// an ephemeral port — recover it with [`local_port`](Self::local_port))
-    /// and starts listening, non-blocking.
+    /// Binds `127.0.0.1:port` (port 0 asks the kernel for an ephemeral
+    /// port; recover it with [`local_port`](Self::local_port)) and starts
+    /// listening, non-blocking.
     ///
     /// # Errors
     ///
-    /// Propagates socket/bind/listen/fcntl failures.
+    /// Propagates bind/listen failures.
     pub fn bind_loopback(port: u16) -> io::Result<Self> {
-        let fd = tcp_socket();
-        let fd = fd?;
-        let this = Self { fd }; // Drop closes on any error below
-        let one: libc::c_int = 1;
-        // SAFETY: optval points at a live c_int of the declared length.
-        cvt(unsafe {
-            libc::setsockopt(
-                fd,
-                libc::SOL_SOCKET,
-                libc::SO_REUSEADDR,
-                (&raw const one).cast(),
-                core::mem::size_of::<libc::c_int>() as libc::socklen_t,
-            )
-        })?;
-        let addr = loopback_addr(port);
-        // SAFETY: addr is a live sockaddr_in of the declared length; the
-        // sockaddr cast is the POSIX calling convention.
-        cvt(unsafe {
-            libc::bind(
-                fd,
-                (&raw const addr).cast(),
-                core::mem::size_of::<libc::sockaddr_in>() as libc::socklen_t,
-            )
-        })?;
-        // SAFETY: plain listen(2) on a bound socket.
-        cvt(unsafe { libc::listen(fd, 128) })?;
-        crate::reactor::set_nonblocking(fd)?;
-        Ok(this)
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
+        listener.set_nonblocking(true)?;
+        Ok(Self(listener))
     }
 
     /// The locally bound port (the kernel's pick after binding port 0).
@@ -116,95 +39,55 @@ impl Listener {
     ///
     /// Propagates `getsockname(2)` failures.
     pub fn local_port(&self) -> io::Result<u16> {
-        let mut addr = loopback_addr(0);
-        let mut len = core::mem::size_of::<libc::sockaddr_in>() as libc::socklen_t;
-        // SAFETY: addr/len are live outputs of the declared size.
-        cvt(unsafe { libc::getsockname(self.fd, (&raw mut addr).cast(), &raw mut len) })?;
-        Ok(u16::from_be(addr.sin_port))
+        Ok(self.0.local_addr()?.port())
     }
 
-    /// Accepts one pending connection, or `None` when nothing is queued
-    /// (the listener is non-blocking). The returned stream is non-blocking
-    /// and `FD_CLOEXEC`.
+    /// Accepts one pending connection, or `None` when nothing is queued.
+    /// The returned stream is non-blocking and close-on-exec.
     ///
     /// # Errors
     ///
-    /// Propagates `accept(2)`/`fcntl(2)` failures other than `EAGAIN`
-    /// (`ECONNABORTED` — a client that gave up while queued — is folded
-    /// into `None`).
+    /// Propagates `accept(2)` failures other than `EAGAIN` (`ECONNABORTED`,
+    /// a client that gave up while queued, is folded into `None` too).
     pub fn accept(&self) -> io::Result<Option<TcpStream>> {
-        // SAFETY: null addr/len is the POSIX "don't care" form of accept(2).
-        let fd = unsafe { libc::accept(self.fd, core::ptr::null_mut(), core::ptr::null_mut()) };
-        if fd < 0 {
-            let e = io::Error::last_os_error();
-            return match e.kind() {
+        match self.0.accept() {
+            Ok((stream, _)) => {
+                stream.set_nonblocking(true)?;
+                Ok(Some(stream))
+            }
+            Err(e) => match e.kind() {
                 io::ErrorKind::WouldBlock | io::ErrorKind::ConnectionAborted => Ok(None),
                 _ => Err(e),
-            };
+            },
         }
-        let configure = set_cloexec(fd).and_then(|()| crate::reactor::set_nonblocking(fd));
-        if let Err(e) = configure {
-            // SAFETY: fd came from accept(2) above and is otherwise unused.
-            unsafe { libc::close(fd) };
-            return Err(e);
-        }
-        // SAFETY: fd is a fresh connected socket we exclusively own.
-        Ok(Some(unsafe { TcpStream::from_raw_fd(fd) }))
     }
 }
 
 impl AsRawFd for Listener {
     fn as_raw_fd(&self) -> RawFd {
-        self.fd
+        self.0.as_raw_fd()
     }
 }
 
-impl Drop for Listener {
-    fn drop(&mut self) {
-        // SAFETY: fd was created by socket(2) and is owned by this struct.
-        unsafe { libc::close(self.fd) };
-    }
-}
-
-/// Connects to `127.0.0.1:port`, blocking, returning a `FD_CLOEXEC`
-/// stream in its default blocking mode (client drivers want plain
-/// blocking reads; callers multiplexing it set non-blocking themselves).
+/// Connects to `127.0.0.1:port`, blocking, and returns the stream in its
+/// default blocking mode (client drivers want plain blocking reads).
 ///
 /// # Errors
 ///
-/// Propagates socket/connect failures.
+/// Propagates connect failures.
 pub fn connect_loopback(port: u16) -> io::Result<TcpStream> {
-    let fd = tcp_socket()?;
-    let addr = loopback_addr(port);
-    // SAFETY: addr is a live sockaddr_in of the declared length.
-    let rc = unsafe {
-        libc::connect(
-            fd,
-            (&raw const addr).cast(),
-            core::mem::size_of::<libc::sockaddr_in>() as libc::socklen_t,
-        )
-    };
-    if rc < 0 {
-        let e = io::Error::last_os_error();
-        // SAFETY: fd came from tcp_socket() and is otherwise unused.
-        unsafe { libc::close(fd) };
-        return Err(e);
-    }
-    // SAFETY: fd is a fresh connected socket we exclusively own.
-    Ok(unsafe { TcpStream::from_raw_fd(fd) })
+    TcpStream::connect((Ipv4Addr::LOCALHOST, port))
 }
 
-/// Closes the write half of `stream` (`shutdown(SHUT_WR)`), delivering EOF
-/// to the peer while leaving the read half open — how a client says "full
-/// request sent, now streaming your response".
+/// Closes the write half of `stream`, delivering EOF to the peer while the
+/// read half stays open: how a client says "full request sent, now stream
+/// your response".
 ///
 /// # Errors
 ///
 /// Propagates `shutdown(2)` failures.
 pub fn shutdown_write(stream: &TcpStream) -> io::Result<()> {
-    // SAFETY: plain shutdown(2) on a descriptor the stream owns.
-    cvt(unsafe { libc::shutdown(stream.as_raw_fd(), libc::SHUT_WR) })?;
-    Ok(())
+    stream.shutdown(Shutdown::Write)
 }
 
 #[cfg(test)]

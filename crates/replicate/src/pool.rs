@@ -227,7 +227,8 @@ impl Pool {
     /// Fills the pool synchronously: refill until the target is reached or
     /// a spawn fails (the failure is recorded and backs off as usual — the
     /// caller's next [`acquire`](Self::acquire) surfaces the error on the
-    /// cold path). The pipe launcher primes its warm start with this.
+    /// cold path). The refill timings (`pool_refill`, the benchmark ledger)
+    /// use this.
     pub fn prime(&mut self) {
         while self.refill_step() {}
     }

@@ -236,12 +236,19 @@ impl Proxy {
     ///
     /// # Errors
     ///
-    /// Propagates `poll(2)` and accept failures; per-connection I/O errors
-    /// are folded into that connection's report instead.
+    /// Propagates `poll(2)` failures; per-connection I/O errors are folded
+    /// into that connection's report instead. A failed accept (at the
+    /// descriptor limit, say) is logged once per streak and retried a tick
+    /// later: the client waits in the backlog, and every live connection
+    /// keeps being served.
     pub fn run(&mut self, stop: &AtomicBool) -> io::Result<ProxySummary> {
         let mut reactor: Reactor<Token> = Reactor::new();
         let mut conns: Vec<Option<Conn>> = Vec::new();
         let mut summary = ProxySummary::default();
+        // Accepts are failing (logged once until one succeeds), and the
+        // listener sits out the next round: its pending connection keeps it
+        // readable, so polling it for input would spin.
+        let (mut accept_failing, mut listener_rests) = (false, false);
         while !stop.load(Ordering::Acquire) {
             // Refill the warm pool toward its target — at most one spawn
             // per tick (the crash-loop/fork-bomb cap), with the pool's own
@@ -283,7 +290,12 @@ impl Proxy {
             // Re-register the world as it now stands, parked pool sets
             // included (their stdouts are the idle liveness watch).
             reactor.clear();
-            reactor.register(self.listener.as_raw_fd(), libc::POLLIN, Token::Listener);
+            let listen = if std::mem::take(&mut listener_rests) {
+                0 // polled for errors only, so the round still sleeps its tick
+            } else {
+                libc::POLLIN
+            };
+            reactor.register(self.listener.as_raw_fd(), listen, Token::Listener);
             self.pool
                 .register_interest(|fd, events, id| reactor.register(fd, events, Token::Pool(id)));
             for (slot, conn) in conns.iter().enumerate() {
@@ -322,42 +334,52 @@ impl Proxy {
             for (token, _revents) in reactor.ready() {
                 match token {
                     Token::Pool(_) => {} // handled above
-                    Token::Listener => {
-                        while let Some(stream) = self.listener.accept()? {
-                            summary.accepted += 1;
-                            match self.open(stream) {
-                                Ok(mut conn) => {
-                                    // Eager first read: on loopback the
-                                    // request often lands before the accept
-                                    // is even dispatched, and picking it up
-                                    // now saves the fast path a poll round.
-                                    conn.read_request();
-                                    match conns.iter_mut().find(|s| s.is_none()) {
-                                        Some(free) => *free = Some(conn),
-                                        None => conns.push(Some(conn)),
-                                    }
+                    Token::Listener => loop {
+                        let stream = match self.listener.accept() {
+                            Ok(Some(stream)) => stream,
+                            Ok(None) => break,
+                            Err(e) => {
+                                if !accept_failing {
+                                    eprintln!("diehard-proxy: accept failed: {e}; retrying");
                                 }
-                                // Spawn failure is this connection's
-                                // problem, not the proxy's: the dropped
-                                // stream closes the client, and the report
-                                // records an aborted session.
-                                Err((id, e)) => {
-                                    eprintln!(
-                                        "diehard-proxy: connection {id}: replica spawn failed: {e}"
-                                    );
-                                    summary.aborted += 1;
-                                    summary.reports.push(SessionReport {
-                                        conn_id: id,
-                                        outcome: None,
-                                        sent: 0,
-                                        out_peak: 0,
-                                        aborted: true,
-                                        seeds: Vec::new(),
-                                    });
+                                (accept_failing, listener_rests) = (true, true);
+                                break;
+                            }
+                        };
+                        accept_failing = false;
+                        summary.accepted += 1;
+                        match self.open(stream) {
+                            Ok(mut conn) => {
+                                // Eager first read: on loopback the
+                                // request often lands before the accept
+                                // is even dispatched, and picking it up
+                                // now saves the fast path a poll round.
+                                conn.read_request();
+                                match conns.iter_mut().find(|s| s.is_none()) {
+                                    Some(free) => *free = Some(conn),
+                                    None => conns.push(Some(conn)),
                                 }
                             }
+                            // Spawn failure is this connection's
+                            // problem, not the proxy's: the dropped
+                            // stream closes the client, and the report
+                            // records an aborted session.
+                            Err((id, e)) => {
+                                eprintln!(
+                                    "diehard-proxy: connection {id}: replica spawn failed: {e}"
+                                );
+                                summary.aborted += 1;
+                                summary.reports.push(SessionReport {
+                                    conn_id: id,
+                                    outcome: None,
+                                    sent: 0,
+                                    out_peak: 0,
+                                    aborted: true,
+                                    seeds: Vec::new(),
+                                });
+                            }
                         }
-                    }
+                    },
                     Token::ClientIn(slot) => {
                         if let Some(conn) = conns[slot].as_mut() {
                             conn.read_request();

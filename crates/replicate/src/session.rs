@@ -111,15 +111,6 @@ impl Session {
         &self.seeds
     }
 
-    /// Converts a freshly spawned streamed-mode session to buffer-mode
-    /// input, exactly as if it had been spawned with
-    /// [`SessionInput::Buffer`] (see [`VoteCore::adopt_buffer_input`]).
-    /// Used when a pre-spawned (pooled) set — always parked in streamed
-    /// mode — is handed to a buffered workload.
-    pub fn adopt_buffer_input(&mut self, data: Vec<u8>) {
-        self.core.adopt_buffer_input(data);
-    }
-
     /// Declares the descriptors a *parked* (pre-spawned, not yet handed
     /// out) session should be watched on while idle: each replica's
     /// stdout. Readiness before handoff is either a death (`POLLHUP` when

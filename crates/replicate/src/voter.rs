@@ -462,20 +462,6 @@ impl VoteCore {
         }
     }
 
-    /// Switches a stream whose streamed window is untouched to buffer-mode
-    /// input, exactly as if it had been built with
-    /// [`SessionInput::Buffer`]: the whole input is caller memory (not
-    /// counted toward the stream's bound) and EOF is already known. A
-    /// window that has already accepted bytes keeps its streaming
-    /// discipline (debug builds assert).
-    pub fn adopt_buffer_input(&mut self, data: Vec<u8>) {
-        debug_assert!(
-            self.input.engine_owned && self.input.base == 0 && self.input.len == 0,
-            "adopt_buffer_input on a session that already streamed input"
-        );
-        self.input = Window::new(SessionInput::Buffer(data));
-    }
-
     /// Bytes committed so far.
     #[must_use]
     pub fn committed(&self) -> u64 {

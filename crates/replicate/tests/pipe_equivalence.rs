@@ -241,9 +241,8 @@ fn streamed_fd_outcome_matches_buffer_outcome() {
     };
     let mut fd_out = Vec::new();
     let fd_outcome = {
-        use std::os::unix::io::AsRawFd;
-        let outcome = run_streamed(&cfg, InputSource::Fd(reader.as_raw_fd()), &mut fd_out)
-            .expect("streamed launch");
+        let source = InputSource::Fd(reader.try_clone().expect("dup").into());
+        let outcome = run_streamed(&cfg, source, &mut fd_out).expect("streamed launch");
         // Drain any EOF state before closing the pair.
         use std::io::Read;
         let mut rest = Vec::new();

@@ -1,28 +1,23 @@
-//! Warm replica-set pool: equivalence, determinism, exhaustion fallback,
-//! mid-connection outvoting of a pooled corrupt replica, and crash-loop
-//! containment.
+//! Warm replica-set pool behind the TCP proxy: determinism, exhaustion
+//! fallback, mid-connection outvoting of a pooled corrupt replica, and
+//! crash-loop containment.
 //!
 //! The pool's contract is that warmth is *invisible* in every observable
-//! outcome: for the same `LaunchConfig`, a run served by a pre-spawned
-//! parked set and a run served by an inline cold spawn produce the same
-//! committed bytes, the same full [`StreamOutcome`] (including the
-//! buffer-mode `peak_buffered` accounting, via
-//! `Session::adopt_buffer_input`), and the same per-replica seed
-//! assignment. This file pins that contract at three layers — the
-//! `run_pooled` pipe transport against the golden equivalence corpus, the
-//! TCP proxy with `--pool 0` vs `--pool N`, and the `diehard` launcher
-//! binary end to end — plus the failure paths: an exhausted pool falls
-//! back to cold spawning transparently, a corrupt-seed replica handed out
-//! warm is still outvoted mid-connection, and a target binary that dies at
-//! startup is reaped with back-off instead of respawned in a hot loop.
+//! outcome: for the same `LaunchConfig`, a connection served by a
+//! pre-spawned parked set and one served by an inline cold spawn produce
+//! the same voted transcript, the same outcome, and the same per-replica
+//! seed assignment. This file pins that contract through the proxy with
+//! `--pool 0` vs `--pool N`, plus the failure paths: an exhausted pool
+//! falls back to cold spawning transparently, a corrupt-seed replica
+//! handed out warm is still outvoted mid-connection, and a target binary
+//! that dies at startup is reaped with back-off instead of respawned in a
+//! hot loop. `Pool`'s own unit tests pin depth 0 as the cold path.
 
 #![cfg(unix)]
 
 use diehard_replicate::net::Listener;
 use diehard_replicate::proxy::{Proxy, ProxySummary};
-use diehard_replicate::{
-    run_pooled, run_streamed, InputSource, LaunchConfig, Pool, StreamOutcome, CHUNK, TRANSFER,
-};
+use diehard_replicate::{LaunchConfig, StreamOutcome, CHUNK, TRANSFER};
 use diehard_workloads::client::{drive, Pace};
 use diehard_workloads::server::{self, ServerRequest};
 use std::io;
@@ -32,150 +27,6 @@ use std::time::{Duration, Instant};
 
 fn sh(script: &str) -> Vec<String> {
     vec!["/bin/sh".into(), "-c".into(), script.into()]
-}
-
-/// Cold reference run (buffer-mode `run_streamed`).
-fn run_cold(cfg: &LaunchConfig, input: &[u8]) -> (Vec<u8>, StreamOutcome) {
-    let mut out = Vec::new();
-    let outcome = run_streamed(cfg, InputSource::Buffer(input.to_vec()), &mut out)
-        .expect("cold launch must succeed");
-    (out, outcome)
-}
-
-/// Warm run: a depth-1 pool primed before the input exists, then drained
-/// through `run_pooled` with the same buffered input.
-fn run_warm(cfg: &LaunchConfig, input: &[u8]) -> (Vec<u8>, StreamOutcome) {
-    let mut pool = Pool::new(cfg.clone(), 1).expect("valid config");
-    pool.prime();
-    assert_eq!(pool.idle_len(), 1, "prime must park the set");
-    let mut out = Vec::new();
-    let outcome = run_pooled(&mut pool, InputSource::Buffer(input.to_vec()), &mut out)
-        .expect("pooled launch must succeed");
-    assert_eq!(pool.stats().handed_out, 1, "the run must be a pool hit");
-    assert_eq!(pool.stats().cold_spawns, 0);
-    (out, outcome)
-}
-
-/// The `--pool 0` ≡ cold contract, full-struct: every scenario from the
-/// golden equivalence corpus produces the identical `StreamOutcome`
-/// whether the set is handed out warm or spawned inline. Scenarios with
-/// explicit seeds also pin the *voting*-relevant paths (minority kill,
-/// three-way divergence) to identical resolutions.
-///
-/// The scripts are stdin-gated (`cat >/dev/null; ...`) so a parked set
-/// blocks alive on its empty stdin pipe until the run adopts its input —
-/// making the warm handoff deterministic. (An *ungated* fast-exiting
-/// script dies while parked; the pool reaps it and falls back cold with
-/// identical outcomes — that path is pinned by the unit tests and by
-/// `exhausted_pool_falls_back_to_cold_with_identical_transcripts`.) The
-/// gate consumes the (empty) input and emits nothing, so the golden
-/// `StreamOutcome` values from `tests/pipe_equivalence.rs` carry over
-/// unchanged — asserted literally for the outvoted-minority case.
-#[test]
-fn pooled_outcome_matches_cold_over_golden_corpus() {
-    let mut corpus: Vec<(&str, LaunchConfig, &[u8])> = Vec::new();
-    corpus.push((
-        "small echo",
-        LaunchConfig::new(3, sh("cat"), Vec::new()),
-        b"hello replicated world\n",
-    ));
-    let mut outvoted = LaunchConfig::new(
-        3,
-        sh(r#"cat >/dev/null; if [ "$DIEHARD_SEED" = "7" ]; then echo bad; else echo good; fi"#),
-        Vec::new(),
-    );
-    outvoted.seeds = vec![1, 7, 2];
-    corpus.push(("outvoted minority", outvoted, b""));
-    corpus.push((
-        "unanimous nonzero exit",
-        LaunchConfig::new(3, sh("cat >/dev/null; printf '0\\n'; exit 7"), Vec::new()),
-        b"",
-    ));
-    let mut divergent = LaunchConfig::new(3, sh("cat >/dev/null; echo $DIEHARD_SEED"), Vec::new());
-    divergent.seeds = vec![1, 2, 3];
-    corpus.push(("three-way divergence", divergent, b""));
-    corpus.push((
-        "stderr counts toward peak",
-        LaunchConfig::new(
-            3,
-            sh("cat >/dev/null; echo diag >&2; echo payload"),
-            Vec::new(),
-        ),
-        b"",
-    ));
-
-    for (name, cfg, input) in corpus {
-        let (cold_out, cold_outcome) = run_cold(&cfg, input);
-        let (warm_out, warm_outcome) = run_warm(&cfg, input);
-        assert_eq!(warm_out, cold_out, "{name}: committed bytes must match");
-        assert_eq!(
-            warm_outcome, cold_outcome,
-            "{name}: full StreamOutcome (incl. peak_buffered) must match"
-        );
-        if name == "outvoted minority" {
-            assert_eq!(
-                warm_outcome,
-                StreamOutcome {
-                    diverged: false,
-                    killed: vec![1],
-                    exit_code: Some(0),
-                    committed: 5,
-                    peak_buffered: 14,
-                    stderr: vec![],
-                    stderr_dropped: 0,
-                },
-                "{name}: the golden corpus values must carry over to the warm path"
-            );
-        }
-    }
-}
-
-/// A depth-0 pool never parks anything: `run_pooled` through it IS the
-/// cold path, byte- and struct-identical, and the stats say so.
-#[test]
-fn depth_zero_pool_is_the_cold_path() {
-    let input = b"hello replicated world\n";
-    let cfg = LaunchConfig::new(3, sh("cat"), Vec::new());
-    let (cold_out, cold_outcome) = run_cold(&cfg, input);
-
-    let mut pool = Pool::new(cfg, 0).expect("valid config");
-    pool.prime(); // no-op at depth 0
-    assert_eq!(pool.idle_len(), 0);
-    let mut out = Vec::new();
-    let outcome = run_pooled(&mut pool, InputSource::Buffer(input.to_vec()), &mut out)
-        .expect("launch must succeed");
-    assert_eq!(out, cold_out);
-    assert_eq!(outcome, cold_outcome);
-    assert_eq!(pool.stats().handed_out, 0);
-    assert_eq!(pool.stats().cold_spawns, 1);
-}
-
-/// Exhaustion at the transport layer, fully deterministic: `run_pooled`
-/// does not refill mid-run, so a depth-1 pool serves the first run warm
-/// and the second cold — and both transcripts and outcomes are identical
-/// to each other and to the cold reference.
-#[test]
-fn exhausted_pool_falls_back_to_cold_with_identical_transcripts() {
-    let mut cfg = LaunchConfig::new(
-        3,
-        sh(r#"cat >/dev/null; if [ "$DIEHARD_SEED" = "7" ]; then echo bad; else echo good; fi"#),
-        Vec::new(),
-    );
-    cfg.seeds = vec![1, 7, 2];
-    let (ref_out, ref_outcome) = run_cold(&cfg, b"");
-
-    let mut pool = Pool::new(cfg, 1).expect("valid config");
-    pool.prime();
-    for round in 0..2 {
-        let mut out = Vec::new();
-        let outcome = run_pooled(&mut pool, InputSource::Buffer(Vec::new()), &mut out)
-            .expect("launch must succeed");
-        assert_eq!(out, ref_out, "round {round}");
-        assert_eq!(outcome, ref_outcome, "round {round}");
-    }
-    let stats = pool.stats();
-    assert_eq!(stats.handed_out, 1, "first run is the pool hit");
-    assert_eq!(stats.cold_spawns, 1, "second run is the cold fallback");
 }
 
 /// The server protocol with an injectable fault (same shape as
@@ -434,39 +285,4 @@ fn crashing_target_is_reaped_with_backoff_not_respawned_hot() {
         "back-off must bound the respawn rate (spawned {} sets in ~1 s)",
         summary.pool.spawned
     );
-}
-
-/// End-to-end through the launcher binary: `--pool 2` with an explicit
-/// `--seed` produces byte-identical stdout/stderr and the same exit
-/// status as the default cold path.
-#[test]
-fn launcher_pool_flag_is_byte_identical_to_cold() {
-    use std::io::Write;
-    use std::process::{Command, Stdio};
-
-    let run = |extra: &[&str]| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_diehard"));
-        cmd.args(["--seed", "42"])
-            .args(extra)
-            .args(["--", "/bin/sh", "-c", "tr a-z A-Z"])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped());
-        let mut child = cmd.spawn().expect("launcher spawns");
-        child
-            .stdin
-            .take()
-            .expect("piped stdin")
-            .write_all(b"voted output, warm or cold\n")
-            .expect("feed stdin");
-        child.wait_with_output().expect("launcher runs")
-    };
-
-    let cold = run(&[]);
-    let warm = run(&["--pool", "2"]);
-    assert_eq!(cold.stdout, b"VOTED OUTPUT, WARM OR COLD\n");
-    assert_eq!(warm.stdout, cold.stdout);
-    assert_eq!(warm.stderr, cold.stderr);
-    assert_eq!(warm.status.code(), cold.status.code());
-    assert_eq!(warm.status.code(), Some(0));
 }

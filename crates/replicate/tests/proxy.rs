@@ -2,7 +2,8 @@
 //! concurrent voted sessions over one reactor, a corrupt replica outvoted
 //! mid-connection, slow-reader backpressure (down to a one-chunk queue),
 //! a one-chunk answer that does not wait for the request to end,
-//! mid-stream client disconnects, and an unresolvable response tie.
+//! mid-stream client disconnects, an unresolvable response tie, replicas
+//! that hold no socket, and a failed accept the proxy survives.
 
 #![cfg(unix)]
 
@@ -379,4 +380,139 @@ fn response_tie_closes_the_connection_with_divergence() {
     assert!(outcome.diverged);
     assert_eq!(outcome.exit_code, None, "no quorum, no agreed status");
     assert_eq!(outcome.committed, response.len() as u64);
+}
+
+#[test]
+fn no_replica_inherits_a_socket() {
+    // Every socket the proxy holds is close-on-exec: a client connection
+    // leaked into a replica would keep that connection open past the
+    // proxy's own close. Each replica counts the sockets among its own
+    // descriptors; the voted answer must be zero.
+    let config = LaunchConfig::new(
+        3,
+        vec![
+            "/bin/sh".into(),
+            "-c".into(),
+            "cat >/dev/null; ls -l /proc/$$/fd | grep -c socket".into(),
+        ],
+        Vec::new(),
+    );
+    let listener = Listener::bind_loopback(0).expect("bind");
+    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let (port, stop, handle) = spawn_proxy(proxy);
+
+    let mut stream = connect_loopback(port).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream.write_all(b"request\n").expect("send");
+    shutdown_write(&stream).expect("half-close");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("EOF");
+    assert_eq!(response, b"0\n", "a replica holds a socket");
+
+    let summary = stop_and_join(&stop, handle);
+    assert_eq!(summary.accepted, 1);
+    assert_eq!(summary.diverged, 0);
+}
+
+#[test]
+fn accept_failure_at_the_fd_limit_keeps_the_proxy_serving() {
+    // A proxy at its descriptor limit cannot accept. That failure must not
+    // end the proxy: it logs once, the client waits in the backlog, and
+    // the connection is served once descriptors are available again.
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    if Command::new("prlimit").arg("--version").output().is_err() {
+        eprintln!("skipped: prlimit is not installed");
+        return;
+    }
+    /// Kills the proxy however the test ends.
+    struct Reaped(std::process::Child);
+    impl Drop for Reaped {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut proxy = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_diehard-proxy"))
+            .args(["--pool", "0", "-n", "3", "--", "cat"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("proxy spawns"),
+    );
+    let pid = proxy.0.id();
+    let (tx, lines) = std::sync::mpsc::channel();
+    let stderr = BufReader::new(proxy.0.stderr.take().expect("piped stderr"));
+    let reader = std::thread::spawn(move || {
+        for line in stderr.lines().map_while(Result::ok) {
+            let _ = tx.send(line);
+        }
+    });
+    let next_line = || {
+        lines
+            .recv_timeout(Duration::from_secs(10))
+            .expect("proxy stderr line")
+    };
+    let listening = next_line();
+    let port: u16 = listening
+        .rsplit(':')
+        .next()
+        .and_then(|p| p.parse().ok())
+        .unwrap_or_else(|| panic!("no port in {listening:?}"));
+
+    let soft_limit = || -> String {
+        let limits = std::fs::read_to_string(format!("/proc/{pid}/limits")).expect("limits");
+        let line = limits
+            .lines()
+            .find(|l| l.starts_with("Max open files"))
+            .expect("open-files row")
+            .to_owned();
+        line.split_whitespace()
+            .nth(3)
+            .expect("soft column")
+            .to_owned()
+    };
+    let set_soft_limit = |soft: &str| {
+        let status = Command::new("prlimit")
+            .args(["--pid", &pid.to_string(), &format!("--nofile={soft}:")])
+            .status()
+            .expect("prlimit runs");
+        assert!(status.success(), "prlimit --nofile={soft}:");
+    };
+    let original = soft_limit();
+    let open = std::fs::read_dir(format!("/proc/{pid}/fd"))
+        .expect("fd dir")
+        .count();
+    set_soft_limit(&open.to_string());
+
+    let mut stream = connect_loopback(port).expect("the backlog takes the connection");
+    let failure = next_line();
+    assert!(failure.contains("accept failed"), "{failure}");
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        proxy.0.try_wait().expect("wait").is_none(),
+        "the proxy must survive a failed accept"
+    );
+    assert!(
+        lines.try_recv().is_err(),
+        "a streak of failed accepts is logged once"
+    );
+
+    set_soft_limit(&original);
+    let request = b"served after the limit is lifted\n";
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream.write_all(request).expect("send");
+    shutdown_write(&stream).expect("half-close");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("EOF");
+    assert_eq!(response, request);
+    drop(proxy); // its stderr closes, and the reader ends
+    reader.join().expect("stderr reader");
 }

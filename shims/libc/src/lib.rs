@@ -2,16 +2,14 @@
 //!
 //! The build container has no access to crates.io, so this shim declares
 //! exactly the libc surface the workspace uses — the virtual-memory and
-//! file-descriptor calls behind `diehard_core::global`, the TCP
-//! socket surface behind `diehard_replicate::net` (socket/bind/listen/
-//! accept/connect/setsockopt/getsockname/shutdown), plus the errno/fork/
-//! dlopen/ptrace surface behind the `diehard-preload` interposer and its
-//! tests —
-//! against the system C library that every Rust binary on Linux already
-//! links. Constants are
-//! the Linux (x86_64/aarch64) values; each is annotated where platforms
-//! diverge. Swap this for the real `libc` crate by editing one line in
-//! the workspace `Cargo.toml` when online.
+//! file-descriptor calls behind `diehard_core::global`, the `poll(2)` and
+//! `fcntl(2)` calls behind `diehard_replicate::reactor`, plus the errno/
+//! fork/dlopen/ptrace surface behind the `diehard-preload` interposer and
+//! its tests — against the system C library that every Rust binary on
+//! Linux already links. Constants are the Linux (x86_64/aarch64) values;
+//! each is annotated where platforms diverge. Swap this for the real
+//! `libc` crate by editing one line in the workspace `Cargo.toml` when
+//! online.
 
 #![no_std]
 #![allow(non_camel_case_types)]
@@ -42,46 +40,6 @@ pub type pid_t = c_int;
 pub type pthread_key_t = core::ffi::c_uint;
 /// `poll(2)` descriptor-count type.
 pub type nfds_t = c_ulong;
-/// Socket address length (POSIX: an unsigned 32-bit int on Linux).
-pub type socklen_t = u32;
-/// Socket address family tag (Linux: unsigned short).
-pub type sa_family_t = u16;
-
-/// An IPv4 address in network byte order (`netinet/in.h`).
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct in_addr {
-    /// The 32-bit address, big-endian.
-    pub s_addr: u32,
-}
-
-/// An IPv4 socket address (`netinet/in.h`). Layout audit: Linux packs
-/// `sin_family` (u16), `sin_port` (u16, network order), `sin_addr` (u32),
-/// then 8 bytes of zero padding to pad the struct to `sockaddr`'s 16
-/// bytes — 16 bytes total, no implicit padding between fields.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct sockaddr_in {
-    /// Always `AF_INET`.
-    pub sin_family: sa_family_t,
-    /// Port in network byte order (`u16::to_be`).
-    pub sin_port: u16,
-    /// Address in network byte order.
-    pub sin_addr: in_addr,
-    /// Zero padding up to `sizeof(struct sockaddr)`.
-    pub sin_zero: [u8; 8],
-}
-
-/// The generic socket address header (`sys/socket.h`); only ever used as
-/// a pointer target for casts from concrete families.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct sockaddr {
-    /// Address family tag.
-    pub sa_family: sa_family_t,
-    /// Family-specific payload.
-    pub sa_data: [c_char; 14],
-}
 
 /// One entry in a `poll(2)` descriptor set.
 #[repr(C)]
@@ -102,31 +60,14 @@ pub const O_NONBLOCK: c_int = 0o4000;
 
 /// `fcntl(2)` command: get descriptor flags (`FD_CLOEXEC`).
 pub const F_GETFD: c_int = 1;
-/// `fcntl(2)` command: set descriptor flags.
-pub const F_SETFD: c_int = 2;
 /// `fcntl(2)` command: get file-status flags.
 pub const F_GETFL: c_int = 3;
 /// `fcntl(2)` command: set file-status flags.
 pub const F_SETFL: c_int = 4;
-/// Descriptor flag: close on `execve(2)`. The proxy sets it on every
-/// socket so replica children never inherit client connections (an
+/// Descriptor flag: close on `execve(2)`. Every socket the proxy holds
+/// carries it, so replica children never inherit a client connection (an
 /// inherited socket would keep the peer's EOF from ever arriving).
 pub const FD_CLOEXEC: c_int = 1;
-
-/// Socket family: IPv4 (Linux value).
-pub const AF_INET: c_int = 2;
-/// Socket type: byte stream / TCP (Linux generic value; 1 on x86_64 and
-/// aarch64 — only SPARC differs, which we don't build for).
-pub const SOCK_STREAM: c_int = 1;
-/// `setsockopt(2)` level: the socket layer itself (Linux value; 1 on
-/// x86_64/aarch64 — BSD's 0xffff does NOT apply).
-pub const SOL_SOCKET: c_int = 1;
-/// Socket option: allow rebinding a recently-closed local address (Linux
-/// value).
-pub const SO_REUSEADDR: c_int = 2;
-/// `shutdown(2)` how: close the write half (SHUT_WR), delivering EOF to
-/// the peer while keeping the read half open.
-pub const SHUT_WR: c_int = 1;
 
 /// `poll(2)` event: data available to read.
 pub const POLLIN: c_short = 0x001;
@@ -268,28 +209,4 @@ extern "C" {
     ) -> c_int;
     /// `pthread_setspecific(3)`: binds this thread's value for `key`.
     pub fn pthread_setspecific(key: pthread_key_t, value: *const c_void) -> c_int;
-    /// `socket(2)`.
-    pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    /// `bind(2)`.
-    pub fn bind(sockfd: c_int, addr: *const sockaddr, addrlen: socklen_t) -> c_int;
-    /// `listen(2)`.
-    pub fn listen(sockfd: c_int, backlog: c_int) -> c_int;
-    /// `accept(2)` (plain form — the shim targets portable POSIX, so
-    /// `O_NONBLOCK`/`FD_CLOEXEC` are applied via `fcntl(2)` afterwards
-    /// rather than through Linux-only `accept4`).
-    pub fn accept(sockfd: c_int, addr: *mut sockaddr, addrlen: *mut socklen_t) -> c_int;
-    /// `connect(2)`.
-    pub fn connect(sockfd: c_int, addr: *const sockaddr, addrlen: socklen_t) -> c_int;
-    /// `setsockopt(2)`.
-    pub fn setsockopt(
-        sockfd: c_int,
-        level: c_int,
-        optname: c_int,
-        optval: *const c_void,
-        optlen: socklen_t,
-    ) -> c_int;
-    /// `getsockname(2)` (used to recover the port after binding port 0).
-    pub fn getsockname(sockfd: c_int, addr: *mut sockaddr, addrlen: *mut socklen_t) -> c_int;
-    /// `shutdown(2)`.
-    pub fn shutdown(sockfd: c_int, how: c_int) -> c_int;
 }
