@@ -238,7 +238,6 @@ fn magazine_alloc_churn(smoke: bool) -> KernelResult {
 /// keeps the library's strong allocation symbols *out* of the global
 /// scope: this process keeps its own allocator, and the kernel drives the
 /// interposer's exports purely through the returned function pointers.
-#[cfg(unix)]
 fn preload_library() -> (
     extern "C" fn(usize) -> *mut libc::c_void,
     extern "C" fn(*mut libc::c_void),
@@ -310,7 +309,6 @@ fn preload_library() -> (
 /// with the objects written. So this row overstated that hint's price, and
 /// it overstates what deleting it saved. The body and its gate stay as they
 /// are (ROADMAP K(ii)).
-#[cfg(unix)]
 fn preload_alloc_churn(name: &'static str, smoke: bool) -> KernelResult {
     const RING: usize = 64;
     let (warmup, samples, ops) = if smoke {
@@ -335,11 +333,6 @@ fn preload_alloc_churn(name: &'static str, smoke: bool) -> KernelResult {
             i += 1;
         }
     })
-}
-
-#[cfg(not(unix))]
-fn preload_alloc_churn(_name: &'static str, _smoke: bool) -> KernelResult {
-    unreachable!("the preload kernel requires unix dlopen plumbing")
 }
 
 /// Steady-state partition probing at the paper's default occupancy (half
@@ -768,7 +761,6 @@ fn strcpy_bounded(smoke: bool) -> KernelResult {
 /// Shared proxy-kernel scaffolding: a loopback [`Proxy`] voting three
 /// `/bin/cat` replicas per connection, run on its own thread for the
 /// duration of `body`, which receives the bound port.
-#[cfg(unix)]
 fn with_cat_proxy<R>(body: impl FnOnce(u16) -> R) -> R {
     use diehard_replicate::net::Listener;
     use diehard_replicate::proxy::Proxy;
@@ -795,7 +787,6 @@ fn with_cat_proxy<R>(body: impl FnOnce(u16) -> R) -> R {
 /// [`with_cat_proxy`] with a warm replica-set pool of `depth` parked sets:
 /// `body` also receives the pool's fill gauge so rounds can wait for a
 /// parked set (a guaranteed pool hit) outside their timed region.
-#[cfg(unix)]
 fn with_pooled_cat_proxy<R>(
     depth: usize,
     body: impl FnOnce(u16, std::sync::Arc<std::sync::atomic::AtomicUsize>) -> R,
@@ -831,7 +822,6 @@ fn with_pooled_cat_proxy<R>(
 
 /// One voted proxy session: connect, stream `payload`, half-close, read the
 /// quorum echo to EOF, and check the byte count survived the vote.
-#[cfg(unix)]
 fn proxy_echo_round(port: u16, payload: &[u8]) {
     use diehard_replicate::net::{connect_loopback, shutdown_write};
     use std::io::{Read, Write};
@@ -867,7 +857,6 @@ fn proxy_echo_round(port: u16, payload: &[u8]) {
 /// votes → quorum bytes back). Each sample is a fresh connection, so the
 /// number includes a session spawn amortized over the payload — the shape
 /// a short-lived proxy client actually sees.
-#[cfg(unix)]
 fn proxy_throughput(smoke: bool) -> KernelResult {
     let (warmup, samples, len) = if smoke {
         (0, 2, 8_192usize)
@@ -890,7 +879,6 @@ fn proxy_throughput(smoke: bool) -> KernelResult {
 /// does per byte — transfer size, copies, the vote — shows. Smoke mode
 /// streams the same 16 MiB, fewer times: CI gates the minimum, and a
 /// shorter stream would gate the spawn.
-#[cfg(unix)]
 fn proxy_stream(smoke: bool) -> KernelResult {
     use diehard_replicate::net::{connect_loopback, shutdown_write};
     use std::io::{Read, Write};
@@ -935,7 +923,6 @@ fn proxy_stream(smoke: bool) -> KernelResult {
 /// ballots, the replica exits, and the reap (identical cold and warm,
 /// and not what the pool optimizes) are only triggered by the FIN
 /// afterwards, fully off the clock.
-#[cfg(unix)]
 fn proxy_first_chunk_round(port: u16, payload: &[u8]) -> std::time::Duration {
     use diehard_replicate::net::{connect_loopback, shutdown_write};
     use std::io::{Read, Write};
@@ -965,7 +952,6 @@ fn proxy_first_chunk_round(port: u16, payload: &[u8]) -> std::time::Duration {
 /// at accept — so the number is dominated by replica spawning. This is the
 /// fixed cost `proxy_throughput` amortizes and the baseline
 /// `proxy_conn_latency_warm` is measured against.
-#[cfg(unix)]
 fn proxy_conn_latency(smoke: bool) -> KernelResult {
     let (warmup, samples) = if smoke { (0, 2) } else { (1, 12) };
     let payload = vec![7u8; diehard_replicate::CHUNK];
@@ -991,7 +977,6 @@ fn proxy_conn_latency(smoke: bool) -> KernelResult {
 /// fork/exec cost moved off the connection entirely. The delta against
 /// `proxy_conn_latency` is the tentpole number: the per-connection setup
 /// cost the pool hides.
-#[cfg(unix)]
 fn proxy_conn_latency_warm(smoke: bool) -> KernelResult {
     use std::sync::atomic::Ordering;
     use std::time::Duration;
@@ -1043,7 +1028,6 @@ fn proxy_conn_latency_warm(smoke: bool) -> KernelResult {
 /// [`Pool::prime`]. This is the background work [`proxy_conn_latency_warm`]
 /// moves off the connection path; teardown (abort + reap) runs untimed
 /// between samples.
-#[cfg(unix)]
 fn pool_refill(smoke: bool) -> KernelResult {
     use diehard_replicate::{LaunchConfig, Pool};
 
@@ -1094,31 +1078,6 @@ fn launcher_stream(name: &'static str, replicas: usize, smoke: bool) -> KernelRe
         assert!(!exit.diverged, "{name}: identical replicas diverged");
         assert_eq!(exit.output.len(), LEN, "{name}: the whole stream is voted");
     })
-}
-
-#[cfg(not(unix))]
-fn proxy_throughput(_smoke: bool) -> KernelResult {
-    unreachable!("proxy kernels require unix process plumbing")
-}
-
-#[cfg(not(unix))]
-fn proxy_stream(_smoke: bool) -> KernelResult {
-    unreachable!("proxy kernels require unix process plumbing")
-}
-
-#[cfg(not(unix))]
-fn proxy_conn_latency(_smoke: bool) -> KernelResult {
-    unreachable!("proxy kernels require unix process plumbing")
-}
-
-#[cfg(not(unix))]
-fn proxy_conn_latency_warm(_smoke: bool) -> KernelResult {
-    unreachable!("proxy kernels require unix process plumbing")
-}
-
-#[cfg(not(unix))]
-fn pool_refill(_smoke: bool) -> KernelResult {
-    unreachable!("proxy kernels require unix process plumbing")
 }
 
 /// Runs every registered kernel, in registry order.

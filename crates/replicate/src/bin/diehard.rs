@@ -7,7 +7,7 @@
 //! Usage:
 //!
 //! ```text
-//! diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] -- COMMAND [ARGS...]
+//! diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] [--] COMMAND [ARGS...]
 //! ```
 //!
 //! Standard input is broadcast to all replicas **incrementally** (never
@@ -21,86 +21,21 @@
 //! from the launcher's own sentinels by code alone — the stderr diagnostics
 //! (`diehard: ...`) disambiguate.
 
-use diehard_replicate::{run_streamed, InputSource, LaunchConfig};
+use diehard_replicate::cli::{self, Front};
+use diehard_replicate::{run_streamed, InputSource};
 use std::os::unix::io::AsFd;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] -- COMMAND [ARGS...]\n\
-         \n\
-         Runs COMMAND in REPLICAS differently-seeded replicas (default 3),\n\
-         streaming stdin to all and voting on stdout at BYTES-sized barriers\n\
-         (default 4096; a bounded power of two).\n\
-         Exits with the replicas' agreed status, or 2 on divergence.\n\
-         Each replica receives a unique DIEHARD_SEED; --preload exports\n\
-         LD_PRELOAD for C binaries using libdiehard-style interposition."
-    );
-    std::process::exit(1);
-}
+const USAGE: &str = "usage: diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] [--] COMMAND [ARGS...]\n\
+    \n\
+    Runs COMMAND in REPLICAS differently-seeded replicas (default 3),\n\
+    streaming stdin to all and voting on stdout at BYTES-sized barriers\n\
+    (default 4096; a bounded power of two).\n\
+    Exits with the replicas' agreed status, or 2 on divergence.\n\
+    Each replica receives a unique DIEHARD_SEED; --preload exports\n\
+    LD_PRELOAD for C binaries using libdiehard-style interposition.";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut replicas = 3usize;
-    let mut chunk: Option<usize> = None;
-    let mut preload: Option<String> = None;
-    let mut master_seed: Option<u64> = None;
-    let mut command: Vec<String> = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-n" | "--replicas" => {
-                i += 1;
-                replicas = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--chunk" => {
-                i += 1;
-                chunk = args.get(i).and_then(|s| s.parse().ok());
-                if chunk.is_none() {
-                    usage();
-                }
-            }
-            "--preload" => {
-                i += 1;
-                preload = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--seed" => {
-                i += 1;
-                master_seed = args.get(i).and_then(|s| s.parse().ok());
-                if master_seed.is_none() {
-                    usage();
-                }
-            }
-            "--" => {
-                command = args[i + 1..].to_vec();
-                break;
-            }
-            "-h" | "--help" => usage(),
-            other if command.is_empty() && !other.starts_with('-') => {
-                command = args[i..].to_vec();
-                break;
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    if command.is_empty() || replicas == 0 || replicas == 2 {
-        usage();
-    }
-
-    let mut config = LaunchConfig::new(replicas, command, Vec::new());
-    config.preload = preload;
-    if let Some(c) = chunk {
-        config.chunk = c; // validated (pow2, bounded) at launch
-    }
-    if let Some(seed) = master_seed {
-        config.seeds = (0..replicas as u64)
-            .map(|i| diehard_core::rng::splitmix(seed ^ (i + 1)))
-            .collect();
-    }
+    let config = cli::parse_env_or_exit(Front::Launcher, USAGE).config;
 
     // Hand the engine a duplicate of our stdin descriptor (close-on-exec,
     // so no replica inherits it) and our locked stdout: input is streamed

@@ -50,7 +50,8 @@
 //! [`run_replicated`] is a
 //! convenience wrapper over [`run_streamed`] for in-memory input/output;
 //! the `diehard` binary streams its real stdin/stdout through the same
-//! engine, and the `diehard-proxy` binary serves the TCP front end. The
+//! engine, and the `diehard-proxy` binary serves the TCP front end. Both
+//! binaries read their command line through one parser, [`cli`]. The
 //! surviving replicas' exit statuses are voted as a final ballot (signal
 //! deaths count as crashes, nonzero exits do not), so a command that
 //! legitimately fails identically everywhere keeps both its output and
@@ -59,6 +60,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod event;
 pub mod net;
 pub mod pool;

@@ -151,7 +151,7 @@ impl Pool {
     }
 
     /// A shared handle on the parked-set count, updated on every change.
-    /// Lets another thread (a bench, the pool smoke test) wait for warmth
+    /// Lets another thread (a perf kernel, a pool test) wait for warmth
     /// without locking the pool.
     #[must_use]
     pub fn fill_gauge(&self) -> Arc<AtomicUsize> {

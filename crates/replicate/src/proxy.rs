@@ -213,8 +213,8 @@ impl Proxy {
         self
     }
 
-    /// Shared handle on the pool's parked-set count — observers (benches,
-    /// the smoke test) spin on it to guarantee a warm hit before timing a
+    /// Shared handle on the pool's parked-set count — observers (the perf
+    /// kernels, the pool tests) spin on it to guarantee a warm hit before a
     /// connection.
     #[must_use]
     pub fn pool_gauge(&self) -> Arc<std::sync::atomic::AtomicUsize> {

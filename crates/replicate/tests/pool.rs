@@ -15,13 +15,15 @@
 
 #![cfg(unix)]
 
+mod common;
+
+use common::{poisonable_server, spawn_proxy, stop_and_join};
 use diehard_replicate::net::Listener;
 use diehard_replicate::proxy::{Proxy, ProxySummary};
 use diehard_replicate::{LaunchConfig, StreamOutcome, CHUNK, TRANSFER};
 use diehard_workloads::client::{drive, Pace};
 use diehard_workloads::server::{self, ServerRequest};
-use std::io;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -29,43 +31,8 @@ fn sh(script: &str) -> Vec<String> {
     vec!["/bin/sh".into(), "-c".into(), script.into()]
 }
 
-/// The server protocol with an injectable fault (same shape as
-/// `tests/proxy.rs`): when `$DIEHARD_SEED` = 7, `ECHO poison*` answers
-/// `KO ...` instead of `OK ...` — a same-length corruption only the vote
-/// can see.
-fn poisonable_server() -> Vec<String> {
-    let script = format!(
-        r#"if [ "$DIEHARD_SEED" = "7" ]; then
-  while IFS= read -r line; do
-    case "$line" in
-      "ECHO poison"*) printf 'KO %s\n' "${{line#ECHO }}";;
-      "ECHO "*) printf 'OK %s\n' "${{line#ECHO }}";;
-      "QUIT") exit 0;;
-      *) printf 'ERR\n';;
-    esac
-  done
-else
-{server}
-fi"#,
-        server = server::SERVER_SCRIPT
-    );
-    vec!["/bin/sh".into(), "-c".into(), script]
-}
-
-type ProxyHandle = std::thread::JoinHandle<io::Result<ProxySummary>>;
-
-fn spawn_proxy(mut proxy: Proxy) -> (u16, Arc<AtomicBool>, ProxyHandle) {
-    let port = proxy.local_port().expect("bound port");
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || proxy.run(&flag));
-    (port, stop, handle)
-}
-
-fn stop_and_join(stop: &AtomicBool, handle: ProxyHandle) -> ProxySummary {
-    stop.store(true, Ordering::Release);
-    handle.join().expect("proxy thread").expect("reactor ran")
-}
+/// The replica [`poisonable_server`] corrupts in this suite.
+const SEED_7: &str = r#"[ "$DIEHARD_SEED" = "7" ]"#;
 
 /// Spin until the pool gauge reports at least `want` parked sets.
 fn wait_for_warmth(gauge: &AtomicUsize, want: usize) {
@@ -93,7 +60,7 @@ fn proxy_transcripts_and_seeds_identical_pool_0_vs_pool_2() {
         .collect();
 
     let run_with_depth = |depth: usize| -> (Vec<Vec<u8>>, ProxySummary) {
-        let mut config = LaunchConfig::new(3, poisonable_server(), Vec::new());
+        let mut config = LaunchConfig::new(3, poisonable_server(SEED_7), Vec::new());
         config.seeds = vec![1, 7, 2];
         let listener = Listener::bind_loopback(0).expect("bind");
         let mut proxy = Proxy::new(listener, config).expect("chunk valid");
@@ -173,7 +140,7 @@ fn proxy_transcripts_and_seeds_identical_pool_0_vs_pool_2() {
 /// survivors keep streaming the rest of the trace byte-exact.
 #[test]
 fn pooled_corrupt_replica_is_outvoted_mid_connection() {
-    let mut config = LaunchConfig::new(3, poisonable_server(), Vec::new());
+    let mut config = LaunchConfig::new(3, poisonable_server(SEED_7), Vec::new());
     config.seeds = vec![1, 7, 2];
     let listener = Listener::bind_loopback(0).expect("bind");
     let proxy = Proxy::new(listener, config).expect("chunk valid");
@@ -213,7 +180,7 @@ fn pooled_corrupt_replica_is_outvoted_mid_connection() {
 /// warm-served or cold-served — is byte-exact.
 #[test]
 fn proxy_pool_exhaustion_burst_stays_byte_exact() {
-    let mut config = LaunchConfig::new(3, poisonable_server(), Vec::new());
+    let mut config = LaunchConfig::new(3, poisonable_server(SEED_7), Vec::new());
     config.seeds = vec![1, 7, 2];
     let listener = Listener::bind_loopback(0).expect("bind");
     let proxy = Proxy::new(listener, config).expect("chunk valid");

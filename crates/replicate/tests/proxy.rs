@@ -3,62 +3,22 @@
 //! mid-connection, slow-reader backpressure (down to a one-chunk queue),
 //! a one-chunk answer that does not wait for the request to end,
 //! mid-stream client disconnects, an unresolvable response tie, replicas
-//! that hold no socket, and a failed accept the proxy survives.
+//! that hold no socket, a failed accept the proxy survives, and the
+//! `diehard-proxy` binary echoing through its warm pool.
 
 #![cfg(unix)]
 
+mod common;
+
+use common::{poisonable_server, spawn_proxy, stop_and_join, ProxyProcess};
 use diehard_replicate::net::{connect_loopback, shutdown_write, Listener};
-use diehard_replicate::proxy::{Proxy, ProxySummary};
+use diehard_replicate::proxy::Proxy;
 use diehard_replicate::{LaunchConfig, CHUNK, TRANSFER};
 use diehard_workloads::client::{abandon_mid_stream, drive, Pace};
 use diehard_workloads::server::{self, ServerRequest};
-use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{Read, Write};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-/// The server protocol with an injectable fault: when `bad_when` (a shell
-/// condition over `$DIEHARD_SEED`) holds, `ECHO poison*` answers `KO ...`
-/// instead of `OK ...` — a same-length corruption, so chunk alignment is
-/// preserved and only the vote can tell the replicas apart. Every other
-/// request, and every replica outside `bad_when`, is the byte-exact
-/// [`server::SERVER_SCRIPT`] behavior.
-fn poisonable_server(bad_when: &str) -> Vec<String> {
-    let script = format!(
-        r#"if {bad_when}; then
-  while IFS= read -r line; do
-    case "$line" in
-      "ECHO poison"*) printf 'KO %s\n' "${{line#ECHO }}";;
-      "ECHO "*) printf 'OK %s\n' "${{line#ECHO }}";;
-      "PRODUCE "*) n="${{line#PRODUCE }}"; i=0
-        while [ "$i" -lt "$n" ]; do printf 'DATA %08d\n' "$i"; i=$((i+1)); done;;
-      "QUIT") exit 0;;
-      *) printf 'ERR\n';;
-    esac
-  done
-else
-{server}
-fi"#,
-        server = server::SERVER_SCRIPT
-    );
-    vec!["/bin/sh".into(), "-c".into(), script]
-}
-
-/// Spawns `proxy.run` on its own thread; returns (port, stop flag, handle).
-type ProxyHandle = std::thread::JoinHandle<io::Result<ProxySummary>>;
-
-fn spawn_proxy(mut proxy: Proxy) -> (u16, Arc<AtomicBool>, ProxyHandle) {
-    let port = proxy.local_port().expect("bound port");
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || proxy.run(&flag));
-    (port, stop, handle)
-}
-
-fn stop_and_join(stop: &AtomicBool, handle: ProxyHandle) -> ProxySummary {
-    stop.store(true, Ordering::Release);
-    handle.join().expect("proxy thread").expect("reactor ran")
-}
 
 #[test]
 fn concurrent_connections_vote_and_outvote_a_corrupt_replica() {
@@ -421,49 +381,15 @@ fn accept_failure_at_the_fd_limit_keeps_the_proxy_serving() {
     // A proxy at its descriptor limit cannot accept. That failure must not
     // end the proxy: it logs once, the client waits in the backlog, and
     // the connection is served once descriptors are available again.
-    use std::io::{BufRead, BufReader};
-    use std::process::{Command, Stdio};
+    use std::process::Command;
 
     if Command::new("prlimit").arg("--version").output().is_err() {
         eprintln!("skipped: prlimit is not installed");
         return;
     }
-    /// Kills the proxy however the test ends.
-    struct Reaped(std::process::Child);
-    impl Drop for Reaped {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-    let mut proxy = Reaped(
-        Command::new(env!("CARGO_BIN_EXE_diehard-proxy"))
-            .args(["--pool", "0", "-n", "3", "--", "cat"])
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("proxy spawns"),
-    );
-    let pid = proxy.0.id();
-    let (tx, lines) = std::sync::mpsc::channel();
-    let stderr = BufReader::new(proxy.0.stderr.take().expect("piped stderr"));
-    let reader = std::thread::spawn(move || {
-        for line in stderr.lines().map_while(Result::ok) {
-            let _ = tx.send(line);
-        }
-    });
-    let next_line = || {
-        lines
-            .recv_timeout(Duration::from_secs(10))
-            .expect("proxy stderr line")
-    };
-    let listening = next_line();
-    let port: u16 = listening
-        .rsplit(':')
-        .next()
-        .and_then(|p| p.parse().ok())
-        .unwrap_or_else(|| panic!("no port in {listening:?}"));
+    let mut proxy = ProxyProcess::spawn(&["--pool", "0", "-n", "3", "--", "cat"]);
+    let pid = proxy.child.id();
+    let port = proxy.port();
 
     let soft_limit = || -> String {
         let limits = std::fs::read_to_string(format!("/proc/{pid}/limits")).expect("limits");
@@ -491,15 +417,15 @@ fn accept_failure_at_the_fd_limit_keeps_the_proxy_serving() {
     set_soft_limit(&open.to_string());
 
     let mut stream = connect_loopback(port).expect("the backlog takes the connection");
-    let failure = next_line();
+    let failure = proxy.next_line();
     assert!(failure.contains("accept failed"), "{failure}");
     std::thread::sleep(Duration::from_millis(300));
     assert!(
-        proxy.0.try_wait().expect("wait").is_none(),
+        proxy.child.try_wait().expect("wait").is_none(),
         "the proxy must survive a failed accept"
     );
     assert!(
-        lines.try_recv().is_err(),
+        proxy.lines.try_recv().is_err(),
         "a streak of failed accepts is logged once"
     );
 
@@ -513,6 +439,56 @@ fn accept_failure_at_the_fd_limit_keeps_the_proxy_serving() {
     let mut response = Vec::new();
     stream.read_to_end(&mut response).expect("EOF");
     assert_eq!(response, request);
-    drop(proxy); // its stderr closes, and the reader ends
-    reader.join().expect("stderr reader");
+}
+
+#[test]
+fn the_binary_echoes_byte_exact_through_a_warm_pool() {
+    // The shipped binary end to end, with the command after `--` and bare:
+    // five sequential connections, each a multi-chunk payload sent from a
+    // writer thread and half-closed, each echoed byte-exact through three
+    // voted `cat` replicas, and the depth-2 pool hands out at least one
+    // warm set.
+    let payload: Vec<u8> = (0..32_768u32).map(|i| (i % 251) as u8).collect();
+    for command in [&["--", "cat"][..], &["cat"]] {
+        let mut args = vec!["-n", "3", "--seed", "1", "--pool", "2"];
+        args.extend(command);
+        let proxy = ProxyProcess::spawn(&args);
+        let port = proxy.port();
+        for round in 0..5 {
+            std::thread::sleep(Duration::from_millis(50)); // time to refill
+            let mut stream = connect_loopback(port).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            let writer = {
+                let mut stream = stream.try_clone().expect("clone");
+                let payload = payload.clone();
+                std::thread::spawn(move || {
+                    stream.write_all(&payload).expect("send");
+                    shutdown_write(&stream).expect("half-close");
+                })
+            };
+            let mut echoed = Vec::new();
+            stream.read_to_end(&mut echoed).expect("EOF");
+            writer.join().expect("writer thread");
+            assert!(
+                echoed == payload,
+                "{args:?}, connection {round}: echo differs"
+            );
+        }
+        // One pool line per retired connection; the last counts them all.
+        let pool_lines: Vec<String> = std::iter::repeat_with(|| proxy.next_line())
+            .filter(|line| line.contains("pool depth=2 "))
+            .take(5)
+            .collect();
+        let handed_out: u64 = pool_lines[4]
+            .split_whitespace()
+            .find_map(|field| field.strip_prefix("handed_out="))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no handed_out in {:?}", pool_lines[4]));
+        assert!(
+            handed_out >= 1,
+            "{args:?}: no warm handoff in {pool_lines:?}"
+        );
+    }
 }

@@ -16,7 +16,7 @@ use crate::exec::{oracle_output, run_program, CheckPolicy, ExecOptions, RunOutco
 use crate::ops::Program;
 use diehard_baselines::{BdwGcSim, LeaSimAllocator, WindowsSimAllocator};
 use diehard_core::config::HeapConfig;
-use diehard_sim::{DieHardSimHeap, InfiniteHeap, SimAllocator};
+use diehard_sim::{DieHardSimHeap, InfiniteHeap};
 
 /// Default simulated heap span for the baseline allocators.
 pub const BASELINE_SPAN: usize = 256 << 20;
@@ -127,39 +127,6 @@ impl System {
     pub fn evaluate(&self, program: &Program) -> Verdict {
         let oracle = oracle_output(program);
         crate::exec::verdict(&self.run(program), &oracle)
-    }
-
-    /// Runs `program` and returns `(verdict, allocator work units)` — the
-    /// deterministic cost model used alongside wall-clock benches.
-    #[must_use]
-    pub fn evaluate_with_work(&self, program: &Program) -> (Verdict, u64) {
-        let oracle = oracle_output(program);
-        let (outcome, work) = match self {
-            System::Libc => {
-                let mut a = LeaSimAllocator::new(BASELINE_SPAN);
-                let o = run_program(&mut a, program, &ExecOptions::default());
-                (o, a.work())
-            }
-            System::WindowsDefault => {
-                let mut a = WindowsSimAllocator::new(BASELINE_SPAN);
-                let o = run_program(&mut a, program, &ExecOptions::default());
-                (o, a.work())
-            }
-            System::BdwGc => {
-                let mut a = BdwGcSim::new(BASELINE_SPAN);
-                let o = run_program(&mut a, program, &ExecOptions::default());
-                (o, a.work())
-            }
-            System::DieHard { config, seed } => {
-                let mut a =
-                    DieHardSimHeap::new(config.clone(), *seed).expect("valid DieHard config");
-                let o = run_program(&mut a, program, &ExecOptions::default());
-                let w = a.work();
-                (o, w)
-            }
-            other => (other.run(program), 0),
-        };
-        (crate::exec::verdict(&outcome, &oracle), work)
     }
 }
 
@@ -393,18 +360,5 @@ mod tests {
             seed: 9,
         };
         assert!(dh.evaluate(&prog).is_correct());
-    }
-
-    #[test]
-    fn work_model_exposes_allocator_costs() {
-        let prog = clean_program();
-        let (_, dh_work) = System::DieHard {
-            config: HeapConfig::default(),
-            seed: 1,
-        }
-        .evaluate_with_work(&prog);
-        let (_, lea_work) = System::Libc.evaluate_with_work(&prog);
-        assert!(dh_work > 0);
-        assert!(lea_work > 0);
     }
 }
