@@ -27,8 +27,11 @@
 //! buffers stop being polled and the kernel pipes throttle the replicas),
 //! [`Session::register_interest`] + [`Session::wants_input`] name the
 //! descriptors worth polling, and [`Session::service`] consumes readiness.
-//! When the session drains, [`Session::finalize`] runs the closing ballots
-//! and yields the [`StreamOutcome`].
+//! Once the session drains, each round also calls [`Session::finalize`],
+//! which reaps the replicas that have exited, until it runs the closing
+//! ballots and yields the [`StreamOutcome`]; while it reaps, `poll` sleeps
+//! at most 200 ms, the backstop for a grandchild that holds a replica's
+//! stderr open past the replica's exit.
 //!
 //! Everything observable about the pipe path — committed bytes, kill
 //! timing, stderr/exit ballots — is pinned by `tests/streaming.rs` and
@@ -118,7 +121,9 @@ pub fn run_streamed(
             voted.clear();
         }
         if phase == Phase::Drained {
-            break;
+            if let Some(outcome) = session.finalize() {
+                return Ok(outcome);
+            }
         }
         reactor.clear();
         session
@@ -128,7 +133,7 @@ pub fn run_streamed(
                 reactor.register(file.as_raw_fd(), libc::POLLIN, Token::Source);
             }
         }
-        reactor.wait(-1)?;
+        reactor.wait(if phase == Phase::Drained { 200 } else { -1 })?;
         for (token, _revents) in reactor.ready() {
             // POLLERR/POLLHUP fall through to the same handlers: the
             // read/write sees the EOF or EPIPE and retires the descriptor.
@@ -140,7 +145,6 @@ pub fn run_streamed(
             }
         }
     }
-    Ok(session.finalize())
 }
 
 /// Slides the session's input window forward by one read from the source,

@@ -10,7 +10,9 @@
 //! its first read, so pool depth costs no buffer memory. An accepted
 //! connection then takes a ready set in O(1) ([`Pool::take`]) and the pool
 //! refills asynchronously toward its depth target, at most one spawn per
-//! reactor tick ([`Pool::refill_step`]).
+//! reactor round ([`Pool::refill_step`]); the proxy refills only in rounds
+//! with no live connection, decided after the round's finished connections
+//! have retired.
 //!
 //! Three invariants make pooling invisible to everything above it:
 //!
@@ -29,7 +31,7 @@
 //!   time as a last line of defense.
 //! * **No spin on a broken command** — a missing or crash-looping target
 //!   binary must not turn the refill loop into a 100%-CPU fork bomb.
-//!   Spawns are capped at one per tick, and every bad event (spawn
+//!   Spawns are capped at one per round, and every bad event (spawn
 //!   failure *or* a set dying while parked) doubles an exponential
 //!   tick backoff (capped), logged once per bad streak. A successful
 //!   handoff resets the streak.

@@ -36,7 +36,8 @@
 //!
 //! Accept-time cost is optional: with a warm [`Pool`] configured
 //! ([`Proxy::with_pool`]), complete replica sets are pre-spawned in the
-//! background — one per reactor tick — and an accepted connection takes a
+//! background — at most one per reactor round, in rounds with no live
+//! connection — and an accepted connection takes a
 //! ready set in O(1) instead of paying the ~3.5 ms fork/exec
 //! (`proxy_conn_latency` vs `proxy_conn_latency_warm` in the perf
 //! trajectory). Parked sets stay registered with the same reactor so a
@@ -51,7 +52,11 @@
 //! §5.2 full-pipe-buffer rule the pipe path inherits.) A client that
 //! disconnects mid-stream costs only its own session: the write error
 //! aborts it, SIGKILLing and reaping that connection's replicas, while
-//! every other connection keeps streaming.
+//! every other connection keeps streaming. Reaping is a reactor event like
+//! any other: a connection whose voted output is complete half-closes
+//! toward its client at once, and retires with its outcome when
+//! [`Session::finalize`] has reaped the last replica — a set that lingers
+//! after closing its output holds up only its own report.
 
 use crate::net::Listener;
 use crate::pool::{Pool, PoolStats};
@@ -97,7 +102,10 @@ struct Conn {
     out_peak: usize,
     /// The client half-closed its write side: the request is complete.
     request_done: bool,
-    /// The session has drained and been finalized.
+    /// The voted output is complete and the client half-closed (its EOF).
+    eof_sent: bool,
+    /// The closing ballots, once the drained session's replicas are all
+    /// reaped; the connection retires with it.
     outcome: Option<StreamOutcome>,
     /// The connection died early (client disconnect / socket error).
     aborted: bool,
@@ -250,32 +258,11 @@ impl Proxy {
         // readable, so polling it for input would spin.
         let (mut accept_failing, mut listener_rests) = (false, false);
         while !stop.load(Ordering::Acquire) {
-            // Refill the warm pool toward its target — at most one spawn
-            // per tick (the crash-loop/fork-bomb cap), with the pool's own
-            // backoff after bad events, and only on ticks with no live
-            // connection: a set spawn is milliseconds of fork/exec on this
-            // (single) reactor thread, and paying it while a connection is
-            // in flight would hand the cold-path latency right back to the
-            // client the pool just saved it from. A busy proxy therefore
-            // refills between connections; a drained pool under sustained
-            // load degrades to cold spawns (pinned by tests/pool.rs), not
-            // to head-of-line blocking. A zero-timeout probe of the
-            // listener closes the remaining race: a client that has
-            // already connected wins over topping up the pool.
-            let busy = conns.iter().any(Option::is_some);
-            let refill_ok = !busy
-                && !matches!(
-                    crate::reactor::poll_fd(self.listener.as_raw_fd(), libc::POLLIN, 0),
-                    Ok(revents) if revents != 0
-                );
-            if refill_ok {
-                self.pool.refill_step();
-            }
-
             // Pump: resolve satisfied barriers into each connection's
             // outbound queue and flush what the socket will take, until
             // the queue stays at its cap (the slow-reader backpressure) or
-            // no barrier is satisfiable.
+            // no barrier is satisfiable; a drained session reaps what has
+            // exited, and its connection retires with the outcome.
             for slot in conns.iter_mut() {
                 let Some(conn) = slot else { continue };
                 conn.advance(self.out_cap);
@@ -285,6 +272,30 @@ impl Proxy {
                         eprintln!("diehard-proxy: {}", self.pool.stats_line());
                     }
                 }
+            }
+
+            // Refill the warm pool toward its target — at most one spawn
+            // per round (the crash-loop/fork-bomb cap), with the pool's own
+            // backoff after bad events, and only when no connection is
+            // live: a set spawn is milliseconds of fork/exec on this
+            // (single) reactor thread, and paying it while a connection is
+            // in flight would hand the cold-path latency right back to the
+            // client the pool just saved it from. Decided after the pump
+            // has retired this round's finished connections: the round
+            // that retires the last one must refill, as the next client
+            // may arrive within its tick and make the proxy busy again. A
+            // drained pool under sustained load degrades to cold spawns
+            // (pinned by tests/pool.rs), not to head-of-line blocking. A
+            // zero-timeout probe of the listener closes the remaining race:
+            // a client that has already connected wins over topping up the
+            // pool.
+            let refill_ok = conns.iter().all(Option::is_none)
+                && !matches!(
+                    crate::reactor::poll_fd(self.listener.as_raw_fd(), libc::POLLIN, 0),
+                    Ok(revents) if revents != 0
+                );
+            if refill_ok {
+                self.pool.refill_step();
             }
 
             // Re-register the world as it now stands, parked pool sets
@@ -429,6 +440,7 @@ impl Proxy {
                 out_head: 0,
                 out_peak: 0,
                 request_done: false,
+                eof_sent: false,
                 outcome: None,
                 aborted: false,
             }),
@@ -447,11 +459,13 @@ impl Conn {
     /// the queue (up to the cap), the queue into the socket, and again if
     /// the socket took enough to reopen the queue while a barrier is still
     /// satisfiable — those buffers are full and unpolled, so nothing but
-    /// the tick would wake the reactor for them. Finalizes when the
-    /// session drains.
+    /// the tick would wake the reactor for them. Once the session drains,
+    /// the client is half-closed as soon as the queue is empty, and each
+    /// round reaps what has exited until [`Session::finalize`] yields the
+    /// outcome.
     fn advance(&mut self, out_cap: usize) {
         let mut flushed = false;
-        while self.outcome.is_none() && !self.aborted && self.queued() < out_cap {
+        while !self.aborted && !self.session.is_drained() && self.queued() < out_cap {
             // The written prefix goes once it outweighs the queue behind
             // it, so the vector stays within twice the queue's bound and
             // a byte is moved at most once.
@@ -462,40 +476,34 @@ impl Conn {
             let room = out_cap - self.queued();
             let phase = self.session.pump(&mut self.out, room);
             self.out_peak = self.out_peak.max(self.queued());
-            // Flush (and, once drained, half-close toward the client)
-            // *before* the closing ballots: finalize blocks reaping the
-            // replica processes, and the client's EOF should not wait on
-            // that bookkeeping. (If the socket won't take the tail yet,
-            // later rounds keep flushing and the close falls back to
-            // retire time.)
             self.flush_response();
             flushed = true;
-            if phase == Phase::Drained {
-                if self.queued() == 0 && !self.aborted {
-                    let _ = crate::net::shutdown_write(&self.stream);
-                }
-                // A disconnect during the flush has already reaped the
-                // session; there is nothing left to ballot.
-                if !self.aborted {
-                    let outcome = self.session.finalize();
-                    if outcome.diverged {
-                        eprintln!(
-                            "diehard-proxy: connection {}: vote diverged after {} committed bytes; closing",
-                            self.id, outcome.committed
-                        );
-                    }
-                    self.outcome = Some(outcome);
-                }
-                return;
-            }
-            if !self.session.barrier_ready() {
-                return;
+            if phase == Phase::Drained || !self.session.barrier_ready() {
+                break;
             }
         }
-        // Nothing to pump (queue at its cap, or the session already
-        // finalized): the round still owes the socket what is queued.
+        // Nothing to pump (queue at its cap, or the session drained): the
+        // round still owes the socket what is queued.
         if !flushed {
             self.flush_response();
+        }
+        // A disconnect during the flush has already reaped the session;
+        // there is nothing left to ballot.
+        if self.aborted || !self.session.is_drained() || self.outcome.is_some() {
+            return;
+        }
+        // The voted output is complete: the client's EOF waits on the
+        // queue, never on a replica's exit.
+        if self.queued() == 0 && !self.eof_sent {
+            let _ = crate::net::shutdown_write(&self.stream);
+            self.eof_sent = true;
+        }
+        self.outcome = self.session.finalize();
+        if let Some(outcome) = self.outcome.as_ref().filter(|o| o.diverged) {
+            eprintln!(
+                "diehard-proxy: connection {}: vote diverged after {} committed bytes; closing",
+                self.id, outcome.committed
+            );
         }
     }
 

@@ -6,12 +6,12 @@
 //! stdin/stdout/stderr pipes, moves bytes between those pipes and the core
 //! (stdout is read straight into the core's buffers, the core's window is
 //! written straight from), `SIGKILL`s the replicas the core outvotes, and at
-//! the end reaps every child, stderr drained throughout, and hands the core
-//! their exit statuses for the closing ballots. It does not know whether
-//! its input arrives from a launcher's stdin, an in-memory buffer, or a TCP
-//! socket, and it never writes to the outside world: voted bytes are
-//! appended to a caller-supplied buffer and the transport decides when (and
-//! whether) to ship them.
+//! the end reaps every child as it exits, stderr drained throughout, and
+//! hands the core their exit statuses for the closing ballots. It does not
+//! know whether its input arrives from a launcher's stdin, an in-memory
+//! buffer, or a TCP socket, and it never writes to the outside world: voted
+//! bytes are appended to a caller-supplied buffer and the transport decides
+//! when (and whether) to ship them.
 //!
 //! Transports drive a session through a narrow pull/push protocol each
 //! reactor round: [`Session::pump`] resolves satisfied barriers into the
@@ -21,13 +21,18 @@
 //! and [`Session::wants_input`]/[`Session::fill_input`] gate the bounded
 //! window. A transport must not sleep in `poll` while
 //! [`Session::barrier_ready`] and its sink has room: full buffers are not
-//! polled, so nothing would wake it. When [`Session::pump`] reports
-//! [`Phase::Drained`], [`Session::finalize`] runs the closing ballots and
-//! yields the [`StreamOutcome`]. The core's memory bound,
+//! polled, so nothing would wake it. Once [`Session::pump`] reports
+//! [`Phase::Drained`], reaping is one more event of the round: the
+//! transport calls [`Session::finalize`] each round — it reaps what has
+//! exited and never waits on a running replica — until it runs the
+//! closing ballots and yields the [`StreamOutcome`]; a replica's exit
+//! wakes the transport's `poll` through its registered stderr, and a
+//! transport's tick is the backstop for a grandchild holding that stderr
+//! open past the exit. The core's memory bound,
 //! `(2 × replicas + 1) × max(chunk, TRANSFER)` retained bytes, is the same
 //! order as the `3 × replicas` kernel pipe buffers the session owns.
 
-use crate::reactor::{self, Reactor};
+use crate::reactor;
 use crate::voter::{VoteCore, Voter};
 use crate::LaunchConfig;
 use std::io::{self, Read, Write};
@@ -200,6 +205,8 @@ impl Session {
     /// notably *excluding* stdouts whose buffer has no room — that is the
     /// barrier backpressure (the kernel pipe throttles the replica while
     /// slower siblings catch up, or while the transport is not pumping).
+    /// After [`finalize`](Self::finalize) has closed the stream pipes, what
+    /// is left is the stderr of each replica not yet reaped.
     pub fn register_interest(&self, mut register: impl FnMut(RawFd, libc::c_short, SessionIo)) {
         for (i, child) in self.children.iter().enumerate() {
             if let Some(pipe) = child.stdout.as_ref().filter(|_| self.core.out_room(i)) {
@@ -362,37 +369,56 @@ impl Session {
         self.core.has_diverged()
     }
 
-    /// The endgame after [`Phase::Drained`]: closes the remaining stream
-    /// pipes, reaps every replica (stderr drained throughout so a replica
-    /// blocked on diagnostics can exit), then hands the exit statuses to
-    /// the core's closing ballots ([`VoteCore::finalize`]; signal deaths
-    /// are crashes). Blocks until every replica is reaped — on the
-    /// agreement path they have already ended their streams, and on the
-    /// divergence/abort path they were SIGKILLed.
-    pub fn finalize(&mut self) -> StreamOutcome {
-        // Close stdin/stdout first so replicas blocked on either see
-        // EOF/EPIPE, then reap everyone — draining stderr throughout.
-        // Stderr must stay open and drained until each replica exits:
-        // closing it would SIGPIPE a chatty replica into a spurious
-        // "crash", and merely ignoring it would let a >pipe-capacity burst
-        // of diagnostics block the replica's exit forever. (A replica that
-        // closed stdout but never exits still stalls the run — by design:
-        // its exit status is its final ballot.)
-        for child in &mut self.children {
-            (child.stdin, child.stdout) = (None, None);
+    /// The endgame after [`Phase::Drained`], one non-blocking step per
+    /// transport round: closes the remaining stream pipes and reaps every
+    /// replica that has exited. Returns `None` while any replica runs; once
+    /// all are reaped, drains stderr a last time and hands the exit
+    /// statuses to the core's closing ballots ([`VoteCore::finalize`];
+    /// signal deaths are crashes). Until then
+    /// [`register_interest`](Self::register_interest) keeps each running
+    /// replica's stderr registered, so its end of file at the exit wakes
+    /// the transport's `poll`. The one blocking wait is on a replica whose
+    /// pipes are all closed: it is exiting or was SIGKILLed — or it closed
+    /// every descriptor and runs on, which stalls the caller, its exit
+    /// status being its final ballot.
+    pub fn finalize(&mut self) -> Option<StreamOutcome> {
+        let mut running = false;
+        for i in 0..self.children.len() {
+            // Stdin and stdout close first, so a replica blocked on either
+            // sees EOF/EPIPE. Stderr stays open and drained until the exit:
+            // closing it would SIGPIPE a chatty replica into a spurious
+            // "crash", and leaving it unread would let a burst of
+            // diagnostics block the exit forever.
+            (self.children[i].stdin, self.children[i].stdout) = (None, None);
+            self.core.input_closed(i);
+            if matches!(self.children[i].try_wait(), Ok(None)) {
+                self.read_stderr(i);
+                let child = &mut self.children[i];
+                if child.stderr.is_some() {
+                    running = true;
+                } else {
+                    let _ = child.wait();
+                }
+            }
         }
-        self.reap_draining_stderr();
-        let codes: Vec<Option<i32>> = self
-            .children
-            .iter_mut()
-            .map(|c| {
-                let status = c.try_wait().ok().flatten();
+        if running {
+            return None;
+        }
+        let mut codes = Vec::with_capacity(self.children.len());
+        for i in 0..self.children.len() {
+            // The pipe may still hold bytes written before the exit, or be
+            // held open by a grandchild: one last non-blocking drain.
+            self.read_stderr(i);
+            let child = &mut self.children[i];
+            child.stderr = None;
+            let status = child.try_wait().ok().flatten();
+            codes.push(
                 status
                     .filter(|s| s.signal().is_none())
-                    .map(|s| s.code().unwrap_or(0))
-            })
-            .collect();
-        self.core.finalize(&codes)
+                    .map(|s| s.code().unwrap_or(0)),
+            );
+        }
+        Some(self.core.finalize(&codes))
     }
 
     /// Abandons the session (the transport's client vanished): SIGKILLs and
@@ -403,51 +429,9 @@ impl Session {
         self.shutdown();
     }
 
-    /// Reaps every replica while keeping its stderr drained, so a replica
-    /// blocked writing diagnostics can make progress and exit. Leaves every
-    /// replica reaped and every stderr handle closed.
-    fn reap_draining_stderr(&mut self) {
-        let mut reactor: Reactor<()> = Reactor::new();
-        loop {
-            let unreaped: Vec<bool> = self
-                .children
-                .iter_mut()
-                .map(|c| matches!(c.try_wait(), Ok(None)))
-                .collect();
-            for i in 0..self.children.len() {
-                self.read_stderr(i);
-            }
-            if !unreaped.contains(&true) {
-                break;
-            }
-            reactor.clear();
-            for (child, _) in self.children.iter().zip(&unreaped).filter(|(_, &u)| u) {
-                if let Some(pipe) = &child.stderr {
-                    reactor.register(pipe.as_raw_fd(), libc::POLLIN, ());
-                }
-            }
-            if reactor.is_empty() {
-                // Nothing left to drain for the stragglers: block on them
-                // directly.
-                for child in &mut self.children {
-                    let _ = child.wait();
-                }
-            } else {
-                // Sleep until a straggler writes or exits (its stderr EOF
-                // wakes us); the timeout is a backstop for a grandchild
-                // inheriting the pipe and outliving the replica.
-                let _ = reactor.wait(200);
-            }
-        }
-        // Final drain: the pipes may still hold bytes written before exit.
-        for i in 0..self.children.len() {
-            self.read_stderr(i);
-            self.children[i].stderr = None;
-        }
-    }
-
     /// Final teardown: kill and reap anything still unreaped (the error
-    /// path — the success path has already waited on every replica).
+    /// path — a finalize that returned the outcome has reaped every
+    /// replica).
     pub fn shutdown(&mut self) {
         for i in 0..self.children.len() {
             self.kill(i);
@@ -519,13 +503,16 @@ mod tests {
         assert_eq!(session.fill_input(&mut io::empty()).unwrap(), 0);
         let mut out = Vec::new();
         let mut reactor: reactor::Reactor<SessionIo> = reactor::Reactor::new();
-        while session.pump(&mut out, usize::MAX) == Phase::Streaming {
+        let mut wait_and_service = |session: &mut Session| {
             reactor.clear();
             session.register_interest(|fd, events, io| reactor.register(fd, events, io));
             reactor.wait(10_000).expect("poll");
             for (io, _) in reactor.ready() {
                 session.service(io);
             }
+        };
+        while session.pump(&mut out, usize::MAX) == Phase::Streaming {
+            wait_and_service(&mut session);
         }
         assert_eq!(out, request);
         // A brim-full read is a buffer's only sign that more may follow, so
@@ -535,7 +522,12 @@ mod tests {
         for (out, _) in lanes {
             assert_eq!(out.len(), 2 * config.chunk);
         }
-        let outcome = session.finalize();
+        let outcome = loop {
+            match session.finalize() {
+                Some(outcome) => break outcome,
+                None => wait_and_service(&mut session),
+            }
+        };
         assert_eq!(outcome.exit_code, Some(0));
         assert!(outcome.peak_buffered <= 4 * request.len());
     }

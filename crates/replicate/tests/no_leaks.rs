@@ -1,6 +1,7 @@
 //! Every way a voted run can end leaves no descriptor open and no child
 //! unreaped: agreement, a mid-stream outvote, a three-way divergence, an
-//! exit-status tie, an abort while streaming, and a spawn that fails.
+//! exit-status tie, replicas that run on after closing their output, an
+//! abort while streaming, and a spawn that fails.
 //!
 //! One `#[test]` on purpose: the file's process then runs no other test
 //! concurrently, so the `/proc/self/fd` count and `waitpid(-1, …)` see only
@@ -97,6 +98,11 @@ fn no_run_leaks_a_descriptor_or_a_child() {
     leaves_nothing("exit-status tie", || {
         let exit = run(4, "cat; exit $((DIEHARD_SEED % 2))", &[1, 2, 3, 4]);
         assert_eq!((exit.diverged, exit.exit_code), (true, None));
+    });
+    leaves_nothing("replicas lingering after their output", || {
+        let exit = run(3, "cat; exec >&-; sleep 0.3", &[1, 2, 3]);
+        assert_eq!((exit.diverged, exit.exit_code), (false, Some(0)));
+        assert_eq!(exit.output, b"leak check\n");
     });
     leaves_nothing("abort while streaming", abort_while_streaming);
     leaves_nothing("spawn of a missing command", || {

@@ -1,6 +1,6 @@
-//! Warm replica-set pool behind the TCP proxy: determinism, exhaustion
-//! fallback, mid-connection outvoting of a pooled corrupt replica, and
-//! crash-loop containment.
+//! Warm replica-set pool behind the TCP proxy: determinism, refilling
+//! between spaced connections, exhaustion fallback, mid-connection
+//! outvoting of a pooled corrupt replica, and crash-loop containment.
 //!
 //! The pool's contract is that warmth is *invisible* in every observable
 //! outcome: for the same `LaunchConfig`, a connection served by a
@@ -18,11 +18,12 @@
 mod common;
 
 use common::{poisonable_server, spawn_proxy, stop_and_join};
-use diehard_replicate::net::Listener;
+use diehard_replicate::net::{connect_loopback, shutdown_write, Listener};
 use diehard_replicate::proxy::{Proxy, ProxySummary};
 use diehard_replicate::{LaunchConfig, StreamOutcome, CHUNK, TRANSFER};
 use diehard_workloads::client::{drive, Pace};
 use diehard_workloads::server::{self, ServerRequest};
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -131,6 +132,41 @@ fn proxy_transcripts_and_seeds_identical_pool_0_vs_pool_2() {
     assert_eq!(
         warm_summary.pool.handed_out + warm_summary.pool.cold_spawns,
         CONNS as u64
+    );
+}
+
+/// Spaced traffic keeps the pool warm: each connection retires before the
+/// next one arrives, and the round that retires it refills the pool, so
+/// connections 40 ms apart — under the proxy's 100 ms tick — are all warm
+/// hits rather than draining the pool into cold spawns.
+#[test]
+fn spaced_connections_are_all_warm_hits() {
+    const CONNS: u32 = 10;
+    const GAP: Duration = Duration::from_millis(40);
+    let config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
+    let listener = Listener::bind_loopback(0).expect("bind");
+    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let gauge = proxy.pool_gauge();
+    let (port, stop, handle) = spawn_proxy(proxy.with_pool(2));
+    wait_for_warmth(&gauge, 2);
+
+    let start = Instant::now();
+    for i in 0..CONNS {
+        std::thread::sleep((start + GAP * i).saturating_duration_since(Instant::now()));
+        let mut stream = connect_loopback(port).expect("connect");
+        stream.write_all(b"spaced").expect("send");
+        shutdown_write(&stream).expect("half-close");
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).expect("EOF");
+        assert_eq!(response, b"spaced", "connection {i}");
+    }
+    let summary = stop_and_join(&stop, handle);
+    assert_eq!(summary.accepted, u64::from(CONNS));
+    assert_eq!(
+        (summary.pool.handed_out, summary.pool.cold_spawns),
+        (u64::from(CONNS), 0),
+        "every spaced connection must find a parked set: {:?}",
+        summary.pool
     );
 }
 

@@ -1,7 +1,8 @@
 //! Loopback integration tests for the replicated TCP proxy: many
 //! concurrent voted sessions over one reactor, a corrupt replica outvoted
 //! mid-connection, slow-reader backpressure (down to a one-chunk queue),
-//! a one-chunk answer that does not wait for the request to end,
+//! a one-chunk answer that does not wait for the request to end, replicas
+//! that linger after their output without stalling other connections,
 //! mid-stream client disconnects, an unresolvable response tie, replicas
 //! that hold no socket, a failed accept the proxy survives, and the
 //! `diehard-proxy` binary echoing through its warm pool.
@@ -243,6 +244,59 @@ fn one_chunk_request_is_answered_before_the_half_close() {
         "a 4 KiB connection retained {} bytes",
         outcome.peak_buffered
     );
+}
+
+#[test]
+fn a_lingering_replica_set_stalls_no_other_connection() {
+    // Every replica echoes its request, closes its stdout, then runs on
+    // for two seconds before exiting 0. Connection A's client gets its
+    // answer and EOF at once; while A's replicas linger, connection B is
+    // served at once too, because reaping is one more event of the
+    // reactor round rather than a wait that holds the round up. A's exit
+    // ballot still arrives when the linger ends.
+    const LINGER: Duration = Duration::from_secs(2);
+    let script = format!("cat; exec >&-; sleep {}", LINGER.as_secs());
+    let config = LaunchConfig::new(3, vec!["/bin/sh".into(), "-c".into(), script], Vec::new());
+    let listener = Listener::bind_loopback(0).expect("bind");
+    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let (port, stop, handle) = spawn_proxy(proxy);
+    let echo = |payload: &[u8]| {
+        let mut stream = connect_loopback(port).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream.write_all(payload).expect("send");
+        shutdown_write(&stream).expect("half-close");
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).expect("EOF");
+        assert_eq!(response, payload);
+    };
+
+    let a_started = Instant::now();
+    echo(b"connection A");
+    let b_started = Instant::now();
+    echo(b"connection B");
+    let b_took = b_started.elapsed();
+    assert!(
+        b_took < Duration::from_millis(500),
+        "an echo took {b_took:?} while another connection's replicas lingered"
+    );
+
+    // Stop only once A's replicas have exited, so its report is complete.
+    std::thread::sleep(
+        (a_started + LINGER + Duration::from_millis(1500))
+            .saturating_duration_since(Instant::now()),
+    );
+    let summary = stop_and_join(&stop, handle);
+    let a = summary
+        .reports
+        .iter()
+        .find(|r| r.conn_id == 0)
+        .expect("A retired");
+    assert!(!a.aborted);
+    let outcome = a.outcome.as_ref().expect("A's replicas were reaped");
+    assert_eq!(outcome.exit_code, Some(0));
+    assert_eq!(outcome.committed, b"connection A".len() as u64);
 }
 
 #[test]

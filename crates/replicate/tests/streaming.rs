@@ -216,7 +216,12 @@ fn dissenter_inside_one_transfer_is_killed_at_its_chunk() {
         );
         wait_and_service(&mut session);
     }
-    let outcome = session.finalize();
+    let outcome = loop {
+        match session.finalize() {
+            Some(outcome) => break outcome,
+            None => wait_and_service(&mut session),
+        }
+    };
     assert_eq!(
         out,
         vec![b'g'; 8 * CHUNK],
