@@ -198,7 +198,7 @@ fn alloc_churn_mixed(smoke: bool) -> KernelResult {
 /// The same 64-slot mixed-size churn ring as `alloc_churn_mixed`, but
 /// against the concurrent [`Heap`] through its thread-local
 /// magazine cache — the exact in-process path `libdiehard.so` puts under
-/// every interposed `malloc`. Comparing the two rows prices the
+/// every interposed `malloc` of a threaded host. Comparing the two rows prices the
 /// thread-safety layers (magazines + lock-free shard CAS) against the
 /// single-threaded sim heap.
 fn magazine_alloc_churn(smoke: bool) -> KernelResult {
@@ -288,8 +288,10 @@ fn preload_library() -> (
 
 /// The same churn ring once more, but through the `LD_PRELOAD`
 /// interposer's exported C ABI (`dlopen` + `dlsym`, see
-/// [`preload_library`]). The delta against `magazine_alloc_churn` is the
-/// interposition overhead itself: the `dlsym`'d call into each export and
+/// [`preload_library`]). In the `_mt` row the delta against
+/// `magazine_alloc_churn` is the interposition overhead itself (alone the
+/// library skips the magazines and claims slots straight from the heap, so
+/// the bare row also drops their reserve-then-commit): the `dlsym`'d call into each export and
 /// the export's call into its funnel (`alloc_impl`, `free_impl`), the one
 /// `__tls_get_addr` there, the re-entrancy flag, the arena range check,
 /// the `Layout` round-trip, the `OnceCell`'s `Acquire` load, and — in the
@@ -488,7 +490,7 @@ fn initialize_off_clock(heap: &DieHard) {
 /// What a short process pays the arena: one op = the *first* `malloc` in a
 /// size class of a fresh heap plus a full write of the object, across all
 /// twelve classes (8 B … 16 KB): one to four 4 KB faults plus the class's
-/// first magazine refill, inside a 64 KiB active range that no amount of
+/// first slot claim, inside a 64 KiB active range that no amount of
 /// traffic gets promoted. A span advised `MADV_HUGEPAGE` up front turns
 /// each of these into a 2 MB zero-fill — the regression this kernel exists
 /// to catch. (Measured with the host's THP mode at `madvise`; under
@@ -528,7 +530,7 @@ fn anon_huge_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// The price of a promotion: one op = the `malloc` whose refill steps the
+/// The price of a promotion: one op = the `malloc` whose growth step takes the
 /// 8-byte class of a fresh heap from 1.75 MB to 2 MB — the first moment the
 /// class, long since past `PROMOTE_AFTER_ALLOCS`, has an active range one
 /// huge page long: the step itself, `MADV_HUGEPAGE` and `MADV_COLLAPSE` of
@@ -665,8 +667,9 @@ fn global_churn(name: &'static str, live: usize, smoke: bool) -> KernelResult {
 /// §4.3 on the shipped heap: one op = one `free` that validation must
 /// ignore, through the interposer-shaped heap's C-style entry.
 /// `free_double_ignored` re-frees a 64 B object that was already freed (the
-/// free is buffered in the thread's magazine and rejected by the batch
-/// flush's slot-state check); `free_misaligned_ignored` frees `p + 8` of a
+/// free reaches the slot-state check at once, and fails it: these rows run
+/// while the process has one thread, which buffers no free);
+/// `free_misaligned_ignored` frees `p + 8` of a
 /// live 64 B object (rejected at once by the alignment arithmetic). A valid
 /// free is half of every churn row above, so it has no row of its own. After
 /// the samples, every free the kernel made, warm-up included, must have been
@@ -689,7 +692,7 @@ fn free_ignored(name: &'static str, smoke: bool) -> KernelResult {
     } else {
         live.wrapping_add(8)
     };
-    // Flushes the thread's magazine, so `dead`'s one valid free lands here.
+    // `dead`'s one valid free is counted before the samples start.
     let before = heap.stats();
     let result = measure(name, warmup, samples, ops, || {
         for _ in 0..ops {

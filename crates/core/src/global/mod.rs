@@ -129,14 +129,14 @@
 //!   re-entering the allocator between a load and its store:
 //!   `libdiehard.so` diverts re-entrant calls to its bootstrap arena before
 //!   they reach this heap, and `GlobalAlloc` was never async-signal-safe in
-//!   either arm (neither kind of magazine is re-entrant).
+//!   either arm (neither the heap's load/store pairs nor a thread's
+//!   magazines are re-entrant).
 //! * **Raw-pointer state.** `GlobalState` owns raw `mmap` regions and is
 //!   never moved or sent, only shared; its `unsafe impl Sync` is sound
 //!   because `heap_base`/`page` are written once before the state's address
 //!   is published (Release/Acquire) and only ever *read* afterwards, while
 //!   everything reachable for mutation is behind the shard and large-table
-//!   locks described above — except the heap's own magazines, whose
-//!   argument is the next-but-one finding.
+//!   locks or is one of the atomics described above.
 //! * **One large-object table, one mapping shape.** Every large mapping —
 //!   an oversized request or an elastic spill — is exactly
 //!   `[user − page, user + len + page)`: `alloc_large` trims the alignment
@@ -172,32 +172,28 @@
 //!   threaded process looks it up once — one `__tls_get_addr` in a shared
 //!   object — and passes it down; the one `unsafe` of that lookup is a
 //!   deref of the block's address on its own thread.
-//! * **A process with one thread uses no thread-local storage.** When a
-//!   call's one read of the thread count says the process is alone, its
-//!   re-entrancy flag is a process-wide static and its magazines are the
-//!   heap's own (`GlobalState::solo`, [`tls::SoloMagazines`]): no lookup, no
-//!   binding check. The invariant: *the heap's own magazines are touched
-//!   only by a call that found the process alone, or by the one drain that
-//!   empties them* — the first thread to bind to the heap or flush its
-//!   cache into it (the cold rebind, or `flush_thread_cache`'s threaded
-//!   arm) hands their reservations and buffered frees back exactly once,
-//!   behind a one-shot flag, and nothing reaches them afterwards, because
-//!   the byte never returns to 1. The two cannot overlap: the drainer
-//!   exists only after a `pthread_create` that every alone call happened
-//!   before, which also publishes their plain stores to it. The block is
-//!   consistent with the heap at every instant (reserved slots hold their
-//!   tickets, buffered frees are live slots), so draining late only ever
-//!   delays a reuse, never loses one. A fork child of a process that never had a second
-//!   thread is alone too, and keeps using its copy. The one dereference of
-//!   the block is in [`tls`], beside the thread-local block's.
+//! * **A process with one thread uses no thread-local storage, and no
+//!   cache.** When a call's one read of the thread count says the process
+//!   is alone, its re-entrancy flag is a process-wide static and it goes
+//!   straight to the heap's lock-free path (`Heap::try_alloc_in`,
+//!   `Heap::free_at_in`): §4.2's `DieHardMalloc` and `DieHardFree`, one
+//!   slot-map update per operation, a freed slot back in the probe space
+//!   before the call returns. No lookup, no binding, and nothing held
+//!   between calls: the heap is the whole state, so a process's first
+//!   `pthread_create` hands its new thread a heap with nothing reserved and
+//!   nothing buffered, and the plain stores that built it are published to
+//!   that thread by the creation itself (`sync`'s fact 2). A fork child of
+//!   a process that never had a second thread is alone too, and allocates
+//!   from its copy of the heap the same way.
 //! * **The per-op path is one function per direction.** Every function
-//!   from an entry point to the magazine pop or the free-buffer push is
-//!   inlined into the entry (`libdiehard.so`'s `alloc_impl` and
-//!   `free_impl`), and everything else — initialization, a refill, a free
-//!   flush, a rebind, large objects — is a `#[cold]` call out of it. On a
-//!   ready heap and a single-threaded host that path calls nothing — not
-//!   `__tls_get_addr` either — and executes no locked instruction until a
-//!   refill or a flush, and neither does the refill or the flush then.
+//!   from an entry point to the slot claim or free — alone — or to the
+//!   magazine pop or free-buffer push — threaded — is inlined into the
+//!   entry (`libdiehard.so`'s `alloc_impl` and `free_impl`), and everything
+//!   else — initialization, a growth step, a refill, a free flush, a
+//!   rebind, large objects — is a `#[cold]` call out of it. On a ready heap
+//!   and a single-threaded host that path calls nothing — not
+//!   `__tls_get_addr` either — until a class grows, and executes no locked
+//!   instruction at all.
 //! * **Per-op traffic never spins.** A magazine handout or buffered free —
 //!   and the heap's own `try_alloc`/`free_at` — completes without acquiring
 //!   any lock: a thread preempted mid-operation cannot wedge another
@@ -320,10 +316,6 @@ struct GlobalState {
     /// Twelve lock-free partitions (reservations live in their paired-bit
     /// slot-state maps) + atomic stats: the heap, in its shared arm.
     heap: Heap,
-    /// The magazines of every call that finds the process with one thread:
-    /// the heap's own, reached without a thread-local lookup
-    /// ([`tls::SoloMagazines`]).
-    solo: tls::SoloMagazines,
     /// Base address of the small-object span. Written once at init, then
     /// read-only.
     heap_base: *mut u8,
@@ -342,9 +334,8 @@ struct GlobalState {
 // SAFETY: `heap_base` and `page` are written once before `DieHard`
 // publishes this state's address (Release/Acquire) and are only read
 // afterwards; `heap` is Sync by construction (per-shard SpinLocks + atomic
-// stats), the large table is guarded by its SpinLock, and the heap's own
-// magazines carry their own argument (`tls::SoloMagazines`). The mappings
-// the raw pointers refer to are never unmapped.
+// stats) and the large table is guarded by its SpinLock. The mappings the
+// raw pointers refer to are never unmapped.
 unsafe impl Sync for GlobalState {}
 
 impl GlobalState {
@@ -505,12 +496,12 @@ impl DieHard {
     /// guarded entry: glibc allocating from inside the allocator's own
     /// machinery, a signal handler interrupting it) returns `nested()` and
     /// never reaches the heap, whose magazines and single-thread arm are not
-    /// re-entrant. One read of the thread count decides where the flag and
-    /// the magazines are: while the process has one thread, a process-wide
-    /// flag and the heap's own magazines; after that, one thread-local
-    /// block, looked up once for both ([`tls`] has why). Inlined whole
-    /// into the caller, so the `READY` path makes no call until a magazine
-    /// refill.
+    /// re-entrant. One read of the thread count decides where the flag is
+    /// and how the call reaches the heap: while the process has one thread,
+    /// a process-wide flag and the heap's uncached path; after that, one
+    /// thread-local block holding the flag and the magazines, looked up once
+    /// for both ([`tls`] has why). Inlined whole into the caller, so the
+    /// `READY` path makes no call until a growth step or a magazine refill.
     #[inline(always)]
     pub fn alloc_guarded(&self, layout: Layout, nested: impl FnOnce() -> *mut u8) -> *mut u8 {
         tls::enter(
@@ -523,7 +514,7 @@ impl DieHard {
     /// [`free`](Self::free) behind the same flag as
     /// [`alloc_guarded`](Self::alloc_guarded): a re-entrant call runs
     /// `nested` instead of touching the heap. The same one read, inlined
-    /// whole; no call until a free-buffer flush.
+    /// whole; no call alone, and none threaded until a free-buffer flush.
     #[inline(always)]
     pub fn free_guarded(&self, ptr: *mut u8, nested: impl FnOnce()) {
         let freed = tls::enter(
@@ -660,22 +651,15 @@ impl DieHard {
 
     /// Flushes the calling thread's magazine into this heap, releasing its
     /// buffered frees and returning its unhanded reservations. A no-op when
-    /// the thread's magazines are bound to a different heap (or to none).
+    /// the thread's magazines are bound to a different heap (or to none),
+    /// and while the process has one thread, whose calls buffer nothing.
     /// Other threads flush at their own exits; call this from each thread
-    /// that should settle its accounting early. While the process has one
-    /// thread the magazine flushed is the heap's own; once it has more, the
-    /// first call also drains that one, if no other call has.
+    /// that should settle its accounting early.
     pub fn flush_thread_cache(&self) {
         let Some(state) = self.ready() else {
             return;
         };
-        tls::enter(
-            |alone| state.solo.with(alone, |mags| mags.flush(true, &state.heap)),
-            |block| {
-                state.solo.drain(&state.heap);
-                block.flush_if_bound(state);
-            },
-        );
+        tls::enter(|_alone| {}, |block| block.flush_if_bound(state));
     }
 
     /// C `malloc_usable_size`: the full capacity of the live object whose
@@ -683,9 +667,10 @@ impl DieHard {
     /// page-rounded user range for large ones. Returns 0 for null, interior,
     /// foreign, and dead pointers (glibc returns 0 only for null and leaves
     /// the rest undefined; answering 0 instead of corrupting is this
-    /// allocator's whole premise). A small object whose free is still
-    /// buffered in a thread magazine reports its size until the batch
-    /// flushes — the slot is genuinely not reusable before then.
+    /// allocator's whole premise). In a process with more than one thread,
+    /// a small object whose free is still buffered in a thread's magazine
+    /// reports its size until the batch flushes — the slot is genuinely not
+    /// reusable before then; a process with one thread buffers no free.
     #[must_use]
     pub fn usable_size(&self, ptr: *mut u8) -> usize {
         let Some(state) = self.ready() else {
@@ -882,7 +867,6 @@ impl DieHard {
         unsafe {
             state.write(GlobalState {
                 heap,
-                solo: tls::SoloMagazines::new(),
                 heap_base,
                 page,
                 elastic: grow.is_some(),
@@ -892,13 +876,13 @@ impl DieHard {
         }
     }
 
-    /// The one allocation body, on the magazines this call's one read of the
+    /// The one allocation body, on the route this call's one read of the
     /// thread count chose: behind [`GlobalAlloc::alloc`] and
     /// [`alloc_guarded`](Self::alloc_guarded). Inlined into both arms of each
     /// of them, with every slow path — initialization, a rebind, a refill,
-    /// a large object — out of line.
+    /// a growth step, a large object — out of line.
     #[inline(always)]
-    fn alloc_in(&self, mags: &impl Magazines, layout: Layout) -> *mut u8 {
+    fn alloc_in(&self, route: &impl Route, layout: Layout) -> *mut u8 {
         let Some(state) = self.state() else {
             return ptr::null_mut();
         };
@@ -908,9 +892,10 @@ impl DieHard {
         if need > crate::size_class::MAX_OBJECT_SIZE {
             return Self::alloc_large(state, layout.size(), layout.align());
         }
-        // Fast path: pop a pre-reserved random slot from a magazine (no
-        // lock); refills batch the shard lock.
-        match mags.alloc(state, need) {
+        // Fast path: a random slot, claimed by the heap's probe loop alone
+        // or popped from a magazine threaded (no lock either way; refills
+        // batch the class lock).
+        match route.alloc(state, need) {
             AllocOutcome::Placed(slot) => {
                 let off = state.heap.offset_of(slot);
                 // SAFETY: `off` lies within the reserved heap span.
@@ -927,11 +912,11 @@ impl DieHard {
         }
     }
 
-    /// The one free body, on the magazines this call chose: behind
+    /// The one free body, on the route this call chose: behind
     /// [`free`](Self::free), [`free_guarded`](Self::free_guarded) and
     /// `dealloc`.
     #[inline(always)]
-    fn free_in(&self, mags: &impl Magazines, ptr: *mut u8) {
+    fn free_in(&self, route: &impl Route, ptr: *mut u8) {
         let Some(state) = self.ready() else {
             return;
         };
@@ -940,9 +925,10 @@ impl DieHard {
             return;
         };
         // Small object: full §4.3 validation. The span/alignment half is
-        // lock-free arithmetic either way; with magazines engaged the free
-        // is buffered and released to its shard in a batch.
-        mags.free(state, off);
+        // lock-free arithmetic either way; alone the slot is freed at once,
+        // threaded the free is buffered and released to its class in a
+        // batch.
+        route.free(state, off);
     }
 
     /// Frees a pointer outside the small-object span: possibly a large
@@ -1009,35 +995,37 @@ impl DieHard {
     }
 }
 
-/// The magazines one call allocates from and frees into, as its one read of
-/// the thread count chose ([`tls::enter`]): the heap's own, in the plain
-/// arm, while the process has one thread; this thread's block, in the
-/// locked arm, after that. Each entry point's body is compiled once per
-/// side, so neither copy tests the other side's case.
-trait Magazines {
+/// The way one call's small objects reach the heap, as its one read of the
+/// thread count chose ([`tls::enter`]): straight to the heap's lock-free
+/// path, in the plain arm, while the process has one thread; through this
+/// thread's magazines, in the locked arm, after that. Each entry point's
+/// body is compiled once per side, so neither copy tests the other side's
+/// case.
+trait Route {
     /// A slot for `need` bytes.
     fn alloc(&self, state: &'static GlobalState, need: usize) -> AllocOutcome;
     /// The small-object free at span offset `off`.
     fn free(&self, state: &'static GlobalState, off: usize);
 }
 
-impl Magazines for tls::Alone {
+/// Alone, a call is §4.2's `DieHardMalloc` and `DieHardFree` themselves:
+/// one slot-map update per operation, and the freed slot is back in the
+/// probe space when the call returns. A cache would amortize the class lock
+/// and keep threads off each other's cache lines, and with one thread there
+/// is neither to save.
+impl Route for tls::Alone {
     #[inline(always)]
     fn alloc(&self, state: &'static GlobalState, need: usize) -> AllocOutcome {
-        state
-            .solo
-            .with(self, |mags| mags.try_alloc(true, &state.heap, need))
+        state.heap.try_alloc_in(true, need)
     }
 
     #[inline(always)]
     fn free(&self, state: &'static GlobalState, off: usize) {
-        state.solo.with(self, |mags| {
-            let _ = mags.free_at(true, &state.heap, off);
-        });
+        let _ = state.heap.free_at_in(true, off);
     }
 }
 
-impl Magazines for tls::TlsBlock {
+impl Route for tls::TlsBlock {
     #[inline(always)]
     fn alloc(&self, state: &'static GlobalState, need: usize) -> AllocOutcome {
         self.with_cache(state, |mags| mags.try_alloc(false, &state.heap, need))

@@ -1,4 +1,5 @@
-//! Thread-local magazine storage for the global allocator.
+//! Thread-local magazine storage for the global allocator, and the one read
+//! of the thread count that decides whether a call needs any.
 //!
 //! # Why this TLS scheme
 //!
@@ -38,17 +39,17 @@
 //! instructions a `malloc`/`free` pair in `ld.so` and its PLT stub, plus the
 //! call sites (`crates/preload/tests/instructions.rs` counts them) — and a
 //! single-threaded host gets nothing for it: only one thread can be in the
-//! allocator. So every call reads the thread count
-//! once, first ([`enter`]): while glibc's `__libc_single_threaded` says the
-//! process has one thread, the call's re-entrancy flag is a process-wide
-//! static and its magazines are the heap's own ([`SoloMagazines`], a field
-//! of the heap's state), reached without a lookup or a binding check; the
-//! same read makes every word update of the call a plain load and store
-//! (`crate::sync`). A process that gains a thread switches for good (the
-//! byte never returns to 1): from the next call on, each thread uses its
-//! block below, and the first thread to bind to a heap (or to flush its
-//! cache into it) drains that heap's own magazines once. Every host in the
-//! repository's benchmark has one thread.
+//! allocator. Nor does it get anything from magazines, which amortize the
+//! class lock and keep threads off each other's cache lines. So every call
+//! reads the thread count once, first ([`enter`]): while glibc's
+//! `__libc_single_threaded` says the process has one thread, the call's
+//! re-entrancy flag is a process-wide static and the call goes straight to
+//! the heap's uncached lock-free path, with no lookup, no binding and no
+//! cache; the same read makes every word update of the call a plain load
+//! and store (`crate::sync`). Such a call leaves nothing behind but the
+//! heap itself, so when the process gains a thread nothing is handed over:
+//! from the next call on, each thread uses its block below. Every host in
+//! the repository's benchmark has one thread.
 //!
 //! # Why a binding cannot dangle
 //!
@@ -69,7 +70,6 @@
 
 use super::GlobalState;
 use crate::magazine::ThreadMagazines;
-use crate::sharded::Heap;
 use crate::sync::{sole_thread, OnceCell};
 use core::cell::{Cell, UnsafeCell};
 use core::marker::PhantomData;
@@ -134,10 +134,10 @@ pub(super) struct Alone(PhantomData<*const ()>);
 
 /// The one read of the thread count a call into the allocator makes, and
 /// where its per-thread state is on each answer: `alone` runs when the
-/// process has one thread — its re-entrancy flag is process-wide and its
-/// magazines are the heap's own ([`SoloMagazines`]), no thread-local lookup
-/// — and `threaded` on this thread's block ([`with_block`]). Two closures,
-/// so each arm is compiled with its answer known.
+/// process has one thread — its re-entrancy flag is process-wide and it has
+/// no magazines, so no thread-local lookup — and `threaded` on this
+/// thread's block ([`with_block`]). Two closures, so each arm is compiled
+/// with its answer known.
 #[inline(always)]
 pub(super) fn enter<R>(
     alone: impl FnOnce(&Alone) -> R,
@@ -171,73 +171,6 @@ impl Alone {
         let r = f(reentered);
         ENTERED_ALONE.store(reentered, Ordering::Relaxed);
         r
-    }
-}
-
-/// The magazines a heap owns for the time its process has one thread.
-///
-/// A process with one thread needs no thread-local storage: its one thread
-/// is the only one that can be inside the allocator, so its magazines can
-/// live in the heap, beside the header every call reads anyway, and a call
-/// that finds the process alone reaches them with no `__tls_get_addr` and no
-/// binding check — this block belongs to one heap and never rebinds. Its
-/// contents are always consistent with the heap (reserved slots hold their
-/// tickets, buffered frees are live slots), so when the process gains a
-/// thread nothing has to happen at once: the first thread that binds to the
-/// heap, or flushes its cache into it, drains the block into the heap
-/// ([`drain`](Self::drain), once, behind its own flag), and from then on every thread uses its
-/// [`TlsBlock`]. A process never returns to one thread (`sync`'s fact 3),
-/// so nothing uses this block again — except in the fork child of a parent
-/// that never had a second thread, which is alone and keeps using its copy.
-pub(super) struct SoloMagazines {
-    mags: UnsafeCell<ThreadMagazines>,
-    /// Set by the one [`drain`](Self::drain) that empties the block.
-    drained: AtomicBool,
-}
-
-// SAFETY: the magazines are reached in two ways. (1) Through `with`, by a
-// call holding `Alone`: that call read the process as having one thread,
-// which is its own, and no other call on these magazines is in flight on it
-// (a nested guarded call is diverted by `ENTERED_ALONE`; an unguarded entry
-// is not re-entrant in either arm). (2) Through `drain`, which only a call
-// that found the process threaded makes, and of those only the one that
-// flips `drained` goes on. The two never overlap: the drainer runs after
-// the thread count went past one, which it never comes back from, so no
-// `with` starts again, and each one that ran finished before the
-// `pthread_create` the drainer's thread goes back to, which also publishes
-// its stores to that thread (`sync`'s facts 2 and 3).
-unsafe impl Sync for SoloMagazines {}
-
-impl SoloMagazines {
-    /// An empty block.
-    pub(super) const fn new() -> Self {
-        Self {
-            mags: UnsafeCell::new(ThreadMagazines::new()),
-            drained: AtomicBool::new(false),
-        }
-    }
-
-    /// Runs `f` on the heap's own magazines, for a call that found the
-    /// process alone.
-    #[inline(always)]
-    pub(super) fn with<R>(&self, _alone: &Alone, f: impl FnOnce(&mut ThreadMagazines) -> R) -> R {
-        // SAFETY: case (1) of the `Sync` argument: no other `&mut` to the
-        // magazines is live while `f` runs.
-        f(unsafe { &mut *self.mags.get() })
-    }
-
-    /// Hands everything the block holds back to `heap`, the first time it
-    /// is called: every rebind to the heap and every threaded cache flush
-    /// into it makes it, so the reservations and buffered frees of the
-    /// single-threaded era are settled exactly once, by one thread, before
-    /// any thread's own magazines serve the heap.
-    #[cold]
-    #[inline(never)]
-    pub(super) fn drain(&self, heap: &Heap) {
-        if !self.drained.load(Ordering::Relaxed) && !self.drained.swap(true, Ordering::AcqRel) {
-            // SAFETY: case (2) of the `Sync` argument.
-            unsafe { (*self.mags.get()).flush(false, heap) };
-        }
     }
 }
 
@@ -303,13 +236,10 @@ impl TlsBlock {
     }
 }
 
-/// Rebinds `block` from whatever heap it was serving to `state`'s, after
-/// draining `state`'s own magazines of the single-threaded era, if no
-/// thread has yet.
+/// Rebinds `block` from whatever heap it was serving to `state`'s.
 #[cold]
 #[inline(never)]
 fn rebind(block: &TlsBlock, state: &'static GlobalState) {
-    state.solo.drain(&state.heap);
     block.unbind();
     block.bound.set(Some(state));
     ensure_exit_hook(block);

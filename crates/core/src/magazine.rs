@@ -1,4 +1,5 @@
-//! Thread-local allocation magazines: a cache in front of the lock-free heap.
+//! Thread-local allocation magazines: a cache in front of the lock-free heap,
+//! for processes with more than one thread.
 //!
 //! PR 2 sharded the heap per size class and PR 6 made the per-op paths
 //! lock-free, but a thread still pays one CAS-contended probe sequence per
@@ -7,6 +8,15 @@
 //! each thread holds, per size class, a small **magazine** of pre-reserved
 //! slots plus a bounded **free buffer**, so the hot paths touch shared cache
 //! lines once per batch instead of once per operation.
+//!
+//! What the cache buys is all about other threads: the class lock taken
+//! once per batch, and shared lines touched once per batch. A process with
+//! one thread has neither to save — its word updates are plain loads and
+//! stores (`crate::sync`) — and would pay two slot-map writes per
+//! allocation (reserve, then commit) where the heap's own path pays one.
+//! So the global allocator puts magazines only in front of threaded calls;
+//! while its process has one thread it calls the heap's uncached
+//! `try_alloc`/`free_at` directly (`global/tls.rs`).
 //!
 //! # Preserving the paper's guarantees
 //!

@@ -98,6 +98,16 @@ pub const HUGE_PAGE: usize = 2 << 20;
 /// region from the start and are promoted by the count alone; a heap whose
 /// regions are smaller than a huge page has nothing one could back and
 /// never promotes.
+///
+/// Where the check runs decides when. A magazine refill and a growth step
+/// both run it; the uncached path makes no refill. So the global allocator
+/// in a process with one thread, which allocates straight from the heap,
+/// promotes a class at its growth steps only: a class whose count reaches
+/// the threshold after the step that completed a huge page waits for its
+/// next step, and a heap that never grows (a fixed heap, or
+/// `DIEHARD_GROW=0`: born at the maximum) is never promoted in such a
+/// process. Once the process has a second thread, refills run the check
+/// too.
 pub const PROMOTE_AFTER_ALLOCS: u64 = (HUGE_PAGE / 4096) as u64;
 
 /// The huge-page promotion seam: the one call the ungated heap layers make
@@ -137,9 +147,10 @@ pub struct Heap<A: Arm = Shared> {
     /// atomics keep them correct against in-flight maintenance.
     maintenance: [SpinLock<()>; NUM_CLASSES],
     stats: AtomicHeapStats<A>,
-    /// Number of completed per-class growth steps (elastic heaps; always 0
-    /// on fixed heaps).
-    growths: AtomicU64,
+    /// Per class: completed growth steps (elastic heaps; always 0 on fixed
+    /// heaps). Written under the class's maintenance lock, its one writer,
+    /// so an increment is a load and a store in either arm.
+    growths: [AtomicU64; NUM_CLASSES],
     /// The installed [`PromoteHook`] and its `ctx` word; `None` (every heap
     /// that owns no real memory) disables the promotion check entirely.
     promote: Option<(PromoteHook, usize)>,
@@ -287,7 +298,7 @@ impl<A: Arm> Heap<A> {
             partitions,
             maintenance: core::array::from_fn(|_| SpinLock::new(())),
             stats: AtomicHeapStats::new(),
-            growths: AtomicU64::new(0),
+            growths: core::array::from_fn(|_| AtomicU64::new(0)),
             promote: None,
             advised: core::array::from_fn(|_| AtomicUsize::new(0)),
             refused: core::array::from_fn(|_| AtomicBool::new(false)),
@@ -368,7 +379,15 @@ impl<A: Arm> Heap<A> {
     /// ([`crate::sync`]).
     #[inline]
     pub fn try_alloc(&self, size: usize) -> AllocOutcome {
-        let sole = A::sole();
+        self.try_alloc_in(A::sole(), size)
+    }
+
+    /// [`try_alloc`](Self::try_alloc) in the arm `sole` picks: the global
+    /// allocator's path for a call that found the process with one thread,
+    /// which is the paper's `DieHardMalloc` with nothing in front of it.
+    /// Inlined whole into that caller; a growth step is out of line.
+    #[inline(always)]
+    pub(crate) fn try_alloc_in(&self, sole: bool, size: usize) -> AllocOutcome {
         let Some(class) = SizeClass::for_size(size) else {
             return AllocOutcome::Unsupported;
         };
@@ -388,7 +407,7 @@ impl<A: Arm> Heap<A> {
     /// whether triggered by uncached allocations or magazine refills.
     #[must_use]
     pub fn growth_events(&self) -> u64 {
-        self.growths.load(Ordering::Relaxed)
+        self.growths.iter().map(|g| g.load(Ordering::Relaxed)).sum()
     }
 
     /// Installs the huge-page [`PromoteHook`]. Takes `&mut self`: the hook
@@ -454,7 +473,11 @@ impl<A: Arm> Heap<A> {
     /// Attempts one growth step for `class`; `false` means the class is
     /// already at its maximum capacity (time to spill), `true` means the
     /// caller should retry its allocation — either this call widened the
-    /// active capacity or a racing free already made room.
+    /// active capacity or a racing free already made room. Out of line and
+    /// cold, so the uncached path inlined into its callers carries one call
+    /// here rather than a copy of the lock and the ladder step.
+    #[cold]
+    #[inline(never)]
     fn grow_class(&self, sole: bool, class: SizeClass) -> bool {
         let partition = &self.partitions[class.index()];
         if partition.capacity() >= self.geometry.capacity(class) {
@@ -480,7 +503,8 @@ impl<A: Arm> Heap<A> {
         if !partition.grow_step(self.geometry.config()) {
             return false;
         }
-        self.growths.fetch_add(1, Ordering::Relaxed);
+        let growths = &self.growths[class.index()];
+        growths.store(growths.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         // The uncached path's only maintenance-locked stop; after the step,
         // so the size test sees — and a promotion collapses — the range now
         // in use. A range the hook refused is offered again here.
@@ -529,7 +553,14 @@ impl<A: Arm> Heap<A> {
     /// invalid frees.
     #[inline]
     pub fn free_at(&self, offset: usize) -> FreeOutcome {
-        let sole = A::sole();
+        self.free_at_in(A::sole(), offset)
+    }
+
+    /// [`free_at`](Self::free_at) in the arm `sole` picks: the paper's
+    /// `DieHardFree`, for the global allocator's call that found the process
+    /// with one thread. The slot is free again when this returns.
+    #[inline(always)]
+    pub(crate) fn free_at_in(&self, sole: bool, offset: usize) -> FreeOutcome {
         let slot = match self.locate_free(sole, offset) {
             Ok(slot) => slot,
             Err(outcome) => return outcome,

@@ -64,8 +64,9 @@
 //!    so a process that has ever had two threads stays on the locked arm.
 //!    (Were a later glibc to set it again once a process is provably back
 //!    to one thread, fact 1 would still hold at every read.) The global
-//!    allocator leans on this once more: while the byte reads 1 its
-//!    magazines are the heap's own, not thread-local (`global/tls.rs`).
+//!    allocator does not lean on it either: a call that finds the process
+//!    alone leaves no state outside the heap for a later thread to take
+//!    over (`global/tls.rs`).
 //!
 //! Both arms are atomic loads and stores, so there is no data race under
 //! the language's memory model either way, and no `unsafe` beyond the one

@@ -8,26 +8,29 @@
 //! shared arm uncached, the shared arm through a magazine cache, and
 //! `DieHard` — parks a second thread (which flips glibc's
 //! `__libc_single_threaded` for good), drives the same history again on
-//! fresh heaps with the same seeds, and requires the two recordings to be
-//! bit-identical: every placement, every free outcome, probe and heap
-//! statistics, growth steps, promotions. Each drive also records the history on
-//! a `Heap<Plain>` — the same code with the plain arm fixed at compile time —
-//! and requires that trace to equal the shared heap's, whichever arm that
-//! ran in.
+//! fresh heaps with the same seeds, and requires the uncached traces of the
+//! two arms to be bit-identical, and the cached ones too: every placement,
+//! every free outcome, probe and heap statistics, growth steps, promotions.
+//! Each drive also records the history on a `Heap<Plain>` — the same code
+//! with the plain arm fixed at compile time — uncached and cached, and
+//! requires each trace to equal the shared heap's, whichever arm that ran
+//! in.
 //!
-//! While the process is alone, `DieHard` keeps its magazines in the heap, not
-//! in thread-local storage, and diverts a call made inside a guarded one; a
-//! fork child of the lone process keeps allocating on its copy of them.
+//! `DieHard` takes a different path in each arm, and each is pinned to its
+//! trace: alone, every call goes straight to the heap's uncached path, so
+//! its placements and counters must be the uncached trace's; threaded, calls
+//! go through this thread's magazines, so they must be the cached trace's.
+//! Alone it also diverts a call made inside a guarded one, and a fork child
+//! of the lone process keeps allocating on its copy of the heap.
 //!
-//! Then the handover the soundness argument rests on: objects allocated and
-//! pattern-filled *before* the first spawn — slot states, tickets and
-//! counters all written with plain stores, some already freed into the
-//! heap's own magazines — are settled when threads appear: four threads'
-//! racing first calls drain those magazines exactly once, after which
-//! nothing is reserved and the counters are exact. The objects are then
-//! freed from four new threads while the main thread keeps churning the same
-//! heap. Contents are checked at every free, and at quiescence the books
-//! must balance exactly.
+//! Then the handover: objects allocated and pattern-filled *before* the
+//! first spawn — slot states, tickets and counters all written with plain
+//! stores, some freed again — must be settled the moment the process stops
+//! being alone, before any thread binds to their heap: nothing reserved,
+//! the counters exact, because an alone call holds nothing outside the
+//! heap. The objects are then freed from four new threads while the main
+//! thread keeps churning the same heap. Contents are checked at every free,
+//! and at quiescence the books must balance exactly.
 
 mod common;
 
@@ -121,7 +124,7 @@ impl Path for &DieHard {
 }
 
 /// Everything one run-time arm recorded.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 struct Recording {
     /// The shared arm, uncached and through a magazine cache.
     uncached: Trace,
@@ -150,6 +153,8 @@ fn drive_all() -> Recording {
     // The simulator's heap: the compile-time plain arm of the same code.
     let plain = record(&fresh::<Plain>(), false, script);
     plain.assert_same(&uncached, "Heap<Plain> against Heap<Shared>");
+    let plain = record(&fresh::<Plain>(), true, script);
+    plain.assert_same(&cached, "Heap<Plain> against Heap<Shared>, cached");
 
     let global = DieHard::with_elastic_config(HeapConfig::paper_default(), SEED, DEFAULT_GROW_LOG2);
     let mut global_ops = drive(&mut &global, script);
@@ -167,8 +172,10 @@ fn drive_all() -> Recording {
     }
 }
 
-/// The history is worth pinning only if it went where the docs say it goes.
-fn assert_history_covers_the_protocol(r: &Recording) {
+/// The history is worth pinning only if it went where the docs say it goes;
+/// and `DieHard`'s part of it must be the uncached trace when it ran `alone`,
+/// the cached one otherwise.
+fn assert_history_covers_the_protocol(r: &Recording, alone: bool) {
     let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
     let promoted = [r.uncached.promoted, r.cached.promoted, r.global_promoted];
     assert_eq!(promoted, [hot; 3], "the 64-byte class, alone, everywhere");
@@ -190,12 +197,21 @@ fn assert_history_covers_the_protocol(r: &Recording) {
         assert!(stats.ignored_frees > 100, "column {column}: {stats:?}");
         assert_eq!(stats.exhausted, 0, "column {column}: nothing was denied");
     }
-    assert_eq!(r.cached.stats, r.global_stats, "DieHard is the cached heap");
-    assert_eq!(r.cached.ops.placed.len(), r.global.placed.len());
-    let first = r.cached.ops.placed[0].unwrap();
-    let pairs = r.cached.ops.placed.iter().zip(&r.global.placed);
+    let (path, what) = if alone {
+        (&r.uncached, "DieHard alone is the uncached heap")
+    } else {
+        (&r.cached, "DieHard threaded is the cached heap")
+    };
+    assert_eq!(path.stats, r.global_stats, "{what}");
+    assert_eq!(path.ops.placed.len(), r.global.placed.len(), "{what}");
+    let first = path.ops.placed[0].unwrap();
+    let pairs = path.ops.placed.iter().zip(&r.global.placed);
     for (i, (m, g)) in pairs.enumerate() {
-        assert_eq!(m.map(|off| off.wrapping_sub(first)), *g, "placement {i}");
+        assert_eq!(
+            m.map(|off| off.wrapping_sub(first)),
+            *g,
+            "{what}: placement {i}"
+        );
     }
     let live = (r.global_stats.allocs - r.global_stats.frees) as usize;
     assert_eq!(
@@ -262,9 +278,8 @@ fn nested_calls_are_diverted_alone() {
 }
 
 /// The fork child of a process that has only ever had one thread is alone
-/// too, and keeps allocating on its copy of the heap — its own magazines,
-/// reservations and buffered frees included — while the parent's is left as
-/// it was.
+/// too, and keeps allocating on its copy of the heap, while the parent's is
+/// left as it was.
 fn fork_child_keeps_allocating(heap: &DieHard, live: usize) {
     // SAFETY: the process has one thread, so no lock is held across the
     // fork by anyone else; the child makes no call that could need one and
@@ -291,32 +306,20 @@ fn fork_child_keeps_allocating(heap: &DieHard, live: usize) {
     );
 }
 
-/// The first calls into `heap` after the first spawn, racing from four
-/// threads: one of them drains what the heap's own magazines kept while the
-/// process was alone — reservations and buffered frees — and none of them
-/// finds a reservation left over or a counter short.
-fn first_calls_drain_once(heap: &DieHard) {
-    const THREADS: usize = 4;
-    let start = Barrier::new(THREADS);
-    std::thread::scope(|s| {
-        for id in 0..THREADS {
-            let start = &start;
-            s.spawn(move || {
-                let mut rng = Mwc::seeded(SEED ^ 5 ^ id as u64);
-                start.wait();
-                let object = make(heap, &mut rng, id);
-                check_and_free(heap, object);
-                // A scoped thread can outrun its exit flush: settle here.
-                heap.flush_thread_cache();
-            });
-        }
-    });
+/// What the objects made alone left in `heap`, read once the process has a
+/// second thread and before any thread has bound to `heap`: an alone call
+/// holds nothing outside the heap, so there is nothing to hand over. Every
+/// object freed alone is dead already — read without flushing anything —
+/// no slot is reserved, and every allocation and free is counted.
+fn alone_leaves_nothing_to_hand_over(heap: &DieHard, freed: &[usize]) {
+    for &p in freed {
+        assert_eq!(heap.usable_size(p as *mut u8), 0, "{p:#x} was freed alone");
+    }
+    assert_eq!(heap.reserved_slots(), 0, "nothing was reserved");
     let stats = heap.stats();
-    let alone = (MADE_ALONE as u64, FREED_ALONE as u64);
-    assert_eq!(stats.allocs, alone.0 + THREADS as u64, "{stats:?}");
-    assert_eq!(stats.frees, alone.1 + THREADS as u64, "{stats:?}");
+    assert_eq!(stats.allocs, MADE_ALONE as u64, "{stats:?}");
+    assert_eq!(stats.frees, FREED_ALONE as u64, "{stats:?}");
     assert_eq!((stats.ignored_frees, stats.exhausted), (0, 0));
-    assert_eq!(heap.reserved_slots(), 0, "the reservations went back");
     assert_eq!(heap.live_objects(), MADE_ALONE - FREED_ALONE);
 }
 
@@ -390,17 +393,21 @@ fn main() {
 
     nested_calls_are_diverted_alone();
 
-    // Allocated and filled with plain loads and stores, and some freed again:
-    // the heap's own magazines now hold reservations and buffered frees.
+    // Allocated and filled with plain loads and stores, and some freed again,
+    // each straight into the heap.
     let heap =
         DieHard::with_elastic_config(HeapConfig::paper_default(), SEED ^ 1, DEFAULT_GROW_LOG2);
     let mut rng = Mwc::seeded(SEED ^ 2);
     let mut before: Vec<_> = (0..MADE_ALONE)
         .map(|id| make(&heap, &mut rng, id))
         .collect();
-    for _ in 0..FREED_ALONE {
-        check_and_free(&heap, before.swap_remove(rng.below(before.len())));
-    }
+    let freed: Vec<usize> = (0..FREED_ALONE)
+        .map(|_| {
+            let object = before.swap_remove(rng.below(before.len()));
+            check_and_free(&heap, object);
+            object.0
+        })
+        .collect();
     fork_child_keeps_allocating(&heap, before.len());
     assert_eq!(sole_thread(), two_arms, "nothing above spawns");
 
@@ -409,16 +416,16 @@ fn main() {
     let helper = std::thread::spawn(move || parked.recv().is_err());
     assert!(!sole_thread(), "pthread_create cleared the byte");
 
+    alone_leaves_nothing_to_hand_over(&heap, &freed);
     let threaded = drive_all();
-    assert_history_covers_the_protocol(&threaded);
+    assert_history_covers_the_protocol(&threaded, false);
     if let Some(alone) = &alone {
-        assert_eq!(
-            alone, &threaded,
-            "the two arms must record the same history"
-        );
+        assert_history_covers_the_protocol(alone, true);
+        let arms = "the two arms must record the same history";
+        alone.uncached.assert_same(&threaded.uncached, arms);
+        alone.cached.assert_same(&threaded.cached, arms);
     }
 
-    first_calls_drain_once(&heap);
     handover(&heap, before);
 
     drop(unpark);
@@ -429,8 +436,8 @@ fn main() {
     println!(
         "single_thread: {} placements, {} frees and all counters {}, \
          and on Heap<Plain>'s compile-time plain arm; nested calls diverted and a \
-         fork child served alone; 20000 objects made alone, drained once and handed over \
-         to 4 threads",
+         fork child served alone; 20000 objects made alone, nothing left to hand over, \
+         then freed by 4 threads",
         threaded.uncached.ops.placed.len() * 3,
         threaded.uncached.ops.freed.len() * 3,
         if two_arms {

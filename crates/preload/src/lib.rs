@@ -45,9 +45,9 @@
 //! `ld.so` at load like every other libc import): while the host has one
 //! thread — `cat`, `tr`, `grep`, `awk`, `sort --parallel=1` — the
 //! allocator's read-modify-writes are plain loads and stores, which is what
-//! glibc's own `malloc` does for such a host, and its magazines are the
-//! heap's own, reached without a thread-local lookup; at the host's first
-//! `pthread_create` they become locked instructions and per-thread
+//! glibc's own `malloc` does for such a host, and every call goes straight
+//! to the heap, with no thread-local lookup and no cache; at the host's
+//! first `pthread_create` they become locked instructions behind per-thread
 //! magazines ([`diehard_core::sync`]). Each call reads the byte once. On an
 //! older glibc the library fails to load
 //! with an unresolved-symbol error instead of running. The symbol is
@@ -242,8 +242,8 @@ fn allocate(size: usize, align: usize) -> *mut u8 {
 
 /// The one allocation funnel: re-entrant calls go to the arena. Out of
 /// line, with [`DieHard::alloc_guarded`] inlined whole into it: every export
-/// shares one copy of the path from the re-entrancy flag to the magazine
-/// pop.
+/// shares one copy of the path from the re-entrancy flag to the slot claim
+/// (alone) or the magazine pop (threaded).
 #[inline(never)]
 fn alloc_impl(layout: Layout) -> *mut u8 {
     HEAP.alloc_guarded(layout, || arena::alloc(layout.size(), layout.align()))

@@ -56,7 +56,10 @@
 //! any other: a connection whose voted output is complete half-closes
 //! toward its client at once, and retires with its outcome when
 //! [`Session::finalize`] has reaped the last replica — a set that lingers
-//! after closing its output holds up only its own report.
+//! after closing its output holds up only its own report. A stopping proxy
+//! accepts nothing more, aborts every connection still streaming, and
+//! gives those that are only waiting for their replicas' exits one more
+//! tick of rounds before it aborts what is left.
 
 use crate::net::Listener;
 use crate::pool::{Pool, PoolStats};
@@ -68,6 +71,12 @@ use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The longest a reactor round sleeps, in milliseconds: the stop flag is
+/// read at least this often, and a stopping proxy gives drained connections
+/// this long.
+const TICK_MS: libc::c_int = 100;
 
 /// What a proxy `pollfd` entry refers to.
 #[derive(Debug, Clone, Copy)]
@@ -238,9 +247,13 @@ impl Proxy {
         self.listener.local_port()
     }
 
-    /// Serves connections until `stop` becomes true, then aborts whatever
-    /// is still live (SIGKILL + reap) and returns the summary. Runs on the
-    /// calling thread; tests and the `diehard-proxy` binary give it one.
+    /// Serves connections until `stop` becomes true, then winds down and
+    /// returns the summary: it accepts nothing more and aborts (SIGKILL +
+    /// reap) every connection still streaming, gives those whose client
+    /// already has its EOF one more tick of reactor rounds to cast their
+    /// closing ballots, and aborts whatever is still running after that.
+    /// Runs on the calling thread; tests and the `diehard-proxy` binary
+    /// give it one.
     ///
     /// # Errors
     ///
@@ -257,7 +270,10 @@ impl Proxy {
         // listener sits out the next round: its pending connection keeps it
         // readable, so polling it for input would spin.
         let (mut accept_failing, mut listener_rests) = (false, false);
-        while !stop.load(Ordering::Acquire) {
+        // Set once `stop` is seen: the end of the one tick the drained
+        // connections get to finish their closing ballots.
+        let mut wind_down: Option<Instant> = None;
+        loop {
             // Pump: resolve satisfied barriers into each connection's
             // outbound queue and flush what the socket will take, until
             // the queue stays at its cap (the slow-reader backpressure) or
@@ -270,6 +286,18 @@ impl Proxy {
                     summary.note(slot.take().expect("conn is Some"));
                     if self.log_pool_stats {
                         eprintln!("diehard-proxy: {}", self.pool.stats_line());
+                    }
+                }
+            }
+            // Stopping: a connection whose client has no EOF yet is still
+            // streaming and goes now; one whose client has it is only
+            // waiting for its replicas' exits, and gets the tick.
+            if wind_down.is_none() && stop.load(Ordering::Acquire) {
+                wind_down = Some(Instant::now() + Duration::from_millis(TICK_MS as u64));
+                for slot in conns.iter_mut() {
+                    if let Some(mut conn) = slot.take_if(|conn| !conn.eof_sent) {
+                        conn.disconnect();
+                        summary.note(conn);
                     }
                 }
             }
@@ -289,7 +317,12 @@ impl Proxy {
             // zero-timeout probe of the listener closes the remaining race:
             // a client that has already connected wins over topping up the
             // pool.
-            let refill_ok = conns.iter().all(Option::is_none)
+            let left = wind_down.map(|end| end.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero() || conns.iter().all(Option::is_none)) {
+                break;
+            }
+            let refill_ok = left.is_none()
+                && conns.iter().all(Option::is_none)
                 && !matches!(
                     crate::reactor::poll_fd(self.listener.as_raw_fd(), libc::POLLIN, 0),
                     Ok(revents) if revents != 0
@@ -301,12 +334,15 @@ impl Proxy {
             // Re-register the world as it now stands, parked pool sets
             // included (their stdouts are the idle liveness watch).
             reactor.clear();
-            let listen = if std::mem::take(&mut listener_rests) {
-                0 // polled for errors only, so the round still sleeps its tick
-            } else {
-                libc::POLLIN
-            };
-            reactor.register(self.listener.as_raw_fd(), listen, Token::Listener);
+            // Winding down, the listener is left out: nothing new is accepted.
+            if left.is_none() {
+                let listen = if std::mem::take(&mut listener_rests) {
+                    0 // polled for errors only, so the round still sleeps its tick
+                } else {
+                    libc::POLLIN
+                };
+                reactor.register(self.listener.as_raw_fd(), listen, Token::Listener);
+            }
             self.pool
                 .register_interest(|fd, events, id| reactor.register(fd, events, Token::Pool(id)));
             for (slot, conn) in conns.iter().enumerate() {
@@ -332,7 +368,8 @@ impl Proxy {
             let timeout = if refill_ok && self.pool.wants_spawn() {
                 0
             } else {
-                100
+                // Rounded up, so a wind-down's last wait ends past its tick.
+                left.map_or(TICK_MS, |left| left.as_millis() as libc::c_int + 1)
             };
             reactor.wait(timeout)?;
             // Parked-set liveness first: a set condemned in this round must
@@ -409,15 +446,12 @@ impl Proxy {
                 }
             }
         }
-        // Stop requested: whatever is still live is torn down hard.
-        for slot in conns.iter_mut() {
-            if let Some(mut conn) = slot.take() {
-                if conn.outcome.is_none() {
-                    conn.session.abort();
-                    conn.aborted = true;
-                }
-                summary.note(conn);
+        // The tick is up: whatever is still running is torn down hard.
+        for mut conn in conns.into_iter().flatten() {
+            if conn.outcome.is_none() {
+                conn.disconnect();
             }
+            summary.note(conn);
         }
         summary.pool = self.pool.stats().clone();
         Ok(summary)

@@ -2,7 +2,8 @@
 //! concurrent voted sessions over one reactor, a corrupt replica outvoted
 //! mid-connection, slow-reader backpressure (down to a one-chunk queue),
 //! a one-chunk answer that does not wait for the request to end, replicas
-//! that linger after their output without stalling other connections,
+//! that linger after their output without stalling other connections (or
+//! a stop, which gives them one tick),
 //! mid-stream client disconnects, an unresolvable response tie, replicas
 //! that hold no socket, a failed accept the proxy survives, and the
 //! `diehard-proxy` binary echoing through its warm pool.
@@ -297,6 +298,43 @@ fn a_lingering_replica_set_stalls_no_other_connection() {
     let outcome = a.outcome.as_ref().expect("A's replicas were reaped");
     assert_eq!(outcome.exit_code, Some(0));
     assert_eq!(outcome.committed, b"connection A".len() as u64);
+}
+
+#[test]
+fn stopping_gives_a_drained_connection_one_tick_for_its_closing_ballots() {
+    // The client has its answer and its EOF while the replicas still run:
+    // 50 ms on, they exit 0. Stopping the proxy at once must not abort that
+    // connection — its exit ballots arrive within the tick a stopping proxy
+    // grants — while replicas that linger two seconds are aborted when the
+    // tick is up, so the stop itself never waits on them.
+    for (linger, ballots_in_time) in [("0.05", true), ("2", false)] {
+        let script = format!("cat; exec >&-; sleep {linger}");
+        let config = LaunchConfig::new(3, vec!["/bin/sh".into(), "-c".into(), script], Vec::new());
+        let listener = Listener::bind_loopback(0).expect("bind");
+        let proxy = Proxy::new(listener, config).expect("chunk valid");
+        let (port, stop, handle) = spawn_proxy(proxy);
+        let mut stream = connect_loopback(port).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream.write_all(b"drained").expect("send");
+        shutdown_write(&stream).expect("half-close");
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).expect("EOF");
+        assert_eq!(response, b"drained");
+
+        let stopped = Instant::now();
+        let summary = stop_and_join(&stop, handle);
+        let took = stopped.elapsed();
+        assert!(took < Duration::from_secs(1), "stopping took {took:?}");
+        let report = &summary.reports[0];
+        assert_eq!(report.aborted, !ballots_in_time, "linger {linger} s");
+        if ballots_in_time {
+            let outcome = report.outcome.as_ref().expect("finalized");
+            assert_eq!(outcome.exit_code, Some(0));
+            assert_eq!(outcome.committed, b"drained".len() as u64);
+        }
+    }
 }
 
 #[test]
