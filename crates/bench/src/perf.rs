@@ -430,9 +430,10 @@ fn grow_under_churn(smoke: bool) -> KernelResult {
 /// Huge-page commit cost: one op = first-touch of one 4 KB page inside a
 /// fresh anonymous mapping advised with `MADV_HUGEPAGE` — the
 /// mmap/madvise/fault sequence the global allocator issues for each large
-/// object, and what every fault in a size class costs *after* that class
-/// has been promoted (before promotion, and in every class of a short
-/// process, the arena faults in plain 4 KB pages: see `class_first_touch`).
+/// object, and what every fault in a huge page of a size class costs *after*
+/// the growth step that completed that page has advised it (short of that,
+/// and in every class of a short process, the arena faults in plain 4 KB
+/// pages: see `class_first_touch`).
 /// One 2 MB fill is 512 of these ops. The advice is best-effort: on
 /// kernels without transparent huge pages this degrades to (and measures)
 /// ordinary 4 KB faults, so the number is meaningful either way.
@@ -531,12 +532,11 @@ fn anon_huge_kb() -> Option<u64> {
 }
 
 /// The price of a promotion: one op = the `malloc` whose growth step takes the
-/// 8-byte class of a fresh heap from 1.75 MB to 2 MB — the first moment the
-/// class, long since past `PROMOTE_AFTER_ALLOCS`, has an active range one
-/// huge page long: the step itself, `MADV_HUGEPAGE` and `MADV_COLLAPSE` of
-/// that 2 MB, whose lower seven eighths by then hold 114 688 live, written
-/// objects on all 448 of their pages and whose last eighth has never been
-/// touched. Paid once per huge page of a class's range, and only by
+/// 8-byte class of a fresh heap from 1.75 MB to 2 MB — the step that
+/// completes its first huge page, which is where a class is promoted: the
+/// step itself, `MADV_HUGEPAGE` and `MADV_COLLAPSE` of that 2 MB, whose
+/// lower seven eighths by then hold 114 688 live, written objects on all
+/// 448 of their pages and whose last eighth has never been touched. Paid once per huge page of a class's range, and only by
 /// classes with 896 KiB live at once. Where the kernel refuses
 /// the collapse (THP off, pre-6.1, no free 2 MB block) the op is two
 /// syscalls that change no page, and the kernel says so on stderr.
@@ -559,7 +559,7 @@ fn class_promote(smoke: bool) -> KernelResult {
             // SAFETY: a live 8-byte object.
             unsafe { p.write(i as u64) };
         }
-        assert_eq!(heap.promoted_classes(), 0, "hot, but short of 2 MB");
+        assert_eq!(heap.promoted_classes(), 0, "busy, but short of 2 MB");
         let huge_before = anon_huge_kb();
         let start = Instant::now();
         let p = black_box(heap.malloc(8));
@@ -600,14 +600,14 @@ fn class_promote(smoke: bool) -> KernelResult {
 ///   in cache, every touch is a miss, and the number moves with what hides
 ///   latency (the allocator issues no prefetch: a hint one allocation ahead
 ///   did not pay for its instructions once `malloc` had no fences), with
-///   TLB reach (the
-///   whole huge pages of its six largest ranges are promoted) and with how
-///   full the ranges are (the paper's `1/(1 − 1/M)` probes);
+///   TLB reach (the whole huge pages of its largest ranges are promoted, at
+///   the growth steps of the fill that completed them) and with how full
+///   the ranges are (the paper's `1/(1 − 1/M)` probes);
 /// * `global_churn_small`, 3 000 objects (≈ 0.5 MB live): from the 64 KiB
 ///   start the ten classes the mix touches span 2.5 MB between them, on
 ///   base pages, each near its `1/M` cap — so an allocation pays the
 ///   paper's `1/(1 − 1/M)` expected probes, which a 2 MB start (20 MB of
-///   ranges, all promoted, nearly empty) never does, and in exchange its
+///   ranges, nearly empty) never does, and in exchange its
 ///   touches stay in L2. On the reference box (2 MB of L2 a core, a 260 MB
 ///   L3) the two cancel: 91–98 ns a pair from the 64 KiB start, 89–110 from
 ///   a 2 MB start. What the small start buys such a host is not steady

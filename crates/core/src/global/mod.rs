@@ -206,10 +206,12 @@
 //!   Initialization advises nothing: the small-object span is reserved
 //!   2 MB-aligned and faults in 4 KB at a time, so a class a process barely
 //!   uses costs the pages it touches (§4.1's lazily initialized
-//!   partitions). Once a class has proven hot
-//!   ([`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS)),
-//!   **every whole huge page of its active range** is handed to the promote
-//!   hook, once, at the refill or growth step that completes it: the hook
+//!   partitions). A class's huge pages come with its growth
+//!   ([`PromoteHook`](crate::sharded::PromoteHook) has the rule): **every
+//!   whole huge page of its active range** is handed to the promote hook,
+//!   once, at the growth step that completes it — the step that brings a
+//!   class to 2 MB follows `1/M` of it being live, which is evidence enough
+//!   that it is busy. The hook
 //!   issues [`sys::advise_hugepages`] (`MADV_HUGEPAGE`) over exactly those
 //!   huge pages — §7's TLB-reach remedy — and
 //!   [`sys::collapse_hugepages`] (`MADV_COLLAPSE`) over the same bytes,
@@ -223,9 +225,12 @@
 //!   allocator's back; advice over the whole region of a class whose range
 //!   is 2.5 MB makes the first touch of its tail a 2 MB fault, 4 MB
 //!   resident for 2.5 in use. The tail of less than one huge page stays on
-//!   base pages until a later step completes it. A refused advice is not
-//!   recorded as given: the range is offered again when the class next
-//!   grows. Both calls are non-destructive by specification:
+//!   base pages until a later step completes it. A heap that never grows
+//!   (`DIEHARD_GROW=0`, the paper's fixed heap) is never advised, so its
+//!   32 MB regions fault in 4 KB at a time for as long as it lives. Both
+//!   calls are best-effort and neither is repeated: advice the kernel turns
+//!   down leaves the range on base pages for good. Both are non-destructive
+//!   by specification:
 //!   neither can unmap, move, or zero memory,
 //!   the kernel performs the collapse atomically with
 //!   respect to other threads' loads and stores, and every failure (a
@@ -233,9 +238,9 @@
 //!   or with THP off, no free 2 MB block) leaves the range exactly as it
 //!   was, on 4 KB pages — so the collapse's result is ignored. Under THP
 //!   `never` the advice is recorded and never acted on. Both are issued
-//!   once per huge page, under the class's maintenance lock (so never
-//!   concurrently with a growth step of the same class, and `fork_prepare`
-//!   waits for one in flight), and never from a per-op path. The price of
+//!   once per huge page, inside the growth step that completed it, under
+//!   the class's maintenance lock (so `fork_prepare` waits for one in
+//!   flight), and never from a per-op path. The price of
 //!   holding the lock across them is a stall per huge page: a collapse
 //!   copies 2 MB and took
 //!   0.4–15 ms on the reference box (`class_promote` in `BENCH_12.json`),
@@ -280,9 +285,9 @@ use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 /// `DIEHARD_GROW` paragraph in the module docs has the price; the
 /// measurements that chose 9 over 7 and 13 are in `CHANGES.md`, PR 16).
 /// Short of 2 MB the class stays on base pages whatever its traffic; from
-/// the step that takes a hot class to 2 MB, each whole huge page of its
-/// range is promoted as a step completes it
-/// ([`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS)).
+/// the step that takes it to 2 MB, each whole huge page of its range is
+/// promoted as a step completes it
+/// ([`PromoteHook`](crate::sharded::PromoteHook) has the rule).
 ///
 /// What the ladder keeps and what it gives up (PR 24). Kept, at every rung
 /// of every class: `threshold = ⌊capacity / M⌋` exactly, so capacity ≥ `M` ×
@@ -636,14 +641,11 @@ impl DieHard {
         self.ready().map_or(0, |s| s.heap.reserved_slots())
     }
 
-    /// Bitmask of size classes with memory promoted to huge pages (bit `i` =
-    /// class index `i`; diagnostics): those for which a refill or growth
-    /// step has found the cumulative allocation count at
-    /// [`PROMOTE_AFTER_ALLOCS`](crate::sharded::PROMOTE_AFTER_ALLOCS) or
-    /// more and whole huge pages in the active range, **and the kernel has
-    /// accepted the advice** for at least one of them
-    /// ([`Heap::advised_len`] has the extent; whether it also collapsed
-    /// them is not recorded).
+    /// Bitmask of size classes with memory offered to huge pages (bit `i` =
+    /// class index `i`; diagnostics): those that have taken a growth step
+    /// and hold a whole huge page in their active range
+    /// ([`Heap::promoted_classes`]). Whether the kernel took the advice, or
+    /// collapsed the pages, is not recorded.
     #[must_use]
     pub fn promoted_classes(&self) -> u32 {
         self.ready().map_or(0, |s| s.heap.promoted_classes())
@@ -824,8 +826,8 @@ impl DieHard {
         // 2 MB-aligned, so every class region (a power of two) of at least
         // one huge page starts and ends on a huge-page boundary and can be
         // advised and collapsed as a whole. Nothing is advised here: the
-        // span faults in 4 KB at a time until a class proves hot (see
-        // `promote_region`).
+        // span faults in 4 KB at a time until a growth step completes a
+        // huge page (see `promote_region`).
         let heap_base = sys::map_reserve_huge_aligned(span);
         if heap_base.is_null() {
             // SAFETY: meta was just mapped with this length.
@@ -1043,16 +1045,14 @@ impl Route for tls::TlsBlock {
 /// pages `[offset, offset + len)` of the span at `heap_base` — whole ones,
 /// inside one class's active range — onto huge pages. The advice covers
 /// what the range faults in from here on, the collapse re-backs what has
-/// been touched so far. The advice's answer is the hook's: refused, the
-/// range stays on the pages it has and the heap offers it again when the
-/// class next grows. The collapse is best-effort and its result ignored.
-fn promote_region(heap_base: usize, offset: usize, len: usize) -> bool {
+/// been touched so far. Both are best-effort: advice the kernel turns down
+/// leaves the range on the pages it has (there is nothing to collapse), and
+/// the heap never offers it again.
+fn promote_region(heap_base: usize, offset: usize, len: usize) {
     let range = (heap_base + offset) as *mut u8;
-    let advised = sys::advise_hugepages(range, len);
-    if advised {
+    if sys::advise_hugepages(range, len) {
         sys::collapse_hugepages(range, len);
     }
-    advised
 }
 
 /// Runs `f` with this thread's re-entrancy flag set, telling it whether it
@@ -1510,49 +1510,65 @@ mod tests {
         assert_eq!(heap.live_objects(), 0);
     }
 
-    /// Paper-sized 32 MB regions at a 1/16 start: every class has a whole
-    /// huge page (a 2 MB active range) from its first object, so a
-    /// promotion here is decided by the count alone and really advises and
-    /// collapses.
+    /// Paper-sized 32 MB regions at a 1/16 start: every class is born with a
+    /// whole huge page (a 2 MB active range), which its first growth step
+    /// hands the hook.
     fn paper_elastic_heap(seed: u64) -> DieHard {
         DieHard::with_elastic_config(HeapConfig::paper_default(), seed, 4)
     }
 
-    /// A class driven past the count is promoted alone, at the first refill
-    /// that finds it with a whole huge page: on a fixed heap and from a 2 MB
-    /// start that is the refill that takes its count there, as it always
-    /// was — the whole region of the one, the 2 MB range of the other; from
-    /// the shipped 64 KiB start it is the refill that steps the class from
-    /// 1.75 MB to 2 MB, thirty times the count later, and every later step
-    /// adds the huge pages it completed, up to the whole region. Each
-    /// collapse happens in place (every object keeps its address and its
-    /// contents), and placement stays identical to a heap that owns no
-    /// memory and has no hook at all — through refills,
-    /// every step on the way, the promotions, interleaved frees and a step
-    /// after them.
+    /// Whether the host's THP mode is `madvise`, the one mode in which what
+    /// is backed by huge pages is the allocator's call alone.
+    fn thp_madvise() -> bool {
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        thp.is_ok_and(|mode| mode.contains("[madvise]"))
+    }
+
+    /// The classes the promotion rule has offered huge pages, read off a
+    /// heap with no hook: grown at least one step, and a huge page long.
+    fn grown_to_a_huge_page(heap: &Heap) -> u32 {
+        SizeClass::all().fold(0, |mask, class| {
+            let capacity = heap.partition(class).capacity();
+            let grown = capacity > heap.geometry().initial_capacity(class);
+            let whole = capacity * class.object_size() >= sys::HUGE_PAGE;
+            mask | u32::from(grown && whole) << class.index()
+        })
+    }
+
+    /// A busy class is promoted alone, at the growth step that completes a
+    /// huge page, in this threaded process as in a one-thread one: from the
+    /// shipped 64 KiB start at the refill that steps the class from 1.75 MB
+    /// to 2 MB, and every later step adds the huge pages it completed, up to
+    /// the whole region; from a 2 MB start at its first step, with the
+    /// 2 MB it was born with. A fixed heap never grows and is never
+    /// promoted, however busy the class: its 32 MB region stays on base
+    /// pages, at most one resident per object (`mincore`, checked under THP
+    /// `madvise`). Each collapse happens in place (every object keeps its
+    /// address and its contents), and placement stays identical to a heap
+    /// that owns no memory and has no hook at all — through refills, every
+    /// step on the way, the promotions, interleaved frees and steps of
+    /// other classes after them.
     #[test]
     fn hot_class_is_promoted_once_alone_and_in_place() {
-        use crate::magazine::MAG_SLOTS;
-        use crate::sharded::PROMOTE_AFTER_ALLOCS;
-
         const SEED: u64 = 0x9A6E;
         let config = HeapConfig::paper_default;
         let hot_class = SizeClass::for_size(64).unwrap();
         let hot = 1u32 << hot_class.index();
-        // Handouts 1..=8 come from refill 1, so the refill that takes the
-        // count to `n` serves handout `n − 8 + 1`; the refill that finds a
-        // range's `1/M` allowance `t` used up, and widens it, serves
-        // handout `t + 1`.
-        let at_the_count = PROMOTE_AFTER_ALLOCS as usize - MAG_SLOTS + 1;
-        let at_two_mb = config().threshold_for(sys::HUGE_PAGE / 8 * 7 / 64) + 1;
-        // The shipped start then climbs on, past its last step (at seven
-        // eighths of the `1/M` allowance of the 32 MB maximum).
+        // Handouts come in refills, and the refill that finds a range's
+        // `1/M` allowance `t` used up, and widens it, serves handout `t + 1`.
+        let step_from = |bytes: usize| config().threshold_for(bytes / 64) + 1;
+        // The shipped start climbs on, past its last step (at seven eighths
+        // of the `1/M` allowance of the 32 MB maximum).
         let whole_ladder = config().threshold(hot_class) / 16 * 15;
-        let region = config().region_bytes;
-        for (start, crossing, objects, advised) in [
-            (None, at_the_count, 2 * at_the_count, region),
-            (Some(4), at_the_count, 2 * at_the_count, sys::HUGE_PAGE),
-            (Some(DEFAULT_GROW_LOG2), at_two_mb, whole_ladder, region),
+        let at_two_mb = step_from(sys::HUGE_PAGE);
+        for (start, crossing, objects) in [
+            (None, None, 2_000),
+            (Some(4), Some(at_two_mb), at_two_mb + 1_000),
+            (
+                Some(DEFAULT_GROW_LOG2),
+                Some(step_from(sys::HUGE_PAGE / 8 * 7)),
+                whole_ladder,
+            ),
         ] {
             let (heap, twin) = match start {
                 Some(log2) => (
@@ -1576,20 +1592,28 @@ mod tests {
                 assert_eq!(base % sys::HUGE_PAGE, 0, "span is huge-page aligned");
                 let expected = twin.offset_of(twin_cache.alloc(64).unwrap());
                 assert_eq!(p as usize - base, expected, "placement of object {i}");
-                let want = if i >= crossing { hot } else { 0 };
+                let want = u32::from(crossing.is_some_and(|c| i >= c)) * hot;
                 assert_eq!(
                     heap.promoted_classes(),
                     want,
                     "start {start:?}, after object {i}"
                 );
             }
-            let shared = &heap.ready().unwrap().heap;
-            assert_eq!(shared.advised_len(hot_class), advised, "start {start:?}");
+            let state = heap.ready().unwrap();
+            if start.is_none() && thp_madvise() {
+                let region =
+                    state.heap_base as usize + state.heap.geometry().region_base(hot_class);
+                let resident = resident_bytes(region, config().region_bytes, state.page);
+                assert!(
+                    resident <= objects * state.page,
+                    "{resident} B of the fixed region resident for {objects} objects"
+                );
+            }
             // A mixed history on top — three classes, every third call a
             // free of a random live object, so refills and free-buffer
             // flushes interleave — holding enough 16 KB objects
             // live to grow that class on either elastic heap.
-            let base = heap.ready().unwrap().heap_base as usize;
+            let base = state.heap_base as usize;
             let mut rng = crate::rng::Mwc::seeded(SEED);
             let mut mixed: Vec<*mut u8> = Vec::new();
             for i in 0..600usize {
@@ -1604,6 +1628,7 @@ mod tests {
                     heap.free(victim);
                     let _ = twin_cache.free_at(victim as usize - base);
                 }
+                assert_eq!(heap.promoted_classes(), grown_to_a_huge_page(&twin));
             }
             assert_eq!(
                 twin.growth_events() > 0,
@@ -1620,11 +1645,13 @@ mod tests {
             for p in mixed {
                 heap.free(p);
             }
+            let promoted = heap.promoted_classes();
+            assert_eq!(promoted & hot, u32::from(crossing.is_some()) * hot);
             // Cold classes stay cold, whatever else the heap does.
             let cold = heap.malloc(1000);
             let large = heap.malloc(3 << 20);
             assert!(!cold.is_null() && !large.is_null());
-            assert_eq!(heap.promoted_classes(), hot);
+            assert_eq!(heap.promoted_classes(), promoted);
             for (i, &p) in ptrs.iter().enumerate() {
                 // SAFETY: still live; written above.
                 assert_eq!(unsafe { p.cast::<usize>().read() }, i + 1, "object {i}");
@@ -1633,7 +1660,7 @@ mod tests {
             heap.free(cold);
             heap.free(large);
             assert_eq!(heap.live_objects(), 0);
-            assert_eq!(heap.promoted_classes(), hot, "promotion is for life");
+            assert_eq!(heap.promoted_classes(), promoted, "promotion is for life");
         }
     }
 
@@ -1690,7 +1717,7 @@ mod tests {
 
     /// The default elastic heap pays for what is live: after `churn_host`'s
     /// size mix has churned over 3 000 live objects — every class it uses
-    /// long past the promotion count — the arena's resident memory is no
+    /// busy, some past a growth step — the arena's resident memory is no
     /// more than the sum of the classes' active ranges (placement touches a
     /// range, never beyond it), and no class has been handed a huge page to
     /// hold it.
@@ -1705,8 +1732,9 @@ mod tests {
     }
 
     /// And it goes on paying for what is live past 2 MB: at 50 000 live
-    /// objects the busiest classes have grown whole huge pages and been given them,
-    /// and still nothing is resident beyond the active ranges — the advice
+    /// objects the busiest classes have grown whole huge pages and been given
+    /// them — every grown class exactly the whole huge pages of its range —
+    /// and still nothing is resident beyond the active ranges: the advice
     /// covers `⌊active / 2 MB⌋` huge pages of each, so neither a first touch
     /// nor `khugepaged` can round a 2.5 MB range up to 4. (Under THP mode
     /// `always` the kernel backs the unadvised tails with huge pages unasked
@@ -1715,16 +1743,17 @@ mod tests {
     fn huge_pages_stay_inside_the_active_ranges_as_they_grow() {
         let (heap, resident, active) = churned_default_heap(50_000, 20_000);
         let shared = &heap.ready().unwrap().heap;
-        let mut advised = 0;
+        let mut offered = 0;
         for class in SizeClass::all() {
             let partition = shared.partition(class);
             let range = partition.capacity() * class.object_size();
-            let hot = partition.probe_stats().0 >= crate::sharded::PROMOTE_AFTER_ALLOCS;
+            let grown = partition.capacity() > shared.geometry().initial_capacity(class);
             let whole = range / sys::HUGE_PAGE * sys::HUGE_PAGE;
-            assert_eq!(shared.advised_len(class), usize::from(hot) * whole);
-            advised += shared.advised_len(class);
+            let promoted = shared.promoted_classes() >> class.index() & 1 == 1;
+            assert_eq!(promoted, grown && whole > 0, "class {}", class.index());
+            offered += usize::from(grown) * whole;
         }
-        assert!(advised >= 4 * sys::HUGE_PAGE, "{advised} B advised");
+        assert!(offered >= 4 * sys::HUGE_PAGE, "{offered} B offered");
         let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
         let rounded = thp.is_ok_and(|mode| mode.contains("[always]"));
         let bound = active + usize::from(rounded) * crate::size_class::NUM_CLASSES * sys::HUGE_PAGE;
@@ -1735,28 +1764,34 @@ mod tests {
     }
 
     /// `fork_prepare` holds every maintenance lock, and a promotion runs
-    /// under its class's: so no promotion can begin or be mid-syscall
-    /// inside a prepare/resume window, however the two race, and the locks
-    /// balance either way.
+    /// inside a growth step under its class's: so no promotion can begin or
+    /// be mid-syscall inside a prepare/resume window, however the two race,
+    /// and the locks balance either way. The worker holds enough 64 B
+    /// objects live to take the class's first step past its 2 MB start,
+    /// which collapses that huge page.
     #[test]
     fn fork_locks_balance_with_a_promotion_racing_them() {
-        use crate::sharded::PROMOTE_AFTER_ALLOCS;
-
         let heap = paper_elastic_heap(0xF02C);
         // Initialized up front, so every prepare takes the full lock set.
         let first = heap.malloc(64);
         assert!(!first.is_null());
         let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
+        let past_the_step = HeapConfig::paper_default().threshold_for(sys::HUGE_PAGE / 64) + 1;
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             let (heap, start) = (&heap, &start);
             let worker = scope.spawn(move || {
                 start.wait();
-                for i in 0..2 * PROMOTE_AFTER_ALLOCS as usize {
-                    let p = heap.malloc(64);
-                    assert!(!p.is_null());
-                    // SAFETY: a live 64-byte object.
-                    unsafe { p.cast::<usize>().write(i) };
+                let held: Vec<*mut u8> = (0..past_the_step)
+                    .map(|i| {
+                        let p = heap.malloc(64);
+                        assert!(!p.is_null());
+                        // SAFETY: a live 64-byte object.
+                        unsafe { p.cast::<usize>().write(i) };
+                        p
+                    })
+                    .collect();
+                for p in held {
                     heap.free(p);
                 }
                 heap.flush_thread_cache();

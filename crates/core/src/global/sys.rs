@@ -104,8 +104,9 @@ fn madvise_huge(ptr: *mut u8, len: usize, advice: libc::c_int) -> bool {
 /// act on it: under THP `never` the call still succeeds and the range keeps
 /// faulting in 4 KB pages. `false` (a kernel built without THP, an
 /// unaligned or sub-2 MB range) means nothing about the mapping changed.
-/// Best-effort and non-destructive either way — callers on the allocation
-/// side ignore the result; tests and perf kernels read it.
+/// Best-effort and non-destructive either way — the allocation side reads
+/// the result only to skip a collapse the kernel could not do; tests and
+/// perf kernels read it too.
 pub fn advise_hugepages(ptr: *mut u8, len: usize) -> bool {
     madvise_huge(ptr, len, libc::MADV_HUGEPAGE)
 }

@@ -59,77 +59,59 @@ use crate::partition::AtomicPartition;
 use crate::rng::stream_seed;
 use crate::size_class::{SizeClass, NUM_CLASSES};
 use crate::sync::{Arm, Shared, SpinLock};
-use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 
 /// One transparent huge page: the PMD size on x86-64 and on aarch64 with
 /// 4 KB base pages. Defined here, ungated, because the promotion rule below
 /// is stated in it; `global::sys` re-exports it for the syscall layer.
 pub const HUGE_PAGE: usize = 2 << 20;
 
-/// Cumulative allocations after which a size class counts as *hot*. A hot
-/// class gets huge pages (see [`PromoteHook`]) under every whole
-/// [`HUGE_PAGE`] of its active range, as its growth completes them.
-///
-/// Derivation (ski rental). Left on 4 KB pages, a class pays at most one
-/// small fault per allocation: each placement lands on one random page of
-/// the active range, and a repeat hit is free. Backed by a huge page it pays
-/// one 2 MB zero-fill — the price of 2 MB / 4 KB = 512 small faults — up
-/// front, whether or not the other 511 pages are ever used. Renting until
-/// the rent paid equals the purchase price keeps the total within twice the
-/// clairvoyant optimum for every process lifetime: a class that never makes
-/// 512 allocations (every class of `cat`, `sh`, `grep`, `tr`, `sort`) has
-/// touched fewer pages than one huge page holds and never pays for one.
-///
-/// The count alone is evidence of traffic, not of size: a class can make any
-/// number of allocations inside an active range of a few base pages (an
-/// elastic heap starts every class far below 2 MB and grows it only under
-/// `1/M` pressure from what is *live*), and advice that reaches past the
-/// active range hands out memory nothing asked for — `khugepaged` rebuilds
-/// a small advised range as a whole 2 MB page, and a first touch in an
-/// advised region is a 2 MB fault, so a 2.5 MB range would be 4 MB
-/// resident. So the count decides *whether* a class gets huge pages and the
-/// range decides *where*: at each refill or growth step that finds the
-/// class hot, exactly the whole huge pages of the active range not advised
-/// yet — `[advised, ⌊active / HUGE_PAGE⌋ × HUGE_PAGE)` — are advised and
-/// collapsed; by then `1/M` of almost all of it is live and uniform
-/// placement is touching every base page of it anyway. The tail of less
-/// than one huge page stays on 4 KB pages until a later step completes it.
-/// Fixed heaps and elastic heaps started at their maximum have the whole
-/// region from the start and are promoted by the count alone; a heap whose
-/// regions are smaller than a huge page has nothing one could back and
-/// never promotes.
-///
-/// Where the check runs decides when. A magazine refill and a growth step
-/// both run it; the uncached path makes no refill. So the global allocator
-/// in a process with one thread, which allocates straight from the heap,
-/// promotes a class at its growth steps only: a class whose count reaches
-/// the threshold after the step that completed a huge page waits for its
-/// next step, and a heap that never grows (a fixed heap, or
-/// `DIEHARD_GROW=0`: born at the maximum) is never promoted in such a
-/// process. Once the process has a second thread, refills run the check
-/// too.
-pub const PROMOTE_AFTER_ALLOCS: u64 = (HUGE_PAGE / 4096) as u64;
-
 /// The huge-page promotion seam: the one call the ungated heap layers make
 /// towards whoever owns the real memory (the `global` allocator; tests
 /// install counting stand-ins).
 ///
-/// Invoked with a size class's maintenance lock held, whenever a refill or
-/// a growth step finds the class past [`PROMOTE_AFTER_ALLOCS`] with whole
-/// [`HUGE_PAGE`]s in its active range that have not been advised yet.
+/// **The rule.** A class is promoted at the growth step that completes a
+/// huge page, and nowhere else. After a step from capacity `c` to `c'`, with
+/// the class's maintenance lock still held, the hook is handed the whole
+/// huge pages of the new active range that no earlier step handed it:
+/// `[whole(c), whole(c'))`, where `whole(c) = ⌊c × size / HUGE_PAGE⌋ ×
+/// HUGE_PAGE`. A class's first step starts at 0 instead of `whole(c)`, so a
+/// class born at or above one huge page (a 32 MB region at a start fraction
+/// of `1/16` or more) gets the pages it was born with then. So the offers
+/// are a closed form of the capacity ladder
+/// ([`AtomicPartition::grow_step`]): the same in every arm, uncached or
+/// through a cache, and whatever the class's allocation count. A heap that
+/// never grows — a fixed heap, `DIEHARD_GROW=0` — is never promoted, and a
+/// region smaller than a huge page has nothing one could back.
+///
+/// Why only whole pages, and only at a step. Advice that reached past the
+/// active range would hand out memory nothing asked for: `khugepaged`
+/// rebuilds a small advised range as a whole 2 MB page, and a first touch
+/// in an advised region is a 2 MB fault, so a 2.5 MB range would be 4 MB
+/// resident. The tail of less than one huge page stays on 4 KB pages until
+/// a later step completes it. A step is taken when the class's `1/M`
+/// allowance is used up, so by then `1/M` of the range is live and uniform
+/// placement has touched nearly every base page of it: at `M = 2` the step
+/// that completes a huge page for a class of at most 1 KiB happens with at
+/// least 0.4 × 2 MiB ÷ size ≥ 819 objects live — more than the 512 small
+/// faults (2 MB / 4 KB) a 2 MB zero-fill is worth, so no allocation count
+/// is needed to tell a busy class from an idle one.
+///
+/// What it earns, on `churn_host` (`benchmark/`, 10 alternated 28 s pairs,
+/// seeds 61–70): with the hook never installed, `overhead_ratio` went from
+/// a median of 1.157 (IQR 0.071) to 1.234, ≈ +6.6 %, the promoting build
+/// lower in 8 of 10 pairs; `rss_ratio` stayed at 2.22–2.23.
+///
 /// Arguments: the `ctx` word the hook was installed with, then the byte
 /// offset within the heap span and the length of exactly those huge pages —
-/// both multiples of [`HUGE_PAGE`] when the span is aligned to one, the
-/// range inside the class's active range and disjoint from every range the
-/// hook has accepted before. Advise it and collapse it: all of it is in
-/// use. Returns whether the advice took: `true` moves the class's
-/// [advised length](Heap::advised_len) past the range, so each huge page is
-/// advised once; `false` leaves it where it was, and the class's next
-/// growth step offers the range again (with whatever that step completed).
-/// The hook must not allocate from the heap it serves, draws no random
-/// numbers and moves no object, so placement is bit-identical with and
-/// without one installed.
-pub type PromoteHook = fn(ctx: usize, offset: usize, len: usize) -> bool;
+/// both multiples of [`HUGE_PAGE`] when the span is aligned to one, inside
+/// the class's active range and disjoint from every earlier offer. Advise
+/// it and collapse it: all of it is in use. Both are best-effort, and a
+/// range is never offered again (a kernel that refuses `MADV_HUGEPAGE`
+/// refuses it every time). The hook must not allocate from the heap it
+/// serves, draws no random numbers and moves no object, so placement is
+/// bit-identical with and without one installed.
+pub type PromoteHook = fn(ctx: usize, offset: usize, len: usize);
 
 /// The randomized small-object heap: twelve [`AtomicPartition`]s, the
 /// geometry that turns their slot indices into byte offsets, and the
@@ -152,16 +134,8 @@ pub struct Heap<A: Arm = Shared> {
     /// so an increment is a load and a store in either arm.
     growths: [AtomicU64; NUM_CLASSES],
     /// The installed [`PromoteHook`] and its `ctx` word; `None` (every heap
-    /// that owns no real memory) disables the promotion check entirely.
+    /// that owns no real memory) offers nothing.
     promote: Option<(PromoteHook, usize)>,
-    /// Per class: the length of the prefix of its region the hook has
-    /// advised to huge pages (see [`advised_len`](Self::advised_len)).
-    /// Written under the class's maintenance lock.
-    advised: [AtomicUsize; NUM_CLASSES],
-    /// Per class: the hook refused the range past `advised` and the class
-    /// has not grown since — what keeps a kernel that always refuses from
-    /// being asked again at every refill. Same writer rule.
-    refused: [AtomicBool; NUM_CLASSES],
 }
 
 /// [`Heap`] in its default, thread-safe [`Shared`] arm. The name survives as
@@ -300,8 +274,6 @@ impl<A: Arm> Heap<A> {
             stats: AtomicHeapStats::new(),
             growths: core::array::from_fn(|_| AtomicU64::new(0)),
             promote: None,
-            advised: core::array::from_fn(|_| AtomicUsize::new(0)),
-            refused: core::array::from_fn(|_| AtomicBool::new(false)),
         }
     }
 
@@ -418,56 +390,21 @@ impl<A: Arm> Heap<A> {
     }
 
     /// Bitmask of size classes promoted to huge pages so far (bit `i` =
-    /// class index `i`) — those with an [`advised_len`](Self::advised_len)
-    /// above zero; always 0 without a [`PromoteHook`].
+    /// class index `i`), derived from the [`PromoteHook`] rule: a hook is
+    /// installed, the class has taken at least one growth step, and its
+    /// active range holds a whole [`HUGE_PAGE`] — exactly the classes the
+    /// hook has been offered a range of. Always 0 without a hook.
     #[must_use]
     pub fn promoted_classes(&self) -> u32 {
-        let advised = self.advised.iter().enumerate();
-        advised.fold(0, |mask, (i, len)| {
-            mask | u32::from(len.load(Ordering::Relaxed) > 0) << i
+        if self.promote.is_none() {
+            return 0;
+        }
+        let classes = self.partitions.iter().zip(&self.growths).enumerate();
+        classes.fold(0, |mask, (i, (partition, growths))| {
+            let grown = growths.load(Ordering::Relaxed) > 0;
+            let whole = partition.capacity() * partition.class().object_size() >= HUGE_PAGE;
+            mask | u32::from(grown && whole) << i
         })
-    }
-
-    /// How much of `class`'s region — a prefix, in bytes — the
-    /// [`PromoteHook`] has advised to huge pages: whole [`HUGE_PAGE`]s, never
-    /// past the class's active range, and only what the hook accepted.
-    #[must_use]
-    pub fn advised_len(&self, class: SizeClass) -> usize {
-        self.advised[class.index()].load(Ordering::Relaxed)
-    }
-
-    /// Offers the hook the whole huge pages of `class`'s active range that
-    /// have not been advised yet, if the class has proven hot and there are
-    /// any. The caller holds `class`'s maintenance lock, which is what makes
-    /// the read-then-advance of the advised length race-free and keeps the
-    /// hook from overlapping a growth step of the same class (so the range
-    /// read here is in use when the hook collapses it); the per-op paths
-    /// never come here. The hook runs with the lock held — milliseconds when
-    /// it collapses a touched 2 MB range, once per huge page of the class,
-    /// during which only refills and growth steps of this class (and a
-    /// `fork`) wait. (The alloc counter is 32-bit telemetry that wraps: a
-    /// check that lands within the threshold's worth of allocations after a
-    /// wrap reads the class as cold, and the next refill or growth step
-    /// promotes it instead.)
-    fn promote_if_hot_locked(&self, class: SizeClass) {
-        let Some((hook, ctx)) = self.promote else {
-            return;
-        };
-        let (advised, refused) = (&self.advised[class.index()], &self.refused[class.index()]);
-        let partition = &self.partitions[class.index()];
-        let whole = partition.capacity() * class.object_size() / HUGE_PAGE * HUGE_PAGE;
-        let done = advised.load(Ordering::Relaxed);
-        if whole <= done
-            || refused.load(Ordering::Relaxed)
-            || partition.probe_stats().0 < PROMOTE_AFTER_ALLOCS
-        {
-            return;
-        }
-        if hook(ctx, self.geometry.region_base(class) + done, whole - done) {
-            advised.store(whole, Ordering::Relaxed);
-        } else {
-            refused.store(true, Ordering::Relaxed);
-        }
     }
 
     /// Attempts one growth step for `class`; `false` means the class is
@@ -492,10 +429,16 @@ impl<A: Arm> Heap<A> {
     /// deadlock on the non-reentrant `SpinLock`). Takes the one ladder step
     /// ([`AtomicPartition::grow_step`]); skips it (but still reports
     /// "retry") when a racing free dropped the partition below its cap while
-    /// we waited for the lock.
+    /// we waited for the lock. A step that completes huge pages hands them
+    /// to the [`PromoteHook`] — the one place a class is promoted — after
+    /// the step, so the range the hook collapses is the range now in use.
+    /// The hook runs with the lock held: milliseconds when it collapses a
+    /// touched 2 MB range, once per huge page of the class, during which
+    /// only refills and growth steps of this class (and a `fork`) wait.
     fn grow_class_locked(&self, class: SizeClass) -> bool {
         let partition = &self.partitions[class.index()];
-        if partition.capacity() < partition.max_capacity() && !partition.at_threshold() {
+        let before = partition.capacity();
+        if before < partition.max_capacity() && !partition.at_threshold() {
             // A concurrent free (or a finished grower) made room between
             // our denial and the lock: retry without spending a step.
             return true;
@@ -504,12 +447,16 @@ impl<A: Arm> Heap<A> {
             return false;
         }
         let growths = &self.growths[class.index()];
-        growths.store(growths.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        // The uncached path's only maintenance-locked stop; after the step,
-        // so the size test sees — and a promotion collapses — the range now
-        // in use. A range the hook refused is offered again here.
-        self.refused[class.index()].store(false, Ordering::Relaxed);
-        self.promote_if_hot_locked(class);
+        let steps = growths.load(Ordering::Relaxed);
+        growths.store(steps + 1, Ordering::Relaxed);
+        if let Some((hook, ctx)) = self.promote {
+            let whole = |capacity: usize| capacity * class.object_size() / HUGE_PAGE * HUGE_PAGE;
+            let from = if steps == 0 { 0 } else { whole(before) };
+            let to = whole(partition.capacity());
+            if to > from {
+                hook(ctx, self.geometry.region_base(class) + from, to - from);
+            }
+        }
         true
     }
 
@@ -716,9 +663,6 @@ impl<A: Arm> Heap<A> {
                 break got;
             }
         };
-        // Once per batch, under the lock already held: the handout path
-        // never learns huge pages exist.
-        self.promote_if_hot_locked(class);
         drop(batch);
         if got == 0 {
             self.stats.record_exhausted(sole);

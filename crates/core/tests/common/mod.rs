@@ -117,8 +117,6 @@ pub struct Trace {
     pub growths: u64,
     /// The promoted-classes mask (0 without a promote hook).
     pub promoted: u32,
-    /// Per class: the advised length (0 without a promote hook).
-    pub advised: Vec<usize>,
 }
 
 impl Trace {
@@ -129,7 +127,6 @@ impl Trace {
         assert_eq!(self.stats, other.stats, "{what}: heap statistics");
         assert_eq!(self.growths, other.growths, "{what}: growth steps");
         assert_eq!(self.promoted, other.promoted, "{what}: promoted mask");
-        assert_eq!(self.advised, other.advised, "{what}: advised lengths");
         for (class, pair) in self.probe_stats.iter().zip(&other.probe_stats).enumerate() {
             assert_eq!(
                 pair.0, pair.1,
@@ -160,8 +157,5 @@ pub fn record<A: Arm>(
         stats: heap.stats(),
         growths: heap.growth_events(),
         promoted: heap.promoted_classes(),
-        advised: SizeClass::all()
-            .map(|class| heap.advised_len(class))
-            .collect(),
     }
 }

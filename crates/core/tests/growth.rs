@@ -8,24 +8,24 @@
 //! magazine cache, and
 //! keep its statistics exact while growth races allocations, frees, and
 //! magazine refills — and stay bit-identical through huge-page promotions
-//! (advice draws no random numbers and moves no object), which a hot class
-//! earns one whole huge page of its active range at a time, each once. Run with
+//! (advice draws no random numbers and moves no object), which a class gets
+//! at the growth step that completes each whole huge page of its active
+//! range, once, the same in every arm. Run with
 //! `RUST_TEST_THREADS=8` in CI so the race tests overlap with each other as
 //! well as within themselves.
 
 mod common;
 
-use common::record;
+use common::{record, Recorder};
 use diehard_core::config::HeapConfig;
 use diehard_core::engine::{AllocOutcome, DEFAULT_INITIAL_FRACTION_LOG2};
-use diehard_core::magazine::MagazineCache;
 use diehard_core::partition::Partition;
 use diehard_core::rng::Mwc;
-use diehard_core::sharded::{HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
+use diehard_core::sharded::HUGE_PAGE;
 use diehard_core::size_class::SizeClass;
 use diehard_core::sync::{Arm, Plain, Shared};
 use diehard_core::Heap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 /// The acceptance scenario: a heap started at 1/64 of its maximum absorbs
@@ -86,10 +86,9 @@ const START_64K_LOG2: u32 = 9;
 static PROMOTIONS: Mutex<Vec<(usize, usize, usize)>> = Mutex::new(Vec::new());
 
 /// A [`PromoteHook`](diehard_core::sharded::PromoteHook) that only takes
-/// notes, and accepts.
-fn note_promotion(ctx: usize, offset: usize, len: usize) -> bool {
+/// notes.
+fn note_promotion(ctx: usize, offset: usize, len: usize) {
     PROMOTIONS.lock().unwrap().push((ctx, offset, len));
-    true
 }
 
 /// The `(offset, len)` calls [`note_promotion`] saw for `ctx`.
@@ -99,15 +98,47 @@ fn promotions_of(ctx: usize) -> Vec<(usize, usize)> {
     of_ctx.map(|&(_, off, len)| (off, len)).collect()
 }
 
-/// What every test with a hook holds at every step: `class`'s advised
-/// length is whole huge pages inside its active range.
-fn assert_advised_inside_active<A: Arm>(heap: &Heap<A>, class: SizeClass) {
-    let advised = heap.advised_len(class);
-    let active = heap.partition(class).capacity() * class.object_size();
-    assert_eq!(advised % HUGE_PAGE, 0, "class {}", class.index());
-    assert!(
-        advised <= active,
-        "class {}: {advised} of {active}",
+/// The calls [`note_promotion`] saw for `ctx` inside `class`'s region.
+fn promotions_in<A: Arm>(heap: &Heap<A>, ctx: usize, class: SizeClass) -> Vec<(usize, usize)> {
+    let base = heap.geometry().region_base(class);
+    let region = base..base + heap.config().region_bytes;
+    let calls = promotions_of(ctx).into_iter();
+    calls.filter(|call| region.contains(&call.0)).collect()
+}
+
+/// The rule's calls for `class` of `heap` on its way from its start to
+/// `capacity`, walked on a bare partition: the whole huge pages of each new
+/// active range that no earlier step reached, counted from 0 at the first
+/// step; nothing at a step that completes none.
+fn ladder_promotions<A: Arm>(
+    heap: &Heap<A>,
+    class: SizeClass,
+    capacity: usize,
+) -> Vec<(usize, usize)> {
+    let geometry = heap.geometry();
+    let (max, start) = (geometry.capacity(class), geometry.initial_capacity(class));
+    let walker = Partition::new_elastic(class, max, start, geometry.initial_threshold(class), 0);
+    let base = geometry.region_base(class);
+    let (mut calls, mut offered) = (Vec::new(), 0);
+    while walker.capacity() < capacity && walker.grow_step(heap.config()) {
+        let whole = walker.capacity() * class.object_size() / HUGE_PAGE * HUGE_PAGE;
+        if whole > offered {
+            calls.push((base + offered, whole - offered));
+            offered = whole;
+        }
+    }
+    calls
+}
+
+/// What every test with a hook holds: the calls `class` has had are the
+/// ladder's up to its capacity now — whole huge pages inside its active
+/// range, each once, in order.
+fn assert_promotions_follow_the_ladder<A: Arm>(heap: &Heap<A>, ctx: usize, class: SizeClass) {
+    let capacity = heap.partition(class).capacity();
+    assert_eq!(
+        promotions_in(heap, ctx, class),
+        ladder_promotions(heap, class, capacity),
+        "class {} at {capacity} slots",
         class.index()
     );
 }
@@ -115,8 +146,8 @@ fn assert_advised_inside_active<A: Arm>(heap: &Heap<A>, class: SizeClass) {
 /// The ladder history of [`single_threaded_histories_identical_across_layers`]
 /// on one heap, by one path: `mixed` sizes spread over every class first (on
 /// 1 MB regions the large classes double to their maximum and then spill; on
-/// 32 MB regions they grow and none makes 512 allocations); then twice the
-/// promotion count into the 8-byte class, inside a range far below 2 MB; then
+/// 32 MB regions they grow, the 16 KiB class past 2 MB); then 1 024
+/// allocations into the 8-byte class, inside a range far below 2 MB; then
 /// the 64-byte class past its last step (fifteen sixteenths of the `1/M`
 /// allowance of its maximum; the last step is at seven eighths). Returns the
 /// trace and the capacity of the 64-byte class when its promotion was first
@@ -127,8 +158,9 @@ fn ladder<A: Arm>(
     seed: u64,
     mixed: usize,
 ) -> (common::Trace, Option<usize>) {
+    let small = SizeClass::for_size(8).unwrap();
     let hot = SizeClass::for_size(64).unwrap();
-    let small_hot = mixed + 2 * PROMOTE_AFTER_ALLOCS as usize;
+    let small_hot = mixed + 1024;
     let total = small_hot + heap.config().threshold(hot) / 16 * 15;
     let mut rng = Mwc::seeded(seed ^ 0x5EED);
     let mut promoted_at = None;
@@ -146,12 +178,16 @@ fn ladder<A: Arm>(
                 at.is_some() || i < mixed,
                 "op {i} (size {size}) is under its cap"
             );
-            if i < small_hot {
-                assert_eq!(heap.promoted_classes(), 0, "op {i}: nothing spans 2 MB");
-            } else if promoted_at.is_none() && heap.promoted_classes() != 0 {
+            let promoted = heap.promoted_classes();
+            assert_eq!(
+                promoted & 1 << small.index(),
+                0,
+                "op {i}: 8 B spans no 2 MB"
+            );
+            if promoted_at.is_none() && promoted & 1 << hot.index() != 0 {
+                assert!(i >= small_hot, "op {i}: 64 B spans no 2 MB yet");
                 promoted_at = Some(heap.partition(hot).capacity());
             }
-            assert_advised_inside_active(heap, hot);
         }
     });
     (trace, promoted_at)
@@ -166,11 +202,11 @@ fn ladder<A: Arm>(
 /// experiments' (1 MB regions from 1/64) and the shipped one (32 MB regions
 /// from 64 KiB; `global`'s tests add `DieHard`). The cached heap alone
 /// carries a promote hook. On the shipped ladder the history runs through a
-/// class that gets hot and stays small (never promoted), a class promoted at
+/// class that is busy and stays small (never promoted), a class promoted at
 /// the step that takes it to one huge page, and the sixteen steps after it,
-/// each of which is offered exactly the huge pages it completed; regions
-/// smaller than a huge page are never promoted. None of it is visible in
-/// placement.
+/// each of which is offered exactly the huge pages it completed; every
+/// class's calls are its ladder's, and regions smaller than a huge page are
+/// never promoted. None of it is visible in placement.
 #[test]
 fn single_threaded_histories_identical_across_layers() {
     let seed = 0xD17EC7;
@@ -205,39 +241,40 @@ fn single_threaded_histories_identical_across_layers() {
             assert_eq!(capacity, max);
         }
         assert!(
-            cached.probe_stats[small.index()].0 >= 2 * PROMOTE_AFTER_ALLOCS,
-            "the 8-byte class is hot by count"
+            cached.probe_stats[small.index()].0 >= 1024,
+            "the 8-byte class is busy"
         );
-        // Only whole huge pages are promoted: the 64-byte class of the 32 MB
-        // regions, from the step that made its range one.
+        // Only whole huge pages are promoted: on the 32 MB regions the
+        // 64-byte class from the step that made its range one, and whatever
+        // else grew that far; the 8-byte class never.
         let promotes = config.region_bytes >= HUGE_PAGE;
+        let mut expected = 0;
+        for class in SizeClass::all() {
+            assert_promotions_follow_the_ladder(&hooked, ctx, class);
+            let capacity = hooked.partition(class).capacity();
+            let offered = !ladder_promotions(&hooked, class, capacity).is_empty();
+            expected |= u32::from(offered) << class.index();
+        }
+        assert_eq!(cached.promoted, expected);
+        assert_eq!(expected & 1 << small.index(), 0);
         assert_eq!(
-            cached.promoted,
-            u32::from(promotes) << hot.index(),
-            "and the 8-byte class still too small to promote"
+            expected & 1 << hot.index(),
+            u32::from(promotes) << hot.index()
         );
         assert_eq!(
             promoted_at,
             promotes.then_some(HUGE_PAGE / hot.object_size())
         );
-        // The calls tile the region from its start, in order, in whole huge
-        // pages: each advised once, none before its step completed it.
-        let calls = promotions_of(ctx);
-        let mut next = hooked.geometry().region_base(hot);
-        for &(offset, len) in &calls {
-            assert_eq!(offset, next, "{calls:?}");
-            assert!(len > 0 && len % HUGE_PAGE == 0, "{calls:?}");
-            next += len;
-        }
-        let advised = usize::from(promotes) * config.region_bytes;
-        assert_eq!(next - hooked.geometry().region_base(hot), advised);
-        assert_eq!(hooked.advised_len(hot), advised);
+        let calls = promotions_in(&hooked, ctx, hot);
         assert_eq!(
             calls.first().map(|call| call.1),
             promotes.then_some(HUGE_PAGE)
         );
-        // 2 MB at 2, 4, 6, … 16 MB, then 4 MB at 20, 24, 28 and 32 MB.
+        // 2 MB at 2, 4, 6, … 16 MB, then 4 MB at 20, 24, 28 and 32 MB: the
+        // whole region, each huge page once.
         assert_eq!(calls.len(), usize::from(promotes) * 12);
+        let offered: usize = calls.iter().map(|call| call.1).sum();
+        assert_eq!(offered, usize::from(promotes) * config.region_bytes);
     }
 }
 
@@ -431,11 +468,12 @@ fn magazine_refills_race_growth_and_reconcile() {
 }
 
 /// The uncached path has exactly one maintenance-locked stop — a growth step
-/// — so a heap driven directly from a 64 KiB start passes the allocation
-/// count at its first step and is *not* promoted there, nor at the eighteen
-/// after it; it is promoted at the step that brings its range to 2 MB, and
-/// from then on every step that completes another huge page — 4, 6 and 8 MB;
-/// not 2.5, 3, 3.5, 5 or 7 — hands the hook exactly that page, once.
+/// — and that is where the rule runs: a heap driven directly from a 64 KiB
+/// start is not promoted at the nineteen steps below 2 MB, however many
+/// allocations they took; it is promoted at the step that brings its range
+/// to 2 MB, and from then on every step that completes another huge page —
+/// 4, 6 and 8 MB; not 2.5, 3, 3.5, 5 or 7 — hands the hook exactly that
+/// page, once.
 #[test]
 fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
     const CTX: usize = 0x0DD;
@@ -445,29 +483,28 @@ fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
     heap.set_promote_hook(note_promotion, CTX);
     let active = |heap: &Heap| heap.partition(hot).capacity() * hot.object_size();
     assert_eq!(active(&heap), 64 << 10);
-    let mut hot_steps_left_small = 0;
+    let mut steps_left_small = 0;
     let mut allocs = 0u64;
     while active(&heap) < 4 * HUGE_PAGE {
         let before = active(&heap);
         assert!(heap.alloc(64).is_some());
         let after = active(&heap);
         if after > before {
-            assert!(allocs >= PROMOTE_AFTER_ALLOCS, "hot from the first step on");
             assert!(after - before <= before / 4, "a quarter-band step");
-            hot_steps_left_small += usize::from(after < HUGE_PAGE);
+            steps_left_small += usize::from(after < HUGE_PAGE);
         }
         allocs += 1;
         assert_eq!(
-            heap.advised_len(hot),
-            after / HUGE_PAGE * HUGE_PAGE,
+            promotions_of(CTX).len(),
+            after / HUGE_PAGE,
             "after {allocs} allocations: the whole huge pages of {after} B"
         );
         let expected = u32::from(after >= HUGE_PAGE) << hot.index();
         assert_eq!(heap.promoted_classes(), expected);
     }
     assert_eq!(
-        hot_steps_left_small, 19,
-        "80 KiB … 1.75 MB: hot by count, left on base pages"
+        steps_left_small, 19,
+        "80 KiB … 1.75 MB: busy, left on base pages"
     );
     let base = heap.geometry().region_base(hot);
     assert_eq!(
@@ -477,74 +514,65 @@ fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
     );
 }
 
-/// A hook that takes notes like [`note_promotion`] but refuses while
-/// [`REFUSALS_LEFT`] is above zero.
-fn refuse_then_note(ctx: usize, offset: usize, len: usize) -> bool {
-    note_promotion(ctx, offset, len);
-    let left =
-        REFUSALS_LEFT.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-    left.is_err()
-}
-
-static REFUSALS_LEFT: AtomicUsize = AtomicUsize::new(0);
-
-/// A refused advice is not a promotion: the class's advised length stays
-/// where it was, no refill asks again while the class does not grow (a
-/// kernel without huge pages would be asked at every one), and the next
-/// growth step offers the same range — grown by what that step completed —
-/// until the hook accepts it.
+/// One rule in every arm. The plain heap, the shared heap uncached and the
+/// shared heap through a magazine cache, each with a hook, take the 16 KiB
+/// class from its 64 KiB start to 2 MB with 57 objects live — far fewer
+/// allocations than one huge page has base pages — then churn 500 free +
+/// alloc pairs below its threshold (the cache's refills and buffered frees
+/// among them). Each hook is handed the one huge page at the step that
+/// completed it and nothing at any refill after it: three equal call
+/// lists, and the ladder's.
 #[test]
-fn refused_advice_is_offered_again_at_the_next_growth_step() {
-    const CTX: usize = 0x2EF;
-    let hot = SizeClass::for_size(64).expect("64 B is a small object");
-    let mut heap: Heap =
-        Heap::new_elastic(HeapConfig::paper_default(), 0x2EF, START_64K_LOG2).unwrap();
-    heap.set_promote_hook(refuse_then_note, CTX);
-    REFUSALS_LEFT.store(5, Ordering::Relaxed);
-    let base = heap.geometry().region_base(hot);
-    let active = |heap: &Heap| heap.partition(hot).capacity() * hot.object_size();
-    let mut cache = heap.thread_cache();
-    let grow_to = |cache: &mut MagazineCache<'_>, bytes: usize| {
-        while active(&heap) < bytes {
-            assert!(cache.alloc(64).is_some());
+fn every_arm_promotes_at_the_step_that_completes_a_huge_page() {
+    const CHURN: usize = 500;
+    const SIZE: usize = 16 * 1024;
+    let seed = 0x57E9;
+    let config = HeapConfig::paper_default();
+    let class = SizeClass::for_size(SIZE).unwrap();
+    // The step to 2 MB follows the object that finds the 1.75 MB range's
+    // `1/M` allowance used up.
+    let live = config.threshold_for(HUGE_PAGE / 8 * 7 / SIZE) + 1;
+    assert_eq!(live, 57);
+    let script = |r: &mut Recorder<'_>| {
+        let mut rng = Mwc::seeded(seed);
+        let mut held: Vec<usize> = (0..live).map(|_| r.alloc(SIZE).unwrap()).collect();
+        for _ in 0..CHURN {
+            assert!(r.free(held.swap_remove(rng.below(held.len()))));
+            held.push(r.alloc(SIZE).expect("below the threshold"));
         }
     };
-    grow_to(&mut cache, HUGE_PAGE);
-    assert_eq!(promotions_of(CTX), [(base, HUGE_PAGE)]);
-    assert_eq!((heap.advised_len(hot), heap.promoted_classes()), (0, 0));
-    // Refills and flushes at a steady live count: nobody asks.
-    for _ in 0..2_000 {
-        let slot = cache.alloc(64).expect("below the cap");
-        cache.free_at(heap.offset_of(slot));
+    let hooked = |ctx| {
+        let mut heap: Heap = Heap::new_elastic(config.clone(), seed, START_64K_LOG2).unwrap();
+        heap.set_promote_hook(note_promotion, ctx);
+        heap
+    };
+    let mut plain: Heap<Plain> = Heap::new_elastic(config.clone(), seed, START_64K_LOG2).unwrap();
+    plain.set_promote_hook(note_promotion, 0x3A0);
+    let (uncached, cached) = (hooked(0x3A1), hooked(0x3A2));
+    let traces = [
+        record(&plain, false, script),
+        record(&uncached, false, script),
+        record(&cached, true, script),
+    ];
+    traces[0].assert_same(&traces[1], "plain arm");
+    assert_eq!(traces[0].stats.allocs, (live + CHURN) as u64);
+    let capacity = plain.partition(class).capacity();
+    assert_eq!(capacity * SIZE, HUGE_PAGE, "the churn grew nothing");
+    let expected = ladder_promotions(&plain, class, capacity);
+    assert_eq!(expected, [(plain.geometry().region_base(class), HUGE_PAGE)]);
+    for ctx in [0x3A0, 0x3A1, 0x3A2] {
+        assert_eq!(promotions_of(ctx), expected, "ctx {ctx:#x}");
     }
-    assert_eq!(active(&heap), HUGE_PAGE, "the churn grew nothing");
-    assert_eq!(promotions_of(CTX).len(), 1);
-    // 2.5 MB: the same huge page again. 3, 3.5 and 4 MB likewise, the last
-    // with the page that step completed; all refused. 5 MB: accepted.
-    grow_to(&mut cache, HUGE_PAGE / 4 * 5);
-    assert_eq!(promotions_of(CTX)[1..], [(base, HUGE_PAGE)]);
-    grow_to(&mut cache, 2 * HUGE_PAGE);
-    let whole = (base, 2 * HUGE_PAGE);
-    assert_eq!(
-        promotions_of(CTX)[2..],
-        [(base, HUGE_PAGE), (base, HUGE_PAGE), whole]
-    );
-    assert_eq!((heap.advised_len(hot), heap.promoted_classes()), (0, 0));
-    grow_to(&mut cache, HUGE_PAGE / 2 * 5);
-    assert_eq!(promotions_of(CTX)[5..], [whole]);
-    assert_eq!(heap.advised_len(hot), 2 * HUGE_PAGE);
-    assert_eq!(heap.promoted_classes(), 1 << hot.index());
-    // Accepted ranges are never offered again.
-    grow_to(&mut cache, 3 * HUGE_PAGE);
-    assert_eq!(promotions_of(CTX)[6..], [(base + 2 * HUGE_PAGE, HUGE_PAGE)]);
-    assert_eq!(heap.advised_len(hot), 3 * HUGE_PAGE);
+    for trace in &traces {
+        assert_eq!(trace.promoted, 1 << class.index());
+    }
 }
 
 /// Track what is live: `churn_host`'s size mix held at 50 000 live objects,
 /// through the shipped geometry, leaves every class it grew within a quarter
 /// (and one step) of `M` × the most that was ever live in it — where a
-/// doubling ladder left up to twice — and every class's advised length whole
-/// huge pages inside its active range.
+/// doubling ladder left up to twice — and every class's promotions its
+/// ladder's: whole huge pages inside its active range.
 #[test]
 fn active_ranges_stay_within_a_quarter_of_m_times_peak_live() {
     const CTX: usize = 0xC4F;
@@ -595,7 +623,7 @@ fn active_ranges_stay_within_a_quarter_of_m_times_peak_live() {
             "class {}: {capacity} slots for {need} of M × peak live",
             class.index()
         );
-        assert_advised_inside_active(&heap, class);
+        assert_promotions_follow_the_ladder(&heap, CTX, class);
         held += capacity * size;
         needed += need.max(start) * size;
     }

@@ -39,7 +39,7 @@ use diehard_core::config::HeapConfig;
 use diehard_core::engine::HeapStats;
 use diehard_core::global::{with_guard, DieHard, DEFAULT_GROW_LOG2};
 use diehard_core::rng::Mwc;
-use diehard_core::sharded::{HUGE_PAGE, PROMOTE_AFTER_ALLOCS};
+use diehard_core::sharded::HUGE_PAGE;
 use diehard_core::size_class::{SizeClass, NUM_CLASSES};
 use diehard_core::sync::{sole_thread, Arm, Plain, Shared};
 use diehard_core::Heap;
@@ -57,14 +57,11 @@ const FREED_ALONE: usize = 300;
 
 /// A [`PromoteHook`](diehard_core::sharded::PromoteHook) for the heaps that
 /// own no memory: without one they never promote. What it is called with is
-/// `growth.rs`'s business; here the promoted masks and advised lengths are
-/// compared.
-fn no_memory_to_advise(_ctx: usize, _offset: usize, _len: usize) -> bool {
-    true
-}
+/// `growth.rs`'s business; here the promoted masks are compared.
+fn no_memory_to_advise(_ctx: usize, _offset: usize, _len: usize) {}
 
 /// `growth.rs`'s shipped-ladder history (32 MB regions from a 64 KiB start:
-/// sizes spread evenly over all twelve classes, then the 8-byte class hot but small, then
+/// sizes spread evenly over all twelve classes, then the 8-byte class busy but small, then
 /// the 64-byte class through every step up to 4 MB — past the one that
 /// promotes it and the one that completes its second huge page), with frees
 /// mixed in so free buffers fill and flush: every
@@ -72,7 +69,7 @@ fn no_memory_to_advise(_ctx: usize, _offset: usize, _len: usize) -> bool {
 /// twice (the second must be ignored, §4.3).
 fn script(r: &mut Recorder<'_>) {
     const MIXED: usize = 300;
-    let small_hot = MIXED + 2 * PROMOTE_AFTER_ALLOCS as usize;
+    let small_hot = MIXED + 1024;
     // The 64-byte class steps from 3.5 MB to 4 MB when its live count meets
     // the 3.5 MB range's `1/M` allowance.
     let hot_live = HeapConfig::paper_default().threshold_for(7 * HUGE_PAGE / 4 / 64) + 64;
@@ -179,13 +176,9 @@ fn assert_history_covers_the_protocol(r: &Recording, alone: bool) {
     let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
     let promoted = [r.uncached.promoted, r.cached.promoted, r.global_promoted];
     assert_eq!(promoted, [hot; 3], "the 64-byte class, alone, everywhere");
-    // 64 KiB → 4 MB is 24 quarter-band steps of the 64-byte class alone,
-    // and two huge pages of it advised.
+    // 64 KiB → 4 MB is 24 quarter-band steps of the 64-byte class alone.
     let growths = [r.uncached.growths, r.cached.growths];
     assert!(growths.iter().all(|&g| g >= 24), "{growths:?}");
-    let hot_class = SizeClass::for_size(64).unwrap().index();
-    let advised = [&r.uncached.advised, &r.cached.advised].map(|a| a[hot_class]);
-    assert_eq!(advised, [2 * HUGE_PAGE; 2]);
     let per_class = r.uncached.probe_stats.iter().zip(&r.cached.probe_stats);
     for (class, (uncached, cached)) in per_class.enumerate() {
         assert!(uncached.0 > 0 && cached.0 > 0, "class {class} was used");

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Exported surface: `malloc`, `free`, `calloc`, `realloc`, `reallocarray`,
-//! `posix_memalign`, `aligned_alloc`, `memalign`, `valloc`,
+//! `posix_memalign`, `aligned_alloc`, `memalign`, `valloc`, `pvalloc`,
 //! `malloc_usable_size`, `strdup`/`strndup` (duplicated onto the
 //! randomized heap), and the paper's §4.4 bounded `strcpy`/`strncpy`. The
 //! copies are `DieHard`'s: `strcpy`/`strncpy` call
@@ -415,13 +415,36 @@ pub extern "C" fn memalign(align: usize, size: usize) -> *mut c_void {
     aligned_alloc(align.max(1).next_power_of_two(), size)
 }
 
+/// The system page size.
+fn page_size() -> usize {
+    // SAFETY: sysconf is async-signal-safe and has no preconditions.
+    let page = unsafe { libc::sysconf(libc::_SC_PAGESIZE) };
+    if page <= 0 {
+        4096
+    } else {
+        page as usize
+    }
+}
+
 /// Legacy `valloc(3)`: page-aligned allocation.
 #[no_mangle]
 pub extern "C" fn valloc(size: usize) -> *mut c_void {
-    // SAFETY: sysconf is async-signal-safe and has no preconditions.
-    let page = unsafe { libc::sysconf(libc::_SC_PAGESIZE) };
-    let page = if page <= 0 { 4096 } else { page as usize };
-    aligned_alloc(page, size)
+    aligned_alloc(page_size(), size)
+}
+
+/// Legacy `pvalloc(3)`, with glibc's semantics: page-aligned, the size
+/// rounded up to whole pages (at least one), null + `ENOMEM` when the
+/// rounding overflows. Served here so that `realloc` knows the block: a
+/// pointer from the host's own allocator is foreign to it, and its contents
+/// would not be copied.
+#[no_mangle]
+pub extern "C" fn pvalloc(size: usize) -> *mut c_void {
+    let page = page_size();
+    let Some(rounded) = size.max(1).checked_next_multiple_of(page) else {
+        set_errno(libc::ENOMEM);
+        return ptr::null_mut();
+    };
+    aligned_alloc(page, rounded)
 }
 
 /// glibc `malloc_usable_size(3)`: the true capacity of a live block — the
@@ -599,6 +622,9 @@ mod tests {
     }
     fn valloc(s: usize) -> *mut c_void {
         bb(super::valloc as extern "C" fn(usize) -> *mut c_void)(s)
+    }
+    fn pvalloc(s: usize) -> *mut c_void {
+        bb(super::pvalloc as extern "C" fn(usize) -> *mut c_void)(s)
     }
     fn malloc_usable_size(p: *mut c_void) -> usize {
         bb(super::malloc_usable_size as extern "C" fn(*mut c_void) -> usize)(p)
@@ -816,6 +842,33 @@ mod tests {
         assert!(!v.is_null());
         assert_eq!(v as usize % 4096, 0);
         free(v);
+    }
+
+    #[test]
+    fn pvalloc_serves_whole_pages_that_realloc_knows() {
+        for (size, pages) in [(0, 1), (100, 1), (4096, 1), (4097, 2)] {
+            let p = pvalloc(size);
+            assert!(!p.is_null(), "size {size}");
+            assert_eq!(p as usize % 4096, 0, "size {size}");
+            assert!(malloc_usable_size(p) >= pages * 4096, "size {size}");
+            free(p);
+        }
+        let kept = c"kept";
+        let p = pvalloc(100).cast::<c_char>();
+        // SAFETY: a live heap block of at least 100 bytes; `kept` is
+        // NUL-terminated.
+        unsafe { strcpy(p, kept.as_ptr()) };
+        let q = realloc(p.cast(), 100_000).cast::<c_char>();
+        assert!(!q.is_null());
+        // SAFETY: the moved block holds the terminated string copied.
+        assert_eq!(unsafe { std::ffi::CStr::from_ptr(q) }, kept);
+        free(q.cast());
+        set_errno(0);
+        assert!(
+            pvalloc(usize::MAX - 100).is_null(),
+            "the rounding overflows"
+        );
+        assert_eq!(errno(), libc::ENOMEM);
     }
 
     #[test]

@@ -171,6 +171,7 @@ fn exports_are_the_allocation_abi_only() {
             "malloc_usable_size",
             "memalign",
             "posix_memalign",
+            "pvalloc",
             "realloc",
             "reallocarray",
             "strcpy",
@@ -182,6 +183,49 @@ fn exports_are_the_allocation_abi_only() {
     );
 }
 
+/// A C host that keeps a string in a `pvalloc` block across the `realloc`
+/// that moves it to a large object, and prints it.
+const PVALLOC_HOST: &str = r#"
+#include <malloc.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+int main(void) {
+    char *p = pvalloc(100);
+    if (p == NULL)
+        return 1;
+    strcpy(p, "kept");
+    p = realloc(p, 100000);
+    if (p == NULL)
+        return 1;
+    printf("%s\n", p);
+    free(p);
+    return 0;
+}
+"#;
+
+/// A `pvalloc` block must be one the interposer's `realloc` knows: one from
+/// the host's own allocator is foreign to it, and its contents are not
+/// copied. The host is compiled with `cc` when the test runs (a skip line
+/// where there is none).
+#[test]
+fn pvalloc_block_keeps_its_contents_through_realloc() {
+    let so = require_so!();
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let (src, host) = (dir.join("pvalloc_host.c"), dir.join("pvalloc_host"));
+    std::fs::write(&src, PVALLOC_HOST).expect("write the host's source");
+    let Ok(built) = Command::new("cc").arg("-o").arg(&host).arg(&src).status() else {
+        eprintln!("skipping: no `cc` on this machine");
+        return;
+    };
+    assert!(built.success(), "cc {src:?}");
+    let host = host.to_str().expect("a UTF-8 path");
+    let (out, ok) = run_preloaded(&so, &[host], "", None);
+    assert!(ok);
+    assert_eq!(out, "kept\n");
+}
+
 /// `AnonHugePages` of process `pid` in kB, from `/proc/<pid>/smaps_rollup`;
 /// `None` when the kernel does not report it.
 fn anon_huge_kb(pid: u32) -> Option<u64> {
@@ -191,9 +235,9 @@ fn anon_huge_kb(pid: u32) -> Option<u64> {
 }
 
 /// A short preloaded process must not be handed huge pages: the arena
-/// faults in 4 KB at a time until a size class has proven hot, and neither
-/// `cat` nor `sh` makes 512 allocations in any class. Each child is held
-/// open at a read — after it has started up, allocated, and answered one
+/// faults in 4 KB at a time until a growth step takes a size class to 2 MB,
+/// and neither `cat` nor `sh` holds that much live in any class. Each child
+/// is held open at a read — after it has started up, allocated, and answered one
 /// line — while its `smaps_rollup` is inspected. (A span advised
 /// `MADV_HUGEPAGE` up front puts the same `cat` on 4–6 MB of huge pages.)
 /// Only THP mode `madvise` makes the question the allocator's: under
