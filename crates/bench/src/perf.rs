@@ -46,7 +46,6 @@ use std::time::Instant;
 /// Every kernel the report must contain; CI fails when one is missing.
 pub const KERNELS: &[&str] = &[
     "alloc_churn_mixed",
-    "magazine_alloc_churn",
     "preload_alloc_churn",
     "probe_steady_half_full",
     "probe_steady_three_quarter_band",
@@ -163,9 +162,9 @@ fn beside_a_parked_thread<R>(kernel: impl FnOnce() -> R) -> R {
 /// contributes a load and a branch per op — the measurement is the
 /// allocator's placement and free-validation arithmetic, not container
 /// bookkeeping. Since PR 22 the sim heap's partitions are the shipped probe
-/// loop, ticket and 2-bit slot map in their compile-time plain arm (every
+/// loop, ticket and slot bitmap in their compile-time plain arm (every
 /// update a relaxed load and store), so this row times the code
-/// `magazine_alloc_churn` times, minus magazines and the run-time arm test.
+/// `preload_alloc_churn` runs, minus the C ABI and the run-time arm test.
 fn alloc_churn_mixed(smoke: bool) -> KernelResult {
     const RING: usize = 64;
     let (warmup, samples, ops) = if smoke {
@@ -192,44 +191,6 @@ fn alloc_churn_mixed(smoke: bool) -> KernelResult {
             };
             i += 1;
         }
-    })
-}
-
-/// The same 64-slot mixed-size churn ring as `alloc_churn_mixed`, but
-/// against the concurrent [`Heap`] through its thread-local
-/// magazine cache — the exact in-process path `libdiehard.so` puts under
-/// every interposed `malloc` of a threaded host. Comparing the two rows prices the
-/// thread-safety layers (magazines + lock-free shard CAS) against the
-/// single-threaded sim heap.
-fn magazine_alloc_churn(smoke: bool) -> KernelResult {
-    const RING: usize = 64;
-    let (warmup, samples, ops) = if smoke {
-        (1, 3, 2_000)
-    } else {
-        (3, 25, 50_000)
-    };
-    let sizes: [usize; RING] = {
-        let mut rng = Mwc::seeded(0xBEAC4);
-        core::array::from_fn(|_| 8 + rng.below(2040))
-    };
-    let heap: Heap = Heap::new(HeapConfig::default(), 0xCAFE).unwrap();
-    let mut ring = [usize::MAX; RING];
-    let mut i = 0usize;
-    measure("magazine_alloc_churn", warmup, samples, ops, move || {
-        let mut cache = heap.thread_cache();
-        for _ in 0..ops {
-            let slot = i & (RING - 1);
-            if ring[slot] != usize::MAX {
-                let _ = cache.free_at(ring[slot]);
-            }
-            ring[slot] = match cache.alloc(sizes[slot]) {
-                Some(s) => heap.offset_of(s),
-                None => usize::MAX,
-            };
-            i += 1;
-        }
-        // Return buffered frees to the shards so samples stay steady-state.
-        cache.flush();
     })
 }
 
@@ -288,20 +249,15 @@ fn preload_library() -> (
 
 /// The same churn ring once more, but through the `LD_PRELOAD`
 /// interposer's exported C ABI (`dlopen` + `dlsym`, see
-/// [`preload_library`]). In the `_mt` row the delta against
-/// `magazine_alloc_churn` is the interposition overhead itself (alone the
-/// library skips the magazines and claims slots straight from the heap, so
-/// the bare row also drops their reserve-then-commit): the `dlsym`'d call into each export and
-/// the export's call into its funnel (`alloc_impl`, `free_impl`), the one
-/// `__tls_get_addr` there, the re-entrancy flag, the arena range check,
-/// the `Layout` round-trip, the `OnceCell`'s `Acquire` load, and — in the
-/// `_mt` row only — the heap-binding and magazine-decision loads. No fence:
-/// the delta was ≈ 44 ns in `BENCH_24.json`, when every `malloc` also paid
-/// a failing `lock cmpxchg` in `OnceCell::get_or_try_init`, a second TLS
-/// lookup and a five-call chain, and is ≈ 24 ns in `BENCH_26.json`.
-/// (`libdiehard.so` reads the same `__libc_single_threaded` as this
-/// process, so the arm is this process's; alone, the library makes no TLS
-/// lookup at all.)
+/// [`preload_library`]). Its delta against `alloc_churn_mixed` is the
+/// interposition overhead and the run-time arm: the `dlsym`'d call into
+/// each export and the export's call into its funnel (`alloc_impl`,
+/// `free_impl`), the re-entrancy flag, the arena range check, the `Layout`
+/// round-trip, the `OnceCell`'s `Acquire` load, and — in the `_mt` row
+/// only — the one `__tls_get_addr` for the flag and the locked
+/// instructions. (`libdiehard.so` reads the same `__libc_single_threaded`
+/// as this process, so the arm is this process's; alone, the library makes
+/// no TLS lookup at all.)
 ///
 /// This ring never writes its objects, unlike a host and unlike the ring
 /// `crates/preload/tests/instructions.rs` counts. Random placement spreads
@@ -1099,7 +1055,6 @@ pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
     let name = *KERNELS.iter().find(|&&kernel| kernel == name)?;
     match name {
         "alloc_churn_mixed" => Some(alloc_churn_mixed(smoke)),
-        "magazine_alloc_churn" => Some(alone(name, || magazine_alloc_churn(smoke))),
         "preload_alloc_churn" => Some(alone(name, || preload_alloc_churn(name, smoke))),
         "probe_steady_half_full" => Some(probe_steady_half_full(smoke)),
         "probe_steady_three_quarter_band" => Some(probe_steady_three_quarter_band(smoke)),

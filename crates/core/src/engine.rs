@@ -96,13 +96,15 @@ impl AllocOutcome {
 
 /// Running counters for one heap, used by the experiment harnesses.
 ///
-/// This is the *snapshot* type; heaps accumulate into [`AtomicHeapStats`]
-/// so that counters can be bumped from any shard without taking a lock.
+/// A *snapshot*: the heap derives `allocs` and `frees` from its partitions'
+/// ticket words, which count them anyway, and keeps only the two counters
+/// no ticket can answer in an [`AtomicHeapStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapStats {
-    /// Successful small-object allocations.
+    /// Successful small-object allocations (per class mod 2³², the width of
+    /// the ticket word's allocation half).
     pub allocs: u64,
-    /// Successful frees.
+    /// Successful frees (per class, allocations minus the objects live).
     pub frees: u64,
     /// Frees ignored by validation (double/invalid frees).
     pub ignored_frees: u64,
@@ -110,9 +112,11 @@ pub struct HeapStats {
     pub exhausted: u64,
 }
 
-/// Lock-free heap counters.
+/// The heap's lock-free counters of the two cold events: an ignored free
+/// and a denial at the `1/M` cap. (Allocations and frees need none: the
+/// partitions' ticket words count them.)
 ///
-/// The heap updates these from whichever partition served an operation,
+/// The heap updates these from whichever partition saw the event,
 /// concurrently with every other; relaxed atomics suffice because the
 /// counters carry no synchronization responsibility — they only have to end
 /// up numerically exact once the threads touching the heap are joined.
@@ -120,8 +124,6 @@ pub struct HeapStats {
 /// store while the process has one thread; for `Plain` always load + store.)
 #[derive(Debug)]
 pub struct AtomicHeapStats<A: Arm = Shared> {
-    allocs: Word<A>,
-    frees: Word<A>,
     ignored_frees: Word<A>,
     exhausted: Word<A>,
 }
@@ -138,45 +140,27 @@ impl<A: Arm> AtomicHeapStats<A> {
     #[must_use]
     pub const fn new() -> Self {
         Self {
-            allocs: Word::new(0),
-            frees: Word::new(0),
             ignored_frees: Word::new(0),
             exhausted: Word::new(0),
         }
     }
 
-    /// A point-in-time copy of all four counters.
+    /// Frees ignored so far.
     #[must_use]
-    pub fn snapshot(&self) -> HeapStats {
-        HeapStats {
-            allocs: self.allocs.load(Ordering::Relaxed),
-            frees: self.frees.load(Ordering::Relaxed),
-            ignored_frees: self.ignored_frees.load(Ordering::Relaxed),
-            exhausted: self.exhausted.load(Ordering::Relaxed),
-        }
+    pub fn ignored_frees(&self) -> u64 {
+        self.ignored_frees.load(Ordering::Relaxed)
     }
 
-    /// Counts one successful allocation. Like every `record_*`, in the arm
-    /// the caller's call read once (`sole`, [`crate::sync`]).
-    pub(crate) fn record_alloc(&self, sole: bool) {
-        self.allocs.rmw(sole, Rmw::Add(1), Ordering::Relaxed);
+    /// Allocations denied at the `1/M` cap so far.
+    #[must_use]
+    pub fn exhausted(&self) -> u64 {
+        self.exhausted.load(Ordering::Relaxed)
     }
 
-    /// Counts `n` successful frees in one add — one for the per-op path, a
-    /// whole batch for a free-buffer flush, which releases it under one
-    /// maintenance-lock acquisition and should pay one counter RMW for it,
-    /// not `n` (and none for an empty batch).
-    pub(crate) fn record_frees(&self, sole: bool, n: u64) {
-        if n > 0 {
-            self.frees.rmw(sole, Rmw::Add(n), Ordering::Relaxed);
-        }
-    }
-
-    /// Counts `n` ignored (double/invalid) frees in one add.
-    pub(crate) fn record_ignored_frees(&self, sole: bool, n: u64) {
-        if n > 0 {
-            self.ignored_frees.rmw(sole, Rmw::Add(n), Ordering::Relaxed);
-        }
+    /// Counts one ignored (double/invalid) free. Like every `record_*`, in
+    /// the arm the caller's call read once (`sole`, [`crate::sync`]).
+    pub(crate) fn record_ignored_free(&self, sole: bool) {
+        self.ignored_frees.rmw(sole, Rmw::Add(1), Ordering::Relaxed);
     }
 
     /// Counts one allocation denied at the `1/M` cap.
@@ -189,7 +173,7 @@ impl<A: Arm> AtomicHeapStats<A> {
 //
 // The byte-offset ↔ (class, slot) conversions and the §4.3 free-validation
 // checks are pure functions of the precomputed [`HeapGeometry`], so the
-// heap, its magazines and the global allocator's bounded string functions
+// heap and the global allocator's bounded string functions
 // run the *same* logic and none of it needs a lock. Per the paper's §4.1,
 // the arithmetic is shifts and masks only: no division, modulus, or
 // multiplication survives on these paths.

@@ -16,20 +16,27 @@
 //!   malformed by construction. This keeps the readers callable from
 //!   inside `malloc` itself (the `global` allocator and the `LD_PRELOAD`
 //!   interposer both initialize lazily on first allocation).
-//! * **Clamped ranges.** Knobs with a bounded domain (`DIEHARD_GROW`'s
-//!   fraction exponent) are clamped here, in one place, instead of being
-//!   truncated ad hoc at the use site.
+//! * **Only values a heap can be built with.** A well-formed value the
+//!   heap cannot be built with — a region that is not a power of two, an
+//!   `M` whose `1/M` cap leaves the region no room for one 16 KiB object —
+//!   is treated as unset too. Allocator initialization is terminal, so the
+//!   alternative is a process whose every allocation fails, for a value
+//!   that looks plausible (`DIEHARD_REGION_MB=48`). Knobs with an exponent
+//!   domain (`DIEHARD_GROW`) are clamped instead of being truncated ad hoc
+//!   at the use site.
 //!
-//! The pure parsers are always available (and unit-tested without any
-//! process-global state); the `getenv`-backed readers exist only with the
-//! `global` feature on Unix, alongside the allocator that uses them.
+//! One pure parser per knob decides all of that ([`parse_u64`] for the
+//! seed, [`parse_grow`], [`parse_region_mb`], [`parse_multiplier`]); they
+//! are always available and unit-tested without any process-global state.
+//! The `getenv`-backed readers call them, and exist only with the `global`
+//! feature on Unix, alongside the allocator that uses them.
 //!
-//! | Variable            | Meaning                                  | Default    |
-//! |---------------------|------------------------------------------|------------|
-//! | `DIEHARD_SEED`      | master RNG seed                          | entropy    |
-//! | `DIEHARD_REGION_MB` | per-class region megabytes               | 32 (min 1) |
-//! | `DIEHARD_M`         | expansion factor `M`                     | 2 (min 1)  |
-//! | `DIEHARD_GROW`      | elastic start fraction `1/2^n` (`n`≤63)  | unset¹     |
+//! | Variable            | Meaning                                  | Default | Accepted                  |
+//! |---------------------|------------------------------------------|---------|---------------------------|
+//! | `DIEHARD_SEED`      | master RNG seed                          | entropy | any `u64`                 |
+//! | `DIEHARD_REGION_MB` | per-class region megabytes               | 32      | power of two, ≤ 8192      |
+//! | `DIEHARD_M`         | expansion factor `M`                     | 2       | 1 ≤ `M` ≤ 64 × region MB  |
+//! | `DIEHARD_GROW`      | elastic start fraction `1/2^n`           | unset¹  | any, clamped to `n` ≤ 63  |
 //!
 //! ¹ Unset means what the allocator's constructor says. A `DieHard::new`
 //! global allocator stays fixed-size (the paper's heap: regions born at
@@ -55,6 +62,11 @@ pub const MAX_GROW_LOG2: u32 = 63;
 
 /// Default `DIEHARD_REGION_MB`: 32 MB per class, the paper's 384 MB heap.
 pub const DEFAULT_REGION_MB: u64 = 32;
+
+/// Largest accepted `DIEHARD_REGION_MB`: 8 GiB regions, whose 8-byte class
+/// holds 2³⁰ slots. Twice that is 2³¹, past the partition's packed 31-bit
+/// capacity and ticket counts, which refuse it.
+pub const MAX_REGION_MB: u64 = 8 << 10;
 
 /// Default `DIEHARD_M`: the paper's evaluation multiplier.
 pub const DEFAULT_MULTIPLIER: u64 = 2;
@@ -84,9 +96,31 @@ pub fn parse_grow(bytes: &[u8]) -> Option<u32> {
     parse_u64(bytes).map(|g| g.min(u64::from(MAX_GROW_LOG2)) as u32)
 }
 
+/// Parses a `DIEHARD_REGION_MB` value: strict decimal, a power of two (the
+/// heap's offset arithmetic is shifts and masks) and at most
+/// [`MAX_REGION_MB`]. Anything else is `None` (treated as unset).
+#[must_use]
+pub fn parse_region_mb(bytes: &[u8]) -> Option<u64> {
+    parse_u64(bytes).filter(|&mb| mb.is_power_of_two() && mb <= MAX_REGION_MB)
+}
+
+/// Parses a `DIEHARD_M` value for regions of `region_mb` megabytes: strict
+/// decimal, at least 1, and small enough that the largest class (16 KiB)
+/// keeps room for one object under its `1/M` cap — `M × 16 KiB` at most the
+/// region, i.e. `M ≤ 64 × region_mb`. Anything else is `None` (treated as
+/// unset).
+#[must_use]
+pub fn parse_multiplier(bytes: &[u8], region_mb: u64) -> Option<u64> {
+    let most = (region_mb << 20) / crate::size_class::MAX_OBJECT_SIZE as u64;
+    parse_u64(bytes).filter(|m| (1..=most).contains(m))
+}
+
 #[cfg(all(feature = "global", unix))]
 mod readers {
-    use super::{parse_u64, DEFAULT_MULTIPLIER, DEFAULT_REGION_MB, MAX_GROW_LOG2};
+    use super::{
+        parse_grow, parse_multiplier, parse_region_mb, parse_u64, DEFAULT_MULTIPLIER,
+        DEFAULT_REGION_MB,
+    };
 
     /// Longest value worth reading: `u64::MAX` has 20 digits; anything
     /// longer is out of range (or has leading zeros past any sane use) and
@@ -98,6 +132,13 @@ mod readers {
     /// malformed, or longer than [`VALUE_MAX`] bytes.
     #[must_use]
     pub fn read_u64(name: &'static str) -> Option<u64> {
+        read(name, parse_u64)
+    }
+
+    /// Hands the value of environment variable `name` (NUL-terminated
+    /// literal) to `parse` without allocating. `None` when unset, longer
+    /// than [`VALUE_MAX`] bytes, or refused by `parse`.
+    fn read<T>(name: &'static str, parse: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
         debug_assert!(name.ends_with('\0'), "env names must be NUL-terminated");
         // SAFETY: `name` is NUL-terminated; getenv does not allocate.
         let raw = unsafe { libc::getenv(name.as_ptr().cast::<libc::c_char>()) };
@@ -119,7 +160,7 @@ mod readers {
             buf[len] = c;
             len += 1;
         }
-        parse_u64(&buf[..len])
+        parse(&buf[..len])
     }
 
     /// `DIEHARD_SEED`: `Some(seed)` when set and well-formed, else `None`
@@ -129,29 +170,28 @@ mod readers {
         read_u64("DIEHARD_SEED\0")
     }
 
-    /// `DIEHARD_GROW`: the elastic start-fraction exponent, clamped to
-    /// [`MAX_GROW_LOG2`]. `None` (unset/malformed) leaves the choice to the
-    /// allocator's constructor (fixed-size, or its own default fraction).
+    /// `DIEHARD_GROW` through [`parse_grow`]. `None` (unset/malformed)
+    /// leaves the choice to the allocator's constructor (fixed-size, or its
+    /// own default fraction).
     #[must_use]
     pub fn grow() -> Option<u32> {
-        read_u64("DIEHARD_GROW\0").map(|g| g.min(u64::from(MAX_GROW_LOG2)) as u32)
+        read("DIEHARD_GROW\0", parse_grow)
     }
 
-    /// `DIEHARD_REGION_MB`: per-class region megabytes, default
-    /// [`DEFAULT_REGION_MB`], floored at 1 (a zero-byte region is not a
-    /// heap).
+    /// `DIEHARD_REGION_MB` through [`parse_region_mb`], default
+    /// [`DEFAULT_REGION_MB`].
     #[must_use]
     pub fn region_mb() -> u64 {
-        read_u64("DIEHARD_REGION_MB\0")
-            .unwrap_or(DEFAULT_REGION_MB)
-            .max(1)
+        read("DIEHARD_REGION_MB\0", parse_region_mb).unwrap_or(DEFAULT_REGION_MB)
     }
 
-    /// `DIEHARD_M`: the expansion factor, default [`DEFAULT_MULTIPLIER`],
-    /// floored at 1 (`M < 1` would cap classes below their own capacity).
+    /// `DIEHARD_M` through [`parse_multiplier`] for regions of `region_mb`
+    /// megabytes ([`region_mb`]'s answer), default [`DEFAULT_MULTIPLIER`] —
+    /// which every accepted region can hold.
     #[must_use]
-    pub fn multiplier() -> u64 {
-        read_u64("DIEHARD_M\0").unwrap_or(DEFAULT_MULTIPLIER).max(1)
+    pub fn multiplier(region_mb: u64) -> u64 {
+        read("DIEHARD_M\0", |bytes| parse_multiplier(bytes, region_mb))
+            .unwrap_or(DEFAULT_MULTIPLIER)
     }
 }
 
@@ -200,6 +240,45 @@ mod tests {
         assert_eq!(parse_grow(b""), None);
     }
 
+    /// What the region and `M` knobs accept is exactly what the heap can be
+    /// built with: `HeapConfig::validate` agrees on every region from 1 MB
+    /// to the maximum and every `M` around the bound, and the largest region
+    /// is the last whose slot counts fit the partition's packed words.
+    #[test]
+    fn region_and_multiplier_accept_only_buildable_heaps() {
+        use crate::config::HeapConfig;
+        for (raw, region) in [
+            (&b"48"[..], None),
+            (b"0", None),
+            (b"1", Some(1)),
+            (b"32", Some(32)),
+        ] {
+            assert_eq!(parse_region_mb(raw), region, "{raw:?}");
+        }
+        assert_eq!(parse_region_mb(b"8192"), Some(MAX_REGION_MB));
+        assert_eq!(parse_region_mb(b"16384"), None);
+        let slots = |mb: u64| (mb << 20) / 8;
+        assert!(slots(MAX_REGION_MB) < 1 << 31 && slots(2 * MAX_REGION_MB) >= 1 << 31);
+        assert_eq!(parse_multiplier(b"100000", DEFAULT_REGION_MB), None);
+        assert_eq!(parse_multiplier(b"0", DEFAULT_REGION_MB), None);
+        assert_eq!(parse_multiplier(b"2x", DEFAULT_REGION_MB), None);
+        for log2 in 0..=MAX_REGION_MB.ilog2() {
+            let mb = 1u64 << log2;
+            assert_eq!(parse_region_mb(mb.to_string().as_bytes()), Some(mb));
+            let most = mb * 64;
+            for m in [1, 2, most - 1, most, most + 1, most * 2] {
+                let config = HeapConfig::paper_default()
+                    .with_region_bytes((mb as usize) << 20)
+                    .with_multiplier(m as f64);
+                assert_eq!(
+                    parse_multiplier(m.to_string().as_bytes(), mb).is_some(),
+                    config.validate().is_ok(),
+                    "M = {m} for {mb} MB regions"
+                );
+            }
+        }
+    }
+
     #[cfg(all(feature = "global", unix))]
     mod getenv_backed {
         use super::super::*;
@@ -222,7 +301,7 @@ mod tests {
         fn defaults_apply_when_unset() {
             // These names are never set by the test harness.
             assert_eq!(region_mb(), DEFAULT_REGION_MB);
-            assert_eq!(multiplier(), DEFAULT_MULTIPLIER);
+            assert_eq!(multiplier(region_mb()), DEFAULT_MULTIPLIER);
         }
     }
 }

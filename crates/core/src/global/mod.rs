@@ -19,11 +19,10 @@
 //! The per-operation paths are **lock-free**: after a one-time
 //! initialization, the header (heap base, page size, configuration) is read
 //! without synchronization, and small-object `alloc`/`free` run entirely on
-//! atomics — a probe/CAS loop over the class's paired slot-state map, with
-//! a ticket counter enforcing the `1/M` cap. Each size class keeps one
-//! *maintenance* `SpinLock` for batch work only (magazine refills, free
-//! flushes, reservation teardown); the large-object validity table has a
-//! separate lock of its own.
+//! atomics — a probe loop of `or` claims over the class's bitmap, with a
+//! ticket counter enforcing the `1/M` cap, and one `and` to free. Each size
+//! class keeps one *maintenance* `SpinLock` for its growth steps only; the
+//! large-object validity table has a separate lock of its own.
 //!
 //! Environment knobs (read once, at first allocation; ignored when the
 //! allocator was built with [`DieHard::with_config`]):
@@ -32,6 +31,11 @@
 //! * `DIEHARD_REGION_MB` — per-class region megabytes (default 32, i.e. the
 //!   paper's 384 MB heap).
 //! * `DIEHARD_M` — integer expansion factor `M` (default 2).
+//!
+//!   A value of either that the heap cannot be built with — a region that
+//!   is not a power of two, an `M` that leaves no room for one 16 KiB object
+//!   — is its default ([`crate::env`] decides), not a heap that fails to
+//!   initialize.
 //! * `DIEHARD_GROW` — elastic mode (§9's adaptive growth, concurrent):
 //!   each class's *active* capacity starts at `1/2^value` of its configured
 //!   maximum (e.g. `6` → 1/64) and grows under `1/M`-cap pressure, a quarter
@@ -76,7 +80,7 @@
 //! `global` cargo feature; the allocation-free synchronization primitives it
 //! builds on live ungated in [`crate::sync`], and the lock-free slot-state
 //! machine itself lives ungated in [`crate::bitmap`] /
-//! [`crate::partition`] / [`crate::magazine`]. Findings, kept current as
+//! [`crate::partition`] / [`crate::sharded`]. Findings, kept current as
 //! the module changes:
 //!
 //! * **No `static mut` anywhere.** Allocator state is a `GlobalState`
@@ -89,21 +93,22 @@
 //!   mutable behind locks — the pattern stable Rust recommends over
 //!   `static mut` (which trips `static_mut_refs` on current toolchains).
 //! * **Atomics replace the old per-shard exclusivity argument.** Every
-//!   slot's lifecycle lives in one 2-bit cell of its class's
-//!   [`SlotStateMap`](crate::bitmap::SlotStateMap), and every transition is
-//!   a single CAS or read-modify-write on that cell: claiming a free slot,
-//!   committing a reservation, and freeing are all linearizable at one
-//!   atomic instruction, so two threads can never both own a slot and a
-//!   free can never clear a slot it does not own (the paired encoding makes
-//!   the CAS fail instead). The `1/M` cap is a ticket `fetch_add` that backs
-//!   out on overshoot, and the per-class RNG packs its whole state in one
-//!   `AtomicU64` CAS ([`AtomicMwc`](crate::rng::AtomicMwc)) — no torn draws.
-//!   (Each of these is a [`Word`](crate::sync::Word) update — see the next
-//!   finding for when it is not a locked instruction.)
+//!   slot's lifecycle is one bit of its class's
+//!   [`SlotStateMap`](crate::bitmap::SlotStateMap) (§4.1), and both
+//!   transitions are a single read-modify-write of that bit's word:
+//!   claiming a free slot (`or`, won when the bit was 0) and freeing a live
+//!   one (`and`, done when it was 1) are each linearizable at one atomic
+//!   instruction, so two threads can never both win a slot, and a double
+//!   free finds the bit clear and changes nothing. The `1/M` cap is a
+//!   ticket `fetch_add` that backs out on overshoot, and the per-class RNG
+//!   packs its whole state in one `AtomicU64` CAS
+//!   ([`AtomicMwc`](crate::rng::AtomicMwc)) — no torn draws. (Each of these
+//!   is a [`Word`](crate::sync::Word) update — see the next finding for when
+//!   it is not a locked instruction.)
 //!   The surviving locks are slow-path only: one maintenance `SpinLock` per
-//!   class serializing *batches* (refill, flush, teardown) against each
-//!   other — never taken by per-op traffic — plus the large-object table
-//!   lock. No operation ever takes two locks at once; a free resolves its
+//!   class serializing its growth steps — taken by an allocation only to
+//!   grow — plus the large-object table lock. No operation ever takes two
+//!   locks at once; a free resolves its
 //!   address with pure arithmetic *before* touching any shared state — one
 //!   subtraction and one comparison, in `GlobalState::span_offset`, the
 //!   only place a pointer is tested against the span.
@@ -116,7 +121,8 @@
 //!   ticket, counters, the `SpinLock` flag — is a relaxed load and a relaxed
 //!   store instead of a locked instruction; [`crate::sync`]'s module docs
 //!   carry the argument. The byte is read once per call, at the entry
-//!   ([`tls::enter`]), and that answer is carried down to every update the
+//!   ([`sole_thread`], or [`tls::guarded`] behind the interposer's
+//!   re-entrancy flag), and that answer is carried down to every update the
 //!   call makes. Linearizability is untouched: with one thread
 //!   every operation is trivially atomic, and none straddles the flip,
 //!   because the only thread that can clear the byte is the one executing
@@ -129,8 +135,7 @@
 //!   re-entering the allocator between a load and its store:
 //!   `libdiehard.so` diverts re-entrant calls to its bootstrap arena before
 //!   they reach this heap, and `GlobalAlloc` was never async-signal-safe in
-//!   either arm (neither the heap's load/store pairs nor a thread's
-//!   magazines are re-entrant).
+//!   either arm (the heap's load/store pairs are not re-entrant).
 //! * **Raw-pointer state.** `GlobalState` owns raw `mmap` regions and is
 //!   never moved or sent, only shared; its `unsafe impl Sync` is sound
 //!   because `heap_base`/`page` are written once before the state's address
@@ -155,53 +160,43 @@
 //!   lives in a dedicated mapping, so initialization cannot recurse.
 //!   A failed initialization (OOM, invalid config) is terminal: later calls
 //!   return null instead of retrying `mmap` storms.
-//! * **Thread-local magazines never allocate and never dangle.** The
-//!   per-thread block is `const`-initialized ELF TLS (no lazy-init state,
-//!   no `std` destructor registration — which would `calloc` inside glibc
-//!   and re-enter the allocator); the thread-exit flush is a single
-//!   `pthread` key whose destructor runs while ELF TLS is still mapped.
-//!   The invariant that keeps a binding valid: *a `GlobalState` lives in
-//!   its heap's metadata mapping, which is never unmapped*, so every
-//!   binding is a plain `&'static` pointer, and a flush through one — at
-//!   rebind or at thread exit, after the `DieHard` that made it was dropped
-//!   or moved — lands in a heap that is still mapped ([`tls`]'s module docs
-//!   have why). A `DieHard` holds only that address, so moving one,
-//!   initialized or not, is sound. The same block holds
-//!   `libdiehard.so`'s re-entrancy flag ([`with_guard`],
-//!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]), so a call in a
-//!   threaded process looks it up once — one `__tls_get_addr` in a shared
-//!   object — and passes it down; the one `unsafe` of that lookup is a
-//!   deref of the block's address on its own thread.
-//! * **A process with one thread uses no thread-local storage, and no
-//!   cache.** When a call's one read of the thread count says the process
-//!   is alone, its re-entrancy flag is a process-wide static and it goes
-//!   straight to the heap's lock-free path (`Heap::try_alloc_in`,
-//!   `Heap::free_at_in`): §4.2's `DieHardMalloc` and `DieHardFree`, one
+//! * **One thread-local, and it never allocates.** The only per-thread
+//!   state is `libdiehard.so`'s re-entrancy flag ([`with_guard`],
+//!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]): a
+//!   `const`-initialized ELF TLS `Cell` (no lazy-init state, no `std`
+//!   destructor registration — which would `calloc` inside glibc and
+//!   re-enter the allocator), looked up once per guarded call in a threaded
+//!   process (one `__tls_get_addr` in a shared object); the one `unsafe` of
+//!   that lookup is a deref of the flag's address on its own thread
+//!   ([`tls`]). Nothing else is per thread, so a thread leaves nothing
+//!   behind when it exits, and nothing outlives a heap but the heap: a
+//!   `GlobalState` lives in its heap's metadata mapping, which is never
+//!   unmapped, and a `DieHard` holds only that address, so moving one,
+//!   initialized or not, is sound.
+//! * **Every call takes one path to the heap.** Alone or threaded, an
+//!   allocation is the heap's `Heap::try_alloc_in` and a free its
+//!   `Heap::free_at_in`: §4.2's `DieHardMalloc` and `DieHardFree`, one
 //!   slot-map update per operation, a freed slot back in the probe space
-//!   before the call returns. No lookup, no binding, and nothing held
-//!   between calls: the heap is the whole state, so a process's first
-//!   `pthread_create` hands its new thread a heap with nothing reserved and
-//!   nothing buffered, and the plain stores that built it are published to
-//!   that thread by the creation itself (`sync`'s fact 2). A fork child of
-//!   a process that never had a second thread is alone too, and allocates
-//!   from its copy of the heap the same way.
+//!   before the call returns. Only the arm differs, as the call's one read
+//!   of the thread count says. The heap is the whole state, so a process's
+//!   first `pthread_create` hands its new thread a heap with nothing held
+//!   back, and the plain stores that built it are published to that thread
+//!   by the creation itself (`sync`'s fact 2). A fork child of a process
+//!   that never had a second thread is alone too, and allocates from its
+//!   copy of the heap the same way.
 //! * **The per-op path is one function per direction.** Every function
-//!   from an entry point to the slot claim or free — alone — or to the
-//!   magazine pop or free-buffer push — threaded — is inlined into the
+//!   from an entry point to the slot claim or free is inlined into the
 //!   entry (`libdiehard.so`'s `alloc_impl` and `free_impl`), and everything
-//!   else — initialization, a growth step, a refill, a free flush, a
-//!   rebind, large objects — is a `#[cold]` call out of it. On a ready heap
-//!   and a single-threaded host that path calls nothing — not
-//!   `__tls_get_addr` either — until a class grows, and executes no locked
-//!   instruction at all.
-//! * **Per-op traffic never spins.** A magazine handout or buffered free —
-//!   and the heap's own `try_alloc`/`free_at` — completes without acquiring
-//!   any lock: a thread preempted mid-operation cannot wedge another
-//!   thread's allocation, which the old shard-`SpinLock` design could not
-//!   promise. The reserved/live
-//!   state machine (free → reserved → live → free, one paired-bit cell per
-//!   slot) is documented and tested in [`crate::bitmap`] and
-//!   [`crate::magazine`].
+//!   else — initialization, a growth step, large objects — is a `#[cold]`
+//!   call out of it. On a ready heap and a single-threaded host that path
+//!   calls nothing — not `__tls_get_addr` either — until a class grows, and
+//!   executes no locked instruction at all.
+//! * **Per-op traffic never spins.** The heap's `try_alloc`/`free_at`
+//!   complete without acquiring any lock short of a growth step: a thread
+//!   preempted mid-operation cannot wedge another thread's allocation,
+//!   which the old shard-`SpinLock` design could not promise. The slot
+//!   protocol (free → live → free, one bit per slot) is documented and
+//!   tested in [`crate::bitmap`] and [`crate::partition`].
 //! * **Huge pages are two advisory syscalls, issued on evidence.**
 //!   Initialization advises nothing: the small-object span is reserved
 //!   2 MB-aligned and faults in 4 KB at a time, so a class a process barely
@@ -244,9 +239,8 @@
 //!   holding the lock across them is a stall per huge page: a collapse
 //!   copies 2 MB and took
 //!   0.4–15 ms on the reference box (`class_promote` in `BENCH_12.json`),
-//!   during which a thread refilling *that* class, or a `fork`, waits in
-//!   the lock's yield loop; handouts from magazines and every other class
-//!   carry on. Under THP `always` the kernel may back first touches with
+//!   during which a thread growing *that* class, or a `fork`, waits in the
+//!   lock's yield loop; every other allocation and free carries on. Under THP `always` the kernel may back first touches with
 //!   huge pages on its own, promoted or not — nothing here forbids it, and
 //!   there a range's tail is resident to the next 2 MB boundary.
 //!   Each large-object mapping is still advised before its pointer escapes.
@@ -262,6 +256,7 @@
 pub(crate) mod sys;
 mod tls;
 
+use crate::sync::sole_thread;
 pub use crate::sync::{OnceCell, SpinGuard, SpinLock};
 
 use crate::config::HeapConfig;
@@ -298,8 +293,9 @@ use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 /// of `M` × live became 6–7; `rss_ratio` 2.89 → 2.25). That slack was
 /// protection nobody sized — up to twice the `Q` §3 asks for — and it was
 /// speed: a class nearer its cap pays nearer the paper's `1/(1 − 1/M)`
-/// expected probes (§4.2), and a refill nearer its cap is clamped to fewer
-/// slots (`global_churn_cold` ≈ +7 ns a pair, the 64-object
+/// expected probes (§4.2), and a magazine refill (the cache threaded hosts
+/// had then) nearer its cap was clamped to fewer slots (`global_churn_cold`
+/// ≈ +7 ns a pair, the 64-object
 /// `preload_alloc_churn` ring ≈ +4.5 ns because its 2 KiB class now stops
 /// at 80–96 slots where it used to double to 128; `churn_host`'s
 /// `overhead_ratio` does not move — CHANGES.md, PR 24).
@@ -312,14 +308,13 @@ pub const DEFAULT_GROW_LOG2: u32 = 9;
 const LARGE_CAPACITY: usize = 4096;
 
 /// The state behind an initialized allocator: the lock-free header fields
-/// plus the two locked domains (small-object shards, large-object table).
+/// plus the two locked domains (small-object growth, large-object table).
 /// It heads its heap's metadata mapping, which is never unmapped, so it is
 /// never freed: every reference to it is `&'static`, and one outlives the
-/// [`DieHard`] that made it, dropped or moved (the thread-local bindings of
-/// [`tls`] rely on this).
+/// [`DieHard`] that made it, dropped or moved.
 struct GlobalState {
-    /// Twelve lock-free partitions (reservations live in their paired-bit
-    /// slot-state maps) + atomic stats: the heap, in its shared arm.
+    /// Twelve lock-free partitions + the two cold counters: the heap, in
+    /// its shared arm.
     heap: Heap,
     /// Base address of the small-object span. Written once at init, then
     /// read-only.
@@ -338,8 +333,8 @@ struct GlobalState {
 
 // SAFETY: `heap_base` and `page` are written once before `DieHard`
 // publishes this state's address (Release/Acquire) and are only read
-// afterwards; `heap` is Sync by construction (per-shard SpinLocks + atomic
-// stats) and the large table is guarded by its SpinLock. The mappings the
+// afterwards; `heap` is Sync by construction (per-class SpinLocks + atomic
+// words) and the large table is guarded by its SpinLock. The mappings the
 // raw pointers refer to are never unmapped.
 unsafe impl Sync for GlobalState {}
 
@@ -489,10 +484,11 @@ impl DieHard {
         if ptr.is_null() {
             return;
         }
-        tls::enter(
-            |alone| self.free_in(alone, ptr),
-            |block| self.free_in(block, ptr),
-        );
+        if sole_thread() {
+            self.free_in(true, ptr);
+        } else {
+            self.free_in(false, ptr);
+        }
     }
 
     /// [`GlobalAlloc::alloc`] behind this thread's re-entrancy flag — the
@@ -500,18 +496,18 @@ impl DieHard {
     /// while the flag is already set ([`with_guard`], or an enclosing
     /// guarded entry: glibc allocating from inside the allocator's own
     /// machinery, a signal handler interrupting it) returns `nested()` and
-    /// never reaches the heap, whose magazines and single-thread arm are not
-    /// re-entrant. One read of the thread count decides where the flag is
-    /// and how the call reaches the heap: while the process has one thread,
-    /// a process-wide flag and the heap's uncached path; after that, one
-    /// thread-local block holding the flag and the magazines, looked up once
-    /// for both ([`tls`] has why). Inlined whole into the caller, so the
-    /// `READY` path makes no call until a growth step or a magazine refill.
+    /// never reaches the heap, whose updates are not re-entrant. One read of
+    /// the thread count decides where the flag is and which arm the heap's
+    /// updates take: while the process has one thread, a process-wide flag
+    /// and plain loads and stores; after that, a thread-local flag, looked
+    /// up once, and locked instructions ([`tls`] has why). Inlined whole
+    /// into the caller, so the `READY` path makes no call until a growth
+    /// step.
     #[inline(always)]
     pub fn alloc_guarded(&self, layout: Layout, nested: impl FnOnce() -> *mut u8) -> *mut u8 {
-        tls::enter(
-            |alone| alone.guarded(|reentered| (!reentered).then(|| self.alloc_in(alone, layout))),
-            |block| block.guarded(|reentered| (!reentered).then(|| self.alloc_in(block, layout))),
+        tls::guarded(
+            |reentered| (!reentered).then(|| self.alloc_in(true, layout)),
+            |reentered| (!reentered).then(|| self.alloc_in(false, layout)),
         )
         .unwrap_or_else(nested)
     }
@@ -519,12 +515,12 @@ impl DieHard {
     /// [`free`](Self::free) behind the same flag as
     /// [`alloc_guarded`](Self::alloc_guarded): a re-entrant call runs
     /// `nested` instead of touching the heap. The same one read, inlined
-    /// whole; no call alone, and none threaded until a free-buffer flush.
+    /// whole; no call on a small object.
     #[inline(always)]
     pub fn free_guarded(&self, ptr: *mut u8, nested: impl FnOnce()) {
-        let freed = tls::enter(
-            |alone| alone.guarded(|reentered| (!reentered).then(|| self.free_in(alone, ptr))),
-            |block| block.guarded(|reentered| (!reentered).then(|| self.free_in(block, ptr))),
+        let freed = tls::guarded(
+            |reentered| (!reentered).then(|| self.free_in(true, ptr)),
+            |reentered| (!reentered).then(|| self.free_in(false, ptr)),
         );
         if freed.is_none() {
             nested();
@@ -611,34 +607,20 @@ impl DieHard {
         }
     }
 
-    /// Live small objects currently tracked (diagnostics: a popcount over
-    /// every slot-map word, [`Heap::live_objects`]). Flushes the calling
-    /// thread's magazine first so the count reflects this thread's buffered
-    /// frees; slots reserved inside other threads' magazines are excluded
-    /// (they are not live).
+    /// Live small objects (diagnostics: the twelve classes' `1/M` tickets,
+    /// [`Heap::live_objects`]). Exact whenever no other thread is inside
+    /// the allocator.
     #[must_use]
     pub fn live_objects(&self) -> usize {
-        self.flush_thread_cache();
         self.ready().map_or(0, |s| s.heap.live_objects())
     }
 
-    /// Heap statistics since initialization. Flushes the calling thread's
-    /// magazine first, so in quiescence (all other threads exited or
-    /// flushed) the counters are exact.
+    /// Heap statistics since initialization ([`Heap::stats`]); exact
+    /// whenever no other thread is inside the allocator.
     #[must_use]
     pub fn stats(&self) -> HeapStats {
-        self.flush_thread_cache();
         self.ready()
             .map_or_else(Default::default, |s| s.heap.stats())
-    }
-
-    /// Slots currently reserved inside thread-local magazines (diagnostics;
-    /// zero once every thread has exited or flushed). Flushes the calling
-    /// thread's magazine first — flushing returns its reservations too.
-    #[must_use]
-    pub fn reserved_slots(&self) -> usize {
-        self.flush_thread_cache();
-        self.ready().map_or(0, |s| s.heap.reserved_slots())
     }
 
     /// Bitmask of size classes with memory offered to huge pages (bit `i` =
@@ -651,28 +633,13 @@ impl DieHard {
         self.ready().map_or(0, |s| s.heap.promoted_classes())
     }
 
-    /// Flushes the calling thread's magazine into this heap, releasing its
-    /// buffered frees and returning its unhanded reservations. A no-op when
-    /// the thread's magazines are bound to a different heap (or to none),
-    /// and while the process has one thread, whose calls buffer nothing.
-    /// Other threads flush at their own exits; call this from each thread
-    /// that should settle its accounting early.
-    pub fn flush_thread_cache(&self) {
-        let Some(state) = self.ready() else {
-            return;
-        };
-        tls::enter(|_alone| {}, |block| block.flush_if_bound(state));
-    }
-
     /// C `malloc_usable_size`: the full capacity of the live object whose
     /// *start* is `ptr` — the rounded class size for small objects, the
     /// page-rounded user range for large ones. Returns 0 for null, interior,
     /// foreign, and dead pointers (glibc returns 0 only for null and leaves
     /// the rest undefined; answering 0 instead of corrupting is this
-    /// allocator's whole premise). In a process with more than one thread,
-    /// a small object whose free is still buffered in a thread's magazine
-    /// reports its size until the batch flushes — the slot is genuinely not
-    /// reusable before then; a process with one thread buffers no free.
+    /// allocator's whole premise). A small object is dead the moment its
+    /// free returns, whatever thread freed it.
     #[must_use]
     pub fn usable_size(&self, ptr: *mut u8) -> usize {
         let Some(state) = self.ready() else {
@@ -710,12 +677,12 @@ impl DieHard {
     /// forked child could otherwise inherit mid-critical-section — all
     /// twelve per-class maintenance locks, then the large-object table
     /// lock. With these held across the `fork`, the
-    /// child's single thread sees batch-consistent shard metadata and
-    /// settled tables. In-flight *lock-free* operations in other threads
-    /// (a reservation ticket between `fetch_add` and commit) can strand a
-    /// bounded number of slots in the child — an availability leak, never
-    /// corruption: the slot-state CAS encoding stays self-consistent under
-    /// any interleaving of the parent's atomics.
+    /// child's single thread sees no growth step half taken and settled
+    /// tables. In-flight *lock-free* operations in other threads (a ticket
+    /// between its `fetch_add` and its claim) can strand one slot of `1/M`
+    /// allowance per such thread in the child — an availability leak, never
+    /// corruption: each slot's bit and each ticket word stay
+    /// self-consistent under any interleaving of the parent's atomics.
     ///
     /// Pair with [`fork_resume`](Self::fork_resume) in both the parent and
     /// the child (the `pthread_atfork` parent/child hooks).
@@ -799,15 +766,21 @@ impl DieHard {
         // choice and ignores the environment (the same isolation contract
         // as the other knobs); an env-configured one honors DIEHARD_GROW,
         // falling back to the constructor's default fraction, if any.
+        // The knobs' readers answer only values a heap can be built with
+        // (`crate::env`), so a bad value falls back to its default rather
+        // than failing initialization for good.
         let (config, seed, grow) = match &self.fixed {
             Some((config, seed)) => (config.clone(), *seed, self.grow),
-            None => (
-                HeapConfig::paper_default()
-                    .with_region_bytes((crate::env::region_mb() as usize) << 20)
-                    .with_multiplier(crate::env::multiplier() as f64),
-                crate::env::seed().unwrap_or_else(entropy_seed),
-                crate::env::grow().or(self.grow),
-            ),
+            None => {
+                let region_mb = crate::env::region_mb();
+                (
+                    HeapConfig::paper_default()
+                        .with_region_bytes((region_mb as usize) << 20)
+                        .with_multiplier(crate::env::multiplier(region_mb) as f64),
+                    crate::env::seed().unwrap_or_else(entropy_seed),
+                    crate::env::grow().or(self.grow),
+                )
+            }
         };
         config.validate().ok()?;
 
@@ -838,8 +811,8 @@ impl DieHard {
 
         let bitmap_words = meta.wrapping_add(head).cast::<u64>();
         // SAFETY: past its head the meta arena provides `words` zeroed u64s
-        // (the twelve classes' paired-bit slot-state maps, each sized for
-        // its maximum capacity — all `metadata_words_needed` counts)
+        // (the twelve classes' bitmaps, each sized for its maximum capacity
+        // — all `metadata_words_needed` counts)
         // followed by the table's two arrays of `table_cap` usizes; mmap'd
         // memory is zeroed and exclusively ours. (Fraction 0 is the fixed
         // heap.)
@@ -878,13 +851,13 @@ impl DieHard {
         }
     }
 
-    /// The one allocation body, on the route this call's one read of the
-    /// thread count chose: behind [`GlobalAlloc::alloc`] and
+    /// The one allocation body, in the arm this call's one read of the
+    /// thread count chose (`sole`): behind [`GlobalAlloc::alloc`] and
     /// [`alloc_guarded`](Self::alloc_guarded). Inlined into both arms of each
-    /// of them, with every slow path — initialization, a rebind, a refill,
-    /// a growth step, a large object — out of line.
+    /// of them, with every slow path — initialization, a growth step, a
+    /// large object — out of line.
     #[inline(always)]
-    fn alloc_in(&self, route: &impl Route, layout: Layout) -> *mut u8 {
+    fn alloc_in(&self, sole: bool, layout: Layout) -> *mut u8 {
         let Some(state) = self.state() else {
             return ptr::null_mut();
         };
@@ -894,10 +867,9 @@ impl DieHard {
         if need > crate::size_class::MAX_OBJECT_SIZE {
             return Self::alloc_large(state, layout.size(), layout.align());
         }
-        // Fast path: a random slot, claimed by the heap's probe loop alone
-        // or popped from a magazine threaded (no lock either way; refills
-        // batch the class lock).
-        match route.alloc(state, need) {
+        // Fast path: a random slot, claimed by the heap's probe loop (no
+        // lock short of a growth step).
+        match state.heap.try_alloc_in(sole, need) {
             AllocOutcome::Placed(slot) => {
                 let off = state.heap.offset_of(slot);
                 // SAFETY: `off` lies within the reserved heap span.
@@ -914,11 +886,11 @@ impl DieHard {
         }
     }
 
-    /// The one free body, on the route this call chose: behind
+    /// The one free body, in the arm this call chose: behind
     /// [`free`](Self::free), [`free_guarded`](Self::free_guarded) and
     /// `dealloc`.
     #[inline(always)]
-    fn free_in(&self, route: &impl Route, ptr: *mut u8) {
+    fn free_in(&self, sole: bool, ptr: *mut u8) {
         let Some(state) = self.ready() else {
             return;
         };
@@ -926,11 +898,9 @@ impl DieHard {
             Self::release_large(state, ptr);
             return;
         };
-        // Small object: full §4.3 validation. The span/alignment half is
-        // lock-free arithmetic either way; alone the slot is freed at once,
-        // threaded the free is buffered and released to its class in a
-        // batch.
-        route.free(state, off);
+        // Small object: full §4.3 validation — lock-free arithmetic, then
+        // one `and` that frees the slot or, on a free one, changes nothing.
+        let _ = state.heap.free_at_in(sole, off);
     }
 
     /// Frees a pointer outside the small-object span: possibly a large
@@ -997,50 +967,6 @@ impl DieHard {
     }
 }
 
-/// The way one call's small objects reach the heap, as its one read of the
-/// thread count chose ([`tls::enter`]): straight to the heap's lock-free
-/// path, in the plain arm, while the process has one thread; through this
-/// thread's magazines, in the locked arm, after that. Each entry point's
-/// body is compiled once per side, so neither copy tests the other side's
-/// case.
-trait Route {
-    /// A slot for `need` bytes.
-    fn alloc(&self, state: &'static GlobalState, need: usize) -> AllocOutcome;
-    /// The small-object free at span offset `off`.
-    fn free(&self, state: &'static GlobalState, off: usize);
-}
-
-/// Alone, a call is §4.2's `DieHardMalloc` and `DieHardFree` themselves:
-/// one slot-map update per operation, and the freed slot is back in the
-/// probe space when the call returns. A cache would amortize the class lock
-/// and keep threads off each other's cache lines, and with one thread there
-/// is neither to save.
-impl Route for tls::Alone {
-    #[inline(always)]
-    fn alloc(&self, state: &'static GlobalState, need: usize) -> AllocOutcome {
-        state.heap.try_alloc_in(true, need)
-    }
-
-    #[inline(always)]
-    fn free(&self, state: &'static GlobalState, off: usize) {
-        let _ = state.heap.free_at_in(true, off);
-    }
-}
-
-impl Route for tls::TlsBlock {
-    #[inline(always)]
-    fn alloc(&self, state: &'static GlobalState, need: usize) -> AllocOutcome {
-        self.with_cache(state, |mags| mags.try_alloc(false, &state.heap, need))
-    }
-
-    #[inline(always)]
-    fn free(&self, state: &'static GlobalState, off: usize) {
-        self.with_cache(state, |mags| {
-            let _ = mags.free_at(false, &state.heap, off);
-        });
-    }
-}
-
 /// The heap's [`PromoteHook`](crate::sharded::PromoteHook): moves the huge
 /// pages `[offset, offset + len)` of the span at `heap_base` — whole ones,
 /// inside one class's active range — onto huge pages. The advice covers
@@ -1057,11 +983,13 @@ fn promote_region(heap_base: usize, offset: usize, len: usize) {
 
 /// Runs `f` with this thread's re-entrancy flag set, telling it whether it
 /// was already set — the flag [`DieHard::alloc_guarded`] and
-/// [`DieHard::free_guarded`] check and set. One flag per thread, kept in the
-/// same thread-local block as the magazines — or, while the process has one
-/// thread, one flag for the process, read the same way.
+/// [`DieHard::free_guarded`] check and set. One flag per thread — or, while
+/// the process has one thread, one flag for the process, read the same way.
 pub fn with_guard<R>(f: impl FnOnce(bool) -> R) -> R {
-    tls::guarded(f)
+    // One of the two arms runs, once.
+    let f = core::cell::Cell::new(Some(f));
+    let run = |reentered| f.take().expect("one arm runs")(reentered);
+    tls::guarded(run, run)
 }
 
 impl Default for DieHard {
@@ -1075,20 +1003,23 @@ impl Default for DieHard {
 // per-shard bitmap no-overlap invariant), and dealloc releases exactly what
 // alloc returned.
 unsafe impl GlobalAlloc for DieHard {
+    // Each arm is its own inlined copy, with its answer known.
     #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tls::enter(
-            |alone| self.alloc_in(alone, layout),
-            |block| self.alloc_in(block, layout),
-        )
+        if sole_thread() {
+            self.alloc_in(true, layout)
+        } else {
+            self.alloc_in(false, layout)
+        }
     }
 
     #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, _layout: Layout) {
-        tls::enter(
-            |alone| self.free_in(alone, ptr),
-            |block| self.free_in(block, ptr),
-        );
+        if sole_thread() {
+            self.free_in(true, ptr);
+        } else {
+            self.free_in(false, ptr);
+        }
     }
 }
 
@@ -1429,9 +1360,6 @@ mod tests {
         assert_eq!(heap.usable_size(0x1234_5678 as *mut u8), 0);
         assert_eq!(heap.usable_size(ptr::null_mut()), 0);
         heap.free(p);
-        // The free may sit in this thread's magazine buffer (the slot is
-        // then still un-reusable, hence "live"); flush to settle it.
-        heap.flush_thread_cache();
         assert_eq!(heap.usable_size(p), 0, "dead objects answer 0");
     }
 
@@ -1537,7 +1465,7 @@ mod tests {
 
     /// A busy class is promoted alone, at the growth step that completes a
     /// huge page, in this threaded process as in a one-thread one: from the
-    /// shipped 64 KiB start at the refill that steps the class from 1.75 MB
+    /// shipped 64 KiB start at the allocation that steps the class from 1.75 MB
     /// to 2 MB, and every later step adds the huge pages it completed, up to
     /// the whole region; from a 2 MB start at its first step, with the
     /// 2 MB it was born with. A fixed heap never grows and is never
@@ -1545,8 +1473,8 @@ mod tests {
     /// pages, at most one resident per object (`mincore`, checked under THP
     /// `madvise`). Each collapse happens in place (every object keeps its
     /// address and its contents), and placement stays identical to a heap
-    /// that owns no memory and has no hook at all — through refills, every
-    /// step on the way, the promotions, interleaved frees and steps of
+    /// that owns no memory and has no hook at all — through every step on the
+    /// way, the promotions, interleaved frees and steps of
     /// other classes after them.
     #[test]
     fn hot_class_is_promoted_once_alone_and_in_place() {
@@ -1554,8 +1482,8 @@ mod tests {
         let config = HeapConfig::paper_default;
         let hot_class = SizeClass::for_size(64).unwrap();
         let hot = 1u32 << hot_class.index();
-        // Handouts come in refills, and the refill that finds a range's
-        // `1/M` allowance `t` used up, and widens it, serves handout `t + 1`.
+        // The allocation that finds a range's `1/M` allowance `t` used up,
+        // and widens it, is allocation `t + 1`.
         let step_from = |bytes: usize| config().threshold_for(bytes / 64) + 1;
         // The shipped start climbs on, past its last step (at seven eighths
         // of the `1/M` allowance of the 32 MB maximum).
@@ -1580,7 +1508,6 @@ mod tests {
                     <Heap>::new(config(), SEED).unwrap(),
                 ),
             };
-            let mut twin_cache = twin.thread_cache();
             let mut ptrs = Vec::new();
             for i in 1..=objects {
                 let p = heap.malloc(64);
@@ -1590,7 +1517,7 @@ mod tests {
                 ptrs.push(p);
                 let base = heap.ready().unwrap().heap_base as usize;
                 assert_eq!(base % sys::HUGE_PAGE, 0, "span is huge-page aligned");
-                let expected = twin.offset_of(twin_cache.alloc(64).unwrap());
+                let expected = twin.offset_of(twin.alloc(64).unwrap());
                 assert_eq!(p as usize - base, expected, "placement of object {i}");
                 let want = u32::from(crossing.is_some_and(|c| i >= c)) * hot;
                 assert_eq!(
@@ -1610,8 +1537,8 @@ mod tests {
                 );
             }
             // A mixed history on top — three classes, every third call a
-            // free of a random live object, so refills and free-buffer
-            // flushes interleave — holding enough 16 KB objects
+            // free of a random live object, so growth steps and frees
+            // interleave — holding enough 16 KB objects
             // live to grow that class on either elastic heap.
             let base = state.heap_base as usize;
             let mut rng = crate::rng::Mwc::seeded(SEED);
@@ -1620,13 +1547,13 @@ mod tests {
                 let size = [24, 700, 16 * 1024][rng.below(3)];
                 let p = heap.malloc(size);
                 assert!(!p.is_null());
-                let expected = twin.offset_of(twin_cache.alloc(size).unwrap());
+                let expected = twin.offset_of(twin.alloc(size).unwrap());
                 assert_eq!(p as usize - base, expected, "mixed object {i} ({size} B)");
                 mixed.push(p);
                 if i % 3 == 2 {
                     let victim = mixed.swap_remove(rng.below(mixed.len()));
                     heap.free(victim);
-                    let _ = twin_cache.free_at(victim as usize - base);
+                    let _ = twin.free_at(victim as usize - base);
                 }
                 assert_eq!(heap.promoted_classes(), grown_to_a_huge_page(&twin));
             }
@@ -1794,7 +1721,6 @@ mod tests {
                 for p in held {
                     heap.free(p);
                 }
-                heap.flush_thread_cache();
             });
             start.wait();
             // Windows for as long as the worker runs (it ends either way:
@@ -1858,67 +1784,36 @@ mod tests {
                     for p in ptrs {
                         heap.free(p);
                     }
-                    // Scoped threads: `scope` returns when the closure
-                    // finishes, racing the pthread-key exit flush that runs
-                    // during OS-thread teardown — settle explicitly so the
-                    // assertion below is deterministic. (Plainly `join`ed
-                    // threads need no such call: `pthread_join` returns only
-                    // after key destructors complete.)
-                    heap.flush_thread_cache();
                 });
             }
         });
         assert_eq!(heap.live_objects(), 0);
     }
 
-    /// The pthread-key exit flush: a plainly-`join`ed thread (join returns
-    /// only after key destructors run) leaks neither reservations nor
-    /// buffered frees.
+    /// A threaded free is complete when it returns, as a free alone is:
+    /// beside a parked thread (so the calls take the locked arm, whatever
+    /// the test harness does), the freed object's usable size is 0 at once,
+    /// a second free is counted as ignored, and the statistics are exact
+    /// with nothing to flush.
     #[test]
-    fn thread_exit_flushes_magazines() {
-        let heap = std::sync::Arc::new(DieHard::with_config(HeapConfig::default(), 0x7157));
-        let h = std::sync::Arc::clone(&heap);
-        std::thread::spawn(move || {
-            let mut ptrs = Vec::new();
-            for i in 0..200usize {
-                let p = h.malloc(8 + (i * 37) % 2000);
-                assert!(!p.is_null());
-                ptrs.push(p);
-            }
-            for p in ptrs {
-                h.free(p);
-            }
-            // No explicit flush: reservations and any still-buffered frees
-            // must be settled by the thread-exit destructor alone.
-        })
-        .join()
-        .unwrap();
-        assert_eq!(heap.reserved_slots(), 0, "exit flush returns reservations");
-        assert_eq!(heap.live_objects(), 0, "exit flush releases buffered frees");
+    fn a_threaded_free_is_complete_when_it_returns() {
+        let heap = DieHard::with_config(HeapConfig::default(), 0x7157);
+        let (park, parked) = std::sync::mpsc::channel::<()>();
+        let parked = std::thread::spawn(move || parked.recv());
+        let p = heap.malloc(100);
+        assert_eq!(heap.usable_size(p), 128);
+        heap.free(p);
+        assert_eq!(heap.usable_size(p), 0, "dead the moment free returns");
+        heap.free(p);
         let stats = heap.stats();
-        assert_eq!(stats.allocs, 200);
-        assert_eq!(stats.frees, 200);
-        assert_eq!(stats.ignored_frees, 0);
-    }
-
-    /// One thread alternating between two live heaps: each touch of the
-    /// other heap rebinds the thread's magazines, flushing into the heap
-    /// they came from — no reservation is ever stranded in a live heap.
-    #[test]
-    fn rebinding_between_live_heaps_flushes_the_old_one() {
-        let a = DieHard::with_config(HeapConfig::default(), 0xA);
-        let b = DieHard::with_config(HeapConfig::default(), 0xB);
-        let pa = a.malloc(64);
-        let pb = b.malloc(64); // rebind: flushes a's magazines back to a
-        assert!(!pa.is_null() && !pb.is_null());
-        assert_eq!(a.reserved_slots(), 0, "rebind returned a's reservations");
-        assert_eq!(a.live_objects(), 1, "handed-out object stays live");
-        a.free(pa); // rebind back: flushes b's magazines
-        assert_eq!(b.reserved_slots(), 0);
-        assert_eq!(b.live_objects(), 1);
-        b.free(pb);
-        assert_eq!(a.live_objects(), 0);
-        assert_eq!(b.live_objects(), 0);
+        assert_eq!(
+            (stats.allocs, stats.frees, stats.ignored_frees),
+            (1, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(heap.live_objects(), 0);
+        drop(park);
+        parked.join().unwrap().unwrap_err();
     }
 
     /// `n` 8–2000 B objects from `heap`, each written, as addresses.
@@ -1935,10 +1830,9 @@ mod tests {
     }
 
     /// An initialized heap moves — its `Vec` reallocates — while a second
-    /// thread is bound to it with reservations and buffered frees in its
-    /// magazines, and both threads go on allocating and freeing through it
-    /// at its new address. Nothing a binding refers to moved, so the books
-    /// balance exactly.
+    /// thread holds objects from it, and both threads go on allocating and
+    /// freeing through it at its new address. The state every object and
+    /// every call is bound to never moved, so the books balance exactly.
     #[test]
     fn moving_an_initialized_heap_keeps_every_binding_valid() {
         const ROUNDS: usize = 6;
@@ -1960,14 +1854,13 @@ mod tests {
                 let mut held = Vec::new();
                 for round in 0..ROUNDS {
                     churn(2 * round, &mut held);
-                    turn.wait(); // bound, with a half-full magazine: move it
+                    turn.wait(); // holding objects: move the heap
                     turn.wait();
                 }
                 let heaps = heaps.read().unwrap();
                 for p in held {
                     heaps[0].free(p as *mut u8);
                 }
-                heaps[0].flush_thread_cache();
             });
             let mut held = Vec::new();
             for round in 0..ROUNDS {
@@ -1991,69 +1884,7 @@ mod tests {
         let made = (2 * ROUNDS * PER_ROUND) as u64;
         assert_eq!((stats.allocs, stats.frees), (made, made), "{stats:?}");
         assert_eq!((stats.ignored_frees, stats.exhausted), (0, 0));
-        assert_eq!(heaps[0].reserved_slots(), 0);
         assert_eq!(heaps[0].live_objects(), 0);
-    }
-
-    /// A heap dropped while a thread is still bound to it: that thread's
-    /// next allocation, from a second heap, rebinds and flushes into the
-    /// dropped heap's state — which was never freed, so the flush lands —
-    /// and its exit flush then settles the second heap exactly.
-    #[test]
-    fn a_dropped_heap_takes_the_stale_flush_of_a_bound_thread() {
-        use std::sync::{mpsc, Arc};
-
-        let first = Arc::new(DieHard::with_config(HeapConfig::default(), 0xD0));
-        let second = Arc::new(DieHard::with_config(HeapConfig::default(), 0xD1));
-        let (bound_tx, bound_rx) = mpsc::channel();
-        let (dropped_tx, dropped_rx) = mpsc::channel::<()>();
-        let worker = {
-            let (first, second) = (Arc::clone(&first), Arc::clone(&second));
-            std::thread::spawn(move || {
-                let kept = fill(&first, 40, 1);
-                for &p in &kept[..30] {
-                    first.free(p as *mut u8); // buffered in this thread's magazine
-                }
-                drop(first);
-                bound_tx.send(()).unwrap();
-                dropped_rx.recv().unwrap();
-                for p in fill(&second, 100, 2) {
-                    second.free(p as *mut u8);
-                }
-            })
-        };
-        bound_rx.recv().unwrap();
-        let leaked = first.ready().unwrap();
-        drop(Arc::into_inner(first).expect("the worker let go of the first heap"));
-        dropped_tx.send(()).unwrap();
-        worker.join().unwrap();
-        // The rebind settled the dropped heap: its reservations went back
-        // and its buffered frees were released.
-        assert_eq!(leaked.heap.reserved_slots(), 0);
-        assert_eq!(leaked.heap.live_objects(), 10);
-        assert_eq!(leaked.heap.stats().frees, 30);
-        let stats = second.stats();
-        assert_eq!((stats.allocs, stats.frees), (100, 100), "{stats:?}");
-        assert_eq!(second.reserved_slots(), 0);
-        assert_eq!(second.live_objects(), 0);
-    }
-
-    /// Reserved-but-unhanded slots are not live through the C API either:
-    /// a wild free aimed at one is ignored and the reservation survives.
-    #[test]
-    fn magazine_reservations_invisible_to_free_and_live_count() {
-        let heap = DieHard::with_config(HeapConfig::default(), 0x11FE);
-        let p = heap.malloc(64);
-        assert!(!p.is_null());
-        // The refill reserved a batch; only the handout is an allocation.
-        assert_eq!(heap.stats().allocs, 1);
-        assert_eq!(heap.live_objects(), 1);
-        // Every remaining slot of the batch is reserved, not live — and a
-        // heap.reserved_slots() call flushes this thread's cache, returning
-        // them to the shard.
-        assert_eq!(heap.reserved_slots(), 0);
-        heap.free(p);
-        assert_eq!(heap.live_objects(), 0);
     }
 
     /// The sharded-design stress test: ≥8 threads hammer all twelve size
@@ -2123,10 +1954,6 @@ mod tests {
                     for p in live {
                         heap.free(p);
                     }
-                    // Settle before `scope` returns (see
-                    // `concurrent_alloc_free_safe` for why scoped threads
-                    // flush explicitly).
-                    heap.flush_thread_cache();
                 });
             }
         });

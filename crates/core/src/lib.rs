@@ -17,8 +17,8 @@
 //! ## Layout of this crate
 //!
 //! * [`rng`] — Marsaglia multiply-with-carry generator (§4.1).
-//! * [`bitmap`] — the slot-state maps: §4.1's allocation bitmap, two bits
-//!   per object.
+//! * [`bitmap`] — the slot maps: §4.1's allocation bitmap, one bit per
+//!   object.
 //! * [`size_class`] — the twelve 8 B…16 KB classes (§4.1).
 //! * [`partition`] — per-class random probing and the `1/M` cap (§4.2):
 //!   one implementation, instantiated for shared and for single-owner use.
@@ -35,9 +35,8 @@
 //!   `DieHardMalloc`/`DieHardFree` over abstract byte offsets; lock-free per
 //!   operation, `Sync` in its default arm (the real heap) and single-owner
 //!   in [`sync::Plain`] (the simulated one); elastic on request (§9).
-//! * [`magazine`] — thread-local allocation magazines, a cache in front of
-//!   the heap: batched, probe-loop-sampled refills and buffered frees, so
-//!   same-class allocations from different threads stop contending too.
+//! * [`magazine`] — the names the frozen benchmark package reaches the
+//!   heap through: an alias and a pass-through.
 //! * [`global`] *(feature `global`, Unix)* — a real `#[global_allocator]`
 //!   built on `mmap`, with guard-paged large objects, sharded per class.
 //!
@@ -80,7 +79,7 @@ pub mod global;
 
 pub use config::{FillPolicy, HeapConfig, HeapGeometry};
 pub use engine::{AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot};
-pub use magazine::{MagazineCache, ThreadMagazines};
+pub use magazine::MagazineCache;
 pub use rng::Mwc;
 pub use sharded::Heap;
 pub use size_class::SizeClass;

@@ -36,7 +36,7 @@ pub type Partition = AtomicPartition<Plain>;
 /// One size-class region of the DieHard heap, probed and claimed entirely
 /// through [`Word`] updates so allocation and free never take a lock.
 ///
-/// Slot state lives in a paired-bit [`SlotStateMap`], probe indices come
+/// Slot state lives in a one-bit-per-slot [`SlotStateMap`], probe indices come
 /// from a CAS-advanced [`AtomicMwc`], and the `1/M` cap is enforced by a
 /// ticket on an `in_use` counter. Every update of those three, and of the
 /// probe counter, is a [`Word`] update in the partition's [`Arm`]: for
@@ -63,8 +63,8 @@ pub type Partition = AtomicPartition<Plain>;
 /// # Why the probe loop terminates
 ///
 /// A probing thread holds a ticket, so `in_use ≤ threshold` among successful
-/// holders, and every occupied slot's owner holds a ticket, so
-/// `occupied ≤ in_use ≤ threshold < capacity`: at least
+/// holders, and every live slot's owner holds a ticket, so
+/// `live ≤ in_use ≤ threshold < capacity`: at least
 /// `capacity − threshold` slots stay free while anyone probes, and each
 /// probe hits a free slot with probability ≥ `1 − 1/M`. Growth only widens
 /// that margin: the probe loop re-reads the packed active word every
@@ -95,9 +95,12 @@ pub type Partition = AtomicPartition<Plain>;
 /// * `active` = `capacity << 32 | threshold`: one load yields a mutually
 ///   consistent (draw range, `1/M` cap) pair, and there is no second copy
 ///   of either to fall out of step with it.
-/// * `tickets` = `allocs << 32 | in_use`: the `1/M` ticket and the telemetry
-///   allocation counter advance in **one** `add` (the ROADMAP's one-RMW
-///   dial; the alloc counter narrows to 32 bits, wrapping mod 2³²).
+/// * `tickets` = `allocs << 32 | in_use`: the `1/M` ticket and the
+///   allocation counter advance in **one** `add` (the alloc counter narrows
+///   to 32 bits, wrapping mod 2³²). It is the heap's whole allocation
+///   telemetry: allocations are the high half, frees are allocations minus
+///   `in_use` ([`counts`](Self::counts)), so no operation pays a second
+///   counter update for its statistics.
 #[derive(Debug)]
 pub struct AtomicPartition<A: Arm = Shared> {
     class: SizeClass,
@@ -233,7 +236,7 @@ impl<A: Arm> AtomicPartition<A> {
     }
 
     /// Words of metadata storage a partition of `capacity` slots needs
-    /// (two bits per slot). Elastic partitions size storage for their
+    /// (one bit per slot). Elastic partitions size storage for their
     /// *maximum* capacity.
     #[must_use]
     pub const fn words_needed(capacity: usize) -> usize {
@@ -242,8 +245,8 @@ impl<A: Arm> AtomicPartition<A> {
 
     /// Publishes a larger active capacity and threshold, lock-free for
     /// readers. The caller must serialize writers (the enclosing heap holds
-    /// its per-class maintenance lock). Existing live and reserved slots
-    /// keep their indices — the map was sized for `max_capacity` up front.
+    /// its per-class maintenance lock). Existing live slots keep their
+    /// indices — the map was sized for `max_capacity` up front.
     ///
     /// Capacity and threshold are one relaxed store of the packed active
     /// word, so a concurrent allocator sees the old pair or the new one,
@@ -327,8 +330,8 @@ impl<A: Arm> AtomicPartition<A> {
         (self.active.load(Ordering::Relaxed) & ACTIVE_THRESHOLD_MASK) as usize
     }
 
-    /// Currently occupied slots — live plus magazine-reserved (the paper's
-    /// `inUse[c]`, with reservations counting conservatively toward the cap).
+    /// Currently live slots — the paper's `inUse[c]` (transiently more while
+    /// a racing allocation holds a ticket it has not placed or been denied).
     #[must_use]
     #[inline]
     pub fn in_use(&self) -> usize {
@@ -358,26 +361,18 @@ impl<A: Arm> AtomicPartition<A> {
             .below_in(sole, (active >> ACTIVE_CAPACITY_SHIFT) as usize)
     }
 
-    /// The ticket: takes up to `want` of them against the `1/M` cap and
-    /// returns how many were granted (0 = at threshold). One `add` advances
-    /// the occupancy ticket *and* the telemetry alloc counter for the whole
-    /// request; the ungranted part of both goes back in one `sub`, which
-    /// nets `allocs += granted`, exactly as sequential tickets would.
+    /// The ticket: `true` when one was granted against the `1/M` cap,
+    /// `false` at the threshold. One `add` advances the occupancy ticket
+    /// *and* the alloc counter; a denied ticket takes both back in one
+    /// `sub`, so the counter counts granted tickets only.
     #[inline]
-    fn take_tickets(&self, sole: bool, want: usize) -> usize {
+    fn take_ticket(&self, sole: bool) -> bool {
+        const ONE: u64 = (1 << TICKET_ALLOC_SHIFT) | 1;
         let threshold = (self.active.load(Ordering::Relaxed) & ACTIVE_THRESHOLD_MASK) as usize;
-        let bulk = ((want as u64) << TICKET_ALLOC_SHIFT) | want as u64;
-        let prev = self.tickets.rmw(sole, Rmw::Add(bulk), Ordering::Relaxed);
-        let prev = (prev & TICKET_IN_USE_MASK) as usize;
-        let granted = if prev >= threshold {
-            0
-        } else {
-            want.min(threshold - prev)
-        };
-        if granted < want {
-            let ungranted = (want - granted) as u64;
-            let back = (ungranted << TICKET_ALLOC_SHIFT) | ungranted;
-            self.tickets.rmw(sole, Rmw::Sub(back), Ordering::Relaxed);
+        let prev = self.tickets.rmw(sole, Rmw::Add(ONE), Ordering::Relaxed);
+        let granted = ((prev & TICKET_IN_USE_MASK) as usize) < threshold;
+        if !granted {
+            self.tickets.rmw(sole, Rmw::Sub(ONE), Ordering::Relaxed);
         }
         granted
     }
@@ -392,38 +387,15 @@ impl<A: Arm> AtomicPartition<A> {
 
     /// [`alloc`](Self::alloc) in the arm `sole` picks: the caller's one read
     /// of the thread count ([`crate::sync`]), carried down from its entry.
-    #[inline]
+    /// The probe loop, for a caller holding a ticket, draws until a claim
+    /// wins a slot. Inlined whole into the heap's path, in each arm.
+    #[inline(always)]
     pub(crate) fn alloc_in(&self, sole: bool) -> Option<usize> {
-        self.probe_claim(sole, |index| self.map.claim_live(sole, index))
-    }
-
-    /// The magazine refill's lock-free twin of [`alloc`](Self::alloc):
-    /// claims the slot as *reserved* (`00 → 11`) instead of live. Probe and
-    /// allocation accounting are identical, so refills keep the same
-    /// E[probes] statistics as direct allocations.
-    #[inline]
-    pub fn reserve_one(&self) -> Option<usize> {
-        let sole = A::sole();
-        self.probe_claim(sole, |index| self.map.reserve(sole, index))
-    }
-
-    #[inline]
-    fn probe_claim(&self, sole: bool, claim: impl Fn(usize) -> bool) -> Option<usize> {
-        if self.take_tickets(sole, 1) == 0 {
+        if !self.take_ticket(sole) {
             return None;
         }
-        let (index, probes) = self.probe(sole, claim);
-        // One deferred add per allocation, not per probe.
-        self.probes.rmw(sole, Rmw::Add(probes), Ordering::Relaxed);
-        Some(index)
-    }
-
-    /// The probe loop, for a caller that holds a ticket: draws until
-    /// `claim` wins a slot, and returns it with the number of draws taken.
-    #[inline]
-    fn probe(&self, sole: bool, claim: impl Fn(usize) -> bool) -> (usize, u64) {
         let mut probes = 0u64;
-        loop {
+        let index = loop {
             probes += 1;
             // Re-read the packed active word every draw: a concurrent grow
             // can raise the threshold past the *old* capacity, and probing
@@ -432,90 +404,19 @@ impl<A: Arm> AtomicPartition<A> {
             // draw itself, and single-threaded it always reads the same
             // word — determinism is untouched.
             let index = self.draw(sole, self.active.load(Ordering::Relaxed));
-            if claim(index) {
-                return (index, probes);
+            if self.map.claim(sole, index) {
+                break index;
             }
-        }
-    }
-
-    /// Reserves up to `out.len()` slots with **batched accounting**: one
-    /// ticket `add` covers the whole request (clamped to the `1/M`
-    /// cap, the overshoot returned in one `sub`) and the probe/alloc
-    /// counters are updated once at the end — the magazine refill's bulk
-    /// twin of [`reserve_one`](Self::reserve_one). Each slot is still an
-    /// independent uniform draw from the shared stream through the same
-    /// probe loop, so placement distribution, draw order, and probe/alloc
-    /// totals are identical to `out.len()` sequential `reserve_one` calls;
-    /// only the number of atomic read-modify-writes shrinks. Returns how
-    /// many slots were reserved (0 at the cap); `out[..n]` holds them in
-    /// draw order.
-    pub(crate) fn reserve_batch(&self, sole: bool, out: &mut [usize]) -> usize {
-        if out.is_empty() {
-            return 0;
-        }
-        let granted = self.take_tickets(sole, out.len());
-        if granted == 0 {
-            return 0;
-        }
-        let mut probes = 0u64;
-        for slot in &mut out[..granted] {
-            let (index, draws) = self.probe(sole, |index| self.map.reserve(sole, index));
-            *slot = index;
-            probes += draws;
-        }
+        };
+        // One deferred add per allocation, not per probe.
         self.probes.rmw(sole, Rmw::Add(probes), Ordering::Relaxed);
-        granted
-    }
-
-    /// Frees a batch of slots with one ticket return — the magazine
-    /// free-buffer flush's bulk twin of [`free`](Self::free). Every slot
-    /// still resolves through its own validating CAS (live → freed; free or
-    /// reserved → ignored, §4.3), but the `in_use` decrement happens once
-    /// for the whole batch. Clear-then-decrement keeps the conservative
-    /// transient overcount of the single-slot path. Returns
-    /// `(freed, ignored)`.
-    pub(crate) fn free_batch(&self, sole: bool, indices: &[usize]) -> (u64, u64) {
-        let mut freed = 0u64;
-        for &index in indices {
-            if self.map.free(sole, index) == SlotState::Live {
-                freed += 1;
-            }
-        }
-        if freed > 0 {
-            // Low half only: frees return occupancy tickets, never alloc
-            // telemetry.
-            self.tickets.rmw(sole, Rmw::Sub(freed), Ordering::Relaxed);
-        }
-        (freed, indices.len() as u64 - freed)
-    }
-
-    /// Hands a reserved slot to the application (`11 → 01`), lock-free. The
-    /// ticket taken at reservation time simply becomes the live slot's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity` (always), or if the slot was not
-    /// reserved (debug builds).
-    #[inline]
-    pub(crate) fn commit(&self, sole: bool, index: usize) {
-        self.map.commit(sole, index);
-    }
-
-    /// Returns an unhanded reservation (`11 → 00`) and its ticket; `true`
-    /// when this call released it.
-    pub(crate) fn release_reservation(&self, sole: bool, index: usize) -> bool {
-        if self.map.release_reservation(sole, index) {
-            self.tickets.rmw(sole, Rmw::Sub(1), Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+        Some(index)
     }
 
     /// The lock-free `DieHardFree` fast path. Returns the state the slot was
     /// in: [`SlotState::Live`] means it was freed (and the ticket returned);
-    /// `Free` and `Reserved` mean the request was ignored (§4.3 — a double,
-    /// invalid, or premature free).
+    /// `Free` means the request was ignored (§4.3 — a double or invalid
+    /// free).
     ///
     /// # Panics
     ///
@@ -530,18 +431,18 @@ impl<A: Arm> AtomicPartition<A> {
     /// [`alloc_in`](Self::alloc_in).
     #[inline]
     pub(crate) fn free_in(&self, sole: bool, index: usize) -> SlotState {
-        let was = self.map.free(sole, index);
-        if was == SlotState::Live {
-            // Clear-then-decrement: between the two, `in_use` overcounts,
-            // which only ever errs toward denying an allocation. A live slot
-            // guarantees the low half is ≥ 1, so the subtraction cannot
-            // borrow into the packed alloc counter.
-            self.tickets.rmw(sole, Rmw::Sub(1), Ordering::Relaxed);
+        if !self.map.free(sole, index) {
+            return SlotState::Free;
         }
-        was
+        // Clear-then-decrement: between the two, `in_use` overcounts, which
+        // only ever errs toward denying an allocation. A live slot
+        // guarantees the low half is ≥ 1, so the subtraction cannot borrow
+        // into the packed alloc counter.
+        self.tickets.rmw(sole, Rmw::Sub(1), Ordering::Relaxed);
+        SlotState::Live
     }
 
-    /// Whether `index` is currently live (reserved slots are not).
+    /// Whether `index` is currently live.
     ///
     /// # Panics
     ///
@@ -552,46 +453,23 @@ impl<A: Arm> AtomicPartition<A> {
         self.map.is_live(index)
     }
 
-    /// Whether `index` is occupied (live or reserved).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity`.
-    #[must_use]
-    #[inline]
-    pub fn is_occupied(&self, index: usize) -> bool {
-        self.map.is_occupied(index)
-    }
-
-    /// Iterates the indices of occupied slots (live or reserved) — the
-    /// placement set the separation statistics are computed over.
-    pub fn occupied_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.map.iter_occupied()
-    }
-
-    /// Iterates the indices of live slots only.
+    /// Iterates the indices of live slots — the placement set the
+    /// separation statistics are computed over.
     pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.map.iter_live()
     }
 
-    /// Number of magazine-reserved (occupied but not live) slots.
-    #[must_use]
-    pub fn reserved_count(&self) -> usize {
-        self.map.reserved_count()
-    }
-
-    /// Mean number of free slots between consecutive occupied slots, used to
+    /// Mean number of free slots between consecutive live slots, used to
     /// check the paper's E[minimum separation] = M − 1 claim (§3.1). `None`
-    /// with fewer than two. Computed over occupied slots: a magazine
-    /// reservation is a placement too.
+    /// with fewer than two.
     #[must_use]
     pub fn mean_live_gap(&self) -> Option<f64> {
-        let occupied: Vec<usize> = self.map.iter_occupied().collect();
-        if occupied.len() < 2 {
+        let live: Vec<usize> = self.map.iter_live().collect();
+        if live.len() < 2 {
             return None;
         }
-        let gaps: usize = occupied.windows(2).map(|w| w[1] - w[0] - 1).sum();
-        Some(gaps as f64 / (occupied.len() - 1) as f64)
+        let gaps: usize = live.windows(2).map(|w| w[1] - w[0] - 1).sum();
+        Some(gaps as f64 / (live.len() - 1) as f64)
     }
 
     /// Lifetime probe statistics: `(allocations, total probes)`. Reads are
@@ -601,10 +479,20 @@ impl<A: Arm> AtomicPartition<A> {
     /// the price of the one-RMW ticket fast path.
     #[must_use]
     pub fn probe_stats(&self) -> (u64, u64) {
-        (
-            self.tickets.load(Ordering::Relaxed) >> TICKET_ALLOC_SHIFT,
-            self.probes.load(Ordering::Relaxed),
-        )
+        (self.counts().0, self.probes.load(Ordering::Relaxed))
+    }
+
+    /// Lifetime `(allocations, frees)`, from one load of the ticket word:
+    /// its high half, and that minus `in_use`. Both wrap mod 2³² like the
+    /// high half; exact at quiescence (an in-flight ticket counts in both
+    /// halves until it is placed or taken back).
+    #[must_use]
+    #[inline]
+    pub fn counts(&self) -> (u64, u64) {
+        let tickets = self.tickets.load(Ordering::Relaxed);
+        let allocs = (tickets >> TICKET_ALLOC_SHIFT) as u32;
+        let in_use = (tickets & TICKET_IN_USE_MASK) as u32;
+        (u64::from(allocs), u64::from(allocs.wrapping_sub(in_use)))
     }
 }
 
@@ -772,7 +660,7 @@ mod tests {
         }
         assert_eq!(plain.probe_stats(), shared.probe_stats());
         let a: Vec<usize> = plain.live_slots().collect();
-        let b: Vec<usize> = shared.occupied_slots().collect();
+        let b: Vec<usize> = shared.live_slots().collect();
         assert_eq!(a, b);
         assert_eq!(plain.mean_live_gap(), shared.mean_live_gap());
     }
@@ -788,67 +676,6 @@ mod tests {
         assert_eq!(p.in_use(), 0, "accounting unchanged by double free");
         let never = (idx + 1) % 64;
         assert_eq!(p.free(never), SlotState::Free, "invalid free ignored");
-    }
-
-    #[test]
-    fn atomic_reserve_commit_release_lifecycle() {
-        let p = atomic_seeded(64, 32, 6);
-        let r = p.reserve_one().expect("below threshold");
-        assert!(!p.is_live(r), "reserved is not live");
-        assert!(p.is_occupied(r));
-        assert_eq!(p.in_use(), 1, "reservations count toward 1/M");
-        assert_eq!(p.free(r), SlotState::Reserved, "free of reserved ignored");
-        p.commit(false, r);
-        assert!(p.is_live(r));
-        assert_eq!(p.free(r), SlotState::Live);
-        assert_eq!(p.in_use(), 0);
-        // Release path: reservation returned without ever going live.
-        let r2 = p.reserve_one().unwrap();
-        assert!(p.release_reservation(false, r2));
-        assert!(!p.release_reservation(false, r2));
-        assert_eq!(p.in_use(), 0);
-        assert_eq!(p.occupied_slots().count(), 0);
-    }
-
-    #[test]
-    fn reserve_batch_matches_sequential_reserve_one() {
-        // Same seed, two partitions: one batched request must produce the
-        // same slots in the same draw order, with identical ticket and
-        // probe/alloc accounting, as sequential single reservations.
-        let one = atomic_seeded(128, 64, 0xBA7C);
-        let batch = atomic_seeded(128, 64, 0xBA7C);
-        let singles: Vec<usize> = (0..8).map(|_| one.reserve_one().unwrap()).collect();
-        let mut out = [usize::MAX; 8];
-        assert_eq!(batch.reserve_batch(false, &mut out), 8);
-        assert_eq!(out.to_vec(), singles);
-        assert_eq!(batch.in_use(), one.in_use());
-        assert_eq!(batch.probe_stats(), one.probe_stats());
-    }
-
-    #[test]
-    fn reserve_batch_clamps_to_threshold_and_frees_batch_reconcile() {
-        let p = atomic_seeded(64, 5, 0x0B47);
-        let mut out = [usize::MAX; 8];
-        assert_eq!(
-            p.reserve_batch(false, &mut out),
-            5,
-            "clamped at the 1/M cap"
-        );
-        assert_eq!(p.in_use(), 5, "overshoot tickets returned");
-        assert_eq!(p.reserve_batch(false, &mut out), 0, "at threshold");
-        assert_eq!(p.in_use(), 5);
-        for &i in &out[..5] {
-            p.commit(false, i);
-        }
-        // Batch free: 5 live slots, one double (ignored), one never
-        // allocated (ignored).
-        let never = (0..64).find(|i| !p.is_occupied(*i)).unwrap();
-        let mut to_free: Vec<usize> = out[..5].to_vec();
-        to_free.push(out[0]);
-        to_free.push(never);
-        assert_eq!(p.free_batch(false, &to_free), (5, 2));
-        assert_eq!(p.in_use(), 0);
-        assert_eq!(p.occupied_slots().count(), 0);
     }
 
     #[test]
@@ -893,7 +720,7 @@ mod tests {
         });
         assert_eq!(held.load(Ordering::Relaxed), 0);
         assert_eq!(p.in_use(), 0, "tickets reconcile after drain");
-        assert_eq!(p.occupied_slots().count(), 0);
+        assert_eq!(p.live_slots().count(), 0);
         let (allocs, probes) = p.probe_stats();
         assert!(probes >= allocs, "each allocation costs at least one probe");
     }

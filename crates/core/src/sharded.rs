@@ -17,26 +17,24 @@
 //! [`AtomicPartition`] has its private CAS-advanced RNG stream (seeded by
 //! splitting the master seed), so operations in *different* classes never
 //! touch the same cache lines. Second, **no per-op path takes a lock at
-//! all**: an allocation draws a probe index and claims the slot with one
-//! `fetch_or` (retrying the draw on a lost race, exactly like re-probing an
-//! occupied slot), and a free validates with lock-free arithmetic
-//! ([`locate_free`]) and clears the slot with one CAS. The per-class
-//! [`SpinLock`]s survive only as *maintenance locks* for slow-path batches —
-//! magazine refills, free-buffer flushes, reservation teardown, growth steps —
-//! where one acquisition amortizes over many slots and mutual exclusion
-//! among *maintainers* (not allocators) is the point.
+//! all**: an allocation draws a probe index and claims the slot's bit with
+//! one `or` (retrying the draw on a lost race, exactly like re-probing a
+//! live slot), and a free validates with lock-free arithmetic
+//! ([`locate_free`]) and clears the bit with one `and`. The free is complete
+//! when the call returns: the slot is back in the probe space and the books
+//! say so. The per-class [`SpinLock`]s survive only as *maintenance locks*
+//! around a growth step (and `fork`), where mutual exclusion among growers
+//! (not allocators) is the point.
 //!
-//! Threads that want to touch shared lines once per batch put a magazine
-//! cache in front of the heap ([`Heap::thread_cache`], [`crate::magazine`]);
-//! the batch operations it calls — refill, commit, flush, return — are the
-//! heap's methods, because the state they change is the heap's own.
+//! That is the one path to the heap in every arm and for every caller: the
+//! global allocator's calls, alone or threaded, are these `try_alloc` and
+//! `free_at` in the arm their one read of the thread count picked.
 //!
 //! Determinism under the lock-free path — the pinned contended-retry rule:
 //!
-//! * single-threaded histories are **bit-identical** across both arms and
-//!   through a cache for the same master seed (one partition code: same RNG
-//!   stream, same shift draw, same win/lose per probe; handout is FIFO in
-//!   draw order);
+//! * single-threaded histories are **bit-identical** across both arms for
+//!   the same master seed (one partition code: same RNG stream, same draw,
+//!   same win/lose per probe);
 //! * under contention the placement *sequence* may diverge from any serial
 //!   replay — concurrent threads interleave one RNG stream and a lost claim
 //!   redraws — but every placement remains a uniformly random free slot,
@@ -54,7 +52,6 @@ use crate::config::{ConfigError, HeapConfig, HeapGeometry};
 use crate::engine::{
     locate_free, slot_at, slot_offset, AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot,
 };
-use crate::magazine::{refill_batch, FREE_SLOTS, MAG_SLOTS};
 use crate::partition::AtomicPartition;
 use crate::rng::stream_seed;
 use crate::size_class::{SizeClass, NUM_CLASSES};
@@ -79,8 +76,8 @@ pub const HUGE_PAGE: usize = 2 << 20;
 /// class born at or above one huge page (a 32 MB region at a start fraction
 /// of `1/16` or more) gets the pages it was born with then. So the offers
 /// are a closed form of the capacity ladder
-/// ([`AtomicPartition::grow_step`]): the same in every arm, uncached or
-/// through a cache, and whatever the class's allocation count. A heap that
+/// ([`AtomicPartition::grow_step`]): the same in every arm, and whatever the
+/// class's allocation count. A heap that
 /// never grows — a fixed heap, `DIEHARD_GROW=0` — is never promoted, and a
 /// region smaller than a huge page has nothing one could back.
 ///
@@ -116,17 +113,17 @@ pub type PromoteHook = fn(ctx: usize, offset: usize, len: usize);
 /// The randomized small-object heap: twelve [`AtomicPartition`]s, the
 /// geometry that turns their slot indices into byte offsets, and the
 /// counters. Alloc and free are lock-free; one maintenance lock per size
-/// class guards slow-path batches only. All operations take `&self`; which
+/// class guards its growth steps only. All operations take `&self`; which
 /// arms may be shared between threads is in the module docs.
 #[derive(Debug)]
 pub struct Heap<A: Arm = Shared> {
     geometry: HeapGeometry,
     partitions: [AtomicPartition<A>; NUM_CLASSES],
-    /// Slow-path mutual exclusion per class: magazine refills, free-buffer
-    /// flushes, reservation teardown and growth steps serialize against each
-    /// other here. **Never taken by `alloc`/`free_at`/`is_live_at`** — the
-    /// per-op paths are lock-free by construction, and the slot-state map's
-    /// atomics keep them correct against in-flight maintenance.
+    /// Slow-path mutual exclusion per class: growth steps serialize against
+    /// each other (and `fork`) here. **Taken by `alloc` only to grow, never
+    /// by `free_at`/`is_live_at`** — the per-op paths are lock-free by
+    /// construction, and the slot map's atomics keep them correct against a
+    /// step in flight.
     maintenance: [SpinLock<()>; NUM_CLASSES],
     stats: AtomicHeapStats<A>,
     /// Per class: completed growth steps (elastic heaps; always 0 on fixed
@@ -278,10 +275,9 @@ impl<A: Arm> Heap<A> {
     }
 
     /// Number of `u64` words of metadata storage
-    /// [`from_raw_parts`](Self::from_raw_parts) requires for `config`: two
-    /// bits per slot (live + reserved — the paired maps already encode
-    /// magazine reservations, so caching adds no metadata), 32 slots per
-    /// word, every class sized for its maximum capacity.
+    /// [`from_raw_parts`](Self::from_raw_parts) requires for `config`: one
+    /// bit per slot (§4.1), 64 slots per word, every class sized for its
+    /// maximum capacity.
     #[must_use]
     pub fn metadata_words_needed(config: &HeapConfig) -> usize {
         SizeClass::all()
@@ -302,11 +298,20 @@ impl<A: Arm> Heap<A> {
         &self.geometry
     }
 
-    /// Counters since construction (lock-free snapshot). Frees sitting in a
-    /// thread's buffer are counted when that buffer flushes.
+    /// Counters since construction (lock-free snapshot): allocations and
+    /// frees summed over the partitions' ticket words
+    /// ([`AtomicPartition::counts`]), the two cold counters beside them.
+    /// Exact once the threads touching the heap are joined.
     #[must_use]
     pub fn stats(&self) -> HeapStats {
-        self.stats.snapshot()
+        let counts = self.partitions.iter().map(AtomicPartition::counts);
+        let (allocs, frees) = counts.fold((0, 0), |(a, f), (pa, pf)| (a + pa, f + pf));
+        HeapStats {
+            allocs,
+            frees,
+            ignored_frees: self.stats.ignored_frees(),
+            exhausted: self.stats.exhausted(),
+        }
     }
 
     /// Bytes spanned by the small-object heap (12 × region size).
@@ -317,9 +322,7 @@ impl<A: Arm> Heap<A> {
 
     /// The partition serving `class` — capacity, probe statistics, layout
     /// diagnostics. No lock: the partition's own atomics make reads safe,
-    /// with the usual not-a-snapshot caveat under concurrent traffic. Note
-    /// its slot-state map includes reserved slots (occupied, not live);
-    /// flush caches first for live-only statistics.
+    /// with the usual not-a-snapshot caveat under concurrent traffic.
     #[must_use]
     #[inline]
     pub fn partition(&self, class: SizeClass) -> &AtomicPartition<A> {
@@ -355,9 +358,10 @@ impl<A: Arm> Heap<A> {
     }
 
     /// [`try_alloc`](Self::try_alloc) in the arm `sole` picks: the global
-    /// allocator's path for a call that found the process with one thread,
-    /// which is the paper's `DieHardMalloc` with nothing in front of it.
-    /// Inlined whole into that caller; a growth step is out of line.
+    /// allocator's path for every call, in the arm its one read of the
+    /// thread count picked — the paper's `DieHardMalloc` with nothing in
+    /// front of it. Inlined whole into that caller; a growth step is out of
+    /// line.
     #[inline(always)]
     pub(crate) fn try_alloc_in(&self, sole: bool, size: usize) -> AllocOutcome {
         let Some(class) = SizeClass::for_size(size) else {
@@ -365,7 +369,6 @@ impl<A: Arm> Heap<A> {
         };
         loop {
             if let Some(index) = self.partitions[class.index()].alloc_in(sole) {
-                self.stats.record_alloc(sole);
                 return AllocOutcome::Placed(Slot { class, index });
             }
             if !self.grow_class(sole, class) {
@@ -375,8 +378,7 @@ impl<A: Arm> Heap<A> {
         }
     }
 
-    /// Number of completed per-class growth steps since construction,
-    /// whether triggered by uncached allocations or magazine refills.
+    /// Number of completed per-class growth steps since construction.
     #[must_use]
     pub fn growth_events(&self) -> u64 {
         self.growths.iter().map(|g| g.load(Ordering::Relaxed)).sum()
@@ -407,12 +409,19 @@ impl<A: Arm> Heap<A> {
         })
     }
 
-    /// Attempts one growth step for `class`; `false` means the class is
-    /// already at its maximum capacity (time to spill), `true` means the
-    /// caller should retry its allocation — either this call widened the
-    /// active capacity or a racing free already made room. Out of line and
-    /// cold, so the uncached path inlined into its callers carries one call
-    /// here rather than a copy of the lock and the ladder step.
+    /// Attempts one growth step for `class`, under its maintenance lock;
+    /// `false` means the class is already at its maximum capacity (time to
+    /// spill), `true` means the caller should retry its allocation — either
+    /// this call widened the active capacity or a racing free already made
+    /// room, in which case no step is spent. Takes the one ladder step
+    /// ([`AtomicPartition::grow_step`]). A step that completes huge pages
+    /// hands them to the [`PromoteHook`] — the one place a class is promoted
+    /// — after the step, so the range the hook collapses is the range now in
+    /// use. The hook runs with the lock held: milliseconds when it collapses
+    /// a touched 2 MB range, once per huge page of the class, during which
+    /// only growth steps of this class (and a `fork`) wait. Out of line and
+    /// cold, so the path inlined into its callers carries one call here
+    /// rather than a copy of the lock and the ladder step.
     #[cold]
     #[inline(never)]
     fn grow_class(&self, sole: bool, class: SizeClass) -> bool {
@@ -421,22 +430,6 @@ impl<A: Arm> Heap<A> {
             return false;
         }
         let _guard = self.maintenance[class.index()].lock_in(sole);
-        self.grow_class_locked(class)
-    }
-
-    /// The body of [`grow_class`](Self::grow_class) for callers that already
-    /// hold `class`'s maintenance lock (the refill path — re-locking would
-    /// deadlock on the non-reentrant `SpinLock`). Takes the one ladder step
-    /// ([`AtomicPartition::grow_step`]); skips it (but still reports
-    /// "retry") when a racing free dropped the partition below its cap while
-    /// we waited for the lock. A step that completes huge pages hands them
-    /// to the [`PromoteHook`] — the one place a class is promoted — after
-    /// the step, so the range the hook collapses is the range now in use.
-    /// The hook runs with the lock held: milliseconds when it collapses a
-    /// touched 2 MB range, once per huge page of the class, during which
-    /// only refills and growth steps of this class (and a `fork`) wait.
-    fn grow_class_locked(&self, class: SizeClass) -> bool {
-        let partition = &self.partitions[class.index()];
         let before = partition.capacity();
         if before < partition.max_capacity() && !partition.at_threshold() {
             // A concurrent free (or a finished grower) made room between
@@ -476,56 +469,41 @@ impl<A: Arm> Heap<A> {
         slot_at(&self.geometry, offset)
     }
 
-    /// The span/alignment half of `DieHardFree` ([`locate_free`]) with its
-    /// bookkeeping: a misaligned offset is an ignored free and is counted
-    /// here, so the uncached and the buffered free path reject identically.
-    #[inline(always)]
-    pub(crate) fn locate_free(&self, sole: bool, offset: usize) -> Result<Slot, FreeOutcome> {
-        locate_free(&self.geometry, offset).inspect_err(|&outcome| {
-            if outcome == FreeOutcome::MisalignedOffset {
-                self.stats.record_ignored_frees(sole, 1);
-            }
-        })
-    }
-
     /// `DieHardFree` (§4.3), fully lock-free: validates and frees the object
     /// at `offset`.
     ///
     /// The three checks, in order: the offset must fall inside the heap
     /// span; it must be a multiple of its region's object size (both pure
-    /// arithmetic); and the slot must currently be allocated (one CAS). A
-    /// slot observed free (double/invalid free) or magazine-reserved (no
-    /// pointer to it was ever returned) fails the third. Failing any check
-    /// *ignores* the free — this is what makes DieHard immune to double and
-    /// invalid frees.
+    /// arithmetic); and the slot must currently be allocated (one `and`,
+    /// which changes nothing on a free slot). Failing any check *ignores*
+    /// the free — this is what makes DieHard immune to double and invalid
+    /// frees; a misaligned or double one is counted as ignored, an offset
+    /// outside the span is left to the caller's large-object path.
     #[inline]
     pub fn free_at(&self, offset: usize) -> FreeOutcome {
         self.free_at_in(A::sole(), offset)
     }
 
     /// [`free_at`](Self::free_at) in the arm `sole` picks: the paper's
-    /// `DieHardFree`, for the global allocator's call that found the process
-    /// with one thread. The slot is free again when this returns.
+    /// `DieHardFree`, for every call of the global allocator. The slot is
+    /// free again when this returns.
     #[inline(always)]
     pub(crate) fn free_at_in(&self, sole: bool, offset: usize) -> FreeOutcome {
-        let slot = match self.locate_free(sole, offset) {
-            Ok(slot) => slot,
-            Err(outcome) => return outcome,
+        let outcome = match locate_free(&self.geometry, offset) {
+            Ok(slot) => match self.partitions[slot.class.index()].free_in(sole, slot.index) {
+                SlotState::Live => return FreeOutcome::Freed(slot),
+                SlotState::Free => FreeOutcome::NotAllocated,
+            },
+            Err(outcome) => outcome,
         };
-        match self.partitions[slot.class.index()].free_in(sole, slot.index) {
-            SlotState::Live => {
-                self.stats.record_frees(sole, 1);
-                FreeOutcome::Freed(slot)
-            }
-            SlotState::Free | SlotState::Reserved => {
-                self.stats.record_ignored_frees(sole, 1);
-                FreeOutcome::NotAllocated
-            }
+        if outcome != FreeOutcome::NotInHeap {
+            self.stats.record_ignored_free(sole);
         }
+        outcome
     }
 
     /// Whether the object at `offset` (any interior pointer) is live —
-    /// one atomic load, no lock. Magazine-reserved slots are not live.
+    /// one atomic load, no lock.
     #[must_use]
     pub fn is_live_at(&self, offset: usize) -> bool {
         match slot_at(&self.geometry, offset) {
@@ -535,12 +513,13 @@ impl<A: Arm> Heap<A> {
     }
 
     /// Acquires every per-class maintenance lock, in class-index order —
-    /// the `fork(2)` prepare path: with all twelve held, no batch operation
-    /// (refill, flush, growth, teardown) is mid-flight anywhere, so the
-    /// child inherits partition metadata that is batch-consistent. Per-op
-    /// CAS traffic is not (and cannot be) excluded; an in-flight reservation
-    /// ticket in the forking parent can leak a bounded number of slots in
-    /// the child, which is availability, not corruption.
+    /// the `fork(2)` prepare path: with all twelve held, no growth step (and
+    /// no huge-page promotion inside one) is mid-flight anywhere, so the
+    /// child inherits capacities that match their thresholds. Per-op
+    /// traffic is not (and cannot be) excluded; a ticket in flight in
+    /// another thread of the forking parent can leak one slot of `1/M`
+    /// allowance per such thread in the child, which is availability, not
+    /// corruption.
     ///
     /// Release with [`unlock_all_maintenance`](Self::unlock_all_maintenance)
     /// in both the parent and the child.
@@ -564,47 +543,27 @@ impl<A: Arm> Heap<A> {
         }
     }
 
-    /// Occupied slots across all regions — the sum of the twelve `1/M`
-    /// tickets (the paper's `inUse`): live objects **plus** any slots
-    /// reserved inside thread magazines, which count toward the cap. Twelve
-    /// relaxed loads, O(1) in the heap's size; an instantaneous total only
-    /// when the heap is quiescent.
+    /// Live objects across all regions — the sum of the twelve `1/M`
+    /// tickets (the paper's `inUse`). Twelve relaxed loads, O(1) in the
+    /// heap's size; an instantaneous total only when the heap is quiescent.
     #[must_use]
     pub fn in_use(&self) -> usize {
         self.partitions.iter().map(AtomicPartition::in_use).sum()
     }
 
-    /// One partition's live count: its ticket minus its reservations.
-    fn live_in(partition: &AtomicPartition<A>) -> usize {
-        let in_use = partition.in_use();
-        in_use - partition.reserved_count().min(in_use)
-    }
-
-    /// Live objects across all regions: [`in_use`](Self::in_use) minus the
-    /// slots magazines hold but have not handed out. **O(slot map)** — the
-    /// reservation count is a popcount over every slot-map word (≈ 8 k words
-    /// on the 1 MB default, ≈ 260 k on 32 MB regions) — so poll `in_use`
-    /// instead where no cache is attached. Same quiescence caveat.
+    /// Live objects across all regions: [`in_use`](Self::in_use), which it
+    /// is — every ticket holder's slot is live once its allocation returns.
     #[must_use]
     pub fn live_objects(&self) -> usize {
-        self.partitions.iter().map(Self::live_in).sum()
+        self.in_use()
     }
 
-    /// Live bytes across all regions (rounded object sizes); O(slot map)
-    /// and quiescence-exact like [`live_objects`](Self::live_objects).
+    /// Live bytes across all regions (rounded object sizes); O(1) and
+    /// quiescence-exact like [`in_use`](Self::in_use).
     #[must_use]
     pub fn live_bytes(&self) -> usize {
-        let bytes = |p| Self::live_in(p) * p.class().object_size();
+        let bytes = |p: &AtomicPartition<A>| p.in_use() * p.class().object_size();
         self.partitions.iter().map(bytes).sum()
-    }
-
-    /// Slots currently reserved inside thread magazines across all classes
-    /// (O(slot map), quiescence caveat as above). Zero once every cache has
-    /// flushed.
-    #[must_use]
-    pub fn reserved_slots(&self) -> usize {
-        let reserved = self.partitions.iter().map(AtomicPartition::reserved_count);
-        reserved.sum()
     }
 
     /// Iterates over every live slot in the heap, smallest class first.
@@ -618,122 +577,13 @@ impl<A: Arm> Heap<A> {
     /// Cumulative probe statistics summed across every partition:
     /// `(allocations, total probes)` — [`AtomicPartition::probe_stats`]
     /// over the whole heap, so §4.2's E[probes] = 1/(1 − 1/M) claim is
-    /// checkable on the lock-free heap too. CAS-retry probes are counted
-    /// exactly like occupied-slot probes (one draw = one probe), and
-    /// magazine refills run the partition's own probe loop, so reservation
-    /// draws count exactly like direct allocations. Exact totals once the
-    /// threads touching the heap are joined.
+    /// checkable on the lock-free heap too. Lost-claim probes are counted
+    /// exactly like live-slot probes (one draw = one probe). Exact totals
+    /// once the threads touching the heap are joined.
     #[must_use]
     pub fn probe_stats(&self) -> (u64, u64) {
         let each = self.partitions.iter().map(AtomicPartition::probe_stats);
         each.fold((0, 0), |(allocs, probes), (a, p)| (allocs + a, probes + p))
-    }
-
-    // ---- cache back end ([`Heap::thread_cache`] is beside the cache) --------
-
-    /// Refills `out` with up to one batch of reserved slots for `class`,
-    /// drawn by the partition's own probe loop under one acquisition of the
-    /// class **maintenance** lock (the slow path — per-op traffic never
-    /// waits on it; the lock only serializes refills against flushes and
-    /// teardowns so batches do not interleave draws). Returns the number of
-    /// slots reserved.
-    /// On an elastic heap an at-cap refill grows the class before giving
-    /// up. `grow_class_locked` is called directly because this thread
-    /// already holds the maintenance lock — re-entering through
-    /// `grow_class` would deadlock on the non-reentrant `SpinLock`. A `0`
-    /// here therefore means the class is at its *maximum* capacity and full
-    /// — a genuine spill, not growth pressure — and is recorded as one
-    /// exhaustion (the caller's denied request), like the uncached path's.
-    /// Out of line and cold: one call per `MAG_SLOTS` handouts, kept off the
-    /// inlined handout path.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn refill(
-        &self,
-        sole: bool,
-        class: SizeClass,
-        out: &mut [usize; MAG_SLOTS],
-    ) -> usize {
-        let partition = &self.partitions[class.index()];
-        let batch = self.maintenance[class.index()].lock_in(sole);
-        let got = loop {
-            let want = refill_batch(partition.threshold());
-            let got = partition.reserve_batch(sole, &mut out[..want]);
-            if got > 0 || !self.grow_class_locked(class) {
-                break got;
-            }
-        };
-        drop(batch);
-        if got == 0 {
-            self.stats.record_exhausted(sole);
-        }
-        got
-    }
-
-    /// The lock-free reserved→live handout transition: one `fetch_and` in
-    /// the slot-state map plus the alloc counter.
-    #[inline(always)]
-    pub(crate) fn commit(&self, sole: bool, class: SizeClass, index: usize) {
-        self.partitions[class.index()].commit(sole, index);
-        self.stats.record_alloc(sole);
-    }
-
-    /// Releases a batch of buffered frees for `class` under one maintenance
-    /// lock acquisition. With `force` false the flush is opportunistic: a
-    /// contended lock leaves the buffer untouched. (Each individual free is
-    /// itself a lock-free CAS — the lock only keeps maintenance batches
-    /// from interleaving.) Out of line and cold: the buffered free path
-    /// reaches it once per `FREE_SLOTS / 2` frees.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn flush_frees(
-        &self,
-        sole: bool,
-        class: SizeClass,
-        frees: &mut [usize; FREE_SLOTS],
-        len: &mut usize,
-        force: bool,
-    ) {
-        if *len == 0 {
-            return;
-        }
-        let lock = &self.maintenance[class.index()];
-        let guard = if force {
-            lock.lock_in(sole)
-        } else {
-            match lock.try_lock_in(sole) {
-                Some(guard) => guard,
-                None => return,
-            }
-        };
-        // The paired slot map resolves all three cases per slot in one CAS:
-        // a live slot is freed; a free slot (double/invalid free) and a
-        // reserved slot (an address the application never received — which
-        // must not release a reservation another magazine holds) are both
-        // ignored. The ticket return is one batched decrement.
-        let (freed, ignored) = self.partitions[class.index()].free_batch(sole, &frees[..*len]);
-        drop(guard);
-        *len = 0;
-        self.stats.record_frees(sole, freed);
-        self.stats.record_ignored_frees(sole, ignored);
-    }
-
-    /// Returns unhanded reservations to their partition (no stats: they were
-    /// never allocations). Holds the maintenance lock so teardown cannot
-    /// interleave with a racing refill's batch. Out of line: the thread-exit
-    /// flush calls it once per class, in a loop the optimizer otherwise
-    /// unrolls twelve times around the inlined body.
-    #[inline(never)]
-    pub(crate) fn return_reservations(&self, sole: bool, class: SizeClass, slots: &[usize]) {
-        if slots.is_empty() {
-            return;
-        }
-        let partition = &self.partitions[class.index()];
-        let _batch = self.maintenance[class.index()].lock_in(sole);
-        for &index in slots {
-            let was_reserved = partition.release_reservation(sole, index);
-            debug_assert!(was_reserved, "returned slot {index} was not reserved");
-        }
     }
 }
 
@@ -793,15 +643,23 @@ pub(crate) mod tests {
         assert_eq!(stats.ignored_frees, 2);
     }
 
+    /// §4.1's bitmap: one bit per slot, 64 slots to a word, each class
+    /// sized for its maximum capacity.
+    #[test]
+    fn metadata_is_one_bit_per_slot() {
+        let config = HeapConfig::default();
+        let words = SizeClass::all().map(|c| config.capacity(c).div_ceil(64));
+        assert_eq!(<Heap>::metadata_words_needed(&config), words.sum());
+    }
+
     #[test]
     fn free_validation_pipeline() {
         free_validation_pipeline_in::<Shared>();
     }
 
     /// Any interleaving of allocs and (valid or bogus) frees keeps `h`
-    /// consistent with a shadow model keyed by offset. No cache is attached,
-    /// so the ticket sum *is* the live count and is cheap enough to poll
-    /// after every operation.
+    /// consistent with a shadow model keyed by offset. The ticket sum *is*
+    /// the live count, cheap enough to poll after every operation.
     pub(crate) fn matches_shadow_model<A: Arm>(h: &Heap<A>, seed: u64, ops: Vec<(usize, usize)>) {
         let mut model: HashMap<usize, Slot> = HashMap::new();
         let mut rng = Mwc::seeded(seed ^ 0xABCD);
@@ -840,32 +698,47 @@ pub(crate) mod tests {
         }
     }
 
+    /// Eight threads churn every size class of an elastic heap born at
+    /// 1/64: allocations that grow classes as they go and are denied at the
+    /// maximum, frees of their own objects, and a second free after every
+    /// seventh. A second free is ignored and counted — or, when another
+    /// thread has claimed the slot since, frees that thread's object, whose
+    /// own free is then the ignored one (the hazard DieHard leaves to
+    /// chance, §3.3). Either way every placement is freed exactly once and
+    /// every extra free is one ignored free, so the books balance exactly
+    /// once the threads join.
     #[test]
     fn concurrent_mixed_class_churn_keeps_accounting_exact() {
         const THREADS: usize = 8;
         const OPS: usize = 3000;
-        let h = Arc::new(heap(7));
-        let allocated = Arc::new(AtomicUsize::new(0));
+        let h: Arc<Heap> = Arc::new(Heap::new_elastic(HeapConfig::default(), 7, 6).unwrap());
+        let [attempted, allocated, doubled] = [(); 3].map(|()| Arc::new(AtomicUsize::new(0)));
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let h = Arc::clone(&h);
-            let allocated = Arc::clone(&allocated);
+            let [attempted, allocated, doubled] =
+                [&attempted, &allocated, &doubled].map(Arc::clone);
             handles.push(std::thread::spawn(move || {
                 let mut live: Vec<usize> = Vec::new();
                 let mut rng = Mwc::seeded(0x1000 + t as u64);
-                for _ in 0..OPS {
+                for i in 0..OPS {
                     let size = 1 + rng.below(16 * 1024);
+                    attempted.fetch_add(1, Ordering::Relaxed);
                     if let Some(slot) = h.alloc(size) {
                         allocated.fetch_add(1, Ordering::Relaxed);
                         live.push(h.offset_of(slot));
                     }
                     if live.len() > 32 {
                         let victim = live.swap_remove(rng.below(live.len()));
-                        assert!(h.free_at(victim).freed(), "own offset must free");
+                        let _ = h.free_at(victim);
+                        if i % 7 == 0 {
+                            doubled.fetch_add(1, Ordering::Relaxed);
+                            let _ = h.free_at(victim);
+                        }
                     }
                 }
                 for off in live {
-                    assert!(h.free_at(off).freed());
+                    let _ = h.free_at(off);
                 }
             }));
         }
@@ -873,13 +746,18 @@ pub(crate) mod tests {
             handle.join().unwrap();
         }
         let stats = h.stats();
+        let [attempted, allocated, doubled] =
+            [attempted, allocated, doubled].map(|n| n.load(Ordering::Relaxed) as u64);
         assert_eq!(h.live_objects(), 0);
-        assert_eq!(stats.allocs, allocated.load(Ordering::Relaxed) as u64);
+        assert_eq!(stats.allocs, allocated);
+        assert_eq!(stats.frees, allocated, "every placement freed once");
+        assert_eq!(stats.ignored_frees, doubled, "every extra free ignored");
+        assert!(doubled > 0 && h.growth_events() > 0, "{stats:?}");
         assert_eq!(
-            stats.frees, stats.allocs,
-            "every alloc was freed exactly once"
+            stats.exhausted,
+            attempted - allocated,
+            "every failed attempt was a denial at a class's maximum"
         );
-        assert_eq!(stats.ignored_frees, 0);
     }
 
     /// §4.2 on the lock-free stack: with the 8-byte class held essentially

@@ -4,9 +4,9 @@
 //! *allocator*: general-purpose mutexes (including `parking_lot`) may lazily
 //! allocate per-thread parking state on contention, which would re-enter the
 //! allocator mid-operation, so both the lock and the once-cell must never
-//! allocate. Second, the heap takes one [`SpinLock`] per size class:
-//! critical sections are a handful of bitmap probes, which is exactly the
-//! regime where a spinlock with exponential backoff beats a parking mutex.
+//! allocate. Second, the heap takes one [`SpinLock`] per size class, around
+//! a growth step: a few stores and, rarely, two advisory syscalls — a
+//! regime where a spinlock with exponential backoff is all that is needed.
 //!
 //! # One word type; the partition's type picks how it is updated
 //!
@@ -49,7 +49,7 @@
 //!    that — by calling `pthread_create` itself, which it is not doing in
 //!    the middle of an allocator call. So the byte is **read once per
 //!    call**: the entry of each per-call path (an allocation, a free, a
-//!    refill or flush behind them, a statistics add) reads it and passes the
+//!    growth step or a statistics add behind them) reads it and passes the
 //!    answer down as `sole: bool`, and every update the call makes uses that
 //!    one answer instead of reading the byte again. Functions that take it
 //!    are crate-private (named `…_in` where a public form reads the byte for
@@ -109,7 +109,7 @@ pub(crate) enum Rmw {
 
 /// How a [`Word`] performs its read-modify-writes (module docs). Sealed:
 /// the two arms below are the only ones.
-pub trait Arm: arm::Sealed {
+pub trait Arm: arm::Sealed + 'static {
     /// `true` when an update may be a relaxed load and a relaxed store.
     fn sole() -> bool;
 }
@@ -235,16 +235,14 @@ impl<A: Arm> Word<A> {
 
     /// Stores `new` if the word holds `current`: `Ok(prior)` when it did,
     /// `Err(seen)` and the word unchanged when it did not. `sole` picks the
-    /// arm, as in [`rmw`](Self::rmw), and `weak` the locked arm's
-    /// instruction: `compare_exchange_weak` for retry loops (on LL/SC targets
-    /// one attempt, not a loop nested in the caller's; it may fail
-    /// spuriously, with `Err(current)`), `compare_exchange` for a single
-    /// attempt ([`SpinLock::try_lock`]), which must not.
+    /// arm, as in [`rmw`](Self::rmw). The locked arm is
+    /// `compare_exchange_weak`, for its callers' retry loops (on LL/SC
+    /// targets one attempt, not a loop nested in the caller's): it may fail
+    /// spuriously, with `Err(current)`.
     #[inline(always)]
     pub(crate) fn cas(
         &self,
         sole: bool,
-        weak: bool,
         current: u64,
         new: u64,
         success: Ordering,
@@ -257,10 +255,8 @@ impl<A: Arm> Word<A> {
             }
             self.0.store(new, Ordering::Relaxed);
             Ok(seen)
-        } else if weak {
-            self.0.compare_exchange_weak(current, new, success, failure)
         } else {
-            self.0.compare_exchange(current, new, success, failure)
+            self.0.compare_exchange_weak(current, new, success, failure)
         }
     }
 }
@@ -300,7 +296,7 @@ impl<T> SpinLock<T> {
     pub(crate) fn lock_in(&self, sole: bool) -> SpinGuard<'_, T> {
         let attempt = self
             .locked
-            .cas(sole, true, 0, 1, Ordering::Acquire, Ordering::Relaxed);
+            .cas(sole, 0, 1, Ordering::Acquire, Ordering::Relaxed);
         if attempt.is_err() {
             acquire_contended(&self.locked);
         }
@@ -328,26 +324,6 @@ impl<T> SpinLock<T> {
     pub unsafe fn raw_unlock(&self) {
         self.locked.store(0, Ordering::Release);
     }
-
-    /// Acquires the lock only if it is free right now, without spinning.
-    ///
-    /// The magazine layer uses this for *opportunistic* free-buffer flushes:
-    /// when the buffer is only half full a contended shard is left alone
-    /// (the flush retries at the next free), and only a completely full
-    /// buffer forces a blocking [`lock`](Self::lock).
-    pub fn try_lock(&self) -> Option<SpinGuard<'_, T>> {
-        self.try_lock_in(sole_thread())
-    }
-
-    /// [`try_lock`](Self::try_lock), in the arm `sole` picks, as for
-    /// [`lock_in`](Self::lock_in).
-    pub(crate) fn try_lock_in(&self, sole: bool) -> Option<SpinGuard<'_, T>> {
-        // Lazily: a guard built for a failed attempt would unlock on drop.
-        self.locked
-            .cas(sole, false, 0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-            .then(|| SpinGuard { lock: self })
-    }
 }
 
 /// The rest of [`SpinLock::lock_in`] after a failed attempt: spins with
@@ -359,14 +335,7 @@ impl<T> SpinLock<T> {
 fn acquire_contended(locked: &Word) {
     let mut spins = 0u32;
     while locked
-        .cas(
-            sole_thread(),
-            true,
-            0,
-            1,
-            Ordering::Acquire,
-            Ordering::Relaxed,
-        )
+        .cas(sole_thread(), 0, 1, Ordering::Acquire, Ordering::Relaxed)
         .is_err()
     {
         // Backoff: brief busy-wait, then yield to the scheduler.
@@ -566,22 +535,20 @@ mod tests {
                     "{:?} on {:#x}: word left", op, start
                 );
             }
-            // Compare-and-set, on a match and on a mismatch; the weak form as
-            // its callers use it, retried on a spurious `Err(current)`.
+            // Compare-and-set, on a match and on a mismatch, as its callers
+            // use it: retried on a spurious `Err(current)`.
             let current = if hit { start } else { !start };
             let (ok, err) = (Ordering::AcqRel, Ordering::Acquire);
-            for weak in [false, true] {
-                let (plain, locked): (Word, Word) = (Word::new(start), Word::new(start));
-                let cas = |word: &Word, sole| loop {
-                    let outcome = word.cas(sole, weak, current, operand, ok, err);
-                    if outcome != Err(current) {
-                        break outcome;
-                    }
-                };
-                prop_assert_eq!(cas(&plain, true), cas(&locked, false));
-                prop_assert_eq!(plain.load(Ordering::Relaxed), locked.load(Ordering::Relaxed));
-                prop_assert_eq!(plain.load(Ordering::Relaxed), if hit { operand } else { start });
-            }
+            let (plain, locked): (Word, Word) = (Word::new(start), Word::new(start));
+            let cas = |word: &Word, sole| loop {
+                let outcome = word.cas(sole, current, operand, ok, err);
+                if outcome != Err(current) {
+                    break outcome;
+                }
+            };
+            prop_assert_eq!(cas(&plain, true), cas(&locked, false));
+            prop_assert_eq!(plain.load(Ordering::Relaxed), locked.load(Ordering::Relaxed));
+            prop_assert_eq!(plain.load(Ordering::Relaxed), if hit { operand } else { start });
             // The load-compute-set loop, with a step that declines half the
             // time.
             let step = |word: u64| (word & 1 == u64::from(hit)).then_some(word ^ operand);
@@ -613,22 +580,18 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_fails_while_held() {
-        let lock = SpinLock::new(1u32);
-        let g = lock.try_lock().expect("uncontended");
-        assert!(lock.try_lock().is_none(), "held lock must not be re-taken");
-        drop(g);
-        assert_eq!(*lock.try_lock().expect("released"), 1);
-    }
-
-    #[test]
     fn raw_lock_excludes_and_raw_unlock_releases() {
         let lock = SpinLock::new(0u32);
         lock.raw_lock();
-        assert!(lock.try_lock().is_none(), "raw_lock must hold the lock");
-        // SAFETY: held via raw_lock on the line above.
+        assert_eq!(lock.locked.load(Ordering::Relaxed), 1, "raw_lock holds it");
+        // SAFETY: held via raw_lock above.
         unsafe { lock.raw_unlock() };
-        assert_eq!(*lock.try_lock().expect("raw_unlock released"), 0);
+        assert_eq!(
+            lock.locked.load(Ordering::Relaxed),
+            0,
+            "raw_unlock released"
+        );
+        assert_eq!(*lock.lock(), 0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The one history recorder behind the cross-arm / cross-path pins.
 //!
 //! A *script* is a deterministic sequence of allocations and frees written
-//! against a [`Recorder`]; [`record`] runs it on a [`Heap`] in either arm,
-//! through a magazine cache or without one, and returns everything the run
-//! left behind as a [`Trace`]. Two runs of one script are the same history
+//! against a [`Recorder`]; [`record`] runs it on a [`Heap`] in either arm
+//! and returns everything the run left behind as a [`Trace`]. Two runs of one script are the same history
 //! exactly when their traces are equal. Whatever else can serve a script
 //! (the global allocator, in `single_thread.rs`) implements [`Path`] and goes
 //! through [`drive`].
@@ -12,7 +11,6 @@
 #![allow(dead_code)]
 
 use diehard_core::engine::HeapStats;
-use diehard_core::magazine::{CachedFree, MagazineCache};
 use diehard_core::size_class::SizeClass;
 use diehard_core::sync::Arm;
 use diehard_core::Heap;
@@ -25,7 +23,7 @@ pub trait Path {
     fn free(&mut self, at: usize) -> bool;
 }
 
-/// The uncached path: every operation goes straight to the heap.
+/// The heap's own path.
 impl<A: Arm> Path for &Heap<A> {
     fn alloc(&mut self, size: usize) -> Option<usize> {
         Heap::alloc(self, size).map(|slot| self.offset_of(slot))
@@ -33,18 +31,6 @@ impl<A: Arm> Path for &Heap<A> {
 
     fn free(&mut self, at: usize) -> bool {
         self.free_at(at).freed()
-    }
-}
-
-/// The cached path: refills and buffered frees. A buffered free is accepted;
-/// what becomes of it shows in the heap's counters once the cache flushes.
-impl<A: Arm> Path for (&Heap<A>, MagazineCache<'_, A>) {
-    fn alloc(&mut self, size: usize) -> Option<usize> {
-        self.1.alloc(size).map(|slot| self.0.offset_of(slot))
-    }
-
-    fn free(&mut self, at: usize) -> bool {
-        self.1.free_at(at) == CachedFree::Buffered
     }
 }
 
@@ -136,19 +122,9 @@ impl Trace {
     }
 }
 
-/// Runs `script` on `heap` — through a thread cache when `cached`, which is
-/// flushed and dropped before the books are read — and returns the trace.
-pub fn record<A: Arm>(
-    heap: &Heap<A>,
-    cached: bool,
-    script: impl FnOnce(&mut Recorder<'_>),
-) -> Trace {
-    let ops = if cached {
-        drive(&mut (heap, heap.thread_cache()), script)
-    } else {
-        drive(&mut &*heap, script)
-    };
-    assert_eq!(heap.reserved_slots(), 0, "a dropped cache returns them");
+/// Runs `script` on `heap` and returns the trace.
+pub fn record<A: Arm>(heap: &Heap<A>, script: impl FnOnce(&mut Recorder<'_>)) -> Trace {
+    let ops = drive(&mut &*heap, script);
     Trace {
         ops,
         probe_stats: SizeClass::all()

@@ -4,10 +4,9 @@
 //! quarter-band ladder under `1/M`-cap pressure (no OOM), spill — not crash —
 //! past the final cap, never hold more than a quarter (and one step) above
 //! `M` × what has been live,
-//! keep single-threaded histories bit-identical in both arms and through a
-//! magazine cache, and
-//! keep its statistics exact while growth races allocations, frees, and
-//! magazine refills — and stay bit-identical through huge-page promotions
+//! keep single-threaded histories bit-identical in both arms, and
+//! keep its statistics exact while growth races allocations and frees — and
+//! stay bit-identical through huge-page promotions
 //! (advice draws no random numbers and moves no object), which a class gets
 //! at the growth step that completes each whole huge page of its active
 //! range, once, the same in every arm. Run with
@@ -152,19 +151,14 @@ fn assert_promotions_follow_the_ladder<A: Arm>(heap: &Heap<A>, ctx: usize, class
 /// allowance of its maximum; the last step is at seven eighths). Returns the
 /// trace and the capacity of the 64-byte class when its promotion was first
 /// seen.
-fn ladder<A: Arm>(
-    heap: &Heap<A>,
-    cached: bool,
-    seed: u64,
-    mixed: usize,
-) -> (common::Trace, Option<usize>) {
+fn ladder<A: Arm>(heap: &Heap<A>, seed: u64, mixed: usize) -> (common::Trace, Option<usize>) {
     let small = SizeClass::for_size(8).unwrap();
     let hot = SizeClass::for_size(64).unwrap();
     let small_hot = mixed + 1024;
     let total = small_hot + heap.config().threshold(hot) / 16 * 15;
     let mut rng = Mwc::seeded(seed ^ 0x5EED);
     let mut promoted_at = None;
-    let trace = record(heap, cached, |r| {
+    let trace = record(heap, |r| {
         for i in 0..total {
             let size = if i < mixed {
                 1 + rng.below(16 * 1024)
@@ -193,15 +187,14 @@ fn ladder<A: Arm>(
     (trace, promoted_at)
 }
 
-/// Single-threaded alloc-only histories are bit-identical in both arms and
-/// by both paths — the plain arm (the simulator's heap), the shared arm
-/// uncached, and the shared arm through a magazine cache — at the same seed
-/// and start fraction, through **every** step up to the maximum: growth
+/// Single-threaded alloc-only histories are bit-identical in both arms,
+/// with and without a promote hook — the plain arm (the simulator's heap),
+/// the shared arm, and the shared arm with a hook — at the same seed and
+/// start fraction, through **every** step up to the maximum: growth
 /// triggers at the same pressure points in each and consumes no RNG draws.
 /// Two ladders, all three columns and their offsets on both: the §9
 /// experiments' (1 MB regions from 1/64) and the shipped one (32 MB regions
-/// from 64 KiB; `global`'s tests add `DieHard`). The cached heap alone
-/// carries a promote hook. On the shipped ladder the history runs through a
+/// from 64 KiB; `global`'s tests add `DieHard`). On the shipped ladder the history runs through a
 /// class that is busy and stays small (never promoted), a class promoted at
 /// the step that takes it to one huge page, and the sixteen steps after it,
 /// each of which is offered exactly the huge pages it completed; every
@@ -222,15 +215,17 @@ fn single_threaded_histories_identical_across_layers() {
         let mut hooked: Heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
         hooked.set_promote_hook(note_promotion, ctx);
 
-        let (uncached, _) = ladder(&shared, false, seed, mixed);
-        let (single_owner, _) = ladder(&plain, false, seed, mixed);
-        let (cached, promoted_at) = ladder(&hooked, true, seed, mixed);
+        let (unhooked, _) = ladder(&shared, seed, mixed);
+        let (single_owner, _) = ladder(&plain, seed, mixed);
+        let (with_hook, promoted_at) = ladder(&hooked, seed, mixed);
         // Placements (hence offsets), statistics, growth steps and
-        // per-class probe counts: the plain arm is the shared arm.
-        uncached.assert_same(&single_owner, "plain arm");
-        uncached.ops.assert_same(&cached.ops, "magazine cache");
-        assert_eq!(uncached.growths, cached.growths);
-        assert_eq!(uncached.promoted, 0, "no hook, no promotion");
+        // per-class probe counts: the plain arm is the shared arm, and the
+        // hook moves nothing.
+        unhooked.assert_same(&single_owner, "plain arm");
+        unhooked.ops.assert_same(&with_hook.ops, "promote hook");
+        assert_eq!(unhooked.stats, with_hook.stats);
+        assert_eq!(unhooked.growths, with_hook.growths);
+        assert_eq!(unhooked.promoted, 0, "no hook, no promotion");
 
         let max = config.capacity(hot);
         for capacity in [
@@ -241,7 +236,7 @@ fn single_threaded_histories_identical_across_layers() {
             assert_eq!(capacity, max);
         }
         assert!(
-            cached.probe_stats[small.index()].0 >= 1024,
+            with_hook.probe_stats[small.index()].0 >= 1024,
             "the 8-byte class is busy"
         );
         // Only whole huge pages are promoted: on the 32 MB regions the
@@ -255,7 +250,7 @@ fn single_threaded_histories_identical_across_layers() {
             let offered = !ladder_promotions(&hooked, class, capacity).is_empty();
             expected |= u32::from(offered) << class.index();
         }
-        assert_eq!(cached.promoted, expected);
+        assert_eq!(with_hook.promoted, expected);
         assert_eq!(expected & 1 << small.index(), 0);
         assert_eq!(
             expected & 1 << hot.index(),
@@ -288,7 +283,7 @@ fn mixed_history_identical_before_and_after_growth() {
     fn history<A: Arm>(heap: &Heap<A>, seed: u64) -> common::Trace {
         let mut rng = Mwc::seeded(seed);
         let mut live: Vec<usize> = Vec::new();
-        record(heap, false, |r| {
+        record(heap, |r| {
             for _ in 0..20_000usize {
                 if rng.below(3) < 2 || live.is_empty() {
                     live.extend(r.alloc(1 + rng.below(1024)));
@@ -409,13 +404,13 @@ fn concurrent_alloc_pressure_grows_exactly_once_per_threshold() {
     );
 }
 
-/// Growth racing magazine refills and free-buffer flushes: the refill path
-/// grows the class under the maintenance lock it already holds (the
-/// deadlock-prone re-entry path), spills are counted per denied request,
-/// and after every cache flushes the accounting reconciles exactly —
-/// `exhausted == attempted − served`, zero leaked reservations.
+/// Growth racing allocations and frees: eight threads hold up to 1 500
+/// objects each of one class while they churn it, so steps are taken while
+/// frees and allocations are in flight, spills are counted per denied
+/// request, and the accounting reconciles exactly once the threads join —
+/// `exhausted == attempted − served`.
 #[test]
-fn magazine_refills_race_growth_and_reconcile() {
+fn allocations_and_frees_race_growth_and_reconcile() {
     const THREADS: u64 = 8;
     const OPS: usize = 4000;
     const WINDOW: usize = 1500;
@@ -430,32 +425,29 @@ fn magazine_refills_race_growth_and_reconcile() {
         let attempted = Arc::clone(&attempted);
         let served = Arc::clone(&served);
         handles.push(std::thread::spawn(move || {
-            let mut cache = h.thread_cache();
             let mut rng = Mwc::seeded(0xF00D ^ t);
             let mut live: Vec<usize> = Vec::new();
             for _ in 0..OPS {
                 attempted.fetch_add(1, Ordering::Relaxed);
-                if let Some(slot) = cache.alloc(8) {
+                if let Some(slot) = h.alloc(8) {
                     served.fetch_add(1, Ordering::Relaxed);
                     live.push(h.offset_of(slot));
                 }
                 if live.len() > WINDOW {
                     let victim = live.swap_remove(rng.below(live.len()));
-                    cache.free_at(victim);
+                    assert!(h.free_at(victim).freed());
                 }
             }
             for off in live {
-                cache.free_at(off);
+                assert!(h.free_at(off).freed());
             }
-            // cache drops here: flush frees, return reservations
         }));
     }
     for handle in handles {
         handle.join().unwrap();
     }
 
-    assert!(h.growth_events() > 0, "refill pressure must grow the class");
-    assert_eq!(h.reserved_slots(), 0, "zero leaked reservations");
+    assert!(h.growth_events() > 0, "the pressure must grow the class");
     assert_eq!(h.live_objects(), 0);
     let stats = h.stats();
     assert_eq!(stats.allocs, served.load(Ordering::Relaxed));
@@ -463,11 +455,11 @@ fn magazine_refills_race_growth_and_reconcile() {
     assert_eq!(
         stats.exhausted,
         attempted.load(Ordering::Relaxed) - served.load(Ordering::Relaxed),
-        "spill accounting is exact through the cached stack"
+        "spill accounting is exact"
     );
 }
 
-/// The uncached path has exactly one maintenance-locked stop — a growth step
+/// The heap's path has exactly one maintenance-locked stop — a growth step
 /// — and that is where the rule runs: a heap driven directly from a 64 KiB
 /// start is not promoted at the nineteen steps below 2 MB, however many
 /// allocations they took; it is promoted at the step that brings its range
@@ -514,14 +506,12 @@ fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
     );
 }
 
-/// One rule in every arm. The plain heap, the shared heap uncached and the
-/// shared heap through a magazine cache, each with a hook, take the 16 KiB
-/// class from its 64 KiB start to 2 MB with 57 objects live — far fewer
-/// allocations than one huge page has base pages — then churn 500 free +
-/// alloc pairs below its threshold (the cache's refills and buffered frees
-/// among them). Each hook is handed the one huge page at the step that
-/// completed it and nothing at any refill after it: three equal call
-/// lists, and the ladder's.
+/// One rule in every arm. The plain heap and the shared heap, each with a
+/// hook, take the 16 KiB class from its 64 KiB start to 2 MB with 57
+/// objects live — far fewer allocations than one huge page has base pages —
+/// then churn 500 free + alloc pairs below its threshold. Each hook is
+/// handed the one huge page at the step that completed it and nothing at
+/// any allocation after it: two equal call lists, and the ladder's.
 #[test]
 fn every_arm_promotes_at_the_step_that_completes_a_huge_page() {
     const CHURN: usize = 500;
@@ -548,19 +538,15 @@ fn every_arm_promotes_at_the_step_that_completes_a_huge_page() {
     };
     let mut plain: Heap<Plain> = Heap::new_elastic(config.clone(), seed, START_64K_LOG2).unwrap();
     plain.set_promote_hook(note_promotion, 0x3A0);
-    let (uncached, cached) = (hooked(0x3A1), hooked(0x3A2));
-    let traces = [
-        record(&plain, false, script),
-        record(&uncached, false, script),
-        record(&cached, true, script),
-    ];
+    let shared = hooked(0x3A1);
+    let traces = [record(&plain, script), record(&shared, script)];
     traces[0].assert_same(&traces[1], "plain arm");
     assert_eq!(traces[0].stats.allocs, (live + CHURN) as u64);
     let capacity = plain.partition(class).capacity();
     assert_eq!(capacity * SIZE, HUGE_PAGE, "the churn grew nothing");
     let expected = ladder_promotions(&plain, class, capacity);
     assert_eq!(expected, [(plain.geometry().region_base(class), HUGE_PAGE)]);
-    for ctx in [0x3A0, 0x3A1, 0x3A2] {
+    for ctx in [0x3A0, 0x3A1] {
         assert_eq!(promotions_of(ctx), expected, "ctx {ctx:#x}");
     }
     for trace in &traces {

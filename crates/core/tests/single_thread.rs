@@ -5,32 +5,27 @@
 //! instructions (`sync`'s module docs). `cargo test`'s harness is threaded,
 //! so nothing it runs ever executes the first arm — hence `harness = false`:
 //! `main` starts alone, drives a scripted history on fixed-seed heaps — the
-//! shared arm uncached, the shared arm through a magazine cache, and
-//! `DieHard` — parks a second thread (which flips glibc's
+//! shared heap and `DieHard` — parks a second thread (which flips glibc's
 //! `__libc_single_threaded` for good), drives the same history again on
-//! fresh heaps with the same seeds, and requires the uncached traces of the
-//! two arms to be bit-identical, and the cached ones too: every placement,
-//! every free outcome, probe and heap statistics, growth steps, promotions.
-//! Each drive also records the history on a `Heap<Plain>` — the same code
-//! with the plain arm fixed at compile time — uncached and cached, and
-//! requires each trace to equal the shared heap's, whichever arm that ran
-//! in.
+//! fresh heaps with the same seeds, and requires the heap's traces of the
+//! two arms to be bit-identical: every placement, every free outcome, probe
+//! and heap statistics, growth steps, promotions. Each drive also records
+//! the history on a `Heap<Plain>` — the same code with the plain arm fixed
+//! at compile time — and requires its trace to equal the shared heap's,
+//! whichever arm that ran in.
 //!
-//! `DieHard` takes a different path in each arm, and each is pinned to its
-//! trace: alone, every call goes straight to the heap's uncached path, so
-//! its placements and counters must be the uncached trace's; threaded, calls
-//! go through this thread's magazines, so they must be the cached trace's.
-//! Alone it also diverts a call made inside a guarded one, and a fork child
-//! of the lone process keeps allocating on its copy of the heap.
+//! `DieHard` takes the heap's one path in each arm, so in both its
+//! placements and counters must be that trace's. Alone it also diverts a
+//! call made inside a guarded one, and a fork child of the lone process
+//! keeps allocating on its copy of the heap.
 //!
 //! Then the handover: objects allocated and pattern-filled *before* the
 //! first spawn — slot states, tickets and counters all written with plain
 //! stores, some freed again — must be settled the moment the process stops
-//! being alone, before any thread binds to their heap: nothing reserved,
-//! the counters exact, because an alone call holds nothing outside the
-//! heap. The objects are then freed from four new threads while the main
-//! thread keeps churning the same heap. Contents are checked at every free,
-//! and at quiescence the books must balance exactly.
+//! being alone: the counters exact, because a call holds nothing outside
+//! the heap. The objects are then freed from four new threads while the
+//! main thread keeps churning the same heap. Contents are checked at every
+//! free, and at quiescence the books must balance exactly.
 
 mod common;
 
@@ -64,9 +59,8 @@ fn no_memory_to_advise(_ctx: usize, _offset: usize, _len: usize) {}
 /// sizes spread evenly over all twelve classes, then the 8-byte class busy but small, then
 /// the 64-byte class through every step up to 4 MB — past the one that
 /// promotes it and the one that completes its second huge page), with frees
-/// mixed in so free buffers fill and flush: every
-/// fourth step frees a random live object, and every tenth of those frees it
-/// twice (the second must be ignored, §4.3).
+/// mixed in: every fourth step frees a random live object, and every tenth
+/// of those frees it twice (the second must be ignored, §4.3).
 fn script(r: &mut Recorder<'_>) {
     const MIXED: usize = 300;
     let small_hot = MIXED + 1024;
@@ -123,16 +117,14 @@ impl Path for &DieHard {
 /// Everything one run-time arm recorded.
 #[derive(Debug)]
 struct Recording {
-    /// The shared arm, uncached and through a magazine cache.
-    uncached: Trace,
-    cached: Trace,
+    /// The shared heap.
+    heap: Trace,
     /// `DieHard`'s placements relative to its first (the span's address is
     /// the kernel's choice; everything inside it is the seed's).
     global: Ops,
     global_stats: HeapStats,
     global_promoted: u32,
-    /// `DieHard` after its flush: `(live_objects, reserved_slots)`.
-    global_books: (usize, usize),
+    global_live: usize,
 }
 
 /// A fresh fixed-seed heap of the shipped geometry in arm `A`.
@@ -145,13 +137,10 @@ fn fresh<A: Arm>() -> Heap<A> {
 
 /// Drives [`script`] on a fresh fixed-seed heap by each path.
 fn drive_all() -> Recording {
-    let uncached = record(&fresh::<Shared>(), false, script);
-    let cached = record(&fresh::<Shared>(), true, script);
+    let heap = record(&fresh::<Shared>(), script);
     // The simulator's heap: the compile-time plain arm of the same code.
-    let plain = record(&fresh::<Plain>(), false, script);
-    plain.assert_same(&uncached, "Heap<Plain> against Heap<Shared>");
-    let plain = record(&fresh::<Plain>(), true, script);
-    plain.assert_same(&cached, "Heap<Plain> against Heap<Shared>, cached");
+    let plain = record(&fresh::<Plain>(), script);
+    plain.assert_same(&heap, "Heap<Plain> against Heap<Shared>");
 
     let global = DieHard::with_elastic_config(HeapConfig::paper_default(), SEED, DEFAULT_GROW_LOG2);
     let mut global_ops = drive(&mut &global, script);
@@ -160,41 +149,32 @@ fn drive_all() -> Recording {
         *at = at.wrapping_sub(first);
     }
     Recording {
-        uncached,
-        cached,
+        heap,
         global_stats: global.stats(),
         global_promoted: global.promoted_classes(),
-        global_books: (global.live_objects(), global.reserved_slots()),
+        global_live: global.live_objects(),
         global: global_ops,
     }
 }
 
 /// The history is worth pinning only if it went where the docs say it goes;
-/// and `DieHard`'s part of it must be the uncached trace when it ran `alone`,
-/// the cached one otherwise.
-fn assert_history_covers_the_protocol(r: &Recording, alone: bool) {
+/// and `DieHard`'s part of it must be the heap's trace, in either arm.
+fn assert_history_covers_the_protocol(r: &Recording) {
     let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
-    let promoted = [r.uncached.promoted, r.cached.promoted, r.global_promoted];
-    assert_eq!(promoted, [hot; 3], "the 64-byte class, alone, everywhere");
+    let promoted = [r.heap.promoted, r.global_promoted];
+    assert_eq!(promoted, [hot; 2], "the 64-byte class, alone, everywhere");
     // 64 KiB → 4 MB is 24 quarter-band steps of the 64-byte class alone.
-    let growths = [r.uncached.growths, r.cached.growths];
-    assert!(growths.iter().all(|&g| g >= 24), "{growths:?}");
-    let per_class = r.uncached.probe_stats.iter().zip(&r.cached.probe_stats);
-    for (class, (uncached, cached)) in per_class.enumerate() {
-        assert!(uncached.0 > 0 && cached.0 > 0, "class {class} was used");
-        assert!(uncached.1 >= uncached.0 && cached.1 >= cached.0);
+    assert!(r.heap.growths >= 24, "{}", r.heap.growths);
+    for (class, (allocs, probes)) in r.heap.probe_stats.iter().enumerate() {
+        assert!(*allocs > 0, "class {class} was used");
+        assert!(probes >= allocs);
     }
-    let all_stats = [r.uncached.stats, r.cached.stats, r.global_stats];
-    for (column, stats) in all_stats.iter().enumerate() {
+    for (column, stats) in [r.heap.stats, r.global_stats].iter().enumerate() {
         assert!(stats.frees > 1000, "column {column}: {stats:?}");
         assert!(stats.ignored_frees > 100, "column {column}: {stats:?}");
         assert_eq!(stats.exhausted, 0, "column {column}: nothing was denied");
     }
-    let (path, what) = if alone {
-        (&r.uncached, "DieHard alone is the uncached heap")
-    } else {
-        (&r.cached, "DieHard threaded is the cached heap")
-    };
+    let (path, what) = (&r.heap, "DieHard is the heap");
     assert_eq!(path.stats, r.global_stats, "{what}");
     assert_eq!(path.ops.placed.len(), r.global.placed.len(), "{what}");
     let first = path.ops.placed[0].unwrap();
@@ -207,11 +187,7 @@ fn assert_history_covers_the_protocol(r: &Recording, alone: bool) {
         );
     }
     let live = (r.global_stats.allocs - r.global_stats.frees) as usize;
-    assert_eq!(
-        r.global_books,
-        (live, 0),
-        "allocs − frees live, none reserved"
-    );
+    assert_eq!(r.global_live, live, "allocs − frees live");
 }
 
 /// The byte every byte of object `id` holds.
@@ -267,7 +243,7 @@ fn nested_calls_are_diverted_alone() {
     );
     heap.free_guarded(p, || panic!("an outermost call is not nested"));
     assert_eq!(heap.stats().frees, 1);
-    assert_eq!((heap.live_objects(), heap.reserved_slots()), (0, 0));
+    assert_eq!(heap.live_objects(), 0);
 }
 
 /// The fork child of a process that has only ever had one thread is alone
@@ -286,9 +262,9 @@ fn fork_child_keeps_allocating(heap: &DieHard, live: usize) {
         for object in ring {
             check_and_free(heap, object);
         }
-        let books = (heap.live_objects(), heap.reserved_slots());
+        let books = heap.live_objects();
         // SAFETY: leaves the child without running the parent's teardown.
-        unsafe { libc::_exit(if alone && books == (live, 0) { 0 } else { 1 }) };
+        unsafe { libc::_exit(if alone && books == live { 0 } else { 1 }) };
     }
     let mut status = -1;
     // SAFETY: `pid` is this process's child; `status` is a live out-pointer.
@@ -300,15 +276,13 @@ fn fork_child_keeps_allocating(heap: &DieHard, live: usize) {
 }
 
 /// What the objects made alone left in `heap`, read once the process has a
-/// second thread and before any thread has bound to `heap`: an alone call
-/// holds nothing outside the heap, so there is nothing to hand over. Every
-/// object freed alone is dead already — read without flushing anything —
-/// no slot is reserved, and every allocation and free is counted.
+/// second thread: a call holds nothing outside the heap, so there is
+/// nothing to hand over. Every object freed alone is dead already, and
+/// every allocation and free is counted.
 fn alone_leaves_nothing_to_hand_over(heap: &DieHard, freed: &[usize]) {
     for &p in freed {
         assert_eq!(heap.usable_size(p as *mut u8), 0, "{p:#x} was freed alone");
     }
-    assert_eq!(heap.reserved_slots(), 0, "nothing was reserved");
     let stats = heap.stats();
     assert_eq!(stats.allocs, MADE_ALONE as u64, "{stats:?}");
     assert_eq!(stats.frees, FREED_ALONE as u64, "{stats:?}");
@@ -352,8 +326,8 @@ fn handover(heap: &DieHard, before: Vec<(usize, usize, usize)>) {
             }
         }
     });
-    // Quiescence: the freers' magazines flushed at thread exit, and every
-    // accessor below flushes this thread's first.
+    // Quiescence: the freers have returned, and every free was complete
+    // when it did.
     let stats = heap.stats();
     assert_eq!(stats.allocs - settled.allocs, churned as u64);
     let freed = handed_over + churned - ring.len();
@@ -362,7 +336,6 @@ fn handover(heap: &DieHard, before: Vec<(usize, usize, usize)>) {
     assert_eq!(stats.exhausted, 0, "and no class ran out");
     assert_eq!((stats.allocs - stats.frees) as usize, heap.live_objects());
     assert_eq!(heap.live_objects(), ring.len(), "exactly the ring is left");
-    assert_eq!(heap.reserved_slots(), 0);
     let distinct: HashSet<usize> = ring.iter().map(|object| object.0).collect();
     assert_eq!(distinct.len(), ring.len(), "no address handed out twice");
     for object in ring {
@@ -411,12 +384,11 @@ fn main() {
 
     alone_leaves_nothing_to_hand_over(&heap, &freed);
     let threaded = drive_all();
-    assert_history_covers_the_protocol(&threaded, false);
+    assert_history_covers_the_protocol(&threaded);
     if let Some(alone) = &alone {
-        assert_history_covers_the_protocol(alone, true);
+        assert_history_covers_the_protocol(alone);
         let arms = "the two arms must record the same history";
-        alone.uncached.assert_same(&threaded.uncached, arms);
-        alone.cached.assert_same(&threaded.cached, arms);
+        alone.heap.assert_same(&threaded.heap, arms);
     }
 
     handover(&heap, before);
@@ -431,8 +403,8 @@ fn main() {
          and on Heap<Plain>'s compile-time plain arm; nested calls diverted and a \
          fork child served alone; 20000 objects made alone, nothing left to hand over, \
          then freed by 4 threads",
-        threaded.uncached.ops.placed.len() * 3,
-        threaded.uncached.ops.freed.len() * 3,
+        threaded.heap.ops.placed.len() * 3,
+        threaded.heap.ops.freed.len() * 3,
         if two_arms {
             "identical in both arms"
         } else {

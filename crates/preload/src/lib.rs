@@ -26,7 +26,9 @@
 //! returns null only on genuine OOM, never because a host program outgrew
 //! a fixed region. `DIEHARD_SEED`, `DIEHARD_GROW`,
 //! `DIEHARD_REGION_MB`, and `DIEHARD_M` are honored via
-//! [`diehard_core::env`]'s audited parsers — the replication launcher's
+//! [`diehard_core::env`]'s audited parsers, which treat a value the heap
+//! cannot be built with (`DIEHARD_REGION_MB=48`) as unset rather than
+//! leaving every allocation to fail — the replication launcher's
 //! per-replica `DIEHARD_SEED` lands exactly here. The library needs `libc`
 //! and the loader and nothing else: `build.rs` links `std`'s unwinder from
 //! the static `libgcc_eh.a` where the toolchain has one, so a preloaded
@@ -45,10 +47,11 @@
 //! `ld.so` at load like every other libc import): while the host has one
 //! thread — `cat`, `tr`, `grep`, `awk`, `sort --parallel=1` — the
 //! allocator's read-modify-writes are plain loads and stores, which is what
-//! glibc's own `malloc` does for such a host, and every call goes straight
-//! to the heap, with no thread-local lookup and no cache; at the host's
-//! first `pthread_create` they become locked instructions behind per-thread
-//! magazines ([`diehard_core::sync`]). Each call reads the byte once. On an
+//! glibc's own `malloc` does for such a host, with no thread-local lookup;
+//! at the host's first `pthread_create` they become locked instructions,
+//! and the re-entrancy flag below a thread-local ([`diehard_core::sync`]).
+//! Every call goes straight to the heap either way. Each call reads the
+//! byte once. On an
 //! older glibc the library fails to load
 //! with an unresolved-symbol error instead of running. The symbol is
 //! deliberately *not* looked up with `dlsym` during heap initialization to
@@ -70,13 +73,12 @@
 //!   Arena exhaustion fails *re-entrant* requests with null — bounded,
 //!   since only allocator-internal traffic lands there after startup.
 //! * **Re-entrancy.** A per-thread flag marks "this thread is inside the
-//!   allocator". In a threaded host it is a field of the heap's own
-//!   thread-local block (plain ELF TLS: no lazy init, no destructor
-//!   registration, no allocation; startup-loaded modules get static TLS
-//!   offsets), beside the magazines, so
-//!   [`DieHard::alloc_guarded`]/[`DieHard::free_guarded`] test the flag and
-//!   reach the magazines through one `__tls_get_addr`; while the host has
-//!   one thread it is one process-wide flag and no lookup is made. This
+//!   allocator". In a threaded host it is the heap's one thread-local
+//!   (plain ELF TLS: no lazy init, no destructor registration, no
+//!   allocation; startup-loaded modules get static TLS offsets), which
+//!   [`DieHard::alloc_guarded`]/[`DieHard::free_guarded`] test and set
+//!   through one `__tls_get_addr`; while the host has one thread it is one
+//!   process-wide flag and no lookup is made. This
 //!   crate has no thread-local of its own. A nested `malloc` is served
 //!   from the arena; a nested `free` of a non-arena pointer is *dropped*
 //!   and counted ([`reentrant_frees_dropped`]) — leaking a bounded number
@@ -98,8 +100,8 @@
 //!   large-object table) is acquired in fixed order across the fork and
 //!   released in both parent and child, so the child's single
 //!   thread never inherits a lock frozen mid-critical-section. In-flight
-//!   *lock-free* reservation tickets in other threads can strand a
-//!   bounded number of slots in the child — availability, not corruption.
+//!   *lock-free* tickets in other threads can strand one slot of `1/M`
+//!   allowance each in the child — availability, not corruption.
 //! * **Alignment contract.** `malloc`/`calloc`/`realloc` return 16-byte
 //!   aligned blocks (`max_align_t` on the 64-bit targets we build);
 //!   requests below 16 bytes come from the 16-byte class. DieHard slots
@@ -242,8 +244,8 @@ fn allocate(size: usize, align: usize) -> *mut u8 {
 
 /// The one allocation funnel: re-entrant calls go to the arena. Out of
 /// line, with [`DieHard::alloc_guarded`] inlined whole into it: every export
-/// shares one copy of the path from the re-entrancy flag to the slot claim
-/// (alone) or the magazine pop (threaded).
+/// shares one copy of the path from the re-entrancy flag to the slot claim,
+/// in each arm.
 #[inline(never)]
 fn alloc_impl(layout: Layout) -> *mut u8 {
     HEAP.alloc_guarded(layout, || arena::alloc(layout.size(), layout.align()))

@@ -14,10 +14,10 @@
 //! one pair costs in user instructions, with start-up, the warm-up and the
 //! markers subtracted out.
 //!
-//! Two arms: `alone` (the child has one thread, so the heap's words are
-//! plain loads and stores and every call goes straight to the heap's
-//! uncached path) and `threaded` (a parked thread exists first:
-//! thread-local magazines and locked instructions). glibc's own `malloc` is counted the same way for
+//! Two arms, both straight to the heap: `alone` (the child has one thread,
+//! so the heap's words are plain loads and stores) and `threaded` (a parked
+//! thread exists first: a thread-local re-entrancy flag and locked
+//! instructions). glibc's own `malloc` is counted the same way for
 //! reference. Each arm's count must stay within its bound below.
 //!
 //! The counts are of the release build; a debug build (tier-1's `cargo
@@ -40,17 +40,17 @@ const OBJECT: usize = 128;
 const SHORT: usize = 256;
 const LONG: usize = 768;
 
-/// Instructions a pair may take alone: this library reads 235.8 and glibc
+/// Instructions a pair may take alone: this library reads 216.5 and glibc
 /// 143.0 (x86-64, the pinned toolchain). Only this library's code and the
 /// ring's own loop are counted in this arm, so the bound is tight; its
 /// headroom covers the few instructions the count shifts with the
 /// checkout's path.
-const ALONE_BOUND: f64 = 243.0;
+const ALONE_BOUND: f64 = 224.0;
 /// Instructions a pair may take beside a parked thread: this library reads
-/// 334.8, of which 22 are glibc's `__tls_get_addr`. The bound is the
+/// 241.0, of which 22 are glibc's `__tls_get_addr`. The bound is the
 /// reading plus eight, headroom for the checkout's path like the alone
 /// bound's; a glibc whose `__tls_get_addr` is longer needs it re-measured.
-const THREADED_BOUND: f64 = 343.0;
+const THREADED_BOUND: f64 = 249.0;
 
 /// `target/<profile>/libdiehard.so`, if it has been built.
 fn preload_path() -> Option<PathBuf> {

@@ -74,6 +74,46 @@ fn cat_round_trips_bytes() {
     assert_eq!(out, input);
 }
 
+/// A knob value the heap cannot be built with is the knob's default, not a
+/// dead process: a region that is not a power of two (or is zero, or past
+/// the largest), and an `M` whose `1/M` cap leaves a region no room for one
+/// 16 KiB object. Each used to fail initialization for good, so `cat`
+/// printed "memory exhausted".
+#[test]
+fn unbuildable_knob_values_fall_back_to_defaults() {
+    let so = require_so!();
+    let input = "still here\n".repeat(1000);
+    for (knob, value) in [
+        ("DIEHARD_REGION_MB", "48"),
+        ("DIEHARD_REGION_MB", "0"),
+        ("DIEHARD_REGION_MB", "16384"),
+        ("DIEHARD_M", "100000"),
+        ("DIEHARD_M", "0"),
+    ] {
+        let mut child = Command::new("cat")
+            .env("LD_PRELOAD", &so)
+            .env(knob, value)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn preloaded cat");
+        use std::io::Write;
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(input.as_bytes()).expect("feed stdin");
+        drop(stdin);
+        let out = child.wait_with_output().expect("collect output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{knob}={value}: {stderr}");
+        assert!(out.stderr.is_empty(), "{knob}={value}: {stderr}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            input,
+            "{knob}={value}"
+        );
+    }
+}
+
 #[test]
 fn tr_transforms_text() {
     let so = require_so!();
