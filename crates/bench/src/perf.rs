@@ -161,10 +161,10 @@ fn beside_a_parked_thread<R>(kernel: impl FnOnce() -> R) -> R {
 /// one malloc. The ring is a fixed array indexed by mask, so the harness
 /// contributes a load and a branch per op — the measurement is the
 /// allocator's placement and free-validation arithmetic, not container
-/// bookkeeping. Since PR 22 the sim heap's partitions are the shipped probe
-/// loop, ticket and slot bitmap in their compile-time plain arm (every
-/// update a relaxed load and store), so this row times the code
-/// `preload_alloc_churn` runs, minus the C ABI and the run-time arm test.
+/// bookkeeping. The sim heap is the shipped heap: its partitions are the
+/// probe loop, ticket and slot bitmap `preload_alloc_churn` runs, and in
+/// this single-threaded process every update is a relaxed load and store,
+/// so this row times that code minus the C ABI.
 fn alloc_churn_mixed(smoke: bool) -> KernelResult {
     const RING: usize = 64;
     let (warmup, samples, ops) = if smoke {
@@ -295,11 +295,9 @@ fn preload_alloc_churn(name: &'static str, smoke: bool) -> KernelResult {
 
 /// Steady-state partition probing at the paper's default occupancy (half
 /// full, M = 2): one op = one alloc/free pair against a 16 Ki-slot region.
-/// Since PR 22 `Partition` is the shipped `AtomicPartition` in its
-/// compile-time plain arm, so this row times the shipped loop: ticket add,
-/// packed-MWC draw, `or` claim, validating free — each a relaxed atomic load
-/// and store, which the compiler keeps in memory where the former `&mut`
-/// copy's fields sat in registers (+5 ns a pair; CHANGES, PR 22).
+/// `Partition` is the shipped `AtomicPartition`, so this row times the
+/// shipped loop: ticket add, packed-MWC draw, `or` claim, validating free —
+/// in this single-threaded process each a relaxed atomic load and store.
 fn probe_steady_half_full(smoke: bool) -> KernelResult {
     probe_steady("probe_steady_half_full", 1 << 14, smoke)
 }
@@ -427,10 +425,9 @@ fn hugepage_fill(smoke: bool) -> KernelResult {
 
 /// A fresh heap shaped like the interposer's: 32 MB regions born at the
 /// shipped default fraction ([`DEFAULT_GROW_LOG2`]: a 64 KiB active range
-/// per class). Returned uninitialized — a `DieHard`
-/// must not move after its first allocation — so callers run
-/// [`initialize_off_clock`] on it in place. Its mappings are deliberately
-/// leaked by `DieHard`'s `Drop` (≈ 386 MB of address space per sample,
+/// per class), returned uninitialized; callers run [`initialize_off_clock`]
+/// on it before the clock starts. A `DieHard` never unmaps its state, so
+/// each sample's mappings outlive it (≈ 386 MB of address space per sample,
 /// resident only where touched).
 fn interposer_heap(seed: u64) -> DieHard {
     DieHard::with_elastic_config(HeapConfig::paper_default(), seed, DEFAULT_GROW_LOG2)
@@ -1054,12 +1051,14 @@ pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
     // The registry's own copy of the name: results are labelled with it.
     let name = *KERNELS.iter().find(|&&kernel| kernel == name)?;
     match name {
-        "alloc_churn_mixed" => Some(alloc_churn_mixed(smoke)),
+        "alloc_churn_mixed" => Some(alone(name, || alloc_churn_mixed(smoke))),
         "preload_alloc_churn" => Some(alone(name, || preload_alloc_churn(name, smoke))),
-        "probe_steady_half_full" => Some(probe_steady_half_full(smoke)),
-        "probe_steady_three_quarter_band" => Some(probe_steady_three_quarter_band(smoke)),
-        "fill_none" => Some(fill_kernel("fill_none", FillPolicy::None, smoke)),
-        "fill_random" => Some(fill_kernel("fill_random", FillPolicy::Random, smoke)),
+        "probe_steady_half_full" => Some(alone(name, || probe_steady_half_full(smoke))),
+        "probe_steady_three_quarter_band" => {
+            Some(alone(name, || probe_steady_three_quarter_band(smoke)))
+        }
+        "fill_none" => Some(alone(name, || fill_kernel(name, FillPolicy::None, smoke))),
+        "fill_random" => Some(alone(name, || fill_kernel(name, FillPolicy::Random, smoke))),
         "grow_under_churn" => Some(alone(name, || grow_under_churn(smoke))),
         "hugepage_fill" => Some(hugepage_fill(smoke)),
         "class_first_touch" => Some(alone(name, || class_first_touch(smoke))),

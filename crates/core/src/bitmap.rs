@@ -5,25 +5,24 @@
 //! zero, indicating that every object is free." Keeping per-object overhead
 //! to bits (versus dlmalloc's eight-byte boundary tags) is one of the two
 //! features offsetting DieHard's power-of-two rounding cost (§4.5). That is
-//! this map: a slot is free or live, and every heap in the crate — the
-//! single-owner simulator core included, in its [`Plain`](crate::sync::Plain)
-//! arm — runs on it.
+//! this map: a slot is free or live, and every heap in the crate runs on
+//! it.
 //!
 //! The map never allocates after construction, so it is safe to use from
 //! inside a global allocator once built over caller-provided storage
 //! ([`SlotStateMap::from_storage`]).
 
-use crate::sync::{Arm, Rmw, Shared, Word};
+use crate::sync::{Rmw, Word};
 use core::sync::atomic::Ordering;
 
 /// Backing words of a [`SlotStateMap`].
 #[derive(Debug)]
-enum AtomicStorage<A: Arm> {
-    Owned(Box<[Word<A>]>),
+enum AtomicStorage {
+    Owned(Box<[Word]>),
     /// Caller-provided word storage (carved out of the global allocator's
     /// mmap'd metadata arena, which must never allocate re-entrantly),
     /// valid for as long as the map lives ([`SlotStateMap::from_storage`]).
-    Raw(&'static [Word<A>]),
+    Raw(&'static [Word]),
 }
 
 /// The two states a slot's bit tells apart.
@@ -54,9 +53,9 @@ pub enum SlotState {
 /// E[probes]).
 ///
 /// Each operation is a [`Word`] update: a locked RMW, or load + store, as the
-/// caller's `sole` says — read once at the entry of its call, for the map's
-/// [`Arm`] ([`crate::sync`] has the argument). The transitions, their
-/// outcomes and their order are the same in every arm.
+/// caller's `sole` says — read once at the entry of its call
+/// ([`crate::sync`] has the argument). The transitions, their outcomes and
+/// their order are the same in either arm.
 ///
 /// Memory ordering (locked arm): claims acquire the previous owner's writes
 /// and frees release the object's contents to the next claimant; reads
@@ -64,18 +63,12 @@ pub enum SlotState {
 /// thread, and thread creation publishes everything it wrote to the threads
 /// that follow.
 #[derive(Debug)]
-pub struct SlotStateMap<A: Arm = Shared> {
-    words: AtomicStorage<A>,
+pub struct SlotStateMap {
+    words: AtomicStorage,
     slots: usize,
 }
 
-// SAFETY: `Raw` storage is exclusively owned by this map for its lifetime,
-// like `Owned` storage, so moving the map moves sole access to it. (`Sync`
-// follows from `Word`'s: the `Shared` arm may be reached from two threads at
-// once, the `Plain` arm's load + store updates may not.)
-unsafe impl<A: Arm> Send for SlotStateMap<A> {}
-
-impl<A: Arm> SlotStateMap<A> {
+impl SlotStateMap {
     /// Slots per word (one bit each).
     const PER_WORD: usize = 64;
 
@@ -112,7 +105,7 @@ impl<A: Arm> SlotStateMap<A> {
         // lives, per the contract (`Word` is `repr(transparent)` over
         // `AtomicU64`, which is layout-identical to u64); the slice never
         // leaves the map.
-        let words = unsafe { core::slice::from_raw_parts(ptr.cast::<Word<A>>(), words) };
+        let words = unsafe { core::slice::from_raw_parts(ptr.cast::<Word>(), words) };
         Self {
             words: AtomicStorage::Raw(words),
             slots,
@@ -120,7 +113,7 @@ impl<A: Arm> SlotStateMap<A> {
     }
 
     #[inline]
-    fn words(&self) -> &[Word<A>] {
+    fn words(&self) -> &[Word] {
         match &self.words {
             AtomicStorage::Owned(words) => words,
             AtomicStorage::Raw(words) => words,
@@ -143,7 +136,7 @@ impl<A: Arm> SlotStateMap<A> {
 
     /// The word holding slot `index` and the slot's bit in it.
     #[inline]
-    fn check(&self, index: usize) -> (&Word<A>, u64) {
+    fn check(&self, index: usize) -> (&Word, u64) {
         assert!(index < self.slots, "slot index {index} out of range");
         (
             &self.words()[index / Self::PER_WORD],
@@ -237,7 +230,7 @@ mod tests {
 
     #[test]
     fn slot_state_transitions() {
-        let map = <SlotStateMap>::new(100);
+        let map = SlotStateMap::new(100);
         assert_eq!(map.len(), 100);
         assert!(!map.is_empty());
         // Free → claim → Live.
@@ -261,7 +254,7 @@ mod tests {
 
     #[test]
     fn slot_state_counts_and_iteration() {
-        let map = <SlotStateMap>::new(130);
+        let map = SlotStateMap::new(130);
         for i in [0usize, 1, 31, 63, 64, 65, 129] {
             assert!(map.claim(false, i));
         }
@@ -273,11 +266,11 @@ mod tests {
 
     #[test]
     fn slot_state_map_over_raw_storage() {
-        let mut backing = vec![0u64; <SlotStateMap>::words_needed(100)];
+        let mut backing = vec![0u64; SlotStateMap::words_needed(100)];
         assert_eq!(backing.len(), 2, "one bit per slot");
         // SAFETY: `backing` outlives `map`, is zeroed, and is not otherwise
         // accessed while `map` lives.
-        let map = unsafe { <SlotStateMap>::from_storage(backing.as_mut_ptr(), 100) };
+        let map = unsafe { SlotStateMap::from_storage(backing.as_mut_ptr(), 100) };
         assert!(map.claim(false, 70));
         assert!(map.is_live(70));
         assert_eq!(map.live_count(), 1);
@@ -288,7 +281,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn slot_state_map_out_of_range_panics() {
-        <SlotStateMap>::new(10).claim(false, 10);
+        SlotStateMap::new(10).claim(false, 10);
     }
 
     /// The targeted two-thread claim race: every round, both threads race a
@@ -299,7 +292,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering as O};
         use std::sync::{Arc, Barrier};
         const ROUNDS: usize = 2000;
-        let map = Arc::new(<SlotStateMap>::new(ROUNDS));
+        let map = Arc::new(SlotStateMap::new(ROUNDS));
         let barrier = Arc::new(Barrier::new(2));
         let wins = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
         std::thread::scope(|s| {

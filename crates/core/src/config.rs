@@ -5,6 +5,7 @@
 //! infinite-heap semantics." Each of the twelve per-class regions is allowed
 //! to become at most `1/M` full (§4.1).
 
+use crate::partition::MAX_CAPACITY;
 use crate::size_class::{SizeClass, MAX_OBJECT_SIZE, NUM_CLASSES};
 
 /// Whether newly served memory is filled with random values.
@@ -179,8 +180,9 @@ impl HeapConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when `M < 1`, the region size is not a power
-    /// of two, or the region is too small to host the largest size class
-    /// under the `1/M` cap.
+    /// of two, the region is too small to host the largest size class under
+    /// the `1/M` cap, or its 8-byte class has more slots than a partition
+    /// holds ([`MAX_CAPACITY`]: 16 GiB regions and up).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !self.multiplier.is_finite() || self.multiplier < 1.0 {
             return Err(ConfigError::BadMultiplier(self.multiplier));
@@ -193,6 +195,9 @@ impl HeapConfig {
                 got: self.region_bytes,
                 need: Self::min_region_bytes(self.multiplier),
             });
+        }
+        if self.capacity(SizeClass::from_index(0)) > MAX_CAPACITY {
+            return Err(ConfigError::RegionTooLarge(self.region_bytes));
         }
         Ok(())
     }
@@ -381,6 +386,9 @@ pub enum ConfigError {
         /// The minimum region size for the configured multiplier.
         need: usize,
     },
+    /// The region's 8-byte class has more slots than a partition holds
+    /// ([`MAX_CAPACITY`]).
+    RegionTooLarge(usize),
 }
 
 impl core::fmt::Display for ConfigError {
@@ -393,6 +401,10 @@ impl core::fmt::Display for ConfigError {
             Self::RegionTooSmall { got, need } => {
                 write!(f, "region size {got} below minimum {need}")
             }
+            Self::RegionTooLarge(b) => write!(
+                f,
+                "region size {b} holds more than {MAX_CAPACITY} objects of 8 bytes"
+            ),
         }
     }
 }
@@ -467,6 +479,16 @@ mod tests {
         assert!(matches!(err, ConfigError::RegionTooSmall { .. }));
         // Error message is human-readable.
         assert!(err.to_string().contains("below minimum"));
+    }
+
+    #[test]
+    fn rejects_region_past_the_partition_capacity() {
+        let largest = HeapConfig::new().with_region_bytes(8 << 30);
+        largest.validate().unwrap();
+        let cfg = largest.with_region_bytes(16 << 30);
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err, ConfigError::RegionTooLarge(16 << 30));
+        assert!(err.to_string().contains("holds more than"));
     }
 
     #[test]

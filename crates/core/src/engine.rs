@@ -3,7 +3,7 @@
 //! arithmetic behind them.
 //!
 //! The heap itself is [`Heap`] — one type,
-//! twelve randomized partitions, in whichever [`Arm`] its owner needs. It
+//! twelve randomized partitions. It
 //! decides where objects live (as byte offsets inside the heap span) and
 //! validates frees, but never reads or writes the heap: the simulated heap
 //! maps offsets into an arena, the real allocator into an `mmap`ed region,
@@ -12,7 +12,7 @@
 use crate::config::HeapGeometry;
 use crate::sharded::Heap;
 use crate::size_class::{SizeClass, NUM_CLASSES};
-use crate::sync::{Arm, Plain, Rmw, Shared, Word};
+use crate::sync::{Rmw, Word};
 use core::sync::atomic::Ordering;
 
 /// A small-object allocation: its size class and slot index.
@@ -120,21 +120,21 @@ pub struct HeapStats {
 /// concurrently with every other; relaxed atomics suffice because the
 /// counters carry no synchronization responsibility — they only have to end
 /// up numerically exact once the threads touching the heap are joined.
-/// ([`Word`]s in the heap's [`Arm`]: for `Shared` a locked add, or load +
-/// store while the process has one thread; for `Plain` always load + store.)
+/// ([`Word`]s: a locked add, or load + store while the process has one
+/// thread.)
 #[derive(Debug)]
-pub struct AtomicHeapStats<A: Arm = Shared> {
-    ignored_frees: Word<A>,
-    exhausted: Word<A>,
+pub struct AtomicHeapStats {
+    ignored_frees: Word,
+    exhausted: Word,
 }
 
-impl<A: Arm> Default for AtomicHeapStats<A> {
+impl Default for AtomicHeapStats {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<A: Arm> AtomicHeapStats<A> {
+impl AtomicHeapStats {
     /// Fresh zeroed counters; `const` so they can live in a `static`
     /// allocator initialized before `main`.
     #[must_use]
@@ -159,11 +159,13 @@ impl<A: Arm> AtomicHeapStats<A> {
 
     /// Counts one ignored (double/invalid) free. Like every `record_*`, in
     /// the arm the caller's call read once (`sole`, [`crate::sync`]).
+    #[inline]
     pub(crate) fn record_ignored_free(&self, sole: bool) {
         self.ignored_frees.rmw(sole, Rmw::Add(1), Ordering::Relaxed);
     }
 
     /// Counts one allocation denied at the `1/M` cap.
+    #[inline]
     pub(crate) fn record_exhausted(&self, sole: bool) {
         self.exhausted.rmw(sole, Rmw::Add(1), Ordering::Relaxed);
     }
@@ -230,18 +232,8 @@ pub fn locate_free(geometry: &HeapGeometry, offset: usize) -> Result<Slot, FreeO
 /// region begins at `1/2^6 = 1/64` of its maximum capacity.
 pub const DEFAULT_INITIAL_FRACTION_LOG2: u32 = 6;
 
-/// The single-owner heap of the simulator and the Monte Carlo harnesses:
-/// [`Heap`] with every update a plain load and store — the probe loop, ticket
-/// and slot transitions `libdiehard.so` runs, monomorphised for one owner.
-/// `Send` but not `Sync`, so sharing one between threads does not compile:
-///
-/// ```compile_fail
-/// fn assert_sync<T: Sync>() {}
-/// assert_sync::<diehard_core::engine::HeapCore>();
-/// ```
-///
-/// The name survives as the frozen `benchmark/` package's import path;
-/// in-tree code says `Heap<Plain>`.
+/// [`Heap`] under the name the frozen `benchmark/` package imports; in-tree
+/// code says `Heap`.
 ///
 /// # Examples
 ///
@@ -255,18 +247,20 @@ pub const DEFAULT_INITIAL_FRACTION_LOG2: u32 = 6;
 /// assert!(heap.free_at(off).freed());
 /// # Ok::<(), diehard_core::config::ConfigError>(())
 /// ```
-pub type HeapCore = Heap<Plain>;
+pub type HeapCore = Heap;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HeapConfig;
     use crate::rng::Mwc;
-    use crate::sharded::tests as both_arms;
+    use crate::sharded::tests::{self as both_arms, Alone};
     use proptest::prelude::*;
 
-    fn heap(seed: u64) -> Heap<Plain> {
-        Heap::new(HeapConfig::default(), seed).unwrap()
+    // These tests drive the heap in the load + store arm (`Alone`);
+    // `sharded::tests` drives it in the locked one.
+    fn heap(seed: u64) -> Alone {
+        Alone(Heap::new(HeapConfig::default(), seed).unwrap())
     }
 
     #[test]
@@ -306,7 +300,7 @@ mod tests {
 
     #[test]
     fn free_validation_pipeline() {
-        both_arms::free_validation_pipeline_in::<Plain>();
+        both_arms::free_validation_pipeline_in(true);
     }
 
     #[test]
@@ -336,7 +330,7 @@ mod tests {
     #[test]
     fn exhaustion_counted() {
         let cfg = HeapConfig::default().with_region_bytes(32 * 1024);
-        let h = Heap::<Plain>::new(cfg, 7).unwrap();
+        let h = Alone(Heap::new(cfg, 7).unwrap());
         // 16 KB class has capacity 2, threshold 1 with M=2.
         assert!(h.alloc(16 * 1024).is_some());
         assert!(h.alloc(16 * 1024).is_none());
@@ -420,11 +414,11 @@ mod tests {
 
     // ---- elastic heaps (§9's adaptive variant) ---------------------------
 
-    fn elastic_with(config: HeapConfig, seed: u64) -> Heap<Plain> {
-        Heap::new_elastic(config, seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap()
+    fn elastic_with(config: HeapConfig, seed: u64) -> Alone {
+        Alone(Heap::new_elastic(config, seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap())
     }
 
-    fn elastic(seed: u64) -> Heap<Plain> {
+    fn elastic(seed: u64) -> Alone {
         elastic_with(HeapConfig::default(), seed)
     }
 
@@ -494,7 +488,7 @@ mod tests {
         assert_eq!(h.partition(c11).capacity(), max_cap);
         assert_eq!(got, cfg.threshold(c11), "serves exactly the 1/M cap");
         assert_eq!(h.stats().exhausted, (max_cap + 4 - got) as u64);
-        assert_eq!(Heap::<Plain>::new(cfg, 3).unwrap().growth_events(), 0);
+        assert_eq!(Heap::new(cfg, 3).unwrap().growth_events(), 0);
     }
 
     #[test]
@@ -524,13 +518,14 @@ mod tests {
 
     proptest! {
         /// Any interleaving of allocs and (valid or bogus) frees keeps the
-        /// plain-arm heap consistent with a shadow model keyed by offset.
+        /// heap, in the load + store arm, consistent with a shadow model
+        /// keyed by offset.
         #[test]
         fn engine_matches_shadow_model(
             seed in any::<u64>(),
             ops in proptest::collection::vec((0usize..3, 1usize..20_000), 1..300),
         ) {
-            both_arms::matches_shadow_model(&heap(seed), seed, ops);
+            both_arms::matches_shadow_model(&heap(seed), true, seed, ops);
         }
 
         /// The shift/mask conversions agree with a division/modulus

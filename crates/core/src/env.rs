@@ -52,6 +52,9 @@
 //! a fixed heap that spills instead of returning null. Where the start
 //! matters for §3's bounds is spelled out in `global`'s module docs.
 
+use crate::partition::MAX_CAPACITY;
+use crate::size_class::MIN_OBJECT_SIZE;
+
 /// Largest accepted `DIEHARD_GROW` exponent: a class starting at `1/2^63`
 /// of its maximum is already clamped to the smallest start there is, and the
 /// geometry's shift arithmetic lives in `u64` space. Values above this are
@@ -63,10 +66,11 @@ pub const MAX_GROW_LOG2: u32 = 63;
 /// Default `DIEHARD_REGION_MB`: 32 MB per class, the paper's 384 MB heap.
 pub const DEFAULT_REGION_MB: u64 = 32;
 
-/// Largest accepted `DIEHARD_REGION_MB`: 8 GiB regions, whose 8-byte class
-/// holds 2³⁰ slots. Twice that is 2³¹, past the partition's packed 31-bit
-/// capacity and ticket counts, which refuse it.
-pub const MAX_REGION_MB: u64 = 8 << 10;
+/// Largest accepted `DIEHARD_REGION_MB`: the largest power of two whose
+/// 8-byte class fits a partition's packed 31-bit capacity
+/// ([`MAX_CAPACITY`]): 8 GiB regions, 2³⁰ slots. Twice that is 2³¹ slots,
+/// which `HeapConfig::validate` refuses.
+pub const MAX_REGION_MB: u64 = ((MAX_CAPACITY as u64).div_ceil(2) * MIN_OBJECT_SIZE as u64) >> 20;
 
 /// Default `DIEHARD_M`: the paper's evaluation multiplier.
 pub const DEFAULT_MULTIPLIER: u64 = 2;
@@ -242,8 +246,9 @@ mod tests {
 
     /// What the region and `M` knobs accept is exactly what the heap can be
     /// built with: `HeapConfig::validate` agrees on every region from 1 MB
-    /// to the maximum and every `M` around the bound, and the largest region
-    /// is the last whose slot counts fit the partition's packed words.
+    /// to twice the maximum and every `M` around the bound, and the largest
+    /// region is the last whose slot counts fit the partition's packed
+    /// words.
     #[test]
     fn region_and_multiplier_accept_only_buildable_heaps() {
         use crate::config::HeapConfig;
@@ -255,6 +260,7 @@ mod tests {
         ] {
             assert_eq!(parse_region_mb(raw), region, "{raw:?}");
         }
+        assert_eq!(MAX_REGION_MB, 8192);
         assert_eq!(parse_region_mb(b"8192"), Some(MAX_REGION_MB));
         assert_eq!(parse_region_mb(b"16384"), None);
         let slots = |mb: u64| (mb << 20) / 8;
@@ -262,9 +268,17 @@ mod tests {
         assert_eq!(parse_multiplier(b"100000", DEFAULT_REGION_MB), None);
         assert_eq!(parse_multiplier(b"0", DEFAULT_REGION_MB), None);
         assert_eq!(parse_multiplier(b"2x", DEFAULT_REGION_MB), None);
-        for log2 in 0..=MAX_REGION_MB.ilog2() {
+        for log2 in 0..=MAX_REGION_MB.ilog2() + 1 {
             let mb = 1u64 << log2;
-            assert_eq!(parse_region_mb(mb.to_string().as_bytes()), Some(mb));
+            let region = HeapConfig::paper_default().with_region_bytes((mb as usize) << 20);
+            assert_eq!(
+                parse_region_mb(mb.to_string().as_bytes()).is_some(),
+                region.validate().is_ok(),
+                "{mb} MB regions"
+            );
+            if mb > MAX_REGION_MB {
+                continue;
+            }
             let most = mb * 64;
             for m in [1, 2, most - 1, most, most + 1, most * 2] {
                 let config = HeapConfig::paper_default()

@@ -313,8 +313,7 @@ const LARGE_CAPACITY: usize = 4096;
 /// never freed: every reference to it is `&'static`, and one outlives the
 /// [`DieHard`] that made it, dropped or moved.
 struct GlobalState {
-    /// Twelve lock-free partitions + the two cold counters: the heap, in
-    /// its shared arm.
+    /// Twelve lock-free partitions + the two cold counters: the heap.
     heap: Heap,
     /// Base address of the small-object span. Written once at init, then
     /// read-only.
@@ -1201,6 +1200,15 @@ mod tests {
             heap.malloc(64).is_null(),
             "failure is terminal, not retried"
         );
+        assert_eq!(heap.live_objects(), 0);
+    }
+
+    /// A region whose 8-byte class has more slots than a partition holds
+    /// fails initialization like any other invalid configuration.
+    #[test]
+    fn region_past_the_partition_capacity_fails_with_null() {
+        let heap = DieHard::with_config(HeapConfig::default().with_region_bytes(16 << 30), 1);
+        assert!(heap.malloc(64).is_null());
         assert_eq!(heap.live_objects(), 0);
     }
 

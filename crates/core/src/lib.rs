@@ -21,7 +21,7 @@
 //!   object.
 //! * [`size_class`] — the twelve 8 B…16 KB classes (§4.1).
 //! * [`partition`] — per-class random probing and the `1/M` cap (§4.2):
-//!   one implementation, instantiated for shared and for single-owner use.
+//!   one implementation, for the shipped heap and the simulator alike.
 //! * [`engine`] — the outcome types of `DieHardMalloc`/`DieHardFree` and
 //!   the memory-free offset ↔ slot arithmetic every layer shares.
 //! * [`large`] — the large-object validity table (§4.1–4.3).
@@ -29,12 +29,12 @@
 //! * [`env`] — audited parsing for the `DIEHARD_*` environment knobs.
 //! * [`analysis`] — Theorems 1–3 and the expectation formulas (§3.1, §6).
 //! * [`sync`] — allocation-free [`sync::SpinLock`] and [`sync::OnceCell`],
-//!   and [`sync::Word`], whose [`sync::Arm`] decides how every partition —
-//!   and the heap built from them — updates its state.
+//!   and [`sync::Word`], every update of which is a locked instruction, or
+//!   a load and a store while the process has one thread.
 //! * [`sharded`] — [`Heap`], **the** heap: twelve partitions behind one
 //!   `DieHardMalloc`/`DieHardFree` over abstract byte offsets; lock-free per
-//!   operation, `Sync` in its default arm (the real heap) and single-owner
-//!   in [`sync::Plain`] (the simulated one); elastic on request (§9).
+//!   operation and `Sync`, for the real heap and the simulated one alike;
+//!   elastic on request (§9).
 //! * [`magazine`] — the names the frozen benchmark package reaches the
 //!   heap through: an alias and a pass-through.
 //! * [`global`] *(feature `global`, Unix)* — a real `#[global_allocator]`
@@ -87,21 +87,17 @@ pub use sync::{OnceCell, SpinGuard, SpinLock};
 
 #[cfg(test)]
 mod tests {
+    /// Every public type is `Send` and `Sync`: there is no single-owner
+    /// variant of any of them.
     #[test]
     fn public_types_are_send_where_expected() {
-        fn assert_send<T: Send>() {}
-        assert_send::<crate::engine::HeapCore>();
-        assert_send::<crate::rng::Mwc>();
-        assert_send::<crate::partition::Partition>();
-        assert_send::<crate::large::LargeTable>();
-    }
-
-    #[test]
-    fn sharded_heap_is_sync() {
-        fn assert_sync<T: Sync + Send>() {}
-        assert_sync::<crate::Heap>();
-        assert_sync::<crate::partition::AtomicPartition>();
-        assert_sync::<crate::engine::AtomicHeapStats>();
-        assert_sync::<crate::sync::SpinLock<u64>>();
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<crate::Heap>();
+        assert_send_sync::<crate::partition::AtomicPartition>();
+        assert_send_sync::<crate::bitmap::SlotStateMap>();
+        assert_send_sync::<crate::engine::AtomicHeapStats>();
+        assert_send_sync::<crate::sync::SpinLock<u64>>();
+        assert_send_sync::<crate::rng::Mwc>();
+        assert_send_sync::<crate::large::LargeTable>();
     }
 }

@@ -11,10 +11,8 @@
 
 use crate::engine::{AllocOutcome, FreeOutcome, Slot};
 use crate::sharded::Heap;
-use crate::sync::{Arm, Shared};
 
-/// [`Heap`] in its shared arm, under the name the frozen `benchmark/`
-/// package imports.
+/// [`Heap`] under the name the frozen `benchmark/` package imports.
 ///
 /// # Examples
 ///
@@ -30,25 +28,25 @@ use crate::sync::{Arm, Shared};
 /// assert_eq!(heap.live_objects(), 0); // complete on return: nothing to flush
 /// # Ok::<(), diehard_core::config::ConfigError>(())
 /// ```
-pub type MagazineHeap = Heap<Shared>;
+pub type MagazineHeap = Heap;
 
 /// A pass-through in front of a heap: each call is the heap's own
 /// ([`Heap::thread_cache`] makes one; the module docs have why it exists).
 #[derive(Debug)]
-pub struct MagazineCache<'h, A: Arm = Shared> {
-    heap: &'h Heap<A>,
+pub struct MagazineCache<'h> {
+    heap: &'h Heap,
 }
 
-impl<A: Arm> Heap<A> {
+impl Heap {
     /// A [`MagazineCache`] over this heap: the heap's own calls under the
     /// benchmark ledger's names.
     #[must_use]
-    pub fn thread_cache(&self) -> MagazineCache<'_, A> {
+    pub fn thread_cache(&self) -> MagazineCache<'_> {
         MagazineCache { heap: self }
     }
 }
 
-impl<A: Arm> MagazineCache<'_, A> {
+impl MagazineCache<'_> {
     /// [`Heap::alloc`].
     pub fn alloc(&mut self, size: usize) -> Option<Slot> {
         self.heap.alloc(size)
@@ -74,7 +72,7 @@ mod tests {
     //! from any thread, beside direct calls.
     use super::*;
     use crate::config::HeapConfig;
-    use crate::sync::Plain;
+    use crate::sharded::tests::Alone;
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,7 +137,7 @@ mod tests {
     }
 
     /// Alloc on thread A, free on thread B — the ledger's remote-free row —
-    /// with stats reconciled against a plain-arm shadow run of the same
+    /// with stats reconciled against a load + store shadow run of the same
     /// logical operation sequence.
     #[test]
     fn cross_thread_traffic_flushes_and_reconciles() {
@@ -179,7 +177,7 @@ mod tests {
         consumer.join().unwrap();
         assert_eq!(h.live_objects(), 0);
 
-        let shadow: Heap<Plain> = Heap::new(HeapConfig::default(), 0xC0DE).unwrap();
+        let shadow = Alone(heap(0xC0DE));
         let offs: Vec<usize> = sizes
             .iter()
             .map(|&sz| shadow.offset_of(shadow.alloc(sz).unwrap()))

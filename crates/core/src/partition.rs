@@ -3,11 +3,9 @@
 //! Implements the per-region half of `DieHardMalloc`/`DieHardFree`
 //! (Figure 2 of the paper): hash-table-style probing for a free slot,
 //! the `1/M` fullness threshold, and the allocated-bit bookkeeping — once.
-//! [`AtomicPartition`] is the one implementation and its [`Arm`] parameter
-//! ([`crate::sync`]) says how its words are updated — the arm of the
-//! [`Heap`](crate::sharded::Heap) that holds it: `Shared`, the default, is
-//! everything that ships; [`Partition`] names the `Plain` instantiation
-//! that the simulator and the Monte Carlo harnesses own outright.
+//! [`AtomicPartition`] is the one implementation, for the shipped heap and
+//! the simulator alike; how each call updates its words is the thread count
+//! that call read at its entry ([`crate::sync`]).
 //!
 //! Each partition owns its own MWC stream, so a partition is a complete,
 //! independently-lockable *shard* of the heap: no shared RNG (or any other
@@ -20,18 +18,12 @@ use crate::bitmap::{SlotState, SlotStateMap};
 use crate::config::HeapConfig;
 use crate::rng::AtomicMwc;
 use crate::size_class::SizeClass;
-use crate::sync::{Arm, Plain, Rmw, Shared, Word};
+use crate::sync::{sole_thread, Rmw, Word};
 use core::sync::atomic::{AtomicU64, Ordering};
 
-/// The single-owner partition: [`AtomicPartition`] with every update a plain
-/// load and store. `Send` but not `Sync` — sharing one between threads does
-/// not compile:
-///
-/// ```compile_fail
-/// fn assert_sync<T: Sync>() {}
-/// assert_sync::<diehard_core::partition::Partition>();
-/// ```
-pub type Partition = AtomicPartition<Plain>;
+/// [`AtomicPartition`] under the name the frozen `benchmark/` package
+/// imports.
+pub type Partition = AtomicPartition;
 
 /// One size-class region of the DieHard heap, probed and claimed entirely
 /// through [`Word`] updates so allocation and free never take a lock.
@@ -39,11 +31,10 @@ pub type Partition = AtomicPartition<Plain>;
 /// Slot state lives in a one-bit-per-slot [`SlotStateMap`], probe indices come
 /// from a CAS-advanced [`AtomicMwc`], and the `1/M` cap is enforced by a
 /// ticket on an `in_use` counter. Every update of those three, and of the
-/// probe counter, is a [`Word`] update in the partition's [`Arm`]: for
-/// `Shared` a locked RMW, or load + store while the process has one thread
-/// (read once per call and carried down as `sole`); for `Plain`
-/// ([`Partition`]) always load + store ([`crate::sync`]) — same draws, same
-/// outcomes, same order in every arm. The determinism contract:
+/// probe counter, is a [`Word`] update: a locked RMW, or load + store while
+/// the process has one thread (read once per call and carried down as
+/// `sole`, [`crate::sync`]) — same draws, same outcomes, same order in
+/// either arm. The determinism contract:
 ///
 /// * **Single-threaded histories are bit-identical across arms** for the
 ///   same seed — the RNG stream, the shift draw, and the win/lose outcome of
@@ -102,11 +93,11 @@ pub type Partition = AtomicPartition<Plain>;
 ///   `in_use` ([`counts`](Self::counts)), so no operation pays a second
 ///   counter update for its statistics.
 #[derive(Debug)]
-pub struct AtomicPartition<A: Arm = Shared> {
+pub struct AtomicPartition {
     class: SizeClass,
     /// Slot states for the *maximum* capacity: growth never moves a slot,
     /// so indices, offsets, and live state are stable across growth steps.
-    map: SlotStateMap<A>,
+    map: SlotStateMap,
     max_capacity: usize,
     /// Packed `capacity << 32 | threshold` — the currently active slot count
     /// (≤ `max_capacity`) and its `1/M` cap; written only under the
@@ -119,9 +110,9 @@ pub struct AtomicPartition<A: Arm = Shared> {
     /// transiently overcounts, never undercounts, real occupancy. The
     /// conservative direction: the `1/M` cap can deny an allocation a racing
     /// free was about to make room for, but can never admit one past the cap.
-    tickets: Word<A>,
-    rng: AtomicMwc<A>,
-    probes: Word<A>,
+    tickets: Word,
+    rng: AtomicMwc,
+    probes: Word,
 }
 
 /// Bit position of the packed capacity inside `active`.
@@ -133,15 +124,20 @@ const TICKET_ALLOC_SHIFT: u32 = 32;
 /// Low 32 bits of `tickets`: the occupancy ticket (`in_use`).
 const TICKET_IN_USE_MASK: u64 = u32::MAX as u64;
 
+/// The most slots a partition can have: its packed `active` and ticket
+/// words hold slot counts in 31 bits. `HeapConfig::validate` refuses a
+/// region whose 8-byte class has more.
+pub const MAX_CAPACITY: usize = (TICKET_IN_USE_MASK >> 1) as usize;
+
 /// Packs a capacity and its threshold into one `active` word. Both fit 31
-/// bits: `check_geometry` bounds the maximum capacity, and every writer
-/// keeps `threshold ≤ capacity ≤ max_capacity`.
+/// bits: `check_geometry` bounds the maximum capacity by [`MAX_CAPACITY`],
+/// and every writer keeps `threshold ≤ capacity ≤ max_capacity`.
 #[inline]
 fn pack_active(capacity: usize, threshold: usize) -> u64 {
     ((capacity as u64) << ACTIVE_CAPACITY_SHIFT) | threshold as u64
 }
 
-impl<A: Arm> AtomicPartition<A> {
+impl AtomicPartition {
     /// Creates an empty partition with `capacity` slots of which at most
     /// `threshold` may be occupied at once, probing with its own RNG stream
     /// seeded from `seed`. The partition is *fixed-size*: it never grows.
@@ -203,7 +199,7 @@ impl<A: Arm> AtomicPartition<A> {
     /// capacity.
     fn over(
         class: SizeClass,
-        map: SlotStateMap<A>,
+        map: SlotStateMap,
         initial_capacity: usize,
         initial_threshold: usize,
         seed: u64,
@@ -230,7 +226,7 @@ impl<A: Arm> AtomicPartition<A> {
             "threshold {initial_threshold} exceeds capacity {initial_capacity}"
         );
         assert!(
-            (max_capacity as u64) <= TICKET_IN_USE_MASK >> 1,
+            max_capacity <= MAX_CAPACITY,
             "max capacity {max_capacity} overflows the packed 32-bit ticket and active words"
         );
     }
@@ -240,7 +236,7 @@ impl<A: Arm> AtomicPartition<A> {
     /// *maximum* capacity.
     #[must_use]
     pub const fn words_needed(capacity: usize) -> usize {
-        SlotStateMap::<A>::words_needed(capacity)
+        SlotStateMap::words_needed(capacity)
     }
 
     /// Publishes a larger active capacity and threshold, lock-free for
@@ -382,7 +378,7 @@ impl<A: Arm> AtomicPartition<A> {
     /// region is at its threshold ("At threshold: no more memory").
     #[inline]
     pub fn alloc(&self) -> Option<usize> {
-        self.alloc_in(A::sole())
+        self.alloc_in(sole_thread())
     }
 
     /// [`alloc`](Self::alloc) in the arm `sole` picks: the caller's one read
@@ -424,7 +420,7 @@ impl<A: Arm> AtomicPartition<A> {
     /// and alignment before calling in, so this indicates a heap bug.
     #[inline]
     pub fn free(&self, index: usize) -> SlotState {
-        self.free_in(A::sole(), index)
+        self.free_in(sole_thread(), index)
     }
 
     /// [`free`](Self::free) in the arm `sole` picks, as for
@@ -504,13 +500,13 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashSet;
 
-    /// The single-owner tests below run the `Plain` arm: the code the
-    /// simulator runs, which nothing else under the (threaded) harness does.
-    fn part_seeded(cap: usize, thresh: usize, seed: u64) -> Partition {
-        Partition::new(SizeClass::from_index(0), cap, thresh, seed)
+    /// Under libtest, whose harness is threaded, the public calls run the
+    /// locked arm; the `…_in(true, …)` calls below run the other one.
+    fn part_seeded(cap: usize, thresh: usize, seed: u64) -> AtomicPartition {
+        AtomicPartition::new(SizeClass::from_index(0), cap, thresh, seed)
     }
 
-    fn part(cap: usize, thresh: usize) -> Partition {
+    fn part(cap: usize, thresh: usize) -> AtomicPartition {
         part_seeded(cap, thresh, 0xDEED)
     }
 
@@ -627,11 +623,6 @@ mod tests {
         part(8, 9);
     }
 
-    /// The `Shared` arm — under libtest, locked instructions.
-    fn atomic_seeded(cap: usize, thresh: usize, seed: u64) -> AtomicPartition {
-        AtomicPartition::new(SizeClass::from_index(0), cap, thresh, seed)
-    }
-
     #[test]
     fn plain_arm_matches_shared_arm_serially() {
         // The determinism contract: driven by one thread, the two arms of
@@ -639,21 +630,21 @@ mod tests {
         // alloc/free history — placements, free outcomes, accounting, and
         // probe statistics all identical for the same seed.
         let plain = part_seeded(4096, 2048, 0xA70A1C);
-        let shared = atomic_seeded(4096, 2048, 0xA70A1C);
+        let shared = part_seeded(4096, 2048, 0xA70A1C);
         let mut victim_rng = Mwc::seeded(99);
         let mut live: Vec<usize> = Vec::new();
         for step in 0..20_000 {
             if live.is_empty() || victim_rng.chance(0.6) {
-                let a = plain.alloc();
+                let a = plain.alloc_in(true);
                 assert_eq!(a, shared.alloc(), "placement diverged at step {step}");
                 live.extend(a);
             } else {
                 let victim = live.swap_remove(victim_rng.below(live.len()));
-                assert_eq!(plain.free(victim), SlotState::Live);
+                assert_eq!(plain.free_in(true, victim), SlotState::Live);
                 assert_eq!(shared.free(victim), SlotState::Live);
                 // Every tenth free twice: ignored alike.
                 if step % 10 == 0 {
-                    assert_eq!(plain.free(victim), shared.free(victim));
+                    assert_eq!(plain.free_in(true, victim), shared.free(victim));
                 }
             }
             assert_eq!(plain.in_use(), shared.in_use());
@@ -667,7 +658,7 @@ mod tests {
 
     #[test]
     fn atomic_free_validation() {
-        let p = atomic_seeded(64, 32, 5);
+        let p = part_seeded(64, 32, 5);
         let idx = p.alloc().expect("below threshold");
         assert!(p.is_live(idx));
         assert_eq!(p.free(idx), SlotState::Live);
@@ -684,7 +675,7 @@ mod tests {
         // protocol must never admit more than `threshold` occupants and must
         // reconcile exactly after a full drain.
         use std::sync::Arc;
-        let p = Arc::new(atomic_seeded(256, 128, 0xCA5));
+        let p = Arc::new(part_seeded(256, 128, 0xCA5));
         // Slots the threads hold between them, counted by the holders:
         // raised after a grant and lowered before the free, so it never
         // exceeds the partition's true occupancy and the bound on it is the
@@ -727,7 +718,7 @@ mod tests {
 
     #[test]
     fn elastic_partition_grows_in_place() {
-        let p = Partition::new_elastic(SizeClass::from_index(0), 64, 8, 4, 0xE1A);
+        let p = AtomicPartition::new_elastic(SizeClass::from_index(0), 64, 8, 4, 0xE1A);
         assert_eq!(p.capacity(), 8);
         assert_eq!(p.max_capacity(), 64);
         assert_eq!(p.threshold(), 4);
@@ -781,7 +772,7 @@ mod tests {
                 for class in SizeClass::all() {
                     let max = geometry.capacity(class);
                     let start = geometry.initial_capacity(class);
-                    let p = Partition::new_elastic(
+                    let p = AtomicPartition::new_elastic(
                         class,
                         max,
                         start,
@@ -825,7 +816,8 @@ mod tests {
         const CAPACITY: usize = 6 << 8;
         const BINS: usize = 96;
         const PLACEMENTS: usize = 200_000;
-        let p = Partition::new_elastic(SizeClass::from_index(0), 8 << 8, 4 << 8, 2 << 8, 0xC41);
+        let p =
+            AtomicPartition::new_elastic(SizeClass::from_index(0), 8 << 8, 4 << 8, 2 << 8, 0xC41);
         p.grow_to(CAPACITY, CAPACITY / 2);
         let mut victim_rng = Mwc::seeded(0x3B);
         let mut live: Vec<usize> = (0..CAPACITY / 2 - 1).map(|_| p.alloc().unwrap()).collect();
@@ -855,11 +847,11 @@ mod tests {
         // An elastic partition grown to max before any traffic draws the
         // exact sequence of a fixed partition (here across arms as well):
         // growth itself consumes no RNG state.
-        let fixed = atomic_seeded(256, 128, 0x90F7);
-        let elastic = Partition::new_elastic(SizeClass::from_index(0), 256, 4, 2, 0x90F7);
+        let fixed = part_seeded(256, 128, 0x90F7);
+        let elastic = AtomicPartition::new_elastic(SizeClass::from_index(0), 256, 4, 2, 0x90F7);
         elastic.grow_to(256, 128);
         for _ in 0..128 {
-            assert_eq!(fixed.alloc(), elastic.alloc());
+            assert_eq!(fixed.alloc(), elastic.alloc_in(true));
         }
         assert_eq!(fixed.probe_stats(), elastic.probe_stats());
     }
@@ -867,14 +859,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot shrink")]
     fn atomic_grow_rejects_shrinking() {
-        let p = <AtomicPartition>::new_elastic(SizeClass::from_index(0), 64, 32, 16, 1);
+        let p = AtomicPartition::new_elastic(SizeClass::from_index(0), 64, 32, 16, 1);
         p.grow_to(16, 8);
     }
 
     #[test]
     #[should_panic(expected = "exceeds maximum")]
     fn atomic_grow_rejects_overflowing_the_map() {
-        let p = <AtomicPartition>::new_elastic(SizeClass::from_index(0), 64, 32, 16, 1);
+        let p = AtomicPartition::new_elastic(SizeClass::from_index(0), 64, 32, 16, 1);
         p.grow_to(128, 64);
     }
 

@@ -15,7 +15,7 @@
 //! Every source of randomness in this repository flows through [`Mwc`] so
 //! that experiments are exactly reproducible from a seed.
 
-use crate::sync::{Arm, Shared, Word};
+use crate::sync::{sole_thread, Word};
 
 /// Marsaglia multiply-with-carry generator ("MWC", a.k.a. `znew`/`wnew`).
 ///
@@ -215,7 +215,7 @@ impl Default for Mwc {
 /// The lock-free partition probe loop draws from this generator with `&self`
 /// from any thread. A draw loads the packed state, computes the next two MWC
 /// steps locally, and publishes them with a single compare-and-set (a locked
-/// `cmpxchg`, or a load and a store, as the [`Arm`] says — see
+/// `cmpxchg`, or a load and a store while the process has one thread — see
 /// [`crate::sync`]):
 ///
 /// * **single-threaded, the stream is bit-identical to [`Mwc`]** — every
@@ -231,12 +231,12 @@ impl Default for Mwc {
 /// payload other than its own lags, and slot claims are ordered separately
 /// by the bitmap's own atomics.
 #[derive(Debug)]
-pub struct AtomicMwc<A: Arm = Shared> {
+pub struct AtomicMwc {
     /// `z` in the high 32 bits, `w` in the low 32 bits.
-    state: Word<A>,
+    state: Word,
 }
 
-impl<A: Arm> AtomicMwc<A> {
+impl AtomicMwc {
     /// Creates a generator from a single 64-bit seed, with the same
     /// zero-half replacement as [`Mwc::seeded`] (so `AtomicMwc::seeded(s)`
     /// and `Mwc::seeded(s)` start from identical lags).
@@ -252,7 +252,7 @@ impl<A: Arm> AtomicMwc<A> {
     /// [`Mwc::next_u64`] on the same state.
     #[inline]
     pub fn next_u64(&self) -> u64 {
-        self.next_u64_in(A::sole())
+        self.next_u64_in(sole_thread())
     }
 
     /// [`next_u64`](Self::next_u64) in the arm `sole` picks (read once by
@@ -279,7 +279,7 @@ impl<A: Arm> AtomicMwc<A> {
     /// Panics if `bound` is zero (debug builds only).
     #[inline]
     pub fn below(&self, bound: usize) -> usize {
-        self.below_in(A::sole(), bound)
+        self.below_in(sole_thread(), bound)
     }
 
     /// [`below`](Self::below) in the arm `sole` picks.
@@ -606,18 +606,18 @@ mod tests {
     fn atomic_mwc_matches_sequential_stream() {
         // Single-threaded, the CAS generator is bit-identical to Mwc in
         // either arm — the property the heap's determinism contract rests on.
-        fn check<A: Arm>() {
+        fn check(sole: bool) {
             let mut seq = Mwc::seeded(0xD1E_4A8D);
-            let atomic = AtomicMwc::<A>::seeded(0xD1E_4A8D);
+            let atomic = AtomicMwc::seeded(0xD1E_4A8D);
             for _ in 0..1000 {
-                assert_eq!(atomic.next_u64(), seq.next_u64());
+                assert_eq!(atomic.next_u64_in(sole), seq.next_u64());
             }
             for bound in [1usize, 3, 1024, 4095] {
-                assert_eq!(atomic.below(bound), seq.below(bound));
+                assert_eq!(atomic.below_in(sole, bound), seq.below(bound));
             }
         }
-        check::<Shared>();
-        check::<crate::sync::Plain>();
+        check(false);
+        check(true);
     }
 
     #[test]
@@ -627,7 +627,7 @@ mod tests {
         // and no value is drawn twice.
         use std::collections::HashSet;
         use std::sync::Arc;
-        let atomic = Arc::new(AtomicMwc::<Shared>::seeded(0xC0FFEE));
+        let atomic = Arc::new(AtomicMwc::seeded(0xC0FFEE));
         const PER_THREAD: usize = 2000;
         const THREADS: usize = 4;
         let mut drawn: Vec<u64> = std::thread::scope(|s| {

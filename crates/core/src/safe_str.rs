@@ -18,7 +18,6 @@
 
 use crate::config::HeapGeometry;
 use crate::sharded::Heap;
-use crate::sync::Arm;
 
 /// Computes the number of bytes available from `offset` to the end of the
 /// heap object containing it, via the paper's mask-and-subtract scheme.
@@ -44,7 +43,7 @@ use crate::sync::Arm;
 /// # Ok::<(), diehard_core::config::ConfigError>(())
 /// ```
 #[must_use]
-pub fn space_to_object_end<A: Arm>(heap: &Heap<A>, offset: usize) -> Option<usize> {
+pub fn space_to_object_end(heap: &Heap, offset: usize) -> Option<usize> {
     space_in_object(heap.geometry(), offset)
 }
 

@@ -2,12 +2,13 @@
 //! `DieHardMalloc`/`DieHardFree` (Figure 2), a lock-free per-op path, and
 //! per-class locks demoted to slow-path maintenance.
 //!
-//! There is one heap type, [`Heap`], generic in the [`Arm`] its words are
-//! updated in exactly as its partitions are: `Heap<Shared>` (the default;
-//! `Sync` — the global allocator embeds one behind its once-initialized
-//! header, and it is what `libdiehard.so` runs) and `Heap<Plain>` (always
-//! load + store; `Send` but not `Sync` — the simulator's and the Monte Carlo
-//! harnesses' single-owner heap). Same code, same draws, same histories.
+//! There is one heap type, [`Heap`], `Send + Sync`: the global allocator
+//! embeds one behind its once-initialized header (it is what
+//! `libdiehard.so` runs), and the simulator and the Monte Carlo harnesses
+//! own one outright. Each call picks how its words are updated from one
+//! read of the thread count at its entry ([`crate::sync`]): locked
+//! instructions, or loads and stores while the process has one thread. Same
+//! code, same draws, same histories.
 //!
 //! The paper's allocator (§4.2) is embarrassingly partitionable: each of the
 //! twelve size-class regions owns its slot-state map, its `1/M` threshold,
@@ -26,13 +27,13 @@
 //! around a growth step (and `fork`), where mutual exclusion among growers
 //! (not allocators) is the point.
 //!
-//! That is the one path to the heap in every arm and for every caller: the
+//! That is the one path to the heap in either arm and for every caller: the
 //! global allocator's calls, alone or threaded, are these `try_alloc` and
 //! `free_at` in the arm their one read of the thread count picked.
 //!
 //! Determinism under the lock-free path — the pinned contended-retry rule:
 //!
-//! * single-threaded histories are **bit-identical** across both arms for
+//! * single-threaded histories are **bit-identical** in either arm for
 //!   the same master seed (one partition code: same RNG stream, same draw,
 //!   same win/lose per probe);
 //! * under contention the placement *sequence* may diverge from any serial
@@ -55,7 +56,7 @@ use crate::engine::{
 use crate::partition::AtomicPartition;
 use crate::rng::stream_seed;
 use crate::size_class::{SizeClass, NUM_CLASSES};
-use crate::sync::{Arm, Shared, SpinLock};
+use crate::sync::{sole_thread, SpinLock};
 use core::sync::atomic::{AtomicU64, Ordering};
 
 /// One transparent huge page: the PMD size on x86-64 and on aarch64 with
@@ -76,7 +77,7 @@ pub const HUGE_PAGE: usize = 2 << 20;
 /// class born at or above one huge page (a 32 MB region at a start fraction
 /// of `1/16` or more) gets the pages it was born with then. So the offers
 /// are a closed form of the capacity ladder
-/// ([`AtomicPartition::grow_step`]): the same in every arm, and whatever the
+/// ([`AtomicPartition::grow_step`]): the same in either arm, and whatever the
 /// class's allocation count. A heap that
 /// never grows — a fixed heap, `DIEHARD_GROW=0` — is never promoted, and a
 /// region smaller than a huge page has nothing one could back.
@@ -113,19 +114,19 @@ pub type PromoteHook = fn(ctx: usize, offset: usize, len: usize);
 /// The randomized small-object heap: twelve [`AtomicPartition`]s, the
 /// geometry that turns their slot indices into byte offsets, and the
 /// counters. Alloc and free are lock-free; one maintenance lock per size
-/// class guards its growth steps only. All operations take `&self`; which
-/// arms may be shared between threads is in the module docs.
+/// class guards its growth steps only. All operations take `&self`, from
+/// any thread.
 #[derive(Debug)]
-pub struct Heap<A: Arm = Shared> {
+pub struct Heap {
     geometry: HeapGeometry,
-    partitions: [AtomicPartition<A>; NUM_CLASSES],
+    partitions: [AtomicPartition; NUM_CLASSES],
     /// Slow-path mutual exclusion per class: growth steps serialize against
     /// each other (and `fork`) here. **Taken by `alloc` only to grow, never
     /// by `free_at`/`is_live_at`** — the per-op paths are lock-free by
     /// construction, and the slot map's atomics keep them correct against a
     /// step in flight.
     maintenance: [SpinLock<()>; NUM_CLASSES],
-    stats: AtomicHeapStats<A>,
+    stats: AtomicHeapStats,
     /// Per class: completed growth steps (elastic heaps; always 0 on fixed
     /// heaps). Written under the class's maintenance lock, its one writer,
     /// so an increment is a load and a store in either arm.
@@ -135,8 +136,8 @@ pub struct Heap<A: Arm = Shared> {
     promote: Option<(PromoteHook, usize)>,
 }
 
-/// [`Heap`] in its default, thread-safe [`Shared`] arm. The name survives as
-/// the frozen `benchmark/` package's import path; in-tree code says `Heap`.
+/// [`Heap`] under the name the frozen `benchmark/` package imports; in-tree
+/// code says `Heap`.
 ///
 /// # Examples
 ///
@@ -152,12 +153,12 @@ pub struct Heap<A: Arm = Shared> {
 /// assert!(!heap.free_at(off).freed()); // double free: ignored
 /// # Ok::<(), diehard_core::config::ConfigError>(())
 /// ```
-pub type ShardedHeap = Heap<Shared>;
+pub type ShardedHeap = Heap;
 
-impl<A: Arm> Heap<A> {
+impl Heap {
     /// Creates an empty fixed-size heap; class `i` probes with the RNG
     /// stream `stream_seed(seed, i)`, so one master seed reproduces the
-    /// layout in either arm.
+    /// layout, alone or threaded.
     ///
     /// # Errors
     ///
@@ -255,7 +256,7 @@ impl<A: Arm> Heap<A> {
                     // SAFETY: the caller provides enough zeroed words for the
                     // sum of all class maps; each class takes the next
                     // `words_needed(max)` of them.
-                    *cursor = unsafe { words.add(AtomicPartition::<A>::words_needed(max)) };
+                    *cursor = unsafe { words.add(AtomicPartition::words_needed(max)) };
                     unsafe {
                         AtomicPartition::from_storage_elastic(
                             c, max, start, threshold, stream, words,
@@ -281,7 +282,7 @@ impl<A: Arm> Heap<A> {
     #[must_use]
     pub fn metadata_words_needed(config: &HeapConfig) -> usize {
         SizeClass::all()
-            .map(|c| AtomicPartition::<A>::words_needed(config.capacity(c)))
+            .map(|c| AtomicPartition::words_needed(config.capacity(c)))
             .sum()
     }
 
@@ -325,7 +326,7 @@ impl<A: Arm> Heap<A> {
     /// with the usual not-a-snapshot caveat under concurrent traffic.
     #[must_use]
     #[inline]
-    pub fn partition(&self, class: SizeClass) -> &AtomicPartition<A> {
+    pub fn partition(&self, class: SizeClass) -> &AtomicPartition {
         &self.partitions[class.index()]
     }
 
@@ -354,7 +355,7 @@ impl<A: Arm> Heap<A> {
     /// ([`crate::sync`]).
     #[inline]
     pub fn try_alloc(&self, size: usize) -> AllocOutcome {
-        self.try_alloc_in(A::sole(), size)
+        self.try_alloc_in(sole_thread(), size)
     }
 
     /// [`try_alloc`](Self::try_alloc) in the arm `sole` picks: the global
@@ -481,7 +482,7 @@ impl<A: Arm> Heap<A> {
     /// outside the span is left to the caller's large-object path.
     #[inline]
     pub fn free_at(&self, offset: usize) -> FreeOutcome {
-        self.free_at_in(A::sole(), offset)
+        self.free_at_in(sole_thread(), offset)
     }
 
     /// [`free_at`](Self::free_at) in the arm `sole` picks: the paper's
@@ -562,7 +563,7 @@ impl<A: Arm> Heap<A> {
     /// quiescence-exact like [`in_use`](Self::in_use).
     #[must_use]
     pub fn live_bytes(&self) -> usize {
-        let bytes = |p: &AtomicPartition<A>| p.in_use() * p.class().object_size();
+        let bytes = |p: &AtomicPartition| p.in_use() * p.class().object_size();
         self.partitions.iter().map(bytes).sum()
     }
 
@@ -587,13 +588,14 @@ impl<A: Arm> Heap<A> {
     }
 }
 
-/// The shared arm's tests, and the bodies `engine::tests` instantiates for
-/// the plain one.
+/// The heap's tests, and what `engine::tests` shares with them. The harness
+/// is threaded, so a public call here runs the locked arm; [`Alone`] runs
+/// the other one.
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::rng::Mwc;
-    use crate::sync::Plain;
+    use core::ops::Deref;
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -603,44 +605,76 @@ pub(crate) mod tests {
         Heap::new(HeapConfig::default(), seed).unwrap()
     }
 
-    fn plain_heap(seed: u64) -> Heap<Plain> {
-        Heap::new(HeapConfig::default(), seed).unwrap()
+    /// A heap driven in the load + store arm: its `alloc` and `free_at` are
+    /// the `…_in(true, …)` forms, sound because only the test's own thread
+    /// reaches it. Everything else is the heap's.
+    #[derive(Debug)]
+    pub(crate) struct Alone(pub(crate) Heap);
+
+    impl Alone {
+        pub(crate) fn alloc(&self, size: usize) -> Option<Slot> {
+            self.0.try_alloc_in(true, size).placed()
+        }
+
+        pub(crate) fn free_at(&self, offset: usize) -> FreeOutcome {
+            self.0.free_at_in(true, offset)
+        }
+    }
+
+    impl Deref for Alone {
+        type Target = Heap;
+
+        fn deref(&self) -> &Heap {
+            &self.0
+        }
     }
 
     #[test]
     fn matches_facade_layout_for_same_seed() {
         // Both arms split the master seed the same way and run the same
         // partition code, so single-threaded histories coincide exactly.
-        let (shared, plain) = (heap(0xABCD), plain_heap(0xABCD));
+        let (shared, plain) = (heap(0xABCD), Alone(heap(0xABCD)));
         for req in [8usize, 8, 24, 100, 1000, 4000, 16_000, 8, 64] {
             assert_eq!(shared.alloc(req), plain.alloc(req), "request {req}");
         }
         assert_eq!(shared.stats(), plain.stats());
     }
 
-    /// §4.3's three checks and their bookkeeping, in arm `A`.
-    pub(crate) fn free_validation_pipeline_in<A: Arm>() {
-        let h: Heap<A> = Heap::new(HeapConfig::default(), 4).unwrap();
-        let slot = h.alloc(64).unwrap();
+    /// §4.3's three checks and their bookkeeping, in the arm `sole` picks.
+    pub(crate) fn free_validation_pipeline_in(sole: bool) {
+        let h = heap(4);
+        let slot = h.try_alloc_in(sole, 64).placed().unwrap();
         let off = h.offset_of(slot);
 
         // Interior (misaligned) pointer: ignored.
-        assert_eq!(h.free_at(off + 1), FreeOutcome::MisalignedOffset);
+        assert_eq!(h.free_at_in(sole, off + 1), FreeOutcome::MisalignedOffset);
         assert!(h.is_live_at(off));
 
         // Proper free succeeds.
-        assert_eq!(h.free_at(off), FreeOutcome::Freed(slot));
+        assert_eq!(h.free_at_in(sole, off), FreeOutcome::Freed(slot));
         assert!(!h.is_live_at(off));
 
         // Double free: ignored.
-        assert_eq!(h.free_at(off), FreeOutcome::NotAllocated);
+        assert_eq!(h.free_at_in(sole, off), FreeOutcome::NotAllocated);
 
         // Outside the heap: reported for the large-object path.
-        assert_eq!(h.free_at(usize::MAX / 2), FreeOutcome::NotInHeap);
+        assert_eq!(h.free_at_in(sole, usize::MAX / 2), FreeOutcome::NotInHeap);
 
         let stats = h.stats();
         assert_eq!(stats.frees, 1);
         assert_eq!(stats.ignored_frees, 2);
+    }
+
+    /// A region whose 8-byte class has more slots than a partition's packed
+    /// words hold is a configuration error, for a fixed heap and an elastic
+    /// one alike, not a panic in the partition.
+    #[test]
+    fn region_past_the_partition_capacity_is_refused() {
+        use crate::config::ConfigError;
+        let config = HeapConfig::default().with_region_bytes(16 << 30);
+        let refused = Err(ConfigError::RegionTooLarge(16 << 30));
+        assert_eq!(Heap::new(config.clone(), 1).map(|_| ()), refused);
+        assert_eq!(Heap::new_elastic(config, 1, 9).map(|_| ()), refused);
     }
 
     /// §4.1's bitmap: one bit per slot, 64 slots to a word, each class
@@ -649,24 +683,25 @@ pub(crate) mod tests {
     fn metadata_is_one_bit_per_slot() {
         let config = HeapConfig::default();
         let words = SizeClass::all().map(|c| config.capacity(c).div_ceil(64));
-        assert_eq!(<Heap>::metadata_words_needed(&config), words.sum());
+        assert_eq!(Heap::metadata_words_needed(&config), words.sum());
     }
 
     #[test]
     fn free_validation_pipeline() {
-        free_validation_pipeline_in::<Shared>();
+        free_validation_pipeline_in(false);
     }
 
-    /// Any interleaving of allocs and (valid or bogus) frees keeps `h`
-    /// consistent with a shadow model keyed by offset. The ticket sum *is*
-    /// the live count, cheap enough to poll after every operation.
-    pub(crate) fn matches_shadow_model<A: Arm>(h: &Heap<A>, seed: u64, ops: Vec<(usize, usize)>) {
+    /// Any interleaving of allocs and (valid or bogus) frees, in the arm
+    /// `sole` picks, keeps `h` consistent with a shadow model keyed by
+    /// offset. The ticket sum *is* the live count, cheap enough to poll
+    /// after every operation.
+    pub(crate) fn matches_shadow_model(h: &Heap, sole: bool, seed: u64, ops: Vec<(usize, usize)>) {
         let mut model: HashMap<usize, Slot> = HashMap::new();
         let mut rng = Mwc::seeded(seed ^ 0xABCD);
         for (op, arg) in ops {
             match op {
                 0 => {
-                    if let Some(slot) = h.alloc(arg.min(16 * 1024)) {
+                    if let Some(slot) = h.try_alloc_in(sole, arg.min(16 * 1024)).placed() {
                         let off = h.offset_of(slot);
                         assert!(!model.contains_key(&off), "offset reuse while live");
                         model.insert(off, slot);
@@ -676,7 +711,7 @@ pub(crate) mod tests {
                     if !model.is_empty() {
                         let keys: Vec<usize> = model.keys().copied().collect();
                         let off = keys[rng.below(keys.len())];
-                        assert!(h.free_at(off).freed());
+                        assert!(h.free_at_in(sole, off).freed());
                         model.remove(&off);
                     }
                 }
@@ -685,7 +720,7 @@ pub(crate) mod tests {
                     // *different* object or corrupt accounting.
                     let off = rng.below(h.heap_span() + 1000);
                     let before = h.in_use();
-                    match h.free_at(off) {
+                    match h.free_at_in(sole, off) {
                         FreeOutcome::Freed(_) => assert!(
                             model.remove(&off).is_some(),
                             "freed an object the model did not know"
@@ -813,7 +848,7 @@ pub(crate) mod tests {
     #[test]
     fn alloc_only_determinism_isolated_per_class() {
         const SEED: u64 = 0x05EE_DCA5;
-        let plain = plain_heap(SEED);
+        let plain = Alone(heap(SEED));
         let expected: Vec<Option<Slot>> = (0..500).map(|_| plain.alloc(8)).collect();
 
         let h = Arc::new(heap(SEED));
@@ -889,15 +924,15 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// The shared arm against the shadow model (`engine::tests` runs the
-        /// plain one): atomic slot state tracks the model through mixed
+        /// The locked arm against the shadow model (`engine::tests` runs the
+        /// other one): atomic slot state tracks the model through mixed
         /// alloc/free traffic.
         #[test]
         fn sharded_matches_shadow_model(
             seed in any::<u64>(),
             ops in proptest::collection::vec((0usize..3, 1usize..20_000), 1..300),
         ) {
-            matches_shadow_model(&heap(seed), seed, ops);
+            matches_shadow_model(&heap(seed), false, seed, ops);
         }
     }
 }

@@ -8,40 +8,31 @@
 //! a growth step: a few stores and, rarely, two advisory syscalls — a
 //! regime where a spinlock with exponential backoff is all that is needed.
 //!
-//! # One word type; the partition's type picks how it is updated
+//! # One word type, two ways to update it
 //!
 //! Every read-modify-write of the slot/ticket/RNG protocol — the RNG
 //! advance, the slot-state transitions, the `1/M` ticket, the probe and
-//! statistics counters, the lock flag itself — goes through [`Word`]. How a
-//! `Word` is updated is a type parameter, an [`Arm`], carried by everything
-//! built from words (`bitmap::SlotStateMap`, `rng::AtomicMwc`,
-//! `partition::AtomicPartition`, `sharded::Heap`), so one copy of the
-//! protocol is compiled twice and nothing selects between copies at run time:
-//!
-//! * [`Shared`] (the default; everything that ships): the locked instruction
-//!   it always was (`lock xadd`, `lock cmpxchg`, …) **or**, while
-//!   [`sole_thread`] is true, a relaxed load followed by a relaxed store of
-//!   the new value. A locked instruction is a full barrier: it drains the
-//!   store buffer and holds back younger loads, so on a single-threaded host
-//!   the cache misses random placement forces are exposed at the next
-//!   `malloc` instead of overlapped with it — the same reason glibc's
-//!   `malloc` executes no `lock` prefix while the process has one thread
-//!   (`SINGLE_THREAD_P`).
-//! * [`Plain`] (`Heap<Plain>`: the simulator and the Monte Carlo harnesses):
-//!   always the load and the store. `Plain` is `Send` but not `Sync`, and so
-//!   is every type built from it: a plain heap can move to another thread
-//!   but `&`-sharing one across threads is a compile error, which is the
-//!   whole soundness argument for this arm.
+//! statistics counters, the lock flag itself — goes through [`Word`]: the
+//! locked instruction it always was (`lock xadd`, `lock cmpxchg`, …) **or**,
+//! while [`sole_thread`] is true, a relaxed load followed by a relaxed store
+//! of the new value. A locked instruction is a full barrier: it drains the
+//! store buffer and holds back younger loads, so on a single-threaded host
+//! the cache misses random placement forces are exposed at the next
+//! `malloc` instead of overlapped with it — the same reason glibc's `malloc`
+//! executes no `lock` prefix while the process has one thread
+//! (`SINGLE_THREAD_P`). Everything built from words (`bitmap::SlotStateMap`,
+//! `rng::AtomicMwc`, `partition::AtomicPartition`, `sharded::Heap`) is one
+//! type, `Send + Sync`, and the arm is a value read at run time.
 //!
 //! It is one protocol, not two paths: the callers are single-copy and draw
 //! the same numbers in the same order, so per-seed histories are
-//! bit-identical in every arm (pinned by `tests/single_thread.rs`, which
-//! runs all three in one process).
+//! bit-identical in either arm (pinned by `tests/single_thread.rs`, which
+//! runs both in one process).
 //!
 //! `sole_thread()` is one byte load of glibc's `__libc_single_threaded`
 //! where the `global` feature links the allocator into a glibc process, and
 //! a constant `false` everywhere else, which compiles the plain arm away.
-//! Three facts about that byte make `Shared`'s plain arm sound:
+//! Three facts about that byte make the plain arm sound:
 //!
 //! 1. **Who flips it, and when.** It goes `1 → 0` at the top of the
 //!    *calling thread's* `pthread_create`, before the `clone`. A thread that
@@ -75,8 +66,7 @@
 //! `clone(CLONE_VM)`), or a signal handler re-entering the allocator between
 //! the load and the store — both in the audit in `global/mod.rs`.
 
-use core::cell::{Cell, UnsafeCell};
-use core::marker::PhantomData;
+use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
 use core::ops::{Deref, DerefMut};
 use core::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -107,67 +97,29 @@ pub(crate) enum Rmw {
     And(u64),
 }
 
-/// How a [`Word`] performs its read-modify-writes (module docs). Sealed:
-/// the two arms below are the only ones.
-pub trait Arm: arm::Sealed + 'static {
-    /// `true` when an update may be a relaxed load and a relaxed store.
-    fn sole() -> bool;
-}
-
-/// The arm of everything that may be shared between threads: locked
-/// instructions, or load + store while [`sole_thread`] is true.
-#[derive(Debug)]
-pub enum Shared {}
-
-/// The single-owner arm: always load + store. `Send`, not `Sync` (the
-/// `Cell`), so a type built from `Plain` words cannot be reached from two
-/// threads at once.
-#[derive(Debug)]
-pub struct Plain(PhantomData<Cell<()>>);
-
-mod arm {
-    pub trait Sealed {}
-    impl Sealed for super::Shared {}
-    impl Sealed for super::Plain {}
-}
-
-impl Arm for Shared {
-    #[inline(always)]
-    fn sole() -> bool {
-        sole_thread()
-    }
-}
-
-impl Arm for Plain {
-    #[inline(always)]
-    fn sole() -> bool {
-        true
-    }
-}
-
 /// A 64-bit word of allocator state: an `AtomicU64` (same layout, so words
 /// carved out of a raw metadata arena cast to it) whose read-modify-writes
 /// are locked instructions, or a relaxed load and store, as the `sole` each
-/// one is handed says — the one read of [`Arm::sole`] the calling operation
-/// made at its entry (module docs). Loads and stores take the caller's
+/// one is handed says — the one read of [`sole_thread`] the calling
+/// operation made at its entry (module docs). Loads and stores take the caller's
 /// ordering in either arm; every update returns the prior value, like the
 /// `fetch_*` family. The updates are crate-private: a stale `true` handed
 /// to a word other threads reach would lose updates.
 #[derive(Debug)]
 #[repr(transparent)]
-pub struct Word<A: Arm = Shared>(AtomicU64, PhantomData<A>);
+pub struct Word(AtomicU64);
 
-impl<A: Arm> Default for Word<A> {
+impl Default for Word {
     fn default() -> Self {
         Self::new(0)
     }
 }
 
-impl<A: Arm> Word<A> {
+impl Word {
     /// A word holding `value` (usable in statics).
     #[must_use]
     pub const fn new(value: u64) -> Self {
-        Self(AtomicU64::new(value), PhantomData)
+        Self(AtomicU64::new(value))
     }
 
     /// Reads the word.

@@ -4,25 +4,26 @@
 //! quarter-band ladder under `1/M`-cap pressure (no OOM), spill — not crash —
 //! past the final cap, never hold more than a quarter (and one step) above
 //! `M` × what has been live,
-//! keep single-threaded histories bit-identical in both arms, and
+//! keep single-threaded histories bit-identical, and
 //! keep its statistics exact while growth races allocations and frees — and
 //! stay bit-identical through huge-page promotions
 //! (advice draws no random numbers and moves no object), which a class gets
 //! at the growth step that completes each whole huge page of its active
-//! range, once, the same in every arm. Run with
+//! range, once. The libtest harness is threaded, so everything here runs
+//! the locked arm; `single_thread.rs` records the same histories alone, in
+//! the load + store arm, and requires them equal. Run with
 //! `RUST_TEST_THREADS=8` in CI so the race tests overlap with each other as
 //! well as within themselves.
 
 mod common;
 
-use common::{record, Recorder};
+use common::{record, START_64K_LOG2};
 use diehard_core::config::HeapConfig;
-use diehard_core::engine::{AllocOutcome, DEFAULT_INITIAL_FRACTION_LOG2};
+use diehard_core::engine::AllocOutcome;
 use diehard_core::partition::Partition;
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::HUGE_PAGE;
 use diehard_core::size_class::SizeClass;
-use diehard_core::sync::{Arm, Plain, Shared};
 use diehard_core::Heap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -68,17 +69,12 @@ fn heap_started_at_one_64th_absorbs_max_capacity_workload() {
 
 /// How many steps `class`'s ladder has between the capacity `heap` started
 /// it at and its maximum (the rungs themselves are `partition.rs`'s to pin).
-fn rungs_above_start<A: Arm>(heap: &Heap<A>, class: SizeClass) -> u64 {
+fn rungs_above_start(heap: &Heap, class: SizeClass) -> u64 {
     let geometry = heap.geometry();
     let (max, start) = (geometry.capacity(class), geometry.initial_capacity(class));
     let walker = Partition::new_elastic(class, max, start, geometry.initial_threshold(class), 0);
     std::iter::from_fn(|| walker.grow_step(heap.config()).then_some(())).count() as u64
 }
-
-/// A 64 KiB start in a paper-sized 32 MB region: thirty-six steps below the
-/// maximum, twenty up to one huge page. (What `libdiehard.so` ships with; the
-/// feature-gated `global` tests pin that ladder under the constant itself.)
-const START_64K_LOG2: u32 = 9;
 
 /// Every `(ctx, offset, len)` a [`note_promotion`] hook has been called
 /// with; each test filters by the `ctx` values it hands out.
@@ -98,7 +94,7 @@ fn promotions_of(ctx: usize) -> Vec<(usize, usize)> {
 }
 
 /// The calls [`note_promotion`] saw for `ctx` inside `class`'s region.
-fn promotions_in<A: Arm>(heap: &Heap<A>, ctx: usize, class: SizeClass) -> Vec<(usize, usize)> {
+fn promotions_in(heap: &Heap, ctx: usize, class: SizeClass) -> Vec<(usize, usize)> {
     let base = heap.geometry().region_base(class);
     let region = base..base + heap.config().region_bytes;
     let calls = promotions_of(ctx).into_iter();
@@ -109,11 +105,7 @@ fn promotions_in<A: Arm>(heap: &Heap<A>, ctx: usize, class: SizeClass) -> Vec<(u
 /// `capacity`, walked on a bare partition: the whole huge pages of each new
 /// active range that no earlier step reached, counted from 0 at the first
 /// step; nothing at a step that completes none.
-fn ladder_promotions<A: Arm>(
-    heap: &Heap<A>,
-    class: SizeClass,
-    capacity: usize,
-) -> Vec<(usize, usize)> {
+fn ladder_promotions(heap: &Heap, class: SizeClass, capacity: usize) -> Vec<(usize, usize)> {
     let geometry = heap.geometry();
     let (max, start) = (geometry.capacity(class), geometry.initial_capacity(class));
     let walker = Partition::new_elastic(class, max, start, geometry.initial_threshold(class), 0);
@@ -132,7 +124,7 @@ fn ladder_promotions<A: Arm>(
 /// What every test with a hook holds: the calls `class` has had are the
 /// ladder's up to its capacity now — whole huge pages inside its active
 /// range, each once, in order.
-fn assert_promotions_follow_the_ladder<A: Arm>(heap: &Heap<A>, ctx: usize, class: SizeClass) {
+fn assert_promotions_follow_the_ladder(heap: &Heap, ctx: usize, class: SizeClass) {
     let capacity = heap.partition(class).capacity();
     assert_eq!(
         promotions_in(heap, ctx, class),
@@ -143,30 +135,15 @@ fn assert_promotions_follow_the_ladder<A: Arm>(heap: &Heap<A>, ctx: usize, class
 }
 
 /// The ladder history of [`single_threaded_histories_identical_across_layers`]
-/// on one heap, by one path: `mixed` sizes spread over every class first (on
-/// 1 MB regions the large classes double to their maximum and then spill; on
-/// 32 MB regions they grow, the 16 KiB class past 2 MB); then 1 024
-/// allocations into the 8-byte class, inside a range far below 2 MB; then
-/// the 64-byte class past its last step (fifteen sixteenths of the `1/M`
-/// allowance of its maximum; the last step is at seven eighths). Returns the
-/// trace and the capacity of the 64-byte class when its promotion was first
-/// seen.
-fn ladder<A: Arm>(heap: &Heap<A>, seed: u64, mixed: usize) -> (common::Trace, Option<usize>) {
+/// ([`common::ladder_sizes`]) on one heap, by one path. Returns the trace
+/// and the capacity of the 64-byte class when its promotion was first seen.
+fn ladder(heap: &Heap, seed: u64, mixed: usize) -> (common::Trace, Option<usize>) {
     let small = SizeClass::for_size(8).unwrap();
     let hot = SizeClass::for_size(64).unwrap();
     let small_hot = mixed + 1024;
-    let total = small_hot + heap.config().threshold(hot) / 16 * 15;
-    let mut rng = Mwc::seeded(seed ^ 0x5EED);
     let mut promoted_at = None;
     let trace = record(heap, |r| {
-        for i in 0..total {
-            let size = if i < mixed {
-                1 + rng.below(16 * 1024)
-            } else if i < small_hot {
-                8
-            } else {
-                64
-            };
+        for (i, size) in common::ladder_sizes(heap.config(), seed, mixed).enumerate() {
             let at = r.alloc(size);
             assert!(
                 at.is_some() || i < mixed,
@@ -187,14 +164,14 @@ fn ladder<A: Arm>(heap: &Heap<A>, seed: u64, mixed: usize) -> (common::Trace, Op
     (trace, promoted_at)
 }
 
-/// Single-threaded alloc-only histories are bit-identical in both arms,
-/// with and without a promote hook — the plain arm (the simulator's heap),
-/// the shared arm, and the shared arm with a hook — at the same seed and
-/// start fraction, through **every** step up to the maximum: growth
-/// triggers at the same pressure points in each and consumes no RNG draws.
-/// Two ladders, all three columns and their offsets on both: the §9
-/// experiments' (1 MB regions from 1/64) and the shipped one (32 MB regions
-/// from 64 KiB; `global`'s tests add `DieHard`). On the shipped ladder the history runs through a
+/// Single-threaded alloc-only histories are bit-identical with and without
+/// a promote hook at the same seed and start fraction, through **every**
+/// step up to the maximum: growth triggers at the same pressure points in
+/// each and consumes no RNG draws. Two ladders, both columns and their
+/// offsets on both: the §9 experiments' (1 MB regions from 1/64) and the
+/// shipped one (32 MB regions from 64 KiB; `global`'s tests add `DieHard`,
+/// and `single_thread.rs` the load + store arm, recorded alone). On the
+/// shipped ladder the history runs through a
 /// class that is busy and stays small (never promoted), a class promoted at
 /// the step that takes it to one huge page, and the sixteen steps after it,
 /// each of which is offered exactly the huge pages it completed; every
@@ -205,23 +182,16 @@ fn single_threaded_histories_identical_across_layers() {
     let seed = 0xD17EC7;
     let small = SizeClass::for_size(8).unwrap();
     let hot = SizeClass::for_size(64).unwrap();
-    for (config, fraction, mixed) in [
-        (HeapConfig::default(), DEFAULT_INITIAL_FRACTION_LOG2, 4000),
-        (HeapConfig::paper_default(), START_64K_LOG2, 300),
-    ] {
+    for (config, fraction, mixed) in common::ladders() {
         let ctx = 0x1A77 + fraction as usize;
-        let plain: Heap<Plain> = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
         let shared: Heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
         let mut hooked: Heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
         hooked.set_promote_hook(note_promotion, ctx);
 
         let (unhooked, _) = ladder(&shared, seed, mixed);
-        let (single_owner, _) = ladder(&plain, seed, mixed);
         let (with_hook, promoted_at) = ladder(&hooked, seed, mixed);
         // Placements (hence offsets), statistics, growth steps and
-        // per-class probe counts: the plain arm is the shared arm, and the
-        // hook moves nothing.
-        unhooked.assert_same(&single_owner, "plain arm");
+        // per-class probe counts: the hook moves nothing.
         unhooked.ops.assert_same(&with_hook.ops, "promote hook");
         assert_eq!(unhooked.stats, with_hook.stats);
         assert_eq!(unhooked.growths, with_hook.growths);
@@ -230,7 +200,6 @@ fn single_threaded_histories_identical_across_layers() {
         let max = config.capacity(hot);
         for capacity in [
             shared.partition(hot).capacity(),
-            plain.partition(hot).capacity(),
             hooked.partition(hot).capacity(),
         ] {
             assert_eq!(capacity, max);
@@ -273,37 +242,27 @@ fn single_threaded_histories_identical_across_layers() {
     }
 }
 
-/// Mixed alloc/free histories stay bit-identical between the plain and the
-/// shared arm (both free immediately), on the §9 ladder and on the shipped
-/// one: every placement, every free outcome, the statistics, the per-class
-/// probe counts and the growth count agree across 20k interleaved ops.
+/// Mixed alloc/free histories ([`common::mixed_script`]) stay bit-identical
+/// with and without a promote hook, growth included, on the §9 ladder and
+/// on the shipped one (where the hook is called: the 1 KiB class reaches a
+/// huge page): every placement, every free outcome, the statistics,
+/// the per-class probe counts and the growth count agree across 20k
+/// interleaved ops. (`single_thread.rs` requires the load + store arm's
+/// history to be this one.)
 #[test]
 fn mixed_history_identical_before_and_after_growth() {
     let seed = 0x6F0ED1;
-    fn history<A: Arm>(heap: &Heap<A>, seed: u64) -> common::Trace {
-        let mut rng = Mwc::seeded(seed);
-        let mut live: Vec<usize> = Vec::new();
-        record(heap, |r| {
-            for _ in 0..20_000usize {
-                if rng.below(3) < 2 || live.is_empty() {
-                    live.extend(r.alloc(1 + rng.below(1024)));
-                } else {
-                    r.free(live.swap_remove(rng.below(live.len())));
-                }
-            }
-        })
-    }
-    for (config, fraction) in [
-        (HeapConfig::default(), DEFAULT_INITIAL_FRACTION_LOG2),
-        (HeapConfig::paper_default(), START_64K_LOG2),
-    ] {
-        let shared = history::<Shared>(
-            &Heap::new_elastic(config.clone(), seed, fraction).unwrap(),
-            seed,
-        );
-        let plain = history::<Plain>(&Heap::new_elastic(config, seed, fraction).unwrap(), seed);
-        assert!(plain.growths > 0);
-        shared.assert_same(&plain, "plain arm");
+    for (config, fraction, _) in common::ladders() {
+        let heap: Heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
+        let mut hooked: Heap = Heap::new_elastic(config, seed, fraction).unwrap();
+        hooked.set_promote_hook(note_promotion, 0x6F0 + fraction as usize);
+        let unhooked = record(&heap, common::mixed_script(seed));
+        let with_hook = record(&hooked, common::mixed_script(seed));
+        assert!(unhooked.growths > 0);
+        unhooked.ops.assert_same(&with_hook.ops, "promote hook");
+        assert_eq!(unhooked.stats, with_hook.stats);
+        assert_eq!(unhooked.growths, with_hook.growths);
+        assert_eq!(unhooked.probe_stats, with_hook.probe_stats);
     }
 }
 
@@ -506,52 +465,38 @@ fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
     );
 }
 
-/// One rule in every arm. The plain heap and the shared heap, each with a
-/// hook, take the 16 KiB class from its 64 KiB start to 2 MB with 57
-/// objects live — far fewer allocations than one huge page has base pages —
-/// then churn 500 free + alloc pairs below its threshold. Each hook is
-/// handed the one huge page at the step that completed it and nothing at
-/// any allocation after it: two equal call lists, and the ladder's.
+/// One rule in either arm. A heap with a hook takes the 16 KiB class from
+/// its 64 KiB start to 2 MB with 57 objects live — far fewer allocations
+/// than one huge page has base pages — then churns 500 free + alloc pairs
+/// below its threshold ([`common::promote_script`]). The hook is handed the
+/// one huge page at the step that completed it and nothing at any
+/// allocation after it: the ladder's call list. (`single_thread.rs` records
+/// the same script alone, in the load + store arm, and requires the same
+/// trace and the same calls.)
 #[test]
 fn every_arm_promotes_at_the_step_that_completes_a_huge_page() {
-    const CHURN: usize = 500;
-    const SIZE: usize = 16 * 1024;
+    const CTX: usize = 0x3A1;
     let seed = 0x57E9;
     let config = HeapConfig::paper_default();
-    let class = SizeClass::for_size(SIZE).unwrap();
+    let class = SizeClass::for_size(common::PROMOTE_SIZE).unwrap();
     // The step to 2 MB follows the object that finds the 1.75 MB range's
     // `1/M` allowance used up.
-    let live = config.threshold_for(HUGE_PAGE / 8 * 7 / SIZE) + 1;
-    assert_eq!(live, 57);
-    let script = |r: &mut Recorder<'_>| {
-        let mut rng = Mwc::seeded(seed);
-        let mut held: Vec<usize> = (0..live).map(|_| r.alloc(SIZE).unwrap()).collect();
-        for _ in 0..CHURN {
-            assert!(r.free(held.swap_remove(rng.below(held.len()))));
-            held.push(r.alloc(SIZE).expect("below the threshold"));
-        }
-    };
-    let hooked = |ctx| {
-        let mut heap: Heap = Heap::new_elastic(config.clone(), seed, START_64K_LOG2).unwrap();
-        heap.set_promote_hook(note_promotion, ctx);
-        heap
-    };
-    let mut plain: Heap<Plain> = Heap::new_elastic(config.clone(), seed, START_64K_LOG2).unwrap();
-    plain.set_promote_hook(note_promotion, 0x3A0);
-    let shared = hooked(0x3A1);
-    let traces = [record(&plain, script), record(&shared, script)];
-    traces[0].assert_same(&traces[1], "plain arm");
-    assert_eq!(traces[0].stats.allocs, (live + CHURN) as u64);
-    let capacity = plain.partition(class).capacity();
-    assert_eq!(capacity * SIZE, HUGE_PAGE, "the churn grew nothing");
-    let expected = ladder_promotions(&plain, class, capacity);
-    assert_eq!(expected, [(plain.geometry().region_base(class), HUGE_PAGE)]);
-    for ctx in [0x3A0, 0x3A1] {
-        assert_eq!(promotions_of(ctx), expected, "ctx {ctx:#x}");
-    }
-    for trace in &traces {
-        assert_eq!(trace.promoted, 1 << class.index());
-    }
+    let live = config.threshold_for(HUGE_PAGE / 8 * 7 / common::PROMOTE_SIZE) + 1;
+    assert_eq!(live, common::PROMOTE_LIVE);
+    let mut heap: Heap = Heap::new_elastic(config, seed, START_64K_LOG2).unwrap();
+    heap.set_promote_hook(note_promotion, CTX);
+    let trace = record(&heap, common::promote_script(seed));
+    assert_eq!(trace.stats.allocs, (live + common::PROMOTE_CHURN) as u64);
+    let capacity = heap.partition(class).capacity();
+    assert_eq!(
+        capacity * common::PROMOTE_SIZE,
+        HUGE_PAGE,
+        "the churn grew nothing"
+    );
+    let expected = ladder_promotions(&heap, class, capacity);
+    assert_eq!(expected, [(heap.geometry().region_base(class), HUGE_PAGE)]);
+    assert_eq!(promotions_of(CTX), expected);
+    assert_eq!(trace.promoted, 1 << class.index());
 }
 
 /// Track what is live: `churn_host`'s size mix held at 50 000 live objects,

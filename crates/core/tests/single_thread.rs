@@ -1,4 +1,4 @@
-//! Every arm of [`diehard_core::sync::Word`] in one process.
+//! Both arms of [`diehard_core::sync::Word`] in one process.
 //!
 //! While a process has one thread the shipped allocator's read-modify-writes
 //! are a load and a store; from its first `pthread_create` on they are locked
@@ -10,9 +10,10 @@
 //! fresh heaps with the same seeds, and requires the heap's traces of the
 //! two arms to be bit-identical: every placement, every free outcome, probe
 //! and heap statistics, growth steps, promotions. Each drive also records
-//! the history on a `Heap<Plain>` — the same code with the plain arm fixed
-//! at compile time — and requires its trace to equal the shared heap's,
-//! whichever arm that ran in.
+//! the histories `growth.rs` pins (both ladders, the mixed history on both,
+//! and the promotion script, with the promote hook's calls): `growth.rs`
+//! runs them in the locked arm only, and here each one's load + store trace
+//! must equal its locked one.
 //!
 //! `DieHard` takes the heap's one path in each arm, so in both its
 //! placements and counters must be that trace's. Alone it also diverts a
@@ -29,19 +30,19 @@
 
 mod common;
 
-use common::{drive, record, Ops, Path, Recorder, Trace};
+use common::{drive, record, Ops, Path, Recorder, Trace, START_64K_LOG2};
 use diehard_core::config::HeapConfig;
 use diehard_core::engine::HeapStats;
 use diehard_core::global::{with_guard, DieHard, DEFAULT_GROW_LOG2};
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::HUGE_PAGE;
 use diehard_core::size_class::{SizeClass, NUM_CLASSES};
-use diehard_core::sync::{sole_thread, Arm, Plain, Shared};
+use diehard_core::sync::sole_thread;
 use diehard_core::Heap;
 use std::alloc::Layout;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Barrier};
+use std::sync::{mpsc, Barrier, Mutex};
 
 const SEED: u64 = 0x501E_7EAD;
 
@@ -54,6 +55,15 @@ const FREED_ALONE: usize = 300;
 /// own no memory: without one they never promote. What it is called with is
 /// `growth.rs`'s business; here the promoted masks are compared.
 fn no_memory_to_advise(_ctx: usize, _offset: usize, _len: usize) {}
+
+/// Every `(offset, len)` a [`note_promotion`] hook has been handed since
+/// [`growth_histories`] last took them.
+static PROMOTIONS: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+
+/// The promote hook of the `growth.rs` histories: takes notes.
+fn note_promotion(_ctx: usize, offset: usize, len: usize) {
+    PROMOTIONS.lock().unwrap().push((offset, len));
+}
 
 /// `growth.rs`'s shipped-ladder history (32 MB regions from a 64 KiB start:
 /// sizes spread evenly over all twelve classes, then the 8-byte class busy but small, then
@@ -125,22 +135,56 @@ struct Recording {
     global_stats: HeapStats,
     global_promoted: u32,
     global_live: usize,
+    /// `growth.rs`'s histories, each with the calls its hook was handed.
+    growth: Vec<(Trace, Vec<(usize, usize)>)>,
 }
 
-/// A fresh fixed-seed heap of the shipped geometry in arm `A`.
-fn fresh<A: Arm>() -> Heap<A> {
+/// A fresh fixed-seed heap of the shipped geometry.
+fn fresh() -> Heap {
     let config = HeapConfig::paper_default();
     let mut heap = Heap::new_elastic(config, SEED, DEFAULT_GROW_LOG2).unwrap();
     heap.set_promote_hook(no_memory_to_advise, 0);
     heap
 }
 
-/// Drives [`script`] on a fresh fixed-seed heap by each path.
+/// `growth.rs`'s histories with its seeds, on fresh heaps of its two
+/// ladders: the alloc-only ladder history with a promote hook and the mixed
+/// history without one on each, then the promotion script with a hook.
+fn growth_histories() -> Vec<(Trace, Vec<(usize, usize)>)> {
+    let (ladder_seed, mixed_seed, promote_seed) = (0xD17EC7, 0x6F0ED1, 0x57E9);
+    let elastic = |config: &HeapConfig, seed, fraction, hook: bool| {
+        let mut heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
+        if hook {
+            heap.set_promote_hook(note_promotion, 0);
+        }
+        heap
+    };
+    let mut histories = Vec::new();
+    let mut keep = |trace| {
+        let calls = std::mem::take(&mut *PROMOTIONS.lock().unwrap());
+        histories.push((trace, calls));
+    };
+    for (config, fraction, mixed) in common::ladders() {
+        let sizes = common::ladder_sizes(&config, ladder_seed, mixed);
+        let heap = elastic(&config, ladder_seed, fraction, true);
+        keep(record(&heap, |r| {
+            for size in sizes {
+                r.alloc(size);
+            }
+        }));
+        let heap = elastic(&config, mixed_seed, fraction, false);
+        keep(record(&heap, common::mixed_script(mixed_seed)));
+    }
+    let config = HeapConfig::paper_default();
+    let heap = elastic(&config, promote_seed, START_64K_LOG2, true);
+    keep(record(&heap, common::promote_script(promote_seed)));
+    histories
+}
+
+/// Drives [`script`] on a fresh fixed-seed heap by each path, then
+/// `growth.rs`'s histories.
 fn drive_all() -> Recording {
-    let heap = record(&fresh::<Shared>(), script);
-    // The simulator's heap: the compile-time plain arm of the same code.
-    let plain = record(&fresh::<Plain>(), script);
-    plain.assert_same(&heap, "Heap<Plain> against Heap<Shared>");
+    let heap = record(&fresh(), script);
 
     let global = DieHard::with_elastic_config(HeapConfig::paper_default(), SEED, DEFAULT_GROW_LOG2);
     let mut global_ops = drive(&mut &global, script);
@@ -154,6 +198,7 @@ fn drive_all() -> Recording {
         global_promoted: global.promoted_classes(),
         global_live: global.live_objects(),
         global: global_ops,
+        growth: growth_histories(),
     }
 }
 
@@ -188,6 +233,17 @@ fn assert_history_covers_the_protocol(r: &Recording) {
     }
     let live = (r.global_stats.allocs - r.global_stats.frees) as usize;
     assert_eq!(r.global_live, live, "allocs − frees live");
+    for (i, (trace, _)) in r.growth.iter().enumerate() {
+        assert!(trace.growths > 0, "growth.rs history {i} grew");
+    }
+    let promoted = r.growth.iter().map(|(_, calls)| calls.len());
+    assert_eq!(
+        promoted.collect::<Vec<_>>(),
+        [0, 0, 14, 0, 1],
+        "promote calls: none on 1 MB regions; on the shipped ladder twelve for \
+         the 64-byte class's whole region and two for the 16 KiB class, which the \
+         mixed sizes took to 4 MB; one for the promotion script"
+    );
 }
 
 /// The byte every byte of object `id` holds.
@@ -389,6 +445,11 @@ fn main() {
         assert_history_covers_the_protocol(alone);
         let arms = "the two arms must record the same history";
         alone.heap.assert_same(&threaded.heap, arms);
+        for (i, (a, b)) in alone.growth.iter().zip(&threaded.growth).enumerate() {
+            let what = format!("growth.rs history {i}: {arms}");
+            a.0.assert_same(&b.0, &what);
+            assert_eq!(a.1, b.1, "{what}: promote hook calls");
+        }
     }
 
     handover(&heap, before);
@@ -398,17 +459,25 @@ fn main() {
         helper.join().expect("helper"),
         "parked until the sender dropped"
     );
+    let growth = |count: fn(&Ops) -> usize| -> usize {
+        threaded
+            .growth
+            .iter()
+            .map(|(trace, _)| count(&trace.ops))
+            .sum()
+    };
     println!(
-        "single_thread: {} placements, {} frees and all counters {}, \
-         and on Heap<Plain>'s compile-time plain arm; nested calls diverted and a \
-         fork child served alone; 20000 objects made alone, nothing left to hand over, \
+        "single_thread: {} placements, {} frees and all counters {} (the heap and \
+         DieHard, and growth.rs's {} histories); nested calls diverted and a fork \
+         child served alone; 20000 objects made alone, nothing left to hand over, \
          then freed by 4 threads",
-        threaded.heap.ops.placed.len() * 3,
-        threaded.heap.ops.freed.len() * 3,
+        threaded.heap.ops.placed.len() * 2 + growth(|ops| ops.placed.len()),
+        threaded.heap.ops.freed.len() * 2 + growth(|ops| ops.freed.len()),
         if two_arms {
             "identical in both arms"
         } else {
             "recorded in the locked arm (no glibc: it is the only one)"
         },
+        threaded.growth.len(),
     );
 }

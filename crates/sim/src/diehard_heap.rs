@@ -1,7 +1,8 @@
 //! DieHard running on the simulated address space.
 //!
-//! This wraps a [`Heap`] in its single-owner arm — the same
-//! placement/validation code the real `GlobalAlloc` runs — around a [`PagedArena`]. Small objects live in the
+//! This wraps a [`Heap`] — the same placement/validation code the real
+//! `GlobalAlloc` runs, in the arm this process's thread count picks at each
+//! call — around a [`PagedArena`]. Small objects live in the
 //! twelve randomized regions at arena offsets `[0, heap_span)`; large
 //! objects are mapped above the small heap with simulated `PROT_NONE` guard
 //! pages on both ends and are validated through a [`LargeTable`], exactly
@@ -16,7 +17,6 @@ use diehard_core::large::LargeTable;
 use diehard_core::rng::Mwc;
 use diehard_core::safe_str::{self, CopyOutcome};
 use diehard_core::size_class::MAX_OBJECT_SIZE;
-use diehard_core::sync::Plain;
 use diehard_core::Heap;
 
 /// DieHard over simulated memory.
@@ -36,7 +36,7 @@ use diehard_core::Heap;
 /// ```
 #[derive(Debug)]
 pub struct DieHardSimHeap {
-    core: Heap<Plain>,
+    core: Heap,
     /// The stream replicated mode's random object fills are drawn from,
     /// seeded with the heap's master seed (placement draws come from the
     /// partitions' own streams, split from the same seed).
@@ -76,7 +76,7 @@ impl DieHardSimHeap {
 
     /// The underlying engine (placement decisions, stats, config).
     #[must_use]
-    pub fn core(&self) -> &Heap<Plain> {
+    pub fn core(&self) -> &Heap {
         &self.core
     }
 

@@ -3,7 +3,6 @@
 //! M dial's monotone effect on protection, and bounded-strcpy end-to-end.
 
 use diehard::core::engine::DEFAULT_INITIAL_FRACTION_LOG2;
-use diehard::core::sync::Plain;
 use diehard::inject::{inject, Injection};
 use diehard::prelude::*;
 use diehard::workloads::profile_by_name;
@@ -16,7 +15,7 @@ fn adaptive_heap_serves_real_workloads_with_smaller_footprint() {
     // against the initial 1/64 slot allotment.
     let config = HeapConfig::default().with_region_bytes(64 * 1024);
     let fixed_span = config.heap_span();
-    let heap: Heap<Plain> = Heap::new_elastic(config, 5, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+    let heap: Heap = Heap::new_elastic(config, 5, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
     let prog = profile_by_name("p2c").unwrap().generate(0.2, 3);
     let mut live: std::collections::HashMap<u32, usize> = Default::default();
     for op in &prog.ops {
