@@ -92,12 +92,19 @@ mod tests {
     #[test]
     fn public_types_are_send_where_expected() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<crate::Heap>();
-        assert_send_sync::<crate::partition::AtomicPartition>();
-        assert_send_sync::<crate::bitmap::SlotStateMap>();
-        assert_send_sync::<crate::engine::AtomicHeapStats>();
-        assert_send_sync::<crate::sync::SpinLock<u64>>();
+        assert_send_sync::<crate::engine::HeapCore>();
         assert_send_sync::<crate::rng::Mwc>();
+        assert_send_sync::<crate::partition::Partition>();
+        assert_send_sync::<crate::bitmap::SlotStateMap>();
         assert_send_sync::<crate::large::LargeTable>();
+    }
+
+    #[test]
+    fn sharded_heap_is_sync() {
+        fn assert_sync<T: Sync + Send>() {}
+        assert_sync::<crate::Heap>();
+        assert_sync::<crate::partition::AtomicPartition>();
+        assert_sync::<crate::engine::AtomicHeapStats>();
+        assert_sync::<crate::sync::SpinLock<u64>>();
     }
 }
