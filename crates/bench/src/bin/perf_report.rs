@@ -45,7 +45,7 @@
 //! registered kernel, so CI can gate on completeness by exit status alone.
 
 use diehard_bench::perf::{
-    missing_kernels, parse_means, render_json, run_all, run_kernel, KernelResult, KERNELS,
+    is_kernel, missing_kernels, parse_means, render_json, run_all, run_kernel, KernelResult,
 };
 use diehard_bench::TextTable;
 use std::path::Path;
@@ -227,7 +227,7 @@ fn only_args() -> Vec<String> {
             continue;
         }
         let name = args.next().unwrap_or_default();
-        if !KERNELS.contains(&name.as_str()) {
+        if !is_kernel(&name) {
             eprintln!("perf_report: --only names unknown kernel: {name:?}");
             std::process::exit(1);
         }
@@ -237,8 +237,8 @@ fn only_args() -> Vec<String> {
 }
 
 /// All `--gate <kernel>=<max_ns>` bounds, in argument order. A malformed
-/// gate expression aborts immediately — mistyped CI gates must not pass by
-/// being unparseable.
+/// gate expression, or one naming no registered kernel, aborts immediately
+/// — mistyped CI gates must not pass by being unparseable.
 fn gate_args() -> Vec<(String, f64)> {
     let mut gates = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -251,6 +251,10 @@ fn gate_args() -> Vec<(String, f64)> {
             .split_once('=')
             .and_then(|(k, v)| v.trim().parse::<f64>().ok().map(|v| (k.trim(), v)));
         match parsed {
+            Some((kernel, _)) if !kernel.is_empty() && !is_kernel(kernel) => {
+                eprintln!("perf_report: --gate names unknown kernel: {kernel:?}");
+                std::process::exit(1);
+            }
             Some((kernel, max_ns)) if !kernel.is_empty() && max_ns > 0.0 => {
                 gates.push((kernel.to_string(), max_ns));
             }

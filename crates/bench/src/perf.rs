@@ -43,40 +43,10 @@ use diehard_sim::{DieHardSimHeap, SimAllocator};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Every kernel the report must contain; CI fails when one is missing.
-pub const KERNELS: &[&str] = &[
-    "alloc_churn_mixed",
-    "preload_alloc_churn",
-    "probe_steady_half_full",
-    "probe_steady_three_quarter_band",
-    "fill_none",
-    "fill_random",
-    "grow_under_churn",
-    "hugepage_fill",
-    "class_first_touch",
-    "class_promote",
-    "global_churn_cold",
-    "global_churn_small",
-    "free_double_ignored",
-    "free_misaligned_ignored",
-    "strcpy_bound",
-    "strcpy_bounded",
-    "preload_alloc_churn_mt",
-    "global_churn_cold_mt",
-    "proxy_throughput",
-    "proxy_stream",
-    "proxy_conn_latency",
-    "proxy_conn_latency_warm",
-    "pool_refill",
-    "launcher_stream_n1",
-    "launcher_stream_n3",
-    "launcher_stream_n5",
-];
-
 /// One kernel's timing summary (nanoseconds per operation across samples).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelResult {
-    /// Registered kernel name (one of [`KERNELS`]).
+    /// Registered kernel name (one of [`KERNELS`]' names).
     pub name: &'static str,
     /// Mean ns/op across samples.
     pub mean_ns: f64,
@@ -253,7 +223,7 @@ fn preload_library() -> (
 /// interposition overhead and the run-time arm: the `dlsym`'d call into
 /// each export and the export's call into its funnel (`alloc_impl`,
 /// `free_impl`), the re-entrancy flag, the arena range check, the `Layout`
-/// round-trip, the `OnceCell`'s `Acquire` load, and — in the `_mt` row
+/// round-trip, the `Acquire` load of `DieHard`'s state, and — in the `_mt` row
 /// only — the one `__tls_get_addr` for the flag and the locked
 /// instructions. (`libdiehard.so` reads the same `__libc_single_threaded`
 /// as this process, so the arm is this process's; alone, the library makes
@@ -1036,56 +1006,101 @@ fn launcher_stream(name: &'static str, replicas: usize, smoke: bool) -> KernelRe
     })
 }
 
+/// How a registered kernel runs: handed its registered name (results are
+/// labelled with it) and `--smoke`, in the arm the registry picked for it.
+pub type Runner = fn(&'static str, bool) -> KernelResult;
+
+/// The registry: every kernel the report must contain, in run order, with
+/// its runner; CI fails when a report misses one. The single-thread
+/// allocator kernels run [`alone`] and come before every `_mt` and proxy
+/// kernel, which spawn threads (module docs).
+pub const KERNELS: &[(&str, Runner)] = &[
+    ("alloc_churn_mixed", |name, smoke| {
+        alone(name, || alloc_churn_mixed(smoke))
+    }),
+    ("preload_alloc_churn", |name, smoke| {
+        alone(name, || preload_alloc_churn(name, smoke))
+    }),
+    ("probe_steady_half_full", |name, smoke| {
+        alone(name, || probe_steady_half_full(smoke))
+    }),
+    ("probe_steady_three_quarter_band", |name, smoke| {
+        alone(name, || probe_steady_three_quarter_band(smoke))
+    }),
+    ("fill_none", |name, smoke| {
+        alone(name, || fill_kernel(name, FillPolicy::None, smoke))
+    }),
+    ("fill_random", |name, smoke| {
+        alone(name, || fill_kernel(name, FillPolicy::Random, smoke))
+    }),
+    ("grow_under_churn", |name, smoke| {
+        alone(name, || grow_under_churn(smoke))
+    }),
+    ("hugepage_fill", |_, smoke| hugepage_fill(smoke)),
+    ("class_first_touch", |name, smoke| {
+        alone(name, || class_first_touch(smoke))
+    }),
+    ("class_promote", |name, smoke| {
+        alone(name, || class_promote(smoke))
+    }),
+    ("global_churn_cold", |name, smoke| {
+        alone(name, || global_churn(name, 50_000, smoke))
+    }),
+    ("global_churn_small", |name, smoke| {
+        alone(name, || global_churn(name, 3_000, smoke))
+    }),
+    ("free_double_ignored", |name, smoke| {
+        alone(name, || free_ignored(name, smoke))
+    }),
+    ("free_misaligned_ignored", |name, smoke| {
+        alone(name, || free_ignored(name, smoke))
+    }),
+    ("strcpy_bound", |_, smoke| strcpy_bound(smoke)),
+    ("strcpy_bounded", |_, smoke| strcpy_bounded(smoke)),
+    ("preload_alloc_churn_mt", |name, smoke| {
+        beside_a_parked_thread(|| preload_alloc_churn(name, smoke))
+    }),
+    ("global_churn_cold_mt", |name, smoke| {
+        beside_a_parked_thread(|| global_churn(name, 50_000, smoke))
+    }),
+    ("proxy_throughput", |_, smoke| proxy_throughput(smoke)),
+    ("proxy_stream", |_, smoke| proxy_stream(smoke)),
+    ("proxy_conn_latency", |_, smoke| proxy_conn_latency(smoke)),
+    ("proxy_conn_latency_warm", |_, smoke| {
+        proxy_conn_latency_warm(smoke)
+    }),
+    ("pool_refill", |_, smoke| pool_refill(smoke)),
+    ("launcher_stream_n1", |name, smoke| {
+        launcher_stream(name, 1, smoke)
+    }),
+    ("launcher_stream_n3", |name, smoke| {
+        launcher_stream(name, 3, smoke)
+    }),
+    ("launcher_stream_n5", |name, smoke| {
+        launcher_stream(name, 5, smoke)
+    }),
+];
+
+/// Whether `name` is a registered kernel.
+#[must_use]
+pub fn is_kernel(name: &str) -> bool {
+    KERNELS.iter().any(|&(kernel, _)| kernel == name)
+}
+
 /// Runs every registered kernel, in registry order.
 #[must_use]
 pub fn run_all(smoke: bool) -> Vec<KernelResult> {
     KERNELS
         .iter()
-        .map(|&name| run_kernel(name, smoke).expect("registered kernel"))
+        .map(|&(name, run)| run(name, smoke))
         .collect()
 }
 
 /// Runs one kernel by name; `None` for an unregistered name.
 #[must_use]
 pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
-    // The registry's own copy of the name: results are labelled with it.
-    let name = *KERNELS.iter().find(|&&kernel| kernel == name)?;
-    match name {
-        "alloc_churn_mixed" => Some(alone(name, || alloc_churn_mixed(smoke))),
-        "preload_alloc_churn" => Some(alone(name, || preload_alloc_churn(name, smoke))),
-        "probe_steady_half_full" => Some(alone(name, || probe_steady_half_full(smoke))),
-        "probe_steady_three_quarter_band" => {
-            Some(alone(name, || probe_steady_three_quarter_band(smoke)))
-        }
-        "fill_none" => Some(alone(name, || fill_kernel(name, FillPolicy::None, smoke))),
-        "fill_random" => Some(alone(name, || fill_kernel(name, FillPolicy::Random, smoke))),
-        "grow_under_churn" => Some(alone(name, || grow_under_churn(smoke))),
-        "hugepage_fill" => Some(hugepage_fill(smoke)),
-        "class_first_touch" => Some(alone(name, || class_first_touch(smoke))),
-        "class_promote" => Some(alone(name, || class_promote(smoke))),
-        "global_churn_cold" => Some(alone(name, || global_churn(name, 50_000, smoke))),
-        "global_churn_small" => Some(alone(name, || global_churn(name, 3_000, smoke))),
-        "free_double_ignored" | "free_misaligned_ignored" => {
-            Some(alone(name, || free_ignored(name, smoke)))
-        }
-        "strcpy_bound" => Some(strcpy_bound(smoke)),
-        "strcpy_bounded" => Some(strcpy_bounded(smoke)),
-        "preload_alloc_churn_mt" => {
-            Some(beside_a_parked_thread(|| preload_alloc_churn(name, smoke)))
-        }
-        "global_churn_cold_mt" => {
-            Some(beside_a_parked_thread(|| global_churn(name, 50_000, smoke)))
-        }
-        "proxy_throughput" => Some(proxy_throughput(smoke)),
-        "proxy_stream" => Some(proxy_stream(smoke)),
-        "proxy_conn_latency" => Some(proxy_conn_latency(smoke)),
-        "proxy_conn_latency_warm" => Some(proxy_conn_latency_warm(smoke)),
-        "pool_refill" => Some(pool_refill(smoke)),
-        "launcher_stream_n1" => Some(launcher_stream(name, 1, smoke)),
-        "launcher_stream_n3" => Some(launcher_stream(name, 3, smoke)),
-        "launcher_stream_n5" => Some(launcher_stream(name, 5, smoke)),
-        _ => None,
-    }
+    let &(name, run) = KERNELS.iter().find(|&&(kernel, _)| kernel == name)?;
+    Some(run(name, smoke))
 }
 
 /// Renders results as the `BENCH_*.json` document (stable key order).
@@ -1142,7 +1157,7 @@ pub fn parse_means(json: &str) -> Vec<(String, f64)> {
 pub fn missing_kernels(json: &str) -> Vec<&'static str> {
     KERNELS
         .iter()
-        .copied()
+        .map(|&(name, _)| name)
         .filter(|name| !json.contains(&format!("\"{name}\"")))
         .collect()
 }
@@ -1155,7 +1170,7 @@ mod tests {
     fn smoke_run_covers_every_kernel() {
         let results = run_all(true);
         assert_eq!(results.len(), KERNELS.len());
-        for (r, &name) in results.iter().zip(KERNELS) {
+        for (r, &(name, _)) in results.iter().zip(KERNELS) {
             assert_eq!(r.name, name);
             assert!(r.mean_ns > 0.0, "{name} measured nothing");
             assert!(r.min_ns <= r.mean_ns && r.mean_ns <= r.max_ns);
@@ -1174,9 +1189,10 @@ mod tests {
 
     #[test]
     fn missing_kernels_detects_gaps() {
-        let missing = missing_kernels(&format!("{{\"{}\": {{}}}}", KERNELS[0]));
-        assert!(!missing.contains(&KERNELS[0]));
-        for name in &KERNELS[1..] {
+        let first = KERNELS[0].0;
+        let missing = missing_kernels(&format!("{{\"{first}\": {{}}}}"));
+        assert!(!missing.contains(&first));
+        for (name, _) in &KERNELS[1..] {
             assert!(missing.contains(name), "{name} is not reported missing");
         }
     }
@@ -1184,6 +1200,8 @@ mod tests {
     #[test]
     fn unregistered_kernel_is_none() {
         assert!(run_kernel("nonesuch", true).is_none());
+        assert!(!is_kernel("nonesuch"));
+        assert!(KERNELS.iter().all(|&(name, _)| is_kernel(name)));
     }
 
     #[test]

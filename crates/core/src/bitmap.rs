@@ -19,9 +19,8 @@ use core::sync::atomic::Ordering;
 #[derive(Debug)]
 enum AtomicStorage {
     Owned(Box<[Word]>),
-    /// Caller-provided word storage (carved out of the global allocator's
-    /// mmap'd metadata arena, which must never allocate re-entrantly),
-    /// valid for as long as the map lives ([`SlotStateMap::from_storage`]).
+    /// Caller-provided words ([`SlotStateMap::from_storage`]): the global
+    /// allocator's slice of its metadata mapping, which is never unmapped.
     Raw(&'static [Word]),
 }
 
@@ -91,21 +90,23 @@ impl SlotStateMap {
         slots.div_ceil(Self::PER_WORD)
     }
 
-    /// Creates a map over caller-provided zeroed word storage.
+    /// Creates a map over caller-provided word storage: exactly
+    /// [`words_needed(slots)`](Self::words_needed) words, which should be
+    /// zero — every slot free. A set bit only reads as a live slot (one the
+    /// heap will not hand out until it is freed), never as an alias of
+    /// another object, so "zeroed" is a precondition of the map's books,
+    /// not of memory safety.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// `ptr` must be valid for reads and writes of
-    /// [`words_needed(slots)`](Self::words_needed) u64 words for the lifetime
-    /// of the map, exclusively owned by it, zeroed, and aligned for `u64`.
+    /// Panics if `words` is not exactly `words_needed(slots)` long.
     #[must_use]
-    pub unsafe fn from_storage(ptr: *mut u64, slots: usize) -> Self {
-        let words = Self::words_needed(slots);
-        // SAFETY: `ptr` is valid for `words` `Word`s for as long as the map
-        // lives, per the contract (`Word` is `repr(transparent)` over
-        // `AtomicU64`, which is layout-identical to u64); the slice never
-        // leaves the map.
-        let words = unsafe { core::slice::from_raw_parts(ptr.cast::<Word>(), words) };
+    pub fn from_storage(words: &'static [Word], slots: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            Self::words_needed(slots),
+            "slot map storage for {slots} slots"
+        );
         Self {
             words: AtomicStorage::Raw(words),
             slots,
@@ -266,16 +267,23 @@ mod tests {
 
     #[test]
     fn slot_state_map_over_raw_storage() {
-        let mut backing = vec![0u64; SlotStateMap::words_needed(100)];
-        assert_eq!(backing.len(), 2, "one bit per slot");
-        // SAFETY: `backing` outlives `map`, is zeroed, and is not otherwise
-        // accessed while `map` lives.
-        let map = unsafe { SlotStateMap::from_storage(backing.as_mut_ptr(), 100) };
+        let words = SlotStateMap::words_needed(100);
+        assert_eq!(words, 2, "one bit per slot");
+        let backing: &'static [Word] = Box::leak((0..words).map(|_| Word::new(0)).collect());
+        let map = SlotStateMap::from_storage(backing, 100);
         assert!(map.claim(false, 70));
         assert!(map.is_live(70));
         assert_eq!(map.live_count(), 1);
         drop(map);
-        assert_eq!(backing, [0, 1 << 6], "slot 70 is bit 6 of word 1");
+        let bits: Vec<u64> = backing.iter().map(|w| w.load(Ordering::Relaxed)).collect();
+        assert_eq!(bits, [0, 1 << 6], "slot 70 is bit 6 of word 1");
+    }
+
+    #[test]
+    #[should_panic(expected = "slot map storage")]
+    fn slot_state_map_rejects_storage_of_the_wrong_length() {
+        let backing: &'static [Word] = Box::leak(Box::new([Word::new(0), Word::new(0)]));
+        let _ = SlotStateMap::from_storage(backing, 200);
     }
 
     #[test]

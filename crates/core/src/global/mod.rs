@@ -88,8 +88,8 @@
 //!   word, non-null, proves the header (config, `heap_base`, page size)
 //!   fully initialized, after which it is immutable and read without any
 //!   lock. That load is all any entry pays once the heap is ready — `alloc`
-//!   as much as `free`: a plain `mov` on x86-64, with the initializing
-//!   [`OnceCell`]'s CAS out of line. All *mutable* state is interior-
+//!   as much as `free`: a plain `mov` on x86-64, with the CAS that elects
+//!   the initializing thread out of line. All *mutable* state is interior-
 //!   mutable behind locks — the pattern stable Rust recommends over
 //!   `static mut` (which trips `static_mut_refs` on current toolchains).
 //! * **Atomics replace the old per-shard exclusivity argument.** Every
@@ -154,12 +154,25 @@
 //!   invariant; `cargo clippy --all-targets --features global` is
 //!   warning-clean with no `#[allow]` escapes in this subtree.
 //! * **Lazily-initialized, never self-allocating.** Exactly one thread runs
-//!   initialization (losers of the [`OnceCell`] race spin without parking —
-//!   parking may allocate and re-enter the allocator being initialized);
-//!   metadata (the slot-state maps and the large-object validity table)
-//!   lives in a dedicated mapping, so initialization cannot recurse.
-//!   A failed initialization (OOM, invalid config) is terminal: later calls
-//!   return null instead of retrying `mmap` storms.
+//!   initialization: the one whose CAS moves the `DieHard`'s state byte from
+//!   empty to busy. The others yield until it reads ready or failed, never
+//!   parking — parking may allocate and re-enter the allocator being
+//!   initialized. Metadata (the slot-state maps and the large-object
+//!   validity table) lives in a dedicated mapping, so initialization cannot
+//!   recurse. A failed initialization (OOM, invalid config) is terminal:
+//!   later calls return null instead of retrying `mmap` storms. A `fork`
+//!   never hands its child a heap half built by a thread the child does not
+//!   have: `fork_prepare` builds the heap, or waits out the thread that is
+//!   building it, before it takes the heap's locks.
+//! * **One `unsafe` step from the metadata mapping to typed memory.**
+//!   `build_state` borrows the fresh, zeroed, never-unmapped mapping for
+//!   `'static` once, as disjoint pieces: the state's slot, the twelve slot
+//!   maps as one `&'static [Word]`, the large table's keys and sizes as two
+//!   `&'static mut [usize]`. Every layer below takes slices in safe
+//!   constructors (`Heap::with_storage` carves the maps with `split_at`).
+//!   Zeroed is a memory-safety fact in one place only, the large table,
+//!   whose recorded addresses `release_large` unmaps; the argument sits at
+//!   the carving.
 //! * **One thread-local, and it never allocates.** The only per-thread
 //!   state is `libdiehard.so`'s re-entrancy flag ([`with_guard`],
 //!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]): a
@@ -257,17 +270,19 @@ pub(crate) mod sys;
 mod tls;
 
 use crate::sync::sole_thread;
-pub use crate::sync::{OnceCell, SpinGuard, SpinLock};
+pub use crate::sync::{SpinGuard, SpinLock};
 
-use crate::config::HeapConfig;
+use crate::config::{HeapConfig, HeapGeometry};
 use crate::engine::{AllocOutcome, HeapStats};
 use crate::large::LargeTable;
 use crate::rng::entropy_seed;
 use crate::safe_str;
 use crate::sharded::Heap;
+use crate::sync::Word;
 use core::alloc::{GlobalAlloc, Layout};
+use core::mem::MaybeUninit;
 use core::ptr;
-use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use core::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
 
 /// The elastic start `libdiehard.so` ships with (the fraction it passes to
 /// [`DieHard::elastic_from_env`], used when `DIEHARD_GROW` is unset): every
@@ -306,6 +321,13 @@ pub const DEFAULT_GROW_LOG2: u32 = 9;
 
 /// Capacity of the large-object validity table (live large objects).
 const LARGE_CAPACITY: usize = 4096;
+
+/// The states of a [`DieHard`]'s initialization: not begun, being built by
+/// one thread, built and published, failed for good.
+const EMPTY: u8 = 0;
+const BUSY: u8 = 1;
+const READY: u8 = 2;
+const FAILED: u8 = 3;
 
 /// The state behind an initialized allocator: the lock-free header fields
 /// plus the two locked domains (small-object growth, large-object table).
@@ -377,20 +399,16 @@ pub struct DieHard {
     /// The state's address once initialized, null until then: the ready
     /// path's one `Acquire` load.
     state: AtomicPtr<GlobalState>,
-    /// Elects the one thread that builds and publishes `state`; terminal
-    /// when that fails.
-    init: OnceCell<()>,
+    /// `EMPTY` → `BUSY` elects the one thread that builds and publishes
+    /// `state`, which then stores `READY`, or `FAILED` for good. Read only
+    /// off the ready path.
+    init: AtomicU8,
     /// The configuration and seed fixed at construction, if any: the
     /// `DIEHARD_*` environment is then ignored.
     fixed: Option<(HeapConfig, u64)>,
     /// The elastic start fraction: fixed when `fixed` is, else the
     /// fallback for an unset `DIEHARD_GROW`. `None` is the fixed-size heap.
     grow: Option<u32>,
-    /// Whether [`fork_prepare`](Self::fork_prepare) found the heap ready
-    /// and took its locks: [`fork_resume`](Self::fork_resume) must release
-    /// exactly that set, even if another thread initialized the heap
-    /// between the two calls.
-    fork_locked: AtomicBool,
 }
 
 impl DieHard {
@@ -398,10 +416,9 @@ impl DieHard {
     const fn configured(fixed: Option<(HeapConfig, u64)>, grow: Option<u32>) -> Self {
         Self {
             state: AtomicPtr::new(ptr::null_mut()),
-            init: OnceCell::new(),
+            init: AtomicU8::new(EMPTY),
             fixed,
             grow,
-            fork_locked: AtomicBool::new(false),
         }
     }
 
@@ -683,18 +700,19 @@ impl DieHard {
     /// corruption: each slot's bit and each ticket word stay
     /// self-consistent under any interleaving of the parent's atomics.
     ///
+    /// A heap not yet initialized is initialized here first, or waited for
+    /// when another thread is building it: a child must never inherit a
+    /// half-built heap, whose builder it does not have. So a process that
+    /// forks before its first allocation shares its seed with the child, as
+    /// one that forks after it does.
+    ///
     /// Pair with [`fork_resume`](Self::fork_resume) in both the parent and
     /// the child (the `pthread_atfork` parent/child hooks).
     pub fn fork_prepare(&self) {
-        // Record exactly which state (if any) gets locked: a racing first
-        // allocation can initialize the heap between prepare and resume,
-        // and resume must not "release" locks that were never taken.
-        let state = self.ready();
-        if let Some(state) = state {
+        if let Some(state) = self.state() {
             state.heap.lock_all_maintenance();
             state.large.raw_lock();
         }
-        self.fork_locked.store(state.is_some(), Ordering::Release);
     }
 
     /// Releases the locks taken by [`fork_prepare`](Self::fork_prepare), in
@@ -704,13 +722,11 @@ impl DieHard {
     ///
     /// Must be called exactly once in each process that inherited the locks
     /// (parent and child), after a `fork_prepare` on the same allocator.
-    /// The lock set released is the one `fork_prepare` recorded, so a heap
-    /// that initialized concurrently between the two calls is handled
-    /// correctly (its locks were never taken and are left alone).
+    /// That call left the heap ready with its locks held, or failed for
+    /// good with nothing to lock, so the heap is ready here exactly when
+    /// there are locks to release.
     pub unsafe fn fork_resume(&self) {
-        // A state, once published, stays: the one prepare locked is the one
-        // `ready` answers now.
-        if let (true, Some(state)) = (self.fork_locked.load(Ordering::Acquire), self.ready()) {
+        if let Some(state) = self.ready() {
             // SAFETY: held by the paired fork_prepare (this thread, or the
             // forking thread this child process inherited from).
             unsafe {
@@ -745,13 +761,28 @@ impl DieHard {
     #[cold]
     #[inline(never)]
     fn initialize(&self) -> Option<&'static GlobalState> {
-        let init = || {
-            let state = self.build_state()?;
-            self.state
-                .store(ptr::from_ref(state).cast_mut(), Ordering::Release);
-            Some(())
-        };
-        self.init.get_or_try_init(init).and_then(|()| self.ready())
+        loop {
+            match self
+                .init
+                .compare_exchange(EMPTY, BUSY, Ordering::Acquire, Ordering::Acquire)
+            {
+                Ok(_) => {
+                    let state = self.build_state();
+                    if let Some(state) = state {
+                        self.state
+                            .store(ptr::from_ref(state).cast_mut(), Ordering::Release);
+                    }
+                    let outcome = if state.is_some() { READY } else { FAILED };
+                    self.init.store(outcome, Ordering::Release);
+                    return state;
+                }
+                Err(READY) => return self.ready(),
+                Err(FAILED) => return None,
+                // Another thread is building the state; the allocator cannot
+                // park (parking may allocate), so yield until it is done.
+                Err(_) => std::thread::yield_now(),
+            }
+        }
     }
 
     /// The one-time initialization: choose a configuration and seed, map the
@@ -781,16 +812,18 @@ impl DieHard {
                 )
             }
         };
-        config.validate().ok()?;
+        // Fraction 0 is the fixed heap.
+        let geometry = HeapGeometry::new_elastic(config, grow.unwrap_or(0)).ok()?;
 
         let page = sys::page_size();
-        let span = config.heap_span();
-        let words = <Heap>::metadata_words_needed(&config);
+        let span = geometry.heap_span();
+        let words = <Heap>::metadata_words_needed(geometry.config());
         let table_cap = (LARGE_CAPACITY * 2).next_power_of_two();
         // The state heads the arena, in whole pages of its own, so the maps
         // behind it start page-aligned.
         let head = size_of::<GlobalState>().next_multiple_of(page);
-        let meta_bytes = (head + words * 8 + 2 * table_cap * 8 + page - 1) & !(page - 1);
+        let table = head + words * size_of::<Word>();
+        let meta_bytes = (table + 2 * table_cap * size_of::<usize>()).next_multiple_of(page);
         let meta = sys::map_reserve(meta_bytes);
         if meta.is_null() {
             return None;
@@ -808,46 +841,34 @@ impl DieHard {
         }
         debug_assert_eq!(heap_base as usize % sys::HUGE_PAGE, 0);
 
-        let bitmap_words = meta.wrapping_add(head).cast::<u64>();
-        // SAFETY: past its head the meta arena provides `words` zeroed u64s
-        // (the twelve classes' bitmaps, each sized for its maximum capacity
-        // — all `metadata_words_needed` counts)
-        // followed by the table's two arrays of `table_cap` usizes; mmap'd
-        // memory is zeroed and exclusively ours. (Fraction 0 is the fixed
-        // heap.)
-        let heap = unsafe { Heap::from_raw_parts(config, seed, bitmap_words, grow.unwrap_or(0)) };
-        let mut heap = match heap {
-            Ok(heap) => heap,
-            Err(_) => {
-                // SAFETY: both mappings were just created with these lengths
-                // and nothing references them.
-                unsafe {
-                    sys::unmap(meta, meta_bytes);
-                    sys::unmap(heap_base, span);
-                }
-                return None;
-            }
+        // SAFETY: the one step from the mapping to typed memory. `meta` is a
+        // fresh, page-aligned anonymous mapping of `meta_bytes`: zeroed,
+        // referenced by nothing else, and never unmapped, so it may be
+        // borrowed for `'static`. The four borrows are disjoint and aligned:
+        // the state's slot in the first `head` bytes, then `words` slot-map
+        // words (all twelve classes, each sized for its maximum capacity),
+        // then the large table's keys and sizes, `table_cap` words each.
+        // Zero is a valid `Word` and `usize`. Zeroed keys are also what keeps
+        // `release_large` sound: the table starts with no address recorded,
+        // so it unmaps only mappings `alloc_large` made and recorded.
+        let (slot, maps, keys, sizes) = unsafe {
+            let keys = meta.add(table).cast::<usize>();
+            (
+                &mut *meta.cast::<MaybeUninit<GlobalState>>(),
+                core::slice::from_raw_parts(meta.add(head).cast::<Word>(), words),
+                core::slice::from_raw_parts_mut(keys, table_cap),
+                core::slice::from_raw_parts_mut(keys.add(table_cap), table_cap),
+            )
         };
+        let mut heap = Heap::with_storage(geometry, seed, maps);
         heap.set_promote_hook(promote_region, heap_base as usize);
-        // SAFETY: as above; the two halves of the table area.
-        let large = unsafe {
-            let keys = bitmap_words.add(words).cast::<usize>();
-            LargeTable::from_storage(keys, keys.add(table_cap), table_cap)
-        };
-        let state = meta.cast::<GlobalState>();
-        // SAFETY: the arena's first `head` bytes are page-aligned, zeroed,
-        // exclusively ours and large enough for a GlobalState; nothing
-        // unmaps the arena, so the state lives as long as the process.
-        unsafe {
-            state.write(GlobalState {
-                heap,
-                heap_base,
-                page,
-                elastic: grow.is_some(),
-                large: SpinLock::new(large),
-            });
-            Some(&*state)
-        }
+        Some(slot.write(GlobalState {
+            heap,
+            heap_base,
+            page,
+            elastic: grow.is_some(),
+            large: SpinLock::new(LargeTable::from_storage(keys, sizes)),
+        }))
     }
 
     /// The one allocation body, in the arm this call's one read of the
@@ -1429,8 +1450,10 @@ mod tests {
     #[test]
     fn fork_lock_roundtrip_keeps_heap_usable() {
         let heap = small_test_heap();
-        // Uninitialized: prepare/resume must balance with no heap locks.
+        // Uninitialized: prepare builds the heap and takes its locks, and
+        // resume releases them.
         heap.fork_prepare();
+        assert!(heap.ready().is_some(), "prepare initialized the heap");
         // SAFETY: paired with the prepare above, same thread.
         unsafe { heap.fork_resume() };
         let p = heap.malloc(64);
@@ -1444,6 +1467,115 @@ mod tests {
         assert!(!q.is_null(), "heap fully functional after the roundtrip");
         heap.free(q);
         assert_eq!(heap.live_objects(), 0);
+    }
+
+    /// Threads racing a fresh heap's first allocation build one heap: every
+    /// pointer lands in the one span published, and its statistics count
+    /// every allocation.
+    #[test]
+    fn racing_first_allocations_build_one_heap() {
+        const THREADS: usize = 8;
+        for round in 0..16 {
+            let heap = DieHard::with_config(HeapConfig::default(), round);
+            let start = std::sync::Barrier::new(THREADS);
+            let ptrs: Vec<usize> = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            heap.malloc(64) as usize
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            let state = heap.ready().expect("initialized");
+            for &p in &ptrs {
+                assert!(
+                    state.span_offset(p as *const u8).is_some(),
+                    "round {round}: {p:#x} is outside the span at {:p}",
+                    state.heap_base
+                );
+            }
+            assert_eq!(heap.stats().allocs, THREADS as u64, "round {round}");
+            for p in ptrs {
+                heap.free(p as *mut u8);
+            }
+            assert_eq!(heap.live_objects(), 0);
+        }
+    }
+
+    /// Waits up to `deadline` for the child `pid`: its wait status, or
+    /// `None` when it had to be killed at the deadline.
+    fn wait_with_deadline(pid: libc::pid_t, deadline: std::time::Duration) -> Option<i32> {
+        let start = std::time::Instant::now();
+        let mut status: libc::c_int = -1;
+        loop {
+            // SAFETY: pid is our direct child, not yet reaped.
+            match unsafe { libc::waitpid(pid, &raw mut status, libc::WNOHANG) } {
+                0 if start.elapsed() < deadline => {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                0 => {
+                    // SAFETY: as above; the blocking wait reaps the kill.
+                    unsafe {
+                        libc::kill(pid, libc::SIGKILL);
+                        libc::waitpid(pid, &raw mut status, 0);
+                    }
+                    return None;
+                }
+                reaped => {
+                    assert_eq!(reaped, pid, "waitpid failed");
+                    return Some(status);
+                }
+            }
+        }
+    }
+
+    /// A `fork` that races a heap's first allocation hands the child a heap
+    /// it can allocate from. Each round releases a second thread's first
+    /// `malloc` and this thread's `fork_prepare` + `fork` together, and the
+    /// child allocates once and exits. A child that inherits a heap half
+    /// built by the other thread, which the child does not have, waits for
+    /// it forever: the parent gives each child two seconds, then kills it
+    /// and counts it as hung.
+    #[test]
+    fn fork_racing_the_first_allocation_leaves_the_child_a_usable_heap() {
+        const ROUNDS: u64 = 100;
+        let mut hung = 0;
+        for round in 0..ROUNDS {
+            let heap = DieHard::with_config(HeapConfig::default(), round);
+            let start = std::sync::Barrier::new(2);
+            let pid = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    heap.free(heap.malloc(64));
+                });
+                start.wait();
+                heap.fork_prepare();
+                // SAFETY: the child touches only `heap` and `_exit` — no
+                // lock another thread of this process may hold.
+                let pid = unsafe { libc::fork() };
+                // SAFETY: paired with the prepare above, in the parent and
+                // in the child.
+                unsafe { heap.fork_resume() };
+                if pid == 0 {
+                    let failed = heap.malloc(64).is_null();
+                    // SAFETY: child exit, no cleanup.
+                    unsafe { libc::_exit(i32::from(failed)) };
+                }
+                pid
+            });
+            assert!(pid > 0, "fork failed");
+            match wait_with_deadline(pid, std::time::Duration::from_secs(2)) {
+                Some(status) => assert_eq!(status, 0, "round {round}: the child's malloc failed"),
+                None => hung += 1,
+            }
+        }
+        assert_eq!(
+            hung, 0,
+            "{hung} of {ROUNDS} children hung in their first malloc"
+        );
     }
 
     /// Paper-sized 32 MB regions at a 1/16 start: every class is born with a

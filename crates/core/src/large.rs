@@ -40,21 +40,17 @@ pub struct LargeTable {
 #[derive(Debug)]
 enum Storage {
     Owned(Vec<usize>),
-    Raw(*mut usize, usize),
+    /// Caller-provided words ([`LargeTable::from_storage`]): the global
+    /// allocator's slice of its metadata mapping, which is never unmapped.
+    Raw(&'static mut [usize]),
 }
-
-// SAFETY: raw storage is exclusively owned by the table; the global
-// allocator serializes access behind its lock.
-unsafe impl Send for LargeTable {}
-unsafe impl Sync for LargeTable {}
 
 impl Storage {
     #[inline]
     fn slice(&self) -> &[usize] {
         match self {
             Storage::Owned(v) => v,
-            // SAFETY: valid-for-len per `from_storage`'s contract.
-            Storage::Raw(p, n) => unsafe { core::slice::from_raw_parts(*p, *n) },
+            Storage::Raw(words) => words,
         }
     }
 
@@ -62,8 +58,7 @@ impl Storage {
     fn slice_mut(&mut self) -> &mut [usize] {
         match self {
             Storage::Owned(v) => v,
-            // SAFETY: as above, exclusive via `&mut`.
-            Storage::Raw(p, n) => unsafe { core::slice::from_raw_parts_mut(*p, *n) },
+            Storage::Raw(words) => words,
         }
     }
 }
@@ -76,8 +71,8 @@ impl LargeTable {
     ///
     /// Panics if `capacity < 2`. (This constructor's internal ×2 sizing
     /// could not itself overflow the hash shift, but sub-2 capacities are
-    /// rejected uniformly with [`Self::from_storage`], where `capacity` is
-    /// the literal table size and a one-slot table shifts by
+    /// rejected uniformly with [`Self::from_storage`], where the slices'
+    /// length is the literal table size and a one-slot table shifts by
     /// `64 - trailing_zeros(1) = 64` — a debug panic, silent masking in
     /// release.)
     #[must_use]
@@ -92,28 +87,27 @@ impl LargeTable {
         }
     }
 
-    /// Creates a table over two caller-provided zeroed `usize` arrays of
-    /// length `capacity` (a power of two).
-    ///
-    /// # Safety
-    ///
-    /// Both pointers must be valid for `capacity` usizes for the table's
-    /// lifetime, exclusively owned by it, and zero-initialized.
+    /// Creates a table over two caller-provided arrays of equal length
+    /// `capacity` (a power of two): `keys`, which should be zeroed (a
+    /// nonzero word reads as a recorded address), and `sizes`.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is not a power of two, or is less than 2 (a
-    /// one-slot table would overflow the hash shift).
+    /// Panics if the two lengths differ, or the length is not a power of
+    /// two, or is less than 2 (a one-slot table would overflow the hash
+    /// shift).
     #[must_use]
-    pub unsafe fn from_storage(keys: *mut usize, sizes: *mut usize, capacity: usize) -> Self {
+    pub fn from_storage(keys: &'static mut [usize], sizes: &'static mut [usize]) -> Self {
+        let capacity = keys.len();
+        assert_eq!(capacity, sizes.len(), "keys and sizes differ in length");
         assert!(
             capacity.is_power_of_two(),
             "capacity must be a power of two"
         );
         assert!(capacity >= 2, "LargeTable capacity must be at least 2");
         Self {
-            keys: Storage::Raw(keys, capacity),
-            sizes: Storage::Raw(sizes, capacity),
+            keys: Storage::Raw(keys),
+            sizes: Storage::Raw(sizes),
             capacity,
             len: 0,
         }
@@ -313,24 +307,27 @@ mod tests {
         let _ = LargeTable::new(1);
     }
 
+    /// Two leaked arrays of `len` zeroed words, as the global allocator
+    /// carves them out of its metadata mapping.
+    fn leaked(len: usize) -> (&'static mut [usize], &'static mut [usize]) {
+        let words = vec![0usize; 2 * len].leak();
+        words.split_at_mut(len)
+    }
+
     #[test]
     #[should_panic(expected = "at least 2")]
     fn from_storage_rejects_capacity_one() {
         // Regression: capacity 1 has trailing_zeros() == 0, so hash()'s
         // `>> (64 - 0)` overflowed the shift before the constructor guard.
-        let mut keys = vec![0usize; 1];
-        let mut sizes = vec![0usize; 1];
-        // SAFETY: vectors outlive the (never-created) table.
-        let _ = unsafe { LargeTable::from_storage(keys.as_mut_ptr(), sizes.as_mut_ptr(), 1) };
+        let (keys, sizes) = leaked(1);
+        let _ = LargeTable::from_storage(keys, sizes);
     }
 
     #[test]
     fn from_storage_minimum_capacity_hashes_safely() {
         // capacity 2 is the smallest legal table: shift is 63, not 64.
-        let mut keys = vec![0usize; 2];
-        let mut sizes = vec![0usize; 2];
-        // SAFETY: vectors outlive the table and are unaliased while it lives.
-        let mut t = unsafe { LargeTable::from_storage(keys.as_mut_ptr(), sizes.as_mut_ptr(), 2) };
+        let (keys, sizes) = leaked(2);
+        let mut t = LargeTable::from_storage(keys, sizes);
         assert!(t.insert(0x4000, 7));
         assert_eq!(t.get(0x4000), Some(7));
         assert_eq!(t.remove(0x4000), Some(7));
@@ -338,14 +335,19 @@ mod tests {
 
     #[test]
     fn from_storage_backing() {
-        let mut keys = vec![0usize; 16];
-        let mut sizes = vec![0usize; 16];
-        // SAFETY: vectors outlive the table and are unaliased while it lives.
-        let mut t = unsafe { LargeTable::from_storage(keys.as_mut_ptr(), sizes.as_mut_ptr(), 16) };
+        let (keys, sizes) = leaked(16);
+        let mut t = LargeTable::from_storage(keys, sizes);
         assert!(t.insert(0xABC0, 42));
         assert_eq!(t.get(0xABC0), Some(42));
-        drop(t);
-        assert!(keys.contains(&0xABC0));
+        let (Storage::Raw(keys), Storage::Raw(sizes)) = (&t.keys, &t.sizes) else {
+            panic!("the table owns storage of its own");
+        };
+        let at = keys.iter().position(|&k| k == 0xABC0);
+        assert_eq!(
+            at.map(|i| sizes[i]),
+            Some(42),
+            "recorded in the caller's words"
+        );
     }
 
     proptest! {

@@ -28,9 +28,9 @@
 //! * [`safe_str`] — heap-bounded `strcpy`/`strncpy` (§4.4).
 //! * [`env`] — audited parsing for the `DIEHARD_*` environment knobs.
 //! * [`analysis`] — Theorems 1–3 and the expectation formulas (§3.1, §6).
-//! * [`sync`] — allocation-free [`sync::SpinLock`] and [`sync::OnceCell`],
-//!   and [`sync::Word`], every update of which is a locked instruction, or
-//!   a load and a store while the process has one thread.
+//! * [`sync`] — the allocation-free [`sync::SpinLock`] and [`sync::Word`],
+//!   every update of which is a locked instruction, or a load and a store
+//!   while the process has one thread.
 //! * [`sharded`] — [`Heap`], **the** heap: twelve partitions behind one
 //!   `DieHardMalloc`/`DieHardFree` over abstract byte offsets; lock-free per
 //!   operation and `Sync`, for the real heap and the simulated one alike;
@@ -83,7 +83,7 @@ pub use magazine::MagazineCache;
 pub use rng::Mwc;
 pub use sharded::Heap;
 pub use size_class::SizeClass;
-pub use sync::{OnceCell, SpinGuard, SpinLock};
+pub use sync::{SpinGuard, SpinLock};
 
 #[cfg(test)]
 mod tests {

@@ -172,26 +172,27 @@ impl AtomicPartition {
         Self::over(class, map, initial_capacity, initial_threshold, seed)
     }
 
-    /// As [`new_elastic`](Self::new_elastic) but over caller-provided zeroed
-    /// storage of [`Self::words_needed`]`(max_capacity)` u64 words — the
-    /// slot map is always sized for the maximum, so the metadata footprint
-    /// is identical for fixed and elastic partitions.
+    /// As [`new_elastic`](Self::new_elastic) but over caller-provided
+    /// storage of exactly [`Self::words_needed`]`(max_capacity)` words,
+    /// zeroed ([`SlotStateMap::from_storage`]) — the slot map is always
+    /// sized for the maximum, so the metadata footprint is identical for
+    /// fixed and elastic partitions.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// Same contract as [`SlotStateMap::from_storage`].
+    /// As [`new_elastic`](Self::new_elastic), and if `words` is not exactly
+    /// that long.
     #[must_use]
-    pub unsafe fn from_storage_elastic(
+    pub fn from_storage_elastic(
         class: SizeClass,
         max_capacity: usize,
         initial_capacity: usize,
         initial_threshold: usize,
         seed: u64,
-        words: *mut u64,
+        words: &'static [Word],
     ) -> Self {
         Self::check_geometry(max_capacity, initial_capacity, initial_threshold);
-        // SAFETY: forwarded caller contract.
-        let map = unsafe { SlotStateMap::from_storage(words, max_capacity) };
+        let map = SlotStateMap::from_storage(words, max_capacity);
         Self::over(class, map, initial_capacity, initial_threshold, seed)
     }
 

@@ -79,17 +79,6 @@ impl Mwc {
         }
     }
 
-    /// Creates a generator seeded from the operating system's entropy source,
-    /// mirroring the paper's use of `/dev/urandom` ("seeded with a true
-    /// random number").
-    ///
-    /// Falls back to a mix of the current time and a stack address when
-    /// `/dev/urandom` is unavailable.
-    #[must_use]
-    pub fn from_entropy() -> Self {
-        Self::seeded(entropy_seed())
-    }
-
     /// Returns the next 32-bit pseudo-random value.
     #[inline]
     pub fn next_u32(&mut self) -> u32 {

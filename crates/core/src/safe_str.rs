@@ -12,12 +12,11 @@
 //! length bound is itself a bug vector, so DieHard clamps it with the *true*
 //! object bound.
 //!
-//! This module implements the bound computation against [`Heap`] and
-//! slice-based copy routines shared by the simulated heap; the real global
-//! allocator wraps them with raw-pointer entry points.
+//! This module implements the bound computation against a heap's
+//! [`HeapGeometry`] and slice-based copy routines shared by the simulated
+//! heap; the real global allocator wraps them with raw-pointer entry points.
 
 use crate::config::HeapGeometry;
-use crate::sharded::Heap;
 
 /// Computes the number of bytes available from `offset` to the end of the
 /// heap object containing it, via the paper's mask-and-subtract scheme.
@@ -28,32 +27,23 @@ use crate::sharded::Heap;
 ///
 /// Note the deliberate fidelity to the paper: the bound comes from the
 /// *size class geometry alone* — no liveness check — because `strcpy` must
-/// stay two-comparisons-cheap.
+/// stay two-comparisons-cheap. It depends only on the (immutable) geometry,
+/// not on any allocation state, so the global allocator computes it
+/// **without taking any lock**, preserving that contract for the string
+/// functions even under concurrency.
 ///
 /// # Examples
 ///
 /// ```
-/// use diehard_core::{config::HeapConfig, safe_str::space_to_object_end, Heap};
+/// use diehard_core::{config::HeapConfig, safe_str::space_in_object, Heap};
 ///
 /// let heap: Heap = Heap::new(HeapConfig::default(), 1)?;
 /// let slot = heap.alloc(100).unwrap(); // rounds to a 128-byte object
 /// let off = heap.offset_of(slot);
-/// assert_eq!(space_to_object_end(&heap, off), Some(128));
-/// assert_eq!(space_to_object_end(&heap, off + 100), Some(28));
+/// assert_eq!(space_in_object(heap.geometry(), off), Some(128));
+/// assert_eq!(space_in_object(heap.geometry(), off + 100), Some(28));
 /// # Ok::<(), diehard_core::config::ConfigError>(())
 /// ```
-#[must_use]
-pub fn space_to_object_end(heap: &Heap, offset: usize) -> Option<usize> {
-    space_in_object(heap.geometry(), offset)
-}
-
-/// As [`space_to_object_end`], but computed from the precomputed heap
-/// geometry alone.
-///
-/// The bound depends only on the (immutable) geometry — not on any
-/// allocation state — so the sharded global allocator computes it **without
-/// taking any shard lock**, preserving the paper's two-comparisons-cheap
-/// contract for the string functions even under concurrency.
 #[must_use]
 pub fn space_in_object(geometry: &HeapGeometry, offset: usize) -> Option<usize> {
     // One comparison (`slot_at` range-checks via a shift) plus the mask:
@@ -78,7 +68,7 @@ pub struct CopyOutcome {
 
 /// DieHard's `strcpy`: copies the NUL-terminated prefix of `src` into
 /// `dest`, but never more than `dest_space` bytes (the bound computed by
-/// [`space_to_object_end`]). The destination is always NUL-terminated when
+/// [`space_in_object`]). The destination is always NUL-terminated when
 /// any space exists.
 ///
 /// Returns the copy outcome; a `truncated` result is precisely the case
@@ -121,6 +111,7 @@ fn bounded_copy(dest: &mut [u8], dest_space: usize, payload: &[u8]) -> CopyOutco
 mod tests {
     use super::*;
     use crate::config::HeapConfig;
+    use crate::sharded::Heap;
     use proptest::prelude::*;
 
     fn heap() -> Heap {
@@ -133,7 +124,7 @@ mod tests {
         for req in [8usize, 33, 4097] {
             let slot = h.alloc(req).unwrap();
             let off = h.offset_of(slot);
-            assert_eq!(space_to_object_end(&h, off), Some(slot.size()));
+            assert_eq!(space_in_object(h.geometry(), off), Some(slot.size()));
         }
     }
 
@@ -142,15 +133,15 @@ mod tests {
         let h = heap();
         let slot = h.alloc(256).unwrap();
         let off = h.offset_of(slot);
-        assert_eq!(space_to_object_end(&h, off + 200), Some(56));
-        assert_eq!(space_to_object_end(&h, off + 255), Some(1));
+        assert_eq!(space_in_object(h.geometry(), off + 200), Some(56));
+        assert_eq!(space_in_object(h.geometry(), off + 255), Some(1));
     }
 
     #[test]
     fn space_outside_heap() {
         let h = heap();
-        assert_eq!(space_to_object_end(&h, h.heap_span()), None);
-        assert_eq!(space_to_object_end(&h, usize::MAX), None);
+        assert_eq!(space_in_object(h.geometry(), h.heap_span()), None);
+        assert_eq!(space_in_object(h.geometry(), usize::MAX), None);
     }
 
     #[test]
@@ -253,7 +244,7 @@ mod tests {
             let slot = h.alloc(req).unwrap();
             let off = h.offset_of(slot);
             let delta = delta % slot.size();
-            let space = space_to_object_end(&h, off + delta).unwrap();
+            let space = space_in_object(h.geometry(), off + delta).unwrap();
             prop_assert_eq!(space + delta, slot.size());
         }
     }

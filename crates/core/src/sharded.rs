@@ -56,7 +56,7 @@ use crate::engine::{
 use crate::partition::AtomicPartition;
 use crate::rng::stream_seed;
 use crate::size_class::{SizeClass, NUM_CLASSES};
-use crate::sync::{sole_thread, SpinLock};
+use crate::sync::{sole_thread, SpinLock, Word};
 use core::sync::atomic::{AtomicU64, Ordering};
 
 /// One transparent huge page: the PMD size on x86-64 and on aarch64 with
@@ -202,66 +202,50 @@ impl Heap {
         initial_fraction_log2: u32,
     ) -> Result<Self, ConfigError> {
         let geometry = HeapGeometry::new_elastic(config, initial_fraction_log2)?;
-        // SAFETY: no storage is passed, so there is no contract to meet.
-        Ok(unsafe { Self::build(geometry, seed, None) })
+        Ok(Self::build(geometry, seed, None))
     }
 
-    /// As [`new_elastic`](Self::new_elastic), but hosting all twelve
-    /// slot-state maps in caller-provided storage so that construction
-    /// performs **no heap allocation** — required when DieHard itself is the
-    /// process's global allocator (metadata lives in a segregated mmap arena,
-    /// §4.1). The footprint does not depend on the fraction: slot maps are
-    /// always sized for the maximum capacity.
+    /// As [`new_elastic`](Self::new_elastic) over an already validated
+    /// `geometry`, but hosting all twelve slot-state maps in `words` so that
+    /// construction performs **no heap allocation** — required when DieHard
+    /// itself is the process's global allocator (metadata lives in a
+    /// segregated mmap arena, §4.1). The footprint does not depend on the
+    /// fraction: slot maps are always sized for the maximum capacity.
+    /// `words` should be zeroed (every slot free;
+    /// [`SlotStateMap::from_storage`](crate::bitmap::SlotStateMap::from_storage)).
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// `words` must point to at least
-    /// [`metadata_words_needed`](Self::metadata_words_needed)`(&config)`
-    /// zeroed `u64`s, valid and exclusively owned for the heap's lifetime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub unsafe fn from_raw_parts(
-        config: HeapConfig,
-        seed: u64,
-        words: *mut u64,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        let geometry = HeapGeometry::new_elastic(config, initial_fraction_log2)?;
-        // SAFETY: forwarded caller contract.
-        Ok(unsafe { Self::build(geometry, seed, Some(words)) })
+    /// Panics if `words` is not exactly
+    /// [`metadata_words_needed`](Self::metadata_words_needed)`(geometry.config())`
+    /// long.
+    #[must_use]
+    pub fn with_storage(geometry: HeapGeometry, seed: u64, words: &'static [Word]) -> Self {
+        assert_eq!(
+            words.len(),
+            Self::metadata_words_needed(geometry.config()),
+            "heap metadata storage"
+        );
+        Self::build(geometry, seed, Some(words))
     }
 
     /// The one definition of the partition layout: twelve partitions, each
     /// with its private RNG stream `stream_seed(seed, class)` split from
     /// `seed`, starting at the geometry's *initial* capacity (== the maximum
     /// for fixed geometries) with slot maps sized for the maximum, so elastic
-    /// growth never relayouts. The maps are carved sequentially out of
+    /// growth never relayouts. The maps are carved in class order out of
     /// `storage` when there is one and heap-allocated otherwise.
-    ///
-    /// # Safety
-    ///
-    /// `storage`, if any, meets [`from_raw_parts`](Self::from_raw_parts)'s
-    /// contract.
-    unsafe fn build(geometry: HeapGeometry, seed: u64, mut storage: Option<*mut u64>) -> Self {
+    fn build(geometry: HeapGeometry, seed: u64, mut storage: Option<&'static [Word]>) -> Self {
         let partitions = core::array::from_fn(|i| {
             let c = SizeClass::from_index(i);
             let (max, start) = (geometry.capacity(c), geometry.initial_capacity(c));
             let (threshold, stream) = (geometry.initial_threshold(c), stream_seed(seed, i as u64));
             match &mut storage {
                 None => AtomicPartition::new_elastic(c, max, start, threshold, stream),
-                Some(cursor) => {
-                    let words = *cursor;
-                    // SAFETY: the caller provides enough zeroed words for the
-                    // sum of all class maps; each class takes the next
-                    // `words_needed(max)` of them.
-                    *cursor = unsafe { words.add(AtomicPartition::words_needed(max)) };
-                    unsafe {
-                        AtomicPartition::from_storage_elastic(
-                            c, max, start, threshold, stream, words,
-                        )
-                    }
+                Some(rest) => {
+                    let (words, tail) = rest.split_at(AtomicPartition::words_needed(max));
+                    *rest = tail;
+                    AtomicPartition::from_storage_elastic(c, max, start, threshold, stream, words)
                 }
             }
         });
@@ -275,8 +259,8 @@ impl Heap {
         }
     }
 
-    /// Number of `u64` words of metadata storage
-    /// [`from_raw_parts`](Self::from_raw_parts) requires for `config`: one
+    /// Number of words of metadata storage
+    /// [`with_storage`](Self::with_storage) requires for `config`: one
     /// bit per slot (§4.1), 64 slots per word, every class sized for its
     /// maximum capacity.
     #[must_use]
@@ -678,12 +662,42 @@ pub(crate) mod tests {
     }
 
     /// §4.1's bitmap: one bit per slot, 64 slots to a word, each class
-    /// sized for its maximum capacity.
+    /// sized for its maximum capacity — and carved in class order out of the
+    /// words `with_storage` is handed, on which the heap places exactly as
+    /// one that owns its maps.
     #[test]
     fn metadata_is_one_bit_per_slot() {
         let config = HeapConfig::default();
-        let words = SizeClass::all().map(|c| config.capacity(c).div_ceil(64));
-        assert_eq!(Heap::metadata_words_needed(&config), words.sum());
+        let words = |c: SizeClass| config.capacity(c).div_ceil(64);
+        let total = SizeClass::all().map(words).sum();
+        assert_eq!(Heap::metadata_words_needed(&config), total);
+        let storage: &'static [Word] = Box::leak((0..total).map(|_| Word::new(0)).collect());
+        let geometry = HeapGeometry::new(config.clone()).unwrap();
+        let (carved, owned) = (
+            Heap::with_storage(geometry, 7, storage),
+            Heap::new(config.clone(), 7).unwrap(),
+        );
+        for size in [8, 8, 100, 16 * 1024] {
+            let slot = carved.alloc(size).unwrap();
+            assert_eq!(
+                carved.offset_of(slot),
+                owned.offset_of(owned.alloc(size).unwrap())
+            );
+        }
+        let mut rest = storage;
+        for class in SizeClass::all() {
+            let (map, tail) = rest.split_at(words(class));
+            rest = tail;
+            let live: u32 = map
+                .iter()
+                .map(|w| w.load(Ordering::Relaxed).count_ones())
+                .sum();
+            assert_eq!(
+                live as usize,
+                carved.partition(class).in_use(),
+                "class {class:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Two constraints shape everything here. First, these primitives guard an
 //! *allocator*: general-purpose mutexes (including `parking_lot`) may lazily
 //! allocate per-thread parking state on contention, which would re-enter the
-//! allocator mid-operation, so both the lock and the once-cell must never
-//! allocate. Second, the heap takes one [`SpinLock`] per size class, around
-//! a growth step: a few stores and, rarely, two advisory syscalls — a
-//! regime where a spinlock with exponential backoff is all that is needed.
+//! allocator mid-operation, so the lock must never allocate (nor does the
+//! global allocator's one-time initialization, which waits out a racing
+//! initializer the same way, on a state byte of its own). Second, the heap
+//! takes one [`SpinLock`] per size class, around a growth step: a few stores
+//! and, rarely, two advisory syscalls — a regime where a spinlock with
+//! exponential backoff is all that is needed.
 //!
 //! # One word type, two ways to update it
 //!
@@ -67,9 +69,8 @@
 //! the load and the store — both in the audit in `global/mod.rs`.
 
 use core::cell::UnsafeCell;
-use core::mem::MaybeUninit;
 use core::ops::{Deref, DerefMut};
-use core::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 
 /// `true` while this process has only ever had one thread, as far as the C
 /// library knows: the condition under which a [`Word`] update may be a load
@@ -330,131 +331,6 @@ impl<T> Drop for SpinGuard<'_, T> {
     }
 }
 
-/// [`OnceCell`] initialization states.
-const EMPTY: u8 = 0;
-const INITIALIZING: u8 = 1;
-const READY: u8 = 2;
-const FAILED: u8 = 3;
-
-/// A once-initialized cell with lock-free reads, usable in statics.
-///
-/// After the single successful initialization, [`get`](Self::get) *and*
-/// [`get_or_try_init`](Self::get_or_try_init) are one `Acquire` load plus a
-/// pointer deref — a plain `mov` on x86-64, no locked instruction — which
-/// is what makes the global allocator's header (heap base, page size,
-/// config) readable on every `malloc`/`free` without a fence. Only a cell
-/// not yet `READY` is ever CASed, out of line: a CAS is a full barrier even
-/// when it fails, so one on the ready path would be a `lock cmpxchg` in
-/// every `malloc` of every host. Initialization is fallible: a failed
-/// attempt parks the cell in a terminal failed state and every later access
-/// returns `None` (the allocator then reports out-of-memory rather than
-/// retrying `mmap` storms forever).
-#[derive(Debug)]
-pub struct OnceCell<T> {
-    state: AtomicU8,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-// SAFETY: `&OnceCell<T>` hands out only `&T` after the release/acquire
-// handshake on `state`, so sharing requires `T: Send + Sync`; moving the
-// cell moves the `T` it may contain.
-unsafe impl<T: Send + Sync> Sync for OnceCell<T> {}
-unsafe impl<T: Send> Send for OnceCell<T> {}
-
-impl<T> OnceCell<T> {
-    /// An empty cell (usable in `static` items).
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            state: AtomicU8::new(EMPTY),
-            value: UnsafeCell::new(MaybeUninit::uninit()),
-        }
-    }
-
-    /// The initialized value, or `None` when initialization has not run,
-    /// is in flight on another thread, or failed.
-    #[must_use]
-    #[inline]
-    pub fn get(&self) -> Option<&T> {
-        if self.state.load(Ordering::Acquire) == READY {
-            // SAFETY: READY is published with Release after the value was
-            // fully written and is never unset, so the acquire load above
-            // makes the initialized value visible.
-            Some(unsafe { (*self.value.get()).assume_init_ref() })
-        } else {
-            None
-        }
-    }
-
-    /// Returns the value, running `init` to produce it on first call.
-    ///
-    /// Exactly one thread runs `init`; racing threads spin until the winner
-    /// publishes. When `init` returns `None` the cell is left in a terminal
-    /// failed state and this (and every later) call returns `None`. On a
-    /// ready cell this is [`get`](Self::get): one `Acquire` load.
-    #[inline(always)]
-    pub fn get_or_try_init(&self, init: impl FnOnce() -> Option<T>) -> Option<&T> {
-        self.get().or_else(|| self.initialize(init))
-    }
-
-    /// The not-ready half of [`get_or_try_init`](Self::get_or_try_init):
-    /// claim the cell from `EMPTY`, or wait out another thread's claim, or
-    /// report a terminal failure. Out of line, so the hot path carries no
-    /// CAS.
-    #[cold]
-    #[inline(never)]
-    fn initialize(&self, init: impl FnOnce() -> Option<T>) -> Option<&T> {
-        loop {
-            match self.state.compare_exchange(
-                EMPTY,
-                INITIALIZING,
-                Ordering::Acquire,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    // We own initialization.
-                    return match init() {
-                        Some(value) => {
-                            // SAFETY: state is INITIALIZING, so no other
-                            // thread reads or writes the slot.
-                            unsafe { (*self.value.get()).write(value) };
-                            self.state.store(READY, Ordering::Release);
-                            self.get()
-                        }
-                        None => {
-                            self.state.store(FAILED, Ordering::Release);
-                            None
-                        }
-                    };
-                }
-                Err(READY) => return self.get(),
-                Err(FAILED) => return None,
-                Err(_) => {
-                    // Another thread is initializing; the allocator cannot
-                    // park (parking may allocate), so spin politely.
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-impl<T> Drop for OnceCell<T> {
-    fn drop(&mut self) {
-        if *self.state.get_mut() == READY {
-            // SAFETY: READY guarantees the slot holds an initialized value,
-            // and `&mut self` guarantees no outstanding references.
-            unsafe { self.value.get_mut().assume_init_drop() };
-        }
-    }
-}
-
-impl<T> Default for OnceCell<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,73 +430,5 @@ mod tests {
             *g = 6;
         }
         assert_eq!(*lock.lock(), 6);
-    }
-
-    #[test]
-    fn once_cell_initializes_exactly_once() {
-        let cell = Arc::new(OnceCell::new());
-        let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let cell = Arc::clone(&cell);
-            let hits = Arc::clone(&hits);
-            handles.push(std::thread::spawn(move || {
-                *cell
-                    .get_or_try_init(|| {
-                        hits.fetch_add(1, Ordering::SeqCst);
-                        Some(t)
-                    })
-                    .unwrap()
-            }));
-        }
-        let values: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "one initializer ran");
-        assert!(values.windows(2).all(|w| w[0] == w[1]), "all saw one value");
-        assert_eq!(cell.get().copied(), Some(values[0]));
-    }
-
-    #[test]
-    fn once_cell_failure_is_terminal() {
-        let cell: OnceCell<u32> = OnceCell::new();
-        assert_eq!(cell.get_or_try_init(|| None), None);
-        // A later retry with a working initializer still reports failure:
-        // the allocator must not loop retrying mmap after the first OOM.
-        assert_eq!(cell.get_or_try_init(|| Some(7)), None);
-        assert_eq!(cell.get(), None);
-        // Nor does it try: a failed cell never calls its initializer again.
-        assert_eq!(
-            cell.get_or_try_init(|| panic!("retried a failed cell")),
-            None
-        );
-    }
-
-    #[test]
-    fn once_cell_ready_path_is_get() {
-        let cell = OnceCell::new();
-        let first = cell.get_or_try_init(|| Some(11u32)).expect("initialized");
-        // A ready cell answers without running `init`: the panicking
-        // closure is never called, and the reference is `get()`'s.
-        let again = cell
-            .get_or_try_init(|| panic!("init ran on a ready cell"))
-            .expect("ready");
-        assert!(core::ptr::eq(first, again));
-        assert!(core::ptr::eq(again, cell.get().expect("ready")));
-        assert_eq!(*again, 11);
-    }
-
-    #[test]
-    fn once_cell_drops_value() {
-        struct Bomb(Arc<std::sync::atomic::AtomicUsize>);
-        impl Drop for Bomb {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        {
-            let cell = OnceCell::new();
-            cell.get_or_try_init(|| Some(Bomb(Arc::clone(&drops))));
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 }

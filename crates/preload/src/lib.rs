@@ -99,7 +99,9 @@
 //!   every allocator lock (twelve per-class maintenance locks →
 //!   large-object table) is acquired in fixed order across the fork and
 //!   released in both parent and child, so the child's single
-//!   thread never inherits a lock frozen mid-critical-section. In-flight
+//!   thread never inherits a lock frozen mid-critical-section, nor a heap
+//!   half built by another thread (prepare builds the heap, or waits for
+//!   the thread building it, before it locks). In-flight
 //!   *lock-free* tickets in other threads can strand one slot of `1/M`
 //!   allowance each in the child — availability, not corruption.
 //! * **Alignment contract.** `malloc`/`calloc`/`realloc` return 16-byte

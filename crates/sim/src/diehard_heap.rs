@@ -94,7 +94,7 @@ impl DieHardSimHeap {
     /// Propagates arena faults (e.g. destination in a guard page).
     pub fn strcpy(&mut self, dest: Addr, src: &[u8]) -> Result<CopyOutcome, Fault> {
         let space =
-            safe_str::space_to_object_end(&self.core, dest).unwrap_or_else(|| src.len() + 1);
+            safe_str::space_in_object(self.core.geometry(), dest).unwrap_or_else(|| src.len() + 1);
         let mut buf = vec![0u8; space];
         self.arena.read(dest, &mut buf)?;
         let outcome = safe_str::bounded_strcpy(&mut buf, space, src);
@@ -203,7 +203,7 @@ impl SimAllocator for DieHardSimHeap {
             if !self.core.is_live_at(addr) {
                 return None;
             }
-            return safe_str::space_to_object_end(&self.core, addr);
+            return safe_str::space_in_object(self.core.geometry(), addr);
         }
         self.large.get(addr)
     }

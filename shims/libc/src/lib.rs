@@ -80,6 +80,10 @@ pub const POLLHUP: c_short = 0x010;
 /// `poll(2)` returned event: invalid descriptor.
 pub const POLLNVAL: c_short = 0x020;
 
+/// `waitpid(2)` option: return 0 at once instead of waiting for a child
+/// that has not changed state (Linux value).
+pub const WNOHANG: c_int = 1;
+
 /// `SIGKILL` — uncatchable termination (the voter's kill signal).
 pub const SIGKILL: c_int = 9;
 /// `SIGTRAP` — what a traced process stops with after `execve(2)` and after
