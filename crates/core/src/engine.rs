@@ -71,11 +71,12 @@ impl FreeOutcome {
 pub enum AllocOutcome {
     /// The object was placed at this slot.
     Placed(Slot),
-    /// Every growth step is exhausted: the class sits at its maximum
-    /// capacity *and* its final `1/M` cap. The caller should spill the
-    /// request elsewhere (the global allocator falls through to its
-    /// large-object `mmap` path) rather than crash — the paper returns
-    /// `NULL` here; elastic heaps return a routable signal instead.
+    /// Every growth step is taken (a fixed heap has none): the class sits
+    /// at its maximum capacity *and* its final `1/M` cap. Where the paper
+    /// returns `NULL` — as the simulator does, through
+    /// [`placed`](Self::placed) — the global allocator spills the request
+    /// to its large-object path, a dedicated guard-paged `mmap`, for every
+    /// `DieHard` however it was constructed.
     Spill,
     /// The request is not small-object shaped (zero or above 16 KB); no
     /// class exists for it and no stats are recorded.

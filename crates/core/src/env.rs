@@ -28,8 +28,8 @@
 //! One pure parser per knob decides all of that ([`parse_u64`] for the
 //! seed, [`parse_grow`], [`parse_region_mb`], [`parse_multiplier`]); they
 //! are always available and unit-tested without any process-global state.
-//! The `getenv`-backed readers call them, and exist only with the `global`
-//! feature on Unix, alongside the allocator that uses them.
+//! The `getenv`-backed readers call them, and exist on Unix only, alongside
+//! the allocator that uses them.
 //!
 //! | Variable            | Meaning                                  | Default | Accepted                  |
 //! |---------------------|------------------------------------------|---------|---------------------------|
@@ -39,9 +39,9 @@
 //! | `DIEHARD_GROW`      | elastic start fraction `1/2^n`           | unset¹  | any, clamped to `n` ≤ 63  |
 //!
 //! ¹ Unset means what the allocator's constructor says. A `DieHard::new`
-//! global allocator stays fixed-size (the paper's heap: regions born at
-//! their maximum, exhaustion is null). `libdiehard.so` is elastic either
-//! way and falls back to `global::DEFAULT_GROW_LOG2` = 9: with 32 MB
+//! global allocator is the fixed heap (`n` = 0: regions born at their
+//! maximum). `libdiehard.so` falls back to `global::DEFAULT_GROW_LOG2` = 9:
+//! with 32 MB
 //! regions every class starts at 64 KiB (8192 slots of 8 B … 4 slots of
 //! 16 KiB), grows by a quarter of its power-of-two band (64, 80, 96, 112,
 //! 128, 160 … KiB) whenever `1/M` of its active range is live, and is
@@ -49,8 +49,9 @@
 //! the most that has been. The variable names where the ladder *starts*,
 //! not how it climbs. `DIEHARD_GROW=4` is the
 //! 2 MB-per-class start the library shipped with before, `DIEHARD_GROW=0`
-//! a fixed heap that spills instead of returning null. Where the start
-//! matters for §3's bounds is spelled out in `global`'s module docs.
+//! the fixed heap. Whatever the start, a class denied at its maximum spills
+//! the request to a dedicated mapping instead of returning null. Where the
+//! start matters for §3's bounds is spelled out in `global`'s module docs.
 
 use crate::partition::MAX_CAPACITY;
 use crate::size_class::MIN_OBJECT_SIZE;
@@ -119,7 +120,7 @@ pub fn parse_multiplier(bytes: &[u8], region_mb: u64) -> Option<u64> {
     parse_u64(bytes).filter(|m| (1..=most).contains(m))
 }
 
-#[cfg(all(feature = "global", unix))]
+#[cfg(unix)]
 mod readers {
     use super::{
         parse_grow, parse_multiplier, parse_region_mb, parse_u64, DEFAULT_MULTIPLIER,
@@ -199,7 +200,7 @@ mod readers {
     }
 }
 
-#[cfg(all(feature = "global", unix))]
+#[cfg(unix)]
 pub use readers::{grow, multiplier, read_u64, region_mb, seed};
 
 #[cfg(test)]
@@ -293,7 +294,7 @@ mod tests {
         }
     }
 
-    #[cfg(all(feature = "global", unix))]
+    #[cfg(unix)]
     mod getenv_backed {
         use super::super::*;
 

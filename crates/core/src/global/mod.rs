@@ -41,14 +41,15 @@
 //!   maximum (e.g. `6` → 1/64) and grows under `1/M`-cap pressure, a quarter
 //!   of its power-of-two band at a time (64, 80, 96, 112, 128, 160 … KiB).
 //!   Offsets never move — the full virtual span is reserved up front and
-//!   only the probing range widens. A class denied at its *maximum*
-//!   capacity spills the request to a dedicated guard-paged mapping
-//!   instead of returning null. Unset keeps the constructor's choice:
-//!   for [`DieHard::new`] the fixed-size behavior (regions born at full
-//!   capacity, exhaustion is null), for [`DieHard::elastic_from_env`] —
-//!   `libdiehard.so` — its default fraction, [`DEFAULT_GROW_LOG2`]. `0` is
-//!   the paper's fixed heap in elastic clothing: born at the maximum, no
-//!   growth, spills past it.
+//!   only the probing range widens. Unset keeps the constructor's choice:
+//!   for [`DieHard::new`] `0`, the paper's fixed heap (regions born at
+//!   full capacity, no growth), for [`DieHard::elastic_from_env`] —
+//!   `libdiehard.so` — its default fraction, [`DEFAULT_GROW_LOG2`].
+//!   Whatever the start, a class denied at its *maximum* capacity spills
+//!   the request to a dedicated guard-paged mapping instead of returning
+//!   null: a `#[global_allocator]` that returns null aborts the process in
+//!   `handle_alloc_error`, so no `DieHard` has the paper's `NULL` (the
+//!   simulator, which calls [`Heap`] directly, keeps it).
 //!
 //!   What the start fraction buys and costs. Uniform placement touches
 //!   every page of a class's *active range* however few objects are live,
@@ -76,12 +77,12 @@
 //! ## Unsafe-surface audit (2026-08, stable toolchain, lock-free fast path)
 //!
 //! This module, [`sys`], and [`tls`] are the crate's `unsafe` *syscall and
-//! TLS* surface, which is why the subtree sits behind the off-by-default
-//! `global` cargo feature; the allocation-free synchronization primitives it
-//! builds on live ungated in [`crate::sync`], and the lock-free slot-state
-//! machine itself lives ungated in [`crate::bitmap`] /
-//! [`crate::partition`] / [`crate::sharded`]. Findings, kept current as
-//! the module changes:
+//! TLS* surface, built on every Unix target (there is no build without
+//! it: the interposer, the bench bins and the tests all reach it, so a
+//! gate would isolate nothing); the allocation-free synchronization
+//! primitives it builds on live in [`crate::sync`], and the lock-free
+//! slot-state machine itself in [`crate::bitmap`] / [`crate::partition`] /
+//! [`crate::sharded`]. Findings, kept current as the module changes:
 //!
 //! * **No `static mut` anywhere.** Allocator state is a `GlobalState`
 //!   whose address a `DieHard` publishes once: one `Acquire` load of that
@@ -151,7 +152,7 @@
 //!   lookup; nothing else is ever derived from a large pointer (an interior
 //!   one is not in the table and is refused — its guard pages bound it).
 //! * **Every `unsafe` block carries a `SAFETY:` comment** naming its
-//!   invariant; `cargo clippy --all-targets --features global` is
+//!   invariant; `cargo clippy --all-targets` is
 //!   warning-clean with no `#[allow]` escapes in this subtree.
 //! * **Lazily-initialized, never self-allocating.** Exactly one thread runs
 //!   initialization: the one whose CAS moves the `DieHard`'s state byte from
@@ -342,10 +343,6 @@ struct GlobalState {
     heap_base: *mut u8,
     /// System page size. Written once at init, then read-only.
     page: usize,
-    /// Whether the heap is elastic: classes grow on demand and a denial at
-    /// the maximum capacity spills to a dedicated mapping instead of
-    /// returning null. Written once at init, then read-only.
-    elastic: bool,
     /// The large-object validity table (§4.1/§4.3): user pointer → user
     /// length, behind one lock disjoint from every small-object shard. The
     /// mapping is always `[user − page, user + len + page)` (`alloc_large`).
@@ -407,13 +404,13 @@ pub struct DieHard {
     /// `DIEHARD_*` environment is then ignored.
     fixed: Option<(HeapConfig, u64)>,
     /// The elastic start fraction: fixed when `fixed` is, else the
-    /// fallback for an unset `DIEHARD_GROW`. `None` is the fixed-size heap.
-    grow: Option<u32>,
+    /// fallback for an unset `DIEHARD_GROW`. `0` is the fixed-size heap.
+    grow: u32,
 }
 
 impl DieHard {
     /// The one field list behind the four constructors.
-    const fn configured(fixed: Option<(HeapConfig, u64)>, grow: Option<u32>) -> Self {
+    const fn configured(fixed: Option<(HeapConfig, u64)>, grow: u32) -> Self {
         Self {
             state: AtomicPtr::new(ptr::null_mut()),
             init: AtomicU8::new(EMPTY),
@@ -422,10 +419,13 @@ impl DieHard {
         }
     }
 
-    /// Creates an uninitialized allocator; usable in `static` items.
+    /// Creates an uninitialized allocator; usable in `static` items. Its
+    /// heap is the paper's fixed one unless `DIEHARD_GROW` says otherwise,
+    /// and like every `DieHard`'s it spills a request its class denies at
+    /// the maximum capacity to a dedicated guard-paged mapping.
     #[must_use]
     pub const fn new() -> Self {
-        Self::configured(None, None)
+        Self::configured(None, 0)
     }
 
     /// As [`new`](Self::new) but with a fixed RNG seed — deterministic
@@ -437,17 +437,17 @@ impl DieHard {
     /// directly keeps parallel tests isolated, where mutating process-global
     /// environment variables from concurrently-running test threads races.
     /// (An invalid configuration surfaces as a failed initialization: every
-    /// allocation returns null.)
+    /// allocation returns null.) The heap is fixed-size: a class denied at
+    /// its `1/M` cap spills.
     #[must_use]
     pub const fn with_config(config: HeapConfig, seed: u64) -> Self {
-        Self::configured(Some((config, seed)), None)
+        Self::configured(Some((config, seed)), 0)
     }
 
     /// As [`with_config`](Self::with_config) but **elastic**: every class
     /// starts at `1/2^initial_fraction_log2` of its configured maximum
-    /// capacity, grows under `1/M`-cap pressure, and — once denied at the
-    /// maximum — spills the request to a dedicated guard-paged mapping
-    /// instead of returning null. The `DIEHARD_GROW` environment knob is
+    /// capacity and grows under `1/M`-cap pressure until it is denied at
+    /// the maximum, where it spills. The `DIEHARD_GROW` environment knob is
     /// this constructor's env-driven equivalent for allocators built with
     /// [`new`](Self::new).
     #[must_use]
@@ -456,28 +456,26 @@ impl DieHard {
         seed: u64,
         initial_fraction_log2: u32,
     ) -> Self {
-        Self::configured(Some((config, seed)), Some(initial_fraction_log2))
+        Self::configured(Some((config, seed)), initial_fraction_log2)
     }
 
     /// As [`new`](Self::new) — fully environment-configured — but
     /// **elastic by default**: when `DIEHARD_GROW` is unset, classes start
-    /// at `1/2^default_fraction_log2` of their maximum and a denial at full
-    /// size spills to a dedicated mapping instead of returning null. A set
+    /// at `1/2^default_fraction_log2` of their maximum. A set
     /// `DIEHARD_GROW` still wins. This is the constructor for the
-    /// `LD_PRELOAD` interposer (which passes [`DEFAULT_GROW_LOG2`]), where
-    /// `malloc` returning null for a class-cap reason (rather than true
-    /// OOM) would fail host programs the paper promises to keep running.
+    /// `LD_PRELOAD` interposer (which passes [`DEFAULT_GROW_LOG2`]).
     #[must_use]
     pub const fn elastic_from_env(default_fraction_log2: u32) -> Self {
-        Self::configured(None, Some(default_fraction_log2))
+        Self::configured(None, default_fraction_log2)
     }
 
     /// C-style allocation entry point: allocate `size` bytes aligned to 8
     /// bytes, matching the paper's smallest (8-byte) size class. Rust
     /// callers needing stricter alignment go through [`GlobalAlloc::alloc`]
     /// with an explicit `Layout`. Returns null when the size is zero or too
-    /// large to describe as a `Layout`, the size class is at its `1/M` cap,
-    /// or the system is out of memory.
+    /// large to describe as a `Layout`, the system is out of memory, or the
+    /// large-object table already holds its 4 096 live large objects and
+    /// spills.
     #[must_use]
     pub fn malloc(&self, size: usize) -> *mut u8 {
         if size == 0 {
@@ -792,10 +790,10 @@ impl DieHard {
     #[cold]
     #[inline(never)]
     fn build_state(&self) -> Option<&'static GlobalState> {
-        // Elastic mode: a config-fixed allocator takes its constructor's
-        // choice and ignores the environment (the same isolation contract
-        // as the other knobs); an env-configured one honors DIEHARD_GROW,
-        // falling back to the constructor's default fraction, if any.
+        // The start fraction: a config-fixed allocator takes its
+        // constructor's choice and ignores the environment (the same
+        // isolation contract as the other knobs); an env-configured one
+        // honors DIEHARD_GROW, falling back to the constructor's fraction.
         // The knobs' readers answer only values a heap can be built with
         // (`crate::env`), so a bad value falls back to its default rather
         // than failing initialization for good.
@@ -808,12 +806,12 @@ impl DieHard {
                         .with_region_bytes((region_mb as usize) << 20)
                         .with_multiplier(crate::env::multiplier(region_mb) as f64),
                     crate::env::seed().unwrap_or_else(entropy_seed),
-                    crate::env::grow().or(self.grow),
+                    crate::env::grow().unwrap_or(self.grow),
                 )
             }
         };
         // Fraction 0 is the fixed heap.
-        let geometry = HeapGeometry::new_elastic(config, grow.unwrap_or(0)).ok()?;
+        let geometry = HeapGeometry::new_elastic(config, grow).ok()?;
 
         let page = sys::page_size();
         let span = geometry.heap_span();
@@ -866,7 +864,6 @@ impl DieHard {
             heap,
             heap_base,
             page,
-            elastic: grow.is_some(),
             large: SpinLock::new(LargeTable::from_storage(keys, sizes)),
         }))
     }
@@ -895,14 +892,12 @@ impl DieHard {
                 // SAFETY: `off` lies within the reserved heap span.
                 unsafe { state.heap_base.add(off) }
             }
-            // An elastic class denied at its *maximum* capacity spills to a
-            // dedicated guard-paged mapping rather than failing: the pointer
-            // frees through the same large-object table an oversized request
+            // A class denied at its *maximum* capacity spills to a dedicated
+            // guard-paged mapping rather than failing: the pointer frees
+            // through the same large-object table an oversized request
             // would use.
-            AllocOutcome::Spill if state.elastic => {
-                Self::alloc_large(state, layout.size().max(1), layout.align())
-            }
-            AllocOutcome::Spill | AllocOutcome::Unsupported => ptr::null_mut(),
+            AllocOutcome::Spill => Self::alloc_large(state, layout.size().max(1), layout.align()),
+            AllocOutcome::Unsupported => ptr::null_mut(),
         }
     }
 
@@ -1170,17 +1165,40 @@ mod tests {
         assert!(heap.malloc(0).is_null());
     }
 
+    /// The `1/M` cap at the maximum capacity bounds what is placed, not
+    /// what is served: past it every request spills to a dedicated mapping,
+    /// whichever constructor built the `DieHard` — a fixed heap's included.
     #[test]
-    fn exhaustion_returns_null_not_crash() {
-        let heap = DieHard::with_config(HeapConfig::default(), 7);
+    fn exhaustion_spills_past_the_cap() {
+        let class = SizeClass::for_size(16 * 1024).unwrap();
         // The 16 KB class in a 1 MB region holds 64 slots, 32 live cap.
-        let mut got = 0;
-        for _ in 0..100 {
-            if !heap.malloc(16 * 1024).is_null() {
-                got += 1;
+        let small_cap = HeapConfig::default().threshold(class);
+        assert_eq!(small_cap, 32);
+        // The environment's heap (no `DIEHARD_*` is set under test) has
+        // the paper's 32 MB regions.
+        let paper_cap = HeapConfig::paper_default().threshold(class);
+        for (heap, cap) in [
+            (DieHard::with_config(HeapConfig::default(), 7), small_cap),
+            (
+                DieHard::with_elastic_config(HeapConfig::default(), 7, 6),
+                small_cap,
+            ),
+            (DieHard::new(), paper_cap),
+            (DieHard::elastic_from_env(DEFAULT_GROW_LOG2), paper_cap),
+        ] {
+            let ptrs: Vec<_> = (0..cap + 68).map(|_| heap.malloc(16 * 1024)).collect();
+            assert!(ptrs.iter().all(|p| !p.is_null()), "no request fails");
+            let stats = heap.stats();
+            assert_eq!(stats.allocs, cap as u64, "1/M cap bounds live objects");
+            assert_eq!(stats.exhausted, 68, "the rest spilled");
+            assert_eq!(heap.ready().unwrap().large.lock().len(), 68);
+            for p in ptrs {
+                heap.free(p);
             }
+            assert_eq!(heap.live_objects(), 0);
+            assert_eq!(heap.stats().frees, cap as u64);
+            assert!(heap.ready().unwrap().large.lock().is_empty());
         }
-        assert_eq!(got, 32, "1/M cap must bound live objects");
     }
 
     /// The elastic acceptance scenario end-to-end: a heap born at 1/64 of
@@ -2036,15 +2054,15 @@ mod tests {
         const THREADS: u64 = 8;
         const ROUNDS: usize = 120;
         let heap = DieHard::with_config(HeapConfig::default(), 0xC0FFEE);
-        let attempted = AtomicU64::new(0);
-        let served = AtomicU64::new(0);
+        let placed = AtomicU64::new(0);
+        let spilled = AtomicU64::new(0);
         let misaligned_frees = AtomicU64::new(0);
 
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let heap = &heap;
-                let attempted = &attempted;
-                let served = &served;
+                let placed = &placed;
+                let spilled = &spilled;
                 let misaligned_frees = &misaligned_frees;
                 scope.spawn(move || {
                     let mut rng = crate::rng::Mwc::seeded(0xBEEF ^ t);
@@ -2053,37 +2071,36 @@ mod tests {
                         // One allocation in every size class per round.
                         for shift in 0..12u32 {
                             let size = 8usize << shift;
-                            attempted.fetch_add(1, Ordering::Relaxed);
                             let p = heap.malloc(size);
-                            if p.is_null() {
-                                continue; // 1/M cap under 8-way pressure
-                            }
-                            served.fetch_add(1, Ordering::Relaxed);
+                            assert!(!p.is_null(), "a denial spills, never fails");
                             // SAFETY: live object of at least 8 bytes.
                             unsafe { p.write_bytes(t as u8, 8) };
+                            live.push(p);
+                            if heap.ready().unwrap().span_offset(p).is_none() {
+                                // 1/M cap under 8-way pressure: a dedicated
+                                // mapping, freed through the large table.
+                                spilled.fetch_add(1, Ordering::Relaxed);
+                                continue;
+                            }
+                            placed.fetch_add(1, Ordering::Relaxed);
                             // Erroneous free of an interior (misaligned)
                             // pointer: always ignored, counted exactly.
                             // SAFETY: p+1 stays within the live object.
                             heap.free(unsafe { p.add(1) });
                             misaligned_frees.fetch_add(1, Ordering::Relaxed);
-                            live.push(p);
                         }
                         // Erroneous frees outside the heap: ignored,
                         // uncounted (the large-object path owns them).
                         heap.free((0x10 + round) as *mut u8);
-                        // §4.4 strcpy into a fresh small object, clamped.
+                        // §4.4 strcpy into a fresh small object, clamped
+                        // (the 8 B class holds 65 536 live, never denied).
                         let dst = heap.malloc(8);
-                        if !dst.is_null() {
-                            attempted.fetch_add(1, Ordering::Relaxed);
-                            served.fetch_add(1, Ordering::Relaxed);
-                            let long = b"far longer than eight bytes\0";
-                            // SAFETY: dst is live; src is NUL-terminated.
-                            let copied = unsafe { heap.strcpy(dst, long.as_ptr()) };
-                            assert_eq!(copied, 7, "strcpy must clamp to the object");
-                            live.push(dst);
-                        } else {
-                            attempted.fetch_add(1, Ordering::Relaxed);
-                        }
+                        placed.fetch_add(1, Ordering::Relaxed);
+                        let long = b"far longer than eight bytes\0";
+                        // SAFETY: dst is live; src is NUL-terminated.
+                        let copied = unsafe { heap.strcpy(dst, long.as_ptr()) };
+                        assert_eq!(copied, 7, "strcpy must clamp to the object");
+                        live.push(dst);
                         // Keep the window bounded; frees of own pointers
                         // must always succeed.
                         while live.len() > 24 {
@@ -2107,7 +2124,11 @@ mod tests {
 
         let stats = heap.stats();
         assert_eq!(heap.live_objects(), 0, "every served object was freed");
-        assert_eq!(stats.allocs, served.load(Ordering::Relaxed) + 1);
+        assert!(
+            heap.ready().unwrap().large.lock().is_empty(),
+            "every spill was freed"
+        );
+        assert_eq!(stats.allocs, placed.load(Ordering::Relaxed) + 1);
         assert_eq!(stats.frees, stats.allocs, "each alloc freed exactly once");
         assert_eq!(
             stats.ignored_frees,
@@ -2116,8 +2137,8 @@ mod tests {
         );
         assert_eq!(
             stats.exhausted,
-            attempted.load(Ordering::Relaxed) - served.load(Ordering::Relaxed),
-            "every failed attempt was an at-threshold denial"
+            spilled.load(Ordering::Relaxed),
+            "every spill was an at-threshold denial"
         );
     }
 }

@@ -10,11 +10,16 @@
 //! The table is a fixed-capacity open-addressing hash map from address to
 //! size. It never allocates after construction, so the global allocator can
 //! host it in its segregated metadata arena.
+//!
+//! Collisions probe linearly, and a removal closes its gap by shifting the
+//! entries behind it back (Knuth's Algorithm R), so the table holds no
+//! tombstones: every slot is an entry or empty, every probe chain ends at
+//! an empty slot within `len` steps, and a long-lived process that creates
+//! and frees large objects for ever finds the table as it would be had it
+//! only ever inserted what is live.
 
-/// Slot states for open addressing. Addresses are never 0 or 1 in practice
-/// (0 = never used, 1 = tombstone).
+/// An empty slot. Address 0 is never a large object (it is null).
 const EMPTY: usize = 0;
-const TOMBSTONE: usize = 1;
 
 /// A fixed-capacity address → size table with open addressing.
 ///
@@ -132,84 +137,79 @@ impl LargeTable {
             & (self.capacity - 1)
     }
 
-    /// Records `addr → size`. Returns `false` (rejecting the insert) when
-    /// the table is full or the address is already present.
-    pub fn insert(&mut self, addr: usize, size: usize) -> bool {
-        debug_assert!(addr > TOMBSTONE, "addresses 0/1 are reserved sentinels");
-        if self.len * 2 >= self.capacity {
-            return false; // keep load factor <= 1/2
-        }
+    /// The slot holding `addr`, or `Err` with the empty slot that ends its
+    /// probe chain. Terminates: the load factor is at most 1/2, so an empty
+    /// slot always exists.
+    fn find(&self, addr: usize) -> Result<usize, usize> {
+        let keys = self.keys.slice();
         let mut i = self.hash(addr);
-        let mut first_tomb = None;
         loop {
-            let k = self.keys.slice()[i];
-            if k == addr {
-                return false;
+            match keys[i] {
+                k if k == addr => return Ok(i),
+                EMPTY => return Err(i),
+                _ => i = (i + 1) & (self.capacity - 1),
             }
-            if k == TOMBSTONE && first_tomb.is_none() {
-                first_tomb = Some(i);
-            }
-            if k == EMPTY {
-                let dst = first_tomb.unwrap_or(i);
-                self.keys.slice_mut()[dst] = addr;
-                self.sizes.slice_mut()[dst] = size;
-                self.len += 1;
-                return true;
-            }
-            i = (i + 1) & (self.capacity - 1);
         }
     }
 
-    /// Looks up the recorded size for `addr`. The sentinel addresses 0 and
-    /// 1 are never present (a null pointer is no large object).
+    /// Records `addr → size`. Returns `false` (rejecting the insert) when
+    /// the table is full or the address is already present.
+    pub fn insert(&mut self, addr: usize, size: usize) -> bool {
+        debug_assert_ne!(addr, EMPTY, "address 0 is the empty-slot sentinel");
+        if self.len * 2 >= self.capacity {
+            return false; // keep load factor <= 1/2
+        }
+        let Err(i) = self.find(addr) else {
+            return false;
+        };
+        self.keys.slice_mut()[i] = addr;
+        self.sizes.slice_mut()[i] = size;
+        self.len += 1;
+        true
+    }
+
+    /// Looks up the recorded size for `addr`. Address 0 is never present
+    /// (a null pointer is no large object).
     #[must_use]
     pub fn get(&self, addr: usize) -> Option<usize> {
-        if addr <= TOMBSTONE {
+        if addr == EMPTY {
             return None;
         }
-        let mut i = self.hash(addr);
-        loop {
-            let k = self.keys.slice()[i];
-            if k == addr {
-                return Some(self.sizes.slice()[i]);
-            }
-            if k == EMPTY {
-                return None;
-            }
-            i = (i + 1) & (self.capacity - 1);
-        }
+        let i = self.find(addr).ok()?;
+        Some(self.sizes.slice()[i])
     }
 
     /// Removes `addr`, returning its size; `None` when the address was never
     /// returned by the large-object allocator (the caller then ignores the
     /// free, per §4.3).
     pub fn remove(&mut self, addr: usize) -> Option<usize> {
-        if addr <= TOMBSTONE {
+        if addr == EMPTY {
             return None;
         }
-        let mut i = self.hash(addr);
+        let mut hole = self.find(addr).ok()?;
+        let size = self.sizes.slice()[hole];
+        // Close the gap: walk the chain behind the hole to its empty slot,
+        // moving back each entry whose home slot does not lie cyclically in
+        // `(hole, j]` — the entries a lookup would otherwise stop short of.
+        let mask = self.capacity - 1;
+        let mut j = hole;
         loop {
-            let k = self.keys.slice()[i];
-            if k == addr {
-                self.keys.slice_mut()[i] = TOMBSTONE;
-                self.len -= 1;
-                return Some(self.sizes.slice()[i]);
-            }
+            j = (j + 1) & mask;
+            let k = self.keys.slice()[j];
             if k == EMPTY {
-                return None;
+                break;
             }
-            i = (i + 1) & (self.capacity - 1);
+            let home = self.hash(k);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                let moved = self.sizes.slice()[j];
+                self.keys.slice_mut()[hole] = k;
+                self.sizes.slice_mut()[hole] = moved;
+                hole = j;
+            }
         }
-    }
-
-    /// Iterates over `(address, size)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.keys
-            .slice()
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k > TOMBSTONE)
-            .map(|(i, &k)| (k, self.sizes.slice()[i]))
+        self.keys.slice_mut()[hole] = EMPTY;
+        self.len -= 1;
+        Some(size)
     }
 }
 
@@ -218,6 +218,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
+    use std::sync::mpsc::RecvTimeoutError;
 
     #[test]
     fn insert_get_remove() {
@@ -247,8 +248,8 @@ mod tests {
         assert_eq!(t.remove(0xDEAD), None);
     }
 
-    /// A free of address 1 must not match a tombstone (and return the size
-    /// that slot once held), nor a lookup of null an empty slot.
+    /// A lookup or free of null must not match an empty slot (and return
+    /// the size that slot once held).
     #[test]
     fn sentinel_addresses_are_never_found() {
         let mut t = LargeTable::new(2);
@@ -256,15 +257,13 @@ mod tests {
             assert!(t.insert(i * 0x1000, i));
             assert_eq!(t.remove(i * 0x1000), Some(i));
         }
-        for sentinel in [EMPTY, TOMBSTONE] {
-            assert_eq!(t.get(sentinel), None);
-            assert_eq!(t.remove(sentinel), None);
-        }
+        assert_eq!(t.get(EMPTY), None);
+        assert_eq!(t.remove(EMPTY), None);
         assert!(t.is_empty());
     }
 
     #[test]
-    fn tombstone_reuse_keeps_lookups_working() {
+    fn removal_keeps_lookups_working() {
         let mut t = LargeTable::new(4);
         // Force collisions by inserting many, removing, reinserting.
         for i in 1..=4usize {
@@ -276,6 +275,43 @@ mod tests {
         assert_eq!(t.get(0x3000), Some(3));
         assert_eq!(t.get(0x4000), Some(4));
         assert_eq!(t.get(0x5000), Some(5));
+        assert_eq!(t.get(0x2000), None);
+    }
+
+    /// A long-lived process's large objects: a ring of 16 live at distinct
+    /// page-aligned addresses, each freed and replaced by a new one, on the
+    /// global allocator's table (4 096 live, 8 192 slots). A table that
+    /// leaves a marker per removal runs out of empty slots within 72 000
+    /// pairs, and from then on an insert, or a lookup of an address it
+    /// does not hold, probes for ever under the table's lock. The churn
+    /// runs on a thread of its own, so a livelock fails the test at the
+    /// deadline instead of hanging it (the spinning thread is left behind).
+    #[test]
+    fn churn_never_exhausts_the_empty_slots() {
+        const PAIRS: usize = 250_000;
+        const LIVE: usize = 16;
+        let (done, finished) = std::sync::mpsc::channel();
+        let churn = std::thread::spawn(move || {
+            let mut t = LargeTable::new(4096);
+            let addr = |n: usize| 0x7f00_0000_0000 + n * 0x1000;
+            for n in 0..LIVE {
+                assert!(t.insert(addr(n), n));
+            }
+            for n in LIVE..LIVE + PAIRS {
+                assert_eq!(t.remove(addr(n - LIVE)), Some(n - LIVE));
+                assert!(t.insert(addr(n), n));
+            }
+            let fresh = addr(LIVE + PAIRS);
+            let answers = (t.insert(fresh, 1), t.get(addr(0)), t.len());
+            let _ = done.send(answers);
+        });
+        let answers = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(
+            !matches!(answers, Err(RecvTimeoutError::Timeout)),
+            "a probe chain ran past the 60 s deadline"
+        );
+        churn.join().expect("the churn's own assertions hold");
+        assert_eq!(answers, Ok((true, None, LIVE + 1)));
     }
 
     #[test]
@@ -289,16 +325,6 @@ mod tests {
         }
         assert!(inserted >= 4);
         assert!(inserted < 16, "load factor cap must kick in");
-    }
-
-    #[test]
-    fn iter_lists_live_entries() {
-        let mut t = LargeTable::new(16);
-        t.insert(0x1000, 1);
-        t.insert(0x2000, 2);
-        t.remove(0x1000);
-        let entries: Vec<(usize, usize)> = t.iter().collect();
-        assert_eq!(entries, vec![(0x2000, 2)]);
     }
 
     #[test]
@@ -351,32 +377,38 @@ mod tests {
     }
 
     proptest! {
-        /// The table matches a HashMap model under arbitrary operations.
+        /// The table matches a HashMap model under arbitrary operations:
+        /// on a roomy table, and on a 16-slot one whose chains collide,
+        /// wrap around its end and are shifted back by every removal.
         #[test]
         fn model_equivalence(
-            ops in proptest::collection::vec((2usize..2_000, 1usize..3, 1usize..100_000), 1..200),
+            ops in proptest::collection::vec((1usize..2_000, 1usize..3, 1usize..100_000), 1..200),
         ) {
-            let mut t = LargeTable::new(4096);
-            let mut model: HashMap<usize, usize> = HashMap::new();
-            for (addr_base, op, size) in ops {
-                let addr = addr_base * 8; // realistic aligned addresses, > 1
-                match op {
-                    1 => {
-                        let ok = t.insert(addr, size);
-                        let model_ok = !model.contains_key(&addr);
-                        prop_assert_eq!(ok, model_ok);
-                        if ok {
-                            model.insert(addr, size);
+            for (capacity, addresses) in [(4096, 2_000), (8, 24)] {
+                let mut t = LargeTable::new(capacity);
+                let mut model: HashMap<usize, usize> = HashMap::new();
+                for &(addr_base, op, size) in &ops {
+                    // Realistic aligned addresses, never null.
+                    let addr = (addr_base % addresses + 1) * 8;
+                    match op {
+                        1 => {
+                            let ok = t.insert(addr, size);
+                            let model_ok =
+                                !model.contains_key(&addr) && model.len() * 2 < t.capacity;
+                            prop_assert_eq!(ok, model_ok);
+                            if ok {
+                                model.insert(addr, size);
+                            }
+                        }
+                        _ => {
+                            prop_assert_eq!(t.remove(addr), model.remove(&addr));
                         }
                     }
-                    _ => {
-                        prop_assert_eq!(t.remove(addr), model.remove(&addr));
+                    prop_assert_eq!(t.len(), model.len());
+                    for a in (1..=addresses).map(|a| a * 8).take(64) {
+                        prop_assert_eq!(t.get(a), model.get(&a).copied());
                     }
                 }
-                prop_assert_eq!(t.len(), model.len());
-            }
-            for (&addr, &size) in &model {
-                prop_assert_eq!(t.get(addr), Some(size));
             }
         }
     }

@@ -37,8 +37,8 @@
 //!   elastic on request (§9).
 //! * [`magazine`] — the names the frozen benchmark package reaches the
 //!   heap through: an alias and a pass-through.
-//! * [`global`] *(feature `global`, Unix)* — a real `#[global_allocator]`
-//!   built on `mmap`, with guard-paged large objects, sharded per class.
+//! * [`global`] *(Unix)* — a real `#[global_allocator]` built on `mmap`,
+//!   with guard-paged large objects, sharded per class.
 //!
 //! ## Quick start
 //!
@@ -74,7 +74,7 @@ pub mod sharded;
 pub mod size_class;
 pub mod sync;
 
-#[cfg(all(feature = "global", unix))]
+#[cfg(unix)]
 pub mod global;
 
 pub use config::{FillPolicy, HeapConfig, HeapGeometry};

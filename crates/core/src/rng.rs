@@ -365,7 +365,7 @@ pub fn entropy_seed() -> u64 {
     fallback_seed()
 }
 
-#[cfg(all(unix, feature = "global"))]
+#[cfg(unix)]
 fn urandom_seed() -> Option<u64> {
     // Raw libc calls: no heap allocation, safe to run inside malloc.
     let path = b"/dev/urandom\0";
@@ -387,13 +387,9 @@ fn urandom_seed() -> Option<u64> {
     }
 }
 
-#[cfg(not(all(unix, feature = "global")))]
+#[cfg(not(unix))]
 fn urandom_seed() -> Option<u64> {
-    use std::io::Read;
-    let mut f = std::fs::File::open("/dev/urandom").ok()?;
-    let mut buf = [0u8; 8];
-    f.read_exact(&mut buf).ok()?;
-    Some(u64::from_ne_bytes(buf))
+    None
 }
 
 fn fallback_seed() -> u64 {

@@ -32,8 +32,8 @@
 //! runs both in one process).
 //!
 //! `sole_thread()` is one byte load of glibc's `__libc_single_threaded`
-//! where the `global` feature links the allocator into a glibc process, and
-//! a constant `false` everywhere else, which compiles the plain arm away.
+//! on glibc, and a constant `false` everywhere else, which compiles the
+//! plain arm away.
 //! Three facts about that byte make the plain arm sound:
 //!
 //! 1. **Who flips it, and when.** It goes `1 → 0` at the top of the
@@ -75,15 +75,15 @@ use core::sync::atomic::{AtomicU64, Ordering};
 /// `true` while this process has only ever had one thread, as far as the C
 /// library knows: the condition under which a [`Word`] update may be a load
 /// and a store instead of a locked instruction (module docs). A constant
-/// `false` without the `global` feature and off glibc.
+/// `false` off glibc.
 #[must_use]
 #[inline(always)]
 pub fn sole_thread() -> bool {
-    #[cfg(all(feature = "global", unix, target_env = "gnu"))]
+    #[cfg(all(unix, target_env = "gnu"))]
     {
         crate::global::sys::single_threaded()
     }
-    #[cfg(not(all(feature = "global", unix, target_env = "gnu")))]
+    #[cfg(not(all(unix, target_env = "gnu")))]
     {
         false
     }

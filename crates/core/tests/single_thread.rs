@@ -409,7 +409,7 @@ fn main() {
         sole_thread(),
         two_arms,
         "a `harness = false` test starts with one thread, and on glibc the \
-         `global` feature must see that"
+         allocator must see that"
     );
     let alone = two_arms.then(drive_all);
 

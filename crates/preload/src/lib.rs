@@ -23,8 +23,9 @@
 //! ([`DEFAULT_GROW_LOG2`]: 64 KiB of a 32 MB region, so a class is resident
 //! in proportion to what is live in it) and grow under pressure, and a
 //! denial at full size spills to a dedicated guard-paged mapping — `malloc`
-//! returns null only on genuine OOM, never because a host program outgrew
-//! a fixed region. `DIEHARD_SEED`, `DIEHARD_GROW`,
+//! returns null on genuine OOM or once the large-object table holds 4 096
+//! live large objects and spills, never because a host program outgrew a
+//! fixed region. `DIEHARD_SEED`, `DIEHARD_GROW`,
 //! `DIEHARD_REGION_MB`, and `DIEHARD_M` are honored via
 //! [`diehard_core::env`]'s audited parsers, which treat a value the heap
 //! cannot be built with (`DIEHARD_REGION_MB=48`) as unset rather than
