@@ -15,13 +15,13 @@
 //! Run: `cargo run --release -p diehard-bench --bin ablation`
 
 use diehard_bench::{pct, TextTable};
-use diehard_core::analysis::expected_probes_at_cap;
 use diehard_core::config::HeapConfig;
 use diehard_core::engine::DEFAULT_INITIAL_FRACTION_LOG2;
 use diehard_core::size_class::SizeClass;
 use diehard_core::Heap;
 use diehard_inject::{inject, Injection};
 use diehard_runtime::{System, Verdict};
+use diehard_sim::analysis::expected_probes_at_cap;
 use diehard_workloads::profile_by_name;
 
 const RUNS: u64 = 12;

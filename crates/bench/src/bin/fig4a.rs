@@ -6,10 +6,10 @@
 //! Run: `cargo run --release -p diehard-bench --bin fig4a`
 
 use diehard_bench::{pct, smoke_scaled, TextTable};
-use diehard_core::analysis::p_overflow_mask;
 use diehard_core::partition::Partition;
 use diehard_core::rng::{splitmix, Mwc};
 use diehard_core::size_class::SizeClass;
+use diehard_sim::analysis::p_overflow_mask;
 
 /// Slots per simulated region (the probability depends only on fullness,
 /// not capacity, for single-slot draws; 4096 keeps trials fast).

@@ -10,10 +10,10 @@
 //! Run: `cargo run --release -p diehard-bench --bin fig4b`
 
 use diehard_bench::{pct, TextTable};
-use diehard_core::analysis::{p_dangling_mask, p_dangling_mask_default_config};
 use diehard_core::partition::Partition;
 use diehard_core::rng::{splitmix, Mwc};
 use diehard_core::size_class::SizeClass;
+use diehard_sim::analysis::{p_dangling_mask, p_dangling_mask_default_config};
 
 /// Scaled region: 1 MB per class (paper: 32 MB), half available.
 const SCALED_REGION: usize = 1 << 20;

@@ -9,10 +9,10 @@
 //! Run: `cargo run --release -p diehard-bench --bin probes`
 
 use diehard_bench::TextTable;
-use diehard_core::analysis::{expected_min_separation, expected_probes_at_cap};
 use diehard_core::partition::Partition;
 use diehard_core::rng::{splitmix, Mwc};
 use diehard_core::size_class::SizeClass;
+use diehard_sim::analysis::{expected_min_separation, expected_probes_at_cap};
 
 const CAPACITY: usize = 1 << 14;
 const STEADY_OPS: usize = 200_000;

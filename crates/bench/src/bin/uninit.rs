@@ -7,11 +7,11 @@
 //! Run: `cargo run --release -p diehard-bench --bin uninit`
 
 use diehard_bench::{pct, TextTable};
-use diehard_core::analysis::p_uninit_detect;
 use diehard_core::config::HeapConfig;
 use diehard_core::rng::Mwc;
 use diehard_runtime::ops::{Op, Program};
 use diehard_runtime::{ReplicaSet, ReplicatedOutcome};
+use diehard_sim::analysis::p_uninit_detect;
 
 const BIT_TRIALS: usize = 50_000;
 const E2E_TRIALS: usize = 400;

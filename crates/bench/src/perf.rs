@@ -164,15 +164,9 @@ fn alloc_churn_mixed(smoke: bool) -> KernelResult {
     })
 }
 
-/// Resolves `malloc`/`free` out of a freshly `dlopen`ed `libdiehard.so`
-/// (found next to the running binary's profile directory). `RTLD_LOCAL`
-/// keeps the library's strong allocation symbols *out* of the global
-/// scope: this process keeps its own allocator, and the kernel drives the
-/// interposer's exports purely through the returned function pointers.
-fn preload_library() -> (
-    extern "C" fn(usize) -> *mut libc::c_void,
-    extern "C" fn(*mut libc::c_void),
-) {
+/// The built `libdiehard.so`, found next to the running binary's profile
+/// directory, if there is one.
+fn preload_path() -> Option<std::path::PathBuf> {
     let exe = std::env::current_exe().expect("current_exe");
     let dir = exe.parent().expect("exe dir");
     // Bins run from target/<profile>/, test bins from target/<profile>/deps/.
@@ -189,10 +183,22 @@ fn preload_library() -> (
         candidates.push(up.join("release"));
         candidates.push(up.join("debug"));
     }
-    let so = candidates
+    candidates
         .into_iter()
         .map(|d| d.join("libdiehard.so"))
         .find(|p| p.exists())
+}
+
+/// Resolves `malloc`/`free` out of a freshly `dlopen`ed `libdiehard.so`
+/// ([`preload_path`]). `RTLD_LOCAL` keeps the library's strong allocation
+/// symbols *out* of the global scope: this process keeps its own allocator,
+/// and the kernel drives the interposer's exports purely through the
+/// returned function pointers.
+fn preload_library() -> (
+    extern "C" fn(usize) -> *mut libc::c_void,
+    extern "C" fn(*mut libc::c_void),
+) {
+    let so = preload_path()
         .expect("libdiehard.so not built — run `cargo build --release -p diehard-preload` first");
     let mut path = so.into_os_string().into_string().expect("utf-8 path");
     path.push('\0');
@@ -222,12 +228,12 @@ fn preload_library() -> (
 /// [`preload_library`]). Its delta against `alloc_churn_mixed` is the
 /// interposition overhead and the run-time arm: the `dlsym`'d call into
 /// each export and the export's call into its funnel (`alloc_impl`,
-/// `free_impl`), the re-entrancy flag, the arena range check, the `Layout`
-/// round-trip, the `Acquire` load of `DieHard`'s state, and — in the `_mt` row
-/// only — the one `__tls_get_addr` for the flag and the locked
+/// `free_impl`), the re-entrancy flag (alone only: the threaded arm has
+/// none), the arena range check, the `Layout` round-trip, the `Acquire`
+/// load of `DieHard`'s state, and — in the `_mt` row only — the locked
 /// instructions. (`libdiehard.so` reads the same `__libc_single_threaded`
-/// as this process, so the arm is this process's; alone, the library makes
-/// no TLS lookup at all.)
+/// as this process, so the arm is this process's; the library makes no
+/// TLS lookup in either.)
 ///
 /// This ring never writes its objects, unlike a host and unlike the ring
 /// `crates/preload/tests/instructions.rs` counts. Random placement spreads
@@ -1006,6 +1012,71 @@ fn launcher_stream(name: &'static str, replicas: usize, smoke: bool) -> KernelRe
     })
 }
 
+/// One `exec` + `wait` of the host's `true`, under glibc (`exec_true`) and
+/// under `LD_PRELOAD=libdiehard.so` (`exec_true_preload`): what the library
+/// adds to a process that never calls `malloc` — loading, relocating and
+/// faulting in the library, and its constructor — which every replica of
+/// every voted connection pays (§5). The two arms are sampled alternately,
+/// in one run that fills both rows, so a phase of the machine moves both;
+/// whichever row is asked for first runs it. A machine without `true` or
+/// without a built library prints a skip line and reports zeros.
+fn exec_true(name: &'static str, smoke: bool) -> KernelResult {
+    use std::process::{Command, Stdio};
+    use std::sync::OnceLock;
+
+    static ROWS: OnceLock<Option<[Vec<f64>; 2]>> = OnceLock::new();
+    let rows = ROWS.get_or_init(|| {
+        let Some(so) = preload_path() else {
+            println!("exec_true: skipped (libdiehard.so not built)");
+            return None;
+        };
+        let (warmup, pairs) = if smoke { (2, 20) } else { (20, 1_000) };
+        let exec = |preload: bool| {
+            let mut command = Command::new("true");
+            command
+                .env_remove("LD_PRELOAD")
+                .stdin(Stdio::null())
+                .stdout(Stdio::null());
+            if preload {
+                command.env("LD_PRELOAD", &so);
+            }
+            let start = Instant::now();
+            let status = command.status().ok()?;
+            let took = start.elapsed().as_nanos() as f64;
+            assert!(status.success(), "`true` failed (preloaded: {preload})");
+            Some(took)
+        };
+        let mut rows = [Vec::with_capacity(pairs), Vec::with_capacity(pairs)];
+        for i in 0..warmup + pairs {
+            // Alternate which arm goes first, so neither always runs in the
+            // other's wake.
+            for preload in [i % 2 == 1, i % 2 == 0] {
+                let Some(took) = exec(preload) else {
+                    println!("exec_true: skipped (no `true` on this machine)");
+                    return None;
+                };
+                if i >= warmup {
+                    rows[usize::from(preload)].push(took);
+                }
+            }
+        }
+        Some(rows)
+    });
+    match rows {
+        Some(rows) => {
+            let row = &rows[usize::from(name == "exec_true_preload")];
+            summarize(name, row, row.len() as u64)
+        }
+        None => KernelResult {
+            name,
+            mean_ns: 0.0,
+            min_ns: 0.0,
+            max_ns: 0.0,
+            iters: 0,
+        },
+    }
+}
+
 /// How a registered kernel runs: handed its registered name (results are
 /// labelled with it) and `--smoke`, in the arm the registry picked for it.
 pub type Runner = fn(&'static str, bool) -> KernelResult;
@@ -1079,6 +1150,8 @@ pub const KERNELS: &[(&str, Runner)] = &[
     ("launcher_stream_n5", |name, smoke| {
         launcher_stream(name, 5, smoke)
     }),
+    ("exec_true", exec_true),
+    ("exec_true_preload", exec_true),
 ];
 
 /// Whether `name` is a registered kernel.

@@ -13,6 +13,7 @@
 //! ([`SlotStateMap::from_storage`]).
 
 use crate::sync::{Rmw, Word};
+use alloc::boxed::Box;
 use core::sync::atomic::Ordering;
 
 /// Backing words of a [`SlotStateMap`].

@@ -98,8 +98,7 @@ impl HeapConfig {
     /// `1/M` threshold.
     #[must_use]
     pub fn min_region_bytes(multiplier: f64) -> usize {
-        let needed = (multiplier.max(1.0) * MAX_OBJECT_SIZE as f64).ceil() as usize;
-        needed.next_power_of_two()
+        ceil_to_usize(multiplier.max(1.0) * MAX_OBJECT_SIZE as f64).next_power_of_two()
     }
 
     /// Number of object slots in the region for `class`.
@@ -276,9 +275,7 @@ impl HeapGeometry {
         let mut initial_threshold = [0usize; NUM_CLASSES];
         // Smallest useful start: one live slot under 1/M, rounded up to a
         // power of two so the ladder lands on the power-of-two maximum.
-        let min_start = (config.multiplier.ceil() as usize)
-            .max(2)
-            .next_power_of_two();
+        let min_start = ceil_to_usize(config.multiplier).max(2).next_power_of_two();
         for c in SizeClass::all() {
             let cap = config.capacity(c);
             debug_assert!(cap.is_power_of_two(), "pow2 region / pow2 class");
@@ -409,7 +406,19 @@ impl core::fmt::Display for ConfigError {
     }
 }
 
-impl std::error::Error for ConfigError {}
+impl core::error::Error for ConfigError {}
+
+/// `x.ceil() as usize` in integer arithmetic (`f64::ceil` is not in
+/// `core`): the truncating cast, plus one when it cut a fraction off.
+/// Saturates where the cast does.
+fn ceil_to_usize(x: f64) -> usize {
+    let whole = x as usize;
+    if (whole as f64) < x {
+        whole.saturating_add(1)
+    } else {
+        whole
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -577,6 +586,31 @@ mod tests {
             let scaled_cap = (capacity as u128) << (-e) as u32;
             proptest::prop_assert!((t as u128) * mant <= scaled_cap);
             proptest::prop_assert!((t as u128 + 1) * mant > scaled_cap);
+        }
+
+        /// The integer ceiling is `f64::ceil` then the cast, for multipliers
+        /// and the sizes scaled by them, whole or not.
+        #[test]
+        fn ceil_to_usize_is_the_float_ceiling(x in 0.0f64..1e19) {
+            proptest::prop_assert_eq!(ceil_to_usize(x), x.ceil() as usize);
+            proptest::prop_assert_eq!(ceil_to_usize(x.floor()), x.floor() as usize);
+        }
+    }
+
+    #[test]
+    fn ceil_to_usize_saturates_like_the_cast() {
+        for x in [
+            -1.5,
+            -0.0,
+            0.0,
+            0.25,
+            1.0,
+            2.5,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(ceil_to_usize(x), x.ceil() as usize, "{x}");
         }
     }
 

@@ -76,8 +76,8 @@
 //!
 //! ## Unsafe-surface audit (2026-08, stable toolchain, lock-free fast path)
 //!
-//! This module, [`sys`], and [`tls`] are the crate's `unsafe` *syscall and
-//! TLS* surface, built on every Unix target (there is no build without
+//! This module, [`sys`], and [`tls`] are the crate's `unsafe` *syscall*
+//! surface, built on every Unix target (there is no build without
 //! it: the interposer, the bench bins and the tests all reach it, so a
 //! gate would isolate nothing); the allocation-free synchronization
 //! primitives it builds on live in [`crate::sync`], and the lock-free
@@ -122,8 +122,8 @@
 //!   ticket, counters, the `SpinLock` flag — is a relaxed load and a relaxed
 //!   store instead of a locked instruction; [`crate::sync`]'s module docs
 //!   carry the argument. The byte is read once per call, at the entry
-//!   ([`sole_thread`], or [`tls::guarded`] behind the interposer's
-//!   re-entrancy flag), and that answer is carried down to every update the
+//!   ([`sole_thread`], or [`tls::guarded`] in front of the interposer's
+//!   re-entrancy check), and that answer is carried down to every update the
 //!   call makes. Linearizability is untouched: with one thread
 //!   every operation is trivially atomic, and none straddles the flip,
 //!   because the only thread that can clear the byte is the one executing
@@ -135,8 +135,8 @@
 //!   here either. The one-thread version of that race is a signal handler
 //!   re-entering the allocator between a load and its store:
 //!   `libdiehard.so` diverts re-entrant calls to its bootstrap arena before
-//!   they reach this heap, and `GlobalAlloc` was never async-signal-safe in
-//!   either arm (the heap's load/store pairs are not re-entrant).
+//!   they reach this heap (*No thread-local*, below), and `GlobalAlloc`
+//!   was never async-signal-safe in the plain arm.
 //! * **Raw-pointer state.** `GlobalState` owns raw `mmap` regions and is
 //!   never moved or sent, only shared; its `unsafe impl Sync` is sound
 //!   because `heap_base`/`page` are written once before the state's address
@@ -155,12 +155,14 @@
 //!   invariant; `cargo clippy --all-targets` is
 //!   warning-clean with no `#[allow]` escapes in this subtree.
 //! * **Lazily-initialized, never self-allocating.** Exactly one thread runs
-//!   initialization: the one whose CAS moves the `DieHard`'s state byte from
-//!   empty to busy. The others yield until it reads ready or failed, never
-//!   parking — parking may allocate and re-enter the allocator being
-//!   initialized. Metadata (the slot-state maps and the large-object
-//!   validity table) lives in a dedicated mapping, so initialization cannot
-//!   recurse. A failed initialization (OOM, invalid config) is terminal:
+//!   initialization: the one whose CAS moves the `DieHard`'s state word from
+//!   empty to its own identity ([`tls::current_thread`]). The others yield
+//!   (`sched_yield`) until it reads ready or failed, never parking — parking
+//!   may allocate and re-enter the allocator being initialized — and a call
+//!   nested inside the builder's own, which finds its own identity there,
+//!   is turned away at once instead of waiting for itself. Metadata (the
+//!   slot-state maps and the large-object validity table) lives in a
+//!   dedicated mapping, so initialization cannot recurse. A failed initialization (OOM, invalid config) is terminal:
 //!   later calls return null instead of retrying `mmap` storms. A `fork`
 //!   never hands its child a heap half built by a thread the child does not
 //!   have: `fork_prepare` builds the heap, or waits out the thread that is
@@ -174,19 +176,27 @@
 //!   Zeroed is a memory-safety fact in one place only, the large table,
 //!   whose recorded addresses `release_large` unmaps; the argument sits at
 //!   the carving.
-//! * **One thread-local, and it never allocates.** The only per-thread
-//!   state is `libdiehard.so`'s re-entrancy flag ([`with_guard`],
-//!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]): a
-//!   `const`-initialized ELF TLS `Cell` (no lazy-init state, no `std`
-//!   destructor registration — which would `calloc` inside glibc and
-//!   re-enter the allocator), looked up once per guarded call in a threaded
-//!   process (one `__tls_get_addr` in a shared object); the one `unsafe` of
-//!   that lookup is a deref of the flag's address on its own thread
-//!   ([`tls`]). Nothing else is per thread, so a thread leaves nothing
-//!   behind when it exits, and nothing outlives a heap but the heap: a
-//!   `GlobalState` lives in its heap's metadata mapping, which is never
-//!   unmapped, and a `DieHard` holds only that address, so moving one,
-//!   initialized or not, is sound.
+//! * **No thread-local; a nested call is known by what its thread holds.**
+//!   A call into the allocator made inside another on the same thread (a
+//!   signal handler's `malloc`) is told apart without per-thread state
+//!   ([`tls`] has the argument; [`with_guard`],
+//!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]). While the
+//!   process has one thread, a process-wide flag, set around each guarded
+//!   call, diverts every nested one before it reaches the heap, whose
+//!   updates are then plain loads and stores. Threaded, every update is an
+//!   atomic read-modify-write, which a nested call can interleave with as
+//!   another thread can, so the call goes on — until it would wait on what
+//!   its own thread holds: a class's maintenance lock (it spills instead),
+//!   the large-object table's lock (an allocation is diverted, a free
+//!   dropped, a size lookup knows nothing), or the heap's build (diverted).
+//!   Each of those records its holder's `pthread_self()`, which is the one
+//!   `unsafe` of [`tls`]. Nothing is per thread, so the threaded arm looks
+//!   nothing up (no `__tls_get_addr`: a `no_std` library has no
+//!   thread-local machinery at all), a thread leaves nothing behind when it
+//!   exits, and nothing outlives a heap but the heap: a `GlobalState` lives
+//!   in its heap's metadata mapping, which is never unmapped, and a
+//!   `DieHard` holds only that address, so moving one, initialized or not,
+//!   is sound.
 //! * **Every call takes one path to the heap.** Alone or threaded, an
 //!   allocation is the heap's `Heap::try_alloc_in` and a free its
 //!   `Heap::free_at_in`: §4.2's `DieHardMalloc` and `DieHardFree`, one
@@ -202,9 +212,9 @@
 //!   from an entry point to the slot claim or free is inlined into the
 //!   entry (`libdiehard.so`'s `alloc_impl` and `free_impl`), and everything
 //!   else — initialization, a growth step, large objects — is a `#[cold]`
-//!   call out of it. On a ready heap and a single-threaded host that path
-//!   calls nothing — not `__tls_get_addr` either — until a class grows, and
-//!   executes no locked instruction at all.
+//!   call out of it. On a ready heap that path calls nothing until a class
+//!   grows, and on a single-threaded host it executes no locked instruction
+//!   at all.
 //! * **Per-op traffic never spins.** The heap's `try_alloc`/`free_at`
 //!   complete without acquiring any lock short of a growth step: a thread
 //!   preempted mid-operation cannot wedge another thread's allocation,
@@ -268,7 +278,9 @@
 //!   arguments an oversized request would use.
 
 pub(crate) mod sys;
-mod tls;
+pub(crate) mod tls;
+
+pub use sys::page_size;
 
 use crate::sync::sole_thread;
 pub use crate::sync::{SpinGuard, SpinLock};
@@ -281,9 +293,10 @@ use crate::safe_str;
 use crate::sharded::Heap;
 use crate::sync::Word;
 use core::alloc::{GlobalAlloc, Layout};
+use core::cell::Cell;
 use core::mem::MaybeUninit;
 use core::ptr;
-use core::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
+use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 /// The elastic start `libdiehard.so` ships with (the fraction it passes to
 /// [`DieHard::elastic_from_env`], used when `DIEHARD_GROW` is unset): every
@@ -323,12 +336,20 @@ pub const DEFAULT_GROW_LOG2: u32 = 9;
 /// Capacity of the large-object validity table (live large objects).
 const LARGE_CAPACITY: usize = 4096;
 
-/// The states of a [`DieHard`]'s initialization: not begun, being built by
-/// one thread, built and published, failed for good.
-const EMPTY: u8 = 0;
-const BUSY: u8 = 1;
-const READY: u8 = 2;
-const FAILED: u8 = 3;
+/// The states of a [`DieHard`]'s initialization: not begun, built and
+/// published, failed for good. While one thread builds the heap the word
+/// holds that thread's [`tls::current_thread`], which is none of these.
+const EMPTY: u64 = 0;
+const READY: u64 = 2;
+const FAILED: u64 = 3;
+
+/// A call made inside one its own thread is running, which needs what the
+/// outer call holds: a class's maintenance lock (answered with a spill, in
+/// the heap), the large-object table's lock, or the heap being built. It
+/// cannot wait for itself, so it is answered at once, and the caller serves
+/// it some other way (`libdiehard.so`'s arena) or drops it.
+#[derive(Debug)]
+struct Nested;
 
 /// The state behind an initialized allocator: the lock-free header fields
 /// plus the two locked domains (small-object growth, large-object table).
@@ -368,10 +389,12 @@ impl GlobalState {
 
     /// The length of the live large object starting at `ptr` — one lookup,
     /// under the table lock. Out of line, so the lock's acquisition is one
-    /// copy for both readers (`usable_size`, `remaining_space`).
+    /// copy for both readers (`usable_size`, `remaining_space`). `None`
+    /// too for a call nested inside one of its own thread's that holds the
+    /// table: it cannot look, so it knows no large object.
     #[inline(never)]
     fn large_len(&self, ptr: *const u8) -> Option<usize> {
-        self.large.lock().get(ptr as usize)
+        self.large.lock_unless_mine()?.get(ptr as usize)
     }
 }
 
@@ -396,10 +419,10 @@ pub struct DieHard {
     /// The state's address once initialized, null until then: the ready
     /// path's one `Acquire` load.
     state: AtomicPtr<GlobalState>,
-    /// `EMPTY` → `BUSY` elects the one thread that builds and publishes
-    /// `state`, which then stores `READY`, or `FAILED` for good. Read only
-    /// off the ready path.
-    init: AtomicU8,
+    /// `EMPTY` → the builder's [`tls::current_thread`] elects the one
+    /// thread that builds and publishes `state`, which then stores `READY`,
+    /// or `FAILED` for good. Read only off the ready path.
+    init: AtomicU64,
     /// The configuration and seed fixed at construction, if any: the
     /// `DIEHARD_*` environment is then ignored.
     fixed: Option<(HeapConfig, u64)>,
@@ -413,7 +436,7 @@ impl DieHard {
     const fn configured(fixed: Option<(HeapConfig, u64)>, grow: u32) -> Self {
         Self {
             state: AtomicPtr::new(ptr::null_mut()),
-            init: AtomicU8::new(EMPTY),
+            init: AtomicU64::new(EMPTY),
             fixed,
             grow,
         }
@@ -498,45 +521,59 @@ impl DieHard {
         if ptr.is_null() {
             return;
         }
-        if sole_thread() {
-            self.free_in(true, ptr);
+        let _ = if sole_thread() {
+            self.free_in(true, ptr)
         } else {
-            self.free_in(false, ptr);
-        }
+            self.free_in(false, ptr)
+        };
     }
 
-    /// [`GlobalAlloc::alloc`] behind this thread's re-entrancy flag — the
-    /// entry `libdiehard.so`'s allocation exports funnel into. A call made
-    /// while the flag is already set ([`with_guard`], or an enclosing
-    /// guarded entry: glibc allocating from inside the allocator's own
-    /// machinery, a signal handler interrupting it) returns `nested()` and
-    /// never reaches the heap, whose updates are not re-entrant. One read of
-    /// the thread count decides where the flag is and which arm the heap's
-    /// updates take: while the process has one thread, a process-wide flag
-    /// and plain loads and stores; after that, a thread-local flag, looked
-    /// up once, and locked instructions ([`tls`] has why). Inlined whole
-    /// into the caller, so the `READY` path makes no call until a growth
-    /// step.
+    /// [`GlobalAlloc::alloc`] for the entry `libdiehard.so`'s allocation
+    /// exports funnel into, which tells a nested call — one made inside
+    /// another on the same thread: a signal handler interrupting it — from
+    /// an outermost one, and returns `nested()` for it. One read of the
+    /// thread count decides how ([`tls`] has why): while the process has
+    /// one thread, a process-wide flag, set for the call's duration
+    /// ([`with_guard`] sets it too), diverts every nested call before it
+    /// reaches the heap, whose updates are then plain loads and stores;
+    /// threaded, the heap's updates are locked instructions, and only a
+    /// nested call that needs what its own thread holds — a lock, the heap
+    /// being built — is diverted, where it finds its thread named as the
+    /// holder. Inlined whole into the caller, so the `READY` path makes no
+    /// call until a growth step.
     #[inline(always)]
     pub fn alloc_guarded(&self, layout: Layout, nested: impl FnOnce() -> *mut u8) -> *mut u8 {
         tls::guarded(
-            |reentered| (!reentered).then(|| self.alloc_in(true, layout)),
-            |reentered| (!reentered).then(|| self.alloc_in(false, layout)),
+            |reentered| {
+                if reentered {
+                    Err(Nested)
+                } else {
+                    self.alloc_in(true, layout)
+                }
+            },
+            || self.alloc_in(false, layout),
         )
-        .unwrap_or_else(nested)
+        .unwrap_or_else(|Nested| nested())
     }
 
-    /// [`free`](Self::free) behind the same flag as
-    /// [`alloc_guarded`](Self::alloc_guarded): a re-entrant call runs
-    /// `nested` instead of touching the heap. The same one read, inlined
-    /// whole; no call on a small object.
+    /// [`free`](Self::free), telling nested calls apart as
+    /// [`alloc_guarded`](Self::alloc_guarded) does: a nested call runs
+    /// `nested` instead of freeing — alone, every one; threaded, one that
+    /// needs the large-object table while its own thread holds it. The same
+    /// one read, inlined whole; no call on a small object.
     #[inline(always)]
     pub fn free_guarded(&self, ptr: *mut u8, nested: impl FnOnce()) {
         let freed = tls::guarded(
-            |reentered| (!reentered).then(|| self.free_in(true, ptr)),
-            |reentered| (!reentered).then(|| self.free_in(false, ptr)),
+            |reentered| {
+                if reentered {
+                    Err(Nested)
+                } else {
+                    self.free_in(true, ptr)
+                }
+            },
+            || self.free_in(false, ptr),
         );
-        if freed.is_none() {
+        if freed.is_err() {
             nested();
         }
     }
@@ -707,7 +744,7 @@ impl DieHard {
     /// Pair with [`fork_resume`](Self::fork_resume) in both the parent and
     /// the child (the `pthread_atfork` parent/child hooks).
     pub fn fork_prepare(&self) {
-        if let Some(state) = self.state() {
+        if let Ok(Some(state)) = self.state() {
             state.heap.lock_all_maintenance();
             state.large.raw_lock();
         }
@@ -750,19 +787,25 @@ impl DieHard {
     /// call. `None` means initialization failed (terminally). Once ready,
     /// [`ready`](Self::ready).
     #[inline(always)]
-    fn state(&self) -> Option<&'static GlobalState> {
-        self.ready().or_else(|| self.initialize())
+    fn state(&self) -> Result<Option<&'static GlobalState>, Nested> {
+        match self.ready() {
+            Some(state) => Ok(Some(state)),
+            None => self.initialize(),
+        }
     }
 
     /// The not-ready half of [`state`](Self::state): exactly one thread
-    /// builds the state and publishes its address; racers wait for it.
+    /// builds the state and publishes its address; racers wait for it, and
+    /// a call nested inside the builder's own (a signal handler's `malloc`
+    /// on the building thread) is [`Nested`].
     #[cold]
     #[inline(never)]
-    fn initialize(&self) -> Option<&'static GlobalState> {
+    fn initialize(&self) -> Result<Option<&'static GlobalState>, Nested> {
+        let me = tls::current_thread();
         loop {
             match self
                 .init
-                .compare_exchange(EMPTY, BUSY, Ordering::Acquire, Ordering::Acquire)
+                .compare_exchange(EMPTY, me, Ordering::Acquire, Ordering::Acquire)
             {
                 Ok(_) => {
                     let state = self.build_state();
@@ -772,13 +815,14 @@ impl DieHard {
                     }
                     let outcome = if state.is_some() { READY } else { FAILED };
                     self.init.store(outcome, Ordering::Release);
-                    return state;
+                    return Ok(state);
                 }
-                Err(READY) => return self.ready(),
-                Err(FAILED) => return None,
+                Err(READY) => return Ok(self.ready()),
+                Err(FAILED) => return Ok(None),
+                Err(builder) if builder == me => return Err(Nested),
                 // Another thread is building the state; the allocator cannot
                 // park (parking may allocate), so yield until it is done.
-                Err(_) => std::thread::yield_now(),
+                Err(_) => crate::sync::yield_now(),
             }
         }
     }
@@ -872,11 +916,11 @@ impl DieHard {
     /// thread count chose (`sole`): behind [`GlobalAlloc::alloc`] and
     /// [`alloc_guarded`](Self::alloc_guarded). Inlined into both arms of each
     /// of them, with every slow path — initialization, a growth step, a
-    /// large object — out of line.
+    /// large object — out of line. [`Nested`] only in the threaded arm.
     #[inline(always)]
-    fn alloc_in(&self, sole: bool, layout: Layout) -> *mut u8 {
-        let Some(state) = self.state() else {
-            return ptr::null_mut();
+    fn alloc_in(&self, sole: bool, layout: Layout) -> Result<*mut u8, Nested> {
+        let Some(state) = self.state()? else {
+            return Ok(ptr::null_mut());
         };
         // Slots are naturally aligned to their (power-of-two) class size, so
         // serving max(size, align) satisfies any alignment request.
@@ -890,57 +934,65 @@ impl DieHard {
             AllocOutcome::Placed(slot) => {
                 let off = state.heap.offset_of(slot);
                 // SAFETY: `off` lies within the reserved heap span.
-                unsafe { state.heap_base.add(off) }
+                Ok(unsafe { state.heap_base.add(off) })
             }
-            // A class denied at its *maximum* capacity spills to a dedicated
+            // A class denied at its *maximum* capacity — or whose growth
+            // step this thread is in the middle of — spills to a dedicated
             // guard-paged mapping rather than failing: the pointer frees
             // through the same large-object table an oversized request
             // would use.
             AllocOutcome::Spill => Self::alloc_large(state, layout.size().max(1), layout.align()),
-            AllocOutcome::Unsupported => ptr::null_mut(),
+            AllocOutcome::Unsupported => Ok(ptr::null_mut()),
         }
     }
 
     /// The one free body, in the arm this call chose: behind
     /// [`free`](Self::free), [`free_guarded`](Self::free_guarded) and
-    /// `dealloc`.
+    /// `dealloc`. [`Nested`] only in the threaded arm.
     #[inline(always)]
-    fn free_in(&self, sole: bool, ptr: *mut u8) {
+    fn free_in(&self, sole: bool, ptr: *mut u8) -> Result<(), Nested> {
         let Some(state) = self.ready() else {
-            return;
+            return Ok(());
         };
         let Some(off) = state.span_offset(ptr) else {
-            Self::release_large(state, ptr);
-            return;
+            return Self::release_large(state, ptr);
         };
         // Small object: full §4.3 validation — lock-free arithmetic, then
         // one `and` that frees the slot or, on a free one, changes nothing.
         let _ = state.heap.free_at_in(sole, off);
+        Ok(())
     }
 
     /// Frees a pointer outside the small-object span: possibly a large
-    /// object.
+    /// object. [`Nested`] when this thread holds the table already.
     #[cold]
     #[inline(never)]
-    fn release_large(state: &GlobalState, ptr: *mut u8) {
+    fn release_large(state: &GlobalState, ptr: *mut u8) -> Result<(), Nested> {
         // Consult the validity table; unknown addresses are ignored
         // ("otherwise, it ignores the request").
-        let Some(len) = state.large.lock().remove(ptr as usize) else {
-            return;
+        let Some(len) = state
+            .large
+            .lock_unless_mine()
+            .ok_or(Nested)?
+            .remove(ptr as usize)
+        else {
+            return Ok(());
         };
         // SAFETY: the entry was live, so `[ptr − page, ptr + len + page)` is
         // the mapping `alloc_large` made for this object and nothing has
         // released it since; the lock is already dropped, so the syscall
         // never runs under it.
         unsafe { sys::unmap(ptr.wrapping_sub(state.page), len + 2 * state.page) };
+        Ok(())
     }
 
     /// One object in a dedicated guard-paged mapping: past the largest
     /// class, or a spill. Always a fresh anonymous mapping, so its bytes
-    /// read zero — `libdiehard.so`'s `calloc` relies on that.
+    /// read zero — `libdiehard.so`'s `calloc` relies on that. [`Nested`]
+    /// when this thread holds the table already.
     #[cold]
     #[inline(never)]
-    fn alloc_large(state: &GlobalState, size: usize, align: usize) -> *mut u8 {
+    fn alloc_large(state: &GlobalState, size: usize, align: usize) -> Result<*mut u8, Nested> {
         let page = state.page;
         let len = (size + page - 1) & !(page - 1);
         // A page-aligned reservation reaches an `align` boundary within
@@ -949,7 +1001,7 @@ impl DieHard {
         let total = len + 2 * page + slack;
         let raw = sys::map_reserve(total);
         if raw.is_null() {
-            return ptr::null_mut();
+            return Ok(ptr::null_mut());
         }
         let user = (raw as usize + page).next_multiple_of(align);
         let (start, end) = (user - page, user + len + page);
@@ -972,13 +1024,21 @@ impl DieHard {
         // Huge-page advice on the user range only (the guards must stay
         // 4 KB mappings); self-gated below 2 MB, best-effort above.
         sys::advise_hugepages(user as *mut u8, len);
-        if !state.large.lock().insert(user, len) {
-            // Table full: refuse rather than lose track of the mapping.
+        // A table its own thread holds already — this call is nested in one
+        // that does — is held for the whole call, so it is asked here, after
+        // the syscalls, which run under no lock.
+        let recorded = state
+            .large
+            .lock_unless_mine()
+            .map(|mut table| table.insert(user, len));
+        if recorded != Some(true) {
+            // Table full, or not this call's to record in: refuse rather
+            // than lose track of the mapping.
             // SAFETY: the mapping is unreferenced; release it whole.
             unsafe { sys::unmap(start as *mut u8, end - start) };
-            return ptr::null_mut();
+            return recorded.map(|_| ptr::null_mut()).ok_or(Nested);
         }
-        user as *mut u8
+        Ok(user as *mut u8)
     }
 }
 
@@ -996,15 +1056,17 @@ fn promote_region(heap_base: usize, offset: usize, len: usize) {
     }
 }
 
-/// Runs `f` with this thread's re-entrancy flag set, telling it whether it
-/// was already set — the flag [`DieHard::alloc_guarded`] and
-/// [`DieHard::free_guarded`] check and set. One flag per thread — or, while
-/// the process has one thread, one flag for the process, read the same way.
+/// Runs `f` as an allocator call would run: while the process has one
+/// thread, with the re-entrancy flag [`DieHard::alloc_guarded`] and
+/// [`DieHard::free_guarded`] check and set, telling `f` whether it was
+/// already set, so every guarded call inside `f` is diverted. A threaded
+/// process has no flag (a nested call is told apart by the locks its thread
+/// holds, [`tls`]): there `f` runs as it is, told `false`.
 pub fn with_guard<R>(f: impl FnOnce(bool) -> R) -> R {
     // One of the two arms runs, once.
-    let f = core::cell::Cell::new(Some(f));
+    let f = Cell::new(Some(f));
     let run = |reentered| f.take().expect("one arm runs")(reentered);
-    tls::guarded(run, run)
+    tls::guarded(run, || run(false))
 }
 
 impl Default for DieHard {
@@ -1021,20 +1083,17 @@ unsafe impl GlobalAlloc for DieHard {
     // Each arm is its own inlined copy, with its answer known.
     #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if sole_thread() {
+        let placed = if sole_thread() {
             self.alloc_in(true, layout)
         } else {
             self.alloc_in(false, layout)
-        }
+        };
+        placed.unwrap_or(ptr::null_mut())
     }
 
     #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, _layout: Layout) {
-        if sole_thread() {
-            self.free_in(true, ptr);
-        } else {
-            self.free_in(false, ptr);
-        }
+        self.free(ptr);
     }
 }
 
@@ -1485,6 +1544,106 @@ mod tests {
         assert!(!q.is_null(), "heap fully functional after the roundtrip");
         heap.free(q);
         assert_eq!(heap.live_objects(), 0);
+    }
+
+    /// Runs `call` on a thread of its own and waits for its answer: `None`
+    /// when there is none within the deadline, as there never is from a
+    /// call that waits for a lock its own thread holds. (Such a thread is
+    /// left spinning on a heap no other test shares.)
+    fn within_deadline<R: Send + 'static>(call: impl FnOnce() -> R + Send + 'static) -> Option<R> {
+        let (answer, answered) = std::sync::mpsc::channel();
+        std::thread::spawn(move || answer.send(call()));
+        answered
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .ok()
+    }
+
+    /// A call nested inside its own thread's growth step of a class — a
+    /// signal handler's `malloc` interrupting the step — finds the class's
+    /// maintenance lock held by its thread: it is denied the class and
+    /// spills to a mapping of its own, where it used to wait for itself for
+    /// ever. The test harness is threaded, so this is the locked arm, which
+    /// has no re-entrancy flag to divert the call sooner.
+    #[test]
+    fn a_nested_allocation_under_its_threads_class_lock_spills() {
+        const SIZE: usize = 16 * 1024;
+        let answer = within_deadline(|| {
+            // The 16 KiB class starts at 2 slots, so one live object meets
+            // its `1/M` cap and the next allocation needs a growth step.
+            let heap = DieHard::with_elastic_config(HeapConfig::default(), 0x4E57, 6);
+            let first = heap.malloc(SIZE);
+            let state = heap.ready().expect("the first malloc built the heap");
+            let growths = state.heap.growth_events();
+            state.heap.lock_all_maintenance();
+            let layout = Layout::from_size_align(SIZE, 16).unwrap();
+            let nested = heap.alloc_guarded(layout, || panic!("a spill needs no arena"));
+            // SAFETY: taken just above, by this thread.
+            unsafe { state.heap.unlock_all_maintenance() };
+            let spilled = !nested.is_null() && state.span_offset(nested).is_none();
+            let answer = (
+                spilled,
+                heap.usable_size(nested) >= SIZE,
+                state.heap.growth_events() - growths,
+            );
+            heap.free(nested);
+            heap.free(first);
+            answer
+        });
+        assert_eq!(
+            answer,
+            Some((true, true, 0)),
+            "(spilled, usable, growth steps taken)"
+        );
+    }
+
+    /// A call nested inside one that holds its heap's large-object table —
+    /// a signal handler's `malloc` or `free` interrupting a large
+    /// allocation — is told so at once, in the locked arm too: a large
+    /// request is diverted (`libdiehard.so` serves it from its arena), a
+    /// large free is dropped, and a size lookup knows no large object. The
+    /// object is untouched once the table is released.
+    #[test]
+    fn nested_calls_under_their_threads_large_table_lock_are_diverted() {
+        const SIZE: usize = 100_000;
+        let answer = within_deadline(|| {
+            let heap = small_test_heap();
+            let big = heap.malloc(SIZE);
+            let state = heap.ready().expect("the malloc built the heap");
+            let table = state.large.lock();
+            let arena = 0x5EA1_0000 as *mut u8;
+            let layout = Layout::from_size_align(SIZE, 16).unwrap();
+            let diverted = heap.alloc_guarded(layout, || arena) == arena;
+            let mut dropped = false;
+            heap.free_guarded(big, || dropped = true);
+            let looked_up = heap.usable_size(big);
+            drop(table);
+            let kept = heap.usable_size(big) >= SIZE;
+            heap.free(big);
+            (diverted, dropped, looked_up, kept, heap.usable_size(big))
+        });
+        assert_eq!(
+            answer,
+            Some((true, true, 0, true, 0)),
+            "(diverted, dropped, nested size, kept, size after the free)"
+        );
+    }
+
+    /// A call nested inside its own thread's build of the heap is diverted
+    /// too, where it used to wait for the build it interrupted.
+    #[test]
+    fn a_nested_allocation_during_its_threads_build_is_diverted() {
+        let answer = within_deadline(|| {
+            let heap = small_test_heap();
+            // This thread is building the heap, as `initialize` records it.
+            heap.init.store(tls::current_thread(), Ordering::Release);
+            let layout = Layout::from_size_align(64, 16).unwrap();
+            let diverted = heap.alloc_guarded(layout, || 0x5EA1_0000 as *mut u8) as usize;
+            heap.init.store(EMPTY, Ordering::Release);
+            let p = heap.malloc(64);
+            heap.free(p);
+            (diverted, !p.is_null())
+        });
+        assert_eq!(answer, Some((0x5EA1_0000, true)), "(diverted, built after)");
     }
 
     /// Threads racing a fresh heap's first allocation build one heap: every

@@ -1,87 +1,75 @@
-//! The re-entrancy flag of `libdiehard.so`'s entry points, and the one read
-//! of the thread count that decides where it lives.
+//! How `libdiehard.so`'s entry points tell a nested call from an outermost
+//! one, and the one read of the thread count that decides how.
 //!
-//! An interposed `malloc` or `free` must know whether it was called from
-//! inside another one (glibc's own bookkeeping, a signal handler), because
-//! the heap's updates are not re-entrant: such a call is diverted before it
-//! reaches the heap. The flag that says so is per thread, and it must be
-//! reachable from inside `malloc` itself, which rules out almost every
-//! convenient option:
+//! An interposed `malloc` or `free` can be called from inside another one
+//! on the same thread — a signal handler interrupting it — and the heap's
+//! updates are not all re-entrant. Which ones are not depends on the arm
+//! the call's one read of the thread count picked ([`guarded`]):
 //!
-//! * **`std` lazy TLS (`thread_local!` with a `Drop` type)** registers its
-//!   destructor through `__cxa_thread_atexit_impl`, which **allocates**
-//!   (glibc `calloc`s the dtor list) — re-entering the allocator that is
-//!   mid-initialization. Rejected.
-//! * **`#[thread_local]`** would be exactly right but is unstable.
-//! * **`pthread_getspecific`** costs a call per allocation. Rejected for the
-//!   hot path.
+//! * **Alone** (glibc's `__libc_single_threaded` reads 1), every word update
+//!   of the call is a plain load and a store (`crate::sync`), and a nested
+//!   call landing between the two would lose one of them. So the call sets
+//!   a process-wide flag, [`ENTERED_ALONE`] — while the process has one
+//!   thread the process *is* that thread — and a call that finds it set is
+//!   nested: it is diverted before it reaches the heap. No thread-local is
+//!   looked up: a shared object's TLS costs a `__tls_get_addr` call per
+//!   lookup, and only one thread can be in the allocator.
+//! * **Threaded**, every update is already an atomic read-modify-write, so
+//!   a nested call on the same thread is no different from another thread
+//!   running between two instructions, which the lock-free protocol is
+//!   built for. It can only hang where it waits for something its own
+//!   thread holds: a class's maintenance lock, the large-object table's
+//!   lock, or the heap being built. Those record their holder
+//!   ([`current_thread`]), and a call that finds its own thread there is
+//!   answered at once — `DieHard` serves it another way or ignores it. So
+//!   there is no flag and no per-thread state: the threaded arm carries
+//!   nothing per call but the call itself.
 //!
-//! What stable Rust *does* lower to plain ELF TLS is `thread_local!` with a
-//! `const` initializer and a type that `!needs_drop` — no lazy-init state,
-//! no destructor registration, no allocation, ever. So the flag is exactly
-//! that: one `const`-initialized `Cell<bool>`. Nothing else is per thread:
-//! every call reaches the heap the same way, and a thread that exits leaves
-//! nothing behind to settle.
-//!
-//! # Why a process with one thread uses no TLS
-//!
-//! A shared object's TLS costs a `__tls_get_addr` call per lookup — 24
-//! instructions a `malloc`/`free` pair in `ld.so` and its PLT stub, plus the
-//! call sites (`crates/preload/tests/instructions.rs` counts them) — and a
-//! single-threaded host gets nothing for it: only one thread can be in the
-//! allocator. So every guarded call reads the thread count once, first
-//! ([`guarded`]): while glibc's `__libc_single_threaded` says the process
-//! has one thread, the flag is a process-wide static, and the same read
-//! makes every word update of the call a plain load and store
-//! (`crate::sync`). Such a call leaves nothing behind but the heap itself,
-//! so when the process gains a thread nothing is handed over: from the next
-//! call on, each thread uses its own flag. Every host in the repository's
-//! benchmark has one thread.
+//! Such a call leaves nothing behind but the heap, so when the process
+//! gains a thread nothing is handed over, and a thread that exits leaves
+//! nothing to settle. Every host in the repository's benchmark has one
+//! thread.
 
 use crate::sync::sole_thread;
-use core::cell::Cell;
-use core::ptr;
 use core::sync::atomic::{AtomicBool, Ordering};
 
-thread_local! {
-    /// "This thread is inside the allocator": set by [`guarded`] around the
-    /// interposer's entries, so a `malloc` issued from inside one is told it
-    /// re-entered. `const`-initialized and `!needs_drop` (module docs).
-    static ENTERED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// The re-entrancy flag of a process with one thread: [`ENTERED`], kept
-/// process-wide because while the process has one thread the process *is*
-/// that thread. Relaxed loads and stores, plain `mov`s.
+/// The re-entrancy flag of a process with one thread: set by [`guarded`]
+/// around the interposer's entries while the process is alone, so a
+/// `malloc` issued from inside one is told it re-entered. Relaxed loads and
+/// stores, plain `mov`s.
 static ENTERED_ALONE: AtomicBool = AtomicBool::new(false);
 
-/// Runs this call's arm with its re-entrancy flag set, telling it whether
-/// the flag was already set (i.e. this call re-entered the allocator): the
-/// one read of the thread count picks `alone` — the flag is
-/// [`ENTERED_ALONE`], no thread-local is looked up, and the heap's updates
-/// are plain loads and stores — or `threaded` — this thread's [`ENTERED`],
-/// looked up once, and locked instructions. Two closures, each called once,
-/// so each is inlined with its answer known.
+/// Runs this call's arm: the one read of the thread count picks `alone` —
+/// told whether the flag was already set (this call re-entered the
+/// allocator), with the flag set for its duration, and the heap's updates
+/// plain loads and stores — or `threaded`, with no flag and locked
+/// instructions. Two closures, each called once, so each is inlined with
+/// its answer known.
 #[inline(always)]
-pub(super) fn guarded<R>(alone: impl FnOnce(bool) -> R, threaded: impl FnOnce(bool) -> R) -> R {
+pub(super) fn guarded<R>(alone: impl FnOnce(bool) -> R, threaded: impl FnOnce() -> R) -> R {
     if sole_thread() {
-        let reentered = ENTERED_ALONE.load(Ordering::Relaxed);
+        if ENTERED_ALONE.load(Ordering::Relaxed) {
+            // Set by the call this one is nested in, which clears it.
+            return alone(true);
+        }
         ENTERED_ALONE.store(true, Ordering::Relaxed);
-        let r = alone(reentered);
-        ENTERED_ALONE.store(reentered, Ordering::Relaxed);
+        let r = alone(false);
+        ENTERED_ALONE.store(false, Ordering::Relaxed);
         r
     } else {
-        // The closure handed to `LocalKey::with` only returns the address,
-        // so that call inlines whatever `threaded` is.
-        let flag = ENTERED.with(ptr::from_ref);
-        // SAFETY: `ENTERED` is const-initialized and `!needs_drop`, i.e.
-        // plain ELF TLS: it sits at this address, initialized, for as long
-        // as this thread runs, and the borrow ends on this thread before
-        // `guarded` returns (`Cell` is not `Sync`).
-        let flag = unsafe { &*flag };
-        let reentered = flag.replace(true);
-        let r = threaded(reentered);
-        flag.set(reentered);
-        r
+        threaded()
     }
+}
+
+/// The calling thread's identity, as the allocator's locks and its
+/// initialization record their holder: `pthread_self()`, the address of the
+/// thread's control block — never 0 (a free lock) and never below a page,
+/// so never one of `DieHard`'s initialization states either. A fork child
+/// answers what its forking thread did.
+#[must_use]
+#[inline]
+pub(crate) fn current_thread() -> u64 {
+    // SAFETY: pthread_self has no preconditions, cannot fail and does not
+    // allocate.
+    unsafe { libc::pthread_self() as u64 }
 }

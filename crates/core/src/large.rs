@@ -18,6 +18,9 @@
 //! and frees large objects for ever finds the table as it would be had it
 //! only ever inserted what is live.
 
+use alloc::vec;
+use alloc::vec::Vec;
+
 /// An empty slot. Address 0 is never a large object (it is null).
 const EMPTY: usize = 0;
 

@@ -27,7 +27,6 @@
 //! * [`large`] — the large-object validity table (§4.1–4.3).
 //! * [`safe_str`] — heap-bounded `strcpy`/`strncpy` (§4.4).
 //! * [`env`] — audited parsing for the `DIEHARD_*` environment knobs.
-//! * [`analysis`] — Theorems 1–3 and the expectation formulas (§3.1, §6).
 //! * [`sync`] — the allocation-free [`sync::SpinLock`] and [`sync::Word`],
 //!   every update of which is a locked instruction, or a load and a store
 //!   while the process has one thread.
@@ -39,6 +38,17 @@
 //!   heap through: an alias and a pass-through.
 //! * [`global`] *(Unix)* — a real `#[global_allocator]` built on `mmap`,
 //!   with guard-paged large objects, sharded per class.
+//!
+//! ## `core` and `alloc` only
+//!
+//! The crate is `no_std` (its unit tests link `std`): [`global`] is the
+//! heap `libdiehard.so` ships, and that library links no `std`, so none of
+//! the allocator may lean on its runtime. What `std` gave it comes from the
+//! C library instead — a yield while another thread builds the heap or
+//! holds a lock (`sched_yield`), a lock holder's identity (`pthread_self`),
+//! the wall clock of the seed fallback (`clock_gettime`). The owned-storage
+//! constructors the simulator uses allocate through `alloc`; the paper's
+//! floating-point analysis lives in `diehard-sim`.
 //!
 //! ## Quick start
 //!
@@ -57,10 +67,12 @@
 //! # Ok::<(), diehard_core::config::ConfigError>(())
 //! ```
 
+#![cfg_attr(not(test), no_std)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analysis;
+extern crate alloc;
+
 pub mod bitmap;
 pub mod config;
 pub mod engine;

@@ -19,6 +19,7 @@ use crate::config::HeapConfig;
 use crate::rng::AtomicMwc;
 use crate::size_class::SizeClass;
 use crate::sync::{sole_thread, Rmw, Word};
+use alloc::vec::Vec;
 use core::sync::atomic::{AtomicU64, Ordering};
 
 /// [`AtomicPartition`] under the name the frozen `benchmark/` package

@@ -376,10 +376,13 @@ fn urandom_seed() -> Option<u64> {
         return None;
     }
     let mut buf = [0u8; 8];
-    // SAFETY: `buf` is valid for 8 writable bytes and `fd` is open.
-    let n = unsafe { libc::read(fd, buf.as_mut_ptr().cast::<libc::c_void>(), 8) };
-    // SAFETY: `fd` was returned by `open` above.
-    unsafe { libc::close(fd) };
+    // SAFETY: `buf` is valid for 8 writable bytes, and `fd` was returned by
+    // `open` above and is closed once, after the read.
+    let n = unsafe {
+        let n = libc::read(fd, buf.as_mut_ptr().cast::<libc::c_void>(), 8);
+        libc::close(fd);
+        n
+    };
     if n == 8 {
         Some(u64::from_ne_bytes(buf))
     } else {
@@ -393,14 +396,31 @@ fn urandom_seed() -> Option<u64> {
 }
 
 fn fallback_seed() -> u64 {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let t = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0x5EED);
     let stack_probe = 0u8;
     let addr = core::ptr::addr_of!(stack_probe) as u64;
-    splitmix(t ^ addr.rotate_left(17))
+    splitmix(clock_nanos() ^ addr.rotate_left(17))
+}
+
+/// Nanoseconds since the epoch, wrapped to 64 bits, from the C library's
+/// wall clock (no allocation); a constant where it cannot be read.
+#[cfg(unix)]
+fn clock_nanos() -> u64 {
+    let mut now = libc::timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `now` is a valid, writable `timespec`.
+    if unsafe { libc::clock_gettime(libc::CLOCK_REALTIME, &raw mut now) } != 0 {
+        return 0x5EED;
+    }
+    (now.tv_sec as u64)
+        .wrapping_mul(1_000_000_000)
+        .wrapping_add(now.tv_nsec as u64)
+}
+
+#[cfg(not(unix))]
+fn clock_nanos() -> u64 {
+    0x5EED
 }
 
 #[cfg(test)]

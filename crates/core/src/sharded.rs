@@ -395,10 +395,11 @@ impl Heap {
     }
 
     /// Attempts one growth step for `class`, under its maintenance lock;
-    /// `false` means the class is already at its maximum capacity (time to
-    /// spill), `true` means the caller should retry its allocation — either
-    /// this call widened the active capacity or a racing free already made
-    /// room, in which case no step is spent. Takes the one ladder step
+    /// `false` means the class is already at its maximum capacity, or its
+    /// lock is held by this very thread (time to spill), `true` means the
+    /// caller should retry its allocation — either this call widened the
+    /// active capacity or a racing free already made room, in which case no
+    /// step is spent. Takes the one ladder step
     /// ([`AtomicPartition::grow_step`]). A step that completes huge pages
     /// hands them to the [`PromoteHook`] — the one place a class is promoted
     /// — after the step, so the range the hook collapses is the range now in
@@ -414,7 +415,12 @@ impl Heap {
         if partition.capacity() >= self.geometry.capacity(class) {
             return false;
         }
-        let _guard = self.maintenance[class.index()].lock_in(sole);
+        // A call nested inside this thread's own growth step of the class (a
+        // signal handler's `malloc`) cannot wait for it: the class is denied
+        // to it, and the caller spills.
+        let Some(_guard) = self.maintenance[class.index()].lock_unless_mine_in(sole) else {
+            return false;
+        };
         let before = partition.capacity();
         if before < partition.max_capacity() && !partition.at_threshold() {
             // A concurrent free (or a finished grower) made room between

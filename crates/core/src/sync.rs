@@ -8,7 +8,15 @@
 //! initializer the same way, on a state byte of its own). Second, the heap
 //! takes one [`SpinLock`] per size class, around a growth step: a few stores
 //! and, rarely, two advisory syscalls — a regime where a spinlock with
-//! exponential backoff is all that is needed.
+//! exponential backoff (then `sched_yield`, straight from the C library: the
+//! crate links no `std`) is all that is needed.
+//!
+//! A lock's word names its holder (`pthread_self()`), so a call nested
+//! inside the holder's critical section on the same thread — a signal
+//! handler's `malloc` interrupting a growth step — is answered at once by
+//! `SpinLock::lock_unless_mine` instead of spinning on a lock only it
+//! could release. That is what lets the threaded arm of the global
+//! allocator keep no per-thread re-entrancy flag (`global/tls.rs`).
 //!
 //! # One word type, two ways to update it
 //!
@@ -66,7 +74,9 @@
 //! extern read. What the plain arm cannot tolerate is what glibc's own fast
 //! path cannot: a thread of control glibc does not know about (raw
 //! `clone(CLONE_VM)`), or a signal handler re-entering the allocator between
-//! the load and the store — both in the audit in `global/mod.rs`.
+//! the load and the store — both in the audit in `global/mod.rs`; the
+//! interposer diverts the second with a process-wide flag, which only this
+//! arm needs.
 
 use core::cell::UnsafeCell;
 use core::ops::{Deref, DerefMut};
@@ -214,17 +224,51 @@ impl Word {
     }
 }
 
-/// A spin-based mutual-exclusion lock.
+/// Gives up the CPU for a moment (`sched_yield`): how a thread waits out
+/// another that holds what it needs, without parking, which may allocate.
+#[cfg(unix)]
+pub(crate) fn yield_now() {
+    // SAFETY: sched_yield has no preconditions and does not allocate.
+    unsafe { libc::sched_yield() };
+}
+
+#[cfg(not(unix))]
+pub(crate) fn yield_now() {
+    core::hint::spin_loop();
+}
+
+/// The calling thread as a [`SpinLock`] records its holder: never 0, which
+/// is a free lock. Off Unix every thread answers 1 and no holder is told
+/// apart, so `SpinLock::lock_unless_mine` only ever waits there.
+#[inline]
+fn holder() -> u64 {
+    #[cfg(unix)]
+    {
+        crate::global::tls::current_thread()
+    }
+    #[cfg(not(unix))]
+    {
+        1
+    }
+}
+
+/// A spin-based mutual-exclusion lock that knows its holder.
+///
+/// A call nested inside its holder's critical section on the same thread —
+/// a signal handler's `malloc` interrupting a growth step — would wait for
+/// itself for ever; the allocator's own acquisitions are answered `None`
+/// instead, and it serves the call another way.
 #[derive(Debug)]
 pub struct SpinLock<T> {
-    /// 0 = free, 1 = held. A [`Word`], so an uncontended acquire on a
-    /// single-threaded host is a load and a store like every other update.
+    /// 0 = free, else the holder's [`holder`] identity. A [`Word`], so an
+    /// uncontended acquire on a single-threaded host is a load and a store
+    /// like every other update.
     locked: Word,
     value: UnsafeCell<T>,
 }
 
-// SAFETY: the lock provides exclusive access to `T` across threads.
-unsafe impl<T: Send> Send for SpinLock<T> {}
+// SAFETY: the lock provides exclusive access to `T` across threads (`Send`
+// follows from the fields).
 unsafe impl<T: Send> Sync for SpinLock<T> {}
 
 impl<T> SpinLock<T> {
@@ -237,23 +281,36 @@ impl<T> SpinLock<T> {
     }
 
     /// Acquires the lock, spinning with exponential backoff until free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calling thread already holds it, which no wait ends.
     pub fn lock(&self) -> SpinGuard<'_, T> {
-        self.lock_in(sole_thread())
+        self.lock_unless_mine()
+            .expect("a SpinLock is not re-entrant: this thread holds it")
     }
 
-    /// [`lock`](Self::lock), in the arm the caller's one read of
-    /// [`sole_thread`] picked.
+    /// Acquires the lock, spinning with exponential backoff while another
+    /// thread holds it, or answers `None` at once when the calling thread
+    /// does: the call is nested inside the holder's own critical section.
+    pub(crate) fn lock_unless_mine(&self) -> Option<SpinGuard<'_, T>> {
+        self.lock_unless_mine_in(sole_thread())
+    }
+
+    /// [`lock_unless_mine`](Self::lock_unless_mine), in the arm the
+    /// caller's one read of [`sole_thread`] picked.
     /// One attempt inline; the spinning is [`acquire_contended`]'s, out of
     /// line, so a lock site carries one copy of the attempt in each arm.
     #[inline]
-    pub(crate) fn lock_in(&self, sole: bool) -> SpinGuard<'_, T> {
+    pub(crate) fn lock_unless_mine_in(&self, sole: bool) -> Option<SpinGuard<'_, T>> {
+        let me = holder();
         let attempt = self
             .locked
-            .cas(sole, 0, 1, Ordering::Acquire, Ordering::Relaxed);
-        if attempt.is_err() {
-            acquire_contended(&self.locked);
+            .cas(sole, 0, me, Ordering::Acquire, Ordering::Relaxed);
+        if attempt.is_err() && !acquire_contended(&self.locked, me) {
+            return None;
         }
-        SpinGuard { lock: self }
+        Some(SpinGuard { lock: self })
     }
 
     /// Acquires the lock *without* a guard, for callers that must release
@@ -279,18 +336,22 @@ impl<T> SpinLock<T> {
     }
 }
 
-/// The rest of [`SpinLock::lock_in`] after a failed attempt: spins with
-/// exponential backoff until the flag is free, then takes it. A held lock is
-/// another thread's (one thread never waits on itself), so each retry reads
-/// the thread count afresh.
+/// The rest of [`SpinLock::lock_unless_mine_in`] after a failed attempt:
+/// `false` at once when the word names the caller, `me`, as its holder;
+/// otherwise spins with exponential backoff until the lock is free, takes
+/// it and answers `true`. A lock held by another thread is released without
+/// this one, so each retry reads the thread count afresh.
 #[cold]
 #[inline(never)]
-fn acquire_contended(locked: &Word) {
+fn acquire_contended(locked: &Word, me: u64) -> bool {
     let mut spins = 0u32;
-    while locked
-        .cas(sole_thread(), 0, 1, Ordering::Acquire, Ordering::Relaxed)
-        .is_err()
-    {
+    loop {
+        match locked.cas(sole_thread(), 0, me, Ordering::Acquire, Ordering::Relaxed) {
+            Ok(_) => return true,
+            // `me` is this thread: it took the lock in a frame below this one.
+            Err(held) if held == me && cfg!(unix) => return false,
+            Err(_) => {}
+        }
         // Backoff: brief busy-wait, then yield to the scheduler.
         if spins < 10 {
             for _ in 0..(1 << spins) {
@@ -298,7 +359,7 @@ fn acquire_contended(locked: &Word) {
             }
             spins += 1;
         } else {
-            std::thread::yield_now();
+            yield_now();
         }
     }
 }
@@ -411,7 +472,11 @@ mod tests {
     fn raw_lock_excludes_and_raw_unlock_releases() {
         let lock = SpinLock::new(0u32);
         lock.raw_lock();
-        assert_eq!(lock.locked.load(Ordering::Relaxed), 1, "raw_lock holds it");
+        assert_eq!(
+            lock.locked.load(Ordering::Relaxed),
+            holder(),
+            "raw_lock holds it, in this thread's name"
+        );
         // SAFETY: held via raw_lock above.
         unsafe { lock.raw_unlock() };
         assert_eq!(
@@ -420,6 +485,30 @@ mod tests {
             "raw_unlock released"
         );
         assert_eq!(*lock.lock(), 0);
+    }
+
+    /// The holder's own nested acquisition is answered at once, while
+    /// another thread's waits for the release and then takes the lock.
+    #[test]
+    fn a_nested_acquisition_is_refused_and_another_thread_waits() {
+        let lock = SpinLock::new(0u32);
+        let outer = lock.lock();
+        assert!(lock.lock_unless_mine().is_none(), "this thread holds it");
+        std::thread::scope(|scope| {
+            let other = scope.spawn(|| *lock.lock_unless_mine().expect("waits, then takes it") + 1);
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(outer);
+            assert_eq!(other.join().unwrap(), 1);
+        });
+        assert!(lock.lock_unless_mine().is_some(), "free again");
+    }
+
+    #[test]
+    #[should_panic(expected = "not re-entrant")]
+    fn a_nested_lock_panics_instead_of_waiting_for_itself() {
+        let lock = SpinLock::new(());
+        let _outer = lock.lock();
+        let _inner = lock.lock();
     }
 
     #[test]

@@ -30,10 +30,19 @@
 //! [`diehard_core::env`]'s audited parsers, which treat a value the heap
 //! cannot be built with (`DIEHARD_REGION_MB=48`) as unset rather than
 //! leaving every allocation to fail — the replication launcher's
-//! per-replica `DIEHARD_SEED` lands exactly here. The library needs `libc`
-//! and the loader and nothing else: `build.rs` links `std`'s unwinder from
-//! the static `libgcc_eh.a` where the toolchain has one, so a preloaded
-//! host does not load `libgcc_s.so.1` on the interposer's account.
+//! per-replica `DIEHARD_SEED` lands exactly here.
+//!
+//! # `core` and `alloc` only
+//!
+//! The library links no `std` (`#![no_std]` outside its unit tests): every
+//! replica of a voted connection loads it at `exec`, and `std`'s panic and
+//! backtrace runtime — the unwinder, `gimli`, `addr2line` and the rest,
+//! which `std`'s own unwind tables keep linked whatever a crate calls — was
+//! 224 KiB of its 267 KiB of code, and its unwinder needed `libgcc_s.so.1`
+//! or a static copy of it. What is left is `libc.so.6` and the allocator
+//! (about 27 KiB of `.text`). A panic aborts (the panic handler calls
+//! `abort`, and every workspace profile has `panic = "abort"`), and the heap
+//! is the library's own `#[global_allocator]` too.
 //!
 //! Unlike `dlsym(RTLD_NEXT)`-style wrappers, this library does **not**
 //! forward to the system allocator: its exports *are* the process's
@@ -50,7 +59,8 @@
 //! allocator's read-modify-writes are plain loads and stores, which is what
 //! glibc's own `malloc` does for such a host, with no thread-local lookup;
 //! at the host's first `pthread_create` they become locked instructions,
-//! and the re-entrancy flag below a thread-local ([`diehard_core::sync`]).
+//! and the re-entrancy flag below gives way to the locks' holder records
+//! ([`diehard_core::sync`]).
 //! Every call goes straight to the heap either way. Each call reads the
 //! byte once. On an
 //! older glibc the library fails to load
@@ -73,20 +83,20 @@
 //!   by their header size, `malloc_usable_size` answers from the header.
 //!   Arena exhaustion fails *re-entrant* requests with null — bounded,
 //!   since only allocator-internal traffic lands there after startup.
-//! * **Re-entrancy.** A per-thread flag marks "this thread is inside the
-//!   allocator". In a threaded host it is the heap's one thread-local
-//!   (plain ELF TLS: no lazy init, no destructor registration, no
-//!   allocation; startup-loaded modules get static TLS offsets), which
-//!   [`DieHard::alloc_guarded`]/[`DieHard::free_guarded`] test and set
-//!   through one `__tls_get_addr`; while the host has one thread it is one
-//!   process-wide flag and no lookup is made. This
-//!   crate has no thread-local of its own. A nested `malloc` is served
-//!   from the arena; a nested `free` of a non-arena pointer is *dropped*
-//!   and counted ([`reentrant_frees_dropped`]) — leaking a bounded number
-//!   of allocator-internal blocks beats re-entering a heap mid-operation.
-//!   The same flag is what lets the heap update its words with a load and
-//!   a store while the host has one thread: a signal handler that calls
-//!   `malloc` in the middle of one never reaches the heap.
+//! * **Re-entrancy.** A call made inside another on the same thread (a
+//!   signal handler's `malloc`) must not reach what the outer call is in
+//!   the middle of. [`DieHard::alloc_guarded`]/[`DieHard::free_guarded`]
+//!   tell it apart without a thread-local. While the host has one thread, a
+//!   process-wide flag marks "inside the allocator", and every nested call
+//!   is diverted — which is what lets the heap update its words with a load
+//!   and a store. In a threaded host every update is a locked instruction
+//!   that a nested call cannot tear, so only a call that needs what its own
+//!   thread holds is diverted: the large-object table's lock, the heap
+//!   being built (a class's growth lock answers it with a spill instead).
+//!   A diverted `malloc` is served from the arena; a diverted `free` of a
+//!   non-arena pointer is *dropped* and counted
+//!   ([`reentrant_frees_dropped`]) — leaking a bounded number of blocks
+//!   beats re-entering a heap mid-operation.
 //! * **Foreign pointers.** `free`/`realloc` on pointers this allocator
 //!   never produced (ld.so bootstrap blocks, another library's private
 //!   arena) are detected by the heap's span check plus the large-object
@@ -115,28 +125,70 @@
 //!   `aligned_alloc` with a bad alignment sets `EINVAL`; `posix_memalign`
 //!   reports by return value and leaves `errno` alone, per POSIX.
 
+#![cfg_attr(not(test), no_std)]
+
+use core::alloc::Layout;
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
-use diehard_core::global::{DieHard, DEFAULT_GROW_LOG2};
+use diehard_core::global::{page_size, DieHard, DEFAULT_GROW_LOG2};
 use diehard_core::size_class::MAX_OBJECT_SIZE;
 use libc::{c_char, c_int, c_void};
-use std::alloc::Layout;
 
 /// C ABI alignment floor: `max_align_t` is 16 on x86_64 and aarch64.
 const MALLOC_ALIGN: usize = 16;
 
 /// The process heap. Environment-configured, elastic by default — from
-/// [`DEFAULT_GROW_LOG2`] when `DIEHARD_GROW` is unset.
+/// [`DEFAULT_GROW_LOG2`] when `DIEHARD_GROW` is unset. It is the library's
+/// own Rust allocator too, so nothing in it allocates anywhere else. (The
+/// test build keeps `std`'s, which reaches this heap through the exports.)
+#[cfg_attr(not(test), global_allocator)]
 static HEAP: DieHard = DieHard::elastic_from_env(DEFAULT_GROW_LOG2);
 
+/// A panic inside an allocator export cannot unwind into its C caller, and
+/// nothing here could recover from one, so it ends the process at once:
+/// `abort`, as `panic = "abort"` has every workspace binary do.
+#[cfg(not(test))]
+#[panic_handler]
+fn panic(_: &core::panic::PanicInfo<'_>) -> ! {
+    // SAFETY: abort has no preconditions; it raises SIGABRT and never
+    // returns.
+    unsafe { libc::abort() }
+}
+
 /// Frees dropped because they arrived re-entrantly for non-arena pointers
-/// (see the audit above). Diagnostic, read by tests.
+/// (see the audit above): every nested free while the host has one thread,
+/// and, threaded, a nested free of a large object while its thread holds
+/// the large-object table. Diagnostic, read by tests.
 static REENTRANT_FREES: AtomicUsize = AtomicUsize::new(0);
 
 /// Frees dropped on the re-entrant path since process start.
 pub fn reentrant_frees_dropped() -> usize {
     REENTRANT_FREES.load(Ordering::Relaxed)
 }
+
+// `core` and `alloc` ship precompiled for unwinding, and the few of their
+// functions that keep a landing pad (`panic_nounwind_fmt`, behind the
+// allocation-error handler and a debug build's precondition checks) name
+// `rust_eh_personality`, which `std` would define, in their unwind tables.
+// This library links no unwinder and aborts on every panic, so the routine
+// is never called: a stub that traps answers the reference, and, hidden, it
+// is neither exported nor able to stand in for a Rust host's own.
+#[cfg(all(not(test), target_arch = "x86_64"))]
+core::arch::global_asm!(
+    ".globl rust_eh_personality",
+    ".hidden rust_eh_personality",
+    ".type rust_eh_personality, %function",
+    "rust_eh_personality:",
+    "ud2",
+);
+#[cfg(all(not(test), target_arch = "aarch64"))]
+core::arch::global_asm!(
+    ".globl rust_eh_personality",
+    ".hidden rust_eh_personality",
+    ".type rust_eh_personality, %function",
+    "rust_eh_personality:",
+    "brk #1",
+);
 
 // ---- bootstrap arena -----------------------------------------------------
 
@@ -414,21 +466,16 @@ pub extern "C" fn aligned_alloc(align: usize, size: usize) -> *mut c_void {
 
 /// Legacy `memalign(3)` — still emitted by real programs; serving it here
 /// keeps their pointers on the randomized heap instead of splitting the
-/// process across two allocators.
+/// process across two allocators. The alignment is rounded up to a power of
+/// two, as glibc does; one with no power of two to round to (above 2⁶³)
+/// gets null + `EINVAL`, as glibc answers it.
 #[no_mangle]
 pub extern "C" fn memalign(align: usize, size: usize) -> *mut c_void {
-    aligned_alloc(align.max(1).next_power_of_two(), size)
-}
-
-/// The system page size.
-fn page_size() -> usize {
-    // SAFETY: sysconf is async-signal-safe and has no preconditions.
-    let page = unsafe { libc::sysconf(libc::_SC_PAGESIZE) };
-    if page <= 0 {
-        4096
-    } else {
-        page as usize
-    }
+    let Some(align) = align.max(1).checked_next_power_of_two() else {
+        set_errno(libc::EINVAL);
+        return ptr::null_mut();
+    };
+    aligned_alloc(align, size)
 }
 
 /// Legacy `valloc(3)`: page-aligned allocation.
@@ -587,7 +634,6 @@ mod tests {
     //! the contract explicit.
 
     use super::*;
-    use diehard_core::global::with_guard;
     use std::hint::black_box as bb;
 
     // LLVM treats calls to symbols named `malloc`, `calloc`, `strcpy`, …
@@ -837,6 +883,23 @@ mod tests {
         free(p);
     }
 
+    /// An alignment above 2⁶³ has no power of two to round up to: null +
+    /// `EINVAL`, as glibc answers. Rounding it with `next_power_of_two`
+    /// overflowed, which panics inside the export in a debug build — and a
+    /// panic cannot unwind out of an `extern "C"` function, so this test
+    /// binary aborted — and wrapped to alignment 0 in a release build.
+    #[test]
+    fn memalign_refuses_an_alignment_with_no_power_of_two() {
+        for align in [(1usize << 63) + 1, usize::MAX] {
+            set_errno(0);
+            assert!(memalign(align, 64).is_null(), "align {align:#x}");
+            assert_eq!(errno(), libc::EINVAL, "align {align:#x}");
+        }
+        let p = memalign(1 << 63, 64);
+        assert!(p.is_null(), "2^63 is a power of two, but no mapping has it");
+        assert_eq!(errno(), libc::ENOMEM);
+    }
+
     #[test]
     fn memalign_and_valloc_serve_aligned_blocks() {
         let p = memalign(64, 100);
@@ -1015,66 +1078,72 @@ mod tests {
         free(p.cast());
     }
 
+    /// A request past the largest class: it needs the large-object table.
+    const LARGE: usize = 20_000;
+
+    /// A call nested inside one that holds the large-object table is served
+    /// from the arena, and a nested free of a large object is dropped and
+    /// counted. The test binary is threaded, so nothing but the lock's
+    /// holder tells the nested call apart; the outer call is staged with
+    /// the hooks a `fork` runs, which hold every allocator lock.
     #[test]
     fn arena_serves_reentrant_requests() {
-        let before = arena::used();
-        // Simulate a re-entrant malloc: the guard is already set.
-        let p = with_guard(|_| allocate(100, MALLOC_ALIGN));
+        let kept = malloc(LARGE).cast::<u8>();
+        assert!(!kept.is_null() && !arena::contains(kept));
+        let (before, dropped) = (arena::used(), reentrant_frees_dropped());
+        atfork_prepare();
+        let p = allocate(LARGE, MALLOC_ALIGN);
+        free(kept.cast());
+        let kept_size = malloc_usable_size(kept.cast());
+        atfork_parent();
         assert!(!p.is_null());
-        assert!(arena::contains(p), "re-entrant requests hit the arena");
+        assert!(arena::contains(p), "the nested request hits the arena");
         assert!(arena::used() > before);
-        assert!(arena::block_size(p) >= 100);
-        assert!(malloc_usable_size(p.cast()) >= 100);
-        // SAFETY: live 100-byte arena block.
-        unsafe { p.write_bytes(0x3C, 100) };
+        assert!(arena::block_size(p) >= LARGE);
+        assert!(malloc_usable_size(p.cast()) >= LARGE);
+        assert_eq!(reentrant_frees_dropped(), dropped + 1, "the nested free");
+        assert_eq!(kept_size, 0, "a nested lookup knows no large object");
+        assert!(malloc_usable_size(kept.cast()) >= LARGE, "still live");
+        free(kept.cast());
+        // SAFETY: live arena block of at least LARGE bytes.
+        unsafe { p.write_bytes(0x3C, LARGE) };
         // Freeing is a no-op by address recognition, and must not crash.
         free(p.cast());
         // A realloc out of the arena copies by the header size.
-        let grown = realloc(p.cast(), 500).cast::<u8>();
+        let grown = realloc(p.cast(), 2 * LARGE).cast::<u8>();
         assert!(!grown.is_null());
         assert!(!arena::contains(grown), "the copy lives on the real heap");
-        // SAFETY: live 500-byte object holding the copied prefix.
-        unsafe { assert_eq!(*grown.add(99), 0x3C) };
+        // SAFETY: live object holding the copied prefix.
+        unsafe { assert_eq!(*grown.add(LARGE - 1), 0x3C) };
         free(grown.cast());
     }
 
+    /// Only the holder's own nested calls are diverted: while one thread
+    /// holds the allocator's locks, another thread's large request is no
+    /// nested call — it waits for the table and lands on the heap.
     #[test]
     fn reentrancy_flag_is_per_thread() {
-        // The flag lives in the heap's thread-local block: one thread
-        // holding it must divert only its own requests. The barrier puts
-        // the other thread's malloc inside this thread's guarded window.
-        let inside = std::sync::Barrier::new(2);
-        let done = std::sync::Barrier::new(2);
-        // Assertions wait until both barriers are passed, so a failure
-        // fails the test instead of stranding the other thread.
+        let holding = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
-            let guarded = scope.spawn(|| {
-                with_guard(|reentered| {
-                    let nested = malloc(100).cast::<u8>();
-                    inside.wait();
-                    done.wait();
-                    (reentered, nested as usize)
-                })
-            });
             let other = scope.spawn(|| {
-                inside.wait();
-                let p = malloc(100).cast::<u8>();
-                done.wait();
-                p as usize
+                holding.wait();
+                // Pointers cross the join as addresses (raw pointers are
+                // not Send).
+                malloc(LARGE) as usize
             });
-            // Pointers cross the join as addresses (raw pointers are not Send).
-            let (reentered, nested) = guarded.join().unwrap();
-            assert!(!reentered, "a fresh thread starts outside the allocator");
-            assert!(
-                arena::contains(nested as *const u8),
-                "the nested request lands in the arena"
-            );
+            atfork_prepare();
+            holding.wait();
+            let nested = allocate(LARGE, MALLOC_ALIGN);
+            // Long enough for the other request to reach the held table.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            atfork_parent();
+            assert!(arena::contains(nested), "the holder's own request");
             let p = other.join().unwrap() as *mut u8;
             assert!(
                 !p.is_null() && !arena::contains(p),
                 "the other lands on the heap"
             );
-            assert!(HEAP.usable_size(p) >= 100, "a live heap object");
+            assert!(HEAP.usable_size(p) >= LARGE, "a live heap object");
             free(p.cast());
         });
     }

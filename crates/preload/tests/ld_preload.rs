@@ -164,25 +164,85 @@ fn distinct_seeds_still_produce_identical_output() {
 }
 
 /// A preloaded host maps the interposer and nothing it would not have mapped
-/// anyway: where the build found the static unwinder (`build.rs`), no
-/// `libgcc_s` — which no coreutils host loads on its own, and which cost
-/// every `exec` more than the interposer's own start-up did.
+/// anyway: no `libgcc_s`, which no coreutils host loads on its own and which
+/// cost every `exec` more than the interposer's own start-up did.
 #[test]
 fn preloaded_host_maps_no_libgcc_s() {
     let so = require_so!();
     let (maps, ok) = run_preloaded(&so, &["cat", "/proc/self/maps"], "", None);
     assert!(ok);
     assert!(maps.contains("libdiehard.so"), "the interposer is mapped");
-    if option_env!("STATIC_UNWINDER").is_none() {
-        eprintln!("skipping: this toolchain has no libgcc_eh.a to link statically");
-        return;
-    }
     assert!(!maps.contains("libgcc_s"), "libgcc_s is mapped:\n{maps}");
 }
 
-/// The library exports the C allocation ABI and nothing else. In particular
-/// no `_Unwind_*`: with the unwinder linked statically, exporting it would
-/// interpose every C++ host's exception handling with ours.
+/// What `tool args so` prints, or `None` after a skip line when the tool
+/// is not on this machine.
+fn tool_output(tool: &str, args: &[&str], so: &PathBuf) -> Option<String> {
+    let Ok(out) = Command::new(tool).args(args).arg(so).output() else {
+        eprintln!("skipping: no `{tool}` on this machine");
+        return None;
+    };
+    assert!(out.status.success(), "{tool} {args:?} {so:?}");
+    Some(String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// Crates of `std`'s panic and backtrace runtime, which a library linking
+/// `std` carries whatever it calls.
+const STD_RUNTIME: [&str; 5] = ["std", "gimli", "addr2line", "rustc_demangle", "miniz_oxide"];
+
+/// Most code an optimized `libdiehard.so` may hold: about 27 KiB is the
+/// allocator and the C exports, and `std`'s runtime alone was 224 KiB.
+const TEXT_BOUND: u64 = 64 << 10;
+
+/// The library links no `std`: it defines nothing of `std`'s runtime and no
+/// unwinder (`_Unwind_*`), it is not NEEDED `libgcc_s`, and an optimized
+/// build has at most [`TEXT_BOUND`] bytes of `.text` (a debug build reports
+/// its size). Every preloaded `exec` maps, relocates and faults in what the
+/// library carries, and `std`'s runtime was five-sixths of it. Read with
+/// `nm` and `readelf`.
+#[test]
+fn links_no_std_runtime() {
+    let so = require_so!();
+    let Some(symbols) = tool_output("nm", &["-C", "--defined-only"], &so) else {
+        return;
+    };
+    let runtime: Vec<&str> = symbols
+        .lines()
+        .filter_map(|line| line.splitn(3, ' ').nth(2))
+        .filter(|name| {
+            name.starts_with("_Unwind_")
+                || STD_RUNTIME.iter().any(|krate| {
+                    let path = format!("{krate}::");
+                    name.starts_with(&path) || name.contains(&format!("<{path}"))
+                })
+        })
+        .collect();
+    assert!(runtime.is_empty(), "std's runtime is linked: {runtime:?}");
+    let Some(dynamic) = tool_output("readelf", &["-d"], &so) else {
+        return;
+    };
+    assert!(!dynamic.contains("libgcc_s"), "NEEDED libgcc_s:\n{dynamic}");
+    let Some(sections) = tool_output("readelf", &["-S", "-W"], &so) else {
+        return;
+    };
+    let text = sections
+        .lines()
+        .find(|line| line.contains(" .text "))
+        .and_then(|line| line.split(']').nth(1)?.split_whitespace().nth(4))
+        .and_then(|size| u64::from_str_radix(size, 16).ok())
+        .expect("readelf lists .text with its size");
+    if cfg!(debug_assertions) {
+        eprintln!(
+            "libdiehard.so: {text} B of .text in a debug build (bound {TEXT_BOUND} B optimized)"
+        );
+        return;
+    }
+    assert!(text <= TEXT_BOUND, "{text} B of .text > {TEXT_BOUND} B");
+}
+
+/// The library exports the C allocation ABI and nothing else: a symbol it
+/// exported beyond that would interpose the host's own, and none of the
+/// library's helpers — the stub personality routine included — is meant to.
 #[test]
 fn exports_are_the_allocation_abi_only() {
     let so = require_so!();

@@ -24,7 +24,7 @@
 /// # Examples
 ///
 /// ```
-/// use diehard_core::analysis::p_overflow_mask;
+/// use diehard_sim::analysis::p_overflow_mask;
 ///
 /// // §6.1: a heap no more than 1/8 full masks a single-object overflow
 /// // with probability 87.5% stand-alone…
@@ -80,7 +80,7 @@ pub fn p_dangling_mask(intervening_allocs: u64, free_slots: u64, replicas: u32) 
 /// # Examples
 ///
 /// ```
-/// use diehard_core::analysis::p_dangling_mask_default_config;
+/// use diehard_sim::analysis::p_dangling_mask_default_config;
 ///
 /// // §6.2: "greater than a 99.5% chance of masking an 8-byte object that
 /// // was freed 10,000 allocations too soon."
@@ -92,8 +92,8 @@ pub fn p_dangling_mask_default_config(
     intervening_allocs: u64,
     replicas: u32,
 ) -> f64 {
-    use crate::config::HeapConfig;
-    use crate::size_class::SizeClass;
+    use diehard_core::config::HeapConfig;
+    use diehard_core::size_class::SizeClass;
     let class = SizeClass::for_size(object_size)
         .unwrap_or_else(|| panic!("{object_size} is not a small-object size"));
     assert_eq!(
@@ -125,7 +125,7 @@ pub fn p_dangling_mask_default_config(
 /// # Examples
 ///
 /// ```
-/// use diehard_core::analysis::p_uninit_detect;
+/// use diehard_sim::analysis::p_uninit_detect;
 ///
 /// // §6.3: four bits across three replicas ⇒ 82%; four replicas ⇒ 66.7%.
 /// assert!((p_uninit_detect(4, 3) - 0.8203).abs() < 1e-3);

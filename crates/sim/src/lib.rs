@@ -17,11 +17,15 @@
 //!   placement engine with the real `GlobalAlloc` allocator;
 //! * [`InfiniteHeap`] — the paper's §3 idealized heap, used as the
 //!   ground-truth oracle: a run is *correct* iff its output matches the
-//!   infinite-heap run.
+//!   infinite-heap run;
+//! * [`analysis`] — the paper's analytical model: Theorems 1–3 and the
+//!   expectation formulas (§3.1, §6), in floating point, beside the
+//!   experiments that check them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod analysis;
 pub mod arena;
 pub mod diehard_heap;
 pub mod fault;

@@ -78,8 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, frac) in [("1/8", 7.0 / 8.0), ("1/4", 3.0 / 4.0), ("1/2", 1.0 / 2.0)] {
         println!(
             "  heap {label} full: stand-alone {:5.1}%, three replicas {:6.2}%",
-            100.0 * diehard::core::analysis::p_overflow_mask(frac, 1, 1),
-            100.0 * diehard::core::analysis::p_overflow_mask(frac, 1, 3),
+            100.0 * diehard::sim::analysis::p_overflow_mask(frac, 1, 1),
+            100.0 * diehard::sim::analysis::p_overflow_mask(frac, 1, 3),
         );
     }
 

@@ -40,6 +40,25 @@ pub type pid_t = c_int;
 pub type pthread_key_t = core::ffi::c_uint;
 /// `poll(2)` descriptor-count type.
 pub type nfds_t = c_ulong;
+/// POSIX thread handle (glibc and musl: an address-sized integer).
+pub type pthread_t = c_ulong;
+/// `clock_gettime(2)` clock selector.
+pub type clockid_t = c_int;
+/// Seconds since the epoch (64-bit Linux).
+pub type time_t = i64;
+
+/// A `clock_gettime(2)` reading.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct timespec {
+    /// Whole seconds.
+    pub tv_sec: time_t,
+    /// Nanoseconds past `tv_sec`.
+    pub tv_nsec: c_long,
+}
+
+/// `clock_gettime(2)` clock: wall-clock time since the epoch.
+pub const CLOCK_REALTIME: clockid_t = 0;
 
 /// One entry in a `poll(2)` descriptor set.
 #[repr(C)]
@@ -140,6 +159,10 @@ pub const MADV_HUGEPAGE: c_int = 14;
 /// answer `EINVAL`).
 pub const MADV_COLLAPSE: c_int = 25;
 
+// Named, as the real crate names it, so that a library linking no `std`
+// (`libdiehard.so`) still records its C library as NEEDED and binds these
+// symbols at their glibc versions.
+#[link(name = "c")]
 extern "C" {
     /// `open(2)`.
     pub fn open(path: *const c_char, flags: c_int, ...) -> c_int;
@@ -213,4 +236,13 @@ extern "C" {
     ) -> c_int;
     /// `pthread_setspecific(3)`: binds this thread's value for `key`.
     pub fn pthread_setspecific(key: pthread_key_t, value: *const c_void) -> c_int;
+    /// `pthread_self(3)`: the calling thread's handle, never 0 on glibc or
+    /// musl (the address of its thread control block).
+    pub fn pthread_self() -> pthread_t;
+    /// `sched_yield(2)`: gives up the CPU; never allocates.
+    pub fn sched_yield() -> c_int;
+    /// `clock_gettime(2)`.
+    pub fn clock_gettime(clock: clockid_t, tp: *mut timespec) -> c_int;
+    /// `abort(3)`: raises `SIGABRT`; does not return.
+    pub fn abort() -> !;
 }

@@ -7,10 +7,10 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! * [`core`](diehard_core) — the DieHard algorithm, analysis (Theorems
-//!   1–3), and a real `#[global_allocator]`;
+//! * [`core`](diehard_core) — the DieHard algorithm and a real
+//!   `#[global_allocator]`, on `core` and `alloc` only;
 //! * [`sim`](diehard_sim) — the simulated address space, DieHard-on-sim,
-//!   and the infinite-heap oracle;
+//!   the infinite-heap oracle, and the analysis (Theorems 1–3);
 //! * [`baselines`](diehard_baselines) — Lea/dlmalloc-style, BDW-GC-style,
 //!   and Windows-style allocators;
 //! * [`runtime`](diehard_runtime) — the op-stream executor, Table 1 system
@@ -34,7 +34,7 @@
 //! heap.free(p)?; // double free: validated and ignored, per the paper
 //!
 //! // The analytical model:
-//! let p_mask = diehard::core::analysis::p_overflow_mask(7.0 / 8.0, 1, 3);
+//! let p_mask = diehard::sim::analysis::p_overflow_mask(7.0 / 8.0, 1, 3);
 //! assert!(p_mask > 0.99);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

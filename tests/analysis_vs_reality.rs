@@ -2,10 +2,10 @@
 //! against Monte Carlo measurements of the actual allocator, with fixed
 //! seeds so the tests are deterministic.
 
-use diehard::core::analysis::{p_dangling_mask, p_overflow_mask, p_uninit_detect};
 use diehard::core::partition::Partition;
 use diehard::core::rng::splitmix;
 use diehard::prelude::*;
+use diehard::sim::analysis::{p_dangling_mask, p_overflow_mask, p_uninit_detect};
 
 /// Theorem 1 vs the allocator: overflow masking at three fullness levels.
 #[test]

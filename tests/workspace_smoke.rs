@@ -78,7 +78,7 @@ fn system_diehard_emulator_agrees() {
 /// one symbol per crate catches a manifest that silently dropped an edge.
 #[test]
 fn facade_links_every_crate() {
-    let _ = diehard::core::analysis::p_overflow_mask(0.5, 1, 3);
+    let _ = diehard::sim::analysis::p_overflow_mask(0.5, 1, 3);
     let _ = diehard::sim::PagedArena::new(1 << 20);
     let _ = diehard::baselines::LeaSimAllocator::new(1 << 20);
     let _ = diehard::runtime::Program::new("empty", Vec::new());
