@@ -51,6 +51,11 @@ use diehard_bench::TextTable;
 use std::path::Path;
 
 fn main() {
+    // The `preload_alloc_churn` rows time `libdiehard.so`, which seeds its
+    // heap at its first call from `DIEHARD_SEED`, or from entropy when that
+    // is unset: every process would then time another placement. Set here,
+    // while this process has one thread and before any kernel runs.
+    std::env::set_var("DIEHARD_SEED", "1");
     let smoke = diehard_bench::smoke();
     let only = only_args();
     let gates = gate_args();

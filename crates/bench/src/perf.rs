@@ -193,7 +193,8 @@ fn preload_path() -> Option<std::path::PathBuf> {
 /// ([`preload_path`]). `RTLD_LOCAL` keeps the library's strong allocation
 /// symbols *out* of the global scope: this process keeps its own allocator,
 /// and the kernel drives the interposer's exports purely through the
-/// returned function pointers.
+/// returned function pointers. The library seeds its heap from
+/// `DIEHARD_SEED` at its first call; `perf_report` sets it.
 fn preload_library() -> (
     extern "C" fn(usize) -> *mut libc::c_void,
     extern "C" fn(*mut libc::c_void),
@@ -246,7 +247,7 @@ fn preload_library() -> (
 fn preload_alloc_churn(name: &'static str, smoke: bool) -> KernelResult {
     const RING: usize = 64;
     let (warmup, samples, ops) = if smoke {
-        (1, 3, 2_000)
+        (1, 25, 2_000)
     } else {
         (3, 25, 50_000)
     };
@@ -702,7 +703,7 @@ fn with_cat_proxy<R>(body: impl FnOnce(u16) -> R) -> R {
 
     let config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
     let listener = Listener::bind_loopback(0).expect("loopback bind");
-    let mut proxy = Proxy::new(listener, config).expect("default chunk is valid");
+    let mut proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let port = proxy.local_port().expect("bound port");
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
@@ -731,7 +732,7 @@ fn with_pooled_cat_proxy<R>(
 
     let config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
     let listener = Listener::bind_loopback(0).expect("loopback bind");
-    let proxy = Proxy::new(listener, config).expect("default chunk is valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let gauge = proxy.pool_gauge();
     let mut proxy = proxy.with_pool(depth);
     let port = proxy.local_port().expect("bound port");

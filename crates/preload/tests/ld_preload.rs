@@ -2,22 +2,15 @@
 //! with `libdiehard.so` interposed and check their output is untouched.
 //!
 //! The cdylib is not a Cargo test artifact, so there is no
-//! `CARGO_BIN_EXE_*`-style env var for it; it is located relative to this
-//! test binary (`target/<profile>/deps/ld_preload-*` → `target/<profile>/
-//! libdiehard.so`). When the library has not been built in this profile
-//! the tests skip with a notice instead of failing — CI builds it
-//! explicitly first.
+//! `CARGO_BIN_EXE_*`-style env var for it; [`library::path`] builds it for
+//! this test binary's profile and locates it beside the binary
+//! (`target/<profile>/deps/ld_preload-*` → `target/<profile>/
+//! libdiehard.so`).
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-/// `target/<profile>/libdiehard.so`, if it has been built.
-fn preload_path() -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let profile_dir = exe.parent()?.parent()?; // strip deps/<test-bin>
-    let so = profile_dir.join("libdiehard.so");
-    so.exists().then_some(so)
-}
+mod library;
 
 /// Runs `cmd` with the interposer preloaded and `input` on stdin,
 /// returning (stdout, success).
@@ -53,21 +46,9 @@ fn run_preloaded(so: &PathBuf, cmd: &[&str], input: &str, seed: Option<&str>) ->
     )
 }
 
-macro_rules! require_so {
-    () => {
-        match preload_path() {
-            Some(so) => so,
-            None => {
-                eprintln!("skipping: libdiehard.so not built in this profile");
-                return;
-            }
-        }
-    };
-}
-
 #[test]
 fn cat_round_trips_bytes() {
-    let so = require_so!();
+    let so = library::path();
     let input = "hello from the randomized heap\nsecond line\n";
     let (out, ok) = run_preloaded(&so, &["cat"], input, None);
     assert!(ok);
@@ -81,7 +62,7 @@ fn cat_round_trips_bytes() {
 /// printed "memory exhausted".
 #[test]
 fn unbuildable_knob_values_fall_back_to_defaults() {
-    let so = require_so!();
+    let so = library::path();
     let input = "still here\n".repeat(1000);
     for (knob, value) in [
         ("DIEHARD_REGION_MB", "48"),
@@ -116,7 +97,7 @@ fn unbuildable_knob_values_fall_back_to_defaults() {
 
 #[test]
 fn tr_transforms_text() {
-    let so = require_so!();
+    let so = library::path();
     let (out, ok) = run_preloaded(&so, &["tr", "a-z", "A-Z"], "vote on me\n", Some("42"));
     assert!(ok);
     assert_eq!(out, "VOTE ON ME\n");
@@ -124,7 +105,7 @@ fn tr_transforms_text() {
 
 #[test]
 fn shell_pipeline_survives_fork_and_exec() {
-    let so = require_so!();
+    let so = library::path();
     // `sh -c` forks and execs children; LD_PRELOAD and the atfork hooks
     // ride along into every process of the pipeline.
     let (out, ok) = run_preloaded(
@@ -139,7 +120,7 @@ fn shell_pipeline_survives_fork_and_exec() {
 
 #[test]
 fn sort_handles_allocation_heavy_input() {
-    let so = require_so!();
+    let so = library::path();
     // sort(1) slurps everything through malloc/realloc before sorting —
     // a denser allocation workload than cat/tr.
     let input: String = (0..3000).rev().map(|i| format!("{i}\n")).collect();
@@ -153,7 +134,7 @@ fn sort_handles_allocation_heavy_input() {
 
 #[test]
 fn distinct_seeds_still_produce_identical_output() {
-    let so = require_so!();
+    let so = library::path();
     // The whole point of replication: different randomized layouts, same
     // observable behavior for a correct program.
     let input = "determinism survives randomization\n";
@@ -168,7 +149,7 @@ fn distinct_seeds_still_produce_identical_output() {
 /// cost every `exec` more than the interposer's own start-up did.
 #[test]
 fn preloaded_host_maps_no_libgcc_s() {
-    let so = require_so!();
+    let so = library::path();
     let (maps, ok) = run_preloaded(&so, &["cat", "/proc/self/maps"], "", None);
     assert!(ok);
     assert!(maps.contains("libdiehard.so"), "the interposer is mapped");
@@ -202,7 +183,7 @@ const TEXT_BOUND: u64 = 64 << 10;
 /// `nm` and `readelf`.
 #[test]
 fn links_no_std_runtime() {
-    let so = require_so!();
+    let so = library::path();
     let Some(symbols) = tool_output("nm", &["-C", "--defined-only"], &so) else {
         return;
     };
@@ -245,7 +226,7 @@ fn links_no_std_runtime() {
 /// library's helpers — the stub personality routine included — is meant to.
 #[test]
 fn exports_are_the_allocation_abi_only() {
-    let so = require_so!();
+    let so = library::path();
     let Ok(nm) = Command::new("nm")
         .args(["-D", "--defined-only"])
         .arg(&so)
@@ -311,7 +292,7 @@ int main(void) {
 /// where there is none).
 #[test]
 fn pvalloc_block_keeps_its_contents_through_realloc() {
-    let so = require_so!();
+    let so = library::path();
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let (src, host) = (dir.join("pvalloc_host.c"), dir.join("pvalloc_host"));
     std::fs::write(&src, PVALLOC_HOST).expect("write the host's source");
@@ -345,7 +326,7 @@ fn anon_huge_kb(pid: u32) -> Option<u64> {
 /// `never` nobody gets any.
 #[test]
 fn short_processes_get_no_huge_pages() {
-    let so = require_so!();
+    let so = library::path();
     let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
     if !thp.is_ok_and(|mode| mode.contains("[madvise]")) {
         eprintln!("skipping: transparent huge pages are not in `madvise` mode");

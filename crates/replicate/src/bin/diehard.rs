@@ -7,16 +7,17 @@
 //! Usage:
 //!
 //! ```text
-//! diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] [--] COMMAND [ARGS...]
+//! diehard [-n REPLICAS] [--preload LIB] [--seed SEED] [--] COMMAND [ARGS...]
 //! ```
 //!
 //! Standard input is broadcast to all replicas **incrementally** (never
 //! buffered whole — arbitrary-length and interactive streams work) and
-//! standard output carries the voted output, committed as each `--chunk`
-//! barrier resolves. Exit status: the replicas' *agreed* exit status on
-//! agreement (so a command that fails identically everywhere keeps its
-//! status), 2 on detected divergence (the uninitialized-read signal), and
-//! 1 on usage or launch errors. As with any status-forwarding wrapper
+//! standard output carries the voted output, committed as each 4 KiB
+//! barrier resolves (§5.2's "unit of transfer of a pipe"). Exit status:
+//! the replicas' *agreed* exit status on agreement (so a command that
+//! fails identically everywhere keeps its status), 2 on detected
+//! divergence (the uninitialized-read signal), and 1 on usage or launch
+//! errors. As with any status-forwarding wrapper
 //! (`env`, `nice`, `ssh`), an agreed status of 1 or 2 is indistinguishable
 //! from the launcher's own sentinels by code alone — the stderr diagnostics
 //! (`diehard: ...`) disambiguate.
@@ -25,11 +26,11 @@ use diehard_replicate::cli::{self, Front};
 use diehard_replicate::{run_streamed, InputSource};
 use std::os::unix::io::AsFd;
 
-const USAGE: &str = "usage: diehard [-n REPLICAS] [--chunk BYTES] [--preload LIB] [--seed SEED] [--] COMMAND [ARGS...]\n\
+const USAGE: &str =
+    "usage: diehard [-n REPLICAS] [--preload LIB] [--seed SEED] [--] COMMAND [ARGS...]\n\
     \n\
     Runs COMMAND in REPLICAS differently-seeded replicas (default 3),\n\
-    streaming stdin to all and voting on stdout at BYTES-sized barriers\n\
-    (default 4096; a bounded power of two).\n\
+    streaming stdin to all and voting on stdout at 4 KiB barriers.\n\
     Exits with the replicas' agreed status, or 2 on divergence.\n\
     Each replica receives a unique DIEHARD_SEED; --preload exports\n\
     LD_PRELOAD for C binaries using libdiehard-style interposition.";
@@ -51,7 +52,7 @@ fn main() {
         Ok(outcome) => {
             drop(sink);
             // Forward the winning replica's captured stderr (first
-            // ≤ `--chunk` bytes) before the launcher's own diagnostics.
+            // ≤ one chunk) before the launcher's own diagnostics.
             if !outcome.stderr.is_empty() {
                 use std::io::Write;
                 let _ = std::io::stderr().write_all(&outcome.stderr);

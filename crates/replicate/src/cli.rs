@@ -1,13 +1,15 @@
 //! The command line the `diehard` launcher and `diehard-proxy` share.
 //!
-//! Both binaries take `-n`/`--replicas`, `--chunk`, `--preload`, `--seed`
-//! and a command, either after `--` or bare (the first argument that is not
-//! an option starts it); the proxy also takes `--port`, `--cap` and
-//! `--pool`. [`parse`] turns that into a [`LaunchConfig`] checked by
-//! [`LaunchConfig::validated`], so the binaries refuse exactly what a
-//! session, proxy or pool would refuse. `--seed S` gives replica `i` the
-//! seed [`replica_seed`]`(S, i)`, the rule the sessions apply to their
-//! entropy master, so runs with nearby masters share no replica heap.
+//! Both binaries take `-n`/`--replicas`, `--preload`, `--seed` and a
+//! command, either after `--` or bare (the first argument that is not an
+//! option starts it); the proxy also takes `--port` and `--pool`. The
+//! barrier ([`crate::CHUNK`]) and the proxy's outbound queue
+//! ([`crate::proxy::OUT_CAP`]) are constants, not options. [`parse`] turns
+//! that into a [`LaunchConfig`] checked by [`LaunchConfig::validated`], so
+//! the binaries refuse exactly what a session, proxy or pool would refuse.
+//! `--seed S` gives replica `i` the seed [`replica_seed`]`(S, i)`, the rule
+//! the sessions apply to their entropy master, so runs with nearby masters
+//! share no replica heap.
 
 use crate::LaunchConfig;
 use diehard_core::rng::replica_seed;
@@ -18,7 +20,7 @@ use std::str::FromStr;
 pub enum Front {
     /// `diehard`: the shared options only.
     Launcher,
-    /// `diehard-proxy`: the shared options plus `--port`, `--cap`, `--pool`.
+    /// `diehard-proxy`: the shared options plus `--port` and `--pool`.
     Proxy,
 }
 
@@ -29,8 +31,6 @@ pub struct Cli {
     pub config: LaunchConfig,
     /// `--port` (0, the default, lets the kernel pick).
     pub port: u16,
-    /// `--cap`: the proxy's per-connection outbound queue bound.
-    pub cap: Option<usize>,
     /// `--pool`: warm replica sets kept parked (0, the default, spawns cold).
     pub pool: usize,
 }
@@ -40,7 +40,7 @@ pub struct Cli {
 /// # Errors
 ///
 /// Returns why the command line is refused: an unknown option, a missing
-/// or unparsable value, no command, or a replica count or chunk that
+/// or unparsable value, no command, or a replica count that
 /// [`LaunchConfig::validated`] refuses. `-h`/`--help` returns an empty
 /// reason.
 pub fn parse(args: impl IntoIterator<Item = String>, front: Front) -> Result<Cli, String> {
@@ -51,18 +51,15 @@ pub fn parse(args: impl IntoIterator<Item = String>, front: Front) -> Result<Cli
         input: Vec::new(),
         seeds: Vec::new(),
         preload: None,
-        chunk: crate::CHUNK,
     };
-    let (mut port, mut cap, mut pool, mut seed) = (0, None, 0, None);
+    let (mut port, mut pool, mut seed) = (0, 0, None);
     let proxy = front == Front::Proxy;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-n" | "--replicas" => config.replicas = value(&mut args, &arg)?,
-            "--chunk" => config.chunk = value(&mut args, &arg)?,
             "--preload" => config.preload = Some(value(&mut args, &arg)?),
             "--seed" => seed = Some(value(&mut args, &arg)?),
             "--port" if proxy => port = value(&mut args, &arg)?,
-            "--cap" if proxy => cap = Some(value(&mut args, &arg)?),
             "--pool" if proxy => pool = value(&mut args, &arg)?,
             "-h" | "--help" => return Err(String::new()),
             "--" => config.command.extend(args.by_ref()),
@@ -81,12 +78,7 @@ pub fn parse(args: impl IntoIterator<Item = String>, front: Front) -> Result<Cli
             .map(|i| replica_seed(master, i))
             .collect();
     }
-    Ok(Cli {
-        config,
-        port,
-        cap,
-        pool,
-    })
+    Ok(Cli { config, port, pool })
 }
 
 /// [`parse`]s this process's arguments, or prints the reason (if any) and
@@ -133,9 +125,8 @@ mod tests {
         assert_eq!(cli.config.replicas, 3);
         assert_eq!(cli.config.command, ["cat", "-v"]);
         assert_eq!(cli.config.preload.as_deref(), Some("/lib/x.so"));
-        assert_eq!(cli.config.chunk, crate::CHUNK);
         assert!(cli.config.input.is_empty());
-        assert_eq!((cli.port, cli.cap, cli.pool), (0, None, 2));
+        assert_eq!((cli.port, cli.pool), (0, 2));
 
         let cli = parse_str(
             "-n 3 --seed 9 --preload /lib/x.so -- sort --parallel=1",
@@ -145,11 +136,8 @@ mod tests {
         assert_eq!(cli.config.command, ["sort", "--parallel=1"]);
         assert_eq!(cli.config.seeds.len(), 3);
 
-        let cli = parse_str("--port 7000 --cap 8192 --chunk 1024 -- cat", Front::Proxy).unwrap();
-        assert_eq!(
-            (cli.port, cli.cap, cli.config.chunk),
-            (7000, Some(8192), 1024)
-        );
+        let cli = parse_str("--port 7000 -- cat", Front::Proxy).unwrap();
+        assert_eq!(cli.port, 7000);
         assert!(cli.config.seeds.is_empty(), "no --seed: fresh entropy");
     }
 
@@ -197,8 +185,6 @@ mod tests {
             ("-n 0 cat", Front::Launcher),
             ("-n 2 cat", Front::Proxy),
             ("-n x cat", Front::Launcher),
-            ("--chunk 1000 cat", Front::Launcher),
-            ("--chunk 131072 cat", Front::Proxy),
             ("--seed", Front::Launcher),
             ("-n 3", Front::Proxy),
             ("-n 3 --", Front::Launcher),
@@ -206,13 +192,25 @@ mod tests {
             ("--pool-smoke", Front::Proxy),
             ("--pool 1 -- cat", Front::Launcher),
             ("--port 1 -- cat", Front::Launcher),
-            ("--cap 4096 -- cat", Front::Launcher),
         ] {
             let why = parse_str(line, front).err();
             assert!(
                 why.is_some_and(|w| !w.is_empty()),
                 "{front:?} must refuse {line:?} with a reason"
             );
+        }
+        // The barrier and the outbound queue are constants on both fronts.
+        for front in [Front::Launcher, Front::Proxy] {
+            for (line, flag) in [
+                ("--chunk 4096 cat", "--chunk"),
+                ("--cap 8192 -- cat", "--cap"),
+            ] {
+                assert_eq!(
+                    parse_str(line, front).err(),
+                    Some(format!("unknown option {flag}")),
+                    "{front:?} {line:?}"
+                );
+            }
         }
         assert_eq!(
             parse_str("-h -- cat", Front::Proxy).err().as_deref(),

@@ -7,9 +7,10 @@
 //!   non-blocking fd plumbing — and knows nothing about replicas;
 //! * [`crate::voter::VoteCore`] owns the paper's vote for one client
 //!   stream — the bounded input window and stdout buffers (each may run
-//!   one *transfer unit*, `max(chunk, TRANSFER)`, ahead of the vote), the
-//!   per-chunk vote barriers and their kills, the stderr captures, and the
-//!   closing stderr/exit ballots — and touches no descriptor;
+//!   one *transfer unit*, [`crate::TRANSFER`], ahead of the vote), the
+//!   vote barriers every [`crate::CHUNK`] and their kills, the stderr
+//!   captures, and the closing stderr/exit ballots — and touches no
+//!   descriptor;
 //! * [`crate::session`] is the core's process edge: spawn, pipes,
 //!   `SIGKILL`, reaping;
 //! * this module (and its TCP sibling [`crate::proxy`]) wires a session's
@@ -37,8 +38,8 @@
 //! timing, stderr/exit ballots — is pinned by `tests/streaming.rs` and
 //! `tests/pipe_equivalence.rs`; `peak_buffered` is pinned exactly where
 //! the run is one chunk long and against the
-//! `(2 × replicas + 1) × max(chunk, TRANSFER)` bound where replicas can
-//! run ahead of each other.
+//! `(2 × replicas + 1) × TRANSFER` bound where replicas can run ahead of
+//! each other.
 //!
 //! Two deliberate limits, both inherited from the paper's design: a replica
 //! that trickles a partial chunk without closing its stream delays the
@@ -92,7 +93,7 @@ enum Token {
 ///
 /// Returns [`io::ErrorKind::InvalidInput`] when `config.seeds` is non-empty
 /// but its length differs from `config.replicas`, or when
-/// [`LaunchConfig::validated`] refuses the replica count or the chunk;
+/// [`LaunchConfig::validated`] refuses the replica count;
 /// otherwise propagates process-spawn, `poll(2)`, and
 /// sink-write failures. Replica crashes and disagreements are **not**
 /// errors — the voter folds them into the returned [`StreamOutcome`].

@@ -22,11 +22,11 @@
 //!   [`VoteCore`] that runs one voted stream on it — the bounded input
 //!   window, per-replica stdout buffers voted a chunk at a time, the kills
 //!   (each with its barrier index), bounded stderr captures, and the
-//!   closing stderr/exit ballots. Bytes *move* a pipe-full ([`TRANSFER`])
-//!   at a time and are *voted* a chunk at a time. Peak memory per stream is
-//!   `(2 × replicas + 1) × max(chunk, TRANSFER)` retained bytes no matter
-//!   how much the replicas produce, so long-running/server-style commands
-//!   work. The in-process `diehard_runtime::ReplicaSet` votes through the
+//!   closing stderr/exit ballots. Bytes *move* a pipe-full ([`TRANSFER`],
+//!   64 KiB) at a time and are *voted* a [`CHUNK`] (4 KiB) at a time. Peak
+//!   memory per stream is `(2 × replicas + 1) × TRANSFER` retained bytes no
+//!   matter how much the replicas produce, so long-running/server-style
+//!   commands work. The in-process `diehard_runtime::ReplicaSet` votes through the
 //!   same core;
 //! * [`session`] — the process edge for **one** client stream: spawns the
 //!   replicas, moves bytes between their non-blocking pipes and the core,
@@ -74,28 +74,25 @@ pub use pool::{Pool, PoolStats};
 pub use session::{Phase, Session, SessionInput, SessionIo};
 pub use voter::{ChunkVote, Ties, VoteCore, Voter};
 
-/// The default barrier chunk size the voter compares — the pipe-buffer
-/// transfer unit the paper votes on (§5.2).
+/// The barrier: how many bytes of output every live replica must have
+/// produced before a vote — the pipe-buffer transfer unit the paper votes on
+/// (§5.2, "4K, the unit of transfer of a pipe"). Every ballot is ≤ this
+/// many bytes, so it is also the most a corrupted replica emits past its
+/// first wrong byte before it is killed, the least a response waits for,
+/// and the cap on each stderr capture.
 pub const CHUNK: usize = 4096;
 
 /// The transfer unit: how far, in bytes, each replica's stdout buffer and
-/// the broadcast input window may run ahead of the vote — or one barrier
-/// chunk, where that is larger. One kernel pipe buffer: a `read` this size
-/// empties the pipe a blocked replica is writing to, so the replica is
-/// woken once per 64 KiB rather than once per page, and the reactor pays
-/// its system calls per transfer instead of per chunk. The barrier itself
-/// stays [`LaunchConfig::chunk`]. Measured at PR 21 over a 512 MiB stream
-/// through `-n 3 cat` (4 KiB transfers: 1 217 k system calls, 200 MB/s):
-/// 16 KiB 323 k and 392 MB/s, 32 KiB 187 k and 438 MB/s, 64 KiB 108 k and
-/// 439 MB/s; beyond a pipe's capacity there is nothing more to read at
-/// once.
+/// the broadcast input window may run ahead of the vote. One kernel pipe
+/// buffer: a `read` this size empties the pipe a blocked replica is
+/// writing to, so the replica is woken once per 64 KiB rather than once
+/// per page, and the reactor pays its system calls per transfer instead of
+/// per chunk. The barrier itself stays [`CHUNK`]. Measured over a 512 MiB
+/// stream through `-n 3 cat` (4 KiB transfers: 1 217 k system calls,
+/// 200 MB/s): 16 KiB 323 k and 392 MB/s, 32 KiB 187 k and 438 MB/s,
+/// 64 KiB 108 k and 439 MB/s; beyond a pipe's capacity there is nothing
+/// more to read at once.
 pub const TRANSFER: usize = 65536;
-
-/// Smallest configurable barrier chunk ([`LaunchConfig::chunk`]).
-pub const CHUNK_MIN: usize = 512;
-
-/// Largest configurable barrier chunk ([`LaunchConfig::chunk`]).
-pub const CHUNK_MAX: usize = 65536;
 
 /// Configuration for a replicated launch.
 #[derive(Debug, Clone)]
@@ -113,17 +110,6 @@ pub struct LaunchConfig {
     /// Optional path exported as `LD_PRELOAD` for C binaries using the
     /// original interposition mechanism.
     pub preload: Option<String>,
-    /// Barrier chunk size in bytes (default [`CHUNK`]): how much output
-    /// every live replica must have produced before a vote, hence the most
-    /// a corrupted replica emits past its first wrong byte before it is
-    /// killed and the least a response waits for; also the cap on each
-    /// stderr capture. It is *not* the I/O size or the memory bound: reads
-    /// and writes move up to `max(chunk, `[`TRANSFER`]`)` bytes and each
-    /// session buffer may hold that much ahead of the vote. Must be a power
-    /// of two in `[`[`CHUNK_MIN`]`, `[`CHUNK_MAX`]`]` — validated when the
-    /// session launches, so a caller can sweep barrier granularity without
-    /// a recompile.
-    pub chunk: usize,
 }
 
 impl LaunchConfig {
@@ -143,42 +129,29 @@ impl LaunchConfig {
             input,
             seeds: Vec::new(),
             preload: None,
-            chunk: CHUNK,
         }
     }
 
-    /// Builder form of setting [`chunk`](Self::chunk).
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk;
-        self
-    }
-
-    /// Validates the replica count (which [`new`](Self::new) asserts but a
-    /// struct literal skips) and the [`chunk`](Self::chunk), and returns the
-    /// chunk. Every session, proxy and pool is built through this check.
+    /// Validates the replica count, which [`new`](Self::new) asserts but a
+    /// struct literal skips. Every session, proxy and pool is built through
+    /// this check.
     ///
     /// # Errors
     ///
     /// Returns [`std::io::ErrorKind::InvalidInput`] when `replicas` is 0
     /// (nothing would run, and nothing would vote) or 2 (a 1-1 tie cannot be
-    /// broken, §6), or unless the chunk is a power of two in
-    /// `[`[`CHUNK_MIN`]`, `[`CHUNK_MAX`]`]`.
-    pub fn validated(&self) -> std::io::Result<usize> {
-        let invalid = |msg: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+    /// broken, §6).
+    pub fn validated(&self) -> std::io::Result<()> {
         if self.replicas == 0 || self.replicas == 2 {
-            return invalid(format!(
-                "{} replicas cannot vote (use 1, or 3 or more)",
-                self.replicas
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "{} replicas cannot vote (use 1, or 3 or more)",
+                    self.replicas
+                ),
             ));
         }
-        if !self.chunk.is_power_of_two() || !(CHUNK_MIN..=CHUNK_MAX).contains(&self.chunk) {
-            return invalid(format!(
-                "chunk {} must be a power of two in [{CHUNK_MIN}, {CHUNK_MAX}]",
-                self.chunk
-            ));
-        }
-        Ok(self.chunk)
+        Ok(())
     }
 }
 
@@ -198,7 +171,7 @@ pub struct ReplicatedExit {
     /// a command that fails identically in every replica keeps its output
     /// and forwards its status.
     pub exit_code: Option<i32>,
-    /// The quorum-agreed standard error: the first ≤ `config.chunk` bytes
+    /// The quorum-agreed standard error: the first ≤ [`CHUNK`] bytes
     /// each replica wrote (bytes beyond the cap are drained and discarded
     /// so a replica never blocks on stderr) are voted as a ballot after the
     /// streams end, and the winners' capture is forwarded. Empty on
@@ -207,8 +180,8 @@ pub struct ReplicatedExit {
 }
 
 /// Spawns the replicas, broadcasts `config.input`, votes on stdout at
-/// `config.chunk` barriers while the replicas run, and returns the
-/// committed output.
+/// [`CHUNK`] barriers while the replicas run, and returns the committed
+/// output.
 ///
 /// This is a thin in-memory wrapper over [`run_streamed`] — same engine,
 /// same incremental voting and mid-stream kills; only the input source
@@ -218,7 +191,7 @@ pub struct ReplicatedExit {
 ///
 /// Returns [`std::io::ErrorKind::InvalidInput`] when `config.seeds` is
 /// non-empty but does not provide exactly one seed per replica, or when
-/// [`LaunchConfig::validated`] refuses the replica count or the chunk; otherwise
+/// [`LaunchConfig::validated`] refuses the replica count; otherwise
 /// propagates process-spawn and pipe I/O failures. Replica *crashes* are
 /// not errors — the voter handles them by decrementing the live set.
 pub fn run_replicated(config: &LaunchConfig) -> std::io::Result<ReplicatedExit> {

@@ -110,11 +110,11 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// Rejects an invalid replica count or `config.chunk` up front
+    /// Rejects an invalid replica count up front
     /// ([`LaunchConfig::validated`], the same validation a cold spawn would
     /// apply later).
     pub fn new(config: LaunchConfig, target: usize) -> io::Result<Self> {
-        let _ = config.validated()?;
+        config.validated()?;
         Ok(Self {
             config,
             target,

@@ -17,17 +17,16 @@
 //! [`Session::register_interest`]), each client socket's read side when
 //! that session's window wants input, and each client socket's write side
 //! while voted bytes are queued. Per-connection memory is bounded end to
-//! end: the session retains at most
-//! `(2 × replicas + 1) × max(chunk, TRANSFER)` bytes (window + stdout
-//! buffers + stderr captures; [`crate::TRANSFER`] is the 64 KiB *transfer*
-//! unit the buffers may run ahead of the vote by, the chunk the *barrier*
-//! unit every ballot is cut to — the same order as the nine kernel pipe
-//! buffers a three-replica connection already owns, and reached only by a
-//! connection that actually streams: buffers grow on demand from one
-//! chunk), and the proxy's outbound queue holds at most `out_cap` + one
-//! chunk — once a slow reader fills it, the proxy stops pumping that
-//! session, its stdout buffers fill and stop being polled, and the kernel
-//! pipes throttle the replicas themselves. While the socket does take
+//! end: the session retains at most `(2 × replicas + 1) × TRANSFER` bytes
+//! (window + stdout buffers + stderr captures; [`crate::TRANSFER`] is the
+//! 64 KiB *transfer* unit the buffers may run ahead of the vote by,
+//! [`crate::CHUNK`] the 4 KiB *barrier* unit every ballot is cut to — the
+//! same order as the nine kernel pipe buffers a three-replica connection
+//! already owns, and reached only by a connection that actually streams:
+//! buffers grow on demand from one chunk), and the proxy's outbound queue
+//! holds at most [`OUT_CAP`] + one chunk — once a slow reader fills it,
+//! the proxy stops pumping that session, its stdout buffers fill and stop
+//! being polled, and the kernel pipes throttle the replicas themselves. While the socket does take
 //! bytes, a round alternates pump and flush until the queue stays full or
 //! no barrier is satisfiable, so it never sleeps on bytes it could vote.
 //! Backpressure propagates to the client's *input* too: the window is
@@ -65,7 +64,7 @@ use crate::net::Listener;
 use crate::pool::{Pool, PoolStats};
 use crate::reactor::Reactor;
 use crate::session::{Phase, Session, SessionIo, StreamOutcome};
-use crate::LaunchConfig;
+use crate::{LaunchConfig, CHUNK};
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
@@ -77,6 +76,12 @@ use std::time::{Duration, Instant};
 /// read at least this often, and a stopping proxy gives drained connections
 /// this long.
 const TICK_MS: libc::c_int = 100;
+
+/// The per-connection outbound-queue cap, in bytes: the proxy stops
+/// pumping a connection's session once this much voted output waits for
+/// its client, so the queue holds at most `OUT_CAP` + one chunk (a pump
+/// checks the room between chunks).
+pub const OUT_CAP: usize = 4 * CHUNK;
 
 /// What a proxy `pollfd` entry refers to.
 #[derive(Debug, Clone, Copy)]
@@ -103,10 +108,12 @@ struct Conn {
     seeds: Vec<u64>,
     session: Session,
     /// The outbound queue: `out[out_head..]` is voted and not yet written
-    /// to the client (≤ `out_cap` + one chunk). A partial write moves the
+    /// to the client (≤ [`OUT_CAP`] + one chunk). A partial write moves the
     /// head, not the bytes.
     out: Vec<u8>,
     out_head: usize,
+    /// Response bytes written to the client so far.
+    sent: u64,
     /// Highest queue fill observed (test hook for the backpressure bound).
     out_peak: usize,
     /// The client half-closed its write side: the request is complete.
@@ -130,7 +137,8 @@ pub struct SessionReport {
     pub outcome: Option<StreamOutcome>,
     /// Response bytes actually written to the client.
     pub sent: u64,
-    /// Highest proxy-side outbound-queue fill observed (≤ cap + chunk).
+    /// Highest proxy-side outbound-queue fill observed (≤ [`OUT_CAP`] +
+    /// one chunk).
     pub out_peak: usize,
     /// The client vanished mid-stream and the session was SIGKILL-reaped.
     pub aborted: bool,
@@ -162,8 +170,6 @@ pub struct ProxySummary {
 #[derive(Debug)]
 pub struct Proxy {
     listener: Listener,
-    config: LaunchConfig,
-    out_cap: usize,
     next_id: u64,
     /// The warm replica-set pool (depth 0 = cold spawns only, the
     /// byte-identical legacy path).
@@ -173,10 +179,6 @@ pub struct Proxy {
 }
 
 impl Proxy {
-    /// Default outbound-queue cap, in chunks (so the per-connection bound
-    /// scales with the configured barrier granularity).
-    pub const DEFAULT_OUT_CAP_CHUNKS: usize = 4;
-
     /// Wraps a bound [`Listener`]. `config` describes the replica set
     /// spawned per connection (`config.input` is ignored; explicit
     /// `config.seeds` are reused for every connection — deterministic
@@ -186,28 +188,16 @@ impl Proxy {
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::InvalidInput`] for a replica count that
-    /// cannot vote or an out-of-range `config.chunk`
-    /// ([`LaunchConfig::validated`], checked here so `run` can't fail
-    /// per-connection).
+    /// cannot vote ([`LaunchConfig::validated`], checked here by
+    /// [`Pool::new`] so `run` can't fail per-connection).
     pub fn new(listener: Listener, config: LaunchConfig) -> io::Result<Self> {
-        let chunk = config.validated()?;
-        let pool = Pool::new(config.clone(), 0)?;
+        let pool = Pool::new(config, 0)?;
         Ok(Self {
             listener,
-            config,
-            out_cap: Self::DEFAULT_OUT_CAP_CHUNKS * chunk,
             next_id: 0,
             pool,
             log_pool_stats: false,
         })
-    }
-
-    /// Overrides the per-connection outbound-queue cap (bytes; floored at
-    /// one chunk so a single commit always fits).
-    #[must_use]
-    pub fn with_out_cap(mut self, bytes: usize) -> Self {
-        self.out_cap = bytes.max(self.config.chunk);
-        self
     }
 
     /// Sets the warm-pool depth target: up to `depth` complete replica
@@ -281,7 +271,7 @@ impl Proxy {
             // exited, and its connection retires with the outcome.
             for slot in conns.iter_mut() {
                 let Some(conn) = slot else { continue };
-                conn.advance(self.out_cap);
+                conn.advance();
                 if conn.finished() {
                     summary.note(slot.take().expect("conn is Some"));
                     if self.log_pool_stats {
@@ -472,6 +462,7 @@ impl Proxy {
                 session,
                 out: Vec::new(),
                 out_head: 0,
+                sent: 0,
                 out_peak: 0,
                 request_done: false,
                 eof_sent: false,
@@ -497,9 +488,9 @@ impl Conn {
     /// the client is half-closed as soon as the queue is empty, and each
     /// round reaps what has exited until [`Session::finalize`] yields the
     /// outcome.
-    fn advance(&mut self, out_cap: usize) {
+    fn advance(&mut self) {
         let mut flushed = false;
-        while !self.aborted && !self.session.is_drained() && self.queued() < out_cap {
+        while !self.aborted && !self.session.is_drained() && self.queued() < OUT_CAP {
             // The written prefix goes once it outweighs the queue behind
             // it, so the vector stays within twice the queue's bound and
             // a byte is moved at most once.
@@ -507,7 +498,7 @@ impl Conn {
                 self.out.drain(..self.out_head);
                 self.out_head = 0;
             }
-            let room = out_cap - self.queued();
+            let room = OUT_CAP - self.queued();
             let phase = self.session.pump(&mut self.out, room);
             self.out_peak = self.out_peak.max(self.queued());
             self.flush_response();
@@ -581,7 +572,10 @@ impl Conn {
                     self.disconnect();
                     return;
                 }
-                Ok(n) => self.out_head += n,
+                Ok(n) => {
+                    self.out_head += n;
+                    self.sent += n as u64;
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -616,14 +610,10 @@ impl ProxySummary {
         if conn.outcome.as_ref().is_some_and(|o| o.diverged) {
             self.diverged += 1;
         }
-        let sent = conn
-            .outcome
-            .as_ref()
-            .map_or(0, |o| o.committed - conn.queued() as u64);
         self.reports.push(SessionReport {
             conn_id: conn.id,
             outcome: conn.outcome,
-            sent,
+            sent: conn.sent,
             out_peak: conn.out_peak,
             aborted: conn.aborted,
             seeds: conn.seeds,

@@ -29,8 +29,8 @@
 //! wakes the transport's `poll` through its registered stderr, and a
 //! transport's tick is the backstop for a grandchild holding that stderr
 //! open past the exit. The core's memory bound,
-//! `(2 × replicas + 1) × max(chunk, TRANSFER)` retained bytes, is the same
-//! order as the `3 × replicas` kernel pipe buffers the session owns.
+//! `(2 × replicas + 1) × TRANSFER` retained bytes, is the same order as the
+//! `3 × replicas` kernel pipe buffers the session owns.
 
 use crate::reactor;
 use crate::voter::{VoteCore, Voter};
@@ -65,24 +65,30 @@ pub struct Session {
 }
 
 impl Session {
-    /// Spawns `seeds.len()` replicas of `config.command` (each seeded via
-    /// `DIEHARD_SEED`, stdio piped and non-blocking) and readies the
-    /// barrier machinery. `config.input` is ignored — the input source is
-    /// the explicit `input` argument.
+    /// Spawns `config.replicas` replicas of `config.command`, replica `i`
+    /// seeded with `seeds[i]` via `DIEHARD_SEED` (stdio piped and
+    /// non-blocking), and readies the barrier machinery. `config.input` is
+    /// ignored — the input source is the explicit `input` argument.
     ///
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::InvalidInput`] when
-    /// [`LaunchConfig::validated`] refuses `config`; propagates spawn and
-    /// `fcntl(2)` failures, and anything spawned before the failure is
-    /// killed and reaped.
+    /// [`LaunchConfig::validated`] refuses `config` or `seeds` does not hold
+    /// one seed per replica; propagates spawn and `fcntl(2)` failures, and
+    /// anything spawned before the failure is killed and reaped.
     pub fn spawn(config: &LaunchConfig, seeds: &[u64], input: SessionInput) -> io::Result<Self> {
-        let chunk = config.validated()?;
+        config.validated()?;
+        if seeds.len() != config.replicas {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{} seeds for {} replicas", seeds.len(), config.replicas),
+            ));
+        }
         // On an error below, Drop kills and reaps what was spawned.
         let mut session = Self {
             children: Vec::with_capacity(seeds.len()),
             seeds: seeds.to_vec(),
-            core: VoteCore::new(Voter::new(seeds.len()), chunk, input),
+            core: VoteCore::new(Voter::new(seeds.len()), input),
         };
         for &seed in seeds {
             let mut cmd = Command::new(&config.command[0]);
@@ -479,6 +485,20 @@ pub(crate) fn resolve_seeds(config: &LaunchConfig) -> io::Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CHUNK;
+
+    /// A seed slice that does not match `config.replicas` is refused, not
+    /// run with as many replicas as it has seeds: an empty one would spawn
+    /// nothing and drain at once to what looks like a clean run.
+    #[test]
+    fn a_seed_slice_of_the_wrong_length_is_invalid_input() {
+        let config = LaunchConfig::new(3, vec!["cat".into()], Vec::new());
+        for seeds in [&[][..], &[1, 2], &[1, 2, 3, 4]] {
+            let err = Session::spawn(&config, seeds, SessionInput::Streamed)
+                .expect_err("a seed per replica or nothing");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{seeds:?}");
+        }
+    }
 
     #[test]
     fn a_spawned_session_holds_no_buffers_and_a_one_chunk_echo_grows_none_past_need() {
@@ -494,7 +514,7 @@ mod tests {
         }
 
         // One chunk in, one chunk voted out, input ended.
-        let request = vec![b'q'; config.chunk];
+        let request = vec![b'q'; CHUNK];
         assert_eq!(
             session.fill_input(&mut &request[..]).unwrap(),
             request.len()
@@ -518,9 +538,9 @@ mod tests {
         // A brim-full read is a buffer's only sign that more may follow, so
         // the reads that found the ends of the streams had two chunks each.
         let (window, lanes) = session.core.storage();
-        assert_eq!(window.len(), 2 * config.chunk);
+        assert_eq!(window.len(), 2 * CHUNK);
         for (out, _) in lanes {
-            assert_eq!(out.len(), 2 * config.chunk);
+            assert_eq!(out.len(), 2 * CHUNK);
         }
         let outcome = loop {
             match session.finalize() {

@@ -11,8 +11,8 @@
 //! A vote allocates nothing: the verdict *names* the winning replica
 //! instead of copying its bytes (the caller already holds them), and the
 //! grouping scratch lives in the [`Voter`] across rounds — a voted stream
-//! resolves one barrier per ≤ chunk bytes, so anything allocated here is
-//! allocated a quarter of a million times per gigabyte.
+//! resolves one barrier per ≤ [`CHUNK`] bytes, so anything allocated here
+//! is allocated a quarter of a million times per gigabyte.
 //!
 //! **The core.** A [`VoteCore`] is the barrier machine of one stream over
 //! `n` replicas, whatever they are: child processes behind pipes (the
@@ -29,23 +29,23 @@
 //! **Transfer unit vs barrier unit.** §5.2 votes "when the buffer fills
 //! (4K, the unit of transfer of a pipe)"; on today's kernels a pipe holds
 //! 64 KiB, and a 4 KiB `read` from a full pipe wakes the blocked writer for
-//! one page. So the two sizes are separate here. The *barrier* is the
-//! chunk: every ballot is ≤ chunk bytes, a replica is outvoted and killed
-//! at the first chunk that differs, and a one-chunk response commits the
-//! moment every live replica has produced it. The *transfer* is
-//! `max(chunk, `[`TRANSFER`]`)`: each stdout buffer and the input window
-//! may run ahead of the vote by up to that much, and [`VoteCore::pump`]
-//! votes chunk-sized slices of the buffers until one of them runs short.
-//! Buffers start empty, begin at one chunk and double only after a read
-//! has filled them to the brim (the one sign that the pipe may hold more),
-//! so a connection that never has more than a chunk in flight touches two
-//! chunks per buffer, not sixteen, and a parked pool set holds nothing.
-//! Peak memory per stream is `(2 × replicas + 1) × max(chunk, TRANSFER)`
-//! retained bytes by construction — `replicas` stdout buffers, `replicas`
-//! stderr captures (≤ chunk each) and the window — reported via
-//! [`StreamOutcome::peak_buffered`].
+//! one page. So the two sizes are separate here, and both are constants.
+//! The *barrier* is [`CHUNK`], the paper's 4 KiB: every ballot is ≤ one
+//! chunk, a replica is outvoted and killed at the first chunk that differs,
+//! and a one-chunk response commits the moment every live replica has
+//! produced it. The *transfer* is [`TRANSFER`], a pipe's 64 KiB: each stdout
+//! buffer and the input window may run ahead of the vote by up to that
+//! much, and [`VoteCore::pump`] votes chunk-sized slices of the buffers
+//! until one of them runs short. Buffers start empty, begin at one chunk
+//! and double only after a read has filled them to the brim (the one sign
+//! that the pipe may hold more), so a connection that never has more than a
+//! chunk in flight touches two chunks per buffer, not sixteen, and a parked
+//! pool set holds nothing. Peak memory per stream is
+//! `(2 × replicas + 1) × TRANSFER` retained bytes by construction —
+//! `replicas` stdout buffers, `replicas` stderr captures (≤ one chunk each)
+//! and the window — reported via [`StreamOutcome::peak_buffered`].
 
-use crate::TRANSFER;
+use crate::{CHUNK, TRANSFER};
 use std::io::{self, Read};
 
 /// Result of voting on one round of chunks.
@@ -244,21 +244,21 @@ pub struct StreamOutcome {
     pub committed: u64,
     /// High-water mark of bytes retained inside the session (per-replica
     /// stdout buffers and stderr captures plus the streamed-input window)
-    /// — bounded by `(2 × replicas + 1) × max(chunk, TRANSFER)` by
-    /// construction. How far below the bound it reads depends on how far
-    /// the replicas ran ahead of each other, so it is timing-dependent
-    /// once a stream is longer than one chunk.
+    /// — bounded by `(2 × replicas + 1) × TRANSFER` by construction. How
+    /// far below the bound it reads depends on how far the replicas ran
+    /// ahead of each other, so it is timing-dependent once a stream is
+    /// longer than one chunk.
     pub peak_buffered: usize,
-    /// The quorum-agreed standard error (first ≤ chunk bytes — the same
+    /// The quorum-agreed standard error (first ≤ [`CHUNK`] bytes — the same
     /// chunk discipline as stdout voting). After the streams end the
     /// replicas' captures are voted as a ballot: a minority stderr loses
     /// its replica its vote, and no strict plurality means the run
     /// [`diverged`](Self::diverged). Empty when the run diverged or no
     /// replica survived.
     pub stderr: Vec<u8>,
-    /// Bytes of the winning replica's stderr beyond the chunk capture cap.
-    /// They were read and discarded — never left in the pipe, so a chatty
-    /// replica cannot block on stderr backpressure.
+    /// Bytes of the winning replica's stderr beyond the one-chunk capture
+    /// cap. They were read and discarded — never left in the pipe, so a
+    /// chatty replica cannot block on stderr backpressure.
     pub stderr_dropped: u64,
 }
 
@@ -297,8 +297,8 @@ impl RunAhead {
     /// the vote has consumed half the buffer, and each byte is moved at
     /// most once. A buffer in that state retains more than `limit / 2`
     /// bytes, which is at least a chunk whenever a partial consume can
-    /// leave a prefix at all (`limit` is the chunk or a multiple of two
-    /// chunks), so it never withholds a ballot.
+    /// leave a prefix at all (`limit` is a multiple of two chunks, see
+    /// [`VoteCore`]), so it never withholds a ballot.
     fn has_room(&self, limit: usize) -> bool {
         self.tail < self.buf.len() || self.slides() || self.buf.len() < limit
     }
@@ -391,24 +391,23 @@ struct Lane {
 }
 
 impl Lane {
-    /// The next ballot: the first ≤ `chunk` bytes not yet voted, `None`
+    /// The next ballot: the first ≤ [`CHUNK`] bytes not yet voted, `None`
     /// once the stream has nothing left.
-    fn ballot(&self, chunk: usize) -> Option<&[u8]> {
+    fn ballot(&self) -> Option<&[u8]> {
         let unvoted = self.out.as_slice();
-        (!unvoted.is_empty()).then(|| &unvoted[..unvoted.len().min(chunk)])
+        (!unvoted.is_empty()).then(|| &unvoted[..unvoted.len().min(CHUNK)])
     }
 }
+
+// A full run-ahead buffer must hold a ballot (`RunAhead::has_room`): its
+// limit, the transfer unit, has to be a whole number of chunk pairs.
+const _: () = assert!(TRANSFER.is_multiple_of(2 * CHUNK));
 
 /// The §5.2 barrier machine for one voted stream (see the module docs).
 pub struct VoteCore {
     lanes: Vec<Lane>,
     input: Window,
     voter: Voter,
-    /// The barrier unit: every ballot is ≤ this many bytes.
-    chunk: usize,
-    /// The transfer unit, `max(chunk, TRANSFER)`: how far each stdout
-    /// buffer and the input window may run ahead of the vote.
-    unit: usize,
     committed: u64,
     peak_buffered: usize,
     diverged: bool,
@@ -423,7 +422,6 @@ impl std::fmt::Debug for VoteCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VoteCore")
             .field("replicas", &self.lanes.len())
-            .field("chunk", &self.chunk)
             .field("committed", &self.committed)
             .field("drained", &self.drained)
             .field("diverged", &self.diverged)
@@ -433,26 +431,14 @@ impl std::fmt::Debug for VoteCore {
 
 impl VoteCore {
     /// A stream over `voter`'s replicas (the voter's tie rule is the
-    /// stream's), voting ballots of ≤ `chunk` bytes, a power of two, with
-    /// its input from `input`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `chunk` is a power of two: a run-ahead buffer's limit
-    /// must be the chunk or a multiple of two chunks, or a full buffer could
-    /// hold less than a ballot.
+    /// stream's), voting ballots of ≤ [`CHUNK`] bytes, with its input from
+    /// `input`.
     #[must_use]
-    pub fn new(voter: Voter, chunk: usize, input: SessionInput) -> Self {
-        assert!(
-            chunk.is_power_of_two(),
-            "chunk {chunk} is not a power of two"
-        );
+    pub fn new(voter: Voter, input: SessionInput) -> Self {
         Self {
             lanes: voter.alive.iter().map(|_| Lane::default()).collect(),
             input: Window::new(input),
             voter,
-            chunk,
-            unit: chunk.max(TRANSFER),
             committed: 0,
             peak_buffered: 0,
             diverged: false,
@@ -506,7 +492,7 @@ impl VoteCore {
     /// cannot change that.
     #[must_use]
     pub fn barrier_ready(&self) -> bool {
-        let ready = |l: &Lane| l.eof || l.out.len() >= self.chunk;
+        let ready = |l: &Lane| l.eof || l.out.len() >= CHUNK;
         self.voter.live_count() > 0 && self.voter.live().all(|i| ready(&self.lanes[i]))
     }
 
@@ -519,15 +505,14 @@ impl VoteCore {
             0
         };
         // Each buffer within its own cap, not only their sum.
-        let (unit, chunk) = (self.unit, self.chunk);
-        debug_assert!(win <= unit);
+        debug_assert!(win <= TRANSFER);
         debug_assert!(self
             .lanes
             .iter()
-            .all(|l| l.out.len() <= unit && l.err.len() <= chunk));
+            .all(|l| l.out.len() <= TRANSFER && l.err.len() <= CHUNK));
         let lanes: usize = self.lanes.iter().map(|l| l.out.len() + l.err.len()).sum();
         self.peak_buffered = self.peak_buffered.max(lanes + win);
-        debug_assert!(self.peak_buffered <= (2 * self.lanes.len() + 1) * unit);
+        debug_assert!(self.peak_buffered <= (2 * self.lanes.len() + 1) * TRANSFER);
     }
 
     /// Whether the caller should supply the next input window: streamed
@@ -562,8 +547,8 @@ impl VoteCore {
         // Emptied first, so a failed read leaves an empty window behind.
         let consumed = std::mem::take(&mut win.len);
         win.base += consumed as u64;
-        if consumed == win.buf.len() && consumed < self.unit {
-            let grown = (consumed * 2).clamp(self.chunk, self.unit);
+        if consumed == win.buf.len() && consumed < TRANSFER {
+            let grown = (consumed * 2).clamp(CHUNK, TRANSFER);
             win.buf.resize(grown, 0);
         }
         let n = src.read(&mut win.buf)?;
@@ -617,14 +602,14 @@ impl VoteCore {
     /// catch up or the caller is not pumping.
     #[must_use]
     pub fn out_room(&self, i: usize) -> bool {
-        self.voter.is_alive(i) && self.lanes[i].out.has_room(self.unit)
+        self.voter.is_alive(i) && self.lanes[i].out.has_room(TRANSFER)
     }
 
     /// Storage for the next read of replica `i`'s stdout, as far ahead of
     /// the vote as one transfer unit; empty while
     /// [`out_room`](Self::out_room) is false.
     pub fn out_spare(&mut self, i: usize) -> &mut [u8] {
-        self.lanes[i].out.spare(self.chunk, self.unit)
+        self.lanes[i].out.spare(CHUNK, TRANSFER)
     }
 
     /// Records that a read put `n` bytes into
@@ -644,7 +629,7 @@ impl VoteCore {
     /// are counted and dropped.
     pub fn err_read(&mut self, i: usize, bytes: &[u8]) {
         let lane = &mut self.lanes[i];
-        let keep = self.chunk.saturating_sub(lane.err.len()).min(bytes.len());
+        let keep = CHUNK.saturating_sub(lane.err.len()).min(bytes.len());
         lane.err.extend_from_slice(&bytes[..keep]);
         lane.err_dropped += (bytes.len() - keep) as u64;
         self.note_buffered();
@@ -697,10 +682,10 @@ impl VoteCore {
             if !self.barrier_ready() {
                 break;
             }
-            let (chunk, lanes) = (self.chunk, &self.lanes);
-            match self.voter.vote_by(|i| lanes[i].ballot(chunk)) {
+            let lanes = &self.lanes;
+            match self.voter.vote_by(|i| lanes[i].ballot()) {
                 ChunkVote::Commit(winner) => {
-                    let bytes = lanes[winner].ballot(chunk).expect("a committed ballot");
+                    let bytes = lanes[winner].ballot().expect("a committed ballot");
                     out.extend_from_slice(bytes);
                     let n = bytes.len();
                     self.committed += n as u64;
@@ -945,8 +930,9 @@ mod tests {
 
     /// Drives a [`RunAhead`] the way a session does — reads of arbitrary
     /// length into `spare`, whole-chunk consumes while a chunk is there —
-    /// against a plain queue, for every chunk/limit shape the config
-    /// allows (limit = chunk, or a multiple of two chunks).
+    /// against a plain queue, for small chunk/limit shapes that keep the
+    /// invariant the core's `(CHUNK, TRANSFER)` is asserted to keep (limit
+    /// = chunk, or a multiple of two chunks), the last at its 1 : 16 ratio.
     #[test]
     fn run_ahead_is_a_bounded_fifo_that_never_withholds_a_ballot() {
         for (chunk, limit) in [(4usize, 4usize), (4, 8), (4, 64), (16, 64)] {
@@ -1015,10 +1001,10 @@ mod tests {
     /// each chunk index voted over the live replicas by grouping equal
     /// chunks and committing the largest group — with the tie rule made a
     /// parameter, then the closing ballots: crashes leave the live set,
-    /// stderr captures (the first ≤ chunk bytes) and exit statuses are
+    /// stderr captures (the first ≤ [`CHUNK`] bytes) and exit statuses are
     /// voted by the same grouping. A divergence SIGKILLs every live
     /// replica, so each of them then counts as a crash.
-    fn reference(scripts: &[Script], chunk: usize, ties: Ties) -> Verdict {
+    fn reference(scripts: &[Script], ties: Ties) -> Verdict {
         let mut live: Vec<usize> = (0..scripts.len()).collect();
         let mut killed = Vec::new();
         let mut committed = Vec::new();
@@ -1053,7 +1039,7 @@ mod tests {
             if live.is_empty() {
                 break;
             }
-            let chunk_of = |i: usize| scripts[i].out.chunks(chunk).nth(k).map(<[u8]>::to_vec);
+            let chunk_of = |i: usize| scripts[i].out.chunks(CHUNK).nth(k).map(<[u8]>::to_vec);
             match vote(&mut live, &mut killed, &chunk_of, k) {
                 Some(Some(bytes)) => committed.extend_from_slice(&bytes),
                 Some(None) => break,
@@ -1063,7 +1049,7 @@ mod tests {
                 }
             }
         }
-        let barriers = committed.len().div_ceil(chunk);
+        let barriers = committed.len().div_ceil(CHUNK);
         let codes: Vec<Option<i32>> = scripts
             .iter()
             .map(|s| match s.end {
@@ -1079,7 +1065,7 @@ mod tests {
         let mut stderr = Vec::new();
         if !diverged && !live.is_empty() {
             let capture =
-                |i: usize| Some(scripts[i].err[..scripts[i].err.len().min(chunk)].to_vec());
+                |i: usize| Some(scripts[i].err[..scripts[i].err.len().min(CHUNK)].to_vec());
             diverged = vote(&mut live, &mut killed, &capture, barriers).is_none();
         }
         if !diverged && !live.is_empty() {
@@ -1088,7 +1074,7 @@ mod tests {
                 Some(_) => {
                     exit_code = codes[live[0]];
                     let err = &scripts[live[0]].err;
-                    stderr = err[..err.len().min(chunk)].to_vec();
+                    stderr = err[..err.len().min(CHUNK)].to_vec();
                 }
                 None => diverged = true,
             }
@@ -1112,8 +1098,8 @@ mod tests {
     }
 
     /// A read size: mostly up to two chunks, now and then up to a transfer.
-    fn read_size(rng: &mut Mwc, chunk: usize) -> usize {
-        let cap = if rng.chance(0.2) { TRANSFER } else { 2 * chunk };
+    fn read_size(rng: &mut Mwc) -> usize {
+        let cap = if rng.chance(0.2) { TRANSFER } else { 2 * CHUNK };
         1 + rng.below(cap)
     }
 
@@ -1123,16 +1109,10 @@ mod tests {
     /// budgets — and checks the invariants each step. Returns the verdict,
     /// or `None` when a replica hangs (after checking that the stream
     /// stopped at the hung replica's last full barrier).
-    fn drive(
-        scripts: &[Script],
-        input: &[u8],
-        chunk: usize,
-        ties: Ties,
-        seed: u64,
-    ) -> Option<Verdict> {
+    fn drive(scripts: &[Script], input: &[u8], ties: Ties, seed: u64) -> Option<Verdict> {
         let n = scripts.len();
         let mut rng = Mwc::seeded(seed);
-        let mut core = VoteCore::new(Voter::with_ties(n, ties), chunk, SessionInput::Streamed);
+        let mut core = VoteCore::new(Voter::with_ties(n, ties), SessionInput::Streamed);
         let mut source = Trickle {
             data: input,
             step: 0,
@@ -1172,7 +1152,7 @@ mod tests {
                     let budget = if alone || rng.chance(0.5) {
                         usize::MAX
                     } else {
-                        1 + rng.below(3 * chunk)
+                        1 + rng.below(3 * CHUNK)
                     };
                     let before = committed.len();
                     if core.pump(&mut committed, budget) == Phase::Drained {
@@ -1188,7 +1168,7 @@ mod tests {
                         let hung =
                             (0..n).find(|&i| scripts[i].end == End::Hang && core.voter.is_alive(i));
                         let hung = hung.expect("a stuck stream has a hung replica");
-                        let full = scripts[hung].out.len() / chunk * chunk;
+                        let full = scripts[hung].out.len() / CHUNK * CHUNK;
                         assert!(
                             committed.len() <= full,
                             "committed past the hung replica's last full barrier"
@@ -1205,14 +1185,14 @@ mod tests {
                         continue;
                     }
                     let spare = core.out_spare(i);
-                    let k = spare.len().min(s.len()).min(read_size(&mut rng, chunk));
+                    let k = spare.len().min(s.len()).min(read_size(&mut rng));
                     spare[..k].copy_from_slice(&s[..k]);
                     core.out_filled(i, k);
                     out_pos[i] += k;
                 }
                 Some((1, i)) => {
                     let s = &scripts[i].err[err_pos[i]..];
-                    let k = s.len().min(read_size(&mut rng, chunk));
+                    let k = s.len().min(read_size(&mut rng));
                     core.err_read(i, &s[..k]);
                     err_pos[i] += k;
                 }
@@ -1221,11 +1201,11 @@ mod tests {
                     core.input_written(i, k);
                 }
                 Some((_, _)) => {
-                    source.step = read_size(&mut rng, chunk);
+                    source.step = read_size(&mut rng);
                     core.fill_input(&mut source).expect("in-memory read");
                 }
             }
-            assert!(core.peak_buffered <= (2 * n + 1) * chunk.max(TRANSFER));
+            assert!(core.peak_buffered <= (2 * n + 1) * TRANSFER);
         }
         // The edge reaps: what stderr is left arrives first; the losers
         // and, after a divergence, everyone were SIGKILLed.
@@ -1241,7 +1221,7 @@ mod tests {
             .collect();
         let outcome = core.finalize(&codes);
         assert_eq!(outcome.committed, committed.len() as u64);
-        assert!(outcome.peak_buffered <= (2 * n + 1) * chunk.max(TRANSFER));
+        assert!(outcome.peak_buffered <= (2 * n + 1) * TRANSFER);
         let kills = core
             .killed()
             .iter()
@@ -1260,16 +1240,16 @@ mod tests {
     /// corrupting one byte of it, cutting it short (a crash at any barrier
     /// or mid-chunk), hanging, flooding stderr past the cap or exiting with
     /// its own status.
-    fn scripts(rng: &mut Mwc, n: usize, chunk: usize) -> Vec<Script> {
+    fn scripts(rng: &mut Mwc, n: usize) -> Vec<Script> {
         let len = match rng.below(4) {
-            0 => rng.below(3 * chunk),
+            0 => rng.below(3 * CHUNK),
             1 => rng.below(3 * TRANSFER),
-            _ => rng.below(12) * chunk, // on a barrier
+            _ => rng.below(12) * CHUNK, // on a barrier
         };
         let mut truth = vec![0u8; len];
         rng.fill_bytes(&mut truth);
         let err: Vec<u8> = if rng.chance(0.3) {
-            vec![b'!'; chunk + rng.below(3 * chunk)]
+            vec![b'!'; CHUNK + rng.below(3 * CHUNK)]
         } else {
             b"warn\n".to_vec()
         };
@@ -1302,9 +1282,9 @@ mod tests {
                     s.out[rng.below(len)] ^= 1 + rng.below(255) as u8;
                 }
                 if rng.chance(0.2) {
-                    let barriers = len.div_ceil(chunk);
+                    let barriers = len.div_ceil(CHUNK);
                     let cut = if rng.chance(0.5) {
-                        rng.below(barriers + 1) * chunk
+                        rng.below(barriers + 1) * CHUNK
                     } else {
                         rng.below(len + 1)
                     };
@@ -1331,16 +1311,15 @@ mod tests {
         let mut hung = 0;
         for n in [1, 3, 4, 5] {
             for case in 0..24 {
-                let chunk = [512, 4096][case % 2];
-                let scripts = scripts(&mut rng, n, chunk);
+                let scripts = scripts(&mut rng, n);
                 let mut input = vec![0u8; rng.below(3 * TRANSFER)];
                 rng.fill_bytes(&mut input);
                 for ties in [Ties::Diverge, Ties::First] {
                     let seed = rng.next_u64();
-                    match drive(&scripts, &input, chunk, ties, seed) {
+                    match drive(&scripts, &input, ties, seed) {
                         Some(got) => assert_eq!(
                             got,
-                            reference(&scripts, chunk, ties),
+                            reference(&scripts, ties),
                             "{n} replicas, case {case}, {ties:?}"
                         ),
                         None => hung += 1,
@@ -1356,8 +1335,7 @@ mod tests {
     /// it falls on the last one.
     #[test]
     fn a_crash_at_every_barrier_is_outvoted_there() {
-        let chunk = 512;
-        let truth: Vec<u8> = (0..6 * chunk).map(|b| b as u8).collect();
+        let truth: Vec<u8> = (0..6 * CHUNK).map(|b| b as u8).collect();
         for barrier in 0..=6 {
             let mut scripts = vec![
                 Script {
@@ -1367,11 +1345,11 @@ mod tests {
                 };
                 3
             ];
-            scripts[1].out.truncate(barrier * chunk);
+            scripts[1].out.truncate(barrier * CHUNK);
             scripts[1].end = End::Crash;
             for seed in 0..4 {
-                let got = drive(&scripts, b"", chunk, Ties::Diverge, seed).expect("terminates");
-                assert_eq!(got, reference(&scripts, chunk, Ties::Diverge));
+                let got = drive(&scripts, b"", Ties::Diverge, seed).expect("terminates");
+                assert_eq!(got, reference(&scripts, Ties::Diverge));
                 assert_eq!(got.0, truth);
                 assert_eq!(got.1, [(1, barrier)]);
             }

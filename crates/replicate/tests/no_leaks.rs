@@ -11,7 +11,7 @@
 
 use diehard_replicate::reactor::Reactor;
 use diehard_replicate::{
-    run_replicated, LaunchConfig, Phase, ReplicatedExit, Session, SessionInput, SessionIo,
+    run_replicated, LaunchConfig, Phase, ReplicatedExit, Session, SessionInput, SessionIo, CHUNK,
 };
 use std::time::{Duration, Instant};
 
@@ -47,7 +47,7 @@ fn abort_while_streaming() {
     let mut config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
     config.seeds = vec![1, 2, 3];
     let mut session = Session::spawn(&config, &config.seeds, SessionInput::Streamed).expect("cat");
-    let request = vec![b'x'; config.chunk];
+    let request = vec![b'x'; CHUNK];
     assert_eq!(
         session.fill_input(&mut &request[..]).unwrap(),
         request.len()

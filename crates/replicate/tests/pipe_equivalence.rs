@@ -14,9 +14,9 @@
 //! * bytes leave a buffer only at a commit, and a vote requires every
 //!   live replica ready, so sub-chunk unanimous runs peak at exactly
 //!   `replicas × output_len`;
-//! * a replica may run up to one transfer unit (`max(chunk, TRANSFER)`)
-//!   ahead of the vote, so a multi-chunk run peaks *at least* at
-//!   `replicas × chunk` (the first barrier needs a full chunk from each)
+//! * a replica may run up to one transfer unit (`TRANSFER`) ahead of the
+//!   vote, so a multi-chunk run peaks *at least* at `replicas × CHUNK`
+//!   (the first barrier needs a full chunk from each)
 //!   and *at most* at `replicas ×` the smaller of its output and the
 //!   unit — where in between is a matter of scheduling, so those runs pin
 //!   every other field for equality and `peak_buffered` against both ends;
@@ -255,65 +255,5 @@ fn streamed_fd_outcome_matches_buffer_outcome() {
     assert_eq!(fd_out, vec![b'K'; CHUNK]);
     let most = 3 * (CHUNK + "tail-diag\n".len()) + input.len();
     assert_golden_with_peak_in(&fd_outcome, &buf_outcome, 3 * CHUNK..=most);
-    assert!(most <= (2 * 3 + 1) * TRANSFER.max(CHUNK));
-}
-
-#[test]
-fn chunk_knob_moves_the_barrier_without_changing_bytes() {
-    // The same 256 KB unanimous stream voted at 64 KiB-, 4096- and
-    // 1024-byte barriers: identical committed bytes. The memory bound is
-    // replicas × max(chunk, TRANSFER) whatever the chunk; what the knob
-    // moves is the barrier. A chunk as large as the transfer unit makes the
-    // first barrier wait for three full buffers, so that peak is exact;
-    // smaller chunks vote as soon as every replica has one chunk, and how
-    // far past that the buffers fill is scheduling.
-    let script = "yes 0123456789abcde | head -c 262144";
-    let at = |chunk: usize| {
-        run(
-            &LaunchConfig::new(3, sh(script), Vec::new()).with_chunk(chunk),
-            b"",
-        )
-    };
-    let (out_big, outcome_big) = at(TRANSFER);
-    let (out_default, outcome_default) = at(CHUNK);
-    let (out_small, outcome_small) = at(1024);
-    assert_eq!(out_default, out_small);
-    assert_eq!(out_default, out_big);
-    assert_eq!(out_small.len(), 262144);
-    assert_eq!(outcome_big.peak_buffered, 3 * TRANSFER);
-    for (outcome, chunk) in [(&outcome_default, CHUNK), (&outcome_small, 1024)] {
-        assert!(
-            (3 * chunk..=3 * TRANSFER).contains(&outcome.peak_buffered),
-            "chunk {chunk}: peak {} outside [3 × chunk, 3 × TRANSFER]",
-            outcome.peak_buffered
-        );
-        assert_eq!(outcome.exit_code, Some(0));
-    }
-    assert_eq!(outcome_big.exit_code, Some(0));
-}
-
-#[test]
-fn chunk_knob_rejects_invalid_values() {
-    for bad in [0usize, 1, 256, 3000, 4097, 128 * 1024] {
-        let cfg = LaunchConfig::new(3, sh("cat"), Vec::new()).with_chunk(bad);
-        let err = run_streamed(&cfg, InputSource::Buffer(Vec::new()), &mut Vec::new())
-            .expect_err("out-of-range chunk must be rejected");
-        assert_eq!(
-            err.kind(),
-            std::io::ErrorKind::InvalidInput,
-            "chunk {bad} must be InvalidInput"
-        );
-    }
-    // The bounds themselves are valid.
-    for good in [512usize, 4096, 65536] {
-        let cfg = LaunchConfig::new(3, sh("cat"), Vec::new()).with_chunk(good);
-        let (out, outcome) = {
-            let mut out = Vec::new();
-            let outcome =
-                run_streamed(&cfg, InputSource::Buffer(b"ok".to_vec()), &mut out).unwrap();
-            (out, outcome)
-        };
-        assert_eq!(out, b"ok");
-        assert_eq!(outcome.exit_code, Some(0));
-    }
+    assert!(most <= (2 * 3 + 1) * TRANSFER);
 }

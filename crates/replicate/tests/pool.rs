@@ -20,7 +20,7 @@ mod common;
 use common::{poisonable_server, spawn_proxy, stop_and_join};
 use diehard_replicate::net::{connect_loopback, shutdown_write, Listener};
 use diehard_replicate::proxy::{Proxy, ProxySummary};
-use diehard_replicate::{LaunchConfig, StreamOutcome, CHUNK, TRANSFER};
+use diehard_replicate::{LaunchConfig, StreamOutcome, TRANSFER};
 use diehard_workloads::client::{drive, Pace};
 use diehard_workloads::server::{self, ServerRequest};
 use std::io::{Read, Write};
@@ -64,7 +64,7 @@ fn proxy_transcripts_and_seeds_identical_pool_0_vs_pool_2() {
         let mut config = LaunchConfig::new(3, poisonable_server(SEED_7), Vec::new());
         config.seeds = vec![1, 7, 2];
         let listener = Listener::bind_loopback(0).expect("bind");
-        let mut proxy = Proxy::new(listener, config).expect("chunk valid");
+        let mut proxy = Proxy::new(listener, config).expect("a replica count that votes");
         let gauge = proxy.pool_gauge();
         if depth > 0 {
             proxy = proxy.with_pool(depth);
@@ -118,8 +118,8 @@ fn proxy_transcripts_and_seeds_identical_pool_0_vs_pool_2() {
         );
         for outcome in [warm, cold] {
             assert!(
-                outcome.peak_buffered <= (2 * 3 + 1) * TRANSFER.max(CHUNK),
-                "peak {} beyond (2 × replicas + 1) × max(chunk, TRANSFER)",
+                outcome.peak_buffered <= (2 * 3 + 1) * TRANSFER,
+                "peak {} beyond (2 × replicas + 1) × TRANSFER",
                 outcome.peak_buffered
             );
         }
@@ -145,7 +145,7 @@ fn spaced_connections_are_all_warm_hits() {
     const GAP: Duration = Duration::from_millis(40);
     let config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let gauge = proxy.pool_gauge();
     let (port, stop, handle) = spawn_proxy(proxy.with_pool(2));
     wait_for_warmth(&gauge, 2);
@@ -179,7 +179,7 @@ fn pooled_corrupt_replica_is_outvoted_mid_connection() {
     let mut config = LaunchConfig::new(3, poisonable_server(SEED_7), Vec::new());
     config.seeds = vec![1, 7, 2];
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let gauge = proxy.pool_gauge();
     let proxy = proxy.with_pool(1);
     let (port, stop, handle) = spawn_proxy(proxy);
@@ -219,7 +219,7 @@ fn proxy_pool_exhaustion_burst_stays_byte_exact() {
     let mut config = LaunchConfig::new(3, poisonable_server(SEED_7), Vec::new());
     config.seeds = vec![1, 7, 2];
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let gauge = proxy.pool_gauge();
     let proxy = proxy.with_pool(1);
     let (port, stop, handle) = spawn_proxy(proxy);
@@ -270,7 +270,7 @@ fn proxy_pool_exhaustion_burst_stays_byte_exact() {
 fn crashing_target_is_reaped_with_backoff_not_respawned_hot() {
     let config = LaunchConfig::new(3, sh("exit 0"), Vec::new());
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let proxy = proxy.with_pool(2);
     let (_port, stop, handle) = spawn_proxy(proxy);
 

@@ -3,40 +3,26 @@
 //! interposed randomized heap below, the §5 output voter above.
 //!
 //! The cdylib lands in `target/<profile>/libdiehard.so` when the
-//! `diehard-preload` workspace member builds; tests locate it relative to
-//! this test binary and skip with a notice if it is absent (CI builds it
-//! explicitly first).
+//! `diehard-preload` workspace member builds; `library::path` builds it
+//! for this test binary's profile and locates it beside the binary.
 
 #![cfg(unix)]
 
 use diehard_replicate::{run_replicated, LaunchConfig};
 use std::io::Write;
-use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-/// `target/<profile>/libdiehard.so`, if it has been built.
-fn preload_path() -> Option<String> {
-    let exe = std::env::current_exe().ok()?;
-    let profile_dir: PathBuf = exe.parent()?.parent()?.to_path_buf();
-    let so = profile_dir.join("libdiehard.so");
-    so.exists().then(|| so.to_string_lossy().into_owned())
-}
+#[path = "../../preload/tests/library/mod.rs"]
+mod library;
 
-macro_rules! require_so {
-    () => {
-        match preload_path() {
-            Some(so) => so,
-            None => {
-                eprintln!("skipping: libdiehard.so not built in this profile");
-                return;
-            }
-        }
-    };
+/// The freshly built `libdiehard.so`, as `LaunchConfig::preload` takes it.
+fn preload_path() -> String {
+    library::path().to_string_lossy().into_owned()
 }
 
 #[test]
 fn three_preloaded_replicas_reach_quorum_on_a_real_binary() {
-    let so = require_so!();
+    let so = preload_path();
     let mut cfg = LaunchConfig::new(
         3,
         vec!["tr".into(), "a-z".into(), "A-Z".into()],
@@ -52,7 +38,7 @@ fn three_preloaded_replicas_reach_quorum_on_a_real_binary() {
 
 #[test]
 fn replicas_receive_distinct_seeds_under_preload() {
-    let so = require_so!();
+    let so = preload_path();
     // Each replica prints its own DIEHARD_SEED — the same variable the
     // preloaded heap consumed at startup. Distinct seeds mean no two
     // ballots agree, which the voter must surface as divergence.
@@ -71,7 +57,7 @@ fn replicas_receive_distinct_seeds_under_preload() {
 
 #[test]
 fn corrupt_seed_replica_is_outvoted_under_preload() {
-    let so = require_so!();
+    let so = preload_path();
     // Replica 1 (seed 7) misbehaves; the seed-1 and seed-2 replicas form
     // the quorum. The shell itself runs on the preloaded heap throughout.
     let mut cfg = LaunchConfig::new(
@@ -94,7 +80,7 @@ fn corrupt_seed_replica_is_outvoted_under_preload() {
 
 #[test]
 fn launcher_binary_runs_preloaded_replicas_end_to_end() {
-    let so = require_so!();
+    let so = preload_path();
     // The installed CLI path: `diehard -n 3 --preload ... -- tr a-z A-Z`.
     let bin = env!("CARGO_BIN_EXE_diehard");
     let mut child = Command::new(bin)
@@ -116,7 +102,7 @@ fn launcher_binary_runs_preloaded_replicas_end_to_end() {
 
 #[test]
 fn allocation_heavy_binary_votes_cleanly_under_preload() {
-    let so = require_so!();
+    let so = preload_path();
     // sort(1) reallocs its way through the whole input before emitting a
     // byte — three independent randomized heaps must still agree exactly.
     let input: Vec<u8> = (0..2000u32)

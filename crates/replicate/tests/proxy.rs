@@ -1,7 +1,8 @@
 //! Loopback integration tests for the replicated TCP proxy: many
 //! concurrent voted sessions over one reactor, a corrupt replica outvoted
-//! mid-connection, slow-reader backpressure (down to a one-chunk queue),
-//! a one-chunk answer that does not wait for the request to end, replicas
+//! mid-connection, slow-reader backpressure and a full outbound queue that
+//! keeps streaming, a one-chunk answer that does not wait for the request
+//! to end, what an aborted connection reports it sent, replicas
 //! that linger after their output without stalling other connections (or
 //! a stop, which gives them one tick),
 //! mid-stream client disconnects, an unresolvable response tie, replicas
@@ -14,7 +15,7 @@ mod common;
 
 use common::{poisonable_server, spawn_proxy, stop_and_join, ProxyProcess};
 use diehard_replicate::net::{connect_loopback, shutdown_write, Listener};
-use diehard_replicate::proxy::Proxy;
+use diehard_replicate::proxy::{Proxy, OUT_CAP};
 use diehard_replicate::{LaunchConfig, CHUNK, TRANSFER};
 use diehard_workloads::client::{abandon_mid_stream, drive, Pace};
 use diehard_workloads::server::{self, ServerRequest};
@@ -38,7 +39,7 @@ fn concurrent_connections_vote_and_outvote_a_corrupt_replica() {
     );
     config.seeds = vec![1, 7, 2];
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let (port, stop, handle) = spawn_proxy(proxy);
 
     const CLIENTS: usize = 10;
@@ -107,18 +108,14 @@ fn concurrent_connections_vote_and_outvote_a_corrupt_replica() {
 
 #[test]
 fn slow_reader_backpressure_keeps_buffers_bounded() {
-    // One client drains a ~137 KB burst 512 bytes at a time with a pause
+    // One client drains a ~147 KB burst 512 bytes at a time with a pause
     // between reads. The proxy must not absorb the stream: its outbound
-    // queue stays under cap + one chunk, and the session's own buffers
-    // stay under the (2 × replicas + 1) × transfer-unit bound — the
-    // replicas are throttled by the kernel pipes instead.
-    let chunk = 1024usize;
-    let cap = 4 * chunk;
-    let config = LaunchConfig::new(3, poisonable_server("false"), Vec::new()).with_chunk(chunk);
+    // queue stays under OUT_CAP + one chunk, and the session's own buffers
+    // stay under the (2 × replicas + 1) × TRANSFER bound — the replicas
+    // are throttled by the kernel pipes instead.
+    let config = LaunchConfig::new(3, poisonable_server("false"), Vec::new());
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config)
-        .expect("chunk valid")
-        .with_out_cap(cap);
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let (port, stop, handle) = spawn_proxy(proxy);
 
     let requests = vec![ServerRequest::Produce(10_500), ServerRequest::Quit];
@@ -132,38 +129,33 @@ fn slow_reader_backpressure_keeps_buffers_bounded() {
     let report = &summary.reports[0];
     let outcome = report.outcome.as_ref().expect("session completed");
     assert_eq!(outcome.committed, expected.len() as u64);
-    let unit = TRANSFER.max(chunk);
     assert!(
-        outcome.peak_buffered <= (2 * 3 + 1) * unit,
-        "session peak {} exceeds the (2·replicas+1)×max(chunk, TRANSFER) bound {}",
+        outcome.peak_buffered <= (2 * 3 + 1) * TRANSFER,
+        "session peak {} exceeds the (2·replicas+1)×TRANSFER bound {}",
         outcome.peak_buffered,
-        (2 * 3 + 1) * unit
+        (2 * 3 + 1) * TRANSFER
     );
     assert!(
-        report.out_peak <= cap + chunk,
-        "outbound queue peak {} exceeds cap {} + one chunk",
-        report.out_peak,
-        cap
+        report.out_peak <= OUT_CAP + CHUNK,
+        "outbound queue peak {} exceeds OUT_CAP {OUT_CAP} + one chunk",
+        report.out_peak
     );
 }
 
 #[test]
-fn one_chunk_queue_streams_without_waiting_for_the_tick() {
-    // 8 MiB through a queue capped at one chunk, to a reader that starts
-    // late (so the socket fills and the queue really is refused for a
-    // while) and then reads 4 KiB at a time (so it drains again). Each
-    // pump can commit one chunk before the queue is at its
-    // cap, and the replicas' buffers are full, which means unpolled: if a
-    // round went to sleep after one pump and one flush, nothing would wake
-    // it but the 100 ms tick, and 2048 chunks would take minutes. The
+fn a_full_queue_streams_without_waiting_for_the_tick() {
+    // 8 MiB through the outbound queue, to a reader that starts late (so
+    // the socket fills and the queue really is refused for a while) and
+    // then reads 4 KiB at a time (so it drains again). Each pump can commit
+    // OUT_CAP / CHUNK chunks before the queue is at its cap, and the
+    // replicas' buffers are full, which means unpolled: if a round went to
+    // sleep after one pump and one flush, nothing would wake it but the
+    // 100 ms tick, and 512 full queues would take most of a minute. The
     // round must alternate pump and flush for as long as the socket takes
-    // bytes — and the queue must still never exceed cap + one chunk.
-    let chunk = CHUNK;
+    // bytes — and the queue must still never exceed OUT_CAP + one chunk.
     let config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config)
-        .expect("chunk valid")
-        .with_out_cap(chunk);
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let (port, stop, handle) = spawn_proxy(proxy);
 
     let payload: Vec<u8> = (0..8usize << 20).map(|i| (i % 251) as u8).collect();
@@ -191,7 +183,7 @@ fn one_chunk_queue_streams_without_waiting_for_the_tick() {
     assert!(echoed == payload, "voted echo must be byte-exact");
     assert!(
         elapsed < Duration::from_secs(30),
-        "8 MiB through a one-chunk queue took {elapsed:?}: the round is sleeping on votable bytes"
+        "8 MiB through the queue took {elapsed:?}: the round is sleeping on votable bytes"
     );
 
     let summary = stop_and_join(&stop, handle);
@@ -200,11 +192,11 @@ fn one_chunk_queue_streams_without_waiting_for_the_tick() {
     assert_eq!(outcome.committed, payload.len() as u64);
     assert_eq!(report.sent, payload.len() as u64);
     assert!(
-        report.out_peak <= chunk + chunk,
-        "outbound queue peak {} exceeds cap {chunk} + one chunk",
+        report.out_peak <= OUT_CAP + CHUNK,
+        "outbound queue peak {} exceeds OUT_CAP {OUT_CAP} + one chunk",
         report.out_peak
     );
-    assert!(outcome.peak_buffered <= (2 * 3 + 1) * TRANSFER.max(chunk));
+    assert!(outcome.peak_buffered <= (2 * 3 + 1) * TRANSFER);
 }
 
 #[test]
@@ -216,7 +208,7 @@ fn one_chunk_request_is_answered_before_the_half_close() {
     // would leave this client waiting for 60 KiB that never come.)
     let config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let (port, stop, handle) = spawn_proxy(proxy);
 
     let payload: Vec<u8> = (0..CHUNK).map(|i| (i % 239) as u8).collect();
@@ -259,7 +251,7 @@ fn a_lingering_replica_set_stalls_no_other_connection() {
     let script = format!("cat; exec >&-; sleep {}", LINGER.as_secs());
     let config = LaunchConfig::new(3, vec!["/bin/sh".into(), "-c".into(), script], Vec::new());
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let (port, stop, handle) = spawn_proxy(proxy);
     let echo = |payload: &[u8]| {
         let mut stream = connect_loopback(port).expect("connect");
@@ -311,7 +303,7 @@ fn stopping_gives_a_drained_connection_one_tick_for_its_closing_ballots() {
         let script = format!("cat; exec >&-; sleep {linger}");
         let config = LaunchConfig::new(3, vec!["/bin/sh".into(), "-c".into(), script], Vec::new());
         let listener = Listener::bind_loopback(0).expect("bind");
-        let proxy = Proxy::new(listener, config).expect("chunk valid");
+        let proxy = Proxy::new(listener, config).expect("a replica count that votes");
         let (port, stop, handle) = spawn_proxy(proxy);
         let mut stream = connect_loopback(port).expect("connect");
         stream
@@ -353,7 +345,7 @@ fn mid_stream_disconnect_reaps_only_its_own_session() {
     );
     config.seeds = vec![1, 7, 2];
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let (port, stop, handle) = spawn_proxy(proxy);
 
     let doomed = vec![
@@ -390,6 +382,51 @@ fn mid_stream_disconnect_reaps_only_its_own_session() {
 }
 
 #[test]
+fn an_aborted_connection_reports_the_bytes_it_sent() {
+    // A client asks for a long response (≈ 14 MB, far more than the
+    // sockets and pipes between it and the replicas hold), reads at least
+    // 64 KiB of it and drops the socket with the rest unread. Its
+    // connection is aborted and has no outcome, and its report must still
+    // count the response bytes the proxy wrote to it, which are at least
+    // the bytes the client read.
+    let config = LaunchConfig::new(3, poisonable_server("false"), Vec::new());
+    let listener = Listener::bind_loopback(0).expect("bind");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
+    let (port, stop, handle) = spawn_proxy(proxy);
+
+    let requests = [ServerRequest::Produce(1_000_000), ServerRequest::Quit];
+    let expected = server::expected_output(&requests);
+    let mut stream = connect_loopback(port).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream
+        .write_all(&server::request_stream(&requests))
+        .expect("send");
+    let mut read = 0;
+    let mut piece = [0u8; 4096];
+    while read < 64 * 1024 {
+        let n = stream.read(&mut piece).expect("the response streams");
+        assert!(n > 0, "EOF after {read} bytes");
+        assert_eq!(piece[..n], expected[read..read + n], "voted bytes");
+        read += n;
+    }
+    drop(stream);
+
+    // Give the abort a moment to surface before stopping the reactor.
+    std::thread::sleep(Duration::from_millis(300));
+    let summary = stop_and_join(&stop, handle);
+    assert_eq!(summary.aborted, 1);
+    let report = &summary.reports[0];
+    assert!(report.aborted && report.outcome.is_none());
+    assert!(
+        report.sent >= read as u64,
+        "the aborted report says {} bytes were sent; the client read {read}",
+        report.sent
+    );
+}
+
+#[test]
 fn response_tie_closes_the_connection_with_divergence() {
     // Four replicas, seeds 1/7/2/8; seeds 7 and 8 run the corrupt branch.
     // The poisoned echo splits the first response chunk 2-2 — no strict
@@ -404,7 +441,7 @@ fn response_tie_closes_the_connection_with_divergence() {
     );
     config.seeds = vec![1, 7, 2, 8];
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let (port, stop, handle) = spawn_proxy(proxy);
 
     let requests = vec![
@@ -450,7 +487,7 @@ fn no_replica_inherits_a_socket() {
         Vec::new(),
     );
     let listener = Listener::bind_loopback(0).expect("bind");
-    let proxy = Proxy::new(listener, config).expect("chunk valid");
+    let proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let (port, stop, handle) = spawn_proxy(proxy);
 
     let mut stream = connect_loopback(port).expect("connect");

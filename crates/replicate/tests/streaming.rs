@@ -98,11 +98,11 @@ fn megabyte_stream_is_voted_with_bounded_buffering() {
     assert_eq!(outcome.exit_code, Some(0));
     assert!(outcome.killed.is_empty());
     assert!(
-        (3 * CHUNK..=3 * TRANSFER.max(CHUNK)).contains(&outcome.peak_buffered),
+        (3 * CHUNK..=3 * TRANSFER).contains(&outcome.peak_buffered),
         "peak buffered {} outside [replicas × CHUNK, replicas × transfer unit] = [{}, {}]",
         outcome.peak_buffered,
         3 * CHUNK,
-        3 * TRANSFER.max(CHUNK)
+        3 * TRANSFER
     );
     // Spot-check content: `yes` repeats "0123456789abcde\n".
     assert_eq!(&out[..16], b"0123456789abcde\n");
@@ -139,13 +139,12 @@ fn replica_far_ahead_of_its_siblings_is_held_to_one_transfer_unit() {
     assert!(outcome.killed.is_empty());
     assert_eq!(outcome.exit_code, Some(0));
     assert_eq!(outcome.committed, 1 << 20);
-    let unit = TRANSFER.max(CHUNK);
     // While the siblings sleep the fast replica alone fills its buffer.
     assert!(
-        (unit..=3 * unit).contains(&outcome.peak_buffered),
-        "peak buffered {} outside [{unit}, {}]",
+        (TRANSFER..=3 * TRANSFER).contains(&outcome.peak_buffered),
+        "peak buffered {} outside [{TRANSFER}, {}]",
         outcome.peak_buffered,
-        3 * unit
+        3 * TRANSFER
     );
 }
 

@@ -3,10 +3,10 @@
 //! Replicated DieHard votes on program output in 4 KB chunks ("the unit of
 //! transfer of a pipe", §5.2). [`Output`] models a program's standard
 //! output: executors append the bytes that reads produce, and the voter
-//! compares outputs chunk by chunk.
+//! compares outputs chunk by chunk, at the launcher's barrier
+//! ([`diehard_replicate::CHUNK`]).
 
-/// Chunk granularity for voting (the paper's pipe-buffer size).
-pub const CHUNK: usize = 4096;
+use diehard_replicate::CHUNK;
 
 /// FNV-1a 64-bit hash, used to fingerprint long reads compactly.
 #[must_use]

@@ -15,7 +15,7 @@
 
 use crate::exec::{run_program, ExecOptions, RunOutcome, Verdict};
 use crate::ops::Program;
-use crate::output::{Output, CHUNK};
+use crate::output::Output;
 use diehard_core::config::{FillPolicy, HeapConfig};
 use diehard_core::rng::replica_seed;
 use diehard_replicate::{Phase, SessionInput, Ties, VoteCore, Voter};
@@ -170,7 +170,7 @@ impl ReplicaSet {
             .map(|r| r.output().map(Output::as_bytes))
             .collect();
         let voter = Voter::with_ties(outputs.len(), Ties::First);
-        let mut core = VoteCore::new(voter, CHUNK, SessionInput::Buffer(Vec::new()));
+        let mut core = VoteCore::new(voter, SessionInput::Buffer(Vec::new()));
         let mut fates = Vec::with_capacity(outputs.len());
         for (i, output) in outputs.iter().enumerate() {
             fates.push(match output {
