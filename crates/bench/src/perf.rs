@@ -12,7 +12,7 @@
 //! bounded copy on the heap `libdiehard.so` ships, and the two §5
 //! transports: the replicated network front end — voted bytes/second through
 //! a loopback proxy session (a short one, mostly spawn, and a 16 MiB one,
-//! mostly stream), the full connect→vote→close cycle cost both
+//! mostly stream, voted at three replicas and unvoted at one), the full connect→vote→close cycle cost both
 //! cold (replicas spawned inline) and warm (handed out of the pre-spawned
 //! replica-set pool), and the background cost of refilling that pool — and
 //! the launcher's pipe path, ns per voted byte at 1, 3 and 5 replicas.
@@ -691,17 +691,17 @@ fn strcpy_bounded(smoke: bool) -> KernelResult {
     })
 }
 
-/// Shared proxy-kernel scaffolding: a loopback [`Proxy`] voting three
+/// Shared proxy-kernel scaffolding: a loopback [`Proxy`] running `replicas`
 /// `/bin/cat` replicas per connection, run on its own thread for the
 /// duration of `body`, which receives the bound port.
-fn with_cat_proxy<R>(body: impl FnOnce(u16) -> R) -> R {
+fn with_cat_proxy<R>(replicas: usize, body: impl FnOnce(u16) -> R) -> R {
     use diehard_replicate::net::Listener;
     use diehard_replicate::proxy::Proxy;
     use diehard_replicate::LaunchConfig;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
+    let config = LaunchConfig::new(replicas, vec!["/bin/cat".into()], Vec::new());
     let listener = Listener::bind_loopback(0).expect("loopback bind");
     let mut proxy = Proxy::new(listener, config).expect("a replica count that votes");
     let port = proxy.local_port().expect("bound port");
@@ -797,7 +797,7 @@ fn proxy_throughput(smoke: bool) -> KernelResult {
         (1, 10, 262_144usize)
     };
     let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-    with_cat_proxy(|port| {
+    with_cat_proxy(3, |port| {
         measure("proxy_throughput", warmup, samples, len as u64, move || {
             proxy_echo_round(port, &payload);
         })
@@ -805,22 +805,26 @@ fn proxy_throughput(smoke: bool) -> KernelResult {
 }
 
 /// Steady-state cost of a voted byte: one op = one payload byte of a 16 MiB
-/// stream through one connection (client → broadcast to 3 cat replicas →
-/// 4 KB chunk votes → quorum bytes back), every returned byte compared.
-/// Where [`proxy_throughput`]'s 256 KiB payload is four-fifths replica
-/// spawn, here the spawn is under a tenth, so a change to what the reactor
-/// does per byte — transfer size, copies, the vote — shows. Smoke mode
-/// streams the same 16 MiB, fewer times: CI gates the minimum, and a
-/// shorter stream would gate the spawn.
-fn proxy_stream(smoke: bool) -> KernelResult {
+/// stream through one connection (client → broadcast to `replicas` cat
+/// replicas → 4 KB chunk votes → quorum bytes back), every returned byte
+/// compared. `proxy_stream` votes three replicas; `proxy_stream_n1` is its
+/// unvoted twin, the same bytes through one replica, so the pair mirrors
+/// `proxy_bulk_stream`'s voted/unvoted ratio as `launcher_stream_n{1,3}`
+/// do the launcher's. Where [`proxy_throughput`]'s 256 KiB payload is
+/// four-fifths replica spawn, here the spawn is under a tenth, so a change
+/// to what the reactor does per byte — transfer size, copies, the vote —
+/// shows. Smoke mode streams the same 16 MiB, fewer times: CI gates the
+/// minimum, and a shorter stream would gate the spawn; eight samples keep
+/// that minimum out of the box's slow phases more often than three did.
+fn proxy_stream(name: &'static str, replicas: usize, smoke: bool) -> KernelResult {
     use diehard_replicate::net::{connect_loopback, shutdown_write};
     use std::io::{Read, Write};
 
     const LEN: usize = 16 << 20;
-    let (warmup, samples) = if smoke { (0, 3) } else { (1, 10) };
+    let (warmup, samples) = if smoke { (0, 8) } else { (1, 10) };
     let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
-    with_cat_proxy(|port| {
-        measure("proxy_stream", warmup, samples, LEN as u64, || {
+    with_cat_proxy(replicas, |port| {
+        measure(name, warmup, samples, LEN as u64, || {
             let mut stream = connect_loopback(port).expect("connect");
             let mut sender = stream.try_clone().expect("clone stream");
             std::thread::scope(|scope| {
@@ -888,7 +892,7 @@ fn proxy_first_chunk_round(port: u16, payload: &[u8]) -> std::time::Duration {
 fn proxy_conn_latency(smoke: bool) -> KernelResult {
     let (warmup, samples) = if smoke { (0, 2) } else { (1, 12) };
     let payload = vec![7u8; diehard_replicate::CHUNK];
-    with_cat_proxy(|port| {
+    with_cat_proxy(3, |port| {
         for _ in 0..warmup {
             proxy_first_chunk_round(port, &payload);
         }
@@ -1136,7 +1140,10 @@ pub const KERNELS: &[(&str, Runner)] = &[
         beside_a_parked_thread(|| global_churn(name, 50_000, smoke))
     }),
     ("proxy_throughput", |_, smoke| proxy_throughput(smoke)),
-    ("proxy_stream", |_, smoke| proxy_stream(smoke)),
+    ("proxy_stream", |name, smoke| proxy_stream(name, 3, smoke)),
+    ("proxy_stream_n1", |name, smoke| {
+        proxy_stream(name, 1, smoke)
+    }),
     ("proxy_conn_latency", |_, smoke| proxy_conn_latency(smoke)),
     ("proxy_conn_latency_warm", |_, smoke| {
         proxy_conn_latency_warm(smoke)

@@ -21,12 +21,15 @@
 //! reference. Each arm's count must stay within its bound below.
 //!
 //! The counts are of the release build; a debug build (tier-1's `cargo
-//! test`) prints a skip line. So does a machine where the library has not
-//! been built in this profile, or where `ptrace` is refused.
+//! test`) prints a skip line. So does a machine where `ptrace` is refused.
+//! The release arm counts the current source: it builds the library first,
+//! through `library::path`, like every other test of the interposer.
+
+mod library;
 
 use std::hint::black_box;
 use std::os::unix::process::CommandExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
 
 use libc::{c_int, c_void};
@@ -52,13 +55,6 @@ const ALONE_BOUND: f64 = 224.0;
 /// the reading plus eight, headroom for the checkout's path like the alone
 /// bound's.
 const THREADED_BOUND: f64 = 211.0;
-
-/// `target/<profile>/libdiehard.so`, if it has been built.
-fn preload_path() -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let so = exe.parent()?.parent()?.join("libdiehard.so");
-    so.exists().then_some(so)
-}
 
 /// The child: warm the ring, then `pairs` free + malloc + write pairs
 /// between two markers.
@@ -204,10 +200,7 @@ fn main() {
         println!("instructions: skipped (the counts are of the release build)");
         return;
     }
-    let Some(so) = preload_path() else {
-        println!("instructions: skipped (libdiehard.so not built in this profile)");
-        return;
-    };
+    let so = library::path();
     let Some(alone) = per_pair(Some(&so), false) else {
         println!("instructions: skipped (ptrace refused)");
         return;

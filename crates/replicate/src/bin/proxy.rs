@@ -15,7 +15,10 @@
 //! not the transfer: bytes move between sockets and pipes up to 64 KiB at a
 //! time, and a streaming connection retains at most (2 × REPLICAS + 1) ×
 //! 64 KiB of unvoted bytes plus an outbound queue of at most 16 KiB + one
-//! chunk (a connection that never streams, a few chunks).
+//! chunk (a connection that never streams, a few chunks). It owns 3 ×
+//! REPLICAS kernel pipes, 4 × REPLICAS once it streams a request to
+//! several replicas: each window is staged once in a pipe of its own per
+//! replica and `tee`d to the others, not copied into every stdin.
 //! Clients send their whole request, half-close (`shutdown(SHUT_WR)`), and
 //! read the voted response to EOF.
 //!
@@ -41,7 +44,8 @@ const USAGE: &str =
     receive only quorum bytes.\n\
     The barrier is not the transfer: reads and writes move up to 64 KiB,\n\
     and a connection retains at most (2 x REPLICAS + 1) x 64 KiB unvoted\n\
-    plus an outbound queue of at most 16 KiB + 4 KiB.\n\
+    plus an outbound queue of at most 16 KiB + 4 KiB, and holds 3 x REPLICAS\n\
+    kernel pipes (4 x REPLICAS once a request streams to several replicas).\n\
     Clients send the full request, shutdown(SHUT_WR), then read to EOF.\n\
     --seed derives deterministic per-replica seeds (default: fresh\n\
     entropy per connection); --pool pre-spawns up to DEPTH warm replica\n\
@@ -71,9 +75,11 @@ fn main() {
         Err(e) => eprintln!("diehard-proxy: listening (port unknown: {e})"),
     }
 
-    // Serve until killed; there is no orderly-shutdown signal surface.
+    // Serve until killed; there is no orderly-shutdown signal surface. No
+    // report is kept: a proxy that serves forever must not grow with the
+    // connections it has served.
     static RUN_FOREVER: AtomicBool = AtomicBool::new(false);
-    if let Err(e) = proxy.run(&RUN_FOREVER) {
+    if let Err(e) = proxy.serve(&RUN_FOREVER, drop) {
         eprintln!("diehard-proxy: reactor failed: {e}");
         std::process::exit(1);
     }

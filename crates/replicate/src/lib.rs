@@ -29,10 +29,15 @@
 //!   commands work. The in-process `diehard_runtime::ReplicaSet` votes through the
 //!   same core;
 //! * [`session`] — the process edge for **one** client stream: spawns the
-//!   replicas, moves bytes between their non-blocking pipes and the core,
-//!   SIGKILLs the replicas the core outvotes, and reaps them all;
+//!   replicas, moves bytes between their non-blocking pipes and the core
+//!   (a window several replicas take is put into the kernel once, in a
+//!   staging pipe per replica filled by one write and a `tee(2)` each, and
+//!   `splice(2)`d into the stdins — so a streaming session owns `4 ×
+//!   replicas` kernel pipes, not `3 × replicas`, and the same user-space
+//!   bound), SIGKILLs the replicas the core outvotes, and reaps them all;
 //! * [`reactor`] — a generic `poll(2)` registration/dispatch loop that
-//!   knows nothing about replicas;
+//!   knows nothing about replicas, and the crate's only `unsafe`: `poll`,
+//!   `fcntl`, `tee` and `splice`;
 //! * transports — [`event`] drives a session between a launcher's stdin and
 //!   stdout, and [`proxy`] serves the paper's squid scenario for real: a
 //!   TCP front end that fans each accepted connection to its own N-replica

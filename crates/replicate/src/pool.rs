@@ -40,8 +40,9 @@
 //! [`Pool::acquire`] then always cold-spawns through the byte-identical
 //! legacy path.
 
+use crate::reactor::Reactor;
 use crate::session::{resolve_seeds, Session, SessionInput};
-use crate::{reactor, LaunchConfig};
+use crate::LaunchConfig;
 use std::collections::VecDeque;
 use std::io;
 use std::os::unix::io::RawFd;
@@ -278,15 +279,12 @@ impl Pool {
         if session.any_member_exited() {
             return true;
         }
-        let mut hup = false;
-        session.park_interest(|fd| {
-            if let Ok(rev) = reactor::poll_fd(fd, libc::POLLIN, 0) {
-                if rev & (libc::POLLHUP | libc::POLLERR) != 0 {
-                    hup = true;
-                }
-            }
-        });
-        hup
+        let mut probe: Reactor<()> = Reactor::new();
+        session.park_interest(|fd| probe.register(fd, libc::POLLIN, ()));
+        probe.wait(0).is_ok()
+            && probe
+                .ready()
+                .any(|((), rev)| rev & (libc::POLLHUP | libc::POLLERR) != 0)
     }
 
     /// Takes the oldest warm set, or `None` when the pool is empty (the

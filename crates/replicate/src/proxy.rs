@@ -21,12 +21,15 @@
 //! (window + stdout buffers + stderr captures; [`crate::TRANSFER`] is the
 //! 64 KiB *transfer* unit the buffers may run ahead of the vote by,
 //! [`crate::CHUNK`] the 4 KiB *barrier* unit every ballot is cut to — the
-//! same order as the nine kernel pipe buffers a three-replica connection
-//! already owns, and reached only by a connection that actually streams:
-//! buffers grow on demand from one chunk), and the proxy's outbound queue
-//! holds at most [`OUT_CAP`] + one chunk — once a slow reader fills it,
-//! the proxy stops pumping that session, its stdout buffers fill and stop
-//! being polled, and the kernel pipes throttle the replicas themselves. While the socket does take
+//! same order as the kernel pipe buffers the connection owns: `3 ×
+//! replicas` pipes, `4 × replicas` once it streams a window to several
+//! replicas, which the session stages once in the kernel and `tee`s to the
+//! rest; the user-space bound is reached only by a connection that
+//! actually streams: buffers grow on demand from one chunk), and the
+//! proxy's outbound queue holds at most [`OUT_CAP`] + one chunk — once a
+//! slow reader fills it, the proxy stops pumping that session, its stdout
+//! buffers fill and stop being polled, and the kernel pipes throttle the
+//! replicas themselves. While the socket does take
 //! bytes, a round alternates pump and flush until the queue stays full or
 //! no barrier is satisfiable, so it never sleeps on bytes it could vote.
 //! Backpressure propagates to the client's *input* too: the window is
@@ -149,7 +152,7 @@ pub struct SessionReport {
     pub seeds: Vec<u64>,
 }
 
-/// Totals for one [`Proxy::run`] lifetime.
+/// Totals for one [`Proxy::run`] (or [`Proxy::serve`]) lifetime.
 #[derive(Debug, Clone, Default)]
 pub struct ProxySummary {
     /// Connections accepted.
@@ -161,7 +164,9 @@ pub struct ProxySummary {
     /// Warm-pool lifetime counters (all zero when `--pool 0`, except
     /// [`PoolStats::cold_spawns`] counting every connection).
     pub pool: PoolStats,
-    /// Per-connection reports, in completion order.
+    /// Per-connection reports, in completion order: every one from
+    /// [`Proxy::run`], none from [`Proxy::serve`], which hands each to its
+    /// caller instead.
     pub reports: Vec<SessionReport>,
 }
 
@@ -237,13 +242,30 @@ impl Proxy {
         self.listener.local_port()
     }
 
-    /// Serves connections until `stop` becomes true, then winds down and
-    /// returns the summary: it accepts nothing more and aborts (SIGKILL +
-    /// reap) every connection still streaming, gives those whose client
-    /// already has its EOF one more tick of reactor rounds to cast their
-    /// closing ballots, and aborts whatever is still running after that.
-    /// Runs on the calling thread; tests and the `diehard-proxy` binary
-    /// give it one.
+    /// [`serve`](Self::serve), keeping every connection's report in the
+    /// summary's [`reports`](ProxySummary::reports) — for tests and
+    /// harnesses that serve a bounded number of connections.
+    ///
+    /// # Errors
+    ///
+    /// As [`serve`](Self::serve).
+    pub fn run(&mut self, stop: &AtomicBool) -> io::Result<ProxySummary> {
+        let mut reports = Vec::new();
+        let mut summary = self.serve(stop, |report| reports.push(report))?;
+        summary.reports = reports;
+        Ok(summary)
+    }
+
+    /// Serves connections until `stop` becomes true, handing each retired
+    /// connection's report to `on_retire` and keeping none, so a proxy that
+    /// serves forever holds memory for its live connections only. Then it
+    /// winds down and returns the totals (with no
+    /// [`reports`](ProxySummary::reports)): it accepts nothing more and
+    /// aborts (SIGKILL + reap) every connection still streaming, gives
+    /// those whose client already has its EOF one more tick of reactor
+    /// rounds to cast their closing ballots, and aborts whatever is still
+    /// running after that. Runs on the calling thread; the `diehard-proxy`
+    /// binary gives it its main thread.
     ///
     /// # Errors
     ///
@@ -252,7 +274,11 @@ impl Proxy {
     /// descriptor limit, say) is logged once per streak and retried a tick
     /// later: the client waits in the backlog, and every live connection
     /// keeps being served.
-    pub fn run(&mut self, stop: &AtomicBool) -> io::Result<ProxySummary> {
+    pub fn serve(
+        &mut self,
+        stop: &AtomicBool,
+        mut on_retire: impl FnMut(SessionReport),
+    ) -> io::Result<ProxySummary> {
         let mut reactor: Reactor<Token> = Reactor::new();
         let mut conns: Vec<Option<Conn>> = Vec::new();
         let mut summary = ProxySummary::default();
@@ -273,7 +299,7 @@ impl Proxy {
                 let Some(conn) = slot else { continue };
                 conn.advance();
                 if conn.finished() {
-                    summary.note(slot.take().expect("conn is Some"));
+                    on_retire(summary.note(slot.take().expect("conn is Some")));
                     if self.log_pool_stats {
                         eprintln!("diehard-proxy: {}", self.pool.stats_line());
                     }
@@ -287,7 +313,7 @@ impl Proxy {
                 for slot in conns.iter_mut() {
                     if let Some(mut conn) = slot.take_if(|conn| !conn.eof_sent) {
                         conn.disconnect();
-                        summary.note(conn);
+                        on_retire(summary.note(conn));
                     }
                 }
             }
@@ -311,12 +337,11 @@ impl Proxy {
             if left.is_some_and(|left| left.is_zero() || conns.iter().all(Option::is_none)) {
                 break;
             }
-            let refill_ok = left.is_none()
-                && conns.iter().all(Option::is_none)
-                && !matches!(
-                    crate::reactor::poll_fd(self.listener.as_raw_fd(), libc::POLLIN, 0),
-                    Ok(revents) if revents != 0
-                );
+            let refill_ok = left.is_none() && conns.iter().all(Option::is_none) && {
+                reactor.clear();
+                reactor.register(self.listener.as_raw_fd(), libc::POLLIN, Token::Listener);
+                !matches!(reactor.wait(0), Ok(ready) if ready > 0)
+            };
             if refill_ok {
                 self.pool.refill_step();
             }
@@ -407,7 +432,7 @@ impl Proxy {
                                     "diehard-proxy: connection {id}: replica spawn failed: {e}"
                                 );
                                 summary.aborted += 1;
-                                summary.reports.push(SessionReport {
+                                on_retire(SessionReport {
                                     conn_id: id,
                                     outcome: None,
                                     sent: 0,
@@ -441,7 +466,7 @@ impl Proxy {
             if conn.outcome.is_none() {
                 conn.disconnect();
             }
-            summary.note(conn);
+            on_retire(summary.note(conn));
         }
         summary.pool = self.pool.stats().clone();
         Ok(summary)
@@ -602,21 +627,21 @@ impl Conn {
 }
 
 impl ProxySummary {
-    /// Folds a retired connection into the totals.
-    fn note(&mut self, conn: Conn) {
+    /// Folds a retired connection into the totals and returns its report.
+    fn note(&mut self, conn: Conn) -> SessionReport {
         if conn.aborted {
             self.aborted += 1;
         }
         if conn.outcome.as_ref().is_some_and(|o| o.diverged) {
             self.diverged += 1;
         }
-        self.reports.push(SessionReport {
+        SessionReport {
             conn_id: conn.id,
             outcome: conn.outcome,
             sent: conn.sent,
             out_peak: conn.out_peak,
             aborted: conn.aborted,
             seeds: conn.seeds,
-        });
+        }
     }
 }

@@ -10,17 +10,28 @@
 //!   interest set trivially consistent with rapidly-changing session state
 //!   (a full chunk buffer, a consumed input window) at the cost of
 //!   rebuilding a small `pollfd` array, which is in the noise next to the
-//!   process I/O being multiplexed;
+//!   process I/O being multiplexed. A set of its own waited on with a zero
+//!   timeout is an instantaneous probe (the warm pool's parked stdouts at
+//!   handoff, the proxy's listener before a refill);
 //! * **readiness dispatch** — one `EINTR`-retrying `poll(2)` over the
 //!   registered set, then iteration over `(token, revents)` pairs for every
 //!   descriptor with any returned event (`POLLERR`/`POLLHUP` included: the
 //!   subsequent read/write observes the EOF or `EPIPE` and retires the
 //!   descriptor, so errors need no separate path);
-//! * **non-blocking plumbing** — the [`set_nonblocking`] helper every
-//!   transport uses on descriptors it owns outright.
+//! * **non-blocking plumbing** — [`set_nonblocking`] for the pipes a
+//!   session creates, and the two pipe-to-pipe moves a session's input
+//!   broadcast is made of: [`tee`] duplicates a staged window into a
+//!   sibling's staging pipe without copying it, and [`splice`] moves staged
+//!   bytes into a replica's stdin.
+//!
+//! This module holds the crate's only `unsafe`, one line for each of its four
+//! system calls: `poll(2)` in [`Reactor::wait`], `fcntl(2)` in
+//! [`set_nonblocking`], and `tee(2)` and `splice(2)`. None passes memory
+//! the kernel writes through except `wait`'s `pollfd` array, which the
+//! reactor owns.
 
 use std::io;
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsFd, AsRawFd, RawFd};
 
 /// A single-round `poll(2)` registration set with caller-defined tokens.
 ///
@@ -107,62 +118,57 @@ impl<T: Copy> Default for Reactor<T> {
     }
 }
 
-/// One-shot readiness probe of a single descriptor: polls `fd` for
-/// `events` with the given timeout (0 = instantaneous) and returns the
-/// returned-event mask (0 when nothing is ready). `EINTR` is retried like
-/// [`Reactor::wait`].
-///
-/// This is the liveness probe for *parked* descriptors — the warm pool
-/// checks a pre-spawned replica set's stdout pipes for `POLLHUP` at
-/// handoff time without disturbing the main registration set.
-///
-/// # Errors
-///
-/// Propagates any `poll(2)` failure other than `EINTR`.
-pub fn poll_fd(
-    fd: RawFd,
-    events: libc::c_short,
-    timeout_ms: libc::c_int,
-) -> io::Result<libc::c_short> {
-    let mut pfd = libc::pollfd {
-        fd,
-        events,
-        revents: 0,
-    };
-    loop {
-        // SAFETY: pfd is a live pollfd; count 1 matches.
-        let rc = unsafe { libc::poll(&mut pfd, 1, timeout_ms) };
-        if rc >= 0 {
-            return Ok(pfd.revents);
-        }
-        let e = io::Error::last_os_error();
-        if e.kind() != io::ErrorKind::Interrupted {
-            return Err(e);
-        }
-    }
-}
-
 /// Switches `fd` to non-blocking mode.
 ///
-/// Only for descriptors the caller owns outright: `O_NONBLOCK` lives on the
-/// open file *description*, so flipping it on an inherited descriptor (a
-/// launcher's stdin sharing a terminal with its stdout) would leak the mode
-/// to every other handle on the same description.
+/// Only for pipes the caller has just created: the one `F_SETFL` replaces
+/// every file-status flag (a fresh pipe has none), and `O_NONBLOCK` lives on
+/// the open file *description*, so flipping it on an inherited descriptor
+/// (a launcher's stdin sharing a terminal with its stdout) would leak the
+/// mode to every other handle on the same description.
 ///
 /// # Errors
 ///
 /// Propagates `fcntl(2)` failures.
 pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    // SAFETY: fcntl on a descriptor the caller owns; no memory is passed.
-    let flags = unsafe { libc::fcntl(fd, libc::F_GETFL) };
-    if flags < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // SAFETY: as above; third argument is the int F_SETFL expects.
-    if unsafe { libc::fcntl(fd, libc::F_SETFL, flags | libc::O_NONBLOCK) } < 0 {
+    // SAFETY: fcntl on a descriptor the caller owns; no memory is passed, and
+    // the third argument is the int F_SETFL expects.
+    if unsafe { libc::fcntl(fd, libc::F_SETFL, libc::O_NONBLOCK) } < 0 {
         return Err(io::Error::last_os_error());
     }
     Ok(())
+}
+
+/// `tee(2)`: duplicates up to `len` bytes at the head of pipe `src` into pipe
+/// `dst` without consuming them — the kernel shares the pages, it copies no
+/// byte. Never blocks (`SPLICE_F_NONBLOCK`). Returns how many bytes `dst`
+/// took, which is short when `dst` has fewer free slots than `src` holds
+/// pages.
+///
+/// # Errors
+///
+/// `WouldBlock` when `src` is empty or `dst` full; otherwise whatever
+/// `tee(2)` reports (`EINVAL` when either end is not a pipe).
+pub fn tee(src: &impl AsFd, dst: &impl AsFd, len: usize) -> io::Result<usize> {
+    let (src, dst) = (src.as_fd().as_raw_fd(), dst.as_fd().as_raw_fd());
+    // SAFETY: both descriptors are borrowed open for the call; no memory is passed.
+    let n = unsafe { libc::tee(src, dst, len, libc::SPLICE_F_NONBLOCK) };
+    usize::try_from(n).map_err(|_| io::Error::last_os_error())
+}
+
+/// `splice(2)` between two pipes: moves up to `len` bytes from the head of
+/// `src` to the tail of `dst`, handing over page references rather than
+/// copying. Never blocks (`SPLICE_F_NONBLOCK`).
+///
+/// # Errors
+///
+/// `WouldBlock` when `src` is empty or `dst` full, `BrokenPipe` when `dst`
+/// has no reader left; otherwise whatever `splice(2)` reports.
+pub fn splice(src: &impl AsFd, dst: &impl AsFd, len: usize) -> io::Result<usize> {
+    let (src, dst) = (src.as_fd().as_raw_fd(), dst.as_fd().as_raw_fd());
+    let none = std::ptr::null_mut();
+    // SAFETY: both descriptors are borrowed open for the call; null offsets (pipes have none).
+    let n = unsafe { libc::splice(src, none, dst, none, len, libc::SPLICE_F_NONBLOCK) };
+    usize::try_from(n).map_err(|_| io::Error::last_os_error())
 }
 
 #[cfg(test)]
@@ -207,16 +213,50 @@ mod tests {
     }
 
     #[test]
-    fn poll_fd_sees_peer_close_and_idle_quiet() {
+    fn a_one_entry_wait_sees_peer_close_and_idle_quiet() {
         let (a, b) = UnixStream::pair().unwrap();
+        let mut probe: Reactor<()> = Reactor::new();
+        probe.register(a.as_raw_fd(), libc::POLLIN, ());
         // Nothing readable yet: a 0-timeout probe reports nothing.
-        assert_eq!(poll_fd(a.as_raw_fd(), libc::POLLIN, 0).unwrap(), 0);
+        assert_eq!(probe.wait(0).unwrap(), 0);
+        assert_eq!(probe.ready().count(), 0);
         drop(b);
-        let rev = poll_fd(a.as_raw_fd(), libc::POLLIN, 1000).unwrap();
+        assert_eq!(probe.wait(1000).unwrap(), 1);
+        let (_, rev) = probe.ready().next().expect("the one entry is ready");
         assert!(
             rev & (libc::POLLIN | libc::POLLHUP) != 0,
             "peer close must be visible to the probe"
         );
+    }
+
+    #[test]
+    fn tee_duplicates_and_splice_moves() {
+        let (mut src_r, mut src_w) = io::pipe().unwrap();
+        let (mut dup_r, dup_w) = io::pipe().unwrap();
+        let (mut out_r, out_w) = io::pipe().unwrap();
+        src_w.write_all(b"staged").unwrap();
+        assert_eq!(tee(&src_r, &dup_w, 6).unwrap(), 6);
+        assert_eq!(splice(&src_r, &out_w, 6).unwrap(), 6);
+        drop((src_w, dup_w, out_w));
+        let mut buf = Vec::new();
+        dup_r.read_to_end(&mut buf).unwrap();
+        assert_eq!(buf, b"staged", "tee copied the head of the pipe");
+        buf.clear();
+        out_r.read_to_end(&mut buf).unwrap();
+        assert_eq!(buf, b"staged", "splice moved it");
+        assert_eq!(src_r.read(&mut [0u8; 1]).unwrap(), 0, "and consumed it");
+    }
+
+    #[test]
+    fn an_empty_source_would_block_and_a_readerless_sink_is_a_broken_pipe() {
+        let (src_r, mut src_w) = io::pipe().unwrap();
+        let (dst_r, dst_w) = io::pipe().unwrap();
+        let kind = |r: io::Result<usize>| r.unwrap_err().kind();
+        assert_eq!(kind(tee(&src_r, &dst_w, 1)), io::ErrorKind::WouldBlock);
+        assert_eq!(kind(splice(&src_r, &dst_w, 1)), io::ErrorKind::WouldBlock);
+        src_w.write_all(b"x").unwrap();
+        drop(dst_r);
+        assert_eq!(kind(splice(&src_r, &dst_w, 1)), io::ErrorKind::BrokenPipe);
     }
 
     #[test]

@@ -28,14 +28,31 @@
 //! closing ballots and yields the [`StreamOutcome`]; a replica's exit
 //! wakes the transport's `poll` through its registered stderr, and a
 //! transport's tick is the backstop for a grandchild holding that stderr
-//! open past the exit. The core's memory bound,
-//! `(2 × replicas + 1) × TRANSFER` retained bytes, is the same order as the
-//! `3 × replicas` kernel pipe buffers the session owns.
+//! open past the exit.
+//!
+//! **One copy per input window.** §5.2 feeds every replica "its standard
+//! input from DieHard via a pipe". A window two or more replicas take is
+//! put into the kernel once: written into the first feeding replica's
+//! *staging pipe*, `tee(2)`d from there into every other feeding replica's
+//! staging pipe (the kernel shares the pages), and moved into each stdin by
+//! `splice(2)` whenever the stdin is writable. The window in the core stays
+//! the source of truth: a replica first splices what was staged for it,
+//! then takes whatever the staging did not (a short write or `tee`, a
+//! staging pipe that could not be made) by a direct write, so staging is
+//! only a prefix of the one feeding path. A one-replica window and a
+//! [`SessionInput::Buffer`] are written directly: there is nothing to
+//! duplicate. Staging pipes are made at a session's first staged window, so
+//! a parked pool set and a one-replica session hold none.
+//!
+//! The core's memory bound, `(2 × replicas + 1) × TRANSFER` retained bytes,
+//! is unchanged by staging and is the same order as the kernel pipe buffers
+//! the session owns: `3 × replicas` pipes (stdin, stdout, stderr), and
+//! `4 × replicas` once a window has been staged.
 
 use crate::reactor;
 use crate::voter::{VoteCore, Voter};
 use crate::LaunchConfig;
-use std::io::{self, Read, Write};
+use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::process::ExitStatusExt;
 use std::process::{Child, Command, Stdio};
@@ -60,8 +77,39 @@ pub struct Session {
     /// The replicas. A pipe is `None` once closed: its stream ended, its
     /// input is done, or the replica was killed.
     children: Vec<Child>,
+    /// Each replica's staging pipe; empty until the first staged window,
+    /// and `None` for a replica whose input is closed or whose pipe could
+    /// not be made.
+    stages: Vec<Option<Stage>>,
     seeds: Vec<u64>,
     core: VoteCore,
+}
+
+/// A replica's staging pipe (see the module docs): holds the first `held`
+/// bytes of the replica's pending input, put there once for every replica
+/// by one write and a `tee` each.
+#[derive(Debug)]
+struct Stage {
+    reader: PipeReader,
+    writer: PipeWriter,
+    /// Bytes in the pipe: always a prefix of the replica's pending input.
+    held: usize,
+}
+
+impl Stage {
+    /// A fresh staging pipe (`std::io::pipe` makes it close-on-exec, so no
+    /// replica inherits it). Its write end is non-blocking, since nothing
+    /// drains the pipe while the window is written into it; its read end is
+    /// only ever read by `tee` and `splice`, which never block.
+    fn new() -> io::Result<Self> {
+        let (reader, writer) = io::pipe()?;
+        reactor::set_nonblocking(writer.as_raw_fd())?;
+        Ok(Self {
+            reader,
+            writer,
+            held: 0,
+        })
+    }
 }
 
 impl Session {
@@ -87,6 +135,7 @@ impl Session {
         // On an error below, Drop kills and reaps what was spawned.
         let mut session = Self {
             children: Vec::with_capacity(seeds.len()),
+            stages: Vec::new(),
             seeds: seeds.to_vec(),
             core: VoteCore::new(Voter::new(seeds.len()), input),
         };
@@ -172,14 +221,60 @@ impl Session {
     }
 
     /// Slides the input window forward by one `read` from `src` (see
-    /// [`VoteCore::fill_input`]).
+    /// [`VoteCore::fill_input`]) and stages it once in the kernel when two
+    /// or more replicas take it (module docs).
     ///
     /// # Errors
     ///
     /// Whatever `src.read` returns, `WouldBlock` and `Interrupted`
     /// included; the window is then empty and still wants input.
     pub fn fill_input(&mut self, src: &mut impl Read) -> io::Result<usize> {
-        self.core.fill_input(src)
+        let n = self.core.fill_input(src)?;
+        self.stage_window();
+        Ok(n)
+    }
+
+    /// Puts a fresh window into the kernel once for every replica that
+    /// takes it: one write into the first feeder's staging pipe, then a
+    /// `tee` from it into each other feeder's. Whatever does not fit — a
+    /// short write, a short `tee`, a missing pipe — is left to the direct
+    /// write in [`write_stdin`](Self::write_stdin).
+    fn stage_window(&mut self) {
+        let Self {
+            children,
+            stages,
+            core,
+            ..
+        } = self;
+        let feeding = |i: usize| {
+            children[i].stdin.is_some() && core.pending_input(i).is_some_and(|p| !p.is_empty())
+        };
+        if (0..children.len()).filter(|&i| feeding(i)).nth(1).is_none() {
+            return; // one replica or none: nothing to duplicate
+        }
+        if stages.is_empty() {
+            stages.resize_with(children.len(), || None);
+        }
+        // The first stage that took any of the window, and how much.
+        let mut source: Option<(&PipeReader, usize)> = None;
+        for (i, slot) in stages.iter_mut().enumerate() {
+            if !feeding(i) {
+                continue;
+            }
+            if slot.is_none() {
+                *slot = Stage::new().ok();
+            }
+            let Some(stage) = slot else { continue };
+            debug_assert_eq!(stage.held, 0, "a fresh window finds every stage empty");
+            stage.held = match source {
+                None => stage.writer.write(core.pending_input(i).expect("a feeder")),
+                Some((reader, len)) => reactor::tee(reader, &stage.writer, len),
+            }
+            .unwrap_or(0);
+            if source.is_none() && stage.held > 0 {
+                source = Some((&stage.reader, stage.held));
+            }
+        }
     }
 
     /// Opportunistically writes pending window bytes to every replica
@@ -298,17 +393,26 @@ impl Session {
         self.children[i].stderr = None;
     }
 
-    /// Pushes pending window bytes into replica `i`'s stdin.
+    /// Pushes pending window bytes into replica `i`'s stdin: what its
+    /// staging pipe holds by `splice`, then the rest of the window by direct
+    /// write.
     fn write_stdin(&mut self, i: usize) {
         let Some(pipe) = self.children[i].stdin.as_mut() else {
             return;
         };
+        let mut stage = self.stages.get_mut(i).and_then(Option::as_mut);
         // Until the core retires it, or the pipe breaks.
         while let Some(pending) = self.core.pending_input(i) {
             if pending.is_empty() {
                 return;
             }
-            match pipe.write(pending) {
+            let moved = match stage.as_deref_mut().filter(|s| s.held > 0) {
+                Some(stage) => {
+                    reactor::splice(&stage.reader, &*pipe, stage.held).inspect(|&n| stage.held -= n)
+                }
+                None => pipe.write(pending),
+            };
+            match moved {
                 Ok(n) if n > 0 => self.core.input_written(i, n),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -318,24 +422,34 @@ impl Session {
                 _ => break,
             }
         }
-        self.children[i].stdin = None;
+        self.close_stdin(i);
         self.core.input_closed(i);
+    }
+
+    /// Closes replica `i`'s stdin, so it sees EOF, with its staging pipe:
+    /// nobody reads what that still holds.
+    fn close_stdin(&mut self, i: usize) {
+        self.children[i].stdin = None;
+        if let Some(stage) = self.stages.get_mut(i) {
+            *stage = None;
+        }
     }
 
     /// SIGKILLs replica `i` and closes its pipes. `Child::kill` sends
     /// nothing to a child already reaped, so a recycled pid is never hit.
     fn kill(&mut self, i: usize) {
+        let _ = self.children[i].kill();
+        self.close_stdin(i);
         let child = &mut self.children[i];
-        let _ = child.kill();
-        (child.stdin, child.stdout, child.stderr) = (None, None, None);
+        (child.stdout, child.stderr) = (None, None);
     }
 
     /// Closes the stdin of every replica the core no longer feeds, so it
     /// sees EOF.
     fn close_retired_stdins(&mut self) {
-        for (i, child) in self.children.iter_mut().enumerate() {
+        for i in 0..self.children.len() {
             if self.core.pending_input(i).is_none() {
-                child.stdin = None;
+                self.close_stdin(i);
             }
         }
     }
@@ -395,7 +509,8 @@ impl Session {
             // closing it would SIGPIPE a chatty replica into a spurious
             // "crash", and leaving it unread would let a burst of
             // diagnostics block the exit forever.
-            (self.children[i].stdin, self.children[i].stdout) = (None, None);
+            self.close_stdin(i);
+            self.children[i].stdout = None;
             self.core.input_closed(i);
             if matches!(self.children[i].try_wait(), Ok(None)) {
                 self.read_stderr(i);
@@ -485,7 +600,138 @@ pub(crate) fn resolve_seeds(config: &LaunchConfig) -> io::Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CHUNK;
+    use crate::{CHUNK, TRANSFER};
+    use std::time::{Duration, Instant};
+
+    fn spawn(replicas: usize, command: &[&str]) -> Session {
+        let mut config = LaunchConfig::new(
+            replicas,
+            command.iter().map(|&arg| arg.into()).collect(),
+            Vec::new(),
+        );
+        config.seeds = (1..=replicas as u64).collect();
+        Session::spawn(&config, &config.seeds, SessionInput::Streamed).expect("spawn")
+    }
+
+    /// One reactor round over the session's descriptors.
+    fn service_round(session: &mut Session) {
+        let mut reactor: reactor::Reactor<SessionIo> = reactor::Reactor::new();
+        session.register_interest(|fd, events, io| reactor.register(fd, events, io));
+        reactor.wait(100).expect("poll");
+        for (io, _) in reactor.ready() {
+            session.service(io);
+        }
+    }
+
+    /// Streams `input` through the session to the closing ballots, as a
+    /// transport does; panics if the session stalls.
+    fn drive(session: &mut Session, mut input: &[u8]) -> (Vec<u8>, StreamOutcome) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut out = Vec::new();
+        loop {
+            while session.wants_input() {
+                session.fill_input(&mut input).expect("a slice reads");
+                session.flush_input();
+            }
+            if session.pump(&mut out, usize::MAX) == Phase::Drained {
+                if let Some(outcome) = session.finalize() {
+                    return (out, outcome);
+                }
+            }
+            assert!(Instant::now() < deadline, "the session stalled");
+            service_round(session);
+        }
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Staging is only a prefix of the feeding path: a replica whose `tee`
+    /// comes up short (its staging pipe has one free slot) splices what it
+    /// got and takes the rest of the window by direct write, and every
+    /// replica still echoes the input byte for byte.
+    #[test]
+    fn a_short_tee_is_finished_by_direct_writes() {
+        let mut session = spawn(3, &["/bin/cat"]);
+        let input = pattern(4 * TRANSFER + 123);
+        let mut rest = &input[..];
+        session.fill_input(&mut rest).expect("a slice reads");
+        assert!(session.stages.iter().all(Option::is_some), "one stage each");
+        session.flush_input();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !session.wants_input() {
+            assert!(Instant::now() < deadline, "the first window stalled");
+            service_round(&mut session);
+        }
+
+        // Fill replica 1's staging pipe page by page, then free one page.
+        let junk = [0xA5u8; 4096];
+        let stage = session.stages[1].as_mut().expect("a stage");
+        let mut filled = 0;
+        while let Ok(n) = stage.writer.write(&junk) {
+            filled += n;
+        }
+        let mut page = [0u8; 4096];
+        stage.reader.read_exact(&mut page).expect("a page of junk");
+        filled -= page.len();
+
+        session.fill_input(&mut rest).expect("a slice reads");
+        let held = |i: usize| session.stages[i].as_ref().expect("a stage").held;
+        assert!(held(0) > 0, "the window is staged");
+        assert_eq!(held(2), held(0), "a free staging pipe takes all of it");
+        assert!(
+            (0..held(0)).contains(&held(1)),
+            "replica 1's tee must come up short: {} of {}",
+            held(1),
+            held(0)
+        );
+        // The junk goes; what is left in the pipe is what was staged.
+        let stage = session.stages[1].as_mut().expect("a stage");
+        let mut junk_back = vec![0u8; filled];
+        stage.reader.read_exact(&mut junk_back).expect("the junk");
+        session.flush_input();
+
+        let (out, outcome) = drive(&mut session, rest);
+        assert_eq!(outcome.killed, Vec::<usize>::new(), "every replica agrees");
+        assert_eq!((outcome.diverged, outcome.exit_code), (false, Some(0)));
+        assert_eq!(out.len(), input.len());
+        assert!(out == input, "the voted echo is the input");
+    }
+
+    /// A replica that stops reading mid-stream breaks its own stdin: the
+    /// `splice` into it fails with `EPIPE`, and only that replica's input
+    /// is retired — the others take the whole stream.
+    #[test]
+    fn a_replica_that_stops_reading_retires_only_its_own_input() {
+        let len = 16 * TRANSFER;
+        let script = format!(
+            "if [ \"$DIEHARD_SEED\" = 2 ]; then head -c 100000 >/dev/null; echo {len}; \
+             else wc -c | tr -d ' '; fi"
+        );
+        let mut session = spawn(3, &["/bin/sh", "-c", &script]);
+        let (out, outcome) = drive(&mut session, &pattern(len));
+        assert_eq!(
+            out,
+            format!("{len}\n").as_bytes(),
+            "both readers took it all"
+        );
+        assert_eq!(outcome.killed, Vec::<usize>::new());
+        assert_eq!((outcome.diverged, outcome.exit_code), (false, Some(0)));
+    }
+
+    /// One replica has nothing to duplicate: its windows are written
+    /// directly, and the session never makes a staging pipe.
+    #[test]
+    fn a_one_replica_session_stages_nothing() {
+        let mut session = spawn(1, &["/bin/cat"]);
+        let input = pattern(3 * TRANSFER);
+        let (out, outcome) = drive(&mut session, &input);
+        assert_eq!(out.len(), input.len());
+        assert!(out == input);
+        assert_eq!(outcome.exit_code, Some(0));
+        assert!(session.stages.is_empty());
+    }
 
     /// A seed slice that does not match `config.replicas` is refused, not
     /// run with as many replicas as it has seeds: an empty one would spawn
@@ -502,16 +748,15 @@ mod tests {
 
     #[test]
     fn a_spawned_session_holds_no_buffers_and_a_one_chunk_echo_grows_none_past_need() {
-        let mut config = LaunchConfig::new(3, vec!["/bin/cat".into()], Vec::new());
-        config.seeds = vec![1, 2, 3];
-        let mut session =
-            Session::spawn(&config, &config.seeds, SessionInput::Streamed).expect("spawn cat");
-        // What a parked pool set is: processes and pipes, no memory.
+        let mut session = spawn(3, &["/bin/cat"]);
+        // What a parked pool set is: processes and pipes, no memory and no
+        // staging pipe.
         let (window, lanes) = session.core.storage();
         assert_eq!(window.capacity(), 0);
         for (out, err) in lanes {
             assert_eq!(out.capacity() + err.capacity(), 0);
         }
+        assert!(session.stages.is_empty());
 
         // One chunk in, one chunk voted out, input ended.
         let request = vec![b'q'; CHUNK];
@@ -522,17 +767,8 @@ mod tests {
         session.flush_input();
         assert_eq!(session.fill_input(&mut io::empty()).unwrap(), 0);
         let mut out = Vec::new();
-        let mut reactor: reactor::Reactor<SessionIo> = reactor::Reactor::new();
-        let mut wait_and_service = |session: &mut Session| {
-            reactor.clear();
-            session.register_interest(|fd, events, io| reactor.register(fd, events, io));
-            reactor.wait(10_000).expect("poll");
-            for (io, _) in reactor.ready() {
-                session.service(io);
-            }
-        };
         while session.pump(&mut out, usize::MAX) == Phase::Streaming {
-            wait_and_service(&mut session);
+            service_round(&mut session);
         }
         assert_eq!(out, request);
         // A brim-full read is a buffer's only sign that more may follow, so
@@ -545,7 +781,7 @@ mod tests {
         let outcome = loop {
             match session.finalize() {
                 Some(outcome) => break outcome,
-                None => wait_and_service(&mut session),
+                None => service_round(&mut session),
             }
         };
         assert_eq!(outcome.exit_code, Some(0));

@@ -1,7 +1,10 @@
 //! Every way a voted run can end leaves no descriptor open and no child
 //! unreaped: agreement, a mid-stream outvote, a three-way divergence, an
 //! exit-status tie, replicas that run on after closing their output, an
-//! abort while streaming, and a spawn that fails.
+//! abort while streaming, and a spawn that fails. Each run is made twice,
+//! with its input in memory and streamed through a pipe: a streamed window
+//! that several replicas take is staged in a kernel pipe per replica, so
+//! the streamed runs also account for the staging pipes.
 //!
 //! One `#[test]` on purpose: the file's process then runs no other test
 //! concurrently, so the `/proc/self/fd` count and `waitpid(-1, …)` see only
@@ -11,8 +14,10 @@
 
 use diehard_replicate::reactor::Reactor;
 use diehard_replicate::{
-    run_replicated, LaunchConfig, Phase, ReplicatedExit, Session, SessionInput, SessionIo, CHUNK,
+    run_replicated, run_streamed, InputSource, LaunchConfig, Phase, ReplicatedExit, Session,
+    SessionInput, SessionIo, CHUNK,
 };
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 fn sh(script: &str) -> Vec<String> {
@@ -36,10 +41,31 @@ fn no_children() -> bool {
     pid == -1
 }
 
+/// Runs `script` with its input in memory, then again with the same input
+/// streamed through a pipe, and requires both runs to end alike.
 fn run(replicas: usize, script: &str, seeds: &[u64]) -> ReplicatedExit {
-    let mut config = LaunchConfig::new(replicas, sh(script), b"leak check\n".to_vec());
+    const INPUT: &[u8] = b"leak check\n";
+    let mut config = LaunchConfig::new(replicas, sh(script), INPUT.to_vec());
     config.seeds = seeds.to_vec();
-    run_replicated(&config).expect("replicated run")
+    let buffered = run_replicated(&config).expect("replicated run");
+    let (reader, mut writer) = std::io::pipe().expect("pipe");
+    writer.write_all(INPUT).expect("input fits the pipe");
+    drop(writer);
+    let mut output = Vec::new();
+    let outcome =
+        run_streamed(&config, InputSource::Fd(reader.into()), &mut output).expect("streamed run");
+    let streamed = ReplicatedExit {
+        output,
+        diverged: outcome.diverged,
+        killed: outcome.killed,
+        exit_code: outcome.exit_code,
+        stderr: outcome.stderr,
+    };
+    assert_eq!(
+        streamed, buffered,
+        "{script}: streamed and buffered runs differ"
+    );
+    streamed
 }
 
 /// A session streaming through `cat`, abandoned once output has been voted.
@@ -108,5 +134,8 @@ fn no_run_leaks_a_descriptor_or_a_child() {
     leaves_nothing("spawn of a missing command", || {
         let config = LaunchConfig::new(3, vec!["/nonexistent/replica".into()], Vec::new());
         assert!(run_replicated(&config).is_err());
+        let (reader, _writer) = std::io::pipe().expect("pipe");
+        let streamed = run_streamed(&config, InputSource::Fd(reader.into()), &mut Vec::new());
+        assert!(streamed.is_err());
     });
 }

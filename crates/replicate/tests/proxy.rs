@@ -6,8 +6,9 @@
 //! that linger after their output without stalling other connections (or
 //! a stop, which gives them one tick),
 //! mid-stream client disconnects, an unresolvable response tie, replicas
-//! that hold no socket, a failed accept the proxy survives, and the
-//! `diehard-proxy` binary echoing through its warm pool.
+//! that hold no socket, a failed accept the proxy survives, a proxy that
+//! keeps no report of the connections it served, and the `diehard-proxy`
+//! binary echoing through its warm pool.
 
 #![cfg(unix)]
 
@@ -20,6 +21,7 @@ use diehard_replicate::{LaunchConfig, CHUNK, TRANSFER};
 use diehard_workloads::client::{abandon_mid_stream, drive, Pace};
 use diehard_workloads::server::{self, ServerRequest};
 use std::io::{Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -424,6 +426,41 @@ fn an_aborted_connection_reports_the_bytes_it_sent() {
         "the aborted report says {} bytes were sent; the client read {read}",
         report.sent
     );
+}
+
+#[test]
+fn serve_hands_each_report_to_its_caller_and_keeps_none() {
+    // What the binary runs: `serve` hands every retired connection's report
+    // to its caller, so a proxy that serves forever does not grow with the
+    // connections it has served (`run` keeps them all, for tests).
+    const CONNS: u64 = 300;
+    let config = LaunchConfig::new(1, vec!["/bin/cat".into()], Vec::new());
+    let listener = Listener::bind_loopback(0).expect("bind");
+    let mut proxy = Proxy::new(listener, config).expect("a replica count that votes");
+    let port = proxy.local_port().expect("bound port");
+    let stop = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&stop);
+    let server = std::thread::spawn(move || {
+        let mut retired = Vec::new();
+        let summary = proxy.serve(&flag, |report| retired.push(report.conn_id));
+        (summary, retired)
+    });
+    for _ in 0..CONNS {
+        let mut stream = connect_loopback(port).expect("connect");
+        stream.write_all(b"ping\n").expect("send");
+        shutdown_write(&stream).expect("half-close");
+        let mut echo = Vec::new();
+        stream.read_to_end(&mut echo).expect("read the echo");
+        assert_eq!(echo, b"ping\n");
+    }
+    stop.store(true, Ordering::Release);
+    let (summary, mut retired) = server.join().expect("proxy thread");
+    let summary = summary.expect("reactor ran");
+    assert_eq!(summary.accepted, CONNS);
+    assert_eq!((summary.aborted, summary.diverged), (0, 0));
+    assert!(summary.reports.is_empty(), "serve kept a report");
+    retired.sort_unstable();
+    assert_eq!(retired, (0..CONNS).collect::<Vec<_>>(), "one report each");
 }
 
 #[test]

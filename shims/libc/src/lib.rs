@@ -2,8 +2,9 @@
 //!
 //! The build container has no access to crates.io, so this shim declares
 //! exactly the libc surface the workspace uses — the virtual-memory and
-//! file-descriptor calls behind `diehard_core::global`, the `poll(2)` and
-//! `fcntl(2)` calls behind `diehard_replicate::reactor`, plus the errno/
+//! file-descriptor calls behind `diehard_core::global`, the `poll(2)`,
+//! `fcntl(2)`, `tee(2)` and `splice(2)` calls behind
+//! `diehard_replicate::reactor`, plus the errno/
 //! fork/dlopen/ptrace surface behind the `diehard-preload` interposer and
 //! its tests — against the system C library that every Rust binary on
 //! Linux already links. Constants are the Linux (x86_64/aarch64) values;
@@ -34,6 +35,8 @@ pub type size_t = usize;
 pub type ssize_t = isize;
 /// C `off_t` (64-bit on the Linux targets we build for).
 pub type off_t = i64;
+/// C `loff_t`, the offset type of `splice(2)` (64-bit on Linux).
+pub type loff_t = i64;
 /// Process id.
 pub type pid_t = c_int;
 /// `pthread(3)` thread-specific-data key (glibc/musl: an unsigned int).
@@ -79,14 +82,15 @@ pub const O_NONBLOCK: c_int = 0o4000;
 
 /// `fcntl(2)` command: get descriptor flags (`FD_CLOEXEC`).
 pub const F_GETFD: c_int = 1;
-/// `fcntl(2)` command: get file-status flags.
-pub const F_GETFL: c_int = 3;
 /// `fcntl(2)` command: set file-status flags.
 pub const F_SETFL: c_int = 4;
 /// Descriptor flag: close on `execve(2)`. Every socket the proxy holds
 /// carries it, so replica children never inherit a client connection (an
 /// inherited socket would keep the peer's EOF from ever arriving).
 pub const FD_CLOEXEC: c_int = 1;
+
+/// `splice(2)`/`tee(2)` flag: do not block on the pipes (Linux value).
+pub const SPLICE_F_NONBLOCK: c_uint = 0x02;
 
 /// `poll(2)` event: data available to read.
 pub const POLLIN: c_short = 0x001;
@@ -197,6 +201,19 @@ extern "C" {
     pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
     /// `fcntl(2)` (variadic: `F_SETFL` takes the flags as a third argument).
     pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+    /// `tee(2)` (Linux): duplicates up to `len` bytes at the head of pipe
+    /// `fd_in` into pipe `fd_out` without consuming them.
+    pub fn tee(fd_in: c_int, fd_out: c_int, len: size_t, flags: c_uint) -> ssize_t;
+    /// `splice(2)` (Linux): moves up to `len` bytes between two descriptors,
+    /// one of them a pipe; a null offset means the descriptor's own.
+    pub fn splice(
+        fd_in: c_int,
+        off_in: *mut loff_t,
+        fd_out: c_int,
+        off_out: *mut loff_t,
+        len: size_t,
+        flags: c_uint,
+    ) -> ssize_t;
     /// `kill(2)`.
     pub fn kill(pid: pid_t, sig: c_int) -> c_int;
     /// `raise(3)`: sends `sig` to the calling thread.
