@@ -993,7 +993,9 @@ fn pool_refill(smoke: bool) -> KernelResult {
 /// The §5 pipe transport, what the `diehard` launcher runs: one op = one
 /// voted byte of a 1 MiB stream that `n` replicas of `yes 0123456789abcde |
 /// head -c 1048576` produce, through [`run_replicated`]'s event loop —
-/// spawn, 4 KiB chunk votes, exit ballots and reap included. `n1` is the
+/// spawn, 4 KiB chunk votes, exit ballots and reap included. The empty
+/// input is read like the launcher's stdin, into the same bounded window,
+/// whose first read finds its end. `n1` is the
 /// unvoted reference the voted rows are read against; two replicas cannot
 /// vote (§6), so there is no `n2`. Each sample must agree and return the
 /// whole stream.

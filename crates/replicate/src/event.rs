@@ -15,8 +15,9 @@
 //!   `SIGKILL`, reaping;
 //! * this module (and its TCP sibling [`crate::proxy`]) wires a session's
 //!   descriptors into a reactor, feeds the input window from a buffer or
-//!   the launcher's stdin, and ships each resolved quorum chunk to the
-//!   caller's sink the moment the barrier commits.
+//!   the launcher's stdin — the same window either way, one `read` at a
+//!   time — and ships each resolved quorum chunk to the caller's sink the
+//!   moment the barrier commits.
 //!
 //! The division of labor per reactor round is the protocol every transport
 //! follows: [`Session::pump`] resolves satisfied barriers into an output
@@ -52,17 +53,18 @@ use crate::reactor::Reactor;
 use crate::session::{resolve_seeds, Phase, Session, SessionInput, SessionIo};
 use crate::LaunchConfig;
 use std::fs::File;
-use std::io::{self, Write};
-use std::os::unix::io::{AsRawFd, OwnedFd};
+use std::io::{self, Read, Write};
+use std::os::unix::io::{AsRawFd, OwnedFd, RawFd};
 
 pub use crate::session::StreamOutcome;
 
 /// Where the broadcast standard input comes from.
 #[derive(Debug)]
 pub enum InputSource {
-    /// The whole input is already in memory ([`crate::run_replicated`]'s
-    /// path); replicas consume it at their own pace via per-replica
-    /// offsets, with no further copies.
+    /// The whole input is already in memory. It is fed like a
+    /// descriptor's, one `read` at a time into the session's bounded input
+    /// window, but it is always ready, so it is never polled: each round
+    /// refills the window until the replicas stop taking it.
     Buffer(Vec<u8>),
     /// Stream incrementally from this descriptor (the launcher passes a
     /// duplicate of its stdin), closed when the run ends. Its file-status
@@ -102,13 +104,26 @@ pub fn run_streamed(
     input: InputSource,
     sink: &mut dyn Write,
 ) -> io::Result<StreamOutcome> {
+    match input {
+        InputSource::Buffer(data) => stream(config, &mut &data[..], None, sink),
+        InputSource::Fd(fd) => {
+            let raw = fd.as_raw_fd();
+            stream(config, &mut File::from(fd), Some(raw), sink)
+        }
+    }
+}
+
+/// [`run_streamed`] from `source`, which `poll(2)` watches on `fd`, or
+/// which is always ready (memory, read in place) when there is no `fd`.
+pub(crate) fn stream(
+    config: &LaunchConfig,
+    source: &mut dyn Read,
+    fd: Option<RawFd>,
+    sink: &mut dyn Write,
+) -> io::Result<StreamOutcome> {
     let seeds = resolve_seeds(config)?;
-    let (session_input, mut source) = match input {
-        InputSource::Buffer(data) => (SessionInput::Buffer(data), None),
-        InputSource::Fd(fd) => (SessionInput::Streamed, Some(File::from(fd))),
-    };
     // On any error below, Session's Drop kills and reaps the replicas.
-    let mut session = Session::spawn(config, &seeds, session_input)?;
+    let mut session = Session::spawn(config, &seeds, SessionInput::Streamed)?;
     let mut reactor: Reactor<Token> = Reactor::new();
     let mut voted = Vec::new();
     loop {
@@ -126,13 +141,19 @@ pub fn run_streamed(
                 return Ok(outcome);
             }
         }
+        // Nothing wakes a `poll` for a source that is always ready, so the
+        // window is refilled until the replicas stop taking it: their
+        // stdins are full, or the input has ended. One refill a round would
+        // leave a replica that reads all of its input before it writes
+        // waiting on a window no registered descriptor asks for.
+        while fd.is_none() && session.wants_input() {
+            refill(&mut session, source);
+        }
         reactor.clear();
         session
             .register_interest(|fd, events, io| reactor.register(fd, events, Token::Session(io)));
-        if let Some(file) = &source {
-            if session.wants_input() {
-                reactor.register(file.as_raw_fd(), libc::POLLIN, Token::Source);
-            }
+        if let Some(fd) = fd.filter(|_| session.wants_input()) {
+            reactor.register(fd, libc::POLLIN, Token::Source);
         }
         reactor.wait(if phase == Phase::Drained { 200 } else { -1 })?;
         for (token, _revents) in reactor.ready() {
@@ -140,9 +161,7 @@ pub fn run_streamed(
             // read/write sees the EOF or EPIPE and retires the descriptor.
             match token {
                 Token::Session(io) => session.service(io),
-                Token::Source => {
-                    refill(&mut session, source.as_mut().expect("streamed mode"));
-                }
+                Token::Source => refill(&mut session, source),
             }
         }
     }
@@ -151,9 +170,9 @@ pub fn run_streamed(
 /// Slides the session's input window forward by one read from the source,
 /// straight into the window (≤ one transfer unit — the window is the
 /// memory bound).
-fn refill(session: &mut Session, source: &mut File) {
+fn refill(session: &mut Session, mut source: &mut dyn Read) {
     loop {
-        match session.fill_input(source) {
+        match session.fill_input(&mut source) {
             Ok(_) => break, // bytes, or the end of the input
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,

@@ -30,11 +30,12 @@
 //!   same core;
 //! * [`session`] — the process edge for **one** client stream: spawns the
 //!   replicas, moves bytes between their non-blocking pipes and the core
-//!   (a window several replicas take is put into the kernel once, in a
-//!   staging pipe per replica filled by one write and a `tee(2)` each, and
-//!   `splice(2)`d into the stdins — so a streaming session owns `4 ×
-//!   replicas` kernel pipes, not `3 × replicas`, and the same user-space
-//!   bound), SIGKILLs the replicas the core outvotes, and reaps them all;
+//!   (a window of more than one chunk that several replicas take is put
+//!   into the kernel once, in a staging pipe per replica filled by one
+//!   write and a `tee(2)` each, and `splice(2)`d into the stdins — so a
+//!   streaming session owns `4 × replicas` kernel pipes, not `3 ×
+//!   replicas`, and the same user-space bound), SIGKILLs the replicas the
+//!   core outvotes, and reaps them all;
 //! * [`reactor`] — a generic `poll(2)` registration/dispatch loop that
 //!   knows nothing about replicas, and the crate's only `unsafe`: `poll`,
 //!   `fcntl`, `tee` and `splice`;
@@ -52,10 +53,10 @@
 //! pool invisible to vote outcomes, and depth 0 is the byte-identical cold
 //! path.
 //!
-//! [`run_replicated`] is a
-//! convenience wrapper over [`run_streamed`] for in-memory input/output;
-//! the `diehard` binary streams its real stdin/stdout through the same
-//! engine, and the `diehard-proxy` binary serves the TCP front end. Both
+//! [`run_replicated`] is a convenience wrapper over [`run_streamed`] for
+//! in-memory input/output; the `diehard` binary streams its real
+//! stdin/stdout through the same engine and the same bounded input window,
+//! and the `diehard-proxy` binary serves the TCP front end. Both
 //! binaries read their command line through one parser, [`cli`]. The
 //! surviving replicas' exit statuses are voted as a final ballot (signal
 //! deaths count as crashes, nonzero exits do not), so a command that
@@ -189,8 +190,9 @@ pub struct ReplicatedExit {
 /// output.
 ///
 /// This is a thin in-memory wrapper over [`run_streamed`] — same engine,
-/// same incremental voting and mid-stream kills; only the input source
-/// (a buffer) and the sink (a `Vec`) differ from the launcher binary.
+/// same bounded input window, same incremental voting and mid-stream
+/// kills; only the input source (`config.input`, read in place one window
+/// at a time) and the sink (a `Vec`) differ from the launcher binary.
 ///
 /// # Errors
 ///
@@ -201,11 +203,7 @@ pub struct ReplicatedExit {
 /// not errors — the voter handles them by decrementing the live set.
 pub fn run_replicated(config: &LaunchConfig) -> std::io::Result<ReplicatedExit> {
     let mut output = Vec::new();
-    let outcome = event::run_streamed(
-        config,
-        InputSource::Buffer(config.input.clone()),
-        &mut output,
-    )?;
+    let outcome = event::stream(config, &mut &config.input[..], None, &mut output)?;
     Ok(ReplicatedExit {
         output,
         diverged: outcome.diverged,

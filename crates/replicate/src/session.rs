@@ -9,9 +9,10 @@
 //! the end reaps every child as it exits, stderr drained throughout, and
 //! hands the core their exit statuses for the closing ballots. It does not
 //! know whether its input arrives from a launcher's stdin, an in-memory
-//! buffer, or a TCP socket, and it never writes to the outside world: voted
-//! bytes are appended to a caller-supplied buffer and the transport decides
-//! when (and whether) to ship them.
+//! buffer, or a TCP socket — each is read into the same bounded window, one
+//! [`Session::fill_input`] at a time — and it never writes to the outside
+//! world: voted bytes are appended to a caller-supplied buffer and the
+//! transport decides when (and whether) to ship them.
 //!
 //! Transports drive a session through a narrow pull/push protocol each
 //! reactor round: [`Session::pump`] resolves satisfied barriers into the
@@ -39,10 +40,14 @@
 //! the source of truth: a replica first splices what was staged for it,
 //! then takes whatever the staging did not (a short write or `tee`, a
 //! staging pipe that could not be made) by a direct write, so staging is
-//! only a prefix of the one feeding path. A one-replica window and a
-//! [`SessionInput::Buffer`] are written directly: there is nothing to
-//! duplicate. Staging pipes are made at a session's first staged window, so
-//! a parked pool set and a one-replica session hold none.
+//! only a prefix of the one feeding path. A window one replica takes, and a
+//! window of at most one [`CHUNK`](crate::CHUNK), are written directly:
+//! there is nothing to duplicate, or too little to pay for the staging
+//! pipes' system calls. The window starts at one chunk and doubles after a
+//! brim-full read, so a one-chunk request is never staged and a stream is
+//! staged from its second window on. Staging pipes are made at a session's
+//! first staged window, so a parked pool set, a one-replica session and a
+//! connection that never sends more than a chunk at a time hold none.
 //!
 //! The core's memory bound, `(2 × replicas + 1) × TRANSFER` retained bytes,
 //! is unchanged by staging and is the same order as the kernel pipe buffers
@@ -51,7 +56,7 @@
 
 use crate::reactor;
 use crate::voter::{VoteCore, Voter};
-use crate::LaunchConfig;
+use crate::{LaunchConfig, CHUNK};
 use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::process::ExitStatusExt;
@@ -116,7 +121,8 @@ impl Session {
     /// Spawns `config.replicas` replicas of `config.command`, replica `i`
     /// seeded with `seeds[i]` via `DIEHARD_SEED` (stdio piped and
     /// non-blocking), and readies the barrier machinery. `config.input` is
-    /// ignored — the input source is the explicit `input` argument.
+    /// ignored: the caller feeds the input through
+    /// [`fill_input`](Self::fill_input), and `input` names that one way.
     ///
     /// # Errors
     ///
@@ -125,6 +131,7 @@ impl Session {
     /// one seed per replica; propagates spawn and `fcntl(2)` failures, and
     /// anything spawned before the failure is killed and reaped.
     pub fn spawn(config: &LaunchConfig, seeds: &[u64], input: SessionInput) -> io::Result<Self> {
+        let SessionInput::Streamed = input;
         config.validated()?;
         if seeds.len() != config.replicas {
             return Err(io::Error::new(
@@ -137,7 +144,7 @@ impl Session {
             children: Vec::with_capacity(seeds.len()),
             stages: Vec::new(),
             seeds: seeds.to_vec(),
-            core: VoteCore::new(Voter::new(seeds.len()), input),
+            core: VoteCore::new(Voter::new(seeds.len())),
         };
         for &seed in seeds {
             let mut cmd = Command::new(&config.command[0]);
@@ -234,11 +241,12 @@ impl Session {
         Ok(n)
     }
 
-    /// Puts a fresh window into the kernel once for every replica that
-    /// takes it: one write into the first feeder's staging pipe, then a
-    /// `tee` from it into each other feeder's. Whatever does not fit — a
-    /// short write, a short `tee`, a missing pipe — is left to the direct
-    /// write in [`write_stdin`](Self::write_stdin).
+    /// Puts a fresh window of more than one chunk into the kernel once for
+    /// every replica that takes it: one write into the first feeder's
+    /// staging pipe, then a `tee` from it into each other feeder's.
+    /// Whatever does not fit — a short write, a short `tee`, a missing pipe
+    /// — is left to the direct write in [`write_stdin`](Self::write_stdin),
+    /// as is a window of at most one chunk (module docs).
     fn stage_window(&mut self) {
         let Self {
             children,
@@ -249,8 +257,12 @@ impl Session {
         let feeding = |i: usize| {
             children[i].stdin.is_some() && core.pending_input(i).is_some_and(|p| !p.is_empty())
         };
-        if (0..children.len()).filter(|&i| feeding(i)).nth(1).is_none() {
+        let mut feeders = (0..children.len()).filter(|&i| feeding(i));
+        let (Some(first), Some(_)) = (feeders.next(), feeders.next()) else {
             return; // one replica or none: nothing to duplicate
+        };
+        if core.pending_input(first).is_some_and(|w| w.len() <= CHUNK) {
+            return; // a chunk costs less to copy than to stage
         }
         if stages.is_empty() {
             stages.resize_with(children.len(), || None);
@@ -600,7 +612,7 @@ pub(crate) fn resolve_seeds(config: &LaunchConfig) -> io::Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CHUNK, TRANSFER};
+    use crate::TRANSFER;
     use std::time::{Duration, Instant};
 
     fn spawn(replicas: usize, command: &[&str]) -> Session {
@@ -656,13 +668,17 @@ mod tests {
         let mut session = spawn(3, &["/bin/cat"]);
         let input = pattern(4 * TRANSFER + 123);
         let mut rest = &input[..];
-        session.fill_input(&mut rest).expect("a slice reads");
-        assert!(session.stages.iter().all(Option::is_some), "one stage each");
-        session.flush_input();
+        // The first window is one chunk and written directly; the second,
+        // two chunks, is staged.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while !session.wants_input() {
-            assert!(Instant::now() < deadline, "the first window stalled");
-            service_round(&mut session);
+        for stages in [0, 3] {
+            session.fill_input(&mut rest).expect("a slice reads");
+            assert_eq!(session.stages.iter().flatten().count(), stages);
+            session.flush_input();
+            while !session.wants_input() {
+                assert!(Instant::now() < deadline, "a window stalled");
+                service_round(&mut session);
+            }
         }
 
         // Fill replica 1's staging pipe page by page, then free one page.
@@ -786,5 +802,9 @@ mod tests {
         };
         assert_eq!(outcome.exit_code, Some(0));
         assert!(outcome.peak_buffered <= 4 * request.len());
+        assert!(
+            session.stages.is_empty(),
+            "a one-chunk window is not staged"
+        );
     }
 }

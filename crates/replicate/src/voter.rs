@@ -215,16 +215,15 @@ pub enum Phase {
     Drained,
 }
 
-/// How a stream's broadcast input arrives.
+/// How a stream's broadcast input arrives. There is one way: the caller
+/// refills the window (≤ one transfer unit) by
+/// [`VoteCore::fill_input`] whenever [`VoteCore::wants_input`] allows, and
+/// the window counts toward the stream's bound. The type survives only
+/// because `benchmark/src/ledger.rs`, which is not edited (ROADMAP open
+/// question 2), passes it to [`Session::spawn`](crate::Session::spawn).
 #[derive(Debug)]
 pub enum SessionInput {
-    /// The whole input is already in memory; replicas consume it at their
-    /// own pace via per-replica offsets, with no further copies. The buffer
-    /// is caller memory and does not count toward the stream's bound.
-    Buffer(Vec<u8>),
-    /// The caller refills the window (≤ one transfer unit) via
-    /// [`VoteCore::fill_input`] whenever [`VoteCore::wants_input`] allows;
-    /// the window is stream memory and counts toward the stream's bound.
+    /// The one input path.
     Streamed,
 }
 
@@ -243,11 +242,11 @@ pub struct StreamOutcome {
     /// Total bytes committed to the transport's output buffer.
     pub committed: u64,
     /// High-water mark of bytes retained inside the session (per-replica
-    /// stdout buffers and stderr captures plus the streamed-input window)
-    /// — bounded by `(2 × replicas + 1) × TRANSFER` by construction. How
-    /// far below the bound it reads depends on how far the replicas ran
-    /// ahead of each other, so it is timing-dependent once a stream is
-    /// longer than one chunk.
+    /// stdout buffers and stderr captures plus the input window, whatever
+    /// the input's source) — bounded by `(2 × replicas + 1) × TRANSFER` by
+    /// construction. How far below the bound it reads depends on how far
+    /// the replicas ran ahead of each other, so it is timing-dependent once
+    /// a stream is longer than one chunk.
     pub peak_buffered: usize,
     /// The quorum-agreed standard error (first ≤ [`CHUNK`] bytes — the same
     /// chunk discipline as stdout voting). After the streams end the
@@ -337,33 +336,17 @@ impl RunAhead {
 /// The broadcast-input window: `buf[..len]` holds bytes
 /// `[base, base + len)` of the overall input stream. It is replaced
 /// wholesale, never appended to, so it needs no head.
+#[derive(Default)]
 struct Window {
     /// Initialised storage; grows by doubling, on demand, up to one
-    /// transfer unit (or is the caller's whole input in buffer mode).
+    /// transfer unit.
     buf: Vec<u8>,
     len: usize,
     base: u64,
     eof: bool,
-    /// Whether `buf` is stream memory (streamed mode) or a caller-provided
-    /// buffer that does not count toward the stream's memory bound.
-    engine_owned: bool,
 }
 
 impl Window {
-    fn new(input: SessionInput) -> Self {
-        let (buf, engine_owned) = match input {
-            SessionInput::Buffer(data) => (data, false),
-            SessionInput::Streamed => (Vec::new(), true),
-        };
-        Self {
-            len: if engine_owned { 0 } else { buf.len() },
-            buf,
-            base: 0,
-            eof: !engine_owned,
-            engine_owned,
-        }
-    }
-
     /// Absolute offset one past the last byte currently available.
     fn end(&self) -> u64 {
         self.base + self.len as u64
@@ -431,13 +414,13 @@ impl std::fmt::Debug for VoteCore {
 
 impl VoteCore {
     /// A stream over `voter`'s replicas (the voter's tie rule is the
-    /// stream's), voting ballots of ≤ [`CHUNK`] bytes, with its input from
-    /// `input`.
+    /// stream's), voting ballots of ≤ [`CHUNK`] bytes, its input window
+    /// empty until the first [`fill_input`](Self::fill_input).
     #[must_use]
-    pub fn new(voter: Voter, input: SessionInput) -> Self {
+    pub fn new(voter: Voter) -> Self {
         Self {
             lanes: voter.alive.iter().map(|_| Lane::default()).collect(),
-            input: Window::new(input),
+            input: Window::default(),
             voter,
             committed: 0,
             peak_buffered: 0,
@@ -496,14 +479,9 @@ impl VoteCore {
         self.voter.live_count() > 0 && self.voter.live().all(|i| ready(&self.lanes[i]))
     }
 
-    /// Updates the buffered-bytes high-water mark. A caller-provided input
-    /// buffer is not stream memory.
+    /// Updates the buffered-bytes high-water mark.
     fn note_buffered(&mut self) {
-        let win = if self.input.engine_owned {
-            self.input.len
-        } else {
-            0
-        };
+        let win = self.input.len;
         // Each buffer within its own cap, not only their sum.
         debug_assert!(win <= TRANSFER);
         debug_assert!(self
@@ -515,13 +493,12 @@ impl VoteCore {
         debug_assert!(self.peak_buffered <= (2 * self.lanes.len() + 1) * TRANSFER);
     }
 
-    /// Whether the caller should supply the next input window: streamed
-    /// mode only, not yet EOF, and every replica still taking input has
-    /// caught up with the current window (keeping the window, and thus
-    /// memory, bounded).
+    /// Whether the caller should supply the next input window: not yet
+    /// EOF, and every replica still taking input has caught up with the
+    /// current window (keeping the window, and thus memory, bounded).
     #[must_use]
     pub fn wants_input(&self) -> bool {
-        if !self.input.engine_owned || self.input.eof {
+        if self.input.eof {
             return false;
         }
         let end = self.input.end();
@@ -1112,7 +1089,7 @@ mod tests {
     fn drive(scripts: &[Script], input: &[u8], ties: Ties, seed: u64) -> Option<Verdict> {
         let n = scripts.len();
         let mut rng = Mwc::seeded(seed);
-        let mut core = VoteCore::new(Voter::with_ties(n, ties), SessionInput::Streamed);
+        let mut core = VoteCore::new(Voter::with_ties(n, ties));
         let mut source = Trickle {
             data: input,
             step: 0,

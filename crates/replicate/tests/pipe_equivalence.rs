@@ -8,9 +8,12 @@
 //! `committed`, `peak_buffered`, `stderr_dropped`) computed from the
 //! pre-refactor engine's deterministic accounting:
 //!
-//! * buffer-mode input does not count toward `peak_buffered` (the window
-//!   is caller memory), so the peak is exactly the sum of every replica's
-//!   unvoted stdout + stderr capture at the fullest moment;
+//! * the input window counts toward `peak_buffered`, but an in-memory
+//!   input shorter than a pipe is written into every stdin, and the window
+//!   emptied by the read that finds the input's end, before the first
+//!   `poll`, so before any stdout is read: where these runs take input,
+//!   their peak is still exactly the sum of every replica's unvoted stdout
+//!   + stderr capture at the fullest moment;
 //! * bytes leave a buffer only at a commit, and a vote requires every
 //!   live replica ready, so sub-chunk unanimous runs peak at exactly
 //!   `replicas × output_len`;
@@ -34,7 +37,7 @@ fn sh(script: &str) -> Vec<String> {
     vec!["/bin/sh".into(), "-c".into(), script.into()]
 }
 
-/// Runs buffer-mode and returns (committed bytes, outcome).
+/// Runs `cfg` on `input` from memory and returns (committed bytes, outcome).
 fn run(cfg: &LaunchConfig, input: &[u8]) -> (Vec<u8>, StreamOutcome) {
     let mut out = Vec::new();
     let outcome = run_streamed(cfg, InputSource::Buffer(input.to_vec()), &mut out)
@@ -72,8 +75,8 @@ const EMIT_CHUNK: &str =
 fn golden_outcome_small_echo() {
     // 23 input bytes through 3 cats: one sub-chunk barrier at EOF. Every
     // replica holds all 23 bytes when the barrier resolves (votes need all
-    // live replicas ready), so the peak is exactly 3 × 23; the buffer-mode
-    // window adds nothing.
+    // live replicas ready), so the peak is exactly 3 × 23; the 23-byte
+    // window was written to every stdin and emptied before then.
     let input = b"hello replicated world\n";
     let cfg = LaunchConfig::new(3, sh("cat"), Vec::new());
     let (out, outcome) = run(&cfg, input);
@@ -216,12 +219,13 @@ fn golden_outcome_three_way_divergence() {
 
 #[test]
 fn streamed_fd_outcome_matches_buffer_outcome() {
-    // The same deterministic run through both input paths. Streamed mode
-    // counts its bounded window toward the peak, so only the peak differs
-    // — every other field must be identical, and the peak must stay within
-    // the streamed bound of (2 × replicas + 1) × the transfer unit. (This
-    // run cannot reach it: one chunk of stdout and ten bytes of stderr per
-    // replica, and a window no longer than the whole 3-chunk input.)
+    // The same deterministic run fed from memory and from a socket: both
+    // fill the one bounded window, which counts toward the peak, and the
+    // socket's read sizes set the windows' — so only the peak may differ.
+    // Every other field must be identical, and the peak must stay within
+    // the bound of (2 × replicas + 1) × the transfer unit. (This run cannot
+    // reach it: one chunk of stdout and ten bytes of stderr per replica, and
+    // a window no longer than the whole 3-chunk input.)
     let script = format!("{EMIT_CHUNK}\ncat >/dev/null; emit KKKKKKKKKKKKKKKK; echo tail-diag >&2");
     let input = vec![b'x'; 3 * CHUNK]; // forces several window refills
     let cfg = LaunchConfig::new(3, sh(&script), Vec::new());

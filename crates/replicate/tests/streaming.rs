@@ -1,8 +1,8 @@
 //! Integration tests for the event-driven streaming voter: mid-stream
 //! kills (also of a dissenter whose bad chunk sits inside one multi-chunk
 //! transfer), bounded buffering over multi-megabyte streams (also when one
-//! replica runs far ahead of the others), and a replicated server-style
-//! trace from `diehard-workloads`.
+//! replica runs far ahead of the others, and of a megabyte of in-memory
+//! input), and a replicated server-style trace from `diehard-workloads`.
 
 #![cfg(unix)]
 
@@ -110,6 +110,35 @@ fn megabyte_stream_is_voted_with_bounded_buffering() {
 }
 
 #[test]
+fn megabyte_input_is_fed_through_one_bounded_window() {
+    // 1 MiB of input, sixteen pipes' worth, into three replicas that write
+    // their chunk before they read stdin and then count what they read. An
+    // in-memory input is read into the session's window like a launcher's
+    // stdin: ≤ one transfer unit at a time, counted in `peak_buffered`.
+    // The window starts at one chunk and doubles after every brim-full
+    // read, and a slice fills every read it can, so some refill holds a
+    // whole transfer unit whatever the schedule: that is the floor.
+    const LEN: usize = 1 << 20;
+    let script = format!("{EMIT_CHUNK}\nemit WWWWWWWWWWWWWWWW; wc -c | tr -d ' '");
+    let input: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    let cfg = LaunchConfig::new(3, sh(&script), Vec::new());
+    let mut out = Vec::new();
+    let outcome = run_streamed(&cfg, InputSource::Buffer(input), &mut out).unwrap();
+    let mut expected = vec![b'W'; CHUNK];
+    expected.extend_from_slice(format!("{LEN}\n").as_bytes());
+    assert_eq!(out, expected, "every replica read the whole input");
+    assert!(!outcome.diverged);
+    assert!(outcome.killed.is_empty());
+    assert_eq!(outcome.exit_code, Some(0));
+    assert!(
+        (TRANSFER..=(2 * 3 + 1) * TRANSFER).contains(&outcome.peak_buffered),
+        "peak buffered {} outside [{TRANSFER}, {}]",
+        outcome.peak_buffered,
+        (2 * 3 + 1) * TRANSFER
+    );
+}
+
+#[test]
 fn replica_far_ahead_of_its_siblings_is_held_to_one_transfer_unit() {
     // Seed 7 has its whole 1 MiB written before the others have produced a
     // byte; they deliver theirs 16 KiB at a time with a pause in between.
@@ -169,8 +198,8 @@ fn dissenter_inside_one_transfer_is_killed_at_its_chunk() {
         Vec::new(),
     );
     cfg.seeds = vec![1, 7, 2];
-    let mut session =
-        Session::spawn(&cfg, &cfg.seeds, SessionInput::Buffer(Vec::new())).expect("spawn");
+    let mut session = Session::spawn(&cfg, &cfg.seeds, SessionInput::Streamed).expect("spawn");
+    session.accept_input_eof();
     let mut reactor: Reactor<SessionIo> = Reactor::new();
     let mut wait_and_service = |session: &mut Session| {
         reactor.clear();
@@ -242,14 +271,28 @@ fn replicated_server_trace_round_trips() {
     let expected = server::expected_output(&requests);
     assert!(expected.len() > 128 * 1024, "trace must span many barriers");
 
-    let cfg = LaunchConfig::new(3, sh(server::SERVER_SCRIPT), input);
-    let exit = run_replicated(&cfg).unwrap();
-    assert!(!exit.diverged);
-    assert!(exit.killed.is_empty());
-    assert_eq!(exit.exit_code, Some(0), "QUIT exits the server cleanly");
+    assert!(
+        input.len() > 2 * CHUNK,
+        "requests must span several windows"
+    );
+
+    let cfg = LaunchConfig::new(3, sh(server::SERVER_SCRIPT), Vec::new());
+    let mut out = Vec::new();
+    let outcome = run_streamed(&cfg, InputSource::Buffer(input), &mut out).unwrap();
+    assert!(!outcome.diverged);
+    assert!(outcome.killed.is_empty());
+    assert_eq!(outcome.exit_code, Some(0), "QUIT exits the server cleanly");
     assert_eq!(
-        exit.output, expected,
+        out, expected,
         "voted stream must equal the deterministic server transcript"
+    );
+    // The first window is one brim-full chunk of requests, and no window
+    // or buffer outgrows its transfer unit.
+    assert!(
+        (CHUNK..=(2 * 3 + 1) * TRANSFER).contains(&outcome.peak_buffered),
+        "peak buffered {} outside [{CHUNK}, {}]",
+        outcome.peak_buffered,
+        (2 * 3 + 1) * TRANSFER
     );
 }
 

@@ -18,7 +18,7 @@ use crate::ops::Program;
 use crate::output::Output;
 use diehard_core::config::{FillPolicy, HeapConfig};
 use diehard_core::rng::replica_seed;
-use diehard_replicate::{Phase, SessionInput, Ties, VoteCore, Voter};
+use diehard_replicate::{Phase, Ties, VoteCore, Voter};
 use diehard_sim::DieHardSimHeap;
 
 /// What happened to one replica.
@@ -163,14 +163,15 @@ impl ReplicaSet {
     /// Votes the finished outputs through the launcher's vote core, chunk
     /// by chunk, as if each replica had written its output to a pipe; a
     /// replica that died before completing is out of the vote from the
-    /// start.
+    /// start. The replicas take no input: it has ended before the vote.
     fn vote(&self, results: Vec<RunOutcome>) -> ReplicatedRun {
         let outputs: Vec<Option<&[u8]>> = results
             .iter()
             .map(|r| r.output().map(Output::as_bytes))
             .collect();
         let voter = Voter::with_ties(outputs.len(), Ties::First);
-        let mut core = VoteCore::new(voter, SessionInput::Buffer(Vec::new()));
+        let mut core = VoteCore::new(voter);
+        core.accept_input_eof();
         let mut fates = Vec::with_capacity(outputs.len());
         for (i, output) in outputs.iter().enumerate() {
             fates.push(match output {
