@@ -164,28 +164,18 @@ fn alloc_churn_mixed(smoke: bool) -> KernelResult {
     })
 }
 
-/// The built `libdiehard.so`, found next to the running binary's profile
-/// directory, if there is one.
+/// The built `libdiehard.so`: `target/release`'s, found above the running
+/// binary (bins run from `target/<profile>/`, test bins from
+/// `target/<profile>/deps/`). Only the release library loads — a debug one
+/// keeps `core`'s reference to `rust_eh_personality` (the workspace
+/// `Cargo.toml` has why) — and it is the artifact worth timing anyway.
+/// `cargo test` alone does not emit the cdylib, but tier-1 (`cargo build
+/// --release && cargo test -q`) always has it.
 fn preload_path() -> Option<std::path::PathBuf> {
     let exe = std::env::current_exe().expect("current_exe");
-    let dir = exe.parent().expect("exe dir");
-    // Bins run from target/<profile>/, test bins from target/<profile>/deps/.
-    // `cargo test` alone does not emit the cdylib artifact, so a debug test
-    // run falls back to the sibling profile's copy — tier-1 (`cargo build
-    // --release && cargo test -q`) always has target/release/libdiehard.so,
-    // and the release interposer is the artifact worth timing anyway.
-    let mut candidates = vec![dir.to_path_buf()];
-    candidates.extend(dir.parent().map(std::path::Path::to_path_buf));
-    for up in [dir.parent(), dir.parent().and_then(std::path::Path::parent)]
-        .into_iter()
-        .flatten()
-    {
-        candidates.push(up.join("release"));
-        candidates.push(up.join("debug"));
-    }
-    candidates
-        .into_iter()
-        .map(|d| d.join("libdiehard.so"))
+    exe.ancestors()
+        .take(4)
+        .map(|dir| dir.join("release").join("libdiehard.so"))
         .find(|p| p.exists())
 }
 

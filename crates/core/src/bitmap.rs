@@ -12,18 +12,14 @@
 //! inside a global allocator once built over caller-provided storage
 //! ([`SlotStateMap::from_storage`]).
 
+use crate::global::Words;
 use crate::sync::{Rmw, Word};
-use alloc::boxed::Box;
 use core::sync::atomic::Ordering;
 
-/// Backing words of a [`SlotStateMap`].
-#[derive(Debug)]
-enum AtomicStorage {
-    Owned(Box<[Word]>),
-    /// Caller-provided words ([`SlotStateMap::from_storage`]): the global
-    /// allocator's slice of its metadata mapping, which is never unmapped.
-    Raw(&'static [Word]),
-}
+/// The word a free past a map's last word lands on: no claim ever sets a
+/// bit of it (a claim past the last word loses before it updates anything),
+/// so it stays zero and every such free is ignored.
+static PAST_THE_END: Word = Word::new(0);
 
 /// The two states a slot's bit tells apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +53,14 @@ pub enum SlotState {
 /// ([`crate::sync`] has the argument). The transitions, their outcomes and
 /// their order are the same in either arm.
 ///
+/// **An index has one check, and no failing one.** A slot's word is found
+/// by `index / 64`, and an index past the map's last word has a defined
+/// outcome rather than a panic: a claim of it loses, a free of it is
+/// ignored, and it reads free. The heap never asks for one — its indices
+/// are draws below the active capacity and offsets resolved inside a
+/// region — and the tail bits of the last word (slots `len()..` up to the
+/// next multiple of 64) are reached the same way, never.
+///
 /// Memory ordering (locked arm): claims acquire the previous owner's writes
 /// and frees release the object's contents to the next claimant; reads
 /// acquire. The single-thread arm needs none: program order covers the one
@@ -64,7 +68,7 @@ pub enum SlotState {
 /// that follow.
 #[derive(Debug)]
 pub struct SlotStateMap {
-    words: AtomicStorage,
+    words: Words,
     slots: usize,
 }
 
@@ -72,17 +76,16 @@ impl SlotStateMap {
     /// Slots per word (one bit each).
     const PER_WORD: usize = 64;
 
-    /// Creates a map with `slots` slots, all [`SlotState::Free`].
+    /// Creates a map with `slots` slots, all [`SlotState::Free`], over words
+    /// of its own (a `calloc` block).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the system has no memory for the map.
     #[must_use]
     pub fn new(slots: usize) -> Self {
-        Self {
-            words: AtomicStorage::Owned(
-                (0..Self::words_needed(slots))
-                    .map(|_| Word::new(0))
-                    .collect(),
-            ),
-            slots,
-        }
+        let words = Words::zeroed(Self::words_needed(slots)).expect("memory for a slot map");
+        Self { words, slots }
     }
 
     /// Words of backing storage a map over `slots` slots needs.
@@ -108,17 +111,16 @@ impl SlotStateMap {
             Self::words_needed(slots),
             "slot map storage for {slots} slots"
         );
-        Self {
-            words: AtomicStorage::Raw(words),
-            slots,
-        }
+        Self::carved(words, slots)
     }
 
-    #[inline]
-    fn words(&self) -> &[Word] {
-        match &self.words {
-            AtomicStorage::Owned(words) => words,
-            AtomicStorage::Raw(words) => words,
+    /// [`from_storage`](Self::from_storage) for the heap's own carving,
+    /// which cut `words` to length itself: nothing to check.
+    #[must_use]
+    pub(crate) fn carved(words: &'static [Word], slots: usize) -> Self {
+        Self {
+            words: Words::carved(words),
+            slots,
         }
     }
 
@@ -136,21 +138,18 @@ impl SlotStateMap {
         self.slots == 0
     }
 
-    /// The word holding slot `index` and the slot's bit in it.
+    /// The word holding slot `index`, `None` past the map's last word (type
+    /// docs), and the slot's bit in that word.
     #[inline]
-    fn check(&self, index: usize) -> (&Word, u64) {
-        assert!(index < self.slots, "slot index {index} out of range");
+    fn bit(&self, index: usize) -> (Option<&Word>, u64) {
         (
-            &self.words()[index / Self::PER_WORD],
+            self.words.get(index / Self::PER_WORD),
             1 << (index % Self::PER_WORD),
         )
     }
 
-    /// Reads the state of slot `index` (acquire).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
+    /// Reads the state of slot `index` (acquire); an index past the map's
+    /// last word reads free.
     #[must_use]
     #[inline]
     pub fn state(&self, index: usize) -> SlotState {
@@ -161,40 +160,38 @@ impl SlotStateMap {
         }
     }
 
-    /// `true` when slot `index` is [`SlotState::Live`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
+    /// `true` when slot `index` is [`SlotState::Live`]; never past the map's
+    /// last word.
     #[must_use]
     #[inline]
     pub fn is_live(&self, index: usize) -> bool {
-        let (word, bit) = self.check(index);
-        word.load(Ordering::Acquire) & bit != 0
+        let (word, bit) = self.bit(index);
+        word.is_some_and(|word| word.load(Ordering::Acquire) & bit != 0)
     }
 
     /// The allocation's claim: `0 → 1` via one `or`. Returns `true` when
-    /// this caller won the slot (it was free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
+    /// this caller won the slot (it was free); a claim past the map's last
+    /// word loses.
     #[inline]
     pub(crate) fn claim(&self, sole: bool, index: usize) -> bool {
-        let (word, bit) = self.check(index);
+        let (Some(word), bit) = self.bit(index) else {
+            return false;
+        };
         word.rmw(sole, Rmw::Or(bit), Ordering::AcqRel) & bit == 0
     }
 
     /// `DieHardFree`'s bit: `1 → 0` via one `and`. Returns `true` when the
     /// slot was live and this call freed it; `false` (a double or invalid
-    /// free, §4.3) changed nothing.
+    /// free, §4.3, or an index past the map's last word) changed nothing.
     ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
+    /// Past the last word the `and` lands on [`PAST_THE_END`], which holds
+    /// no live slot, rather than returning early: one `and` on either word
+    /// keeps the update a single bit-test-and-reset (`lock btr`) on x86-64,
+    /// where a second way out compiles to a compare-and-swap loop.
     #[inline]
     pub(crate) fn free(&self, sole: bool, index: usize) -> bool {
-        let (word, bit) = self.check(index);
+        let (word, bit) = self.bit(index);
+        let word = word.unwrap_or(&PAST_THE_END);
         word.rmw(sole, Rmw::And(!bit), Ordering::AcqRel) & bit != 0
     }
 
@@ -202,8 +199,8 @@ impl SlotStateMap {
     /// snapshot — exact only at quiescence.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        let words = self.words().iter();
-        words
+        self.words
+            .iter()
             .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
             .sum()
     }
@@ -211,7 +208,7 @@ impl SlotStateMap {
     /// Iterates the indices of live slots, in order. Each word is read once;
     /// the iteration is not a snapshot.
     pub fn iter_live(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words().iter().enumerate().flat_map(|(w, word)| {
+        self.words.iter().enumerate().flat_map(|(w, word)| {
             let mut live = word.load(Ordering::Relaxed);
             core::iter::from_fn(move || {
                 (live != 0).then(|| {
@@ -287,10 +284,19 @@ mod tests {
         let _ = SlotStateMap::from_storage(backing, 200);
     }
 
+    /// An index past the map's last word has a defined outcome, not a
+    /// panic: its claim loses, its free is ignored, it reads free, and the
+    /// map is left as it was.
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn slot_state_map_out_of_range_panics() {
-        SlotStateMap::new(10).claim(false, 10);
+    fn slot_state_map_out_of_range_is_refused() {
+        let map = SlotStateMap::new(10);
+        assert!(map.claim(false, 3));
+        for index in [64, 65, usize::MAX] {
+            assert!(!map.claim(false, index), "claim of {index}");
+            assert!(!map.free(false, index), "free of {index}");
+            assert!(!map.is_live(index), "state of {index}");
+        }
+        assert_eq!(map.iter_live().collect::<Vec<_>>(), [3]);
     }
 
     /// The targeted two-thread claim race: every round, both threads race a

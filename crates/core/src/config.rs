@@ -662,6 +662,68 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// `validate` carries what the partition constructors used to
+        /// re-check on every heap: a configuration it accepts builds, at any
+        /// growth fraction, a heap whose every partition has a positive
+        /// capacity no larger than its maximum, a threshold no larger than
+        /// its capacity, and a maximum the packed words hold; one it refuses
+        /// builds no heap, with a `ConfigError`.
+        #[test]
+        fn validate_covers_what_the_partitions_checked(
+            region_log2 in 10u32..35,
+            odd in 0usize..4,
+            m_eighths in 0u32..2_000,
+            grow in 0u32..70,
+        ) {
+            use crate::partition::MAX_CAPACITY;
+            use crate::sharded::Heap;
+            let region = (1usize << region_log2) + [0, 0, 1, 4096][odd];
+            let config = HeapConfig::default()
+                .with_region_bytes(region)
+                .with_multiplier(f64::from(m_eighths) / 8.0);
+            match (config.validate(), Heap::new_elastic(config, 1, grow)) {
+                (Ok(()), Ok(heap)) => {
+                    for class in SizeClass::all() {
+                        let p = heap.partition(class);
+                        proptest::prop_assert!(p.capacity() > 0, "{}", class);
+                        proptest::prop_assert!(p.capacity() <= p.max_capacity(), "{}", class);
+                        proptest::prop_assert!(p.threshold() <= p.capacity(), "{}", class);
+                        proptest::prop_assert!(p.max_capacity() <= MAX_CAPACITY, "{}", class);
+                    }
+                }
+                (Err(refused), Err(built)) => proptest::prop_assert_eq!(refused, built),
+                (checked, built) => proptest::prop_assert!(
+                    false,
+                    "validate says {:?}, the heap {:?}",
+                    checked,
+                    built.map(|_| ())
+                ),
+            }
+        }
+
+        /// What `crate::env` answers for any `DIEHARD_REGION_MB` and
+        /// `DIEHARD_M` is a heap `validate` accepts — the allocator's knobs
+        /// fall back to their defaults rather than to a heap that cannot be
+        /// built — 48 MB regions and `M = 100000` included.
+        #[test]
+        fn the_env_parsers_answer_only_buildable_heaps(
+            region_mb in 0u64..20_000,
+            m in 0u64..200_000,
+        ) {
+            use crate::env::{parse_multiplier, parse_region_mb, DEFAULT_MULTIPLIER, DEFAULT_REGION_MB};
+            for (region_mb, m) in [(region_mb, m), (48, 2), (32, 100_000), (48, 100_000)] {
+                let raw = |n: u64| n.to_string().into_bytes();
+                let region_mb = parse_region_mb(&raw(region_mb)).unwrap_or(DEFAULT_REGION_MB);
+                let m = parse_multiplier(&raw(m), region_mb).unwrap_or(DEFAULT_MULTIPLIER);
+                let config = HeapConfig::paper_default()
+                    .with_region_bytes((region_mb as usize) << 20)
+                    .with_multiplier(m as f64);
+                proptest::prop_assert_eq!(config.validate(), Ok(()), "{} MB, M = {}", region_mb, m);
+            }
+        }
+    }
+
     #[test]
     fn region_bases_are_contiguous() {
         let cfg = HeapConfig::new();

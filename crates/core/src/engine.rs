@@ -11,7 +11,7 @@
 
 use crate::config::HeapGeometry;
 use crate::sharded::Heap;
-use crate::size_class::{SizeClass, NUM_CLASSES};
+use crate::size_class::SizeClass;
 use crate::sync::{Rmw, Word};
 use core::sync::atomic::Ordering;
 
@@ -197,11 +197,7 @@ pub fn slot_offset(geometry: &HeapGeometry, slot: Slot) -> usize {
 #[must_use]
 #[inline]
 pub fn slot_at(geometry: &HeapGeometry, offset: usize) -> Option<Slot> {
-    let region = offset >> geometry.region_shift();
-    if region >= NUM_CLASSES {
-        return None;
-    }
-    let class = SizeClass::from_index(region);
+    let class = SizeClass::get(offset >> geometry.region_shift())?;
     let within = offset & geometry.region_mask();
     Some(Slot {
         class,

@@ -169,13 +169,46 @@
 //!   building it, before it takes the heap's locks.
 //! * **One `unsafe` step from the metadata mapping to typed memory.**
 //!   `build_state` borrows the fresh, zeroed, never-unmapped mapping for
-//!   `'static` once, as disjoint pieces: the state's slot, the twelve slot
-//!   maps as one `&'static [Word]`, the large table's keys and sizes as two
-//!   `&'static mut [usize]`. Every layer below takes slices in safe
-//!   constructors (`Heap::with_storage` carves the maps with `split_at`).
-//!   Zeroed is a memory-safety fact in one place only, the large table,
-//!   whose recorded addresses `release_large` unmaps; the argument sits at
-//!   the carving.
+//!   `'static` once, as two disjoint pieces: the state's slot, and every
+//!   metadata word as one `&'static [Word]`. Safe code cuts that into the
+//!   large table's keys and sizes (two `split_first_chunk`s, arrays of the
+//!   table's length) and the twelve slot maps (`Heap::carved`,
+//!   `split_at_checked` per class). Zeroed is a memory-safety fact in one
+//!   place only, the large table, whose recorded addresses `release_large`
+//!   unmaps; the argument sits at the carving. The heaps the simulator and
+//!   the tests own get their words the same way, from a `calloc` block of
+//!   their own (`Words::zeroed`, below: one borrow, freed by its drop).
+//! * **No path to a panic.** Nothing the interposer's exports, its `fork`
+//!   hooks or initialization run can panic, and the release library holds
+//!   no `core::panicking` or `core::fmt` code (CI reads it with `nm`): its
+//!   `#[panic_handler]` backstops nothing reachable. Each former panic site
+//!   has a defined outcome instead:
+//!   - a slot-map index has one check, whose failure is a claim that loses,
+//!     a free that is ignored and a slot that reads free
+//!     ([`SlotStateMap`](crate::bitmap::SlotStateMap)) — and no caller
+//!     fails it: draws are below the capacity, offsets resolve inside a
+//!     region;
+//!   - a size class is a typed index ([`SizeClass`](crate::size_class::SizeClass)
+//!     holds one of twelve values), so the heap's per-class tables are
+//!     indexed unchecked;
+//!   - a heap built from a [`HeapGeometry`] re-checks nothing: the four
+//!     asserts every partition constructor ran (a positive capacity, no
+//!     more than the maximum, a threshold no more than the capacity, a
+//!     maximum the packed words hold) are [`HeapConfig::validate`]'s and the
+//!     geometry's, once, and an environment knob they would refuse is its
+//!     default ([`crate::env`]); a growth step publishes a pair it computed
+//!     in range, without `grow_to`'s asserts. The public constructors keep
+//!     theirs for callers outside the crate;
+//!   - the large table's probe indices are masked by its length, a power of
+//!     two of at least 2 checked when the crate compiles; a full table
+//!     refuses an insert, and the allocation is null;
+//!   - page and alignment rounding is a mask or `checked_next_multiple_of`;
+//!     a metadata mapping too short for what was carved from it is a failed
+//!     initialization;
+//!   - a `fork` from a signal handler that interrupted one of its thread's
+//!     critical sections leaves that lock to the frame holding it
+//!     ([`fork_prepare`](DieHard::fork_prepare));
+//!   - a bounded `strncpy` whose `n` falls short of the copy pads nothing.
 //! * **No thread-local; a nested call is known by what its thread holds.**
 //!   A call into the allocator made inside another on the same thread (a
 //!   signal handler's `malloc`) is told apart without per-thread state
@@ -296,7 +329,7 @@ use core::alloc::{GlobalAlloc, Layout};
 use core::cell::Cell;
 use core::mem::MaybeUninit;
 use core::ptr;
-use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 /// The elastic start `libdiehard.so` ships with (the fraction it passes to
 /// [`DieHard::elastic_from_env`], used when `DIEHARD_GROW` is unset): every
@@ -336,6 +369,11 @@ pub const DEFAULT_GROW_LOG2: u32 = 9;
 /// Capacity of the large-object validity table (live large objects).
 const LARGE_CAPACITY: usize = 4096;
 
+/// Slots of the large-object validity table: twice [`LARGE_CAPACITY`], so
+/// its load factor stays at most 1/2. A power of two of at least 2, which
+/// [`LargeTable::from_storage`] asserts when this file compiles.
+const LARGE_SLOTS: usize = (LARGE_CAPACITY * 2).next_power_of_two();
+
 /// The states of a [`DieHard`]'s initialization: not begun, built and
 /// published, failed for good. While one thread builds the heap the word
 /// holds that thread's [`tls::current_thread`], which is none of these.
@@ -355,7 +393,9 @@ struct Nested;
 /// plus the two locked domains (small-object growth, large-object table).
 /// It heads its heap's metadata mapping, which is never unmapped, so it is
 /// never freed: every reference to it is `&'static`, and one outlives the
-/// [`DieHard`] that made it, dropped or moved.
+/// [`DieHard`] that made it, dropped or moved. The heap leads it (`repr(C)`),
+/// and with it the heap's partitions, at the state's own address.
+#[repr(C)]
 struct GlobalState {
     /// Twelve lock-free partitions + the two cold counters: the heap.
     heap: Heap,
@@ -368,6 +408,9 @@ struct GlobalState {
     /// length, behind one lock disjoint from every small-object shard. The
     /// mapping is always `[user − page, user + len + page)` (`alloc_large`).
     large: SpinLock<LargeTable>,
+    /// Whether `fork_prepare` took the table's lock, which `fork_resume`
+    /// then releases: not when its own thread held it already.
+    large_forked: AtomicBool,
 }
 
 // SAFETY: `heap_base` and `page` are written once before `DieHard`
@@ -599,7 +642,7 @@ impl DieHard {
         // SAFETY: src is NUL-terminated per contract, and a strcpy is the
         // strncpy whose `n` is exactly the string and its terminator.
         unsafe {
-            let len = c_strlen(src);
+            let len = libc::strlen(src.cast());
             self.bounded_copy(dest, src, len, len + 1)
         }
     }
@@ -628,7 +671,7 @@ impl DieHard {
     /// exactly as C requires.
     pub unsafe fn strncpy(&self, dest: *mut u8, src: *const u8, n: usize) -> usize {
         // SAFETY: per contract; the scan stops at `n`.
-        unsafe { self.bounded_copy(dest, src, c_strlen_bounded(src, n), n) }
+        unsafe { self.bounded_copy(dest, src, libc::strnlen(src.cast(), n), n) }
     }
 
     /// The one §4.4 copy behind [`strcpy`](Self::strcpy) and
@@ -652,8 +695,11 @@ impl DieHard {
             let dest = core::slice::from_raw_parts_mut(dest, space);
             let copied = safe_str::bounded_strncpy(dest, space, src, n).copied;
             // C zero-pads through byte n − 1, clamped to the object; byte
-            // `copied` already holds the bounded terminator.
-            dest[copied..n.min(space)].fill(0);
+            // `copied` already holds the bounded terminator (and when `n` is
+            // no further, there is nothing to pad).
+            if let Some(pad) = dest.get_mut(copied..n.min(space)) {
+                pad.fill(0);
+            }
             copied
         }
     }
@@ -743,10 +789,16 @@ impl DieHard {
     ///
     /// Pair with [`fork_resume`](Self::fork_resume) in both the parent and
     /// the child (the `pthread_atfork` parent/child hooks).
+    ///
+    /// A lock the forking thread holds already — a `fork` from a signal
+    /// handler that interrupted one of its allocator calls — is not taken
+    /// again (no wait ends), and not released by `fork_resume`: the frame
+    /// that holds it does, in the parent and in the child alike.
     pub fn fork_prepare(&self) {
         if let Ok(Some(state)) = self.state() {
             state.heap.lock_all_maintenance();
-            state.large.raw_lock();
+            let took = state.large.raw_lock();
+            state.large_forked.store(took, Ordering::Relaxed);
         }
     }
 
@@ -763,9 +815,12 @@ impl DieHard {
     pub unsafe fn fork_resume(&self) {
         if let Some(state) = self.ready() {
             // SAFETY: held by the paired fork_prepare (this thread, or the
-            // forking thread this child process inherited from).
+            // forking thread this child process inherited from), which took
+            // the table's lock when `large_forked` says so.
             unsafe {
-                state.large.raw_unlock();
+                if state.large_forked.load(Ordering::Relaxed) {
+                    state.large.raw_unlock();
+                }
                 state.heap.unlock_all_maintenance();
             }
         }
@@ -859,13 +914,12 @@ impl DieHard {
 
         let page = sys::page_size();
         let span = geometry.heap_span();
-        let words = <Heap>::metadata_words_needed(geometry.config());
-        let table_cap = (LARGE_CAPACITY * 2).next_power_of_two();
-        // The state heads the arena, in whole pages of its own, so the maps
-        // behind it start page-aligned.
-        let head = size_of::<GlobalState>().next_multiple_of(page);
-        let table = head + words * size_of::<Word>();
-        let meta_bytes = (table + 2 * table_cap * size_of::<usize>()).next_multiple_of(page);
+        // The large table's keys and sizes, then the twelve slot maps.
+        let words = 2 * LARGE_SLOTS + <Heap>::metadata_words_needed(geometry.config());
+        // The state heads the arena, in whole pages of its own, so the
+        // words behind it start page-aligned.
+        let head = size_of::<GlobalState>().checked_next_multiple_of(page)?;
+        let meta_bytes = (head + words * size_of::<Word>()).checked_next_multiple_of(page)?;
         let meta = sys::map_reserve(meta_bytes);
         if meta.is_null() {
             return None;
@@ -886,29 +940,28 @@ impl DieHard {
         // SAFETY: the one step from the mapping to typed memory. `meta` is a
         // fresh, page-aligned anonymous mapping of `meta_bytes`: zeroed,
         // referenced by nothing else, and never unmapped, so it may be
-        // borrowed for `'static`. The four borrows are disjoint and aligned:
-        // the state's slot in the first `head` bytes, then `words` slot-map
-        // words (all twelve classes, each sized for its maximum capacity),
-        // then the large table's keys and sizes, `table_cap` words each.
-        // Zero is a valid `Word` and `usize`. Zeroed keys are also what keeps
+        // borrowed for `'static`. The two borrows are disjoint and aligned:
+        // the state's slot in the first `head` bytes, then `words` words.
+        // Zero is a valid `Word`. Zeroed keys are also what keeps
         // `release_large` sound: the table starts with no address recorded,
         // so it unmaps only mappings `alloc_large` made and recorded.
-        let (slot, maps, keys, sizes) = unsafe {
-            let keys = meta.add(table).cast::<usize>();
+        let (slot, words) = unsafe {
             (
                 &mut *meta.cast::<MaybeUninit<GlobalState>>(),
                 core::slice::from_raw_parts(meta.add(head).cast::<Word>(), words),
-                core::slice::from_raw_parts_mut(keys, table_cap),
-                core::slice::from_raw_parts_mut(keys.add(table_cap), table_cap),
             )
         };
-        let mut heap = Heap::with_storage(geometry, seed, maps);
+        // Cut from the words just mapped for them, so none comes up short.
+        let (keys, words) = words.split_first_chunk::<LARGE_SLOTS>()?;
+        let (sizes, maps) = words.split_first_chunk::<LARGE_SLOTS>()?;
+        let mut heap = Heap::carved(geometry, seed, maps)?;
         heap.set_promote_hook(promote_region, heap_base as usize);
         Some(slot.write(GlobalState {
             heap,
             heap_base,
             page,
             large: SpinLock::new(LargeTable::from_storage(keys, sizes)),
+            large_forked: AtomicBool::new(false),
         }))
     }
 
@@ -1003,7 +1056,8 @@ impl DieHard {
         if raw.is_null() {
             return Ok(ptr::null_mut());
         }
-        let user = (raw as usize + page).next_multiple_of(align);
+        // `align` is a power of two (a `Layout`'s), so rounding up is a mask.
+        let user = (raw as usize + page + align - 1) & !(align - 1);
         let (start, end) = (user - page, user + len + page);
         // Trim the slack off both ends, so the mapping is exactly
         // `[user − page, user + len + page)` — the shape `release` and
@@ -1056,6 +1110,71 @@ fn promote_region(heap_base: usize, offset: usize, len: usize) {
     }
 }
 
+/// Zeroed [`Word`]s of heap metadata — slot maps, the large-object table —
+/// in one of two homes: carved out of the global allocator's metadata
+/// mapping, which is never unmapped, or a block of their own from the C
+/// library's `calloc`, freed when they are dropped — the storage of every
+/// heap the simulator and the tests own (the crate links no `alloc`, and a
+/// simulator that builds heap after heap reuses the C library's memory).
+/// Here, beside the C calls, so that nothing else can mark words as a block
+/// to free.
+#[derive(Debug)]
+pub(crate) struct Words {
+    /// The words. `'static` for carved ones only: owned ones lend them out
+    /// for no longer than they live (through `Deref`).
+    words: &'static [Word],
+    /// Whether `words` is a `calloc` block of its own, freed on drop.
+    owned: bool,
+}
+
+impl Words {
+    /// Words carved out of storage that outlives every use of them.
+    #[must_use]
+    pub(crate) const fn carved(words: &'static [Word]) -> Self {
+        Self {
+            words,
+            owned: false,
+        }
+    }
+
+    /// `len` zeroed words of their own, from `calloc`, returned to `free`
+    /// when they are dropped; `None` when the C library has no memory.
+    #[must_use]
+    pub(crate) fn zeroed(len: usize) -> Option<Self> {
+        // SAFETY: `calloc` answers null or a block of at least `len` words,
+        // zeroed (a valid `Word`) and aligned for any object, that nothing
+        // else references; only this value's drop frees it, after its last
+        // borrow.
+        let words = unsafe {
+            let base = libc::calloc(len.max(1), size_of::<Word>()).cast::<Word>();
+            if base.is_null() {
+                return None;
+            }
+            core::slice::from_raw_parts(base, len)
+        };
+        Some(Self { words, owned: true })
+    }
+}
+
+impl core::ops::Deref for Words {
+    type Target = [Word];
+
+    #[inline]
+    fn deref(&self) -> &[Word] {
+        self.words
+    }
+}
+
+impl Drop for Words {
+    fn drop(&mut self) {
+        if self.owned {
+            // SAFETY: owned words are the block `zeroed` had from `calloc`,
+            // and every borrow of them ended with `&self`'s.
+            unsafe { libc::free(self.words.as_ptr().cast_mut().cast()) };
+        }
+    }
+}
+
 /// Runs `f` as an allocator call would run: while the process has one
 /// thread, with the re-entrancy flag [`DieHard::alloc_guarded`] and
 /// [`DieHard::free_guarded`] check and set, telling `f` whether it was
@@ -1095,34 +1214,6 @@ unsafe impl GlobalAlloc for DieHard {
     unsafe fn dealloc(&self, ptr: *mut u8, _layout: Layout) {
         self.free(ptr);
     }
-}
-
-/// Length of the NUL-terminated string at `p`.
-///
-/// # Safety
-///
-/// `p` must point to a NUL-terminated string.
-unsafe fn c_strlen(p: *const u8) -> usize {
-    let mut n = 0;
-    // SAFETY: caller guarantees a terminator exists.
-    while unsafe { *p.add(n) } != 0 {
-        n += 1;
-    }
-    n
-}
-
-/// Length of the string at `p`, scanning at most `max` bytes.
-///
-/// # Safety
-///
-/// `p` must be valid for reads up to `max` bytes or its NUL terminator.
-unsafe fn c_strlen_bounded(p: *const u8, max: usize) -> usize {
-    let mut n = 0;
-    // SAFETY: caller guarantees validity up to `max` or the terminator.
-    while n < max && unsafe { *p.add(n) } != 0 {
-        n += 1;
-    }
-    n
 }
 
 #[cfg(test)]

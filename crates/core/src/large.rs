@@ -17,12 +17,32 @@
 //! an empty slot within `len` steps, and a long-lived process that creates
 //! and frees large objects for ever finds the table as it would be had it
 //! only ever inserted what is live.
+//!
+//! Every probe index is masked by the table's length, a power of two of at
+//! least 2 — fixed at compile time for a table over caller storage
+//! ([`LargeTable::from_storage`]) — so no index can leave the table, and
+//! none is checked on its way there. A full table refuses an insert; an
+//! address it does not hold is not found, and its removal changes nothing.
 
-use alloc::vec;
-use alloc::vec::Vec;
+use crate::global::Words;
+use crate::sync::Word;
+use core::sync::atomic::Ordering::Relaxed;
 
 /// An empty slot. Address 0 is never a large object (it is null).
 const EMPTY: usize = 0;
+
+/// The address or size a table word holds (words are 64 bits, as
+/// addresses are on every target the allocator builds for).
+#[inline]
+fn read(word: &Word) -> usize {
+    word.load(Relaxed) as usize
+}
+
+/// Records an address or size in a table word.
+#[inline]
+fn write(word: &Word, value: usize) {
+    word.store(value as u64, Relaxed);
+}
 
 /// A fixed-capacity address → size table with open addressing.
 ///
@@ -39,84 +59,62 @@ const EMPTY: usize = 0;
 /// ```
 #[derive(Debug)]
 pub struct LargeTable {
-    keys: Storage,
-    sizes: Storage,
+    /// Recorded addresses, [`EMPTY`] in a free slot. Words, updated with
+    /// relaxed loads and stores: the table is `&mut` for every update, so
+    /// they are plain `mov`s; words are what both homes of the storage
+    /// hold (`Words`).
+    keys: Words,
+    /// The size recorded beside each key, as long as `keys`.
+    sizes: Words,
+    /// Slots: the length of `keys` and `sizes`, a power of two ≥ 2.
     capacity: usize,
     len: usize,
 }
 
-#[derive(Debug)]
-enum Storage {
-    Owned(Vec<usize>),
-    /// Caller-provided words ([`LargeTable::from_storage`]): the global
-    /// allocator's slice of its metadata mapping, which is never unmapped.
-    Raw(&'static mut [usize]),
-}
-
-impl Storage {
-    #[inline]
-    fn slice(&self) -> &[usize] {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Raw(words) => words,
-        }
-    }
-
-    #[inline]
-    fn slice_mut(&mut self) -> &mut [usize] {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Raw(words) => words,
-        }
-    }
-}
-
 impl LargeTable {
     /// Creates a table able to hold `capacity` entries (rounded up to a
-    /// power of two; sized ×2 internally to keep probe chains short).
+    /// power of two, at least 4; sized ×2 internally to keep probe chains
+    /// short), over words of its own (a `calloc` block).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity < 2`. (This constructor's internal ×2 sizing
-    /// could not itself overflow the hash shift, but sub-2 capacities are
-    /// rejected uniformly with [`Self::from_storage`], where the slices'
-    /// length is the literal table size and a one-slot table shifts by
-    /// `64 - trailing_zeros(1) = 64` — a debug panic, silent masking in
-    /// release.)
+    /// Panics when the system has no memory for the table.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 2, "LargeTable capacity must be at least 2");
-        let cap = (capacity.max(4) * 2).next_power_of_two();
+        let cap = capacity
+            .max(4)
+            .saturating_mul(2)
+            .checked_next_power_of_two()
+            .expect("a table size the address space can hold");
+        let words = || Words::zeroed(cap).expect("memory for a large-object table");
         Self {
-            keys: Storage::Owned(vec![EMPTY; cap]),
-            sizes: Storage::Owned(vec![0; cap]),
+            keys: words(),
+            sizes: words(),
             capacity: cap,
             len: 0,
         }
     }
 
-    /// Creates a table over two caller-provided arrays of equal length
-    /// `capacity` (a power of two): `keys`, which should be zeroed (a
-    /// nonzero word reads as a recorded address), and `sizes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two lengths differ, or the length is not a power of
-    /// two, or is less than 2 (a one-slot table would overflow the hash
-    /// shift).
+    /// Creates a table over two caller-provided arrays of `N` words each:
+    /// `keys`, which should be zeroed (a nonzero word reads as a recorded
+    /// address), and `sizes`. `N` must be a power of two of at least 2 —
+    /// a one-slot table would shift its hash by 64 — which is checked when
+    /// the call is compiled, not when it runs.
     #[must_use]
-    pub fn from_storage(keys: &'static mut [usize], sizes: &'static mut [usize]) -> Self {
-        let capacity = keys.len();
-        assert_eq!(capacity, sizes.len(), "keys and sizes differ in length");
-        assert!(
-            capacity.is_power_of_two(),
-            "capacity must be a power of two"
-        );
-        assert!(capacity >= 2, "LargeTable capacity must be at least 2");
+    pub fn from_storage<const N: usize>(
+        keys: &'static [Word; N],
+        sizes: &'static [Word; N],
+    ) -> Self {
+        const {
+            assert!(
+                N >= 2 && N.is_power_of_two(),
+                "a large-object table has a power-of-two number of slots, at least 2"
+            );
+        }
         Self {
-            keys: Storage::Raw(keys),
-            sizes: Storage::Raw(sizes),
-            capacity,
+            keys: Words::carved(keys),
+            sizes: Words::carved(sizes),
+            capacity: N,
             len: 0,
         }
     }
@@ -133,24 +131,33 @@ impl LargeTable {
         self.len == 0
     }
 
+    /// The keys, the sizes cut to their length, and that length's mask:
+    /// every index masked by it is in both. `None` for a table without
+    /// slots, which no constructor builds.
     #[inline]
-    fn hash(&self, addr: usize) -> usize {
-        // Fibonacci hashing: cheap and good on page-aligned addresses.
-        addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.capacity.trailing_zeros()) as usize
-            & (self.capacity - 1)
+    fn slots(&self) -> Option<(&[Word], &[Word], usize)> {
+        let mask = self.keys.len().checked_sub(1)?;
+        Some((&self.keys, self.sizes.get(..self.keys.len())?, mask))
+    }
+
+    /// `addr`'s home slot: Fibonacci hashing, cheap and good on page-aligned
+    /// addresses, the top `log2(capacity)` bits of the product.
+    #[inline]
+    fn hash(addr: usize, mask: usize) -> usize {
+        let product = addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        product.wrapping_shr(usize::BITS - mask.count_ones()) & mask
     }
 
     /// The slot holding `addr`, or `Err` with the empty slot that ends its
     /// probe chain. Terminates: the load factor is at most 1/2, so an empty
     /// slot always exists.
-    fn find(&self, addr: usize) -> Result<usize, usize> {
-        let keys = self.keys.slice();
-        let mut i = self.hash(addr);
+    fn find(keys: &[Word], mask: usize, addr: usize) -> Result<usize, usize> {
+        let mut i = Self::hash(addr, mask);
         loop {
-            match keys[i] {
-                k if k == addr => return Ok(i),
-                EMPTY => return Err(i),
-                _ => i = (i + 1) & (self.capacity - 1),
+            match read(&keys[i & mask]) {
+                k if k == addr => return Ok(i & mask),
+                EMPTY => return Err(i & mask),
+                _ => i = (i + 1) & mask,
             }
         }
     }
@@ -159,14 +166,17 @@ impl LargeTable {
     /// the table is full or the address is already present.
     pub fn insert(&mut self, addr: usize, size: usize) -> bool {
         debug_assert_ne!(addr, EMPTY, "address 0 is the empty-slot sentinel");
-        if self.len * 2 >= self.capacity {
-            return false; // keep load factor <= 1/2
-        }
-        let Err(i) = self.find(addr) else {
+        let Some((keys, sizes, mask)) = self.slots() else {
             return false;
         };
-        self.keys.slice_mut()[i] = addr;
-        self.sizes.slice_mut()[i] = size;
+        if self.len >= self.capacity / 2 {
+            return false; // keep load factor <= 1/2
+        }
+        let Err(i) = Self::find(keys, mask, addr) else {
+            return false;
+        };
+        write(&keys[i & mask], addr);
+        write(&sizes[i & mask], size);
         self.len += 1;
         true
     }
@@ -175,42 +185,42 @@ impl LargeTable {
     /// (a null pointer is no large object).
     #[must_use]
     pub fn get(&self, addr: usize) -> Option<usize> {
+        let (keys, sizes, mask) = self.slots()?;
         if addr == EMPTY {
             return None;
         }
-        let i = self.find(addr).ok()?;
-        Some(self.sizes.slice()[i])
+        let i = Self::find(keys, mask, addr).ok()?;
+        Some(read(&sizes[i & mask]))
     }
 
     /// Removes `addr`, returning its size; `None` when the address was never
     /// returned by the large-object allocator (the caller then ignores the
     /// free, per §4.3).
     pub fn remove(&mut self, addr: usize) -> Option<usize> {
+        let (keys, sizes, mask) = self.slots()?;
         if addr == EMPTY {
             return None;
         }
-        let mut hole = self.find(addr).ok()?;
-        let size = self.sizes.slice()[hole];
+        let mut hole = Self::find(keys, mask, addr).ok()?;
+        let size = read(&sizes[hole & mask]);
         // Close the gap: walk the chain behind the hole to its empty slot,
         // moving back each entry whose home slot does not lie cyclically in
         // `(hole, j]` — the entries a lookup would otherwise stop short of.
-        let mask = self.capacity - 1;
         let mut j = hole;
         loop {
             j = (j + 1) & mask;
-            let k = self.keys.slice()[j];
+            let k = read(&keys[j & mask]);
             if k == EMPTY {
                 break;
             }
-            let home = self.hash(k);
+            let home = Self::hash(k, mask);
             if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                let moved = self.sizes.slice()[j];
-                self.keys.slice_mut()[hole] = k;
-                self.sizes.slice_mut()[hole] = moved;
+                write(&keys[hole & mask], k);
+                write(&sizes[hole & mask], read(&sizes[j & mask]));
                 hole = j;
             }
         }
-        self.keys.slice_mut()[hole] = EMPTY;
+        write(&keys[hole & mask], EMPTY);
         self.len -= 1;
         Some(size)
     }
@@ -330,33 +340,30 @@ mod tests {
         assert!(inserted < 16, "load factor cap must kick in");
     }
 
+    /// The "at least 2" rule is the constructors': `new` rounds every
+    /// request up to 8 slots, and `from_storage`'s is a compile-time
+    /// assertion on its array length. So a request for one entry is a
+    /// table like any other.
     #[test]
-    #[should_panic(expected = "at least 2")]
-    fn new_rejects_capacity_one() {
-        let _ = LargeTable::new(1);
+    fn new_rounds_a_one_entry_request_up() {
+        let mut t = LargeTable::new(1);
+        assert_eq!(t.capacity, 8);
+        for i in 1..=4usize {
+            assert!(t.insert(i * 0x1000, i));
+        }
+        assert!(!t.insert(0x9000, 9), "four live in eight slots: full");
     }
 
-    /// Two leaked arrays of `len` zeroed words, as the global allocator
-    /// carves them out of its metadata mapping.
-    fn leaked(len: usize) -> (&'static mut [usize], &'static mut [usize]) {
-        let words = vec![0usize; 2 * len].leak();
-        words.split_at_mut(len)
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn from_storage_rejects_capacity_one() {
-        // Regression: capacity 1 has trailing_zeros() == 0, so hash()'s
-        // `>> (64 - 0)` overflowed the shift before the constructor guard.
-        let (keys, sizes) = leaked(1);
-        let _ = LargeTable::from_storage(keys, sizes);
+    /// `N` zeroed words, leaked, as the global allocator carves them out of
+    /// its metadata mapping.
+    fn leaked<const N: usize>() -> &'static [Word; N] {
+        Box::leak(Box::new(core::array::from_fn(|_| Word::new(0))))
     }
 
     #[test]
     fn from_storage_minimum_capacity_hashes_safely() {
         // capacity 2 is the smallest legal table: shift is 63, not 64.
-        let (keys, sizes) = leaked(2);
-        let mut t = LargeTable::from_storage(keys, sizes);
+        let mut t = LargeTable::from_storage(leaked::<2>(), leaked::<2>());
         assert!(t.insert(0x4000, 7));
         assert_eq!(t.get(0x4000), Some(7));
         assert_eq!(t.remove(0x4000), Some(7));
@@ -364,19 +371,79 @@ mod tests {
 
     #[test]
     fn from_storage_backing() {
-        let (keys, sizes) = leaked(16);
+        let (keys, sizes) = (leaked::<16>(), leaked::<16>());
         let mut t = LargeTable::from_storage(keys, sizes);
         assert!(t.insert(0xABC0, 42));
         assert_eq!(t.get(0xABC0), Some(42));
-        let (Storage::Raw(keys), Storage::Raw(sizes)) = (&t.keys, &t.sizes) else {
-            panic!("the table owns storage of its own");
-        };
-        let at = keys.iter().position(|&k| k == 0xABC0);
+        let at = keys.iter().position(|k| k.load(Relaxed) == 0xABC0);
         assert_eq!(
-            at.map(|i| sizes[i]),
+            at.map(|i| sizes[i].load(Relaxed)),
             Some(42),
             "recorded in the caller's words"
         );
+    }
+
+    /// A full table refuses an insert and is left as it was; a refused
+    /// insert is what turns a large request into a null `malloc`.
+    #[test]
+    fn a_full_table_refuses_and_keeps_its_entries() {
+        let mut t = LargeTable::from_storage(leaked::<8>(), leaked::<8>());
+        for i in 1..=4usize {
+            assert!(t.insert(i << 12, i));
+        }
+        assert!(!t.insert(5 << 12, 5), "half of eight slots is full");
+        assert_eq!(t.len(), 4);
+        for i in 1..=4usize {
+            assert_eq!(t.get(i << 12), Some(i));
+        }
+        assert_eq!(t.get(5 << 12), None);
+    }
+
+    /// Removing an address the table does not hold — never inserted,
+    /// already removed, an interior or foreign pointer — changes nothing.
+    #[test]
+    fn removing_an_unknown_or_foreign_key_is_a_no_op() {
+        let mut t = LargeTable::new(8);
+        assert!(t.insert(0x10_000, 1));
+        assert!(t.insert(0x20_000, 2));
+        for foreign in [0x10_008, 0x30_000, usize::MAX, 1, EMPTY] {
+            assert_eq!(t.remove(foreign), None, "{foreign:#x}");
+        }
+        assert_eq!(t.remove(0x10_000), Some(1));
+        assert_eq!(t.remove(0x10_000), None, "a second removal");
+        assert_eq!((t.len(), t.get(0x20_000)), (1, Some(2)));
+    }
+
+    /// Chains that run off the end of the table wrap to its start: with
+    /// every address hashed to the last slot, each probe index stays inside
+    /// the eight slots, and removals shift the wrapped chain back.
+    #[test]
+    fn probes_across_the_wrap_stay_in_bounds() {
+        let mask = 7;
+        let last: Vec<usize> = (1usize..)
+            .map(|n| n << 12)
+            .filter(|&a| LargeTable::hash(a, mask) == mask)
+            .take(4)
+            .collect();
+        let mut t = LargeTable::from_storage(leaked::<8>(), leaked::<8>());
+        for (i, &a) in last.iter().enumerate() {
+            assert!(t.insert(a, i));
+        }
+        assert_eq!(
+            LargeTable::find(&t.keys, mask, last[3]),
+            Ok(2),
+            "slots 7, 0, 1, 2"
+        );
+        assert_eq!(t.remove(last[0]), Some(0));
+        assert_eq!(
+            LargeTable::find(&t.keys, mask, last[3]),
+            Ok(1),
+            "shifted back over the wrap"
+        );
+        for (i, &a) in last.iter().enumerate().skip(1) {
+            assert_eq!(t.get(a), Some(i));
+        }
+        assert_eq!(t.len(), 3);
     }
 
     proptest! {

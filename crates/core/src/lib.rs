@@ -38,17 +38,21 @@
 //!   heap through: an alias and a pass-through.
 //! * [`global`] *(Unix)* — a real `#[global_allocator]` built on `mmap`,
 //!   with guard-paged large objects, sharded per class.
+//! * `spec` *(tests only)* — §4 as a plain executable model, which the
+//!   fixed heap is held to, op for op.
 //!
-//! ## `core` and `alloc` only
+//! ## `core` only
 //!
-//! The crate is `no_std` (its unit tests link `std`): [`global`] is the
-//! heap `libdiehard.so` ships, and that library links no `std`, so none of
-//! the allocator may lean on its runtime. What `std` gave it comes from the
-//! C library instead — a yield while another thread builds the heap or
-//! holds a lock (`sched_yield`), a lock holder's identity (`pthread_self`),
-//! the wall clock of the seed fallback (`clock_gettime`). The owned-storage
-//! constructors the simulator uses allocate through `alloc`; the paper's
-//! floating-point analysis lives in `diehard-sim`.
+//! The crate is `no_std` and links no `alloc` (its unit tests link `std`):
+//! [`global`] is the heap `libdiehard.so` ships, and that library links
+//! neither, so none of the allocator may lean on their runtime — nor on a
+//! Rust allocator, which a library that links `alloc` must define. What
+//! `std` gave it comes from the C library instead — a yield while another
+//! thread builds the heap or holds a lock (`sched_yield`), a lock holder's
+//! identity (`pthread_self`), the wall clock of the seed fallback
+//! (`clock_gettime`), and the metadata the simulator's and the tests' heaps
+//! own (`calloc`). The paper's floating-point analysis
+//! lives in `diehard-sim`.
 //!
 //! ## Quick start
 //!
@@ -71,8 +75,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-extern crate alloc;
-
 pub mod bitmap;
 pub mod config;
 pub mod engine;
@@ -88,6 +90,9 @@ pub mod sync;
 
 #[cfg(unix)]
 pub mod global;
+
+#[cfg(test)]
+mod spec;
 
 pub use config::{FillPolicy, HeapConfig, HeapGeometry};
 pub use engine::{AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot};

@@ -19,7 +19,6 @@ use crate::config::HeapConfig;
 use crate::rng::AtomicMwc;
 use crate::size_class::SizeClass;
 use crate::sync::{sole_thread, Rmw, Word};
-use alloc::vec::Vec;
 use core::sync::atomic::{AtomicU64, Ordering};
 
 /// [`AtomicPartition`] under the name the frozen `benchmark/` package
@@ -197,9 +196,13 @@ impl AtomicPartition {
         Self::over(class, map, initial_capacity, initial_threshold, seed)
     }
 
-    /// An empty partition over `map`, whose length is the (checked) maximum
-    /// capacity.
-    fn over(
+    /// An empty partition over `map`, whose length is the maximum capacity.
+    /// Checks nothing: the public constructors check their arguments, and
+    /// the heap builds its partitions from a validated
+    /// [`HeapGeometry`](crate::config::HeapGeometry), whose every class
+    /// already has `0 < initial capacity ≤ maximum ≤ MAX_CAPACITY` and
+    /// `threshold ≤ initial capacity`.
+    pub(crate) fn over(
         class: SizeClass,
         map: SlotStateMap,
         initial_capacity: usize,
@@ -270,8 +273,15 @@ impl AtomicPartition {
             new_threshold <= new_capacity,
             "threshold {new_threshold} exceeds capacity {new_capacity}"
         );
+        self.publish(new_capacity, new_threshold);
+    }
+
+    /// The store behind [`grow_to`](Self::grow_to) and
+    /// [`grow_step`](Self::grow_step), which computes a pair that keeps
+    /// `threshold ≤ capacity ≤ max_capacity` and has nothing to check.
+    fn publish(&self, capacity: usize, threshold: usize) {
         self.active
-            .store(pack_active(new_capacity, new_threshold), Ordering::Relaxed);
+            .store(pack_active(capacity, threshold), Ordering::Relaxed);
     }
 
     /// The one growth step every elastic heap takes when this partition
@@ -291,14 +301,17 @@ impl AtomicPartition {
         let threshold = self.threshold();
         let mut new_capacity = capacity;
         let new_threshold = loop {
-            let band = 1usize << new_capacity.ilog2();
+            // `| 1` leaves the band of every capacity there is (≥ 1) as it
+            // was, and gives `ilog2` no zero to refuse.
+            let band = 1usize << (new_capacity | 1).ilog2();
             new_capacity = (new_capacity + (band / 4).max(1)).min(self.max_capacity);
+            // `⌊c / M⌋ ≤ c` and `c ≥ 1`, so this keeps `threshold ≤ capacity`.
             let new_threshold = config.threshold_for(new_capacity).max(1);
             if new_threshold > threshold || new_capacity == self.max_capacity {
                 break new_threshold;
             }
         };
-        self.grow_to(new_capacity, new_threshold);
+        self.publish(new_capacity, new_threshold);
         true
     }
 
@@ -414,12 +427,9 @@ impl AtomicPartition {
     /// The lock-free `DieHardFree` fast path. Returns the state the slot was
     /// in: [`SlotState::Live`] means it was freed (and the ticket returned);
     /// `Free` means the request was ignored (§4.3 — a double or invalid
-    /// free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity` — the enclosing heap validates range
-    /// and alignment before calling in, so this indicates a heap bug.
+    /// free). An index past the slot map's last word is such a free too
+    /// ([`SlotStateMap`]); the enclosing heap validates range and alignment
+    /// before calling in, and never asks for one.
     #[inline]
     pub fn free(&self, index: usize) -> SlotState {
         self.free_in(sole_thread(), index)
@@ -440,11 +450,8 @@ impl AtomicPartition {
         SlotState::Live
     }
 
-    /// Whether `index` is currently live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity`.
+    /// Whether `index` is currently live; never past the slot map's last
+    /// word.
     #[must_use]
     #[inline]
     pub fn is_live(&self, index: usize) -> bool {
@@ -462,12 +469,12 @@ impl AtomicPartition {
     /// with fewer than two.
     #[must_use]
     pub fn mean_live_gap(&self) -> Option<f64> {
-        let live: Vec<usize> = self.map.iter_live().collect();
-        if live.len() < 2 {
-            return None;
-        }
-        let gaps: usize = live.windows(2).map(|w| w[1] - w[0] - 1).sum();
-        Some(gaps as f64 / (live.len() - 1) as f64)
+        let mut live = self.map.iter_live();
+        let first = live.next()?;
+        let (last, pairs) = live.fold((first, 0usize), |(_, n), index| (index, n + 1));
+        // The gaps between consecutive live slots add up to the span from
+        // the first to the last, less the live slots inside it.
+        (pairs > 0).then(|| (last - first - pairs) as f64 / pairs as f64)
     }
 
     /// Lifetime probe statistics: `(allocations, total probes)`. Reads are

@@ -48,7 +48,7 @@
 //! metadata, so partitions compose without any ordering discipline — no
 //! operation ever takes two maintenance locks at once.
 
-use crate::bitmap::SlotState;
+use crate::bitmap::{SlotState, SlotStateMap};
 use crate::config::{ConfigError, HeapConfig, HeapGeometry};
 use crate::engine::{
     locate_free, slot_at, slot_offset, AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot,
@@ -57,7 +57,7 @@ use crate::partition::AtomicPartition;
 use crate::rng::stream_seed;
 use crate::size_class::{SizeClass, NUM_CLASSES};
 use crate::sync::{sole_thread, SpinLock, Word};
-use core::sync::atomic::{AtomicU64, Ordering};
+use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// One transparent huge page: the PMD size on x86-64 and on aarch64 with
 /// 4 KB base pages. Defined here, ungated, because the promotion rule below
@@ -116,10 +116,15 @@ pub type PromoteHook = fn(ctx: usize, offset: usize, len: usize);
 /// counters. Alloc and free are lock-free; one maintenance lock per size
 /// class guards its growth steps only. All operations take `&self`, from
 /// any thread.
+///
+/// The partitions lead the struct (`repr(C)` keeps them there), so the
+/// per-op path reaches a class's partition at a displacement of the heap's
+/// address and a multiple of the class index, with no offset to add.
 #[derive(Debug)]
+#[repr(C)]
 pub struct Heap {
-    geometry: HeapGeometry,
     partitions: [AtomicPartition; NUM_CLASSES],
+    geometry: HeapGeometry,
     /// Slow-path mutual exclusion per class: growth steps serialize against
     /// each other (and `fork`) here. **Taken by `alloc` only to grow, never
     /// by `free_at`/`is_live_at`** — the per-op paths are lock-free by
@@ -134,6 +139,11 @@ pub struct Heap {
     /// The installed [`PromoteHook`] and its `ctx` word; `None` (every heap
     /// that owns no real memory) offers nothing.
     promote: Option<(PromoteHook, usize)>,
+    /// The maintenance locks [`lock_all_maintenance`](Self::lock_all_maintenance)
+    /// took (bit `i` = class `i`), which are the ones
+    /// [`unlock_all_maintenance`](Self::unlock_all_maintenance) releases.
+    /// Written and read while they are held.
+    fork_held: AtomicU32,
 }
 
 /// [`Heap`] under the name the frozen `benchmark/` package imports; in-tree
@@ -202,7 +212,7 @@ impl Heap {
         initial_fraction_log2: u32,
     ) -> Result<Self, ConfigError> {
         let geometry = HeapGeometry::new_elastic(config, initial_fraction_log2)?;
-        Ok(Self::build(geometry, seed, None))
+        Ok(Self::build(geometry, seed, |_, max| SlotStateMap::new(max)))
     }
 
     /// As [`new_elastic`](Self::new_elastic) over an already validated
@@ -212,7 +222,7 @@ impl Heap {
     /// segregated mmap arena, §4.1). The footprint does not depend on the
     /// fraction: slot maps are always sized for the maximum capacity.
     /// `words` should be zeroed (every slot free;
-    /// [`SlotStateMap::from_storage`](crate::bitmap::SlotStateMap::from_storage)).
+    /// [`SlotStateMap::from_storage`]).
     ///
     /// # Panics
     ///
@@ -221,33 +231,48 @@ impl Heap {
     /// long.
     #[must_use]
     pub fn with_storage(geometry: HeapGeometry, seed: u64, words: &'static [Word]) -> Self {
-        assert_eq!(
-            words.len(),
-            Self::metadata_words_needed(geometry.config()),
-            "heap metadata storage"
-        );
-        Self::build(geometry, seed, Some(words))
+        let needed = Self::metadata_words_needed(geometry.config());
+        match Self::carved(geometry, seed, words) {
+            Some(heap) if words.len() == needed => heap,
+            _ => panic!("heap metadata storage: {} words, not {needed}", words.len()),
+        }
+    }
+
+    /// [`with_storage`](Self::with_storage) for the global allocator, which
+    /// sized `words` itself: the maps are carved in class order off the
+    /// front of `words`, and `None` when it is too short for them — the
+    /// allocator's initialization then fails, as for any other shortage.
+    pub(crate) fn carved(
+        geometry: HeapGeometry,
+        seed: u64,
+        mut words: &'static [Word],
+    ) -> Option<Self> {
+        let mut maps: [&'static [Word]; NUM_CLASSES] = [&[]; NUM_CLASSES];
+        for (class, map) in SizeClass::all().zip(&mut maps) {
+            let needed = SlotStateMap::words_needed(geometry.capacity(class));
+            (*map, words) = words.split_at_checked(needed)?;
+        }
+        Some(Self::build(geometry, seed, |class, max| {
+            SlotStateMap::carved(maps[class.index()], max)
+        }))
     }
 
     /// The one definition of the partition layout: twelve partitions, each
     /// with its private RNG stream `stream_seed(seed, class)` split from
     /// `seed`, starting at the geometry's *initial* capacity (== the maximum
-    /// for fixed geometries) with slot maps sized for the maximum, so elastic
-    /// growth never relayouts. The maps are carved in class order out of
-    /// `storage` when there is one and heap-allocated otherwise.
-    fn build(geometry: HeapGeometry, seed: u64, mut storage: Option<&'static [Word]>) -> Self {
-        let partitions = core::array::from_fn(|i| {
-            let c = SizeClass::from_index(i);
-            let (max, start) = (geometry.capacity(c), geometry.initial_capacity(c));
-            let (threshold, stream) = (geometry.initial_threshold(c), stream_seed(seed, i as u64));
-            match &mut storage {
-                None => AtomicPartition::new_elastic(c, max, start, threshold, stream),
-                Some(rest) => {
-                    let (words, tail) = rest.split_at(AtomicPartition::words_needed(max));
-                    *rest = tail;
-                    AtomicPartition::from_storage_elastic(c, max, start, threshold, stream, words)
-                }
-            }
+    /// for fixed geometries) over the slot map `map(class, maximum)` hands
+    /// it, so elastic growth never relayouts. The geometry is validated, so
+    /// no partition re-checks it ([`AtomicPartition::over`]).
+    fn build(
+        geometry: HeapGeometry,
+        seed: u64,
+        mut map: impl FnMut(SizeClass, usize) -> SlotStateMap,
+    ) -> Self {
+        let partitions = SizeClass::table(|c| {
+            let max = geometry.capacity(c);
+            let (start, threshold) = (geometry.initial_capacity(c), geometry.initial_threshold(c));
+            let stream = stream_seed(seed, c.index() as u64);
+            AtomicPartition::over(c, map(c, max), start, threshold, stream)
         });
         Self {
             geometry,
@@ -256,6 +281,7 @@ impl Heap {
             stats: AtomicHeapStats::new(),
             growths: core::array::from_fn(|_| AtomicU64::new(0)),
             promote: None,
+            fork_held: AtomicU32::new(0),
         }
     }
 
@@ -514,10 +540,16 @@ impl Heap {
     ///
     /// Release with [`unlock_all_maintenance`](Self::unlock_all_maintenance)
     /// in both the parent and the child.
+    ///
+    /// A lock this very thread holds already — a `fork` from a signal
+    /// handler that interrupted its growth step — is left to the frame that
+    /// holds it, which releases it in the parent and in the child alike.
     pub fn lock_all_maintenance(&self) {
-        for lock in &self.maintenance {
-            lock.raw_lock();
-        }
+        let locks = self.maintenance.iter().enumerate();
+        let taken = locks.fold(0, |taken, (i, lock)| {
+            taken | u32::from(lock.raw_lock()) << i
+        });
+        self.fork_held.store(taken, Ordering::Relaxed);
     }
 
     /// Releases the locks taken by
@@ -528,9 +560,13 @@ impl Heap {
     /// The locks must be held via `lock_all_maintenance` (by this thread,
     /// or — in a fork child — by the thread the process forked from).
     pub unsafe fn unlock_all_maintenance(&self) {
-        for lock in &self.maintenance {
-            // SAFETY: forwarded caller contract, one unlock per lock taken.
-            unsafe { lock.raw_unlock() };
+        let taken = self.fork_held.load(Ordering::Relaxed);
+        for (i, lock) in self.maintenance.iter().enumerate() {
+            if taken >> i & 1 != 0 {
+                // SAFETY: forwarded caller contract; `lock_all_maintenance`
+                // took this one.
+                unsafe { lock.raw_unlock() };
+            }
         }
     }
 
@@ -929,6 +965,27 @@ pub(crate) mod tests {
         assert_eq!(h.try_alloc(16 * 1024), AllocOutcome::Spill);
         assert_eq!(h.try_alloc(0), AllocOutcome::Unsupported);
         assert_eq!(h.stats().exhausted, 2);
+    }
+
+    /// A `fork` from a signal handler that interrupted a growth step finds
+    /// that class's lock held by its own thread: the prepare hook takes every
+    /// other lock, and the resume hook releases those and leaves that one to
+    /// the frame holding it — where a second acquisition used to panic.
+    #[test]
+    fn fork_locks_skip_the_one_their_thread_holds() {
+        let h = heap(0xF0);
+        let growing = h.maintenance[3].lock();
+        h.lock_all_maintenance();
+        let holder = |i: usize| h.maintenance[i].lock_unless_mine().is_none();
+        assert!(
+            (0..NUM_CLASSES).all(holder),
+            "every lock held, one by the outer frame"
+        );
+        // SAFETY: the locks lock_all_maintenance took, released once.
+        unsafe { h.unlock_all_maintenance() };
+        assert!(holder(3), "still the growth step's");
+        drop(growing);
+        assert!((0..NUM_CLASSES).all(|i| !holder(i)), "all free again");
     }
 
     #[test]

@@ -24,6 +24,10 @@ const MIN_SHIFT: u32 = 3;
 /// A small-object size class: an index in `0..12` naming one power-of-two
 /// region of the DieHard heap.
 ///
+/// The index is typed: it can only hold `0..12`, so a per-class table
+/// indexed by it (the heap's twelve partitions, their locks and counters)
+/// needs no bounds check, and has no failing one.
+///
 /// # Examples
 ///
 /// ```
@@ -35,9 +39,48 @@ const MIN_SHIFT: u32 = 3;
 /// assert!(SizeClass::for_size(20_000).is_none()); // large object
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SizeClass(u8);
+pub struct SizeClass(Index);
+
+/// The twelve class indices, as a type with exactly twelve values.
+#[repr(u8)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Index {
+    I0,
+    I1,
+    I2,
+    I3,
+    I4,
+    I5,
+    I6,
+    I7,
+    I8,
+    I9,
+    I10,
+    I11,
+}
 
 impl SizeClass {
+    /// Class `i` at position `i` for the twelve classes, and the last class
+    /// at the four past them: a table any index masked to four bits reads.
+    const BY_INDEX: [Self; 16] = [
+        Self(Index::I0),
+        Self(Index::I1),
+        Self(Index::I2),
+        Self(Index::I3),
+        Self(Index::I4),
+        Self(Index::I5),
+        Self(Index::I6),
+        Self(Index::I7),
+        Self(Index::I8),
+        Self(Index::I9),
+        Self(Index::I10),
+        Self(Index::I11),
+        Self(Index::I11),
+        Self(Index::I11),
+        Self(Index::I11),
+        Self(Index::I11),
+    ];
+
     /// Maps a request size to its class, or `None` when the request must use
     /// the large-object allocator (`sz > 16 KB`) or is zero.
     ///
@@ -49,8 +92,16 @@ impl SizeClass {
         if sz == 0 || sz > MAX_OBJECT_SIZE {
             return None;
         }
-        let rounded = sz.next_power_of_two().max(MIN_OBJECT_SIZE);
-        Some(Self((rounded.trailing_zeros() - MIN_SHIFT) as u8))
+        // ⌈log2 sz⌉ − 3, from 8-byte requests (`| 7`) up: at most
+        // log2(16 KiB) − 3 = 11, so the mask changes nothing.
+        let bits = usize::BITS - ((sz - 1) | (MIN_OBJECT_SIZE - 1)).leading_zeros();
+        Some(Self::BY_INDEX[(bits - MIN_SHIFT) as usize & 15])
+    }
+
+    /// `[f(class 0), …, f(class 11)]`: a per-class table, each entry built
+    /// from its class.
+    pub(crate) fn table<T>(mut f: impl FnMut(Self) -> T) -> [T; NUM_CLASSES] {
+        core::array::from_fn(|i| f(Self::BY_INDEX[i & 15]))
     }
 
     /// Builds a class directly from its index.
@@ -62,21 +113,29 @@ impl SizeClass {
     #[inline]
     pub fn from_index(index: usize) -> Self {
         assert!(index < NUM_CLASSES, "size class index {index} out of range");
-        Self(index as u8)
+        Self::BY_INDEX[index]
+    }
+
+    /// The class with index `index`, or `None` past the twelfth: the
+    /// offset arithmetic's conversion, which has no failing case.
+    #[must_use]
+    #[inline]
+    pub fn get(index: usize) -> Option<Self> {
+        (index < NUM_CLASSES).then(|| Self::BY_INDEX[index & 15])
     }
 
     /// The class index in `0..12`.
     #[must_use]
     #[inline]
     pub fn index(self) -> usize {
-        usize::from(self.0)
+        self.0 as usize
     }
 
     /// The (power-of-two) object size served by this class, in bytes.
     #[must_use]
     #[inline]
     pub fn object_size(self) -> usize {
-        MIN_OBJECT_SIZE << self.0
+        MIN_OBJECT_SIZE << self.index()
     }
 
     /// log2 of the object size; offsets within a region are computed with
@@ -84,12 +143,12 @@ impl SizeClass {
     #[must_use]
     #[inline]
     pub fn shift(self) -> u32 {
-        MIN_SHIFT + u32::from(self.0)
+        MIN_SHIFT + self.0 as u32
     }
 
     /// Iterates over all twelve classes, smallest first.
     pub fn all() -> impl DoubleEndedIterator<Item = SizeClass> + ExactSizeIterator {
-        (0..NUM_CLASSES).map(|i| SizeClass(i as u8))
+        Self::BY_INDEX.into_iter().take(NUM_CLASSES)
     }
 }
 
@@ -97,9 +156,9 @@ impl core::fmt::Display for SizeClass {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let size = self.object_size();
         if size >= 1024 {
-            write!(f, "class {} ({} KB)", self.0, size / 1024)
+            write!(f, "class {} ({} KB)", self.index(), size / 1024)
         } else {
-            write!(f, "class {} ({} B)", self.0, size)
+            write!(f, "class {} ({} B)", self.index(), size)
         }
     }
 }

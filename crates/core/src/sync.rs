@@ -319,9 +319,14 @@ impl<T> SpinLock<T> {
     /// is deliberately not exposed: raw locking exists to *exclude* other
     /// threads across `fork(2)`, not to access the data.
     ///
-    /// Pair every call with exactly one [`raw_unlock`](Self::raw_unlock).
-    pub fn raw_lock(&self) {
-        core::mem::forget(self.lock());
+    /// `true` when it took the lock, which it waits for while another
+    /// thread holds it; pair each such call with exactly one
+    /// [`raw_unlock`](Self::raw_unlock). `false`, taking nothing, when the
+    /// calling thread holds it already — a `fork` from a signal handler that
+    /// interrupted the holder's critical section: the frame that holds it
+    /// releases it, in the parent and in the child alike.
+    pub fn raw_lock(&self) -> bool {
+        self.lock_unless_mine().map(core::mem::forget).is_some()
     }
 
     /// Releases a lock acquired by [`raw_lock`](Self::raw_lock).

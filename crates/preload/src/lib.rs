@@ -32,17 +32,23 @@
 //! leaving every allocation to fail — the replication launcher's
 //! per-replica `DIEHARD_SEED` lands exactly here.
 //!
-//! # `core` and `alloc` only
+//! # `core` only, and no path to a panic
 //!
 //! The library links no `std` (`#![no_std]` outside its unit tests): every
 //! replica of a voted connection loads it at `exec`, and `std`'s panic and
 //! backtrace runtime — the unwinder, `gimli`, `addr2line` and the rest,
 //! which `std`'s own unwind tables keep linked whatever a crate calls — was
 //! 224 KiB of its 267 KiB of code, and its unwinder needed `libgcc_s.so.1`
-//! or a static copy of it. What is left is `libc.so.6` and the allocator
-//! (about 27 KiB of `.text`). A panic aborts (the panic handler calls
-//! `abort`, and every workspace profile has `panic = "abort"`), and the heap
-//! is the library's own `#[global_allocator]` too.
+//! or a static copy of it. Nor does it link `alloc`: nothing in it
+//! allocates but through its own exports, so it defines no Rust allocator.
+//! What is left is `libc.so.6` and the allocator (about 18 KiB of `.text`).
+//!
+//! Nothing an export, a `fork` hook or initialization runs can panic: every
+//! failure has a defined outcome instead — null with `ENOMEM`, a spill, an
+//! ignored free, a refused table insert — and a release build holds no
+//! `core::panicking` or `core::fmt` code at all (CI reads it with `nm`). The
+//! panic handler below is the backstop for none of it: it calls `abort`,
+//! as every workspace profile's `panic = "abort"` has each binary do.
 //!
 //! Unlike `dlsym(RTLD_NEXT)`-style wrappers, this library does **not**
 //! forward to the system allocator: its exports *are* the process's
@@ -138,15 +144,15 @@ use libc::{c_char, c_int, c_void};
 const MALLOC_ALIGN: usize = 16;
 
 /// The process heap. Environment-configured, elastic by default — from
-/// [`DEFAULT_GROW_LOG2`] when `DIEHARD_GROW` is unset. It is the library's
-/// own Rust allocator too, so nothing in it allocates anywhere else. (The
-/// test build keeps `std`'s, which reaches this heap through the exports.)
-#[cfg_attr(not(test), global_allocator)]
+/// [`DEFAULT_GROW_LOG2`] when `DIEHARD_GROW` is unset. (The test build links
+/// `std`, whose allocator reaches this heap through the exports.)
 static HEAP: DieHard = DieHard::elastic_from_env(DEFAULT_GROW_LOG2);
 
-/// A panic inside an allocator export cannot unwind into its C caller, and
-/// nothing here could recover from one, so it ends the process at once:
-/// `abort`, as `panic = "abort"` has every workspace binary do.
+/// A `no_std` library must name a panic handler, and this one is reached
+/// by nothing in an optimized build (see the module docs). Were a panic to
+/// happen, it could not unwind into a C caller, and nothing here could
+/// recover from one, so it ends the process at once: `abort`, as
+/// `panic = "abort"` has every workspace binary do.
 #[cfg(not(test))]
 #[panic_handler]
 fn panic(_: &core::panic::PanicInfo<'_>) -> ! {
@@ -165,30 +171,6 @@ static REENTRANT_FREES: AtomicUsize = AtomicUsize::new(0);
 pub fn reentrant_frees_dropped() -> usize {
     REENTRANT_FREES.load(Ordering::Relaxed)
 }
-
-// `core` and `alloc` ship precompiled for unwinding, and the few of their
-// functions that keep a landing pad (`panic_nounwind_fmt`, behind the
-// allocation-error handler and a debug build's precondition checks) name
-// `rust_eh_personality`, which `std` would define, in their unwind tables.
-// This library links no unwinder and aborts on every panic, so the routine
-// is never called: a stub that traps answers the reference, and, hidden, it
-// is neither exported nor able to stand in for a Rust host's own.
-#[cfg(all(not(test), target_arch = "x86_64"))]
-core::arch::global_asm!(
-    ".globl rust_eh_personality",
-    ".hidden rust_eh_personality",
-    ".type rust_eh_personality, %function",
-    "rust_eh_personality:",
-    "ud2",
-);
-#[cfg(all(not(test), target_arch = "aarch64"))]
-core::arch::global_asm!(
-    ".globl rust_eh_personality",
-    ".hidden rust_eh_personality",
-    ".type rust_eh_personality, %function",
-    "rust_eh_personality:",
-    "brk #1",
-);
 
 // ---- bootstrap arena -----------------------------------------------------
 
@@ -595,14 +577,12 @@ extern "C" fn atfork_prepare() {
     HEAP.fork_prepare();
 }
 
+/// The parent's and the child's hook alike: each process releases the locks
+/// [`atfork_prepare`] took.
 extern "C" fn atfork_parent() {
-    // SAFETY: paired with atfork_prepare on this thread via pthread_atfork.
-    unsafe { HEAP.fork_resume() };
-}
-
-extern "C" fn atfork_child() {
-    // SAFETY: the child inherits the locks atfork_prepare took in the
-    // parent; this releases exactly that set.
+    // SAFETY: paired with atfork_prepare via pthread_atfork: on this thread
+    // in the parent, and in the child on the thread it forked from, whose
+    // locks it inherits — exactly the set prepare took.
     unsafe { HEAP.fork_resume() };
 }
 
@@ -614,7 +594,7 @@ extern "C" fn preload_init() {
         libc::pthread_atfork(
             Some(atfork_prepare),
             Some(atfork_parent),
-            Some(atfork_child),
+            Some(atfork_parent),
         )
     };
 }
@@ -1179,6 +1159,51 @@ mod tests {
         assert_eq!(waited, pid);
         assert_eq!(status, 0, "child exited cleanly on the inherited heap");
         free(warm);
+    }
+
+    /// The large-object table holds 4 096 live objects; the next large
+    /// request finds it full, and its refused insert is a `malloc` that
+    /// returns null with `ENOMEM` — no panic, no lost mapping — until a
+    /// large object is freed. In a fork child, so that no other test's large
+    /// object competes for the table while it is full.
+    #[test]
+    fn a_full_large_table_is_null_and_enomem() {
+        // SAFETY: fork in a test binary; the child only touches the
+        // allocator and _exit (no stdio, no harness teardown).
+        let pid = unsafe { libc::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            let mut held = [ptr::null_mut::<c_void>(); 4097];
+            let mut n = 0;
+            while n < held.len() {
+                set_errno(0);
+                held[n] = malloc(LARGE);
+                if held[n].is_null() {
+                    break;
+                }
+                n += 1;
+            }
+            let refused = n > 0 && n <= 4096 && errno() == libc::ENOMEM;
+            free(held[0]);
+            let again = malloc(LARGE);
+            let code = if !refused {
+                1
+            } else if again.is_null() {
+                2
+            } else {
+                0
+            };
+            // SAFETY: child exit, no cleanup wanted.
+            unsafe { libc::_exit(code) };
+        }
+        let mut status: c_int = -1;
+        // SAFETY: pid is our direct child.
+        let waited = unsafe { libc::waitpid(pid, &raw mut status, 0) };
+        assert_eq!(waited, pid);
+        assert_eq!(
+            status, 0,
+            "exit 1: no null with ENOMEM; 2: no room after a free"
+        );
     }
 
     #[test]

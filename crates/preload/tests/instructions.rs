@@ -43,18 +43,19 @@ const OBJECT: usize = 128;
 const SHORT: usize = 256;
 const LONG: usize = 768;
 
-/// Instructions a pair may take alone: this library reads 215.5 (216.5 when
-/// it linked `std`) and glibc 143.0 (x86-64, the pinned toolchain). Only
-/// this library's code and the ring's own loop are counted in this arm, so
-/// the bound is tight; its headroom covers the few instructions the count
-/// shifts with the checkout's path.
-const ALONE_BOUND: f64 = 224.0;
+/// Instructions a pair may take alone: this library reads 208.0 (215.5
+/// while its slot map checked each index twice, with a panic behind each
+/// check; 216.5 when it linked `std`) and glibc 143.0 (x86-64, the pinned
+/// toolchain). Only this library's code and the ring's own loop are counted
+/// in this arm, so the bound is tight; its headroom covers the few
+/// instructions the count shifts with the checkout's path.
+const ALONE_BOUND: f64 = 216.0;
 /// Instructions a pair may take beside a parked thread: this library reads
-/// 203.0 — 241.0 while the threaded arm looked up a thread-local
-/// re-entrancy flag, 22 of them in glibc's `__tls_get_addr`. The bound is
-/// the reading plus eight, headroom for the checkout's path like the alone
-/// bound's.
-const THREADED_BOUND: f64 = 211.0;
+/// 200.5 — 203.0 before the slot map's one check, 241.0 while the threaded
+/// arm looked up a thread-local re-entrancy flag, 22 of them in glibc's
+/// `__tls_get_addr`. The bound is the reading plus eight and a half,
+/// headroom for the checkout's path like the alone bound's.
+const THREADED_BOUND: f64 = 209.0;
 
 /// The child: warm the ring, then `pairs` free + malloc + write pairs
 /// between two markers.

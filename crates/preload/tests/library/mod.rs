@@ -1,18 +1,22 @@
 //! Locates `libdiehard.so` for a test binary, building it first.
 //!
 //! `cargo test` does not build a `cdylib`-only crate's library, so a test
-//! that merely looked for `target/<profile>/libdiehard.so` would run
-//! against whatever an earlier build left there, or find nothing at all.
-//! [`path`] runs `cargo build -p diehard-preload` for the test binary's own
-//! profile and target directory once per test process, then returns the
-//! library it built. Cargo does nothing when the library is current.
+//! that merely looked for `target/release/libdiehard.so` would run against
+//! whatever an earlier build left there, or find nothing at all. [`path`]
+//! runs `cargo build --release -p diehard-preload` in the test binary's
+//! target directory once per test process, then returns the library it
+//! built. Cargo does nothing when the library is current.
+//!
+//! The library is the release one whatever the test binary's profile: only
+//! an LTO build leaves out `core`'s unwind-table entry naming
+//! `rust_eh_personality` (the workspace `Cargo.toml` has why), so a debug
+//! `libdiehard.so` does not load.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::OnceLock;
 
-/// `target/<profile>/libdiehard.so`, freshly built for this test binary's
-/// profile.
+/// `target/release/libdiehard.so`, freshly built.
 ///
 /// # Panics
 ///
@@ -25,19 +29,13 @@ pub fn path() -> PathBuf {
 fn build() -> PathBuf {
     let exe = std::env::current_exe().expect("the test binary's path");
     // target/<profile>/deps/<test binary>
-    let profile_dir = exe
-        .parent()
-        .and_then(|deps| deps.parent())
+    let target_dir = exe
+        .ancestors()
+        .nth(3)
         .expect("a test binary lives in target/<profile>/deps");
-    let profile = match profile_dir.file_name().and_then(|name| name.to_str()) {
-        Some("debug") => "dev", // the one profile named apart from its directory
-        Some(name) => name,
-        None => panic!("no profile directory above {}", exe.display()),
-    };
-    let target_dir = profile_dir.parent().expect("target/<profile>");
     let mut cargo = Command::new(env!("CARGO"));
     cargo
-        .args(["build", "-q", "-p", "diehard-preload", "--profile", profile])
+        .args(["build", "-q", "-p", "diehard-preload", "--release"])
         .arg("--target-dir")
         .arg(target_dir)
         .args([
@@ -50,7 +48,7 @@ fn build() -> PathBuf {
         "cargo build -p diehard-preload failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let so = profile_dir.join("libdiehard.so");
+    let so = target_dir.join("release").join("libdiehard.so");
     assert!(so.exists(), "cargo built no {}", so.display());
     so
 }

@@ -178,6 +178,10 @@ extern "C" {
     pub fn sysconf(name: c_int) -> c_long;
     /// `getenv(3)`.
     pub fn getenv(name: *const c_char) -> *mut c_char;
+    /// `calloc(3)`.
+    pub fn calloc(nmemb: size_t, size: size_t) -> *mut c_void;
+    /// `free(3)`.
+    pub fn free(ptr: *mut c_void);
     /// `strlen(3)`.
     pub fn strlen(s: *const c_char) -> size_t;
     /// `strnlen(3)`: scans at most `maxlen` bytes.
