@@ -1080,7 +1080,7 @@ pub type Runner = fn(&'static str, bool) -> KernelResult;
 
 /// The registry: every kernel the report must contain, in run order, with
 /// its runner; CI fails when a report misses one. The single-thread
-/// allocator kernels run [`alone`] and come before every `_mt` and proxy
+/// allocator kernels run `alone` and come before every `_mt` and proxy
 /// kernel, which spawn threads (module docs).
 pub const KERNELS: &[(&str, Runner)] = &[
     ("alloc_churn_mixed", |name, smoke| {

@@ -9,8 +9,8 @@
 //! it.
 //!
 //! The map never allocates after construction, so it is safe to use from
-//! inside a global allocator once built over caller-provided storage
-//! ([`SlotStateMap::from_storage`]).
+//! inside a global allocator once built over storage the allocator carved
+//! out of its own mapping (`SlotStateMap::carved`).
 
 use crate::global::Words;
 use crate::sync::{Rmw, Word};
@@ -46,7 +46,7 @@ pub enum SlotState {
 /// free cannot disturb any slot's state; the returned prior word decides.
 /// One probe draw therefore maps to exactly one claim attempt — probe
 /// accounting under contention stays identical to a serial run's (§4.2
-/// E[probes]).
+/// E\[probes\]).
 ///
 /// Each operation is a [`Word`] update: a locked RMW, or load + store, as the
 /// caller's `sole` says — read once at the entry of its call
@@ -94,28 +94,12 @@ impl SlotStateMap {
         slots.div_ceil(Self::PER_WORD)
     }
 
-    /// Creates a map over caller-provided word storage: exactly
-    /// [`words_needed(slots)`](Self::words_needed) words, which should be
-    /// zero — every slot free. A set bit only reads as a live slot (one the
-    /// heap will not hand out until it is freed), never as an alias of
-    /// another object, so "zeroed" is a precondition of the map's books,
-    /// not of memory safety.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is not exactly `words_needed(slots)` long.
-    #[must_use]
-    pub fn from_storage(words: &'static [Word], slots: usize) -> Self {
-        assert_eq!(
-            words.len(),
-            Self::words_needed(slots),
-            "slot map storage for {slots} slots"
-        );
-        Self::carved(words, slots)
-    }
-
-    /// [`from_storage`](Self::from_storage) for the heap's own carving,
-    /// which cut `words` to length itself: nothing to check.
+    /// A map over `words`, which the heap cut to exactly
+    /// [`words_needed(slots)`](Self::words_needed) words out of its metadata
+    /// storage, so there is nothing to check. They should be zero — every
+    /// slot free. A set bit only reads as a live slot (one the heap will not
+    /// hand out until it is freed), never as an alias of another object, so
+    /// "zeroed" is a precondition of the map's books, not of memory safety.
     #[must_use]
     pub(crate) fn carved(words: &'static [Word], slots: usize) -> Self {
         Self {
@@ -268,20 +252,13 @@ mod tests {
         let words = SlotStateMap::words_needed(100);
         assert_eq!(words, 2, "one bit per slot");
         let backing: &'static [Word] = Box::leak((0..words).map(|_| Word::new(0)).collect());
-        let map = SlotStateMap::from_storage(backing, 100);
+        let map = SlotStateMap::carved(backing, 100);
         assert!(map.claim(false, 70));
         assert!(map.is_live(70));
         assert_eq!(map.live_count(), 1);
         drop(map);
         let bits: Vec<u64> = backing.iter().map(|w| w.load(Ordering::Relaxed)).collect();
         assert_eq!(bits, [0, 1 << 6], "slot 70 is bit 6 of word 1");
-    }
-
-    #[test]
-    #[should_panic(expected = "slot map storage")]
-    fn slot_state_map_rejects_storage_of_the_wrong_length() {
-        let backing: &'static [Word] = Box::leak(Box::new([Word::new(0), Word::new(0)]));
-        let _ = SlotStateMap::from_storage(backing, 200);
     }
 
     /// An index past the map's last word has a defined outcome, not a

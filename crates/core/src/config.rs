@@ -211,7 +211,7 @@ impl Default for HeapConfig {
 /// Precomputed shift/mask geometry for a validated [`HeapConfig`].
 ///
 /// The paper's §4.1 chooses power-of-two size classes so that "expensive
-/// division and modulus operations [are] replaced with bit-shifting" — this
+/// division and modulus operations \[are\] replaced with bit-shifting" — this
 /// type is where that promise is kept. Built once at heap construction, it
 /// turns every per-operation conversion into shifts and masks:
 ///

@@ -248,44 +248,15 @@ pub type HeapCore = Heap;
 
 #[cfg(test)]
 mod tests {
+    //! The offset arithmetic, the pinned placement history and the elastic
+    //! start's shape; the heap's behaviour, op for op, is `spec`'s.
     use super::*;
     use crate::config::HeapConfig;
-    use crate::rng::Mwc;
-    use crate::sharded::tests::{self as both_arms, Alone};
     use proptest::prelude::*;
-
-    // These tests drive the heap in the load + store arm (`Alone`);
-    // `sharded::tests` drives it in the locked one.
-    fn heap(seed: u64) -> Alone {
-        Alone(Heap::new(HeapConfig::default(), seed).unwrap())
-    }
-
-    #[test]
-    fn alloc_routes_to_correct_class() {
-        let h = heap(1);
-        for (req, expect) in [
-            (1usize, 8usize),
-            (8, 8),
-            (24, 32),
-            (4096, 4096),
-            (9000, 16384),
-        ] {
-            let slot = h.alloc(req).unwrap();
-            assert_eq!(slot.size(), expect, "request {req}");
-        }
-    }
-
-    #[test]
-    fn zero_and_large_requests_return_none() {
-        let h = heap(2);
-        assert_eq!(h.alloc(0), None);
-        assert_eq!(h.alloc(16 * 1024 + 1), None);
-        assert_eq!(h.stats().allocs, 0);
-    }
 
     #[test]
     fn offset_roundtrip() {
-        let h = heap(3);
+        let h = Heap::new(HeapConfig::default(), 3).unwrap();
         for req in [8usize, 64, 1000, 16384] {
             let slot = h.alloc(req).unwrap();
             let off = h.offset_of(slot);
@@ -293,45 +264,6 @@ mod tests {
             // Interior pointers resolve to the same slot.
             assert_eq!(h.slot_containing(off + slot.size() - 1), Some(slot));
         }
-    }
-
-    #[test]
-    fn free_validation_pipeline() {
-        both_arms::free_validation_pipeline_in(true);
-    }
-
-    #[test]
-    fn free_of_wrong_class_alignment_ignored() {
-        let h = heap(5);
-        // Allocate an 8-byte object, then try to free at an offset inside
-        // the 16 KB region that was never allocated.
-        let _ = h.alloc(8).unwrap();
-        let off_16k = h.config().region_base(SizeClass::from_index(11));
-        assert_eq!(h.free_at(off_16k), FreeOutcome::NotAllocated);
-    }
-
-    #[test]
-    fn live_accounting() {
-        let h = heap(6);
-        let a = h.alloc(8).unwrap();
-        let b = h.alloc(100).unwrap();
-        assert_eq!(h.live_objects(), 2);
-        assert_eq!(h.live_bytes(), 8 + 128);
-        h.free_at(h.offset_of(a));
-        assert_eq!(h.live_objects(), 1);
-        h.free_at(h.offset_of(b));
-        assert_eq!(h.live_objects(), 0);
-        assert_eq!(h.live_bytes(), 0);
-    }
-
-    #[test]
-    fn exhaustion_counted() {
-        let cfg = HeapConfig::default().with_region_bytes(32 * 1024);
-        let h = Alone(Heap::new(cfg, 7).unwrap());
-        // 16 KB class has capacity 2, threshold 1 with M=2.
-        assert!(h.alloc(16 * 1024).is_some());
-        assert!(h.alloc(16 * 1024).is_none());
-        assert_eq!(h.stats().exhausted, 1);
     }
 
     /// Acceptance pin for the strength-reduced probe draw: the exact
@@ -371,66 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_seeds_identical_layout() {
-        let a = heap(99);
-        let b = heap(99);
-        for req in [8, 16, 8, 300, 4000, 8, 64] {
-            assert_eq!(a.alloc(req), b.alloc(req));
-        }
-    }
-
-    #[test]
-    fn different_seeds_different_layout() {
-        let a = heap(1);
-        let b = heap(2);
-        let mut same = 0;
-        for _ in 0..32 {
-            if a.alloc(64) == b.alloc(64) {
-                same += 1;
-            }
-        }
-        assert!(
-            same < 8,
-            "layouts should diverge across seeds ({same}/32 agree)"
-        );
-    }
-
-    #[test]
-    fn live_slots_enumerates_everything() {
-        let h = heap(8);
-        let mut expect = Vec::new();
-        for req in [8, 8, 50, 1000, 16000] {
-            expect.push(h.alloc(req).unwrap());
-        }
-        let mut got: Vec<Slot> = h.live_slots().collect();
-        let key = |s: &Slot| (s.class.index(), s.index);
-        got.sort_by_key(key);
-        expect.sort_by_key(key);
-        assert_eq!(got, expect);
-    }
-
-    // ---- elastic heaps (§9's adaptive variant) ---------------------------
-
-    fn elastic_with(config: HeapConfig, seed: u64) -> Alone {
-        Alone(Heap::new_elastic(config, seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap())
-    }
-
-    fn elastic(seed: u64) -> Alone {
-        elastic_with(HeapConfig::default(), seed)
-    }
-
-    #[test]
-    fn starts_small() {
-        let h = elastic(1);
-        let c0 = SizeClass::from_index(0);
-        assert_eq!(h.partition(c0).capacity(), h.config().capacity(c0) / 64);
-        let committed_bytes: usize = SizeClass::all()
-            .map(|c| h.partition(c).capacity() * c.object_size())
-            .sum();
-        assert!(committed_bytes < HeapConfig::default().heap_span() / 16);
-    }
-
-    #[test]
     fn start_capacities_are_pow2_for_the_shift_draw() {
         // A non-dyadic multiplier used to produce non-pow2 starts (e.g. a
         // minimum of 3 slots). Every start must be a power of two: steps
@@ -441,7 +313,7 @@ mod tests {
             HeapConfig::default().with_multiplier(3.0),
             HeapConfig::default().with_multiplier(4.0 / 3.0),
         ] {
-            let h = elastic_with(cfg, 9);
+            let h = Heap::new_elastic(cfg, 9, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
             for c in SizeClass::all() {
                 let start = h.partition(c).capacity();
                 assert!(
@@ -453,78 +325,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grows_under_pressure_and_addresses_stay_valid() {
-        let h = elastic(2);
-        let c0 = SizeClass::from_index(0);
-        let start = h.partition(c0).capacity();
-        let mut offsets = Vec::new();
-        for _ in 0..start * 2 {
-            let slot = h.alloc(8).expect("an elastic heap must grow, not fail");
-            offsets.push(h.offset_of(slot));
-        }
-        assert!(h.partition(c0).capacity() > start);
-        assert!(h.growth_events() > 0);
-        assert_eq!(h.stats().exhausted, 0, "growth denials are not exhaustion");
-        // All earlier offsets still free correctly after growth.
-        for off in offsets {
-            assert!(h.free_at(off).freed(), "offset {off} should still be live");
-        }
-        assert_eq!(h.live_objects(), 0);
-    }
-
-    #[test]
-    fn growth_capped_at_configured_maximum() {
-        let cfg = HeapConfig::default().with_region_bytes(64 * 1024);
-        let h = elastic_with(cfg.clone(), 3);
-        let c11 = SizeClass::from_index(11); // 16 KB: max capacity 4
-        let max_cap = cfg.capacity(c11);
-        let got = (0..max_cap + 4)
-            .filter(|_| h.alloc(16 * 1024).is_some())
-            .count();
-        assert_eq!(h.partition(c11).capacity(), max_cap);
-        assert_eq!(got, cfg.threshold(c11), "serves exactly the 1/M cap");
-        assert_eq!(h.stats().exhausted, (max_cap + 4 - got) as u64);
-        assert_eq!(Heap::new(cfg, 3).unwrap().growth_events(), 0);
-    }
-
-    #[test]
-    fn double_free_ignored() {
-        let h = elastic(4);
-        let slot = h.alloc(64).unwrap();
-        let off = h.offset_of(slot);
-        assert!(h.free_at(off).freed());
-        assert_eq!(h.free_at(off), FreeOutcome::NotAllocated);
-        // A slot beyond the active range is inside the map, and free.
-        let beyond = h.offset_of(Slot {
-            class: slot.class,
-            index: h.partition(slot.class).capacity(),
-        });
-        assert_eq!(h.free_at(beyond), FreeOutcome::NotAllocated);
-    }
-
-    #[test]
-    fn offsets_disjoint_from_other_classes() {
-        let h = elastic(5);
-        let a = h.alloc(8).unwrap();
-        let b = h.alloc(16 * 1024).unwrap();
-        let (oa, ob) = (h.offset_of(a), h.offset_of(b));
-        assert!(oa < h.config().region_bytes);
-        assert!(ob >= 11 * h.config().region_bytes);
-    }
-
     proptest! {
-        /// Any interleaving of allocs and (valid or bogus) frees keeps the
-        /// heap, in the load + store arm, consistent with a shadow model
-        /// keyed by offset.
-        #[test]
-        fn engine_matches_shadow_model(
-            seed in any::<u64>(),
-            ops in proptest::collection::vec((0usize..3, 1usize..20_000), 1..300),
-        ) {
-            both_arms::matches_shadow_model(&heap(seed), true, seed, ops);
-        }
-
         /// The shift/mask conversions agree with a division/modulus
         /// reference implementation over random geometries and offsets —
         /// in-span, out-of-span, aligned, and interior-pointer cases alike.
@@ -575,51 +376,6 @@ mod tests {
                         + slot.index * slot.class.object_size()
                 );
                 prop_assert!(base <= offset && offset < base + slot.class.object_size());
-            }
-        }
-
-        /// Live objects never overlap in the offset space.
-        #[test]
-        fn no_byte_overlap(seed in any::<u64>(), n in 1usize..200) {
-            let h = heap(seed);
-            let mut intervals: Vec<(usize, usize)> = Vec::new();
-            let mut rng = Mwc::seeded(seed);
-            for _ in 0..n {
-                let sz = 1 + rng.below(16 * 1024);
-                if let Some(slot) = h.alloc(sz) {
-                    let off = h.offset_of(slot);
-                    intervals.push((off, off + slot.size()));
-                }
-            }
-            intervals.sort_unstable();
-            for w in intervals.windows(2) {
-                prop_assert!(w[0].1 <= w[1].0, "overlap: {:?} vs {:?}", w[0], w[1]);
-            }
-        }
-
-        /// Under arbitrary alloc/free interleavings an elastic heap never
-        /// hands out overlapping objects, even across growth events.
-        #[test]
-        fn no_overlap_across_growth(
-            seed in any::<u64>(),
-            ops in proptest::collection::vec((any::<bool>(), 1usize..512), 1..300),
-        ) {
-            let h = elastic(seed);
-            let mut live: Vec<(usize, usize)> = Vec::new(); // (offset, size)
-            let mut rng = Mwc::seeded(seed);
-            for (do_alloc, sz) in ops {
-                if do_alloc || live.is_empty() {
-                    if let Some(slot) = h.alloc(sz) {
-                        let off = h.offset_of(slot);
-                        for &(o, s) in &live {
-                            prop_assert!(off + slot.size() <= o || o + s <= off, "overlap at {off}");
-                        }
-                        live.push((off, slot.size()));
-                    }
-                } else {
-                    let (off, _) = live.swap_remove(rng.below(live.len()));
-                    prop_assert!(h.free_at(off).freed());
-                }
             }
         }
     }

@@ -134,7 +134,7 @@ mod readers {
 
     /// Reads environment variable `name` (NUL-terminated literal) as a
     /// strict decimal `u64` without allocating. `None` when unset,
-    /// malformed, or longer than [`VALUE_MAX`] bytes.
+    /// malformed, or longer than `VALUE_MAX` (20) bytes.
     #[must_use]
     pub fn read_u64(name: &'static str) -> Option<u64> {
         read(name, parse_u64)
@@ -142,7 +142,7 @@ mod readers {
 
     /// Hands the value of environment variable `name` (NUL-terminated
     /// literal) to `parse` without allocating. `None` when unset, longer
-    /// than [`VALUE_MAX`] bytes, or refused by `parse`.
+    /// than `VALUE_MAX` (20) bytes, or refused by `parse`.
     fn read<T>(name: &'static str, parse: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
         debug_assert!(name.ends_with('\0'), "env names must be NUL-terminated");
         // SAFETY: `name` is NUL-terminated; getenv does not allocate.

@@ -76,7 +76,7 @@
 //!
 //! ## Unsafe-surface audit (2026-08, stable toolchain, lock-free fast path)
 //!
-//! This module, [`sys`], and [`tls`] are the crate's `unsafe` *syscall*
+//! This module, `sys`, and `tls` are the crate's `unsafe` *syscall*
 //! surface, built on every Unix target (there is no build without
 //! it: the interposer, the bench bins and the tests all reach it, so a
 //! gate would isolate nothing); the allocation-free synchronization
@@ -104,7 +104,7 @@
 //!   ticket `fetch_add` that backs out on overshoot, and the per-class RNG
 //!   packs its whole state in one `AtomicU64` CAS
 //!   ([`AtomicMwc`](crate::rng::AtomicMwc)) — no torn draws. (Each of these
-//!   is a [`Word`](crate::sync::Word) update — see the next finding for when
+//!   is a [`Word`] update — see the next finding for when
 //!   it is not a locked instruction.)
 //!   The surviving locks are slow-path only: one maintenance `SpinLock` per
 //!   class serializing its growth steps — taken by an allocation only to
@@ -115,14 +115,14 @@
 //!   only place a pointer is tested against the span.
 //!   Heap-wide statistics are relaxed atomics and take no lock at all.
 //! * **One extern read decides how those atomics are updated.**
-//!   [`sys::single_threaded`] loads glibc's `__libc_single_threaded`
+//!   `sys::single_threaded` loads glibc's `__libc_single_threaded`
 //!   (glibc ≥ 2.32; an `extern` static typed `AtomicU8`, because a C global
 //!   that changes must not be declared immutable). While it reads 1, every
-//!   [`Word`](crate::sync::Word) update — RNG advance, slot transitions,
+//!   [`Word`] update — RNG advance, slot transitions,
 //!   ticket, counters, the `SpinLock` flag — is a relaxed load and a relaxed
 //!   store instead of a locked instruction; [`crate::sync`]'s module docs
 //!   carry the argument. The byte is read once per call, at the entry
-//!   ([`sole_thread`], or [`tls::guarded`] in front of the interposer's
+//!   ([`sole_thread`], or `tls::guarded` in front of the interposer's
 //!   re-entrancy check), and that answer is carried down to every update the
 //!   call makes. Linearizability is untouched: with one thread
 //!   every operation is trivially atomic, and none straddles the flip,
@@ -156,7 +156,7 @@
 //!   warning-clean with no `#[allow]` escapes in this subtree.
 //! * **Lazily-initialized, never self-allocating.** Exactly one thread runs
 //!   initialization: the one whose CAS moves the `DieHard`'s state word from
-//!   empty to its own identity ([`tls::current_thread`]). The others yield
+//!   empty to its own identity (`tls::current_thread`). The others yield
 //!   (`sched_yield`) until it reads ready or failed, never parking — parking
 //!   may allocate and re-enter the allocator being initialized — and a call
 //!   nested inside the builder's own, which finds its own identity there,
@@ -212,7 +212,7 @@
 //! * **No thread-local; a nested call is known by what its thread holds.**
 //!   A call into the allocator made inside another on the same thread (a
 //!   signal handler's `malloc`) is told apart without per-thread state
-//!   ([`tls`] has the argument; [`with_guard`],
+//!   (`tls` has the argument; [`with_guard`],
 //!   [`DieHard::alloc_guarded`], [`DieHard::free_guarded`]). While the
 //!   process has one thread, a process-wide flag, set around each guarded
 //!   call, diverts every nested one before it reaches the heap, whose
@@ -223,7 +223,7 @@
 //!   the large-object table's lock (an allocation is diverted, a free
 //!   dropped, a size lookup knows nothing), or the heap's build (diverted).
 //!   Each of those records its holder's `pthread_self()`, which is the one
-//!   `unsafe` of [`tls`]. Nothing is per thread, so the threaded arm looks
+//!   `unsafe` of `tls`. Nothing is per thread, so the threaded arm looks
 //!   nothing up (no `__tls_get_addr`: a `no_std` library has no
 //!   thread-local machinery at all), a thread leaves nothing behind when it
 //!   exits, and nothing outlives a heap but the heap: a `GlobalState` lives
@@ -264,9 +264,9 @@
 //!   once, at the growth step that completes it — the step that brings a
 //!   class to 2 MB follows `1/M` of it being live, which is evidence enough
 //!   that it is busy. The hook
-//!   issues [`sys::advise_hugepages`] (`MADV_HUGEPAGE`) over exactly those
+//!   calls `sys::advise_hugepages` (`MADV_HUGEPAGE`) over exactly those
 //!   huge pages — §7's TLB-reach remedy — and
-//!   [`sys::collapse_hugepages`] (`MADV_COLLAPSE`) over the same bytes,
+//!   `sys::collapse_hugepages` (`MADV_COLLAPSE`) over the same bytes,
 //!   which re-backs the pages already touched without moving or changing a
 //!   byte. Advice never reaches past the active range, which is what keeps
 //!   resident memory at what is in use: advice
@@ -575,7 +575,7 @@ impl DieHard {
     /// exports funnel into, which tells a nested call — one made inside
     /// another on the same thread: a signal handler interrupting it — from
     /// an outermost one, and returns `nested()` for it. One read of the
-    /// thread count decides how ([`tls`] has why): while the process has
+    /// thread count decides how (`tls` has why): while the process has
     /// one thread, a process-wide flag, set for the call's duration
     /// ([`with_guard`] sets it too), diverts every nested call before it
     /// reaches the heap, whose updates are then plain loads and stores;
@@ -1180,7 +1180,7 @@ impl Drop for Words {
 /// [`DieHard::free_guarded`] check and set, telling `f` whether it was
 /// already set, so every guarded call inside `f` is diverted. A threaded
 /// process has no flag (a nested call is told apart by the locks its thread
-/// holds, [`tls`]): there `f` runs as it is, told `false`.
+/// holds, `tls`): there `f` runs as it is, told `false`.
 pub fn with_guard<R>(f: impl FnOnce(bool) -> R) -> R {
     // One of the two arms runs, once.
     let f = Cell::new(Some(f));

@@ -26,7 +26,7 @@
 //!   the memory-free offset ↔ slot arithmetic every layer shares.
 //! * [`large`] — the large-object validity table (§4.1–4.3).
 //! * [`safe_str`] — heap-bounded `strcpy`/`strncpy` (§4.4).
-//! * [`env`] — audited parsing for the `DIEHARD_*` environment knobs.
+//! * [`env`](mod@env) — audited parsing for the `DIEHARD_*` environment knobs.
 //! * [`sync`] — the allocation-free [`sync::SpinLock`] and [`sync::Word`],
 //!   every update of which is a locked instruction, or a load and a store
 //!   while the process has one thread.
@@ -38,8 +38,9 @@
 //!   heap through: an alias and a pass-through.
 //! * [`global`] *(Unix)* — a real `#[global_allocator]` built on `mmap`,
 //!   with guard-paged large objects, sharded per class.
-//! * `spec` *(tests only)* — §4 as a plain executable model, which the
-//!   fixed heap is held to, op for op.
+//! * `spec` *(tests only)* — §4 and §9's elastic heap as a plain
+//!   executable model, fixed and elastic, with promotion, which the heap is
+//!   held to, op for op.
 //!
 //! ## `core` only
 //!

@@ -49,7 +49,7 @@ pub type Partition = AtomicPartition;
 /// Probe accounting: one RNG draw is one probe, whether the claim then
 /// loses to an already-occupied slot or to a racing claimant. Both show up
 /// identically in `probe_stats`, keeping the §4.2
-/// E[probes] = 1/(1 − 1/M) assertions honest.
+/// E\[probes\] = 1/(1 − 1/M) assertions honest.
 ///
 /// # Why the probe loop terminates
 ///
@@ -169,30 +169,6 @@ impl AtomicPartition {
     ) -> Self {
         Self::check_geometry(max_capacity, initial_capacity, initial_threshold);
         let map = SlotStateMap::new(max_capacity);
-        Self::over(class, map, initial_capacity, initial_threshold, seed)
-    }
-
-    /// As [`new_elastic`](Self::new_elastic) but over caller-provided
-    /// storage of exactly [`Self::words_needed`]`(max_capacity)` words,
-    /// zeroed ([`SlotStateMap::from_storage`]) — the slot map is always
-    /// sized for the maximum, so the metadata footprint is identical for
-    /// fixed and elastic partitions.
-    ///
-    /// # Panics
-    ///
-    /// As [`new_elastic`](Self::new_elastic), and if `words` is not exactly
-    /// that long.
-    #[must_use]
-    pub fn from_storage_elastic(
-        class: SizeClass,
-        max_capacity: usize,
-        initial_capacity: usize,
-        initial_threshold: usize,
-        seed: u64,
-        words: &'static [Word],
-    ) -> Self {
-        Self::check_geometry(max_capacity, initial_capacity, initial_threshold);
-        let map = SlotStateMap::from_storage(words, max_capacity);
         Self::over(class, map, initial_capacity, initial_threshold, seed)
     }
 

@@ -152,7 +152,7 @@ impl Mwc {
     /// slice and written back once, so the loop body is pure register
     /// arithmetic — one state load/store pair per batch instead of per
     /// draw. The word stream is bit-identical to calling `next_u64` in a
-    /// loop (both run the same [`mwc_step`]).
+    /// loop (both run the same `mwc_step`).
     #[inline]
     pub fn fill_words(&mut self, out: &mut [u64]) {
         let (mut z, mut w) = (self.z, self.w);

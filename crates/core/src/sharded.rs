@@ -219,28 +219,11 @@ impl Heap {
     /// `geometry`, but hosting all twelve slot-state maps in `words` so that
     /// construction performs **no heap allocation** — required when DieHard
     /// itself is the process's global allocator (metadata lives in a
-    /// segregated mmap arena, §4.1). The footprint does not depend on the
-    /// fraction: slot maps are always sized for the maximum capacity.
-    /// `words` should be zeroed (every slot free;
-    /// [`SlotStateMap::from_storage`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is not exactly
-    /// [`metadata_words_needed`](Self::metadata_words_needed)`(geometry.config())`
-    /// long.
-    #[must_use]
-    pub fn with_storage(geometry: HeapGeometry, seed: u64, words: &'static [Word]) -> Self {
-        let needed = Self::metadata_words_needed(geometry.config());
-        match Self::carved(geometry, seed, words) {
-            Some(heap) if words.len() == needed => heap,
-            _ => panic!("heap metadata storage: {} words, not {needed}", words.len()),
-        }
-    }
-
-    /// [`with_storage`](Self::with_storage) for the global allocator, which
-    /// sized `words` itself: the maps are carved in class order off the
-    /// front of `words`, and `None` when it is too short for them — the
+    /// segregated mmap arena, §4.1). The maps are carved in class order off
+    /// the front of `words`, each sized for its class's maximum capacity
+    /// whatever the fraction, and should be zeroed (every slot free); `None`
+    /// when `words` is shorter than
+    /// [`metadata_words_needed`](Self::metadata_words_needed) — the
     /// allocator's initialization then fails, as for any other shortage.
     pub(crate) fn carved(
         geometry: HeapGeometry,
@@ -285,8 +268,8 @@ impl Heap {
         }
     }
 
-    /// Number of words of metadata storage
-    /// [`with_storage`](Self::with_storage) requires for `config`: one
+    /// Number of words of metadata storage a heap of `config` carves its
+    /// slot maps out of, when the global allocator hosts them: one
     /// bit per slot (§4.1), 64 slots per word, every class sized for its
     /// maximum capacity.
     #[must_use]
@@ -603,7 +586,7 @@ impl Heap {
 
     /// Cumulative probe statistics summed across every partition:
     /// `(allocations, total probes)` — [`AtomicPartition::probe_stats`]
-    /// over the whole heap, so §4.2's E[probes] = 1/(1 − 1/M) claim is
+    /// over the whole heap, so §4.2's E\[probes\] = 1/(1 − 1/M) claim is
     /// checkable on the lock-free heap too. Lost-claim probes are counted
     /// exactly like live-slot probes (one draw = one probe). Exact totals
     /// once the threads touching the heap are joined.
@@ -614,81 +597,19 @@ impl Heap {
     }
 }
 
-/// The heap's tests, and what `engine::tests` shares with them. The harness
-/// is threaded, so a public call here runs the locked arm; [`Alone`] runs
-/// the other one.
+/// The heap's tests beyond `spec`'s model: configuration refusals, the
+/// carved metadata, the threaded arm under contention, and the `fork`
+/// locks. The harness is threaded, so a public call here runs the locked
+/// arm.
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::rng::Mwc;
-    use core::ops::Deref;
-    use proptest::prelude::*;
-    use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn heap(seed: u64) -> Heap {
         Heap::new(HeapConfig::default(), seed).unwrap()
-    }
-
-    /// A heap driven in the load + store arm: its `alloc` and `free_at` are
-    /// the `…_in(true, …)` forms, sound because only the test's own thread
-    /// reaches it. Everything else is the heap's.
-    #[derive(Debug)]
-    pub(crate) struct Alone(pub(crate) Heap);
-
-    impl Alone {
-        pub(crate) fn alloc(&self, size: usize) -> Option<Slot> {
-            self.0.try_alloc_in(true, size).placed()
-        }
-
-        pub(crate) fn free_at(&self, offset: usize) -> FreeOutcome {
-            self.0.free_at_in(true, offset)
-        }
-    }
-
-    impl Deref for Alone {
-        type Target = Heap;
-
-        fn deref(&self) -> &Heap {
-            &self.0
-        }
-    }
-
-    #[test]
-    fn matches_facade_layout_for_same_seed() {
-        // Both arms split the master seed the same way and run the same
-        // partition code, so single-threaded histories coincide exactly.
-        let (shared, plain) = (heap(0xABCD), Alone(heap(0xABCD)));
-        for req in [8usize, 8, 24, 100, 1000, 4000, 16_000, 8, 64] {
-            assert_eq!(shared.alloc(req), plain.alloc(req), "request {req}");
-        }
-        assert_eq!(shared.stats(), plain.stats());
-    }
-
-    /// §4.3's three checks and their bookkeeping, in the arm `sole` picks.
-    pub(crate) fn free_validation_pipeline_in(sole: bool) {
-        let h = heap(4);
-        let slot = h.try_alloc_in(sole, 64).placed().unwrap();
-        let off = h.offset_of(slot);
-
-        // Interior (misaligned) pointer: ignored.
-        assert_eq!(h.free_at_in(sole, off + 1), FreeOutcome::MisalignedOffset);
-        assert!(h.is_live_at(off));
-
-        // Proper free succeeds.
-        assert_eq!(h.free_at_in(sole, off), FreeOutcome::Freed(slot));
-        assert!(!h.is_live_at(off));
-
-        // Double free: ignored.
-        assert_eq!(h.free_at_in(sole, off), FreeOutcome::NotAllocated);
-
-        // Outside the heap: reported for the large-object path.
-        assert_eq!(h.free_at_in(sole, usize::MAX / 2), FreeOutcome::NotInHeap);
-
-        let stats = h.stats();
-        assert_eq!(stats.frees, 1);
-        assert_eq!(stats.ignored_frees, 2);
     }
 
     /// A region whose 8-byte class has more slots than a partition's packed
@@ -704,9 +625,10 @@ pub(crate) mod tests {
     }
 
     /// §4.1's bitmap: one bit per slot, 64 slots to a word, each class
-    /// sized for its maximum capacity — and carved in class order out of the
-    /// words `with_storage` is handed, on which the heap places exactly as
-    /// one that owns its maps.
+    /// sized for its maximum capacity — carved in class order out of the
+    /// words the heap is handed, on which it places exactly as one that owns
+    /// its maps. One word short, the heap is refused, and the global
+    /// allocator's initialization fails rather than run past its mapping.
     #[test]
     fn metadata_is_one_bit_per_slot() {
         let config = HeapConfig::default();
@@ -714,11 +636,10 @@ pub(crate) mod tests {
         let total = SizeClass::all().map(words).sum();
         assert_eq!(Heap::metadata_words_needed(&config), total);
         let storage: &'static [Word] = Box::leak((0..total).map(|_| Word::new(0)).collect());
-        let geometry = HeapGeometry::new(config.clone()).unwrap();
-        let (carved, owned) = (
-            Heap::with_storage(geometry, 7, storage),
-            Heap::new(config.clone(), 7).unwrap(),
-        );
+        let geometry = || HeapGeometry::new(config.clone()).unwrap();
+        assert!(Heap::carved(geometry(), 7, &storage[1..]).is_none());
+        let carved = Heap::carved(geometry(), 7, storage).unwrap();
+        let owned = heap(7);
         for size in [8, 8, 100, 16 * 1024] {
             let slot = carved.alloc(size).unwrap();
             assert_eq!(
@@ -739,53 +660,6 @@ pub(crate) mod tests {
                 carved.partition(class).in_use(),
                 "class {class:?}"
             );
-        }
-    }
-
-    #[test]
-    fn free_validation_pipeline() {
-        free_validation_pipeline_in(false);
-    }
-
-    /// Any interleaving of allocs and (valid or bogus) frees, in the arm
-    /// `sole` picks, keeps `h` consistent with a shadow model keyed by
-    /// offset. The ticket sum *is* the live count, cheap enough to poll
-    /// after every operation.
-    pub(crate) fn matches_shadow_model(h: &Heap, sole: bool, seed: u64, ops: Vec<(usize, usize)>) {
-        let mut model: HashMap<usize, Slot> = HashMap::new();
-        let mut rng = Mwc::seeded(seed ^ 0xABCD);
-        for (op, arg) in ops {
-            match op {
-                0 => {
-                    if let Some(slot) = h.try_alloc_in(sole, arg.min(16 * 1024)).placed() {
-                        let off = h.offset_of(slot);
-                        assert!(!model.contains_key(&off), "offset reuse while live");
-                        model.insert(off, slot);
-                    }
-                }
-                1 => {
-                    if !model.is_empty() {
-                        let keys: Vec<usize> = model.keys().copied().collect();
-                        let off = keys[rng.below(keys.len())];
-                        assert!(h.free_at_in(sole, off).freed());
-                        model.remove(&off);
-                    }
-                }
-                _ => {
-                    // Bogus free at a random offset: must never free a
-                    // *different* object or corrupt accounting.
-                    let off = rng.below(h.heap_span() + 1000);
-                    let before = h.in_use();
-                    match h.free_at_in(sole, off) {
-                        FreeOutcome::Freed(_) => assert!(
-                            model.remove(&off).is_some(),
-                            "freed an object the model did not know"
-                        ),
-                        _ => assert_eq!(h.in_use(), before),
-                    }
-                }
-            }
-            assert_eq!(h.in_use(), model.len());
         }
     }
 
@@ -897,15 +771,18 @@ pub(crate) mod tests {
     }
 
     /// The pinned contended-retry divergence rule, positive half: an
-    /// alloc-only sequence on one thread is bit-identical to the plain arm's
+    /// alloc-only sequence on one thread is bit-identical to the load +
+    /// store arm's
     /// even when *other* classes are being hammered concurrently — contention
     /// only reorders draws within a class's own stream, never across
     /// classes.
     #[test]
     fn alloc_only_determinism_isolated_per_class() {
         const SEED: u64 = 0x05EE_DCA5;
-        let plain = Alone(heap(SEED));
-        let expected: Vec<Option<Slot>> = (0..500).map(|_| plain.alloc(8)).collect();
+        let plain = heap(SEED);
+        let expected: Vec<Option<Slot>> = (0..500)
+            .map(|_| plain.try_alloc_in(true, 8).placed())
+            .collect();
 
         let h = Arc::new(heap(SEED));
         let stop = Arc::new(AtomicUsize::new(0));
@@ -933,40 +810,6 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn elastic_heap_grows_then_spills_gracefully() {
-        // 16 KB class: max capacity 64, elastic start 2 (threshold 1). The
-        // heap must absorb the full fixed-size workload (32 slots under
-        // M = 2) by climbing its ladder, then report Spill — not a crash —
-        // past the final cap.
-        let h: Heap = Heap::new_elastic(HeapConfig::default(), 0x57A7, 6).unwrap();
-        let mut placed = 0u64;
-        let spilled = loop {
-            match h.try_alloc(16 * 1024) {
-                AllocOutcome::Placed(slot) => {
-                    assert!(slot.index < 64);
-                    placed += 1;
-                }
-                AllocOutcome::Spill => break true,
-                AllocOutcome::Unsupported => unreachable!("16 KB is a small object"),
-            }
-        };
-        assert!(spilled);
-        assert_eq!(placed, 32, "same capacity as a fixed heap after growth");
-        assert_eq!(
-            h.growth_events(),
-            15,
-            "2 → 4, then by twos to 16, by fours to 32, by eights to 64"
-        );
-        assert_eq!(h.stats().exhausted, 1, "growth denials are not exhaustion");
-        assert_eq!(h.stats().allocs, 32);
-        // Outcomes are stable and routable, and zero-size stays unsupported
-        // with no stats recorded.
-        assert_eq!(h.try_alloc(16 * 1024), AllocOutcome::Spill);
-        assert_eq!(h.try_alloc(0), AllocOutcome::Unsupported);
-        assert_eq!(h.stats().exhausted, 2);
-    }
-
     /// A `fork` from a signal handler that interrupted a growth step finds
     /// that class's lock held by its own thread: the prepare hook takes every
     /// other lock, and the resume hook releases those and leaves that one to
@@ -986,30 +829,5 @@ pub(crate) mod tests {
         assert!(holder(3), "still the growth step's");
         drop(growing);
         assert!((0..NUM_CLASSES).all(|i| !holder(i)), "all free again");
-    }
-
-    #[test]
-    fn fixed_heap_never_grows() {
-        let h = heap(0xF1);
-        let mut last = None;
-        while let Some(slot) = h.alloc(16 * 1024) {
-            last = Some(slot);
-        }
-        assert!(last.is_some());
-        assert_eq!(h.growth_events(), 0);
-        assert_eq!(h.try_alloc(16 * 1024), AllocOutcome::Spill);
-    }
-
-    proptest! {
-        /// The locked arm against the shadow model (`engine::tests` runs the
-        /// other one): atomic slot state tracks the model through mixed
-        /// alloc/free traffic.
-        #[test]
-        fn sharded_matches_shadow_model(
-            seed in any::<u64>(),
-            ops in proptest::collection::vec((0usize..3, 1usize..20_000), 1..300),
-        ) {
-            matches_shadow_model(&heap(seed), false, seed, ops);
-        }
     }
 }

@@ -266,31 +266,6 @@ fn mixed_history_identical_before_and_after_growth() {
     }
 }
 
-/// Elastic with fraction 0 *is* the fixed heap: initial == maximum, zero
-/// growth events, and a bit-identical mixed history against `new`.
-#[test]
-fn elastic_fraction_zero_is_bit_identical_to_fixed() {
-    let seed = 0xF1DE77;
-    let fixed: Heap = Heap::new(HeapConfig::default(), seed).unwrap();
-    let elastic: Heap = Heap::new_elastic(HeapConfig::default(), seed, 0).unwrap();
-    let mut rng = Mwc::seeded(seed ^ 1);
-    let mut live: Vec<usize> = Vec::new();
-    for _ in 0..5000usize {
-        if rng.below(2) == 0 || live.is_empty() {
-            let size = 1 + rng.below(16 * 1024);
-            let f = fixed.alloc(size);
-            assert_eq!(f, elastic.alloc(size));
-            if let Some(slot) = f {
-                live.push(fixed.offset_of(slot));
-            }
-        } else {
-            let off = live.swap_remove(rng.below(live.len()));
-            assert_eq!(fixed.free_at(off), elastic.free_at(off));
-        }
-    }
-    assert_eq!(elastic.growth_events(), 0);
-}
-
 /// Growth racing lock-free allocations and frees: 8 threads push one class
 /// from its 1/64 start to its maximum with no frees in flight, so the
 /// ticket cap makes the outcome exact — the served total is the full-size

@@ -17,7 +17,7 @@
 //! on [`DieHard::strncpy`]. The dups need no bound: they scan the source
 //! once and copy it into a fresh object sized for it.
 //! Everything is backed by one process-wide
-//! [`DieHard`](diehard_core::global::DieHard) heap built with
+//! [`DieHard`] heap built with
 //! [`elastic_from_env`](diehard_core::global::DieHard::elastic_from_env):
 //! classes start at `1/2^9` of their configured maximum
 //! ([`DEFAULT_GROW_LOG2`]: 64 KiB of a 32 MB region, so a class is resident
@@ -82,7 +82,7 @@
 //! * **Bootstrap allocations.** The dynamic loader and early libc can call
 //!   `malloc` before the real heap can exist, and glibc re-enters `malloc`
 //!   from inside our own machinery (growing the `pthread_atfork` handler
-//!   list, TSD bookkeeping). Those requests are served from [`arena`]: a
+//!   list, TSD bookkeeping). Those requests are served from `arena`: a
 //!   fixed 1 MB static bump region whose blocks carry a 16-byte size
 //!   header. Arena blocks are recognized by address range — `free` on them
 //!   is a no-op (the arena never recycles), `realloc` copies out of them

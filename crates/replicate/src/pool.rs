@@ -106,8 +106,8 @@ pub struct Pool {
 
 impl Pool {
     /// A pool that pre-spawns up to `target` replica sets of
-    /// `config.command`. Depth 0 never pre-spawns — [`acquire`]
-    /// (`Self::acquire`) then always takes the cold path.
+    /// `config.command`. Depth 0 never pre-spawns —
+    /// [`acquire`](Self::acquire) then always takes the cold path.
     ///
     /// # Errors
     ///

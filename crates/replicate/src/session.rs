@@ -41,7 +41,7 @@
 //! then takes whatever the staging did not (a short write or `tee`, a
 //! staging pipe that could not be made) by a direct write, so staging is
 //! only a prefix of the one feeding path. A window one replica takes, and a
-//! window of at most one [`CHUNK`](crate::CHUNK), are written directly:
+//! window of at most one [`CHUNK`], are written directly:
 //! there is nothing to duplicate, or too little to pay for the staging
 //! pipes' system calls. The window starts at one chunk and doubles after a
 //! brim-full read, so a one-chunk request is never staged and a stream is

@@ -2,7 +2,7 @@
 //! classifies what happened.
 //!
 //! Correctness follows the paper's §3 definition operationally: the same
-//! program is run once against the [`InfiniteHeap`](diehard_sim::InfiniteHeap)
+//! program is run once against the [`InfiniteHeap`]
 //! oracle (where memory errors are benign by construction) and its output is
 //! the ground truth. A run under any real allocator is **correct** iff it
 //! completes with identical output; otherwise it crashed, hung, aborted, or

@@ -13,7 +13,7 @@
 //!   "perform between 100,000 and 1,700,000 memory operations per second"
 //!   (§7.1): tiny compute per memory op.
 //! * **General-purpose** (SPECint2000-like) — allocator cost diluted by
-//!   application work; `253.perlbmk` "spend[s] around 12.5% of its
+//!   application work; `253.perlbmk` "spend\[s\] around 12.5% of its
 //!   execution doing memory operations" and `300.twolf` "uses a wide range
 //!   of object sizes" (§7.2.1).
 

@@ -7,18 +7,18 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! * [`core`](diehard_core) — the DieHard algorithm and a real
+//! * [`core`] — the DieHard algorithm and a real
 //!   `#[global_allocator]`, on `core` and `alloc` only;
-//! * [`sim`](diehard_sim) — the simulated address space, DieHard-on-sim,
+//! * [`sim`] — the simulated address space, DieHard-on-sim,
 //!   the infinite-heap oracle, and the analysis (Theorems 1–3);
-//! * [`baselines`](diehard_baselines) — Lea/dlmalloc-style, BDW-GC-style,
+//! * [`baselines`] — Lea/dlmalloc-style, BDW-GC-style,
 //!   and Windows-style allocators;
-//! * [`runtime`](diehard_runtime) — the op-stream executor, Table 1 system
+//! * [`runtime`] — the op-stream executor, Table 1 system
 //!   emulators, in-process replication, heap differencing;
-//! * [`inject`](diehard_inject) — allocation tracing and fault injection;
-//! * [`workloads`](diehard_workloads) — the paper's benchmark suite as
+//! * [`inject`] — allocation tracing and fault injection;
+//! * [`workloads`] — the paper's benchmark suite as
 //!   deterministic allocation profiles, plus squid-sim;
-//! * [`replicate`](diehard_replicate) — subprocess replication (`diehard`
+//! * [`replicate`] — subprocess replication (`diehard`
 //!   launcher binary).
 //!
 //! ## Quick start

@@ -185,172 +185,3 @@ fn erroneous_free_storm_leaves_heap_consistent() {
     );
     assert_eq!(heap.core().in_use(), 0);
 }
-
-mod magazine_ab {
-    //! The A/B of `magazine::MagazineCache` against the heap: same master
-    //! seeds, same logical churn, statistically indistinguishable placement
-    //! (§4.2's uniform randomness). The cache is a pass-through now, kept
-    //! as the frozen benchmark package's import path, so this pins that its
-    //! `core.magazine.*` ledger rows time the heap's own placement.
-
-    use diehard::core::magazine::MagazineCache;
-    use diehard::prelude::*;
-
-    const CLASS_64B: usize = 3;
-
-    /// The two designs under a common allocation interface.
-    trait Driver {
-        fn alloc64(&mut self) -> Option<Slot>;
-        fn free(&mut self, offset: usize);
-        fn offset_of(&self, slot: Slot) -> usize;
-    }
-
-    impl Driver for &Heap {
-        fn alloc64(&mut self) -> Option<Slot> {
-            self.alloc(64)
-        }
-        fn free(&mut self, offset: usize) {
-            assert!(self.free_at(offset).freed());
-        }
-        fn offset_of(&self, slot: Slot) -> usize {
-            Heap::offset_of(self, slot)
-        }
-    }
-
-    impl Driver for (&Heap, MagazineCache<'_>) {
-        fn alloc64(&mut self) -> Option<Slot> {
-            self.1.alloc(64)
-        }
-        fn free(&mut self, offset: usize) {
-            assert!(self.1.free_at(offset).freed());
-        }
-        fn offset_of(&self, slot: Slot) -> usize {
-            self.0.offset_of(slot)
-        }
-    }
-
-    /// The shared churn: `ops` 64-byte allocations into a `window`-sized
-    /// sliding set with seeded-random evictions, recording every
-    /// allocation's slot index.
-    fn churn(seed: u64, driver: &mut impl Driver, ops: usize, window: usize) -> Vec<usize> {
-        let mut rng = Mwc::seeded(seed ^ 0x51AB);
-        let mut live = Vec::new();
-        let mut indices = Vec::with_capacity(ops);
-        for _ in 0..ops {
-            let slot = driver
-                .alloc64()
-                .expect("64 B class cannot exhaust under this window");
-            indices.push(slot.index);
-            live.push(driver.offset_of(slot));
-            if live.len() > window {
-                let victim = live.swap_remove(rng.below(live.len()));
-                driver.free(victim);
-            }
-        }
-        indices
-    }
-
-    /// Chi-square over slot indices across many seeds (the acceptance
-    /// criterion): bucket every allocation's slot index, accumulate
-    /// histograms for both designs over all seeds, and require the
-    /// two-sample homogeneity statistic to stay below the α = 0.001
-    /// critical value for 31 degrees of freedom (≈ 61.1).
-    ///
-    /// For the same master seed the statistic is expected to be *tiny*,
-    /// not merely sub-critical: both accept placements from the same
-    /// per-class probe stream. A cache that abandoned the partition's own
-    /// probe loop — carving deterministic runs, a per-thread cursor, a
-    /// different RNG — would cluster each seed's placements away from the
-    /// heap's and blow far past the bound.
-    #[test]
-    fn magazine_placement_matches_sharded_distribution() {
-        const SEEDS: u64 = 60;
-        const BUCKETS: usize = 32;
-        const OPS: usize = 600;
-        const WINDOW: usize = 300;
-        // A dense region — 64 KB gives the 64 B class 1024 slots, 512 live
-        // cap — so the ~300-object window keeps occupancy near 40% and the
-        // probe loop collides regularly: a cache that changed *which* slots
-        // are occupied at each draw would show there, where on a sparse
-        // region any design emits the raw RNG stream.
-        let config = HeapConfig::default().with_region_bytes(64 * 1024);
-        let capacity = config.capacity(SizeClass::from_index(CLASS_64B));
-        let mut sharded_hist = [0u64; BUCKETS];
-        let mut magazine_hist = [0u64; BUCKETS];
-
-        for seed in 0..SEEDS {
-            let sharded: Heap = Heap::new(config.clone(), seed).unwrap();
-            for idx in churn(seed, &mut (&sharded), OPS, WINDOW) {
-                sharded_hist[idx * BUCKETS / capacity] += 1;
-            }
-
-            let magazine: Heap = Heap::new(config.clone(), seed).unwrap();
-            let mut driver = (&magazine, magazine.thread_cache());
-            for idx in churn(seed, &mut driver, OPS, WINDOW) {
-                magazine_hist[idx * BUCKETS / capacity] += 1;
-            }
-        }
-
-        let n_sharded: u64 = sharded_hist.iter().sum();
-        let n_magazine: u64 = magazine_hist.iter().sum();
-        assert_eq!(n_sharded, SEEDS * OPS as u64);
-        assert_eq!(n_magazine, SEEDS * OPS as u64);
-
-        let total = (n_sharded + n_magazine) as f64;
-        let mut chi2 = 0.0;
-        for b in 0..BUCKETS {
-            let row = (sharded_hist[b] + magazine_hist[b]) as f64;
-            if row == 0.0 {
-                continue;
-            }
-            let exp_sharded = row * n_sharded as f64 / total;
-            let exp_magazine = row * n_magazine as f64 / total;
-            chi2 += (sharded_hist[b] as f64 - exp_sharded).powi(2) / exp_sharded;
-            chi2 += (magazine_hist[b] as f64 - exp_magazine).powi(2) / exp_magazine;
-        }
-        eprintln!("placement chi-square = {chi2:.2}");
-        assert!(
-            chi2 < 61.1,
-            "placement distributions differ: chi-square {chi2:.2} over {BUCKETS} buckets \
-             exceeds the df=31, alpha=0.001 critical value"
-        );
-    }
-
-    /// Layout statistics A/B for the paper's §3.1 separation claim: after
-    /// identical churn, the mean free-gap between live objects must agree
-    /// between the designs (the cache must not cluster placements).
-    #[test]
-    fn magazine_layout_statistics_match_sharded() {
-        let class = SizeClass::from_index(CLASS_64B);
-        let mut gaps = Vec::new();
-        for seed in [3u64, 17, 99] {
-            let sharded: Heap = Heap::new(HeapConfig::default(), seed).unwrap();
-            churn(seed, &mut (&sharded), 300, 16);
-            let sharded_gap = sharded
-                .partition(class)
-                .mean_live_gap()
-                .expect("window keeps ≥ 2 live objects");
-
-            let magazine: Heap = Heap::new(HeapConfig::default(), seed).unwrap();
-            let mut driver = (&magazine, magazine.thread_cache());
-            churn(seed, &mut driver, 300, 16);
-            let magazine_gap = magazine
-                .partition(class)
-                .mean_live_gap()
-                .expect("window keeps ≥ 2 live objects");
-
-            let rel = (sharded_gap - magazine_gap).abs() / sharded_gap;
-            assert!(
-                rel < 0.35,
-                "seed {seed}: mean live gap diverged — sharded {sharded_gap:.1}, \
-                 magazine {magazine_gap:.1}"
-            );
-            gaps.push((sharded_gap, magazine_gap));
-        }
-        // Both designs keep objects far apart on the sparse region
-        // (capacity 16384, ≤ 17 live): gaps of hundreds of slots.
-        for (s, m) in gaps {
-            assert!(s > 100.0 && m > 100.0, "gaps implausibly small: {s} {m}");
-        }
-    }
-}
