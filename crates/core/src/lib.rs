@@ -39,8 +39,9 @@
 //! * [`global`] *(Unix)* — a real `#[global_allocator]` built on `mmap`,
 //!   with guard-paged large objects, sharded per class.
 //! * `spec` *(tests only)* — §4 and §9's elastic heap as a plain
-//!   executable model, fixed and elastic, with promotion, which the heap is
-//!   held to, op for op.
+//!   executable model, fixed and elastic, with promotion, which the heap —
+//!   in each arm, with a promote hook and without — and `DieHard` in each
+//!   arm are held to, op for op: the one placement oracle.
 //!
 //! ## `core` only
 //!

@@ -350,48 +350,34 @@ pub fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Reads a 64-bit truly random seed, preferring `/dev/urandom` exactly as the
-/// Linux version of DieHard does (§4.1).
+/// Reads a 64-bit truly random seed from the kernel's pool — the one
+/// `/dev/urandom` serves, as the Linux version of DieHard reads it (§4.1) —
+/// with one `getrandom(2)` call, which needs no file descriptor: it works
+/// at `RLIMIT_NOFILE` and leaves nothing for a concurrent `fork` + `exec`
+/// to inherit.
 ///
 /// This implementation is allocation-free so it can run inside the global
-/// allocator. When `/dev/urandom` cannot be read (non-Unix platforms or a
-/// sandboxed environment), it falls back to hashing the current time and a
-/// stack address (ASLR entropy).
+/// allocator. When the call fails (non-Unix platforms, a kernel before
+/// 3.17, a sandbox that refuses it), it falls back to hashing the current
+/// time and a stack address (ASLR entropy).
 #[must_use]
 pub fn entropy_seed() -> u64 {
-    if let Some(seed) = urandom_seed() {
-        return seed;
-    }
-    fallback_seed()
+    kernel_seed().unwrap_or_else(fallback_seed)
 }
 
+/// Eight bytes of the kernel's pool, or `None` when `getrandom(2)` does not
+/// hand over all eight.
 #[cfg(unix)]
-fn urandom_seed() -> Option<u64> {
-    // Raw libc calls: no heap allocation, safe to run inside malloc.
-    let path = b"/dev/urandom\0";
-    // SAFETY: `path` is a valid NUL-terminated string; O_RDONLY has no
-    // required mode argument.
-    let fd = unsafe { libc::open(path.as_ptr().cast::<libc::c_char>(), libc::O_RDONLY) };
-    if fd < 0 {
-        return None;
-    }
+fn kernel_seed() -> Option<u64> {
     let mut buf = [0u8; 8];
-    // SAFETY: `buf` is valid for 8 writable bytes, and `fd` was returned by
-    // `open` above and is closed once, after the read.
-    let n = unsafe {
-        let n = libc::read(fd, buf.as_mut_ptr().cast::<libc::c_void>(), 8);
-        libc::close(fd);
-        n
-    };
-    if n == 8 {
-        Some(u64::from_ne_bytes(buf))
-    } else {
-        None
-    }
+    // SAFETY: `buf` is valid for 8 writable bytes; flags 0 reads the
+    // `/dev/urandom` pool (no allocation: safe to run inside malloc).
+    let n = unsafe { libc::getrandom(buf.as_mut_ptr().cast::<libc::c_void>(), 8, 0) };
+    (n == 8).then(|| u64::from_ne_bytes(buf))
 }
 
 #[cfg(not(unix))]
-fn urandom_seed() -> Option<u64> {
+fn kernel_seed() -> Option<u64> {
     None
 }
 
@@ -585,6 +571,37 @@ mod tests {
     fn entropy_seed_varies() {
         // Two reads should essentially never agree.
         assert_ne!(entropy_seed(), entropy_seed());
+    }
+
+    /// The seed needs no file descriptor: a forked child that may open
+    /// none (`RLIMIT_NOFILE` 0) still reads the kernel's pool, where an
+    /// `open` of `/dev/urandom` fails and the seed falls back to the clock.
+    #[test]
+    fn the_kernel_seed_needs_no_file_descriptor() {
+        // SAFETY: the child makes only system calls (`setrlimit`,
+        // `getrandom`) and leaves by `_exit`: no lock another thread of this
+        // process may hold.
+        let pid = unsafe { libc::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            let none = libc::rlimit {
+                rlim_cur: 0,
+                rlim_max: 0,
+            };
+            // SAFETY: `none` is a valid `rlimit`; the child then exits.
+            unsafe {
+                let limited = libc::setrlimit(libc::RLIMIT_NOFILE, &raw const none) == 0;
+                libc::_exit(if limited && kernel_seed().is_some() {
+                    0
+                } else {
+                    1
+                });
+            }
+        }
+        let mut status = -1;
+        // SAFETY: `pid` is this process's child; `status` is a live out-pointer.
+        assert_eq!(unsafe { libc::waitpid(pid, &raw mut status, 0) }, pid);
+        assert_eq!(status, 0, "no descriptor left, and still a kernel seed");
     }
 
     #[test]

@@ -554,22 +554,16 @@ impl Heap {
     }
 
     /// Live objects across all regions — the sum of the twelve `1/M`
-    /// tickets (the paper's `inUse`). Twelve relaxed loads, O(1) in the
+    /// tickets (the paper's `inUse`): every ticket holder's slot is live
+    /// once its allocation returns. Twelve relaxed loads, O(1) in the
     /// heap's size; an instantaneous total only when the heap is quiescent.
     #[must_use]
-    pub fn in_use(&self) -> usize {
+    pub fn live_objects(&self) -> usize {
         self.partitions.iter().map(AtomicPartition::in_use).sum()
     }
 
-    /// Live objects across all regions: [`in_use`](Self::in_use), which it
-    /// is — every ticket holder's slot is live once its allocation returns.
-    #[must_use]
-    pub fn live_objects(&self) -> usize {
-        self.in_use()
-    }
-
     /// Live bytes across all regions (rounded object sizes); O(1) and
-    /// quiescence-exact like [`in_use`](Self::in_use).
+    /// quiescence-exact like [`live_objects`](Self::live_objects).
     #[must_use]
     pub fn live_bytes(&self) -> usize {
         let bytes = |p: &AtomicPartition| p.in_use() * p.class().object_size();

@@ -36,8 +36,10 @@
 //!
 //! It is one protocol, not two paths: the callers are single-copy and draw
 //! the same numbers in the same order, so per-seed histories are
-//! bit-identical in either arm (pinned by `tests/single_thread.rs`, which
-//! runs both in one process).
+//! bit-identical in either arm (pinned by `spec`, which holds each arm of
+//! the heap and of `DieHard` to one model, op for op, and by
+//! `tests/single_thread.rs`, which runs both arms through `DieHard`'s public
+//! path in one process).
 //!
 //! `sole_thread()` is one byte load of glibc's `__libc_single_threaded`
 //! on glibc, and a constant `false` everywhere else, which compiles the

@@ -1,25 +1,22 @@
 //! Integration suite for elastic region growth: the §9 adaptive-heap idea,
-//! one mechanism in one heap. A heap born at a fraction of its
-//! maximum capacity must absorb a max-capacity workload by climbing its
-//! quarter-band ladder under `1/M`-cap pressure (no OOM), spill — not crash —
-//! past the final cap, never hold more than a quarter (and one step) above
-//! `M` × what has been live,
-//! keep single-threaded histories bit-identical, and
-//! keep its statistics exact while growth races allocations and frees — and
-//! stay bit-identical through huge-page promotions
-//! (advice draws no random numbers and moves no object), which a class gets
-//! at the growth step that completes each whole huge page of its active
-//! range, once. The libtest harness is threaded, so everything here runs
-//! the locked arm; `single_thread.rs` records the same histories alone, in
-//! the load + store arm, and requires them equal. Run with
+//! one mechanism in one heap. A heap born at a fraction of its maximum
+//! capacity must absorb a max-capacity workload by climbing its
+//! quarter-band ladder under `1/M`-cap pressure (no OOM), spill — not
+//! crash — past the final cap, never hold more than a quarter (and one
+//! step) above `M` × what has been live, keep its statistics exact while
+//! growth races allocations and frees, and hand the promote hook each whole
+//! huge page of a class's active range once, at the growth step that
+//! completes it. What a single-threaded history places, counts and offers
+//! step by step, in either arm, with a hook or without, is `spec`'s to
+//! check against its model (`crates/core/src/spec.rs`); these tests check
+//! what only many threads or long runs show. The libtest harness is
+//! threaded, so everything here runs the locked arm. Run with
 //! `RUST_TEST_THREADS=8` in CI so the race tests overlap with each other as
 //! well as within themselves.
 
-mod common;
-
-use common::{record, START_64K_LOG2};
 use diehard_core::config::HeapConfig;
 use diehard_core::engine::AllocOutcome;
+use diehard_core::global::DEFAULT_GROW_LOG2;
 use diehard_core::partition::Partition;
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::HUGE_PAGE;
@@ -132,138 +129,6 @@ fn assert_promotions_follow_the_ladder(heap: &Heap, ctx: usize, class: SizeClass
         "class {} at {capacity} slots",
         class.index()
     );
-}
-
-/// The ladder history of [`single_threaded_histories_identical_across_layers`]
-/// ([`common::ladder_sizes`]) on one heap, by one path. Returns the trace
-/// and the capacity of the 64-byte class when its promotion was first seen.
-fn ladder(heap: &Heap, seed: u64, mixed: usize) -> (common::Trace, Option<usize>) {
-    let small = SizeClass::for_size(8).unwrap();
-    let hot = SizeClass::for_size(64).unwrap();
-    let small_hot = mixed + 1024;
-    let mut promoted_at = None;
-    let trace = record(heap, |r| {
-        for (i, size) in common::ladder_sizes(heap.config(), seed, mixed).enumerate() {
-            let at = r.alloc(size);
-            assert!(
-                at.is_some() || i < mixed,
-                "op {i} (size {size}) is under its cap"
-            );
-            let promoted = heap.promoted_classes();
-            assert_eq!(
-                promoted & 1 << small.index(),
-                0,
-                "op {i}: 8 B spans no 2 MB"
-            );
-            if promoted_at.is_none() && promoted & 1 << hot.index() != 0 {
-                assert!(i >= small_hot, "op {i}: 64 B spans no 2 MB yet");
-                promoted_at = Some(heap.partition(hot).capacity());
-            }
-        }
-    });
-    (trace, promoted_at)
-}
-
-/// Single-threaded alloc-only histories are bit-identical with and without
-/// a promote hook at the same seed and start fraction, through **every**
-/// step up to the maximum: growth triggers at the same pressure points in
-/// each and consumes no RNG draws. Two ladders, both columns and their
-/// offsets on both: the §9 experiments' (1 MB regions from 1/64) and the
-/// shipped one (32 MB regions from 64 KiB; `global`'s tests add `DieHard`,
-/// and `single_thread.rs` the load + store arm, recorded alone). On the
-/// shipped ladder the history runs through a
-/// class that is busy and stays small (never promoted), a class promoted at
-/// the step that takes it to one huge page, and the sixteen steps after it,
-/// each of which is offered exactly the huge pages it completed; every
-/// class's calls are its ladder's, and regions smaller than a huge page are
-/// never promoted. None of it is visible in placement.
-#[test]
-fn single_threaded_histories_identical_across_layers() {
-    let seed = 0xD17EC7;
-    let small = SizeClass::for_size(8).unwrap();
-    let hot = SizeClass::for_size(64).unwrap();
-    for (config, fraction, mixed) in common::ladders() {
-        let ctx = 0x1A77 + fraction as usize;
-        let shared: Heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
-        let mut hooked: Heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
-        hooked.set_promote_hook(note_promotion, ctx);
-
-        let (unhooked, _) = ladder(&shared, seed, mixed);
-        let (with_hook, promoted_at) = ladder(&hooked, seed, mixed);
-        // Placements (hence offsets), statistics, growth steps and
-        // per-class probe counts: the hook moves nothing.
-        unhooked.ops.assert_same(&with_hook.ops, "promote hook");
-        assert_eq!(unhooked.stats, with_hook.stats);
-        assert_eq!(unhooked.growths, with_hook.growths);
-        assert_eq!(unhooked.promoted, 0, "no hook, no promotion");
-
-        let max = config.capacity(hot);
-        for capacity in [
-            shared.partition(hot).capacity(),
-            hooked.partition(hot).capacity(),
-        ] {
-            assert_eq!(capacity, max);
-        }
-        assert!(
-            with_hook.probe_stats[small.index()].0 >= 1024,
-            "the 8-byte class is busy"
-        );
-        // Only whole huge pages are promoted: on the 32 MB regions the
-        // 64-byte class from the step that made its range one, and whatever
-        // else grew that far; the 8-byte class never.
-        let promotes = config.region_bytes >= HUGE_PAGE;
-        let mut expected = 0;
-        for class in SizeClass::all() {
-            assert_promotions_follow_the_ladder(&hooked, ctx, class);
-            let capacity = hooked.partition(class).capacity();
-            let offered = !ladder_promotions(&hooked, class, capacity).is_empty();
-            expected |= u32::from(offered) << class.index();
-        }
-        assert_eq!(with_hook.promoted, expected);
-        assert_eq!(expected & 1 << small.index(), 0);
-        assert_eq!(
-            expected & 1 << hot.index(),
-            u32::from(promotes) << hot.index()
-        );
-        assert_eq!(
-            promoted_at,
-            promotes.then_some(HUGE_PAGE / hot.object_size())
-        );
-        let calls = promotions_in(&hooked, ctx, hot);
-        assert_eq!(
-            calls.first().map(|call| call.1),
-            promotes.then_some(HUGE_PAGE)
-        );
-        // 2 MB at 2, 4, 6, … 16 MB, then 4 MB at 20, 24, 28 and 32 MB: the
-        // whole region, each huge page once.
-        assert_eq!(calls.len(), usize::from(promotes) * 12);
-        let offered: usize = calls.iter().map(|call| call.1).sum();
-        assert_eq!(offered, usize::from(promotes) * config.region_bytes);
-    }
-}
-
-/// Mixed alloc/free histories ([`common::mixed_script`]) stay bit-identical
-/// with and without a promote hook, growth included, on the §9 ladder and
-/// on the shipped one (where the hook is called: the 1 KiB class reaches a
-/// huge page): every placement, every free outcome, the statistics,
-/// the per-class probe counts and the growth count agree across 20k
-/// interleaved ops. (`single_thread.rs` requires the load + store arm's
-/// history to be this one.)
-#[test]
-fn mixed_history_identical_before_and_after_growth() {
-    let seed = 0x6F0ED1;
-    for (config, fraction, _) in common::ladders() {
-        let heap: Heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
-        let mut hooked: Heap = Heap::new_elastic(config, seed, fraction).unwrap();
-        hooked.set_promote_hook(note_promotion, 0x6F0 + fraction as usize);
-        let unhooked = record(&heap, common::mixed_script(seed));
-        let with_hook = record(&hooked, common::mixed_script(seed));
-        assert!(unhooked.growths > 0);
-        unhooked.ops.assert_same(&with_hook.ops, "promote hook");
-        assert_eq!(unhooked.stats, with_hook.stats);
-        assert_eq!(unhooked.growths, with_hook.growths);
-        assert_eq!(unhooked.probe_stats, with_hook.probe_stats);
-    }
 }
 
 /// Growth racing lock-free allocations and frees: 8 threads push one class
@@ -401,11 +266,11 @@ fn allocations_and_frees_race_growth_and_reconcile() {
 /// 4, 6 and 8 MB; not 2.5, 3, 3.5, 5 or 7 — hands the hook exactly that
 /// page, once.
 #[test]
-fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
+fn each_huge_page_is_offered_once_at_the_step_that_completes_it() {
     const CTX: usize = 0x0DD;
     let config = HeapConfig::paper_default();
     let hot = SizeClass::for_size(64).expect("64 B is a small object");
-    let mut heap: Heap = Heap::new_elastic(config, 0x0DD, START_64K_LOG2).unwrap();
+    let mut heap: Heap = Heap::new_elastic(config, 0x0DD, DEFAULT_GROW_LOG2).unwrap();
     heap.set_promote_hook(note_promotion, CTX);
     let active = |heap: &Heap| heap.partition(hot).capacity() * hot.object_size();
     assert_eq!(active(&heap), 64 << 10);
@@ -440,40 +305,6 @@ fn uncached_path_promotes_at_the_first_doubling_past_the_threshold() {
     );
 }
 
-/// One rule in either arm. A heap with a hook takes the 16 KiB class from
-/// its 64 KiB start to 2 MB with 57 objects live — far fewer allocations
-/// than one huge page has base pages — then churns 500 free + alloc pairs
-/// below its threshold ([`common::promote_script`]). The hook is handed the
-/// one huge page at the step that completed it and nothing at any
-/// allocation after it: the ladder's call list. (`single_thread.rs` records
-/// the same script alone, in the load + store arm, and requires the same
-/// trace and the same calls.)
-#[test]
-fn every_arm_promotes_at_the_step_that_completes_a_huge_page() {
-    const CTX: usize = 0x3A1;
-    let seed = 0x57E9;
-    let config = HeapConfig::paper_default();
-    let class = SizeClass::for_size(common::PROMOTE_SIZE).unwrap();
-    // The step to 2 MB follows the object that finds the 1.75 MB range's
-    // `1/M` allowance used up.
-    let live = config.threshold_for(HUGE_PAGE / 8 * 7 / common::PROMOTE_SIZE) + 1;
-    assert_eq!(live, common::PROMOTE_LIVE);
-    let mut heap: Heap = Heap::new_elastic(config, seed, START_64K_LOG2).unwrap();
-    heap.set_promote_hook(note_promotion, CTX);
-    let trace = record(&heap, common::promote_script(seed));
-    assert_eq!(trace.stats.allocs, (live + common::PROMOTE_CHURN) as u64);
-    let capacity = heap.partition(class).capacity();
-    assert_eq!(
-        capacity * common::PROMOTE_SIZE,
-        HUGE_PAGE,
-        "the churn grew nothing"
-    );
-    let expected = ladder_promotions(&heap, class, capacity);
-    assert_eq!(expected, [(heap.geometry().region_base(class), HUGE_PAGE)]);
-    assert_eq!(promotions_of(CTX), expected);
-    assert_eq!(trace.promoted, 1 << class.index());
-}
-
 /// Track what is live: `churn_host`'s size mix held at 50 000 live objects,
 /// through the shipped geometry, leaves every class it grew within a quarter
 /// (and one step) of `M` × the most that was ever live in it — where a
@@ -486,7 +317,7 @@ fn active_ranges_stay_within_a_quarter_of_m_times_peak_live() {
     const OPS: usize = 100_000;
     const M: usize = 2; // `paper_default`'s multiplier
     let mut heap: Heap =
-        Heap::new_elastic(HeapConfig::paper_default(), 0xC4F, START_64K_LOG2).unwrap();
+        Heap::new_elastic(HeapConfig::paper_default(), 0xC4F, DEFAULT_GROW_LOG2).unwrap();
     heap.set_promote_hook(note_promotion, CTX);
     let mut rng = Mwc::seeded(0xC4F ^ 0x5EED);
     let (mut live, mut peak) = ([0usize; 12], [0usize; 12]);

@@ -1,36 +1,29 @@
-//! Both arms of [`diehard_core::sync::Word`] in one process.
+//! Both arms of [`diehard_core::sync::Word`] in one process, through
+//! `DieHard`'s public path.
 //!
 //! While a process has one thread the shipped allocator's read-modify-writes
 //! are a load and a store; from its first `pthread_create` on they are locked
 //! instructions (`sync`'s module docs). `cargo test`'s harness is threaded,
-//! so nothing it runs ever executes the first arm — hence `harness = false`:
-//! `main` starts alone, drives a scripted history on fixed-seed heaps — the
-//! shared heap and `DieHard` — parks a second thread (which flips glibc's
-//! `__libc_single_threaded` for good), drives the same history again on
-//! fresh heaps with the same seeds, and requires the heap's traces of the
-//! two arms to be bit-identical: every placement, every free outcome, probe
-//! and heap statistics, growth steps, promotions. Each drive also records
-//! the histories `growth.rs` pins (both ladders, the mixed history on both,
-//! and the promotion script, with the promote hook's calls): `growth.rs`
-//! runs them in the locked arm only, and here each one's load + store trace
-//! must equal its locked one.
+//! so nothing it runs ever reaches the first arm the way a host does — hence
+//! `harness = false`. What each arm places and counts, op for op, is
+//! `spec`'s to check against its model (`crates/core/src/spec.rs` calls both
+//! arms' bodies directly); this file checks what needs a lone process:
 //!
-//! `DieHard` takes the heap's one path in each arm, so in both its
-//! placements and counters must be that trace's. Alone it also diverts a
-//! call made inside a guarded one, and a fork child of the lone process
-//! keeps allocating on its copy of the heap.
-//!
-//! Then the handover: objects allocated and pattern-filled *before* the
-//! first spawn — slot states, tickets and counters all written with plain
-//! stores, some freed again — must be settled the moment the process stops
-//! being alone: the counters exact, because a call holds nothing outside
-//! the heap. The objects are then freed from four new threads while the
-//! main thread keeps churning the same heap. Contents are checked at every
-//! free, and at quiescence the books must balance exactly.
+//! * **Arm selection.** `main` starts alone and runs one inline script on a
+//!   fresh fixed-seed `DieHard` through `malloc` and `free`, which read the
+//!   thread count themselves; it parks a second thread (which flips glibc's
+//!   `__libc_single_threaded` for good) and runs the script again on a fresh
+//!   one. Placements, counters and promoted classes must be equal.
+//! * Alone, a call made inside a guarded one is diverted, and a fork child
+//!   of the lone process keeps allocating on its copy of the heap.
+//! * **The handover**: objects allocated and pattern-filled *before* the
+//!   first spawn — slot states, tickets and counters all written with plain
+//!   stores, some freed again — must be settled the moment the process stops
+//!   being alone: the counters exact, because a call holds nothing outside
+//!   the heap. The objects are then freed from four new threads while the
+//!   main thread keeps churning the same heap. Contents are checked at every
+//!   free, and at quiescence the books must balance exactly.
 
-mod common;
-
-use common::{drive, record, Ops, Path, Recorder, Trace, START_64K_LOG2};
 use diehard_core::config::HeapConfig;
 use diehard_core::engine::HeapStats;
 use diehard_core::global::{with_guard, DieHard, DEFAULT_GROW_LOG2};
@@ -38,11 +31,10 @@ use diehard_core::rng::Mwc;
 use diehard_core::sharded::HUGE_PAGE;
 use diehard_core::size_class::{SizeClass, NUM_CLASSES};
 use diehard_core::sync::sole_thread;
-use diehard_core::Heap;
 use std::alloc::Layout;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Barrier, Mutex};
+use std::sync::{mpsc, Barrier};
 
 const SEED: u64 = 0x501E_7EAD;
 
@@ -51,199 +43,76 @@ const SEED: u64 = 0x501E_7EAD;
 const MADE_ALONE: usize = 20_000;
 const FREED_ALONE: usize = 300;
 
-/// A [`PromoteHook`](diehard_core::sharded::PromoteHook) for the heaps that
-/// own no memory: without one they never promote. What it is called with is
-/// `growth.rs`'s business; here the promoted masks are compared.
-fn no_memory_to_advise(_ctx: usize, _offset: usize, _len: usize) {}
-
-/// Every `(offset, len)` a [`note_promotion`] hook has been handed since
-/// [`growth_histories`] last took them.
-static PROMOTIONS: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
-
-/// The promote hook of the `growth.rs` histories: takes notes.
-fn note_promotion(_ctx: usize, offset: usize, len: usize) {
-    PROMOTIONS.lock().unwrap().push((offset, len));
+/// What [`script`] left behind.
+#[derive(Debug, PartialEq)]
+struct Run {
+    /// Each placement's address relative to the first (the span's address
+    /// is the kernel's choice; everything inside it is the seed's).
+    placed: Vec<usize>,
+    stats: HeapStats,
+    promoted: u32,
 }
 
-/// `growth.rs`'s shipped-ladder history (32 MB regions from a 64 KiB start:
-/// sizes spread evenly over all twelve classes, then the 8-byte class busy but small, then
-/// the 64-byte class through every step up to 4 MB — past the one that
-/// promotes it and the one that completes its second huge page), with frees
-/// mixed in: every fourth step frees a random live object, and every tenth
-/// of those frees it twice (the second must be ignored, §4.3).
-fn script(r: &mut Recorder<'_>) {
+/// The inline script, on a fresh `DieHard` of the shipped geometry (32 MB
+/// regions from a 64 KiB start): sizes spread evenly over all twelve
+/// classes, then the 8-byte class busy but small, then the 64-byte class
+/// through every step up to 4 MB — past the one that promotes it and the
+/// one that completes its second huge page — with frees mixed in: every
+/// fourth step frees a random live object, and every tenth of those frees
+/// it twice (the second must be ignored, §4.3).
+fn script() -> Run {
     const MIXED: usize = 300;
-    let small_hot = MIXED + 1024;
+    let config = HeapConfig::paper_default();
     // The 64-byte class steps from 3.5 MB to 4 MB when its live count meets
     // the 3.5 MB range's `1/M` allowance.
-    let hot_live = HeapConfig::paper_default().threshold_for(7 * HUGE_PAGE / 4 / 64) + 64;
+    let hot_live = config.threshold_for(7 * HUGE_PAGE / 4 / 64) + 64;
+    let heap = DieHard::with_elastic_config(config, SEED, DEFAULT_GROW_LOG2);
     let mut rng = Mwc::seeded(SEED ^ 0x5EED);
     // Live objects as `(address, size)`, and how many of them are 64 B.
-    let mut live: Vec<(usize, usize)> = Vec::new();
-    let mut hot = 0usize;
-    let mut frees = 0usize;
-    let mut step = 0usize;
+    let mut live: Vec<(*mut u8, usize)> = Vec::new();
+    let (mut placed, mut hot, mut frees, mut step) = (Vec::new(), 0usize, 0usize, 0usize);
     while hot < hot_live {
         step += 1;
         if step.is_multiple_of(4) {
             let (victim, size) = live.swap_remove(rng.below(live.len()));
             hot -= usize::from(size == 64);
-            r.free(victim);
+            heap.free(victim);
             frees += 1;
             if frees.is_multiple_of(10) {
-                r.free(victim);
+                heap.free(victim);
             }
             continue;
         }
-        let allocs = r.ops.placed.len();
-        let size = if allocs < MIXED {
+        let size = match placed.len() {
             // A size of each class in turn's top half: 8 B … 16 KiB.
-            (8 << rng.below(NUM_CLASSES)) - rng.below(4)
-        } else if allocs < small_hot {
-            8
-        } else {
-            64
+            n if n < MIXED => (8 << rng.below(NUM_CLASSES)) - rng.below(4),
+            n if n < MIXED + 1024 => 8,
+            _ => 64,
         };
-        let at = r.alloc(size);
-        live.extend(at.map(|at| (at, size)));
-        hot += usize::from(size == 64 && at.is_some());
+        let p = heap.malloc(size);
+        assert!(!p.is_null(), "step {step}: {size} B");
+        placed.push(p as usize);
+        live.push((p, size));
+        hot += usize::from(size == 64);
+    }
+    let first = placed[0];
+    Run {
+        placed: placed.iter().map(|p| p.wrapping_sub(first)).collect(),
+        stats: heap.stats(),
+        promoted: heap.promoted_classes(),
     }
 }
 
-/// The global allocator as a path: addresses for offsets, and a `free` that
-/// reports nothing.
-impl Path for &DieHard {
-    fn alloc(&mut self, size: usize) -> Option<usize> {
-        let p = self.malloc(size);
-        (!p.is_null()).then_some(p as usize)
-    }
-
-    fn free(&mut self, at: usize) -> bool {
-        DieHard::free(self, at as *mut u8);
-        true
-    }
-}
-
-/// Everything one run-time arm recorded.
-#[derive(Debug)]
-struct Recording {
-    /// The shared heap.
-    heap: Trace,
-    /// `DieHard`'s placements relative to its first (the span's address is
-    /// the kernel's choice; everything inside it is the seed's).
-    global: Ops,
-    global_stats: HeapStats,
-    global_promoted: u32,
-    global_live: usize,
-    /// `growth.rs`'s histories, each with the calls its hook was handed.
-    growth: Vec<(Trace, Vec<(usize, usize)>)>,
-}
-
-/// A fresh fixed-seed heap of the shipped geometry.
-fn fresh() -> Heap {
-    let config = HeapConfig::paper_default();
-    let mut heap = Heap::new_elastic(config, SEED, DEFAULT_GROW_LOG2).unwrap();
-    heap.set_promote_hook(no_memory_to_advise, 0);
-    heap
-}
-
-/// `growth.rs`'s histories with its seeds, on fresh heaps of its two
-/// ladders: the alloc-only ladder history with a promote hook and the mixed
-/// history without one on each, then the promotion script with a hook.
-fn growth_histories() -> Vec<(Trace, Vec<(usize, usize)>)> {
-    let (ladder_seed, mixed_seed, promote_seed) = (0xD17EC7, 0x6F0ED1, 0x57E9);
-    let elastic = |config: &HeapConfig, seed, fraction, hook: bool| {
-        let mut heap = Heap::new_elastic(config.clone(), seed, fraction).unwrap();
-        if hook {
-            heap.set_promote_hook(note_promotion, 0);
-        }
-        heap
-    };
-    let mut histories = Vec::new();
-    let mut keep = |trace| {
-        let calls = std::mem::take(&mut *PROMOTIONS.lock().unwrap());
-        histories.push((trace, calls));
-    };
-    for (config, fraction, mixed) in common::ladders() {
-        let sizes = common::ladder_sizes(&config, ladder_seed, mixed);
-        let heap = elastic(&config, ladder_seed, fraction, true);
-        keep(record(&heap, |r| {
-            for size in sizes {
-                r.alloc(size);
-            }
-        }));
-        let heap = elastic(&config, mixed_seed, fraction, false);
-        keep(record(&heap, common::mixed_script(mixed_seed)));
-    }
-    let config = HeapConfig::paper_default();
-    let heap = elastic(&config, promote_seed, START_64K_LOG2, true);
-    keep(record(&heap, common::promote_script(promote_seed)));
-    histories
-}
-
-/// Drives [`script`] on a fresh fixed-seed heap by each path, then
-/// `growth.rs`'s histories.
-fn drive_all() -> Recording {
-    let heap = record(&fresh(), script);
-
-    let global = DieHard::with_elastic_config(HeapConfig::paper_default(), SEED, DEFAULT_GROW_LOG2);
-    let mut global_ops = drive(&mut &global, script);
-    let first = global_ops.placed[0].expect("the first allocation is placed");
-    for at in global_ops.placed.iter_mut().flatten() {
-        *at = at.wrapping_sub(first);
-    }
-    Recording {
-        heap,
-        global_stats: global.stats(),
-        global_promoted: global.promoted_classes(),
-        global_live: global.live_objects(),
-        global: global_ops,
-        growth: growth_histories(),
-    }
-}
-
-/// The history is worth pinning only if it went where the docs say it goes;
-/// and `DieHard`'s part of it must be the heap's trace, in either arm.
-fn assert_history_covers_the_protocol(r: &Recording) {
+/// The run is worth comparing only if it went where the script's docs say
+/// it goes.
+fn assert_run_covers_the_protocol(run: &Run) {
     let hot = 1u32 << SizeClass::for_size(64).unwrap().index();
-    let promoted = [r.heap.promoted, r.global_promoted];
-    assert_eq!(promoted, [hot; 2], "the 64-byte class, alone, everywhere");
-    // 64 KiB → 4 MB is 24 quarter-band steps of the 64-byte class alone.
-    assert!(r.heap.growths >= 24, "{}", r.heap.growths);
-    for (class, (allocs, probes)) in r.heap.probe_stats.iter().enumerate() {
-        assert!(*allocs > 0, "class {class} was used");
-        assert!(probes >= allocs);
-    }
-    for (column, stats) in [r.heap.stats, r.global_stats].iter().enumerate() {
-        assert!(stats.frees > 1000, "column {column}: {stats:?}");
-        assert!(stats.ignored_frees > 100, "column {column}: {stats:?}");
-        assert_eq!(stats.exhausted, 0, "column {column}: nothing was denied");
-    }
-    let (path, what) = (&r.heap, "DieHard is the heap");
-    assert_eq!(path.stats, r.global_stats, "{what}");
-    assert_eq!(path.ops.placed.len(), r.global.placed.len(), "{what}");
-    let first = path.ops.placed[0].unwrap();
-    let pairs = path.ops.placed.iter().zip(&r.global.placed);
-    for (i, (m, g)) in pairs.enumerate() {
-        assert_eq!(
-            m.map(|off| off.wrapping_sub(first)),
-            *g,
-            "{what}: placement {i}"
-        );
-    }
-    let live = (r.global_stats.allocs - r.global_stats.frees) as usize;
-    assert_eq!(r.global_live, live, "allocs − frees live");
-    for (i, (trace, _)) in r.growth.iter().enumerate() {
-        assert!(trace.growths > 0, "growth.rs history {i} grew");
-    }
-    let promoted = r.growth.iter().map(|(_, calls)| calls.len());
-    assert_eq!(
-        promoted.collect::<Vec<_>>(),
-        [0, 0, 14, 0, 1],
-        "promote calls: none on 1 MB regions; on the shipped ladder twelve for \
-         the 64-byte class's whole region and two for the 16 KiB class, which the \
-         mixed sizes took to 4 MB; one for the promotion script"
-    );
+    assert_eq!(run.promoted, hot, "the 64-byte class, alone");
+    let stats = run.stats;
+    assert!(stats.frees > 1000, "{stats:?}");
+    assert!(stats.ignored_frees > 100, "{stats:?}");
+    assert_eq!(stats.exhausted, 0, "nothing was denied");
+    assert_eq!(stats.allocs, run.placed.len() as u64);
 }
 
 /// The byte every byte of object `id` holds.
@@ -402,8 +271,8 @@ fn handover(heap: &DieHard, before: Vec<(usize, usize, usize)>) {
 
 fn main() {
     // Off glibc there is no flag to read and only the locked arm exists
-    // (`sole_thread()` is a constant `false`): the history is driven once,
-    // for its coverage checks, and the handover runs as everywhere.
+    // (`sole_thread()` is a constant `false`): the script runs once, for its
+    // coverage checks, and the handover runs as everywhere.
     let two_arms = cfg!(target_env = "gnu");
     assert_eq!(
         sole_thread(),
@@ -411,7 +280,7 @@ fn main() {
         "a `harness = false` test starts with one thread, and on glibc the \
          allocator must see that"
     );
-    let alone = two_arms.then(drive_all);
+    let alone = two_arms.then(script);
 
     nested_calls_are_diverted_alone();
 
@@ -439,17 +308,14 @@ fn main() {
     assert!(!sole_thread(), "pthread_create cleared the byte");
 
     alone_leaves_nothing_to_hand_over(&heap, &freed);
-    let threaded = drive_all();
-    assert_history_covers_the_protocol(&threaded);
+    let threaded = script();
+    assert_run_covers_the_protocol(&threaded);
     if let Some(alone) = &alone {
-        assert_history_covers_the_protocol(alone);
-        let arms = "the two arms must record the same history";
-        alone.heap.assert_same(&threaded.heap, arms);
-        for (i, (a, b)) in alone.growth.iter().zip(&threaded.growth).enumerate() {
-            let what = format!("growth.rs history {i}: {arms}");
-            a.0.assert_same(&b.0, &what);
-            assert_eq!(a.1, b.1, "{what}: promote hook calls");
-        }
+        assert_run_covers_the_protocol(alone);
+        let mut pairs = alone.placed.iter().zip(&threaded.placed);
+        let diverged = pairs.position(|(a, b)| a != b);
+        assert_eq!(diverged, None, "the first placement the arms disagree on");
+        assert_eq!(alone, &threaded, "the two arms must run the same history");
     }
 
     handover(&heap, before);
@@ -459,25 +325,16 @@ fn main() {
         helper.join().expect("helper"),
         "parked until the sender dropped"
     );
-    let growth = |count: fn(&Ops) -> usize| -> usize {
-        threaded
-            .growth
-            .iter()
-            .map(|(trace, _)| count(&trace.ops))
-            .sum()
-    };
     println!(
-        "single_thread: {} placements, {} frees and all counters {} (the heap and \
-         DieHard, and growth.rs's {} histories); nested calls diverted and a fork \
-         child served alone; 20000 objects made alone, nothing left to hand over, \
-         then freed by 4 threads",
-        threaded.heap.ops.placed.len() * 2 + growth(|ops| ops.placed.len()),
-        threaded.heap.ops.freed.len() * 2 + growth(|ops| ops.freed.len()),
+        "single_thread: {} placements and {} frees through DieHard's public path, {}; \
+         nested calls diverted and a fork child served alone; 20000 objects made \
+         alone, nothing left to hand over, then freed by 4 threads",
+        threaded.placed.len(),
+        threaded.stats.frees + threaded.stats.ignored_frees,
         if two_arms {
             "identical in both arms"
         } else {
-            "recorded in the locked arm (no glibc: it is the only one)"
+            "in the locked arm (no glibc: it is the only one)"
         },
-        threaded.growth.len(),
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! The build container has no access to crates.io, so this shim declares
 //! exactly the libc surface the workspace uses — the virtual-memory and
-//! file-descriptor calls behind `diehard_core::global`, the `poll(2)`,
+//! seed calls behind `diehard_core::global`, the `poll(2)`,
 //! `fcntl(2)`, `tee(2)` and `splice(2)` calls behind
 //! `diehard_replicate::reactor`, plus the errno/
 //! fork/dlopen/ptrace surface behind the `diehard-preload` interposer and
@@ -49,6 +49,8 @@ pub type pthread_t = c_ulong;
 pub type clockid_t = c_int;
 /// Seconds since the epoch (64-bit Linux).
 pub type time_t = i64;
+/// A resource-limit value (64-bit Linux).
+pub type rlim_t = u64;
 
 /// A `clock_gettime(2)` reading.
 #[repr(C)]
@@ -75,8 +77,19 @@ pub struct pollfd {
     pub revents: c_short,
 }
 
-/// `open(2)` flag: read-only.
-pub const O_RDONLY: c_int = 0;
+/// A resource limit (`setrlimit(2)`).
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct rlimit {
+    /// The soft limit.
+    pub rlim_cur: rlim_t,
+    /// The hard limit (ceiling for the soft one).
+    pub rlim_max: rlim_t,
+}
+
+/// `setrlimit(2)` resource: one more than the highest descriptor number
+/// `open` may return.
+pub const RLIMIT_NOFILE: c_int = 7;
 /// File-status flag: non-blocking I/O (Linux generic value).
 pub const O_NONBLOCK: c_int = 0o4000;
 
@@ -168,12 +181,11 @@ pub const MADV_COLLAPSE: c_int = 25;
 // symbols at their glibc versions.
 #[link(name = "c")]
 extern "C" {
-    /// `open(2)`.
-    pub fn open(path: *const c_char, flags: c_int, ...) -> c_int;
-    /// `read(2)`.
-    pub fn read(fd: c_int, buf: *mut c_void, count: size_t) -> ssize_t;
-    /// `close(2)`.
-    pub fn close(fd: c_int) -> c_int;
+    /// `getrandom(2)` (Linux 3.17+, glibc 2.25+): up to `buflen` bytes of
+    /// the kernel's random pool; flags 0 reads the `/dev/urandom` one.
+    pub fn getrandom(buf: *mut c_void, buflen: size_t, flags: c_uint) -> ssize_t;
+    /// `setrlimit(2)`.
+    pub fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
     /// `sysconf(3)`.
     pub fn sysconf(name: c_int) -> c_long;
     /// `getenv(3)`.

@@ -170,9 +170,9 @@ fn erroneous_free_storm_leaves_heap_consistent() {
     // Every legitimately live object must still free exactly once.
     let mut freed = 0;
     for p in live {
-        let live_before = heap.core().in_use();
+        let live_before = heap.core().live_objects();
         heap.free(p).unwrap();
-        if heap.core().in_use() == live_before - 1 {
+        if heap.core().live_objects() == live_before - 1 {
             freed += 1;
         }
     }
@@ -183,5 +183,5 @@ fn erroneous_free_storm_leaves_heap_consistent() {
         freed >= 490,
         "only {freed}/500 survived the bogus-free storm"
     );
-    assert_eq!(heap.core().in_use(), 0);
+    assert_eq!(heap.core().live_objects(), 0);
 }
