@@ -977,7 +977,7 @@ impl DieHard {
         };
         // Slots are naturally aligned to their (power-of-two) class size, so
         // serving max(size, align) satisfies any alignment request.
-        let need = layout.size().max(layout.align()).max(1);
+        let need = layout.size().max(layout.align());
         if need > crate::size_class::MAX_OBJECT_SIZE {
             return Self::alloc_large(state, layout.size(), layout.align());
         }
@@ -1364,6 +1364,35 @@ mod tests {
         }
         assert_eq!(heap.live_objects(), 0);
         assert_eq!(heap.stats().frees, 32, "spilled frees release mappings");
+    }
+
+    /// A 0 B request is one of 1 B wherever it lands: in the 8-byte class,
+    /// and, once that class is at its maximum, in a spill of one page.
+    #[test]
+    fn a_zero_byte_spill_is_a_page() {
+        let config = HeapConfig {
+            region_bytes: HeapConfig::min_region_bytes(2.0),
+            ..HeapConfig::default()
+        };
+        let cap = config.threshold(SizeClass::for_size(8).unwrap());
+        let heap = DieHard::with_config(config, 0x5EED);
+        let zero = Layout::from_size_align(0, 1).unwrap();
+        for _ in 0..cap {
+            let p = heap.alloc_in(false, zero).unwrap();
+            assert_eq!(heap.usable_size(p), 8, "placed in the 8-byte class");
+        }
+        let (base, placed) = heap.span().unwrap();
+        let p = heap.alloc_in(false, zero).unwrap();
+        assert!(!p.is_null());
+        assert!(!(base..base + placed.heap_span()).contains(&(p as usize)));
+        assert_eq!(
+            heap.stats().exhausted,
+            1,
+            "the class denied it at its maximum"
+        );
+        assert_eq!(heap.usable_size(p), page_size());
+        heap.free_in(false, p).unwrap();
+        assert_eq!(heap.usable_size(p), 0, "freed through the large table");
     }
 
     #[test]

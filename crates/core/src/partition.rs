@@ -325,12 +325,6 @@ impl AtomicPartition {
         (self.tickets.load(Ordering::Relaxed) & TICKET_IN_USE_MASK) as usize
     }
 
-    /// Fraction of the region currently occupied.
-    #[must_use]
-    pub fn fullness(&self) -> f64 {
-        self.in_use() as f64 / self.capacity() as f64
-    }
-
     /// `true` when the region has hit its `1/M` cap.
     #[must_use]
     #[inline]
@@ -533,16 +527,6 @@ mod tests {
         let p = part(16, 8);
         assert_eq!(p.free(5), SlotState::Free);
         assert_eq!(p.in_use(), 0);
-    }
-
-    #[test]
-    fn fullness_tracks_in_use() {
-        let p = part_seeded(64, 32, 4);
-        assert_eq!(p.fullness(), 0.0);
-        for _ in 0..16 {
-            p.alloc();
-        }
-        assert!((p.fullness() - 0.25).abs() < f64::EPSILON);
     }
 
     #[test]

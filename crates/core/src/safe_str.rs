@@ -13,8 +13,9 @@
 //! object bound.
 //!
 //! This module implements the bound computation against a heap's
-//! [`HeapGeometry`] and slice-based copy routines shared by the simulated
-//! heap; the real global allocator wraps them with raw-pointer entry points.
+//! [`HeapGeometry`] and the one slice-based bounded copy; the real global
+//! allocator's `strcpy` and `strncpy` both wrap it with raw-pointer entry
+//! points.
 
 use crate::config::HeapGeometry;
 
@@ -66,22 +67,16 @@ pub struct CopyOutcome {
     pub truncated: bool,
 }
 
-/// DieHard's `strcpy`: copies the NUL-terminated prefix of `src` into
-/// `dest`, but never more than `dest_space` bytes (the bound computed by
-/// [`space_in_object`]). The destination is always NUL-terminated when
-/// any space exists.
+/// DieHard's `strncpy` (a `strcpy` is the one whose `n` covers the whole
+/// string): copies the NUL-terminated prefix of `src`, at most `n` bytes of
+/// it, into `dest`, but never more than `dest_space` bytes (the bound
+/// computed by [`space_in_object`]). The destination is always
+/// NUL-terminated when any space exists. The caller's `n` is *clamped* by
+/// the true object bound, because "programmers can inadvertently specify
+/// an incorrect length" (§4.4).
 ///
 /// Returns the copy outcome; a `truncated` result is precisely the case
-/// where glibc's `strcpy` would have overflowed the heap object.
-pub fn bounded_strcpy(dest: &mut [u8], dest_space: usize, src: &[u8]) -> CopyOutcome {
-    let src_len = src.iter().position(|&b| b == 0).unwrap_or(src.len());
-    bounded_copy(dest, dest_space, &src[..src_len])
-}
-
-/// DieHard's `strncpy`: like [`bounded_strcpy`] but additionally limited by
-/// the caller's length argument `n` — which is *clamped* by the true object
-/// bound, because "programmers can inadvertently specify an incorrect
-/// length" (§4.4).
+/// where glibc's `strncpy` would have overflowed the heap object.
 pub fn bounded_strncpy(dest: &mut [u8], dest_space: usize, src: &[u8], n: usize) -> CopyOutcome {
     let src_len = src.iter().position(|&b| b == 0).unwrap_or(src.len());
     let want = src_len.min(n);
@@ -147,7 +142,7 @@ mod tests {
     #[test]
     fn strcpy_fits() {
         let mut dest = [0xAAu8; 16];
-        let out = bounded_strcpy(&mut dest, 16, b"hello\0");
+        let out = bounded_strncpy(&mut dest, 16, b"hello\0", 6);
         assert_eq!(
             out,
             CopyOutcome {
@@ -161,9 +156,11 @@ mod tests {
     #[test]
     fn strcpy_truncates_instead_of_overflowing() {
         let mut dest = [0xAAu8; 8];
-        let out = bounded_strcpy(&mut dest, 8, b"overflowing string\0");
+        let src = b"overflowing string\0";
+        let out = bounded_strncpy(&mut dest, 8, src, src.len());
         assert!(out.truncated);
         assert_eq!(out.copied, 7);
+        assert_eq!(&dest[..7], b"overflo");
         assert_eq!(dest[7], 0, "always NUL-terminated");
         // Nothing written past the bound: the slice itself is the proof
         // (a real overflow would have needed dest.len() > 8).
@@ -172,7 +169,7 @@ mod tests {
     #[test]
     fn strcpy_unterminated_source_bounded_by_slice() {
         let mut dest = [0u8; 32];
-        let out = bounded_strcpy(&mut dest, 32, b"no nul here");
+        let out = bounded_strncpy(&mut dest, 32, b"no nul here", 11);
         assert_eq!(out.copied, 11);
         assert!(!out.truncated);
     }
@@ -198,7 +195,7 @@ mod tests {
     #[test]
     fn zero_space_copies_nothing() {
         let mut dest = [0u8; 4];
-        let out = bounded_strcpy(&mut dest, 0, b"x\0");
+        let out = bounded_strncpy(&mut dest, 0, b"x\0", 2);
         assert_eq!(out.copied, 0);
         assert!(out.truncated);
     }
@@ -212,7 +209,7 @@ mod tests {
             space in 0usize..32,
         ) {
             let mut dest = vec![0xEEu8; 64];
-            let out = bounded_strcpy(&mut dest, space, &src);
+            let out = bounded_strncpy(&mut dest, space, &src, src.len());
             prop_assert!(out.copied < space.max(1));
             for (i, &b) in dest.iter().enumerate() {
                 if i >= space {
@@ -224,14 +221,14 @@ mod tests {
             }
         }
 
-        /// strncpy == strcpy when the caller bound is not the binding one.
+        /// An `n` past the string is a `strcpy`, whatever its size.
         #[test]
         fn strncpy_degenerates_to_strcpy(
             src in proptest::collection::vec(1u8..255, 0..32),
         ) {
             let mut a = vec![0u8; 64];
             let mut b = vec![0u8; 64];
-            let oa = bounded_strcpy(&mut a, 40, &src);
+            let oa = bounded_strncpy(&mut a, 40, &src, src.len());
             let ob = bounded_strncpy(&mut b, 40, &src, usize::MAX);
             prop_assert_eq!(oa, ob);
             prop_assert_eq!(a, b);

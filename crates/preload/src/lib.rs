@@ -130,6 +130,18 @@
 //! * **`errno` discipline.** Allocation failure sets `ENOMEM`;
 //!   `aligned_alloc` with a bad alignment sets `EINVAL`; `posix_memalign`
 //!   reports by return value and leaves `errno` alone, per POSIX.
+//!
+//! What a C host meets of these contracts is checked from outside:
+//! `tests/abi.rs` runs one seeded C script over all 15 exports (every size
+//! class's edges, alignments up to 1 MB, overflowing products, a `fork`
+//! whose child carries on, two threads, 110 000 large pairs) on glibc and
+//! under this library, and requires the same transcript, under every knob
+//! setting and seed. The ops where §4.3 and §4.4 answer otherwise than
+//! glibc — ignored double, interior and foreign frees, copies clamped to
+//! their object — run under this library only, each held to DieHard's
+//! answer. This file's own tests hold each export to its contract from
+//! inside the process, and reach what no C caller can stage: the arena and
+//! the nested-call diversion.
 
 #![cfg_attr(not(test), no_std)]
 

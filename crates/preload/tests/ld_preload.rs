@@ -223,17 +223,9 @@ fn links_no_std_runtime() {
 /// library's helpers is meant to.
 #[test]
 fn exports_are_the_allocation_abi_only() {
-    let so = library::path();
-    let Ok(nm) = Command::new("nm")
-        .args(["-D", "--defined-only"])
-        .arg(&so)
-        .output()
-    else {
-        eprintln!("skipping: no `nm` on this machine");
+    let Some(listing) = tool_output("nm", &["-D", "--defined-only"], &library::path()) else {
         return;
     };
-    assert!(nm.status.success(), "nm -D {so:?}");
-    let listing = String::from_utf8_lossy(&nm.stdout);
     let mut exports: Vec<&str> = listing
         .lines()
         .filter_map(|line| line.split_whitespace().nth(2))

@@ -15,7 +15,7 @@ use diehard_core::config::{FillPolicy, HeapConfig};
 use diehard_core::engine::HeapStats;
 use diehard_core::large::LargeTable;
 use diehard_core::rng::Mwc;
-use diehard_core::safe_str::{self, CopyOutcome};
+use diehard_core::safe_str;
 use diehard_core::size_class::MAX_OBJECT_SIZE;
 use diehard_core::Heap;
 
@@ -84,22 +84,6 @@ impl DieHardSimHeap {
     #[must_use]
     pub fn stats(&self) -> HeapStats {
         self.core.stats()
-    }
-
-    /// DieHard's bounded `strcpy` against simulated memory (§4.4): the copy
-    /// is clamped to the remaining space of the destination's heap object.
-    ///
-    /// # Errors
-    ///
-    /// Propagates arena faults (e.g. destination in a guard page).
-    pub fn strcpy(&mut self, dest: Addr, src: &[u8]) -> Result<CopyOutcome, Fault> {
-        let space =
-            safe_str::space_in_object(self.core.geometry(), dest).unwrap_or_else(|| src.len() + 1);
-        let mut buf = vec![0u8; space];
-        self.arena.read(dest, &mut buf)?;
-        let outcome = safe_str::bounded_strcpy(&mut buf, space, src);
-        self.arena.write(dest, &buf)?;
-        Ok(outcome)
     }
 
     /// Whether allocations are filled with random values.
@@ -308,21 +292,6 @@ mod tests {
         let mut buf = [1u8; 64];
         h.memory().read(a, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64]);
-    }
-
-    #[test]
-    fn strcpy_clamped_to_object() {
-        let mut h = heap(7);
-        let a = h.malloc(8, &[]).unwrap().unwrap();
-        let out = h
-            .strcpy(a, b"a very long string that would overflow")
-            .unwrap();
-        assert!(out.truncated);
-        assert_eq!(out.copied, 7);
-        let mut buf = [0u8; 8];
-        h.memory().read(a, &mut buf).unwrap();
-        assert_eq!(buf[7], 0);
-        assert_eq!(&buf[..7], b"a very ");
     }
 
     #[test]
